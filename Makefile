@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test bench bench-go bench-smoke race vet pumi-vet vet-self sarif-smoke chaos chaos-recover san-smoke trace-smoke telemetry-smoke proto-gen proto-check conform-smoke plan-smoke check
+.PHONY: all build test bench bench-go bench-smoke pipeline-smoke race vet pumi-vet vet-self sarif-smoke chaos chaos-recover san-smoke trace-smoke telemetry-smoke proto-gen proto-check conform-smoke plan-smoke check
 
 all: build
 
@@ -32,7 +32,14 @@ bench-go:
 # One-iteration compile-and-run of every benchmark — catches bit-rotted
 # benchmark code without paying for a measurement.
 bench-smoke:
-	$(GO) test -run '^$$' -bench=. -benchtime=1x ./internal/pcu/...
+	$(GO) test -run '^$$' -bench=. -benchtime=1x ./internal/pcu/... ./internal/mesh/
+
+# The pipeline benchmark is a Go module of its own (bench/go.mod), so
+# the lanes above never build it: run its unit tests and -quick smoke,
+# and the project analyzers over it. For numbers, bash bench/run.sh
+# (see bench/README.md).
+pipeline-smoke:
+	cd bench && $(GO) test ./... && $(GO) run github.com/fastmath/pumi-go/cmd/pumi-vet ./...
 
 race:
 	$(GO) test -race ./internal/...
@@ -123,4 +130,4 @@ plan-smoke:
 	$(GO) test -race -count=1 -run 'TestPlanSmoke' ./internal/chaos/
 
 # The full local gate: what CI runs.
-check: vet vet-self sarif-smoke proto-check build test race chaos chaos-recover san-smoke trace-smoke telemetry-smoke conform-smoke plan-smoke bench-smoke
+check: vet vet-self sarif-smoke proto-check build test race chaos chaos-recover san-smoke trace-smoke telemetry-smoke conform-smoke plan-smoke bench-smoke pipeline-smoke

@@ -70,8 +70,9 @@ func SplitEdge(m *mesh.Mesh, edge mesh.Ent, tr Transfer) mesh.Ent {
 		panic(fmt.Sprintf("adapt: SplitEdge of %v", edge))
 	}
 	d := m.Dim()
-	ab := m.Down(edge)
-	a, b := ab[0], ab[1]
+	var ends [2]mesh.Ent
+	m.DownTo(edge, ends[:0])
+	a, b := ends[0], ends[1]
 	cls := m.Classification(edge)
 	p := vec.Mid(m.Coord(a), m.Coord(b))
 	if model := m.Model(); model != nil && cls.Valid() && int(cls.Dim) < d {
@@ -81,7 +82,11 @@ func SplitEdge(m *mesh.Mesh, edge mesh.Ent, tr Transfer) mesh.Ent {
 	if tr != nil {
 		tr.EdgeSplit(m, edge, mid)
 	}
-	els := m.Adjacent(edge, d)
+	// The sets around one edge are small: stack arrays hold them, and
+	// append spills to the heap for the rare edge of higher valence.
+	var elBuf, faceBuf [32]mesh.Ent
+	var vertBuf, newBuf [8]mesh.Ent
+	els := m.AdjacentTo(edge, d, elBuf[:0])
 	// Record the old faces around the edge (3D) so their children can
 	// inherit the exact parent classification: old face (a,b,c) splits
 	// into (a,mid,c) and (mid,b,c), and the new edge (mid,c) lies
@@ -90,13 +95,14 @@ func SplitEdge(m *mesh.Mesh, edge mesh.Ent, tr Transfer) mesh.Ent {
 		cls gmi.Ref
 		opp mesh.Ent
 	}
-	var recs []faceRec
+	var recBuf [32]faceRec
+	recs := recBuf[:0]
 	var faces []mesh.Ent
 	if d == 3 {
-		faces = m.Adjacent(edge, 2)
+		faces = m.AdjacentTo(edge, 2, faceBuf[:0])
 		for _, f := range faces {
 			opp := mesh.NilEnt
-			for _, v := range m.Adjacent(f, 0) {
+			for _, v := range m.AdjacentTo(f, 0, vertBuf[:0]) {
 				if v != a && v != b {
 					opp = v
 				}
@@ -106,20 +112,12 @@ func SplitEdge(m *mesh.Mesh, edge mesh.Ent, tr Transfer) mesh.Ent {
 	}
 	for _, el := range els {
 		elCls := m.Classification(el)
-		verts := m.Verts(el)
+		verts := m.VertsTo(el, vertBuf[:0])
 		// Replace the element by two copies with b and a swapped for
 		// mid respectively. Vertex orders stay valid cycles/templates
 		// because only one vertex changes.
-		for _, drop := range []mesh.Ent{b, a} {
-			nv := make([]mesh.Ent, len(verts))
-			for i, v := range verts {
-				if v == drop {
-					nv[i] = mid
-				} else {
-					nv[i] = v
-				}
-			}
-			m.BuildFromVerts(el.T, nv, elCls)
+		for _, drop := range [2]mesh.Ent{b, a} {
+			m.BuildFromVerts(el.T, substitute(newBuf[:0], verts, drop, mid), elCls)
 		}
 	}
 	// Remove the old elements, then the orphaned entities around the
@@ -136,7 +134,7 @@ func SplitEdge(m *mesh.Mesh, edge mesh.Ent, tr Transfer) mesh.Ent {
 		m.Destroy(edge)
 	}
 	// Child edges of the split edge inherit its classification.
-	for _, v := range []mesh.Ent{a, b} {
+	for _, v := range ends {
 		child := m.FindFromVerts(mesh.Edge, []mesh.Ent{v, mid})
 		if child.Ok() {
 			m.SetClassification(child, cls)
@@ -148,7 +146,7 @@ func SplitEdge(m *mesh.Mesh, edge mesh.Ent, tr Transfer) mesh.Ent {
 		if !r.opp.Ok() {
 			continue
 		}
-		for _, other := range []mesh.Ent{a, b} {
+		for _, other := range ends {
 			child := m.FindFromVerts(mesh.Tri, []mesh.Ent{other, mid, r.opp})
 			if child.Ok() {
 				m.SetClassification(child, r.cls)
@@ -163,6 +161,18 @@ func SplitEdge(m *mesh.Mesh, edge mesh.Ent, tr Transfer) mesh.Ent {
 		ps.EdgeSplitDone(m, a, b, mid)
 	}
 	return mid
+}
+
+// substitute appends verts to dst with every occurrence of from
+// replaced by to.
+func substitute(dst, verts []mesh.Ent, from, to mesh.Ent) []mesh.Ent {
+	for _, v := range verts {
+		if v == from {
+			v = to
+		}
+		dst = append(dst, v)
+	}
+	return dst
 }
 
 // MarkLongEdges returns the edges whose length exceeds the size field's

@@ -2,6 +2,7 @@ package adapt
 
 import (
 	"math"
+	"slices"
 	"sort"
 
 	"github.com/fastmath/pumi-go/internal/gmi"
@@ -31,23 +32,17 @@ func CanCollapse(m *mesh.Mesh, edge, removed, kept mesh.Ent) bool {
 	if m.Classification(removed) != m.Classification(edge) {
 		return false
 	}
-	d := m.Dim()
-	for _, el := range m.Adjacent(removed, d) {
+	var elBuf [64]mesh.Ent
+	var vertBuf, newBuf [8]mesh.Ent
+	for _, el := range m.AdjacentTo(removed, m.Dim(), elBuf[:0]) {
 		if m.IsGhost(el) {
 			return false
 		}
 		if hasVert(m, el, kept) {
 			continue // dies with the edge
 		}
-		verts := m.Verts(el)
-		nv := make([]mesh.Ent, len(verts))
-		for i, v := range verts {
-			if v == removed {
-				nv[i] = kept
-			} else {
-				nv[i] = v
-			}
-		}
+		verts := m.VertsTo(el, vertBuf[:0])
+		nv := substitute(newBuf[:0], verts, removed, kept)
 		if m.FindFromVerts(el.T, nv).Ok() {
 			return false // would duplicate an existing element
 		}
@@ -79,18 +74,17 @@ func signedMeasure(m *mesh.Mesh, verts []mesh.Ent) float64 {
 }
 
 func hasVert(m *mesh.Mesh, el, v mesh.Ent) bool {
-	for _, x := range m.Adjacent(el, 0) {
-		if x == v {
-			return true
-		}
-	}
-	return false
+	var buf [8]mesh.Ent
+	return slices.Contains(m.AdjacentTo(el, 0, buf[:0]), v)
 }
 
 // simplexValid checks shape validity of a would-be element given its
 // vertex handles.
 func simplexValid(m *mesh.Mesh, t mesh.Type, verts []mesh.Ent) bool {
-	pts := make([]vec.V, len(verts))
+	var pts [4]vec.V
+	if len(verts) > len(pts) {
+		return false // not a simplex
+	}
 	for i, v := range verts {
 		pts[i] = m.Coord(v)
 	}
@@ -126,87 +120,70 @@ func CollapseEdge(m *mesh.Mesh, edge, removed, kept mesh.Ent, tr Transfer) {
 		tr.Collapse(m, removed, kept)
 	}
 	d := m.Dim()
-	dying := m.Adjacent(edge, d)
-	rebuilt := m.Adjacent(removed, d)
+	// Every element around removed is replaced or dies; the ones around
+	// the edge (they contain kept as well) are among them.
+	var elBuf [64]mesh.Ent
+	var sideBuf [16]mesh.Ent
+	var vertBuf, newBuf [8]mesh.Ent
+	cavity := m.AdjacentTo(removed, d, elBuf[:0])
 	// Record the classification of every lower entity touching the
 	// removed vertex in surviving cavities, keyed by its replacement
 	// vertex set, so boundary sides keep their model classification.
 	type clsRec struct {
 		t  mesh.Type
-		nv []mesh.Ent
+		nv [4]mesh.Ent
 		c  gmi.Ref
 	}
 	var recs []clsRec
-	replace := func(verts []mesh.Ent) []mesh.Ent {
-		nv := make([]mesh.Ent, len(verts))
-		for i, v := range verts {
-			if v == removed {
-				nv[i] = kept
-			} else {
-				nv[i] = v
-			}
-		}
-		return nv
-	}
-	for _, el := range rebuilt {
+	for _, el := range cavity {
 		if hasVert(m, el, kept) {
 			continue
 		}
 		for dd := 1; dd < d; dd++ {
-			for _, de := range m.Adjacent(el, dd) {
+			for _, de := range m.AdjacentTo(el, dd, sideBuf[:0]) {
 				if !hasVert(m, de, removed) {
 					continue
 				}
-				nv := replace(m.Adjacent(de, 0))
+				r := clsRec{t: de.T, c: m.Classification(de)}
+				nv := substitute(r.nv[:0], m.AdjacentTo(de, 0, vertBuf[:0]), removed, kept)
 				if m.FindFromVerts(de.T, nv).Ok() {
 					// The replacement already exists (a side of a
 					// dying element) and keeps its own classification.
 					continue
 				}
-				recs = append(recs, clsRec{t: de.T, nv: nv, c: m.Classification(de)})
+				recs = append(recs, r)
 			}
 		}
 	}
 	// Create replacements first (they share entities with survivors).
-	for _, el := range rebuilt {
+	for _, el := range cavity {
 		if hasVert(m, el, kept) {
 			continue
 		}
-		m.BuildFromVerts(el.T, replace(m.Verts(el)), m.Classification(el))
+		nv := substitute(newBuf[:0], m.VertsTo(el, vertBuf[:0]), removed, kept)
+		m.BuildFromVerts(el.T, nv, m.Classification(el))
 	}
 	for _, r := range recs {
-		child := m.FindFromVerts(r.t, r.nv)
+		child := m.FindFromVerts(r.t, r.nv[:r.t.VertCount()])
 		if child.Ok() {
 			m.SetClassification(child, r.c)
 		}
 	}
 	// Destroy all old elements around removed (including those around
 	// the edge), then cascade orphans down to the removed vertex.
-	old := map[mesh.Ent]bool{}
-	for _, el := range dying {
-		old[el] = true
-	}
-	for _, el := range rebuilt {
-		old[el] = true
-	}
-	els := make([]mesh.Ent, 0, len(old))
-	for el := range old {
-		els = append(els, el)
-	}
-	sort.Slice(els, func(i, j int) bool { return els[i].Less(els[j]) })
 	var lower []mesh.Ent
-	for _, el := range els {
+	for _, el := range cavity {
 		for dd := d - 1; dd >= 0; dd-- {
-			lower = append(lower, m.Adjacent(el, dd)...)
+			lower = m.AdjacentTo(el, dd, lower)
 		}
 		m.Destroy(el)
 	}
 	// Orphan sweep, highest dimension first.
-	sort.Slice(lower, func(i, j int) bool {
-		if lower[i].Dim() != lower[j].Dim() {
-			return lower[i].Dim() > lower[j].Dim()
+	slices.SortFunc(lower, func(a, b mesh.Ent) int {
+		if a.Dim() != b.Dim() {
+			return b.Dim() - a.Dim()
 		}
-		return lower[i].Less(lower[j])
+		return a.Compare(b)
 	})
 	for _, e := range lower {
 		if m.Alive(e) && !m.HasUp(e) && e.T != mesh.Vertex {
@@ -223,6 +200,7 @@ func CollapseEdge(m *mesh.Mesh, edge, removed, kept mesh.Ent, tr Transfer) {
 // part-interior cavities are touched.
 func Coarsen(m *mesh.Mesh, size SizeField, tr Transfer, maxRounds int) int {
 	collapses := 0
+	var ends [2]mesh.Ent
 	for round := 0; round < maxRounds; round++ {
 		type cand struct {
 			e   mesh.Ent
@@ -238,7 +216,7 @@ func Coarsen(m *mesh.Mesh, size SizeField, tr Transfer, maxRounds int) int {
 			// so coarsening across a sharp size gradient cannot undo a
 			// split that the gradient's fine side demanded — otherwise
 			// refine and coarsen oscillate forever at the interface.
-			vs := m.Down(e)
+			vs := m.DownTo(e, ends[:0])
 			h := size(m.Centroid(e))
 			if ha := size(m.Coord(vs[0])); ha < h {
 				h = ha
@@ -262,7 +240,7 @@ func Coarsen(m *mesh.Mesh, size SizeField, tr Transfer, maxRounds int) int {
 			if !m.Alive(e) {
 				continue
 			}
-			vs := m.Down(e)
+			vs := m.DownTo(e, ends[:0])
 			switch {
 			case CanCollapse(m, e, vs[0], vs[1]):
 				CollapseEdge(m, e, vs[0], vs[1], tr)

@@ -106,6 +106,7 @@ func localizeMarked(dm *partition.DMesh, size SizeField, useMax bool) int64 {
 	}
 	plans := make([]partition.Plan, len(dm.Parts))
 	var moved int64
+	var els []mesh.Ent
 	for i, part := range dm.Parts {
 		m := part.M
 		self := m.Part()
@@ -118,7 +119,8 @@ func localizeMarked(dm *partition.DMesh, size SizeField, useMax bool) int64 {
 			if d == self {
 				continue // cavity gathers here
 			}
-			for _, el := range m.Adjacent(e, dm.Dim) {
+			els = m.AdjacentTo(e, dm.Dim, els[:0])
+			for _, el := range els {
 				if cur, ok := plans[i][el]; !ok || better(d, cur) {
 					plans[i][el] = d
 				}

@@ -20,7 +20,8 @@ func NewFieldTransfer(names ...string) *FieldTransfer {
 
 // EdgeSplit implements Transfer by linear interpolation.
 func (ft *FieldTransfer) EdgeSplit(m *mesh.Mesh, edge, mid mesh.Ent) {
-	vs := m.Down(edge)
+	var ends [2]mesh.Ent
+	vs := m.DownTo(edge, ends[:0])
 	for _, name := range ft.Names {
 		f := field.Find(m, name, field.Linear)
 		if f == nil {
@@ -81,9 +82,12 @@ func (qt *QuadraticFieldTransfer) stash(a, b mesh.Ent, name string, vals []float
 // EdgeSplit implements Transfer: it computes all child node values
 // while the parent entities are still alive.
 func (qt *QuadraticFieldTransfer) EdgeSplit(m *mesh.Mesh, edge, mid mesh.Ent) {
-	vs := m.Down(edge)
-	a, b := vs[0], vs[1]
-	d := m.Dim()
+	var ends [2]mesh.Ent
+	m.DownTo(edge, ends[:0])
+	a, b := ends[0], ends[1]
+	var elBuf [32]mesh.Ent
+	var vertBuf [8]mesh.Ent
+	els := m.AdjacentTo(edge, m.Dim(), elBuf[:0])
 	for _, name := range qt.Names {
 		f := field.Find(m, name, field.Quadratic)
 		if f == nil {
@@ -108,8 +112,8 @@ func (qt *QuadraticFieldTransfer) EdgeSplit(m *mesh.Mesh, edge, mid mesh.Ent) {
 		qt.stash(mid, b, name, q3)
 		// Interior child edges (mid, c): evaluate the parent element's
 		// quadratic field at the new edge's midpoint.
-		for _, el := range m.Adjacent(edge, d) {
-			for _, c := range m.Adjacent(el, 0) {
+		for _, el := range els {
+			for _, c := range m.AdjacentTo(el, 0, vertBuf[:0]) {
 				if c == a || c == b {
 					continue
 				}

@@ -2,32 +2,43 @@ package mesh
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"github.com/fastmath/pumi-go/internal/gmi"
 )
 
-// Down returns e's one-level downward adjacent entities in canonical
-// order. The returned slice is freshly allocated; use DownTo to reuse a
-// buffer in hot loops.
-func (m *Mesh) Down(e Ent) []Ent {
-	return m.DownTo(e, nil)
+// The query layer is one traversal, AdjacentTo, plus the table-driven
+// VertsTo and FindFromVerts. Every "To" form appends its result to a
+// caller-owned buffer and returns it; the returned slice aliases only
+// that buffer, never mesh storage. The names without "To" are
+// one-line allocating wrappers for cold callers.
+
+// adjStack is the number of entities a traversal level may hold in
+// stack scratch. Adjacency sets are bounded by local valence (a vertex
+// of a tet mesh sees a few dozen entities per dimension), so levels
+// normally fit; a larger level spills to the heap through append and
+// the result is the same.
+const adjStack = 128
+
+// down returns e's one-level downward adjacencies as a view of mesh
+// storage: read-only, and invalid after the next create or destroy.
+func (m *Mesh) down(e Ent) []Ent {
+	td := &m.td[e.T]
+	base := int(e.I) * td.degree
+	return td.down[base : base+td.degree : base+td.degree]
 }
+
+// Down returns e's one-level downward adjacent entities in canonical
+// order, freshly allocated; see DownTo.
+func (m *Mesh) Down(e Ent) []Ent { return m.DownTo(e, nil) }
 
 // DownTo appends e's one-level downward adjacencies to buf and returns
 // it.
-func (m *Mesh) DownTo(e Ent, buf []Ent) []Ent {
-	td := &m.td[e.T]
-	base := int(e.I) * td.degree
-	return append(buf, td.down[base:base+td.degree]...)
-}
+func (m *Mesh) DownTo(e Ent, buf []Ent) []Ent { return append(buf, m.down(e)...) }
 
 // Up returns the one-level upward adjacent entities of e (most recently
-// created first — the use-list order). The slice is freshly allocated;
-// use UpTo to reuse a buffer.
-func (m *Mesh) Up(e Ent) []Ent {
-	return m.UpTo(e, nil)
-}
+// created first — the use-list order), freshly allocated; see UpTo.
+func (m *Mesh) Up(e Ent) []Ent { return m.UpTo(e, nil) }
 
 // UpTo appends e's one-level upward adjacencies to buf and returns it.
 // An entity may appear once per use (e.g. both end vertices of a
@@ -35,14 +46,7 @@ func (m *Mesh) Up(e Ent) []Ent {
 func (m *Mesh) UpTo(e Ent, buf []Ent) []Ent {
 	start := len(buf)
 	for u := m.td[e.T].firstUse[e.I]; u.e.Ok(); u = m.useNext(u) {
-		dup := false
-		for _, prev := range buf[start:] {
-			if prev == u.e {
-				dup = true
-				break
-			}
-		}
-		if !dup {
+		if !slices.Contains(buf[start:], u.e) {
 			buf = append(buf, u.e)
 		}
 	}
@@ -51,227 +55,196 @@ func (m *Mesh) UpTo(e Ent, buf []Ent) []Ent {
 
 // UpCount returns the number of distinct one-level upward adjacencies.
 func (m *Mesh) UpCount(e Ent) int {
-	n := 0
-	var seen [2]Ent // entities rarely repeat more than twice
-	nSeen := 0
-	for u := m.td[e.T].firstUse[e.I]; u.e.Ok(); u = m.useNext(u) {
-		dup := false
-		for i := 0; i < nSeen; i++ {
-			if seen[i] == u.e {
-				dup = true
-				break
-			}
-		}
-		if dup {
-			continue
-		}
-		if nSeen < len(seen) {
-			seen[nSeen] = u.e
-			nSeen++
-			n++
-			continue
-		}
-		// Fall back to the allocating path for pathological valence.
-		return len(m.Up(e))
-	}
-	return n
+	var s [adjStack]Ent
+	return len(m.UpTo(e, s[:0]))
 }
 
 // HasUp reports whether e bounds any higher-dimension entity.
 func (m *Mesh) HasUp(e Ent) bool { return m.td[e.T].firstUse[e.I].e.Ok() }
 
-// Adjacent returns the entities of dimension dim adjacent to e,
-// traversing one level at a time through the complete representation.
-// Same-dimension queries return nil (use BridgeAdjacent for
-// second-order adjacency). Results are deduplicated and sorted for
-// determinism.
-func (m *Mesh) Adjacent(e Ent, dim int) []Ent {
-	ed := e.Dim()
-	if dim == ed {
-		return nil
+// Adjacent returns the entities of dimension dim adjacent to e, freshly
+// allocated; see AdjacentTo.
+func (m *Mesh) Adjacent(e Ent, dim int) []Ent { return m.AdjacentTo(e, dim, nil) }
+
+// AdjacentTo appends the entities of dimension dim adjacent to e to buf
+// and returns it, traversing one level at a time through the complete
+// representation. The appended entities are distinct and ascending in
+// Ent.Less order. Same-dimension queries append nothing (use
+// BridgeAdjacentTo for second-order adjacency). Intermediate levels
+// live in stack scratch, so the call allocates only if buf must grow or
+// a level exceeds adjStack entities.
+func (m *Mesh) AdjacentTo(e Ent, dim int, buf []Ent) []Ent {
+	d := e.Dim()
+	if dim == d {
+		return buf
 	}
-	cur := []Ent{e}
-	for d := ed; d < dim; d++ {
-		cur = m.stepUp(cur)
+	up := dim > d
+	step := -1
+	if up {
+		step = 1
 	}
-	for d := ed; d > dim; d-- {
-		cur = m.stepDown(cur)
+	var s0, s1 [adjStack]Ent
+	cur, next := append(s0[:0], e), s1[:0]
+	for d != dim {
+		d += step
+		next = m.gather(next[:0], cur, up)
+		cur, next = next, cur
 	}
-	sort.Slice(cur, func(i, j int) bool { return cur[i].Less(cur[j]) })
-	return cur
+	slices.SortFunc(cur, Ent.Compare)
+	return append(buf, cur...)
 }
 
-// appendUnique adds e to out unless present. Local adjacency sets are
-// small (bounded by valence), so a linear scan beats hashing; switch to
-// a map only for pathological sizes.
-func appendUnique(out []Ent, e Ent) []Ent {
-	for _, x := range out {
-		if x == e {
-			return out
+// gather appends the distinct one-level upward (or downward)
+// adjacencies of the entities of from to dst, which must start empty.
+// Levels are bounded by local valence, so a linear scan of what is
+// already there is the cheapest set.
+func (m *Mesh) gather(dst, from []Ent, up bool) []Ent {
+	for _, e := range from {
+		if !up {
+			for _, d := range m.down(e) {
+				if !slices.Contains(dst, d) {
+					dst = append(dst, d)
+				}
+			}
+			continue
 		}
-	}
-	return append(out, e)
-}
-
-func (m *Mesh) stepUp(ents []Ent) []Ent {
-	var out []Ent
-	for _, e := range ents {
 		for u := m.td[e.T].firstUse[e.I]; u.e.Ok(); u = m.useNext(u) {
-			out = appendUnique(out, u.e)
-		}
-	}
-	return out
-}
-
-func (m *Mesh) stepDown(ents []Ent) []Ent {
-	var out []Ent
-	for _, e := range ents {
-		td := &m.td[e.T]
-		base := int(e.I) * td.degree
-		for _, d := range td.down[base : base+td.degree] {
-			out = appendUnique(out, d)
-		}
-	}
-	return out
-}
-
-// BridgeAdjacent returns the second-order adjacency of e: entities of
-// dimension targetDim reachable through shared entities of dimension
-// bridgeDim (e.g. the elements sharing a face with an element). e
-// itself is excluded; results are sorted.
-func (m *Mesh) BridgeAdjacent(e Ent, bridgeDim, targetDim int) []Ent {
-	seen := map[Ent]bool{e: true}
-	var out []Ent
-	for _, b := range m.Adjacent(e, bridgeDim) {
-		for _, t := range m.Adjacent(b, targetDim) {
-			if !seen[t] {
-				seen[t] = true
-				out = append(out, t)
+			if !slices.Contains(dst, u.e) {
+				dst = append(dst, u.e)
 			}
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Less(out[j]) })
-	return out
+	return dst
 }
 
-// Verts returns e's vertices in an order consistent with the canonical
-// templates in downVerts: for faces the edge cycle order, for regions
-// an order with the base face first. Regions may be returned in a
-// rotation/reflection of their creation order; all derived quantities
-// (volumes, shape functions) treat that as an equivalent labeling.
-func (m *Mesh) Verts(e Ent) []Ent {
+// BridgeAdjacent returns the second-order adjacency of e, freshly
+// allocated; see BridgeAdjacentTo.
+func (m *Mesh) BridgeAdjacent(e Ent, bridgeDim, targetDim int) []Ent {
+	return m.BridgeAdjacentTo(e, bridgeDim, targetDim, nil)
+}
+
+// BridgeAdjacentTo appends the second-order adjacency of e to buf and
+// returns it: the entities of dimension targetDim reachable through
+// shared entities of dimension bridgeDim (e.g. the elements sharing a
+// face with an element), distinct, ascending in Ent.Less order, e
+// itself excluded.
+func (m *Mesh) BridgeAdjacentTo(e Ent, bridgeDim, targetDim int, buf []Ent) []Ent {
+	start := len(buf)
+	var s [adjStack]Ent
+	for _, b := range m.AdjacentTo(e, bridgeDim, s[:0]) {
+		buf = m.AdjacentTo(b, targetDim, buf)
+	}
+	slices.SortFunc(buf[start:], Ent.Compare)
+	buf = buf[:start+len(slices.Compact(buf[start:]))]
+	if i := slices.Index(buf[start:], e); i >= 0 {
+		buf = slices.Delete(buf, start+i, start+i+1)
+	}
+	return buf
+}
+
+// Verts returns e's vertices in canonical order, freshly allocated; see
+// VertsTo.
+func (m *Mesh) Verts(e Ent) []Ent { return m.VertsTo(e, nil) }
+
+// VertsTo appends e's vertices to buf in an order consistent with the
+// canonical templates in downVerts and returns it: for faces the edge
+// cycle order, for regions an order with the base face first. Regions
+// may come back in a rotation/reflection of their creation order; all
+// derived quantities (volumes, shape functions) treat that as an
+// equivalent labeling.
+func (m *Mesh) VertsTo(e Ent, buf []Ent) []Ent {
 	switch e.Dim() {
 	case 0:
-		return []Ent{e}
+		return append(buf, e)
 	case 1:
-		return m.Down(e)
+		return m.DownTo(e, buf)
 	case 2:
-		return m.faceVerts(e)
+		return m.faceVertsTo(e, buf)
 	default:
-		return m.regionVerts(e)
+		return m.regionVertsTo(e, buf)
 	}
 }
 
-// faceVerts recovers a face's vertex cycle from its edges: vertex i is
-// the vertex shared by edges i-1 and i.
-func (m *Mesh) faceVerts(f Ent) []Ent {
-	edges := m.Down(f)
-	n := len(edges)
-	out := make([]Ent, n)
-	for i := 0; i < n; i++ {
-		prev := edges[(i+n-1)%n]
-		out[i] = m.sharedVert(prev, edges[i])
+// faceVertsTo recovers a face's vertex cycle from its edges: vertex i
+// is the vertex shared by edges i-1 and i.
+func (m *Mesh) faceVertsTo(f Ent, buf []Ent) []Ent {
+	edges := m.down(f)
+	prev := edges[len(edges)-1]
+	for _, edge := range edges {
+		buf = append(buf, m.sharedVert(prev, edge))
+		prev = edge
 	}
-	return out
+	return buf
 }
 
 func (m *Mesh) sharedVert(e1, e2 Ent) Ent {
-	a := m.Down(e1)
-	b := m.Down(e2)
-	for _, v1 := range a {
-		for _, v2 := range b {
-			if v1 == v2 {
-				return v1
-			}
+	b := m.down(e2)
+	for _, v := range m.down(e1) {
+		if v == b[0] || v == b[1] {
+			return v
 		}
 	}
 	panic(fmt.Sprintf("mesh: edges %v and %v share no vertex", e1, e2))
 }
 
-// regionVerts recovers a region's vertices: the base face's cycle plus
-// the remaining vertices matched through mesh edges.
-func (m *Mesh) regionVerts(r Ent) []Ent {
-	faces := m.Down(r)
-	base := m.faceVerts(faces[0])
-	inBase := map[Ent]bool{}
-	for _, v := range base {
-		inBase[v] = true
-	}
+// regionVertsTo recovers a region's vertices: the base face's cycle
+// plus the remaining vertices matched through the region's own edges.
+func (m *Mesh) regionVertsTo(r Ent, buf []Ent) []Ent {
+	faces := m.down(r)
+	start := len(buf)
+	buf = m.faceVertsTo(faces[0], buf)
+	var s [4]Ent
+	top := m.faceVertsTo(faces[1], s[:0])
 	switch r.T {
 	case Tet, Pyramid:
 		// One apex vertex: any vertex of the second face not in the base.
-		for _, v := range m.faceVerts(faces[1]) {
-			if !inBase[v] {
-				return append(base, v)
+		for _, v := range top {
+			if !slices.Contains(buf[start:], v) {
+				return append(buf, v)
 			}
 		}
 		panic(fmt.Sprintf("mesh: %v has no apex vertex", r))
 	case Hex, Prism:
-		// Top face vertices matched to base vertices through vertical
-		// mesh edges of this region.
-		top := m.faceVerts(faces[1])
-		inTop := map[Ent]bool{}
-		for _, v := range top {
-			inTop[v] = true
-		}
-		out := append([]Ent{}, base...)
-		for _, v := range base {
-			partner := NilEnt
-			for _, edge := range m.Adjacent(v, 1) {
-				o := m.otherVert(edge, v)
-				if inTop[o] && m.edgeInRegion(edge, r) {
-					partner = o
-					break
-				}
-			}
+		// Top face vertices matched to base vertices through the
+		// vertical edges of the side faces.
+		for _, v := range buf[start:] {
+			partner := m.verticalPartner(faces[2:], v, top)
 			if !partner.Ok() {
 				panic(fmt.Sprintf("mesh: no vertical partner for %v in %v", v, r))
 			}
-			out = append(out, partner)
+			buf = append(buf, partner)
 		}
-		return out
+		return buf
 	}
 	panic(fmt.Sprintf("mesh: Verts unsupported for %v", r.T))
 }
 
-func (m *Mesh) otherVert(edge, v Ent) Ent {
-	d := m.Down(edge)
-	if d[0] == v {
-		return d[1]
-	}
-	return d[0]
-}
-
-func (m *Mesh) edgeInRegion(edge, r Ent) bool {
-	for _, f := range m.Adjacent(edge, 2) {
-		for u := m.td[f.T].firstUse[f.I]; u.e.Ok(); u = m.useNext(u) {
-			if u.e == r {
-				return true
+// verticalPartner returns the vertex of top joined to v by an edge of
+// one of the given side faces, or NilEnt.
+func (m *Mesh) verticalPartner(sides []Ent, v Ent, top []Ent) Ent {
+	for _, f := range sides {
+		for _, edge := range m.down(f) {
+			ends := m.down(edge)
+			switch {
+			case ends[0] == v && slices.Contains(top, ends[1]):
+				return ends[1]
+			case ends[1] == v && slices.Contains(top, ends[0]):
+				return ends[0]
 			}
 		}
 	}
-	return false
+	return NilEnt
 }
 
 // FindByDown returns the live entity of type t whose downward set
 // equals the given entities (order-insensitive), or NilEnt.
 func (m *Mesh) FindByDown(t Type, down []Ent) Ent {
+	if len(down) == 0 {
+		return NilEnt
+	}
 	d0 := down[0]
 	for u := m.td[d0.T].firstUse[d0.I]; u.e.Ok(); u = m.useNext(u) {
-		if u.e.T != t {
-			continue
-		}
-		if m.downSetEquals(u.e, down) {
+		if u.e.T == t && m.downSetEquals(u.e, down) {
 			return u.e
 		}
 	}
@@ -279,17 +252,16 @@ func (m *Mesh) FindByDown(t Type, down []Ent) Ent {
 }
 
 func (m *Mesh) downSetEquals(e Ent, down []Ent) bool {
-	td := &m.td[e.T]
-	base := int(e.I) * td.degree
-	if td.degree != len(down) {
+	have := m.down(e)
+	if len(have) != len(down) {
 		return false
 	}
 	// Multiset equality: each stored entity may be matched once.
 	var used [8]bool
 	for _, want := range down {
 		found := false
-		for k, have := range td.down[base : base+td.degree] {
-			if !used[k] && have == want {
+		for k, h := range have {
+			if !used[k] && h == want {
 				used[k] = true
 				found = true
 				break
@@ -303,44 +275,76 @@ func (m *Mesh) downSetEquals(e Ent, down []Ent) bool {
 }
 
 // FindFromVerts returns the live entity of type t whose vertex set
-// equals verts, or NilEnt.
+// equals verts, or NilEnt. The comparison is a set bijection: verts may
+// come in any order (callers pass sorted as well as canonical lists),
+// but a list of the wrong length or with a repeated vertex names no
+// entity. It walks upward from verts[0] through only those edges and
+// faces whose own vertices all lie in verts, and allocates nothing.
 func (m *Mesh) FindFromVerts(t Type, verts []Ent) Ent {
+	n := len(verts)
+	if n != t.VertCount() {
+		return NilEnt
+	}
+	for i, v := range verts[1:] {
+		if slices.Contains(verts[:i+1], v) {
+			return NilEnt
+		}
+	}
 	if t == Vertex {
 		return verts[0]
 	}
-	if t == Edge {
-		return m.FindByDown(Edge, verts)
-	}
-	// Walk candidates adjacent to the first vertex.
-	for _, cand := range m.Adjacent(verts[0], t.Dim()) {
-		if cand.T != t {
+	return m.findAbove(verts[0], t, verts)
+}
+
+// findAbove searches the entities above e, all of whose vertices lie in
+// verts, for an entity of type t covering verts exactly.
+func (m *Mesh) findAbove(e Ent, t Type, verts []Ent) Ent {
+	full := uint(1)<<len(verts) - 1
+	for u := m.td[e.T].firstUse[e.I]; u.e.Ok(); u = m.useNext(u) {
+		c := u.e
+		last := c.Dim() == t.Dim()
+		if last && c.T != t {
 			continue
 		}
-		if m.vertSetEquals(cand, verts) {
-			return cand
+		mask, ok := m.closureMask(c, verts)
+		switch {
+		case !ok:
+		case !last:
+			if found := m.findAbove(c, t, verts); found.Ok() {
+				return found
+			}
+		case mask == full:
+			return c
 		}
 	}
 	return NilEnt
 }
 
-func (m *Mesh) vertSetEquals(e Ent, verts []Ent) bool {
-	have := m.Adjacent(e, 0)
-	if len(have) != len(verts) {
-		return false
-	}
-	for _, want := range verts {
-		found := false
-		for _, h := range have {
-			if h == want {
-				found = true
-				break
-			}
+// closureMask reports which positions of verts the vertices of e (an
+// edge or above) occupy; ok is false when some vertex of e is not in
+// verts. The canonical templates let two downward entities stand for
+// all of them: both ends of an edge, edges 0 and 1 of a triangle (0 and
+// 2 of a quad), and the base and second face of every region type
+// together touch every vertex.
+func (m *Mesh) closureMask(e Ent, verts []Ent) (mask uint, ok bool) {
+	down := m.down(e)
+	first, second := down[0], down[1]
+	if e.T == Edge {
+		i, j := slices.Index(verts, first), slices.Index(verts, second)
+		if i < 0 || j < 0 {
+			return 0, false
 		}
-		if !found {
-			return false
-		}
+		return 1<<i | 1<<j, true
 	}
-	return true
+	if e.T == Quad {
+		second = down[2]
+	}
+	a, ok := m.closureMask(first, verts)
+	if !ok {
+		return 0, false
+	}
+	b, ok := m.closureMask(second, verts)
+	return a | b, ok
 }
 
 // BuildFromVerts creates (or finds, if already present) the entity of
@@ -359,13 +363,13 @@ func (m *Mesh) BuildFromVerts(t Type, verts []Ent, c gmi.Ref) Ent {
 	if e := m.FindFromVerts(t, verts); e.Ok() {
 		return e
 	}
-	down := make([]Ent, len(downTypes[t]))
+	var down [6]Ent
 	for i, dt := range downTypes[t] {
-		dv := make([]Ent, len(downVerts[t][i]))
+		var dv [4]Ent
 		for j, li := range downVerts[t][i] {
 			dv[j] = verts[li]
 		}
-		down[i] = m.BuildFromVerts(dt, dv, c)
+		down[i] = m.BuildFromVerts(dt, dv[:len(downVerts[t][i])], c)
 	}
-	return m.CreateEntity(t, c, down)
+	return m.CreateEntity(t, c, down[:len(downTypes[t])])
 }

@@ -1,0 +1,612 @@
+package mesh_test
+
+import (
+	"fmt"
+	"math"
+	"slices"
+	"testing"
+
+	"github.com/fastmath/pumi-go/internal/adapt"
+	"github.com/fastmath/pumi-go/internal/gmi"
+	"github.com/fastmath/pumi-go/internal/mesh"
+	"github.com/fastmath/pumi-go/internal/meshgen"
+	"github.com/fastmath/pumi-go/internal/vec"
+)
+
+// --- The oracle: brute force over the whole mesh through Down only ---
+
+// inClosure reports whether lo lies in the downward closure of hi.
+func inClosure(m *mesh.Mesh, hi, lo mesh.Ent) bool {
+	if hi == lo {
+		return true
+	}
+	if hi.Dim() <= lo.Dim() {
+		return false
+	}
+	for _, d := range m.Down(hi) {
+		if inClosure(m, d, lo) {
+			return true
+		}
+	}
+	return false
+}
+
+// refAdjacent scans every entity of dimension dim and keeps those
+// incident to e. Iter runs type-major in slot order, which is Ent.Less
+// order.
+func refAdjacent(m *mesh.Mesh, e mesh.Ent, dim int) []mesh.Ent {
+	var out []mesh.Ent
+	if dim == e.Dim() {
+		return out
+	}
+	for x := range m.Iter(dim) {
+		if dim < e.Dim() && inClosure(m, e, x) || dim > e.Dim() && inClosure(m, x, e) {
+			out = append(out, x)
+		}
+	}
+	return out
+}
+
+func refBridge(m *mesh.Mesh, e mesh.Ent, bridgeDim, targetDim int) []mesh.Ent {
+	var out []mesh.Ent
+	if bridgeDim == e.Dim() || bridgeDim == targetDim {
+		return out
+	}
+	bridges := refAdjacent(m, e, bridgeDim)
+	for x := range m.Iter(targetDim) {
+		if x == e {
+			continue
+		}
+		for _, b := range bridges {
+			if inClosure(m, x, b) || inClosure(m, b, x) {
+				out = append(out, x)
+				break
+			}
+		}
+	}
+	return out
+}
+
+// refVerts is the vertex order Verts returned before the table-driven
+// kernel: face vertex i is shared by edges i-1 and i; a region lists
+// its base face's cycle, then the apex (first vertex of face 1 outside
+// the base) or, for hex and prism, each base vertex's partner across a
+// vertical edge of the region.
+func refVerts(m *mesh.Mesh, e mesh.Ent) []mesh.Ent {
+	faceVerts := func(f mesh.Ent) []mesh.Ent {
+		edges := m.Down(f)
+		out := make([]mesh.Ent, len(edges))
+		for i := range edges {
+			a, b := m.Down(edges[(i+len(edges)-1)%len(edges)]), m.Down(edges[i])
+			out[i] = mesh.NilEnt
+			for _, v := range a {
+				if slices.Contains(b, v) {
+					out[i] = v
+					break
+				}
+			}
+		}
+		return out
+	}
+	switch e.Dim() {
+	case 0:
+		return []mesh.Ent{e}
+	case 1:
+		return m.Down(e)
+	case 2:
+		return faceVerts(e)
+	}
+	faces := m.Down(e)
+	out := faceVerts(faces[0])
+	top := faceVerts(faces[1])
+	if e.T == mesh.Tet || e.T == mesh.Pyramid {
+		for _, v := range top {
+			if !slices.Contains(out, v) {
+				return append(out, v)
+			}
+		}
+		return out
+	}
+	for _, v := range out {
+		for _, edge := range refAdjacent(m, v, 1) {
+			ends := m.Down(edge)
+			o := ends[0]
+			if o == v {
+				o = ends[1]
+			}
+			if slices.Contains(top, o) && inClosure(m, e, edge) {
+				out = append(out, o)
+				break
+			}
+		}
+	}
+	return out
+}
+
+// findOracle answers FindFromVerts by table: every entity's vertex set,
+// found by brute force, keyed by type and sorted vertex list.
+type findOracle map[string]mesh.Ent
+
+func newFindOracle(m *mesh.Mesh) findOracle {
+	o := findOracle{}
+	for d := 0; d <= m.Dim(); d++ {
+		for e := range m.Iter(d) {
+			set := []mesh.Ent{e}
+			if d > 0 {
+				set = refAdjacent(m, e, 0)
+			}
+			key := fmt.Sprint(e.T, set)
+			if prev, dup := o[key]; dup && prev.Less(e) {
+				continue
+			}
+			o[key] = e
+		}
+	}
+	return o
+}
+
+// find returns the entity of type t whose vertex set is exactly verts
+// (a set: a repeated vertex or a wrong count matches nothing).
+func (o findOracle) find(t mesh.Type, verts []mesh.Ent) mesh.Ent {
+	set := slices.Clone(verts)
+	slices.SortFunc(set, entCmp)
+	if len(slices.Compact(slices.Clone(set))) != len(verts) {
+		return mesh.NilEnt
+	}
+	if e, ok := o[fmt.Sprint(t, set)]; ok {
+		return e
+	}
+	return mesh.NilEnt
+}
+
+func entCmp(a, b mesh.Ent) int {
+	switch {
+	case a.Less(b):
+		return -1
+	case b.Less(a):
+		return 1
+	}
+	return 0
+}
+
+// --- Meshes under test ---
+
+// quadGrid builds an n x n grid of quads on a 2-D mesh.
+func quadGrid(n int) *mesh.Mesh {
+	m := mesh.New(nil, 2)
+	vs := make([]mesh.Ent, (n+1)*(n+1))
+	for j := 0; j <= n; j++ {
+		for i := 0; i <= n; i++ {
+			vs[j*(n+1)+i] = m.CreateVertex(gmi.NoRef, vec.V{X: float64(i), Y: float64(j)})
+		}
+	}
+	for j := 0; j < n; j++ {
+		for i := 0; i < n; i++ {
+			at := func(di, dj int) mesh.Ent { return vs[(j+dj)*(n+1)+i+di] }
+			m.BuildFromVerts(mesh.Quad, []mesh.Ent{at(0, 0), at(1, 0), at(1, 1), at(0, 1)}, gmi.NoRef)
+		}
+	}
+	return m
+}
+
+// mixedCells builds a hex with a pyramid on its top face, a prism on
+// one side face and a tet on one of the pyramid's faces: every region
+// type, tri and quad faces shared between unlike regions.
+func mixedCells() *mesh.Mesh {
+	m := mesh.New(nil, 3)
+	p := func(x, y, z float64) mesh.Ent { return m.CreateVertex(gmi.NoRef, vec.V{X: x, Y: y, Z: z}) }
+	h := []mesh.Ent{p(0, 0, 0), p(1, 0, 0), p(1, 1, 0), p(0, 1, 0), p(0, 0, 1), p(1, 0, 1), p(1, 1, 1), p(0, 1, 1)}
+	m.BuildFromVerts(mesh.Hex, h, gmi.NoRef)
+	apex := p(0.5, 0.5, 2)
+	m.BuildFromVerts(mesh.Pyramid, []mesh.Ent{h[4], h[5], h[6], h[7], apex}, gmi.NoRef)
+	a, b := p(2, 0, 0), p(2, 0, 1)
+	// Prism with the hex's x = 1 side (1,2,6,5) as a quad face.
+	m.BuildFromVerts(mesh.Prism, []mesh.Ent{h[1], a, h[5], h[2], p(2, 1, 0), h[6]}, gmi.NoRef)
+	m.BuildFromVerts(mesh.Tet, []mesh.Ent{h[5], h[6], apex, b}, gmi.NoRef)
+	return m
+}
+
+// churned returns Box3D after a refine + coarsen round, so entity slots
+// have been freed and reused and use lists are no longer in creation
+// order.
+func churned(t *testing.T) *mesh.Mesh {
+	m := meshgen.Box3D(gmi.Box(1, 1, 1), 2, 2, 2)
+	size := func(p vec.V) float64 {
+		if math.Abs(p.X+0.25*p.Y-0.55) < 0.15 {
+			return 0.3
+		}
+		return 1.6
+	}
+	splits := adapt.Refine(m, size, adapt.NopTransfer{}, 2)
+	collapses := adapt.Coarsen(m, size, adapt.NopTransfer{}, 2)
+	if splits == 0 || collapses == 0 {
+		t.Fatalf("churn did %d splits, %d collapses; want both", splits, collapses)
+	}
+	if err := m.CheckConsistency(); err != nil {
+		t.Fatal(err)
+	}
+	return m
+}
+
+func kernelMeshes(t *testing.T) map[string]*mesh.Mesh {
+	return map[string]*mesh.Mesh{
+		"box3d":    meshgen.Box3D(gmi.Box(1, 1, 1), 3, 3, 3),
+		"vessel3d": meshgen.Vessel3D(gmi.Vessel(10, 1, 0.5, 0.5), 3, 3),
+		"tri2d":    meshgen.Rect2D(gmi.Rect(1, 1), 4, 4),
+		"quad2d":   quadGrid(4),
+		"mixed":    mixedCells(),
+		"churned":  churned(t),
+	}
+}
+
+// --- Differential tests ---
+
+func TestKernelMatchesBruteForce(t *testing.T) {
+	for name, m := range kernelMeshes(t) {
+		t.Run(name, func(t *testing.T) {
+			// A dirty prefix checks that the To forms append and leave
+			// what was there alone.
+			prefix := []mesh.Ent{{T: mesh.Hex, I: 12345}}
+			buf := make([]mesh.Ent, 0, 64)
+			for d := 0; d <= m.Dim(); d++ {
+				for e := range m.Iter(d) {
+					for dim := 0; dim <= m.Dim(); dim++ {
+						want := refAdjacent(m, e, dim)
+						buf = m.AdjacentTo(e, dim, append(buf[:0], prefix...))
+						if !slices.Equal(buf[:1], prefix) || !slices.Equal(buf[1:], want) {
+							t.Fatalf("AdjacentTo(%v, %d) = %v, want %v", e, dim, buf[1:], want)
+						}
+						if got := m.Adjacent(e, dim); !slices.Equal(got, want) {
+							t.Fatalf("Adjacent(%v, %d) = %v, want %v", e, dim, got, want)
+						}
+					}
+					want := refVerts(m, e)
+					buf = m.VertsTo(e, append(buf[:0], prefix...))
+					if !slices.Equal(buf[:1], prefix) || !slices.Equal(buf[1:], want) {
+						t.Fatalf("VertsTo(%v) = %v, want %v", e, buf[1:], want)
+					}
+					checkTemplate(t, m, e, want)
+					if d < m.Dim() {
+						if got, want := m.UpCount(e), len(refAdjacent(m, e, d+1)); got != want {
+							t.Fatalf("UpCount(%v) = %d, want %d", e, got, want)
+						}
+					}
+				}
+			}
+		})
+	}
+}
+
+// checkTemplate verifies verts against the canonical tables where they
+// bind. A face's i-th edge joins vertices i and i+1. A region comes back
+// in a rotation or reflection of its creation order, so only its base
+// face (and, for hex and prism, the opposite face) is pinned by index.
+func checkTemplate(t *testing.T, m *mesh.Mesh, e mesh.Ent, verts []mesh.Ent) {
+	t.Helper()
+	if e.Dim() < 2 {
+		return
+	}
+	for i, d := range m.Down(e) {
+		if e.Dim() == 3 && i > 0 && !(i == 1 && (e.T == mesh.Hex || e.T == mesh.Prism)) {
+			break
+		}
+		var want []mesh.Ent
+		for _, li := range mesh.DownVertsForTest[e.T][i] {
+			want = append(want, verts[li])
+		}
+		slices.SortFunc(want, entCmp)
+		if got := refAdjacent(m, d, 0); !slices.Equal(got, want) {
+			t.Fatalf("Verts(%v) = %v: downward[%d] = %v has vertices %v, template says %v", e, verts, i, d, got, want)
+		}
+	}
+}
+
+func TestBridgeAdjacentMatchesBruteForce(t *testing.T) {
+	for name, m := range kernelMeshes(t) {
+		t.Run(name, func(t *testing.T) {
+			D := m.Dim()
+			// Elements through sides and through vertices, vertices
+			// through edges and through elements, sides through elements.
+			cases := [][3]int{{D, D - 1, D}, {D, 0, D}, {0, 1, 0}, {0, D, 0}, {D - 1, D, D - 1}, {1, 0, D}, {D, D, D}}
+			buf := make([]mesh.Ent, 0, 64)
+			for _, c := range cases {
+				for e := range m.Iter(c[0]) {
+					want := refBridge(m, e, c[1], c[2])
+					buf = m.BridgeAdjacentTo(e, c[1], c[2], buf[:0])
+					if !slices.Equal(buf, want) {
+						t.Fatalf("BridgeAdjacentTo(%v, %d, %d) = %v, want %v", e, c[1], c[2], buf, want)
+					}
+					if got := m.BridgeAdjacent(e, c[1], c[2]); !slices.Equal(got, want) {
+						t.Fatalf("BridgeAdjacent(%v, %d, %d) = %v, want %v", e, c[1], c[2], got, want)
+					}
+				}
+			}
+		})
+	}
+}
+
+// permutations calls f with every ordering of s (Heap's algorithm); s
+// is permuted in place.
+func permutations(s []mesh.Ent, f func([]mesh.Ent)) {
+	var rec func(k int)
+	rec = func(k int) {
+		if k == 1 {
+			f(s)
+			return
+		}
+		for i := 0; i < k; i++ {
+			rec(k - 1)
+			if k%2 == 0 {
+				s[i], s[k-1] = s[k-1], s[i]
+			} else {
+				s[0], s[k-1] = s[k-1], s[0]
+			}
+		}
+	}
+	rec(len(s))
+}
+
+func TestFindFromVertsEveryPermutation(t *testing.T) {
+	for name, m := range kernelMeshes(t) {
+		t.Run(name, func(t *testing.T) {
+			oracle := newFindOracle(m)
+			var outsider mesh.Ent
+			for d := 0; d <= m.Dim(); d++ {
+				for e := range m.Iter(d) {
+					verts := m.Verts(e)
+					permutations(slices.Clone(verts), func(p []mesh.Ent) {
+						if got := m.FindFromVerts(e.T, p); got != e {
+							t.Fatalf("FindFromVerts(%v, %v) = %v, want %v", e.T, p, got, e)
+						}
+					})
+					if d == 0 {
+						outsider = e
+						continue
+					}
+					// Near misses: one vertex swapped for every other
+					// vertex of the mesh in turn (a hit when the
+					// neighbor across that vertex exists), a repeated
+					// vertex, a short and a long list.
+					for v := range m.Iter(0) {
+						if slices.Contains(verts, v) {
+							continue
+						}
+						miss := slices.Clone(verts)
+						miss[len(miss)-1] = v
+						if got, want := m.FindFromVerts(e.T, miss), oracle.find(e.T, miss); got != want {
+							t.Fatalf("FindFromVerts(%v, %v) = %v, want %v", e.T, miss, got, want)
+						}
+					}
+					dup := slices.Clone(verts)
+					dup[0] = dup[1]
+					if got := m.FindFromVerts(e.T, dup); got.Ok() {
+						t.Fatalf("FindFromVerts(%v, %v) with a repeated vertex = %v, want nil", e.T, dup, got)
+					}
+					if got := m.FindFromVerts(e.T, verts[:len(verts)-1]); got.Ok() {
+						t.Fatalf("FindFromVerts(%v, short list) = %v, want nil", e.T, got)
+					}
+					if got := m.FindFromVerts(e.T, append(slices.Clone(verts), outsider)); got.Ok() {
+						t.Fatalf("FindFromVerts(%v, long list) = %v, want nil", e.T, got)
+					}
+				}
+			}
+		})
+	}
+}
+
+// TestFindFromVertsIsSetBijection pins the two defects of the
+// membership-only comparison: a list with a repeated vertex matched any
+// entity containing its distinct vertices, and an empty list indexed
+// verts[0].
+func TestFindFromVertsIsSetBijection(t *testing.T) {
+	m := mesh.New(nil, 2)
+	a := m.CreateVertex(gmi.NoRef, vec.V{})
+	b := m.CreateVertex(gmi.NoRef, vec.V{X: 1})
+	c := m.CreateVertex(gmi.NoRef, vec.V{Y: 1})
+	tri := m.BuildFromVerts(mesh.Tri, []mesh.Ent{a, b, c}, gmi.NoRef)
+	if got := m.FindFromVerts(mesh.Tri, []mesh.Ent{c, a, b}); got != tri {
+		t.Fatalf("FindFromVerts(tri, {c,a,b}) = %v, want %v", got, tri)
+	}
+	for _, verts := range [][]mesh.Ent{{a, a, b}, {a, b, b}, {c, c, c}, {a, b}, {a, b, c, a}, {a}, {}, nil} {
+		if got := m.FindFromVerts(mesh.Tri, verts); got.Ok() {
+			t.Errorf("FindFromVerts(tri, %v) = %v, want nil", verts, got)
+		}
+	}
+	for _, verts := range [][]mesh.Ent{{a, a}, {a}, {}, {a, b, c}} {
+		if got := m.FindFromVerts(mesh.Edge, verts); got.Ok() {
+			t.Errorf("FindFromVerts(edge, %v) = %v, want nil", verts, got)
+		}
+	}
+	if got := m.FindFromVerts(mesh.Vertex, nil); got.Ok() {
+		t.Errorf("FindFromVerts(vertex, nil) = %v, want nil", got)
+	}
+}
+
+// fan builds n tets around the edge (c, top): vertex c then has n tets,
+// n+1 edges and 2n faces, beyond the traversal's stack scratch.
+func fan(n int) (m *mesh.Mesh, c mesh.Ent) {
+	m = mesh.New(nil, 3)
+	c = m.CreateVertex(gmi.NoRef, vec.V{})
+	top := m.CreateVertex(gmi.NoRef, vec.V{Z: 1})
+	ring := make([]mesh.Ent, n)
+	for i := range ring {
+		a := 2 * math.Pi * float64(i) / float64(n)
+		ring[i] = m.CreateVertex(gmi.NoRef, vec.V{X: math.Cos(a), Y: math.Sin(a)})
+	}
+	for i := range ring {
+		m.BuildFromVerts(mesh.Tet, []mesh.Ent{c, ring[i], ring[(i+1)%n], top}, gmi.NoRef)
+	}
+	return m, c
+}
+
+func TestAdjacentSpillsBeyondStackScratch(t *testing.T) {
+	const n = 150
+	m, c := fan(n)
+	if err := m.CheckConsistency(); err != nil {
+		t.Fatal(err)
+	}
+	for dim, count := range map[int]int{1: n + 1, 2: 2 * n, 3: n} {
+		want := refAdjacent(m, c, dim)
+		if len(want) != count {
+			t.Fatalf("fan: oracle finds %d entities of dim %d at the hub, want %d", len(want), dim, count)
+		}
+		if got := m.AdjacentTo(c, dim, nil); !slices.Equal(got, want) {
+			t.Fatalf("AdjacentTo(hub, %d): %d entities, want %d, or out of order", dim, len(got), len(want))
+		}
+	}
+	if got := m.UpCount(c); got != n+1 {
+		t.Fatalf("UpCount(hub) = %d, want %d", got, n+1)
+	}
+	tet := m.Adjacent(c, 3)[0]
+	if got, want := m.BridgeAdjacent(tet, 0, 3), refBridge(m, tet, 0, 3); !slices.Equal(got, want) {
+		t.Fatalf("BridgeAdjacent(%v, 0, 3): %d entities, want %d, or out of order", tet, len(got), len(want))
+	}
+}
+
+// --- Allocation pins ---
+
+// interior returns a vertex of m with the most regions around it, one
+// of those regions, and one of its edges.
+func interior(m *mesh.Mesh) (v, rgn, edge mesh.Ent) {
+	best := 0
+	for x := range m.Iter(0) {
+		if n := len(m.Adjacent(x, 3)); n > best {
+			best, v = n, x
+		}
+	}
+	return v, m.Adjacent(v, 3)[0], m.Adjacent(v, 1)[0]
+}
+
+func TestKernelZeroAlloc(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under -race")
+	}
+	m := meshgen.Box3D(gmi.Box(1, 1, 1), 4, 4, 4)
+	v, rgn, edge := interior(m)
+	buf := make([]mesh.Ent, 0, 256)
+	hit := m.Verts(rgn)
+	miss := slices.Clone(hit)
+	for x := range m.Iter(0) {
+		miss[3] = x
+		if !slices.Contains(hit, x) && !m.FindFromVerts(mesh.Tet, miss).Ok() {
+			break
+		}
+	}
+	sink := 0
+	pins := map[string]func(){
+		"AdjacentTo vtx→rgn":      func() { buf = m.AdjacentTo(v, 3, buf[:0]) },
+		"AdjacentTo rgn→vtx":      func() { buf = m.AdjacentTo(rgn, 0, buf[:0]) },
+		"AdjacentTo edge→rgn":     func() { buf = m.AdjacentTo(edge, 3, buf[:0]) },
+		"BridgeAdjacentTo rgn":    func() { buf = m.BridgeAdjacentTo(rgn, 2, 3, buf[:0]) },
+		"VertsTo rgn":             func() { buf = m.VertsTo(rgn, buf[:0]) },
+		"UpCount vtx":             func() { sink += m.UpCount(v) },
+		"UpCount edge":            func() { sink += m.UpCount(edge) },
+		"FindFromVerts hit":       func() { sink += int(m.FindFromVerts(mesh.Tet, hit).I) },
+		"FindFromVerts miss":      func() { sink += int(m.FindFromVerts(mesh.Tet, miss).I) },
+		"BuildFromVerts existing": func() { sink += int(m.BuildFromVerts(mesh.Tet, hit, gmi.NoRef).I) },
+		"Centroid rgn":            func() { sink += int(m.Centroid(rgn).X) },
+		"Measure rgn":             func() { sink += int(m.Measure(rgn)) },
+	}
+	if m.FindFromVerts(mesh.Tet, miss).Ok() || m.FindFromVerts(mesh.Tet, hit) != rgn {
+		t.Fatal("hit/miss vertex lists are not what they claim")
+	}
+	for name, f := range pins {
+		if got := testing.AllocsPerRun(100, f); got != 0 {
+			t.Errorf("%s: %v allocs/op, want 0", name, got)
+		}
+	}
+	_ = sink
+}
+
+// --- Micro-benchmarks (bench-smoke lane; use -benchmem) ---
+
+func BenchmarkAdjacentTo(b *testing.B) {
+	m := meshgen.Box3D(gmi.Box(1, 1, 1), 10, 10, 10)
+	buf := make([]mesh.Ent, 0, 256)
+	for _, c := range []struct {
+		name     string
+		from, to int
+	}{{"vtx→rgn", 0, 3}, {"rgn→vtx", 3, 0}, {"edge→rgn", 1, 3}} {
+		var ents []mesh.Ent
+		for e := range m.Iter(c.from) {
+			ents = append(ents, e)
+		}
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			n := 0
+			for i := 0; i < b.N; i++ {
+				buf = m.AdjacentTo(ents[i%len(ents)], c.to, buf[:0])
+				n += len(buf)
+			}
+			if n == 0 {
+				b.Fatal("no adjacencies")
+			}
+		})
+	}
+}
+
+func BenchmarkFindFromVerts(b *testing.B) {
+	m := meshgen.Box3D(gmi.Box(1, 1, 1), 10, 10, 10)
+	var hits, misses [][4]mesh.Ent
+	for r := range m.Iter(3) {
+		var h [4]mesh.Ent
+		copy(h[:], m.Verts(r))
+		hits = append(hits, h)
+		// Swapping the apex for the far corner of the mesh keeps three
+		// vertices of a real face, so the walk gets as far as it can.
+		h[3] = mesh.Ent{T: mesh.Vertex, I: int32(m.Count(0)) - 1 - h[3].I}
+		if !slices.Contains(h[:3], h[3]) && !m.FindFromVerts(mesh.Tet, h[:]).Ok() {
+			misses = append(misses, h)
+		}
+	}
+	for name, lists := range map[string][][4]mesh.Ent{"hit": hits, "miss": misses} {
+		b.Run(name, func(b *testing.B) {
+			b.ReportAllocs()
+			found := 0
+			for i := 0; i < b.N; i++ {
+				if m.FindFromVerts(mesh.Tet, lists[i%len(lists)][:]).Ok() {
+					found++
+				}
+			}
+			if (name == "hit") != (found == b.N) || (name == "miss") != (found == 0) {
+				b.Fatalf("%s: found %d of %d", name, found, b.N)
+			}
+		})
+	}
+}
+
+// BenchmarkBuildTet times mesh construction from vertex tuples: one op
+// is one BuildFromVerts(Tet) into a mesh that already holds the
+// neighbors built so far (Box3D's 6,000-tet Kuhn grid, rebuilt from its
+// own connectivity).
+func BenchmarkBuildTet(b *testing.B) {
+	src := meshgen.Box3D(gmi.Box(1, 1, 1), 10, 10, 10)
+	var tets [][4]int32
+	for r := range src.Iter(3) {
+		var t [4]int32
+		for i, v := range src.Verts(r) {
+			t[i] = v.I
+		}
+		tets = append(tets, t)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	var m *mesh.Mesh
+	for i := 0; i < b.N; i++ {
+		k := i % len(tets)
+		if k == 0 {
+			b.StopTimer()
+			m = mesh.New(nil, 3)
+			for v := range src.Iter(0) {
+				m.CreateVertex(gmi.NoRef, src.Coord(v))
+			}
+			b.StartTimer()
+		}
+		t := tets[k]
+		vs := [4]mesh.Ent{{I: t[0]}, {I: t[1]}, {I: t[2]}, {I: t[3]}}
+		m.BuildFromVerts(mesh.Tet, vs[:], gmi.NoRef)
+	}
+	if m.Count(3) == 0 {
+		b.Fatal("built nothing")
+	}
+}

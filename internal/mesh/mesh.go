@@ -9,7 +9,10 @@
 // Storage follows PUMI's MDS design: per-type struct-of-arrays with
 // free lists, so entities can be created and destroyed dynamically (as
 // mesh adaptation and migration require) without invalidating other
-// handles, and adjacency queries never allocate per-entity objects.
+// handles, and adjacency queries never allocate: the buffer forms
+// (DownTo, UpTo, AdjacentTo, BridgeAdjacentTo, VertsTo) append to a
+// caller-owned slice, FindFromVerts and UpCount return scalars, and the
+// names without "To" allocate only the slice they return.
 // Downward adjacency is stored explicitly; upward adjacency is stored
 // as intrusive "use" lists threaded through the downward slots, giving
 // constant-time insertion, deletion and iteration proportional only to
@@ -296,7 +299,7 @@ func (m *Mesh) Destroy(e Ent) {
 func (m *Mesh) DestroyRecursive(e Ent) {
 	var down []Ent
 	if e.T != Vertex {
-		down = append(down, m.Down(e)...)
+		down = m.Down(e)
 	}
 	m.Destroy(e)
 	for _, d := range down {

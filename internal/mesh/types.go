@@ -1,6 +1,9 @@
 package mesh
 
-import "fmt"
+import (
+	"cmp"
+	"fmt"
+)
 
 // Type enumerates the topological entity types the mesh representation
 // supports: the base entities vertex (0D), edge (1D), face (2D:
@@ -145,4 +148,12 @@ func (e Ent) Less(o Ent) bool {
 		return e.T < o.T
 	}
 	return e.I < o.I
+}
+
+// Compare is the three-way form of Less, for slices.SortFunc.
+func (e Ent) Compare(o Ent) int {
+	if e.T != o.T {
+		return cmp.Compare(e.T, o.T)
+	}
+	return cmp.Compare(e.I, o.I)
 }

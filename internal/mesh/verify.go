@@ -93,7 +93,7 @@ func VerifyParallel(c *pcu.Ctx, ms ...*Mesh) error {
 					}
 					// Closure: everything bounding a shared entity is
 					// shared with at least the same parts.
-					for _, de := range m.Down(e) {
+					for _, de := range m.down(e) {
 						if _, ok := m.RemoteCopy(de, rc.Part); !ok {
 							record(fmt.Errorf("mesh: %v shared with part %d but its bounding %v is not",
 								e, rc.Part, de))

@@ -10,6 +10,7 @@ package meshgen
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"github.com/fastmath/pumi-go/internal/gmi"
 	"github.com/fastmath/pumi-go/internal/mesh"
@@ -133,7 +134,7 @@ func Vessel3D(model *gmi.VesselModel, ns, n int) *mesh.Mesh {
 	m := mesh.New(model.Model, 3)
 	sx, sy := n+1, (n+1)*(n+1)
 	verts := make([]mesh.Ent, (n+1)*(n+1)*(ns+1))
-	axial := map[mesh.Ent]int{}
+	axial := make([]int, len(verts)) // axial layer by vertex slot
 	at := func(iu, iv, it int) mesh.Ent { return verts[it*sy+iv*sx+iu] }
 	for it := 0; it <= ns; it++ {
 		t := float64(it) / float64(ns)
@@ -151,7 +152,7 @@ func Vessel3D(model *gmi.VesselModel, ns, n int) *mesh.Mesh {
 				p := c.Add(n1.Scale(r * a)).Add(n2.Scale(r * b))
 				ve := m.CreateVertex(gmi.Ref{Dim: 3, Tag: 1}, p)
 				verts[it*sy+iv*sx+iu] = ve
-				axial[ve] = it
+				axial[ve.I] = it
 			}
 		}
 	}
@@ -171,11 +172,12 @@ func Vessel3D(model *gmi.VesselModel, ns, n int) *mesh.Mesh {
 	cap1 := gmi.Ref{Dim: 2, Tag: 3}
 	faceRef := func(f mesh.Ent) gmi.Ref {
 		at0, at1 := true, true
-		for _, v := range m.Adjacent(f, 0) {
-			if axial[v] != 0 {
+		var buf [4]mesh.Ent
+		for _, v := range m.AdjacentTo(f, 0, buf[:0]) {
+			if axial[v.I] != 0 {
 				at0 = false
 			}
-			if axial[v] != ns {
+			if axial[v.I] != ns {
 				at1 = false
 			}
 		}
@@ -214,14 +216,15 @@ func ClassifyBoundaryTopological(m *mesh.Mesh, faceRef func(mesh.Ent) gmi.Ref) {
 			m.SetClassification(f, faceRef(f))
 		}
 	}
+	var ups []mesh.Ent
+	var refs []gmi.Ref
 	for d := m.Dim() - 2; d >= 0; d-- {
 		for e := range m.Iter(d) {
-			var refs []gmi.Ref
-			seen := map[gmi.Ref]bool{}
-			for _, u := range m.Adjacent(e, d+1) {
+			refs = refs[:0]
+			ups = m.AdjacentTo(e, d+1, ups[:0])
+			for _, u := range ups {
 				c := m.Classification(u)
-				if int(c.Dim) < m.Dim() && !seen[c] {
-					seen[c] = true
+				if int(c.Dim) < m.Dim() && !slices.Contains(refs, c) {
 					refs = append(refs, c)
 				}
 			}

@@ -34,11 +34,17 @@ func Write(w io.Writer, m *mesh.Mesh) error {
 	wu32 := func(v uint32) { binary.Write(bw, binary.LittleEndian, v) }
 	wu32(uint32(m.Dim()))
 
-	// Vertices: assign sequential ids in iteration order.
-	index := map[mesh.Ent]uint32{}
+	// Vertices: assign sequential ids in iteration order; index maps a
+	// vertex slot to its id.
+	var index []uint32
 	wu32(uint32(m.Count(0)))
+	id := uint32(0)
 	for v := range m.Iter(0) {
-		index[v] = uint32(len(index))
+		for int(v.I) >= len(index) {
+			index = append(index, 0)
+		}
+		index[v.I] = id
+		id++
 		p := m.Coord(v)
 		binary.Write(bw, binary.LittleEndian, [3]float64{p.X, p.Y, p.Z})
 		writeClassif(bw, m.Classification(v))
@@ -46,14 +52,15 @@ func Write(w io.Writer, m *mesh.Mesh) error {
 	// Higher dimensions: entities as vertex tuples (set semantics are
 	// recovered by BuildFromVerts on load; the canonical order is
 	// preserved by storing Verts order).
+	var verts []mesh.Ent
 	for d := 1; d <= m.Dim(); d++ {
 		wu32(uint32(m.Count(d)))
 		for e := range m.Iter(d) {
 			bw.WriteByte(byte(e.T))
-			verts := m.Verts(e)
+			verts = m.VertsTo(e, verts[:0])
 			wu32(uint32(len(verts)))
 			for _, v := range verts {
-				wu32(index[v])
+				wu32(index[v.I])
 			}
 			writeClassif(bw, m.Classification(e))
 		}
@@ -104,6 +111,7 @@ func Read(r io.Reader, model *gmi.Model) (*mesh.Mesh, error) {
 		}
 		verts[i] = m.CreateVertex(cls, vec.V{X: p[0], Y: p[1], Z: p[2]})
 	}
+	var vsBuf [8]mesh.Ent
 	for d := 1; d <= int(dim); d++ {
 		var n uint32
 		if err := binary.Read(br, binary.LittleEndian, &n); err != nil {
@@ -125,7 +133,7 @@ func Read(r io.Reader, model *gmi.Model) (*mesh.Mesh, error) {
 			if int(k) != t.VertCount() {
 				return nil, fmt.Errorf("meshio: %v with %d vertices", t, k)
 			}
-			vs := make([]mesh.Ent, k)
+			vs := vsBuf[:k]
 			for j := range vs {
 				var vi uint32
 				if err := binary.Read(br, binary.LittleEndian, &vi); err != nil {

@@ -6,7 +6,6 @@ import (
 	"sort"
 	"time"
 
-	"github.com/fastmath/pumi-go/internal/mesh"
 	"github.com/fastmath/pumi-go/internal/partition"
 	"github.com/fastmath/pumi-go/internal/pcu"
 )
@@ -262,7 +261,7 @@ func buildPlans(dm *partition.DMesh, counts [4][]int64, t int, higher []int, pri
 		if len(candidates) == 0 {
 			continue
 		}
-		leaving := map[mesh.Ent]bool{}
+		leaving := m.NewMarks()
 		cavities := SelectCavities(m, t)
 		if cfg.NaiveSelection {
 			// Ablation: drop the shape-based preference, keep only the
@@ -278,7 +277,7 @@ func buildPlans(dm *partition.DMesh, counts [4][]int64, t int, higher []int, pri
 			// Skip cavities overlapping already-planned elements.
 			overlap := false
 			for _, el := range cav.Els {
-				if leaving[el] {
+				if leaving.Has(el) {
 					overlap = true
 					break
 				}
@@ -332,13 +331,13 @@ func buildPlans(dm *partition.DMesh, counts [4][]int64, t int, higher []int, pri
 			}
 			// Exact marginal reduction of dim t on this part.
 			for _, el := range cav.Els {
-				leaving[el] = true
+				leaving.Set(el)
 			}
-			red := leavingCount(m, cav.Els, leaving, t)
+			red := leavingCount(m, cav.Els, &leaving, t)
 			if red <= 0 && t != dm.Dim {
 				// No reduction; undo.
 				for _, el := range cav.Els {
-					delete(leaving, el)
+					leaving.Clear(el)
 				}
 				continue
 			}

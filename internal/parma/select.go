@@ -1,6 +1,7 @@
 package parma
 
 import (
+	"slices"
 	"sort"
 
 	"github.com/fastmath/pumi-go/internal/mesh"
@@ -73,16 +74,18 @@ func SelectCavities(m *mesh.Mesh, dim int) []Cavity {
 // it is nb, the number of faces the move removes from the part.
 func selectByBoundaryFaces(m *mesh.Mesh, forRegions bool) []Cavity {
 	d := m.Dim()
-	seen := map[mesh.Ent]bool{}
+	seen := m.NewMarks()
 	var out []Cavity
+	var els, sides []mesh.Ent
 	for f := range m.PartBoundary(d - 1) {
-		for _, el := range m.Adjacent(f, d) {
-			if seen[el] || m.IsGhost(el) {
+		els = m.AdjacentTo(f, d, els[:0])
+		for _, el := range els {
+			if m.IsGhost(el) || !seen.Set(el) {
 				continue
 			}
-			seen[el] = true
 			nb, ni := 0, 0
-			for _, ef := range m.Adjacent(el, d-1) {
+			sides = m.AdjacentTo(el, d-1, sides[:0])
+			for _, ef := range sides {
 				if m.IsShared(ef) {
 					nb++
 				} else {
@@ -113,24 +116,15 @@ func selectByBoundaryFaces(m *mesh.Mesh, forRegions bool) []Cavity {
 func selectByCavity(m *mesh.Mesh, dim, limit int) []Cavity {
 	d := m.Dim()
 	var out []Cavity
+	var els []mesh.Ent
 	for b := range m.PartBoundary(dim) {
-		els := m.Adjacent(b, d)
-		if len(els) == 0 || len(els) > limit {
-			continue
-		}
-		ok := true
-		for _, el := range els {
-			if m.IsGhost(el) {
-				ok = false
-				break
-			}
-		}
-		if !ok {
+		els = m.AdjacentTo(b, d, els[:0])
+		if len(els) == 0 || len(els) > limit || slices.ContainsFunc(els, m.IsGhost) {
 			continue
 		}
 		out = append(out, Cavity{
 			Anchor: b,
-			Els:    els,
+			Els:    slices.Clone(els),
 			Score:  1 / float64(len(els)),
 		})
 	}
@@ -142,48 +136,46 @@ func selectByCavity(m *mesh.Mesh, dim, limit int) []Cavity {
 // arriving at the destination with the cavity.
 func closureCounts(m *mesh.Mesh, els []mesh.Ent) [4]int {
 	var counts [4]int
-	seen := map[mesh.Ent]bool{}
 	d := m.Dim()
-	for _, el := range els {
-		for dd := 0; dd < d; dd++ {
-			for _, e := range m.Adjacent(el, dd) {
-				if !seen[e] {
-					seen[e] = true
-					counts[dd]++
-				}
-			}
-		}
+	var buf [64]mesh.Ent
+	for dd := 0; dd < d; dd++ {
+		counts[dd] = len(closureOf(m, els, dd, buf[:0]))
 	}
 	counts[d] = len(els)
 	return counts
 }
 
+// closureOf appends the distinct entities of dimension dim in the
+// downward closures of els to buf, ascending. Cavities are a handful of
+// elements, so sorting the concatenated adjacencies beats any set.
+func closureOf(m *mesh.Mesh, els []mesh.Ent, dim int, buf []mesh.Ent) []mesh.Ent {
+	for _, el := range els {
+		buf = m.AdjacentTo(el, dim, buf)
+	}
+	slices.SortFunc(buf, mesh.Ent.Compare)
+	return slices.Compact(buf)
+}
+
 // leavingCount returns how many entities of dimension dim would leave
 // the part if the elements in `leaving` (a set including this cavity)
 // migrate: entities all of whose local adjacent elements are leaving.
-func leavingCount(m *mesh.Mesh, cav []mesh.Ent, leaving map[mesh.Ent]bool, dim int) int {
+func leavingCount(m *mesh.Mesh, cav []mesh.Ent, leaving *mesh.Marks, dim int) int {
 	d := m.Dim()
 	if dim == d {
 		return len(cav)
 	}
 	n := 0
-	seen := map[mesh.Ent]bool{}
-	for _, el := range cav {
-		for _, e := range m.Adjacent(el, dim) {
-			if seen[e] {
-				continue
+	var buf, upBuf [64]mesh.Ent
+	for _, e := range closureOf(m, cav, dim, buf[:0]) {
+		all := true
+		for _, up := range m.AdjacentTo(e, d, upBuf[:0]) {
+			if !leaving.Has(up) {
+				all = false
+				break
 			}
-			seen[e] = true
-			all := true
-			for _, up := range m.Adjacent(e, d) {
-				if !leaving[up] {
-					all = false
-					break
-				}
-			}
-			if all {
-				n++
-			}
+		}
+		if all {
+			n++
 		}
 	}
 	return n

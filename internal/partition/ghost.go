@@ -2,6 +2,7 @@ package partition
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"time"
 
@@ -37,21 +38,27 @@ func Ghost(dm *DMesh, bridgeDim, layers int) {
 	}
 	d := dm.Dim
 	ph := dm.beginPhase()
+	var adj []mesh.Ent // adjacency scratch
 	for _, part := range dm.Parts {
 		m := part.M
 		// Seed: for each neighbor part q, the elements adjacent to
 		// entities shared with q.
-		seeds := map[int32]map[mesh.Ent]bool{}
+		type seedSet struct {
+			in  mesh.Marks
+			els []mesh.Ent
+		}
+		seeds := map[int32]*seedSet{}
 		for e := range m.PartBoundary(bridgeDim) {
+			adj = m.AdjacentTo(e, d, adj[:0])
 			for _, q := range m.RemoteParts(e) {
 				set := seeds[q]
 				if set == nil {
-					set = map[mesh.Ent]bool{}
+					set = &seedSet{in: m.NewMarks()}
 					seeds[q] = set
 				}
-				for _, el := range m.Adjacent(e, d) {
-					if !m.IsGhost(el) {
-						set[el] = true
+				for _, el := range adj {
+					if !m.IsGhost(el) && set.in.Set(el) {
+						set.els = append(set.els, el)
 					}
 				}
 			}
@@ -60,28 +67,26 @@ func Ghost(dm *DMesh, bridgeDim, layers int) {
 		for q := range seeds {
 			qs = append(qs, q)
 		}
-		sort.Slice(qs, func(a, b int) bool { return qs[a] < qs[b] })
+		slices.Sort(qs)
 		for _, q := range qs {
 			set := seeds[q]
-			// Expand by BFS over bridge adjacency for extra layers.
-			frontier := set
+			// Expand by BFS over bridge adjacency for extra layers: each
+			// layer's frontier is what the previous one appended.
+			lo := 0
 			for l := 1; l < layers; l++ {
-				next := map[mesh.Ent]bool{}
-				for el := range frontier {
-					for _, nb := range m.BridgeAdjacent(el, bridgeDim, d) {
-						if !m.IsGhost(nb) && !set[nb] {
-							set[nb] = true
-							next[nb] = true
+				hi := len(set.els)
+				for _, el := range set.els[lo:hi] {
+					adj = m.BridgeAdjacentTo(el, bridgeDim, d, adj[:0])
+					for _, nb := range adj {
+						if !m.IsGhost(nb) && set.in.Set(nb) {
+							set.els = append(set.els, nb)
 						}
 					}
 				}
-				frontier = next
+				lo = hi
 			}
-			els := make([]mesh.Ent, 0, len(set))
-			for el := range set {
-				els = append(els, el)
-			}
-			sort.Slice(els, func(a, b int) bool { return els[a].Less(els[b]) })
+			els := set.els
+			slices.SortFunc(els, mesh.Ent.Compare)
 			packGhosts(ph.to(m.Part(), q), part, els, d)
 		}
 	}
@@ -133,26 +138,13 @@ func Ghost(dm *DMesh, bridgeDim, layers int) {
 func packGhosts(b *pcu.Buffer, part *Part, els []mesh.Ent, d int) {
 	m := part.M
 	movable := writeTagTable(b, m)
-	closure := map[mesh.Ent]bool{}
-	for _, el := range els {
-		for dd := 0; dd < d; dd++ {
-			for _, e := range m.Adjacent(el, dd) {
-				closure[e] = true
-			}
-		}
-	}
+	closure := closureLevels(m, els, d)
 	var gids []int64 // down-adjacency gid scratch, bulk-packed per entity
+	var down []mesh.Ent
 	for dd := 0; dd <= d; dd++ {
-		var level []mesh.Ent
-		if dd == d {
-			level = els
-		} else {
-			for e := range closure {
-				if e.Dim() == dd {
-					level = append(level, e)
-				}
-			}
-			sort.Slice(level, func(a, b int) bool { return level[a].Less(level[b]) })
+		level := els
+		if dd < d {
+			level = closure[dd]
 		}
 		b.Int32(int32(len(level)))
 		for _, e := range level {
@@ -168,7 +160,7 @@ func packGhosts(b *pcu.Buffer, part *Part, els []mesh.Ent, d int) {
 				b.Float64(p.Y)
 				b.Float64(p.Z)
 			} else {
-				down := m.Down(e)
+				down = m.DownTo(e, down[:0])
 				gids = gids[:0]
 				for _, de := range down {
 					gids = append(gids, part.Gid(de))
@@ -192,6 +184,7 @@ func unpackGhosts(dm *DMesh, msg partMsg) {
 	r := msg.Data
 	table := readTagTable(r, m)
 	var gidScratch []int64 // down-adjacency gid decode scratch
+	var down []mesh.Ent    // and the handles they resolve to
 	for dd := 0; dd <= d; dd++ {
 		n := int(r.Int32())
 		for k := 0; k < n; k++ {
@@ -212,13 +205,13 @@ func unpackGhosts(dm *DMesh, msg partMsg) {
 				}
 			} else {
 				gidScratch = r.AppendInt64s(gidScratch[:0])
-				down := make([]mesh.Ent, len(gidScratch))
-				for j, dg := range gidScratch {
+				down = down[:0]
+				for _, dg := range gidScratch {
 					de, ok := part.FindGid(dd-1, dg)
 					if !ok {
 						panic(fmt.Sprintf("partition: ghost closure gid %d missing", dg))
 					}
-					down[j] = de
+					down = append(down, de)
 				}
 				var ok bool
 				e, ok = part.FindGid(dd, gid)

@@ -3,7 +3,7 @@ package partition
 import (
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 	"time"
 
@@ -162,10 +162,12 @@ func TryMigrate(dm *DMesh, plans []Plan) error {
 	// with the move, not the mesh — ParMA runs many small migrations).
 	// contrib(e) = destinations of ALL local elements adjacent to e.
 	contribs := make([]map[mesh.Ent]ds.IntSet, len(dm.Parts))
+	var ups, closure []mesh.Ent // adjacency scratch, reused across entities
 	localContrib := func(i int, m *mesh.Mesh, e mesh.Ent) ds.IntSet {
 		var s ds.IntSet
 		self := m.Part()
-		for _, up := range m.Adjacent(e, d) {
+		ups = m.AdjacentTo(e, d, ups[:0])
+		for _, up := range ups {
 			if dst, moving := dests[i][up]; moving {
 				s.Add(dst)
 			} else {
@@ -179,7 +181,8 @@ func TryMigrate(dm *DMesh, plans []Plan) error {
 		contrib := map[mesh.Ent]ds.IntSet{}
 		for el := range dests[i] {
 			for dd := 0; dd < d; dd++ {
-				for _, e := range m.Adjacent(el, dd) {
+				closure = m.AdjacentTo(el, dd, closure[:0])
+				for _, e := range closure {
 					if _, done := contrib[e]; !done {
 						contrib[e] = localContrib(i, m, e)
 					}
@@ -222,10 +225,6 @@ func TryMigrate(dm *DMesh, plans []Plan) error {
 			}
 		}
 	}
-	replied := make([]map[mesh.Ent]bool, len(dm.Parts))
-	for i := range replied {
-		replied[i] = map[mesh.Ent]bool{}
-	}
 	applyContrib := func(msg partMsg) []mesh.Ent {
 		part := dm.LocalPart(msg.To)
 		li := dm.localIndex(msg.To)
@@ -241,7 +240,8 @@ func TryMigrate(dm *DMesh, plans []Plan) error {
 			}
 			s, seen := newRes[li][e]
 			if !seen {
-				// First word of this entity here: fold in the local
+				// First word of this entity here (it enters newRes below,
+				// so it is fresh only once): fold in the local
 				// contribution and remember to reply in round two.
 				s = localContrib(li, part.M, e)
 				fresh = append(fresh, e)
@@ -257,12 +257,7 @@ func TryMigrate(dm *DMesh, plans []Plan) error {
 	localErr = catchStage(func() {
 		for _, msg := range ph.exchange() {
 			li := dm.localIndex(msg.To)
-			for _, e := range applyContrib(msg) {
-				if !replied[li][e] {
-					replied[li][e] = true
-					roundTwo[li] = append(roundTwo[li], e)
-				}
-			}
+			roundTwo[li] = append(roundTwo[li], applyContrib(msg)...)
 		}
 	})
 	// A rank whose round-one decode failed still takes part in the
@@ -304,10 +299,10 @@ func TryMigrate(dm *DMesh, plans []Plan) error {
 		for q := range byDest {
 			qs = append(qs, q)
 		}
-		sort.Slice(qs, func(a, b int) bool { return qs[a] < qs[b] })
+		slices.Sort(qs)
 		for _, q := range qs {
 			els := byDest[q]
-			sort.Slice(els, func(a, b int) bool { return els[a].Less(els[b]) })
+			slices.SortFunc(els, mesh.Ent.Compare)
 			packElements(ph.to(m.Part(), q), dm, i, q, els, newRes[i])
 		}
 	}
@@ -341,29 +336,17 @@ func TryMigrate(dm *DMesh, plans []Plan) error {
 	// Step 4: remove migrated elements and orphaned closure entities.
 	for i, part := range dm.Parts {
 		m := part.M
-		affected := map[mesh.Ent]bool{}
 		var els []mesh.Ent
 		for el := range dests[i] {
 			els = append(els, el)
 		}
-		sort.Slice(els, func(a, b int) bool { return els[a].Less(els[b]) })
+		slices.SortFunc(els, mesh.Ent.Compare)
+		affected := closureLevels(m, els, d)
 		for _, el := range els {
-			for dd := 0; dd < d; dd++ {
-				for _, e := range m.Adjacent(el, dd) {
-					affected[e] = true
-				}
-			}
 			m.Destroy(el)
 		}
 		for dd := d - 1; dd >= 0; dd-- {
-			var level []mesh.Ent
-			for e := range affected {
-				if e.Dim() == dd {
-					level = append(level, e)
-				}
-			}
-			sort.Slice(level, func(a, b int) bool { return level[a].Less(level[b]) })
-			for _, e := range level {
+			for _, e := range affected[dd] {
 				if m.Alive(e) && !m.HasUp(e) {
 					m.Destroy(e)
 				}
@@ -402,7 +385,7 @@ func TryMigrate(dm *DMesh, plans []Plan) error {
 		for e := range cand {
 			ents = append(ents, e)
 		}
-		sort.Slice(ents, func(a, b int) bool { return ents[a].Less(ents[b]) })
+		slices.SortFunc(ents, mesh.Ent.Compare)
 		for _, e := range ents {
 			res := cand[e]
 			// Restitch exactly when the residence set changed. This
@@ -467,8 +450,30 @@ func sortedEnts(m map[mesh.Ent]ds.IntSet) []mesh.Ent {
 	for e := range m {
 		out = append(out, e)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Less(out[j]) })
+	slices.SortFunc(out, mesh.Ent.Compare)
 	return out
+}
+
+// closureLevels returns, per dimension below d, the distinct entities
+// in the downward closures of els, ascending.
+func closureLevels(m *mesh.Mesh, els []mesh.Ent, d int) [3][]mesh.Ent {
+	var levels [3][]mesh.Ent
+	var buf []mesh.Ent
+	seen := m.NewMarks()
+	for _, el := range els {
+		for dd := 0; dd < d; dd++ {
+			buf = m.AdjacentTo(el, dd, buf[:0])
+			for _, e := range buf {
+				if seen.Set(e) {
+					levels[dd] = append(levels[dd], e)
+				}
+			}
+		}
+	}
+	for dd := range levels {
+		slices.SortFunc(levels[dd], mesh.Ent.Compare)
+	}
+	return levels
 }
 
 // packElements encodes the closure of the given elements plus the
@@ -478,26 +483,13 @@ func packElements(b *pcu.Buffer, dm *DMesh, partIdx int, dest int32, els []mesh.
 	m := part.M
 	d := dm.Dim
 	movable := writeTagTable(b, m)
-	closure := map[mesh.Ent]bool{}
-	for _, el := range els {
-		for dd := 0; dd < d; dd++ {
-			for _, e := range m.Adjacent(el, dd) {
-				closure[e] = true
-			}
-		}
-	}
+	closure := closureLevels(m, els, d)
 	var gids []int64 // down-adjacency gid scratch, bulk-packed per entity
+	var down []mesh.Ent
 	for dd := 0; dd <= d; dd++ {
-		var level []mesh.Ent
-		if dd == d {
-			level = els
-		} else {
-			for e := range closure {
-				if e.Dim() == dd {
-					level = append(level, e)
-				}
-			}
-			sort.Slice(level, func(a, b int) bool { return level[a].Less(level[b]) })
+		level := els
+		if dd < d {
+			level = closure[dd]
 		}
 		b.Int32(int32(len(level)))
 		for _, e := range level {
@@ -518,7 +510,7 @@ func packElements(b *pcu.Buffer, dm *DMesh, partIdx int, dest int32, els []mesh.
 				b.Float64(p.Y)
 				b.Float64(p.Z)
 			} else {
-				down := m.Down(e)
+				down = m.DownTo(e, down[:0])
 				gids = gids[:0]
 				for _, de := range down {
 					gids = append(gids, part.Gid(de))
@@ -544,6 +536,7 @@ func unpackElements(dm *DMesh, msg partMsg, recvRes map[mesh.Ent]ds.IntSet, crea
 	table := readTagTable(r, m)
 	var resScratch []int32 // residence-set decode scratch, consumed by mergeRes
 	var gidScratch []int64 // down-adjacency gid decode scratch
+	var down []mesh.Ent    // and the handles they resolve to
 	for dd := 0; dd <= d; dd++ {
 		n := int(r.Int32())
 		for k := 0; k < n; k++ {
@@ -567,14 +560,14 @@ func unpackElements(dm *DMesh, msg partMsg, recvRes map[mesh.Ent]ds.IntSet, crea
 				continue
 			}
 			gidScratch = r.AppendInt64s(gidScratch[:0])
-			down := make([]mesh.Ent, len(gidScratch))
+			down = down[:0]
 			missing := false
-			for j, dg := range gidScratch {
+			for _, dg := range gidScratch {
 				de, ok := part.FindGid(dd-1, dg)
 				if !ok {
 					missing = true
 				}
-				down[j] = de
+				down = append(down, de)
 			}
 			if missing {
 				// Recoverable: the abort vote rolls the staging back.

@@ -61,8 +61,9 @@ func ElementHypergraph(m *mesh.Mesh, netDim int) (*Hypergraph, []mesh.Ent) {
 		h.VWt[i] = 1
 	}
 	var pinLists [][]int32
+	var adj []mesh.Ent
 	for b := range m.Iter(netDim) {
-		adj := m.Adjacent(b, m.Dim())
+		adj = m.AdjacentTo(b, m.Dim(), adj[:0])
 		if len(adj) < 2 {
 			continue
 		}
