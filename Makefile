@@ -32,7 +32,7 @@ bench-go:
 # One-iteration compile-and-run of every benchmark — catches bit-rotted
 # benchmark code without paying for a measurement.
 bench-smoke:
-	$(GO) test -run '^$$' -bench=. -benchtime=1x ./internal/pcu/... ./internal/mesh/
+	$(GO) test -run '^$$' -bench=. -benchtime=1x ./internal/pcu/... ./internal/mesh/ ./internal/field/
 
 # The pipeline benchmark is a Go module of its own (bench/go.mod), so
 # the lanes above never build it: run its unit tests and -quick smoke,

@@ -97,9 +97,6 @@ func (qt *QuadraticFieldTransfer) EdgeSplit(m *mesh.Mesh, edge, mid mesh.Ent) {
 		vb := f.MustGet(b)
 		ve := f.MustGet(edge)
 		n := len(ve)
-		// New vertex value: the parent edge node is the field value at
-		// the midpoint.
-		f.Set(mid, ve...)
 		// Child edge nodes at the parent's 1D quarter points:
 		// u(1/4) = 0.375 a - 0.125 b + 0.75 e (and mirrored).
 		q1 := make([]float64, n)
@@ -108,6 +105,10 @@ func (qt *QuadraticFieldTransfer) EdgeSplit(m *mesh.Mesh, edge, mid mesh.Ent) {
 			q1[i] = 0.375*va[i] - 0.125*vb[i] + 0.75*ve[i]
 			q3[i] = -0.125*va[i] + 0.375*vb[i] + 0.75*ve[i]
 		}
+		// New vertex value: the parent edge node is the field value at
+		// the midpoint. Last use of va, vb, ve: they are views of the
+		// field's storage, good until this write.
+		f.Set(mid, ve...)
 		qt.stash(a, mid, name, q1)
 		qt.stash(mid, b, name, q3)
 		// Interior child edges (mid, c): evaluate the parent element's

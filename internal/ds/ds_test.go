@@ -1,6 +1,7 @@
 package ds
 
 import (
+	"fmt"
 	"slices"
 	"testing"
 	"testing/quick"
@@ -120,8 +121,13 @@ func TestIterEarlyStop(t *testing.T) {
 	}
 }
 
+// slotKey is a one-group TagKey: the key is its own slot.
+type slotKey int
+
+func (k slotKey) TagSlot() (group, slot int) { return 0, int(k) }
+
 func TestTagTableScalar(t *testing.T) {
-	tt := NewTagTable[int]()
+	tt := NewTagTable[slotKey]()
 	ti, err := tt.Create("weight", TagInt, 0)
 	if err != nil {
 		t.Fatal(err)
@@ -141,7 +147,7 @@ func TestTagTableScalar(t *testing.T) {
 	if _, ok := tt.GetInt(ti, 8); ok {
 		t.Fatal("untagged key reported tagged")
 	}
-	if !tt.Has(ti, 7) || tt.Has(ti, 8) {
+	if !tt.Has(ti, 7) || tt.Has(ti, 8) || tt.Has(ti, -1) || tt.Has(ti, 1<<20) {
 		t.Fatal("Has wrong")
 	}
 	tt.Delete(ti, 7)
@@ -151,15 +157,15 @@ func TestTagTableScalar(t *testing.T) {
 }
 
 func TestTagTableSlices(t *testing.T) {
-	tt := NewTagTable[string]()
+	tt := NewTagTable[slotKey]()
 	tg, err := tt.Create("coords", TagFloatSlice, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
 	in := []float64{1, 2, 3}
-	tt.SetFloats(tg, "v0", in)
+	tt.SetFloats(tg, slotKey(70), in)
 	in[0] = 99 // must not alias stored data
-	got, ok := tt.GetFloats(tg, "v0")
+	got, ok := tt.GetFloats(tg, slotKey(70))
 	if !ok || !slices.Equal(got, []float64{1, 2, 3}) {
 		t.Fatalf("GetFloats = %v,%v", got, ok)
 	}
@@ -167,8 +173,8 @@ func TestTagTableSlices(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tt.SetInts(ig, "v0", []int64{4, 5})
-	iv, _ := tt.GetInts(ig, "v0")
+	tt.SetInts(ig, slotKey(70), []int64{4, 5})
+	iv, _ := tt.GetInts(ig, slotKey(70))
 	if !slices.Equal(iv, []int64{4, 5}) {
 		t.Fatalf("GetInts = %v", iv)
 	}
@@ -176,15 +182,15 @@ func TestTagTableSlices(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tt.SetBytes(bg, "v0", []byte("abcd"))
-	bv, _ := tt.GetBytes(bg, "v0")
+	tt.SetBytes(bg, slotKey(70), []byte("abcd"))
+	bv, _ := tt.GetBytes(bg, slotKey(70))
 	if string(bv) != "abcd" {
 		t.Fatalf("GetBytes = %q", bv)
 	}
 }
 
 func TestTagTableErrorsAndDestroy(t *testing.T) {
-	tt := NewTagTable[int]()
+	tt := NewTagTable[slotKey]()
 	if _, err := tt.Create("x", TagInt, 0); err != nil {
 		t.Fatal(err)
 	}
@@ -209,7 +215,7 @@ func TestTagTableErrorsAndDestroy(t *testing.T) {
 }
 
 func TestTagTableKindMismatchPanics(t *testing.T) {
-	tt := NewTagTable[int]()
+	tt := NewTagTable[slotKey]()
 	tag, _ := tt.Create("w", TagInt, 0)
 	defer func() {
 		if recover() == nil {
@@ -220,7 +226,7 @@ func TestTagTableKindMismatchPanics(t *testing.T) {
 }
 
 func TestTagTableDeleteAll(t *testing.T) {
-	tt := NewTagTable[int]()
+	tt := NewTagTable[slotKey]()
 	a, _ := tt.Create("a", TagInt, 0)
 	b, _ := tt.Create("b", TagFloat, 0)
 	tt.SetInt(a, 5, 1)
@@ -228,6 +234,73 @@ func TestTagTableDeleteAll(t *testing.T) {
 	tt.DeleteAll(5)
 	if tt.Has(a, 5) || tt.Has(b, 5) {
 		t.Fatal("DeleteAll left data")
+	}
+}
+
+// TestTagTableDestroyedHandle: every access through the handle of a
+// destroyed tag panics naming the tag, and the next Create takes over
+// its column slot instead of growing the table.
+func TestTagTableDestroyedHandle(t *testing.T) {
+	tt := NewTagTable[slotKey]()
+	keep, _ := tt.Create("keep", TagInt, 0)
+	tt.SetInt(keep, 3, 9)
+	for cycle := 0; cycle < 5; cycle++ {
+		tag, err := tt.Create("field", TagFloatSlice, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if tt.Has(tag, 3) {
+			t.Fatal("recreated tag inherited data from its predecessor's slot")
+		}
+		tt.SetFloats(tag, 3, []float64{1, 2})
+		tt.Destroy(tag)
+		tt.Destroy(tag) // idempotent
+		for name, access := range map[string]func(){
+			"SetFloats":   func() { tt.SetFloats(tag, 3, []float64{1, 2}) },
+			"GetFloats":   func() { tt.GetFloats(tag, 3) },
+			"GetInt":      func() { tt.GetInt(tag, 3) }, // dead beats wrong-kind
+			"Has":         func() { tt.Has(tag, 3) },
+			"Delete":      func() { tt.Delete(tag, 3) },
+			"CountTagged": func() { tt.CountTagged(tag) },
+		} {
+			func() {
+				defer func() {
+					if got, want := fmt.Sprint(recover()), `ds: tag "field" was destroyed`; got != want {
+						t.Errorf("%s through a destroyed handle: panic %q, want %q", name, got, want)
+					}
+				}()
+				access()
+			}()
+		}
+	}
+	if len(tt.cols) != 2 {
+		t.Errorf("5 create/destroy cycles left %d column slots, want 2", len(tt.cols))
+	}
+	if v, ok := tt.GetInt(keep, 3); !ok || v != 9 {
+		t.Errorf("bystander tag = %d,%v after the cycles", v, ok)
+	}
+}
+
+// TestTagTableViews: slice getters return views of the column — capped,
+// so appending to one cannot reach the next slot — and a Set whose
+// source is such a view stores the viewed values even when it has to
+// move the column.
+func TestTagTableViews(t *testing.T) {
+	tt := NewTagTable[slotKey]()
+	tag, _ := tt.Create("v", TagFloatSlice, 2)
+	tt.SetFloats(tag, 0, []float64{1, 2})
+	tt.SetFloats(tag, 1, []float64{3, 4})
+	v0, _ := tt.GetFloats(tag, 0)
+	_ = append(v0, 99)
+	if v1, _ := tt.GetFloats(tag, 1); !slices.Equal(v1, []float64{3, 4}) {
+		t.Fatalf("append through a view clobbered the next slot: %v", v1)
+	}
+	tt.SetFloats(tag, 100000, v0) // far past the column's capacity
+	if got, _ := tt.GetFloats(tag, 100000); !slices.Equal(got, []float64{1, 2}) {
+		t.Fatalf("Set from a view across a growth stored %v", got)
+	}
+	if got, _ := tt.GetFloats(tag, 0); !slices.Equal(got, []float64{1, 2}) {
+		t.Fatalf("source slot reads %v after the growth", got)
 	}
 }
 

@@ -103,7 +103,9 @@ func (f *Field) Set(e mesh.Ent, vals ...float64) {
 	f.m.Tags.SetFloats(f.tag, e, vals)
 }
 
-// Get reads nodal values; ok is false when the node is unset.
+// Get reads nodal values; ok is false when the node is unset. The
+// result is a view of the field's storage, valid until the next write
+// to any tag or field of this mesh; passing it straight to Set is fine.
 func (f *Field) Get(e mesh.Ent) ([]float64, bool) {
 	return f.m.Tags.GetFloats(f.tag, e)
 }
@@ -303,6 +305,8 @@ func AccumulateShared(dm *partition.DMesh, name string, shape Shape) {
 			if f == nil {
 				return
 			}
+			// cur is the node's stored values (or fresh zeros): summed
+			// in place, then stored through Set so the write is guarded.
 			cur := f.MustGet(e)
 			for i := range cur {
 				cur[i] += vals[i]

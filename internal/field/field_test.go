@@ -3,6 +3,7 @@ package field
 import (
 	"fmt"
 	"math"
+	"slices"
 	"testing"
 
 	"github.com/fastmath/pumi-go/internal/gmi"
@@ -368,4 +369,52 @@ func TestFieldUtilityAccessors(t *testing.T) {
 	if len(Quadratic.NodeDims()) != 2 {
 		t.Fatal("NodeDims")
 	}
+}
+
+// TestSetFromViewAcrossGrowth: Get returns a view of the field's tag
+// column, and f.Set(e2, f.MustGet(e1)...) must store e1's values even
+// when e2 is a new vertex whose write moves the column.
+func TestSetFromViewAcrossGrowth(t *testing.T) {
+	m := meshgen.Box3D(gmi.Box(1, 1, 1), 1, 1, 1)
+	f, err := New(m, "u", 3, Linear)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f.SetByFunc(func(p vec.V) []float64 { return []float64{p.X, p.Y, p.Z + 1} })
+	var e1 mesh.Ent
+	for e1 = range m.Iter(0) {
+	}
+	want := append([]float64(nil), f.MustGet(e1)...)
+	for i := 0; i < 4096; i++ { // far past any slack the first allocation had
+		e2 := m.CreateVertex(gmi.NoRef, vec.V{})
+		f.Set(e2, f.MustGet(e1)...)
+		e1 = e2
+	}
+	if got := f.MustGet(e1); !slices.Equal(got, want) {
+		t.Fatalf("value copied through 4096 growing Sets = %v, want %v", got, want)
+	}
+}
+
+// BenchmarkFieldGetSet is one read-modify-write of a 3-component nodal
+// field on every vertex of a 10×10×10 box.
+func BenchmarkFieldGetSet(b *testing.B) {
+	m := meshgen.Box3D(gmi.Box(1, 1, 1), 10, 10, 10)
+	f, err := New(m, "u", 3, Linear)
+	if err != nil {
+		b.Fatal(err)
+	}
+	f.SetByFunc(func(p vec.V) []float64 { return []float64{p.X, p.Y, p.Z} })
+	var verts []mesh.Ent
+	for v := range m.Iter(0) {
+		verts = append(verts, v)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, v := range verts {
+			u := f.MustGet(v)
+			f.Set(v, u[1], u[2], u[0])
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(verts)), "ns/node")
 }

@@ -61,20 +61,17 @@ type Entity struct {
 }
 
 // Model is a non-manifold boundary representation: entities per
-// dimension with bidirectional one-level adjacencies, plus a tag table
-// for attaching user data to model entities.
+// dimension with bidirectional one-level adjacencies.
 type Model struct {
 	ents  [4][]*Entity
 	byTag [4]map[int32]*Entity
-	// Tags attaches arbitrary user data to model entities.
-	Tags *ds.TagTable[Ref]
 	// Dim is the highest entity dimension present (2 or 3).
 	Dim int
 }
 
 // New returns an empty model of the given dimension (2 or 3).
 func New(dim int) *Model {
-	m := &Model{Tags: ds.NewTagTable[Ref](), Dim: dim}
+	m := &Model{Dim: dim}
 	for d := range m.byTag {
 		m.byTag[d] = make(map[int32]*Entity)
 	}

@@ -4,7 +4,6 @@ import (
 	"math"
 	"testing"
 
-	"github.com/fastmath/pumi-go/internal/ds"
 	"github.com/fastmath/pumi-go/internal/vec"
 )
 
@@ -177,19 +176,11 @@ func TestVesselModel(t *testing.T) {
 	}
 }
 
-func TestAdjacentSameDimAndTagTable(t *testing.T) {
+func TestAdjacentSameDim(t *testing.T) {
 	m := Box(1, 1, 1)
 	f := m.Find(2, 1)
 	if got := f.Adjacent(2); got != nil {
 		t.Fatalf("same-dim adjacency = %v", got)
-	}
-	tag, err := m.Tags.Create("bc", ds.TagInt, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m.Tags.SetInt(tag, f.Ref, 42)
-	if v, ok := m.Tags.GetInt(tag, f.Ref); !ok || v != 42 {
-		t.Fatal("model tag round trip failed")
 	}
 }
 

@@ -84,7 +84,8 @@ type Mesh struct {
 	// nb caches NeighborParts per dimension against the epoch.
 	nb [4]nbCache
 
-	// Tags attaches arbitrary user data to entities.
+	// Tags attaches arbitrary user data to entities, in dense columns
+	// indexed like td: one per (tag, entity type), see ds.TagTable.
 	Tags *ds.TagTable[Ent]
 
 	// sets are named groupings of entities.
@@ -119,6 +120,7 @@ func New(model *gmi.Model, dim int) *Mesh {
 	}
 	m.epoch = 1
 	m.Tags.OnSet = func(e Ent) { m.guardWrite("tag", e) }
+	m.Tags.SlotCount = func(t int) int { return len(m.td[t].alive) }
 	return m
 }
 

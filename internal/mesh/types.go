@@ -134,6 +134,10 @@ func (e Ent) Ok() bool { return e.I >= 0 }
 // Dim returns the entity's topological dimension.
 func (e Ent) Dim() int { return typeDims[e.T] }
 
+// TagSlot places the entity in tag storage (ds.TagKey): one column per
+// type, indexed by slot.
+func (e Ent) TagSlot() (group, slot int) { return int(e.T), int(e.I) }
+
 func (e Ent) String() string {
 	if !e.Ok() {
 		return "M(nil)"

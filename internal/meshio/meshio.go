@@ -12,6 +12,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"math"
 	"os"
 
 	"github.com/fastmath/pumi-go/internal/ds"
@@ -262,42 +263,65 @@ func writeTags(w *bufio.Writer, m *mesh.Mesh) error {
 		w.WriteByte(byte(t.Kind))
 		binary.Write(w, binary.LittleEndian, uint32(t.Size))
 	}
+	// One entity's record is built in rec — presence count, then an
+	// (index, value) entry per tag the entity carries — and written
+	// whole, so each tag's presence is read once, by its getter.
+	le := binary.LittleEndian
+	var rec []byte
 	for d := 0; d <= m.Dim(); d++ {
 		for e := range m.Iter(d) {
-			present := uint8(0)
-			for _, t := range movable {
-				if m.Tags.Has(t, e) {
-					present++
-				}
-			}
-			w.WriteByte(present)
+			rec = append(rec[:0], 0)
 			for ti, t := range movable {
-				if !m.Tags.Has(t, e) {
-					continue
-				}
-				w.WriteByte(byte(ti))
 				switch t.Kind {
 				case ds.TagInt:
-					v, _ := m.Tags.GetInt(t, e)
-					binary.Write(w, binary.LittleEndian, v)
+					v, ok := m.Tags.GetInt(t, e)
+					if !ok {
+						continue
+					}
+					rec = le.AppendUint64(append(rec, byte(ti)), uint64(v))
 				case ds.TagFloat:
-					v, _ := m.Tags.GetFloat(t, e)
-					binary.Write(w, binary.LittleEndian, v)
+					v, ok := m.Tags.GetFloat(t, e)
+					if !ok {
+						continue
+					}
+					rec = le.AppendUint64(append(rec, byte(ti)), math.Float64bits(v))
 				case ds.TagIntSlice:
-					v, _ := m.Tags.GetInts(t, e)
-					binary.Write(w, binary.LittleEndian, v)
+					v, ok := m.Tags.GetInts(t, e)
+					if !ok {
+						continue
+					}
+					rec = append(rec, byte(ti))
+					for _, x := range v {
+						rec = le.AppendUint64(rec, uint64(x))
+					}
 				case ds.TagFloatSlice:
-					v, _ := m.Tags.GetFloats(t, e)
-					binary.Write(w, binary.LittleEndian, v)
+					v, ok := m.Tags.GetFloats(t, e)
+					if !ok {
+						continue
+					}
+					rec = append(rec, byte(ti))
+					for _, x := range v {
+						rec = le.AppendUint64(rec, math.Float64bits(x))
+					}
 				case ds.TagBytes:
-					v, _ := m.Tags.GetBytes(t, e)
-					w.Write(v)
+					v, ok := m.Tags.GetBytes(t, e)
+					if !ok {
+						continue
+					}
+					rec = append(append(rec, byte(ti)), v...)
 				}
+				rec[0]++
 			}
+			w.Write(rec)
 		}
 	}
 	return nil
 }
+
+// maxTagSize bounds the per-entity component count a file's tag
+// directory may declare. Tag storage is sized from it (8·size bytes
+// per entity slot), so it is checked before anything is allocated.
+const maxTagSize = 1024
 
 // readTags restores the tag section written by writeTags. Entity order
 // matches the write order because BuildFromVerts created entities in
@@ -331,12 +355,25 @@ func readTags(r *bufio.Reader, m *mesh.Mesh) error {
 		if err := binary.Read(r, binary.LittleEndian, &size); err != nil {
 			return err
 		}
+		kind := ds.TagKind(kindB)
+		if kind > ds.TagBytes {
+			return fmt.Errorf("meshio: tag %q has unknown kind %d", name, kindB)
+		}
+		if size > maxTagSize {
+			return fmt.Errorf("meshio: tag %q has size %d, above the limit of %d", name, size, maxTagSize)
+		}
 		tag := m.Tags.Find(string(name))
 		if tag == nil {
-			tag, err = m.Tags.Create(string(name), ds.TagKind(kindB), int(size))
+			tag, err = m.Tags.Create(string(name), kind, int(size))
 			if err != nil {
 				return fmt.Errorf("meshio: recreating tag %q: %w", name, err)
 			}
+		}
+		// The values below are decoded with the tag's layout, so the
+		// file's must be the same one.
+		if tag.Kind != kind || tag.Size != int(size) {
+			return fmt.Errorf("meshio: tag %q is %v×%d in the file but %v×%d on the mesh",
+				name, kind, size, tag.Kind, tag.Size)
 		}
 		tags[i] = tag
 	}

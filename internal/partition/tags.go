@@ -68,7 +68,8 @@ func readTagTable(r *pcu.Reader, m *mesh.Mesh) []tagSlot {
 	return out
 }
 
-// writeEntityTags encodes e's values for the movable tags.
+// writeEntityTags encodes e's values for the movable tags: the count of
+// tags e carries, then an (index, value) entry for each.
 func writeEntityTags(b *pcu.Buffer, m *mesh.Mesh, movable []*ds.Tag, e mesh.Ent) {
 	present := 0
 	for _, t := range movable {
@@ -77,27 +78,36 @@ func writeEntityTags(b *pcu.Buffer, m *mesh.Mesh, movable []*ds.Tag, e mesh.Ent)
 		}
 	}
 	b.Byte(byte(present))
+	if present == 0 {
+		return
+	}
 	for i, t := range movable {
-		if !m.Tags.Has(t, e) {
-			continue
-		}
-		b.Byte(byte(i))
 		switch t.Kind {
 		case ds.TagInt:
-			v, _ := m.Tags.GetInt(t, e)
-			b.Int64(v)
+			if v, ok := m.Tags.GetInt(t, e); ok {
+				b.Byte(byte(i))
+				b.Int64(v)
+			}
 		case ds.TagFloat:
-			v, _ := m.Tags.GetFloat(t, e)
-			b.Float64(v)
+			if v, ok := m.Tags.GetFloat(t, e); ok {
+				b.Byte(byte(i))
+				b.Float64(v)
+			}
 		case ds.TagIntSlice:
-			v, _ := m.Tags.GetInts(t, e)
-			b.Int64s(v)
+			if v, ok := m.Tags.GetInts(t, e); ok {
+				b.Byte(byte(i))
+				b.Int64s(v)
+			}
 		case ds.TagFloatSlice:
-			v, _ := m.Tags.GetFloats(t, e)
-			b.Float64s(v)
+			if v, ok := m.Tags.GetFloats(t, e); ok {
+				b.Byte(byte(i))
+				b.Float64s(v)
+			}
 		case ds.TagBytes:
-			v, _ := m.Tags.GetBytes(t, e)
-			b.Bytes(v)
+			if v, ok := m.Tags.GetBytes(t, e); ok {
+				b.Byte(byte(i))
+				b.Bytes(v)
+			}
 		}
 	}
 }
