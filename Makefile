@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test bench bench-go bench-smoke pipeline-smoke race vet pumi-vet vet-self sarif-smoke chaos chaos-recover san-smoke trace-smoke telemetry-smoke proto-gen proto-check conform-smoke plan-smoke check
+.PHONY: all build test bench-go bench-smoke pipeline-smoke race vet pumi-vet vet-self sarif-smoke chaos chaos-recover san-smoke trace-smoke telemetry-smoke proto-gen proto-check conform-smoke plan-smoke check
 
 all: build
 
@@ -13,19 +13,11 @@ build:
 test:
 	$(GO) test -shuffle=on ./...
 
-# Regenerate the committed machine-readable benchmark results
-# (BENCH_pr9.json reflects the current tree; BENCH_baseline.json is the
-# frozen pre-overhaul reference and BENCH_pr9_pre.json the frozen
-# pre-plan reference — do not regenerate either). The /traced rows
-# measure the same exchange with the flight recorder armed, the
-# /conform rows the same workload under the online protocol monitor,
-# and the sync/reduce rows the compiled boundary-exchange plans, so the
-# file documents all three overheads (see DESIGN.md §10, §13 and §14).
-bench:
-	$(GO) run ./cmd/pumi-bench -json BENCH_pr10.json
-
 # Go micro-benchmarks, benchstat-ready:
 #   make bench-go | benchstat -
+# ExchangeSparse's traced/conform/metered rows read each observer's
+# overhead off against on-node (see DESIGN.md §10, §13 and §15). For
+# end-to-end numbers, bash bench/run.sh.
 bench-go:
 	$(GO) test -run '^$$' -bench=. -benchmem ./internal/pcu/
 

@@ -39,7 +39,6 @@ func main() {
 	chaosSeeds := flag.String("chaos", "", "comma-separated seeds: run the fault-injection soak instead of experiments")
 	chaosDir := flag.String("chaos-dir", "", "checkpoint directory for -chaos (default a temp dir)")
 	chaosRecover := flag.Bool("recover", false, "with -chaos: run the self-healing soak (survivable world, shrink-and-recover) instead of the restart soak")
-	jsonOut := flag.String("json", "", "run the PCU microbenchmark suite instead of experiments and write machine-readable results to FILE ('-' for stdout)")
 	sanitize := flag.Bool("san", false, "run everything under pumi-san: cross-check collective schedules across ranks, enforce owner-only mesh writes, and print the op-sequence hash at exit")
 	conformFile := flag.String("conform", "", "with -chaos -recover: pumi-proto/1 automata artifact (pumi-vet -emit-automata); every world of the soak runs under the chaos.RunRecoverable machine's online protocol monitor")
 	tracePath := flag.String("trace", "", cmdutil.TraceUsage)
@@ -50,7 +49,6 @@ func main() {
 	defer cmdutil.StartListen(*listenAddr)()
 	if *sanitize {
 		san.Enable()
-		pcu.SetDefaultSanitize(true)
 	}
 
 	if *conformFile != "" && (*chaosSeeds == "" || !*chaosRecover) {
@@ -59,11 +57,6 @@ func main() {
 
 	if *chaosSeeds != "" {
 		runChaos(*chaosSeeds, *chaosDir, *sanitize, *chaosRecover, loadConform(*conformFile))
-		sanReport(*sanitize)
-		return
-	}
-	if *jsonOut != "" {
-		runJSONBench(*jsonOut)
 		sanReport(*sanitize)
 		return
 	}

@@ -8,14 +8,13 @@
 // 2 on usage or load errors. See internal/lint for the analyzers:
 //
 //	ctxescape     *pcu.Ctx escaping its goroutine (directly or via helpers)
-//	collmismatch  collectives under rank-dependent branches, however
-//	              many calls deep the collective hides
 //	bufdiscipline stale phase buffers / unchecked message readers
 //	enthandle     cross-part entity-handle comparisons
 //	maporder      map iteration order flowing into sends/reductions
 //	phaseorder    begin/to/exchange ordering of phased exchanges
 //	collseq       rank-dependent branches/loops with divergent
-//	              collective schedules, proved over inferred effect terms
+//	              collective schedules, proved over inferred effect
+//	              terms however many calls deep the collective hides
 //	rankdiv       rank-derived values (arithmetic on Rank(), rank-indexed
 //	              data, rank-returning helpers) guarding collectives or
 //	              loop bounds without a reconciling collective
@@ -52,9 +51,9 @@
 // Code that violates an invariant on purpose — the deadlock-diagnosis
 // tests skip collectives on some ranks to prove the watchdog catches
 // it — suppresses a finding with a directive on or directly above the
-// offending line:
+// offending line (a name that is no analyzer is itself a finding):
 //
-//	pcu.SumInt64(c, 1) //pumi-vet:ignore collmismatch
+//	if c.Rank() != 0 { //pumi-vet:ignore collseq
 package main
 
 import (

@@ -9,8 +9,8 @@ import (
 )
 
 // CollSeq proves that rank-dependent control flow yields rank-uniform
-// collective schedules. Where collmismatch asks the lexical question
-// "is a collective under a rank guard?", collseq asks the semantic one:
+// collective schedules. The question is semantic, not lexical ("is a
+// collective under a rank guard?" misfires on reconciled branches):
 // for every branch whose condition depends on the calling rank, do both
 // arms — each composed with the rest of the function, so early-return
 // spellings are handled — run *equal* sequences of collective
@@ -21,8 +21,8 @@ import (
 // rank-dependent are checked against zero iterations: their bodies must
 // have an empty collective schedule.
 //
-// Rank dependence covers the lexical forms collmismatch recognizes
-// (Rank() calls, variables assigned from them) plus the dataflow-
+// Rank dependence covers the lexical forms (Rank() calls, variables
+// assigned from them) plus the dataflow-
 // derived values rankdiv tracks (arithmetic on rank, rank-returning
 // helpers, rank-indexed data). Reports nest innermost-first: if a
 // nested branch already diverged, the enclosing one is not re-reported.
@@ -61,6 +61,34 @@ func funcBodies(p *Pass) []*ast.BlockStmt {
 		})
 	}
 	return bodies
+}
+
+// collectRankVars finds local variables assigned from a Rank() call on
+// a *pcu.Ctx within the body, so `r := c.Rank(); if r == 0 {...}` is
+// recognized as rank-dependent.
+func collectRankVars(p *Pass, body *ast.BlockStmt) map[any]bool {
+	vars := map[any]bool{}
+	ast.Inspect(body, func(n ast.Node) bool {
+		as, ok := n.(*ast.AssignStmt)
+		if !ok || len(as.Lhs) != len(as.Rhs) {
+			return true
+		}
+		for i, rhs := range as.Rhs {
+			call, ok := ast.Unparen(rhs).(*ast.CallExpr)
+			if !ok || !isRankCall(p, call) {
+				continue
+			}
+			if id, ok := as.Lhs[i].(*ast.Ident); ok {
+				if obj := p.Info.Defs[id]; obj != nil {
+					vars[obj] = true
+				} else if obj := p.Info.Uses[id]; obj != nil {
+					vars[obj] = true
+				}
+			}
+		}
+		return true
+	})
+	return vars
 }
 
 type seqWalker struct {

@@ -21,6 +21,7 @@ import (
 	"go/types"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -94,7 +95,7 @@ func (p *Pass) TypeOf(e ast.Expr) types.Type { return p.Info.TypeOf(e) }
 
 // Analyzers returns pumi-vet's analyzers in a fixed order.
 func Analyzers() []*Analyzer {
-	return []*Analyzer{CtxEscape, CollMismatch, BufDiscipline, EntHandle, MapOrder, PhaseOrder, CollSeq, RankDiv}
+	return []*Analyzer{CtxEscape, BufDiscipline, EntHandle, MapOrder, PhaseOrder, CollSeq, RankDiv}
 }
 
 // Facts is cross-package knowledge gathered in a pre-pass over every
@@ -181,6 +182,10 @@ func recvTypeName(t ast.Expr) string {
 	return ""
 }
 
+// driverName is the analyzer name on findings about pumi-vet's own
+// directives rather than about the code under analysis.
+const driverName = "pumi-vet"
+
 // ignoreKey addresses one source line for directive suppression.
 type ignoreKey struct {
 	file string
@@ -193,16 +198,26 @@ type ignoreKey struct {
 // on the line directly below, for a standalone comment above the
 // offender:
 //
-//	c.Barrier() //pumi-vet:ignore collmismatch
+//	if c.Rank() == 0 { //pumi-vet:ignore collseq
 //
-//	//pumi-vet:ignore collmismatch
-//	pcu.SumInt64(c, 1)
+//	//pumi-vet:ignore collseq
+//	if c.Rank() == 0 {
 //
 // It exists for code whose job is to violate an invariant on purpose —
 // chiefly the deadlock-diagnosis tests, which skip collectives on some
 // ranks to prove the watchdog catches it.
-func gatherIgnores(pkgs []*Package) map[ignoreKey]map[string]bool {
+//
+// A name that is neither "all" nor a registered analyzer suppresses
+// nothing — a typo, or a directive that outlived its analyzer — so it
+// comes back as a finding of the driver itself, at the directive.
+func gatherIgnores(pkgs []*Package) (map[ignoreKey]map[string]bool, []Diagnostic) {
+	valid := []string{"all"}
+	for _, a := range Analyzers() {
+		valid = append(valid, a.Name)
+	}
+	sort.Strings(valid)
 	ign := map[ignoreKey]map[string]bool{}
+	var unknown []Diagnostic
 	for _, p := range pkgs {
 		for _, f := range p.Files {
 			for _, cg := range f.Comments {
@@ -225,6 +240,13 @@ func gatherIgnores(pkgs []*Package) map[ignoreKey]map[string]bool {
 						names["all"] = true
 					}
 					pos := p.Fset.Position(c.Pos())
+					for n := range names {
+						if !slices.Contains(valid, n) {
+							unknown = append(unknown, Diagnostic{Pos: pos, Analyzer: driverName, Message: fmt.Sprintf(
+								"unknown analyzer %q in //pumi-vet:ignore directive suppresses nothing (valid: %s)",
+								n, strings.Join(valid, ", "))})
+						}
+					}
 					for _, line := range []int{pos.Line, pos.Line + 1} {
 						k := ignoreKey{pos.Filename, line}
 						if ign[k] == nil {
@@ -238,16 +260,16 @@ func gatherIgnores(pkgs []*Package) map[ignoreKey]map[string]bool {
 			}
 		}
 	}
-	return ign
+	return ign, unknown
 }
 
 // Run executes the given analyzers over the packages and returns all
 // findings sorted by position, dropping those suppressed by
-// //pumi-vet:ignore directives.
+// //pumi-vet:ignore directives (and adding one per directive that names
+// no analyzer).
 func Run(pkgs []*Package, analyzers []*Analyzer) []Diagnostic {
 	facts := gatherFacts(pkgs)
-	ignored := gatherIgnores(pkgs)
-	var diags []Diagnostic
+	ignored, diags := gatherIgnores(pkgs)
 	for _, p := range pkgs {
 		for _, a := range analyzers {
 			pass := &Pass{
@@ -267,20 +289,10 @@ func Run(pkgs []*Package, analyzers []*Analyzer) []Diagnostic {
 	return dedupeDiags(diags)
 }
 
-// analyzerSpecificity ranks analyzers for position-level dedup: when
-// two analyzers report the same file:line:col, only the more specific
-// one's diagnostics survive. The schedule-level analyzers explain *why*
-// the communication diverges, so they outrank the lexical checks.
-var analyzerSpecificity = map[string]int{
-	"collseq":      3,
-	"rankdiv":      3,
-	"collmismatch": 2,
-	"phaseorder":   2,
-}
-
 // dedupeDiags sorts diagnostics into a total deterministic order —
 // position, then analyzer, then message — and collapses positions
-// reported by multiple analyzers down to the most specific one. The
+// reported by multiple analyzers (collseq and rankdiv both flag a
+// rank-derived loop bound) down to the one with the fuller witness. The
 // result is identical regardless of analyzer registration order.
 func dedupeDiags(diags []Diagnostic) []Diagnostic {
 	sort.Slice(diags, func(i, j int) bool {
@@ -303,14 +315,14 @@ func dedupeDiags(diags []Diagnostic) []Diagnostic {
 		file      string
 		line, col int
 	}
-	// First pass: pick the winning analyzer per position — highest
-	// specificity; ties broken by the longest message, then
-	// alphabetically, so the outcome never depends on encounter order.
+	// First pass: pick the winning analyzer per position — the longest
+	// message, ties broken alphabetically, so the outcome never depends
+	// on encounter order.
 	winner := map[posKey]Diagnostic{}
 	for _, d := range diags {
 		k := posKey{d.Pos.Filename, d.Pos.Line, d.Pos.Column}
 		w, ok := winner[k]
-		if !ok || moreSpecific(d, w) {
+		if !ok || fullerWitness(d, w) {
 			winner[k] = d
 		}
 	}
@@ -333,12 +345,8 @@ func dedupeDiags(diags []Diagnostic) []Diagnostic {
 	return out
 }
 
-// moreSpecific reports whether a should beat b for the same position.
-func moreSpecific(a, b Diagnostic) bool {
-	sa, sb := analyzerSpecificity[a.Analyzer], analyzerSpecificity[b.Analyzer]
-	if sa != sb {
-		return sa > sb
-	}
+// fullerWitness reports whether a should beat b for the same position.
+func fullerWitness(a, b Diagnostic) bool {
 	if len(a.Message) != len(b.Message) {
 		return len(a.Message) > len(b.Message)
 	}
@@ -584,6 +592,15 @@ func isNamedType(t types.Type, pkgSuffix, name string) bool {
 func isCtxPtr(t types.Type) bool {
 	ptr, ok := t.(*types.Pointer)
 	return ok && isNamedType(ptr.Elem(), pcuPkg, "Ctx")
+}
+
+// isRankCall reports whether call is Rank() on a *pcu.Ctx.
+func isRankCall(p *Pass, call *ast.CallExpr) bool {
+	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
+	if !ok || sel.Sel.Name != "Rank" {
+		return false
+	}
+	return isCtxPtr(p.TypeOf(sel.X))
 }
 
 // calleeFunc resolves a call expression to the called *types.Func

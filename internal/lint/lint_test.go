@@ -66,7 +66,6 @@ func testAnalyzer(t *testing.T, a *Analyzer) {
 }
 
 func TestCtxEscape(t *testing.T)     { testAnalyzer(t, CtxEscape) }
-func TestCollMismatch(t *testing.T)  { testAnalyzer(t, CollMismatch) }
 func TestBufDiscipline(t *testing.T) { testAnalyzer(t, BufDiscipline) }
 func TestEntHandle(t *testing.T)     { testAnalyzer(t, EntHandle) }
 func TestMapOrder(t *testing.T)      { testAnalyzer(t, MapOrder) }
@@ -76,7 +75,7 @@ func TestRankDiv(t *testing.T)       { testAnalyzer(t, RankDiv) }
 
 // TestAnalyzerListStable pins the analyzer set wired into pumi-vet.
 func TestAnalyzerListStable(t *testing.T) {
-	want := []string{"ctxescape", "collmismatch", "bufdiscipline", "enthandle", "maporder", "phaseorder", "collseq", "rankdiv"}
+	want := []string{"ctxescape", "bufdiscipline", "enthandle", "maporder", "phaseorder", "collseq", "rankdiv"}
 	got := Analyzers()
 	if len(got) != len(want) {
 		t.Fatalf("got %d analyzers, want %d", len(got), len(want))
@@ -92,8 +91,8 @@ func TestAnalyzerListStable(t *testing.T) {
 }
 
 // TestDiagnosticDedup exercises the cross-analyzer position dedup: at
-// one file:line:col only the most specific analyzer's diagnostics
-// survive, and the result is independent of input order.
+// one file:line:col only the diagnostics of the analyzer with the
+// fullest witness survive, and the result is independent of input order.
 func TestDiagnosticDedup(t *testing.T) {
 	mk := func(line, col int, analyzer, msg string) Diagnostic {
 		d := Diagnostic{Analyzer: analyzer, Message: msg}
@@ -103,7 +102,7 @@ func TestDiagnosticDedup(t *testing.T) {
 		return d
 	}
 	in := []Diagnostic{
-		mk(10, 2, "collmismatch", "collective under a rank guard"),
+		mk(10, 2, "rankdiv", "a terser finding at the same spot"),
 		mk(10, 2, "collseq", "divergent schedules with a long witness"),
 		mk(10, 2, "collseq", "second collseq finding at the same position"),
 		mk(12, 4, "maporder", "map order reaches communication"),
@@ -145,7 +144,7 @@ func TestRunOrderIndependent(t *testing.T) {
 	for i, a := range fwd {
 		rev[len(fwd)-1-i] = a
 	}
-	for _, name := range []string{"collseq", "rankdiv", "collmismatch"} {
+	for _, name := range []string{"collseq", "rankdiv"} {
 		pkgs := fixturePkgs(t, name)
 		a := Run(pkgs, fwd)
 		b := Run(pkgs, rev)

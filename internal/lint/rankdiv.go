@@ -18,7 +18,7 @@ import (
 // languages is rank-safe however rank-derived its condition is.
 //
 // The lexical forms (a bare Rank() call or a variable assigned directly
-// from one in the guard condition) are collmismatch's territory and are
+// from one in the guard condition) are collseq's territory and are
 // skipped here; rankdiv exists for the flows that lexical matching
 // cannot see. Findings overlapping another analyzer at the same
 // position are collapsed by the position-level dedup in Run.
@@ -49,7 +49,7 @@ type divWalker struct {
 
 // taintedCond reports whether the condition is rank-derived through
 // dataflow only — rankdiv's territory; lexically rank-dependent
-// conditions belong to collmismatch/collseq.
+// conditions belong to collseq.
 func (w *divWalker) taintedCond(e ast.Expr) (string, bool) {
 	if e == nil || lexicalRankDep(w.p, e, w.rankVars) {
 		return "", false
@@ -318,8 +318,8 @@ func rankCause(p *Pass, e ast.Expr, taint map[types.Object]*taintInfo, facts *Fa
 }
 
 // lexicalRankDep reports whether the expression is rank-dependent in
-// the lexical sense collmismatch uses: it contains a Rank() call on a
-// *pcu.Ctx or references a variable assigned directly from one.
+// the lexical sense: it contains a Rank() call on a *pcu.Ctx or
+// references a variable assigned directly from one.
 func lexicalRankDep(p *Pass, e ast.Expr, rankVars map[any]bool) bool {
 	if e == nil {
 		return false

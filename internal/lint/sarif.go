@@ -81,10 +81,11 @@ type sarifRegion struct {
 
 // SARIF renders diagnostics as an indented SARIF 2.1.0 log. The rules
 // table lists every registered analyzer (not just the firing ones) so a
-// clean run still documents what was checked.
+// clean run still documents what was checked, then the driver's own
+// rule for malformed directives.
 func SARIF(analyzers []*Analyzer, diags []Diagnostic) ([]byte, error) {
 	ruleIndex := map[string]int{}
-	rules := make([]sarifRule, 0, len(analyzers))
+	rules := make([]sarifRule, 0, len(analyzers)+1)
 	for i, a := range analyzers {
 		ruleIndex[a.Name] = i
 		rules = append(rules, sarifRule{
@@ -93,6 +94,12 @@ func SARIF(analyzers []*Analyzer, diags []Diagnostic) ([]byte, error) {
 			DefaultConfiguration: sarifConfig{Level: "error"},
 		})
 	}
+	ruleIndex[driverName] = len(rules)
+	rules = append(rules, sarifRule{
+		ID:                   driverName,
+		ShortDescription:     sarifMessage{Text: "reject //pumi-vet:ignore directives naming no analyzer"},
+		DefaultConfiguration: sarifConfig{Level: "error"},
+	})
 	results := make([]sarifResult, 0, len(diags))
 	for _, d := range diags {
 		idx, ok := ruleIndex[d.Analyzer]
@@ -116,7 +123,7 @@ func SARIF(analyzers []*Analyzer, diags []Diagnostic) ([]byte, error) {
 		Schema:  sarifSchema,
 		Version: sarifVersion,
 		Runs: []sarifRun{{
-			Tool:    sarifTool{Driver: sarifDriver{Name: "pumi-vet", InformationURI: toolInfoURI, Rules: rules}},
+			Tool:    sarifTool{Driver: sarifDriver{Name: driverName, InformationURI: toolInfoURI, Rules: rules}},
 			Results: results,
 		}},
 	}

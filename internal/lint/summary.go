@@ -7,8 +7,8 @@ package lint
 // call site:
 //
 //   - transitively collective: the function always reaches a collective
-//     op (directly or through callees); collmismatch flags such a call
-//     under a rank guard with the witness chain down to the collective.
+//     op (directly or through callees); rankdiv and maporder name the
+//     witness chain down to the collective in their findings.
 //   - leaking ctx params: a *pcu.Ctx parameter the function hands to
 //     another goroutine, sends on a channel, stores in package state,
 //     or forwards to a callee that does; ctxescape flags passing a Ctx

@@ -2,6 +2,11 @@ package collseq
 
 import "github.com/fastmath/pumi-go/internal/pcu"
 
+func okUnguarded(c *pcu.Ctx) {
+	c.Barrier()
+	_ = pcu.SumInt64(c, 1)
+}
+
 func okBothArmsEqual(c *pcu.Ctx) {
 	// Root-vs-rest with equal schedules: Bcast on both arms.
 	if c.Rank() == 0 {
@@ -57,6 +62,15 @@ func okEqualViaDifferentHelpers(c *pcu.Ctx) {
 		helperLeft(c)
 	} else {
 		helperRight(c)
+	}
+}
+
+func okEqualAtDifferentDepths(c *pcu.Ctx) {
+	// Equal schedules reached one and two calls deep.
+	if c.Rank() == 0 {
+		helperMid(c)
+	} else {
+		helperDeep(c)
 	}
 }
 

@@ -3,8 +3,8 @@ package rankdiv
 import "github.com/fastmath/pumi-go/internal/pcu"
 
 func okLexicalGuard(c *pcu.Ctx) {
-	// A bare lexical rank guard is collmismatch/collseq territory;
-	// rankdiv stays silent so the finding is not triple-reported.
+	// A bare lexical rank guard is collseq territory; rankdiv stays
+	// silent so the finding is not reported twice.
 	if c.Rank() == 0 {
 		c.Barrier()
 	}

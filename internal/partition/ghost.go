@@ -334,13 +334,8 @@ func (dm *DMesh) ghostSync() *ghostSyncPlan {
 // all their ghost copies (collective). The tag must exist on every part
 // under the same name. Runs on the cached ghost plan: each planned
 // entry is a presence byte plus the value, in the agreed order, with
-// no per-entity addressing; the headered path remains the sanitizer
-// fallback.
+// no per-entity addressing.
 func SyncGhostFloatTag(dm *DMesh, name string) {
-	if !planned() {
-		syncGhostFloatTagHeadered(dm, name)
-		return
-	}
 	pl := dm.ghostSync()
 	ctx := dm.Ctx
 	for li := range dm.Parts {
@@ -397,51 +392,6 @@ func SyncGhostFloatTag(dm *DMesh, name string) {
 			}
 		}
 		msg.Data.Done()
-	}
-}
-
-// syncGhostFloatTagHeadered is the self-describing fallback wire
-// format, each record addressed by the ghost copy's (type, index).
-func syncGhostFloatTagHeadered(dm *DMesh, name string) {
-	ph := dm.beginPhase()
-	for _, part := range dm.Parts {
-		m := part.M
-		tag := m.Tags.Find(name)
-		if tag == nil {
-			continue
-		}
-		ents := make([]mesh.Ent, 0, len(part.ghostsOf))
-		for e := range part.ghostsOf {
-			ents = append(ents, e)
-		}
-		sort.Slice(ents, func(a, b int) bool { return ents[a].Less(ents[b]) })
-		for _, e := range ents {
-			v, ok := m.Tags.GetFloat(tag, e)
-			if !ok {
-				continue
-			}
-			for _, g := range part.ghostsOf[e] {
-				b := ph.to(m.Part(), g.Part)
-				b.Byte(byte(g.Ent.T))
-				b.Int32(g.Ent.I)
-				b.Float64(v)
-			}
-		}
-	}
-	// Applying the owner's values onto ghost copies is the sanctioned
-	// owner-to-copy direction.
-	defer dm.suspendGuards()()
-	for _, msg := range ph.exchange() {
-		part := dm.LocalPart(msg.To)
-		m := part.M
-		tag := m.Tags.Find(name)
-		for !msg.Data.Empty() {
-			e := mesh.Ent{T: mesh.Type(msg.Data.Byte()), I: msg.Data.Int32()}
-			v := msg.Data.Float64()
-			if tag != nil {
-				m.Tags.SetFloat(tag, e, v)
-			}
-		}
 	}
 }
 

@@ -7,7 +7,6 @@ import (
 
 	"github.com/fastmath/pumi-go/internal/mesh"
 	"github.com/fastmath/pumi-go/internal/pcu"
-	"github.com/fastmath/pumi-go/internal/san"
 )
 
 // Boundary-exchange plans. SyncShared and ReduceShared used to
@@ -30,9 +29,9 @@ import (
 //
 // Planned messages carry, per (from part, to part) section, the two
 // part ids followed by one length-prefixed payload per entity in the
-// agreed order. When the sanitizer is enabled the layer falls back to
-// the self-describing headered wire format, which pumi-san's decoders
-// and the corruption checks can validate entity by entity.
+// agreed order. This is the only boundary wire format: the sanitizer
+// hashes these bytes and guards these writes, and checkPlans validates
+// the schedules themselves from Verify.
 
 // planDir is the direction of a compiled exchange.
 type planDir uint8
@@ -195,8 +194,7 @@ func compilePlan(dm *DMesh, key dimsKey) *BoundaryPlan {
 				h, ok := m.RemoteCopy(e, owner)
 				if !ok {
 					// Owner outside the link set: Verify flags this
-					// state; the exchange skips it like the headered
-					// path did.
+					// state; the exchange skips it.
 					continue
 				}
 				if key.dir == dirSync {
@@ -259,12 +257,6 @@ func buildCSR(pairs []planPair) (peers []int32, off []int32, ents []mesh.Ent) {
 	return peers, off, ents
 }
 
-// planned reports whether exchanges run on compiled plans. Under the
-// sanitizer every rank falls back to the self-describing headered wire
-// format (the value is process-global, so the choice is uniform across
-// ranks and the formats never mix).
-func planned() bool { return !san.Enabled() }
-
 // execPlan runs one compiled exchange round: pack every send run into
 // the per-rank buffers with (from, to) section framing, exchange, and
 // apply each arriving section against the matching recv run. The
@@ -322,13 +314,10 @@ func (dm *DMesh) execPlan(pl *BoundaryPlan, pack func(p *Part, e mesh.Ent, b *pc
 
 // checkPlans distributively validates the compiled sync schedules, one
 // dimension at a time: every sender transmits its per-peer run lengths
-// and owner-side ordering keys through the headered path, and each
+// and owner-side ordering keys in a part-addressed phase, and each
 // receiver checks them against its own recv runs. Called from
 // CheckDistributed so Verify covers the planner too.
 func checkPlans(dm *DMesh, record func(error)) {
-	if !planned() {
-		return
-	}
 	for d := 0; d < dm.Dim; d++ {
 		pl := dm.boundaryPlan(dimScratch[d:d+1], dirSync)
 		ph := dm.beginPhase()

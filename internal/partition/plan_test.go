@@ -1,6 +1,7 @@
 package partition
 
 import (
+	"strings"
 	"testing"
 
 	"github.com/fastmath/pumi-go/internal/gmi"
@@ -22,7 +23,7 @@ func allocGate(t *testing.T) {
 		t.Skip("allocation counts are not meaningful under -race")
 	}
 	if san.Enabled() {
-		t.Skip("the sanitizer uses the headered fallback path by design")
+		t.Skip("sanitized worlds append to the op log on every exchange")
 	}
 }
 
@@ -117,9 +118,6 @@ func TestReduceSharedPlannedValues(t *testing.T) {
 // touched part — plans recompile and the full distributed verification
 // stays green.
 func TestPlanInvalidation(t *testing.T) {
-	if !planned() {
-		t.Skip("plans disabled under the sanitizer")
-	}
 	err := pcu.Run(4, func(ctx *pcu.Ctx) error {
 		dm := planWorld(ctx)
 		part := dm.Parts[0]
@@ -277,5 +275,74 @@ func TestNeighborCachesZeroAlloc(t *testing.T) {
 	})
 	if err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestCheckPlansDetectsCorruptPlan is the negative test of the plan
+// validator: with a cached sync plan whose recv run has two entries
+// swapped, and with one whose run is a record short, Verify must name
+// the damage — sanitizer off and on, since checkPlans is the one
+// validator of the one wire format.
+func TestCheckPlansDetectsCorruptPlan(t *testing.T) {
+	cases := []struct {
+		name, want string
+		corrupt    func(pp *partPlan) bool
+	}{
+		{"swap", "sync plan order mismatch", func(pp *partPlan) bool {
+			for j := range pp.recvPeers {
+				if run := pp.recvEnts[pp.recvOff[j]:pp.recvOff[j+1]]; len(run) >= 2 {
+					run[0], run[1] = run[1], run[0]
+					return true
+				}
+			}
+			return false
+		}},
+		{"truncate", "sync plan mismatch", func(pp *partPlan) bool {
+			// Only the last run can lose its tail without shifting
+			// the offsets of the runs after it.
+			j := len(pp.recvPeers) - 1
+			if j < 0 {
+				return false
+			}
+			pp.recvOff[j+1]--
+			return true
+		}},
+	}
+	for _, sanitized := range []bool{false, true} {
+		for _, tc := range cases {
+			name := tc.name
+			if sanitized {
+				name += "/san"
+			}
+			t.Run(name, func(t *testing.T) {
+				if sanitized {
+					san.Enable()
+					defer san.Disable()
+				}
+				err := pcu.Run(4, func(ctx *pcu.Ctx) error {
+					dm := planWorld(ctx)
+					if err := Verify(dm); err != nil {
+						return err
+					}
+					pl := dm.boundaryPlan([]int{0}, dirSync)
+					hit := tc.corrupt(&pl.parts[0])
+					if !pcu.Allreduce(ctx, hit, func(a, b bool) bool { return a || b }) {
+						t.Errorf("no rank had a recv run to corrupt")
+					}
+					err := Verify(dm)
+					switch {
+					case err == nil:
+						t.Errorf("rank %d: Verify passed a corrupt plan", ctx.Rank())
+					case hit && !strings.Contains(err.Error(), tc.want):
+						t.Errorf("rank %d: Verify reported %q, want %q", ctx.Rank(), err, tc.want)
+					}
+					dm.InvalidatePlans()
+					return Verify(dm)
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+			})
+		}
 	}
 }

@@ -13,10 +13,13 @@ import (
 	"github.com/fastmath/pumi-go/internal/san"
 )
 
-// TestSanitizedProtocols: distribution, migration, ghosting, tag sync
-// and ghost removal all run clean under the full sanitizer — every
-// non-owner write the protocols perform goes through a sanctioned
-// window, and the collective schedule cross-checks at every sync point.
+// TestSanitizedProtocols: distribution, migration, shared sync and
+// reduce, ghosting, tag sync and ghost removal all run clean under the
+// full sanitizer — every non-owner write the protocols perform goes
+// through a sanctioned window, and the collective schedule cross-checks
+// at every sync point. The sanitized world runs the production wire
+// format: the boundary exchanges must compile plans and deliver the
+// right values through them.
 func TestSanitizedProtocols(t *testing.T) {
 	san.Enable()
 	defer san.Disable()
@@ -43,11 +46,18 @@ func TestSanitizedProtocols(t *testing.T) {
 					m.Tags.SetFloat(tag, el, float64(m.Part())+1)
 				}
 			}
+			if err := sharedRoundTrip(dm); err != nil {
+				return err
+			}
 			Ghost(dm, 0, 1)
 			SyncGhostFloatTag(dm, "val")
 			RemoveGhosts(dm)
 			if err := Verify(dm); err != nil {
 				return err
+			}
+			ctx.Barrier() // the counters merge across ranks
+			if ctx.Counters().Count("partition.plan.miss") == 0 {
+				return errors.New("sanitized world compiled no boundary plan")
 			}
 			return nil
 		})
@@ -59,6 +69,77 @@ func TestSanitizedProtocols(t *testing.T) {
 	a, b := run(), run()
 	if a != b || a == 0 {
 		t.Fatalf("sanitized runs not reproducible: %#x vs %#x", a, b)
+	}
+}
+
+// sharedRoundTrip pushes every shared vertex's gid from its owner to
+// the copies and counts the copies back at the owner, checking both
+// directions value by value.
+func sharedRoundTrip(dm *DMesh) error {
+	dims := []int{0}
+	got := make([]map[mesh.Ent]float64, len(dm.Parts))
+	for i := range got {
+		got[i] = map[mesh.Ent]float64{}
+	}
+	li := func(p *Part) int { return dm.localIndex(p.M.Part()) }
+	SyncShared(dm, dims,
+		func(p *Part, e mesh.Ent, b *pcu.Buffer) { b.Float64(float64(p.Gid(e))) },
+		func(p *Part, e mesh.Ent, r *pcu.Reader) { got[li(p)][e] = r.Float64() })
+	for i, part := range dm.Parts {
+		for e := range part.M.PartBoundary(0) {
+			if part.M.IsOwned(e) {
+				continue
+			}
+			if v, ok := got[i][e]; !ok || v != float64(part.Gid(e)) {
+				return fmt.Errorf("part %d: synced copy %v holds %v, want gid %d", part.M.Part(), e, v, part.Gid(e))
+			}
+		}
+		clear(got[i])
+	}
+	ReduceShared(dm, dims,
+		func(p *Part, e mesh.Ent, b *pcu.Buffer) { b.Float64(1) },
+		func(p *Part, e mesh.Ent, r *pcu.Reader) { got[li(p)][e] += r.Float64() })
+	for i, part := range dm.Parts {
+		for e := range part.M.PartBoundary(0) {
+			if !part.M.IsOwned(e) {
+				continue
+			}
+			if want := float64(part.M.NRemotes(e)); got[i][e] != want {
+				return fmt.Errorf("part %d: owner %v reduced %v, want %v", part.M.Part(), e, got[i][e], want)
+			}
+		}
+	}
+	return nil
+}
+
+// TestSanitizedReduceApplyGuarded: the mesh guards are live on the
+// planned path. ReduceShared sanctions no non-owner write (data flows
+// to the owner), so an apply callback that touches a copy its part does
+// not own fails the run with a *san.OwnershipError.
+func TestSanitizedReduceApplyGuarded(t *testing.T) {
+	san.Enable()
+	defer san.Disable()
+	err := pcu.Run(4, func(ctx *pcu.Ctx) error {
+		dm := planWorld(ctx)
+		ReduceShared(dm, []int{0},
+			func(p *Part, e mesh.Ent, b *pcu.Buffer) { b.Float64(1) },
+			func(p *Part, e mesh.Ent, r *pcu.Reader) {
+				r.Float64()
+				for v := range p.M.PartBoundary(0) {
+					if !p.M.IsOwned(v) {
+						p.M.SetCoord(v, p.M.Coord(v)) // illegal: owner-only
+					}
+				}
+			})
+		ctx.Barrier()
+		return nil
+	})
+	var oe *san.OwnershipError
+	if !errors.As(err, &oe) {
+		t.Fatalf("non-owner write in a reduce apply: err = %v, want a *san.OwnershipError", err)
+	}
+	if oe.Kind != "owner" || oe.Op != "coord" {
+		t.Fatalf("violation not diagnosed: %+v", oe)
 	}
 }
 

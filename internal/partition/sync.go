@@ -16,15 +16,12 @@ import (
 // The exchange runs on a compiled BoundaryPlan (plan.go) cached across
 // rounds: once the plan is hot, a round performs no allocations and
 // ships no per-entity headers. Any boundary mutation bumps the mesh
-// topology epoch and the next call recompiles locally. Under the
-// sanitizer the self-describing headered wire format is used instead.
+// topology epoch and the next call recompiles locally. The sanitizer
+// observes this same path: its op hash folds the planned bytes and the
+// mesh guards stay attached.
 func SyncShared(dm *DMesh, dims []int, pack func(p *Part, e mesh.Ent, b *pcu.Buffer), apply func(p *Part, e mesh.Ent, r *pcu.Reader)) {
 	dm.Ctx.Trace().Begin("partition.sync")
 	defer dm.Ctx.Trace().End("partition.sync")
-	if !planned() {
-		syncSharedHeadered(dm, dims, pack, apply)
-		return
-	}
 	pl := dm.boundaryPlan(dims, dirSync)
 	// The apply side writes owner data onto copies this part does not
 	// own — the point of the protocol, so sanctioned for the sanitizer.
@@ -41,84 +38,8 @@ func SyncShared(dm *DMesh, dims []int, pack func(p *Part, e mesh.Ent, b *pcu.Buf
 func ReduceShared(dm *DMesh, dims []int, pack func(p *Part, e mesh.Ent, b *pcu.Buffer), apply func(p *Part, e mesh.Ent, r *pcu.Reader)) {
 	dm.Ctx.Trace().Begin("partition.reduce")
 	defer dm.Ctx.Trace().End("partition.reduce")
-	if !planned() {
-		reduceSharedHeadered(dm, dims, pack, apply)
-		return
-	}
 	pl := dm.boundaryPlan(dims, dirReduce)
 	dm.execPlan(pl, pack, apply)
-}
-
-// syncSharedHeadered is the validation/sanitizer fallback: every
-// entity is addressed on the wire by (type, index) of the receiving
-// copy, so decoders can check each record independently.
-func syncSharedHeadered(dm *DMesh, dims []int, pack func(p *Part, e mesh.Ent, b *pcu.Buffer), apply func(p *Part, e mesh.Ent, r *pcu.Reader)) {
-	ph := dm.beginPhase()
-	var payload pcu.Buffer // reused across entities; Bytes copies it out
-	for _, part := range dm.Parts {
-		m := part.M
-		for _, d := range dims {
-			for e := range m.PartBoundary(d) {
-				if !m.IsOwned(e) {
-					continue
-				}
-				payload.Reset()
-				pack(part, e, &payload)
-				for _, rc := range m.Remotes(e) {
-					b := ph.to(m.Part(), rc.Part)
-					b.Byte(byte(rc.Ent.T))
-					b.Int32(rc.Ent.I)
-					b.Bytes(payload.Raw())
-				}
-			}
-		}
-	}
-	defer dm.suspendGuards()()
-	var sub pcu.Reader
-	for _, msg := range ph.exchange() {
-		part := dm.LocalPart(msg.To)
-		for !msg.Data.Empty() {
-			e := mesh.Ent{T: mesh.Type(msg.Data.Byte()), I: msg.Data.Int32()}
-			sub.Reset(msg.Data.BytesNoCopy())
-			apply(part, e, &sub)
-		}
-	}
-}
-
-// reduceSharedHeadered is the headered fallback for ReduceShared.
-func reduceSharedHeadered(dm *DMesh, dims []int, pack func(p *Part, e mesh.Ent, b *pcu.Buffer), apply func(p *Part, e mesh.Ent, r *pcu.Reader)) {
-	ph := dm.beginPhase()
-	var payload pcu.Buffer // reused across entities; Bytes copies it out
-	for _, part := range dm.Parts {
-		m := part.M
-		for _, d := range dims {
-			for e := range m.PartBoundary(d) {
-				if m.IsOwned(e) {
-					continue
-				}
-				owner := m.Owner(e)
-				h, ok := m.RemoteCopy(e, owner)
-				if !ok {
-					continue
-				}
-				payload.Reset()
-				pack(part, e, &payload)
-				b := ph.to(m.Part(), owner)
-				b.Byte(byte(h.T))
-				b.Int32(h.I)
-				b.Bytes(payload.Raw())
-			}
-		}
-	}
-	var sub pcu.Reader
-	for _, msg := range ph.exchange() {
-		part := dm.LocalPart(msg.To)
-		for !msg.Data.Empty() {
-			e := mesh.Ent{T: mesh.Type(msg.Data.Byte()), I: msg.Data.Int32()}
-			sub.Reset(msg.Data.BytesNoCopy())
-			apply(part, e, &sub)
-		}
-	}
 }
 
 // NeighborRanks returns the ranks this rank's parts communicate with,

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"github.com/fastmath/pumi-go/internal/hwtopo"
+	"github.com/fastmath/pumi-go/internal/san"
 	"github.com/fastmath/pumi-go/internal/trace"
 )
 
@@ -20,7 +21,7 @@ func allocGate(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under -race")
 	}
-	if defaultSanitize.Load() {
+	if san.Enabled() {
 		t.Skip("sanitizer schedule hashing allocates by design")
 	}
 }

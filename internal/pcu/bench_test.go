@@ -4,17 +4,19 @@ import (
 	"testing"
 
 	"github.com/fastmath/pumi-go/internal/hwtopo"
+	"github.com/fastmath/pumi-go/internal/san"
+	"github.com/fastmath/pumi-go/internal/telemetry"
+	"github.com/fastmath/pumi-go/internal/trace"
 )
 
 // Micro-benchmarks for the PCU hot paths: bulk pack/decode kernels
 // against their element-wise equivalents, and the phased exchange under
 // on-node (by-reference delivery) and off-node (copying delivery)
-// topologies. Runnable with benchstat:
+// topologies. Runnable with benchstat (`make bench-go`):
 //
 //	go test -run=^$ -bench=. -count=10 ./internal/pcu | benchstat -
 //
-// The committed BENCH_*.json files at the repo root track the same
-// operations through the pumi-bench -json harness.
+// End-to-end numbers come from the pipeline benchmark under bench/.
 
 const (
 	benchPackN   = 4096
@@ -129,14 +131,17 @@ func BenchmarkUnpackInt32s(b *testing.B) {
 // benchExchangeOnce runs b.N phases on every rank: each rank sends a
 // fixed payload around a ring (sparse) or to every rank including
 // itself (dense) and drains its inbox with the zero-copy decode path.
-// One op is one full phase across all ranks.
-func benchExchangeOnce(b *testing.B, topo hwtopo.Topology, dense bool) {
+// One op is one full phase across all ranks. opt arms the observers
+// whose overhead a sub-benchmark measures; topology and stall timeout
+// are set here.
+func benchExchangeOnce(b *testing.B, topo hwtopo.Topology, dense bool, opt Options) {
 	payload := make([]byte, benchPayload)
 	for i := range payload {
 		payload[i] = byte(i)
 	}
+	opt.Topo, opt.StallTimeout = topo, -1
 	b.ReportAllocs()
-	RunOpt(benchRanks, Options{Topo: topo, StallTimeout: -1}, func(c *Ctx) error {
+	_, err := RunOpt(benchRanks, opt, func(c *Ctx) error {
 		for i := 0; i < b.N; i++ {
 			if dense {
 				for p := 0; p < c.Size(); p++ {
@@ -152,18 +157,40 @@ func benchExchangeOnce(b *testing.B, topo hwtopo.Topology, dense bool) {
 		}
 		return nil
 	})
+	if err != nil {
+		b.Fatal(err)
+	}
 }
 
 // BenchmarkExchangeSparse: ring traffic, the neighbor-bounded pattern
 // of mesh communication. on-node delivers by reference; off-node
 // places every rank on its own node so each message is framed, CRC'd
-// and copied.
+// and copied. The traced, conform and metered rows are the on-node
+// workload with one observer armed each — flight recorder, online
+// protocol monitor (a one-state self-loop, so the row is the per-op
+// monitor cost alone), live telemetry — so each one's overhead reads
+// off against on-node.
 func BenchmarkExchangeSparse(b *testing.B) {
+	onNode := hwtopo.Cluster(1, benchRanks)
 	b.Run("on-node", func(b *testing.B) {
-		benchExchangeOnce(b, hwtopo.Cluster(1, benchRanks), false)
+		benchExchangeOnce(b, onNode, false, Options{})
 	})
 	b.Run("off-node", func(b *testing.B) {
-		benchExchangeOnce(b, hwtopo.Cluster(benchRanks, 1), false)
+		benchExchangeOnce(b, hwtopo.Cluster(benchRanks, 1), false, Options{})
+	})
+	b.Run("traced", func(b *testing.B) {
+		benchExchangeOnce(b, onNode, false, Options{Trace: trace.New(benchRanks, trace.Config{})})
+	})
+	b.Run("conform", func(b *testing.B) {
+		loop, err := san.NewProtocol("bench.Loop", []string{"exchange"}, 0,
+			[]bool{true}, []map[string]int{{"exchange": 0}})
+		if err != nil {
+			b.Fatal(err)
+		}
+		benchExchangeOnce(b, onNode, false, Options{Conform: loop})
+	})
+	b.Run("metered", func(b *testing.B) {
+		benchExchangeOnce(b, onNode, false, Options{Metrics: telemetry.NewRegistry()})
 	})
 }
 
@@ -171,10 +198,10 @@ func BenchmarkExchangeSparse(b *testing.B) {
 // for the active-peer table.
 func BenchmarkExchangeDense(b *testing.B) {
 	b.Run("on-node", func(b *testing.B) {
-		benchExchangeOnce(b, hwtopo.Cluster(1, benchRanks), true)
+		benchExchangeOnce(b, hwtopo.Cluster(1, benchRanks), true, Options{})
 	})
 	b.Run("off-node", func(b *testing.B) {
-		benchExchangeOnce(b, hwtopo.Cluster(benchRanks, 1), true)
+		benchExchangeOnce(b, hwtopo.Cluster(benchRanks, 1), true, Options{})
 	})
 }
 

@@ -44,7 +44,7 @@ func TestConformOnlineOutOfOrder(t *testing.T) {
 	_, err := RunOpt(2, Options{Conform: epochProto(t)}, func(c *Ctx) error {
 		//pumi-vet:ignore collseq // deliberate divergence: the monitor must catch it
 		if c.Rank() == 0 {
-			c.Exchange() //pumi-vet:ignore collmismatch // protocol requires barrier first
+			c.Exchange() // protocol requires barrier first
 		}
 		c.Barrier()
 		c.Exchange()
@@ -128,7 +128,7 @@ func TestConformWitnessesMatch(t *testing.T) {
 	_, err := RunOpt(2, Options{Conform: p}, func(c *Ctx) error {
 		//pumi-vet:ignore collseq // deliberate divergence: both checkers must catch it
 		if c.Rank() == 0 {
-			c.Exchange() //pumi-vet:ignore collmismatch
+			c.Exchange()
 		}
 		c.Barrier()
 		c.Exchange()

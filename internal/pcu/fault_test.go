@@ -114,7 +114,7 @@ func TestMismatchedCollectiveDiagnosedByWatchdog(t *testing.T) {
 		c.Barrier()
 		//pumi-vet:ignore collseq // deliberate divergence: the watchdog must catch it
 		if c.Rank() != 0 {
-			SumInt64(c, 1) //pumi-vet:ignore collmismatch
+			SumInt64(c, 1)
 		}
 		return nil
 	})

@@ -1,7 +1,7 @@
 package pcu
 
 // pumi-san runtime wiring: when a run is sanitized (Options.Sanitize or
-// the process-wide default set by a tool's -san flag), every rank keeps
+// the process-wide san.Enable a tool's -san flag sets), every rank keeps
 // a san.OpLog shadowing its collective op sequence. Entering an op
 // publishes the log's rolling schedule hash into a per-rank slot of the
 // shared World before the op's first barrier wait; after that wait —
@@ -24,15 +24,6 @@ import (
 
 	"github.com/fastmath/pumi-go/internal/san"
 )
-
-// defaultSanitize is the process-wide sanitize switch, set by tools
-// (pumi-bench -san) so every run they start is sanitized without
-// threading an option through each experiment.
-var defaultSanitize atomic.Bool
-
-// SetDefaultSanitize makes every subsequent run sanitized (or not),
-// regardless of its Options.Sanitize.
-func SetDefaultSanitize(on bool) { defaultSanitize.Store(on) }
 
 // sanState is the per-World shadow state of a sanitized run.
 type sanState struct {

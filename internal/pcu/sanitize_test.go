@@ -205,16 +205,16 @@ func TestSanSummaryLedger(t *testing.T) {
 	}
 }
 
-// TestSetDefaultSanitize: the process-wide switch sanitizes runs that
-// did not opt in via Options.
-func TestSetDefaultSanitize(t *testing.T) {
-	SetDefaultSanitize(true)
-	defer SetDefaultSanitize(false)
+// TestSanEnableSanitizesRuns: the process-wide switch sanitizes runs
+// that did not opt in via Options.
+func TestSanEnableSanitizesRuns(t *testing.T) {
+	san.Enable()
+	defer san.Disable()
 	stats, err := RunOpt(2, Options{}, sanWorkload)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if stats.SanHash == 0 {
-		t.Fatal("default-sanitized run reported no trace hash")
+		t.Fatal("san.Enable()d run reported no trace hash")
 	}
 }

@@ -78,7 +78,7 @@ type Options struct {
 	// for this run (see internal/san): each rank's op sequence is
 	// hashed and cross-checked at every sync point, and divergence
 	// fails the run with a *san.DivergenceError naming the first
-	// mismatching op. SetDefaultSanitize turns it on process-wide.
+	// mismatching op. san.Enable turns it on process-wide.
 	Sanitize bool
 	// Trace, when non-nil, records every rank's blocking operations,
 	// deliveries and injected faults into the given flight recorder
@@ -349,7 +349,7 @@ func RunOpt(n int, opt Options, body func(*Ctx) error) (Stats, error) {
 	for i := range w.shards {
 		w.shards[i] = w.counters.NewShard()
 	}
-	if opt.Sanitize || defaultSanitize.Load() {
+	if opt.Sanitize || san.Enabled() {
 		w.san = newSanState(n)
 	}
 	if opt.Conform != nil {
