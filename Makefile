@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test bench-go bench-smoke pipeline-smoke race vet pumi-vet vet-self sarif-smoke chaos chaos-recover san-smoke trace-smoke telemetry-smoke proto-gen proto-check conform-smoke plan-smoke check
+.PHONY: all build test loc bench-go bench-smoke pipeline-smoke race vet pumi-vet vet-self sarif-smoke chaos chaos-recover san-smoke trace-smoke telemetry-smoke proto-gen proto-check conform-smoke plan-smoke check
 
 all: build
 
@@ -13,10 +13,15 @@ build:
 test:
 	$(GO) test -shuffle=on ./...
 
+# Non-test Go lines under internal/ + cmd/ (lint fixtures excluded): the
+# size figure ROADMAP re-anchors and CHANGES entries quote before/after.
+loc:
+	@find internal cmd -name '*.go' ! -name '*_test.go' ! -path '*/testdata/*' -print0 | xargs -0 cat | wc -l
+
 # Go micro-benchmarks, benchstat-ready:
 #   make bench-go | benchstat -
 # ExchangeSparse's traced/conform/metered rows read each observer's
-# overhead off against on-node (see DESIGN.md §10, §13 and §15). For
+# overhead off against on-node (see DESIGN.md §10 and §13). For
 # end-to-end numbers, bash bench/run.sh.
 bench-go:
 	$(GO) test -run '^$$' -bench=. -benchmem ./internal/pcu/
@@ -89,7 +94,7 @@ trace-smoke:
 # Telemetry smoke: the balancing stack runs metered with the live
 # introspection endpoint up, rank 0 scrapes /metrics, /trace, /protocol
 # and /healthz over real HTTP mid-run, and every document must validate
-# against its schema (see DESIGN.md §15).
+# against its schema (see DESIGN.md §10).
 telemetry-smoke:
 	$(GO) test -race -count=1 -run 'TestTelemetrySmoke|TestTelemetrySourcesLive' ./internal/chaos/ ./internal/pcu/
 

@@ -10,7 +10,6 @@ import (
 	"path/filepath"
 	"sort"
 	"strings"
-	"time"
 
 	"github.com/fastmath/pumi-go/internal/gmi"
 	"github.com/fastmath/pumi-go/internal/mesh"
@@ -239,12 +238,7 @@ type saveReport struct {
 // not checkpointable; remove them first.
 func SaveCheckpoint(dir string, dm *partition.DMesh, cur Cursor) error {
 	ctx := dm.Ctx
-	ctx.Trace().Begin("checkpoint.save")
-	defer ctx.Trace().End("checkpoint.save")
-	saveStart := time.Now()
-	defer func() {
-		ctx.Metrics().Histogram("meshio.checkpoint.save.ns").Observe(ctx.Rank(), int64(time.Since(saveStart)))
-	}()
+	defer ctx.Span("meshio.checkpoint.save").End()
 	var seq int64 = 1
 	if ctx.Rank() == 0 {
 		if man, err := readManifest(dir); err == nil {
@@ -403,12 +397,7 @@ func cleanupStale(dir string, man *checkpointManifest) {
 // generations). The fallback decision is collective, so every rank
 // loads the same epoch.
 func LoadCheckpoint(dir string, ctx *pcu.Ctx, model *gmi.Model) (*partition.DMesh, Cursor, error) {
-	ctx.Trace().Begin("checkpoint.load")
-	defer ctx.Trace().End("checkpoint.load")
-	loadStart := time.Now()
-	defer func() {
-		ctx.Metrics().Histogram("meshio.checkpoint.load.ns").Observe(ctx.Rank(), int64(time.Since(loadStart)))
-	}()
+	defer ctx.Span("meshio.checkpoint.load").End()
 	dm, cur, err := loadEpoch(dir, manifestName, ctx, model)
 	if err == nil {
 		return dm, cur, nil

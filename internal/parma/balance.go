@@ -78,14 +78,8 @@ func Balance(dm *partition.DMesh, pri Priority, cfg Config) Result {
 // the state of the most recent completed iteration. The partial Result
 // accompanies the error.
 func BalanceSafe(dm *partition.DMesh, pri Priority, cfg Config) (Result, error) {
-	t := dm.Ctx.Counters().Start("parma.balance")
-	defer t.Stop()
-	dm.Ctx.Trace().Begin("parma.balance")
-	defer dm.Ctx.Trace().End("parma.balance")
+	defer dm.Ctx.Span("parma.balance").End()
 	start := time.Now()
-	defer func() {
-		dm.Ctx.Metrics().Histogram("parma.balance.ns").Observe(dm.Ctx.Rank(), int64(time.Since(start)))
-	}()
 	res := Result{Priority: pri}
 	for li, level := range pri {
 		for _, t := range level {

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"slices"
 	"sort"
-	"time"
 
 	"github.com/fastmath/pumi-go/internal/gmi"
 	"github.com/fastmath/pumi-go/internal/mesh"
@@ -26,10 +25,7 @@ import (
 // flagged as ghosts; entities the receiver already holds are untouched.
 // Element ghosts record their home part for tag synchronization.
 func Ghost(dm *DMesh, bridgeDim, layers int) {
-	t := dm.Ctx.Counters().Start("partition.ghost")
-	defer t.Stop()
-	dm.Ctx.Trace().Begin("partition.ghost")
-	defer dm.Ctx.Trace().End("partition.ghost")
+	defer dm.Ctx.Span("partition.ghost").End()
 	if bridgeDim < 0 || bridgeDim >= dm.Dim {
 		panic(fmt.Sprintf("partition: bad ghost bridge dimension %d", bridgeDim))
 	}
@@ -242,8 +238,7 @@ func unpackGhosts(dm *DMesh, msg partMsg) {
 // (collective only in that all ranks typically do it together; purely
 // local otherwise).
 func RemoveGhosts(dm *DMesh) {
-	dm.Ctx.Trace().Begin("partition.unghost")
-	defer dm.Ctx.Trace().End("partition.unghost")
+	defer dm.Ctx.Span("partition.unghost").End()
 	// Ghosts are owned by their home part; destroying the local copies
 	// is how ghosting ends, so sanctioned for the sanitizer.
 	defer dm.suspendGuards()()
@@ -295,16 +290,12 @@ type ghostSyncPlan struct {
 // since they edit the ghost bookkeeping of parts whose meshes did not
 // change).
 func (dm *DMesh) ghostSync() *ghostSyncPlan {
-	if pl := dm.ghostPlan; pl != nil && dm.epochsMatch(pl.epochs) {
-		dm.Ctx.Counters().Add("partition.plan.hit", 1)
+	pl := dm.ghostPlan
+	if dm.planLookup(pl != nil && dm.epochsMatch(pl.epochs)) {
 		return pl
 	}
-	dm.Ctx.Counters().Add("partition.plan.miss", 1)
-	tr := dm.Ctx.Trace()
-	tr.Begin("partition.plan")
-	defer tr.End("partition.plan")
-	start := time.Now()
-	pl := &ghostSyncPlan{
+	defer dm.Ctx.Span("partition.plan.compile").End()
+	pl = &ghostSyncPlan{
 		epochs: make([]uint64, 0, len(dm.Parts)),
 		parts:  make([]partPlan, len(dm.Parts)),
 	}
@@ -325,7 +316,6 @@ func (dm *DMesh) ghostSync() *ghostSyncPlan {
 	}
 	pl.epochs = dm.recordEpochs(pl.epochs)
 	pl.returnRanks = returnRanks(dm, pl.parts)
-	dm.Ctx.Metrics().Histogram("partition.plan.compile.ns").Observe(dm.Ctx.Rank(), int64(time.Since(start)))
 	dm.ghostPlan = pl
 	return pl
 }

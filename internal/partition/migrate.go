@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"slices"
 	"strings"
-	"time"
 
 	"github.com/fastmath/pumi-go/internal/ds"
 	"github.com/fastmath/pumi-go/internal/gmi"
@@ -120,15 +119,8 @@ func Migrate(dm *DMesh, plans []Plan) {
 // the votes pass does TryMigrate destroy migrated elements and restitch
 // remote links.
 func TryMigrate(dm *DMesh, plans []Plan) error {
-	t := dm.Ctx.Counters().Start("partition.migrate")
-	defer t.Stop()
+	defer dm.Ctx.Span("partition.migrate").End()
 	tr := dm.Ctx.Trace()
-	tr.Begin("partition.migrate")
-	defer tr.End("partition.migrate")
-	start := time.Now()
-	defer func() {
-		dm.Ctx.Metrics().Histogram("partition.migrate.ns").Observe(dm.Ctx.Rank(), int64(time.Since(start)))
-	}()
 	d := dm.Dim
 	for _, part := range dm.Parts {
 		if part.nGhosts > 0 {
@@ -435,7 +427,7 @@ func TryMigrate(dm *DMesh, plans []Plan) error {
 	for i := range dests {
 		totalMoved += int64(len(dests[i]))
 	}
-	dm.Ctx.Counters().Add("partition.migrated-elements", totalMoved)
+	dm.Ctx.Count("partition.migrated-elements", totalMoved)
 	tr.Point("migrate.moved-elements", totalMoved)
 	return nil
 }

@@ -10,6 +10,7 @@ import (
 	"github.com/fastmath/pumi-go/internal/mesh"
 	"github.com/fastmath/pumi-go/internal/meshgen"
 	"github.com/fastmath/pumi-go/internal/pcu"
+	"github.com/fastmath/pumi-go/internal/telemetry"
 )
 
 // distributeByX builds a distributed mesh on nranks*k parts from a
@@ -388,26 +389,25 @@ func TestTagsTravelWithMigration(t *testing.T) {
 }
 
 func TestPerfCountersRecorded(t *testing.T) {
-	err := pcu.Run(2, func(ctx *pcu.Ctx) error {
+	reg := telemetry.NewRegistry()
+	_, err := pcu.RunOpt(2, pcu.Options{Metrics: reg}, func(ctx *pcu.Ctx) error {
 		model := gmi.Box(2, 1, 1)
 		dm := distributeByX(ctx, model.Model, func() *mesh.Mesh {
 			return meshgen.Box3D(model, 2, 2, 2)
 		}, 1, 2)
 		Ghost(dm, 0, 1)
 		RemoveGhosts(dm)
-		c := ctx.Counters()
-		if c.Elapsed("partition.migrate") <= 0 {
-			return fmt.Errorf("migrate timer not recorded")
-		}
-		if c.Elapsed("partition.ghost") <= 0 {
-			return fmt.Errorf("ghost timer not recorded")
-		}
-		if c.Count("partition.migrated-elements") <= 0 {
-			return fmt.Errorf("migrated-element counter not recorded")
-		}
 		return nil
 	})
 	if err != nil {
 		t.Fatal(err)
+	}
+	for _, stage := range []string{"partition.migrate.ns", "partition.ghost.ns", "partition.unghost.ns"} {
+		if h := reg.Histogram(stage); h.Count() == 0 || h.Sum() <= 0 {
+			t.Errorf("%s: %d spans totalling %d ns, want some", stage, h.Count(), h.Sum())
+		}
+	}
+	if reg.Counter("partition.migrated-elements").Value() <= 0 {
+		t.Error("migrated-element counter not recorded")
 	}
 }

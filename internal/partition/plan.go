@@ -124,22 +124,28 @@ type planPair struct {
 // recompile independently without collective hazards.
 func (dm *DMesh) boundaryPlan(dims []int, dir planDir) *BoundaryPlan {
 	key := dimsKey{mask: dimsMask(dims), dir: dir}
-	if pl := dm.plans[key]; pl != nil && dm.epochsMatch(pl.epochs) {
-		dm.Ctx.Counters().Add("partition.plan.hit", 1)
+	pl := dm.plans[key]
+	if dm.planLookup(pl != nil && dm.epochsMatch(pl.epochs)) {
 		return pl
 	}
-	dm.Ctx.Counters().Add("partition.plan.miss", 1)
-	tr := dm.Ctx.Trace()
-	tr.Begin("partition.plan")
-	defer tr.End("partition.plan")
-	start := time.Now()
-	pl := compilePlan(dm, key)
-	dm.Ctx.Metrics().Histogram("partition.plan.compile.ns").Observe(dm.Ctx.Rank(), int64(time.Since(start)))
+	defer dm.Ctx.Span("partition.plan.compile").End()
+	pl = compilePlan(dm, key)
 	if dm.plans == nil {
 		dm.plans = map[dimsKey]*BoundaryPlan{}
 	}
 	dm.plans[key] = pl
 	return pl
+}
+
+// planLookup counts one lookup in either plan cache (boundary or ghost)
+// as a hit or a miss and passes the verdict through.
+func (dm *DMesh) planLookup(hit bool) bool {
+	if hit {
+		dm.Ctx.Count("partition.plan.hit", 1)
+	} else {
+		dm.Ctx.Count("partition.plan.miss", 1)
+	}
+	return hit
 }
 
 // InvalidatePlans drops every cached boundary plan. Plans revalidate

@@ -9,6 +9,7 @@ import (
 	"github.com/fastmath/pumi-go/internal/meshgen"
 	"github.com/fastmath/pumi-go/internal/pcu"
 	"github.com/fastmath/pumi-go/internal/san"
+	"github.com/fastmath/pumi-go/internal/telemetry"
 )
 
 // Tests of the compiled boundary-exchange plans: correctness of the
@@ -118,24 +119,25 @@ func TestReduceSharedPlannedValues(t *testing.T) {
 // touched part — plans recompile and the full distributed verification
 // stays green.
 func TestPlanInvalidation(t *testing.T) {
-	err := pcu.Run(4, func(ctx *pcu.Ctx) error {
+	reg := telemetry.NewRegistry()
+	misses := reg.Counter("partition.plan.miss")
+	_, err := pcu.RunOpt(4, pcu.Options{Metrics: reg}, func(ctx *pcu.Ctx) error {
 		dm := planWorld(ctx)
 		part := dm.Parts[0]
 		vals := vertexSlots(part.M)
 		pack := func(p *Part, e mesh.Ent, b *pcu.Buffer) { b.Float64(float64(p.Gid(e))) }
 		apply := func(p *Part, e mesh.Ent, r *pcu.Reader) { vals[e.I] = r.Float64() }
 		round := func() { SyncShared(dm, []int{0}, pack, apply) }
-		ctrs := dm.Ctx.Counters()
 
 		// The miss counter is merged across ranks and the sparse
 		// exchange is not a barrier, so bracket every read with
 		// Barrier to keep non-neighbor ranks' compiles out of deltas.
 		round() // compile
 		ctx.Barrier()
-		miss0 := ctrs.Count("partition.plan.miss")
+		miss0 := misses.Value()
 		round() // cached
 		ctx.Barrier()
-		if d := ctrs.Count("partition.plan.miss") - miss0; d != 0 {
+		if d := misses.Value() - miss0; d != 0 {
 			t.Errorf("unmutated second round recompiled %d plans, want 0", d)
 		}
 		ctx.Barrier() // keep later rounds' compiles out of the read above
@@ -150,7 +152,7 @@ func TestPlanInvalidation(t *testing.T) {
 		part.M.SetOwner(bv, part.M.Owner(bv))
 		round()
 		ctx.Barrier()
-		if d := ctrs.Count("partition.plan.miss") - miss0; d < 1 {
+		if d := misses.Value() - miss0; d < 1 {
 			t.Errorf("post-mutation round recompiled %d plans, want >= 1", d)
 		}
 

@@ -11,6 +11,7 @@ import (
 	"github.com/fastmath/pumi-go/internal/meshgen"
 	"github.com/fastmath/pumi-go/internal/pcu"
 	"github.com/fastmath/pumi-go/internal/san"
+	"github.com/fastmath/pumi-go/internal/telemetry"
 )
 
 // TestSanitizedProtocols: distribution, migration, shared sync and
@@ -24,7 +25,8 @@ func TestSanitizedProtocols(t *testing.T) {
 	san.Enable()
 	defer san.Disable()
 	run := func() uint64 {
-		stats, err := pcu.RunOpt(2, pcu.Options{Sanitize: true}, func(ctx *pcu.Ctx) error {
+		reg := telemetry.NewRegistry()
+		stats, err := pcu.RunOpt(2, pcu.Options{Sanitize: true, Metrics: reg}, func(ctx *pcu.Ctx) error {
 			model := gmi.Box(4, 1, 1)
 			dm := distributeByX(ctx, model.Model, func() *mesh.Mesh {
 				return meshgen.Box3D(model, 4, 2, 2)
@@ -52,17 +54,13 @@ func TestSanitizedProtocols(t *testing.T) {
 			Ghost(dm, 0, 1)
 			SyncGhostFloatTag(dm, "val")
 			RemoveGhosts(dm)
-			if err := Verify(dm); err != nil {
-				return err
-			}
-			ctx.Barrier() // the counters merge across ranks
-			if ctx.Counters().Count("partition.plan.miss") == 0 {
-				return errors.New("sanitized world compiled no boundary plan")
-			}
-			return nil
+			return Verify(dm)
 		})
 		if err != nil {
 			t.Fatalf("sanitized protocol run failed: %v", err)
+		}
+		if reg.Counter("partition.plan.miss").Value() == 0 {
+			t.Fatal("sanitized world compiled no boundary plan")
 		}
 		return stats.SanHash
 	}

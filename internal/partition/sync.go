@@ -20,8 +20,7 @@ import (
 // observes this same path: its op hash folds the planned bytes and the
 // mesh guards stay attached.
 func SyncShared(dm *DMesh, dims []int, pack func(p *Part, e mesh.Ent, b *pcu.Buffer), apply func(p *Part, e mesh.Ent, r *pcu.Reader)) {
-	dm.Ctx.Trace().Begin("partition.sync")
-	defer dm.Ctx.Trace().End("partition.sync")
+	defer dm.Ctx.Span("partition.sync").End()
 	pl := dm.boundaryPlan(dims, dirSync)
 	// The apply side writes owner data onto copies this part does not
 	// own — the point of the protocol, so sanctioned for the sanitizer.
@@ -36,8 +35,7 @@ func SyncShared(dm *DMesh, dims []int, pack func(p *Part, e mesh.Ent, b *pcu.Buf
 // in ascending contributor-part order. Planned and cached like
 // SyncShared.
 func ReduceShared(dm *DMesh, dims []int, pack func(p *Part, e mesh.Ent, b *pcu.Buffer), apply func(p *Part, e mesh.Ent, r *pcu.Reader)) {
-	dm.Ctx.Trace().Begin("partition.reduce")
-	defer dm.Ctx.Trace().End("partition.reduce")
+	defer dm.Ctx.Span("partition.reduce").End()
 	pl := dm.boundaryPlan(dims, dirReduce)
 	dm.execPlan(pl, pack, apply)
 }

@@ -192,21 +192,3 @@ func TestBulkKernelsZeroAlloc(t *testing.T) {
 		t.Errorf("bulk pack+decode cycle: %.1f allocs/op, want 0", avg)
 	}
 }
-
-// TestCounterAddZeroAlloc pins the sharded counter fast path: Add on an
-// existing cell is a lock-free atomic and must not allocate.
-func TestCounterAddZeroAlloc(t *testing.T) {
-	allocGate(t)
-	var avg float64
-	RunOpt(1, Options{StallTimeout: -1}, func(c *Ctx) error {
-		ctrs := c.Counters()
-		ctrs.Add("alloc.test", 1) // create the cell
-		avg = testing.AllocsPerRun(100, func() {
-			ctrs.Add("alloc.test", 1)
-		})
-		return nil
-	})
-	if avg != 0 {
-		t.Errorf("Shard.Add on existing cell: %.1f allocs/op, want 0", avg)
-	}
-}

@@ -205,14 +205,25 @@ func BenchmarkExchangeDense(b *testing.B) {
 	})
 }
 
-// BenchmarkCountersAdd exercises the sharded counter fast path from
-// every rank at once.
-func BenchmarkCountersAdd(b *testing.B) {
+// BenchmarkCount exercises the event-counter fast path from every rank
+// at once.
+func BenchmarkCount(b *testing.B) {
 	b.ReportAllocs()
 	RunOpt(benchRanks, Options{StallTimeout: -1}, func(c *Ctx) error {
-		ctrs := c.Counters()
 		for i := 0; i < b.N; i++ {
-			ctrs.Add("bench.count", 1)
+			c.Count("bench.count", 1)
+		}
+		return nil
+	})
+}
+
+// BenchmarkSpan is the always-on cost of one stage span with nothing
+// armed: two clock reads, a map hit and the histogram's atomic adds.
+func BenchmarkSpan(b *testing.B) {
+	b.ReportAllocs()
+	RunOpt(benchRanks, Options{StallTimeout: -1}, func(c *Ctx) error {
+		for i := 0; i < b.N; i++ {
+			c.Span("bench.span").End()
 		}
 		return nil
 	})

@@ -149,7 +149,6 @@ func (c *Ctx) recoverFrame(d delivery) (data []byte, retries int, ok bool) {
 		}
 		store.ack(d.from, c.rank, d.seq)
 		c.w.retries.Add(1)
-		c.Counters().Add("pcu.retry", 1)
 		c.tr.Fault("retry", d.seq)
 		return resent.data, retries, true
 	}

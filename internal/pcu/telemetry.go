@@ -33,35 +33,31 @@ var defaultMetrics atomic.Pointer[telemetry.Registry]
 // SetDefaultMetrics installs r as the process-wide metrics registry:
 // every subsequent run without an explicit Options.Metrics records into
 // it. Pass nil to turn default metering off.
-func SetDefaultMetrics(r *telemetry.Registry) {
-	if r == nil {
-		defaultMetrics.Store(nil)
-		return
-	}
-	defaultMetrics.Store(r)
-}
+func SetDefaultMetrics(r *telemetry.Registry) { defaultMetrics.Store(r) }
 
 // DefaultMetrics returns the process-wide registry, or nil.
 func DefaultMetrics() *telemetry.Registry {
 	return defaultMetrics.Load()
 }
 
-// Metrics returns the registry this run records into, or nil when the
-// run is unmetered. All registry handles are nil-safe, so instrumented
-// subsystems (partition, parma, meshio) resolve series unconditionally.
+// Metrics returns the registry supplied to this run (Options.Metrics or
+// SetDefaultMetrics), or nil when there is none: the home of the typed
+// series that are not spans (gauges, byte-size histograms), recorded
+// only when someone is there to scrape them. All registry handles are
+// nil-safe, so instrumented subsystems (partition, parma, meshio)
+// resolve series unconditionally. Stage timings and event counts go
+// through Span and Count instead, which always record.
 func (c *Ctx) Metrics() *telemetry.Registry {
 	if c.w.wm == nil {
 		return nil
 	}
-	return c.w.wm.reg
+	return c.w.reg
 }
 
 // worldMetrics holds one world's pre-resolved series handles, keyed by
 // the interned op-name pointers the hot path already carries — an op
 // record is a map hit on a pointer key plus three atomic adds.
 type worldMetrics struct {
-	reg *telemetry.Registry
-
 	opNs   map[*string]*telemetry.Histogram // op latency by op name
 	opSkew map[*string]*telemetry.Histogram // last-minus-first arrival gap
 
@@ -88,7 +84,6 @@ func newWorldMetrics(reg *telemetry.Registry) *worldMetrics {
 		return nil
 	}
 	wm := &worldMetrics{
-		reg:           reg,
 		opNs:          make(map[*string]*telemetry.Histogram, len(opNames)),
 		opSkew:        make(map[*string]*telemetry.Histogram, len(opNames)),
 		sendBytes:     reg.Histogram("pcu.send.bytes"),

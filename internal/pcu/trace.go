@@ -26,6 +26,7 @@ var defaultTracer atomic.Pointer[trace.Collector]
 func SetDefaultTrace(col *trace.Collector) { defaultTracer.Store(col) }
 
 // Trace returns this rank's flight recorder, or nil when the run is
-// untraced. All Recorder methods are nil-safe, so instrumented code
-// calls c.Trace().Begin(...) unconditionally.
+// untraced — for the typed events that are not stage spans (points,
+// iteration records, attachments); a stage is c.Span. All Recorder
+// methods are nil-safe, so instrumented code calls them unconditionally.
 func (c *Ctx) Trace() *trace.Recorder { return c.tr }

@@ -79,10 +79,11 @@ type StallError struct {
 	// sends and faults leading up to the stall, not just the op each
 	// rank is frozen in. Empty for untraced runs.
 	Trails []string
-	// Counters is the run's merged perf report (perf.Counters.Report) at
-	// diagnosis time, so a stall carries its counter state — how much
-	// work each phase did before freezing — without a separate scrape.
-	// Empty when the run accumulated nothing.
+	// Counters is the run's registry report (telemetry.Registry.Report)
+	// at diagnosis time: every stage's span count and total nanoseconds
+	// and every event counter, name-sorted, so a stall carries how much
+	// work each phase did before freezing without a separate scrape.
+	// Empty when the run recorded nothing.
 	Counters string
 }
 
@@ -282,9 +283,9 @@ func (w *World) stall(err *StallError) {
 		err.Trails = w.tr.TailStrings(stallTrail)
 	}
 	if err.Counters == "" {
-		// Shard merging is read-only and lock-per-shard: safe while the
+		// The report is atomic loads over the cells: safe while the
 		// stalled ranks sit in the barrier.
-		err.Counters = w.counters.Report()
+		err.Counters = w.reg.Report()
 	}
 	w.stallMu.Lock()
 	if w.stallErr == nil {

@@ -11,7 +11,6 @@ import (
 	"time"
 
 	"github.com/fastmath/pumi-go/internal/hwtopo"
-	"github.com/fastmath/pumi-go/internal/perf"
 	"github.com/fastmath/pumi-go/internal/san"
 	"github.com/fastmath/pumi-go/internal/telemetry"
 	"github.com/fastmath/pumi-go/internal/trace"
@@ -93,13 +92,14 @@ type Options struct {
 	// accepting state. The first off-automaton op fails the run with a
 	// *san.ProtocolError naming the op and the expected set.
 	Conform *san.Protocol
-	// Metrics, when non-nil, records the run's op latency and
-	// arrival-skew histograms, queue/pool gauges and per-neighbor
-	// traffic matrix into the given registry (see internal/telemetry).
-	// When nil and a process-wide registry is installed via
-	// SetDefaultMetrics, the run records into that instead. Recording is
-	// atomic-only and allocation-free, so metering can stay on during
-	// benchmarks.
+	// Metrics, when non-nil, is the registry the run's spans and counts
+	// (Ctx.Span, Ctx.Count) land in, and turns on per-op metering: op
+	// latency and arrival-skew histograms, queue/pool gauges and the
+	// per-neighbor traffic matrix (see internal/telemetry). When nil and
+	// a process-wide registry is installed via SetDefaultMetrics, the run
+	// uses that instead; with neither, spans and counts go to a registry
+	// private to the run and ops are not metered. Recording is atomic-only
+	// and allocation-free.
 	Metrics *telemetry.Registry
 }
 
@@ -115,11 +115,14 @@ type World struct {
 	san    *sanState    // non-nil when the run is sanitized
 	tr     *trace.Trace // non-nil when the run is traced
 
-	// id is the process-unique world number introspection output uses;
-	// start anchors the world's monotonic clock and wm holds the
-	// pre-resolved metric handles (nil when the run is unmetered).
+	// id is the process-unique world number introspection output uses
+	// and start anchors the world's monotonic clock. reg is the registry
+	// Span and Count record into: the supplied one, else a world-private
+	// one. wm holds the pre-resolved per-op handles, non-nil only when a
+	// registry was supplied (per-op metering is not free, see DESIGN §10).
 	id    int64
 	start time.Time
+	reg   *telemetry.Registry
 	wm    *worldMetrics
 
 	// conform is the online protocol-automaton monitor, non-nil when the
@@ -153,9 +156,6 @@ type World struct {
 
 	onMsgs, offMsgs, onBytes, offBytes, colls atomic.Int64
 	retries, replays                          atomic.Int64
-
-	counters perf.Counters
-	shards   []*perf.Shard // one counter shard per rank
 }
 
 // Interned op names: rankState.op holds a pointer so recording progress
@@ -275,6 +275,11 @@ type Ctx struct {
 	opSeq   int64
 	opStart int64
 	opWaits int32
+
+	// spans and counts are this rank's name→handle caches for Span and
+	// Count: a steady-state record never takes the registry mutex.
+	spans  map[string]*telemetry.Histogram
+	counts map[string]*telemetry.Counter
 }
 
 // worlds tracks the active runs so AbortAll can tear them down.
@@ -333,7 +338,6 @@ func RunOpt(n int, opt Options, body func(*Ctx) error) (Stats, error) {
 		slots:      make([]any, n),
 		inboxes:    make([]inbox, n),
 		ranks:      make([]rankState, n),
-		shards:     make([]*perf.Shard, n),
 	}
 	if opt.Faults != nil && opt.RetryBudget >= 0 {
 		w.resend = newResendStore()
@@ -346,9 +350,10 @@ func RunOpt(n int, opt Options, body func(*Ctx) error) (Stats, error) {
 		reg = defaultMetrics.Load()
 	}
 	w.wm = newWorldMetrics(reg)
-	for i := range w.shards {
-		w.shards[i] = w.counters.NewShard()
+	if reg == nil {
+		reg = telemetry.NewSized(n)
 	}
+	w.reg = reg
 	if opt.Sanitize || san.Enabled() {
 		w.san = newSanState(n)
 	}
@@ -397,7 +402,11 @@ func RunOpt(n int, opt Options, body func(*Ctx) error) (Stats, error) {
 				rs.blocked.Store(false)
 				rs.op.Store(&opNone)
 			}()
-			c := &Ctx{w: w, rank: rank, tr: tr.Rank(rank)}
+			c := &Ctx{
+				w: w, rank: rank, tr: tr.Rank(rank),
+				spans:  map[string]*telemetry.Histogram{},
+				counts: map[string]*telemetry.Counter{},
+			}
 			// The world-start marker lets offline replay (pumi-trace
 			// -conform) see epoch boundaries: Supervise reruns emit one
 			// marker per epoch on each rank.
@@ -513,11 +522,6 @@ func (c *Ctx) SameNode(peer int) bool { return c.w.topo.SameNode(c.rank, peer) }
 func (c *Ctx) NodePeers() []int {
 	return c.w.topo.NodeRanks(c.Node(), c.w.size)
 }
-
-// Counters returns this rank's shard of the run-wide performance
-// counters. Accumulation is lock-free and rank-local; reads (Count,
-// Elapsed, Report) merge every rank's shard.
-func (c *Ctx) Counters() *perf.Shard { return c.w.shards[c.rank] }
 
 // Stats returns a snapshot of the run-wide traffic counters.
 func (c *Ctx) Stats() Stats { return c.w.Stats() }
@@ -872,7 +876,6 @@ func (c *Ctx) accept(d delivery) (Message, bool) {
 		// Replayed frame: already delivered. Drop it like any reliable
 		// transport's duplicate suppression and recycle the copy.
 		c.w.replays.Add(1)
-		c.Counters().Add("pcu.replay", 1)
 		c.tr.Fault("replay-drop", d.seq)
 		c.releaseBuf(d.data)
 		return Message{}, false

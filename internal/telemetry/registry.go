@@ -1,19 +1,19 @@
-// Package telemetry is the live metrics plane of the parallel runtime:
-// a sharded registry of fixed-bucket histograms, sampled gauges and
+// Package telemetry is the metrics plane of the parallel runtime — the
+// paper's "run-time and memory usage counters": a sharded registry of
+// fixed-bucket histograms, event counters, sampled gauges and
 // per-neighbor traffic matrices, recorded from the communication hot
 // paths and scraped over HTTP (Serve) without perturbing the schedule.
 //
-// The registry extends the perf counters with distributions: a counter
-// says how much total time a phase took, a histogram says how that time
-// was distributed — the difference between "exchange cost 3s" and "one
-// in a thousand exchanges cost 100x the median", which is the straggler
-// signal the paper's load-balancing story turns on.
+// A histogram keeps a count and a sum, so it is a stage timer, and it
+// keeps the distribution too — the difference between "exchange cost 3s"
+// and "one in a thousand exchanges cost 100x the median", which is the
+// straggler signal the paper's load-balancing story turns on.
 //
 // Two design rules, both load-bearing:
 //
 //   - Zero steady-state allocations. Series are created once (Histogram,
-//     Gauge and Matrix return stable handles); recording on a handle —
-//     Observe, Set, Add — is a handful of atomic operations on
+//     Counter, Gauge and Matrix return stable handles); recording on a
+//     handle — Observe, Set, Add — is a handful of atomic operations on
 //     preallocated cells. The repo's AllocsPerRun tests pin this, so
 //     metering can stay on during benchmarks.
 //   - Collective-free, lock-free reads. Every cell is an atomic; a
@@ -23,8 +23,8 @@
 //     never enters a collective — scraping cannot deadlock or reorder
 //     the schedule it is observing.
 //
-// Sharding: each series has Lanes independent cache-padded lanes and a
-// recorder passes its rank as the lane (lane = rank mod Lanes), so
+// Sharding: each series has up to Lanes independent cache-padded lanes and
+// a recorder passes its rank as the lane (lane = rank mod lane count), so
 // concurrent ranks never contend on a cache line. Reads merge all lanes;
 // gauges keep per-lane samples (the per-rank view the introspection
 // endpoint serves).
@@ -33,18 +33,20 @@ package telemetry
 import (
 	"fmt"
 	"io"
+	"maps"
 	"math"
 	"math/bits"
-	"sort"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
 )
 
 const (
-	// Lanes is the number of independent accumulation lanes per series.
-	// A power of two; recorders use lane = rank & (Lanes-1), so runs
-	// wider than Lanes stay correct (two ranks share a lane's atomics)
+	// Lanes is the most independent accumulation lanes a series keeps
+	// (NewRegistry's count; NewSized keeps fewer for narrow runs). Lane
+	// counts are powers of two and recorders use lane = rank & (n-1), so
+	// runs wider than Lanes stay correct (two ranks share a lane's atomics)
 	// and merely contend a little.
 	Lanes = 16
 	// Buckets is the fixed histogram resolution: power-of-two buckets,
@@ -56,8 +58,6 @@ const (
 	// MatrixDim is the fixed rank dimension of a Matrix; indices are
 	// masked, so runs wider than MatrixDim alias rather than grow.
 	MatrixDim = 64
-
-	laneMask = Lanes - 1
 )
 
 // BucketOf maps a value to its power-of-two bucket index — exported so
@@ -112,7 +112,7 @@ func (h *Histogram) Observe(lane int, v int64) {
 	if h == nil {
 		return
 	}
-	l := &h.lanes[lane&laneMask]
+	l := &h.lanes[lane&(len(h.lanes)-1)]
 	l.buckets[bucketOf(v)].Add(1)
 	l.count.Add(1)
 	l.sum.Add(v)
@@ -179,7 +179,7 @@ func (g *Gauge) Set(lane int, v float64) {
 	if g == nil {
 		return
 	}
-	l := &g.lanes[lane&laneMask]
+	l := &g.lanes[lane&(len(g.lanes)-1)]
 	l.bits.Store(math.Float64bits(v))
 	l.set.Store(1)
 }
@@ -193,7 +193,7 @@ func (g *Gauge) Add(lane int, delta float64) {
 	if g == nil {
 		return
 	}
-	l := &g.lanes[lane&laneMask]
+	l := &g.lanes[lane&(len(g.lanes)-1)]
 	for {
 		old := l.bits.Load()
 		v := delta
@@ -212,11 +212,44 @@ func (g *Gauge) Get(lane int) (float64, bool) {
 	if g == nil {
 		return 0, false
 	}
-	l := &g.lanes[lane&laneMask]
+	l := &g.lanes[lane&(len(g.lanes)-1)]
 	if l.set.Load() == 0 {
 		return 0, false
 	}
 	return math.Float64frombits(l.bits.Load()), true
+}
+
+// counterLane is one lane's running total, padded against false sharing.
+type counterLane struct {
+	n atomic.Int64
+	_ [128 - 8]byte
+}
+
+// Counter is one named monotonic event total (plan cache hits, migrated
+// elements): Add is a single atomic on the lane's cell, reads merge lanes.
+type Counter struct {
+	name  string
+	lanes []counterLane
+}
+
+// Add accumulates n into the lane's cell.
+func (c *Counter) Add(lane int, n int64) {
+	if c == nil {
+		return
+	}
+	c.lanes[lane&(len(c.lanes)-1)].n.Add(n)
+}
+
+// Value returns the merged total across lanes.
+func (c *Counter) Value() int64 {
+	if c == nil {
+		return 0
+	}
+	var n int64
+	for i := range c.lanes {
+		n += c.lanes[i].n.Load()
+	}
+	return n
 }
 
 // Matrix is a named (rank, peer) counter grid — per-neighbor bytes or
@@ -250,16 +283,30 @@ func (m *Matrix) Get(from, to int) int64 {
 // methods are no-ops, which is how unmetered runs pay one branch.
 type Registry struct {
 	mu       sync.Mutex
+	lanes    int // per series, a power of two <= Lanes
 	hists    map[string]*Histogram
 	gauges   map[string]*Gauge
+	counters map[string]*Counter
 	matrices map[string]*Matrix
 }
 
-// NewRegistry creates an empty registry.
-func NewRegistry() *Registry {
+// NewRegistry creates an empty registry for runs of any width.
+func NewRegistry() *Registry { return NewSized(Lanes) }
+
+// NewSized creates an empty registry whose series keep only as many
+// lanes as a ranks-wide run can use (a histogram lane is 512 bytes, so
+// the registry pcu gives a 2-rank world of its own costs 1 KB a series
+// instead of 8).
+func NewSized(ranks int) *Registry {
+	lanes := 1
+	for lanes < ranks && lanes < Lanes {
+		lanes <<= 1
+	}
 	return &Registry{
+		lanes:    lanes,
 		hists:    map[string]*Histogram{},
 		gauges:   map[string]*Gauge{},
+		counters: map[string]*Counter{},
 		matrices: map[string]*Matrix{},
 	}
 }
@@ -273,7 +320,7 @@ func (r *Registry) Histogram(name string) *Histogram {
 	defer r.mu.Unlock()
 	h := r.hists[name]
 	if h == nil {
-		h = &Histogram{name: name, lanes: make([]histLane, Lanes)}
+		h = &Histogram{name: name, lanes: make([]histLane, r.lanes)}
 		r.hists[name] = h
 	}
 	return h
@@ -288,10 +335,25 @@ func (r *Registry) Gauge(name string) *Gauge {
 	defer r.mu.Unlock()
 	g := r.gauges[name]
 	if g == nil {
-		g = &Gauge{name: name, lanes: make([]gaugeLane, Lanes)}
+		g = &Gauge{name: name, lanes: make([]gaugeLane, r.lanes)}
 		r.gauges[name] = g
 	}
 	return g
+}
+
+// Counter returns the named counter, creating it on first use.
+func (r *Registry) Counter(name string) *Counter {
+	if r == nil {
+		return nil
+	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	c := r.counters[name]
+	if c == nil {
+		c = &Counter{name: name, lanes: make([]counterLane, r.lanes)}
+		r.counters[name] = c
+	}
+	return c
 }
 
 // Matrix returns the named matrix, creating it on first use.
@@ -307,6 +369,41 @@ func (r *Registry) Matrix(name string) *Matrix {
 		r.matrices[name] = m
 	}
 	return m
+}
+
+// byName returns m's values ordered by key, so no render depends on map
+// iteration or series-creation order. Callers hold r.mu.
+func byName[T any](m map[string]T) []T {
+	out := make([]T, 0, len(m))
+	for _, k := range slices.Sorted(maps.Keys(m)) {
+		out = append(out, m[k])
+	}
+	return out
+}
+
+// Report renders every non-empty histogram (observation count and sum)
+// and counter, each kind sorted by name, one per line: the state a stall
+// diagnosis carries. Equal totals render byte-identically, whichever
+// rank created or fed a series first.
+func (r *Registry) Report() string {
+	if r == nil {
+		return ""
+	}
+	r.mu.Lock()
+	hists, counters := byName(r.hists), byName(r.counters)
+	r.mu.Unlock()
+	var b strings.Builder
+	for _, h := range hists {
+		if n := h.Count(); n != 0 {
+			fmt.Fprintf(&b, "hist  %-32s n=%d sum=%d\n", h.name, n, h.Sum())
+		}
+	}
+	for _, c := range counters {
+		if v := c.Value(); v != 0 {
+			fmt.Fprintf(&b, "count %-32s %d\n", c.name, v)
+		}
+	}
+	return b.String()
 }
 
 // promName sanitizes a series name into a legal Prometheus metric name:
@@ -331,7 +428,8 @@ func promName(name string) string {
 // WritePrometheus renders every series in the Prometheus text exposition
 // format (version 0.0.4), deterministically: series sorted by name,
 // histogram buckets in le order with trailing empties trimmed, gauges
-// one sample per set lane labeled by rank, matrices as counters labeled
+// one sample per set lane labeled by rank, counters as one merged
+// _total sample, matrices as counters labeled
 // rank/peer with zero cells elided. The render is lock-free over the
 // cells (atomic loads), so a scrape never blocks a recording rank.
 func (r *Registry) WritePrometheus(w io.Writer) error {
@@ -339,22 +437,9 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 		return nil
 	}
 	r.mu.Lock()
-	hists := make([]*Histogram, 0, len(r.hists))
-	for _, h := range r.hists {
-		hists = append(hists, h)
-	}
-	gauges := make([]*Gauge, 0, len(r.gauges))
-	for _, g := range r.gauges {
-		gauges = append(gauges, g)
-	}
-	matrices := make([]*Matrix, 0, len(r.matrices))
-	for _, m := range r.matrices {
-		matrices = append(matrices, m)
-	}
+	hists, gauges := byName(r.hists), byName(r.gauges)
+	counters, matrices := byName(r.counters), byName(r.matrices)
 	r.mu.Unlock()
-	sort.Slice(hists, func(i, j int) bool { return hists[i].name < hists[j].name })
-	sort.Slice(gauges, func(i, j int) bool { return gauges[i].name < gauges[j].name })
-	sort.Slice(matrices, func(i, j int) bool { return matrices[i].name < matrices[j].name })
 
 	for _, h := range hists {
 		buckets, count, sum := h.Snapshot()
@@ -383,7 +468,7 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 			return err
 		}
 		any := false
-		for lane := 0; lane < Lanes; lane++ {
+		for lane := range g.lanes {
 			if v, ok := g.Get(lane); ok {
 				fmt.Fprintf(w, "%s{rank=\"%d\"} %g\n", pn, lane, v)
 				any = true
@@ -391,6 +476,12 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 		}
 		if !any {
 			fmt.Fprintf(w, "%s 0\n", pn)
+		}
+	}
+	for _, c := range counters {
+		pn := promName(c.name)
+		if _, err := fmt.Fprintf(w, "# TYPE %s counter\n%s_total %d\n", pn, pn, c.Value()); err != nil {
+			return err
 		}
 	}
 	for _, m := range matrices {

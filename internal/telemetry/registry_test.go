@@ -111,11 +111,77 @@ func TestMatrix(t *testing.T) {
 	}
 }
 
+// TestCounter: concurrent adds from more ranks than a series has lanes
+// merge to the exact total (lanes alias, they do not grow), in a
+// full-width registry and in one sized for a narrow run.
+func TestCounter(t *testing.T) {
+	for _, r := range []*Registry{NewRegistry(), NewSized(3)} {
+		c := r.Counter("test.events")
+		var wg sync.WaitGroup
+		for lane := 0; lane < 2*Lanes; lane++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for i := 0; i < 1000; i++ {
+					c.Add(lane, 2)
+				}
+			}()
+		}
+		wg.Wait()
+		if got, want := c.Value(), int64(2*Lanes*1000*2); got != want {
+			t.Fatalf("%d lanes: Value = %d, want %d", len(c.lanes), got, want)
+		}
+		if again := r.Counter("test.events"); again != c {
+			t.Fatal("handle not stable across lookups")
+		}
+	}
+	if n := len(NewSized(3).Histogram("x").lanes); n != 4 {
+		t.Fatalf("a 3-rank registry keeps %d lanes a series, want 4", n)
+	}
+}
+
+// TestReport: the stall-report rendering depends only on the totals —
+// not on which series was created or fed first — lists histograms then
+// counters, each sorted by name, and leaves out series nothing recorded
+// into.
+func TestReport(t *testing.T) {
+	feed := func(order []string) string {
+		r := NewRegistry()
+		for _, name := range order {
+			r.Histogram(name+".ns").Observe(len(name), 1500)
+			r.Counter(name).Add(len(name), 3)
+		}
+		r.Histogram("never.ns")
+		r.Counter("never")
+		return r.Report()
+	}
+	got := feed([]string{"migrate", "ghost", "balance"})
+	if again := feed([]string{"balance", "migrate", "ghost"}); again != got {
+		t.Fatalf("report depends on creation order:\n%s\nvs\n%s", got, again)
+	}
+	var names []string
+	for _, line := range strings.Split(strings.TrimSpace(got), "\n") {
+		names = append(names, strings.Join(strings.Fields(line)[:2], " "))
+	}
+	want := "hist balance.ns,hist ghost.ns,hist migrate.ns,count balance,count ghost,count migrate"
+	if strings.Join(names, ",") != want {
+		t.Fatalf("report lists %q, want %q:\n%s", names, want, got)
+	}
+	if !strings.Contains(got, "n=1 sum=1500") {
+		t.Fatalf("report lost a histogram's count and sum:\n%s", got)
+	}
+	if (*Registry)(nil).Report() != "" || NewRegistry().Report() != "" {
+		t.Fatal("a registry with nothing recorded must report nothing")
+	}
+}
+
 func TestNilSafety(t *testing.T) {
 	var r *Registry
 	h := r.Histogram("x")
 	g := r.Gauge("x")
 	m := r.Matrix("x")
+	c := r.Counter("x")
+	c.Add(0, 1)
 	h.Observe(0, 1)
 	g.Set(0, 1)
 	g.Add(0, 1)
@@ -126,8 +192,8 @@ func TestNilSafety(t *testing.T) {
 	if _, ok := g.Get(0); ok {
 		t.Fatal("nil gauge reported set")
 	}
-	if m.Get(0, 0) != 0 {
-		t.Fatal("nil matrix accumulated")
+	if m.Get(0, 0) != 0 || c.Value() != 0 {
+		t.Fatal("nil matrix or counter accumulated")
 	}
 	if err := r.WritePrometheus(&bytes.Buffer{}); err != nil {
 		t.Fatal(err)
@@ -143,6 +209,8 @@ func TestWritePrometheus(t *testing.T) {
 	r.Gauge("pcu.live_ranks").SetInt(0, 8)
 	r.Gauge("empty.gauge")
 	r.Matrix("pcu.neighbor.bytes").Add(0, 1, 4096)
+	r.Counter("partition.plan.hit").Add(0, 5)
+	r.Counter("partition.plan.hit").Add(1, 7)
 
 	var buf bytes.Buffer
 	if err := r.WritePrometheus(&buf); err != nil {
@@ -158,6 +226,8 @@ func TestWritePrometheus(t *testing.T) {
 		"pumi_empty_gauge 0",
 		"# TYPE pumi_pcu_neighbor_bytes counter",
 		`pumi_pcu_neighbor_bytes_total{rank="0",peer="1"} 4096`,
+		"# TYPE pumi_partition_plan_hit counter",
+		"pumi_partition_plan_hit_total 12",
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("output missing %q\n%s", want, out)

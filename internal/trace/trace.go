@@ -16,8 +16,8 @@
 // volumes, the ParMA imbalance-vs-iteration series).
 //
 // All Recorder methods are nil-safe: call sites instrument
-// unconditionally with c.Trace().Begin(...) and pay a single branch
-// when tracing is off.
+// unconditionally (c.Span(...), c.Trace().Point(...)) and pay a single
+// branch when tracing is off.
 package trace
 
 import (
