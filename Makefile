@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test loc bench-go bench-smoke pipeline-smoke race vet pumi-vet vet-self sarif-smoke chaos chaos-recover san-smoke trace-smoke telemetry-smoke proto-gen proto-check conform-smoke plan-smoke check
+.PHONY: all build test loc escape-check bench-go bench-smoke pipeline-smoke race vet pumi-vet vet-self sarif-smoke chaos chaos-recover san-smoke trace-smoke telemetry-smoke proto-gen proto-check conform-smoke plan-smoke check
 
 all: build
 
@@ -17,6 +17,18 @@ test:
 # size figure ROADMAP re-anchors and CHANGES entries quote before/after.
 loc:
 	@find internal cmd -name '*.go' ! -name '*_test.go' ! -path '*/testdata/*' -print0 | xargs -0 cat | wc -l
+
+# Escape gate: every variable the compiler moves to the heap in the
+# array-indexed core (mesh, ds, partition) must be listed in
+# escape-allow.txt — today the range-over-func iterator state and one
+# cold strings.Builder. Line numbers and the inlining package qualifier
+# are stripped, so only a new (or vanished) escaping variable is drift;
+# a scratch array that silently escapes is a red build, not a profile
+# reading. Accept one deliberately by adding its line to the file.
+escape-check:
+	$(GO) build -gcflags=-m ./internal/mesh ./internal/ds ./internal/partition 2>&1 \
+		| grep 'moved to heap:' | sed -E 's/:[0-9]+:[0-9]+//; s/[a-z]+\.#/#/' | sort -u > /tmp/pumi-escape-check.txt
+	diff -u escape-allow.txt /tmp/pumi-escape-check.txt
 
 # Go micro-benchmarks, benchstat-ready:
 #   make bench-go | benchstat -
@@ -127,4 +139,4 @@ plan-smoke:
 	$(GO) test -race -count=1 -run 'TestPlanSmoke' ./internal/chaos/
 
 # The full local gate: what CI runs.
-check: vet vet-self sarif-smoke proto-check build test race chaos chaos-recover san-smoke trace-smoke telemetry-smoke conform-smoke plan-smoke bench-smoke pipeline-smoke
+check: vet vet-self sarif-smoke proto-check escape-check build test race chaos chaos-recover san-smoke trace-smoke telemetry-smoke conform-smoke plan-smoke bench-smoke pipeline-smoke

@@ -91,8 +91,9 @@ func Parallel(dm *partition.DMesh, size SizeField, opts Options) Stats {
 // refinement zone sliced across many parts does not cascade entirely
 // into the lowest part id.
 func localizeMarked(dm *partition.DMesh, size SizeField, useMax bool) int64 {
+	var res []int32 // residence scratch
 	dest := func(m *mesh.Mesh, e mesh.Ent) int32 {
-		res := m.Residence(e).Values()
+		res = m.AppendResidence(e, res[:0])
 		if useMax {
 			return res[len(res)-1]
 		}

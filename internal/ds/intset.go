@@ -2,10 +2,10 @@ package ds
 
 import "slices"
 
-// IntSet is a small sorted set of int32 ids, used for residence-part
-// sets and other tiny id collections where a sorted slice beats a map.
-// Values are kept unique and ascending, so IntSets compare element-wise
-// and hash cheaply via their String key. The zero value is an empty set.
+// IntSet is a small sorted set of int32 ids, used for the residence-part
+// sets that key the partition model. Values are kept unique and
+// ascending, so equal sets have equal Keys. The zero value is an empty
+// set.
 type IntSet struct {
 	vals []int32
 }
@@ -29,16 +29,6 @@ func (s *IntSet) Add(v int32) bool {
 	return true
 }
 
-// Remove deletes v; reports whether it was present.
-func (s *IntSet) Remove(v int32) bool {
-	i, ok := slices.BinarySearch(s.vals, v)
-	if !ok {
-		return false
-	}
-	s.vals = slices.Delete(s.vals, i, i+1)
-	return true
-}
-
 // Has reports membership.
 func (s IntSet) Has(v int32) bool {
 	_, ok := slices.BinarySearch(s.vals, v)
@@ -53,23 +43,6 @@ func (s IntSet) Values() []int32 { return s.vals }
 
 // Min returns the smallest element; it panics on an empty set.
 func (s IntSet) Min() int32 { return s.vals[0] }
-
-// Clone returns an independent copy.
-func (s IntSet) Clone() IntSet {
-	return IntSet{vals: slices.Clone(s.vals)}
-}
-
-// Equal reports element-wise equality.
-func (s IntSet) Equal(o IntSet) bool { return slices.Equal(s.vals, o.vals) }
-
-// Union returns a new set with the elements of both.
-func (s IntSet) Union(o IntSet) IntSet {
-	out := s.Clone()
-	for _, v := range o.vals {
-		out.Add(v)
-	}
-	return out
-}
 
 // Key returns a compact string usable as a map key identifying the set's
 // exact contents.

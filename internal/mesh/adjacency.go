@@ -353,23 +353,51 @@ func (m *Mesh) closureMask(e Ent, verts []Ent) (mask uint, ok bool) {
 // well unless they already exist; callers typically reclassify boundary
 // sides afterwards or pass the region classification. It returns the
 // entity.
+//
+// One non-recursive builder per dimension: a self-recursive form makes
+// escape analysis give up on the stack vertex arrays.
 func (m *Mesh) BuildFromVerts(t Type, verts []Ent, c gmi.Ref) Ent {
 	if len(verts) != t.VertCount() {
 		panic(fmt.Sprintf("mesh: %v needs %d vertices, got %d", t, t.VertCount(), len(verts)))
 	}
-	if t == Vertex {
+	switch t.Dim() {
+	case 0:
 		return verts[0]
+	case 1:
+		return m.buildEdge(verts, c)
+	case 2:
+		return m.buildFace(t, verts, c)
 	}
 	if e := m.FindFromVerts(t, verts); e.Ok() {
 		return e
 	}
 	var down [6]Ent
-	for i, dt := range downTypes[t] {
-		var dv [4]Ent
-		for j, li := range downVerts[t][i] {
-			dv[j] = verts[li]
+	for i, ft := range downTypes[t] {
+		var fv [4]Ent
+		idx := downVerts[t][i]
+		for j, li := range idx {
+			fv[j] = verts[li]
 		}
-		down[i] = m.BuildFromVerts(dt, dv[:len(downVerts[t][i])], c)
+		down[i] = m.buildFace(ft, fv[:len(idx)], c)
 	}
 	return m.CreateEntity(t, c, down[:len(downTypes[t])])
+}
+
+func (m *Mesh) buildEdge(verts []Ent, c gmi.Ref) Ent {
+	if e := m.FindFromVerts(Edge, verts); e.Ok() {
+		return e
+	}
+	return m.CreateEntity(Edge, c, verts)
+}
+
+func (m *Mesh) buildFace(t Type, verts []Ent, c gmi.Ref) Ent {
+	if e := m.FindFromVerts(t, verts); e.Ok() {
+		return e
+	}
+	var down [4]Ent
+	for i, idx := range downVerts[t] {
+		ev := [2]Ent{verts[idx[0]], verts[idx[1]]}
+		down[i] = m.buildEdge(ev[:], c)
+	}
+	return m.CreateEntity(t, c, down[:len(downVerts[t])])
 }

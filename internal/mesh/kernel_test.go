@@ -510,6 +510,26 @@ func TestKernelZeroAlloc(t *testing.T) {
 	if m.FindFromVerts(mesh.Tet, miss).Ok() || m.FindFromVerts(mesh.Tet, hit) != rgn {
 		t.Fatal("hit/miss vertex lists are not what they claim")
 	}
+	// A free-standing tet torn down to its vertices and rebuilt: every
+	// level of BuildFromVerts creates, into slots the first build grew.
+	var lone [4]mesh.Ent
+	for i, p := range []vec.V{{X: 2}, {X: 3}, {X: 2, Y: 1}, {X: 2, Z: 1}} {
+		lone[i] = m.CreateVertex(gmi.NoRef, p)
+	}
+	built := m.BuildFromVerts(mesh.Tet, lone[:], gmi.NoRef)
+	var faces, edges [6]mesh.Ent
+	pins["BuildFromVerts create"] = func() {
+		fs := m.DownTo(built, faces[:0])
+		es := m.AdjacentTo(built, 1, edges[:0])
+		m.Destroy(built)
+		for _, f := range fs {
+			m.Destroy(f)
+		}
+		for _, e := range es {
+			m.Destroy(e)
+		}
+		built = m.BuildFromVerts(mesh.Tet, lone[:], gmi.NoRef)
+	}
 	for name, f := range pins {
 		if got := testing.AllocsPerRun(100, f); got != 0 {
 			t.Errorf("%s: %v allocs/op, want 0", name, got)

@@ -406,7 +406,7 @@ func TestRemoteCopiesAndResidence(t *testing.T) {
 	if res.Len() != 3 || !res.Has(0) || !res.Has(1) || !res.Has(2) {
 		t.Fatalf("residence = %v", res.Values())
 	}
-	if got := m.RemoteParts(v); len(got) != 2 || got[0] != 0 || got[1] != 2 {
+	if got := m.AppendRemoteParts(v, nil); len(got) != 2 || got[0] != 0 || got[1] != 2 {
 		t.Fatalf("remote parts = %v", got)
 	}
 	h, ok := m.RemoteCopy(v, 2)
@@ -418,7 +418,7 @@ func TestRemoteCopiesAndResidence(t *testing.T) {
 		t.Fatalf("remotes = %v", rs)
 	}
 	m.RemoveRemote(v, 0)
-	if got := m.RemoteParts(v); len(got) != 1 {
+	if got := m.AppendRemoteParts(v, nil); len(got) != 1 {
 		t.Fatalf("after remove: %v", got)
 	}
 	m.ClearRemotes(v)

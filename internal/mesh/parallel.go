@@ -84,28 +84,36 @@ func (m *Mesh) EachRemote(e Ent, yield func(part int32, h Ent) bool) {
 	}
 }
 
-// RemoteParts returns the peer parts holding copies of e, in ascending
-// order (sorted by construction — the link chains are part-ordered).
-func (m *Mesh) RemoteParts(e Ent) []int32 {
-	ls := &m.links[e.T]
-	n := ls.count(e.I)
-	if n == 0 {
-		return nil
-	}
-	out := make([]int32, 0, n)
-	for cur := ls.headOf(e.I); cur >= 0; cur = ls.next[cur] {
-		out = append(out, ls.part[cur])
-	}
-	return out
-}
-
-// AppendRemoteParts appends e's peer parts to dst in ascending order
-// and returns it — the allocation-free variant of RemoteParts for hot
-// sweeps that reuse a scratch slice.
+// AppendRemoteParts appends the peer parts holding copies of e to dst,
+// in ascending order (sorted by construction — the link chains are
+// part-ordered), and returns it.
 func (m *Mesh) AppendRemoteParts(e Ent, dst []int32) []int32 {
 	ls := &m.links[e.T]
 	for cur := ls.headOf(e.I); cur >= 0; cur = ls.next[cur] {
 		dst = append(dst, ls.part[cur])
+	}
+	return dst
+}
+
+// AppendResidence appends the residence part set of e — the ids of all
+// parts where e exists: this part plus all remote-copy parts, ascending
+// — to dst and returns it.
+func (m *Mesh) AppendResidence(e Ent, dst []int32) []int32 {
+	ls := &m.links[e.T]
+	placed := false
+	for cur := ls.headOf(e.I); cur >= 0; cur = ls.next[cur] {
+		p := ls.part[cur]
+		if !placed && m.part <= p {
+			placed = true
+			dst = append(dst, m.part)
+			if p == m.part {
+				continue
+			}
+		}
+		dst = append(dst, p)
+	}
+	if !placed {
+		dst = append(dst, m.part)
 	}
 	return dst
 }
@@ -137,15 +145,9 @@ func (m *Mesh) IsShared(e Ent) bool {
 	return m.links[e.T].headOf(e.I) >= 0 && !m.IsGhost(e)
 }
 
-// Residence returns the residence part set of e: the ids of all parts
-// where e exists — this part plus all remote-copy parts.
+// Residence returns AppendResidence as a set (a partition-model key).
 func (m *Mesh) Residence(e Ent) ds.IntSet {
-	s := ds.NewIntSet(m.part)
-	ls := &m.links[e.T]
-	for cur := ls.headOf(e.I); cur >= 0; cur = ls.next[cur] {
-		s.Add(ls.part[cur])
-	}
-	return s
+	return ds.NewIntSet(m.AppendResidence(e, nil)...)
 }
 
 // Owner returns the owning part of e: the part with the right to

@@ -2,6 +2,7 @@ package mesh
 
 import (
 	"fmt"
+	"slices"
 
 	"github.com/fastmath/pumi-go/internal/pcu"
 )
@@ -57,6 +58,7 @@ func VerifyParallel(c *pcu.Ctx, ms ...*Mesh) error {
 	}
 
 	// Local sweeps.
+	var peers []int32 // remote-part scratch
 	for _, m := range ms {
 		record(m.CheckConsistency())
 		for el := range m.Elements() {
@@ -73,30 +75,30 @@ func VerifyParallel(c *pcu.Ctx, ms ...*Mesh) error {
 					}
 					continue
 				}
-				rcs := m.Remotes(e)
-				if len(rcs) == 0 {
+				peers = m.AppendRemoteParts(e, peers[:0])
+				if len(peers) == 0 {
 					continue
 				}
 				if !m.HasUp(e) {
 					record(fmt.Errorf("mesh: shared %v on part %d bounds nothing (orphan boundary entity)", e, m.Part()))
 				}
-				if !m.Residence(e).Has(m.Owner(e)) {
+				if o := m.Owner(e); o != m.Part() && !slices.Contains(peers, o) {
 					record(fmt.Errorf("mesh: owner %d of shared %v on part %d outside residence set",
-						m.Owner(e), e, m.Part()))
+						o, e, m.Part()))
 				}
-				for _, rc := range rcs {
-					if rc.Part == m.Part() {
+				for _, q := range peers {
+					if q == m.Part() {
 						record(fmt.Errorf("mesh: %v on part %d lists its own part as a remote", e, m.Part()))
 					}
-					if _, ok := rankOf[rc.Part]; !ok {
-						record(fmt.Errorf("mesh: %v on part %d linked to unknown part %d", e, m.Part(), rc.Part))
+					if _, ok := rankOf[q]; !ok {
+						record(fmt.Errorf("mesh: %v on part %d linked to unknown part %d", e, m.Part(), q))
 					}
 					// Closure: everything bounding a shared entity is
 					// shared with at least the same parts.
 					for _, de := range m.down(e) {
-						if _, ok := m.RemoteCopy(de, rc.Part); !ok {
+						if _, ok := m.RemoteCopy(de, q); !ok {
 							record(fmt.Errorf("mesh: %v shared with part %d but its bounding %v is not",
-								e, rc.Part, de))
+								e, q, de))
 						}
 					}
 				}
@@ -111,18 +113,20 @@ func VerifyParallel(c *pcu.Ctx, ms ...*Mesh) error {
 		for d := 0; d < m.Dim(); d++ {
 			for e := range m.PartBoundary(d) {
 				owner := m.Owner(e)
-				for _, rc := range m.Remotes(e) {
-					r, ok := rankOf[rc.Part]
+				ls := &m.links[e.T]
+				for cur := ls.headOf(e.I); cur >= 0; cur = ls.next[cur] {
+					q, h := ls.part[cur], ls.ent[cur]
+					r, ok := rankOf[q]
 					if !ok {
 						continue // already recorded above
 					}
 					b := c.To(r)
-					b.Int32(rc.Part)
+					b.Int32(q)
 					b.Int32(m.Part())
 					b.Byte(byte(e.T))
 					b.Int32(e.I)
-					b.Byte(byte(rc.Ent.T))
-					b.Int32(rc.Ent.I)
+					b.Byte(byte(h.T))
+					b.Int32(h.I)
 					b.Int32(owner)
 				}
 			}

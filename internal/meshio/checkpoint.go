@@ -1,13 +1,12 @@
 package meshio
 
 import (
-	"bytes"
-	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"hash/crc32"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 
@@ -90,110 +89,108 @@ func readManifestFile(dir, name string) (*checkpointManifest, error) {
 }
 
 // encodePart serializes one part: the mesh as a length-prefixed meshio
-// blob (self-delimiting, since the mesh reader buffers), then the gid /
-// owner / residence record of every entity in iteration order — the
-// same order the mesh blob stores them, so load realigns by position.
-func encodePart(p *partition.Part) ([]byte, error) {
+// blob, then the gid / owner / residence record of every entity in
+// iteration order — the same order the mesh blob stores them, so load
+// realigns by position.
+func encodePart(p *partition.Part) []byte {
 	m := p.M
-	var buf bytes.Buffer
-	buf.WriteString(partMagic)
-	var blob bytes.Buffer
-	if err := Write(&blob, m); err != nil {
-		return nil, err
-	}
-	binary.Write(&buf, binary.LittleEndian, uint64(blob.Len()))
-	buf.Write(blob.Bytes())
-	binary.Write(&buf, binary.LittleEndian, m.Part())
-	binary.Write(&buf, binary.LittleEndian, p.FreshCounter())
+	b := append([]byte(nil), partMagic...)
+	blobLen := len(b)
+	b = appendMesh(le.AppendUint64(b, 0), m)
+	le.PutUint64(b[blobLen:], uint64(len(b)-blobLen-8))
+	b = le.AppendUint32(b, uint32(m.Part()))
+	b = le.AppendUint64(b, uint64(p.FreshCounter()))
+	var res []int32 // residence scratch
 	for d := 0; d <= m.Dim(); d++ {
-		binary.Write(&buf, binary.LittleEndian, uint32(m.Count(d)))
+		b = le.AppendUint32(b, uint32(m.Count(d)))
 		for e := range m.Iter(d) {
-			binary.Write(&buf, binary.LittleEndian, p.Gid(e))
-			binary.Write(&buf, binary.LittleEndian, m.Owner(e))
-			res := m.Residence(e).Values()
-			binary.Write(&buf, binary.LittleEndian, uint32(len(res)))
-			binary.Write(&buf, binary.LittleEndian, res)
+			b = le.AppendUint64(b, uint64(p.Gid(e)))
+			b = le.AppendUint32(b, uint32(m.Owner(e)))
+			res = m.AppendResidence(e, res[:0])
+			b = le.AppendUint32(b, uint32(len(res)))
+			for _, q := range res {
+				b = le.AppendUint32(b, uint32(q))
+			}
 		}
 	}
-	return buf.Bytes(), nil
+	return b
 }
 
 // decodePart rebuilds one part from its file contents, returning the
 // multi-part residence sets for partition.Assemble.
 func decodePart(data []byte, pid int32, model *gmi.Model, dim int) (*partition.Part, map[mesh.Ent][]int32, error) {
-	r := bytes.NewReader(data)
-	head := make([]byte, len(partMagic))
-	if _, err := r.Read(head); err != nil || string(head) != partMagic {
+	truncated := fmt.Errorf("meshio: part %d: truncated part file", pid)
+	d := &dec{b: data}
+	if head := d.bytes(len(partMagic)); string(head) != partMagic {
 		return nil, nil, fmt.Errorf("meshio: part %d: bad part-file magic %q", pid, head)
 	}
-	var blobLen uint64
-	if err := binary.Read(r, binary.LittleEndian, &blobLen); err != nil {
-		return nil, nil, fmt.Errorf("meshio: part %d: truncated part file: %w", pid, err)
+	blobLen := d.u64()
+	if d.err != nil {
+		return nil, nil, truncated
 	}
-	if blobLen > uint64(r.Len()) {
-		return nil, nil, fmt.Errorf("meshio: part %d: mesh blob of %d bytes but only %d remain", pid, blobLen, r.Len())
+	if blobLen > uint64(len(d.b)) {
+		return nil, nil, fmt.Errorf("meshio: part %d: mesh blob of %d bytes but only %d remain", pid, blobLen, len(d.b))
 	}
-	blob := make([]byte, blobLen)
-	if _, err := r.Read(blob); err != nil {
-		return nil, nil, err
-	}
-	m, err := Read(bytes.NewReader(blob), model)
+	m, err := decodeMesh(d.bytes(int(blobLen)), model)
 	if err != nil {
 		return nil, nil, fmt.Errorf("meshio: part %d: %w", pid, err)
 	}
 	if m.Dim() != dim {
 		return nil, nil, fmt.Errorf("meshio: part %d has dimension %d, manifest says %d", pid, m.Dim(), dim)
 	}
-	var storedPid int32
-	var counter int64
-	if err := binary.Read(r, binary.LittleEndian, &storedPid); err != nil {
-		return nil, nil, fmt.Errorf("meshio: part %d: truncated part file: %w", pid, err)
+	storedPid := int32(d.u32())
+	counter := int64(d.u64())
+	if d.err != nil {
+		return nil, nil, truncated
 	}
 	if storedPid != pid {
 		return nil, nil, fmt.Errorf("meshio: file for part %d stores part id %d", pid, storedPid)
-	}
-	if err := binary.Read(r, binary.LittleEndian, &counter); err != nil {
-		return nil, nil, fmt.Errorf("meshio: part %d: truncated part file: %w", pid, err)
 	}
 	m.SetPart(pid)
 	p := partition.NewPart(m)
 	p.RestoreFreshCounter(counter)
 	res := map[mesh.Ent][]int32{}
-	for d := 0; d <= dim; d++ {
-		var n uint32
-		if err := binary.Read(r, binary.LittleEndian, &n); err != nil {
-			return nil, nil, fmt.Errorf("meshio: part %d: truncated part file: %w", pid, err)
+	// Every kept residence list is a run of one arena, sized to all the
+	// part ids the rest of the file could hold so it never regrows under
+	// the runs handed out.
+	arena := make([]int32, 0, len(d.b)/4)
+	for dd := 0; dd <= dim; dd++ {
+		n := d.u32()
+		if d.err != nil {
+			return nil, nil, truncated
 		}
-		if int(n) != m.Count(d) {
-			return nil, nil, fmt.Errorf("meshio: part %d: %d dim-%d records for %d entities", pid, n, d, m.Count(d))
+		if int(n) != m.Count(dd) {
+			return nil, nil, fmt.Errorf("meshio: part %d: %d dim-%d records for %d entities", pid, n, dd, m.Count(dd))
 		}
-		for e := range m.Iter(d) {
-			var gid int64
-			var owner int32
-			var nres uint32
-			if err := binary.Read(r, binary.LittleEndian, &gid); err != nil {
-				return nil, nil, fmt.Errorf("meshio: part %d: truncated part file: %w", pid, err)
+		for e := range m.Iter(dd) {
+			gid := int64(d.u64())
+			owner := int32(d.u32())
+			nres := d.u32()
+			if d.err != nil {
+				return nil, nil, truncated
 			}
-			binary.Read(r, binary.LittleEndian, &owner)
-			if err := binary.Read(r, binary.LittleEndian, &nres); err != nil {
-				return nil, nil, fmt.Errorf("meshio: part %d: truncated part file: %w", pid, err)
-			}
-			if nres == 0 || uint64(nres)*4 > uint64(r.Len()) {
+			if nres == 0 || uint64(nres)*4 > uint64(len(d.b)) {
 				return nil, nil, fmt.Errorf("meshio: part %d: corrupt residence count %d", pid, nres)
 			}
-			vals := make([]int32, nres)
-			if err := binary.Read(r, binary.LittleEndian, &vals); err != nil {
-				return nil, nil, err
+			start := len(arena)
+			for range nres {
+				arena = append(arena, int32(d.u32()))
+			}
+			vals := arena[start:len(arena):len(arena)]
+			if !slices.Contains(vals, owner) {
+				return nil, nil, fmt.Errorf("meshio: part %d: corrupt owner %d of gid %d, residence %v", pid, owner, gid, vals)
 			}
 			p.RestoreGid(e, gid)
 			m.SetOwner(e, owner)
-			if len(vals) > 1 {
+			if nres > 1 {
 				res[e] = vals
+			} else {
+				arena = arena[:start]
 			}
 		}
 	}
-	if r.Len() != 0 {
-		return nil, nil, fmt.Errorf("meshio: part %d: %d trailing bytes", pid, r.Len())
+	if len(d.b) != 0 {
+		return nil, nil, fmt.Errorf("meshio: part %d: %d trailing bytes", pid, len(d.b))
 	}
 	return p, res, nil
 }
@@ -260,11 +257,7 @@ func SaveCheckpoint(dir string, dm *partition.DMesh, cur Cursor) error {
 			localErr = fmt.Errorf("part %d holds ghosts; remove ghosts before checkpointing", p.M.Part())
 			break
 		}
-		data, err := encodePart(p)
-		if err != nil {
-			localErr = err
-			break
-		}
+		data := encodePart(p)
 		ctx.Metrics().Histogram("meshio.checkpoint.save.bytes").Observe(ctx.Rank(), int64(len(data)))
 		name := fmt.Sprintf(partFilePattern, seq, p.M.Part())
 		path := filepath.Join(dir, name)

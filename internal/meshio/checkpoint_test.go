@@ -334,6 +334,39 @@ func TestCheckpointCorruptInputs(t *testing.T) {
 			t.Fatalf("want size-mismatch error, got %v", err)
 		}
 	})
+	// Past the size and CRC gates, decodePart itself must refuse a part
+	// file cut inside an entity record or naming an owner outside the
+	// entity's residence set.
+	t.Run("short read and foreign owner", func(t *testing.T) {
+		var data []byte
+		if err := pcu.Run(2, func(ctx *pcu.Ctx) error {
+			if dm := buildDistributed(ctx, 1); ctx.Rank() == 0 {
+				data = encodePart(dm.Parts[0])
+			}
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err := decodePart(data, 0, model.Model, 3); err != nil {
+			t.Fatalf("intact part file: %v", err)
+		}
+		// First entity record: gid (8 bytes), then owner, after the
+		// magic, the length-prefixed mesh blob, the part id, the id
+		// counter and the dim-0 record count.
+		owner := 16 + int(le.Uint64(data[8:])) + 4 + 8 + 4 + 8
+		for _, cut := range []int{owner, owner + 2, owner + 4} {
+			_, _, err := decodePart(data[:cut], 0, model.Model, 3)
+			if err == nil || !strings.Contains(err.Error(), "truncated part file") {
+				t.Errorf("cut at byte %d: want truncated part file, got %v", cut, err)
+			}
+		}
+		bad := append([]byte(nil), data...)
+		le.PutUint32(bad[owner:], 3)
+		_, _, err := decodePart(bad, 0, model.Model, 3)
+		if err == nil || !strings.Contains(err.Error(), "corrupt owner") {
+			t.Errorf("owner 3 on an entity of part 0: want corrupt owner, got %v", err)
+		}
+	})
 	t.Run("corrupt part file", func(t *testing.T) {
 		dir := t.TempDir()
 		save(dir)

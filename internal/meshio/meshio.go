@@ -8,8 +8,8 @@
 package meshio
 
 import (
-	"bufio"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
 	"math"
@@ -26,19 +26,53 @@ const (
 	magicV2 = "PUMIGO02" // topology + numeric tag data (fields included)
 )
 
+// Every format here is little-endian. Encoders append to a byte slice
+// with le.AppendUint32 / AppendUint64; decoders consume one with dec.
+var le = binary.LittleEndian
+
+var errTruncated = errors.New("meshio: truncated input")
+
+// dec consumes little-endian values off the front of a byte slice. A
+// read past the end latches err and yields zeros from then on, so a
+// decoder checks err once per record rather than once per field.
+type dec struct {
+	b   []byte
+	err error
+}
+
+var zeros [8]byte
+
+// bytes consumes the next n bytes; the result aliases the input. A
+// short read returns zeros when n <= 8, else nil.
+func (d *dec) bytes(n int) []byte {
+	if d.err != nil || n > len(d.b) {
+		d.err = errTruncated
+		return zeros[:min(n, 8)]
+	}
+	v := d.b[:n]
+	d.b = d.b[n:]
+	return v
+}
+
+func (d *dec) u8() byte    { return d.bytes(1)[0] }
+func (d *dec) u32() uint32 { return le.Uint32(d.bytes(4)) }
+func (d *dec) u64() uint64 { return le.Uint64(d.bytes(8)) }
+
 // Write serializes a mesh.
 func Write(w io.Writer, m *mesh.Mesh) error {
-	bw := bufio.NewWriter(w)
-	if _, err := bw.WriteString(magicV2); err != nil {
-		return err
-	}
-	wu32 := func(v uint32) { binary.Write(bw, binary.LittleEndian, v) }
-	wu32(uint32(m.Dim()))
+	_, err := w.Write(appendMesh(nil, m))
+	return err
+}
+
+// appendMesh appends m's serialization to b.
+func appendMesh(b []byte, m *mesh.Mesh) []byte {
+	b = append(b, magicV2...)
+	b = le.AppendUint32(b, uint32(m.Dim()))
 
 	// Vertices: assign sequential ids in iteration order; index maps a
 	// vertex slot to its id.
 	var index []uint32
-	wu32(uint32(m.Count(0)))
+	b = le.AppendUint32(b, uint32(m.Count(0)))
 	id := uint32(0)
 	for v := range m.Iter(0) {
 		for int(v.I) >= len(index) {
@@ -47,208 +81,195 @@ func Write(w io.Writer, m *mesh.Mesh) error {
 		index[v.I] = id
 		id++
 		p := m.Coord(v)
-		binary.Write(bw, binary.LittleEndian, [3]float64{p.X, p.Y, p.Z})
-		writeClassif(bw, m.Classification(v))
+		b = le.AppendUint64(b, math.Float64bits(p.X))
+		b = le.AppendUint64(b, math.Float64bits(p.Y))
+		b = le.AppendUint64(b, math.Float64bits(p.Z))
+		b = appendClassif(b, m.Classification(v))
 	}
 	// Higher dimensions: entities as vertex tuples (set semantics are
 	// recovered by BuildFromVerts on load; the canonical order is
 	// preserved by storing Verts order).
 	var verts []mesh.Ent
 	for d := 1; d <= m.Dim(); d++ {
-		wu32(uint32(m.Count(d)))
+		b = le.AppendUint32(b, uint32(m.Count(d)))
 		for e := range m.Iter(d) {
-			bw.WriteByte(byte(e.T))
+			b = append(b, byte(e.T))
 			verts = m.VertsTo(e, verts[:0])
-			wu32(uint32(len(verts)))
+			b = le.AppendUint32(b, uint32(len(verts)))
 			for _, v := range verts {
-				wu32(index[v.I])
+				b = le.AppendUint32(b, index[v.I])
 			}
-			writeClassif(bw, m.Classification(e))
+			b = appendClassif(b, m.Classification(e))
 		}
 	}
-	if err := writeTags(bw, m); err != nil {
-		return err
-	}
-	return bw.Flush()
+	return appendTags(b, m)
 }
 
 // Read deserializes a mesh against the given model (may be nil).
 func Read(r io.Reader, model *gmi.Model) (*mesh.Mesh, error) {
-	br := bufio.NewReader(r)
-	head := make([]byte, len(magicV1))
-	if _, err := io.ReadFull(br, head); err != nil {
-		return nil, fmt.Errorf("meshio: reading header: %w", err)
+	data, err := io.ReadAll(r)
+	if err != nil {
+		return nil, fmt.Errorf("meshio: reading mesh: %w", err)
 	}
+	return decodeMesh(data, model)
+}
+
+// Bytes one vertex and the smallest higher entity (an edge) occupy: a
+// count field claiming more records than the input could hold is
+// rejected before anything is sized from it.
+const (
+	vertexBytes    = 3*8 + 5
+	minEntityBytes = 1 + 4 + 2*4 + 5
+)
+
+// decodeMesh is Read over bytes already in memory.
+func decodeMesh(data []byte, model *gmi.Model) (*mesh.Mesh, error) {
+	d := &dec{b: data}
 	version := 0
-	switch string(head) {
+	switch head := d.bytes(len(magicV1)); string(head) {
 	case magicV1:
 		version = 1
 	case magicV2:
 		version = 2
 	default:
+		if d.err != nil {
+			return nil, fmt.Errorf("meshio: reading header: %w", d.err)
+		}
 		return nil, fmt.Errorf("meshio: bad magic %q", head)
 	}
-	var dim uint32
-	if err := binary.Read(br, binary.LittleEndian, &dim); err != nil {
-		return nil, err
+	dim := d.u32()
+	nv := d.u32()
+	if d.err != nil {
+		return nil, d.err
 	}
 	if dim < 1 || dim > 3 {
 		return nil, fmt.Errorf("meshio: bad dimension %d", dim)
 	}
-	m := mesh.New(model, int(dim))
-	var nv uint32
-	if err := binary.Read(br, binary.LittleEndian, &nv); err != nil {
-		return nil, err
+	if int64(nv)*vertexBytes > int64(len(d.b)) {
+		return nil, errTruncated
 	}
+	m := mesh.New(model, int(dim))
 	verts := make([]mesh.Ent, nv)
 	for i := range verts {
-		var p [3]float64
-		if err := binary.Read(br, binary.LittleEndian, &p); err != nil {
-			return nil, err
-		}
-		cls, err := readClassif(br)
-		if err != nil {
-			return nil, err
-		}
-		verts[i] = m.CreateVertex(cls, vec.V{X: p[0], Y: p[1], Z: p[2]})
+		x, y, z := d.u64(), d.u64(), d.u64()
+		cls := readClassif(d)
+		verts[i] = m.CreateVertex(cls, vec.V{
+			X: math.Float64frombits(x), Y: math.Float64frombits(y), Z: math.Float64frombits(z)})
 	}
 	var vsBuf [8]mesh.Ent
-	for d := 1; d <= int(dim); d++ {
-		var n uint32
-		if err := binary.Read(br, binary.LittleEndian, &n); err != nil {
-			return nil, err
+	for dd := 1; dd <= int(dim); dd++ {
+		n := d.u32()
+		if int64(n)*minEntityBytes > int64(len(d.b)) {
+			return nil, errTruncated
 		}
 		for i := uint32(0); i < n; i++ {
-			tb, err := br.ReadByte()
-			if err != nil {
-				return nil, err
+			tb := d.u8()
+			k := d.u32()
+			if d.err != nil {
+				return nil, d.err
 			}
 			t := mesh.Type(tb)
-			if t >= mesh.TypeCount || t.Dim() != d {
-				return nil, fmt.Errorf("meshio: entity type %d in dimension %d section", tb, d)
-			}
-			var k uint32
-			if err := binary.Read(br, binary.LittleEndian, &k); err != nil {
-				return nil, err
+			if t >= mesh.TypeCount || t.Dim() != dd {
+				return nil, fmt.Errorf("meshio: entity type %d in dimension %d section", tb, dd)
 			}
 			if int(k) != t.VertCount() {
 				return nil, fmt.Errorf("meshio: %v with %d vertices", t, k)
 			}
 			vs := vsBuf[:k]
 			for j := range vs {
-				var vi uint32
-				if err := binary.Read(br, binary.LittleEndian, &vi); err != nil {
-					return nil, err
-				}
+				vi := d.u32()
 				if vi >= nv {
 					return nil, fmt.Errorf("meshio: vertex index %d out of range", vi)
 				}
 				vs[j] = verts[vi]
 			}
-			cls, err := readClassif(br)
-			if err != nil {
-				return nil, err
+			cls := readClassif(d)
+			if d.err != nil {
+				return nil, d.err
 			}
 			e := m.BuildFromVerts(t, vs, cls)
 			m.SetClassification(e, cls)
 		}
 	}
+	if d.err != nil {
+		return nil, d.err
+	}
 	if version >= 2 {
-		if err := readTags(br, m); err != nil {
+		if err := readTags(d, m); err != nil {
 			return nil, err
 		}
 	}
 	return m, nil
 }
 
-func writeClassif(w io.Writer, c gmi.Ref) {
-	binary.Write(w, binary.LittleEndian, int8(c.Dim))
-	binary.Write(w, binary.LittleEndian, c.Tag)
+func appendClassif(b []byte, c gmi.Ref) []byte {
+	return le.AppendUint32(append(b, byte(c.Dim)), uint32(c.Tag))
 }
 
-func readClassif(r io.Reader) (gmi.Ref, error) {
-	var d int8
-	var tag int32
-	if err := binary.Read(r, binary.LittleEndian, &d); err != nil {
-		return gmi.NoRef, err
-	}
-	if err := binary.Read(r, binary.LittleEndian, &tag); err != nil {
-		return gmi.NoRef, err
-	}
-	return gmi.Ref{Dim: d, Tag: tag}, nil
+func readClassif(d *dec) gmi.Ref {
+	return gmi.Ref{Dim: int8(d.u8()), Tag: int32(d.u32())}
 }
 
 // SaveFile writes a mesh to the named file.
 func SaveFile(path string, m *mesh.Mesh) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	if err := Write(f, m); err != nil {
-		return err
-	}
-	return f.Close()
+	return os.WriteFile(path, appendMesh(nil, m), 0o666)
 }
 
 // LoadFile reads a mesh from the named file.
 func LoadFile(path string, model *gmi.Model) (*mesh.Mesh, error) {
-	f, err := os.Open(path)
+	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, err
 	}
-	defer f.Close()
-	return Read(f, model)
+	return decodeMesh(data, model)
 }
 
 // WriteAssignment stores an element-to-part assignment aligned with the
 // mesh's element iteration order.
 func WriteAssignment(w io.Writer, parts []int32) error {
-	bw := bufio.NewWriter(w)
-	if _, err := bw.WriteString("PUMIPT01"); err != nil {
-		return err
-	}
-	binary.Write(bw, binary.LittleEndian, uint32(len(parts)))
+	b := le.AppendUint32([]byte("PUMIPT01"), uint32(len(parts)))
 	for _, p := range parts {
-		binary.Write(bw, binary.LittleEndian, p)
+		b = le.AppendUint32(b, uint32(p))
 	}
-	return bw.Flush()
+	_, err := w.Write(b)
+	return err
 }
 
 // ReadAssignment loads an element-to-part assignment.
 func ReadAssignment(r io.Reader) ([]int32, error) {
-	br := bufio.NewReader(r)
-	head := make([]byte, 8)
-	if _, err := io.ReadFull(br, head); err != nil {
+	data, err := io.ReadAll(r)
+	if err != nil {
 		return nil, err
 	}
-	if string(head) != "PUMIPT01" {
+	d := &dec{b: data}
+	if head := d.bytes(8); string(head) != "PUMIPT01" {
+		if d.err != nil {
+			return nil, d.err
+		}
 		return nil, fmt.Errorf("meshio: bad assignment magic %q", head)
 	}
-	var n uint32
-	if err := binary.Read(br, binary.LittleEndian, &n); err != nil {
-		return nil, err
+	n := d.u32()
+	if int64(n)*4 > int64(len(d.b)) {
+		return nil, errTruncated
 	}
 	out := make([]int32, n)
-	if err := binary.Read(br, binary.LittleEndian, &out); err != nil {
-		return nil, err
-	}
 	// Reject corrupt part ids here, at the serial load boundary: a
 	// negative id surviving to PlansFromAssignment would blow up deep
 	// inside a collective migration instead of failing every rank with
 	// a structured error.
-	for i, p := range out {
-		if p < 0 {
-			return nil, fmt.Errorf("meshio: assignment entry %d has negative part id %d", i, p)
+	for i := range out {
+		out[i] = int32(d.u32())
+		if out[i] < 0 {
+			return nil, fmt.Errorf("meshio: assignment entry %d has negative part id %d", i, out[i])
 		}
 	}
-	return out, nil
+	return out, d.err
 }
 
-// writeTags appends the numeric tag section: a tag directory followed,
+// appendTags appends the numeric tag section: a tag directory followed,
 // per dimension and per entity in iteration order, by that entity's
 // tagged values. TagAny values are process-local and not serialized.
-func writeTags(w *bufio.Writer, m *mesh.Mesh) error {
+func appendTags(b []byte, m *mesh.Mesh) []byte {
 	var movable []*ds.Tag
 	for _, t := range m.Tags.Tags() {
 		switch t.Kind {
@@ -256,21 +277,21 @@ func writeTags(w *bufio.Writer, m *mesh.Mesh) error {
 			movable = append(movable, t)
 		}
 	}
-	binary.Write(w, binary.LittleEndian, uint32(len(movable)))
+	b = le.AppendUint32(b, uint32(len(movable)))
 	for _, t := range movable {
-		binary.Write(w, binary.LittleEndian, uint32(len(t.Name)))
-		w.WriteString(t.Name)
-		w.WriteByte(byte(t.Kind))
-		binary.Write(w, binary.LittleEndian, uint32(t.Size))
+		b = le.AppendUint32(b, uint32(len(t.Name)))
+		b = append(b, t.Name...)
+		b = append(b, byte(t.Kind))
+		b = le.AppendUint32(b, uint32(t.Size))
 	}
-	// One entity's record is built in rec — presence count, then an
-	// (index, value) entry per tag the entity carries — and written
-	// whole, so each tag's presence is read once, by its getter.
-	le := binary.LittleEndian
-	var rec []byte
+	// One entity's record is a presence count, then an (index, value)
+	// entry per tag the entity carries; the count byte is patched as
+	// entries are appended, so each tag's presence is read once, by its
+	// getter.
 	for d := 0; d <= m.Dim(); d++ {
 		for e := range m.Iter(d) {
-			rec = append(rec[:0], 0)
+			count := len(b)
+			b = append(b, 0)
 			for ti, t := range movable {
 				switch t.Kind {
 				case ds.TagInt:
@@ -278,44 +299,43 @@ func writeTags(w *bufio.Writer, m *mesh.Mesh) error {
 					if !ok {
 						continue
 					}
-					rec = le.AppendUint64(append(rec, byte(ti)), uint64(v))
+					b = le.AppendUint64(append(b, byte(ti)), uint64(v))
 				case ds.TagFloat:
 					v, ok := m.Tags.GetFloat(t, e)
 					if !ok {
 						continue
 					}
-					rec = le.AppendUint64(append(rec, byte(ti)), math.Float64bits(v))
+					b = le.AppendUint64(append(b, byte(ti)), math.Float64bits(v))
 				case ds.TagIntSlice:
 					v, ok := m.Tags.GetInts(t, e)
 					if !ok {
 						continue
 					}
-					rec = append(rec, byte(ti))
+					b = append(b, byte(ti))
 					for _, x := range v {
-						rec = le.AppendUint64(rec, uint64(x))
+						b = le.AppendUint64(b, uint64(x))
 					}
 				case ds.TagFloatSlice:
 					v, ok := m.Tags.GetFloats(t, e)
 					if !ok {
 						continue
 					}
-					rec = append(rec, byte(ti))
+					b = append(b, byte(ti))
 					for _, x := range v {
-						rec = le.AppendUint64(rec, math.Float64bits(x))
+						b = le.AppendUint64(b, math.Float64bits(x))
 					}
 				case ds.TagBytes:
 					v, ok := m.Tags.GetBytes(t, e)
 					if !ok {
 						continue
 					}
-					rec = append(append(rec, byte(ti)), v...)
+					b = append(append(b, byte(ti)), v...)
 				}
-				rec[0]++
+				b[count]++
 			}
-			w.Write(rec)
 		}
 	}
-	return nil
+	return b
 }
 
 // maxTagSize bounds the per-entity component count a file's tag
@@ -323,48 +343,39 @@ func writeTags(w *bufio.Writer, m *mesh.Mesh) error {
 // per entity slot), so it is checked before anything is allocated.
 const maxTagSize = 1024
 
-// readTags restores the tag section written by writeTags. Entity order
+// readTags restores the tag section written by appendTags. Entity order
 // matches the write order because BuildFromVerts created entities in
 // file order.
-func readTags(r *bufio.Reader, m *mesh.Mesh) error {
-	var n uint32
-	if err := binary.Read(r, binary.LittleEndian, &n); err != nil {
-		return fmt.Errorf("meshio: tag directory: %w", err)
+func readTags(d *dec, m *mesh.Mesh) error {
+	n := d.u32()
+	if d.err != nil {
+		return fmt.Errorf("meshio: tag directory: %w", d.err)
 	}
 	if n > 255 {
 		return fmt.Errorf("meshio: %d tags", n)
 	}
 	tags := make([]*ds.Tag, n)
 	for i := range tags {
-		var nameLen uint32
-		if err := binary.Read(r, binary.LittleEndian, &nameLen); err != nil {
-			return err
-		}
+		nameLen := d.u32()
 		if nameLen > 4096 {
 			return fmt.Errorf("meshio: tag name of %d bytes", nameLen)
 		}
-		name := make([]byte, nameLen)
-		if _, err := io.ReadFull(r, name); err != nil {
-			return err
+		name := string(d.bytes(int(nameLen)))
+		kind := ds.TagKind(d.u8())
+		size := d.u32()
+		if d.err != nil {
+			return d.err
 		}
-		kindB, err := r.ReadByte()
-		if err != nil {
-			return err
-		}
-		var size uint32
-		if err := binary.Read(r, binary.LittleEndian, &size); err != nil {
-			return err
-		}
-		kind := ds.TagKind(kindB)
 		if kind > ds.TagBytes {
-			return fmt.Errorf("meshio: tag %q has unknown kind %d", name, kindB)
+			return fmt.Errorf("meshio: tag %q has unknown kind %d", name, kind)
 		}
 		if size > maxTagSize {
 			return fmt.Errorf("meshio: tag %q has size %d, above the limit of %d", name, size, maxTagSize)
 		}
-		tag := m.Tags.Find(string(name))
+		tag := m.Tags.Find(name)
 		if tag == nil {
-			tag, err = m.Tags.Create(string(name), kind, int(size))
+			var err error
+			tag, err = m.Tags.Create(name, kind, int(size))
 			if err != nil {
 				return fmt.Errorf("meshio: recreating tag %q: %w", name, err)
 			}
@@ -377,55 +388,60 @@ func readTags(r *bufio.Reader, m *mesh.Mesh) error {
 		}
 		tags[i] = tag
 	}
-	for d := 0; d <= m.Dim(); d++ {
-		for e := range m.Iter(d) {
-			present, err := r.ReadByte()
-			if err != nil {
-				return err
-			}
+	var ints []int64 // slice-tag decode scratch; Set* copies
+	var floats []float64
+	for dd := 0; dd <= m.Dim(); dd++ {
+		for e := range m.Iter(dd) {
+			present := d.u8()
 			for k := 0; k < int(present); k++ {
-				ti, err := r.ReadByte()
-				if err != nil {
-					return err
+				ti := d.u8()
+				if d.err != nil {
+					return d.err
 				}
 				if int(ti) >= len(tags) {
 					return fmt.Errorf("meshio: tag index %d out of range", ti)
 				}
 				tag := tags[ti]
+				raw := d.bytes(tagBytes(tag))
+				if d.err != nil {
+					return d.err
+				}
 				switch tag.Kind {
 				case ds.TagInt:
-					var v int64
-					if err := binary.Read(r, binary.LittleEndian, &v); err != nil {
-						return err
-					}
-					m.Tags.SetInt(tag, e, v)
+					m.Tags.SetInt(tag, e, int64(le.Uint64(raw)))
 				case ds.TagFloat:
-					var v float64
-					if err := binary.Read(r, binary.LittleEndian, &v); err != nil {
-						return err
-					}
-					m.Tags.SetFloat(tag, e, v)
+					m.Tags.SetFloat(tag, e, math.Float64frombits(le.Uint64(raw)))
 				case ds.TagIntSlice:
-					v := make([]int64, tag.Size)
-					if err := binary.Read(r, binary.LittleEndian, &v); err != nil {
-						return err
+					ints = ints[:0]
+					for ; len(raw) > 0; raw = raw[8:] {
+						ints = append(ints, int64(le.Uint64(raw)))
 					}
-					m.Tags.SetInts(tag, e, v)
+					m.Tags.SetInts(tag, e, ints)
 				case ds.TagFloatSlice:
-					v := make([]float64, tag.Size)
-					if err := binary.Read(r, binary.LittleEndian, &v); err != nil {
-						return err
+					floats = floats[:0]
+					for ; len(raw) > 0; raw = raw[8:] {
+						floats = append(floats, math.Float64frombits(le.Uint64(raw)))
 					}
-					m.Tags.SetFloats(tag, e, v)
+					m.Tags.SetFloats(tag, e, floats)
 				case ds.TagBytes:
-					v := make([]byte, tag.Size)
-					if _, err := io.ReadFull(r, v); err != nil {
-						return err
-					}
-					m.Tags.SetBytes(tag, e, v)
+					m.Tags.SetBytes(tag, e, raw)
 				}
+			}
+			if d.err != nil {
+				return d.err
 			}
 		}
 	}
 	return nil
+}
+
+// tagBytes is the encoded size of one value of tag.
+func tagBytes(tag *ds.Tag) int {
+	switch tag.Kind {
+	case ds.TagInt, ds.TagFloat:
+		return 8
+	case ds.TagBytes:
+		return tag.Size
+	}
+	return 8 * tag.Size
 }

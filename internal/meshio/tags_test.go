@@ -1,7 +1,6 @@
 package meshio
 
 import (
-	"bufio"
 	"bytes"
 	"crypto/sha256"
 	"encoding/binary"
@@ -71,16 +70,10 @@ func TestGoldenTaggedWriteBytes(t *testing.T) {
 	}
 }
 
-// tagSection returns the bytes writeTags produces for m.
+// tagSection returns the bytes appendTags produces for m.
 func tagSection(t *testing.T, m *mesh.Mesh) []byte {
 	t.Helper()
-	var buf bytes.Buffer
-	w := bufio.NewWriter(&buf)
-	if err := writeTags(w, m); err != nil {
-		t.Fatal(err)
-	}
-	w.Flush()
-	return buf.Bytes()
+	return appendTags(nil, m)
 }
 
 // TestReadTagsRejectsLayoutMismatch: a directory entry naming a tag the
@@ -101,7 +94,7 @@ func TestReadTagsRejectsLayoutMismatch(t *testing.T) {
 		if _, err := m.Tags.Create(c.name, c.kind, c.size); err != nil {
 			t.Fatal(err)
 		}
-		err := readTags(bufio.NewReader(bytes.NewReader(section)), m)
+		err := readTags(&dec{b: section}, m)
 		if err == nil || !strings.Contains(err.Error(), "in the file but") {
 			t.Errorf("local %s as %v×%d: err = %v, want a layout mismatch", c.name, c.kind, c.size, err)
 		}
@@ -109,7 +102,7 @@ func TestReadTagsRejectsLayoutMismatch(t *testing.T) {
 	// The same tag under the same layout loads.
 	m := meshgen.Box3D(gmi.Box(1, 1, 1), 2, 2, 2)
 	uv, _ := m.Tags.Create("uv", ds.TagFloatSlice, 3)
-	if err := readTags(bufio.NewReader(bytes.NewReader(section)), m); err != nil {
+	if err := readTags(&dec{b: section}, m); err != nil {
 		t.Fatal(err)
 	}
 	if got, want := m.Tags.CountTagged(uv), (m.Count(0)+1)/2; got != want {
@@ -132,7 +125,7 @@ func TestReadTagsRejectsBadDirectory(t *testing.T) {
 		"unknown kind":    directory(byte(ds.TagAny), 1),
 	} {
 		m := meshgen.Box3D(gmi.Box(1, 1, 1), 1, 1, 1)
-		err := readTags(bufio.NewReader(bytes.NewReader(section)), m)
+		err := readTags(&dec{b: section}, m)
 		if err == nil || !strings.Contains(err.Error(), want) {
 			t.Errorf("err = %v, want %q", err, want)
 		}

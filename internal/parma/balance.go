@@ -228,6 +228,7 @@ func buildPlans(dm *partition.DMesh, counts [4][]int64, t int, higher []int, pri
 		}
 	}
 
+	var peers []int32 // remote-part scratch
 	for i, part := range dm.Parts {
 		m := part.M
 		self := m.Part()
@@ -285,7 +286,8 @@ func buildPlans(dm *partition.DMesh, counts [4][]int64, t int, higher []int, pri
 			// flowing outward across relatively light neighbors.
 			var dest int32 = -1
 			var destLoad int64
-			for _, q := range m.RemoteParts(cav.Anchor) {
+			peers = m.AppendRemoteParts(cav.Anchor, peers[:0])
+			for _, q := range peers {
 				if !candidates[q] {
 					continue
 				}

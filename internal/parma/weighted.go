@@ -81,6 +81,7 @@ func imbalanceF(weights []float64) (mean, imb float64) {
 func buildWeightedPlans(dm *partition.DMesh, weights []float64, avg float64, weight WeightFunc, cfg Config) []partition.Plan {
 	plans := make([]partition.Plan, len(dm.Parts))
 	arrivals := map[int32]float64{}
+	var peers []int32 // remote-part scratch
 	for i, part := range dm.Parts {
 		m := part.M
 		self := m.Part()
@@ -118,7 +119,8 @@ func buildWeightedPlans(dm *partition.DMesh, weights []float64, avg float64, wei
 			}
 			var dest int32 = -1
 			destLoad := math.Inf(1)
-			for _, q := range m.RemoteParts(cav.Anchor) {
+			peers = m.AppendRemoteParts(cav.Anchor, peers[:0])
+			for _, q := range peers {
 				if !candidates[q] {
 					continue
 				}

@@ -36,6 +36,10 @@ type Part struct {
 	byGid   [4]map[int64]mesh.Ent
 	counter int64
 
+	// resIdx is TryMigrate's entity slot -> affected-list index
+	// (resTable.idx, migrate.go); all zero between calls.
+	resIdx [mesh.TypeCount][]int32
+
 	// Ghost bookkeeping: local ghost element -> its home copy, and
 	// local element -> its ghost copies on other parts.
 	nGhosts   int

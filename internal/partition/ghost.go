@@ -35,6 +35,7 @@ func Ghost(dm *DMesh, bridgeDim, layers int) {
 	d := dm.Dim
 	ph := dm.beginPhase()
 	var adj []mesh.Ent // adjacency scratch
+	var peers []int32  // remote-part scratch
 	for _, part := range dm.Parts {
 		m := part.M
 		// Seed: for each neighbor part q, the elements adjacent to
@@ -46,7 +47,8 @@ func Ghost(dm *DMesh, bridgeDim, layers int) {
 		seeds := map[int32]*seedSet{}
 		for e := range m.PartBoundary(bridgeDim) {
 			adj = m.AdjacentTo(e, d, adj[:0])
-			for _, q := range m.RemoteParts(e) {
+			peers = m.AppendRemoteParts(e, peers[:0])
+			for _, q := range peers {
 				set := seeds[q]
 				if set == nil {
 					set = &seedSet{in: m.NewMarks()}
@@ -134,7 +136,8 @@ func Ghost(dm *DMesh, bridgeDim, layers int) {
 func packGhosts(b *pcu.Buffer, part *Part, els []mesh.Ent, d int) {
 	m := part.M
 	movable := writeTagTable(b, m)
-	closure := closureLevels(m, els, d)
+	seen := m.NewMarks()
+	closure := closureLevels(m, els, d, seen.Set)
 	var gids []int64 // down-adjacency gid scratch, bulk-packed per entity
 	var down []mesh.Ent
 	for dd := 0; dd <= d; dd++ {

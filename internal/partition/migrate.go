@@ -1,12 +1,12 @@
 package partition
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"slices"
 	"strings"
 
-	"github.com/fastmath/pumi-go/internal/ds"
 	"github.com/fastmath/pumi-go/internal/gmi"
 	"github.com/fastmath/pumi-go/internal/mesh"
 	"github.com/fastmath/pumi-go/internal/pcu"
@@ -128,15 +128,28 @@ func TryMigrate(dm *DMesh, plans []Plan) error {
 		}
 	}
 
-	// Normalize plans: drop self-moves, validate.
-	dests := make([]Plan, len(dm.Parts))
-	for i, part := range dm.Parts {
-		dests[i] = Plan{}
-		var plan Plan
-		if i < len(plans) {
-			plan = plans[i]
+	// Normalize plans: drop self-moves, validate. This is the one read of
+	// the Plan maps; from here every per-entity fact lives in the parts'
+	// residence tables. els[i] lists part i's moving elements by
+	// (destination, element), the order step 3 ships them in; a moving
+	// element's run is its destination.
+	tabs := make([]resTable, len(dm.Parts))
+	defer func() {
+		for i := range tabs {
+			tabs[i].reset()
 		}
-		for el, q := range plan {
+	}()
+	els := make([][]mesh.Ent, len(dm.Parts))
+	var moves []move // one part's normalized plan
+	var totalMoved int64
+	for i, part := range dm.Parts {
+		t := &tabs[i]
+		t.idx = &part.resIdx
+		if i >= len(plans) {
+			continue
+		}
+		moves = moves[:0]
+		for el, q := range plans[i] {
 			if int(q) < 0 || int(q) >= dm.NParts() {
 				panic(fmt.Sprintf("partition: plan sends %v to invalid part %d", el, q))
 			}
@@ -144,44 +157,47 @@ func TryMigrate(dm *DMesh, plans []Plan) error {
 				panic(fmt.Sprintf("partition: plan contains non-element %v", el))
 			}
 			if q != part.M.Part() {
-				dests[i][el] = q
+				moves = append(moves, move{el: el, to: q})
 			}
 		}
+		slices.SortFunc(moves, func(a, b move) int {
+			return cmp.Or(cmp.Compare(a.to, b.to), a.el.Compare(b.el))
+		})
+		els[i] = make([]mesh.Ent, len(moves))
+		for j, mv := range moves {
+			els[i][j] = mv.el
+			t.add(mv.el, mv.to)
+		}
+		totalMoved += int64(len(moves))
 	}
 
 	// Step 1: local residence contributions, computed only for the
 	// entities adjacent to moving elements (migration cost must scale
 	// with the move, not the mesh — ParMA runs many small migrations).
 	// contrib(e) = destinations of ALL local elements adjacent to e.
-	contribs := make([]map[mesh.Ent]ds.IntSet, len(dm.Parts))
-	var ups, closure []mesh.Ent // adjacency scratch, reused across entities
-	localContrib := func(i int, m *mesh.Mesh, e mesh.Ent) ds.IntSet {
-		var s ds.IntSet
-		self := m.Part()
-		ups = m.AdjacentTo(e, d, ups[:0])
-		for _, up := range ups {
-			if dst, moving := dests[i][up]; moving {
-				s.Add(dst)
-			} else {
-				s.Add(self)
+	var adj []mesh.Ent // adjacency scratch, reused across entities
+	contribute := func(t *resTable, m *mesh.Mesh, e mesh.Ent) {
+		adj = m.AdjacentTo(e, d, adj[:0])
+		for _, up := range adj {
+			dst := m.Part()
+			if to := t.res(up); len(to) > 0 { // up is moving
+				dst = to[0]
 			}
+			t.add(e, dst)
 		}
-		return s
 	}
+	// closures[i] is the downward closure of part i's moving elements,
+	// per dimension, ascending: who announces in step 2 and who may be
+	// orphaned in step 4.
+	closures := make([][3][]mesh.Ent, len(dm.Parts))
 	for i, part := range dm.Parts {
-		m := part.M
-		contrib := map[mesh.Ent]ds.IntSet{}
-		for el := range dests[i] {
-			for dd := 0; dd < d; dd++ {
-				closure = m.AdjacentTo(el, dd, closure[:0])
-				for _, e := range closure {
-					if _, done := contrib[e]; !done {
-						contrib[e] = localContrib(i, m, e)
-					}
-				}
+		m, t := part.M, &tabs[i]
+		closures[i] = closureLevels(m, els[i], d, t.touch)
+		for _, level := range closures[i] {
+			for _, e := range level {
+				contribute(t, m, e)
 			}
 		}
-		contribs[i] = contrib
 	}
 
 	// Step 2: exchange contributions across current residence parts of
@@ -189,67 +205,63 @@ func TryMigrate(dm *DMesh, plans []Plan) error {
 	// elements announce their contributions to every copy; any copy
 	// that received an announcement without having sent one replies
 	// with its own contribution to every copy, so all copies end up
-	// with the complete new residence set.
-	newRes := make([]map[mesh.Ent]ds.IntSet, len(dm.Parts))
-	for i := range newRes {
-		newRes[i] = map[mesh.Ent]ds.IntSet{}
-		for e, s := range contribs[i] {
-			newRes[i][e] = s.Clone()
-		}
-	}
-	sendContrib := func(ph *phase, part *Part, e mesh.Ent, s ds.IntSet) {
+	// with the complete new residence set. Received contributions merge
+	// into the entity's run in place: the local contribution is only
+	// ever sent before the first merge.
+	var peers []int32 // remote-part scratch
+	sendContrib := func(ph *phase, part *Part, t *resTable, e mesh.Ent) {
 		m := part.M
-		for _, r := range m.RemoteParts(e) {
+		peers = m.AppendRemoteParts(e, peers[:0])
+		for _, r := range peers {
 			b := ph.to(m.Part(), r)
 			b.Byte(byte(e.Dim()))
 			b.Int64(part.Gid(e))
-			b.Int32s(s.Values())
+			b.Int32s(t.res(e))
 		}
 	}
 	var localErr error
 	ph := dm.beginPhase()
 	for i, part := range dm.Parts {
-		m := part.M
-		ents := sortedEnts(contribs[i])
-		for _, e := range ents {
-			if m.IsShared(e) {
-				sendContrib(ph, part, e, contribs[i][e])
+		for _, level := range closures[i] {
+			for _, e := range level {
+				if part.M.IsShared(e) {
+					sendContrib(ph, part, &tabs[i], e)
+				}
 			}
 		}
 	}
-	applyContrib := func(msg partMsg) []mesh.Ent {
+	var vals []int32 // contribution decode scratch
+	// applyContrib merges one announcement message; entities heard of
+	// here for the first time are appended to *fresh (when non-nil).
+	applyContrib := func(msg partMsg, fresh *[]mesh.Ent) {
 		part := dm.LocalPart(msg.To)
-		li := dm.localIndex(msg.To)
-		var fresh []mesh.Ent
+		t := &tabs[dm.localIndex(msg.To)]
 		for !msg.Data.Empty() {
 			dd := int(msg.Data.Byte())
 			gid := msg.Data.Int64()
-			vals := msg.Data.Int32s()
+			vals = msg.Data.AppendInt32s(vals[:0])
 			e, ok := part.FindGid(dd, gid)
 			if !ok {
 				panic(fmt.Sprintf("partition: contribution for unknown gid %d dim %d on part %d",
 					gid, dd, msg.To))
 			}
-			s, seen := newRes[li][e]
-			if !seen {
-				// First word of this entity here (it enters newRes below,
-				// so it is fresh only once): fold in the local
+			if t.touch(e) {
+				// First word of this entity here: fold in the local
 				// contribution and remember to reply in round two.
-				s = localContrib(li, part.M, e)
-				fresh = append(fresh, e)
+				contribute(t, part.M, e)
+				if fresh != nil {
+					*fresh = append(*fresh, e)
+				}
 			}
 			for _, v := range vals {
-				s.Add(v)
+				t.add(e, v)
 			}
-			newRes[li][e] = s
 		}
-		return fresh
 	}
 	roundTwo := make([][]mesh.Ent, len(dm.Parts))
 	localErr = catchStage(func() {
 		for _, msg := range ph.exchange() {
-			li := dm.localIndex(msg.To)
-			roundTwo[li] = append(roundTwo[li], applyContrib(msg)...)
+			applyContrib(msg, &roundTwo[dm.localIndex(msg.To)])
 		}
 	})
 	// A rank whose round-one decode failed still takes part in the
@@ -259,13 +271,13 @@ func TryMigrate(dm *DMesh, plans []Plan) error {
 	if localErr == nil {
 		for i, part := range dm.Parts {
 			for _, e := range roundTwo[i] {
-				sendContrib(ph, part, e, newRes[i][e])
+				sendContrib(ph, part, &tabs[i], e)
 			}
 		}
 	}
 	if err := catchStage(func() {
 		for _, msg := range ph.exchange() {
-			applyContrib(msg)
+			applyContrib(msg, nil)
 		}
 	}); localErr == nil {
 		localErr = err
@@ -279,34 +291,24 @@ func TryMigrate(dm *DMesh, plans []Plan) error {
 	tr.Point("migrate.residence-voted", 1)
 
 	// Step 3: ship moving elements with closures, grouped per
-	// destination part.
+	// destination part (runs of equal destination in els).
 	ph = dm.beginPhase()
 	for i, part := range dm.Parts {
-		m := part.M
-		byDest := map[int32][]mesh.Ent{}
-		for el, q := range dests[i] {
-			byDest[q] = append(byDest[q], el)
+		t := &tabs[i]
+		for lo := 0; lo < len(els[i]); {
+			q, hi := t.res(els[i][lo])[0], lo+1
+			for hi < len(els[i]) && t.res(els[i][hi])[0] == q {
+				hi++
+			}
+			packElements(ph.to(part.M.Part(), q), dm, i, els[i][lo:hi], t, int32(lo)+1)
+			lo = hi
 		}
-		qs := make([]int32, 0, len(byDest))
-		for q := range byDest {
-			qs = append(qs, q)
-		}
-		slices.Sort(qs)
-		for _, q := range qs {
-			els := byDest[q]
-			slices.SortFunc(els, mesh.Ent.Compare)
-			packElements(ph.to(m.Part(), q), dm, i, q, els, newRes[i])
-		}
-	}
-	received := make([]map[mesh.Ent]ds.IntSet, len(dm.Parts))
-	for i := range received {
-		received[i] = map[mesh.Ent]ds.IntSet{}
 	}
 	created := make([][]mesh.Ent, len(dm.Parts))
 	localErr = catchStage(func() {
 		for _, msg := range ph.exchange() {
 			li := dm.localIndex(msg.To)
-			unpackElements(dm, msg, received[li], &created[li])
+			unpackElements(dm, msg, &tabs[li], &created[li])
 		}
 	})
 	if err := voteAbort(dm, localErr, "shipping element closures"); err != nil {
@@ -328,17 +330,12 @@ func TryMigrate(dm *DMesh, plans []Plan) error {
 	// Step 4: remove migrated elements and orphaned closure entities.
 	for i, part := range dm.Parts {
 		m := part.M
-		var els []mesh.Ent
-		for el := range dests[i] {
-			els = append(els, el)
-		}
-		slices.SortFunc(els, mesh.Ent.Compare)
-		affected := closureLevels(m, els, d)
-		for _, el := range els {
+		slices.SortFunc(els[i], mesh.Ent.Compare)
+		for _, el := range els[i] {
 			m.Destroy(el)
 		}
 		for dd := d - 1; dd >= 0; dd-- {
-			for _, e := range affected[dd] {
+			for _, e := range closures[i][dd] {
 				if m.Alive(e) && !m.HasUp(e) {
 					m.Destroy(e)
 				}
@@ -347,51 +344,42 @@ func TryMigrate(dm *DMesh, plans []Plan) error {
 	}
 
 	// Step 5: rebuild remote copies and ownership where residence
-	// changed. Received entities always restitch.
+	// changed. The candidates are the surviving entities of the table:
+	// retained entities with a staged residence and received ones, whose
+	// runs unpackElements merged into the same place.
 	ph = dm.beginPhase()
 	type fix struct {
-		e   mesh.Ent
-		res ds.IntSet
+		e     mesh.Ent
+		owner int32
 	}
 	fixes := make([][]fix, len(dm.Parts))
+	var cand []mesh.Ent
+	var current []int32 // residence-by-links scratch
 	for i, part := range dm.Parts {
-		m := part.M
+		m, t := part.M, &tabs[i]
 		self := m.Part()
-		// Merge retained-entity residence changes and received entities.
-		cand := map[mesh.Ent]ds.IntSet{}
-		for e, s := range newRes[i] {
-			if m.Alive(e) {
-				cand[e] = s
+		cand = cand[:0]
+		for _, en := range t.entries {
+			if m.Alive(en.e) {
+				cand = append(cand, en.e)
 			}
 		}
-		for e, s := range received[i] {
-			if m.Alive(e) {
-				merged := s.Clone()
-				if prior, ok := cand[e]; ok {
-					merged = merged.Union(prior)
-				}
-				cand[e] = merged
-			}
-		}
-		var ents []mesh.Ent
-		for e := range cand {
-			ents = append(ents, e)
-		}
-		slices.SortFunc(ents, mesh.Ent.Compare)
-		for _, e := range ents {
-			res := cand[e]
+		slices.SortFunc(cand, mesh.Ent.Compare)
+		for _, e := range cand {
+			res := t.res(e)
 			// Restitch exactly when the residence set changed. This
-			// decision is symmetric across all copies: newRes is
-			// globally consistent and pre-migration remote links are
-			// symmetric, so either every copy restitches or none does.
-			// A freshly created copy always restitches (its local
-			// residence starts as just this part).
-			if res.Equal(m.Residence(e)) {
+			// decision is symmetric across all copies: the staged
+			// residence is globally consistent and pre-migration remote
+			// links are symmetric, so either every copy restitches or
+			// none does. A freshly created copy always restitches (its
+			// local residence starts as just this part).
+			current = m.AppendResidence(e, current[:0])
+			if slices.Equal(res, current) {
 				continue
 			}
 			m.ClearRemotes(e)
-			fixes[i] = append(fixes[i], fix{e: e, res: res})
-			for _, q := range res.Values() {
+			fixes[i] = append(fixes[i], fix{e: e, owner: res[0]})
+			for _, q := range res {
 				if q == self {
 					continue
 				}
@@ -420,12 +408,8 @@ func TryMigrate(dm *DMesh, plans []Plan) error {
 	}
 	for i, part := range dm.Parts {
 		for _, f := range fixes[i] {
-			part.M.SetOwner(f.e, f.res.Min())
+			part.M.SetOwner(f.e, f.owner)
 		}
-	}
-	var totalMoved int64
-	for i := range dests {
-		totalMoved += int64(len(dests[i]))
 	}
 	dm.Ctx.Count("partition.migrated-elements", totalMoved)
 	tr.Point("migrate.moved-elements", totalMoved)
@@ -436,27 +420,108 @@ func (dm *DMesh) localIndex(part int32) int {
 	return int(part) - dm.Ctx.Rank()*dm.K
 }
 
-// sortedEnts returns the map's keys in deterministic entity order.
-func sortedEnts(m map[mesh.Ent]ds.IntSet) []mesh.Ent {
-	out := make([]mesh.Ent, 0, len(m))
-	for e := range m {
-		out = append(out, e)
-	}
-	slices.SortFunc(out, mesh.Ent.Compare)
-	return out
+// move is one normalized plan entry: element el leaves for part to.
+type move struct {
+	el mesh.Ent
+	to int32
 }
 
-// closureLevels returns, per dimension below d, the distinct entities
-// in the downward closures of els, ascending.
-func closureLevels(m *mesh.Mesh, els []mesh.Ent, d int) [3][]mesh.Ent {
+// resTable is one part's bookkeeping for one TryMigrate call: the set
+// of affected entities and, for each, one sorted run of part ids in a
+// call-scoped arena — the destination of a moving element, the staged
+// new residence of everything else (local contribution, then remote
+// contributions and received residences merged in). An entity is found
+// by array index: idx maps its slot to 1 + its position in entries,
+// zero meaning absent. idx is the part's persistent column (one int32
+// per entity slot, grown on demand); reset zeroes exactly the touched
+// slots when the call ends, so a call costs in proportion to what it
+// touches, never to the mesh.
+type resTable struct {
+	idx     *[mesh.TypeCount][]int32
+	entries []resEntry
+	arena   []int32
+}
+
+type resEntry struct {
+	e      mesh.Ent
+	off, n int32 // the run arena[off:off+n]
+	group  int32 // the last packElements group that visited e
+}
+
+// entry returns e's entry, nil if e is absent; valid until the next
+// touch.
+func (t *resTable) entry(e mesh.Ent) *resEntry {
+	col := t.idx[e.T]
+	if int(e.I) >= len(col) || col[e.I] == 0 {
+		return nil
+	}
+	return &t.entries[col[e.I]-1]
+}
+
+// touch enters e with an empty run if it is absent, and reports whether
+// it was.
+func (t *resTable) touch(e mesh.Ent) bool {
+	if t.entry(e) != nil {
+		return false
+	}
+	col := t.idx[e.T]
+	for int(e.I) >= len(col) {
+		col = append(col, 0)
+	}
+	t.idx[e.T] = col
+	t.entries = append(t.entries, resEntry{e: e})
+	col[e.I] = int32(len(t.entries))
+	return true
+}
+
+// res returns e's run, ascending, nil if e is absent; valid until the
+// next add.
+func (t *resTable) res(e mesh.Ent) []int32 {
+	en := t.entry(e)
+	if en == nil {
+		return nil
+	}
+	return t.arena[en.off : en.off+en.n]
+}
+
+// add inserts part id v into e's run, entering e if absent. A run grows
+// in place at the arena's tail; one that is not there is first copied
+// to the tail, its old cells abandoned until the call ends (runs have
+// 1-8 members).
+func (t *resTable) add(e mesh.Ent, v int32) {
+	t.touch(e)
+	en := t.entry(e)
+	i, found := slices.BinarySearch(t.arena[en.off:en.off+en.n], v)
+	if found {
+		return
+	}
+	if int(en.off+en.n) != len(t.arena) {
+		t.arena = append(t.arena, t.arena[en.off:en.off+en.n]...)
+		en.off = int32(len(t.arena)) - en.n
+	}
+	t.arena = slices.Insert(t.arena, int(en.off)+i, v)
+	en.n++
+}
+
+// reset clears the index column through the touched list.
+func (t *resTable) reset() {
+	for _, en := range t.entries {
+		t.idx[en.e.T][en.e.I] = 0
+	}
+	*t = resTable{idx: t.idx}
+}
+
+// closureLevels returns, per dimension below d, the entities in the
+// downward closures of els that first reports true for — a visited-set
+// insert, so each entity appears once — ascending.
+func closureLevels(m *mesh.Mesh, els []mesh.Ent, d int, first func(mesh.Ent) bool) [3][]mesh.Ent {
 	var levels [3][]mesh.Ent
 	var buf []mesh.Ent
-	seen := m.NewMarks()
 	for _, el := range els {
 		for dd := 0; dd < d; dd++ {
 			buf = m.AdjacentTo(el, dd, buf[:0])
 			for _, e := range buf {
-				if seen.Set(e) {
+				if first(e) {
 					levels[dd] = append(levels[dd], e)
 				}
 			}
@@ -468,14 +533,22 @@ func closureLevels(m *mesh.Mesh, els []mesh.Ent, d int) [3][]mesh.Ent {
 	return levels
 }
 
-// packElements encodes the closure of the given elements plus the
-// elements themselves into b, dimension by dimension.
-func packElements(b *pcu.Buffer, dm *DMesh, partIdx int, dest int32, els []mesh.Ent, res map[mesh.Ent]ds.IntSet) {
+// packElements encodes the closure of the given elements (all bound
+// for one destination) plus the elements themselves into b, dimension
+// by dimension, each with its run from t: the staged residence, which
+// for an element is its destination. group is a nonzero id no other
+// packElements call on t uses; it stamps the closure entities visited.
+func packElements(b *pcu.Buffer, dm *DMesh, partIdx int, els []mesh.Ent, t *resTable, group int32) {
 	part := dm.Parts[partIdx]
 	m := part.M
 	d := dm.Dim
 	movable := writeTagTable(b, m)
-	closure := closureLevels(m, els, d)
+	closure := closureLevels(m, els, d, func(e mesh.Ent) bool {
+		en := t.entry(e)
+		seen := en.group == group
+		en.group = group
+		return !seen
+	})
 	var gids []int64 // down-adjacency gid scratch, bulk-packed per entity
 	var down []mesh.Ent
 	for dd := 0; dd <= d; dd++ {
@@ -490,12 +563,7 @@ func packElements(b *pcu.Buffer, dm *DMesh, partIdx int, dest int32, els []mesh.
 			c := m.Classification(e)
 			b.Byte(byte(int8(c.Dim) + 1)) // -1..3 -> 0..4
 			b.Int32(c.Tag)
-			if dd == d {
-				b.Int32(1) // residence set {dest}, same wire as Int32s
-				b.Int32(dest)
-			} else {
-				b.Int32s(res[e].Values())
-			}
+			b.Int32s(t.res(e))
 			if dd == 0 {
 				p := m.Coord(e)
 				b.Float64(p.X)
@@ -515,18 +583,18 @@ func packElements(b *pcu.Buffer, dm *DMesh, partIdx int, dest int32, els []mesh.
 }
 
 // unpackElements decodes one element-transfer message into the
-// destination part, creating missing entities and recording the new
-// residence of every transferred entity. Tag data accompanies every
-// entity; it is applied to newly created copies (existing copies keep
-// their own values). Every created entity is appended to createdLog in
-// creation order so an aborted migration can roll the staging back.
-func unpackElements(dm *DMesh, msg partMsg, recvRes map[mesh.Ent]ds.IntSet, createdLog *[]mesh.Ent) {
+// destination part, creating missing entities and merging the new
+// residence of every transferred entity into res. Tag data accompanies
+// every entity; it is applied to newly created copies (existing copies
+// keep their own values). Every created entity is appended to createdLog
+// in creation order so an aborted migration can roll the staging back.
+func unpackElements(dm *DMesh, msg partMsg, res *resTable, createdLog *[]mesh.Ent) {
 	part := dm.LocalPart(msg.To)
 	m := part.M
 	d := dm.Dim
 	r := msg.Data
 	table := readTagTable(r, m)
-	var resScratch []int32 // residence-set decode scratch, consumed by mergeRes
+	var resVals []int32    // residence-set decode scratch
 	var gidScratch []int64 // down-adjacency gid decode scratch
 	var down []mesh.Ent    // and the handles they resolve to
 	for dd := 0; dd <= d; dd++ {
@@ -536,8 +604,7 @@ func unpackElements(dm *DMesh, msg partMsg, recvRes map[mesh.Ent]ds.IntSet, crea
 			gid := r.Int64()
 			cdim := int8(r.Byte()) - 1
 			ctag := r.Int32()
-			resVals := r.AppendInt32s(resScratch[:0])
-			resScratch = resVals
+			resVals = r.AppendInt32s(resVals[:0])
 			cls := gmi.Ref{Dim: cdim, Tag: ctag}
 			if dd == 0 {
 				x, y, z := r.Float64(), r.Float64(), r.Float64()
@@ -548,7 +615,9 @@ func unpackElements(dm *DMesh, msg partMsg, recvRes map[mesh.Ent]ds.IntSet, crea
 					*createdLog = append(*createdLog, e)
 				}
 				applyEntityTags(r, m, table, e, !ok)
-				mergeRes(recvRes, e, resVals)
+				for _, q := range resVals {
+					res.add(e, q)
+				}
 				continue
 			}
 			gidScratch = r.AppendInt64s(gidScratch[:0])
@@ -573,16 +642,10 @@ func unpackElements(dm *DMesh, msg partMsg, recvRes map[mesh.Ent]ds.IntSet, crea
 				*createdLog = append(*createdLog, e)
 			}
 			applyEntityTags(r, m, table, e, !ok)
-			mergeRes(recvRes, e, resVals)
+			for _, q := range resVals {
+				res.add(e, q)
+			}
 		}
 	}
 	r.Done()
-}
-
-func mergeRes(recvRes map[mesh.Ent]ds.IntSet, e mesh.Ent, vals []int32) {
-	s := recvRes[e]
-	for _, v := range vals {
-		s.Add(v)
-	}
-	recvRes[e] = s
 }

@@ -3,6 +3,8 @@ package partition
 import (
 	"fmt"
 	"math"
+	"slices"
+	"strings"
 	"testing"
 
 	"github.com/fastmath/pumi-go/internal/gmi"
@@ -29,10 +31,31 @@ func (x *xorshift) next() uint64 {
 // its elements to random destinations — and asserts after every round
 // that all distributed invariants hold and nothing is lost: global
 // entity counts per dimension, total element volume, and boundary
-// classification counts stay exactly constant.
+// classification counts stay exactly constant. The same eight parts and
+// per-part seeds run at 1, 2 and 4 parts per rank, and must end with
+// the same per-part entity counts and the same owner for every gid:
+// what a part does may not depend on which parts share its rank.
 func TestRandomMigrationStorm(t *testing.T) {
-	const ranks, k, rounds = 4, 2, 8
+	const nparts = 8
+	var first string
+	for _, k := range []int{1, 2, 4} {
+		got := migrationStorm(t, nparts/k, k)
+		if first == "" {
+			first = got
+		} else if got != first {
+			t.Errorf("%d parts per rank ended in a different state than 1 part per rank:\n%s\n--- vs ---\n%s",
+				k, got, first)
+		}
+	}
+}
+
+// migrationStorm runs the storm on ranks × k parts and returns the final
+// state in a layout-independent form: GatherCounts per dimension, then
+// the (dimension, gid, owner) table over all parts, sorted.
+func migrationStorm(t *testing.T, ranks, k int) string {
+	const rounds = 8
 	model := gmi.Box(2, 1, 1)
+	var state string
 	err := pcu.Run(ranks, func(ctx *pcu.Ctx) error {
 		var serial *mesh.Mesh
 		if ctx.Rank() == 0 {
@@ -58,13 +81,18 @@ func TestRandomMigrationStorm(t *testing.T) {
 		wantVol := globalVolume(dm)
 		wantBnd := globalBoundaryFaces(dm)
 
-		rng := xorshift(0x9e3779b97f4a7c15 ^ uint64(ctx.Rank()+1))
+		// One generator per part, so a part draws the same plan however
+		// the parts are laid out over ranks.
+		rngs := make([]xorshift, len(dm.Parts))
+		for i, part := range dm.Parts {
+			rngs[i] = xorshift(0x9e3779b97f4a7c15 ^ uint64(part.M.Part()+1))
+		}
 		for round := 0; round < rounds; round++ {
 			plans := make([]Plan, len(dm.Parts))
 			for i, part := range dm.Parts {
 				plans[i] = Plan{}
 				for el := range part.M.Elements() {
-					r := rng.next()
+					r := rngs[i].next()
 					if r%100 < 30 { // ~30% of elements move
 						plans[i][el] = int32(r % uint64(nparts))
 					}
@@ -86,11 +114,35 @@ func TestRandomMigrationStorm(t *testing.T) {
 				return fmt.Errorf("round %d: boundary faces %d, want %d", round, got, wantBnd)
 			}
 		}
+
+		var owners []string
+		for _, part := range dm.Parts {
+			for d := 0; d <= 3; d++ {
+				for e := range part.M.Iter(d) {
+					owners = append(owners, fmt.Sprintf("%d %12d -> %d", d, part.Gid(e), part.M.Owner(e)))
+				}
+			}
+		}
+		var all []string
+		for _, o := range pcu.Allgather(ctx, owners) {
+			all = append(all, o...)
+		}
+		slices.Sort(all)
+		all = slices.Compact(all) // copies of a shared entity agree (Verify)
+		var sb strings.Builder
+		for d := 0; d <= 3; d++ {
+			fmt.Fprintf(&sb, "dim %d per part: %v\n", d, GatherCounts(dm, d))
+		}
+		sb.WriteString(strings.Join(all, "\n"))
+		if ctx.Rank() == 0 {
+			state = sb.String()
+		}
 		return nil
 	})
 	if err != nil {
-		t.Fatal(err)
+		t.Fatalf("%d ranks x %d parts: %v", ranks, k, err)
 	}
+	return state
 }
 
 // globalVolume sums owned element volumes over all ranks.
