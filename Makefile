@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test loc escape-check bench-go bench-smoke pipeline-smoke race vet pumi-vet vet-self sarif-smoke chaos chaos-recover san-smoke trace-smoke telemetry-smoke proto-gen proto-check conform-smoke plan-smoke check
+.PHONY: all build test loc escape-check memprofile bench-go bench-smoke pipeline-smoke race vet pumi-vet vet-self sarif-smoke chaos chaos-recover san-smoke trace-smoke telemetry-smoke proto-gen proto-check conform-smoke plan-smoke check
 
 all: build
 
@@ -37,6 +37,16 @@ escape-check:
 # end-to-end numbers, bash bench/run.sh.
 bench-go:
 	$(GO) test -run '^$$' -bench=. -benchmem ./internal/pcu/
+
+# Where the bytes go: one root benchmark under -memprofile, then the top
+# of its alloc_space profile — the figure ROADMAP's "largest share"
+# claims are read from. Not a gate. BENCH is a -bench regexp; the test
+# binary and the profile stay in /tmp. The generic slices helpers are
+# hidden so a reservation shows under the function that made it.
+BENCH ?= BenchmarkMigration$$
+memprofile:
+	$(GO) test -run '^$$' -bench '$(BENCH)' -benchtime 20x -o /tmp/pumi-memprofile.test -memprofile /tmp/pumi-memprofile.out -memprofilerate 4096 .
+	$(GO) tool pprof -sample_index=alloc_space -top -nodecount=15 -hide '^slices\.' /tmp/pumi-memprofile.test /tmp/pumi-memprofile.out
 
 # One-iteration compile-and-run of every benchmark — catches bit-rotted
 # benchmark code without paying for a measurement.

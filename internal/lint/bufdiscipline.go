@@ -45,13 +45,13 @@ var finalizeMethods = map[string]bool{
 	"Empty": true, "Remaining": true, "Done": true,
 }
 
-// packMethods includes Reset: resetting a phase buffer after Exchange is
-// the same bug as writing to it — the backing array belongs to the
-// receiver (on-node) or the pool.
+// packMethods includes Reset and Grow: resetting or reserving a phase
+// buffer after Exchange is the same bug as writing to it — the backing
+// array belongs to the receiver (on-node) or the pool.
 var packMethods = map[string]bool{
 	"Byte": true, "Int32": true, "Int64": true, "Float64": true,
 	"Bytes": true, "Int32s": true, "Int64s": true, "Float64s": true,
-	"Reset": true,
+	"Reset": true, "Grow": true,
 }
 
 // aliasMethods decode a slice that aliases the message's backing array;

@@ -8,20 +8,17 @@ import (
 )
 
 // PhaseOrder checks the phased-exchange protocol lexically, per
-// function: a phase object obtained from beginPhase must have all its
-// send buffers opened (`ph.to(...)`) before its single `ph.exchange()`,
-// and a phase that packed sends must reach an exchange. Violations are
-// silent at runtime — a buffer packed after the exchange is simply
-// never delivered, and a phase that never exchanges starves every
-// receiver — so they are worth a static gate.
+// function: sends packed into a phase object obtained from beginPhase
+// (`ph.to(...)`) must be followed by a `ph.exchange()`; one phase serves
+// any number of such rounds. The violation is silent at runtime — a
+// buffer packed after the last exchange is never delivered and its
+// receiver starves — so it is worth a static gate.
 //
 // The analysis is a state machine over the lexical event order
 // (create/pack/exchange) of each phase variable, including events
 // inside nested function literals. A phase value that escapes the
-// function's own protocol — passed to a helper, returned, stored —
-// switches off the missed-exchange check for that phase, since the
-// exchange may legitimately happen elsewhere; packing after a lexical
-// exchange and exchanging twice are still reported.
+// function's own protocol — passed to a helper, returned, stored — is
+// exempt, since the exchange may legitimately happen elsewhere.
 var PhaseOrder = &Analyzer{
 	Name: "phaseorder",
 	Doc:  "check begin/to/exchange ordering of phased exchanges",
@@ -116,11 +113,9 @@ func checkPhaseOrder(p *Pass, body *ast.BlockStmt) {
 	sort.Slice(events, func(i, j int) bool { return events[i].pos < events[j].pos })
 
 	type phaseState struct {
-		openPos  token.Pos
-		closePos token.Pos
-		open     bool
-		packed   bool
-		escaped  bool
+		openPos token.Pos
+		packed  bool // sends packed since the last exchange
+		escaped bool
 	}
 	// Only variables that beginPhase assigned at some point get a state
 	// machine; to/To and exchange/Exchange on anything else (a raw
@@ -135,32 +130,17 @@ func checkPhaseOrder(p *Pass, body *ast.BlockStmt) {
 		st := states[ev.obj]
 		switch ev.kind {
 		case evCreate:
-			if st != nil && st.open && st.packed && !st.escaped {
+			if st != nil && st.packed && !st.escaped {
 				missedExchange(st, ev.pos)
 			}
-			states[ev.obj] = &phaseState{openPos: ev.pos, open: true}
+			states[ev.obj] = &phaseState{openPos: ev.pos}
 		case evPack:
-			if st == nil {
-				continue
-			}
-			if !st.open {
-				p.Reportf(ev.pos,
-					"send buffer opened after the phase's exchange at %s; data packed now is never delivered",
-					p.Fset.Position(st.closePos))
-			} else {
+			if st != nil {
 				st.packed = true
 			}
 		case evClose:
-			if st == nil {
-				continue
-			}
-			if !st.open {
-				p.Reportf(ev.pos,
-					"phase exchanged twice (previous exchange at %s)",
-					p.Fset.Position(st.closePos))
-			} else {
-				st.open = false
-				st.closePos = ev.pos
+			if st != nil {
+				st.packed = false
 			}
 		case evEscape:
 			if st != nil {
@@ -170,7 +150,7 @@ func checkPhaseOrder(p *Pass, body *ast.BlockStmt) {
 	}
 	var leftovers []*phaseState
 	for _, st := range states {
-		if st.open && st.packed && !st.escaped {
+		if st.packed && !st.escaped {
 			leftovers = append(leftovers, st)
 		}
 	}

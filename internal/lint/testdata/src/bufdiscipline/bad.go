@@ -94,3 +94,11 @@ func badResetDelivered(c *pcu.Ctx, peer int) {
 	c.Exchange()
 	b.Reset() // want `written after Exchange`
 }
+
+func badStaleGrow(c *pcu.Ctx, peer int) {
+	b := c.To(peer)
+	b.Grow(8)
+	b.Int64(1)
+	c.Exchange()
+	b.Grow(8) // want `written after Exchange`
+}

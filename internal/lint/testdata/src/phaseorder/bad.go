@@ -2,8 +2,8 @@ package phaseorder
 
 // The fixture mirrors the partition package's phased-exchange protocol
 // shape: beginPhase gives a phase object, to() opens per-destination
-// send buffers, exchange() delivers them, exactly once, after all
-// packing.
+// send buffers, exchange() delivers them and readies the phase for the
+// next round.
 
 type buf struct{ n int }
 
@@ -21,18 +21,11 @@ func (p *phase) to(q int) *buf {
 
 func (p *phase) exchange() []int { return make([]int, len(p.bufs)) }
 
-func badPackAfterExchange() {
-	ph := beginPhase()
+func badPackAfterLastExchange() {
+	ph := beginPhase() // want `packed sends but never ran exchange`
 	ph.to(0).Int32(1)
 	_ = ph.exchange()
-	ph.to(1).Int32(2) // want `send buffer opened after the phase's exchange`
-}
-
-func badDoubleExchange() {
-	ph := beginPhase()
-	ph.to(0).Int32(1)
-	_ = ph.exchange()
-	_ = ph.exchange() // want `phase exchanged twice`
+	ph.to(1).Int32(2)
 }
 
 func badNeverExchanged() {

@@ -18,6 +18,16 @@ func okTwoPhases() {
 	_ = ph.exchange()
 }
 
+func okTwoRoundsOnePhase() {
+	// One phase serves every round of a call: exchange delivers what was
+	// packed and the next round packs into the same phase.
+	ph := beginPhase()
+	ph.to(0).Int32(1)
+	_ = ph.exchange()
+	ph.to(1).Int32(2)
+	_ = ph.exchange()
+}
+
 func okPackInLiteral() {
 	ph := beginPhase()
 	func() {

@@ -538,6 +538,54 @@ func TestKernelZeroAlloc(t *testing.T) {
 	_ = sink
 }
 
+// TestReserve pins Reserve's contract: it returns the slot count the
+// room extends to, free slots count toward the room, and creating the
+// entities reserved for allocates nothing.
+func TestReserve(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under -race")
+	}
+	const n = 64
+	m := mesh.New(nil, 3)
+	// AllocsPerRun runs the build twice.
+	for ty, want := range map[mesh.Type]int{mesh.Vertex: 2 * (n + 3), mesh.Edge: 2 * (3*n + 3), mesh.Tri: 2 * (3*n + 1), mesh.Tet: 2 * n} {
+		if got := m.Reserve(ty, want); got != want {
+			t.Fatalf("Reserve(%v, %d) on an empty mesh = %d", ty, want, got)
+		}
+	}
+	// A fan of n tets around one edge: each new tet brings one vertex,
+	// three edges and three faces.
+	build := func() {
+		var vs [n + 3]mesh.Ent
+		for i := range vs {
+			vs[i] = m.CreateVertex(gmi.NoRef, vec.V{X: float64(i)})
+		}
+		for i := 0; i < n; i++ {
+			m.BuildFromVerts(mesh.Tet, []mesh.Ent{vs[0], vs[1], vs[i+2], vs[i+3]}, gmi.NoRef)
+		}
+	}
+	if got := testing.AllocsPerRun(1, build); got != 0 {
+		t.Errorf("building into reserved storage: %v allocs, want 0", got)
+	}
+	if err := m.CheckConsistency(); err != nil {
+		t.Fatal(err)
+	}
+	slots := m.Reserve(mesh.Tet, 0)
+	var tets []mesh.Ent
+	for el := range m.Elements() {
+		tets = append(tets, el)
+	}
+	for _, el := range tets[:10] {
+		m.Destroy(el)
+	}
+	if got := m.Reserve(mesh.Tet, 10); got != slots {
+		t.Errorf("Reserve(tet, 10) with 10 free slots extends to %d slots, want the %d there are", got, slots)
+	}
+	if got := m.Reserve(mesh.Tet, 15); got != slots+5 {
+		t.Errorf("Reserve(tet, 15) with 10 free slots extends to %d slots, want %d", got, slots+5)
+	}
+}
+
 // --- Micro-benchmarks (bench-smoke lane; use -benchmem) ---
 
 func BenchmarkAdjacentTo(b *testing.B) {

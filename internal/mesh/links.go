@@ -27,13 +27,6 @@ type linkStore struct {
 	n    int     // live link records
 }
 
-// growTo extends the per-slot head array to cover `slots` entity slots.
-func (ls *linkStore) growTo(slots int) {
-	for len(ls.head) < slots {
-		ls.head = append(ls.head, -1)
-	}
-}
-
 // headOf returns the first link record of slot i, -1 if none. It is
 // safe on handles beyond the grown region (a fresh mesh has no links).
 func (ls *linkStore) headOf(i int32) int32 {

@@ -22,6 +22,7 @@ package mesh
 
 import (
 	"fmt"
+	"slices"
 
 	"github.com/fastmath/pumi-go/internal/ds"
 	"github.com/fastmath/pumi-go/internal/gmi"
@@ -188,7 +189,7 @@ func (m *Mesh) alloc(t Type) int32 {
 		td.flags = append(td.flags, 0)
 		td.owner = append(td.owner, m.part)
 		td.alive = append(td.alive, true)
-		ls.growTo(int(idx) + 1)
+		ls.head = append(ls.head, -1)
 		if t == Vertex {
 			m.coords = append(m.coords, vec.V{})
 		}
@@ -196,6 +197,27 @@ func (m *Mesh) alloc(t Type) int32 {
 	td.nAlive++
 	m.bumpEpoch()
 	return idx
+}
+
+// Reserve makes room for n more entities of type t without creating
+// any: the per-slot arrays grow once, by what the free list does not
+// cover, instead of a slot at a time under alloc. It returns the slot
+// count the room extends to, for layers keeping per-slot columns.
+func (m *Mesh) Reserve(t Type, n int) int {
+	td := &m.td[t]
+	n = max(0, n-len(td.free))
+	td.down = slices.Grow(td.down, n*td.degree)
+	td.nextUse = slices.Grow(td.nextUse, n*td.degree)
+	td.firstUse = slices.Grow(td.firstUse, n)
+	td.classif = slices.Grow(td.classif, n)
+	td.flags = slices.Grow(td.flags, n)
+	td.owner = slices.Grow(td.owner, n)
+	td.alive = slices.Grow(td.alive, n)
+	m.links[t].head = slices.Grow(m.links[t].head, n)
+	if t == Vertex {
+		m.coords = slices.Grow(m.coords, n)
+	}
+	return len(td.alive) + n
 }
 
 // OnCreate registers an observer called after every entity creation.

@@ -26,6 +26,9 @@ func Rect2D(model *gmi.RectModel, nx, ny int) *mesh.Mesh {
 		panic(fmt.Sprintf("meshgen: bad grid %dx%d", nx, ny))
 	}
 	m := mesh.New(model.Model, 2)
+	m.Reserve(mesh.Vertex, (nx+1)*(ny+1))
+	m.Reserve(mesh.Edge, nx*(ny+1)+(nx+1)*ny+nx*ny) // grid lines and one diagonal per cell
+	m.Reserve(mesh.Tri, 2*nx*ny)
 	tol := 1e-9 * (model.Lx + model.Ly)
 	verts := make([]mesh.Ent, (nx+1)*(ny+1))
 	at := func(i, j int) mesh.Ent { return verts[j*(nx+1)+i] }
@@ -56,6 +59,7 @@ func Box3D(model *gmi.BoxModel, nx, ny, nz int) *mesh.Mesh {
 		panic(fmt.Sprintf("meshgen: bad grid %dx%dx%d", nx, ny, nz))
 	}
 	m := mesh.New(model.Model, 3)
+	reserveKuhn(m, nx, ny, nz)
 	tol := 1e-9 * (model.Lx + model.Ly + model.Lz)
 	sx, sy := nx+1, (nx+1)*(ny+1)
 	verts := make([]mesh.Ent, (nx+1)*(ny+1)*(nz+1))
@@ -98,6 +102,21 @@ var kuhnTets = [6][4][3]int{
 	{{0, 0, 0}, {0, 0, 1}, {0, 1, 1}, {1, 1, 1}},
 }
 
+// reserveKuhn sizes the empty mesh m for the Kuhn subdivision of an
+// nx x ny x nz grid and returns its entity counts: every cell face
+// carries one diagonal and two triangles, every cell one body diagonal,
+// six inner triangles and six tetrahedra.
+func reserveKuhn(m *mesh.Mesh, nx, ny, nz int) (verts, edges, tris, tets int) {
+	cells := nx * ny * nz
+	cellFaces := nx*ny*(nz+1) + nx*(ny+1)*nz + (nx+1)*ny*nz
+	gridEdges := nx*(ny+1)*(nz+1) + (nx+1)*ny*(nz+1) + (nx+1)*(ny+1)*nz
+	verts = m.Reserve(mesh.Vertex, (nx+1)*(ny+1)*(nz+1))
+	edges = m.Reserve(mesh.Edge, gridEdges+cellFaces+cells)
+	tris = m.Reserve(mesh.Tri, 2*cellFaces+6*cells)
+	tets = m.Reserve(mesh.Tet, 6*cells)
+	return
+}
+
 func buildKuhnTets(m *mesh.Mesh, corner func(dx, dy, dz int) mesh.Ent, rgnRef gmi.Ref) {
 	for _, tet := range kuhnTets {
 		var vs [4]mesh.Ent
@@ -132,6 +151,7 @@ func Vessel3D(model *gmi.VesselModel, ns, n int) *mesh.Mesh {
 		panic(fmt.Sprintf("meshgen: bad vessel grid %dx%d", ns, n))
 	}
 	m := mesh.New(model.Model, 3)
+	reserveKuhn(m, n, n, ns)
 	sx, sy := n+1, (n+1)*(n+1)
 	verts := make([]mesh.Ent, (n+1)*(n+1)*(ns+1))
 	axial := make([]int, len(verts)) // axial layer by vertex slot

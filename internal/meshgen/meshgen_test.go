@@ -104,6 +104,24 @@ func TestBox3DCountsAndEuler(t *testing.T) {
 	}
 }
 
+// TestKuhnCounts checks the closed-form counts the 3D generators
+// reserve storage by against what they build.
+func TestKuhnCounts(t *testing.T) {
+	box := Box3D(gmi.Box(1, 1, 1), 3, 2, 4)
+	vessel := Vessel3D(gmi.Vessel(10, 1, 0.5, 0.2), 5, 3)
+	for _, c := range []struct {
+		name       string
+		m          *mesh.Mesh
+		nx, ny, nz int
+	}{{"box", box, 3, 2, 4}, {"vessel", vessel, 3, 3, 5}} {
+		v, e, f, r := reserveKuhn(mesh.New(nil, 3), c.nx, c.ny, c.nz)
+		if c.m.Count(0) != v || c.m.Count(1) != e || c.m.Count(2) != f || c.m.Count(3) != r {
+			t.Errorf("%s: built %d/%d/%d/%d vertices/edges/triangles/tets, counted %d/%d/%d/%d",
+				c.name, c.m.Count(0), c.m.Count(1), c.m.Count(2), c.m.Count(3), v, e, f, r)
+		}
+	}
+}
+
 func TestBox3DCornersAndEdges(t *testing.T) {
 	m := Box3D(gmi.Box(1, 1, 1), 2, 2, 2)
 	nCorner, nModelEdge := 0, 0

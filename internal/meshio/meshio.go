@@ -149,6 +149,7 @@ func decodeMesh(data []byte, model *gmi.Model) (*mesh.Mesh, error) {
 		return nil, errTruncated
 	}
 	m := mesh.New(model, int(dim))
+	m.Reserve(mesh.Vertex, int(nv))
 	verts := make([]mesh.Ent, nv)
 	for i := range verts {
 		x, y, z := d.u64(), d.u64(), d.u64()
@@ -162,6 +163,7 @@ func decodeMesh(data []byte, model *gmi.Model) (*mesh.Mesh, error) {
 		if int64(n)*minEntityBytes > int64(len(d.b)) {
 			return nil, errTruncated
 		}
+		reserved := mesh.TypeCount
 		for i := uint32(0); i < n; i++ {
 			tb := d.u8()
 			k := d.u32()
@@ -171,6 +173,11 @@ func decodeMesh(data []byte, model *gmi.Model) (*mesh.Mesh, error) {
 			t := mesh.Type(tb)
 			if t >= mesh.TypeCount || t.Dim() != dd {
 				return nil, fmt.Errorf("meshio: entity type %d in dimension %d section", tb, dd)
+			}
+			if t != reserved {
+				// The rest of the section; the bytes left bound n above.
+				m.Reserve(t, int(n-i))
+				reserved = t
 			}
 			if int(k) != t.VertCount() {
 				return nil, fmt.Errorf("meshio: %v with %d vertices", t, k)

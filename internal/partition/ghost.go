@@ -94,7 +94,6 @@ func Ghost(dm *DMesh, bridgeDim, layers int) {
 
 	// Back-links: each receiver tells the sender where its element
 	// ghosts live, so owners can push tag data.
-	ph = dm.beginPhase()
 	for _, part := range dm.Parts {
 		ghosts := make([]mesh.Ent, 0, len(part.ghostHome))
 		for g := range part.ghostHome {
@@ -137,7 +136,8 @@ func packGhosts(b *pcu.Buffer, part *Part, els []mesh.Ent, d int) {
 	m := part.M
 	movable := writeTagTable(b, m)
 	seen := m.NewMarks()
-	closure := closureLevels(m, els, d, seen.Set)
+	var closure [3][]mesh.Ent
+	closureLevels(&closure, m, els, d, seen.Set)
 	var gids []int64 // down-adjacency gid scratch, bulk-packed per entity
 	var down []mesh.Ent
 	for dd := 0; dd <= d; dd++ {

@@ -148,7 +148,7 @@ func TryMigrate(dm *DMesh, plans []Plan) error {
 		if i >= len(plans) {
 			continue
 		}
-		moves = moves[:0]
+		moves = slices.Grow(moves[:0], len(plans[i]))
 		for el, q := range plans[i] {
 			if int(q) < 0 || int(q) >= dm.NParts() {
 				panic(fmt.Sprintf("partition: plan sends %v to invalid part %d", el, q))
@@ -166,6 +166,11 @@ func TryMigrate(dm *DMesh, plans []Plan) error {
 		els[i] = make([]mesh.Ent, len(moves))
 		for j, mv := range moves {
 			els[i][j] = mv.el
+		}
+		// The table will hold the moving elements and their closure.
+		bound := closureBound(part.M, els[i], d)
+		t.reserve(len(moves) + bound[0] + bound[1] + bound[2])
+		for _, mv := range moves {
 			t.add(mv.el, mv.to)
 		}
 		totalMoved += int64(len(moves))
@@ -192,7 +197,7 @@ func TryMigrate(dm *DMesh, plans []Plan) error {
 	closures := make([][3][]mesh.Ent, len(dm.Parts))
 	for i, part := range dm.Parts {
 		m, t := part.M, &tabs[i]
-		closures[i] = closureLevels(m, els[i], d, t.touch)
+		closureLevels(&closures[i], m, els[i], d, t.touch)
 		for _, level := range closures[i] {
 			for _, e := range level {
 				contribute(t, m, e)
@@ -267,7 +272,6 @@ func TryMigrate(dm *DMesh, plans []Plan) error {
 	// A rank whose round-one decode failed still takes part in the
 	// round-two exchange (with nothing to send) so the collective
 	// schedule stays aligned all the way to the abort vote.
-	ph = dm.beginPhase()
 	if localErr == nil {
 		for i, part := range dm.Parts {
 			for _, e := range roundTwo[i] {
@@ -292,7 +296,7 @@ func TryMigrate(dm *DMesh, plans []Plan) error {
 
 	// Step 3: ship moving elements with closures, grouped per
 	// destination part (runs of equal destination in els).
-	ph = dm.beginPhase()
+	var shipped [3][]mesh.Ent // one destination's closure, reused by the next
 	for i, part := range dm.Parts {
 		t := &tabs[i]
 		for lo := 0; lo < len(els[i]); {
@@ -300,13 +304,25 @@ func TryMigrate(dm *DMesh, plans []Plan) error {
 			for hi < len(els[i]) && t.res(els[i][hi])[0] == q {
 				hi++
 			}
-			packElements(ph.to(part.M.Part(), q), dm, i, els[i][lo:hi], t, int32(lo)+1)
+			packElements(ph.to(part.M.Part(), q), dm, i, els[i][lo:hi], t, int32(lo)+1, &shipped)
 			lo = hi
 		}
 	}
 	created := make([][]mesh.Ent, len(dm.Parts))
 	localErr = catchStage(func() {
-		for _, msg := range ph.exchange() {
+		msgs := ph.exchange()
+		// Every arriving record enters its part's table and may create
+		// an entity; no more can arrive than edge records, the smallest,
+		// fit in the payloads.
+		arriving := make([]int, len(dm.Parts))
+		for _, msg := range msgs {
+			arriving[dm.localIndex(msg.To)] += msg.Data.Remaining() / recordBytes(mesh.Edge, 0)
+		}
+		for i, n := range arriving {
+			tabs[i].reserve(n)
+			created[i] = make([]mesh.Ent, 0, n)
+		}
+		for _, msg := range msgs {
 			li := dm.localIndex(msg.To)
 			unpackElements(dm, msg, &tabs[li], &created[li])
 		}
@@ -347,7 +363,6 @@ func TryMigrate(dm *DMesh, plans []Plan) error {
 	// changed. The candidates are the surviving entities of the table:
 	// retained entities with a staged residence and received ones, whose
 	// runs unpackElements merged into the same place.
-	ph = dm.beginPhase()
 	type fix struct {
 		e     mesh.Ent
 		owner int32
@@ -358,7 +373,7 @@ func TryMigrate(dm *DMesh, plans []Plan) error {
 	for i, part := range dm.Parts {
 		m, t := part.M, &tabs[i]
 		self := m.Part()
-		cand = cand[:0]
+		cand = slices.Grow(cand[:0], len(t.entries))
 		for _, en := range t.entries {
 			if m.Alive(en.e) {
 				cand = append(cand, en.e)
@@ -474,6 +489,12 @@ func (t *resTable) touch(e mesh.Ent) bool {
 	return true
 }
 
+// reserve makes room for n more entities and as many run cells.
+func (t *resTable) reserve(n int) {
+	t.entries = slices.Grow(t.entries, n)
+	t.arena = slices.Grow(t.arena, n)
+}
+
 // res returns e's run, ascending, nil if e is absent; valid until the
 // next add.
 func (t *resTable) res(e mesh.Ent) []int32 {
@@ -511,11 +532,35 @@ func (t *resTable) reset() {
 	*t = resTable{idx: t.idx}
 }
 
-// closureLevels returns, per dimension below d, the entities in the
-// downward closures of els that first reports true for — a visited-set
-// insert, so each entity appears once — ascending.
-func closureLevels(m *mesh.Mesh, els []mesh.Ent, d int, first func(mesh.Ent) bool) [3][]mesh.Ent {
-	var levels [3][]mesh.Ent
+// closureBound returns, per dimension below d, an upper bound on the
+// downward closure of els: every element bringing all its own vertices,
+// edges and faces, and no more than the part holds.
+func closureBound(m *mesh.Mesh, els []mesh.Ent, d int) (bound [3]int) {
+	for _, el := range els {
+		v, f := el.T.VertCount(), el.T.DownCount()
+		bound[0] += v
+		if d > 1 {
+			bound[d-1] += f
+		}
+		if d == 3 {
+			bound[1] += v + f - 2 // Euler's formula for one polyhedron
+		}
+	}
+	for dd := range bound {
+		bound[dd] = min(bound[dd], m.Count(dd))
+	}
+	return bound
+}
+
+// closureLevels sets levels[dd], per dimension dd below d, to the
+// entities in the downward closures of els that first reports true for
+// — a visited-set insert, so each entity appears once — ascending. It
+// reuses the arrays levels arrives with, reserved at closureBound.
+func closureLevels(levels *[3][]mesh.Ent, m *mesh.Mesh, els []mesh.Ent, d int, first func(mesh.Ent) bool) {
+	bound := closureBound(m, els, d)
+	for dd := range levels {
+		levels[dd] = slices.Grow(levels[dd][:0], bound[dd])
+	}
 	var buf []mesh.Ent
 	for _, el := range els {
 		for dd := 0; dd < d; dd++ {
@@ -530,7 +575,16 @@ func closureLevels(m *mesh.Mesh, els []mesh.Ent, d int, first func(mesh.Ent) boo
 	for dd := range levels {
 		slices.SortFunc(levels[dd], mesh.Ent.Compare)
 	}
-	return levels
+}
+
+// recordBytes is the size of a packElements record without tag values:
+// type, gid, classification, run, coordinates or down gids, tag count.
+func recordBytes(t mesh.Type, nres int) int {
+	n := 1 + 8 + 1 + 4 + 4 + 4*nres + 1
+	if t == mesh.Vertex {
+		return n + 24
+	}
+	return n + 4 + 8*t.DownCount()
 }
 
 // packElements encodes the closure of the given elements (all bound
@@ -538,17 +592,27 @@ func closureLevels(m *mesh.Mesh, els []mesh.Ent, d int, first func(mesh.Ent) boo
 // by dimension, each with its run from t: the staged residence, which
 // for an element is its destination. group is a nonzero id no other
 // packElements call on t uses; it stamps the closure entities visited.
-func packElements(b *pcu.Buffer, dm *DMesh, partIdx int, els []mesh.Ent, t *resTable, group int32) {
+// closure is scratch. The records are counted as the closure is
+// collected and b reserved once: exact unless entities carry tag values.
+func packElements(b *pcu.Buffer, dm *DMesh, partIdx int, els []mesh.Ent, t *resTable, group int32, closure *[3][]mesh.Ent) {
 	part := dm.Parts[partIdx]
 	m := part.M
 	d := dm.Dim
-	movable := writeTagTable(b, m)
-	closure := closureLevels(m, els, d, func(e mesh.Ent) bool {
+	size := 1 + 4*(d+1) // empty tag table, level counts
+	closureLevels(closure, m, els, d, func(e mesh.Ent) bool {
 		en := t.entry(e)
-		seen := en.group == group
+		if en.group == group {
+			return false
+		}
 		en.group = group
-		return !seen
+		size += recordBytes(e.T, int(en.n))
+		return true
 	})
+	for _, el := range els {
+		size += recordBytes(el.T, 1)
+	}
+	b.Grow(size)
+	movable := writeTagTable(b, m)
 	var gids []int64 // down-adjacency gid scratch, bulk-packed per entity
 	var down []mesh.Ent
 	for dd := 0; dd <= d; dd++ {
@@ -599,8 +663,16 @@ func unpackElements(dm *DMesh, msg partMsg, res *resTable, createdLog *[]mesh.En
 	var down []mesh.Ent    // and the handles they resolve to
 	for dd := 0; dd <= d; dd++ {
 		n := int(r.Int32())
+		// The level count, capped by what the bytes left could carry,
+		// sizes the mesh: the part may hold some of these already.
+		room := max(0, min(n, r.Remaining()/recordBytes(mesh.Edge, 0)))
+		reserved := mesh.TypeCount
 		for k := 0; k < n; k++ {
 			t := mesh.Type(r.Byte())
+			if t != reserved {
+				part.reserve(t, room-k)
+				reserved = t
+			}
 			gid := r.Int64()
 			cdim := int8(r.Byte()) - 1
 			ctag := r.Int32()

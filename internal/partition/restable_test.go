@@ -78,9 +78,11 @@ func TestResTableAgainstMap(t *testing.T) {
 
 // TestMigrateAllocsScaleWithMove pins the cost model of TryMigrate on a
 // 2-rank × 4-part box: a bulk migration of every element stays under 10
-// allocations per moved element, and moving one element allocates less
-// than 1/20 of the bulk call's bytes — which fails as soon as a call
-// sizes scratch by the mesh instead of by what moves.
+// allocations and 4,000 bytes per moved element (payloads, rank buffers
+// and the residence table made once at their size; regrown under append
+// they cost 5,200), and moving one element allocates less than 1/20 of
+// the bulk call's bytes — which fails as soon as a call sizes or
+// reserves scratch by the mesh instead of by what moves.
 func TestMigrateAllocsScaleWithMove(t *testing.T) {
 	allocGate(t)
 	model := gmi.Box(4, 1, 1)
@@ -139,6 +141,9 @@ func TestMigrateAllocsScaleWithMove(t *testing.T) {
 			float64(bulkAllocs)/float64(bulkMoved), bulkBytes/uint64(bulkMoved), oneBytes)
 		if perMoved := float64(bulkAllocs) / float64(bulkMoved); perMoved >= 10 {
 			return fmt.Errorf("bulk migration: %.1f allocations per moved element, want < 10", perMoved)
+		}
+		if perMoved := bulkBytes / uint64(bulkMoved); perMoved > 4000 {
+			return fmt.Errorf("bulk migration: %d bytes per moved element, want <= 4000", perMoved)
 		}
 		if oneBytes*20 >= bulkBytes {
 			return fmt.Errorf("one-element migration allocated %d B, bulk %d B: want under 1/20", oneBytes, bulkBytes)

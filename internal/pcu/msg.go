@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"slices"
 )
 
 // Buffer accumulates typed data to be sent to one peer during a
@@ -46,6 +47,14 @@ func (b *Buffer) Raw() []byte { return b.buf }
 func (b *Buffer) Reset() {
 	b.buf = b.buf[:0]
 	b.sealed = false
+}
+
+// Grow reserves room for n more bytes, so a sender that knows how much
+// it is about to pack allocates the array once. It packs nothing and,
+// like every pack call, panics on a delivered buffer.
+func (b *Buffer) Grow(n int) {
+	b.check()
+	b.buf = slices.Grow(b.buf, n)
 }
 
 // grow extends the buffer by n bytes and returns the region to fill.

@@ -309,6 +309,49 @@ func TestBufferSealedAfterExchange(t *testing.T) {
 	}
 }
 
+// TestBufferGrow pins Grow as a pure reservation: the packed bytes are
+// the same with and without it, packing into the reserved room does not
+// move the array, Grow(0) on a buffer that never packed allocates
+// nothing, and a delivered buffer refuses it like any pack call.
+func TestBufferGrow(t *testing.T) {
+	pack := func(b *Buffer) {
+		b.Byte(9)
+		b.Int32(-5)
+		b.Int64s([]int64{1, 1 << 40, -3})
+		b.Bytes([]byte("payload"))
+	}
+	var plain, grown Buffer
+	pack(&plain)
+	grown.Grow(plain.Len())
+	reserved := cap(grown.buf)
+	pack(&grown)
+	if !slices.Equal(plain.Raw(), grown.Raw()) {
+		t.Fatalf("bytes differ: % x without Grow, % x with", plain.Raw(), grown.Raw())
+	}
+	if reserved < plain.Len() || cap(grown.buf) != reserved {
+		t.Fatalf("Grow(%d) reserved %d bytes, %d after packing", plain.Len(), reserved, cap(grown.buf))
+	}
+	var empty Buffer
+	if n := testing.AllocsPerRun(10, func() { empty.Grow(0) }); n != 0 || empty.buf != nil {
+		t.Fatalf("Grow(0) on a nil buffer: %v allocations, array %v", n, empty.buf)
+	}
+	err := Run(2, func(c *Ctx) error {
+		b := c.To(1 - c.Rank())
+		b.Int32(1)
+		c.Exchange()
+		defer func() {
+			if recover() == nil {
+				panic("Grow on a delivered buffer did not panic")
+			}
+		}()
+		b.Grow(8)
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
 // Stats must be safe to read from any rank while other ranks are
 // mid-delivery; run it under -race with heavy concurrent traffic.
 func TestStatsDuringTrafficRace(t *testing.T) {
