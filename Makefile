@@ -43,10 +43,14 @@ bench-go:
 # claims are read from. Not a gate. BENCH is a -bench regexp; the test
 # binary and the profile stay in /tmp. The generic slices helpers are
 # hidden so a reservation shows under the function that made it.
+# SAMPLE=inuse_space prints what is still live when the benchmark ends
+# instead — BenchmarkMigration keeps its last iteration's parts — which
+# is the footprint by the function that made each array.
 BENCH ?= BenchmarkMigration$$
+SAMPLE ?= alloc_space
 memprofile:
 	$(GO) test -run '^$$' -bench '$(BENCH)' -benchtime 20x -o /tmp/pumi-memprofile.test -memprofile /tmp/pumi-memprofile.out -memprofilerate 4096 .
-	$(GO) tool pprof -sample_index=alloc_space -top -nodecount=15 -hide '^slices\.' /tmp/pumi-memprofile.test /tmp/pumi-memprofile.out
+	$(GO) tool pprof -sample_index=$(SAMPLE) -top -nodecount=15 -hide '^slices\.' /tmp/pumi-memprofile.test /tmp/pumi-memprofile.out
 
 # One-iteration compile-and-run of every benchmark — catches bit-rotted
 # benchmark code without paying for a measurement.

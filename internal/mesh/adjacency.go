@@ -20,12 +20,16 @@ import (
 // the result is the same.
 const adjStack = 128
 
-// down returns e's one-level downward adjacencies as a view of mesh
-// storage: read-only, and invalid after the next create or destroy.
-func (m *Mesh) down(e Ent) []Ent {
+// down fills buf with e's one-level downward adjacencies — the stored
+// indices under the types of e's canonical template — and returns the
+// filled prefix.
+func (m *Mesh) down(e Ent, buf *[6]Ent) []Ent {
 	td := &m.td[e.T]
 	base := int(e.I) * td.degree
-	return td.down[base : base+td.degree : base+td.degree]
+	for j, t := range downTypes[e.T] {
+		buf[j] = Ent{T: t, I: td.down[base+j]}
+	}
+	return buf[:td.degree]
 }
 
 // Down returns e's one-level downward adjacent entities in canonical
@@ -34,7 +38,10 @@ func (m *Mesh) Down(e Ent) []Ent { return m.DownTo(e, nil) }
 
 // DownTo appends e's one-level downward adjacencies to buf and returns
 // it.
-func (m *Mesh) DownTo(e Ent, buf []Ent) []Ent { return append(buf, m.down(e)...) }
+func (m *Mesh) DownTo(e Ent, buf []Ent) []Ent {
+	var s [6]Ent
+	return append(buf, m.down(e, &s)...)
+}
 
 // Up returns the one-level upward adjacent entities of e (most recently
 // created first — the use-list order), freshly allocated; see UpTo.
@@ -45,9 +52,9 @@ func (m *Mesh) Up(e Ent) []Ent { return m.UpTo(e, nil) }
 // collapsed edge); uses of the same entity are deduplicated.
 func (m *Mesh) UpTo(e Ent, buf []Ent) []Ent {
 	start := len(buf)
-	for u := m.td[e.T].firstUse[e.I]; u.e.Ok(); u = m.useNext(u) {
-		if !slices.Contains(buf[start:], u.e) {
-			buf = append(buf, u.e)
+	for u := m.td[e.T].firstUse[e.I]; u.ok(); u = m.useNext(u) {
+		if ue := u.ent(); !slices.Contains(buf[start:], ue) {
+			buf = append(buf, ue)
 		}
 	}
 	return buf
@@ -60,7 +67,7 @@ func (m *Mesh) UpCount(e Ent) int {
 }
 
 // HasUp reports whether e bounds any higher-dimension entity.
-func (m *Mesh) HasUp(e Ent) bool { return m.td[e.T].firstUse[e.I].e.Ok() }
+func (m *Mesh) HasUp(e Ent) bool { return m.td[e.T].firstUse[e.I].ok() }
 
 // Adjacent returns the entities of dimension dim adjacent to e, freshly
 // allocated; see AdjacentTo.
@@ -99,18 +106,19 @@ func (m *Mesh) AdjacentTo(e Ent, dim int, buf []Ent) []Ent {
 // Levels are bounded by local valence, so a linear scan of what is
 // already there is the cheapest set.
 func (m *Mesh) gather(dst, from []Ent, up bool) []Ent {
+	var s [6]Ent
 	for _, e := range from {
 		if !up {
-			for _, d := range m.down(e) {
+			for _, d := range m.down(e, &s) {
 				if !slices.Contains(dst, d) {
 					dst = append(dst, d)
 				}
 			}
 			continue
 		}
-		for u := m.td[e.T].firstUse[e.I]; u.e.Ok(); u = m.useNext(u) {
-			if !slices.Contains(dst, u.e) {
-				dst = append(dst, u.e)
+		for u := m.td[e.T].firstUse[e.I]; u.ok(); u = m.useNext(u) {
+			if ue := u.ent(); !slices.Contains(dst, ue) {
+				dst = append(dst, ue)
 			}
 		}
 	}
@@ -168,7 +176,8 @@ func (m *Mesh) VertsTo(e Ent, buf []Ent) []Ent {
 // faceVertsTo recovers a face's vertex cycle from its edges: vertex i
 // is the vertex shared by edges i-1 and i.
 func (m *Mesh) faceVertsTo(f Ent, buf []Ent) []Ent {
-	edges := m.down(f)
+	var s [6]Ent
+	edges := m.down(f, &s)
 	prev := edges[len(edges)-1]
 	for _, edge := range edges {
 		buf = append(buf, m.sharedVert(prev, edge))
@@ -178,8 +187,9 @@ func (m *Mesh) faceVertsTo(f Ent, buf []Ent) []Ent {
 }
 
 func (m *Mesh) sharedVert(e1, e2 Ent) Ent {
-	b := m.down(e2)
-	for _, v := range m.down(e1) {
+	var s1, s2 [6]Ent
+	b := m.down(e2, &s2)
+	for _, v := range m.down(e1, &s1) {
 		if v == b[0] || v == b[1] {
 			return v
 		}
@@ -190,7 +200,8 @@ func (m *Mesh) sharedVert(e1, e2 Ent) Ent {
 // regionVertsTo recovers a region's vertices: the base face's cycle
 // plus the remaining vertices matched through the region's own edges.
 func (m *Mesh) regionVertsTo(r Ent, buf []Ent) []Ent {
-	faces := m.down(r)
+	var fs [6]Ent
+	faces := m.down(r, &fs)
 	start := len(buf)
 	buf = m.faceVertsTo(faces[0], buf)
 	var s [4]Ent
@@ -222,9 +233,10 @@ func (m *Mesh) regionVertsTo(r Ent, buf []Ent) []Ent {
 // verticalPartner returns the vertex of top joined to v by an edge of
 // one of the given side faces, or NilEnt.
 func (m *Mesh) verticalPartner(sides []Ent, v Ent, top []Ent) Ent {
+	var s1, s2 [6]Ent
 	for _, f := range sides {
-		for _, edge := range m.down(f) {
-			ends := m.down(edge)
+		for _, edge := range m.down(f, &s1) {
+			ends := m.down(edge, &s2)
 			switch {
 			case ends[0] == v && slices.Contains(top, ends[1]):
 				return ends[1]
@@ -243,16 +255,17 @@ func (m *Mesh) FindByDown(t Type, down []Ent) Ent {
 		return NilEnt
 	}
 	d0 := down[0]
-	for u := m.td[d0.T].firstUse[d0.I]; u.e.Ok(); u = m.useNext(u) {
-		if u.e.T == t && m.downSetEquals(u.e, down) {
-			return u.e
+	for u := m.td[d0.T].firstUse[d0.I]; u.ok(); u = m.useNext(u) {
+		if ue := u.ent(); ue.T == t && m.downSetEquals(ue, down) {
+			return ue
 		}
 	}
 	return NilEnt
 }
 
 func (m *Mesh) downSetEquals(e Ent, down []Ent) bool {
-	have := m.down(e)
+	var s [6]Ent
+	have := m.down(e, &s)
 	if len(have) != len(down) {
 		return false
 	}
@@ -300,8 +313,8 @@ func (m *Mesh) FindFromVerts(t Type, verts []Ent) Ent {
 // verts, for an entity of type t covering verts exactly.
 func (m *Mesh) findAbove(e Ent, t Type, verts []Ent) Ent {
 	full := uint(1)<<len(verts) - 1
-	for u := m.td[e.T].firstUse[e.I]; u.e.Ok(); u = m.useNext(u) {
-		c := u.e
+	for u := m.td[e.T].firstUse[e.I]; u.ok(); u = m.useNext(u) {
+		c := u.ent()
 		last := c.Dim() == t.Dim()
 		if last && c.T != t {
 			continue
@@ -327,7 +340,8 @@ func (m *Mesh) findAbove(e Ent, t Type, verts []Ent) Ent {
 // 2 of a quad), and the base and second face of every region type
 // together touch every vertex.
 func (m *Mesh) closureMask(e Ent, verts []Ent) (mask uint, ok bool) {
-	down := m.down(e)
+	var s [6]Ent
+	down := m.down(e, &s)
 	first, second := down[0], down[1]
 	if e.T == Edge {
 		i, j := slices.Index(verts, first), slices.Index(verts, second)

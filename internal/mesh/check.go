@@ -5,8 +5,8 @@ import "fmt"
 // CheckConsistency verifies the structural invariants of the complete
 // representation and returns the first violation found:
 //
-//   - every downward adjacency of a live entity is live and of the
-//     expected dimension;
+//   - every downward adjacency of a live entity is live (its type is
+//     the slot's by construction: storage holds only the index);
 //   - up/down symmetry: d appears in e's downward list iff e appears in
 //     d's use list;
 //   - face edge cycles close (consecutive edges share a vertex);
@@ -24,8 +24,8 @@ import "fmt"
 // scan, whose cost grows with vertex valence and made verification of
 // large parts quadratic.
 func (m *Mesh) CheckConsistency() error {
-	// Pass 1: downward references are live and well-dimensioned; tally
-	// how many references each entity receives.
+	// Pass 1: downward references are live; tally how many references
+	// each entity receives.
 	var refCount [TypeCount][]int32
 	for t := Type(0); t < TypeCount; t++ {
 		refCount[t] = make([]int32, m.td[t].slots())
@@ -37,14 +37,10 @@ func (m *Mesh) CheckConsistency() error {
 				continue
 			}
 			e := Ent{T: t, I: i}
-			base := int(i) * td.degree
-			for j := 0; j < td.degree; j++ {
-				d := td.down[base+j]
+			var s [6]Ent
+			for j, d := range m.down(e, &s) {
 				if !m.Alive(d) {
 					return fmt.Errorf("mesh: %v downward[%d] = %v is not alive", e, j, d)
-				}
-				if d.Dim() != downTypes[t][j].Dim() {
-					return fmt.Errorf("mesh: %v downward[%d] = %v has wrong dimension", e, j, d)
 				}
 				refCount[d.T][d.I]++
 			}
@@ -74,19 +70,19 @@ func (m *Mesh) CheckConsistency() error {
 			e := Ent{T: t, I: i}
 			want := refCount[t][i]
 			var n int32
-			for u := td.firstUse[i]; u.e.Ok(); u = m.useNext(u) {
-				if !m.Alive(u.e) {
-					return fmt.Errorf("mesh: %v has use by dead entity %v", e, u.e)
+			for u := td.firstUse[i]; u.ok(); u = m.useNext(u) {
+				ue, slot := u.ent(), u.slot()
+				if !m.Alive(ue) {
+					return fmt.Errorf("mesh: %v has use by dead entity %v", e, ue)
 				}
-				utd := &m.td[u.e.T]
-				idx := int(u.e.I)*utd.degree + int(u.slot)
-				if utd.down[idx] != e {
-					return fmt.Errorf("mesh: %v use by %v slot %d does not point back", e, u.e, u.slot)
+				utd, idx := m.useSlot(u)
+				if slot >= utd.degree || downTypes[ue.T][slot] != t || utd.down[idx] != i {
+					return fmt.Errorf("mesh: %v use by %v slot %d does not point back", e, ue, slot)
 				}
-				if stamp[u.e.T][idx] == gen {
-					return fmt.Errorf("mesh: %v has duplicate use by %v slot %d", e, u.e, u.slot)
+				if stamp[ue.T][idx] == gen {
+					return fmt.Errorf("mesh: %v has duplicate use by %v slot %d", e, ue, slot)
 				}
-				stamp[u.e.T][idx] = gen
+				stamp[ue.T][idx] = gen
 				if n++; n > want {
 					return fmt.Errorf("mesh: %v use list exceeds its %d downward references (corrupt or cyclic)", e, want)
 				}

@@ -60,8 +60,7 @@ func TestCheckDetectsCyclicUseList(t *testing.T) {
 		// pass reports the revisit instead of walking forever.
 		td := &m.td[Vertex]
 		first := td.firstUse[vs[0].I]
-		utd := &m.td[first.e.T]
-		utd.nextUse[int(first.e.I)*utd.degree+int(first.slot)] = first
+		m.setUseNext(first, first)
 	})
 }
 

@@ -27,11 +27,12 @@ func (m *Mesh) Centroid(e Ent) vec.V {
 // the planar/convex cells the structured generators emit.
 func (m *Mesh) Measure(e Ent) float64 {
 	var b [8]Ent
+	var s [6]Ent
 	switch e.T {
 	case Vertex:
 		return 0
 	case Edge:
-		d := m.down(e)
+		d := m.down(e, &s)
 		return m.Coord(d[0]).Dist(m.Coord(d[1]))
 	case Tri:
 		v := m.VertsTo(e, b[:0])
@@ -51,7 +52,7 @@ func (m *Mesh) Measure(e Ent) float64 {
 		// Decompose about the cell centroid: one tet per face triangle.
 		c := m.Centroid(e)
 		vol := 0.0
-		for _, f := range m.down(e) {
+		for _, f := range m.down(e, &s) {
 			fv := m.VertsTo(f, b[:0])
 			fc := m.Centroid(f)
 			n := len(fv)

@@ -18,31 +18,42 @@
 // constant-time insertion, deletion and iteration proportional only to
 // local valence — the "complete representation with O(1) adjacency
 // interrogation" the paper requires.
+//
+// Every handle in storage is four bytes, as every id in MDS is one int:
+// a downward slot holds the index alone (its type is downTypes[t][slot])
+// and a use is one packed word, so a type holds at most MaxSlots
+// entities. Handles leave storage as Ent; Mesh.Footprint gives the bytes
+// by array.
 package mesh
 
 import (
 	"fmt"
 	"slices"
+	"unsafe"
 
 	"github.com/fastmath/pumi-go/internal/ds"
 	"github.com/fastmath/pumi-go/internal/gmi"
 	"github.com/fastmath/pumi-go/internal/vec"
 )
 
-// use identifies one downward slot of an upward entity: entity e's
+// use identifies one downward slot of an upward entity: that entity's
 // slot-th downward adjacency points at the use's target. Uses of the
-// same target form a singly linked list (the upward adjacency).
-type use struct {
-	e    Ent
-	slot uint8
-}
+// same target form a singly linked list (the upward adjacency). It is
+// the entity's packed handle with the slot in the top three bits.
+type use uint32
 
-var nilUse = use{e: NilEnt}
+const nilUse = use(PackedNil)
+
+func makeUse(e Ent, slot int) use { return use(e.Pack()) | use(slot)<<packBits }
+
+func (u use) ok() bool  { return u != nilUse }
+func (u use) ent() Ent  { return unpack(uint32(u)) }
+func (u use) slot() int { return int(u >> packBits) }
 
 // typeData is the storage of all entities of one type.
 type typeData struct {
 	degree   int       // downward adjacencies per entity
-	down     []Ent     // len = slots * degree
+	down     []int32   // len = slots * degree: index of type downTypes[t][slot], -1 = none
 	firstUse []use     // per slot: head of this entity's upward use list
 	nextUse  []use     // len = slots * degree: next use after (ent, slot)
 	classif  []gmi.Ref // geometric classification
@@ -160,6 +171,13 @@ func (m *Mesh) Alive(e Ent) bool {
 	return e.I < td.slots() && td.alive[e.I]
 }
 
+// checkSlots panics when n slots of type t would not fit a packed handle.
+func checkSlots(t Type, n int) {
+	if n > MaxSlots {
+		panic(fmt.Sprintf("mesh: %d %v slots exceed mesh.MaxSlots = %d, the capacity of the four-byte handle in storage", n, t, MaxSlots))
+	}
+}
+
 // alloc returns a fresh slot for type t, growing arrays as needed.
 func (m *Mesh) alloc(t Type) int32 {
 	td := &m.td[t]
@@ -174,14 +192,15 @@ func (m *Mesh) alloc(t Type) int32 {
 		td.flags[idx] = 0
 		td.owner[idx] = m.part
 		for j := 0; j < td.degree; j++ {
-			td.down[int(idx)*td.degree+j] = NilEnt
+			td.down[int(idx)*td.degree+j] = -1
 			td.nextUse[int(idx)*td.degree+j] = nilUse
 		}
 		td.firstUse[idx] = nilUse
 	} else {
 		idx = td.slots()
+		checkSlots(t, int(idx)+1)
 		for j := 0; j < td.degree; j++ {
-			td.down = append(td.down, NilEnt)
+			td.down = append(td.down, -1)
 			td.nextUse = append(td.nextUse, nilUse)
 		}
 		td.firstUse = append(td.firstUse, nilUse)
@@ -206,6 +225,7 @@ func (m *Mesh) alloc(t Type) int32 {
 func (m *Mesh) Reserve(t Type, n int) int {
 	td := &m.td[t]
 	n = max(0, n-len(td.free))
+	checkSlots(t, len(td.alive)+n)
 	td.down = slices.Grow(td.down, n*td.degree)
 	td.nextUse = slices.Grow(td.nextUse, n*td.degree)
 	td.firstUse = slices.Grow(td.firstUse, n)
@@ -218,6 +238,52 @@ func (m *Mesh) Reserve(t Type, n int) int {
 		m.coords = slices.Grow(m.coords, n)
 	}
 	return len(td.alive) + n
+}
+
+// Footprint is the bytes a mesh's entity storage holds, by array. A slot
+// costs 8 per downward entity + 22 (a tet 54, a tri 46, an edge 38, a
+// vertex 46 with its coordinates); a remote-copy link record is 16.
+type Footprint struct {
+	Down    int // downward indices, 4 per downward slot
+	Uses    int // use-list heads and nexts, 4 per slot + 4 per downward slot
+	Classif int // geometric classification, 8 per slot
+	State   int // flags, owner and alive, 6 per slot
+	Links   int // remote-copy chain heads, 4 per slot, and link records
+	Coords  int // vertex coordinates, 24 per vertex slot
+}
+
+// Total is the sum over the arrays.
+func (f Footprint) Total() int {
+	return f.Down + f.Uses + f.Classif + f.State + f.Links + f.Coords
+}
+
+// Footprint returns the bytes in use (lengths, not capacities) by the
+// per-slot arrays of every type, free slots included. Tags, sets and
+// free lists are not entity storage and are left out.
+func (m *Mesh) Footprint() Footprint {
+	var f Footprint
+	for t := Type(0); t < TypeCount; t++ {
+		f.add(m, t)
+	}
+	return f
+}
+
+// add accumulates the arrays of one type.
+func (f *Footprint) add(m *Mesh, t Type) {
+	td, ls := &m.td[t], &m.links[t]
+	f.Down += sliceBytes(td.down)
+	f.Uses += sliceBytes(td.firstUse) + sliceBytes(td.nextUse)
+	f.Classif += sliceBytes(td.classif)
+	f.State += sliceBytes(td.flags) + sliceBytes(td.owner) + sliceBytes(td.alive)
+	f.Links += sliceBytes(ls.head) + sliceBytes(ls.part) + sliceBytes(ls.ent) + sliceBytes(ls.next)
+	if t == Vertex {
+		f.Coords += sliceBytes(m.coords)
+	}
+}
+
+func sliceBytes[T any](s []T) int {
+	var z T
+	return len(s) * int(unsafe.Sizeof(z))
 }
 
 // OnCreate registers an observer called after every entity creation.
@@ -262,9 +328,8 @@ func (m *Mesh) CreateEntity(t Type, c gmi.Ref, down []Ent) Ent {
 		if !m.Alive(d) {
 			panic(fmt.Sprintf("mesh: downward entity %v of new %v is not alive", d, t))
 		}
-		if d.Dim() != want[i].Dim() {
-			panic(fmt.Sprintf("mesh: downward entity %d of %v has dim %d, want %d",
-				i, t, d.Dim(), want[i].Dim()))
+		if d.T != want[i] {
+			panic(fmt.Sprintf("mesh: downward entity %d of %v is a %v, want a %v", i, t, d.T, want[i]))
 		}
 	}
 	idx := m.alloc(t)
@@ -272,10 +337,10 @@ func (m *Mesh) CreateEntity(t Type, c gmi.Ref, down []Ent) Ent {
 	td := &m.td[t]
 	base := int(idx) * td.degree
 	for j, d := range down {
-		td.down[base+j] = d
+		td.down[base+j] = d.I
 		dtd := &m.td[d.T]
 		td.nextUse[base+j] = dtd.firstUse[d.I]
-		dtd.firstUse[d.I] = use{e: e, slot: uint8(j)}
+		dtd.firstUse[d.I] = makeUse(e, j)
 	}
 	td.classif[idx] = c
 	m.guardWrite("create", e)
@@ -291,7 +356,7 @@ func (m *Mesh) Destroy(e Ent) {
 		panic(fmt.Sprintf("mesh: destroying dead entity %v", e))
 	}
 	td := &m.td[e.T]
-	if td.firstUse[e.I].e.Ok() {
+	if td.firstUse[e.I].ok() {
 		panic(fmt.Sprintf("mesh: destroying %v which still bounds other entities", e))
 	}
 	m.guardWrite("destroy", e)
@@ -299,10 +364,9 @@ func (m *Mesh) Destroy(e Ent) {
 		f(e)
 	}
 	base := int(e.I) * td.degree
-	for j := 0; j < td.degree; j++ {
-		d := td.down[base+j]
-		m.unlinkUse(d, use{e: e, slot: uint8(j)})
-		td.down[base+j] = NilEnt
+	for j, dt := range downTypes[e.T] {
+		m.unlinkUse(Ent{T: dt, I: td.down[base+j]}, makeUse(e, j))
+		td.down[base+j] = -1
 	}
 	m.Tags.DeleteAll(e)
 	m.links[e.T].clear(e.I)
@@ -327,7 +391,7 @@ func (m *Mesh) DestroyRecursive(e Ent) {
 	}
 	m.Destroy(e)
 	for _, d := range down {
-		if m.Alive(d) && !m.td[d.T].firstUse[d.I].e.Ok() {
+		if m.Alive(d) && !m.HasUp(d) {
 			m.DestroyRecursive(d)
 		}
 	}
@@ -341,7 +405,7 @@ func (m *Mesh) unlinkUse(target Ent, u use) {
 		dtd.firstUse[target.I] = m.useNext(cur)
 		return
 	}
-	for cur.e.Ok() {
+	for cur.ok() {
 		next := m.useNext(cur)
 		if next == u {
 			m.setUseNext(cur, m.useNext(next))
@@ -349,17 +413,25 @@ func (m *Mesh) unlinkUse(target Ent, u use) {
 		}
 		cur = next
 	}
-	panic(fmt.Sprintf("mesh: use of %v by %v not found", target, u.e))
+	panic(fmt.Sprintf("mesh: use of %v by %v not found", target, u.ent()))
+}
+
+// useSlot locates u in its entity's type storage: the position of the
+// downward slot in down and nextUse.
+func (m *Mesh) useSlot(u use) (*typeData, int) {
+	e := u.ent()
+	td := &m.td[e.T]
+	return td, int(e.I)*td.degree + u.slot()
 }
 
 func (m *Mesh) useNext(u use) use {
-	td := &m.td[u.e.T]
-	return td.nextUse[int(u.e.I)*td.degree+int(u.slot)]
+	td, i := m.useSlot(u)
+	return td.nextUse[i]
 }
 
 func (m *Mesh) setUseNext(u, next use) {
-	td := &m.td[u.e.T]
-	td.nextUse[int(u.e.I)*td.degree+int(u.slot)] = next
+	td, i := m.useSlot(u)
+	td.nextUse[i] = next
 }
 
 // Coord returns a vertex's position.

@@ -127,6 +127,43 @@ type Ent struct {
 // NilEnt is the invalid handle.
 var NilEnt = Ent{I: -1}
 
+// Storage keeps a handle as four bytes: the index in the low
+// packIndexBits bits, the type in the three above, and the top three
+// free for the holder — the mesh's use lists put a downward slot there
+// (mesh.go), the partition layer's gid index leaves them zero.
+const (
+	packIndexBits = 26
+	packTypeBits  = 3
+	packBits      = packIndexBits + packTypeBits
+)
+
+// MaxSlots is the number of slots one entity type can hold, the
+// capacity the packed handle's index bits imply.
+const MaxSlots = 1 << packIndexBits
+
+// PackedNil is the packed form of NilEnt. No entity and no use packs to
+// it: its top three bits name slot 7 and no type has seven downward
+// entities.
+const PackedNil = ^uint32(0)
+
+// Pack returns the handle's four-byte storage form; see UnpackEnt.
+// NilEnt packs to PackedNil: its index is all ones.
+func (e Ent) Pack() uint32 { return uint32(e.T)<<packIndexBits | uint32(e.I) }
+
+// UnpackEnt is the inverse of Ent.Pack.
+func UnpackEnt(p uint32) Ent {
+	if p == PackedNil {
+		return NilEnt
+	}
+	return unpack(p)
+}
+
+// unpack decodes the low packBits bits of a word known not to be
+// PackedNil.
+func unpack(p uint32) Ent {
+	return Ent{T: Type(p >> packIndexBits & (1<<packTypeBits - 1)), I: int32(p & (MaxSlots - 1))}
+}
+
 // Ok reports whether the handle names an entity (it does not check
 // liveness; see Mesh.Alive).
 func (e Ent) Ok() bool { return e.I >= 0 }

@@ -59,6 +59,7 @@ func VerifyParallel(c *pcu.Ctx, ms ...*Mesh) error {
 
 	// Local sweeps.
 	var peers []int32 // remote-part scratch
+	var down [6]Ent
 	for _, m := range ms {
 		record(m.CheckConsistency())
 		for el := range m.Elements() {
@@ -95,7 +96,7 @@ func VerifyParallel(c *pcu.Ctx, ms ...*Mesh) error {
 					}
 					// Closure: everything bounding a shared entity is
 					// shared with at least the same parts.
-					for _, de := range m.down(e) {
+					for _, de := range m.down(e, &down) {
 						if _, ok := m.RemoteCopy(de, q); !ok {
 							record(fmt.Errorf("mesh: %v shared with part %d but its bounding %v is not",
 								e, q, de))

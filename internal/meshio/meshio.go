@@ -122,6 +122,16 @@ const (
 	minEntityBytes = 1 + 4 + 2*4 + 5
 )
 
+// checkCount rejects a dimension's section count past the kernel's
+// per-type capacity: Reserve and the creations behind it would panic on
+// it.
+func checkCount(n uint32, dim int) error {
+	if n > mesh.MaxSlots {
+		return fmt.Errorf("meshio: %d entities of dimension %d exceed mesh.MaxSlots = %d", n, dim, mesh.MaxSlots)
+	}
+	return nil
+}
+
 // decodeMesh is Read over bytes already in memory.
 func decodeMesh(data []byte, model *gmi.Model) (*mesh.Mesh, error) {
 	d := &dec{b: data}
@@ -145,6 +155,9 @@ func decodeMesh(data []byte, model *gmi.Model) (*mesh.Mesh, error) {
 	if dim < 1 || dim > 3 {
 		return nil, fmt.Errorf("meshio: bad dimension %d", dim)
 	}
+	if err := checkCount(nv, 0); err != nil {
+		return nil, err
+	}
 	if int64(nv)*vertexBytes > int64(len(d.b)) {
 		return nil, errTruncated
 	}
@@ -160,6 +173,9 @@ func decodeMesh(data []byte, model *gmi.Model) (*mesh.Mesh, error) {
 	var vsBuf [8]mesh.Ent
 	for dd := 1; dd <= int(dim); dd++ {
 		n := d.u32()
+		if err := checkCount(n, dd); err != nil {
+			return nil, err
+		}
 		if int64(n)*minEntityBytes > int64(len(d.b)) {
 			return nil, errTruncated
 		}

@@ -9,6 +9,7 @@ import (
 	"github.com/fastmath/pumi-go/internal/ds"
 	"github.com/fastmath/pumi-go/internal/field"
 	"github.com/fastmath/pumi-go/internal/gmi"
+	"github.com/fastmath/pumi-go/internal/mesh"
 	"github.com/fastmath/pumi-go/internal/meshgen"
 	"github.com/fastmath/pumi-go/internal/vec"
 )
@@ -116,6 +117,37 @@ func TestBadInputs(t *testing.T) {
 	trunc := buf.Bytes()[:buf.Len()/2]
 	if _, err := Read(bytes.NewReader(trunc), model.Model); err == nil {
 		t.Fatal("truncated stream accepted")
+	}
+}
+
+// TestDecodeRejectsCountsPastMaxSlots forges the vertex count and an
+// entity section's count past the kernel's per-type capacity. Both
+// decoders must answer with an error naming the limit — the kernel
+// panics when told to hold that many — and must do so from the count
+// alone: the 1.9 GB of records that would carry the forged vertex count
+// past the length guard are not needed to get there.
+func TestDecodeRejectsCountsPastMaxSlots(t *testing.T) {
+	model := gmi.Box(1, 1, 1)
+	good := appendMesh(nil, meshgen.Box3D(model, 1, 1, 1))
+	const nvAt = len(magicV2) + 4
+	edgesAt := nvAt + 4 + int(le.Uint32(good[nvAt:]))*vertexBytes
+	for _, at := range []int{nvAt, edgesAt} {
+		for _, n := range []uint32{mesh.MaxSlots + 1, 1<<32 - 1} {
+			bad := append([]byte(nil), good...)
+			le.PutUint32(bad[at:], n)
+			bad = append(bad, make([]byte, 1<<16)...)
+			if _, err := decodeMesh(bad, model.Model); err == nil || !strings.Contains(err.Error(), "mesh.MaxSlots") {
+				t.Errorf("count %d at offset %d: decodeMesh returned %v, want an error naming mesh.MaxSlots", n, at, err)
+			}
+			part := le.AppendUint64([]byte(partMagic), uint64(len(bad)))
+			part = append(part, bad...)
+			if _, _, err := decodePart(part, 0, model.Model, 3); err == nil || !strings.Contains(err.Error(), "mesh.MaxSlots") {
+				t.Errorf("count %d at offset %d: decodePart returned %v, want an error naming mesh.MaxSlots", n, at, err)
+			}
+		}
+	}
+	if _, err := decodeMesh(good, model.Model); err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -29,12 +29,13 @@ import (
 const freshGidBase = 40
 
 // Part is one mesh part plus the bookkeeping the distribution layer
-// needs: global ids per entity and the reverse index.
+// needs: global ids per entity and the reverse index, one per dimension
+// and keyed by the gid column itself (gidindex.go).
 type Part struct {
 	M *mesh.Mesh
 
-	gids    [mesh.TypeCount][]int64
-	byGid   [4]map[int64]mesh.Ent
+	gids    gidColumns
+	byGid   [4]gidIndex
 	counter int64
 
 	// resIdx is TryMigrate's entity slot -> affected-list index
@@ -53,9 +54,6 @@ func newPart(m *mesh.Mesh) *Part {
 		M:         m,
 		ghostHome: map[mesh.Ent]mesh.RemoteCopyRef{},
 		ghostsOf:  map[mesh.Ent][]mesh.RemoteCopyRef{},
-	}
-	for d := range p.byGid {
-		p.byGid[d] = map[int64]mesh.Ent{}
 	}
 	for t := range p.gids {
 		p.reserve(mesh.Type(t), 0) // an adopted or restored mesh: one gid per slot it has
@@ -105,8 +103,7 @@ func (p *Part) Gid(e mesh.Ent) int64 {
 // FindGid resolves a global id of the given dimension to the local
 // entity, if this part holds a copy.
 func (p *Part) FindGid(dim int, gid int64) (mesh.Ent, bool) {
-	e, ok := p.byGid[dim][gid]
-	return e, ok
+	return p.byGid[dim].find(&p.gids, gid)
 }
 
 func (p *Part) setGid(e mesh.Ent, gid int64) {
@@ -114,12 +111,13 @@ func (p *Part) setGid(e mesh.Ent, gid int64) {
 	for int(e.I) >= len(s) {
 		s = append(s, -1)
 	}
-	if old := s[e.I]; old >= 0 {
-		delete(p.byGid[e.Dim()], old)
+	p.gids[e.T] = s
+	x := &p.byGid[e.Dim()]
+	if s[e.I] >= 0 {
+		x.remove(&p.gids, e)
 	}
 	s[e.I] = gid
-	p.gids[e.T] = s
-	p.byGid[e.Dim()][gid] = e
+	x.insert(&p.gids, e)
 }
 
 // reserve makes room for n more type-t entities in the mesh and gid column.
@@ -131,7 +129,7 @@ func (p *Part) reserve(t mesh.Type, n int) {
 func (p *Part) dropGid(e mesh.Ent) {
 	s := p.gids[e.T]
 	if int(e.I) < len(s) && s[e.I] >= 0 {
-		delete(p.byGid[e.Dim()], s[e.I])
+		p.byGid[e.Dim()].remove(&p.gids, e)
 		s[e.I] = -1
 	}
 }

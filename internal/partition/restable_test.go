@@ -120,22 +120,32 @@ func TestMigrateAllocsScaleWithMove(t *testing.T) {
 			}
 		}
 		bulkAllocs, bulkBytes, bulkMoved := measure(bulk)
-		single := make([]Plan, len(dm.Parts))
-		if ctx.Rank() == 0 {
-			for el := range dm.Parts[0].M.Elements() {
-				single[0] = Plan{el: 1}
-				break
+		// The delta is process-wide, so a stray allocation (a 512 KiB
+		// runtime one shows up about one run in twelve) lands in it;
+		// strays only add, so the least of three moves is the move.
+		oneBytes := ^uint64(0)
+		for range 3 {
+			single := make([]Plan, len(dm.Parts))
+			if ctx.Rank() == 0 {
+				for el := range dm.Parts[0].M.Elements() {
+					single[0] = Plan{el: 1}
+					break
+				}
 			}
+			_, b, n := measure(single)
+			if n != 1 { // the same sum on every rank
+				return fmt.Errorf("single move moved %d elements", n)
+			}
+			oneBytes = min(oneBytes, b)
 		}
-		_, oneBytes, oneMoved := measure(single)
 		if err := Verify(dm); err != nil {
 			return err
 		}
 		if ctx.Rank() != 0 {
 			return nil
 		}
-		if oneMoved != 1 || bulkMoved != 6*16*6*6 {
-			return fmt.Errorf("moved %d and %d elements, want %d and 1", bulkMoved, oneMoved, 6*16*6*6)
+		if bulkMoved != 6*16*6*6 {
+			return fmt.Errorf("bulk moved %d elements, want %d", bulkMoved, 6*16*6*6)
 		}
 		t.Logf("bulk: %d elements, %.2f allocs and %d B each; single: %d B", bulkMoved,
 			float64(bulkAllocs)/float64(bulkMoved), bulkBytes/uint64(bulkMoved), oneBytes)

@@ -138,6 +138,21 @@ func TestPhaseExchangeReservesOnce(t *testing.T) {
 	}
 }
 
+// bulkRoundTrip migrates every element to the next part and back.
+func bulkRoundTrip(dm *DMesh) {
+	nparts := int32(dm.NParts())
+	for _, shift := range []int32{1, nparts - 1} {
+		plans := make([]Plan, len(dm.Parts))
+		for i, part := range dm.Parts {
+			plans[i] = Plan{}
+			for el := range part.M.Elements() {
+				plans[i][el] = (part.M.Part() + shift) % nparts
+			}
+		}
+		Migrate(dm, plans)
+	}
+}
+
 // TestMigrateRetainsNoPayload runs a bulk A->B->A round trip on 2 ranks
 // x 4 parts and checks that, once collected, the heap is back within 2 %
 // of where it stood: pair buffers, rank buffers and the residence tables
@@ -148,25 +163,12 @@ func TestPhaseExchangeReservesOnce(t *testing.T) {
 func TestMigrateRetainsNoPayload(t *testing.T) {
 	allocGate(t)
 	model := gmi.Box(4, 1, 1)
-	roundTrip := func(dm *DMesh) {
-		nparts := int32(dm.NParts())
-		for _, shift := range []int32{1, nparts - 1} {
-			plans := make([]Plan, len(dm.Parts))
-			for i, part := range dm.Parts {
-				plans[i] = Plan{}
-				for el := range part.M.Elements() {
-					plans[i][el] = (part.M.Part() + shift) % nparts
-				}
-			}
-			Migrate(dm, plans)
-		}
-	}
 	var parts [2][]*Part
 	err := pcu.Run(2, func(ctx *pcu.Ctx) error {
 		dm := distributeByX(ctx, model.Model, func() *mesh.Mesh {
 			return meshgen.Box3D(model, 16, 6, 6)
 		}, 4, 4)
-		roundTrip(dm)
+		bulkRoundTrip(dm)
 		parts[ctx.Rank()] = dm.Parts
 		return nil
 	})
@@ -186,7 +188,7 @@ func TestMigrateRetainsNoPayload(t *testing.T) {
 			return ms.HeapAlloc
 		}
 		before := heap()
-		roundTrip(dm)
+		bulkRoundTrip(dm)
 		after := heap()
 		if err := Verify(dm); err != nil {
 			return err
