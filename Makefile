@@ -33,10 +33,12 @@ escape-check:
 # Go micro-benchmarks, benchstat-ready:
 #   make bench-go | benchstat -
 # ExchangeSparse's traced/conform/metered rows read each observer's
-# overhead off against on-node (see DESIGN.md §10 and §13). For
-# end-to-end numbers, bash bench/run.sh.
+# overhead off against on-node (see DESIGN.md §10 and §13); the mesh
+# rows are the adjacency kernel's (AdjacentTo by direction, FindFromVerts
+# hit/miss, BuildTet fresh/existing; DESIGN.md §9). For end-to-end
+# numbers, bash bench/run.sh.
 bench-go:
-	$(GO) test -run '^$$' -bench=. -benchmem ./internal/pcu/
+	$(GO) test -run '^$$' -bench=. -benchmem ./internal/pcu/ ./internal/mesh/
 
 # Where the bytes go: one root benchmark under -memprofile, then the top
 # of its alloc_space profile — the figure ROADMAP's "largest share"

@@ -8,17 +8,29 @@ import (
 )
 
 // The query layer is one traversal, AdjacentTo, plus the table-driven
-// VertsTo and FindFromVerts. Every "To" form appends its result to a
-// caller-owned buffer and returns it; the returned slice aliases only
-// that buffer, never mesh storage. The names without "To" are
-// one-line allocating wrappers for cold callers.
+// VertsTo, FindFromVerts and BuildFromVerts. Every "To" form appends its
+// result to a caller-owned buffer and returns it; the returned slice
+// aliases only that buffer, never mesh storage. The names without "To"
+// are one-line allocating wrappers for cold callers.
+//
+// AdjacentTo walks one level at a time in stack scratch sized by
+// direction: a downward level is bounded by the templates (downStack),
+// an upward level by local valence (adjStack, spilling to the heap past
+// it) and travels as packed handles. Look-up by vertices starts from the
+// edge joining two of them, and building from vertices goes bottom-up,
+// edges then faces then the region, so each level is found among the
+// users of one bounding entity.
 
-// adjStack is the number of entities a traversal level may hold in
-// stack scratch. Adjacency sets are bounded by local valence (a vertex
+// adjStack is the number of entities an upward traversal level may hold
+// in stack scratch. Adjacency sets are bounded by local valence (a vertex
 // of a tet mesh sees a few dozen entities per dimension), so levels
 // normally fit; a larger level spills to the heap through append and
 // the result is the same.
 const adjStack = 128
+
+// downStack is the most entities a downward traversal level can hold:
+// the twelve edges of a hex.
+const downStack = 12
 
 // down fills buf with e's one-level downward adjacencies — the stored
 // indices under the types of e's canonical template — and returns the
@@ -61,9 +73,20 @@ func (m *Mesh) UpTo(e Ent, buf []Ent) []Ent {
 }
 
 // UpCount returns the number of distinct one-level upward adjacencies.
+// A user is counted at its first use: the list is walked against itself,
+// which is two steps for a face and bounded by valence elsewhere.
 func (m *Mesh) UpCount(e Ent) int {
-	var s [adjStack]Ent
-	return len(m.UpTo(e, s[:0]))
+	first, n := m.td[e.T].firstUse[e.I], 0
+	for u := first; u.ok(); u = m.useNext(u) {
+		n++
+		for p := first; p != u; p = m.useNext(p) {
+			if p.ent() == u.ent() {
+				n--
+				break
+			}
+		}
+	}
+	return n
 }
 
 // HasUp reports whether e bounds any higher-dimension entity.
@@ -79,50 +102,75 @@ func (m *Mesh) Adjacent(e Ent, dim int) []Ent { return m.AdjacentTo(e, dim, nil)
 // Ent.Less order. Same-dimension queries append nothing (use
 // BridgeAdjacentTo for second-order adjacency). Intermediate levels
 // live in stack scratch, so the call allocates only if buf must grow or
-// a level exceeds adjStack entities.
+// an upward level exceeds adjStack entities.
 func (m *Mesh) AdjacentTo(e Ent, dim int, buf []Ent) []Ent {
-	d := e.Dim()
-	if dim == d {
-		return buf
+	switch d := e.Dim(); {
+	case dim < d:
+		return m.adjacentDown(e, dim, buf)
+	case dim > d:
+		return m.adjacentUp(e, dim, buf)
 	}
-	up := dim > d
-	step := -1
-	if up {
-		step = 1
-	}
-	var s0, s1 [adjStack]Ent
+	return buf
+}
+
+// adjacentDown is AdjacentTo toward a lower dimension. When vertices are
+// the target, a region expands only its faces 0 and 1 and a face only its
+// edges 0 and 1 (0 and 2 of a quad): between them they touch every vertex
+// (see closureMask).
+func (m *Mesh) adjacentDown(e Ent, dim int, buf []Ent) []Ent {
+	var s0, s1 [downStack]Ent
 	cur, next := append(s0[:0], e), s1[:0]
-	for d != dim {
-		d += step
-		next = m.gather(next[:0], cur, up)
+	for d := e.Dim(); d > dim; d-- {
+		next = next[:0]
+		for _, c := range cur {
+			td := &m.td[c.T]
+			base, n, stride := int(c.I)*td.degree, td.degree, 1
+			if dim == 0 && d > 1 {
+				n = 2
+				if c.T == Quad {
+					n, stride = 3, 2
+				}
+			}
+			for j := 0; j < n; j += stride {
+				if x := (Ent{T: downTypes[c.T][j], I: td.down[base+j]}); !slices.Contains(next, x) {
+					next = append(next, x)
+				}
+			}
+		}
 		cur, next = next, cur
 	}
-	slices.SortFunc(cur, Ent.Compare)
+	for i := 1; i < len(cur); i++ {
+		for j := i; j > 0 && cur[j].Less(cur[j-1]); j-- {
+			cur[j], cur[j-1] = cur[j-1], cur[j]
+		}
+	}
 	return append(buf, cur...)
 }
 
-// gather appends the distinct one-level upward (or downward)
-// adjacencies of the entities of from to dst, which must start empty.
-// Levels are bounded by local valence, so a linear scan of what is
-// already there is the cheapest set.
-func (m *Mesh) gather(dst, from []Ent, up bool) []Ent {
-	var s [6]Ent
-	for _, e := range from {
-		if !up {
-			for _, d := range m.down(e, &s) {
-				if !slices.Contains(dst, d) {
-					dst = append(dst, d)
+// adjacentUp is AdjacentTo toward a higher dimension. Levels hold packed
+// handles: a dedup probe is one word compare, and word order is Ent.Less
+// order.
+func (m *Mesh) adjacentUp(e Ent, dim int, buf []Ent) []Ent {
+	var s0, s1 [adjStack]uint32
+	cur, next := append(s0[:0], e.Pack()), s1[:0]
+	for d := e.Dim(); d < dim; d++ {
+		next = next[:0]
+		for _, w := range cur {
+			c := unpack(w)
+			for u := m.td[c.T].firstUse[c.I]; u.ok(); u = m.useNext(u) {
+				if p := u.ent().Pack(); !slices.Contains(next, p) {
+					next = append(next, p)
 				}
 			}
-			continue
 		}
-		for u := m.td[e.T].firstUse[e.I]; u.ok(); u = m.useNext(u) {
-			if ue := u.ent(); !slices.Contains(dst, ue) {
-				dst = append(dst, ue)
-			}
-		}
+		cur, next = next, cur
 	}
-	return dst
+	slices.Sort(cur)
+	buf = slices.Grow(buf, len(cur))
+	for _, w := range cur {
+		buf = append(buf, unpack(w))
+	}
+	return buf
 }
 
 // BridgeAdjacent returns the second-order adjacency of e, freshly
@@ -291,22 +339,48 @@ func (m *Mesh) downSetEquals(e Ent, down []Ent) bool {
 // equals verts, or NilEnt. The comparison is a set bijection: verts may
 // come in any order (callers pass sorted as well as canonical lists),
 // but a list of the wrong length or with a repeated vertex names no
-// entity. It walks upward from verts[0] through only those edges and
-// faces whose own vertices all lie in verts, and allocates nothing.
+// entity. Every two vertices of a simplex are joined by one of its
+// edges, so an edge, triangle or tet is sought above the edge joining
+// verts[0] and verts[1]; the other types, where those two may be a
+// diagonal, are sought above verts[0]. The walk goes only through edges
+// and faces whose own vertices all lie in verts, and allocates nothing.
 func (m *Mesh) FindFromVerts(t Type, verts []Ent) Ent {
-	n := len(verts)
-	if n != t.VertCount() {
+	if len(verts) != t.VertCount() || repeated(verts).Ok() {
 		return NilEnt
 	}
-	for i, v := range verts[1:] {
-		if slices.Contains(verts[:i+1], v) {
-			return NilEnt
-		}
-	}
-	if t == Vertex {
+	switch t {
+	case Vertex:
 		return verts[0]
+	case Edge, Tri, Tet:
+		e := m.findEdge(verts[0], verts[1])
+		if t == Edge || !e.Ok() {
+			return e
+		}
+		return m.findAbove(e, t, verts)
 	}
 	return m.findAbove(verts[0], t, verts)
+}
+
+// repeated returns the first vertex that verts lists twice, or NilEnt.
+func repeated(verts []Ent) Ent {
+	for i, v := range verts {
+		if slices.Contains(verts[:i], v) {
+			return v
+		}
+	}
+	return NilEnt
+}
+
+// findEdge returns the edge joining vertices a and b, or NilEnt: the
+// user of a whose other end is b.
+func (m *Mesh) findEdge(a, b Ent) Ent {
+	td := &m.td[Edge]
+	for u := m.td[Vertex].firstUse[a.I]; u.ok(); u = m.useNext(u) {
+		if e := u.ent(); td.down[int(e.I)*2+1-u.slot()] == b.I {
+			return e
+		}
+	}
+	return NilEnt
 }
 
 // findAbove searches the entities above e, all of whose vertices lie in
@@ -366,52 +440,74 @@ func (m *Mesh) closureMask(e Ent, verts []Ent) (mask uint, ok bool) {
 // intermediate entities. Intermediate entities are classified on c as
 // well unless they already exist; callers typically reclassify boundary
 // sides afterwards or pass the region classification. It returns the
-// entity.
+// entity, and panics on a wrong vertex count or a repeated vertex.
 //
-// One non-recursive builder per dimension: a self-recursive form makes
+// It works bottom-up: each edge is found or created, then each face is
+// looked up among the users of its first edge and the region among the
+// users of its first face — unless one of the bounding entities was just
+// created, since nothing can predate its own boundary. Missing entities
+// are created face by face, a face's edges before the face. One
+// non-recursive builder per dimension: a self-recursive form makes
 // escape analysis give up on the stack vertex arrays.
 func (m *Mesh) BuildFromVerts(t Type, verts []Ent, c gmi.Ref) Ent {
 	if len(verts) != t.VertCount() {
 		panic(fmt.Sprintf("mesh: %v needs %d vertices, got %d", t, t.VertCount(), len(verts)))
 	}
+	if v := repeated(verts); v.Ok() {
+		panic(fmt.Sprintf("mesh: %v lists vertex %v twice", t, v))
+	}
 	switch t.Dim() {
 	case 0:
 		return verts[0]
 	case 1:
-		return m.buildEdge(verts, c)
-	case 2:
-		return m.buildFace(t, verts, c)
-	}
-	if e := m.FindFromVerts(t, verts); e.Ok() {
+		e, _ := m.buildEdge(verts[0], verts[1], c)
 		return e
+	case 2:
+		f, _ := m.buildFace(t, verts, c)
+		return f
 	}
 	var down [6]Ent
+	faces, fresh := down[:len(downTypes[t])], false
 	for i, ft := range downTypes[t] {
 		var fv [4]Ent
 		idx := downVerts[t][i]
 		for j, li := range idx {
 			fv[j] = verts[li]
 		}
-		down[i] = m.buildFace(ft, fv[:len(idx)], c)
+		f, isNew := m.buildFace(ft, fv[:len(idx)], c)
+		faces[i], fresh = f, fresh || isNew
 	}
-	return m.CreateEntity(t, c, down[:len(downTypes[t])])
+	if !fresh {
+		if r := m.FindByDown(t, faces); r.Ok() {
+			return r
+		}
+	}
+	return m.CreateEntity(t, c, faces)
 }
 
-func (m *Mesh) buildEdge(verts []Ent, c gmi.Ref) Ent {
-	if e := m.FindFromVerts(Edge, verts); e.Ok() {
-		return e
+// buildEdge finds or creates the edge from a to b; made reports a
+// creation.
+func (m *Mesh) buildEdge(a, b Ent, c gmi.Ref) (e Ent, made bool) {
+	if found := m.findEdge(a, b); found.Ok() {
+		return found, false
 	}
-	return m.CreateEntity(Edge, c, verts)
+	ends := [2]Ent{a, b}
+	return m.CreateEntity(Edge, c, ends[:]), true
 }
 
-func (m *Mesh) buildFace(t Type, verts []Ent, c gmi.Ref) Ent {
-	if e := m.FindFromVerts(t, verts); e.Ok() {
-		return e
-	}
+// buildFace finds or creates the face of type t on the vertex cycle
+// verts, edges first; made reports that the face was created.
+func (m *Mesh) buildFace(t Type, verts []Ent, c gmi.Ref) (f Ent, made bool) {
 	var down [4]Ent
+	edges, fresh := down[:len(downVerts[t])], false
 	for i, idx := range downVerts[t] {
-		ev := [2]Ent{verts[idx[0]], verts[idx[1]]}
-		down[i] = m.buildEdge(ev[:], c)
+		e, isNew := m.buildEdge(verts[idx[0]], verts[idx[1]], c)
+		edges[i], fresh = e, fresh || isNew
 	}
-	return m.CreateEntity(t, c, down[:len(downVerts[t])])
+	if !fresh {
+		if found := m.FindByDown(t, edges); found.Ok() {
+			return found, false
+		}
+	}
+	return m.CreateEntity(t, c, edges), true
 }

@@ -1,5 +1,11 @@
 package mesh
 
-// DownVertsForTest exposes the canonical templates to the external
-// kernel tests.
-var DownVertsForTest = downVerts
+// DownTypesForTest and DownVertsForTest expose the canonical templates,
+// and DownStackForTest the downward traversal's scratch size, to the
+// external kernel tests.
+var (
+	DownTypesForTest = downTypes
+	DownVertsForTest = downVerts
+)
+
+const DownStackForTest = downStack

@@ -1,8 +1,10 @@
 package mesh_test
 
 import (
+	"bytes"
 	"fmt"
 	"math"
+	"math/rand"
 	"slices"
 	"testing"
 
@@ -10,6 +12,7 @@ import (
 	"github.com/fastmath/pumi-go/internal/gmi"
 	"github.com/fastmath/pumi-go/internal/mesh"
 	"github.com/fastmath/pumi-go/internal/meshgen"
+	"github.com/fastmath/pumi-go/internal/meshio"
 	"github.com/fastmath/pumi-go/internal/vec"
 )
 
@@ -241,7 +244,34 @@ func kernelMeshes(t *testing.T) map[string]*mesh.Mesh {
 
 // --- Differential tests ---
 
+// downLevelSizes returns how many faces, edges and vertices the closure
+// of one entity of type ty holds, read from the canonical templates.
+func downLevelSizes(ty mesh.Type) []int {
+	sizes := []int{ty.VertCount()}
+	if ty.Dim() == 3 {
+		edges := map[[2]int]bool{}
+		for i, ft := range mesh.DownTypesForTest[ty] {
+			fv := mesh.DownVertsForTest[ty][i]
+			for _, ev := range mesh.DownVertsForTest[ft] {
+				a, b := fv[ev[0]], fv[ev[1]]
+				edges[[2]int{min(a, b), max(a, b)}] = true
+			}
+		}
+		sizes = append(sizes, len(edges))
+	}
+	return append(sizes, ty.DownCount())
+}
+
 func TestKernelMatchesBruteForce(t *testing.T) {
+	// The downward traversal keeps a level in DownStackForTest entries; a
+	// type whose closure held more would spill on every query.
+	for ty := mesh.Edge; ty < mesh.TypeCount; ty++ {
+		for _, n := range downLevelSizes(ty) {
+			if n > mesh.DownStackForTest {
+				t.Errorf("%v has a downward level of %d entities, beyond the downward scratch of %d", ty, n, mesh.DownStackForTest)
+			}
+		}
+	}
 	for name, m := range kernelMeshes(t) {
 		t.Run(name, func(t *testing.T) {
 			// A dirty prefix checks that the To forms append and leave
@@ -266,6 +296,13 @@ func TestKernelMatchesBruteForce(t *testing.T) {
 						t.Fatalf("VertsTo(%v) = %v, want %v", e, buf[1:], want)
 					}
 					checkTemplate(t, m, e, want)
+					if e.T == mesh.Quad {
+						// Leading vertices on a diagonal: no edge joins them.
+						diag := []mesh.Ent{want[0], want[2], want[1], want[3]}
+						if got := m.FindFromVerts(mesh.Quad, diag); got != e {
+							t.Fatalf("FindFromVerts(quad, %v) led by a diagonal = %v, want %v", diag, got, e)
+						}
+					}
 					if d < m.Dim() {
 						if got, want := m.UpCount(e), len(refAdjacent(m, e, d+1)); got != want {
 							t.Fatalf("UpCount(%v) = %d, want %d", e, got, want)
@@ -463,6 +500,189 @@ func TestAdjacentSpillsBeyondStackScratch(t *testing.T) {
 	}
 }
 
+// --- BuildFromVerts against the top-down reference ---
+
+// refBuild is BuildFromVerts in its top-down form: look the entity up by
+// its vertex set and, if it is missing, build its downward entities the
+// same way, in template order, and create it.
+func refBuild(m *mesh.Mesh, ty mesh.Type, verts []mesh.Ent) mesh.Ent {
+	if ty == mesh.Vertex {
+		return verts[0]
+	}
+	if e := m.FindFromVerts(ty, verts); e.Ok() {
+		return e
+	}
+	var down []mesh.Ent
+	for i, dt := range mesh.DownTypesForTest[ty] {
+		var dv []mesh.Ent
+		for _, li := range mesh.DownVertsForTest[ty][i] {
+			dv = append(dv, verts[li])
+		}
+		down = append(down, refBuild(m, dt, dv))
+	}
+	return m.CreateEntity(ty, gmi.NoRef, down)
+}
+
+// cell is one element to build: a type and indices into a vertex table.
+type cell struct {
+	ty mesh.Type
+	v  []int
+}
+
+// buildCase is one mesh kind: its dimension, the size of its vertex
+// table and the cells a build sequence draws from.
+type buildCase struct {
+	dim, nv int
+	cells   []cell
+}
+
+func buildCases() map[string]buildCase {
+	cases := map[string]buildCase{}
+	box := meshgen.Box3D(gmi.Box(1, 1, 1), 2, 2, 2)
+	var tets []cell
+	for r := range box.Iter(3) {
+		c := cell{ty: mesh.Tet}
+		for _, v := range box.Verts(r) {
+			c.v = append(c.v, int(v.I))
+		}
+		tets = append(tets, c)
+	}
+	cases["tet"] = buildCase{3, box.Count(0), tets}
+
+	// A 3 x 3 grid, quads and triangle pairs in a checkerboard.
+	var faces []cell
+	for j := 0; j < 3; j++ {
+		for i := 0; i < 3; i++ {
+			a, b, c, d := j*4+i, j*4+i+1, (j+1)*4+i+1, (j+1)*4+i
+			if (i+j)%2 == 0 {
+				faces = append(faces, cell{mesh.Quad, []int{a, b, c, d}})
+			} else {
+				faces = append(faces, cell{mesh.Tri, []int{a, b, c}}, cell{mesh.Tri, []int{a, c, d}})
+			}
+		}
+	}
+	cases["tri+quad"] = buildCase{2, 16, faces}
+
+	// Vertex i + 3j + 6k of a 3 x 2 x 2 lattice, 12 above the first
+	// cube: a hex, two prisms filling the second cube, a pyramid on the
+	// hex and a tet on each prism's top triangle, all meeting the apex.
+	cases["mixed"] = buildCase{3, 13, []cell{
+		{mesh.Hex, []int{0, 1, 4, 3, 6, 7, 10, 9}},
+		{mesh.Prism, []int{1, 2, 4, 7, 8, 10}},
+		{mesh.Prism, []int{2, 5, 4, 8, 11, 10}},
+		{mesh.Pyramid, []int{6, 7, 10, 9, 12}},
+		{mesh.Tet, []int{7, 10, 12, 8}},
+		{mesh.Tet, []int{8, 11, 10, 12}},
+	}}
+	return cases
+}
+
+// TestBuildFromVertsMatchesTopDownReference drives BuildFromVerts and
+// refBuild through one seeded sequence of builds and recursive destroys,
+// each on its own mesh. Freed slots come back through the free lists, so
+// the handles agree only while both create the same entities in the same
+// order; the files agree only if the stored topology does too.
+func TestBuildFromVertsMatchesTopDownReference(t *testing.T) {
+	for name, c := range buildCases() {
+		t.Run(name, func(t *testing.T) {
+			got, want := mesh.New(nil, c.dim), mesh.New(nil, c.dim)
+			vs := slices.Repeat([]mesh.Ent{mesh.NilEnt}, c.nv)
+			got.OnDestroy(func(e mesh.Ent) {
+				if i := slices.Index(vs, e); i >= 0 {
+					vs[i] = mesh.NilEnt
+				}
+			})
+			rng := rand.New(rand.NewSource(20))
+			var live []mesh.Ent
+			builds, hits, destroys := 0, 0, 0
+			for step := 0; step < 600; step++ {
+				if len(live) > 0 && rng.Intn(3) == 0 {
+					k := rng.Intn(len(live))
+					got.DestroyRecursive(live[k])
+					want.DestroyRecursive(live[k])
+					live = slices.Delete(live, k, k+1)
+					destroys++
+					continue
+				}
+				cl := c.cells[rng.Intn(len(c.cells))]
+				verts := make([]mesh.Ent, len(cl.v))
+				for j, i := range cl.v {
+					if !vs[i].Ok() {
+						p := vec.V{X: float64(i)}
+						vs[i] = got.CreateVertex(gmi.NoRef, p)
+						if w := want.CreateVertex(gmi.NoRef, p); w != vs[i] {
+							t.Fatalf("step %d: vertex %d is %v, reference %v", step, i, vs[i], w)
+						}
+					}
+					verts[j] = vs[i]
+				}
+				a, b := got.BuildFromVerts(cl.ty, verts, gmi.NoRef), refBuild(want, cl.ty, verts)
+				if a != b {
+					t.Fatalf("step %d: BuildFromVerts(%v, %v) = %v, reference %v", step, cl.ty, verts, a, b)
+				}
+				for d := 0; d <= c.dim; d++ {
+					if got.Count(d) != want.Count(d) {
+						t.Fatalf("step %d: %d entities of dimension %d, reference %d", step, got.Count(d), d, want.Count(d))
+					}
+				}
+				if slices.Contains(live, a) {
+					hits++
+				} else {
+					live = append(live, a)
+					builds++
+				}
+			}
+			if builds == 0 || hits == 0 || destroys == 0 {
+				t.Fatalf("sequence did %d builds, %d rebuilds of a live cell, %d destroys; want all three", builds, hits, destroys)
+			}
+			if err := got.CheckConsistency(); err != nil {
+				t.Fatal(err)
+			}
+			var gb, wb bytes.Buffer
+			if err := meshio.Write(&gb, got); err != nil {
+				t.Fatal(err)
+			}
+			if err := meshio.Write(&wb, want); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(gb.Bytes(), wb.Bytes()) {
+				t.Fatalf("meshio.Write differs from the reference mesh's (%d vs %d bytes)", gb.Len(), wb.Len())
+			}
+		})
+	}
+}
+
+// TestBuildFromVertsRejectsRepeatedVertex: a repeated vertex used to
+// find nothing, then create a fresh degenerate edge (a, a) and an entity
+// using one edge twice on every call, which CheckConsistency let pass.
+func TestBuildFromVertsRejectsRepeatedVertex(t *testing.T) {
+	m := mesh.New(nil, 3)
+	var v [4]mesh.Ent
+	for i := range v {
+		v[i] = m.CreateVertex(gmi.NoRef, vec.V{X: float64(i)})
+	}
+	for ty, verts := range map[mesh.Type][]mesh.Ent{
+		mesh.Edge: {v[1], v[1]},
+		mesh.Tri:  {v[0], v[1], v[1]},
+		mesh.Quad: {v[0], v[1], v[2], v[1]},
+		mesh.Tet:  {v[2], v[3], v[1], v[1]},
+	} {
+		func() {
+			defer func() {
+				want := fmt.Sprintf("mesh: %v lists vertex %v twice", ty, v[1])
+				if msg := fmt.Sprint(recover()); msg != want {
+					t.Errorf("BuildFromVerts(%v, %v) panicked with %q, want %q", ty, verts, msg, want)
+				}
+			}()
+			m.BuildFromVerts(ty, verts, gmi.NoRef)
+			t.Errorf("BuildFromVerts(%v, %v) returned", ty, verts)
+		}()
+	}
+	if n := m.Count(1) + m.Count(2) + m.Count(3); n != 0 {
+		t.Errorf("rejected builds left %d entities behind", n)
+	}
+}
+
 // --- Allocation pins ---
 
 // interior returns a vertex of m with the most regions around it, one
@@ -535,6 +755,11 @@ func TestKernelZeroAlloc(t *testing.T) {
 			t.Errorf("%s: %v allocs/op, want 0", name, got)
 		}
 	}
+	// With no buffer to fill, the upward result is reserved once, not
+	// grown an entity at a time.
+	if got := testing.AllocsPerRun(100, func() { sink += len(m.AdjacentTo(v, 3, nil)) }); got != 1 {
+		t.Errorf("AdjacentTo vtx→rgn into a nil buffer: %v allocs/op, want 1", got)
+	}
 	_ = sink
 }
 
@@ -594,7 +819,7 @@ func BenchmarkAdjacentTo(b *testing.B) {
 	for _, c := range []struct {
 		name     string
 		from, to int
-	}{{"vtx→rgn", 0, 3}, {"rgn→vtx", 3, 0}, {"edge→rgn", 1, 3}} {
+	}{{"vtx→rgn", 0, 3}, {"rgn→vtx", 3, 0}, {"edge→rgn", 1, 3}, {"rgn→edge", 3, 1}, {"vtx→edge", 0, 1}} {
 		var ents []mesh.Ent
 		for e := range m.Iter(c.from) {
 			ents = append(ents, e)
@@ -643,38 +868,45 @@ func BenchmarkFindFromVerts(b *testing.B) {
 	}
 }
 
-// BenchmarkBuildTet times mesh construction from vertex tuples: one op
-// is one BuildFromVerts(Tet) into a mesh that already holds the
-// neighbors built so far (Box3D's 6,000-tet Kuhn grid, rebuilt from its
-// own connectivity).
+// BenchmarkBuildTet times BuildFromVerts(Tet) over Box3D's 6,000-tet Kuhn
+// grid, rebuilt from its own connectivity. fresh builds each tet into a
+// mesh that holds the neighbors built so far, as mesh construction does;
+// existing asks again for a tet that is there, the pure look-up path.
 func BenchmarkBuildTet(b *testing.B) {
 	src := meshgen.Box3D(gmi.Box(1, 1, 1), 10, 10, 10)
-	var tets [][4]int32
+	var tets [][4]mesh.Ent
 	for r := range src.Iter(3) {
-		var t [4]int32
-		for i, v := range src.Verts(r) {
-			t[i] = v.I
-		}
+		var t [4]mesh.Ent
+		copy(t[:], src.Verts(r))
 		tets = append(tets, t)
 	}
-	b.ReportAllocs()
-	b.ResetTimer()
 	var m *mesh.Mesh
-	for i := 0; i < b.N; i++ {
-		k := i % len(tets)
-		if k == 0 {
-			b.StopTimer()
-			m = mesh.New(nil, 3)
-			for v := range src.Iter(0) {
-				m.CreateVertex(gmi.NoRef, src.Coord(v))
+	b.Run("fresh", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			k := i % len(tets)
+			if k == 0 {
+				b.StopTimer()
+				m = mesh.New(nil, 3)
+				for v := range src.Iter(0) {
+					m.CreateVertex(gmi.NoRef, src.Coord(v))
+				}
+				b.StartTimer()
 			}
-			b.StartTimer()
+			m.BuildFromVerts(mesh.Tet, tets[k][:], gmi.NoRef)
 		}
-		t := tets[k]
-		vs := [4]mesh.Ent{{I: t[0]}, {I: t[1]}, {I: t[2]}, {I: t[3]}}
-		m.BuildFromVerts(mesh.Tet, vs[:], gmi.NoRef)
-	}
-	if m.Count(3) == 0 {
-		b.Fatal("built nothing")
-	}
+		if m.Count(3) == 0 {
+			b.Fatal("built nothing")
+		}
+	})
+	b.Run("existing", func(b *testing.B) {
+		b.ReportAllocs()
+		before := src.Count(3)
+		for i := 0; i < b.N; i++ {
+			src.BuildFromVerts(mesh.Tet, tets[i%len(tets)][:], gmi.NoRef)
+		}
+		if src.Count(3) != before {
+			b.Fatal("a rebuild created a tet")
+		}
+	})
 }

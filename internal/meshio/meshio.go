@@ -14,6 +14,7 @@ import (
 	"io"
 	"math"
 	"os"
+	"slices"
 
 	"github.com/fastmath/pumi-go/internal/ds"
 	"github.com/fastmath/pumi-go/internal/gmi"
@@ -205,6 +206,9 @@ func decodeMesh(data []byte, model *gmi.Model) (*mesh.Mesh, error) {
 					return nil, fmt.Errorf("meshio: vertex index %d out of range", vi)
 				}
 				vs[j] = verts[vi]
+				if slices.Contains(vs[:j], vs[j]) {
+					return nil, fmt.Errorf("meshio: %v lists vertex %d twice", t, vi)
+				}
 			}
 			cls := readClassif(d)
 			if d.err != nil {

@@ -2,6 +2,7 @@ package meshio
 
 import (
 	"bytes"
+	"fmt"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -117,6 +118,25 @@ func TestBadInputs(t *testing.T) {
 	trunc := buf.Bytes()[:buf.Len()/2]
 	if _, err := Read(bytes.NewReader(trunc), model.Model); err == nil {
 		t.Fatal("truncated stream accepted")
+	}
+	// A forged record: the first triangle names its first vertex twice.
+	// The kernel panics on a degenerate entity, so the decoders must
+	// answer first.
+	bad := append([]byte(nil), buf.Bytes()...)
+	edgesAt := len(magicV2) + 8 + m.Count(0)*vertexBytes
+	triAt := edgesAt + 4 + m.Count(1)*minEntityBytes + 4
+	if mesh.Type(bad[triAt]) != mesh.Tri {
+		t.Fatalf("record at %d has type %d, want the first triangle", triAt, bad[triAt])
+	}
+	v0 := le.Uint32(bad[triAt+5:])
+	le.PutUint32(bad[triAt+9:], v0)
+	want := fmt.Sprintf("meshio: tri lists vertex %d twice", v0)
+	if _, err := decodeMesh(bad, model.Model); err == nil || err.Error() != want {
+		t.Errorf("decodeMesh of a triangle with a repeated vertex returned %v, want %q", err, want)
+	}
+	part := append(le.AppendUint64([]byte(partMagic), uint64(len(bad))), bad...)
+	if _, _, err := decodePart(part, 0, model.Model, 3); err == nil || !strings.Contains(err.Error(), want) {
+		t.Errorf("decodePart of a triangle with a repeated vertex returned %v, want an error holding %q", err, want)
 	}
 }
 
