@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test loc escape-check memprofile bench-go bench-smoke pipeline-smoke race vet pumi-vet vet-self sarif-smoke chaos chaos-recover san-smoke trace-smoke telemetry-smoke proto-gen proto-check conform-smoke plan-smoke check
+.PHONY: all build test loc escape-check memprofile bench-go bench-smoke fuzz-smoke pipeline-smoke race vet pumi-vet vet-self sarif-smoke chaos chaos-recover san-smoke trace-smoke telemetry-smoke proto-gen proto-check conform-smoke plan-smoke check
 
 all: build
 
@@ -35,10 +35,11 @@ escape-check:
 # ExchangeSparse's traced/conform/metered rows read each observer's
 # overhead off against on-node (see DESIGN.md §10 and §13); the mesh
 # rows are the adjacency kernel's (AdjacentTo by direction, FindFromVerts
-# hit/miss, BuildTet fresh/existing; DESIGN.md §9). For end-to-end
-# numbers, bash bench/run.sh.
+# hit/miss, BuildTet fresh/existing; DESIGN.md §9); the zpart rows are
+# the partitioners on the pipeline benchmark's vessel (DualGraph, MLGraph
+# at 16 and 32 parts, PHG). For end-to-end numbers, bash bench/run.sh.
 bench-go:
-	$(GO) test -run '^$$' -bench=. -benchmem ./internal/pcu/ ./internal/mesh/
+	$(GO) test -run '^$$' -bench=. -benchmem ./internal/pcu/ ./internal/mesh/ ./internal/zpart/
 
 # Where the bytes go: one root benchmark under -memprofile, then the top
 # of its alloc_space profile — the figure ROADMAP's "largest share"
@@ -57,7 +58,15 @@ memprofile:
 # One-iteration compile-and-run of every benchmark — catches bit-rotted
 # benchmark code without paying for a measurement.
 bench-smoke:
-	$(GO) test -run '^$$' -bench=. -benchtime=1x ./internal/pcu/... ./internal/mesh/ ./internal/field/
+	$(GO) test -run '^$$' -bench=. -benchtime=1x ./internal/pcu/... ./internal/mesh/ ./internal/field/ ./internal/zpart/
+
+# Five seconds of native fuzzing on each decoder of outside bytes that
+# has a target (today the assignment file; ROADMAP item 1(f) lists the
+# rest). The committed corpus under testdata/fuzz runs with every plain
+# `go test`; this lane is the part that looks for new inputs. A crasher
+# is written next to the corpus: fix it and commit the file as a seed.
+fuzz-smoke:
+	$(GO) test -run '^$$' -fuzz FuzzReadAssignment -fuzztime 5s ./internal/meshio
 
 # The pipeline benchmark is a Go module of its own (bench/go.mod), so
 # the lanes above never build it: run its unit tests and -quick smoke,
@@ -155,4 +164,4 @@ plan-smoke:
 	$(GO) test -race -count=1 -run 'TestPlanSmoke' ./internal/chaos/
 
 # The full local gate: what CI runs.
-check: vet vet-self sarif-smoke proto-check escape-check build test race chaos chaos-recover san-smoke trace-smoke telemetry-smoke conform-smoke plan-smoke bench-smoke pipeline-smoke
+check: vet vet-self sarif-smoke proto-check escape-check build test race chaos chaos-recover san-smoke trace-smoke telemetry-smoke conform-smoke plan-smoke bench-smoke fuzz-smoke pipeline-smoke

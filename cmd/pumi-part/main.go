@@ -43,6 +43,9 @@ func main() {
 	if *meshFile == "" {
 		cmdutil.Usagef("-mesh is required")
 	}
+	if *parts < 1 {
+		cmdutil.Usagef("-parts must be at least 1, got %d", *parts)
+	}
 	model := cmdutilModel(*modelFlag)
 	m, err := meshio.LoadFile(*meshFile, model)
 	if err != nil {

@@ -276,8 +276,13 @@ func ReadAssignment(r io.Reader) ([]int32, error) {
 		return nil, fmt.Errorf("meshio: bad assignment magic %q", head)
 	}
 	n := d.u32()
-	if int64(n)*4 > int64(len(d.b)) {
+	// The count must account for every byte left: WriteAssignment writes
+	// nothing after the entries, so extra bytes mean a damaged file.
+	switch extra := int64(len(d.b)) - int64(n)*4; {
+	case d.err != nil || extra < 0:
 		return nil, errTruncated
+	case extra > 0:
+		return nil, fmt.Errorf("meshio: %d bytes after the %d assignment entries", extra, n)
 	}
 	out := make([]int32, n)
 	// Reject corrupt part ids here, at the serial load boundary: a

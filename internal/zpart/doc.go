@@ -9,4 +9,8 @@
 // and return an element-to-part assignment, which the caller turns into
 // a migration plan. This mirrors the paper's workflow of creating the
 // initial partition globally and then improving it with ParMA.
+//
+// The two multilevel methods are one recursive-bisection driver
+// (multilevel.go) over a small model interface that the graph (graph.go)
+// and the hypergraph (hypergraph.go) implement.
 package zpart

@@ -1,7 +1,8 @@
 package zpart
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"github.com/fastmath/pumi-go/internal/mesh"
 )
@@ -23,22 +24,30 @@ func (h *Hypergraph) NV() int { return len(h.VWt) }
 // NN returns the net count.
 func (h *Hypergraph) NN() int { return len(h.NWt) }
 
+func (h *Hypergraph) pins(n int32) []int32 { return h.Pins[h.NX[n]:h.NX[n+1]] }
+func (h *Hypergraph) nets(v int32) []int32 { return h.Nets[h.VX[v]:h.VX[v+1]] }
+
 // ConnectivityCut returns the (lambda-1) cut metric: for each net, its
 // weight times (number of parts it spans - 1). This is the objective
 // hypergraph partitioners like Zoltan PHG minimize, modeling true
 // communication volume.
 func (h *Hypergraph) ConnectivityCut(part []int32) float64 {
 	cut := 0.0
-	seen := map[int32]bool{}
-	for n := 0; n < h.NN(); n++ {
-		for k := range seen {
-			delete(seen, k)
+	maxPart := int32(0)
+	for _, p := range part {
+		maxPart = max(maxPart, p)
+	}
+	seen := make([]int32, maxPart+1) // part id -> 1 + the last net seen to reach it
+	for n := int32(0); n < int32(h.NN()); n++ {
+		spans := 0
+		for _, v := range h.pins(n) {
+			if seen[part[v]] != n+1 {
+				seen[part[v]] = n + 1
+				spans++
+			}
 		}
-		for j := h.NX[n]; j < h.NX[n+1]; j++ {
-			seen[part[h.Pins[j]]] = true
-		}
-		if len(seen) > 1 {
-			cut += h.NWt[n] * float64(len(seen)-1)
+		if spans > 1 {
+			cut += h.NWt[n] * float64(spans-1)
 		}
 	}
 	return cut
@@ -50,425 +59,225 @@ func (h *Hypergraph) ConnectivityCut(part []int32) float64 {
 // through shared vertices, as PHG setups for FE meshes typically do).
 // Nets with fewer than two pins are dropped.
 func ElementHypergraph(m *mesh.Mesh, netDim int) (*Hypergraph, []mesh.Ent) {
-	var els []mesh.Ent
-	index := map[mesh.Ent]int32{}
-	for el := range m.Elements() {
-		index[el] = int32(len(els))
-		els = append(els, el)
-	}
-	h := &Hypergraph{VWt: make([]float64, len(els))}
-	for i := range h.VWt {
-		h.VWt[i] = 1
-	}
-	var pinLists [][]int32
+	els, col := elementColumns(m)
+	h := &Hypergraph{VWt: unitWeights(len(els)), NX: make([]int32, 1, m.Count(netDim)+1)}
 	var adj []mesh.Ent
 	for b := range m.Iter(netDim) {
 		adj = m.AdjacentTo(b, m.Dim(), adj[:0])
 		if len(adj) < 2 {
 			continue
 		}
-		pins := make([]int32, len(adj))
-		for i, el := range adj {
-			pins[i] = index[el]
+		for _, el := range adj {
+			h.Pins = append(h.Pins, col[el.T][el.I])
 		}
-		pinLists = append(pinLists, pins)
+		h.NX = append(h.NX, int32(len(h.Pins)))
 	}
-	h.buildFromPins(pinLists)
+	h.NWt = unitWeights(len(h.NX) - 1)
+	h.indexVertices()
 	return h, els
 }
 
-func (h *Hypergraph) buildFromPins(pinLists [][]int32) {
-	nn := len(pinLists)
-	h.NWt = make([]float64, nn)
-	h.NX = make([]int32, nn+1)
-	for n, pins := range pinLists {
-		h.NWt[n] = 1
-		h.NX[n+1] = h.NX[n] + int32(len(pins))
+// indexVertices derives the vertex-to-nets view (VX, Nets) from the
+// net-to-pins one.
+func (h *Hypergraph) indexVertices() {
+	nv := h.NV()
+	h.VX = make([]int32, nv+1)
+	for _, p := range h.Pins {
+		h.VX[p+1]++
 	}
-	h.Pins = make([]int32, h.NX[nn])
-	vdeg := make([]int32, h.NV()+1)
-	for n, pins := range pinLists {
-		copy(h.Pins[h.NX[n]:], pins)
-		for _, p := range pins {
-			vdeg[p+1]++
-		}
+	for i := 0; i < nv; i++ {
+		h.VX[i+1] += h.VX[i]
 	}
-	for i := 0; i < h.NV(); i++ {
-		vdeg[i+1] += vdeg[i]
-	}
-	h.VX = vdeg
-	h.Nets = make([]int32, h.VX[h.NV()])
-	fill := make([]int32, h.NV())
-	for n, pins := range pinLists {
-		for _, p := range pins {
-			h.Nets[h.VX[p]+fill[p]] = int32(n)
+	h.Nets = make([]int32, len(h.Pins))
+	fill := make([]int32, nv)
+	for n := int32(0); n < int32(h.NN()); n++ {
+		for _, p := range h.pins(n) {
+			h.Nets[h.VX[p]+fill[p]] = n
 			fill[p]++
 		}
 	}
 }
 
-// PHG partitions the hypergraph into nparts by multilevel recursive
-// bisection minimizing the connectivity-1 cut: inner-product style
-// coarsening (vertices matched with the neighbor sharing the most
-// nets), greedy initial growth, and FM refinement with net-based gains.
-// It is the stand-in for Zoltan's parallel hypergraph partitioner used
-// as test T0 in the paper.
-func PHG(h *Hypergraph, nparts int) []int32 {
-	out := make([]int32, h.NV())
-	ids := make([]int32, h.NV())
-	for i := range ids {
-		ids[i] = int32(i)
-	}
-	phgRecurse(h, ids, 0, nparts, out)
-	return out
-}
-
-func phgRecurse(h *Hypergraph, globalIDs []int32, base, k int, out []int32) {
-	if k == 1 {
-		for _, gid := range globalIDs {
-			out[gid] = int32(base)
-		}
-		return
-	}
-	kl := k / 2
-	side := hBisectMultilevel(h, float64(kl)/float64(k))
-	for s := uint8(0); s < 2; s++ {
-		sh, ids := h.sub(side, s)
-		subIDs := make([]int32, len(ids))
-		for i, li := range ids {
-			subIDs[i] = globalIDs[li]
-		}
-		if s == 0 {
-			phgRecurse(sh, subIDs, base, kl, out)
-		} else {
-			phgRecurse(sh, subIDs, base+kl, k-kl, out)
-		}
-	}
-}
-
-func hBisectMultilevel(h *Hypergraph, leftFrac float64) []uint8 {
-	if h.NV() <= coarsenTarget {
-		p := hGreedyGrow(h, leftFrac)
-		hFMRefine(h, p, leftFrac, 8)
-		return p
-	}
-	ch, cmap := h.coarsen()
-	if ch.NV() >= h.NV()*9/10 {
-		p := hGreedyGrow(h, leftFrac)
-		hFMRefine(h, p, leftFrac, 8)
-		return p
-	}
-	cp := hBisectMultilevel(ch, leftFrac)
-	p := make([]uint8, h.NV())
-	for v := range p {
-		p[v] = cp[cmap[v]]
-	}
-	hFMRefine(h, p, leftFrac, 4)
-	return p
-}
+func (h *Hypergraph) vwt() []float64 { return h.VWt }
 
 // coarsen matches each vertex with the unmatched vertex it shares the
 // most net weight with (inner-product matching).
-func (h *Hypergraph) coarsen() (*Hypergraph, []int32) {
-	nv := h.NV()
-	match := make([]int32, nv)
+func (h *Hypergraph) coarsen(ws *workspace) (*Hypergraph, []int32) {
+	nv := int32(h.NV())
+	match, mark, score := ws.match[:nv], ws.mark[:nv], ws.acc[:nv]
 	for i := range match {
 		match[i] = -1
 	}
-	score := map[int32]float64{}
-	for v := 0; v < nv; v++ {
+	clear(mark)
+	for v := int32(0); v < nv; v++ {
 		if match[v] >= 0 {
 			continue
 		}
-		for k := range score {
-			delete(score, k)
-		}
-		for j := h.VX[v]; j < h.VX[v+1]; j++ {
-			n := h.Nets[j]
-			sz := float64(h.NX[n+1] - h.NX[n])
-			for pj := h.NX[n]; pj < h.NX[n+1]; pj++ {
-				u := h.Pins[pj]
-				if int(u) != v && match[u] < 0 {
-					score[u] += h.NWt[n] / (sz - 1)
+		// mark stamps the unmatched vertices sharing a net with v, score
+		// holds their inner products.
+		touched := ws.list[:0]
+		for _, n := range h.nets(v) {
+			pins := h.pins(n)
+			s := h.NWt[n] / (float64(len(pins)) - 1)
+			for _, u := range pins {
+				switch {
+				case u == v || match[u] >= 0:
+				case mark[u] != v+1:
+					mark[u] = v + 1
+					score[u] = s
+					touched = append(touched, u)
+				default:
+					score[u] += s
 				}
 			}
 		}
-		best := int32(-1)
-		bestS := 0.0
-		for u, s := range score {
-			if s > bestS || (s == bestS && best >= 0 && u < best) {
-				bestS = s
-				best = u
+		best, bestS := v, 0.0
+		for _, u := range touched {
+			if s := score[u]; s > bestS || (s == bestS && best != v && u < best) {
+				best, bestS = u, s
 			}
 		}
-		if best >= 0 {
-			match[v] = best
-			match[best] = int32(v)
-		} else {
-			match[v] = int32(v)
-		}
+		match[v], match[best] = best, v
 	}
-	cmap := make([]int32, nv)
-	nc := int32(0)
-	for v := 0; v < nv; v++ {
-		if int(match[v]) >= v {
-			cmap[v] = nc
-			if int(match[v]) != v {
-				cmap[match[v]] = nc
+	coarseOf, nc, cvwt := contractMatching(match, h.VWt)
+	ch := &Hypergraph{VWt: cvwt}
+	// Remap nets, drop singletons. kept[i] is a surviving net, its coarse
+	// pins sorted in pins[nx[i]:nx[i+1]].
+	mark = ws.mark[:nc]
+	clear(mark)
+	pins := make([]int32, 0, len(h.Pins))
+	nx := make([]int32, 1, h.NN()+1)
+	var kept []int32
+	for n := int32(0); n < int32(h.NN()); n++ {
+		start := len(pins)
+		for _, p := range h.pins(n) {
+			if c := coarseOf[p]; mark[c] != n+1 {
+				mark[c] = n + 1
+				pins = append(pins, c)
 			}
-			nc++
 		}
-	}
-	ch := &Hypergraph{VWt: make([]float64, nc)}
-	for v := 0; v < nv; v++ {
-		ch.VWt[cmap[v]] += h.VWt[v]
-	}
-	// Remap nets; drop singletons; merge identical pin sets.
-	var pinLists [][]int32
-	netWts := []float64{}
-	seenNets := map[string]int{}
-	var keyBuf []byte
-	for n := 0; n < h.NN(); n++ {
-		set := map[int32]bool{}
-		for j := h.NX[n]; j < h.NX[n+1]; j++ {
-			set[cmap[h.Pins[j]]] = true
-		}
-		if len(set) < 2 {
+		if len(pins)-start < 2 {
+			pins = pins[:start]
 			continue
 		}
-		pins := make([]int32, 0, len(set))
-		for p := range set {
-			pins = append(pins, p)
+		slices.Sort(pins[start:])
+		nx = append(nx, int32(len(pins)))
+		kept = append(kept, n)
+	}
+	// Merge identical pin sets into the first net that has them: order
+	// the survivors by pin set then position, so duplicates follow their
+	// first occurrence, and emit the firsts in position order.
+	order := make([]int32, len(kept))
+	for i := range order {
+		order[i] = int32(i)
+	}
+	pinsOf := func(i int32) []int32 { return pins[nx[i]:nx[i+1]] }
+	slices.SortFunc(order, func(a, b int32) int {
+		return cmp.Or(slices.Compare(pinsOf(a), pinsOf(b)), cmp.Compare(a, b))
+	})
+	first := make([]int32, len(kept)) // survivor -> the first survivor with its pin set
+	for j, i := range order {
+		first[i] = i
+		if j > 0 && slices.Equal(pinsOf(i), pinsOf(order[j-1])) {
+			first[i] = first[order[j-1]]
 		}
-		sort.Slice(pins, func(a, b int) bool { return pins[a] < pins[b] })
-		keyBuf = keyBuf[:0]
-		for _, p := range pins {
-			keyBuf = append(keyBuf, byte(p>>24), byte(p>>16), byte(p>>8), byte(p))
-		}
-		if idx, ok := seenNets[string(keyBuf)]; ok {
-			netWts[idx] += h.NWt[n]
+	}
+	netOf := make([]int32, len(kept)) // first survivor -> the coarse net it became
+	ch.NX = make([]int32, 1, len(kept)+1)
+	ch.Pins = make([]int32, 0, len(pins))
+	for i, n := range kept {
+		if f := first[i]; f != int32(i) {
+			ch.NWt[netOf[f]] += h.NWt[n]
 			continue
 		}
-		seenNets[string(keyBuf)] = len(pinLists)
-		pinLists = append(pinLists, pins)
-		netWts = append(netWts, h.NWt[n])
+		netOf[i] = int32(len(ch.NWt))
+		ch.Pins = append(ch.Pins, pinsOf(int32(i))...)
+		ch.NX = append(ch.NX, int32(len(ch.Pins)))
+		ch.NWt = append(ch.NWt, h.NWt[n])
 	}
-	ch.buildFromPins(pinLists)
-	copy(ch.NWt, netWts)
-	return ch, cmap
+	ch.indexVertices()
+	return ch, coarseOf
 }
 
-func (h *Hypergraph) sub(part []uint8, side uint8) (*Hypergraph, []int32) {
-	var ids []int32
-	local := make([]int32, h.NV())
-	for i := range local {
-		local[i] = -1
+// sub extracts the sub-hypergraph induced by the vertices with
+// part[v]==side, dropping nets left with fewer than two pins.
+func (h *Hypergraph) sub(part []uint8, side uint8, ws *workspace) (*Hypergraph, []int32) {
+	ids, local := sideVertices(part, side, ws)
+	sh := &Hypergraph{
+		VWt:  make([]float64, len(ids)),
+		NX:   make([]int32, 1, h.NN()+1),
+		Pins: make([]int32, 0, len(h.Pins)),
 	}
-	for v := 0; v < h.NV(); v++ {
-		if part[v] == side {
-			local[v] = int32(len(ids))
-			ids = append(ids, int32(v))
-		}
-	}
-	sh := &Hypergraph{VWt: make([]float64, len(ids))}
 	for li, v := range ids {
 		sh.VWt[li] = h.VWt[v]
 	}
-	var pinLists [][]int32
-	var netWts []float64
-	for n := 0; n < h.NN(); n++ {
-		var pins []int32
-		for j := h.NX[n]; j < h.NX[n+1]; j++ {
-			if lp := local[h.Pins[j]]; lp >= 0 {
-				pins = append(pins, lp)
+	for n := int32(0); n < int32(h.NN()); n++ {
+		start := len(sh.Pins)
+		for _, p := range h.pins(n) {
+			if lp := local[p]; lp >= 0 {
+				sh.Pins = append(sh.Pins, lp)
 			}
 		}
-		if len(pins) >= 2 {
-			pinLists = append(pinLists, pins)
-			netWts = append(netWts, h.NWt[n])
+		if len(sh.Pins)-start < 2 {
+			sh.Pins = sh.Pins[:start]
+			continue
 		}
+		sh.NX = append(sh.NX, int32(len(sh.Pins)))
+		sh.NWt = append(sh.NWt, h.NWt[n])
 	}
-	sh.buildFromPins(pinLists)
-	copy(sh.NWt, netWts)
+	sh.indexVertices()
 	return sh, ids
 }
 
-func hGreedyGrow(h *Hypergraph, leftFrac float64) []uint8 {
-	nv := h.NV()
-	p := make([]uint8, nv)
-	for i := range p {
-		p[i] = 1
+func (h *Hypergraph) seed(*workspace) int32 { return 0 }
+
+// neighbors appends every pin of every net of v to buf: v itself and
+// repeats included, which the callers' visited marks absorb.
+func (h *Hypergraph) neighbors(v int32, buf []int32) []int32 {
+	for _, n := range h.nets(v) {
+		buf = append(buf, h.pins(n)...)
 	}
-	if nv == 0 {
-		return p
-	}
-	total := 0.0
-	for _, w := range h.VWt {
-		total += w
-	}
-	target := total * leftFrac
-	acc := 0.0
-	visited := make([]bool, nv)
-	queue := []int32{0}
-	visited[0] = true
-	for len(queue) > 0 && acc < target {
-		v := queue[0]
-		queue = queue[1:]
-		p[v] = 0
-		acc += h.VWt[v]
-		for j := h.VX[v]; j < h.VX[v+1]; j++ {
-			n := h.Nets[j]
-			for pj := h.NX[n]; pj < h.NX[n+1]; pj++ {
-				u := h.Pins[pj]
-				if !visited[u] {
-					visited[u] = true
-					queue = append(queue, u)
-				}
-			}
-		}
-		if len(queue) == 0 && acc < target {
-			for u := 0; u < nv; u++ {
-				if !visited[u] {
-					visited[u] = true
-					queue = append(queue, int32(u))
-					break
-				}
-			}
-		}
-	}
-	return p
+	return buf
 }
 
-// hFMRefine improves a hypergraph bisection with FM passes using the
-// standard net-based gain: moving v helps when it empties its side of a
-// net and hurts when it breaks a pure net.
-func hFMRefine(h *Hypergraph, p []uint8, leftFrac float64, passes int) {
-	nv := h.NV()
-	total := 0.0
-	maxVW := 0.0
-	for _, w := range h.VWt {
-		total += w
-		if w > maxVW {
-			maxVW = w
+// beginPass counts each net's pins per side of ws.side into ws.cnt.
+func (h *Hypergraph) beginPass(ws *workspace) {
+	cnt := ws.cnt[:h.NN()]
+	clear(cnt)
+	for n := range cnt {
+		for _, v := range h.pins(int32(n)) {
+			cnt[n][ws.side[v]]++
 		}
 	}
-	target := total * leftFrac
-	tol := total * 0.02
-	if maxVW > tol {
-		tol = maxVW
-	}
-	// side counts per net
-	cnt := make([][2]int32, h.NN())
-	recount := func() {
-		for n := range cnt {
-			cnt[n] = [2]int32{}
-		}
-		for n := 0; n < h.NN(); n++ {
-			for j := h.NX[n]; j < h.NX[n+1]; j++ {
-				cnt[n][p[h.Pins[j]]]++
-			}
-		}
-	}
-	gain := func(v int32) float64 {
-		g := 0.0
-		from := p[v]
-		to := from ^ 1
-		for j := h.VX[v]; j < h.VX[v+1]; j++ {
-			n := h.Nets[j]
-			if cnt[n][from] == 1 && cnt[n][to] > 0 {
-				g += h.NWt[n]
-			}
-			if cnt[n][to] == 0 {
-				g -= h.NWt[n]
-			}
-		}
-		return g
-	}
-	leftW := 0.0
-	for v := 0; v < nv; v++ {
-		if p[v] == 0 {
-			leftW += h.VWt[v]
+}
+
+// gain is the standard net-based FM gain: moving v helps when it empties
+// its side of a cut net and hurts when it cuts a pure one.
+func (h *Hypergraph) gain(v int32, ws *workspace) (gain float64, boundary bool) {
+	from := ws.side[v]
+	for _, n := range h.nets(v) {
+		switch c := ws.cnt[n]; {
+		case c[from^1] == 0:
+			gain -= h.NWt[n]
+		case c[from] == 1:
+			gain += h.NWt[n]
+			boundary = true
+		default:
+			boundary = true
 		}
 	}
-	ver := make([]int64, nv)
-	for pass := 0; pass < passes; pass++ {
-		recount()
-		var hp gainHeap
-		moved := make([]bool, nv)
-		for v := int32(0); v < int32(nv); v++ {
-			onBoundary := false
-			for j := h.VX[v]; j < h.VX[v+1]; j++ {
-				n := h.Nets[j]
-				if cnt[n][0] > 0 && cnt[n][1] > 0 {
-					onBoundary = true
-					break
-				}
-			}
-			if onBoundary {
-				hp.PushItem(gainItem{v: v, gain: gain(v), ver: ver[v]})
-			}
-		}
-		var seq []int32
-		cum, best := 0.0, 0.0
-		bestLen := 0
-		for hp.Len() > 0 {
-			it := hp.PopItem()
-			if moved[it.v] || it.ver != ver[it.v] {
-				continue
-			}
-			w := h.VWt[it.v]
-			newLeft := leftW
-			if p[it.v] == 0 {
-				newLeft -= w
-			} else {
-				newLeft += w
-			}
-			if newLeft < target-tol || newLeft > target+tol {
-				continue
-			}
-			gv := gain(it.v)
-			if gv < it.gain-1e-12 {
-				ver[it.v]++
-				hp.PushItem(gainItem{v: it.v, gain: gv, ver: ver[it.v]})
-				continue
-			}
-			from := p[it.v]
-			p[it.v] ^= 1
-			leftW = newLeft
-			moved[it.v] = true
-			for j := h.VX[it.v]; j < h.VX[it.v+1]; j++ {
-				n := h.Nets[j]
-				cnt[n][from]--
-				cnt[n][from^1]++
-				for pj := h.NX[n]; pj < h.NX[n+1]; pj++ {
-					u := h.Pins[pj]
-					if !moved[u] {
-						ver[u]++
-						hp.PushItem(gainItem{v: u, gain: gain(u), ver: ver[u]})
-					}
-				}
-			}
-			seq = append(seq, it.v)
-			cum += gv
-			if cum > best {
-				best = cum
-				bestLen = len(seq)
-			}
-			if len(seq)-bestLen > 200 {
-				break
-			}
-		}
-		for i := len(seq) - 1; i >= bestLen; i-- {
-			v := seq[i]
-			if p[v] == 0 {
-				leftW -= h.VWt[v]
-			} else {
-				leftW += h.VWt[v]
-			}
-			p[v] ^= 1
-		}
-		if best <= 0 {
-			break
+	return gain, boundary
+}
+
+// moved moves v's pin in each of its nets to the side v is now on and
+// requeues that net's pins before the next net's counts change.
+func (h *Hypergraph) moved(v int32, ws *workspace) {
+	to := ws.side[v]
+	for _, n := range h.nets(v) {
+		ws.cnt[n][to^1]--
+		ws.cnt[n][to]++
+		for _, u := range h.pins(n) {
+			requeue(h, ws, u)
 		}
 	}
 }

@@ -1,6 +1,7 @@
 package zpart
 
 import (
+	"fmt"
 	"testing"
 
 	"github.com/fastmath/pumi-go/internal/gmi"
@@ -261,7 +262,7 @@ func maxf(a, b float64) float64 {
 func TestCoarseningPreservesTotals(t *testing.T) {
 	m := testMesh(t, 4)
 	g, _ := DualGraph(m)
-	cg, cmap := g.coarsen()
+	cg, cmap := g.coarsen(newWorkspace(g.N(), 0))
 	if cg.N() >= g.N() {
 		t.Fatalf("no coarsening: %d -> %d", g.N(), cg.N())
 	}
@@ -274,7 +275,7 @@ func TestCoarseningPreservesTotals(t *testing.T) {
 		}
 	}
 	h, _ := ElementHypergraph(m, 0)
-	ch, hmap := h.coarsen()
+	ch, hmap := h.coarsen(newWorkspace(h.NV(), h.NN()))
 	if ch.NV() >= h.NV() {
 		t.Fatalf("no hypergraph coarsening: %d -> %d", h.NV(), ch.NV())
 	}
@@ -295,5 +296,51 @@ func TestCoarseningPreservesTotals(t *testing.T) {
 		if ch.NX[n+1]-ch.NX[n] < 2 {
 			t.Fatal("singleton coarse net")
 		}
+	}
+}
+
+// TestPartCountGuard: a part count below one used to recurse until the
+// stack overflowed (k/2 == 0 never reaches k == 1), which no caller can
+// recover from; the shared driver panics the way RCB does. One part is
+// the other edge: everything lands in part 0 without a bisection.
+func TestPartCountGuard(t *testing.T) {
+	m := testMesh(t, 2)
+	g, _ := DualGraph(m)
+	h, _ := ElementHypergraph(m, 0)
+	in, _ := Centroids(m)
+	for name, run := range map[string]func(k int) []int32{
+		"MLGraph": func(k int) []int32 { return MLGraph(g, k) },
+		"PHG":     func(k int) []int32 { return PHG(h, k) },
+		"RCB":     func(k int) []int32 { return RCB(in, k) },
+	} {
+		for _, k := range []int{0, -2} {
+			func() {
+				defer func() {
+					if got, want := recover(), fmt.Sprintf("zpart: nparts = %d", k); got != want {
+						t.Errorf("%s(%d) panicked %v, want %q", name, k, got, want)
+					}
+				}()
+				run(k)
+			}()
+		}
+		for i, p := range run(1) {
+			if p != 0 {
+				t.Fatalf("%s(1): element %d in part %d", name, i, p)
+			}
+		}
+	}
+}
+
+// TestMLGraphAllocs pins the allocation count of one MLGraph call on the
+// pipeline benchmark's mesh: what is left is the graphs of each level,
+// the side arrays and one workspace. The boxed heap and the per-level
+// maps made 338,429.
+func TestMLGraphAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under -race")
+	}
+	g, _ := DualGraph(meshgen.Vessel3D(gmi.Vessel(10, 1, 0.6, 1.2), 36, 12))
+	if got := testing.AllocsPerRun(2, func() { MLGraph(g, 16) }); got > 10000 {
+		t.Fatalf("MLGraph(31k tets, 16 parts) made %.0f allocations, want <= 10000", got)
 	}
 }
