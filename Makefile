@@ -49,6 +49,11 @@ bench-go:
 # SAMPLE=inuse_space prints what is still live when the benchmark ends
 # instead — BenchmarkMigration keeps its last iteration's parts — which
 # is the footprint by the function that made each array.
+# BENCH=BenchmarkRepartitionCycle is one bulk A->B->A + Verify cycle of
+# the pipeline benchmark's repartition-vessel16: only the cycle runs
+# under the timer, but the profile also holds the set-up (zpart, the
+# scatter), so read the partition/mesh/pcu rows and divide by 21 — the
+# iterations plus the warm-up.
 BENCH ?= BenchmarkMigration$$
 SAMPLE ?= alloc_space
 memprofile:
@@ -56,17 +61,21 @@ memprofile:
 	$(GO) tool pprof -sample_index=$(SAMPLE) -top -nodecount=15 -hide '^slices\.' /tmp/pumi-memprofile.test /tmp/pumi-memprofile.out
 
 # One-iteration compile-and-run of every benchmark — catches bit-rotted
-# benchmark code without paying for a measurement.
+# benchmark code without paying for a measurement. Of the root package's
+# paper benchmarks only the migration ones run: the rest take minutes.
 bench-smoke:
 	$(GO) test -run '^$$' -bench=. -benchtime=1x ./internal/pcu/... ./internal/mesh/ ./internal/field/ ./internal/zpart/
+	$(GO) test -run '^$$' -bench 'Migration|RepartitionCycle|Ghosting' -benchtime=1x .
 
 # Five seconds of native fuzzing on each decoder of outside bytes that
-# has a target (today the assignment file; ROADMAP item 1(f) lists the
-# rest). The committed corpus under testdata/fuzz runs with every plain
-# `go test`; this lane is the part that looks for new inputs. A crasher
-# is written next to the corpus: fix it and commit the file as a seed.
+# has a target (today the assignment file and the message Reader; ROADMAP
+# item 1(f) lists the rest). The committed corpus under testdata/fuzz
+# runs with every plain `go test`; this lane is the part that looks for
+# new inputs. A crasher is written next to the corpus: fix it and commit
+# the file as a seed.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzReadAssignment -fuzztime 5s ./internal/meshio
+	$(GO) test -run '^$$' -fuzz FuzzReader -fuzztime 5s ./internal/pcu
 
 # The pipeline benchmark is a Go module of its own (bench/go.mod), so
 # the lanes above never build it: run its unit tests and -quick smoke,

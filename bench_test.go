@@ -228,6 +228,87 @@ func BenchmarkMigration(b *testing.B) {
 	}
 }
 
+// BenchmarkRepartitionCycle replays the timed cycle of the pipeline
+// benchmark's repartition-vessel16 workload: the 31,104-tet vessel on 2
+// on-node ranks x 8 parts, migrated from assignment A (multilevel graph)
+// to B (coordinate bisection) and back, then verified. Only the two
+// TryMigrate calls and Verify run under the timer — plans are built with
+// it stopped, after one warm-up cycle — so B/op / 31,104 is the
+// harness's alloc_bytes_per_element, and `make memprofile
+// BENCH=BenchmarkRepartitionCycle` shows where a cycle's bytes go.
+func BenchmarkRepartitionCycle(b *testing.B) {
+	const k = 8
+	model, serial := benchVessel(b, 36, 12)
+	g, elsA := zpart.DualGraph(serial)
+	assignA := zpart.MLGraph(g, 2*k)
+	in, elsB := zpart.Centroids(serial)
+	assignB := zpart.RCB(in, 2*k)
+	b.ReportAllocs()
+	b.StopTimer()
+	_, err := pcu.RunOn(2, hwtopo.Cluster(1, 2), func(ctx *pcu.Ctx) error {
+		var sm *mesh.Mesh
+		if ctx.Rank() == 0 {
+			sm = serial
+		}
+		dm := partition.Adopt(ctx, model.Model, 3, sm, k)
+		var destA, destB []int32 // destination part by element global id
+		if ctx.Rank() == 0 {
+			destA, destB = make([]int32, len(elsA)), make([]int32, len(elsB))
+			for i, el := range elsA {
+				destA[dm.Parts[0].Gid(el)] = assignA[i]
+			}
+			for i, el := range elsB {
+				destB[dm.Parts[0].Gid(el)] = assignB[i]
+			}
+		}
+		destA, destB = pcu.Bcast(ctx, 0, destA), pcu.Bcast(ctx, 0, destB)
+		planTo := func(dest []int32) []partition.Plan {
+			plans := make([]partition.Plan, len(dm.Parts))
+			for i, p := range dm.Parts {
+				plans[i] = partition.Plan{}
+				for el := range p.M.Elements() {
+					if d := dest[p.Gid(el)]; d != p.M.Part() {
+						plans[i][el] = d
+					}
+				}
+			}
+			return plans
+		}
+		// timed runs f on every rank with rank 0 holding the stopwatch
+		// between two barriers.
+		timed := func(on bool, f func() error) error {
+			ctx.Barrier()
+			if on && ctx.Rank() == 0 {
+				b.StartTimer()
+			}
+			err := f()
+			ctx.Barrier()
+			if on && ctx.Rank() == 0 {
+				b.StopTimer()
+			}
+			return err
+		}
+		if err := partition.TryMigrate(dm, planTo(destA)); err != nil {
+			return err
+		}
+		for i := -1; i < b.N; i++ { // cycle -1 is the warm-up
+			for _, dest := range [][]int32{destB, destA} {
+				plans := planTo(dest)
+				if err := timed(i >= 0, func() error { return partition.TryMigrate(dm, plans) }); err != nil {
+					return err
+				}
+			}
+			if err := timed(i >= 0, func() error { return partition.Verify(dm) }); err != nil {
+				return err
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+}
+
 func BenchmarkGhosting(b *testing.B) {
 	model := gmi.Box(1, 1, 1)
 	b.ResetTimer()

@@ -51,7 +51,7 @@ var finalizeMethods = map[string]bool{
 var packMethods = map[string]bool{
 	"Byte": true, "Int32": true, "Int64": true, "Float64": true,
 	"Bytes": true, "Int32s": true, "Int64s": true, "Float64s": true,
-	"Reset": true, "Grow": true,
+	"Reset": true, "Grow": true, "SetInt32": true,
 }
 
 // aliasMethods decode a slice that aliases the message's backing array;

@@ -173,6 +173,58 @@ func (m *Mesh) adjacentUp(e Ent, dim int, buf []Ent) []Ent {
 	return buf
 }
 
+// ClosureTo appends e's downward closure to buf as packed handles and
+// returns it: what AdjacentTo(e, dd) yields for every dd below e's
+// dimension — vertices, edges, faces, ascending as a whole — gathered in
+// one downward pass through stack scratch.
+func (m *Mesh) ClosureTo(e Ent, buf []uint32) []uint32 {
+	var levels [3][downStack]uint32
+	var n [3]int
+	top := [1]uint32{e.Pack()}
+	cur := top[:]
+	for d := e.Dim() - 1; d >= 0; d-- {
+		next := levels[d][:0]
+		for _, w := range cur {
+			c := unpack(w)
+			td := &m.td[c.T]
+			base := int(c.I) * td.degree
+			for j, t := range downTypes[c.T] {
+				if p := (Ent{T: t, I: td.down[base+j]}).Pack(); !slices.Contains(next, p) {
+					next = append(next, p)
+				}
+			}
+		}
+		slices.Sort(next)
+		cur, n[d] = next, len(next)
+	}
+	for d := 0; d < e.Dim(); d++ {
+		buf = append(buf, levels[d][:n[d]]...)
+	}
+	return buf
+}
+
+// SortEnts sorts ents ascending in Ent.Less order, as packed words: word
+// order is Ent.Less order, and comparing words beats calling Ent.Compare.
+// Up to adjStack handles sort in stack scratch; a longer list in scratch,
+// grown if too short and returned for the caller to keep, so that its
+// next call allocates nothing. ents must not hold NilEnt.
+func SortEnts(ents []Ent, scratch []uint32) []uint32 {
+	var stack [adjStack]uint32
+	words := stack[:0]
+	if len(ents) > len(stack) {
+		scratch = slices.Grow(scratch[:0], len(ents))
+		words = scratch
+	}
+	for _, e := range ents {
+		words = append(words, e.Pack())
+	}
+	slices.Sort(words)
+	for i, w := range words {
+		ents[i] = unpack(w)
+	}
+	return scratch
+}
+
 // BridgeAdjacent returns the second-order adjacency of e, freshly
 // allocated; see BridgeAdjacentTo.
 func (m *Mesh) BridgeAdjacent(e Ent, bridgeDim, targetDim int) []Ent {
@@ -190,7 +242,7 @@ func (m *Mesh) BridgeAdjacentTo(e Ent, bridgeDim, targetDim int, buf []Ent) []En
 	for _, b := range m.AdjacentTo(e, bridgeDim, s[:0]) {
 		buf = m.AdjacentTo(b, targetDim, buf)
 	}
-	slices.SortFunc(buf[start:], Ent.Compare)
+	SortEnts(buf[start:], nil)
 	buf = buf[:start+len(slices.Compact(buf[start:]))]
 	if i := slices.Index(buf[start:], e); i >= 0 {
 		buf = slices.Delete(buf, start+i, start+i+1)

@@ -17,12 +17,15 @@ import "fmt"
 //
 // The up/down symmetry check is linear in the mesh size: a first sweep
 // counts the downward references each entity receives, a second walks
-// each use list once, verifying every use points back, appears only
-// once (per-slot stamps), and that the list length matches the
-// reference count. Point-back plus uniqueness plus equal cardinality
-// force the two relations to coincide without the per-reference list
-// scan, whose cost grows with vertex valence and made verification of
-// large parts quadratic.
+// each use list once, verifying that every use points back and that the
+// list is as long as the reference count, cutting the walk off one step
+// past it. That is complete for an intrusive list. A use is one (user,
+// slot) cell with one next pointer, and point-back ties it to the single
+// entity that slot names, so no use sits in two entities' lists; a use
+// met twice in its own list means the chain has looped, which never
+// ends and so trips the cut-off. Distinct uses, all pointing back, as
+// many as there are references: the two relations coincide — without
+// stamping every downward slot, which cost a word per slot per run.
 func (m *Mesh) CheckConsistency() error {
 	// Pass 1: downward references are live; tally how many references
 	// each entity receives.
@@ -49,18 +52,8 @@ func (m *Mesh) CheckConsistency() error {
 			}
 		}
 	}
-	// Pass 2: walk each use list once. stamp marks the (user, slot)
-	// pairs seen for the current entity, so duplicates are caught; the
-	// walk is cut off past the reference count, so a corrupt cyclic
-	// list terminates with an error instead of hanging.
-	var stamp [TypeCount][]int32
-	for t := Type(0); t < TypeCount; t++ {
-		stamp[t] = make([]int32, len(m.td[t].down))
-		for i := range stamp[t] {
-			stamp[t][i] = -1
-		}
-	}
-	var gen int32
+	// Pass 2: walk each use list once, cut off past the reference
+	// count so that a corrupt cyclic list ends in an error, not a hang.
 	for t := Type(0); t < TypeCount; t++ {
 		td := &m.td[t]
 		for i := int32(0); i < td.slots(); i++ {
@@ -79,10 +72,6 @@ func (m *Mesh) CheckConsistency() error {
 				if slot >= utd.degree || downTypes[ue.T][slot] != t || utd.down[idx] != i {
 					return fmt.Errorf("mesh: %v use by %v slot %d does not point back", e, ue, slot)
 				}
-				if stamp[ue.T][idx] == gen {
-					return fmt.Errorf("mesh: %v has duplicate use by %v slot %d", e, ue, slot)
-				}
-				stamp[ue.T][idx] = gen
 				if n++; n > want {
 					return fmt.Errorf("mesh: %v use list exceeds its %d downward references (corrupt or cyclic)", e, want)
 				}
@@ -90,7 +79,6 @@ func (m *Mesh) CheckConsistency() error {
 			if n != want {
 				return fmt.Errorf("mesh: %v has %d uses but %d downward references", e, n, want)
 			}
-			gen++
 		}
 	}
 	return nil

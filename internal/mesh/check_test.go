@@ -8,61 +8,40 @@ import (
 	"github.com/fastmath/pumi-go/internal/vec"
 )
 
-// corruptCase builds a single-tet mesh, lets corrupt damage it through
-// the internal arrays, and asserts CheckConsistency reports a message
-// containing want.
-func corruptCase(t *testing.T, want string, corrupt func(m *Mesh, tet Ent, vs []Ent)) {
+// corruptCase builds a single-tet mesh, damages it with the named
+// fixture, and asserts CheckConsistency reports the fixture's message.
+func corruptCase(t *testing.T, name string) {
 	t.Helper()
-	m := newTestMesh()
-	tet, vs := singleTet(m)
-	if err := m.CheckConsistency(); err != nil {
-		t.Fatalf("clean mesh rejected: %v", err)
+	for _, fx := range CorruptFixtures {
+		if fx.Name != name {
+			continue
+		}
+		m := newTestMesh()
+		singleTet(m)
+		if err := m.CheckConsistency(); err != nil {
+			t.Fatalf("clean mesh rejected: %v", err)
+		}
+		fx.Corrupt(m)
+		err := m.CheckConsistency()
+		if err == nil {
+			t.Fatalf("corruption %q not detected", name)
+		}
+		if !strings.Contains(err.Error(), fx.Want) {
+			t.Fatalf("error %q does not mention %q", err, fx.Want)
+		}
+		return
 	}
-	corrupt(m, tet, vs)
-	err := m.CheckConsistency()
-	if err == nil {
-		t.Fatalf("corruption %q not detected", want)
-	}
-	if !strings.Contains(err.Error(), want) {
-		t.Fatalf("error %q does not mention %q", err, want)
-	}
+	t.Fatalf("no fixture %q", name)
 }
 
-func TestCheckDetectsDeadDownward(t *testing.T) {
-	corruptCase(t, "is not alive", func(m *Mesh, tet Ent, vs []Ent) {
-		// Kill a vertex behind the adjacency structure's back.
-		m.td[Vertex].alive[vs[0].I] = false
-	})
-}
+func TestCheckDetectsDeadDownward(t *testing.T) { corruptCase(t, "dead downward") }
+func TestCheckDetectsMissingUse(t *testing.T)   { corruptCase(t, "missing use") }
+func TestCheckDetectsDanglingUse(t *testing.T)  { corruptCase(t, "dangling use") }
 
-func TestCheckDetectsMissingUse(t *testing.T) {
-	corruptCase(t, "downward references", func(m *Mesh, tet Ent, vs []Ent) {
-		// Drop an edge's use list: its vertices now have more downward
-		// references than uses.
-		e := m.td[Edge]
-		e.firstUse[0] = nilUse
-	})
-}
-
-func TestCheckDetectsDanglingUse(t *testing.T) {
-	corruptCase(t, "does not point back", func(m *Mesh, tet Ent, vs []Ent) {
-		// Swap two vertices' use lists: each now claims uses whose
-		// downward slots point at the other vertex.
-		td := &m.td[Vertex]
-		td.firstUse[vs[0].I], td.firstUse[vs[1].I] =
-			td.firstUse[vs[1].I], td.firstUse[vs[0].I]
-	})
-}
-
-func TestCheckDetectsCyclicUseList(t *testing.T) {
-	corruptCase(t, "duplicate use", func(m *Mesh, tet Ent, vs []Ent) {
-		// Make the use list of vs[0] loop back on itself; the stamp
-		// pass reports the revisit instead of walking forever.
-		td := &m.td[Vertex]
-		first := td.firstUse[vs[0].I]
-		m.setUseNext(first, first)
-	})
-}
+// The cyclic list has no use that fails a check of its own; the walk's
+// cut-off one step past the reference count is what reports it.
+func TestCheckDetectsCyclicUseList(t *testing.T) { corruptCase(t, "cyclic use list") }
+func TestCheckDetectsUseInTwoLists(t *testing.T) { corruptCase(t, "use in two lists") }
 
 func BenchmarkCheckConsistency(b *testing.B) {
 	// A structured tet block large enough that the old

@@ -278,8 +278,22 @@ func TestKernelMatchesBruteForce(t *testing.T) {
 			// what was there alone.
 			prefix := []mesh.Ent{{T: mesh.Hex, I: 12345}}
 			buf := make([]mesh.Ent, 0, 64)
+			words := make([]uint32, 0, 64)
 			for d := 0; d <= m.Dim(); d++ {
 				for e := range m.Iter(d) {
+					// The one-pass closure is AdjacentTo per lower dimension.
+					var closure []mesh.Ent
+					for dim := 0; dim < d; dim++ {
+						closure = append(closure, refAdjacent(m, e, dim)...)
+					}
+					words = m.ClosureTo(e, append(words[:0], prefix[0].Pack()))
+					got := make([]mesh.Ent, len(words))
+					for i, w := range words {
+						got[i] = mesh.UnpackEnt(w)
+					}
+					if !slices.Equal(got[:1], prefix) || !slices.Equal(got[1:], closure) {
+						t.Fatalf("ClosureTo(%v) = %v, want %v", e, got[1:], closure)
+					}
 					for dim := 0; dim <= m.Dim(); dim++ {
 						want := refAdjacent(m, e, dim)
 						buf = m.AdjacentTo(e, dim, append(buf[:0], prefix...))
@@ -704,6 +718,7 @@ func TestKernelZeroAlloc(t *testing.T) {
 	m := meshgen.Box3D(gmi.Box(1, 1, 1), 4, 4, 4)
 	v, rgn, edge := interior(m)
 	buf := make([]mesh.Ent, 0, 256)
+	words := make([]uint32, 0, 32)
 	hit := m.Verts(rgn)
 	miss := slices.Clone(hit)
 	for x := range m.Iter(0) {
@@ -718,6 +733,7 @@ func TestKernelZeroAlloc(t *testing.T) {
 		"AdjacentTo rgn→vtx":      func() { buf = m.AdjacentTo(rgn, 0, buf[:0]) },
 		"AdjacentTo edge→rgn":     func() { buf = m.AdjacentTo(edge, 3, buf[:0]) },
 		"BridgeAdjacentTo rgn":    func() { buf = m.BridgeAdjacentTo(rgn, 2, 3, buf[:0]) },
+		"ClosureTo rgn":           func() { words = m.ClosureTo(rgn, words[:0]) },
 		"VertsTo rgn":             func() { buf = m.VertsTo(rgn, buf[:0]) },
 		"UpCount vtx":             func() { sink += m.UpCount(v) },
 		"UpCount edge":            func() { sink += m.UpCount(edge) },
@@ -761,6 +777,41 @@ func TestKernelZeroAlloc(t *testing.T) {
 		t.Errorf("AdjacentTo vtx→rgn into a nil buffer: %v allocs/op, want 1", got)
 	}
 	_ = sink
+}
+
+// TestSortEntsMatchesCompare sorts seeded handles over all eight types,
+// the last index a type can hold among them, and checks SortEnts against
+// slices.SortFunc with Ent.Compare: short lists in its stack scratch,
+// long ones in the caller's, which it grows once and then reuses without
+// allocating.
+func TestSortEntsMatchesCompare(t *testing.T) {
+	rng := rand.New(rand.NewSource(22))
+	var scratch []uint32
+	for _, n := range []int{0, 1, 7, 128, 129, 5000} {
+		ents := make([]mesh.Ent, n)
+		for i := range ents {
+			ents[i] = mesh.Ent{T: mesh.Type(rng.Intn(int(mesh.TypeCount))), I: int32(rng.Intn(40))}
+			if rng.Intn(8) == 0 {
+				ents[i].I = mesh.MaxSlots - 1 - int32(rng.Intn(2))
+			}
+		}
+		want := slices.Clone(ents)
+		slices.SortFunc(want, mesh.Ent.Compare)
+		shuffled := slices.Clone(ents)
+		scratch = mesh.SortEnts(ents, scratch)
+		if !slices.Equal(ents, want) {
+			t.Fatalf("n=%d: SortEnts and SortFunc(Ent.Compare) disagree", n)
+		}
+		if raceEnabled {
+			continue
+		}
+		if got := testing.AllocsPerRun(10, func() {
+			copy(ents, shuffled)
+			scratch = mesh.SortEnts(ents, scratch)
+		}); got != 0 {
+			t.Errorf("n=%d: %v allocs/op with the caller's scratch, want 0", n, got)
+		}
+	}
 }
 
 // TestReserve pins Reserve's contract: it returns the slot count the

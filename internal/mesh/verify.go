@@ -61,6 +61,7 @@ func VerifyParallel(c *pcu.Ctx, ms ...*Mesh) error {
 	var peers []int32 // remote-part scratch
 	var down [6]Ent
 	for _, m := range ms {
+		c.Count("mesh.consistency-checks", 1)
 		record(m.CheckConsistency())
 		for el := range m.Elements() {
 			if m.IsShared(el) {

@@ -152,7 +152,7 @@ func closureOf(m *mesh.Mesh, els []mesh.Ent, dim int, buf []mesh.Ent) []mesh.Ent
 	for _, el := range els {
 		buf = m.AdjacentTo(el, dim, buf)
 	}
-	slices.SortFunc(buf, mesh.Ent.Compare)
+	mesh.SortEnts(buf, nil) // a cavity's closure sorts in stack scratch
 	return slices.Compact(buf)
 }
 

@@ -3,6 +3,7 @@ package partition
 import (
 	"errors"
 	"fmt"
+	"strings"
 	"testing"
 	"time"
 
@@ -174,5 +175,91 @@ func TestTryMigrateCleanPathUnchanged(t *testing.T) {
 	})
 	if err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestTryMigrateRejectsBadPlan hands TryMigrate a plan no migration can
+// carry out — on rank 1 only, rank 0's being good or empty — and checks
+// that every rank gets the same ErrMigrateAborted naming rank 1 and the
+// cause, nothing having moved, instead of one rank panicking while its
+// peer waits in the exchange.
+func TestTryMigrateRejectsBadPlan(t *testing.T) {
+	firstOf := func(m *mesh.Mesh, dim int) mesh.Ent {
+		for e := range m.Iter(dim) {
+			return e
+		}
+		panic("empty part")
+	}
+	cases := []struct {
+		name, cause string
+		bad         func(dm *DMesh) []Plan // rank 1's plans
+	}{
+		{"no such slot", "not alive", func(dm *DMesh) []Plan {
+			return []Plan{{{T: mesh.Tet, I: 1 << 20}: 0}}
+		}},
+		{"migrated away", "not alive", nil}, // built below, once the element has left
+		{"not an element", "non-element", func(dm *DMesh) []Plan {
+			return []Plan{{firstOf(dm.Parts[0].M, 2): 0}}
+		}},
+		{"destination out of range", "invalid part 2", func(dm *DMesh) []Plan {
+			return []Plan{{firstOf(dm.Parts[0].M, 3): 2}}
+		}},
+		{"negative destination", "invalid part -1", func(dm *DMesh) []Plan {
+			return []Plan{{firstOf(dm.Parts[0].M, 3): -1}}
+		}},
+		{"more plans than parts", "2 plans for 1 local parts", func(dm *DMesh) []Plan {
+			return []Plan{{firstOf(dm.Parts[0].M, 3): 0}, {}}
+		}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			err := pcu.Run(2, func(ctx *pcu.Ctx) error {
+				dm, good := abortSetup(ctx)
+				plans := good // rank 0 moves its part away in the same call
+				if ctx.Rank() == 1 && tc.bad != nil {
+					plans = tc.bad(dm)
+				}
+				if tc.bad == nil {
+					// Send one of rank 1's elements to part 0, then plan
+					// it again by the handle it no longer has.
+					var gone mesh.Ent
+					plans = make([]Plan, 1)
+					if ctx.Rank() == 1 {
+						gone = firstOf(dm.Parts[0].M, 3)
+						plans[0] = Plan{gone: 0}
+					}
+					if err := TryMigrate(dm, plans); err != nil {
+						return err
+					}
+				}
+				before := entCounts(dm)
+				err := TryMigrate(dm, plans)
+				if !errors.Is(err, ErrMigrateAborted) {
+					return fmt.Errorf("rank %d: want ErrMigrateAborted, got %v", ctx.Rank(), err)
+				}
+				for _, want := range []string{"rank 1: ", tc.cause} {
+					if !strings.Contains(err.Error(), want) {
+						return fmt.Errorf("rank %d: %q does not mention %q", ctx.Rank(), err, want)
+					}
+				}
+				if all := pcu.Allgather(ctx, err.Error()); all[0] != all[1] {
+					return fmt.Errorf("the ranks disagree: %q vs %q", all[0], all[1])
+				}
+				if got := entCounts(dm); got != before {
+					return fmt.Errorf("rank %d: entity counts changed across abort: %v -> %v", ctx.Rank(), before, got)
+				}
+				if err := Verify(dm); err != nil {
+					return fmt.Errorf("rank %d: mesh broken after the abort: %v", ctx.Rank(), err)
+				}
+				_, retry := abortSetup2(dm, ctx)
+				if err := TryMigrate(dm, retry); err != nil {
+					return fmt.Errorf("rank %d: good plan after the abort: %v", ctx.Rank(), err)
+				}
+				return Verify(dm)
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+		})
 	}
 }

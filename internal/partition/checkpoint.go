@@ -3,7 +3,6 @@ package partition
 import (
 	"fmt"
 	"sort"
-	"strings"
 
 	"github.com/fastmath/pumi-go/internal/gmi"
 	"github.com/fastmath/pumi-go/internal/mesh"
@@ -62,48 +61,18 @@ func Assemble(ctx *pcu.Ctx, model *gmi.Model, dim, k int, parts []*Part, res []m
 				if q == self {
 					continue
 				}
-				b := ph.to(self, q)
-				b.Byte(byte(e.Dim()))
-				b.Int64(part.Gid(e))
-				b.Byte(byte(e.T))
-				b.Int32(e.I)
+				packStitch(ph.to(self, q), part, e)
 			}
 		}
 	}
 	// Restitching records remote links on entities owned elsewhere;
-	// sanctioned for the sanitizer.
+	// sanctioned for the sanitizer. A residence entry naming a part that
+	// holds no copy fails the stage.
 	resume := dm.suspendGuards()
-	localErr := catchStage(func() {
-		for _, msg := range ph.exchange() {
-			part := dm.LocalPart(msg.To)
-			for !msg.Data.Empty() {
-				dd := int(msg.Data.Byte())
-				gid := msg.Data.Int64()
-				rt := mesh.Type(msg.Data.Byte())
-				ri := msg.Data.Int32()
-				e, ok := part.FindGid(dd, gid)
-				if !ok {
-					panic(migrateLocalError{fmt.Errorf(
-						"partition: checkpoint names part %d in the residence of gid %d dim %d, but that part holds no copy",
-						msg.To, gid, dd)})
-				}
-				part.M.SetRemote(e, msg.From, mesh.Ent{T: rt, I: ri})
-			}
-		}
-	})
+	localErr := catchStage(ph.applyStitches)
 	resume()
-	s := ""
-	if localErr != nil {
-		s = localErr.Error()
-	}
-	var causes []string
-	for r, m := range pcu.Allgather(ctx, s) {
-		if m != "" {
-			causes = append(causes, fmt.Sprintf("rank %d: %s", r, m))
-		}
-	}
-	if len(causes) > 0 {
-		return nil, fmt.Errorf("partition: assembling checkpoint: %s", strings.Join(causes, "; "))
+	if causes := gatherCauses(ctx, localErr); causes != "" {
+		return nil, fmt.Errorf("partition: assembling checkpoint: %s", causes)
 	}
 	return dm, nil
 }

@@ -233,10 +233,13 @@ func (dm *DMesh) Meshes() []*mesh.Mesh {
 }
 
 // Verify runs the full distributed verification (collective): the
-// gid-based CheckDistributed plus the link-symmetry VerifyParallel of
-// the mesh layer. Parallel test paths end with this.
+// gid-based checks of CheckDistributed plus the link-symmetry
+// VerifyParallel of the mesh layer. Both exchange the remote-copy links
+// — one checks them against global ids and the compiled plans, the other
+// against ghosts and closures — but the local sweep they share runs once
+// per part, in VerifyParallel. Parallel test paths end with this.
 func Verify(dm *DMesh) error {
-	if err := CheckDistributed(dm); err != nil {
+	if err := checkDistributed(dm, false); err != nil {
 		return err
 	}
 	return mesh.VerifyParallel(dm.Ctx, dm.Meshes()...)
@@ -268,10 +271,15 @@ type partWriter struct {
 type phase struct {
 	dm      *DMesh
 	writers []*partWriter
+	// need is, per destination rank, the bytes the next exchange is known
+	// to send there; rankBuf reserves them at the first write.
+	need []int
 }
 
 // beginPhase starts the part-addressed communication of one call.
-func (dm *DMesh) beginPhase() *phase { return &phase{dm: dm} }
+func (dm *DMesh) beginPhase() *phase {
+	return &phase{dm: dm, need: make([]int, dm.Ctx.Size())}
+}
 
 // to returns the buffer for messages from one local part to any part
 // (local or remote) in the next exchange; a pair nothing is packed for
@@ -287,6 +295,17 @@ func (ph *phase) to(fromPart, toPart int32) *pcu.Buffer {
 	return &ph.writers[i].buf
 }
 
+// rankBuf returns the next exchange's buffer to rank r, reserved on
+// first use at need[r]. A bulk sender adds its messages to need — a
+// 12-byte (from, to, length) header each, then the payload — and writes
+// them here itself, not through a pair buffer that exchange would copy.
+func (ph *phase) rankBuf(r int) *pcu.Buffer {
+	b := ph.dm.Ctx.To(r)
+	b.Grow(ph.need[r])
+	ph.need[r] = 0
+	return b
+}
+
 // partMsg is one received part-to-part payload.
 type partMsg struct {
 	From, To int32
@@ -298,26 +317,23 @@ type partMsg struct {
 // the phase is then ready for the next round. Collective across ranks.
 //
 // Each rank buffer is reserved once, at the sum of its pairs' 12-byte
-// headers and payloads. The rank-level Messages are deliberately never
+// headers and payloads plus what was written to it directly (rankBuf).
+// The rank-level Messages are deliberately never
 // Done: that would park their arrays in Ctx's free list, which after a
 // bulk migration pins about 2.5 MB per rank (+160 B live per element on
 // repartition-vessel16). The returned payloads alias them.
 func (ph *phase) exchange() []partMsg {
 	dm := ph.dm
-	need := make([]int, dm.Ctx.Size())
 	for _, w := range ph.writers {
 		if w.buf.Len() > 0 {
-			need[dm.RankOf(w.to)] += 12 + w.buf.Len()
+			ph.need[dm.RankOf(w.to)] += 12 + w.buf.Len()
 		}
 	}
 	for _, w := range ph.writers {
 		if w.buf.Len() == 0 {
 			continue
 		}
-		r := dm.RankOf(w.to)
-		b := dm.Ctx.To(r)
-		b.Grow(need[r])
-		need[r] = 0
+		b := ph.rankBuf(dm.RankOf(w.to))
 		b.Int32(w.from)
 		b.Int32(w.to)
 		b.Bytes(w.buf.Raw())

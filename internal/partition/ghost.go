@@ -8,7 +8,6 @@ import (
 	"github.com/fastmath/pumi-go/internal/gmi"
 	"github.com/fastmath/pumi-go/internal/mesh"
 	"github.com/fastmath/pumi-go/internal/pcu"
-	"github.com/fastmath/pumi-go/internal/vec"
 )
 
 // Ghosting localizes read-only copies of off-part elements adjacent to
@@ -42,7 +41,7 @@ func Ghost(dm *DMesh, bridgeDim, layers int) {
 		// entities shared with q.
 		type seedSet struct {
 			in  mesh.Marks
-			els []mesh.Ent
+			els []uint64 // packed handles; sorted and shipped like a migration's moves
 		}
 		seeds := map[int32]*seedSet{}
 		for e := range m.PartBoundary(bridgeDim) {
@@ -56,7 +55,7 @@ func Ghost(dm *DMesh, bridgeDim, layers int) {
 				}
 				for _, el := range adj {
 					if !m.IsGhost(el) && set.in.Set(el) {
-						set.els = append(set.els, el)
+						set.els = append(set.els, uint64(el.Pack()))
 					}
 				}
 			}
@@ -74,18 +73,17 @@ func Ghost(dm *DMesh, bridgeDim, layers int) {
 			for l := 1; l < layers; l++ {
 				hi := len(set.els)
 				for _, el := range set.els[lo:hi] {
-					adj = m.BridgeAdjacentTo(el, bridgeDim, d, adj[:0])
+					adj = m.BridgeAdjacentTo(moveEnt(el), bridgeDim, d, adj[:0])
 					for _, nb := range adj {
 						if !m.IsGhost(nb) && set.in.Set(nb) {
-							set.els = append(set.els, nb)
+							set.els = append(set.els, uint64(nb.Pack()))
 						}
 					}
 				}
 				lo = hi
 			}
-			els := set.els
-			slices.SortFunc(els, mesh.Ent.Compare)
-			packGhosts(ph.to(m.Part(), q), part, els, d)
+			slices.Sort(set.els)
+			packGhosts(ph.to(m.Part(), q), part, set.els, d)
 		}
 	}
 	for _, msg := range ph.exchange() {
@@ -130,111 +128,44 @@ func Ghost(dm *DMesh, bridgeDim, layers int) {
 	dm.ghostPlan = nil
 }
 
-// packGhosts encodes elements plus closures like migration but with
-// owner info and the sender's element handle for back-linking.
-func packGhosts(b *pcu.Buffer, part *Part, els []mesh.Ent, d int) {
+// packGhosts encodes elements plus closures like migration (packRecords)
+// but with the owner where the residence goes, and after each element
+// the sender's handle for the back link.
+func packGhosts(b *pcu.Buffer, part *Part, els []uint64, d int) {
 	m := part.M
-	movable := writeTagTable(b, m)
 	seen := m.NewMarks()
-	var closure [3][]mesh.Ent
-	closureLevels(&closure, m, els, d, seen.Set)
-	var gids []int64 // down-adjacency gid scratch, bulk-packed per entity
-	var down []mesh.Ent
-	for dd := 0; dd <= d; dd++ {
-		level := els
-		if dd < d {
-			level = closure[dd]
-		}
-		b.Int32(int32(len(level)))
-		for _, e := range level {
-			b.Byte(byte(e.T))
-			b.Int64(part.Gid(e))
-			c := m.Classification(e)
-			b.Byte(byte(int8(c.Dim) + 1))
-			b.Int32(c.Tag)
-			b.Int32(m.Owner(e))
-			if dd == 0 {
-				p := m.Coord(e)
-				b.Float64(p.X)
-				b.Float64(p.Y)
-				b.Float64(p.Z)
-			} else {
-				down = m.DownTo(e, down[:0])
-				gids = gids[:0]
-				for _, de := range down {
-					gids = append(gids, part.Gid(de))
-				}
-				b.Int64s(gids)
-			}
-			writeEntityTags(b, m, movable, e)
-			if dd == d {
-				// Sender handle for the back link.
-				b.Byte(byte(e.T))
-				b.Int32(e.I)
-			}
-		}
+	closure := make([]uint32, 0, closureBound(m, els, d))
+	for _, el := range els {
+		closure = appendClosure(closure, m, moveEnt(el), seen.Set)
 	}
+	slices.Sort(closure)
+	packRecords(b, part, d, closure, els,
+		func(e mesh.Ent) { b.Int32(m.Owner(e)) },
+		func(el mesh.Ent) {
+			b.Byte(byte(el.T))
+			b.Int32(el.I)
+		})
 }
 
 func unpackGhosts(dm *DMesh, msg partMsg) {
-	part := dm.LocalPart(msg.To)
+	part, r := dm.LocalPart(msg.To), msg.Data
 	m := part.M
-	d := dm.Dim
-	r := msg.Data
-	table := readTagTable(r, m)
-	var gidScratch []int64 // down-adjacency gid decode scratch
-	var down []mesh.Ent    // and the handles they resolve to
-	for dd := 0; dd <= d; dd++ {
-		n := int(r.Int32())
-		for k := 0; k < n; k++ {
-			t := mesh.Type(r.Byte())
-			gid := r.Int64()
-			cls := readClassif(r)
-			owner := r.Int32()
-			var e mesh.Ent
-			created := false
-			if dd == 0 {
-				x, y, z := r.Float64(), r.Float64(), r.Float64()
-				var ok bool
-				e, ok = part.FindGid(0, gid)
-				if !ok {
-					e = m.CreateVertex(cls, vec.V{X: x, Y: y, Z: z})
-					part.setGid(e, gid)
-					created = true
-				}
-			} else {
-				gidScratch = r.AppendInt64s(gidScratch[:0])
-				down = down[:0]
-				for _, dg := range gidScratch {
-					de, ok := part.FindGid(dd-1, dg)
-					if !ok {
-						panic(fmt.Sprintf("partition: ghost closure gid %d missing", dg))
-					}
-					down = append(down, de)
-				}
-				var ok bool
-				e, ok = part.FindGid(dd, gid)
-				if !ok {
-					e = m.CreateEntity(t, cls, down)
-					part.setGid(e, gid)
-					created = true
-				}
-			}
-			applyEntityTags(r, m, table, e, created)
+	var owner int32
+	unpackRecords(part, r, dm.Dim, false,
+		func() { owner = r.Int32() },
+		func(e mesh.Ent, created bool) {
 			if created {
 				m.SetGhost(e, true)
 				m.SetOwner(e, owner)
 				part.nGhosts++
 			}
-			if dd == d {
+			if e.Dim() == dm.Dim {
 				home := mesh.Ent{T: mesh.Type(r.Byte()), I: r.Int32()}
 				if created {
 					part.ghostHome[e] = mesh.RemoteCopyRef{Part: msg.From, Ent: home}
 				}
 			}
-		}
-	}
-	r.Done()
+		})
 }
 
 // RemoveGhosts deletes every ghost entity from all local parts

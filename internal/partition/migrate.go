@@ -1,13 +1,11 @@
 package partition
 
 import (
-	"cmp"
 	"errors"
 	"fmt"
 	"slices"
 	"strings"
 
-	"github.com/fastmath/pumi-go/internal/gmi"
 	"github.com/fastmath/pumi-go/internal/mesh"
 	"github.com/fastmath/pumi-go/internal/pcu"
 	"github.com/fastmath/pumi-go/internal/vec"
@@ -26,6 +24,8 @@ var ErrMigrateAborted = errors.New("partition: migration aborted")
 // a migration stage; catchStage converts it to an error for the abort
 // vote instead of tearing the run down.
 type migrateLocalError struct{ err error }
+
+func (e migrateLocalError) Error() string { return e.err.Error() }
 
 // catchStage runs f, converting recoverable local failures — corrupt
 // off-node frames and staged-data validation — into a returned error.
@@ -54,35 +54,40 @@ func catchStage(f func()) (err error) {
 // voteAbort is the collective go/no-go decision after a staging step:
 // every rank contributes its local error (or none), and if any part of
 // the world failed, every rank returns the same abort error naming all
-// causes. The Allgather keeps the collective schedule aligned even when
-// only some ranks failed.
+// causes.
 func voteAbort(dm *DMesh, localErr error, stage string) error {
+	if causes := gatherCauses(dm.Ctx, localErr); causes != "" {
+		return fmt.Errorf("%w while %s: %s", ErrMigrateAborted, stage, causes)
+	}
+	return nil
+}
+
+// gatherCauses returns every rank's local error, by rank, the same
+// string on all of them, empty if none failed. The Allgather keeps the
+// collective schedule aligned even when only some ranks failed.
+func gatherCauses(ctx *pcu.Ctx, localErr error) string {
 	s := ""
 	if localErr != nil {
 		s = localErr.Error()
 	}
-	all := pcu.Allgather(dm.Ctx, s)
 	var causes []string
-	for r, m := range all {
+	for r, m := range pcu.Allgather(ctx, s) {
 		if m != "" {
 			causes = append(causes, fmt.Sprintf("rank %d: %s", r, m))
 		}
 	}
-	if len(causes) == 0 {
-		return nil
-	}
-	return fmt.Errorf("%w while %s: %s", ErrMigrateAborted, stage, strings.Join(causes, "; "))
+	return strings.Join(causes, "; ")
 }
 
 // rollbackCreated destroys the entities a migration staged onto each
 // part, newest first so no entity is removed before its upward
 // adjacencies. After rollback the mesh is exactly as before TryMigrate:
 // staging only ever creates entities, it never mutates existing ones.
-func rollbackCreated(dm *DMesh, created [][]mesh.Ent) {
-	for i, list := range created {
-		m := dm.Parts[i].M
-		for j := len(list) - 1; j >= 0; j-- {
-			m.Destroy(list[j])
+func rollbackCreated(parts []moving) {
+	for i := range parts {
+		p := &parts[i]
+		for j := len(p.created) - 1; j >= 0; j-- {
+			p.M.Destroy(mesh.UnpackEnt(p.created[j]))
 		}
 	}
 }
@@ -112,68 +117,130 @@ func Migrate(dm *DMesh, plans []Plan) {
 //
 // The steps are ordered stage-validate-commit: residence staging and
 // closure shipment only ever add entities, and each is followed by a
-// collective abort vote. A failure before commit (a corrupt off-node
-// frame, a closure that failed validation) rolls back the staged
-// entities on every rank and returns an error wrapping
-// ErrMigrateAborted, leaving the source DMesh Verify-intact. Only after
-// the votes pass does TryMigrate destroy migrated elements and restitch
-// remote links.
+// collective abort vote. A failure before commit (a plan naming a dead
+// or non-element entity or a part that does not exist, a corrupt
+// off-node frame, a closure that failed validation) rolls back the
+// staged entities on every rank and returns an error wrapping
+// ErrMigrateAborted that names rank and cause, leaving the source DMesh
+// Verify-intact. Only after the votes pass does TryMigrate destroy
+// migrated elements and restitch remote links.
 func TryMigrate(dm *DMesh, plans []Plan) error {
 	defer dm.Ctx.Span("partition.migrate").End()
 	tr := dm.Ctx.Trace()
-	d := dm.Dim
 	for _, part := range dm.Parts {
 		if part.nGhosts > 0 {
 			panic("partition: migration with ghosts present; call RemoveGhosts first")
 		}
 	}
+	mg := newMigration(dm)
+	defer mg.reset()
 
-	// Normalize plans: drop self-moves, validate. This is the one read of
-	// the Plan maps; from here every per-entity fact lives in the parts'
-	// residence tables. els[i] lists part i's moving elements by
-	// (destination, element), the order step 3 ships them in; a moving
-	// element's run is its destination.
-	tabs := make([]resTable, len(dm.Parts))
-	defer func() {
-		for i := range tabs {
-			tabs[i].reset()
-		}
-	}()
-	els := make([][]mesh.Ent, len(dm.Parts))
-	var moves []move // one part's normalized plan
-	var totalMoved int64
+	if err := voteAbort(dm, mg.stageResidence(plans), "staging residence updates"); err != nil {
+		// Nothing has been created or destroyed yet; the vote is the
+		// only cleanup needed.
+		tr.Point("migrate.abort", 1)
+		return err
+	}
+	tr.Point("migrate.residence-voted", 1)
+
+	mg.planShipment()
+	mg.writeShipment()
+	if err := voteAbort(dm, catchStage(mg.receiveElements), "shipping element closures"); err != nil {
+		rollbackCreated(mg.parts)
+		tr.Point("migrate.abort", 2)
+		return err
+	}
+	// Commit point reached: stage marks 1/2 are the abort votes passed,
+	// mark 3 is the irreversible destroy-and-restitch step starting. It
+	// rewrites links and ownership on entities this part does not own —
+	// that is the protocol, so sanctioned for the sanitizer.
+	tr.Point("migrate.commit", 3)
+	defer dm.suspendGuards()()
+	mg.commit()
+	dm.Ctx.Count("partition.migrated-elements", mg.moved)
+	tr.Point("migrate.moved-elements", mg.moved)
+	return nil
+}
+
+func (dm *DMesh) localIndex(part int32) int {
+	return int(part) - dm.Ctx.Rank()*dm.K
+}
+
+// migration is the state of one TryMigrate call; none of it outlives
+// the call.
+type migration struct {
+	dm    *DMesh
+	ph    *phase
+	parts []moving // indexed like dm.Parts
+	moved int64    // moving elements on this rank
+}
+
+func newMigration(dm *DMesh) *migration {
+	mg := &migration{dm: dm, ph: dm.beginPhase(), parts: make([]moving, len(dm.Parts))}
 	for i, part := range dm.Parts {
-		t := &tabs[i]
-		t.idx = &part.resIdx
-		if i >= len(plans) {
-			continue
-		}
-		moves = slices.Grow(moves[:0], len(plans[i]))
-		for el, q := range plans[i] {
-			if int(q) < 0 || int(q) >= dm.NParts() {
-				panic(fmt.Sprintf("partition: plan sends %v to invalid part %d", el, q))
-			}
-			if el.Dim() != d {
-				panic(fmt.Sprintf("partition: plan contains non-element %v", el))
-			}
-			if q != part.M.Part() {
-				moves = append(moves, move{el: el, to: q})
-			}
-		}
-		slices.SortFunc(moves, func(a, b move) int {
-			return cmp.Or(cmp.Compare(a.to, b.to), a.el.Compare(b.el))
-		})
-		els[i] = make([]mesh.Ent, len(moves))
-		for j, mv := range moves {
-			els[i][j] = mv.el
-		}
-		// The table will hold the moving elements and their closure.
-		bound := closureBound(part.M, els[i], d)
-		t.reserve(len(moves) + bound[0] + bound[1] + bound[2])
-		for _, mv := range moves {
-			t.add(mv.el, mv.to)
-		}
-		totalMoved += int64(len(moves))
+		mg.parts[i] = moving{Part: part, tab: resTable{idx: &part.resIdx}}
+	}
+	return mg
+}
+
+// reset returns the parts' index columns to all zero; deferred, so also
+// after an abort vote or a teardown panic.
+func (mg *migration) reset() {
+	for i := range mg.parts {
+		mg.parts[i].tab.reset()
+	}
+}
+
+// moving is one local part's share of a migration. Entity lists hold
+// packed handles (mesh.Ent.Pack) and are sorted as words: word order is
+// handle order, dimension by dimension.
+type moving struct {
+	*Part
+	tab resTable
+	// moves is the normalized plan, destination<<32 | element, ascending:
+	// a run per destination, in the order step 3 ships them.
+	moves []uint64
+	// closure is the downward closure of the moving elements, ascending:
+	// who announces in step 2 and who may be orphaned in step 4.
+	closure []uint32
+	// ship holds, run after run of moves, the closure the run ships: its
+	// length, then its entities ascending.
+	ship     []uint32
+	fresh    []mesh.Ent // shared entities first heard of in round one of step 2
+	arriving int        // bound on the records step 3 delivers here
+	created  []uint32   // entities step 3 created here, in creation order
+	fixes    []uint64   // entities step 5 restitches: new owner<<32 | entity
+}
+
+func moveEnt(mv uint64) mesh.Ent { return mesh.UnpackEnt(uint32(mv)) }
+
+// destRun returns the destination of moves[lo] and the end of its run.
+func destRun(moves []uint64, lo int) (q int32, hi int) {
+	q = int32(moves[lo] >> 32)
+	for hi = lo + 1; hi < len(moves) && int32(moves[hi]>>32) == q; hi++ {
+	}
+	return q, hi
+}
+
+// level returns the entities of dimension dd in an ascending list.
+func level(words []uint32, dd int) []uint32 {
+	lo, _ := slices.BinarySearch(words, mesh.Ent{T: mesh.TypesOfDim(dd)[0]}.Pack())
+	hi := len(words)
+	if dd < 3 {
+		hi, _ = slices.BinarySearch(words, mesh.Ent{T: mesh.TypesOfDim(dd + 1)[0]}.Pack())
+	}
+	return words[lo:hi]
+}
+
+// stageResidence is steps 1 and 2: it normalizes the plans and stages,
+// in every part's table, the new residence of each entity the moves
+// affect. A bad plan is this rank's vote to abort: the part it was found
+// on, and those after it, stage and ship nothing.
+func (mg *migration) stageResidence(plans []Plan) error {
+	dm, d, ph := mg.dm, mg.dm.Dim, mg.ph
+	var localErr error
+	if len(plans) > len(dm.Parts) {
+		localErr = fmt.Errorf("%d plans for %d local parts", len(plans), len(dm.Parts))
 	}
 
 	// Step 1: local residence contributions, computed only for the
@@ -191,17 +258,47 @@ func TryMigrate(dm *DMesh, plans []Plan) error {
 			t.add(e, dst)
 		}
 	}
-	// closures[i] is the downward closure of part i's moving elements,
-	// per dimension, ascending: who announces in step 2 and who may be
-	// orphaned in step 4.
-	closures := make([][3][]mesh.Ent, len(dm.Parts))
-	for i, part := range dm.Parts {
-		m, t := part.M, &tabs[i]
-		closureLevels(&closures[i], m, els[i], d, t.touch)
-		for _, level := range closures[i] {
-			for _, e := range level {
-				contribute(t, m, e)
+	for i := range mg.parts {
+		p := &mg.parts[i]
+		if i >= len(plans) || localErr != nil {
+			continue
+		}
+		// Drop self-moves, validate. This is the one read of the Plan map;
+		// from here every per-entity fact lives in the part's table, a
+		// moving element's run being its destination.
+		moves := make([]uint64, 0, len(plans[i]))
+		for el, q := range plans[i] {
+			switch {
+			case !p.M.Alive(el):
+				localErr = fmt.Errorf("plan of part %d names %v, not alive there (a stale handle?)", p.M.Part(), el)
+			case el.Dim() != d:
+				localErr = fmt.Errorf("plan of part %d contains non-element %v", p.M.Part(), el)
+			case int(q) < 0 || int(q) >= dm.NParts():
+				localErr = fmt.Errorf("plan of part %d sends %v to invalid part %d", p.M.Part(), el, q)
+			case q != p.M.Part():
+				moves = append(moves, uint64(q)<<32|uint64(el.Pack()))
 			}
+		}
+		if localErr != nil {
+			moves = nil
+		}
+		slices.Sort(moves)
+		p.moves = moves
+		mg.moved += int64(len(moves))
+		// The table will hold the moving elements and their closure.
+		bound := closureBound(p.M, moves, d)
+		t := &p.tab
+		t.reserve(len(moves) + bound)
+		for _, mv := range moves {
+			t.add(moveEnt(mv), int32(mv>>32))
+		}
+		p.closure = make([]uint32, 0, bound)
+		for _, mv := range moves {
+			p.closure = appendClosure(p.closure, p.M, moveEnt(mv), t.touch)
+		}
+		slices.Sort(p.closure)
+		for _, w := range p.closure {
+			contribute(t, p.M, mesh.UnpackEnt(w))
 		}
 	}
 
@@ -214,173 +311,222 @@ func TryMigrate(dm *DMesh, plans []Plan) error {
 	// into the entity's run in place: the local contribution is only
 	// ever sent before the first merge.
 	var peers []int32 // remote-part scratch
-	sendContrib := func(ph *phase, part *Part, t *resTable, e mesh.Ent) {
-		m := part.M
-		peers = m.AppendRemoteParts(e, peers[:0])
+	sendContrib := func(p *moving, e mesh.Ent) {
+		peers = p.M.AppendRemoteParts(e, peers[:0])
 		for _, r := range peers {
-			b := ph.to(m.Part(), r)
+			b := ph.to(p.M.Part(), r)
 			b.Byte(byte(e.Dim()))
-			b.Int64(part.Gid(e))
-			b.Int32s(t.res(e))
+			b.Int64(p.Gid(e))
+			b.Int32s(p.tab.res(e))
 		}
 	}
-	var localErr error
-	ph := dm.beginPhase()
-	for i, part := range dm.Parts {
-		for _, level := range closures[i] {
-			for _, e := range level {
-				if part.M.IsShared(e) {
-					sendContrib(ph, part, &tabs[i], e)
-				}
+	for i := range mg.parts {
+		p := &mg.parts[i]
+		for _, w := range p.closure {
+			if e := mesh.UnpackEnt(w); p.M.IsShared(e) {
+				sendContrib(p, e)
 			}
 		}
 	}
 	var vals []int32 // contribution decode scratch
-	// applyContrib merges one announcement message; entities heard of
-	// here for the first time are appended to *fresh (when non-nil).
-	applyContrib := func(msg partMsg, fresh *[]mesh.Ent) {
-		part := dm.LocalPart(msg.To)
-		t := &tabs[dm.localIndex(msg.To)]
+	// applyContrib merges one announcement message; in round one the
+	// entities heard of here for the first time are kept for the reply.
+	applyContrib := func(msg partMsg, roundOne bool) {
+		p := &mg.parts[dm.localIndex(msg.To)]
 		for !msg.Data.Empty() {
 			dd := int(msg.Data.Byte())
 			gid := msg.Data.Int64()
 			vals = msg.Data.AppendInt32s(vals[:0])
-			e, ok := part.FindGid(dd, gid)
+			e, ok := p.FindGid(dd, gid)
 			if !ok {
 				panic(fmt.Sprintf("partition: contribution for unknown gid %d dim %d on part %d",
 					gid, dd, msg.To))
 			}
-			if t.touch(e) {
+			if p.tab.touch(e) {
 				// First word of this entity here: fold in the local
 				// contribution and remember to reply in round two.
-				contribute(t, part.M, e)
-				if fresh != nil {
-					*fresh = append(*fresh, e)
+				contribute(&p.tab, p.M, e)
+				if roundOne {
+					p.fresh = append(p.fresh, e)
 				}
 			}
 			for _, v := range vals {
-				t.add(e, v)
-			}
-		}
-	}
-	roundTwo := make([][]mesh.Ent, len(dm.Parts))
-	localErr = catchStage(func() {
-		for _, msg := range ph.exchange() {
-			applyContrib(msg, &roundTwo[dm.localIndex(msg.To)])
-		}
-	})
-	// A rank whose round-one decode failed still takes part in the
-	// round-two exchange (with nothing to send) so the collective
-	// schedule stays aligned all the way to the abort vote.
-	if localErr == nil {
-		for i, part := range dm.Parts {
-			for _, e := range roundTwo[i] {
-				sendContrib(ph, part, &tabs[i], e)
+				p.tab.add(e, v)
 			}
 		}
 	}
 	if err := catchStage(func() {
 		for _, msg := range ph.exchange() {
-			applyContrib(msg, nil)
+			applyContrib(msg, true)
 		}
 	}); localErr == nil {
 		localErr = err
 	}
-	if err := voteAbort(dm, localErr, "staging residence updates"); err != nil {
-		// Nothing has been created or destroyed yet; the vote is the
-		// only cleanup needed.
-		tr.Point("migrate.abort", 1)
-		return err
-	}
-	tr.Point("migrate.residence-voted", 1)
-
-	// Step 3: ship moving elements with closures, grouped per
-	// destination part (runs of equal destination in els).
-	var shipped [3][]mesh.Ent // one destination's closure, reused by the next
-	for i, part := range dm.Parts {
-		t := &tabs[i]
-		for lo := 0; lo < len(els[i]); {
-			q, hi := t.res(els[i][lo])[0], lo+1
-			for hi < len(els[i]) && t.res(els[i][hi])[0] == q {
-				hi++
+	// A rank that is already voting to abort still takes part in the
+	// round-two exchange (with nothing to send) so the collective
+	// schedule stays aligned all the way to the vote.
+	if localErr == nil {
+		for i := range mg.parts {
+			p := &mg.parts[i]
+			for _, e := range p.fresh {
+				sendContrib(p, e)
 			}
-			packElements(ph.to(part.M.Part(), q), dm, i, els[i][lo:hi], t, int32(lo)+1, &shipped)
+		}
+	}
+	if err := catchStage(func() {
+		for _, msg := range ph.exchange() {
+			applyContrib(msg, false)
+		}
+	}); localErr == nil {
+		localErr = err
+	}
+	return localErr
+}
+
+// Step 3 ships every run of moving elements with its closure, written
+// once, straight into the destination rank's buffer. planShipment
+// collects each run's closure and counts its records, so that a rank
+// buffer is reserved once at the sum of its messages — exact unless
+// entities carry tag values, which the count leaves out; writeShipment
+// writes the messages in (from, to) order, patching each length prefix.
+func (mg *migration) planShipment() {
+	dm, d, ph := mg.dm, mg.dm.Dim, mg.ph
+	for i := range mg.parts {
+		p := &mg.parts[i]
+		// A run ships e only if an element beside e goes there, which put
+		// the run's destination in e's staged residence: a bound on ship,
+		// with a length word per run.
+		n := min(len(p.moves), dm.NParts())
+		for _, w := range p.closure {
+			n += int(p.tab.entry(mesh.UnpackEnt(w)).n)
+		}
+		ship := make([]uint32, 0, n)
+		for lo := 0; lo < len(p.moves); {
+			q, hi := destRun(p.moves, lo)
+			at, group := len(ship), int32(lo)+1 // a stamp no other run of this call uses
+			size := 1 + 4*(d+1)                 // empty tag table, level counts
+			stamp := func(e mesh.Ent) bool {
+				en := p.tab.entry(e)
+				if en.group == group {
+					return false
+				}
+				en.group = group
+				size += recordBytes(e.T, int(en.n))
+				return true
+			}
+			ship = append(ship, 0)
+			for _, mv := range p.moves[lo:hi] {
+				el := moveEnt(mv)
+				size += recordBytes(el.T, 1)
+				ship = appendClosure(ship, p.M, el, stamp)
+			}
+			slices.Sort(ship[at+1:])
+			ship[at] = uint32(len(ship) - at - 1)
+			ph.need[dm.RankOf(q)] += 12 + size
 			lo = hi
 		}
+		p.ship = ship
 	}
-	created := make([][]mesh.Ent, len(dm.Parts))
-	localErr = catchStage(func() {
-		msgs := ph.exchange()
-		// Every arriving record enters its part's table and may create
-		// an entity; no more can arrive than edge records, the smallest,
-		// fit in the payloads.
-		arriving := make([]int, len(dm.Parts))
-		for _, msg := range msgs {
-			arriving[dm.localIndex(msg.To)] += msg.Data.Remaining() / recordBytes(mesh.Edge, 0)
+}
+
+func (mg *migration) writeShipment() {
+	dm, d, ph := mg.dm, mg.dm.Dim, mg.ph
+	for i := range mg.parts {
+		p := &mg.parts[i]
+		ship := p.ship
+		for lo := 0; lo < len(p.moves); {
+			q, hi := destRun(p.moves, lo)
+			n := int(ship[0])
+			b := ph.rankBuf(dm.RankOf(q))
+			b.Int32(p.M.Part())
+			b.Int32(q)
+			at := b.Len()
+			b.Int32(0)
+			packRecords(b, p.Part, d, ship[1:1+n], p.moves[lo:hi], func(e mesh.Ent) { b.Int32s(p.tab.res(e)) }, nil)
+			b.SetInt32(at, int32(b.Len()-at-4))
+			ship, lo = ship[1+n:], hi
 		}
-		for i, n := range arriving {
-			tabs[i].reserve(n)
-			created[i] = make([]mesh.Ent, 0, n)
-		}
-		for _, msg := range msgs {
-			li := dm.localIndex(msg.To)
-			unpackElements(dm, msg, &tabs[li], &created[li])
-		}
-	})
-	if err := voteAbort(dm, localErr, "shipping element closures"); err != nil {
-		rollbackCreated(dm, created)
-		tr.Point("migrate.abort", 2)
-		return err
 	}
-	// Commit point reached: stage marks 1/2 are the abort votes passed,
-	// mark 3 is the irreversible destroy-and-restitch step starting.
-	tr.Point("migrate.commit", 3)
+}
 
-	// Commit point: every rank has staged and validated its incoming
-	// data. The destructive steps below run only on a unanimous vote.
-	// They destroy orphaned boundary copies and rewrite remote links and
-	// ownership on entities this part does not own — that is the
-	// protocol, so sanctioned for the sanitizer.
-	defer dm.suspendGuards()()
+// receiveElements delivers the shipment and stages what arrives.
+func (mg *migration) receiveElements() {
+	msgs := mg.ph.exchange()
+	// Every arriving record enters its part's table and may create an
+	// entity; it carries at least one residence part, so no more arrive
+	// than the smallest such record, an edge's, fits in the payloads.
+	for _, msg := range msgs {
+		mg.parts[mg.dm.localIndex(msg.To)].arriving += msg.Data.Remaining() / recordBytes(mesh.Edge, 1)
+	}
+	for i := range mg.parts {
+		p := &mg.parts[i]
+		p.tab.reserve(p.arriving)
+		p.created = make([]uint32, 0, p.arriving)
+	}
+	var run []int32 // residence decode scratch
+	for _, msg := range msgs {
+		p, r := &mg.parts[mg.dm.localIndex(msg.To)], msg.Data
+		unpackRecords(p.Part, r, mg.dm.Dim, true,
+			func() { run = r.AppendInt32s(run[:0]) },
+			func(e mesh.Ent, created bool) {
+				// Logged in creation order, for an abort to roll back.
+				if created {
+					p.created = append(p.created, e.Pack())
+				}
+				for _, q := range run {
+					p.tab.add(e, q)
+				}
+			})
+	}
+}
 
-	// Step 4: remove migrated elements and orphaned closure entities.
-	for i, part := range dm.Parts {
-		m := part.M
-		slices.SortFunc(els[i], mesh.Ent.Compare)
-		for _, el := range els[i] {
-			m.Destroy(el)
+// commit is steps 4 and 5, run only on a unanimous vote: every rank has
+// staged and validated its incoming data.
+func (mg *migration) commit() {
+	dm, d, ph := mg.dm, mg.dm.Dim, mg.ph
+
+	// Step 4: remove migrated elements, in handle order, and orphaned
+	// closure entities.
+	for i := range mg.parts {
+		p := &mg.parts[i]
+		for j := range p.moves {
+			p.moves[j] &= 1<<32 - 1 // the destinations have served
+		}
+		slices.Sort(p.moves)
+		for _, mv := range p.moves {
+			p.M.Destroy(moveEnt(mv))
 		}
 		for dd := d - 1; dd >= 0; dd-- {
-			for _, e := range closures[i][dd] {
-				if m.Alive(e) && !m.HasUp(e) {
-					m.Destroy(e)
+			for _, w := range level(p.closure, dd) {
+				if e := mesh.UnpackEnt(w); p.M.Alive(e) && !p.M.HasUp(e) {
+					p.M.Destroy(e)
 				}
 			}
 		}
 	}
 
 	// Step 5: rebuild remote copies and ownership where residence
-	// changed. The candidates are the surviving entities of the table:
-	// retained entities with a staged residence and received ones, whose
-	// runs unpackElements merged into the same place.
-	type fix struct {
-		e     mesh.Ent
-		owner int32
-	}
-	fixes := make([][]fix, len(dm.Parts))
-	var cand []mesh.Ent
-	var current []int32 // residence-by-links scratch
-	for i, part := range dm.Parts {
-		m, t := part.M, &tabs[i]
+	// changed. The candidates are the table's surviving entities, staged
+	// here or received. A part's stitch records are counted per
+	// destination before any is packed: a pair buffer is reserved once.
+	var cand []uint32
+	var current []int32                 // residence-by-links scratch
+	records := make([]int, dm.NParts()) // stitch records per destination, of the part in hand
+	for i := range mg.parts {
+		p := &mg.parts[i]
+		m, t := p.M, &p.tab
 		self := m.Part()
-		cand = slices.Grow(cand[:0], len(t.entries))
-		for _, en := range t.entries {
-			if m.Alive(en.e) {
-				cand = append(cand, en.e)
+		cand = slices.Grow(cand[:0], len(t.entries)+len(t.more))
+		for _, seg := range [2][]resEntry{t.entries, t.more} {
+			for _, en := range seg {
+				if m.Alive(mesh.UnpackEnt(en.w)) {
+					cand = append(cand, en.w)
+				}
 			}
 		}
-		slices.SortFunc(cand, mesh.Ent.Compare)
-		for _, e := range cand {
+		slices.Sort(cand)
+		for _, w := range cand {
+			e := mesh.UnpackEnt(w)
 			res := t.res(e)
 			// Restitch exactly when the residence set changed. This
 			// decision is symmetric across all copies: the staged
@@ -393,52 +539,61 @@ func TryMigrate(dm *DMesh, plans []Plan) error {
 				continue
 			}
 			m.ClearRemotes(e)
-			fixes[i] = append(fixes[i], fix{e: e, owner: res[0]})
+			p.fixes = append(p.fixes, uint64(res[0])<<32|uint64(w))
 			for _, q := range res {
+				records[q]++
+			}
+		}
+		for q, n := range records {
+			if n > 0 && int32(q) != self {
+				ph.to(self, int32(q)).Grow(14 * n)
+			}
+			records[q] = 0
+		}
+		for _, f := range p.fixes {
+			e := moveEnt(f)
+			for _, q := range t.res(e) {
 				if q == self {
 					continue
 				}
-				b := ph.to(self, q)
-				b.Byte(byte(e.Dim()))
-				b.Int64(part.Gid(e))
-				b.Byte(byte(e.T))
-				b.Int32(e.I)
+				packStitch(ph.to(self, q), p.Part, e)
 			}
 		}
 	}
+	ph.applyStitches()
+	for i := range mg.parts {
+		p := &mg.parts[i]
+		for _, f := range p.fixes {
+			p.M.SetOwner(moveEnt(f), int32(f>>32))
+		}
+	}
+}
+
+// packStitch tells another part where part's copy of e lives.
+func packStitch(b *pcu.Buffer, part *Part, e mesh.Ent) {
+	b.Byte(byte(e.Dim()))
+	b.Int64(part.Gid(e))
+	b.Byte(byte(e.T))
+	b.Int32(e.I)
+}
+
+// applyStitches exchanges the stitch records packed and links the local
+// copy each names, found by global id, to the sender's. Holding no copy
+// is recoverable under catchStage (a bad checkpoint), else a bug.
+func (ph *phase) applyStitches() {
 	for _, msg := range ph.exchange() {
-		part := dm.LocalPart(msg.To)
-		for !msg.Data.Empty() {
-			dd := int(msg.Data.Byte())
-			gid := msg.Data.Int64()
-			rt := mesh.Type(msg.Data.Byte())
-			ri := msg.Data.Int32()
+		part := ph.dm.LocalPart(msg.To)
+		for r := msg.Data; !r.Empty(); {
+			dd, gid := int(r.Byte()), r.Int64()
+			theirs := mesh.Ent{T: mesh.Type(r.Byte()), I: r.Int32()}
 			e, ok := part.FindGid(dd, gid)
 			if !ok {
-				panic(fmt.Sprintf("partition: stitch for unknown gid %d dim %d on part %d",
-					gid, dd, msg.To))
+				panic(migrateLocalError{fmt.Errorf(
+					"partition: part %d is named in the residence of gid %d dim %d but holds no copy", msg.To, gid, dd)})
 			}
-			part.M.SetRemote(e, msg.From, mesh.Ent{T: rt, I: ri})
+			part.M.SetRemote(e, msg.From, theirs)
 		}
 	}
-	for i, part := range dm.Parts {
-		for _, f := range fixes[i] {
-			part.M.SetOwner(f.e, f.owner)
-		}
-	}
-	dm.Ctx.Count("partition.migrated-elements", totalMoved)
-	tr.Point("migrate.moved-elements", totalMoved)
-	return nil
-}
-
-func (dm *DMesh) localIndex(part int32) int {
-	return int(part) - dm.Ctx.Rank()*dm.K
-}
-
-// move is one normalized plan entry: element el leaves for part to.
-type move struct {
-	el mesh.Ent
-	to int32
 }
 
 // resTable is one part's bookkeeping for one TryMigrate call: the set
@@ -446,21 +601,24 @@ type move struct {
 // call-scoped arena — the destination of a moving element, the staged
 // new residence of everything else (local contribution, then remote
 // contributions and received residences merged in). An entity is found
-// by array index: idx maps its slot to 1 + its position in entries,
-// zero meaning absent. idx is the part's persistent column (one int32
-// per entity slot, grown on demand); reset zeroes exactly the touched
-// slots when the call ends, so a call costs in proportion to what it
+// by array index: idx, the part's persistent column, maps its slot to
+// 1 + its position in the entry list, zero meaning absent; reset zeroes
+// exactly the touched slots, so a call costs in proportion to what it
 // touches, never to the mesh.
+//
+// The entry list is entries followed by more: the send side reserves
+// entries, the receive side more, so sizing it copies nothing. more
+// takes an entry only once entries is full, which then grows no further.
 type resTable struct {
-	idx     *[mesh.TypeCount][]int32
-	entries []resEntry
-	arena   []int32
+	idx           *[mesh.TypeCount][]int32
+	entries, more []resEntry
+	arena         []int32
 }
 
 type resEntry struct {
-	e      mesh.Ent
-	off, n int32 // the run arena[off:off+n]
-	group  int32 // the last packElements group that visited e
+	w      uint32 // the entity, packed
+	off, n int32  // the run arena[off:off+n]
+	group  int32  // the last run planShipment visited the entity from
 }
 
 // entry returns e's entry, nil if e is absent; valid until the next
@@ -469,6 +627,9 @@ func (t *resTable) entry(e mesh.Ent) *resEntry {
 	col := t.idx[e.T]
 	if int(e.I) >= len(col) || col[e.I] == 0 {
 		return nil
+	}
+	if pos := int(col[e.I]) - 1 - len(t.entries); pos >= 0 {
+		return &t.more[pos]
 	}
 	return &t.entries[col[e.I]-1]
 }
@@ -484,14 +645,23 @@ func (t *resTable) touch(e mesh.Ent) bool {
 		col = append(col, 0)
 	}
 	t.idx[e.T] = col
-	t.entries = append(t.entries, resEntry{e: e})
-	col[e.I] = int32(len(t.entries))
+	if len(t.entries) < cap(t.entries) || cap(t.more) == 0 {
+		t.entries = append(t.entries, resEntry{w: e.Pack()})
+	} else {
+		t.more = append(t.more, resEntry{w: e.Pack()})
+	}
+	col[e.I] = int32(len(t.entries) + len(t.more))
 	return true
 }
 
-// reserve makes room for n more entities and as many run cells.
+// reserve makes room for n more entities and as many run cells, leaving
+// the entries already made where they are.
 func (t *resTable) reserve(n int) {
-	t.entries = slices.Grow(t.entries, n)
+	if len(t.entries) == 0 {
+		t.entries = slices.Grow(t.entries, n)
+	} else if spare := cap(t.entries) - len(t.entries); n > spare {
+		t.more = slices.Grow(t.more, n-spare)
+	}
 	t.arena = slices.Grow(t.arena, n)
 }
 
@@ -526,55 +696,48 @@ func (t *resTable) add(e mesh.Ent, v int32) {
 
 // reset clears the index column through the touched list.
 func (t *resTable) reset() {
-	for _, en := range t.entries {
-		t.idx[en.e.T][en.e.I] = 0
+	for _, seg := range [2][]resEntry{t.entries, t.more} {
+		for _, en := range seg {
+			e := mesh.UnpackEnt(en.w)
+			t.idx[e.T][e.I] = 0
+		}
 	}
 	*t = resTable{idx: t.idx}
 }
 
-// closureBound returns, per dimension below d, an upper bound on the
-// downward closure of els: every element bringing all its own vertices,
-// edges and faces, and no more than the part holds.
-func closureBound(m *mesh.Mesh, els []mesh.Ent, d int) (bound [3]int) {
-	for _, el := range els {
-		v, f := el.T.VertCount(), el.T.DownCount()
-		bound[0] += v
+// closureBound returns an upper bound on the downward closure of the
+// moving elements: each bringing all its own vertices, edges and faces,
+// and no more than the part holds below dimension d.
+func closureBound(m *mesh.Mesh, moves []uint64, d int) int {
+	n, held := 0, 0
+	for _, mv := range moves {
+		v, f := moveEnt(mv).T.VertCount(), moveEnt(mv).T.DownCount()
+		n += v
 		if d > 1 {
-			bound[d-1] += f
+			n += f
 		}
 		if d == 3 {
-			bound[1] += v + f - 2 // Euler's formula for one polyhedron
+			n += v + f - 2 // edges, by Euler's formula for one polyhedron
 		}
 	}
-	for dd := range bound {
-		bound[dd] = min(bound[dd], m.Count(dd))
+	for dd := 0; dd < d; dd++ {
+		held += m.Count(dd)
 	}
-	return bound
+	return min(n, held)
 }
 
-// closureLevels sets levels[dd], per dimension dd below d, to the
-// entities in the downward closures of els that first reports true for
-// — a visited-set insert, so each entity appears once — ascending. It
-// reuses the arrays levels arrives with, reserved at closureBound.
-func closureLevels(levels *[3][]mesh.Ent, m *mesh.Mesh, els []mesh.Ent, d int, first func(mesh.Ent) bool) {
-	bound := closureBound(m, els, d)
-	for dd := range levels {
-		levels[dd] = slices.Grow(levels[dd][:0], bound[dd])
-	}
-	var buf []mesh.Ent
-	for _, el := range els {
-		for dd := 0; dd < d; dd++ {
-			buf = m.AdjacentTo(el, dd, buf[:0])
-			for _, e := range buf {
-				if first(e) {
-					levels[dd] = append(levels[dd], e)
-				}
-			}
+// appendClosure appends to words the entities of el's downward closure
+// that first reports true for — a visited-set insert, so that over many
+// elements each entity appears once. The caller sorts the list: packed
+// handles ascend by dimension, then by handle.
+func appendClosure(words []uint32, m *mesh.Mesh, el mesh.Ent, first func(mesh.Ent) bool) []uint32 {
+	var one [32]uint32 // one element's closure: at most 8 + 12 + 6 entities
+	for _, w := range m.ClosureTo(el, one[:0]) {
+		if first(mesh.UnpackEnt(w)) {
+			words = append(words, w)
 		}
 	}
-	for dd := range levels {
-		slices.SortFunc(levels[dd], mesh.Ent.Compare)
-	}
+	return words
 }
 
 // recordBytes is the size of a packElements record without tag values:
@@ -587,80 +750,65 @@ func recordBytes(t mesh.Type, nres int) int {
 	return n + 4 + 8*t.DownCount()
 }
 
-// packElements encodes the closure of the given elements (all bound
-// for one destination) plus the elements themselves into b, dimension
-// by dimension, each with its run from t: the staged residence, which
-// for an element is its destination. group is a nonzero id no other
-// packElements call on t uses; it stamps the closure entities visited.
-// closure is scratch. The records are counted as the closure is
-// collected and b reserved once: exact unless entities carry tag values.
-func packElements(b *pcu.Buffer, dm *DMesh, partIdx int, els []mesh.Ent, t *resTable, group int32, closure *[3][]mesh.Ent) {
-	part := dm.Parts[partIdx]
+// packRecords encodes closure (ascending) and then the elements els,
+// dimension by dimension: a count, then a record each — type, global id,
+// classification, what mid packs (a migrating entity's staged residence,
+// a ghost's owner), coordinates or downward global ids, tag values and,
+// after an element's, what tail packs.
+func packRecords(b *pcu.Buffer, part *Part, d int, closure []uint32, els []uint64, mid, tail func(mesh.Ent)) {
 	m := part.M
-	d := dm.Dim
-	size := 1 + 4*(d+1) // empty tag table, level counts
-	closureLevels(closure, m, els, d, func(e mesh.Ent) bool {
-		en := t.entry(e)
-		if en.group == group {
-			return false
-		}
-		en.group = group
-		size += recordBytes(e.T, int(en.n))
-		return true
-	})
-	for _, el := range els {
-		size += recordBytes(el.T, 1)
-	}
-	b.Grow(size)
 	movable := writeTagTable(b, m)
 	var gids []int64 // down-adjacency gid scratch, bulk-packed per entity
 	var down []mesh.Ent
-	for dd := 0; dd <= d; dd++ {
-		level := els
-		if dd < d {
-			level = closure[dd]
-		}
-		b.Int32(int32(len(level)))
-		for _, e := range level {
-			b.Byte(byte(e.T))
-			b.Int64(part.Gid(e))
-			c := m.Classification(e)
-			b.Byte(byte(int8(c.Dim) + 1)) // -1..3 -> 0..4
-			b.Int32(c.Tag)
-			b.Int32s(t.res(e))
-			if dd == 0 {
-				p := m.Coord(e)
-				b.Float64(p.X)
-				b.Float64(p.Y)
-				b.Float64(p.Z)
-			} else {
-				down = m.DownTo(e, down[:0])
-				gids = gids[:0]
-				for _, de := range down {
-					gids = append(gids, part.Gid(de))
-				}
-				b.Int64s(gids)
+	record := func(e mesh.Ent) {
+		b.Byte(byte(e.T))
+		b.Int64(part.Gid(e))
+		c := m.Classification(e)
+		b.Byte(byte(int8(c.Dim) + 1)) // -1..3 -> 0..4
+		b.Int32(c.Tag)
+		mid(e)
+		if e.T == mesh.Vertex {
+			x := m.Coord(e)
+			b.Float64(x.X)
+			b.Float64(x.Y)
+			b.Float64(x.Z)
+		} else {
+			down = m.DownTo(e, down[:0])
+			gids = gids[:0]
+			for _, de := range down {
+				gids = append(gids, part.Gid(de))
 			}
-			writeEntityTags(b, m, movable, e)
+			b.Int64s(gids)
+		}
+		writeEntityTags(b, m, movable, e)
+	}
+	for dd := 0; dd < d; dd++ {
+		lv := level(closure, dd)
+		b.Int32(int32(len(lv)))
+		for _, w := range lv {
+			record(mesh.UnpackEnt(w))
+		}
+	}
+	b.Int32(int32(len(els)))
+	for _, mv := range els {
+		record(moveEnt(mv))
+		if tail != nil {
+			tail(moveEnt(mv))
 		}
 	}
 }
 
-// unpackElements decodes one element-transfer message into the
-// destination part, creating missing entities and merging the new
-// residence of every transferred entity into res. Tag data accompanies
-// every entity; it is applied to newly created copies (existing copies
-// keep their own values). Every created entity is appended to createdLog
-// in creation order so an aborted migration can roll the staging back.
-func unpackElements(dm *DMesh, msg partMsg, res *resTable, createdLog *[]mesh.Ent) {
-	part := dm.LocalPart(msg.To)
+// unpackRecords decodes what packRecords encoded onto part, finding each
+// entity by global id or creating it; tag values go to the ones created
+// (existing copies keep their own). mid reads what its namesake packed;
+// landed is told of every entity, the reader standing where tail packed.
+// reserve sizes the part's arrays by the level counts. An entity ahead
+// of its closure is a recoverable failure: the abort vote rolls it back.
+func unpackRecords(part *Part, r *pcu.Reader, d int, reserve bool, mid func(), landed func(e mesh.Ent, created bool)) {
 	m := part.M
-	d := dm.Dim
-	r := msg.Data
 	table := readTagTable(r, m)
-	var resVals []int32    // residence-set decode scratch
-	var gidScratch []int64 // down-adjacency gid decode scratch
-	var down []mesh.Ent    // and the handles they resolve to
+	var gids []int64    // down-adjacency gid decode scratch
+	var down []mesh.Ent // and the handles they resolve to
 	for dd := 0; dd <= d; dd++ {
 		n := int(r.Int32())
 		// The level count, capped by what the bytes left could carry,
@@ -669,54 +817,39 @@ func unpackElements(dm *DMesh, msg partMsg, res *resTable, createdLog *[]mesh.En
 		reserved := mesh.TypeCount
 		for k := 0; k < n; k++ {
 			t := mesh.Type(r.Byte())
-			if t != reserved {
+			if reserve && t != reserved {
 				part.reserve(t, room-k)
 				reserved = t
 			}
 			gid := r.Int64()
-			cdim := int8(r.Byte()) - 1
-			ctag := r.Int32()
-			resVals = r.AppendInt32s(resVals[:0])
-			cls := gmi.Ref{Dim: cdim, Tag: ctag}
+			cls := readClassif(r)
+			mid()
+			var x vec.V
 			if dd == 0 {
-				x, y, z := r.Float64(), r.Float64(), r.Float64()
-				e, ok := part.FindGid(0, gid)
-				if !ok {
-					e = m.CreateVertex(cls, vec.V{X: x, Y: y, Z: z})
-					part.setGid(e, gid)
-					*createdLog = append(*createdLog, e)
+				x = vec.V{X: r.Float64(), Y: r.Float64(), Z: r.Float64()}
+			} else {
+				gids = r.AppendInt64s(gids[:0])
+				down = down[:0]
+				for _, dg := range gids {
+					de, ok := part.FindGid(dd-1, dg)
+					if !ok {
+						panic(migrateLocalError{fmt.Errorf(
+							"partition: entity gid %d dim %d arrived before its closure", gid, dd)})
+					}
+					down = append(down, de)
 				}
-				applyEntityTags(r, m, table, e, !ok)
-				for _, q := range resVals {
-					res.add(e, q)
+			}
+			e, found := part.FindGid(dd, gid)
+			if !found {
+				if dd == 0 {
+					e = m.CreateVertex(cls, x)
+				} else {
+					e = m.CreateEntity(t, cls, down)
 				}
-				continue
-			}
-			gidScratch = r.AppendInt64s(gidScratch[:0])
-			down = down[:0]
-			missing := false
-			for _, dg := range gidScratch {
-				de, ok := part.FindGid(dd-1, dg)
-				if !ok {
-					missing = true
-				}
-				down = append(down, de)
-			}
-			if missing {
-				// Recoverable: the abort vote rolls the staging back.
-				panic(migrateLocalError{fmt.Errorf(
-					"partition: entity gid %d dim %d arrived before its closure", gid, dd)})
-			}
-			e, ok := part.FindGid(dd, gid)
-			if !ok {
-				e = m.CreateEntity(t, cls, down)
 				part.setGid(e, gid)
-				*createdLog = append(*createdLog, e)
 			}
-			applyEntityTags(r, m, table, e, !ok)
-			for _, q := range resVals {
-				res.add(e, q)
-			}
+			applyEntityTags(r, m, table, e, !found)
+			landed(e, !found)
 		}
 	}
 	r.Done()

@@ -17,12 +17,18 @@ import (
 // map[Ent][]int32 reference. The entity pool widens as the run goes, so
 // late entities have slots beyond the index column grown so far (the
 // entities unpackElements creates mid-call), and runs that grow after
-// others were appended must relocate within the arena.
+// others were appended must relocate within the arena. Odd seeds reserve
+// the way a migration does — the send side before the first entry, the
+// receive side mid-run, too little both times — so that entries fill
+// their first array, spill into the second and outgrow it.
 func TestResTableAgainstMap(t *testing.T) {
 	for seed := uint64(1); seed <= 6; seed++ {
 		rng := xorshift(seed * 0x9e3779b97f4a7c15)
 		var col [mesh.TypeCount][]int32
 		tab := resTable{idx: &col}
+		if seed%2 == 1 {
+			tab.reserve(300)
+		}
 		ref := map[mesh.Ent][]int32{}
 		refAdd := func(e mesh.Ent, v int32) {
 			s := append(ref[e], v)
@@ -30,6 +36,13 @@ func TestResTableAgainstMap(t *testing.T) {
 			ref[e] = slices.Compact(s)
 		}
 		for step := 0; step < 5000; step++ {
+			if step == 1500 && seed%2 == 1 {
+				first := &tab.entries[0]
+				tab.reserve(400)
+				if &tab.entries[0] != first {
+					t.Fatalf("seed %d: the second reservation moved the first array", seed)
+				}
+			}
 			e := mesh.Ent{
 				T: mesh.Type(rng.next() % uint64(mesh.TypeCount)),
 				I: int32(rng.next() % uint64(step/3+4)),
@@ -56,11 +69,14 @@ func TestResTableAgainstMap(t *testing.T) {
 				}
 			}
 		}
-		if len(tab.entries) != len(ref) {
-			t.Fatalf("seed %d: %d entries for %d reference entities", seed, len(tab.entries), len(ref))
+		if n := len(tab.entries) + len(tab.more); n != len(ref) {
+			t.Fatalf("seed %d: %d entries for %d reference entities", seed, n, len(ref))
+		}
+		if (len(tab.more) > 0) != (seed%2 == 1) {
+			t.Fatalf("seed %d: %d entries in the second array", seed, len(tab.more))
 		}
 		for e, want := range ref {
-			if en := tab.entry(e); en == nil || en.e != e || !slices.Equal(tab.res(e), want) {
+			if en := tab.entry(e); en == nil || en.w != e.Pack() || !slices.Equal(tab.res(e), want) {
 				t.Fatalf("seed %d: %v: entry %v run %v, want %v", seed, e, en, tab.res(e), want)
 			}
 		}
@@ -70,8 +86,8 @@ func TestResTableAgainstMap(t *testing.T) {
 				t.Fatalf("seed %d: reset left slot %d of type %d indexed", seed, i, ty)
 			}
 		}
-		if len(tab.entries) != 0 || len(tab.arena) != 0 {
-			t.Fatalf("seed %d: reset kept %d entries, %d arena cells", seed, len(tab.entries), len(tab.arena))
+		if len(tab.entries)+len(tab.more) != 0 || len(tab.arena) != 0 {
+			t.Fatalf("seed %d: reset kept %d+%d entries, %d arena cells", seed, len(tab.entries), len(tab.more), len(tab.arena))
 		}
 	}
 }

@@ -14,26 +14,36 @@ import (
 // call it):
 //
 //   - every part passes mesh.CheckConsistency;
+//   - elements are never shared;
 //   - remote-copy symmetry: if part P records a copy of e on Q with
 //     handle h, then Q holds a live h whose global id matches and whose
 //     remotes point back at (P, e);
 //   - ownership agreement: all copies record the same owning part, and
 //     the owner is one of the residence parts;
-//   - elements are never shared.
-func CheckDistributed(dm *DMesh) error {
+//   - compiled boundary plans agree across parts.
+func CheckDistributed(dm *DMesh) error { return checkDistributed(dm, true) }
+
+// checkDistributed is CheckDistributed; without local it leaves out the
+// checks that need no peer — the first two and the owner's place in the
+// residence — for a caller that runs them anyway (Verify, through
+// mesh.VerifyParallel).
+func checkDistributed(dm *DMesh, local bool) error {
 	var firstErr error
 	record := func(err error) {
 		if firstErr == nil && err != nil {
 			firstErr = err
 		}
 	}
-	for _, part := range dm.Parts {
-		record(part.M.CheckConsistency())
-		m := part.M
-		for el := range m.Elements() {
-			if m.IsShared(el) {
-				record(fmt.Errorf("partition: element %v on part %d is shared", el, m.Part()))
-				break
+	if local {
+		for _, part := range dm.Parts {
+			m := part.M
+			dm.Ctx.Count("mesh.consistency-checks", 1)
+			record(m.CheckConsistency())
+			for el := range m.Elements() {
+				if m.IsShared(el) {
+					record(fmt.Errorf("partition: element %v on part %d is shared", el, m.Part()))
+					break
+				}
 			}
 		}
 	}
@@ -94,16 +104,17 @@ func CheckDistributed(dm *DMesh) error {
 		}
 	}
 
-	// Owner must be a residence part.
-	var res []int32 // residence scratch
-	for _, part := range dm.Parts {
-		m := part.M
-		for d := 0; d < dm.Dim; d++ {
-			for e := range m.PartBoundary(d) {
-				res = m.AppendResidence(e, res[:0])
-				if !slices.Contains(res, m.Owner(e)) {
-					record(fmt.Errorf("partition: owner %d of %v on part %d outside residence",
-						m.Owner(e), e, m.Part()))
+	if local { // owner must be a residence part
+		var res []int32 // residence scratch
+		for _, part := range dm.Parts {
+			m := part.M
+			for d := 0; d < dm.Dim; d++ {
+				for e := range m.PartBoundary(d) {
+					res = m.AppendResidence(e, res[:0])
+					if !slices.Contains(res, m.Owner(e)) {
+						record(fmt.Errorf("partition: owner %d of %v on part %d outside residence",
+							m.Owner(e), e, m.Part()))
+					}
 				}
 			}
 		}

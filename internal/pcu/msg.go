@@ -87,6 +87,17 @@ func (b *Buffer) Float64(v float64) {
 	b.buf = binary.LittleEndian.AppendUint64(b.buf, math.Float64bits(v))
 }
 
+// SetInt32 overwrites the 32-bit integer packed at byte offset at — a
+// length prefix written before the length was known. It panics if the
+// four bytes were not packed in this phase.
+func (b *Buffer) SetInt32(at int, v int32) {
+	b.check()
+	if at < 0 || at+4 > len(b.buf) {
+		panic(fmt.Sprintf("pcu: SetInt32 at offset %d of a %d-byte buffer", at, len(b.buf)))
+	}
+	binary.LittleEndian.PutUint32(b.buf[at:], uint32(v))
+}
+
 // Bytes appends a length-prefixed byte string.
 func (b *Buffer) Bytes(v []byte) {
 	b.Int32(int32(len(v)))
