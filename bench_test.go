@@ -91,10 +91,14 @@ func benchParMATest(b *testing.B, priority string) {
 					j++
 				}
 			}
-			partition.Migrate(dm, partition.PlansFromAssignment(dm, plan))
+			if err := partition.TryMigrate(dm, partition.PlansFromAssignment(dm, plan)); err != nil {
+				return err
+			}
 			ctx.Barrier()
 			start := time.Now()
-			parma.Balance(dm, pri, parma.Config{Tolerance: 1.05, MaxIters: 60})
+			if _, err := parma.BalanceSafe(dm, pri, parma.Config{Tolerance: 1.05, MaxIters: 60}); err != nil {
+				return err
+			}
 			elapsed := time.Since(start).Seconds()
 			_, imb := partitionImb(dm, pri.Dims()[0]) // collective
 			if ctx.Rank() == 0 {
@@ -218,7 +222,9 @@ func BenchmarkMigration(b *testing.B) {
 					plan[el] = assign[j]
 				}
 			}
-			partition.Migrate(dm, partition.PlansFromAssignment(dm, plan))
+			if err := partition.TryMigrate(dm, partition.PlansFromAssignment(dm, plan)); err != nil {
+				return err
+			}
 			migrated[ctx.Rank()] = dm.Parts
 			return nil
 		})
@@ -328,7 +334,9 @@ func BenchmarkGhosting(b *testing.B) {
 					plan[el] = assign[j]
 				}
 			}
-			partition.Migrate(dm, partition.PlansFromAssignment(dm, plan))
+			if err := partition.TryMigrate(dm, partition.PlansFromAssignment(dm, plan)); err != nil {
+				return err
+			}
 			partition.Ghost(dm, 2, 1)
 			partition.RemoveGhosts(dm)
 			return nil
@@ -373,7 +381,7 @@ func BenchmarkAdjacency_MDS(b *testing.B) {
 	n := 0
 	for i := 0; i < b.N; i++ {
 		v := verts[i%len(verts)]
-		n += len(m.Adjacent(v, 3))
+		n += len(m.AdjacentTo(v, 3, nil))
 	}
 	if n == 0 {
 		b.Fatal("no adjacencies")
@@ -389,7 +397,7 @@ func BenchmarkAdjacency_MapBaseline(b *testing.B) {
 	up := map[mesh.Ent][]mesh.Ent{}
 	for d := 0; d < 3; d++ {
 		for e := range m.Iter(d) {
-			up[e] = m.Up(e)
+			up[e] = m.UpTo(e, nil)
 		}
 	}
 	var verts []mesh.Ent
@@ -468,11 +476,15 @@ func runSelectionAblation(b *testing.B, ordered bool) int64 {
 				plan[el] = p
 			}
 		}
-		partition.Migrate(dm, partition.PlansFromAssignment(dm, plan))
+		if err := partition.TryMigrate(dm, partition.PlansFromAssignment(dm, plan)); err != nil {
+			return err
+		}
 		pri, _ := parma.ParsePriority("Rgn")
 		cfg := parma.Config{Tolerance: 1.05, MaxIters: 40}
 		cfg.NaiveSelection = !ordered
-		parma.Balance(dm, pri, cfg)
+		if _, err := parma.BalanceSafe(dm, pri, cfg); err != nil {
+			return err
+		}
 		tr := partition.GatherBoundaryTraffic(dm, 0)
 		if ctx.Rank() == 0 {
 			out = tr.SharedTotal

@@ -17,7 +17,6 @@ import (
 	"time"
 
 	"github.com/fastmath/pumi-go/internal/cmdutil"
-	"github.com/fastmath/pumi-go/internal/mesh"
 	"github.com/fastmath/pumi-go/internal/meshio"
 	"github.com/fastmath/pumi-go/internal/parma"
 	"github.com/fastmath/pumi-go/internal/partition"
@@ -67,34 +66,17 @@ func main() {
 		cmdutil.Usagef("%v", err)
 	}
 
+	serial, err := meshio.LoadFile(*meshFile, model)
+	if err != nil {
+		cmdutil.Fail(err)
+	}
+	dim := ms.Dim()
+
 	err = pcu.Run(*ranks, func(ctx *pcu.Ctx) error {
-		// Only rank 0 loads; reconcile its local failure across the
-		// world before entering the collective schedule, so a bad file
-		// fails every rank instead of deadlocking the others in Adopt.
-		var serial *mesh.Mesh
-		var loadErr error
-		if ctx.Rank() == 0 {
-			serial, loadErr = meshio.LoadFile(*meshFile, model)
-			if loadErr == nil && serial.Count(serial.Dim()) != len(assign) {
-				loadErr = fmt.Errorf("assignment has %d entries for %d elements",
-					len(assign), serial.Count(serial.Dim()))
-			}
-		}
-		if err := meshio.GatherErrors(ctx, loadErr, "loading mesh on rank 0"); err != nil {
+		dm, err := partition.Distribute(ctx, model, dim, serial, assign, nparts / *ranks)
+		if err != nil {
 			return err
 		}
-		dim := ms.Dim()
-		dm := partition.Adopt(ctx, model, dim, serial, nparts / *ranks)
-		var plan map[mesh.Ent]int32
-		if ctx.Rank() == 0 {
-			plan = map[mesh.Ent]int32{}
-			i := 0
-			for el := range serial.Elements() {
-				plan[el] = assign[i]
-				i++
-			}
-		}
-		partition.Migrate(dm, partition.PlansFromAssignment(dm, plan))
 
 		report := func(stage string) {
 			for d := 0; d <= dim; d++ {
@@ -114,7 +96,10 @@ func main() {
 					res.Merges, res.SplitPieces, (res.Before-1)*100, (res.After-1)*100)
 			}
 		}
-		res := parma.Balance(dm, pri, parma.Config{Tolerance: 1 + *tol, MaxIters: *iters})
+		res, err := parma.BalanceSafe(dm, pri, parma.Config{Tolerance: 1 + *tol, MaxIters: *iters})
+		if err != nil {
+			return err
+		}
 		elapsed := time.Since(start)
 		report("after")
 		if ctx.Rank() == 0 {

@@ -16,7 +16,6 @@ import (
 	"strings"
 
 	"github.com/fastmath/pumi-go/internal/cmdutil"
-	"github.com/fastmath/pumi-go/internal/mesh"
 	"github.com/fastmath/pumi-go/internal/meshio"
 	"github.com/fastmath/pumi-go/internal/partition"
 	"github.com/fastmath/pumi-go/internal/pcu"
@@ -125,28 +124,11 @@ func main() {
 	}
 	fmt.Printf("\npartition analysis (%d parts over %d ranks):\n", nparts, *ranks)
 	err = pcu.Run(*ranks, func(ctx *pcu.Ctx) error {
-		// Reconcile rank 0's local load failure before the collective
-		// schedule; an early return from one rank would strand the rest
-		// in Adopt.
-		var serial *mesh.Mesh
-		var loadErr error
-		if ctx.Rank() == 0 {
-			serial, loadErr = meshio.LoadFile(*meshFile, model)
-		}
-		if err := meshio.GatherErrors(ctx, loadErr, "loading mesh on rank 0"); err != nil {
+		// Last use of m: the distribution consumes it.
+		dm, err := partition.Distribute(ctx, model, ms.Dim(), m, assign, nparts / *ranks)
+		if err != nil {
 			return err
 		}
-		dm := partition.Adopt(ctx, model, ms.Dim(), serial, nparts / *ranks)
-		var plan map[mesh.Ent]int32
-		if ctx.Rank() == 0 {
-			plan = map[mesh.Ent]int32{}
-			i := 0
-			for el := range serial.Elements() {
-				plan[el] = assign[i]
-				i++
-			}
-		}
-		partition.Migrate(dm, partition.PlansFromAssignment(dm, plan))
 		names := []string{"vtx", "edge", "face", "rgn"}
 		for d := 0; d <= ms.Dim(); d++ {
 			mean, imb := partition.EntityImbalance(dm, d)

@@ -15,7 +15,6 @@ import (
 	"time"
 
 	"github.com/fastmath/pumi-go/internal/cmdutil"
-	"github.com/fastmath/pumi-go/internal/ds"
 	"github.com/fastmath/pumi-go/internal/gmi"
 	"github.com/fastmath/pumi-go/internal/mesh"
 	"github.com/fastmath/pumi-go/internal/meshio"
@@ -116,34 +115,18 @@ func main() {
 	}
 }
 
-// sanVerify replays the element assignment as a real migration: one
-// in-process rank per part adopts the serial mesh, migrates every
-// element to its assigned part, and runs the distributed-mesh verifier
-// — all under pumi-san, so the migration protocol's collective schedule
+// sanVerify replays the element assignment as a real migration: the
+// serial mesh is distributed over one in-process rank per part and the
+// distributed-mesh verifier runs — all under pumi-san, so the migration protocol's collective schedule
 // is cross-checked rank-against-rank and every mesh write is checked
 // for ownership. Element index i is the i-th element of m.Elements(),
 // the canonical order shared by all the partitioners' inputs.
 func sanVerify(m *mesh.Mesh, model *gmi.Model, assign []int32, parts int) error {
-	els := ds.Collect(m.Elements())
-	if len(els) != len(assign) {
-		return fmt.Errorf("assignment covers %d elements, mesh has %d", len(assign), len(els))
-	}
 	san.Enable()
 	defer san.Disable()
 	_, err := pcu.RunOpt(parts, pcu.Options{Sanitize: true}, func(ctx *pcu.Ctx) error {
-		var serial *mesh.Mesh
-		if ctx.Rank() == 0 {
-			serial = m
-		}
-		dm := partition.Adopt(ctx, model, m.Dim(), serial, 1)
-		var amap map[mesh.Ent]int32
-		if ctx.Rank() == 0 {
-			amap = make(map[mesh.Ent]int32, len(els))
-			for i, el := range els {
-				amap[el] = assign[i]
-			}
-		}
-		if err := partition.TryMigrate(dm, partition.PlansFromAssignment(dm, amap)); err != nil {
+		dm, err := partition.Distribute(ctx, model, m.Dim(), m, assign, 1)
+		if err != nil {
 			return err
 		}
 		return partition.Verify(dm)

@@ -25,28 +25,20 @@
 // communication-effect term per function, so wrapping a violation in
 // helper functions does not hide it.
 //
-// Output formats: the human format is the default; `-json` switches to
-// NDJSON, one object per finding ({"file","line","col","analyzer",
-// "message"}); `-sarif` emits a SARIF 2.1.0 log for GitHub code
-// scanning and SARIF-aware editors. `-checksarif FILE` validates a
-// previously written SARIF file (the CI smoke lane).
-//
 // Protocol automata: `-emit-automata` compiles the communication-effect
-// terms of the standard entry points (parma.Balance, partition.Migrate,
-// meshio checkpoints, pcu.Agree, chaos.RunRecoverable) into minimal
-// DFAs and writes the versioned pumi-proto/1 JSON artifact to stdout;
-// the committed copy under internal/lint/automata/golden/ is enforced
-// by `make proto-check`, loaded online by pcu (Options.Conform) and
-// replayed offline by `pumi-trace -conform`. `-effects [-func substr]
-// [-v]` prints the inferred effect terms themselves — the static view
-// the analyzers prove over and the runtime projection the automata are
-// compiled from (-v adds each schedule's derivative exploration).
+// terms of the standard entry points (parma.BalanceSafe,
+// partition.TryMigrate, meshio checkpoints, pcu.Agree,
+// chaos.RunRecoverable) into minimal DFAs and writes the versioned
+// pumi-proto/1 JSON artifact to stdout; the committed copy under
+// internal/lint/automata/golden/ is enforced by `make proto-check`,
+// loaded online by pcu (Options.Conform) and replayed offline by
+// `pumi-trace -conform`. `-effects [-func substr] [-v]` prints the
+// inferred effect terms themselves — the static view the analyzers
+// prove over and the runtime projection the automata are compiled from
+// (-v adds each schedule's derivative exploration).
 //
-// Self-hosting gate: `-baseline FILE` filters findings through a
-// committed baseline — only new findings (and stale baseline entries)
-// fail the run; `-writebaseline FILE` records the current findings as
-// the new baseline. `make vet-self` wires these to
-// internal/lint/selfbaseline.txt.
+// Self-hosting gate: `make vet-self` runs every analyzer over the
+// whole repository, tests included, and fails on any finding.
 //
 // Code that violates an invariant on purpose — the deadlock-diagnosis
 // tests skip collectives on some ranks to prove the watchdog catches
@@ -69,19 +61,13 @@ import (
 func main() {
 	cmdutil.SetTool("pumi-vet")
 	var (
-		list       = flag.Bool("list", false, "list analyzers and exit")
-		only       = flag.String("analyzers", "", "comma-separated subset of analyzers to run")
-		noTests    = flag.Bool("notests", false, "skip _test.go files")
-		jsonOut    = flag.Bool("json", false, "emit NDJSON (one JSON object per finding) instead of the human format")
-		sarifOut   = flag.Bool("sarif", false, "emit a SARIF 2.1.0 log instead of the human format")
-		baseline   = flag.String("baseline", "", "baseline file of accepted findings; only new findings fail the run")
-		writeBase  = flag.String("writebaseline", "", "write the current findings to this baseline file and exit 0")
-		checkSarif = flag.String("checksarif", "", "validate a SARIF file produced by -sarif and exit")
-		nonEmpty   = flag.Bool("nonempty", false, "with -checksarif, also fail if the log holds zero results")
-		emitAuto   = flag.Bool("emit-automata", false, "compile the protocol automata of the standard entry points to a pumi-proto/1 JSON artifact on stdout and exit")
-		effects    = flag.Bool("effects", false, "print the inferred communication-effect terms (static and runtime) and exit")
-		funcPat    = flag.String("func", "", "with -effects, show only functions whose qualified name contains this substring")
-		verbose    = flag.Bool("v", false, "with -effects, also print the derivative exploration of each runtime schedule")
+		list     = flag.Bool("list", false, "list analyzers and exit")
+		only     = flag.String("analyzers", "", "comma-separated subset of analyzers to run")
+		noTests  = flag.Bool("notests", false, "skip _test.go files")
+		emitAuto = flag.Bool("emit-automata", false, "compile the protocol automata of the standard entry points to a pumi-proto/1 JSON artifact on stdout and exit")
+		effects  = flag.Bool("effects", false, "print the inferred communication-effect terms (static and runtime) and exit")
+		funcPat  = flag.String("func", "", "with -effects, show only functions whose qualified name contains this substring")
+		verbose  = flag.Bool("v", false, "with -effects, also print the derivative exploration of each runtime schedule")
 	)
 	flag.Usage = func() {
 		fmt.Fprintf(os.Stderr, "usage: pumi-vet [flags] [packages]\n\n"+
@@ -90,25 +76,6 @@ func main() {
 		flag.PrintDefaults()
 	}
 	flag.Parse()
-
-	if *checkSarif != "" {
-		data, err := os.ReadFile(*checkSarif)
-		if err != nil {
-			cmdutil.Usagef("%v", err)
-		}
-		n, err := lint.CheckSARIF(data)
-		if err != nil {
-			cmdutil.Failf("%v", err)
-		}
-		if *nonEmpty && n == 0 {
-			cmdutil.Failf("sarif log %s is valid but holds zero results", *checkSarif)
-		}
-		fmt.Printf("sarif ok: %d result(s)\n", n)
-		return
-	}
-	if *jsonOut && *sarifOut {
-		cmdutil.Usagef("-json and -sarif are mutually exclusive")
-	}
 
 	analyzers := lint.Analyzers()
 	if *list {
@@ -171,46 +138,10 @@ func main() {
 	}
 
 	diags := lint.Run(pkgs, analyzers)
-	root := loader.ModRoot()
-
-	if *writeBase != "" {
-		body := lint.FormatBaseline(diags, root)
-		if err := os.WriteFile(*writeBase, []byte(body), 0o644); err != nil {
-			cmdutil.Usagef("%v", err)
-		}
-		fmt.Printf("wrote %d baseline finding(s) to %s\n", len(diags), *writeBase)
-		return
+	for _, d := range diags {
+		fmt.Println(d)
 	}
-
-	stale := []string(nil)
-	if *baseline != "" {
-		accepted, err := lint.LoadBaseline(*baseline)
-		if err != nil {
-			cmdutil.Usagef("%v", err)
-		}
-		diags, stale = lint.FilterBaseline(diags, accepted, root)
-	}
-
-	switch {
-	case *sarifOut:
-		out, err := lint.SARIF(analyzers, diags)
-		if err != nil {
-			cmdutil.Failf("%v", err)
-		}
-		os.Stdout.Write(out)
-	case *jsonOut:
-		for _, d := range diags {
-			fmt.Println(d.JSON())
-		}
-	default:
-		for _, d := range diags {
-			fmt.Println(d)
-		}
-	}
-	for _, k := range stale {
-		fmt.Fprintf(os.Stderr, "stale baseline entry (no longer reported): %s\n", k)
-	}
-	if len(diags) > 0 || len(stale) > 0 {
-		cmdutil.Failf("%d new finding(s), %d stale baseline entr(ies)", len(diags), len(stale))
+	if len(diags) > 0 {
+		cmdutil.Failf("%d finding(s)", len(diags))
 	}
 }

@@ -42,10 +42,14 @@ func ExampleRun() {
 		if ctx.Rank() == 0 {
 			serial = pumi.BoxMesh(model, 4, 4, 4)
 		}
-		dm := pumi.Adopt(ctx, model.Model, 3, serial, 1)
-		pumi.PartitionRCB(dm, serial)
+		dm, err := pumi.PartitionRCB(ctx, model.Model, 3, serial, 1)
+		if err != nil {
+			return err
+		}
 		pri, _ := pumi.ParsePriority("Vtx>Rgn")
-		pumi.Balance(dm, pri, pumi.DefaultBalanceConfig())
+		if _, err := pumi.BalanceSafe(dm, pri, pumi.DefaultBalanceConfig()); err != nil {
+			return err
+		}
 		if err := pumi.CheckDistributed(dm); err != nil {
 			return err
 		}

@@ -33,17 +33,10 @@ func main() {
 			phgTime = time.Since(start)
 			fmt.Printf("hypergraph partition (T0) to %d parts in %v\n", nparts, phgTime)
 		}
-		dm := pumi.Adopt(ctx, model.Model, 3, serial, partsPerRank)
-		var plan map[pumi.Ent]int32
-		if ctx.Rank() == 0 {
-			plan = map[pumi.Ent]int32{}
-			i := 0
-			for el := range serial.Elements() {
-				plan[el] = assign[i]
-				i++
-			}
+		dm, err := pumi.Distribute(ctx, model.Model, 3, serial, assign, partsPerRank)
+		if err != nil {
+			return err
 		}
-		pumi.Migrate(dm, pumi.PlansFromAssignment(dm, plan))
 
 		report := func(stage string) {
 			names := []string{"Vtx", "Edge", "Face", "Rgn"}
@@ -67,7 +60,10 @@ func main() {
 			return err
 		}
 		start := time.Now()
-		res := pumi.Balance(dm, pri, pumi.DefaultBalanceConfig())
+		res, err := pumi.BalanceSafe(dm, pri, pumi.DefaultBalanceConfig())
+		if err != nil {
+			return err
+		}
 		parmaTime := time.Since(start)
 		report("after ParMA Vtx=Edge>Rgn (T2)")
 		if ctx.Rank() == 0 {

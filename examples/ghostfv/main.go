@@ -25,8 +25,10 @@ func main() {
 		if ctx.Rank() == 0 {
 			serial = pumi.BoxMesh(model, 12, 6, 6)
 		}
-		dm := pumi.Adopt(ctx, model.Model, 3, serial, 1)
-		pumi.PartitionRCB(dm, serial)
+		dm, err := pumi.PartitionRCB(ctx, model.Model, 3, serial, 1)
+		if err != nil {
+			return err
+		}
 
 		// Cell-centered data: u(c) = x + 2y + 3z at the cell centroid.
 		for _, part := range dm.Parts {
@@ -53,6 +55,7 @@ func main() {
 		// part boundaries).
 		worst := 0.0
 		cells := 0
+		var nbs []pumi.Ent // neighbor scratch, reused across cells
 		for _, part := range dm.Parts {
 			m := part.M
 			tag := m.Tags.Find("u")
@@ -60,7 +63,7 @@ func main() {
 				if m.IsGhost(el) {
 					continue
 				}
-				nbs := m.BridgeAdjacent(el, 2, 3)
+				nbs = m.BridgeAdjacentTo(el, 2, 3, nbs[:0])
 				if len(nbs) < 3 {
 					continue // corner cells: not enough stencil
 				}

@@ -26,10 +26,10 @@ const (
 // node-major like the rank layout. The node-level cuts match the first
 // two levels of the one-level RCB, so the off-node boundary cannot
 // exceed the one-level layout's inter-node sharing.
-func twoLevel(serial *pumi.Mesh) map[pumi.Ent]int32 {
-	in, els := pumi.Centroids(serial)
+func twoLevel(serial *pumi.Mesh) []int32 {
+	in, _ := pumi.Centroids(serial)
 	nodeOf := pumi.RCB(in, nodes)
-	plan := map[pumi.Ent]int32{}
+	assign := make([]int32, len(nodeOf))
 	for nd := 0; nd < nodes; nd++ {
 		var idx []int
 		for i, a := range nodeOf {
@@ -43,51 +43,45 @@ func twoLevel(serial *pumi.Mesh) map[pumi.Ent]int32 {
 		}
 		coreOf := pumi.RIB(local, cores)
 		for j, i := range idx {
-			plan[els[i]] = int32(nd*cores + int(coreOf[j]))
+			assign[i] = int32(nd*cores + int(coreOf[j]))
 		}
 	}
-	return plan
+	return assign
 }
 
 // oblivious computes the same RCB parts but places them on cores
 // round-robin across nodes, the way an architecture-unaware system
 // might schedule them: geometric neighbors land on different nodes.
-func oblivious(serial *pumi.Mesh) map[pumi.Ent]int32 {
-	in, els := pumi.Centroids(serial)
+func oblivious(serial *pumi.Mesh) []int32 {
+	in, _ := pumi.Centroids(serial)
 	assign := pumi.RCB(in, nodes*cores)
-	plan := map[pumi.Ent]int32{}
-	for i, el := range els {
-		p := int(assign[i])
-		scattered := (p%nodes)*cores + p/nodes
-		plan[el] = int32(scattered)
+	for i, p := range assign {
+		assign[i] = (p%nodes)*cores + p/nodes
 	}
-	return plan
+	return assign
 }
 
 // aligned keeps RCB's natural nesting: consecutive part ids share
 // nodes, which is exactly what its recursive bisection produces.
-func aligned(serial *pumi.Mesh) map[pumi.Ent]int32 {
-	in, els := pumi.Centroids(serial)
-	assign := pumi.RCB(in, nodes*cores)
-	plan := map[pumi.Ent]int32{}
-	for i, el := range els {
-		plan[el] = assign[i]
-	}
-	return plan
+func aligned(serial *pumi.Mesh) []int32 {
+	in, _ := pumi.Centroids(serial)
+	return pumi.RCB(in, nodes*cores)
 }
 
-func run(name string, planner func(*pumi.Mesh) map[pumi.Ent]int32) {
+func run(name string, planner func(*pumi.Mesh) []int32) {
 	topo := pumi.Cluster(nodes, cores)
 	model := pumi.Box(2, 2, 1)
 	_, err := pumi.RunOn(nodes*cores, topo, func(ctx *pumi.Ctx) error {
 		var serial *pumi.Mesh
-		var plan map[pumi.Ent]int32
+		var assign []int32
 		if ctx.Rank() == 0 {
 			serial = pumi.BoxMesh(model, 16, 16, 8)
-			plan = planner(serial)
+			assign = planner(serial)
 		}
-		dm := pumi.Adopt(ctx, model.Model, 3, serial, 1)
-		pumi.Migrate(dm, pumi.PlansFromAssignment(dm, plan))
+		dm, err := pumi.Distribute(ctx, model.Model, 3, serial, assign, 1)
+		if err != nil {
+			return err
+		}
 		if err := pumi.CheckDistributed(dm); err != nil {
 			return err
 		}

@@ -25,8 +25,10 @@ func main() {
 		if ctx.Rank() == 0 {
 			serial = pumi.BoxMesh(model, 16, 8, 4)
 		}
-		dm := pumi.Adopt(ctx, model.Model, 3, serial, parts/ranks)
-		pumi.PartitionRCB(dm, serial)
+		dm, err := pumi.PartitionRCB(ctx, model.Model, 3, serial, parts/ranks)
+		if err != nil {
+			return err
+		}
 
 		// A "mach number" style field to carry through adaptation.
 		for _, part := range dm.Parts {
@@ -82,7 +84,9 @@ func main() {
 		cfg := pumi.DefaultBalanceConfig()
 		sres := pumi.HeavyPartSplit(dm, cfg)
 		pri, _ := pumi.ParsePriority("Rgn")
-		pumi.Balance(dm, pri, cfg)
+		if _, err := pumi.BalanceSafe(dm, pri, cfg); err != nil {
+			return err
+		}
 		_, fixed := pumi.EntityImbalance(dm, 3)
 		if ctx.Rank() == 0 {
 			fmt.Printf("after heavy part splitting (%d merges, %d pieces) + diffusion: %.2f\n",

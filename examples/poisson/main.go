@@ -31,10 +31,14 @@ func main() {
 		if ctx.Rank() == 0 {
 			serial = pumi.BoxMesh(model, 8, 8, 8)
 		}
-		dm := pumi.Adopt(ctx, model.Model, 3, serial, 1)
-		pumi.PartitionRCB(dm, serial)
+		dm, err := pumi.PartitionRCB(ctx, model.Model, 3, serial, 1)
+		if err != nil {
+			return err
+		}
 		pri, _ := pumi.ParsePriority("Vtx>Rgn")
-		pumi.Balance(dm, pri, pumi.DefaultBalanceConfig())
+		if _, err := pumi.BalanceSafe(dm, pri, pumi.DefaultBalanceConfig()); err != nil {
+			return err
+		}
 
 		// The manufactured (harmonic) solution.
 		exact := func(p pumi.Vec) float64 { return p.X + 2*p.Y - 3*p.Z + 0.5 }
@@ -152,7 +156,7 @@ func main() {
 // elementGradients returns a tet's vertices, the constant gradients of
 // their linear shape functions, and the element volume.
 func elementGradients(m *pumi.Mesh, el pumi.Ent) ([]pumi.Ent, [4]pumi.Vec, float64) {
-	verts := m.Verts(el)
+	verts := m.VertsTo(el, make([]pumi.Ent, 0, 4))
 	var p [4]pumi.Vec
 	for i, v := range verts {
 		p[i] = m.Coord(v)

@@ -32,8 +32,11 @@ func main() {
 		break
 	}
 	fmt.Printf("first vertex %v at %v:\n", v, m.Coord(v))
+	var buf []pumi.Ent // adjacency queries append to a caller's buffer
 	fmt.Printf("  %d edges, %d faces, %d regions around it\n",
-		len(m.Adjacent(v, 1)), len(m.Adjacent(v, 2)), len(m.Adjacent(v, 3)))
+		len(m.AdjacentTo(v, 1, buf[:0])),
+		len(m.AdjacentTo(v, 2, buf[:0])),
+		len(m.AdjacentTo(v, 3, buf[:0])))
 
 	// Geometric classification links each mesh entity to the model
 	// entity it discretizes.

@@ -68,7 +68,7 @@ func TestSplitEdge3DVolumeAndCounts(t *testing.T) {
 		if !m.Alive(e) {
 			continue
 		}
-		n := len(m.Adjacent(e, 3))
+		n := len(m.AdjacentTo(e, 3, nil))
 		SplitEdge(m, e, NopTransfer{})
 		if m.Count(3) != nb+n {
 			t.Fatalf("regions %d, want %d", m.Count(3), nb+n)
@@ -206,7 +206,9 @@ func TestParallelAdaptation(t *testing.T) {
 				assign[el] = p
 			}
 		}
-		partition.Migrate(dm, partition.PlansFromAssignment(dm, assign))
+		if err := partition.TryMigrate(dm, partition.PlansFromAssignment(dm, assign)); err != nil {
+			return err
+		}
 		// Refine a band around the plane x = 2 (a shock front crossing
 		// the part boundary between parts 1 and 2).
 		size := func(p vec.V) float64 {

@@ -43,7 +43,8 @@ type Stats struct {
 //
 // No load balancing is performed here — by design. The paper's Fig 13
 // experiment measures exactly the imbalance this produces; callers run
-// ParMA afterwards (or predictively before).
+// ParMA afterwards (or predictively before). An aborted localization
+// migration panics: the signature has no error to carry it.
 func Parallel(dm *partition.DMesh, size SizeField, opts Options) Stats {
 	var st Stats
 	st.ElemBefore = partition.GlobalCount(dm, dm.Dim)
@@ -130,7 +131,9 @@ func localizeMarked(dm *partition.DMesh, size SizeField, useMax bool) int64 {
 		moved += int64(len(plans[i]))
 	}
 	total := pcu.SumInt64(dm.Ctx, moved)
-	partition.Migrate(dm, plans)
+	if err := partition.TryMigrate(dm, plans); err != nil {
+		panic(err)
+	}
 	return total
 }
 

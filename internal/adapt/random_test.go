@@ -58,7 +58,7 @@ func TestRandomModificationSequence(t *testing.T) {
 			if !m.Alive(e) {
 				continue
 			}
-			vs := m.Down(e)
+			vs := m.DownTo(e, nil)
 			switch {
 			case CanCollapse(m, e, vs[0], vs[1]):
 				CollapseEdge(m, e, vs[0], vs[1], NopTransfer{})
@@ -108,7 +108,9 @@ func TestParallel2DAdaptation(t *testing.T) {
 				assign[el] = p
 			}
 		}
-		partition.Migrate(dm, partition.PlansFromAssignment(dm, assign))
+		if err := partition.TryMigrate(dm, partition.PlansFromAssignment(dm, assign)); err != nil {
+			return err
+		}
 		if err := partition.Verify(dm); err != nil {
 			return fmt.Errorf("2D distribute: %w", err)
 		}
@@ -166,7 +168,7 @@ func TestSplitBoundary2DKeepsClassification(t *testing.T) {
 		t.Fatal("no boundary edge")
 	}
 	cls := m.Classification(be)
-	vs := m.Down(be)
+	vs := m.DownTo(be, nil)
 	mid := SplitEdge(m, be, NopTransfer{})
 	if m.Classification(mid) != cls {
 		t.Fatalf("mid classified %v, want %v", m.Classification(mid), cls)

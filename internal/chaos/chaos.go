@@ -233,24 +233,20 @@ func Soak(cfg Config) (Outcome, error) {
 // heavily imbalanced layout.
 func buildUnbalanced(ctx *pcu.Ctx, cfg Config) (*partition.DMesh, error) {
 	model := gmi.Box(4, 1, 1)
+	nparts := ctx.Size()
 	var serial *mesh.Mesh
+	var assign []int32
 	if ctx.Rank() == 0 {
 		serial = meshgen.Box3D(model, cfg.NX, cfg.NY, cfg.NZ)
-	}
-	dm := partition.Adopt(ctx, model.Model, 3, serial, 1)
-	nparts := dm.NParts()
-	var assign map[mesh.Ent]int32
-	if ctx.Rank() == 0 {
-		assign = map[mesh.Ent]int32{}
 		for el := range serial.Elements() {
 			p := int32(serial.Centroid(el).X / 4.0 * float64(2*nparts))
 			if int(p) >= nparts {
 				p = int32(nparts - 1)
 			}
-			assign[el] = p
+			assign = append(assign, p)
 		}
 	}
-	return dm, partition.TryMigrate(dm, partition.PlansFromAssignment(dm, assign))
+	return partition.Distribute(ctx, model.Model, 3, serial, assign, 1)
 }
 
 // verifyAfterAbort enforces the abort contract before surfacing the

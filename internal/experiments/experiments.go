@@ -11,7 +11,6 @@ import (
 	"time"
 
 	"github.com/fastmath/pumi-go/internal/gmi"
-	"github.com/fastmath/pumi-go/internal/mesh"
 	"github.com/fastmath/pumi-go/internal/meshgen"
 	"github.com/fastmath/pumi-go/internal/meshio"
 	"github.com/fastmath/pumi-go/internal/parma"
@@ -98,16 +97,12 @@ func RunTable(cfg TableConfig) (TableResult, error) {
 	serial := meshgen.Vessel3D(model, cfg.NS, cfg.N)
 	res.SerialElems = serial.Count(3)
 	t0 := time.Now()
-	hg, els := zpart.ElementHypergraph(serial, 0)
+	hg, _ := zpart.ElementHypergraph(serial, 0)
 	assign := zpart.PHG(hg, cfg.Parts)
 	phgSeconds := time.Since(t0).Seconds()
 	var blob bytes.Buffer
 	if err := meshio.Write(&blob, serial); err != nil {
 		return res, err
-	}
-	asg := make(map[int]int32, len(els))
-	for i := range els {
-		asg[i] = assign[i]
 	}
 
 	var t0Mean [4]float64
@@ -131,29 +126,16 @@ func RunTable(cfg TableConfig) (TableResult, error) {
 			}
 		}
 		var fig Fig12Series
-		err := pcu.Run(cfg.Ranks, func(ctx *pcu.Ctx) error {
-			// Reconcile rank 0's local decode failure before Adopt's
-			// collective schedule; a lone early return would strand the
-			// other ranks.
-			var sm *mesh.Mesh
-			var loadErr error
-			if ctx.Rank() == 0 {
-				sm, loadErr = meshio.Read(bytes.NewReader(blob.Bytes()), model.Model)
-			}
-			if err := meshio.GatherErrors(ctx, loadErr, "decoding mesh on rank 0"); err != nil {
+		// Each test consumes a serial mesh: decode a fresh one up front.
+		sm, err := meshio.Read(bytes.NewReader(blob.Bytes()), model.Model)
+		if err != nil {
+			return res, err
+		}
+		err = pcu.Run(cfg.Ranks, func(ctx *pcu.Ctx) error {
+			dm, err := partition.Distribute(ctx, model.Model, 3, sm, assign, k)
+			if err != nil {
 				return err
 			}
-			dm := partition.Adopt(ctx, model.Model, 3, sm, k)
-			var plan map[mesh.Ent]int32
-			if ctx.Rank() == 0 {
-				plan = map[mesh.Ent]int32{}
-				i := 0
-				for el := range sm.Elements() {
-					plan[el] = asg[i]
-					i++
-				}
-			}
-			partition.Migrate(dm, partition.PlansFromAssignment(dm, plan))
 
 			var before [4][]int64
 			for d := 0; d <= 3; d++ {
@@ -162,7 +144,9 @@ func RunTable(cfg TableConfig) (TableResult, error) {
 			elapsed := phgSeconds
 			if pri != nil {
 				start := time.Now()
-				parma.Balance(dm, pri, parma.Config{Tolerance: cfg.Tol, MaxIters: cfg.MaxIters})
+				if _, err := parma.BalanceSafe(dm, pri, parma.Config{Tolerance: cfg.Tol, MaxIters: cfg.MaxIters}); err != nil {
+					return err
+				}
 				elapsed = time.Since(start).Seconds()
 			}
 			// Gather on every rank (collective); record on rank 0 only

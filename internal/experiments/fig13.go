@@ -95,20 +95,16 @@ func RunFig13(cfg Fig13Config) (Fig13Result, error) {
 	}
 	err := pcu.Run(cfg.Ranks, func(ctx *pcu.Ctx) error {
 		var serial *mesh.Mesh
+		var assign []int32
 		if ctx.Rank() == 0 {
 			serial = meshgen.Box3D(model, cfg.NX, cfg.NY, cfg.NZ)
+			in, _ := zpart.Centroids(serial)
+			assign = zpart.RCB(in, cfg.Parts)
 		}
-		dm := partition.Adopt(ctx, model.Model, 3, serial, k)
-		var plan map[mesh.Ent]int32
-		if ctx.Rank() == 0 {
-			in, els := zpart.Centroids(serial)
-			assign := zpart.RCB(in, cfg.Parts)
-			plan = map[mesh.Ent]int32{}
-			for i, el := range els {
-				plan[el] = assign[i]
-			}
+		dm, err := partition.Distribute(ctx, model.Model, 3, serial, assign, k)
+		if err != nil {
+			return err
 		}
-		partition.Migrate(dm, partition.PlansFromAssignment(dm, plan))
 		elemBefore := partition.GlobalCount(dm, 3)
 
 		opts := adapt.DefaultOptions()
@@ -138,7 +134,9 @@ func RunFig13(cfg Fig13Config) (Fig13Result, error) {
 			pcfg := parma.Config{Tolerance: 1.05, MaxIters: 40}
 			parma.HeavyPartSplit(dm, pcfg)
 			pri, _ := parma.ParsePriority("Rgn")
-			parma.Balance(dm, pri, pcfg)
+			if _, err := parma.BalanceSafe(dm, pri, pcfg); err != nil {
+				return err
+			}
 			_, split := partition.EntityImbalance(dm, 3)
 			if ctx.Rank() == 0 {
 				res.SplitImbalance = split
@@ -193,31 +191,29 @@ func runFig13Predictive(cfg Fig13Config, model *gmi.BoxModel, size adapt.SizeFie
 	var out float64
 	err := pcu.Run(cfg.Ranks, func(ctx *pcu.Ctx) error {
 		var serial *mesh.Mesh
+		var assign []int32
 		if ctx.Rank() == 0 {
-			serial = meshgen.Box3D(model, cfg.NX, cfg.NY, cfg.NZ)
-		}
-		dm := partition.Adopt(ctx, model.Model, 3, serial, k)
-		var plan map[mesh.Ent]int32
-		if ctx.Rank() == 0 {
-			// Repartition with the predicted post-adaptation load as
+			// Partition with the predicted post-adaptation load as
 			// element weights (how many elements each becomes).
+			serial = meshgen.Box3D(model, cfg.NX, cfg.NY, cfg.NZ)
 			in, els := zpart.Centroids(serial)
 			in.Wts = make([]float64, len(els))
 			for i, el := range els {
 				in.Wts[i] = adapt.PredictedElements(serial, el, size)
 			}
-			assign := zpart.RCB(in, cfg.Parts)
-			plan = map[mesh.Ent]int32{}
-			for i, el := range els {
-				plan[el] = assign[i]
-			}
+			assign = zpart.RCB(in, cfg.Parts)
 		}
-		partition.Migrate(dm, partition.PlansFromAssignment(dm, plan))
+		dm, err := partition.Distribute(ctx, model.Model, 3, serial, assign, k)
+		if err != nil {
+			return err
+		}
 		// Refine the prediction balance with ParMA weighted diffusion.
 		weight := func(m *mesh.Mesh, el mesh.Ent) float64 {
 			return adapt.PredictedElements(m, el, size)
 		}
-		parma.BalanceWeights(dm, weight, parma.Config{Tolerance: 1.10, MaxIters: 40})
+		if _, err := parma.BalanceWeights(dm, weight, parma.Config{Tolerance: 1.10, MaxIters: 40}); err != nil {
+			return err
+		}
 		adapt.Parallel(dm, size, adapt.DefaultOptions())
 		_, imb := partition.EntityImbalance(dm, 3)
 		if ctx.Rank() == 0 {

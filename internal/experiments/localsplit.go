@@ -57,23 +57,22 @@ func RunLocalSplit(cfg LocalSplitConfig) (LocalSplitResult, error) {
 	}
 	k := fine / cfg.Ranks
 	err := pcu.Run(cfg.Ranks, func(ctx *pcu.Ctx) error {
-		var serial *mesh.Mesh
-		if ctx.Rank() == 0 {
-			serial = meshgen.Box3D(model, cfg.NX, cfg.NY, cfg.NZ)
-		}
-		dm := partition.Adopt(ctx, model.Model, 3, serial, k)
 		// Global partition to CoarseParts, placed on part ids
 		// p*SplitFactor so each coarse part has empty sibling slots.
-		var plan map[mesh.Ent]int32
+		var serial *mesh.Mesh
+		var assign []int32
 		if ctx.Rank() == 0 {
-			g, els := zpart.DualGraph(serial)
-			assign := zpart.MLGraph(g, cfg.CoarseParts)
-			plan = map[mesh.Ent]int32{}
-			for i, el := range els {
-				plan[el] = assign[i] * int32(cfg.SplitFactor)
+			serial = meshgen.Box3D(model, cfg.NX, cfg.NY, cfg.NZ)
+			g, _ := zpart.DualGraph(serial)
+			assign = zpart.MLGraph(g, cfg.CoarseParts)
+			for i := range assign {
+				assign[i] *= int32(cfg.SplitFactor)
 			}
 		}
-		partition.Migrate(dm, partition.PlansFromAssignment(dm, plan))
+		dm, err := partition.Distribute(ctx, model.Model, 3, serial, assign, k)
+		if err != nil {
+			return err
+		}
 		coarseImb := occupiedImbalance(dm, 0)
 
 		// Local split: every non-empty part RIBs its own elements into
@@ -93,11 +92,15 @@ func RunLocalSplit(cfg LocalSplitConfig) (LocalSplitResult, error) {
 				}
 			}
 		}
-		partition.Migrate(dm, plans)
+		if err := partition.TryMigrate(dm, plans); err != nil {
+			return err
+		}
 		_, splitImb := partition.EntityImbalance(dm, 0)
 
 		pri, _ := parma.ParsePriority("Vtx>Rgn")
-		parma.Balance(dm, pri, parma.Config{Tolerance: 1.05, MaxIters: 80})
+		if _, err := parma.BalanceSafe(dm, pri, parma.Config{Tolerance: 1.05, MaxIters: 80}); err != nil {
+			return err
+		}
 		_, afterImb := partition.EntityImbalance(dm, 0)
 		_, rgnImb := partition.EntityImbalance(dm, 3)
 		if err := partition.CheckDistributed(dm); err != nil {

@@ -48,22 +48,18 @@ func RunMigrate(cfg MigrateConfig) ([]MigratePoint, error) {
 		pt := MigratePoint{Parts: p}
 		err := pcu.Run(p, func(ctx *pcu.Ctx) error {
 			var serial *mesh.Mesh
+			var assign []int32
 			if ctx.Rank() == 0 {
 				serial = meshgen.Box3D(model, cfg.NX, cfg.NY, cfg.NZ)
-			}
-			dm := partition.Adopt(ctx, model.Model, 3, serial, 1)
-			var plan map[mesh.Ent]int32
-			if ctx.Rank() == 0 {
-				in, els := zpart.Centroids(serial)
-				assign := zpart.RCB(in, p)
-				plan = map[mesh.Ent]int32{}
-				for i, el := range els {
-					plan[el] = assign[i]
-				}
+				in, _ := zpart.Centroids(serial)
+				assign = zpart.RCB(in, p)
 			}
 			ctx.Barrier()
 			start := time.Now()
-			partition.Migrate(dm, partition.PlansFromAssignment(dm, plan))
+			dm, err := partition.Distribute(ctx, model.Model, 3, serial, assign, 1)
+			if err != nil {
+				return err
+			}
 			dist := time.Since(start).Seconds()
 
 			elems := partition.GlobalCount(dm, 3)

@@ -132,9 +132,9 @@ func (f *Field) SetByFunc(fn func(vec.V) []float64) {
 // deterministic order: vertices then (for quadratic) edges — the order
 // an element matrix indexes its local DOFs.
 func (f *Field) NodeEntities(el mesh.Ent) []mesh.Ent {
-	nodes := f.m.Adjacent(el, 0)
+	nodes := f.m.AdjacentTo(el, 0, nil)
 	if f.shape == Quadratic {
-		nodes = append(nodes, f.m.Adjacent(el, 1)...)
+		nodes = f.m.AdjacentTo(el, 1, nodes)
 	}
 	return nodes
 }
@@ -157,7 +157,8 @@ func (f *Field) CountNodes() int {
 // simplex element (tri in 2D with z ignored, tet in 3D). Coordinates
 // may be negative when p is outside.
 func Barycentric(m *mesh.Mesh, el mesh.Ent, p vec.V) []float64 {
-	vs := m.Verts(el)
+	var buf [4]mesh.Ent
+	vs := m.VertsTo(el, buf[:0])
 	switch el.T {
 	case mesh.Tet:
 		a, b, c, d := m.Coord(vs[0]), m.Coord(vs[1]), m.Coord(vs[2]), m.Coord(vs[3])
@@ -190,7 +191,8 @@ func Barycentric(m *mesh.Mesh, el mesh.Ent, p vec.V) []float64 {
 // Eval interpolates the field at point p inside simplex element el.
 func (f *Field) Eval(el mesh.Ent, p vec.V) []float64 {
 	bary := Barycentric(f.m, el, p)
-	vs := f.m.Verts(el)
+	var buf [4]mesh.Ent
+	vs := f.m.VertsTo(el, buf[:0])
 	out := make([]float64, f.comps)
 	switch f.shape {
 	case Linear:

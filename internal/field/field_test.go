@@ -112,7 +112,7 @@ func TestBarycentric(t *testing.T) {
 		t.Fatalf("weights sum to %g", sum)
 	}
 	// At a vertex, its weight is 1.
-	verts := m.Verts(tet)
+	verts := m.VertsTo(tet, nil)
 	b = Barycentric(m, tet, m.Coord(verts[2]))
 	if math.Abs(b[2]-1) > 1e-12 {
 		t.Fatalf("vertex weight = %v", b)
@@ -159,7 +159,9 @@ func distField(ctx *pcu.Ctx) *partition.DMesh {
 			}
 		}
 	}
-	partition.Migrate(dm, partition.PlansFromAssignment(dm, assign))
+	if err := partition.TryMigrate(dm, partition.PlansFromAssignment(dm, assign)); err != nil {
+		panic(err)
+	}
 	return dm
 }
 
@@ -298,7 +300,7 @@ func TestLumpedMassAssembly(t *testing.T) {
 			}
 			for el := range m.Elements() {
 				share := m.Measure(el) / 4
-				for _, v := range m.Adjacent(el, 0) {
+				for _, v := range m.AdjacentTo(el, 0, nil) {
 					cur := f.MustGet(v)
 					f.Set(v, cur[0]+share)
 				}

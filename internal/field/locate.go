@@ -60,7 +60,8 @@ func Locate(m *mesh.Mesh, p vec.V, hint mesh.Ent) (el mesh.Ent, bary []float64, 
 // walkNeighbor returns the element across the facet opposite vertex wi
 // of el, or NilEnt on the boundary.
 func walkNeighbor(m *mesh.Mesh, el mesh.Ent, wi int) mesh.Ent {
-	verts := m.Verts(el)
+	var vbuf [4]mesh.Ent
+	verts := m.VertsTo(el, vbuf[:0])
 	// The facet opposite verts[wi]: the other vertices.
 	facet := make([]mesh.Ent, 0, len(verts)-1)
 	for i, v := range verts {
@@ -78,7 +79,8 @@ func walkNeighbor(m *mesh.Mesh, el mesh.Ent, wi int) mesh.Ent {
 	if !f.Ok() {
 		return mesh.NilEnt
 	}
-	for _, up := range m.Up(f) {
+	var ubuf [2]mesh.Ent
+	for _, up := range m.UpTo(f, ubuf[:0]) {
 		if up != el {
 			return up
 		}

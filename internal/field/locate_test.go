@@ -27,7 +27,7 @@ func TestLocateInterior(t *testing.T) {
 		}
 		hint = el
 		// The barycentric reconstruction must reproduce the point.
-		vs := m.Verts(el)
+		vs := m.VertsTo(el, nil)
 		var q vec.V
 		for i, v := range vs {
 			q = q.Add(m.Coord(v).Scale(bary[i]))

@@ -26,8 +26,8 @@ var AutomataEntries = []string{
 	"chaos.RunRecoverable",
 	"meshio.LoadCheckpoint",
 	"meshio.SaveCheckpoint",
-	"parma.Balance",
-	"partition.Migrate",
+	"parma.BalanceSafe",
+	"partition.TryMigrate",
 	"pcu.Agree",
 }
 

@@ -12,7 +12,6 @@
 package lint
 
 import (
-	"encoding/json"
 	"fmt"
 	"go/ast"
 	"go/importer"
@@ -35,24 +34,6 @@ type Diagnostic struct {
 
 func (d Diagnostic) String() string {
 	return fmt.Sprintf("%s: %s: %s", d.Pos, d.Analyzer, d.Message)
-}
-
-// JSON renders the diagnostic as one NDJSON object — the `pumi-vet
-// -json` machine interface, one object per line, keyed for editor and
-// CI consumers.
-func (d Diagnostic) JSON() string {
-	b, err := json.Marshal(struct {
-		File     string `json:"file"`
-		Line     int    `json:"line"`
-		Col      int    `json:"col"`
-		Analyzer string `json:"analyzer"`
-		Message  string `json:"message"`
-	}{d.Pos.Filename, d.Pos.Line, d.Pos.Column, d.Analyzer, d.Message})
-	if err != nil {
-		// A flat struct of strings and ints cannot fail to marshal.
-		panic(err)
-	}
-	return string(b)
 }
 
 // Package is one loaded, type-checked package.

@@ -160,46 +160,39 @@ func TestRunOrderIndependent(t *testing.T) {
 }
 
 // TestGoldenOutput pins the complete pumi-vet output — every analyzer
-// over every fixture package, in both the human and the NDJSON format —
-// against checked-in golden files. The per-analyzer tests check each
-// analyzer against its own fixtures; this one locks cross-analyzer
-// behavior (what the full set reports on each fixture, ignore
-// directives included) and the exact rendering of both formats. Rerun
+// over every fixture package — against a checked-in golden file. The
+// per-analyzer tests check each analyzer against its own fixtures; this
+// one locks cross-analyzer behavior (what the full set reports on each
+// fixture, ignore directives included) and the exact rendering. Rerun
 // with UPDATE_GOLDEN=1 to regenerate after intentional changes.
 func TestGoldenOutput(t *testing.T) {
 	entries, err := os.ReadDir(filepath.Join("testdata", "src"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	var human, ndjson strings.Builder
+	var got strings.Builder
 	for _, e := range entries {
 		if !e.IsDir() {
 			continue
 		}
-		diags := Run(fixturePkgs(t, e.Name()), Analyzers())
-		for _, d := range diags {
-			human.WriteString(d.String() + "\n")
-			ndjson.WriteString(d.JSON() + "\n")
+		for _, d := range Run(fixturePkgs(t, e.Name()), Analyzers()) {
+			got.WriteString(d.String() + "\n")
 		}
 	}
-	for _, g := range []struct{ file, got string }{
-		{filepath.Join("testdata", "golden.txt"), human.String()},
-		{filepath.Join("testdata", "golden.ndjson"), ndjson.String()},
-	} {
-		if os.Getenv("UPDATE_GOLDEN") != "" {
-			if err := os.WriteFile(g.file, []byte(g.got), 0o644); err != nil {
-				t.Fatal(err)
-			}
-			continue
+	golden := filepath.Join("testdata", "golden.txt")
+	if os.Getenv("UPDATE_GOLDEN") != "" {
+		if err := os.WriteFile(golden, []byte(got.String()), 0o644); err != nil {
+			t.Fatal(err)
 		}
-		want, err := os.ReadFile(g.file)
-		if err != nil {
-			t.Fatalf("%v (run with UPDATE_GOLDEN=1 to create)", err)
-		}
-		if g.got != string(want) {
-			t.Errorf("%s out of date (UPDATE_GOLDEN=1 regenerates):\n--- want ---\n%s--- got ---\n%s",
-				g.file, want, g.got)
-		}
+		return
+	}
+	want, err := os.ReadFile(golden)
+	if err != nil {
+		t.Fatalf("%v (run with UPDATE_GOLDEN=1 to create)", err)
+	}
+	if got.String() != string(want) {
+		t.Errorf("%s out of date (UPDATE_GOLDEN=1 regenerates):\n--- want ---\n%s--- got ---\n%s",
+			golden, want, got.String())
 	}
 }
 

@@ -2,8 +2,8 @@ package enthandle
 
 import "github.com/fastmath/pumi-go/internal/mesh"
 
-func badCompare(m *mesh.Mesh, e mesh.Ent) bool {
-	for _, rc := range m.Remotes(e) {
+func badCompare(rcs []mesh.RemoteCopyRef, e mesh.Ent) bool {
+	for _, rc := range rcs {
 		if rc.Ent == e { // want `remote-copy handle compared`
 			return true
 		}
@@ -11,8 +11,8 @@ func badCompare(m *mesh.Mesh, e mesh.Ent) bool {
 	return false
 }
 
-func badCompareReversed(m *mesh.Mesh, e mesh.Ent) bool {
-	rcs := m.Remotes(e)
+func badCompareReversed(rc mesh.RemoteCopyRef, e mesh.Ent) bool {
+	rcs := []mesh.RemoteCopyRef{rc}
 	if len(rcs) > 0 && e != rcs[0].Ent { // want `remote-copy handle compared`
 		return true
 	}

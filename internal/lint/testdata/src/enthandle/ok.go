@@ -10,8 +10,8 @@ func okNilSentinel(rc mesh.RemoteCopyRef) bool {
 	return rc.Ent != mesh.NilEnt // validity check, exempt
 }
 
-func okPartCompare(m *mesh.Mesh, e mesh.Ent) bool {
-	for _, rc := range m.Remotes(e) {
+func okPartCompare(m *mesh.Mesh, rcs []mesh.RemoteCopyRef) bool {
+	for _, rc := range rcs {
 		if rc.Part == m.Part() { // part ids are global, comparable
 			return true
 		}

@@ -44,20 +44,12 @@ func (m *Mesh) down(e Ent, buf *[6]Ent) []Ent {
 	return buf[:td.degree]
 }
 
-// Down returns e's one-level downward adjacent entities in canonical
-// order, freshly allocated; see DownTo.
-func (m *Mesh) Down(e Ent) []Ent { return m.DownTo(e, nil) }
-
 // DownTo appends e's one-level downward adjacencies to buf and returns
 // it.
 func (m *Mesh) DownTo(e Ent, buf []Ent) []Ent {
 	var s [6]Ent
 	return append(buf, m.down(e, &s)...)
 }
-
-// Up returns the one-level upward adjacent entities of e (most recently
-// created first — the use-list order), freshly allocated; see UpTo.
-func (m *Mesh) Up(e Ent) []Ent { return m.UpTo(e, nil) }
 
 // UpTo appends e's one-level upward adjacencies to buf and returns it.
 // An entity may appear once per use (e.g. both end vertices of a
@@ -91,10 +83,6 @@ func (m *Mesh) UpCount(e Ent) int {
 
 // HasUp reports whether e bounds any higher-dimension entity.
 func (m *Mesh) HasUp(e Ent) bool { return m.td[e.T].firstUse[e.I].ok() }
-
-// Adjacent returns the entities of dimension dim adjacent to e, freshly
-// allocated; see AdjacentTo.
-func (m *Mesh) Adjacent(e Ent, dim int) []Ent { return m.AdjacentTo(e, dim, nil) }
 
 // AdjacentTo appends the entities of dimension dim adjacent to e to buf
 // and returns it, traversing one level at a time through the complete
@@ -225,12 +213,6 @@ func SortEnts(ents []Ent, scratch []uint32) []uint32 {
 	return scratch
 }
 
-// BridgeAdjacent returns the second-order adjacency of e, freshly
-// allocated; see BridgeAdjacentTo.
-func (m *Mesh) BridgeAdjacent(e Ent, bridgeDim, targetDim int) []Ent {
-	return m.BridgeAdjacentTo(e, bridgeDim, targetDim, nil)
-}
-
 // BridgeAdjacentTo appends the second-order adjacency of e to buf and
 // returns it: the entities of dimension targetDim reachable through
 // shared entities of dimension bridgeDim (e.g. the elements sharing a
@@ -249,10 +231,6 @@ func (m *Mesh) BridgeAdjacentTo(e Ent, bridgeDim, targetDim int, buf []Ent) []En
 	}
 	return buf
 }
-
-// Verts returns e's vertices in canonical order, freshly allocated; see
-// VertsTo.
-func (m *Mesh) Verts(e Ent) []Ent { return m.VertsTo(e, nil) }
 
 // VertsTo appends e's vertices to buf in an order consistent with the
 // canonical templates in downVerts and returns it: for faces the edge

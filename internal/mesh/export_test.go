@@ -62,7 +62,7 @@ var CorruptFixtures = []CorruptFixture{
 
 func firstTetVerts(m *Mesh) []Ent {
 	for tet := range m.IterType(Tet) {
-		if vs := m.Verts(tet); !slices.ContainsFunc(vs, m.IsShared) {
+		if vs := m.VertsTo(tet, nil); !slices.ContainsFunc(vs, m.IsShared) {
 			return vs
 		}
 	}

@@ -26,7 +26,7 @@ func inClosure(m *mesh.Mesh, hi, lo mesh.Ent) bool {
 	if hi.Dim() <= lo.Dim() {
 		return false
 	}
-	for _, d := range m.Down(hi) {
+	for _, d := range m.DownTo(hi, nil) {
 		if inClosure(m, d, lo) {
 			return true
 		}
@@ -77,10 +77,10 @@ func refBridge(m *mesh.Mesh, e mesh.Ent, bridgeDim, targetDim int) []mesh.Ent {
 // vertical edge of the region.
 func refVerts(m *mesh.Mesh, e mesh.Ent) []mesh.Ent {
 	faceVerts := func(f mesh.Ent) []mesh.Ent {
-		edges := m.Down(f)
+		edges := m.DownTo(f, nil)
 		out := make([]mesh.Ent, len(edges))
 		for i := range edges {
-			a, b := m.Down(edges[(i+len(edges)-1)%len(edges)]), m.Down(edges[i])
+			a, b := m.DownTo(edges[(i+len(edges)-1)%len(edges)], nil), m.DownTo(edges[i], nil)
 			out[i] = mesh.NilEnt
 			for _, v := range a {
 				if slices.Contains(b, v) {
@@ -95,11 +95,11 @@ func refVerts(m *mesh.Mesh, e mesh.Ent) []mesh.Ent {
 	case 0:
 		return []mesh.Ent{e}
 	case 1:
-		return m.Down(e)
+		return m.DownTo(e, nil)
 	case 2:
 		return faceVerts(e)
 	}
-	faces := m.Down(e)
+	faces := m.DownTo(e, nil)
 	out := faceVerts(faces[0])
 	top := faceVerts(faces[1])
 	if e.T == mesh.Tet || e.T == mesh.Pyramid {
@@ -112,7 +112,7 @@ func refVerts(m *mesh.Mesh, e mesh.Ent) []mesh.Ent {
 	}
 	for _, v := range out {
 		for _, edge := range refAdjacent(m, v, 1) {
-			ends := m.Down(edge)
+			ends := m.DownTo(edge, nil)
 			o := ends[0]
 			if o == v {
 				o = ends[1]
@@ -300,7 +300,7 @@ func TestKernelMatchesBruteForce(t *testing.T) {
 						if !slices.Equal(buf[:1], prefix) || !slices.Equal(buf[1:], want) {
 							t.Fatalf("AdjacentTo(%v, %d) = %v, want %v", e, dim, buf[1:], want)
 						}
-						if got := m.Adjacent(e, dim); !slices.Equal(got, want) {
+						if got := m.AdjacentTo(e, dim, nil); !slices.Equal(got, want) {
 							t.Fatalf("Adjacent(%v, %d) = %v, want %v", e, dim, got, want)
 						}
 					}
@@ -337,7 +337,7 @@ func checkTemplate(t *testing.T, m *mesh.Mesh, e mesh.Ent, verts []mesh.Ent) {
 	if e.Dim() < 2 {
 		return
 	}
-	for i, d := range m.Down(e) {
+	for i, d := range m.DownTo(e, nil) {
 		if e.Dim() == 3 && i > 0 && !(i == 1 && (e.T == mesh.Hex || e.T == mesh.Prism)) {
 			break
 		}
@@ -367,7 +367,7 @@ func TestBridgeAdjacentMatchesBruteForce(t *testing.T) {
 					if !slices.Equal(buf, want) {
 						t.Fatalf("BridgeAdjacentTo(%v, %d, %d) = %v, want %v", e, c[1], c[2], buf, want)
 					}
-					if got := m.BridgeAdjacent(e, c[1], c[2]); !slices.Equal(got, want) {
+					if got := m.BridgeAdjacentTo(e, c[1], c[2], nil); !slices.Equal(got, want) {
 						t.Fatalf("BridgeAdjacent(%v, %d, %d) = %v, want %v", e, c[1], c[2], got, want)
 					}
 				}
@@ -404,7 +404,7 @@ func TestFindFromVertsEveryPermutation(t *testing.T) {
 			var outsider mesh.Ent
 			for d := 0; d <= m.Dim(); d++ {
 				for e := range m.Iter(d) {
-					verts := m.Verts(e)
+					verts := m.VertsTo(e, nil)
 					permutations(slices.Clone(verts), func(p []mesh.Ent) {
 						if got := m.FindFromVerts(e.T, p); got != e {
 							t.Fatalf("FindFromVerts(%v, %v) = %v, want %v", e.T, p, got, e)
@@ -508,8 +508,8 @@ func TestAdjacentSpillsBeyondStackScratch(t *testing.T) {
 	if got := m.UpCount(c); got != n+1 {
 		t.Fatalf("UpCount(hub) = %d, want %d", got, n+1)
 	}
-	tet := m.Adjacent(c, 3)[0]
-	if got, want := m.BridgeAdjacent(tet, 0, 3), refBridge(m, tet, 0, 3); !slices.Equal(got, want) {
+	tet := m.AdjacentTo(c, 3, nil)[0]
+	if got, want := m.BridgeAdjacentTo(tet, 0, 3, nil), refBridge(m, tet, 0, 3); !slices.Equal(got, want) {
 		t.Fatalf("BridgeAdjacent(%v, 0, 3): %d entities, want %d, or out of order", tet, len(got), len(want))
 	}
 }
@@ -556,7 +556,7 @@ func buildCases() map[string]buildCase {
 	var tets []cell
 	for r := range box.Iter(3) {
 		c := cell{ty: mesh.Tet}
-		for _, v := range box.Verts(r) {
+		for _, v := range box.VertsTo(r, nil) {
 			c.v = append(c.v, int(v.I))
 		}
 		tets = append(tets, c)
@@ -704,11 +704,11 @@ func TestBuildFromVertsRejectsRepeatedVertex(t *testing.T) {
 func interior(m *mesh.Mesh) (v, rgn, edge mesh.Ent) {
 	best := 0
 	for x := range m.Iter(0) {
-		if n := len(m.Adjacent(x, 3)); n > best {
+		if n := len(m.AdjacentTo(x, 3, nil)); n > best {
 			best, v = n, x
 		}
 	}
-	return v, m.Adjacent(v, 3)[0], m.Adjacent(v, 1)[0]
+	return v, m.AdjacentTo(v, 3, nil)[0], m.AdjacentTo(v, 1, nil)[0]
 }
 
 func TestKernelZeroAlloc(t *testing.T) {
@@ -719,7 +719,7 @@ func TestKernelZeroAlloc(t *testing.T) {
 	v, rgn, edge := interior(m)
 	buf := make([]mesh.Ent, 0, 256)
 	words := make([]uint32, 0, 32)
-	hit := m.Verts(rgn)
+	hit := m.VertsTo(rgn, nil)
 	miss := slices.Clone(hit)
 	for x := range m.Iter(0) {
 		miss[3] = x
@@ -894,7 +894,7 @@ func BenchmarkFindFromVerts(b *testing.B) {
 	var hits, misses [][4]mesh.Ent
 	for r := range m.Iter(3) {
 		var h [4]mesh.Ent
-		copy(h[:], m.Verts(r))
+		copy(h[:], m.VertsTo(r, nil))
 		hits = append(hits, h)
 		// Swapping the apex for the far corner of the mesh keeps three
 		// vertices of a real face, so the walk gets as far as it can.
@@ -928,7 +928,7 @@ func BenchmarkBuildTet(b *testing.B) {
 	var tets [][4]mesh.Ent
 	for r := range src.Iter(3) {
 		var t [4]mesh.Ent
-		copy(t[:], src.Verts(r))
+		copy(t[:], src.VertsTo(r, nil))
 		tets = append(tets, t)
 	}
 	var m *mesh.Mesh

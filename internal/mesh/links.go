@@ -5,7 +5,7 @@ package mesh
 // linked chain threaded through pooled parallel arrays (struct of
 // arrays: part, handle, next), headed by a per-slot index. Chains are
 // kept sorted by part id at insertion, so every read — RemoteCopy,
-// Remotes, RemoteParts, Residence — observes a deterministic order by
+// AppendRemoteParts, Residence — observes a deterministic order by
 // construction, with no per-call sorting and no map-order hazards.
 // Freed records go on an intrusive free list and are reused, so a
 // boundary that churns (migration, ghosting) recycles storage instead

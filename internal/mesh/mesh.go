@@ -385,10 +385,8 @@ func (m *Mesh) Destroy(e Ent) {
 // DestroyRecursive removes an entity and any downward entities left
 // without upward adjacencies, cascading to vertices.
 func (m *Mesh) DestroyRecursive(e Ent) {
-	var down []Ent
-	if e.T != Vertex {
-		down = m.Down(e)
-	}
+	var s [6]Ent
+	down := m.down(e, &s)
 	m.Destroy(e)
 	for _, d := range down {
 		if m.Alive(d) && !m.HasUp(d) {

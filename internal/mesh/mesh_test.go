@@ -47,27 +47,27 @@ func TestSingleTetCounts(t *testing.T) {
 func TestTetAdjacencies(t *testing.T) {
 	m := newTestMesh()
 	tet, vs := singleTet(m)
-	if got := m.Adjacent(tet, 0); len(got) != 4 {
+	if got := m.AdjacentTo(tet, 0, nil); len(got) != 4 {
 		t.Fatalf("tet verts = %v", got)
 	}
-	if got := m.Adjacent(tet, 1); len(got) != 6 {
+	if got := m.AdjacentTo(tet, 1, nil); len(got) != 6 {
 		t.Fatalf("tet edges = %v", got)
 	}
-	if got := m.Adjacent(vs[0], 3); len(got) != 1 || got[0] != tet {
+	if got := m.AdjacentTo(vs[0], 3, nil); len(got) != 1 || got[0] != tet {
 		t.Fatalf("vert regions = %v", got)
 	}
-	if got := m.Adjacent(vs[0], 1); len(got) != 3 {
+	if got := m.AdjacentTo(vs[0], 1, nil); len(got) != 3 {
 		t.Fatalf("vert edges = %v", got)
 	}
-	if got := m.Adjacent(vs[0], 2); len(got) != 3 {
+	if got := m.AdjacentTo(vs[0], 2, nil); len(got) != 3 {
 		t.Fatalf("vert faces = %v", got)
 	}
 	// Same-dim adjacency returns nil.
-	if m.Adjacent(tet, 3) != nil {
+	if m.AdjacentTo(tet, 3, nil) != nil {
 		t.Fatal("same-dim adjacency should be nil")
 	}
 	// Down of tet: 4 tris in canonical order.
-	down := m.Down(tet)
+	down := m.DownTo(tet, nil)
 	if len(down) != 4 {
 		t.Fatal("down count")
 	}
@@ -75,7 +75,7 @@ func TestTetAdjacencies(t *testing.T) {
 		if f.T != Tri {
 			t.Fatalf("tet face type %v", f.T)
 		}
-		ups := m.Up(f)
+		ups := m.UpTo(f, nil)
 		if len(ups) != 1 || ups[0] != tet {
 			t.Fatalf("face up = %v", ups)
 		}
@@ -99,17 +99,17 @@ func TestTwoTetsShareFace(t *testing.T) {
 	if !shared.Ok() {
 		t.Fatal("shared face not found")
 	}
-	ups := m.Up(shared)
+	ups := m.UpTo(shared, nil)
 	if len(ups) != 2 {
 		t.Fatalf("shared face ups = %v", ups)
 	}
 	// Second-order adjacency: t1's face-neighbors = {t2}.
-	nb := m.BridgeAdjacent(t1, 2, 3)
+	nb := m.BridgeAdjacentTo(t1, 2, 3, nil)
 	if len(nb) != 1 || nb[0] != t2 {
 		t.Fatalf("bridge = %v", nb)
 	}
 	// Vertex-bridged neighbors too.
-	nbv := m.BridgeAdjacent(t1, 0, 3)
+	nbv := m.BridgeAdjacentTo(t1, 0, 3, nil)
 	if len(nbv) != 1 || nbv[0] != t2 {
 		t.Fatalf("vertex bridge = %v", nbv)
 	}
@@ -121,7 +121,7 @@ func TestTwoTetsShareFace(t *testing.T) {
 func TestVertsRecovery(t *testing.T) {
 	m := newTestMesh()
 	tet, vs := singleTet(m)
-	got := m.Verts(tet)
+	got := m.VertsTo(tet, nil)
 	if len(got) != 4 {
 		t.Fatalf("verts = %v", got)
 	}
@@ -135,19 +135,19 @@ func TestVertsRecovery(t *testing.T) {
 		}
 	}
 	// Face verts come back as a cycle of the right vertices.
-	f := m.Down(tet)[0]
-	fv := m.Verts(f)
+	f := m.DownTo(tet, nil)[0]
+	fv := m.VertsTo(f, nil)
 	if len(fv) != 3 {
 		t.Fatalf("face verts = %v", fv)
 	}
 	// Edge verts are its down.
-	e := m.Down(f)[0]
-	ev := m.Verts(e)
+	e := m.DownTo(f, nil)[0]
+	ev := m.VertsTo(e, nil)
 	if len(ev) != 2 {
 		t.Fatal("edge verts")
 	}
 	// Vertex verts is itself.
-	if vv := m.Verts(vs[0]); len(vv) != 1 || vv[0] != vs[0] {
+	if vv := m.VertsTo(vs[0], nil); len(vv) != 1 || vv[0] != vs[0] {
 		t.Fatal("vertex verts")
 	}
 }
@@ -165,7 +165,7 @@ func TestHexPrismPyramidBuild(t *testing.T) {
 	if err := m.CheckConsistency(); err != nil {
 		t.Fatal(err)
 	}
-	got := m.Verts(hex)
+	got := m.VertsTo(hex, nil)
 	if len(got) != 8 {
 		t.Fatalf("hex verts = %d", len(got))
 	}
@@ -193,7 +193,7 @@ func TestHexPrismPyramidBuild(t *testing.T) {
 	if err := m2.CheckConsistency(); err != nil {
 		t.Fatal(err)
 	}
-	if got := m2.Verts(prism); len(got) != 6 {
+	if got := m2.VertsTo(prism, nil); len(got) != 6 {
 		t.Fatalf("prism verts = %d", len(got))
 	}
 	if v := m2.Measure(prism); v < 0.49 || v > 0.51 {
@@ -212,7 +212,7 @@ func TestHexPrismPyramidBuild(t *testing.T) {
 	if err := m3.CheckConsistency(); err != nil {
 		t.Fatal(err)
 	}
-	got = m3.Verts(pyr)
+	got = m3.VertsTo(pyr, nil)
 	if len(got) != 5 || got[4] != yv[4] {
 		t.Fatalf("pyramid verts = %v", got)
 	}
@@ -225,7 +225,7 @@ func TestDestroyAndReuse(t *testing.T) {
 	m := newTestMesh()
 	tet, _ := singleTet(m)
 	// Destroying a face with ups panics.
-	f := m.Down(tet)[0]
+	f := m.DownTo(tet, nil)[0]
 	func() {
 		defer func() {
 			if recover() == nil {
@@ -413,10 +413,6 @@ func TestRemoteCopiesAndResidence(t *testing.T) {
 	if !ok || h.I != 9 {
 		t.Fatal("remote copy lookup")
 	}
-	rs := m.Remotes(v)
-	if len(rs) != 2 || rs[0].Part != 0 || rs[1].Part != 2 {
-		t.Fatalf("remotes = %v", rs)
-	}
 	m.RemoveRemote(v, 0)
 	if got := m.AppendRemoteParts(v, nil); len(got) != 1 {
 		t.Fatalf("after remove: %v", got)
@@ -524,7 +520,7 @@ func TestMixedElementMesh(t *testing.T) {
 		t.Fatalf("regions = %d", m.Count(3))
 	}
 	// The pyramid's base quad must be the hex's face (shared, 2 ups).
-	base := m.Down(pyr)[0]
+	base := m.DownTo(pyr, nil)[0]
 	if base.T != Quad || m.UpCount(base) != 2 {
 		t.Fatalf("pyramid base %v has %d ups", base.T, m.UpCount(base))
 	}
@@ -534,7 +530,7 @@ func TestMixedElementMesh(t *testing.T) {
 		t.Fatal("prism-hex quad not shared")
 	}
 	// Element neighbors through faces: the hex touches both.
-	nb := m.BridgeAdjacent(hex, 2, 3)
+	nb := m.BridgeAdjacentTo(hex, 2, 3, nil)
 	if len(nb) != 2 {
 		t.Fatalf("hex face neighbors = %v", nb)
 	}
@@ -663,7 +659,7 @@ func TestMeasureAllTypesAndQuality(t *testing.T) {
 	if m.EdgeLength(e) != m.Measure(e) {
 		t.Fatal("EdgeLength alias")
 	}
-	f := m.Down(tet)[0]
+	f := m.DownTo(tet, nil)[0]
 	if m.Measure(f) <= 0 {
 		t.Fatal("tri area")
 	}

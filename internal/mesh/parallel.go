@@ -118,21 +118,6 @@ func (m *Mesh) AppendResidence(e Ent, dst []int32) []int32 {
 	return dst
 }
 
-// Remotes returns (part, handle) pairs for all copies of e, in
-// ascending part order.
-func (m *Mesh) Remotes(e Ent) []RemoteCopyRef {
-	ls := &m.links[e.T]
-	n := ls.count(e.I)
-	if n == 0 {
-		return nil
-	}
-	out := make([]RemoteCopyRef, 0, n)
-	for cur := ls.headOf(e.I); cur >= 0; cur = ls.next[cur] {
-		out = append(out, RemoteCopyRef{Part: ls.part[cur], Ent: ls.ent[cur]})
-	}
-	return out
-}
-
 // RemoteCopyRef names an entity copy on a peer part.
 type RemoteCopyRef struct {
 	Part int32

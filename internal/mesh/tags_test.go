@@ -79,7 +79,7 @@ func TestTagSlotReuseReadsUntagged(t *testing.T) {
 		victim = e
 		break
 	}
-	verts, c := m.Verts(victim), m.Classification(victim)
+	verts, c := m.VertsTo(victim, nil), m.Classification(victim)
 	m.Destroy(victim)
 	for _, tag := range tags {
 		if got := m.Tags.CountTagged(tag); got != nTets-1 {

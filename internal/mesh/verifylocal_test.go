@@ -27,7 +27,9 @@ func halves(ctx *pcu.Ctx, k int) *partition.DMesh {
 		}
 	}
 	dm := partition.Adopt(ctx, model.Model, 3, serial, k)
-	partition.Migrate(dm, partition.PlansFromAssignment(dm, assign))
+	if err := partition.TryMigrate(dm, partition.PlansFromAssignment(dm, assign)); err != nil {
+		panic(err)
+	}
 	return dm
 }
 

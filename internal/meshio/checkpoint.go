@@ -195,34 +195,6 @@ func decodePart(data []byte, pid int32, model *gmi.Model, dim int) (*partition.P
 	return p, res, nil
 }
 
-// GatherErrors is the collective agreement step: every rank contributes
-// its local error (or none) and all ranks return the same combined
-// error, so a local failure on one rank cannot desynchronize the world.
-// Use it to reconcile rank-local failures (file loads on rank 0, local
-// validation) before the next collective; returning early from only the
-// failing rank leaves the others blocked in the schedule.
-func GatherErrors(ctx *pcu.Ctx, localErr error, doing string) error {
-	return gatherErrors(ctx, localErr, doing)
-}
-
-// gatherErrors is the collective agreement step behind GatherErrors.
-func gatherErrors(ctx *pcu.Ctx, localErr error, doing string) error {
-	s := ""
-	if localErr != nil {
-		s = localErr.Error()
-	}
-	var causes []string
-	for r, m := range pcu.Allgather(ctx, s) {
-		if m != "" {
-			causes = append(causes, fmt.Sprintf("rank %d: %s", r, m))
-		}
-	}
-	if len(causes) == 0 {
-		return nil
-	}
-	return fmt.Errorf("meshio: %s: %s", doing, strings.Join(causes, "; "))
-}
-
 type saveReport struct {
 	files []CheckpointFile
 	err   string
@@ -396,8 +368,8 @@ func LoadCheckpoint(dir string, ctx *pcu.Ctx, model *gmi.Model) (*partition.DMes
 		return dm, cur, nil
 	}
 	// The newest epoch is unreadable. The first-attempt error is already
-	// collective (gatherErrors), as is the fallback decision below, so
-	// every rank takes the same path.
+	// collective (partition.GatherCauses), as is the fallback decision
+	// below, so every rank takes the same path.
 	hasPrev := false
 	if ctx.Rank() == 0 {
 		_, statErr := os.Stat(filepath.Join(dir, prevManifestName))
@@ -418,8 +390,8 @@ func LoadCheckpoint(dir string, ctx *pcu.Ctx, model *gmi.Model) (*partition.DMes
 // returns the same error.
 func loadEpoch(dir, manifest string, ctx *pcu.Ctx, model *gmi.Model) (*partition.DMesh, Cursor, error) {
 	man, localErr := readManifestFile(dir, manifest)
-	if err := gatherErrors(ctx, localErr, "loading checkpoint manifest"); err != nil {
-		return nil, Cursor{}, err
+	if causes := partition.GatherCauses(ctx, localErr); causes != "" {
+		return nil, Cursor{}, fmt.Errorf("meshio: loading checkpoint manifest: %s", causes)
 	}
 	if man.NParts%ctx.Size() != 0 {
 		return nil, Cursor{}, fmt.Errorf("meshio: checkpoint has %d parts, not divisible across %d ranks",
@@ -461,8 +433,8 @@ func loadEpoch(dir, manifest string, ctx *pcu.Ctx, model *gmi.Model) (*partition
 		parts = append(parts, p)
 		res = append(res, r)
 	}
-	if err := gatherErrors(ctx, localErr, "loading checkpoint parts"); err != nil {
-		return nil, Cursor{}, err
+	if causes := partition.GatherCauses(ctx, localErr); causes != "" {
+		return nil, Cursor{}, fmt.Errorf("meshio: loading checkpoint parts: %s", causes)
 	}
 	dm, err := partition.Assemble(ctx, model, man.Dim, k, parts, res)
 	if err != nil {

@@ -38,7 +38,9 @@ func buildDistributed(ctx *pcu.Ctx, k int) *partition.DMesh {
 			assign[el] = p
 		}
 	}
-	partition.Migrate(dm, partition.PlansFromAssignment(dm, assign))
+	if err := partition.TryMigrate(dm, partition.PlansFromAssignment(dm, assign)); err != nil {
+		panic(err)
+	}
 	for _, p := range dm.Parts {
 		m := p.M
 		tag, err := m.Tags.Create("ckpt-w", ds.TagInt, 1)

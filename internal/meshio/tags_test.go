@@ -17,7 +17,7 @@ import (
 // taggedBox is a 2×2×2 box carrying one tag of every kind, each on a
 // strict subset of some entity type so records with 0, 1 and several
 // entries all occur.
-func taggedBox(t *testing.T) *mesh.Mesh {
+func taggedBox(t testing.TB) *mesh.Mesh {
 	t.Helper()
 	m := meshgen.Box3D(gmi.Box(1, 1, 1), 2, 2, 2)
 	create := func(name string, kind ds.TagKind, size int) *ds.Tag {
@@ -150,7 +150,7 @@ func TestSlotReuseRoundTrip(t *testing.T) {
 			break
 		}
 	}
-	verts := m.Verts(el)
+	verts := m.VertsTo(el, nil)
 	c := m.Classification(el)
 	m.Destroy(el)
 	if again := m.BuildFromVerts(mesh.Tet, verts, c); again != el {

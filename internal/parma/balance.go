@@ -48,14 +48,14 @@ type LevelResult struct {
 	MeanAfter     float64
 }
 
-// Result summarizes a Balance run.
+// Result summarizes a BalanceSafe run.
 type Result struct {
 	Priority Priority
 	Levels   []LevelResult
 	Elapsed  time.Duration
 }
 
-// Balance runs ParMA multi-criteria partition improvement on the
+// BalanceSafe runs ParMA multi-criteria partition improvement on the
 // distributed mesh (collective). The priority list is traversed in
 // decreasing priority; for each entity type the migration schedule is
 // computed, elements are selected with the adjacency-based rules of
@@ -63,20 +63,12 @@ type Result struct {
 // the imbalance meets cfg.Tolerance or cfg.MaxIters is reached.
 // Balancing a type never knowingly pushes a higher-priority type past
 // tolerance on any destination part.
-func Balance(dm *partition.DMesh, pri Priority, cfg Config) Result {
-	res, err := BalanceSafe(dm, pri, cfg)
-	if err != nil {
-		panic(err)
-	}
-	return res
-}
-
-// BalanceSafe is Balance with migration faults surfaced as an error
-// instead of a panic: an aborted migration (partition.ErrMigrateAborted)
-// or a failing OnIter hook stops balancing on every rank and returns the
-// same error everywhere, leaving the mesh in its last consistent state —
-// the state of the most recent completed iteration. The partial Result
-// accompanies the error.
+//
+// An aborted migration (partition.ErrMigrateAborted) or a failing OnIter
+// hook stops balancing on every rank and returns the same error
+// everywhere, leaving the mesh in its last consistent state — the state
+// of the most recent completed iteration. The partial Result accompanies
+// the error.
 func BalanceSafe(dm *partition.DMesh, pri Priority, cfg Config) (Result, error) {
 	defer dm.Ctx.Span("parma.balance").End()
 	start := time.Now()

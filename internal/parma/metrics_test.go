@@ -18,7 +18,10 @@ func TestBalanceMetered(t *testing.T) {
 	_, err := pcu.RunOpt(ranks, pcu.Options{Metrics: reg}, func(ctx *pcu.Ctx) error {
 		dm := buildImbalanced(ctx, ranks, 12, 4, 4)
 		pri, _ := ParsePriority("Rgn")
-		res := Balance(dm, pri, Config{Tolerance: 1.05, MaxIters: 40})
+		res, err := BalanceSafe(dm, pri, Config{Tolerance: 1.05, MaxIters: 40})
+		if err != nil {
+			return err
+		}
 		if len(res.Levels) != 1 || res.Levels[0].Iters == 0 {
 			t.Errorf("balance made no iterations: %+v", res.Levels)
 		}

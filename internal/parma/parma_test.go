@@ -1,11 +1,13 @@
 package parma
 
 import (
+	"errors"
 	"fmt"
 	"testing"
 	"testing/quick"
 
 	"github.com/fastmath/pumi-go/internal/gmi"
+	"github.com/fastmath/pumi-go/internal/hwtopo"
 	"github.com/fastmath/pumi-go/internal/mesh"
 	"github.com/fastmath/pumi-go/internal/meshgen"
 	"github.com/fastmath/pumi-go/internal/partition"
@@ -186,7 +188,9 @@ func buildImbalanced(ctx *pcu.Ctx, nparts int, nx, ny, nz int) *partition.DMesh 
 			assign[el] = p
 		}
 	}
-	partition.Migrate(dm, partition.PlansFromAssignment(dm, assign))
+	if err := partition.TryMigrate(dm, partition.PlansFromAssignment(dm, assign)); err != nil {
+		panic(err)
+	}
 	return dm
 }
 
@@ -199,7 +203,10 @@ func TestBalanceRegions(t *testing.T) {
 		}
 		pri, _ := ParsePriority("Rgn")
 		cfg := Config{Tolerance: 1.05, MaxIters: 60}
-		res := Balance(dm, pri, cfg)
+		res, err := BalanceSafe(dm, pri, cfg)
+		if err != nil {
+			return err
+		}
 		_, after := partition.EntityImbalance(dm, 3)
 		if after > 1.15 {
 			return fmt.Errorf("imbalance %g -> %g (levels %+v)", before, after, res.Levels)
@@ -222,7 +229,10 @@ func TestBalanceVtxThenRgn(t *testing.T) {
 		dm := buildImbalanced(ctx, 4, 12, 4, 4)
 		pri, _ := ParsePriority("Vtx>Rgn")
 		cfg := Config{Tolerance: 1.05, MaxIters: 60}
-		res := Balance(dm, pri, cfg)
+		res, err := BalanceSafe(dm, pri, cfg)
+		if err != nil {
+			return err
+		}
 		_, vImb := partition.EntityImbalance(dm, 0)
 		_, rImb := partition.EntityImbalance(dm, 3)
 		if vImb > 1.25 {
@@ -259,7 +269,9 @@ func TestSelectCavitiesOnDistributedMesh(t *testing.T) {
 				}
 			}
 		}
-		partition.Migrate(dm, partition.PlansFromAssignment(dm, assign))
+		if err := partition.TryMigrate(dm, partition.PlansFromAssignment(dm, assign)); err != nil {
+			return err
+		}
 		m := dm.Parts[0].M
 		for _, dim := range []int{0, 1, 2, 3} {
 			cavs := SelectCavities(m, dim)
@@ -312,7 +324,9 @@ func TestHeavyPartSplit(t *testing.T) {
 				}
 			}
 		}
-		partition.Migrate(dm, partition.PlansFromAssignment(dm, assign))
+		if err := partition.TryMigrate(dm, partition.PlansFromAssignment(dm, assign)); err != nil {
+			return err
+		}
 		_, before := partition.EntityImbalance(dm, 3)
 		if before < 2.0 {
 			return fmt.Errorf("setup imbalance only %g", before)
@@ -330,7 +344,9 @@ func TestHeavyPartSplit(t *testing.T) {
 		}
 		// Follow with diffusion as the paper prescribes.
 		pri, _ := ParsePriority("Rgn")
-		Balance(dm, pri, cfg)
+		if _, err := BalanceSafe(dm, pri, cfg); err != nil {
+			return err
+		}
 		_, after := partition.EntityImbalance(dm, 3)
 		if after > 1.3 {
 			return fmt.Errorf("final imbalance %g", after)
@@ -369,10 +385,14 @@ func TestBalanceReducesBoundaryOrKeepsModest(t *testing.T) {
 				}
 			}
 		}
-		partition.Migrate(dm, partition.PlansFromAssignment(dm, assign))
+		if err := partition.TryMigrate(dm, partition.PlansFromAssignment(dm, assign)); err != nil {
+			return err
+		}
 		tr0 := partition.GatherBoundaryTraffic(dm, 0)
 		pri, _ := ParsePriority("Rgn")
-		Balance(dm, pri, Config{Tolerance: 1.05, MaxIters: 40})
+		if _, err := BalanceSafe(dm, pri, Config{Tolerance: 1.05, MaxIters: 40}); err != nil {
+			return err
+		}
 		tr1 := partition.GatherBoundaryTraffic(dm, 0)
 		if tr1.SharedTotal > tr0.SharedTotal*3/2 {
 			return fmt.Errorf("boundary grew badly: %d -> %d", tr0.SharedTotal, tr1.SharedTotal)
@@ -389,12 +409,49 @@ func TestBalanceWeights(t *testing.T) {
 		dm := buildImbalanced(ctx, 4, 12, 4, 4)
 		// Weight = 1 per element: reduces to count balancing.
 		unit := func(m *mesh.Mesh, el mesh.Ent) float64 { return 1 }
-		res := BalanceWeights(dm, unit, Config{Tolerance: 1.05, MaxIters: 60})
+		res, err := BalanceWeights(dm, unit, Config{Tolerance: 1.05, MaxIters: 60})
+		if err != nil {
+			return err
+		}
 		if res.Before < 1.3 {
 			return fmt.Errorf("setup not imbalanced: %g", res.Before)
 		}
 		if res.After > 1.15 {
 			return fmt.Errorf("weighted balance failed: %g -> %g", res.Before, res.After)
+		}
+		return partition.Verify(dm)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestBalanceWeightsReturnsAbort: a wire fault that outlasts the retry
+// budget inside the first iteration's migration comes back from
+// BalanceWeights as the migration's abort, the same on both ranks, with
+// the mesh still verifying.
+func TestBalanceWeightsReturnsAbort(t *testing.T) {
+	topo := hwtopo.Cluster(2, 1) // off-node, so the exchange is framed and checked
+	unit := func(m *mesh.Mesh, el mesh.Ent) float64 { return 1 }
+	var base [2]int64
+	if _, err := pcu.RunOpt(2, pcu.Options{Topo: topo}, func(ctx *pcu.Ctx) error {
+		buildImbalanced(ctx, 2, 8, 2, 2)
+		base[ctx.Rank()] = ctx.Ops()
+		return nil
+	}); err != nil {
+		t.Fatalf("probe run: %v", err)
+	}
+	// The first iteration: +1 gather weights, +2 sum of the moves, +3 the
+	// migration's first residence round.
+	plan := &pcu.FaultPlan{Faults: []pcu.Fault{{Rank: 0, Op: base[0] + 3, Kind: pcu.FaultCorrupt, Sticky: true}}}
+	_, err := pcu.RunOpt(2, pcu.Options{Topo: topo, Faults: plan, RetryBackoff: -1}, func(ctx *pcu.Ctx) error {
+		dm := buildImbalanced(ctx, 2, 8, 2, 2)
+		_, err := BalanceWeights(dm, unit, Config{Tolerance: 1.05, MaxIters: 20})
+		if !errors.Is(err, partition.ErrMigrateAborted) {
+			return fmt.Errorf("rank %d: want ErrMigrateAborted, got %v", ctx.Rank(), err)
+		}
+		if all := pcu.Allgather(ctx, err.Error()); all[0] != all[1] {
+			return fmt.Errorf("the ranks disagree: %q vs %q", all[0], all[1])
 		}
 		return partition.Verify(dm)
 	})
@@ -424,14 +481,19 @@ func TestBalanceWeightsNonUniform(t *testing.T) {
 				assign[el] = p
 			}
 		}
-		partition.Migrate(dm, partition.PlansFromAssignment(dm, assign))
+		if err := partition.TryMigrate(dm, partition.PlansFromAssignment(dm, assign)); err != nil {
+			return err
+		}
 		heavy := func(m *mesh.Mesh, el mesh.Ent) float64 {
 			if m.Centroid(el).X < 1 {
 				return 5
 			}
 			return 1
 		}
-		res := BalanceWeights(dm, heavy, Config{Tolerance: 1.10, MaxIters: 80})
+		res, err := BalanceWeights(dm, heavy, Config{Tolerance: 1.10, MaxIters: 80})
+		if err != nil {
+			return err
+		}
 		if res.Before < 1.5 {
 			return fmt.Errorf("setup weight imbalance only %g", res.Before)
 		}

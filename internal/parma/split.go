@@ -113,7 +113,8 @@ type SplitResult struct {
 // HeavyPartSplit runs one round of merge-and-split (collective):
 // lightly loaded parts merge into neighbors (emptying themselves), and
 // heavily loaded parts split into the freed parts. The caller typically
-// follows with Balance for final smoothing, as the paper describes.
+// follows with BalanceSafe for final smoothing, as the paper describes.
+// An aborted migration panics: the signature has no error to carry it.
 func HeavyPartSplit(dm *partition.DMesh, cfg Config) SplitResult {
 	d := dm.Dim
 	counts := partition.GatherCounts(dm, d)
@@ -197,7 +198,9 @@ func HeavyPartSplit(dm *partition.DMesh, cfg Config) SplitResult {
 			}
 		}
 	}
-	partition.Migrate(dm, plans)
+	if err := partition.TryMigrate(dm, plans); err != nil {
+		panic(err)
+	}
 
 	// Phase 2: split heavy parts into the emptied parts.
 	counts = partition.GatherCounts(dm, d)
@@ -256,7 +259,9 @@ func HeavyPartSplit(dm *partition.DMesh, cfg Config) SplitResult {
 		}
 		res.SplitPieces += len(targets)
 	}
-	partition.Migrate(dm, plans)
+	if err := partition.TryMigrate(dm, plans); err != nil {
+		panic(err)
+	}
 	// Make the report identical on every rank (SplitPieces is tallied
 	// only where the heavy parts live).
 	res.SplitPieces = int(pcu.SumInt64(dm.Ctx, int64(res.SplitPieces)))

@@ -22,7 +22,10 @@ func TestBalanceTraced8Ranks(t *testing.T) {
 	_, err := pcu.RunOpt(ranks, pcu.Options{Trace: tr}, func(ctx *pcu.Ctx) error {
 		dm := buildImbalanced(ctx, ranks, 16, 4, 4)
 		pri, _ := ParsePriority("Rgn")
-		res := Balance(dm, pri, Config{Tolerance: 1.05, MaxIters: 60})
+		res, err := BalanceSafe(dm, pri, Config{Tolerance: 1.05, MaxIters: 60})
+		if err != nil {
+			return err
+		}
 		if len(res.Levels) != 1 || res.Levels[0].Iters == 0 {
 			t.Errorf("balance made no iterations: %+v", res.Levels)
 		}

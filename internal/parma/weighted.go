@@ -15,9 +15,11 @@ import (
 type WeightFunc func(m *mesh.Mesh, el mesh.Ent) float64
 
 // BalanceWeights diffuses element weight instead of entity counts: the
-// same greedy cavity migration as Balance, driven by per-part total
-// weight (collective). It returns the before/after weight imbalance.
-func BalanceWeights(dm *partition.DMesh, weight WeightFunc, cfg Config) LevelResult {
+// same greedy cavity migration as BalanceSafe, driven by per-part total
+// weight (collective). It returns the before/after weight imbalance and,
+// like BalanceSafe, the same error on every rank when a migration
+// aborts, the mesh left as the last completed iteration made it.
+func BalanceWeights(dm *partition.DMesh, weight WeightFunc, cfg Config) (LevelResult, error) {
 	lr := LevelResult{Dim: dm.Dim}
 	for iter := 0; iter < cfg.MaxIters; iter++ {
 		weights := gatherWeights(dm, weight)
@@ -28,7 +30,7 @@ func BalanceWeights(dm *partition.DMesh, weight WeightFunc, cfg Config) LevelRes
 		lr.After, lr.MeanAfter = imb, mean
 		if imb <= cfg.Tolerance {
 			lr.Iters = iter
-			return lr
+			return lr, nil
 		}
 		plans := buildWeightedPlans(dm, weights, mean, weight, cfg)
 		moved := int64(0)
@@ -36,7 +38,9 @@ func BalanceWeights(dm *partition.DMesh, weight WeightFunc, cfg Config) LevelRes
 			moved += int64(len(p))
 		}
 		total := pcu.SumInt64(dm.Ctx, moved)
-		partition.Migrate(dm, plans)
+		if err := partition.TryMigrate(dm, plans); err != nil {
+			return lr, err
+		}
 		lr.Iters = iter + 1
 		if total == 0 {
 			break
@@ -44,7 +48,7 @@ func BalanceWeights(dm *partition.DMesh, weight WeightFunc, cfg Config) LevelRes
 	}
 	weights := gatherWeights(dm, weight)
 	lr.MeanAfter, lr.After = imbalanceF(weights)
-	return lr
+	return lr, nil
 }
 
 // gatherWeights sums element weights per part across all ranks.

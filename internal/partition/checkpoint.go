@@ -71,7 +71,7 @@ func Assemble(ctx *pcu.Ctx, model *gmi.Model, dim, k int, parts []*Part, res []m
 	resume := dm.suspendGuards()
 	localErr := catchStage(ph.applyStitches)
 	resume()
-	if causes := gatherCauses(ctx, localErr); causes != "" {
+	if causes := GatherCauses(ctx, localErr); causes != "" {
 		return nil, fmt.Errorf("partition: assembling checkpoint: %s", causes)
 	}
 	return dm, nil

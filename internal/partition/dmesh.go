@@ -219,6 +219,35 @@ func Adopt(ctx *pcu.Ctx, model *gmi.Model, dim int, serial *mesh.Mesh, k int) *D
 	return dm
 }
 
+// Distribute scatters a serial mesh over all parts (collective) — the
+// opening step of every workflow. Rank 0 passes the serial mesh and one
+// destination part per element, in serial.Elements() order (the order
+// the zpart partitioners and meshio.ReadAssignment use); what the other
+// ranks pass for the two is never read, nil will do. It is Adopt
+// followed by one TryMigrate, so a failure is TryMigrate's: an assignment
+// of the wrong length or naming a part outside [0, NParts) returns the
+// same ErrMigrateAborted on every rank, with the returned DMesh still
+// holding the whole mesh on part 0, Verify-intact.
+func Distribute(ctx *pcu.Ctx, model *gmi.Model, dim int, serial *mesh.Mesh, assign []int32, k int) (*DMesh, error) {
+	dm := Adopt(ctx, model, dim, serial, k)
+	var plans []Plan
+	var localErr error
+	if ctx.Rank() == 0 {
+		if n := serial.Count(serial.Dim()); len(assign) != n {
+			localErr = fmt.Errorf("assignment has %d entries for %d elements", len(assign), n)
+		} else {
+			plan := make(Plan, n)
+			i := 0
+			for el := range serial.Elements() {
+				plan[el] = assign[i]
+				i++
+			}
+			plans = []Plan{plan}
+		}
+	}
+	return dm, tryMigrate(dm, plans, localErr)
+}
+
 // NParts returns the global part count.
 func (dm *DMesh) NParts() int { return dm.Ctx.Size() * dm.K }
 

@@ -139,7 +139,9 @@ func TestGhostTagSyncAndRemove(t *testing.T) {
 		}
 		// Migration must work again after ghost removal.
 		plans := make([]Plan, len(dm.Parts))
-		Migrate(dm, plans)
+		if err := TryMigrate(dm, plans); err != nil {
+			return err
+		}
 		return Verify(dm)
 	})
 	if err != nil {
@@ -183,7 +185,9 @@ func TestMigrateWithGhostsPanics(t *testing.T) {
 		}, 1, 2)
 		Ghost(dm, 0, 1)
 		defer func() { recover() }()
-		Migrate(dm, make([]Plan, len(dm.Parts)))
+		if err := TryMigrate(dm, make([]Plan, len(dm.Parts))); err != nil {
+			return err
+		}
 		return fmt.Errorf("migration with ghosts did not panic")
 	})
 	// The panic is recovered inside each rank body; the deferred

@@ -228,9 +228,13 @@ func TestGidIndexSteadyStateCap(t *testing.T) {
 			}
 			return c
 		}
-		bulkRoundTrip(dm)
+		if err := bulkRoundTrip(dm); err != nil {
+			return err
+		}
 		warm := caps()
-		bulkRoundTrip(dm)
+		if err := bulkRoundTrip(dm); err != nil {
+			return err
+		}
 		if err := Verify(dm); err != nil {
 			return err
 		}

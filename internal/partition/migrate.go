@@ -56,16 +56,18 @@ func catchStage(f func()) (err error) {
 // the world failed, every rank returns the same abort error naming all
 // causes.
 func voteAbort(dm *DMesh, localErr error, stage string) error {
-	if causes := gatherCauses(dm.Ctx, localErr); causes != "" {
+	if causes := GatherCauses(dm.Ctx, localErr); causes != "" {
 		return fmt.Errorf("%w while %s: %s", ErrMigrateAborted, stage, causes)
 	}
 	return nil
 }
 
-// gatherCauses returns every rank's local error, by rank, the same
-// string on all of them, empty if none failed. The Allgather keeps the
-// collective schedule aligned even when only some ranks failed.
-func gatherCauses(ctx *pcu.Ctx, localErr error) string {
+// GatherCauses returns every rank's local error, by rank, the same
+// string on all of them, empty if none failed (collective). It is how a
+// failure only some ranks saw — a bad plan, an unreadable checkpoint
+// file — becomes the same decision everywhere: returning early from the
+// failing rank alone would leave the others blocked in the schedule.
+func GatherCauses(ctx *pcu.Ctx, localErr error) string {
 	s := ""
 	if localErr != nil {
 		s = localErr.Error()
@@ -89,15 +91,6 @@ func rollbackCreated(parts []moving) {
 		for j := len(p.created) - 1; j >= 0; j-- {
 			p.M.Destroy(mesh.UnpackEnt(p.created[j]))
 		}
-	}
-}
-
-// Migrate moves mesh elements between parts according to per-local-part
-// plans. It is TryMigrate with failures escalated to panics; callers
-// that want to survive an aborted migration use TryMigrate directly.
-func Migrate(dm *DMesh, plans []Plan) {
-	if err := TryMigrate(dm, plans); err != nil {
-		panic(err)
 	}
 }
 
@@ -125,6 +118,12 @@ func Migrate(dm *DMesh, plans []Plan) {
 // Verify-intact. Only after the votes pass does TryMigrate destroy
 // migrated elements and restitch remote links.
 func TryMigrate(dm *DMesh, plans []Plan) error {
+	return tryMigrate(dm, plans, nil)
+}
+
+// tryMigrate is TryMigrate with a failure this rank found before the
+// call as its vote in the first abort round.
+func tryMigrate(dm *DMesh, plans []Plan, localErr error) error {
 	defer dm.Ctx.Span("partition.migrate").End()
 	tr := dm.Ctx.Trace()
 	for _, part := range dm.Parts {
@@ -135,7 +134,7 @@ func TryMigrate(dm *DMesh, plans []Plan) error {
 	mg := newMigration(dm)
 	defer mg.reset()
 
-	if err := voteAbort(dm, mg.stageResidence(plans), "staging residence updates"); err != nil {
+	if err := voteAbort(dm, mg.stageResidence(plans, localErr), "staging residence updates"); err != nil {
 		// Nothing has been created or destroyed yet; the vote is the
 		// only cleanup needed.
 		tr.Point("migrate.abort", 1)
@@ -235,11 +234,11 @@ func level(words []uint32, dd int) []uint32 {
 // stageResidence is steps 1 and 2: it normalizes the plans and stages,
 // in every part's table, the new residence of each entity the moves
 // affect. A bad plan is this rank's vote to abort: the part it was found
-// on, and those after it, stage and ship nothing.
-func (mg *migration) stageResidence(plans []Plan) error {
+// on, and those after it, stage and ship nothing; with localErr already
+// set on entry, no part does.
+func (mg *migration) stageResidence(plans []Plan, localErr error) error {
 	dm, d, ph := mg.dm, mg.dm.Dim, mg.ph
-	var localErr error
-	if len(plans) > len(dm.Parts) {
+	if localErr == nil && len(plans) > len(dm.Parts) {
 		localErr = fmt.Errorf("%d plans for %d local parts", len(plans), len(dm.Parts))
 	}
 

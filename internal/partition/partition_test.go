@@ -39,7 +39,9 @@ func distributeByX(ctx *pcu.Ctx, model *gmi.Model, gen func() *mesh.Mesh, k int,
 			assign[el] = p
 		}
 	}
-	Migrate(dm, PlansFromAssignment(dm, assign))
+	if err := TryMigrate(dm, PlansFromAssignment(dm, assign)); err != nil {
+		panic(err)
+	}
 	return dm
 }
 
@@ -159,7 +161,9 @@ func TestSecondMigrationAndReturn(t *testing.T) {
 				plans[i][el] = 0
 			}
 		}
-		Migrate(dm, plans)
+		if err := TryMigrate(dm, plans); err != nil {
+			return err
+		}
 		if err := Verify(dm); err != nil {
 			return fmt.Errorf("after regather: %w", err)
 		}
@@ -214,7 +218,9 @@ func TestPartitionModelFig34(t *testing.T) {
 				}
 			}
 		}
-		Migrate(dm, PlansFromAssignment(dm, assign))
+		if err := TryMigrate(dm, PlansFromAssignment(dm, assign)); err != nil {
+			return err
+		}
 		if err := Verify(dm); err != nil {
 			return err
 		}

@@ -164,7 +164,9 @@ func TestPlanInvalidation(t *testing.T) {
 			for el := range part.M.Elements() {
 				plan[el] = (part.M.Part() + 1) % nparts
 			}
-			Migrate(dm, []Plan{plan})
+			if err := TryMigrate(dm, []Plan{plan}); err != nil {
+				return err
+			}
 			if err := Verify(dm); err != nil {
 				return err
 			}

@@ -72,7 +72,9 @@ func migrationStorm(t *testing.T, ranks, k int) string {
 				i++
 			}
 		}
-		Migrate(dm, PlansFromAssignment(dm, assign))
+		if err := TryMigrate(dm, PlansFromAssignment(dm, assign)); err != nil {
+			return err
+		}
 
 		wantCounts := [4]int64{}
 		for d := 0; d <= 3; d++ {
@@ -98,7 +100,9 @@ func migrationStorm(t *testing.T, ranks, k int) string {
 					}
 				}
 			}
-			Migrate(dm, plans)
+			if err := TryMigrate(dm, plans); err != nil {
+				return err
+			}
 			if err := Verify(dm); err != nil {
 				return fmt.Errorf("round %d: %w", round, err)
 			}
@@ -192,7 +196,9 @@ func TestRandomMigrationWithGhostCycles(t *testing.T) {
 				i++
 			}
 		}
-		Migrate(dm, PlansFromAssignment(dm, assign))
+		if err := TryMigrate(dm, PlansFromAssignment(dm, assign)); err != nil {
+			return err
+		}
 		want := GlobalCount(dm, 3)
 
 		rng := xorshift(42 + uint64(ctx.Rank()))
@@ -208,7 +214,9 @@ func TestRandomMigrationWithGhostCycles(t *testing.T) {
 					}
 				}
 			}
-			Migrate(dm, plans)
+			if err := TryMigrate(dm, plans); err != nil {
+				return err
+			}
 			if err := Verify(dm); err != nil {
 				return fmt.Errorf("round %d: %w", round, err)
 			}

@@ -121,7 +121,9 @@ func TestMigrateAllocsScaleWithMove(t *testing.T) {
 				runtime.ReadMemStats(&before)
 			}
 			ctx.Barrier()
-			Migrate(dm, plans)
+			if err := TryMigrate(dm, plans); err != nil {
+				panic(err)
+			}
 			ctx.Barrier()
 			if ctx.Rank() == 0 {
 				runtime.ReadMemStats(&after)

@@ -107,7 +107,9 @@ func mixedWorld(ctx *pcu.Ctx, tagged bool) *DMesh {
 			}
 		}
 	}
-	Migrate(dm, plansByGid(dm, mixedA))
+	if err := TryMigrate(dm, plansByGid(dm, mixedA)); err != nil {
+		panic(err)
+	}
 	if n := GlobalCount(dm, 3); n != mixedRegions {
 		panic(fmt.Sprintf("mixed mesh has %d regions, want %d", n, mixedRegions))
 	}
@@ -128,7 +130,7 @@ func tappedMigrate(dm *DMesh, plans []Plan) (shipTap, error) {
 	tap := shipTap{sent: make([][]byte, dm.Ctx.Size()), got: map[[2]int32][]byte{}, want: map[[2]int32][]byte{}}
 	mg := newMigration(dm)
 	defer mg.reset()
-	if err := voteAbort(dm, mg.stageResidence(plans), "staging residence updates"); err != nil {
+	if err := voteAbort(dm, mg.stageResidence(plans, nil), "staging residence updates"); err != nil {
 		return tap, err
 	}
 	var scratch [3][]mesh.Ent

@@ -126,7 +126,7 @@ func TestPhaseExchangeReservesOnce(t *testing.T) {
 }
 
 // bulkRoundTrip migrates every element to the next part and back.
-func bulkRoundTrip(dm *DMesh) {
+func bulkRoundTrip(dm *DMesh) error {
 	nparts := int32(dm.NParts())
 	for _, shift := range []int32{1, nparts - 1} {
 		plans := make([]Plan, len(dm.Parts))
@@ -136,8 +136,11 @@ func bulkRoundTrip(dm *DMesh) {
 				plans[i][el] = (part.M.Part() + shift) % nparts
 			}
 		}
-		Migrate(dm, plans)
+		if err := TryMigrate(dm, plans); err != nil {
+			return err
+		}
 	}
+	return nil
 }
 
 // TestMigrateRetainsNoPayload runs a bulk A->B->A round trip on 2 ranks
@@ -155,9 +158,8 @@ func TestMigrateRetainsNoPayload(t *testing.T) {
 		dm := distributeByX(ctx, model.Model, func() *mesh.Mesh {
 			return meshgen.Box3D(model, 16, 6, 6)
 		}, 4, 4)
-		bulkRoundTrip(dm)
 		parts[ctx.Rank()] = dm.Parts
-		return nil
+		return bulkRoundTrip(dm)
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -175,7 +177,9 @@ func TestMigrateRetainsNoPayload(t *testing.T) {
 			return ms.HeapAlloc
 		}
 		before := heap()
-		bulkRoundTrip(dm)
+		if err := bulkRoundTrip(dm); err != nil {
+			return err
+		}
 		after := heap()
 		if err := Verify(dm); err != nil {
 			return err
@@ -244,7 +248,9 @@ func TestRepartitionCycleAllocBytes(t *testing.T) {
 			ctx.Barrier()
 			return ms.TotalAlloc, sent
 		}
-		Migrate(dm, to(dests[0]))
+		if err := TryMigrate(dm, to(dests[0])); err != nil {
+			return err
+		}
 		var allocated uint64
 		var sent int64
 		for range 2 { // the first cycle brings the parts' arrays to size
@@ -252,7 +258,9 @@ func TestRepartitionCycleAllocBytes(t *testing.T) {
 			for _, dest := range [][]int32{dests[1], dests[0]} {
 				plans := to(dest)
 				a0, s0 := snapshot()
-				Migrate(dm, plans)
+				if err := TryMigrate(dm, plans); err != nil {
+					return err
+				}
 				a1, s1 := snapshot()
 				allocated, sent = allocated+a1-a0, sent+s1-s0
 			}

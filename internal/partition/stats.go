@@ -131,11 +131,10 @@ func GlobalCount(dm *DMesh, dim int) int64 {
 	return pcu.SumInt64(dm.Ctx, owned)
 }
 
-// ElementDest is a helper for building migration plans from a global
-// assignment computed on one rank: rank 0's part 0 typically holds a
-// freshly generated serial mesh, and assign maps its elements to
-// destination parts. Other ranks pass nil. Returns per-local-part plans
-// for Migrate.
+// PlansFromAssignment turns a global assignment held by rank 0, whose
+// part 0 holds the whole mesh, into per-local-part plans for TryMigrate;
+// other ranks pass nil. Distribute is the entry point for a fresh serial
+// mesh; this is for a hand-built plan over an adopted one.
 func PlansFromAssignment(dm *DMesh, assign map[mesh.Ent]int32) []Plan {
 	plans := make([]Plan, len(dm.Parts))
 	if assign == nil {

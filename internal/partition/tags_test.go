@@ -83,7 +83,9 @@ func TestMigrationSlotReuseKeepsTagsExact(t *testing.T) {
 					plans[i][el] = 1 - part.M.Part()
 				}
 			}
-			Migrate(dm, plans)
+			if err := TryMigrate(dm, plans); err != nil {
+				return err
+			}
 			if err := check(fmt.Sprintf("after swap %d", pass+1)); err != nil {
 				return err
 			}

@@ -50,6 +50,20 @@ func TestRunPropagatesErrors(t *testing.T) {
 	}
 }
 
+// TestRunReportsAgreedErrorOnce: an error every rank returns in the same
+// words (the outcome of a collective vote) is one line of the result;
+// errors that differ all show.
+func TestRunReportsAgreedErrorOnce(t *testing.T) {
+	err := Run(3, func(c *Ctx) error { return errors.New("vote: rank 1: boom") })
+	if err == nil || err.Error() != "vote: rank 1: boom" {
+		t.Fatalf("agreed error: %q", err)
+	}
+	err = Run(3, func(c *Ctx) error { return fmt.Errorf("rank %d failed", c.Rank()) })
+	if err == nil || strings.Count(err.Error(), "\n") != 2 {
+		t.Fatalf("distinct errors: %q", err)
+	}
+}
+
 func TestRunPanicDoesNotDeadlock(t *testing.T) {
 	err := Run(4, func(c *Ctx) error {
 		//pumi-vet:ignore collseq // deliberate divergence: panic poisoning must unblock peers

@@ -468,7 +468,9 @@ func (w *World) classify(rank int, rs *rankState, p any) error {
 }
 
 // verdict reduces the per-rank errors to the run's single result,
-// reporting real failures before secondary teardown noise.
+// reporting real failures before secondary teardown noise. An error the
+// ranks agreed on collectively comes back from each of them with the
+// same text and is reported once.
 func (w *World) verdict(errs []error) error {
 	cause := w.bar.causeErr()
 	var primary []error
@@ -476,7 +478,9 @@ func (w *World) verdict(errs []error) error {
 		if e == nil || e == cause || errors.Is(e, ErrPeerFailed) {
 			continue
 		}
-		primary = append(primary, e)
+		if !slices.ContainsFunc(primary, func(p error) bool { return p.Error() == e.Error() }) {
+			primary = append(primary, e)
+		}
 	}
 	if len(primary) > 0 {
 		return errors.Join(primary...)

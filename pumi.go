@@ -28,10 +28,14 @@
 //		if ctx.Rank() == 0 {
 //			serial = pumi.BoxMesh(model, 16, 16, 16)
 //		}
-//		dm := pumi.Adopt(ctx, model.Model, 3, serial, 1)
-//		pumi.PartitionRCB(dm, serial)
+//		dm, err := pumi.PartitionRCB(ctx, model.Model, 3, serial, 1)
+//		if err != nil {
+//			return err
+//		}
 //		pri, _ := pumi.ParsePriority("Vtx>Rgn")
-//		pumi.Balance(dm, pri, pumi.DefaultBalanceConfig())
+//		if _, err := pumi.BalanceSafe(dm, pri, pumi.DefaultBalanceConfig()); err != nil {
+//			return err
+//		}
 //		return pumi.CheckDistributed(dm)
 //	})
 package pumi
@@ -126,7 +130,7 @@ type (
 	Priority = parma.Priority
 	// BalanceConfig controls ParMA improvement.
 	BalanceConfig = parma.Config
-	// BalanceResult reports a Balance run.
+	// BalanceResult reports a BalanceSafe run.
 	BalanceResult = parma.Result
 )
 
@@ -202,12 +206,17 @@ var (
 
 // Distributed mesh services.
 var (
-	// Adopt wraps a serial mesh (rank 0) into a distributed mesh.
+	// Distribute scatters rank 0's serial mesh by a per-element
+	// assignment: how a workflow gets its distributed mesh.
+	Distribute = partition.Distribute
+	// Adopt wraps a serial mesh (rank 0) into a distributed mesh whose
+	// part 0 holds all of it; Distribute is Adopt plus the scatter.
 	Adopt = partition.Adopt
 	// NewDMesh creates an empty distributed mesh.
 	NewDMesh = partition.New
-	// Migrate moves elements between parts per the plans.
-	Migrate = partition.Migrate
+	// TryMigrate moves elements between parts per the plans; an aborted
+	// migration returns an error and leaves the mesh intact.
+	TryMigrate = partition.TryMigrate
 	// PlansFromAssignment turns a rank-0 global assignment into plans.
 	PlansFromAssignment = partition.PlansFromAssignment
 	// Ghost builds N layers of read-only ghost elements.
@@ -252,8 +261,8 @@ var (
 var (
 	// ParsePriority parses a priority list like "Vtx=Edge>Rgn".
 	ParsePriority = parma.ParsePriority
-	// Balance runs multi-criteria partition improvement.
-	Balance = parma.Balance
+	// BalanceSafe runs multi-criteria partition improvement.
+	BalanceSafe = parma.BalanceSafe
 	// HeavyPartSplit merges light parts and splits heavy ones.
 	HeavyPartSplit = parma.HeavyPartSplit
 	// DefaultBalanceConfig is the paper's 5% tolerance setup.
@@ -302,21 +311,16 @@ var (
 	BalanceWeights = parma.BalanceWeights
 )
 
-// PartitionRCB distributes a serial mesh held by rank 0 of dm across
-// all parts with recursive coordinate bisection — the common first step
-// of every workflow in this library. serial must be the mesh passed to
-// Adopt (nil on other ranks).
-func PartitionRCB(dm *DMesh, serial *Mesh) {
-	var plan map[Ent]int32
-	if dm.Ctx.Rank() == 0 && serial != nil {
-		in, els := Centroids(serial)
-		assign := RCB(in, dm.NParts())
-		plan = map[Ent]int32{}
-		for i, el := range els {
-			plan[el] = assign[i]
-		}
+// PartitionRCB distributes a serial mesh held by rank 0 over k parts per
+// rank with recursive coordinate bisection: Distribute with an RCB
+// assignment. Other ranks pass a nil mesh.
+func PartitionRCB(ctx *Ctx, model *Model, dim int, serial *Mesh, k int) (*DMesh, error) {
+	var assign []int32
+	if ctx.Rank() == 0 {
+		in, _ := Centroids(serial)
+		assign = RCB(in, ctx.Size()*k)
 	}
-	Migrate(dm, PlansFromAssignment(dm, plan))
+	return Distribute(ctx, model, dim, serial, assign, k)
 }
 
 // adaptDefaults returns the default adaptation options (exported via

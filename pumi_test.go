@@ -13,8 +13,10 @@ func TestFacadeWorkflow(t *testing.T) {
 		if ctx.Rank() == 0 {
 			serial = BoxMesh(model, 8, 4, 4)
 		}
-		dm := Adopt(ctx, model.Model, 3, serial, 1)
-		PartitionRCB(dm, serial)
+		dm, err := PartitionRCB(ctx, model.Model, 3, serial, 1)
+		if err != nil {
+			return err
+		}
 		if err := CheckDistributed(dm); err != nil {
 			return err
 		}
@@ -22,7 +24,9 @@ func TestFacadeWorkflow(t *testing.T) {
 		if err != nil {
 			return err
 		}
-		Balance(dm, pri, DefaultBalanceConfig())
+		if _, err := BalanceSafe(dm, pri, DefaultBalanceConfig()); err != nil {
+			return err
+		}
 		if _, imb := EntityImbalance(dm, 0); imb > 1.3 {
 			t.Errorf("vertex imbalance %g", imb)
 		}
