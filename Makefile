@@ -69,13 +69,15 @@ bench-smoke:
 
 # Five seconds of native fuzzing on each decoder of outside bytes that
 # has a target (today the assignment file, the mesh file with its tag
-# section and the message Reader; ROADMAP item 1(f) lists the rest). The committed corpus under testdata/fuzz
+# section, a checkpoint's part file and manifest, and the message Reader;
+# ROADMAP item 1(f) lists the rest). The committed corpus under testdata/fuzz
 # runs with every plain `go test`; this lane is the part that looks for
 # new inputs. A crasher is written next to the corpus: fix it and commit
 # the file as a seed.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzReadAssignment -fuzztime 5s ./internal/meshio
 	$(GO) test -run '^$$' -fuzz 'FuzzRead$$' -fuzztime 5s ./internal/meshio
+	$(GO) test -run '^$$' -fuzz FuzzDecodePart -fuzztime 5s ./internal/meshio
 	$(GO) test -run '^$$' -fuzz FuzzReader -fuzztime 5s ./internal/pcu
 
 # The pipeline benchmark is a Go module of its own (bench/go.mod), so

@@ -57,9 +57,11 @@ func VerifyParallel(c *pcu.Ctx, ms ...*Mesh) error {
 		}
 	}
 
-	// Local sweeps.
+	// Local sweeps. They also count the bytes each rank's link records
+	// take (22 a link), so that the exchange reserves each buffer once.
 	var peers []int32 // remote-part scratch
 	var down [6]Ent
+	need := make([]int, c.Size())
 	for _, m := range ms {
 		c.Count("mesh.consistency-checks", 1)
 		record(m.CheckConsistency())
@@ -92,7 +94,9 @@ func VerifyParallel(c *pcu.Ctx, ms ...*Mesh) error {
 					if q == m.Part() {
 						record(fmt.Errorf("mesh: %v on part %d lists its own part as a remote", e, m.Part()))
 					}
-					if _, ok := rankOf[q]; !ok {
+					if r, ok := rankOf[q]; ok {
+						need[r] += 22
+					} else {
 						record(fmt.Errorf("mesh: %v on part %d linked to unknown part %d", e, m.Part(), q))
 					}
 					// Closure: everything bounding a shared entity is
@@ -123,6 +127,8 @@ func VerifyParallel(c *pcu.Ctx, ms ...*Mesh) error {
 						continue // already recorded above
 					}
 					b := c.To(r)
+					b.Grow(need[r])
+					need[r] = 0
 					b.Int32(q)
 					b.Int32(m.Part())
 					b.Byte(byte(e.T))

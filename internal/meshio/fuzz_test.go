@@ -2,11 +2,14 @@ package meshio
 
 import (
 	"bytes"
+	"os"
+	"path/filepath"
 	"testing"
 
 	"github.com/fastmath/pumi-go/internal/gmi"
 	"github.com/fastmath/pumi-go/internal/mesh"
 	"github.com/fastmath/pumi-go/internal/meshgen"
+	"github.com/fastmath/pumi-go/internal/pcu"
 )
 
 // FuzzReadAssignment feeds arbitrary bytes to the reader of the
@@ -74,6 +77,53 @@ func FuzzRead(f *testing.F) {
 		}
 		if twice := appendMesh(nil, m2); !bytes.Equal(once, twice) {
 			t.Fatalf("accepted %d bytes; written, read and written again, %d bytes became %d different ones", len(data), len(once), len(twice))
+		}
+	})
+}
+
+// FuzzDecodePart feeds arbitrary bytes to the two decoders of a
+// checkpoint directory LoadCheckpoint reads from disk: decodePart, the
+// reader of one part file, and readManifestFile, the reader of the JSON
+// manifest. Neither may panic; a part file decodePart accepts must
+// survive CheckConsistency without a panic and hand back residence sets
+// of two or more parts each, and a manifest readManifestFile accepts
+// carries the checkpoint magic. The seeds are the manifest and the two
+// part files of one valid checkpoint; crashers land under
+// testdata/fuzz/FuzzDecodePart.
+func FuzzDecodePart(f *testing.F) {
+	model := gmi.Box(4, 1, 1)
+	dir := f.TempDir()
+	if err := pcu.Run(2, func(ctx *pcu.Ctx) error {
+		return SaveCheckpoint(dir, buildDistributed(ctx, 1), Cursor{Phase: "fuzz"})
+	}); err != nil {
+		f.Fatal(err)
+	}
+	man, err := readManifest(dir)
+	if err != nil {
+		f.Fatal(err)
+	}
+	for _, name := range []string{manifestName, man.Files[0].Name, man.Files[1].Name} {
+		data, err := os.ReadFile(filepath.Join(dir, name))
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(data)
+	}
+	scratch := f.TempDir()
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if p, res, err := decodePart(data, 0, model.Model, 3); err == nil {
+			_ = p.M.CheckConsistency() // a hostile but well-formed file may fail it; it may not panic
+			for e, parts := range res {
+				if len(parts) < 2 {
+					t.Fatalf("accepted %d bytes; %v has the residence %v", len(data), e, parts)
+				}
+			}
+		}
+		if err := os.WriteFile(filepath.Join(scratch, manifestName), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if man, err := readManifestFile(scratch, manifestName); err == nil && man.Magic != checkpointMagic {
+			t.Fatalf("accepted a manifest with the magic %q", man.Magic)
 		}
 	})
 }

@@ -299,29 +299,45 @@ type partWriter struct {
 // exchanges pack into the same array. Nothing outlives the call.
 type phase struct {
 	dm      *DMesh
-	writers []*partWriter
+	writers []partWriter
 	// need is, per destination rank, the bytes the next exchange is known
 	// to send there; rankBuf reserves them at the first write.
 	need []int
+	// pairNeed is, per destination part, the bytes one local part is
+	// about to pack there; reserve spends it.
+	pairNeed []int
 }
 
 // beginPhase starts the part-addressed communication of one call.
 func (dm *DMesh) beginPhase() *phase {
-	return &phase{dm: dm, need: make([]int, dm.Ctx.Size())}
+	return &phase{dm: dm, need: make([]int, dm.Ctx.Size()), pairNeed: make([]int, dm.NParts())}
 }
 
 // to returns the buffer for messages from one local part to any part
 // (local or remote) in the next exchange; a pair nothing is packed for
-// sends nothing.
+// sends nothing. The pointer is good until the next call: a new pair
+// moves the writers.
 func (ph *phase) to(fromPart, toPart int32) *pcu.Buffer {
 	i, ok := slices.BinarySearchFunc(ph.writers, [2]int32{fromPart, toPart},
-		func(w *partWriter, k [2]int32) int {
+		func(w partWriter, k [2]int32) int {
 			return cmp.Or(cmp.Compare(w.from, k[0]), cmp.Compare(w.to, k[1]))
 		})
 	if !ok {
-		ph.writers = slices.Insert(ph.writers, i, &partWriter{from: fromPart, to: toPart})
+		ph.writers = slices.Insert(ph.writers, i, partWriter{from: fromPart, to: toPart})
 	}
 	return &ph.writers[i].buf
+}
+
+// reserve grows the buffer from part from to every other part q by
+// pairNeed[q] bytes, so that a sender that counted its records first
+// packs each pair into one array, and zeroes pairNeed for the next part.
+func (ph *phase) reserve(from int32) {
+	for q, n := range ph.pairNeed {
+		if n > 0 && int32(q) != from {
+			ph.to(from, int32(q)).Grow(n)
+		}
+		ph.pairNeed[q] = 0
+	}
 }
 
 // rankBuf returns the next exchange's buffer to rank r, reserved on
@@ -338,7 +354,7 @@ func (ph *phase) rankBuf(r int) *pcu.Buffer {
 // partMsg is one received part-to-part payload.
 type partMsg struct {
 	From, To int32
-	Data     *pcu.Reader
+	Data     pcu.Reader
 }
 
 // exchange delivers the messages packed since the last exchange and
@@ -358,7 +374,8 @@ func (ph *phase) exchange() []partMsg {
 			ph.need[dm.RankOf(w.to)] += 12 + w.buf.Len()
 		}
 	}
-	for _, w := range ph.writers {
+	for i := range ph.writers {
+		w := &ph.writers[i]
 		if w.buf.Len() == 0 {
 			continue
 		}
@@ -371,10 +388,8 @@ func (ph *phase) exchange() []partMsg {
 	var out []partMsg
 	for _, m := range dm.Ctx.Exchange() {
 		for !m.Data.Empty() {
-			from := m.Data.Int32()
-			to := m.Data.Int32()
-			payload := m.Data.BytesVal()
-			out = append(out, partMsg{From: from, To: to, Data: pcu.NewReader(payload)})
+			out = append(out, partMsg{From: m.Data.Int32(), To: m.Data.Int32()})
+			out[len(out)-1].Data.Reset(m.Data.BytesVal())
 		}
 	}
 	slices.SortStableFunc(out, func(a, b partMsg) int {

@@ -1,9 +1,9 @@
 package partition
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
-	"sort"
 
 	"github.com/fastmath/pumi-go/internal/gmi"
 	"github.com/fastmath/pumi-go/internal/mesh"
@@ -86,19 +86,25 @@ func Ghost(dm *DMesh, bridgeDim, layers int) {
 			packGhosts(ph.to(m.Part(), q), part, set.els, d)
 		}
 	}
-	for _, msg := range ph.exchange() {
-		unpackGhosts(dm, msg)
+	msgs := ph.exchange()
+	for i := range msgs {
+		unpackGhosts(dm, &msgs[i])
 	}
 
 	// Back-links: each receiver tells the sender where its element
-	// ghosts live, so owners can push tag data.
+	// ghosts live, so owners can push tag data. Every ghost a part holds,
+	// from this call or an earlier one, sends its link: the links a part
+	// receives are its whole ghostsOf.
 	for _, part := range dm.Parts {
-		ghosts := make([]mesh.Ent, 0, len(part.ghostHome))
-		for g := range part.ghostHome {
-			ghosts = append(ghosts, g)
+		ghosts := make([]uint32, 0, len(part.ghostHome))
+		for g, home := range part.ghostHome {
+			ghosts = append(ghosts, g.Pack())
+			ph.pairNeed[home.Part] += 10
 		}
-		sort.Slice(ghosts, func(a, b int) bool { return ghosts[a].Less(ghosts[b]) })
-		for _, g := range ghosts {
+		ph.reserve(part.M.Part())
+		slices.Sort(ghosts)
+		for _, w := range ghosts {
+			g := mesh.UnpackEnt(w)
 			home := part.ghostHome[g]
 			b := ph.to(part.M.Part(), home.Part)
 			b.Byte(byte(home.Ent.T))
@@ -107,25 +113,39 @@ func Ghost(dm *DMesh, bridgeDim, layers int) {
 			b.Int32(g.I)
 		}
 	}
-	for _, msg := range ph.exchange() {
-		part := dm.LocalPart(msg.To)
-		for !msg.Data.Empty() {
-			mine := mesh.Ent{T: mesh.Type(msg.Data.Byte()), I: msg.Data.Int32()}
-			ghost := mesh.Ent{T: mesh.Type(msg.Data.Byte()), I: msg.Data.Int32()}
-			part.ghostsOf[mine] = append(part.ghostsOf[mine],
-				mesh.RemoteCopyRef{Part: msg.From, Ent: ghost})
-		}
-	}
+	msgs = ph.exchange()  // sorted by To, like dm.Parts
+	var links [][2]uint64 // per back link: element<<32 | the ghost's part, the ghost's handle
 	for _, part := range dm.Parts {
-		for e := range part.ghostsOf {
-			sort.Slice(part.ghostsOf[e], func(a, b int) bool {
-				return part.ghostsOf[e][a].Part < part.ghostsOf[e][b].Part
-			})
+		links = links[:0]
+		for ; len(msgs) > 0 && msgs[0].To == part.M.Part(); msgs = msgs[1:] {
+			for r := &msgs[0].Data; !r.Empty(); {
+				mine := mesh.Ent{T: mesh.Type(r.Byte()), I: r.Int32()}
+				ghost := mesh.Ent{T: mesh.Type(r.Byte()), I: r.Int32()}
+				links = append(links, [2]uint64{uint64(mine.Pack())<<32 | uint64(msgs[0].From), uint64(ghost.Pack())})
+			}
 		}
+		part.setGhostsOf(links)
 	}
 	// ghostsOf/ghostHome changed without a mesh mutation on the sending
 	// side, so the epoch vector alone cannot catch it: drop the plan.
 	dm.ghostPlan = nil
+}
+
+// setGhostsOf rebuilds ghostsOf from the part's back links, sorted once
+// by element and then part: one run of copies per element, all runs in
+// one array.
+func (p *Part) setGhostsOf(links [][2]uint64) {
+	slices.SortFunc(links, func(a, b [2]uint64) int { return cmp.Compare(a[0], b[0]) })
+	p.ghostsOf = make(map[mesh.Ent][]mesh.RemoteCopyRef, len(links))
+	refs := make([]mesh.RemoteCopyRef, len(links))
+	for i, l := range links {
+		refs[i] = mesh.RemoteCopyRef{Part: int32(uint32(l[0])), Ent: mesh.UnpackEnt(uint32(l[1]))}
+	}
+	for lo, hi := 0, 0; lo < len(links); lo = hi {
+		for hi = lo + 1; hi < len(links) && links[hi][0]>>32 == links[lo][0]>>32; hi++ {
+		}
+		p.ghostsOf[mesh.UnpackEnt(uint32(links[lo][0]>>32))] = refs[lo:hi:hi]
+	}
 }
 
 // packGhosts encodes elements plus closures like migration (packRecords)
@@ -147,8 +167,8 @@ func packGhosts(b *pcu.Buffer, part *Part, els []uint64, d int) {
 		})
 }
 
-func unpackGhosts(dm *DMesh, msg partMsg) {
-	part, r := dm.LocalPart(msg.To), msg.Data
+func unpackGhosts(dm *DMesh, msg *partMsg) {
+	part, r := dm.LocalPart(msg.To), &msg.Data
 	m := part.M
 	var owner int32
 	unpackRecords(part, r, dm.Dim, false,
@@ -178,26 +198,17 @@ func RemoveGhosts(dm *DMesh) {
 	defer dm.suspendGuards()()
 	for _, part := range dm.Parts {
 		m := part.M
-		// Elements first, then orphaned lower ghosts.
-		var els []mesh.Ent
-		for el := range m.Elements() {
-			if m.IsGhost(el) {
-				els = append(els, el)
-			}
-		}
-		sort.Slice(els, func(a, b int) bool { return els[a].Less(els[b]) })
-		for _, el := range els {
-			m.Destroy(el)
-		}
-		for dd := dm.Dim - 1; dd >= 0; dd-- {
-			var level []mesh.Ent
+		// Elements first, then orphaned lower ghosts, each dimension in
+		// handle order (Iter's).
+		var doomed []mesh.Ent
+		for dd := dm.Dim; dd >= 0; dd-- {
+			doomed = doomed[:0]
 			for e := range m.Iter(dd) {
 				if m.IsGhost(e) && !m.HasUp(e) {
-					level = append(level, e)
+					doomed = append(doomed, e)
 				}
 			}
-			sort.Slice(level, func(a, b int) bool { return level[a].Less(level[b]) })
-			for _, e := range level {
+			for _, e := range doomed {
 				m.Destroy(e)
 			}
 		}

@@ -207,9 +207,11 @@ func TestGhostCopiesBackLinksAndNeighborRanks(t *testing.T) {
 		if got := NeighborRanks(dm); len(got) != 1 || got[0] != 1-ctx.Rank() {
 			return fmt.Errorf("NeighborRanks = %v", got)
 		}
+		// A second call finds every ghost already there: the back links
+		// it resends must not pile up beside the first call's.
 		Ghost(dm, 2, 1)
-		// Every element ghosted elsewhere has a back link, and the
-		// linked ghost's home points back at us.
+		Ghost(dm, 2, 1)
+		// Every element ghosted elsewhere has a back link, one per part.
 		part := dm.Parts[0]
 		m := part.M
 		found := 0
@@ -217,9 +219,12 @@ func TestGhostCopiesBackLinksAndNeighborRanks(t *testing.T) {
 			if m.IsGhost(el) {
 				continue
 			}
-			for _, g := range part.GhostCopies(el) {
+			for i, g := range part.GhostCopies(el) {
 				if g.Part == m.Part() {
 					return fmt.Errorf("ghost copy on own part")
+				}
+				if i > 0 && g.Part <= part.GhostCopies(el)[i-1].Part {
+					return fmt.Errorf("ghost copies of %v out of order or repeated: %v", el, part.GhostCopies(el))
 				}
 				found++
 			}

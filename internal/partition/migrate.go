@@ -205,10 +205,10 @@ type moving struct {
 	// ship holds, run after run of moves, the closure the run ships: its
 	// length, then its entities ascending.
 	ship     []uint32
-	fresh    []mesh.Ent // shared entities first heard of in round one of step 2
-	arriving int        // bound on the records step 3 delivers here
-	created  []uint32   // entities step 3 created here, in creation order
-	fixes    []uint64   // entities step 5 restitches: new owner<<32 | entity
+	fresh    []uint32 // shared entities first heard of in round one of step 2
+	arriving int      // bound on the records step 3 delivers here
+	created  []uint32 // entities step 3 created here, in creation order
+	fixes    []uint64 // entities step 5 restitches: new owner<<32 | entity
 }
 
 func moveEnt(mv uint64) mesh.Ent { return mesh.UnpackEnt(uint32(mv)) }
@@ -309,23 +309,8 @@ func (mg *migration) stageResidence(plans []Plan, localErr error) error {
 	// with the complete new residence set. Received contributions merge
 	// into the entity's run in place: the local contribution is only
 	// ever sent before the first merge.
-	var peers []int32 // remote-part scratch
-	sendContrib := func(p *moving, e mesh.Ent) {
-		peers = p.M.AppendRemoteParts(e, peers[:0])
-		for _, r := range peers {
-			b := ph.to(p.M.Part(), r)
-			b.Byte(byte(e.Dim()))
-			b.Int64(p.Gid(e))
-			b.Int32s(p.tab.res(e))
-		}
-	}
 	for i := range mg.parts {
-		p := &mg.parts[i]
-		for _, w := range p.closure {
-			if e := mesh.UnpackEnt(w); p.M.IsShared(e) {
-				sendContrib(p, e)
-			}
-		}
+		mg.sendContribs(&mg.parts[i], mg.parts[i].closure)
 	}
 	var vals []int32 // contribution decode scratch
 	// applyContrib merges one announcement message; in round one the
@@ -346,7 +331,7 @@ func (mg *migration) stageResidence(plans []Plan, localErr error) error {
 				// contribution and remember to reply in round two.
 				contribute(&p.tab, p.M, e)
 				if roundOne {
-					p.fresh = append(p.fresh, e)
+					p.fresh = append(p.fresh, e.Pack())
 				}
 			}
 			for _, v := range vals {
@@ -366,10 +351,7 @@ func (mg *migration) stageResidence(plans []Plan, localErr error) error {
 	// schedule stays aligned all the way to the vote.
 	if localErr == nil {
 		for i := range mg.parts {
-			p := &mg.parts[i]
-			for _, e := range p.fresh {
-				sendContrib(p, e)
-			}
+			mg.sendContribs(&mg.parts[i], mg.parts[i].fresh)
 		}
 	}
 	if err := catchStage(func() {
@@ -380,6 +362,31 @@ func (mg *migration) stageResidence(plans []Plan, localErr error) error {
 		localErr = err
 	}
 	return localErr
+}
+
+// sendContribs packs, for each shared entity among words, its staged
+// residence to every other copy: a record of 13 bytes and 4 a part. The
+// first pass counts them per peer, so that each pair packs into one array.
+func (mg *migration) sendContribs(p *moving, words []uint32) {
+	var peers []int32 // remote-part scratch
+	for _, packing := range [2]bool{false, true} {
+		for _, w := range words {
+			if e := mesh.UnpackEnt(w); p.M.IsShared(e) {
+				peers = p.M.AppendRemoteParts(e, peers[:0])
+				for _, r := range peers {
+					if !packing {
+						mg.ph.pairNeed[r] += 13 + 4*len(p.tab.res(e))
+						continue
+					}
+					b := mg.ph.to(p.M.Part(), r)
+					b.Byte(byte(e.Dim()))
+					b.Int64(p.Gid(e))
+					b.Int32s(p.tab.res(e))
+				}
+			}
+		}
+		mg.ph.reserve(p.M.Part()) // after packing: a no-op
+	}
 }
 
 // Step 3 ships every run of moving elements with its closure, written
@@ -463,8 +470,8 @@ func (mg *migration) receiveElements() {
 		p.created = make([]uint32, 0, p.arriving)
 	}
 	var run []int32 // residence decode scratch
-	for _, msg := range msgs {
-		p, r := &mg.parts[mg.dm.localIndex(msg.To)], msg.Data
+	for i := range msgs {
+		p, r := &mg.parts[mg.dm.localIndex(msgs[i].To)], &msgs[i].Data
 		unpackRecords(p.Part, r, mg.dm.Dim, true,
 			func() { run = r.AppendInt32s(run[:0]) },
 			func(e mesh.Ent, created bool) {
@@ -482,7 +489,7 @@ func (mg *migration) receiveElements() {
 // commit is steps 4 and 5, run only on a unanimous vote: every rank has
 // staged and validated its incoming data.
 func (mg *migration) commit() {
-	dm, d, ph := mg.dm, mg.dm.Dim, mg.ph
+	d, ph := mg.dm.Dim, mg.ph
 
 	// Step 4: remove migrated elements, in handle order, and orphaned
 	// closure entities.
@@ -509,8 +516,7 @@ func (mg *migration) commit() {
 	// here or received. A part's stitch records are counted per
 	// destination before any is packed: a pair buffer is reserved once.
 	var cand []uint32
-	var current []int32                 // residence-by-links scratch
-	records := make([]int, dm.NParts()) // stitch records per destination, of the part in hand
+	var current []int32 // residence-by-links scratch
 	for i := range mg.parts {
 		p := &mg.parts[i]
 		m, t := p.M, &p.tab
@@ -540,15 +546,10 @@ func (mg *migration) commit() {
 			m.ClearRemotes(e)
 			p.fixes = append(p.fixes, uint64(res[0])<<32|uint64(w))
 			for _, q := range res {
-				records[q]++
+				ph.pairNeed[q] += 14
 			}
 		}
-		for q, n := range records {
-			if n > 0 && int32(q) != self {
-				ph.to(self, int32(q)).Grow(14 * n)
-			}
-			records[q] = 0
-		}
+		ph.reserve(self)
 		for _, f := range p.fixes {
 			e := moveEnt(f)
 			for _, q := range t.res(e) {
@@ -582,7 +583,7 @@ func packStitch(b *pcu.Buffer, part *Part, e mesh.Ent) {
 func (ph *phase) applyStitches() {
 	for _, msg := range ph.exchange() {
 		part := ph.dm.LocalPart(msg.To)
-		for r := msg.Data; !r.Empty(); {
+		for r := &msg.Data; !r.Empty(); {
 			dd, gid := int(r.Byte()), r.Int64()
 			theirs := mesh.Ent{T: mesh.Type(r.Byte()), I: r.Int32()}
 			e, ok := part.FindGid(dd, gid)

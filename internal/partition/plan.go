@@ -1,8 +1,9 @@
 package partition
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 	"time"
 
 	"github.com/fastmath/pumi-go/internal/mesh"
@@ -222,42 +223,44 @@ func compilePlan(dm *DMesh, key dimsKey) *BoundaryPlan {
 // returnRanks computes the ranks the plan receives from but never
 // sends to (see BoundaryPlan.returnRanks).
 func returnRanks(dm *DMesh, parts []partPlan) []int {
-	sendTo := map[int]bool{}
-	recvFrom := map[int]bool{}
+	role := make([]int8, dm.Ctx.Size()) // per rank: 1 received from, 2 sent to
 	for li := range parts {
-		for _, q := range parts[li].sendPeers {
-			sendTo[dm.RankOf(q)] = true
-		}
 		for _, q := range parts[li].recvPeers {
-			recvFrom[dm.RankOf(q)] = true
+			role[dm.RankOf(q)] = max(role[dm.RankOf(q)], 1)
+		}
+		for _, q := range parts[li].sendPeers {
+			role[dm.RankOf(q)] = 2
 		}
 	}
 	var out []int
-	for r := range recvFrom {
-		if !sendTo[r] {
+	for r, x := range role {
+		if x == 1 {
 			out = append(out, r)
 		}
 	}
-	sort.Ints(out)
 	return out
 }
 
 // buildCSR groups pairs by peer (ascending) ordered by key within each
-// run, and lays them out as peer list + offsets + flat entity slice.
+// run, and lays them out as peer list + offsets + flat entity slice,
+// each allocated once at its length.
 func buildCSR(pairs []planPair) (peers []int32, off []int32, ents []mesh.Ent) {
-	sort.SliceStable(pairs, func(a, b int) bool {
-		if pairs[a].peer != pairs[b].peer {
-			return pairs[a].peer < pairs[b].peer
-		}
-		return pairs[a].key.Less(pairs[b].key)
+	slices.SortStableFunc(pairs, func(a, b planPair) int {
+		return cmp.Or(cmp.Compare(a.peer, b.peer), a.key.Compare(b.key))
 	})
-	off = append(off, 0)
-	for _, p := range pairs {
-		if len(peers) == 0 || peers[len(peers)-1] != p.peer {
+	n := 0
+	for i, p := range pairs {
+		if i == 0 || p.peer != pairs[i-1].peer {
+			n++
+		}
+	}
+	peers, off, ents = make([]int32, 0, n), make([]int32, 1, n+1), make([]mesh.Ent, len(pairs))
+	for i, p := range pairs {
+		if i == 0 || p.peer != pairs[i-1].peer {
 			peers = append(peers, p.peer)
 			off = append(off, off[len(off)-1])
 		}
-		ents = append(ents, p.ent)
+		ents[i] = p.ent
 		off[len(off)-1]++
 	}
 	return peers, off, ents
@@ -332,6 +335,7 @@ func checkPlans(dm *DMesh, record func(error)) {
 			for pi, q := range pp.sendPeers {
 				b := ph.to(part.M.Part(), q)
 				run := pp.sendEnts[pp.sendOff[pi]:pp.sendOff[pi+1]]
+				b.Grow(4 + 5*len(run))
 				b.Int32(int32(len(run)))
 				for _, e := range run {
 					b.Byte(byte(e.T))

@@ -48,24 +48,44 @@ func checkDistributed(dm *DMesh, local bool) error {
 		}
 	}
 
-	// Remote symmetry + owner agreement.
+	// Remote symmetry + owner agreement: a 23-byte record per link, the
+	// links counted per peer first so that each pair packs into one array.
+	// The local run also checks that the owner is a residence part.
 	ph := dm.beginPhase()
+	var bnd []uint32 // the part's boundary entities, packed
+	var res []int32  // residence scratch
 	for _, part := range dm.Parts {
 		m := part.M
+		bnd = bnd[:0]
 		for d := 0; d < dm.Dim; d++ {
 			for e := range m.PartBoundary(d) {
-				m.EachRemote(e, func(q int32, h mesh.Ent) bool {
-					b := ph.to(m.Part(), q)
-					b.Byte(byte(d))
-					b.Int64(part.Gid(e))
-					b.Byte(byte(h.T))
-					b.Int32(h.I)
-					b.Byte(byte(e.T))
-					b.Int32(e.I)
-					b.Int32(m.Owner(e))
+				bnd = append(bnd, e.Pack())
+				m.EachRemote(e, func(q int32, _ mesh.Ent) bool {
+					ph.pairNeed[q] += 23
 					return true
 				})
+				if local {
+					if res = m.AppendResidence(e, res[:0]); !slices.Contains(res, m.Owner(e)) {
+						record(fmt.Errorf("partition: owner %d of %v on part %d outside residence",
+							m.Owner(e), e, m.Part()))
+					}
+				}
 			}
+		}
+		ph.reserve(m.Part())
+		for _, w := range bnd {
+			e := mesh.UnpackEnt(w)
+			m.EachRemote(e, func(q int32, h mesh.Ent) bool {
+				b := ph.to(m.Part(), q)
+				b.Byte(byte(e.Dim()))
+				b.Int64(part.Gid(e))
+				b.Byte(byte(h.T))
+				b.Int32(h.I)
+				b.Byte(byte(e.T))
+				b.Int32(e.I)
+				b.Int32(m.Owner(e))
+				return true
+			})
 		}
 	}
 	for _, msg := range ph.exchange() {
@@ -100,22 +120,6 @@ func checkDistributed(dm *DMesh, local bool) error {
 			if m.Owner(mine) != owner {
 				record(fmt.Errorf("partition: owner disagreement for gid %d: part %d says %d, part %d says %d",
 					gid, msg.To, m.Owner(mine), msg.From, owner))
-			}
-		}
-	}
-
-	if local { // owner must be a residence part
-		var res []int32 // residence scratch
-		for _, part := range dm.Parts {
-			m := part.M
-			for d := 0; d < dm.Dim; d++ {
-				for e := range m.PartBoundary(d) {
-					res = m.AppendResidence(e, res[:0])
-					if !slices.Contains(res, m.Owner(e)) {
-						record(fmt.Errorf("partition: owner %d of %v on part %d outside residence",
-							m.Owner(e), e, m.Part()))
-					}
-				}
 			}
 		}
 	}

@@ -24,7 +24,11 @@ func (g *Graph) TotalVWt() float64 { return sum(g.VWt) }
 
 // EdgeCut returns the total weight of edges crossing parts under the
 // given assignment (each edge counted once).
-func (g *Graph) EdgeCut(part []int32) float64 {
+func (g *Graph) EdgeCut(part []int32) float64 { return edgeCut(g, part) }
+
+func (g *Graph) cut(side []uint8) float64 { return edgeCut(g, side) }
+
+func edgeCut[P int32 | uint8](g *Graph, part []P) float64 {
 	cut := 0.0
 	for v := 0; v < g.N(); v++ {
 		for j := g.XAdj[v]; j < g.XAdj[v+1]; j++ {
@@ -249,29 +253,6 @@ func (g *Graph) sub(part []uint8, side uint8, ws *workspace) (*Graph, []int32) {
 	return sg, ids
 }
 
-// seed picks a pseudo-peripheral vertex for greedy growing: the last
-// vertex of a breadth-first sweep from the last vertex of a sweep from
-// vertex 0.
-func (g *Graph) seed(ws *workspace) int32 {
-	seed := int32(0)
-	seen := ws.flag[:g.N()]
-	for iter := 0; iter < 2; iter++ {
-		clear(seen)
-		seen[seed] = true
-		queue := append(ws.list[:0], seed)
-		for head := 0; head < len(queue); head++ {
-			for _, u := range g.adj(queue[head]) {
-				if !seen[u] {
-					seen[u] = true
-					queue = append(queue, u)
-				}
-			}
-		}
-		seed = queue[len(queue)-1]
-	}
-	return seed
-}
-
 func (g *Graph) adj(v int32) []int32 { return g.Adj[g.XAdj[v]:g.XAdj[v+1]] }
 
 func (g *Graph) neighbors(v int32, _ []int32) []int32 { return g.adj(v) }
@@ -279,7 +260,8 @@ func (g *Graph) neighbors(v int32, _ []int32) []int32 { return g.adj(v) }
 func (g *Graph) beginPass(*workspace) {}
 
 // gain is the cut weight saved by moving v to the other side: external
-// minus internal edge weight.
+// minus internal edge weight. It is kept in ws.acc from here, at the start
+// of a pass, for moved to update.
 func (g *Graph) gain(v int32, ws *workspace) (gain float64, boundary bool) {
 	p, pv := ws.side, ws.side[v]
 	wt := g.EWt[g.XAdj[v]:g.XAdj[v+1]]
@@ -292,11 +274,22 @@ func (g *Graph) gain(v int32, ws *workspace) (gain float64, boundary bool) {
 			boundary = true
 		}
 	}
+	ws.acc[v] = ext - inn
 	return ext - inn, boundary
 }
 
+// moved changes the gain of each of v's neighbors by twice their edge:
+// down if v joined its side, up if v left it.
 func (g *Graph) moved(v int32, ws *workspace) {
-	for _, u := range g.adj(v) {
-		requeue(g, ws, u)
+	wt := g.EWt[g.XAdj[v]:g.XAdj[v+1]]
+	for i, u := range g.adj(v) {
+		if ws.side[u] == ws.side[v] {
+			ws.acc[u] -= 2 * wt[i]
+		} else {
+			ws.acc[u] += 2 * wt[i]
+		}
+		if !ws.flag[u] {
+			ws.requeue(u, ws.acc[u])
+		}
 	}
 }

@@ -31,13 +31,17 @@ func (h *Hypergraph) nets(v int32) []int32 { return h.Nets[h.VX[v]:h.VX[v+1]] }
 // weight times (number of parts it spans - 1). This is the objective
 // hypergraph partitioners like Zoltan PHG minimize, modeling true
 // communication volume.
-func (h *Hypergraph) ConnectivityCut(part []int32) float64 {
+func (h *Hypergraph) ConnectivityCut(part []int32) float64 { return connectivityCut(h, part) }
+
+func (h *Hypergraph) cut(side []uint8) float64 { return connectivityCut(h, side) }
+
+func connectivityCut[P int32 | uint8](h *Hypergraph, part []P) float64 {
 	cut := 0.0
-	maxPart := int32(0)
+	maxPart := P(0)
 	for _, p := range part {
 		maxPart = max(maxPart, p)
 	}
-	seen := make([]int32, maxPart+1) // part id -> 1 + the last net seen to reach it
+	seen := make([]int32, int(maxPart)+1) // part id -> 1 + the last net seen to reach it
 	for n := int32(0); n < int32(h.NN()); n++ {
 		spans := 0
 		for _, v := range h.pins(n) {
@@ -229,8 +233,6 @@ func (h *Hypergraph) sub(part []uint8, side uint8, ws *workspace) (*Hypergraph, 
 	return sh, ids
 }
 
-func (h *Hypergraph) seed(*workspace) int32 { return 0 }
-
 // neighbors appends every pin of every net of v to buf: v itself and
 // repeats included, which the callers' visited marks absorb.
 func (h *Hypergraph) neighbors(v int32, buf []int32) []int32 {
@@ -270,14 +272,23 @@ func (h *Hypergraph) gain(v int32, ws *workspace) (gain float64, boundary bool) 
 }
 
 // moved moves v's pin in each of its nets to the side v is now on and
-// requeues that net's pins before the next net's counts change.
+// requeues that net's pins before the next net's counts change — only
+// for a net whose counts cross the 0, 1 or 2 a gain reads; any other
+// net leaves every pin's gain as it was.
 func (h *Hypergraph) moved(v int32, ws *workspace) {
 	to := ws.side[v]
 	for _, n := range h.nets(v) {
-		ws.cnt[n][to^1]--
-		ws.cnt[n][to]++
-		for _, u := range h.pins(n) {
-			requeue(h, ws, u)
+		c := &ws.cnt[n]
+		critical := c[to] <= 1 || c[to^1] <= 2
+		c[to^1]--
+		c[to]++
+		if critical {
+			for _, u := range h.pins(n) {
+				if !ws.flag[u] {
+					gain, _ := h.gain(u, ws)
+					ws.requeue(u, gain)
+				}
+			}
 		}
 	}
 }

@@ -1,15 +1,23 @@
 package zpart
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+	"math/bits"
+)
 
 const (
 	// coarsenTarget is the vertex count at which coarsening stops and the
 	// initial bisection is grown.
 	coarsenTarget = 64
-	// levelTolerance is the share of a (sub)graph's total weight by which
-	// one bisection may miss its target; every level of the recursion
-	// spends it again.
-	levelTolerance = 0.02
+	// growTries is how many initial bisections are grown, from as many
+	// seeds, and refined; the one with the least cut is kept.
+	growTries = 6
+	// imbalanceTarget is how far above the mean weight a leaf part may
+	// land. The ⌈log₂ k⌉ levels of the recursion split it as a budget:
+	// each bisection may miss by (1+imbalanceTarget)^(1/levels) − 1 of
+	// its smaller side's target, so the misses compound to at most this.
+	imbalanceTarget = 0.05
 )
 
 // model is what the multilevel driver needs of the thing it bisects; M is
@@ -23,8 +31,6 @@ type model[M any] interface {
 	// sub induces the model on the vertices with part[v]==side and
 	// returns it plus the local-to-global vertex map.
 	sub(part []uint8, side uint8, ws *workspace) (M, []int32)
-	// seed is the vertex greedy growing starts from.
-	seed(ws *workspace) int32
 	// neighbors lists the vertices coupled to v, in buf or in place.
 	neighbors(v int32, buf []int32) []int32
 	// beginPass readies whatever gain reads beside ws.side.
@@ -33,14 +39,19 @@ type model[M any] interface {
 	// touches the cut at all.
 	gain(v int32, ws *workspace) (gain float64, boundary bool)
 	// moved follows a move of v (ws.side[v] already flipped): it updates
-	// the model's own counts and requeues the vertices whose gain changed.
+	// the model's own counts and requeues, at its final gain, every vertex
+	// whose gain changed and that has not moved this pass — so the current
+	// heap entry of a vertex always holds its true gain.
 	moved(v int32, ws *workspace)
+	// cut is what a bisection costs: the weight of what it splits.
+	cut(side []uint8) float64
 }
 
 // workspace is the scratch one partitioning call allocates once, sized by
 // the root model, and reuses down the recursion, over the levels of each
 // bisection and across refinement passes.
 type workspace struct {
+	share float64    // how far, as a share of its smaller side's target, a bisection may miss
 	side  []uint8    // the bisection under refinement
 	flag  []bool     // visited (growing), moved this pass (refinement)
 	ver   []uint32   // bumped per requeue; a heap entry with an old one is stale
@@ -48,7 +59,7 @@ type workspace struct {
 	list  []int32    // queue, move sequence or touched list
 	match []int32    // coarsening: each vertex's partner
 	mark  []int32    // stamps; a side's local numbering
-	acc   []float64  // coarsening: weight accumulated per stamped vertex
+	acc   []float64  // coarsening: weight accumulated per stamped vertex; graph refinement: gains
 	cnt   [][2]int32 // hypergraphs: each net's pins per side
 	nbuf  []int32    // hypergraphs: neighbors gathered for growing
 }
@@ -96,6 +107,8 @@ func partition[M model[M]](m M, ws *workspace, nparts int) []int32 {
 	if nparts < 1 {
 		panic(fmt.Sprintf("zpart: nparts = %d", nparts))
 	}
+	levels := bits.Len(uint(nparts - 1)) // ⌈log₂ nparts⌉
+	ws.share = math.Pow(1+imbalanceTarget, 1/float64(max(levels, 1))) - 1
 	out := make([]int32, len(m.vwt()))
 	ids := make([]int32, len(out))
 	for i := range ids {
@@ -152,14 +165,21 @@ func bisect[M model[M]](m M, ws *workspace, leftFrac float64) []uint8 {
 			return p
 		}
 	}
-	p := greedyGrow(m, ws, leftFrac)
-	refine(m, ws, p, leftFrac, 8)
-	return p
+	var best []uint8
+	bestCut := math.Inf(1)
+	for try := range growTries {
+		p := greedyGrow(m, ws, leftFrac, try)
+		refine(m, ws, p, leftFrac, 8)
+		if c := m.cut(p); c < bestCut {
+			best, bestCut = p, c
+		}
+	}
+	return best
 }
 
-// greedyGrow grows side 0 breadth-first from the model's seed until it
-// holds ~leftFrac of the weight.
-func greedyGrow[M model[M]](m M, ws *workspace, leftFrac float64) []uint8 {
+// greedyGrow grows side 0 breadth-first until it holds ~leftFrac of the
+// weight, from a vertex spread evenly over the numbering by try.
+func greedyGrow[M model[M]](m M, ws *workspace, leftFrac float64, try int) []uint8 {
 	vwt := m.vwt()
 	p := make([]uint8, len(vwt))
 	for i := range p {
@@ -169,7 +189,7 @@ func greedyGrow[M model[M]](m M, ws *workspace, leftFrac float64) []uint8 {
 		return p
 	}
 	target := sum(vwt) * leftFrac
-	seed := m.seed(ws)
+	seed := int32(try * len(p) / growTries)
 	visited := ws.flag[:len(p)]
 	clear(visited)
 	visited[seed] = true
@@ -249,29 +269,26 @@ func (h *gainHeap) pop() gainItem {
 	return s[n]
 }
 
-// requeue queues a fresh candidate for u, unless u already moved this
-// pass, and so makes u's older entries stale.
-func requeue[M model[M]](m M, ws *workspace, u int32) {
-	if ws.flag[u] {
-		return
-	}
+// requeue queues a fresh candidate for u at its new gain and so makes
+// u's older entries stale.
+func (ws *workspace) requeue(u int32, gain float64) {
 	ws.ver[u]++
-	gain, _ := m.gain(u, ws)
 	ws.heap.push(gainItem{gain, u, ws.ver[u]})
 }
 
 // refine improves the bisection p in place with Fiduccia–Mattheyses
 // passes: vertices move to the other side in descending gain order (each
-// at most once per pass) subject to a weight balance constraint; the
-// best prefix of the move sequence is kept.
+// at most once per pass) while side 0's weight stays in a band around
+// its target, or, from outside the band, only if the move shrinks the
+// excess. Of the move sequence it keeps the prefix with the least
+// excess, and among those the one with the most gain.
 func refine[M model[M]](m M, ws *workspace, p []uint8, leftFrac float64, passes int) {
 	vwt := m.vwt()
 	total := sum(vwt)
 	target := total * leftFrac
-	// Allowed deviation: levelTolerance of the total weight or the
-	// largest vertex, whichever is bigger (otherwise single heavy
-	// vertices jam).
-	tol := total * levelTolerance
+	// The band: ws.share of the smaller side's target, or the largest
+	// vertex, whichever is bigger (otherwise single heavy vertices jam).
+	tol := min(target, total-target) * ws.share
 	leftW := 0.0
 	for v, w := range vwt {
 		tol = max(tol, w)
@@ -279,6 +296,7 @@ func refine[M model[M]](m M, ws *workspace, p []uint8, leftFrac float64, passes 
 			leftW += w
 		}
 	}
+	excess := func(left float64) float64 { return max(0, math.Abs(left-target)-tol) }
 	ws.side = p
 	moved := ws.flag[:len(p)]
 	for pass := 0; pass < passes; pass++ {
@@ -291,7 +309,8 @@ func refine[M model[M]](m M, ws *workspace, p []uint8, leftFrac float64, passes 
 			}
 		}
 		seq := ws.list[:0]
-		cum, best := 0.0, 0.0
+		cur := excess(leftW)
+		cum, best, bestEx := 0.0, 0.0, cur
 		bestLen := 0
 		for len(ws.heap) > 0 {
 			it := ws.heap.pop()
@@ -302,23 +321,17 @@ func refine[M model[M]](m M, ws *workspace, p []uint8, leftFrac float64, passes 
 			if p[it.v] == 0 {
 				newLeft = leftW - vwt[it.v]
 			}
-			if newLeft < target-tol || newLeft > target+tol {
-				continue
-			}
-			// The queued gain may be stale: requeue at the true, lower one.
-			gain, _ := m.gain(it.v, ws)
-			if gain < it.gain-1e-12 {
-				ws.ver[it.v]++
-				ws.heap.push(gainItem{gain, it.v, ws.ver[it.v]})
+			ex := excess(newLeft)
+			if ex > 0 && ex >= cur {
 				continue
 			}
 			p[it.v] ^= 1
-			leftW = newLeft
+			leftW, cur = newLeft, ex
 			moved[it.v] = true
 			seq = append(seq, it.v)
-			cum += gain
-			if cum > best {
-				best = cum
+			cum += it.gain
+			if ex < bestEx || ex == bestEx && cum > best {
+				best, bestEx = cum, ex
 				bestLen = len(seq)
 			}
 			m.moved(it.v, ws)
@@ -336,7 +349,7 @@ func refine[M model[M]](m M, ws *workspace, p []uint8, leftFrac float64, passes 
 			}
 			p[v] ^= 1
 		}
-		if best <= 0 {
+		if bestLen == 0 {
 			break
 		}
 	}

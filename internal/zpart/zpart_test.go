@@ -139,6 +139,55 @@ func TestMLGraphPartition(t *testing.T) {
 	}
 }
 
+// TestMultilevelBalance: both multilevel partitioners land every part
+// within imbalanceTarget of the mean, whatever the part count. The
+// per-level budget shrinks each bisection's band so the misses compound
+// to 5 % at the leaves; a flat 2 % of the whole compounded to 13.5 %.
+func TestMultilevelBalance(t *testing.T) {
+	if raceEnabled {
+		t.Skip("serial code: -race adds 25 s and nothing to check")
+	}
+	for _, c := range []struct {
+		name string
+		m    *mesh.Mesh
+	}{{"vessel", benchVessel()}, {"box8", testMesh(t, 8)}} {
+		g, _ := DualGraph(c.m)
+		h, _ := ElementHypergraph(c.m, 0)
+		for _, k := range []int{2, 3, 5, 7, 16, 32} {
+			checkBalance(t, fmt.Sprintf("MLGraph %s k=%d", c.name, k), PartSizes(g, MLGraph(g, k), k), imbalanceTarget)
+			sizes := make([]float64, k)
+			for _, p := range PHG(h, k) {
+				sizes[p]++
+			}
+			checkBalance(t, fmt.Sprintf("PHG %s k=%d", c.name, k), sizes, imbalanceTarget)
+		}
+	}
+}
+
+// TestRefineReturnsToBand: a bisection that starts far outside its band
+// is walked back into it, giving up cut if it must.
+func TestRefineReturnsToBand(t *testing.T) {
+	g, _ := DualGraph(testMesh(t, 6))
+	ws := newWorkspace(g.N(), 0)
+	ws.share = 0.01
+	p := make([]uint8, g.N())
+	for v := range p {
+		if v >= g.N()*4/5 { // a slab by index: 80 % on side 0
+			p[v] = 1
+		}
+	}
+	refine(g, ws, p, 0.5, 4)
+	left := 0
+	for _, s := range p {
+		if s == 0 {
+			left++
+		}
+	}
+	if half := g.N() / 2; float64(left) > float64(half)*1.01 || float64(left) < float64(half)*0.99 {
+		t.Fatalf("side 0 holds %d of %d vertices after refinement, want %d ± 1 %%", left, g.N(), half)
+	}
+}
+
 func TestElementHypergraph(t *testing.T) {
 	m := testMesh(t, 2)
 	h, els := ElementHypergraph(m, 0)
