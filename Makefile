@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test loc escape-check memprofile bench-go bench-smoke fuzz-smoke pipeline-smoke race vet vet-self chaos chaos-recover san-smoke trace-smoke telemetry-smoke proto-gen proto-check conform-smoke plan-smoke check
+.PHONY: all build test loc escape-check memprofile bench-go bench-smoke fuzz-smoke pipeline-smoke race vet vet-self trace-smoke check
 
 all: build
 
@@ -32,11 +32,11 @@ escape-check:
 
 # Go micro-benchmarks, benchstat-ready:
 #   make bench-go | benchstat -
-# ExchangeSparse's traced/conform/metered rows read each observer's
-# overhead off against on-node (see DESIGN.md §10 and §13); the mesh
-# rows are the adjacency kernel's (AdjacentTo by direction, FindFromVerts
-# hit/miss, BuildTet fresh/existing; DESIGN.md §9); the zpart rows are
-# the partitioners on the pipeline benchmark's vessel (DualGraph, MLGraph
+# ExchangeSparse's traced/metered rows read each observer's overhead
+# off against on-node (see DESIGN.md §10); the mesh rows are the
+# adjacency kernel's (AdjacentTo by direction, FindFromVerts hit/miss,
+# BuildTet fresh/existing; DESIGN.md §9); the zpart rows are the
+# partitioners on the pipeline benchmark's vessel (DualGraph, MLGraph
 # at 16 and 32 parts, PHG). For end-to-end numbers, bash bench/run.sh.
 bench-go:
 	$(GO) test -run '^$$' -bench=. -benchmem ./internal/pcu/ ./internal/mesh/ ./internal/zpart/
@@ -67,18 +67,19 @@ bench-smoke:
 	$(GO) test -run '^$$' -bench=. -benchtime=1x ./internal/pcu/... ./internal/mesh/ ./internal/field/ ./internal/zpart/
 	$(GO) test -run '^$$' -bench 'Migration|RepartitionCycle|Ghosting' -benchtime=1x .
 
-# Five seconds of native fuzzing on each decoder of outside bytes that
-# has a target (today the assignment file, the mesh file with its tag
-# section, a checkpoint's part file and manifest, and the message Reader;
-# ROADMAP item 1(f) lists the rest). The committed corpus under testdata/fuzz
-# runs with every plain `go test`; this lane is the part that looks for
-# new inputs. A crasher is written next to the corpus: fix it and commit
-# the file as a seed.
+# Five seconds of native fuzzing on each decoder of outside bytes: the
+# assignment file, the mesh file with its tag section, a checkpoint's
+# part file and manifest, the message Reader, and the Chrome trace JSON
+# pumi-trace reads. The committed corpus under testdata/fuzz runs with
+# every plain `go test`; this lane is the part that looks for new
+# inputs. A crasher is written next to the corpus: fix it and commit the
+# file as a seed.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzReadAssignment -fuzztime 5s ./internal/meshio
 	$(GO) test -run '^$$' -fuzz 'FuzzRead$$' -fuzztime 5s ./internal/meshio
 	$(GO) test -run '^$$' -fuzz FuzzDecodePart -fuzztime 5s ./internal/meshio
 	$(GO) test -run '^$$' -fuzz FuzzReader -fuzztime 5s ./internal/pcu
+	$(GO) test -run '^$$' -fuzz FuzzChromeTrace -fuzztime 5s ./internal/trace
 
 # The pipeline benchmark is a Go module of its own (bench/go.mod), so
 # the lanes above never build it: run its unit tests and -quick smoke,
@@ -87,8 +88,13 @@ fuzz-smoke:
 pipeline-smoke:
 	cd bench && $(GO) test ./... && $(GO) run github.com/fastmath/pumi-go/cmd/pumi-vet ./...
 
+# Every internal package under the race detector, once: this is also
+# where the soaks run — the chaos soak and its self-healing twin
+# (DESIGN.md §7, §12), the sanitized soak and protocols (§8), the live
+# telemetry scrape (§10), the plan-backed soak's repeated op-sequence
+# hashes (§14) — and the seeded-bug corpus (§5).
 race:
-	$(GO) test -race ./internal/...
+	$(GO) test -race -count=1 ./internal/...
 
 vet:
 	$(GO) vet ./...
@@ -99,26 +105,6 @@ vet:
 vet-self:
 	$(GO) run ./cmd/pumi-vet ./...
 
-# Short race-enabled chaos soak at fixed seeds: balancing under fault
-# injection must end cleanly or with a structured failure + checkpoint
-# restart (see DESIGN.md §7).
-chaos:
-	$(GO) test -race -count=1 -run 'TestSoak' ./internal/chaos/
-
-# Race-enabled self-healing soak: every FaultKind through the outcome
-# matrix, plus seeded permanent rank-kills that must shrink the world,
-# restore the last checkpoint, and finish Verify-green
-# (see DESIGN.md §12).
-chaos-recover:
-	$(GO) test -race -count=1 -run 'TestFaultMatrix|TestRecoverable' ./internal/chaos/
-
-# pumi-san smoke: the faulted balancing stack under the runtime
-# sanitizer with the race detector on — collective schedules
-# cross-checked at every sync point, mesh writes checked for ownership
-# (see DESIGN.md §8).
-san-smoke:
-	$(GO) test -race -count=1 -run 'TestSoakSanitized|TestSanitized' ./internal/chaos/ ./internal/partition/
-
 # Traced smoke: the hybrid exchange sweep (in-process worlds up to 32
 # ranks) under pumi-san with the flight recorder armed, then both
 # emitted files — Chrome timeline and metrics summary — schema-validated
@@ -128,41 +114,5 @@ trace-smoke:
 	$(GO) run ./cmd/pumi-trace -validate /tmp/pumi-trace-smoke.json /tmp/pumi-trace-smoke.summary.json
 	$(GO) run ./cmd/pumi-trace -critical /tmp/pumi-trace-smoke.json
 
-# Telemetry smoke: the balancing stack runs metered with the live
-# introspection endpoint up, rank 0 scrapes /metrics, /trace, /protocol
-# and /healthz over real HTTP mid-run, and every document must validate
-# against its schema (see DESIGN.md §10).
-telemetry-smoke:
-	$(GO) test -race -count=1 -run 'TestTelemetrySmoke|TestTelemetrySourcesLive' ./internal/chaos/ ./internal/pcu/
-
-# Regenerate the committed protocol-automata artifact: the communication
-# effect terms of the standard entry points compiled to minimal DFAs
-# (pumi-proto/1 JSON, see DESIGN.md §13). Run after any change that
-# moves a collective in parma.BalanceSafe, partition.TryMigrate (and so
-# partition.Distribute), the meshio checkpoints, pcu.Agree, or
-# chaos.RunRecoverable.
-proto-gen:
-	$(GO) run ./cmd/pumi-vet -emit-automata ./... > internal/lint/automata/golden/automata.json
-
-# Build-time protocol gate: the committed artifact must match what the
-# current sources compile to. Drift means a collective schedule changed
-# without regenerating (make proto-gen) — review the diff, then commit.
-proto-check:
-	$(GO) run ./cmd/pumi-vet -emit-automata ./... > /tmp/pumi-proto-check.json
-	diff -u internal/lint/automata/golden/automata.json /tmp/pumi-proto-check.json
-
-# Conformance smoke: the race-enabled online+offline enforcement tests —
-# a seeded rank-kill soak under the golden chaos.RunRecoverable machine
-# with its trace replayed, and the pcu-level witness-matching checks.
-conform-smoke:
-	$(GO) test -race -count=1 -run 'TestConform' ./internal/pcu/ ./internal/chaos/
-
-# Plan smoke: race-enabled recoverable soak over the plan-backed ParMA
-# balance with the pcu sanitizer recording the op stream — two passes
-# per seed must report identical recovery trajectories and identical
-# op-sequence hashes (see DESIGN.md §14).
-plan-smoke:
-	$(GO) test -race -count=1 -run 'TestPlanSmoke' ./internal/chaos/
-
 # The full local gate: what CI runs.
-check: vet vet-self proto-check escape-check build test race chaos chaos-recover san-smoke trace-smoke telemetry-smoke conform-smoke plan-smoke bench-smoke fuzz-smoke pipeline-smoke
+check: vet vet-self escape-check build test race trace-smoke bench-smoke fuzz-smoke pipeline-smoke

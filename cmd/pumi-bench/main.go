@@ -9,7 +9,6 @@
 //	pumi-bench -exp fig13 -parts 32
 //	pumi-bench -chaos 1,2,3,4 -chaos-dir /tmp/ck
 //	pumi-bench -chaos 1,2,3,4 -recover
-//	pumi-bench -chaos 5 -recover -conform automata.json -trace soak.json
 package main
 
 import (
@@ -23,7 +22,6 @@ import (
 	"github.com/fastmath/pumi-go/internal/chaos"
 	"github.com/fastmath/pumi-go/internal/cmdutil"
 	"github.com/fastmath/pumi-go/internal/experiments"
-	"github.com/fastmath/pumi-go/internal/lint/automata"
 	"github.com/fastmath/pumi-go/internal/pcu"
 	"github.com/fastmath/pumi-go/internal/san"
 )
@@ -40,7 +38,6 @@ func main() {
 	chaosDir := flag.String("chaos-dir", "", "checkpoint directory for -chaos (default a temp dir)")
 	chaosRecover := flag.Bool("recover", false, "with -chaos: run the self-healing soak (survivable world, shrink-and-recover) instead of the restart soak")
 	sanitize := flag.Bool("san", false, "run everything under pumi-san: cross-check collective schedules across ranks, enforce owner-only mesh writes, and print the op-sequence hash at exit")
-	conformFile := flag.String("conform", "", "with -chaos -recover: pumi-proto/1 automata artifact (pumi-vet -emit-automata); every world of the soak runs under the chaos.RunRecoverable machine's online protocol monitor")
 	tracePath := flag.String("trace", "", cmdutil.TraceUsage)
 	listenAddr := flag.String("listen", "", cmdutil.ListenUsage)
 	flag.Parse()
@@ -51,12 +48,8 @@ func main() {
 		san.Enable()
 	}
 
-	if *conformFile != "" && (*chaosSeeds == "" || !*chaosRecover) {
-		cmdutil.Usagef("-conform requires -chaos and -recover (the artifact's machine describes the self-healing soak)")
-	}
-
 	if *chaosSeeds != "" {
-		runChaos(*chaosSeeds, *chaosDir, *sanitize, *chaosRecover, loadConform(*conformFile))
+		runChaos(*chaosSeeds, *chaosDir, *sanitize, *chaosRecover)
 		sanReport(*sanitize)
 		return
 	}
@@ -190,28 +183,7 @@ func sanReport(on bool) {
 // retries transient wire damage in place, and a permanent rank death
 // shrinks the world over the survivors and resumes from the last
 // checkpoint.
-// loadConform resolves -conform: the chaos.RunRecoverable machine of a
-// pumi-proto/1 artifact as an online protocol, or nil when unset.
-func loadConform(path string) *san.Protocol {
-	if path == "" {
-		return nil
-	}
-	set, err := automata.LoadFile(path)
-	if err != nil {
-		cmdutil.Fail(err)
-	}
-	m := set.Find("chaos.RunRecoverable")
-	if m == nil {
-		cmdutil.Usagef("%s holds no chaos.RunRecoverable machine", path)
-	}
-	p, err := m.Protocol()
-	if err != nil {
-		cmdutil.Fail(err)
-	}
-	return p
-}
-
-func runChaos(seeds, dir string, sanitize, recover bool, conform *san.Protocol) {
+func runChaos(seeds, dir string, sanitize, recover bool) {
 	if dir == "" {
 		tmp, err := os.MkdirTemp("", "pumi-chaos-*")
 		if err != nil {
@@ -234,7 +206,6 @@ func runChaos(seeds, dir string, sanitize, recover bool, conform *san.Protocol) 
 			Dir:          ckdir,
 			StallTimeout: 30 * time.Second,
 			Sanitize:     sanitize,
-			Conform:      conform,
 		}
 		if recover {
 			out, err := chaos.RunRecoverable(cfg)

@@ -9,19 +9,9 @@
 //	pumi-trace before.json after.json        # diff per-phase durations
 //	pumi-trace -validate out.json out.summary.json
 //	pumi-trace -critical out.json              # per-phase straggler blame table
-//	pumi-trace -conform automata.json -entry chaos.RunRecoverable out.json
 //
 // Every reader accepts gzip-compressed recordings (.json.gz)
 // transparently.
-//
-// -conform replays each rank's blocking-op stream through a protocol
-// automaton from a pumi-proto/1 artifact (pumi-vet -emit-automata) —
-// the offline counterpart of running the world with pcu.Options.Conform
-// set. World markers in the trace become shrink transitions, so a
-// supervised run's epochs replay as one word. A rank whose stream walks
-// off the automaton fails the run with the same witness the online
-// monitor would have raised; a rank ending mid-protocol (it died with a
-// revoked world) is reported but legal.
 //
 // Timelines render interactively at https://ui.perfetto.dev; this tool
 // is the terminal-side view of the same files.
@@ -36,8 +26,6 @@ import (
 	"strings"
 
 	"github.com/fastmath/pumi-go/internal/cmdutil"
-	"github.com/fastmath/pumi-go/internal/lint/automata"
-	"github.com/fastmath/pumi-go/internal/san"
 	"github.com/fastmath/pumi-go/internal/trace"
 )
 
@@ -47,18 +35,8 @@ func main() {
 	phase := flag.String("phase", "", "show only events whose name contains this substring")
 	validate := flag.Bool("validate", false, "validate each file against its schema and exit; nonzero status on the first invalid file")
 	critical := flag.Bool("critical", false, "print the critical-path blame table: each phase's arrival skew attributed to its last-arriving rank and the span that delayed it")
-	conformFile := flag.String("conform", "", "pumi-proto/1 automata artifact; replay each rank's op stream through it and fail on violations")
-	entry := flag.String("entry", "", "with -conform, the machine to enforce (defaults when the artifact holds exactly one)")
 	flag.Parse()
 	args := flag.Args()
-
-	if *conformFile != "" {
-		if len(args) != 1 {
-			cmdutil.Usagef("-conform needs exactly one timeline file; got %d", len(args))
-		}
-		conform(*conformFile, *entry, args[0], *rank)
-		return
-	}
 
 	if *critical {
 		if len(args) != 1 {
@@ -89,72 +67,6 @@ func main() {
 		diff(args[0], args[1], *phase)
 	default:
 		cmdutil.Usagef("need one file (dump) or two files (diff); got %d", len(args))
-	}
-}
-
-// conform replays every rank's recorded op stream through one machine
-// of a pumi-proto/1 artifact and reports per-rank verdicts. Exit is
-// nonzero when any rank steps off the automaton; a rank that merely
-// ends mid-protocol (non-accepting) is noted but legal — it died with a
-// revoked world.
-func conform(artifact, entry, tracePath string, only int) {
-	set, err := automata.LoadFile(artifact)
-	if err != nil {
-		cmdutil.Fail(err)
-	}
-	if entry == "" {
-		if len(set.Automata) != 1 {
-			names := make([]string, len(set.Automata))
-			for i := range set.Automata {
-				names[i] = set.Automata[i].Entry
-			}
-			cmdutil.Usagef("artifact holds %d machines; pick one with -entry (%s)",
-				len(set.Automata), strings.Join(names, ", "))
-		}
-		entry = set.Automata[0].Entry
-	}
-	m := set.Find(entry)
-	if m == nil {
-		cmdutil.Usagef("artifact has no machine for entry %q", entry)
-	}
-	p, err := m.Protocol()
-	if err != nil {
-		cmdutil.Fail(err)
-	}
-	data := readTraceFile(tracePath)
-	streams, err := trace.OpStreams(data, san.RuntimeCollectiveOps, "pcu.world", san.OpShrink)
-	if err != nil {
-		cmdutil.Fail(err)
-	}
-	if len(streams) == 0 {
-		cmdutil.Failf("%s holds no blocking-op events", tracePath)
-	}
-	ranks := make([]int, 0, len(streams))
-	for r := range streams {
-		ranks = append(ranks, r)
-	}
-	sort.Ints(ranks)
-	violations := 0
-	fmt.Printf("conform %s: %d rank stream(s)\n", entry, len(streams))
-	for _, r := range ranks {
-		if only >= 0 && r != only {
-			continue
-		}
-		res := san.Replay(p, r, streams[r])
-		switch {
-		case res.Err != nil:
-			violations++
-			fmt.Printf("rank %-3d VIOLATION at op %d: got %q in state %d, automaton expects %v\n",
-				r, res.Err.Index, res.Err.Op, res.Err.State, res.Err.Expected)
-		case res.Accepted:
-			fmt.Printf("rank %-3d ok: %d op(s), %d shrink reset(s), accepted\n", r, res.Steps, res.Resets)
-		default:
-			fmt.Printf("rank %-3d incomplete: %d op(s) end mid-protocol in state %d (rank died with a revoked world?)\n",
-				r, res.Steps, res.State)
-		}
-	}
-	if violations > 0 {
-		cmdutil.Failf("%d rank(s) violated protocol %s", violations, entry)
 	}
 }
 

@@ -15,9 +15,7 @@
 //	collseq       rank-dependent branches/loops with divergent
 //	              collective schedules, proved over inferred effect
 //	              terms however many calls deep the collective hides
-//	rankdiv       rank-derived values (arithmetic on Rank(), rank-indexed
-//	              data, rank-returning helpers) guarding collectives or
-//	              loop bounds without a reconciling collective
+//	              and however the rank flows into the guard
 //
 // The analyzers are interprocedural: a pre-pass builds a callgraph with
 // per-function summaries (reaches a collective? leaks its Ctx
@@ -25,17 +23,9 @@
 // communication-effect term per function, so wrapping a violation in
 // helper functions does not hide it.
 //
-// Protocol automata: `-emit-automata` compiles the communication-effect
-// terms of the standard entry points (parma.BalanceSafe,
-// partition.TryMigrate, meshio checkpoints, pcu.Agree,
-// chaos.RunRecoverable) into minimal DFAs and writes the versioned
-// pumi-proto/1 JSON artifact to stdout; the committed copy under
-// internal/lint/automata/golden/ is enforced by `make proto-check`,
-// loaded online by pcu (Options.Conform) and replayed offline by
-// `pumi-trace -conform`. `-effects [-func substr] [-v]` prints the
-// inferred effect terms themselves — the static view the analyzers
-// prove over and the runtime projection the automata are compiled from
-// (-v adds each schedule's derivative exploration).
+// Each analyzer has a row of its own in the seeded-bug corpus
+// (internal/lint/corpus_test.go, DESIGN.md §5): a bug no other layer
+// catches.
 //
 // Self-hosting gate: `make vet-self` runs every analyzer over the
 // whole repository, tests included, and fails on any finding.
@@ -61,13 +51,9 @@ import (
 func main() {
 	cmdutil.SetTool("pumi-vet")
 	var (
-		list     = flag.Bool("list", false, "list analyzers and exit")
-		only     = flag.String("analyzers", "", "comma-separated subset of analyzers to run")
-		noTests  = flag.Bool("notests", false, "skip _test.go files")
-		emitAuto = flag.Bool("emit-automata", false, "compile the protocol automata of the standard entry points to a pumi-proto/1 JSON artifact on stdout and exit")
-		effects  = flag.Bool("effects", false, "print the inferred communication-effect terms (static and runtime) and exit")
-		funcPat  = flag.String("func", "", "with -effects, show only functions whose qualified name contains this substring")
-		verbose  = flag.Bool("v", false, "with -effects, also print the derivative exploration of each runtime schedule")
+		list    = flag.Bool("list", false, "list analyzers and exit")
+		only    = flag.String("analyzers", "", "comma-separated subset of analyzers to run")
+		noTests = flag.Bool("notests", false, "skip _test.go files")
 	)
 	flag.Usage = func() {
 		fmt.Fprintf(os.Stderr, "usage: pumi-vet [flags] [packages]\n\n"+
@@ -111,30 +97,9 @@ func main() {
 		cmdutil.Usagef("%v", err)
 	}
 	loader.IncludeTests = !*noTests
-	if *emitAuto {
-		// The artifact must be a pure function of the non-test sources.
-		loader.IncludeTests = false
-	}
 	pkgs, err := loader.Load(cwd, flag.Args()...)
 	if err != nil {
 		cmdutil.Usagef("%v", err)
-	}
-
-	if *emitAuto {
-		set, err := lint.EmitAutomata(pkgs, nil)
-		if err != nil {
-			cmdutil.Failf("%v", err)
-		}
-		out, err := set.Encode()
-		if err != nil {
-			cmdutil.Failf("%v", err)
-		}
-		os.Stdout.Write(out)
-		return
-	}
-	if *effects {
-		fmt.Print(lint.FormatEffects(pkgs, *funcPat, *verbose))
-		return
 	}
 
 	diags := lint.Run(pkgs, analyzers)

@@ -262,14 +262,24 @@ func TestParallelAdaptation(t *testing.T) {
 	}
 }
 
-func TestPredictElementWeight(t *testing.T) {
+func TestPredictedElements(t *testing.T) {
 	m := meshgen.Box3D(gmi.Box(1, 1, 1), 2, 2, 2)
+	total := func(size SizeField) float64 {
+		w := 0.0
+		for el := range m.Elements() {
+			w += PredictedElements(m, el, size)
+		}
+		return w
+	}
 	// Uniform size equal to current edge length predicts roughly the
 	// current count; half the size predicts ~8x.
-	w1 := PredictElementWeight(m, Uniform(0.5))
-	w2 := PredictElementWeight(m, Uniform(0.25))
+	w1, w2 := total(Uniform(0.5)), total(Uniform(0.25))
 	if w2 < 7.9*w1 {
 		t.Fatalf("prediction not scaling: %g vs %g", w1, w2)
+	}
+	// A coarser target never predicts an element away.
+	if w := total(Uniform(2)); w != float64(m.Count(3)) {
+		t.Fatalf("coarse target predicts %g elements for %d", w, m.Count(3))
 	}
 }
 

@@ -137,21 +137,6 @@ func localizeMarked(dm *partition.DMesh, size SizeField, useMax bool) int64 {
 	return total
 }
 
-// PredictElementWeight estimates the element count a part will hold
-// after adapting to the size field: each current element contributes
-// its volume divided by the target element volume implied by the local
-// size. This drives predictive load balancing.
-func PredictElementWeight(m *mesh.Mesh, size SizeField) float64 {
-	w := 0.0
-	for el := range m.Elements() {
-		if m.IsGhost(el) {
-			continue
-		}
-		w += PredictedElements(m, el, size)
-	}
-	return w
-}
-
 // PredictedElements estimates how many elements one element becomes
 // under the size field: its measure over the volume of a simplex with
 // the local target edge length (h^3/6 for tets, h^2/2 for triangles —

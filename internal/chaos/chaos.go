@@ -65,11 +65,6 @@ type Config struct {
 	// so a failure report shows what led up to it, not just the final
 	// error.
 	Trace bool
-	// Conform, when non-nil, runs every world — the faulted attempt, the
-	// restart, and each supervised epoch — under the online protocol
-	// monitor: each rank's blocking-op stream must walk the automaton or
-	// the run fails with a *san.ProtocolError witness ("san-protocol").
-	Conform *san.Protocol
 	// Log, when non-nil, receives progress lines.
 	Log io.Writer
 }
@@ -164,7 +159,6 @@ func Soak(cfg Config) (Outcome, error) {
 		StallTimeout: cfg.StallTimeout,
 		Sanitize:     cfg.Sanitize,
 		Trace:        tr,
-		Conform:      cfg.Conform,
 	}, func(ctx *pcu.Ctx) error {
 		dm, err := buildUnbalanced(ctx, cfg)
 		if err != nil {
@@ -203,7 +197,6 @@ func Soak(cfg Config) (Outcome, error) {
 		Topo:         topo,
 		StallTimeout: cfg.StallTimeout,
 		Sanitize:     cfg.Sanitize,
-		Conform:      cfg.Conform,
 	}, func(ctx *pcu.Ctx) error {
 		model := gmi.Box(4, 1, 1)
 		dm, curs, err := meshio.LoadCheckpoint(cfg.Dir, ctx, model.Model)
@@ -289,8 +282,6 @@ func classifyFailure(err error) string {
 		return "san-divergence"
 	case errors.Is(err, san.ErrOwnership):
 		return "san-ownership"
-	case errors.Is(err, san.ErrProtocol):
-		return "san-protocol"
 	}
 	return ""
 }

@@ -107,7 +107,6 @@ func RunRecoverable(cfg Config) (RecoverOutcome, error) {
 		Faults:       plan,
 		StallTimeout: cfg.StallTimeout,
 		Sanitize:     cfg.Sanitize,
-		Conform:      cfg.Conform,
 	}, nextSize, func(ctx *pcu.Ctx, ep pcu.Epoch) error {
 		if ctx.Rank() == 0 {
 			mu.Lock()

@@ -9,7 +9,7 @@ import (
 )
 
 // ListenUsage is the shared -listen flag description.
-const ListenUsage = "serve live introspection over HTTP on ADDR (e.g. 127.0.0.1:9970): /metrics (Prometheus text), /trace (Chrome trace JSON of the live rings), /protocol (conformance cursors), /healthz (watchdog verdicts); also turns on process-wide metering"
+const ListenUsage = "serve live introspection over HTTP on ADDR (e.g. 127.0.0.1:9970): /metrics (Prometheus text), /trace (Chrome trace JSON of the live rings), /healthz (watchdog verdicts); also turns on process-wide metering"
 
 // StartListen wires a tool's -listen flag: with a non-empty address it
 // installs a process-wide metrics registry — so every subsequent pcu
@@ -27,7 +27,7 @@ func StartListen(addr string) func() {
 	if err != nil {
 		Fail(fmt.Errorf("-listen: %w", err))
 	}
-	fmt.Fprintf(os.Stderr, "%s: telemetry: http://%s (/metrics /trace /protocol /healthz)\n", tool, srv.Addr())
+	fmt.Fprintf(os.Stderr, "%s: telemetry: http://%s (/metrics /trace /healthz)\n", tool, srv.Addr())
 	return func() {
 		srv.Close()
 		pcu.SetDefaultMetrics(nil)

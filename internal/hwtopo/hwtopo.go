@@ -45,9 +45,6 @@ func (t Topology) Cores() int { return t.Nodes * t.CoresPerNode }
 // NodeOf returns the node hosting the given rank.
 func (t Topology) NodeOf(rank int) int { return rank / t.CoresPerNode }
 
-// CoreOf returns the on-node core index of the given rank.
-func (t Topology) CoreOf(rank int) int { return rank % t.CoresPerNode }
-
 // SameNode reports whether two ranks share a node's memory.
 func (t Topology) SameNode(a, b int) bool { return t.NodeOf(a) == t.NodeOf(b) }
 
@@ -67,15 +64,6 @@ func (t Topology) NodeRanks(node, nranks int) []int {
 		out = append(out, r)
 	}
 	return out
-}
-
-// NodesUsed returns how many nodes host at least one of nranks ranks.
-func (t Topology) NodesUsed(nranks int) int {
-	n := (nranks + t.CoresPerNode - 1) / t.CoresPerNode
-	if n > t.Nodes {
-		n = t.Nodes
-	}
-	return n
 }
 
 func (t Topology) String() string {

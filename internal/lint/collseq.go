@@ -22,9 +22,9 @@ import (
 // have an empty collective schedule.
 //
 // Rank dependence covers the lexical forms (Rank() calls, variables
-// assigned from them) plus the dataflow-
-// derived values rankdiv tracks (arithmetic on rank, rank-returning
-// helpers, rank-indexed data). Reports nest innermost-first: if a
+// assigned from them) plus values derived from the rank through
+// dataflow (rankTaint: arithmetic on rank, rank-returning helpers,
+// rank-indexed data, assignment chains). Reports nest innermost-first: if a
 // nested branch already diverged, the enclosing one is not re-reported.
 var CollSeq = &Analyzer{
 	Name: "collseq",
@@ -37,7 +37,7 @@ func runCollSeq(p *Pass) {
 		w := &seqWalker{
 			p:        p,
 			rankVars: collectRankVars(p, body),
-			taint:    rankTaint(p, body, p.Facts),
+			taint:    rankTaint(p, body),
 		}
 		w.walkStmts(body.List, nil)
 	}
@@ -94,18 +94,14 @@ func collectRankVars(p *Pass, body *ast.BlockStmt) map[any]bool {
 type seqWalker struct {
 	p        *Pass
 	rankVars map[any]bool
-	taint    map[types.Object]*taintInfo
+	taint    map[types.Object]bool
 }
 
 func (w *seqWalker) rankDep(e ast.Expr) bool {
 	if e == nil {
 		return false
 	}
-	if lexicalRankDep(w.p, e, w.rankVars) {
-		return true
-	}
-	_, tainted := rankCause(w.p, e, w.taint, w.p.Facts)
-	return tainted
+	return lexicalRankDep(w.p, e, w.rankVars) || rankDerived(w.p, e, w.taint)
 }
 
 // walkStmts traverses a statement list; konts is the continuation
@@ -338,4 +334,120 @@ func tailLang(p *Pass, konts [][]ast.Stmt) *Effect {
 		paths = append(paths, eff)
 	}
 	return choiceEffect(paths...)
+}
+
+// ---- rank-taint dataflow ----
+
+// rankTaint computes the local variables of one function body that hold
+// rank-derived values, iterating assignment chains to a (bounded)
+// fixpoint. Sources: Ctx.Rank() calls, calls to functions whose return
+// derives from rank (Facts.RankReturn), and uses of already-tainted
+// variables — which covers arithmetic on rank and rank-indexed data,
+// since containment is checked over whole right-hand sides. Function
+// literals are separate contexts and are not descended into.
+func rankTaint(p *Pass, body *ast.BlockStmt) map[types.Object]bool {
+	taint := map[types.Object]bool{}
+	changed := false
+	mark := func(id *ast.Ident, from ast.Expr) {
+		obj := identObj(p.Info, id)
+		if obj != nil && !taint[obj] && rankDerived(p, from, taint) {
+			taint[obj] = true
+			changed = true
+		}
+	}
+	for round := 0; round < 16; round++ {
+		changed = false
+		ast.Inspect(body, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.FuncLit:
+				return false
+			case *ast.AssignStmt:
+				for i, lhs := range n.Lhs {
+					id, ok := lhs.(*ast.Ident)
+					switch {
+					case !ok:
+					case len(n.Lhs) == len(n.Rhs):
+						mark(id, n.Rhs[i])
+					case len(n.Rhs) == 1:
+						mark(id, n.Rhs[0])
+					}
+				}
+			case *ast.RangeStmt:
+				for _, e := range []ast.Expr{n.Key, n.Value} {
+					if id, ok := e.(*ast.Ident); ok {
+						mark(id, n.X)
+					}
+				}
+			case *ast.ValueSpec:
+				for i, v := range n.Values {
+					if i < len(n.Names) {
+						mark(n.Names[i], v)
+					}
+				}
+			}
+			return true
+		})
+		if !changed {
+			break
+		}
+	}
+	return taint
+}
+
+// rankDerived reports whether the expression's value derives from the
+// calling rank. Values returned by collective calls are rank-uniform by
+// construction (every rank runs the op and receives the reconciled
+// result — an Allreduce sum, a gathered error set), so taint does not
+// flow out of them: a guard on a collective's return value IS
+// reconciled.
+func rankDerived(p *Pass, e ast.Expr, taint map[types.Object]bool) bool {
+	if e == nil {
+		return false
+	}
+	found := false
+	ast.Inspect(e, func(n ast.Node) bool {
+		switch n := n.(type) {
+		case *ast.FuncLit:
+			return false
+		case *ast.CallExpr:
+			if isRankCall(p, n) {
+				found = true
+			} else if fn := calleeFunc(p.Info, n); fn != nil {
+				if p.Facts.IsCollective(fn) {
+					return false // reconciled: same value on every rank
+				}
+				_, found = p.Facts.RankReturn(fn)
+			}
+		case *ast.Ident:
+			if obj := p.Info.Uses[n]; obj != nil && taint[obj] {
+				found = true
+			}
+		}
+		return !found
+	})
+	return found
+}
+
+// lexicalRankDep reports whether the expression is rank-dependent in
+// the lexical sense: it contains a Rank() call on a *pcu.Ctx or
+// references a variable assigned directly from one.
+func lexicalRankDep(p *Pass, e ast.Expr, rankVars map[any]bool) bool {
+	if e == nil {
+		return false
+	}
+	dep := false
+	ast.Inspect(e, func(n ast.Node) bool {
+		switch n := n.(type) {
+		case *ast.CallExpr:
+			if isRankCall(p, n) {
+				dep = true
+			}
+		case *ast.Ident:
+			if obj := p.Info.Uses[n]; obj != nil && rankVars[obj] {
+				dep = true
+			}
+		}
+		return !dep
+	})
+	return dep
 }

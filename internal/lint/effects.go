@@ -1,7 +1,7 @@
 package lint
 
 // effects.go — the communication-effect inference engine behind the
-// collseq and rankdiv analyzers.
+// collseq analyzer.
 //
 // Every function body is abstract-interpreted into an *effect term*, a
 // regular expression over communication atoms:
@@ -49,48 +49,6 @@ import (
 	"sort"
 	"strings"
 )
-
-// ---- runtime projection ----
-//
-// Effect terms come in two modes. The *static* mode (the original one,
-// used by collseq/rankdiv) names atoms after the Go functions entered:
-// Barrier, SumInt64, a doc-marked collective stays an opaque atom. The
-// *runtime* mode projects the same bodies onto the op names the PCU
-// runtime actually records in beginOp — SumInt64 is one "allreduce",
-// doc-marked collectives expand to their bodies — so the resulting term
-// describes the op stream a conformance monitor or trace replay will
-// observe (see internal/san and internal/lint/automata). Runtime terms
-// must over-approximate real streams, so calls of function values the
-// analyzer cannot resolve widen to Loop("*"), the wildcard window; the
-// static mode keeps them ε to avoid phantom schedule divergence.
-
-// rtOpShrink and rtOpWildcard mirror san.OpShrink/san.OpWildcard
-// without importing the runtime package: the world-shrink boundary
-// pseudo-op and the any-op wildcard atom.
-const (
-	rtOpShrink   = "shrink"
-	rtOpWildcard = "*"
-)
-
-// rtOpName maps each pcu builtin collective to the op name the runtime
-// records for it (the convenience reductions are Allreduce/Exscan
-// wrappers, so they record the wrapped op).
-var rtOpName = map[string]string{
-	"Barrier":     "barrier",
-	"Exchange":    "exchange",
-	"Allreduce":   "allreduce",
-	"Reduce":      "reduce",
-	"Bcast":       "bcast",
-	"Allgather":   "allgather",
-	"Exscan":      "exscan",
-	"SumInt64":    "allreduce",
-	"MaxInt64":    "allreduce",
-	"MinInt64":    "allreduce",
-	"SumFloat64":  "allreduce",
-	"MaxFloat64":  "allreduce",
-	"ExscanInt64": "exscan",
-	"Agree":       "agree",
-}
 
 type effKind uint8
 
@@ -522,7 +480,6 @@ type effEval struct {
 	p         *Package
 	facts     *Facts
 	g         *callGraph
-	rt        bool // runtime-mode projection (see rtOpName)
 	condDepth int
 	deferred  []*Effect
 }
@@ -815,9 +772,7 @@ func (ev *effEval) evalExpr(e ast.Expr) *Effect {
 // callEffect resolves the effect contributed by one call: a collective
 // atom for pcu built-ins and doc-marked collectives, the callee's
 // inferred effect for resolved in-module functions, a send/reader atom
-// for buffer operations, ε otherwise. In runtime mode atoms carry the
-// recorded op names, doc-marked collectives expand, and unresolvable
-// dynamic calls widen to the wildcard window.
+// for buffer operations, ε otherwise.
 func (ev *effEval) callEffect(call *ast.CallExpr) *Effect {
 	if lit, ok := ast.Unparen(call.Fun).(*ast.FuncLit); ok {
 		return ev.sub().funcBody(lit.Body)
@@ -826,41 +781,17 @@ func (ev *effEval) callEffect(call *ast.CallExpr) *Effect {
 	fn := calleeFunc(ev.p.Info, call)
 	// The pcu run drivers execute their final function argument on the
 	// spawned world's schedule; checked before the doc-mark test because
-	// RunOpt's doc mentions the collective watchdog. Supervise reruns
-	// the body on a shrunken world after every revocation, so a call to
-	// it contributes the epoch shape (body·shrink)*·body.
-	if name, ok := runDriver(fn); ok && len(call.Args) > 0 {
-		body := ev.bodyArgEffect(call.Args[len(call.Args)-1])
-		if name == "Supervise" {
-			shrink := opEffect(rtOpShrink, true, call.Pos())
-			return seqEffect(loopEffect(seqEffect(body, shrink)), body)
-		}
-		return body
+	// RunOpt's doc mentions the collective watchdog.
+	if runDriver(fn) && len(call.Args) > 0 {
+		return ev.bodyArgEffect(call.Args[len(call.Args)-1])
 	}
 	if fn != nil && ev.facts != nil && ev.facts.directCollective(fn) {
-		if !ev.rt {
-			return opEffect(fn.Name(), true, call.Pos())
-		}
-		return rtCollectiveEffect(ev.g, fn, call.Pos())
+		return opEffect(fn.Name(), true, call.Pos())
 	}
 	if fn != nil && ev.g != nil {
-		if n := ev.g.nodes[keyOfFunc(fn)]; n != nil {
-			if eff := n.modeEffect(ev.rt); eff != nil {
-				return eff
-			}
+		if n := ev.g.nodes[keyOfFunc(fn)]; n != nil && n.effect != nil {
+			return n.effect
 		}
-	}
-	if ev.rt {
-		// A call of a function value the analyzer cannot resolve —
-		// through a variable, a struct field (parma's OnIter checkpoint
-		// hook), or a returned closure — may run any schedule at
-		// runtime, so it widens to the wildcard window. Interface
-		// methods resolve to a *types.Func above and stay ε (caveat in
-		// DESIGN.md §13).
-		if fn == nil && isFuncValueCall(ev.p.Info, call) {
-			return loopEffect(opEffect(rtOpWildcard, true, call.Pos()))
-		}
-		return emptyEffect
 	}
 	switch {
 	case isPhaseBufferCall(pass, call), isBufferPack(pass, call):
@@ -872,47 +803,40 @@ func (ev *effEval) callEffect(call *ast.CallExpr) *Effect {
 }
 
 // sub derives a fresh evaluator for a nested body, inheriting the
-// graph and mode (deferred effects must not leak across bodies).
+// graph (deferred effects must not leak across bodies).
 func (ev *effEval) sub() *effEval {
 	s := newEffEval(ev.p, ev.facts)
-	s.g, s.rt = ev.g, ev.rt
+	s.g = ev.g
 	return s
 }
 
 // runDriver reports whether fn is one of the pcu run drivers whose
 // final argument executes as the spawned world's schedule.
-func runDriver(fn *types.Func) (string, bool) {
+func runDriver(fn *types.Func) bool {
 	if fn == nil || fn.Pkg() == nil || !pathHasSuffix(fn.Pkg().Path(), pcuPkg) {
-		return "", false
+		return false
 	}
 	if sig, ok := fn.Type().(*types.Signature); ok && sig.Recv() != nil {
-		return "", false
+		return false
 	}
-	switch name := fn.Name(); name {
+	switch fn.Name() {
 	case "Run", "RunOn", "RunOpt", "Supervise":
-		return name, true
+		return true
 	}
-	return "", false
+	return false
 }
 
 // bodyArgEffect resolves the effect of a run driver's body argument: a
 // function literal is evaluated in place, a named function contributes
-// its inferred effect, and anything else is a dynamic value — the
-// wildcard window in runtime mode, ε statically.
+// its inferred effect, and anything else is a dynamic value: ε.
 func (ev *effEval) bodyArgEffect(arg ast.Expr) *Effect {
-	switch a := ast.Unparen(arg).(type) {
-	case *ast.FuncLit:
-		return ev.sub().funcBody(a.Body)
+	if lit, ok := ast.Unparen(arg).(*ast.FuncLit); ok {
+		return ev.sub().funcBody(lit.Body)
 	}
 	if fn := exprFunc(ev.p.Info, ast.Unparen(arg)); fn != nil && ev.g != nil {
-		if n := ev.g.nodes[keyOfFunc(fn)]; n != nil {
-			if eff := n.modeEffect(ev.rt); eff != nil {
-				return eff
-			}
+		if n := ev.g.nodes[keyOfFunc(fn)]; n != nil && n.effect != nil {
+			return n.effect
 		}
-	}
-	if ev.rt {
-		return loopEffect(opEffect(rtOpWildcard, true, arg.Pos()))
 	}
 	return emptyEffect
 }
@@ -931,58 +855,6 @@ func exprFunc(info *types.Info, e ast.Expr) *types.Func {
 		}
 	}
 	return nil
-}
-
-// rtCollectiveEffect is the runtime-mode effect of a directCollective
-// call: pcu builtins map to the op name beginOp records; doc-marked
-// collectives expand to their inferred runtime body (the runtime logs
-// what the body does, not the caller's name for it), falling back to
-// the wildcard window when no body is available.
-func rtCollectiveEffect(g *callGraph, fn *types.Func, pos token.Pos) *Effect {
-	if fn.Pkg() != nil && pathHasSuffix(fn.Pkg().Path(), pcuPkg) {
-		if name, ok := rtOpName[fn.Name()]; ok {
-			return opEffect(name, true, pos)
-		}
-	}
-	if g != nil {
-		if n := g.nodes[keyOfFunc(fn)]; n != nil && n.effectRT != nil {
-			return n.effectRT
-		}
-	}
-	return loopEffect(opEffect(rtOpWildcard, true, pos))
-}
-
-// isFuncValueCall reports whether the call invokes a function *value* —
-// a variable, field, or computed expression of function type — rather
-// than a declared function, builtin, or type conversion.
-func isFuncValueCall(info *types.Info, call *ast.CallExpr) bool {
-	isSig := func(t types.Type) bool {
-		if t == nil {
-			return false
-		}
-		_, ok := t.Underlying().(*types.Signature)
-		return ok
-	}
-	switch fun := ast.Unparen(call.Fun).(type) {
-	case *ast.Ident:
-		if v, ok := info.Uses[fun].(*types.Var); ok {
-			return isSig(v.Type())
-		}
-		return false
-	case *ast.SelectorExpr:
-		if sel, ok := info.Selections[fun]; ok {
-			return sel.Kind() == types.FieldVal && isSig(sel.Type())
-		}
-		if v, ok := info.Uses[fun.Sel].(*types.Var); ok {
-			return isSig(v.Type())
-		}
-		return false
-	case *ast.FuncLit:
-		return false // evaluated in place by callEffect
-	default:
-		// Call of a call result, an indexed element, etc.
-		return isSig(info.TypeOf(fun))
-	}
 }
 
 // isReaderDone reports a Done() call on a *pcu.Reader — the reader
@@ -1067,14 +939,10 @@ func (g *callGraph) resolveEffects(facts *Facts, comp []funcKey) {
 		}
 		if !selfRec {
 			// facts.graph is not assigned until buildCallGraph returns, so
-			// wire this graph into the evaluator directly. Each mode needs
-			// a fresh evaluator: deferred effects accumulate per body.
+			// wire this graph into the evaluator directly.
 			ev := newEffEval(n.pkg, facts)
 			ev.g = g
 			n.effect = ev.funcBody(n.decl.Body)
-			rev := newEffEval(n.pkg, facts)
-			rev.g, rev.rt = g, true
-			n.effectRT = rev.funcBody(n.decl.Body)
 			return
 		}
 	}
@@ -1088,14 +956,11 @@ func (g *callGraph) resolveEffects(facts *Facts, comp []funcKey) {
 	}
 	sort.Slice(comp, func(i, j int) bool { return comp[i].less(comp[j]) })
 	atomSet := map[string]*Effect{}
-	rtSet := map[string]*Effect{}
-	addTo := func(set map[string]*Effect, e *Effect) {
-		if _, ok := set[e.key]; !ok {
-			set[e.key] = e
+	addAtom := func(e *Effect) {
+		if _, ok := atomSet[e.key]; !ok {
+			atomSet[e.key] = e
 		}
 	}
-	addAtom := func(e *Effect) { addTo(atomSet, e) }
-	addRT := func(e *Effect) { addTo(rtSet, e) }
 	for _, k := range comp {
 		n := g.nodes[k]
 		pass := &Pass{Package: n.pkg}
@@ -1105,19 +970,10 @@ func (g *callGraph) resolveEffects(facts *Facts, comp []funcKey) {
 				return true
 			}
 			fn := calleeFunc(n.pkg.Info, call)
-			if _, ok := runDriver(fn); ok {
-				// A run driver inside a widened cycle: the body argument
-				// is dynamic here, so approximate it as an opaque atom
-				// statically and the wildcard window at runtime.
+			if runDriver(fn) || (fn != nil && facts.directCollective(fn)) {
+				// A run driver's body argument is dynamic inside a widened
+				// cycle, so it is an opaque atom like a collective.
 				addAtom(opEffect(fn.Name(), true, call.Pos()))
-				addRT(opEffect(rtOpWildcard, true, call.Pos()))
-				return true
-			}
-			if fn != nil && facts.directCollective(fn) {
-				addAtom(opEffect(fn.Name(), true, call.Pos()))
-				for _, a := range alphabet(rtCollectiveEffect(g, fn, call.Pos())) {
-					addRT(a)
-				}
 				return true
 			}
 			if fn != nil {
@@ -1125,16 +981,8 @@ func (g *callGraph) resolveEffects(facts *Facts, comp []funcKey) {
 					for _, a := range alphabet(cn.effect) {
 						addAtom(a)
 					}
-					if cn.effectRT != nil {
-						for _, a := range alphabet(cn.effectRT) {
-							addRT(a)
-						}
-					}
 					return true
 				}
-			}
-			if fn == nil && isFuncValueCall(n.pkg.Info, call) {
-				addRT(opEffect(rtOpWildcard, true, call.Pos()))
 			}
 			switch {
 			case isPhaseBufferCall(pass, call), isBufferPack(pass, call):
@@ -1145,74 +993,21 @@ func (g *callGraph) resolveEffects(facts *Facts, comp []funcKey) {
 			return true
 		})
 	}
-	widen := func(set map[string]*Effect) *Effect {
-		if len(set) == 0 {
-			return emptyEffect
-		}
-		keys := make([]string, 0, len(set))
-		for k := range set {
+	eff := emptyEffect
+	if len(atomSet) > 0 {
+		keys := make([]string, 0, len(atomSet))
+		for k := range atomSet {
 			keys = append(keys, k)
 		}
 		sort.Strings(keys)
 		kids := make([]*Effect, len(keys))
 		for i, k := range keys {
-			kids[i] = set[k]
+			kids[i] = atomSet[k]
 		}
-		return loopEffect(choiceEffect(kids...))
+		eff = loopEffect(choiceEffect(kids...))
 	}
-	eff, effRT := widen(atomSet), widen(rtSet)
 	for _, k := range comp {
 		g.nodes[k].effect = eff
-		g.nodes[k].effectRT = effRT
 		g.nodes[k].effWidened = true
 	}
-}
-
-// ---- Facts query surface for effects ----
-
-// EffectOf returns fn's inferred communication effect: a collective
-// atom for direct collectives, the fixpoint term for in-module
-// functions, nil for functions outside the loaded set.
-func (f *Facts) EffectOf(fn *types.Func) *Effect {
-	if fn == nil {
-		return nil
-	}
-	if f.directCollective(fn) {
-		return opEffect(fn.Name(), true, fn.Pos())
-	}
-	if n := f.graph.node(fn); n != nil {
-		return n.effect
-	}
-	return nil
-}
-
-// EffectWidened reports whether fn's effect was widened because it sits
-// on a recursive call cycle.
-func (f *Facts) EffectWidened(fn *types.Func) bool {
-	n := f.graph.node(fn)
-	return n != nil && n.effWidened
-}
-
-// RuntimeEffectOf returns fn's communication effect projected onto the
-// op names the PCU runtime records (see rtOpName): pcu builtins become
-// their recorded op atoms, doc-marked collectives expand to their
-// bodies, unresolvable dynamic calls widen to the wildcard window, and
-// pcu.Supervise call sites contribute the epoch shape
-// (body·shrink)*·body. nil for functions outside the loaded set.
-func (f *Facts) RuntimeEffectOf(fn *types.Func) *Effect {
-	if fn == nil {
-		return nil
-	}
-	if fn.Pkg() != nil && pathHasSuffix(fn.Pkg().Path(), pcuPkg) {
-		if name, ok := rtOpName[fn.Name()]; ok && f.directCollective(fn) {
-			return opEffect(name, true, fn.Pos())
-		}
-	}
-	if n := f.graph.node(fn); n != nil {
-		return n.effectRT
-	}
-	if f.directCollective(fn) {
-		return loopEffect(opEffect(rtOpWildcard, true, fn.Pos()))
-	}
-	return nil
 }

@@ -155,3 +155,26 @@ func TestInferredEffects(t *testing.T) {
 		}
 	}
 }
+
+// EffectOf returns fn's inferred communication effect: a collective
+// atom for direct collectives, the fixpoint term for in-module
+// functions, nil for functions outside the loaded set.
+func (f *Facts) EffectOf(fn *types.Func) *Effect {
+	if fn == nil {
+		return nil
+	}
+	if f.directCollective(fn) {
+		return opEffect(fn.Name(), true, fn.Pos())
+	}
+	if n := f.graph.node(fn); n != nil {
+		return n.effect
+	}
+	return nil
+}
+
+// EffectWidened reports whether fn's effect was widened because it sits
+// on a recursive call cycle.
+func (f *Facts) EffectWidened(fn *types.Func) bool {
+	n := f.graph.node(fn)
+	return n != nil && n.effWidened
+}

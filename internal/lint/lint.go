@@ -76,7 +76,7 @@ func (p *Pass) TypeOf(e ast.Expr) types.Type { return p.Info.TypeOf(e) }
 
 // Analyzers returns pumi-vet's analyzers in a fixed order.
 func Analyzers() []*Analyzer {
-	return []*Analyzer{CtxEscape, BufDiscipline, EntHandle, MapOrder, PhaseOrder, CollSeq, RankDiv}
+	return []*Analyzer{CtxEscape, BufDiscipline, EntHandle, MapOrder, PhaseOrder, CollSeq}
 }
 
 // Facts is cross-package knowledge gathered in a pre-pass over every
@@ -272,9 +272,10 @@ func Run(pkgs []*Package, analyzers []*Analyzer) []Diagnostic {
 
 // dedupeDiags sorts diagnostics into a total deterministic order —
 // position, then analyzer, then message — and collapses positions
-// reported by multiple analyzers (collseq and rankdiv both flag a
-// rank-derived loop bound) down to the one with the fuller witness. The
-// result is identical regardless of analyzer registration order.
+// reported by multiple analyzers (maporder and collseq both flag a
+// range over a rank-derived map whose body communicates) down to the
+// one with the fuller witness. The result is identical regardless of
+// analyzer registration order.
 func dedupeDiags(diags []Diagnostic) []Diagnostic {
 	sort.Slice(diags, func(i, j int) bool {
 		a, b := diags[i], diags[j]

@@ -71,11 +71,44 @@ func TestEntHandle(t *testing.T)     { testAnalyzer(t, EntHandle) }
 func TestMapOrder(t *testing.T)      { testAnalyzer(t, MapOrder) }
 func TestPhaseOrder(t *testing.T)    { testAnalyzer(t, PhaseOrder) }
 func TestCollSeq(t *testing.T)       { testAnalyzer(t, CollSeq) }
-func TestRankDiv(t *testing.T)       { testAnalyzer(t, RankDiv) }
+
+// TestRankDiv pins rank-divergence detection through dataflow: guards
+// and loop bounds that derive from Rank() via arithmetic, rank-returning
+// helpers, rank-indexed data and assignment chains. CollSeq owns these
+// cases (collseq/taint.go); every bad function there must be reported at
+// its want-line and none of the ok functions may be reported.
+func TestRankDiv(t *testing.T) {
+	pkgs := fixturePkgs(t, CollSeq.Name)
+	inTaint := func(file string) bool { return filepath.Base(file) == "taint.go" }
+	var diags []Diagnostic
+	for _, d := range Run(pkgs, []*Analyzer{CollSeq}) {
+		if inTaint(d.Pos.Filename) {
+			diags = append(diags, d)
+		}
+	}
+	all, err := ParseExpectations(pkgs[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	var expects []Expectation
+	for _, e := range all {
+		if inTaint(e.File) {
+			expects = append(expects, e)
+		}
+	}
+	// One expectation per bad function: offset guard, helper under
+	// taint, tainted loop, tainted range, chained taint.
+	if len(expects) != 5 {
+		t.Fatalf("taint.go has %d want-comments, want 5", len(expects))
+	}
+	for _, fail := range CheckExpectations(expects, diags) {
+		t.Error(fail)
+	}
+}
 
 // TestAnalyzerListStable pins the analyzer set wired into pumi-vet.
 func TestAnalyzerListStable(t *testing.T) {
-	want := []string{"ctxescape", "bufdiscipline", "enthandle", "maporder", "phaseorder", "collseq", "rankdiv"}
+	want := []string{"ctxescape", "bufdiscipline", "enthandle", "maporder", "phaseorder", "collseq"}
 	got := Analyzers()
 	if len(got) != len(want) {
 		t.Fatalf("got %d analyzers, want %d", len(got), len(want))
@@ -102,7 +135,7 @@ func TestDiagnosticDedup(t *testing.T) {
 		return d
 	}
 	in := []Diagnostic{
-		mk(10, 2, "rankdiv", "a terser finding at the same spot"),
+		mk(10, 2, "maporder", "a terser finding at the same spot"),
 		mk(10, 2, "collseq", "divergent schedules with a long witness"),
 		mk(10, 2, "collseq", "second collseq finding at the same position"),
 		mk(12, 4, "maporder", "map order reaches communication"),
@@ -144,7 +177,7 @@ func TestRunOrderIndependent(t *testing.T) {
 	for i, a := range fwd {
 		rev[len(fwd)-1-i] = a
 	}
-	for _, name := range []string{"collseq", "rankdiv"} {
+	for _, name := range []string{"collseq", "maporder"} {
 		pkgs := fixturePkgs(t, name)
 		a := Run(pkgs, fwd)
 		b := Run(pkgs, rev)

@@ -7,8 +7,8 @@ package lint
 // call site:
 //
 //   - transitively collective: the function always reaches a collective
-//     op (directly or through callees); rankdiv and maporder name the
-//     witness chain down to the collective in their findings.
+//     op (directly or through callees); maporder names the witness
+//     chain down to the collective in its findings.
 //   - leaking ctx params: a *pcu.Ctx parameter the function hands to
 //     another goroutine, sends on a channel, stores in package state,
 //     or forwards to a callee that does; ctxescape flags passing a Ctx
@@ -78,22 +78,12 @@ type funcNode struct {
 	retRankVia []string
 	retCalls   []*callSite
 
-	// Communication-effect terms (see effects.go), inferred in
-	// reverse-topological SCC order after the boolean fixpoint: effect
-	// is the static term (atoms are Go function names), effectRT the
-	// runtime projection (atoms are the op names beginOp records).
-	// effWidened marks terms approximated because of recursion.
+	// The communication-effect term (see effects.go), inferred in
+	// reverse-topological SCC order after the boolean fixpoint; atoms are
+	// Go function names. effWidened marks terms approximated because of
+	// recursion.
 	effect     *Effect
-	effectRT   *Effect
 	effWidened bool
-}
-
-// modeEffect selects the static or runtime term.
-func (n *funcNode) modeEffect(rt bool) *Effect {
-	if rt {
-		return n.effectRT
-	}
-	return n.effect
 }
 
 // callGraph indexes the funcNodes of all loaded packages.

@@ -88,9 +88,9 @@ func TestFixpointDeterministic(t *testing.T) {
 }
 
 // TestRankReturnSummary checks the interprocedural rank-return facts
-// used by rankdiv's taint sources.
+// behind collseq's rank taint.
 func TestRankReturnSummary(t *testing.T) {
-	pkgs := fixturePkgs(t, "rankdiv")
+	pkgs := fixturePkgs(t, "collseq")
 	facts := gatherFacts(pkgs)
 
 	fn := lookupFn(t, pkgs[0], "myOffset")

@@ -28,7 +28,7 @@ func ignoredAll(c *pcu.Ctx) {
 }
 
 func ignoredAmongSeveral(c *pcu.Ctx) {
-	if c.Rank() == 0 { //pumi-vet:ignore rankdiv, collseq // every name valid
+	if c.Rank() == 0 { //pumi-vet:ignore maporder, collseq // every name valid
 		c.Barrier()
 	}
 }

@@ -163,35 +163,3 @@ func (m *Mesh) checkRegionShell(r Ent) error {
 	}
 	return nil
 }
-
-// Stats summarizes a part's entity counts per dimension.
-type Stats struct {
-	Counts   [4]int
-	Shared   [4]int
-	Ghosts   [4]int
-	Owned    [4]int
-	PartID   int32
-	Boundary int // total shared entities
-}
-
-// ComputeStats tallies the part's entities.
-func (m *Mesh) ComputeStats() Stats {
-	s := Stats{PartID: m.part}
-	for d := 0; d <= m.dim; d++ {
-		for e := range m.Iter(d) {
-			s.Counts[d]++
-			if m.IsGhost(e) {
-				s.Ghosts[d]++
-				continue
-			}
-			if m.IsShared(e) {
-				s.Shared[d]++
-				s.Boundary++
-			}
-			if m.IsOwned(e) {
-				s.Owned[d]++
-			}
-		}
-	}
-	return s
-}

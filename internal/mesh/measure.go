@@ -64,9 +64,6 @@ func (m *Mesh) Measure(e Ent) float64 {
 	}
 }
 
-// EdgeLength returns the length of the edge between two vertices.
-func (m *Mesh) EdgeLength(e Ent) float64 { return m.Measure(e) }
-
 // MeanRatioQuality returns a scale-invariant shape quality in (0, 1]
 // for triangles and tetrahedra (1 = equilateral/regular, -> 0 for
 // degenerate). Other types return 1.

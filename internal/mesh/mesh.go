@@ -512,14 +512,3 @@ func (m *Mesh) Set(name string) *ds.Set[Ent] {
 	return s
 }
 
-// DeleteSet removes a named set (the entities are unaffected).
-func (m *Mesh) DeleteSet(name string) { delete(m.sets, name) }
-
-// SetNames returns the names of all sets (unordered).
-func (m *Mesh) SetNames() []string {
-	out := make([]string, 0, len(m.sets))
-	for n := range m.sets {
-		out = append(out, n)
-	}
-	return out
-}

@@ -465,10 +465,6 @@ func TestNeighborPartsAndBoundaryIter(t *testing.T) {
 	if n != 2 {
 		t.Fatalf("boundary verts = %d", n)
 	}
-	stats := m.ComputeStats()
-	if stats.Shared[0] != 2 || stats.Counts[0] != 4 || stats.Counts[3] != 1 {
-		t.Fatalf("stats = %+v", stats)
-	}
 }
 
 func TestUpCountAndHasUp(t *testing.T) {
@@ -622,17 +618,6 @@ func TestAccessorsAndSets(t *testing.T) {
 	if destroyed != 1 {
 		t.Fatalf("destroyed hook fired %d times", destroyed)
 	}
-	// Sets bookkeeping.
-	m.Set("a").Add(tet)
-	m.Set("b")
-	names := m.SetNames()
-	if len(names) != 2 {
-		t.Fatalf("SetNames = %v", names)
-	}
-	m.DeleteSet("a")
-	if len(m.SetNames()) != 1 {
-		t.Fatal("DeleteSet failed")
-	}
 	// Type helpers.
 	if len(TypesOfDim(3)) != 4 || TypesOfDim(0)[0] != Vertex {
 		t.Fatal("TypesOfDim")
@@ -656,9 +641,6 @@ func TestMeasureAllTypesAndQuality(t *testing.T) {
 	}
 	tet, vs := singleTet(m)
 	e := m.FindFromVerts(Edge, []Ent{vs[0], vs[1]})
-	if m.EdgeLength(e) != m.Measure(e) {
-		t.Fatal("EdgeLength alias")
-	}
 	f := m.DownTo(tet, nil)[0]
 	if m.Measure(f) <= 0 {
 		t.Fatal("tri area")

@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"github.com/fastmath/pumi-go/internal/hwtopo"
-	"github.com/fastmath/pumi-go/internal/san"
 	"github.com/fastmath/pumi-go/internal/telemetry"
 	"github.com/fastmath/pumi-go/internal/trace"
 )
@@ -165,11 +164,9 @@ func benchExchangeOnce(b *testing.B, topo hwtopo.Topology, dense bool, opt Optio
 // BenchmarkExchangeSparse: ring traffic, the neighbor-bounded pattern
 // of mesh communication. on-node delivers by reference; off-node
 // places every rank on its own node so each message is framed, CRC'd
-// and copied. The traced, conform and metered rows are the on-node
-// workload with one observer armed each — flight recorder, online
-// protocol monitor (a one-state self-loop, so the row is the per-op
-// monitor cost alone), live telemetry — so each one's overhead reads
-// off against on-node.
+// and copied. The traced and metered rows are the on-node workload
+// with one observer armed each — flight recorder, live telemetry — so
+// each one's overhead reads off against on-node.
 func BenchmarkExchangeSparse(b *testing.B) {
 	onNode := hwtopo.Cluster(1, benchRanks)
 	b.Run("on-node", func(b *testing.B) {
@@ -180,14 +177,6 @@ func BenchmarkExchangeSparse(b *testing.B) {
 	})
 	b.Run("traced", func(b *testing.B) {
 		benchExchangeOnce(b, onNode, false, Options{Trace: trace.New(benchRanks, trace.Config{})})
-	})
-	b.Run("conform", func(b *testing.B) {
-		loop, err := san.NewProtocol("bench.Loop", []string{"exchange"}, 0,
-			[]bool{true}, []map[string]int{{"exchange": 0}})
-		if err != nil {
-			b.Fatal(err)
-		}
-		benchExchangeOnce(b, onNode, false, Options{Conform: loop})
 	})
 	b.Run("metered", func(b *testing.B) {
 		benchExchangeOnce(b, onNode, false, Options{Metrics: telemetry.NewRegistry()})

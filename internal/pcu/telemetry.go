@@ -11,7 +11,7 @@ package pcu
 //
 // The same file composes the process's introspection sources
 // (TelemetrySources): collective-free views over every active world's
-// trace rings, conformance cursors and watchdog state, which
+// trace rings and watchdog state, which
 // cmdutil.StartListen hands to telemetry.Serve.
 
 import (
@@ -141,41 +141,6 @@ func (w *World) recordSkew(name *string, seq int64) {
 // worldSeq hands out stable ids for introspection output.
 var worldSeq atomic.Int64
 
-// ProtocolStates returns every active conformance-monitored world's
-// per-rank cursor positions, sorted by (world, rank) — the /protocol
-// endpoint's payload. Collective-free: cursors are atomics.
-func ProtocolStates() []telemetry.ProtocolState {
-	var out []telemetry.ProtocolState
-	worlds.Range(func(k, _ any) bool {
-		w := k.(*World)
-		m := w.conform
-		if m == nil {
-			return true
-		}
-		p := m.Protocol()
-		for r := 0; r < m.Ranks(); r++ {
-			state, steps := m.Cursor(r)
-			out = append(out, telemetry.ProtocolState{
-				World:     int(w.id),
-				Entry:     p.Entry(),
-				Rank:      r,
-				State:     state,
-				Steps:     steps,
-				Accepting: p.Accepting(state),
-				Expected:  p.Expected(state),
-			})
-		}
-		return true
-	})
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].World != out[j].World {
-			return out[i].World < out[j].World
-		}
-		return out[i].Rank < out[j].Rank
-	})
-	return out
-}
-
 // HealthReport reflects the watchdogs' live verdicts over every active
 // world: healthy while no barrier is poisoned, with one descriptive
 // line per world — the /healthz endpoint's payload.
@@ -241,12 +206,11 @@ func WriteLiveChrome(w io.Writer) error {
 
 // TelemetrySources composes the process's introspection callbacks for
 // telemetry.Serve: the default metrics registry, the live trace view,
-// the conformance cursors and the watchdog verdicts.
+// and the watchdog verdicts.
 func TelemetrySources() telemetry.Sources {
 	return telemetry.Sources{
 		Metrics:   DefaultMetrics(),
 		TraceJSON: WriteLiveChrome,
-		Protocol:  ProtocolStates,
 		Health:    HealthReport,
 	}
 }

@@ -85,13 +85,6 @@ type Options struct {
 	// and a process-wide collector is installed via SetDefaultTrace, the
 	// run records into a fresh trace added to the collector at the end.
 	Trace *trace.Trace
-	// Conform, when non-nil, drives every rank's blocking-op stream
-	// through the given protocol automaton online (see internal/san and
-	// `pumi-vet -emit-automata`): each op a rank enters must follow an
-	// automaton edge, and a rank returning success must sit in an
-	// accepting state. The first off-automaton op fails the run with a
-	// *san.ProtocolError naming the op and the expected set.
-	Conform *san.Protocol
 	// Metrics, when non-nil, is the registry the run's spans and counts
 	// (Ctx.Span, Ctx.Count) land in, and turns on per-op metering: op
 	// latency and arrival-skew histograms, queue/pool gauges and the
@@ -124,10 +117,6 @@ type World struct {
 	start time.Time
 	reg   *telemetry.Registry
 	wm    *worldMetrics
-
-	// conform is the online protocol-automaton monitor, non-nil when the
-	// run carries Options.Conform.
-	conform *san.Conformance
 
 	// resend is the transient-fault retransmit store, armed only when
 	// the run carries a fault plan; retryLimit/retryDelay come from
@@ -170,11 +159,6 @@ var (
 	opAllgather = "allgather"
 	opExscan    = "exscan"
 	opAgree     = "agree"
-
-	// opWorldStart is the instant-event marker each rank emits when its
-	// world starts; offline conformance replay treats the second and
-	// later markers on a rank as epoch (shrink) boundaries.
-	opWorldStart = "pcu.world"
 )
 
 // rankState is one rank's progress record, written lock-free by the
@@ -357,9 +341,6 @@ func RunOpt(n int, opt Options, body func(*Ctx) error) (Stats, error) {
 	if opt.Sanitize || san.Enabled() {
 		w.san = newSanState(n)
 	}
-	if opt.Conform != nil {
-		w.conform = san.NewConformance(opt.Conform, n)
-	}
 	tr := opt.Trace
 	var col *trace.Collector
 	if tr != nil {
@@ -407,17 +388,7 @@ func RunOpt(n int, opt Options, body func(*Ctx) error) (Stats, error) {
 				spans:  map[string]*telemetry.Histogram{},
 				counts: map[string]*telemetry.Counter{},
 			}
-			// The world-start marker lets offline replay (pumi-trace
-			// -conform) see epoch boundaries: Supervise reruns emit one
-			// marker per epoch on each rank.
-			c.tr.Point(opWorldStart, int64(n))
-			err := body(c)
-			if err == nil && w.conform != nil {
-				// A rank claiming success must have completed the
-				// protocol: reject returns from mid-automaton states.
-				err = w.conform.Finish(rank)
-			}
-			errs[rank] = err
+			errs[rank] = body(c)
 		}(r)
 	}
 	wg.Wait()
@@ -455,8 +426,7 @@ func (w *World) classify(rank int, rs *rankState, p any) error {
 		// Propagated teardown, not this rank's fault.
 		return err
 	case errors.Is(err, ErrFaultInjected) || errors.Is(err, ErrCorruptMessage) ||
-		errors.Is(err, san.ErrDivergence) || errors.Is(err, san.ErrOwnership) ||
-		errors.Is(err, san.ErrProtocol):
+		errors.Is(err, san.ErrDivergence) || errors.Is(err, san.ErrOwnership):
 		// Structured failure: keep the message deterministic (no stack)
 		// so a seeded replay produces an identical error.
 		w.poison()
@@ -522,11 +492,6 @@ func (c *Ctx) Node() int { return c.w.topo.NodeOf(c.rank) }
 // SameNode reports whether peer shares this rank's node memory.
 func (c *Ctx) SameNode(peer int) bool { return c.w.topo.SameNode(c.rank, peer) }
 
-// NodePeers returns the ranks on this rank's node, including itself.
-func (c *Ctx) NodePeers() []int {
-	return c.w.topo.NodeRanks(c.Node(), c.w.size)
-}
-
 // Stats returns a snapshot of the run-wide traffic counters.
 func (c *Ctx) Stats() Stats { return c.w.Stats() }
 
@@ -536,11 +501,6 @@ func (c *Ctx) beginOp(name *string, isExchange bool) {
 	rs := &c.w.ranks[c.rank]
 	rs.op.Store(name)
 	c.tr.Begin(*name)
-	if m := c.w.conform; m != nil {
-		if err := m.Step(c.rank, *name); err != nil {
-			panic(err)
-		}
-	}
 	var op int64
 	if isExchange {
 		op = rs.exchs.Add(1) + rs.colls.Load()

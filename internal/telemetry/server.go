@@ -16,18 +16,6 @@ import (
 	"time"
 )
 
-// ProtocolState is one rank's live conformance-cursor position against
-// a compiled protocol DFA (see DESIGN.md §13).
-type ProtocolState struct {
-	World     int      `json:"world"`
-	Entry     string   `json:"entry"`
-	Rank      int      `json:"rank"`
-	State     int      `json:"state"`
-	Steps     int      `json:"steps"`
-	Accepting bool     `json:"accepting"`
-	Expected  []string `json:"expected,omitempty"`
-}
-
 // Health is the watchdog's live verdict over all active worlds.
 type Health struct {
 	Healthy bool     `json:"healthy"`
@@ -45,9 +33,6 @@ type Sources struct {
 	// TraceJSON writes the live per-rank ring tails as a Chrome-trace
 	// JSON document (schema pumi-trace/chrome/1); backs /trace.
 	TraceJSON func(w io.Writer) error
-	// Protocol returns each rank's current conformance-cursor state;
-	// backs /protocol.
-	Protocol func() []ProtocolState
 	// Health returns the watchdog verdict; backs /healthz (503 when
 	// unhealthy, 200 otherwise).
 	Health func() Health
@@ -86,18 +71,6 @@ func Serve(addr string, src Sources) (*Server, error) {
 			// the client sees truncated JSON rather than a silent lie.
 			panic(http.ErrAbortHandler)
 		}
-	})
-	mux.HandleFunc("/protocol", func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Type", "application/json")
-		states := []ProtocolState{}
-		if src.Protocol != nil {
-			if s := src.Protocol(); s != nil {
-				states = s
-			}
-		}
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		_ = enc.Encode(states)
 	})
 	mux.HandleFunc("/healthz", func(w http.ResponseWriter, r *http.Request) {
 		h := Health{Healthy: true}

@@ -34,9 +34,6 @@ func TestServeEndpoints(t *testing.T) {
 			_, err := io.WriteString(w, `{"traceEvents":[],"otherData":{"schema":"pumi-trace/chrome/1"}}`)
 			return err
 		},
-		Protocol: func() []ProtocolState {
-			return []ProtocolState{{World: 1, Entry: "parma.Balance", Rank: 0, State: 2, Steps: 9, Expected: []string{"pcu.barrier"}}}
-		},
 		Health: func() Health {
 			return Health{Healthy: healthy, Worlds: 1, Lines: []string{"world 1: 4 ranks live"}}
 		},
@@ -70,18 +67,6 @@ func TestServeEndpoints(t *testing.T) {
 		t.Fatal("/trace missing traceEvents")
 	}
 
-	code, body = get(t, base+"/protocol")
-	if code != 200 {
-		t.Fatalf("/protocol status %d", code)
-	}
-	var states []ProtocolState
-	if err := json.Unmarshal(body, &states); err != nil {
-		t.Fatalf("/protocol not JSON: %v", err)
-	}
-	if len(states) != 1 || states[0].Entry != "parma.Balance" {
-		t.Fatalf("/protocol content wrong: %+v", states)
-	}
-
 	code, body = get(t, base+"/healthz")
 	if code != 200 {
 		t.Fatalf("/healthz status %d", code)
@@ -105,7 +90,7 @@ func TestServeEmptySources(t *testing.T) {
 	}
 	defer srv.Close()
 	base := "http://" + srv.Addr()
-	for _, path := range []string{"/metrics", "/trace", "/protocol", "/healthz"} {
+	for _, path := range []string{"/metrics", "/trace", "/healthz"} {
 		code, _ := get(t, base+path)
 		if code != 200 {
 			t.Fatalf("%s status %d with empty sources", path, code)

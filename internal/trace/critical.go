@@ -182,14 +182,6 @@ func CriticalPathEvents(perRank [][]Event) *CriticalPathReport {
 	return report
 }
 
-// CriticalPath computes the blame table over the trace's current rings.
-func (t *Trace) CriticalPath() *CriticalPathReport {
-	if t == nil {
-		return &CriticalPathReport{}
-	}
-	return CriticalPathEvents(t.capture().perRank)
-}
-
 // CriticalPathChrome computes the blame table from an exported Chrome
 // timeline (as written by WriteChrome; gzip-transparent). Only B/E
 // records participate — instants and counters carry no arrival info.
@@ -209,11 +201,21 @@ func CriticalPathChrome(data []byte) (*CriticalPathReport, error) {
 	if err != nil {
 		return nil, err
 	}
+	// The table is sized by rank, so a track id must name a rank: the
+	// tracks are 0..n-1, as WriteChrome numbers them, never an id a
+	// forged file picks.
 	maxTid := -1
+	tracks := map[int]bool{}
 	for _, e := range doc.TraceEvents {
+		if e.Tid >= 0 {
+			tracks[e.Tid] = true
+		}
 		if e.Ph != "M" && e.Tid > maxTid {
 			maxTid = e.Tid
 		}
+	}
+	if maxTid >= len(tracks) {
+		return nil, fmt.Errorf("critical path: rank %d in a timeline of %d tracks; tracks must be ranks 0..n-1", maxTid, len(tracks))
 	}
 	perRank := make([][]Event, maxTid+1)
 	for _, e := range doc.TraceEvents {

@@ -90,11 +90,6 @@ func TriArea(a, b, c V) float64 {
 	return b.Sub(a).Cross(c.Sub(a)).Norm() / 2
 }
 
-// TriNormal returns the unit normal of triangle (a,b,c).
-func TriNormal(a, b, c V) V {
-	return b.Sub(a).Cross(c.Sub(a)).Unit()
-}
-
 // Centroid returns the average of the given points.
 func Centroid(pts ...V) V {
 	var s V

@@ -84,9 +84,6 @@ func TestTriAreaNormal(t *testing.T) {
 	if !close(TriArea(a, b, c), 2) {
 		t.Fatal("TriArea")
 	}
-	if TriNormal(a, b, c) != (V{0, 0, 1}) {
-		t.Fatal("TriNormal")
-	}
 }
 
 func TestClosestOnSegment(t *testing.T) {

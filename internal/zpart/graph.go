@@ -19,9 +19,6 @@ type Graph struct {
 // N returns the vertex count.
 func (g *Graph) N() int { return len(g.VWt) }
 
-// TotalVWt returns the sum of vertex weights.
-func (g *Graph) TotalVWt() float64 { return sum(g.VWt) }
-
 // EdgeCut returns the total weight of edges crossing parts under the
 // given assignment (each edge counted once).
 func (g *Graph) EdgeCut(part []int32) float64 { return edgeCut(g, part) }

@@ -355,15 +355,6 @@ func refine[M model[M]](m M, ws *workspace, p []uint8, leftFrac float64, passes 
 	}
 }
 
-// PartSizes sums vertex weights per part.
-func PartSizes(g *Graph, part []int32, nparts int) []float64 {
-	sizes := make([]float64, nparts)
-	for v := 0; v < g.N(); v++ {
-		sizes[part[v]] += g.VWt[v]
-	}
-	return sizes
-}
-
 // sideVertices lists the vertices on one side of a bisection and, in
 // ws.mark, maps every vertex to its position in that list or -1.
 func sideVertices(part []uint8, side uint8, ws *workspace) (ids, local []int32) {

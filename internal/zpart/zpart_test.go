@@ -315,8 +315,8 @@ func TestCoarseningPreservesTotals(t *testing.T) {
 	if cg.N() >= g.N() {
 		t.Fatalf("no coarsening: %d -> %d", g.N(), cg.N())
 	}
-	if cg.TotalVWt() != g.TotalVWt() {
-		t.Fatalf("weight lost: %g -> %g", g.TotalVWt(), cg.TotalVWt())
+	if sum(cg.VWt) != sum(g.VWt) {
+		t.Fatalf("weight lost: %g -> %g", sum(g.VWt), sum(cg.VWt))
 	}
 	for v := 0; v < g.N(); v++ {
 		if int(cmap[v]) >= cg.N() || cmap[v] < 0 {
@@ -392,4 +392,13 @@ func TestMLGraphAllocs(t *testing.T) {
 	if got := testing.AllocsPerRun(2, func() { MLGraph(g, 16) }); got > 10000 {
 		t.Fatalf("MLGraph(31k tets, 16 parts) made %.0f allocations, want <= 10000", got)
 	}
+}
+
+// PartSizes sums vertex weights per part.
+func PartSizes(g *Graph, part []int32, nparts int) []float64 {
+	sizes := make([]float64, nparts)
+	for v := 0; v < g.N(); v++ {
+		sizes[part[v]] += g.VWt[v]
+	}
+	return sizes
 }
