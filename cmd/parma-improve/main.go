@@ -110,7 +110,7 @@ func main() {
 			}
 			fmt.Println()
 		}
-		return partition.CheckDistributed(dm)
+		return partition.Verify(dm)
 	})
 	if err != nil {
 		cmdutil.Fail(err)

@@ -147,7 +147,7 @@ func main() {
 			fmt.Printf("  partition model: %d P0, %d P1, %d P2, %d P3\n",
 				byDim[0], byDim[1], byDim[2], byDim[3])
 		}
-		return partition.CheckDistributed(dm)
+		return partition.Verify(dm)
 	})
 	if err != nil {
 		cmdutil.Fail(err)

@@ -1,6 +1,6 @@
 // Command pumi-vet runs PUMI's project-specific static analyzers over
 // the module. It is the static half of the correctness tooling (the
-// dynamic half is `go test -race` plus mesh.VerifyParallel):
+// dynamic half is `go test -race` plus partition.Verify):
 //
 //	go run ./cmd/pumi-vet ./...
 //

@@ -50,7 +50,7 @@ func ExampleRun() {
 		if _, err := pumi.BalanceSafe(dm, pri, pumi.DefaultBalanceConfig()); err != nil {
 			return err
 		}
-		if err := pumi.CheckDistributed(dm); err != nil {
+		if err := pumi.Verify(dm); err != nil {
 			return err
 		}
 		if ctx.Rank() == 0 {

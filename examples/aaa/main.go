@@ -81,7 +81,7 @@ func main() {
 			fmt.Printf("partition model: %d P0, %d P1, %d P2, %d P3 entities\n",
 				byDim[0], byDim[1], byDim[2], byDim[3])
 		}
-		return pumi.CheckDistributed(dm)
+		return pumi.Verify(dm)
 	})
 	if err != nil {
 		log.Fatal(err)

@@ -108,7 +108,7 @@ func main() {
 			fmt.Printf("cell gradients exact to %g — ghost stencils complete across part boundaries\n", worst)
 		}
 		pumi.RemoveGhosts(dm)
-		return pumi.CheckDistributed(dm)
+		return pumi.Verify(dm)
 	})
 	if err != nil {
 		log.Fatal(err)

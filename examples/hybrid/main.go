@@ -82,7 +82,7 @@ func run(name string, planner func(*pumi.Mesh) []int32) {
 		if err != nil {
 			return err
 		}
-		if err := pumi.CheckDistributed(dm); err != nil {
+		if err := pumi.Verify(dm); err != nil {
 			return err
 		}
 		tr := pumi.GatherBoundaryTraffic(dm, 0)

@@ -108,7 +108,7 @@ func main() {
 		if ctx.Rank() == 0 {
 			fmt.Printf("transferred field range: [%.3f, %.3f]\n", lo, hi)
 		}
-		return pumi.CheckDistributed(dm)
+		return pumi.Verify(dm)
 	})
 	if err != nil {
 		log.Fatal(err)

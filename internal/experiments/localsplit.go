@@ -103,7 +103,7 @@ func RunLocalSplit(cfg LocalSplitConfig) (LocalSplitResult, error) {
 		}
 		_, afterImb := partition.EntityImbalance(dm, 0)
 		_, rgnImb := partition.EntityImbalance(dm, 3)
-		if err := partition.CheckDistributed(dm); err != nil {
+		if err := partition.Verify(dm); err != nil {
 			return err
 		}
 		if ctx.Rank() == 0 {

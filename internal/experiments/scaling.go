@@ -74,7 +74,7 @@ func RunMigrate(cfg MigrateConfig) ([]MigratePoint, error) {
 			nGhost = pcu.SumInt64(ctx, nGhost)
 			tr := partition.GatherBoundaryTraffic(dm, 0)
 			partition.RemoveGhosts(dm)
-			if err := partition.CheckDistributed(dm); err != nil {
+			if err := partition.Verify(dm); err != nil {
 				return err
 			}
 			if ctx.Rank() == 0 {

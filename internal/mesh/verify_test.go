@@ -1,60 +1,76 @@
-package mesh
+package mesh_test
 
 import (
 	"strings"
 	"testing"
 
 	"github.com/fastmath/pumi-go/internal/gmi"
+	"github.com/fastmath/pumi-go/internal/mesh"
+	"github.com/fastmath/pumi-go/internal/partition"
 	"github.com/fastmath/pumi-go/internal/pcu"
 	"github.com/fastmath/pumi-go/internal/vec"
 )
 
-// buildInterfacePart builds a one-edge 1D mesh for the given part id:
-// two vertices joined by an edge. The caller wires up the interface
-// links between the parts.
-func buildInterfacePart(part int32) (*Mesh, [2]Ent) {
-	m := New(nil, 1)
-	m.SetPart(part)
-	v0 := m.CreateVertex(gmi.NoRef, vec.V{X: float64(part)})
-	v1 := m.CreateVertex(gmi.NoRef, vec.V{X: float64(part) + 1})
-	m.CreateEntity(Edge, gmi.NoRef, []Ent{v0, v1})
-	return m, [2]Ent{v0, v1}
+// The hand-built link cases of the distributed verifier: a chain of unit
+// edges, edge i on part i, so each pair of neighboring parts shares one
+// vertex, corrupted one link at a time and checked by partition.Verify.
+
+// chain distributes a chain of n unit edges over n parts, k per rank.
+func chain(c *pcu.Ctx, n, k int) *partition.DMesh {
+	var serial *mesh.Mesh
+	var assign []int32
+	if c.Rank() == 0 {
+		serial = mesh.New(nil, 1)
+		v := serial.CreateVertex(gmi.NoRef, vec.V{})
+		for i := range n {
+			w := serial.CreateVertex(gmi.NoRef, vec.V{X: float64(i + 1)})
+			serial.CreateEntity(mesh.Edge, gmi.NoRef, []mesh.Ent{v, w})
+			assign = append(assign, int32(i))
+			v = w
+		}
+	}
+	dm, err := partition.Distribute(c, nil, 1, serial, assign, k)
+	if err != nil {
+		panic(err)
+	}
+	return dm
 }
 
-// twoRankInterface builds the canonical 2-rank picture: rank 0 holds
-// part 0 with its right vertex shared, rank 1 holds part 1 with its
-// left vertex shared, owner is part 0 on both sides.
-func twoRankInterface(c *pcu.Ctx) (*Mesh, [2]Ent) {
-	m, v := buildInterfacePart(int32(c.Rank()))
-	if c.Rank() == 0 {
-		m.SetRemote(v[1], 1, Ent{T: Vertex, I: 0})
-		m.SetOwner(v[1], 0)
-	} else {
-		m.SetRemote(v[0], 0, Ent{T: Vertex, I: 1})
-		m.SetOwner(v[0], 0)
+// twoRankInterface distributes a two-edge chain over two ranks and
+// returns this rank's part with its shared vertex and that vertex's copy
+// on the peer part.
+func twoRankInterface(c *pcu.Ctx) (dm *partition.DMesh, m *mesh.Mesh, shared, copy mesh.Ent) {
+	dm = chain(c, 2, 1)
+	m = dm.Parts[0].M
+	for v := range m.PartBoundary(0) {
+		shared = v
 	}
-	return m, v
+	copy, _ = m.RemoteCopy(shared, int32(1-c.Rank()))
+	return dm, m, shared, copy
 }
 
 func TestVerifyParallelClean(t *testing.T) {
 	err := pcu.Run(2, func(c *pcu.Ctx) error {
-		m, _ := twoRankInterface(c)
-		return VerifyParallel(c, m)
+		dm, _, _, _ := twoRankInterface(c)
+		return partition.Verify(dm)
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 }
 
-// expectVerifyError runs body on n ranks and asserts VerifyParallel
-// fails with a message containing want on at least one rank.
-func expectVerifyError(t *testing.T, n int, want string, body func(c *pcu.Ctx) *Mesh) {
+// expectVerifyError runs corrupt on each rank of a two-rank interface
+// and asserts Verify fails with a message containing want on at least
+// one rank.
+func expectVerifyError(t *testing.T, want string, corrupt func(c *pcu.Ctx, m *mesh.Mesh, shared, copy mesh.Ent)) {
 	t.Helper()
-	err := pcu.Run(n, func(c *pcu.Ctx) error {
-		return VerifyParallel(c, body(c))
+	err := pcu.Run(2, func(c *pcu.Ctx) error {
+		dm, m, shared, copy := twoRankInterface(c)
+		corrupt(c, m, shared, copy)
+		return partition.Verify(dm)
 	})
 	if err == nil {
-		t.Fatalf("VerifyParallel missed the %q violation", want)
+		t.Fatalf("Verify missed the %q violation", want)
 	}
 	if !strings.Contains(err.Error(), want) {
 		t.Fatalf("error %q does not mention %q", err, want)
@@ -62,90 +78,62 @@ func expectVerifyError(t *testing.T, n int, want string, body func(c *pcu.Ctx) *
 }
 
 func TestVerifyParallelAsymmetricLink(t *testing.T) {
-	expectVerifyError(t, 2, "asymmetric link", func(c *pcu.Ctx) *Mesh {
-		m, v := twoRankInterface(c)
+	expectVerifyError(t, "asymmetric link", func(c *pcu.Ctx, m *mesh.Mesh, shared, copy mesh.Ent) {
 		if c.Rank() == 1 {
-			// Repoint part 1's back link at the wrong vertex on part 0.
-			m.SetRemote(v[0], 0, Ent{T: Vertex, I: 0})
+			// Repoint part 1's back link at part 0's other vertex.
+			m.SetRemote(shared, 0, mesh.Ent{T: mesh.Vertex, I: 1 - copy.I})
 		}
-		return m
 	})
 }
 
 func TestVerifyParallelMissingBackLink(t *testing.T) {
-	expectVerifyError(t, 2, "lacks the back link", func(c *pcu.Ctx) *Mesh {
-		m, v := twoRankInterface(c)
+	expectVerifyError(t, "lacks the back link", func(c *pcu.Ctx, m *mesh.Mesh, shared, _ mesh.Ent) {
 		if c.Rank() == 1 {
-			m.ClearRemotes(v[0])
+			m.ClearRemotes(shared)
 		}
-		return m
 	})
 }
 
 func TestVerifyParallelOwnerDisagreement(t *testing.T) {
-	expectVerifyError(t, 2, "owner disagreement", func(c *pcu.Ctx) *Mesh {
-		m, v := twoRankInterface(c)
+	expectVerifyError(t, "owner disagreement", func(c *pcu.Ctx, m *mesh.Mesh, shared, _ mesh.Ent) {
 		if c.Rank() == 1 {
-			m.SetOwner(v[0], 1)
+			m.SetOwner(shared, 1-m.Owner(shared))
 		}
-		return m
 	})
 }
 
 func TestVerifyParallelOrphanBoundary(t *testing.T) {
-	expectVerifyError(t, 2, "orphan boundary entity", func(c *pcu.Ctx) *Mesh {
-		m, _ := twoRankInterface(c)
-		// A shared vertex that bounds nothing on this part.
+	expectVerifyError(t, "orphan boundary entity", func(c *pcu.Ctx, m *mesh.Mesh, _, _ mesh.Ent) {
+		// A shared vertex that bounds nothing on either part.
 		stray := m.CreateVertex(gmi.NoRef, vec.V{X: 9})
-		peer := int32(1 - c.Rank())
-		m.SetRemote(stray, peer, Ent{T: Vertex, I: stray.I})
+		m.SetRemote(stray, int32(1-c.Rank()), stray)
 		m.SetOwner(stray, 0)
-		return m
 	})
 }
 
 func TestVerifyParallelDeadCopy(t *testing.T) {
-	expectVerifyError(t, 2, "dead copy", func(c *pcu.Ctx) *Mesh {
-		m, v := twoRankInterface(c)
+	expectVerifyError(t, "dead copy", func(c *pcu.Ctx, m *mesh.Mesh, shared, _ mesh.Ent) {
 		if c.Rank() == 0 {
 			// Claim a copy handle that does not exist on part 1.
-			m.SetRemote(v[1], 1, Ent{T: Vertex, I: 99})
+			m.SetRemote(shared, 1, mesh.Ent{T: mesh.Vertex, I: 99})
 		}
-		return m
 	})
 }
 
 func TestVerifyParallelSelfLink(t *testing.T) {
-	expectVerifyError(t, 2, "its own part", func(c *pcu.Ctx) *Mesh {
-		m, v := twoRankInterface(c)
+	expectVerifyError(t, "its own part", func(c *pcu.Ctx, m *mesh.Mesh, shared, _ mesh.Ent) {
 		if c.Rank() == 0 {
-			m.SetRemote(v[1], 0, Ent{T: Vertex, I: 0})
+			m.SetRemote(shared, 0, mesh.Ent{T: mesh.Vertex, I: 0})
 		}
-		return m
 	})
 }
 
 func TestVerifyParallelMultiplePartsPerRank(t *testing.T) {
-	// Two parts on one rank, one on the other: routing by part id must
-	// deliver to the right local mesh.
+	// Two parts per rank on a four-edge chain: the interface between
+	// parts 0 and 1 stays on rank 0, the one between parts 1 and 2
+	// crosses ranks, and records must reach the right local part.
 	err := pcu.Run(2, func(c *pcu.Ctx) error {
-		if c.Rank() == 0 {
-			m0, v0 := buildInterfacePart(0)
-			m1, v1 := buildInterfacePart(1)
-			// Interface between local parts 0 and 1.
-			m0.SetRemote(v0[1], 1, Ent{T: Vertex, I: 0})
-			m0.SetOwner(v0[1], 0)
-			m1.SetRemote(v1[0], 0, Ent{T: Vertex, I: 1})
-			m1.SetOwner(v1[0], 0)
-			// Interface between part 1 and remote part 2.
-			m1.SetRemote(v1[1], 2, Ent{T: Vertex, I: 0})
-			m1.SetOwner(v1[1], 1)
-			return VerifyParallel(c, m0, m1)
-		}
-		m2, v2 := buildInterfacePart(2)
-		m2.SetRemote(v2[0], 1, Ent{T: Vertex, I: 1})
-		m2.SetOwner(v2[0], 1)
-		return VerifyParallel(c, m2)
+		return partition.Verify(chain(c, 4, 2))
 	})
 	if err != nil {
 		t.Fatal(err)

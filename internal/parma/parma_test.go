@@ -444,7 +444,7 @@ func TestBalanceWeightsReturnsAbort(t *testing.T) {
 	// The first iteration: +1 gather weights, +2 sum of the moves, +3 the
 	// migration's first residence round.
 	plan := &pcu.FaultPlan{Faults: []pcu.Fault{{Rank: 0, Op: base[0] + 3, Kind: pcu.FaultCorrupt, Sticky: true}}}
-	_, err := pcu.RunOpt(2, pcu.Options{Topo: topo, Faults: plan, RetryBackoff: -1}, func(ctx *pcu.Ctx) error {
+	_, err := pcu.RunOpt(2, pcu.Options{Topo: topo, Faults: plan}, func(ctx *pcu.Ctx) error {
 		dm := buildImbalanced(ctx, 2, 8, 2, 2)
 		_, err := BalanceWeights(dm, unit, Config{Tolerance: 1.05, MaxIters: 20})
 		if !errors.Is(err, partition.ErrMigrateAborted) {

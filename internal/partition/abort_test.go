@@ -87,7 +87,6 @@ func TestTryMigrateAbortLeavesSourceIntact(t *testing.T) {
 			_, err := pcu.RunOpt(2, pcu.Options{
 				Topo:         topo,
 				Faults:       plan,
-				RetryBackoff: -1,
 				StallTimeout: 30 * time.Second,
 			}, func(ctx *pcu.Ctx) error {
 				dm, plans := abortSetup(ctx)

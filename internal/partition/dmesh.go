@@ -251,29 +251,6 @@ func Distribute(ctx *pcu.Ctx, model *gmi.Model, dim int, serial *mesh.Mesh, assi
 // NParts returns the global part count.
 func (dm *DMesh) NParts() int { return dm.Ctx.Size() * dm.K }
 
-// Meshes returns the local part meshes in part order — the argument
-// list for mesh.VerifyParallel.
-func (dm *DMesh) Meshes() []*mesh.Mesh {
-	ms := make([]*mesh.Mesh, len(dm.Parts))
-	for i, p := range dm.Parts {
-		ms[i] = p.M
-	}
-	return ms
-}
-
-// Verify runs the full distributed verification (collective): the
-// gid-based checks of CheckDistributed plus the link-symmetry
-// VerifyParallel of the mesh layer. Both exchange the remote-copy links
-// — one checks them against global ids and the compiled plans, the other
-// against ghosts and closures — but the local sweep they share runs once
-// per part, in VerifyParallel. Parallel test paths end with this.
-func Verify(dm *DMesh) error {
-	if err := checkDistributed(dm, false); err != nil {
-		return err
-	}
-	return mesh.VerifyParallel(dm.Ctx, dm.Meshes()...)
-}
-
 // RankOf returns the rank hosting the given part.
 func (dm *DMesh) RankOf(part int32) int { return int(part) / dm.K }
 

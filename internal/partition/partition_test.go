@@ -326,8 +326,7 @@ func TestGidsStableAcrossMigration(t *testing.T) {
 			return meshgen.Box3D(model, 2, 1, 1)
 		}, 1, 2)
 		// Shared vertices must have matching gids on both sides:
-		// verified by CheckDistributed, plus explicit spot check that
-		// every shared entity's gid is known to its remote part.
+		// Verify checks every link's gid against its remote copy.
 		return Verify(dm)
 	})
 	if err != nil {

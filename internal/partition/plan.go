@@ -31,8 +31,8 @@ import (
 // Planned messages carry, per (from part, to part) section, the two
 // part ids followed by one length-prefixed payload per entity in the
 // agreed order. This is the only boundary wire format: the sanitizer
-// hashes these bytes and guards these writes, and checkPlans validates
-// the schedules themselves from Verify.
+// hashes these bytes and guards these writes, and Verify checks the
+// sync schedules against the links themselves.
 
 // planDir is the direction of a compiled exchange.
 type planDir uint8
@@ -147,14 +147,6 @@ func (dm *DMesh) planLookup(hit bool) bool {
 		dm.Ctx.Count("partition.plan.miss", 1)
 	}
 	return hit
-}
-
-// InvalidatePlans drops every cached boundary plan. Plans revalidate
-// by topology epoch automatically; this exists for callers that want
-// to bound memory after large topology changes.
-func (dm *DMesh) InvalidatePlans() {
-	clear(dm.plans)
-	dm.ghostPlan = nil
 }
 
 // compilePlan builds the schedule for every local part. For each
@@ -321,58 +313,6 @@ func (dm *DMesh) execPlan(pl *BoundaryPlan, pack func(p *Part, e mesh.Ent, b *pc
 	}
 }
 
-// checkPlans distributively validates the compiled sync schedules, one
-// dimension at a time: every sender transmits its per-peer run lengths
-// and owner-side ordering keys in a part-addressed phase, and each
-// receiver checks them against its own recv runs. Called from
-// CheckDistributed so Verify covers the planner too.
-func checkPlans(dm *DMesh, record func(error)) {
-	for d := 0; d < dm.Dim; d++ {
-		pl := dm.boundaryPlan(dimScratch[d:d+1], dirSync)
-		ph := dm.beginPhase()
-		for li, part := range dm.Parts {
-			pp := &pl.parts[li]
-			for pi, q := range pp.sendPeers {
-				b := ph.to(part.M.Part(), q)
-				run := pp.sendEnts[pp.sendOff[pi]:pp.sendOff[pi+1]]
-				b.Grow(4 + 5*len(run))
-				b.Int32(int32(len(run)))
-				for _, e := range run {
-					b.Byte(byte(e.T))
-					b.Int32(e.I)
-				}
-			}
-		}
-		for _, msg := range ph.exchange() {
-			pp := &pl.parts[dm.localIndex(msg.To)]
-			j := pp.recvPeerIndex(msg.From)
-			var run []mesh.Ent
-			if j >= 0 {
-				run = pp.recvEnts[pp.recvOff[j]:pp.recvOff[j+1]]
-			}
-			for !msg.Data.Empty() {
-				n := int(msg.Data.Int32())
-				if n != len(run) {
-					record(fmt.Errorf("partition: dim-%d sync plan mismatch: part %d sends %d entities to part %d, which expects %d",
-						d, msg.From, n, msg.To, len(run)))
-				}
-				m := dm.LocalPart(msg.To).M
-				for k := 0; k < n; k++ {
-					key := mesh.Ent{T: mesh.Type(msg.Data.Byte()), I: msg.Data.Int32()}
-					if k >= len(run) {
-						continue
-					}
-					h, ok := m.RemoteCopy(run[k], msg.From)
-					if !ok || h != key {
-						record(fmt.Errorf("partition: dim-%d sync plan order mismatch at slot %d of part %d<-part %d",
-							d, k, msg.To, msg.From))
-					}
-				}
-			}
-		}
-	}
-}
-
-// dimScratch lets checkPlans take single-dim subslices without
-// allocating per call.
+// dimScratch lets Verify take single-dim subslices without allocating
+// per call.
 var dimScratch = [4]int{0, 1, 2, 3}

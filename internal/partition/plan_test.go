@@ -285,8 +285,8 @@ func TestNeighborCachesZeroAlloc(t *testing.T) {
 // TestCheckPlansDetectsCorruptPlan is the negative test of the plan
 // validator: with a cached sync plan whose recv run has two entries
 // swapped, and with one whose run is a record short, Verify must name
-// the damage — sanitizer off and on, since checkPlans is the one
-// validator of the one wire format.
+// the damage — sanitizer off and on, since Verify's plan checks are the
+// one validator of the one wire format.
 func TestCheckPlansDetectsCorruptPlan(t *testing.T) {
 	cases := []struct {
 		name, want string
@@ -340,7 +340,8 @@ func TestCheckPlansDetectsCorruptPlan(t *testing.T) {
 					case hit && !strings.Contains(err.Error(), tc.want):
 						t.Errorf("rank %d: Verify reported %q, want %q", ctx.Rank(), err, tc.want)
 					}
-					dm.InvalidatePlans()
+					clear(dm.plans)
+					dm.ghostPlan = nil
 					return Verify(dm)
 				})
 				if err != nil {

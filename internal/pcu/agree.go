@@ -27,8 +27,8 @@ import (
 //     survivor unwinds with the same structured cause.
 //   - Supervise: the self-healing driver. It runs a body, catches the
 //     revocation, computes the survivor count, and re-runs the body on
-//     a shrunken world with stable re-numbered ranks (ShrinkMap), until
-//     the body completes or a non-revocation failure surfaces.
+//     a shrunken world with stable re-numbered ranks, until the body
+//     completes or a non-revocation failure surfaces.
 
 // ErrRevoked is wrapped by every world revocation: the structured
 // teardown of a Survivable run whose dead ranks were convicted by the
@@ -231,28 +231,6 @@ func Agree(c *Ctx, vote bool) (bool, []int) {
 	c.beginOp(&opAgree, false)
 	defer c.endOp()
 	return c.w.agree.agree(c, vote)
-}
-
-// ShrinkMap returns the stable renumbering for a world of n ranks that
-// lost the given ranks: survivors keep their relative order and pack
-// densely from zero. out[old] is the survivor's new rank, or -1 for a
-// failed rank.
-func ShrinkMap(n int, failed []int) []int {
-	dead := make(map[int]bool, len(failed))
-	for _, r := range failed {
-		dead[r] = true
-	}
-	out := make([]int, n)
-	next := 0
-	for r := 0; r < n; r++ {
-		if dead[r] {
-			out[r] = -1
-			continue
-		}
-		out[r] = next
-		next++
-	}
-	return out
 }
 
 // Epoch identifies one attempt of a supervised run.

@@ -40,7 +40,7 @@ func TestAgreeCompletesOverVanishedRank(t *testing.T) {
 		Survivable:   true,
 		StallTimeout: 2 * time.Second,
 	}, func(c *Ctx) error {
-		c.Barrier() // op 1
+		c.Barrier()                  // op 1
 		ok, failed := Agree(c, true) // op 2; rank 2 vanishes here
 		if !ok {
 			return fmt.Errorf("rank %d: surviving votes were all true, got verdict false", c.Rank())
@@ -123,23 +123,6 @@ func TestStallErrorReportsSinceProgress(t *testing.T) {
 	}
 	if idle == 0 {
 		t.Fatalf("no rank reports time since progress:\n%v", err)
-	}
-}
-
-func TestShrinkMap(t *testing.T) {
-	for _, tc := range []struct {
-		n      int
-		failed []int
-		want   []int
-	}{
-		{4, nil, []int{0, 1, 2, 3}},
-		{4, []int{1}, []int{0, -1, 1, 2}},
-		{4, []int{0, 3}, []int{-1, 0, 1, -1}},
-		{2, []int{0}, []int{-1, 0}},
-	} {
-		if got := ShrinkMap(tc.n, tc.failed); !slices.Equal(got, tc.want) {
-			t.Errorf("ShrinkMap(%d, %v) = %v, want %v", tc.n, tc.failed, got, tc.want)
-		}
 	}
 }
 

@@ -204,7 +204,7 @@ func TestFaultCorruptStickySurfacesStructuredError(t *testing.T) {
 	// naming the spent budget.
 	st, err := offNodePairFault(
 		Fault{Rank: 0, Op: 1, Kind: FaultCorrupt, Sticky: true},
-		Options{RetryBackoff: -1}, exchangePairBody)
+		Options{}, exchangePairBody)
 	if !errors.Is(err, ErrCorruptMessage) {
 		t.Fatalf("want ErrCorruptMessage, got %v", err)
 	}
@@ -232,30 +232,12 @@ func TestFaultCorruptStickySurfacesStructuredError(t *testing.T) {
 func TestFaultTruncateStickySurfacesStructuredError(t *testing.T) {
 	_, err := offNodePairFault(
 		Fault{Rank: 0, Op: 1, Kind: FaultTruncate, Sticky: true},
-		Options{RetryBackoff: -1}, exchangePairBody)
+		Options{}, exchangePairBody)
 	if !errors.Is(err, ErrCorruptMessage) {
 		t.Fatalf("want ErrCorruptMessage, got %v", err)
 	}
 	if !strings.Contains(err.Error(), "truncated") {
 		t.Fatalf("want truncation reason, got %v", err)
-	}
-}
-
-func TestFaultCorruptFatalWithRetryDisabled(t *testing.T) {
-	// RetryBudget < 0 restores the pre-retry contract: every validation
-	// failure is immediately fatal, with no retransmits spent.
-	_, err := offNodePairFault(
-		Fault{Rank: 0, Op: 1, Kind: FaultCorrupt},
-		Options{RetryBudget: -1}, exchangePairBody)
-	if !errors.Is(err, ErrCorruptMessage) {
-		t.Fatalf("want ErrCorruptMessage, got %v", err)
-	}
-	var ce *CorruptError
-	if !errors.As(err, &ce) {
-		t.Fatalf("want *CorruptError, got %v", err)
-	}
-	if ce.Retries != 0 {
-		t.Fatalf("retry layer disabled, want 0 retransmits, got %d", ce.Retries)
 	}
 }
 

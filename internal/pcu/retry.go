@@ -25,7 +25,7 @@ import (
 //     the pristine bytes — modeling a link that damages every
 //     transmission, not just one;
 //   - a receiver whose validation fails fetches the kept frame, backs
-//     off exponentially, and revalidates, up to Options.RetryBudget
+//     off exponentially, and revalidates, up to DefaultRetryBudget
 //     times; success is counted in Stats.Retries and traced as a
 //     "retry" fault event;
 //   - a frame that validates (first try or after retries) is
@@ -39,11 +39,12 @@ import (
 // sticky one always exhausts the budget.
 
 // DefaultRetryBudget is how many retransmits a receiver requests for
-// one damaged frame when Options.RetryBudget is zero.
+// one damaged frame before the failure escalates to a fatal
+// ErrCorruptMessage.
 const DefaultRetryBudget = 3
 
-// DefaultRetryBackoff is the base backoff before the first retransmit
-// when Options.RetryBackoff is zero; attempt k waits base<<(k-1).
+// DefaultRetryBackoff is the base backoff before the first retransmit;
+// attempt k waits DefaultRetryBackoff<<(k-1).
 const DefaultRetryBackoff = 100 * time.Microsecond
 
 // resendKey addresses one kept frame: sender, receiver, and the
@@ -102,31 +103,6 @@ func (s *resendStore) ack(from, to int, seq int64) {
 	s.mu.Unlock()
 }
 
-// retryBudget resolves the configured retransmit budget.
-func (w *World) retryBudget() int {
-	if w.retryLimit < 0 {
-		return 0
-	}
-	if w.retryLimit == 0 {
-		return DefaultRetryBudget
-	}
-	return w.retryLimit
-}
-
-// retryWait sleeps the exponential backoff before retransmit attempt
-// k (1-based). Backoff is wall-clock only; it never changes the
-// logical schedule, so seeded runs stay deterministic.
-func (w *World) retryWait(attempt int) {
-	base := w.retryDelay
-	if base == 0 {
-		base = DefaultRetryBackoff
-	}
-	if base < 0 {
-		return
-	}
-	time.Sleep(base << (attempt - 1))
-}
-
 // recoverFrame runs the receiver side of the retransmit protocol for a
 // delivery that failed length or CRC validation. It returns the
 // repaired payload and the number of retransmits spent, or ok=false
@@ -136,9 +112,10 @@ func (c *Ctx) recoverFrame(d delivery) (data []byte, retries int, ok bool) {
 	if store == nil {
 		return nil, 0, false
 	}
-	budget := c.w.retryBudget()
-	for attempt := 1; attempt <= budget; attempt++ {
-		c.w.retryWait(attempt)
+	for attempt := 1; attempt <= DefaultRetryBudget; attempt++ {
+		// Backoff is wall-clock only; it never changes the logical
+		// schedule, so seeded runs stay deterministic.
+		time.Sleep(DefaultRetryBackoff << (attempt - 1))
 		retries = attempt
 		resent, kept := store.fetch(d.from, c.rank, d.seq)
 		if !kept {

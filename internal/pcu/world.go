@@ -46,26 +46,15 @@ type Options struct {
 	// Topo is the machine topology; the zero value maps all ranks onto
 	// one shared-memory node.
 	Topo hwtopo.Topology
-	// Faults is an optional deterministic failure schedule.
+	// Faults is an optional deterministic failure schedule. It also arms
+	// the transient-fault retry layer (retry.go) — wire damage has no
+	// other source, so fault-free runs never pay for it.
 	Faults *FaultPlan
 	// StallTimeout bounds how long the run may go without barrier
 	// progress before the watchdog tears it down with a *StallError.
 	// Zero selects DefaultStallTimeout; a negative value disables the
 	// watchdog entirely.
 	StallTimeout time.Duration
-	// RetryBudget bounds how many retransmits a receiver requests for
-	// one off-node frame that fails CRC/length validation before the
-	// failure escalates to a fatal ErrCorruptMessage. Zero selects
-	// DefaultRetryBudget; a negative value disables the transient-fault
-	// retry layer entirely (every validation failure is fatal, the
-	// pre-retry behavior). The layer only arms when Faults is non-nil —
-	// the sole source of wire damage — so fault-free runs never pay for
-	// it.
-	RetryBudget int
-	// RetryBackoff is the base exponential backoff before retransmit
-	// attempt k (the receiver waits RetryBackoff<<(k-1)). Zero selects
-	// DefaultRetryBackoff; a negative value retries without waiting.
-	RetryBackoff time.Duration
 	// Survivable arms ULFM-style failure mitigation: when a rank dies
 	// without teardown (FaultVanish, a real crash) and its surviving
 	// peers can no longer advance, the watchdog convicts the dead ranks
@@ -119,11 +108,8 @@ type World struct {
 	wm    *worldMetrics
 
 	// resend is the transient-fault retransmit store, armed only when
-	// the run carries a fault plan; retryLimit/retryDelay come from
-	// Options.RetryBudget/RetryBackoff.
-	resend     *resendStore
-	retryLimit int
-	retryDelay time.Duration
+	// the run carries a fault plan.
+	resend *resendStore
 
 	// survivable worlds revoke (instead of stalling) when ranks die;
 	// failed is the conviction list and agree the fault-tolerant
@@ -315,15 +301,13 @@ func RunOpt(n int, opt Options, body func(*Ctx) error) (Stats, error) {
 		size:       n,
 		topo:       topo,
 		faults:     opt.Faults,
-		retryLimit: opt.RetryBudget,
-		retryDelay: opt.RetryBackoff,
 		survivable: opt.Survivable,
 		failed:     make([]bool, n),
 		slots:      make([]any, n),
 		inboxes:    make([]inbox, n),
 		ranks:      make([]rankState, n),
 	}
-	if opt.Faults != nil && opt.RetryBudget >= 0 {
+	if opt.Faults != nil {
 		w.resend = newResendStore()
 	}
 	w.agree.init(w)

@@ -36,7 +36,7 @@
 //		if _, err := pumi.BalanceSafe(dm, pri, pumi.DefaultBalanceConfig()); err != nil {
 //			return err
 //		}
-//		return pumi.CheckDistributed(dm)
+//		return pumi.Verify(dm)
 //	})
 package pumi
 
@@ -227,8 +227,9 @@ var (
 	SyncGhostFloatTag = partition.SyncGhostFloatTag
 	// BuildPtnModel constructs the partition model.
 	BuildPtnModel = partition.BuildPtnModel
-	// CheckDistributed verifies distributed mesh invariants.
-	CheckDistributed = partition.CheckDistributed
+	// Verify checks the distributed mesh invariants: remote-copy links,
+	// gids, owners, boundary closure and the compiled exchange plans.
+	Verify = partition.Verify
 	// GatherCounts gathers per-part entity counts of one dimension.
 	GatherCounts = partition.GatherCounts
 	// EntityImbalance returns (mean, max/mean) for one dimension.
@@ -322,10 +323,6 @@ func PartitionRCB(ctx *Ctx, model *Model, dim int, serial *Mesh, k int) (*DMesh,
 	}
 	return Distribute(ctx, model, dim, serial, assign, k)
 }
-
-// adaptDefaults returns the default adaptation options (exported via
-// AdaptOptions for callers who want to tune them).
-func adaptDefaults() AdaptOptions { return adapt.DefaultOptions() }
 
 // AdaptOptions configures distributed adaptation.
 type AdaptOptions = adapt.Options

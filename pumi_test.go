@@ -17,7 +17,7 @@ func TestFacadeWorkflow(t *testing.T) {
 		if err != nil {
 			return err
 		}
-		if err := CheckDistributed(dm); err != nil {
+		if err := Verify(dm); err != nil {
 			return err
 		}
 		pri, err := ParsePriority("Vtx>Rgn")
@@ -30,13 +30,13 @@ func TestFacadeWorkflow(t *testing.T) {
 		if _, imb := EntityImbalance(dm, 0); imb > 1.3 {
 			t.Errorf("vertex imbalance %g", imb)
 		}
-		AdaptParallel(dm, UniformSize(0.2), adaptDefaults())
-		if err := CheckDistributed(dm); err != nil {
+		AdaptParallel(dm, UniformSize(0.2), DefaultAdaptOptions())
+		if err := Verify(dm); err != nil {
 			return err
 		}
 		Ghost(dm, 2, 1)
 		RemoveGhosts(dm)
-		return CheckDistributed(dm)
+		return Verify(dm)
 	})
 	if err != nil {
 		t.Fatal(err)
