@@ -32,8 +32,8 @@ escape-check:
 
 # Go micro-benchmarks, benchstat-ready:
 #   make bench-go | benchstat -
-# ExchangeSparse's traced/metered rows read each observer's overhead
-# off against on-node (see DESIGN.md §10); the mesh rows are the
+# ExchangeSparse's traced row reads the flight recorder's overhead off
+# against on-node (see DESIGN.md §10); the mesh rows are the
 # adjacency kernel's (AdjacentTo by direction, FindFromVerts hit/miss,
 # BuildTet fresh/existing; DESIGN.md §9); the zpart rows are the
 # partitioners on the pipeline benchmark's vessel (DualGraph, MLGraph
@@ -92,12 +92,14 @@ pipeline-smoke:
 # where the soaks run — the chaos soak and its self-healing twin
 # (DESIGN.md §7, §12), the sanitized soak and protocols (§8), the live
 # telemetry scrape (§10), the plan-backed soak's repeated op-sequence
-# hashes (§14) — and the seeded-bug corpus (§5).
+# hashes (§13) — and the seeded-bug corpus (§5).
 race:
 	$(GO) test -race -count=1 ./internal/...
 
+# go vet, and gofmt: any file `gofmt -l` lists fails the lane.
 vet:
 	$(GO) vet ./...
+	@unformatted=$$(gofmt -l .); if [ -n "$$unformatted" ]; then echo "gofmt -l lists:"; echo "$$unformatted"; exit 1; fi
 
 # Self-hosting gate: all analyzers over the whole repo, tests included.
 # Any finding fails. Accept one deliberately with a //pumi-vet:ignore

@@ -511,4 +511,3 @@ func (m *Mesh) Set(name string) *ds.Set[Ent] {
 	}
 	return s
 }
-

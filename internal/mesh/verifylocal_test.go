@@ -10,7 +10,6 @@ import (
 	"github.com/fastmath/pumi-go/internal/meshgen"
 	"github.com/fastmath/pumi-go/internal/partition"
 	"github.com/fastmath/pumi-go/internal/pcu"
-	"github.com/fastmath/pumi-go/internal/telemetry"
 )
 
 // halves distributes a small tet box over two ranks, k parts each, cut
@@ -68,10 +67,9 @@ func TestVerifyReportsLocalCorruption(t *testing.T) {
 // TestVerifyChecksEachPartOnce counts the CheckConsistency runs of one
 // partition.Verify on 2 ranks x 3 parts: one per part.
 func TestVerifyChecksEachPartOnce(t *testing.T) {
-	reg := telemetry.NewRegistry()
-	checks := reg.Counter("mesh.consistency-checks")
 	var counted int64
-	_, err := pcu.RunOpt(2, pcu.Options{Metrics: reg}, func(ctx *pcu.Ctx) error {
+	err := pcu.Run(2, func(ctx *pcu.Ctx) error {
+		checks := ctx.Metrics().Counter("mesh.consistency-checks")
 		dm := halves(ctx, 3)
 		ctx.Barrier()
 		before := checks.Value()

@@ -7,13 +7,16 @@ import (
 	"github.com/fastmath/pumi-go/internal/telemetry"
 )
 
-// TestCheckpointMetered checks a metered checkpoint round trip records
-// save/load durations and per-part file sizes.
+// TestCheckpointMetered checks a checkpoint round trip records save/load
+// durations and per-part file sizes into the run's registry.
 func TestCheckpointMetered(t *testing.T) {
 	dir := t.TempDir()
-	reg := telemetry.NewRegistry()
+	var reg *telemetry.Registry
 	const ranks = 4
-	_, err := pcu.RunOpt(ranks, pcu.Options{Metrics: reg}, func(ctx *pcu.Ctx) error {
+	err := pcu.Run(ranks, func(ctx *pcu.Ctx) error {
+		if ctx.Rank() == 0 {
+			reg = ctx.Metrics()
+		}
 		dm := buildDistributed(ctx, 1)
 		if err := SaveCheckpoint(dir, dm, Cursor{Phase: "test"}); err != nil {
 			return err

@@ -90,9 +90,8 @@ func BalanceSafe(dm *partition.DMesh, pri Priority, cfg Config) (Result, error) 
 func balanceDim(dm *partition.DMesh, pri Priority, li, t int, cfg Config) (LevelResult, error) {
 	lr := LevelResult{Dim: t}
 	tr := dm.Ctx.Trace()
-	// Metered runs record each iteration's duration and publish the
-	// allreduced imbalance as a live gauge; handles are nil (no-op) for
-	// unmetered runs.
+	// Each iteration's duration and the allreduced imbalance (a live
+	// gauge) go to the run's registry.
 	iterNs := dm.Ctx.Metrics().Histogram("parma.iter.ns")
 	imbGauge := dm.Ctx.Metrics().Gauge("parma.imbalance")
 	higher := pri.guarded(li, t)

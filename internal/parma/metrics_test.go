@@ -8,14 +8,18 @@ import (
 	"github.com/fastmath/pumi-go/internal/telemetry"
 )
 
-// TestBalanceMetered checks a metered ParMA run feeds the live
-// telemetry series: per-iteration durations, total balance time, the
+// TestBalanceMetered checks a ParMA run with no registry installed
+// feeds the live telemetry series into its own registry (Ctx.Metrics is
+// never nil): per-iteration durations, total balance time, the
 // allreduced-imbalance gauge, and the partition-layer migration
 // histogram underneath.
 func TestBalanceMetered(t *testing.T) {
-	reg := telemetry.NewRegistry()
+	var reg *telemetry.Registry
 	const ranks = 4
-	_, err := pcu.RunOpt(ranks, pcu.Options{Metrics: reg}, func(ctx *pcu.Ctx) error {
+	err := pcu.Run(ranks, func(ctx *pcu.Ctx) error {
+		if ctx.Rank() == 0 {
+			reg = ctx.Metrics()
+		}
 		dm := buildImbalanced(ctx, ranks, 12, 4, 4)
 		pri, _ := ParsePriority("Rgn")
 		res, err := BalanceSafe(dm, pri, Config{Tolerance: 1.05, MaxIters: 40})
@@ -30,6 +34,9 @@ func TestBalanceMetered(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	if reg == nil {
+		t.Fatal("Ctx.Metrics is nil in a world with no registry installed")
+	}
 	if n := reg.Histogram("parma.iter.ns").Count(); n < ranks {
 		t.Errorf("parma.iter.ns observations = %d, want >= %d", n, ranks)
 	}
@@ -42,6 +49,6 @@ func TestBalanceMetered(t *testing.T) {
 		t.Errorf("parma.imbalance gauge = %v (set=%v), want a plausible final imbalance", v, ok)
 	}
 	if reg.Histogram("partition.migrate.ns").Count() == 0 {
-		t.Error("no migration durations recorded during a metered balance")
+		t.Error("no migration durations recorded during the balance")
 	}
 }

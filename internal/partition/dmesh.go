@@ -170,9 +170,8 @@ type DMesh struct {
 	payload   pcu.Buffer
 	sub       pcu.Reader
 
-	// execNs is the plan-execution latency series, resolved lazily on
-	// the first metered execPlan round and nil for unmetered runs, so
-	// the steady-state path pays two nil checks and no mutex.
+	// execNs is the plan-execution latency series, resolved on the first
+	// execPlan round so the steady-state path takes no registry mutex.
 	execNs *telemetry.Histogram
 
 	// nbRanks caches NeighborRanks against the parts' epochs.

@@ -8,14 +8,18 @@ import (
 	"github.com/fastmath/pumi-go/internal/telemetry"
 )
 
-// TestPlannedExchangeMetered checks a metered run feeds the partition
-// layer's live series: plan compilation and execution latencies from
-// the planned boundary exchange, and migration durations from the
+// TestPlannedExchangeMetered checks a run with no registry installed
+// still feeds the partition layer's live series into its own registry
+// (Ctx.Metrics is never nil): plan compilation and execution latencies
+// from the planned boundary exchange, and migration durations from the
 // initial distribution.
 func TestPlannedExchangeMetered(t *testing.T) {
-	reg := telemetry.NewRegistry()
+	var reg *telemetry.Registry
 	const ranks = 4
-	_, err := pcu.RunOpt(ranks, pcu.Options{Metrics: reg}, func(ctx *pcu.Ctx) error {
+	err := pcu.Run(ranks, func(ctx *pcu.Ctx) error {
+		if ctx.Rank() == 0 {
+			reg = ctx.Metrics()
+		}
 		dm := planWorld(ctx)
 		round := func() {
 			SyncShared(dm, []int{0},
@@ -28,6 +32,9 @@ func TestPlannedExchangeMetered(t *testing.T) {
 	})
 	if err != nil {
 		t.Fatal(err)
+	}
+	if reg == nil {
+		t.Fatal("Ctx.Metrics is nil in a world with no registry installed")
 	}
 	if n := reg.Histogram("partition.plan.exec.ns").Count(); n < ranks*2 {
 		t.Errorf("plan exec observations = %d, want >= %d", n, ranks*2)

@@ -394,8 +394,11 @@ func TestTagsTravelWithMigration(t *testing.T) {
 }
 
 func TestPerfCountersRecorded(t *testing.T) {
-	reg := telemetry.NewRegistry()
-	_, err := pcu.RunOpt(2, pcu.Options{Metrics: reg}, func(ctx *pcu.Ctx) error {
+	var reg *telemetry.Registry
+	err := pcu.Run(2, func(ctx *pcu.Ctx) error {
+		if ctx.Rank() == 0 {
+			reg = ctx.Metrics()
+		}
 		model := gmi.Box(2, 1, 1)
 		dm := distributeByX(ctx, model.Model, func() *mesh.Mesh {
 			return meshgen.Box3D(model, 2, 2, 2)

@@ -268,10 +268,7 @@ func (dm *DMesh) execPlan(pl *BoundaryPlan, pack func(p *Part, e mesh.Ent, b *pc
 	if dm.execNs == nil {
 		dm.execNs = ctx.Metrics().Histogram("partition.plan.exec.ns")
 	}
-	var start time.Time
-	if dm.execNs != nil {
-		start = time.Now()
-	}
+	start := time.Now()
 	for li := range dm.Parts {
 		part := dm.Parts[li]
 		pp := &pl.parts[li]
@@ -308,9 +305,7 @@ func (dm *DMesh) execPlan(pl *BoundaryPlan, pack func(p *Part, e mesh.Ent, b *pc
 		}
 		msg.Data.Done()
 	}
-	if dm.execNs != nil {
-		dm.execNs.Observe(ctx.Rank(), int64(time.Since(start)))
-	}
+	dm.execNs.Observe(ctx.Rank(), int64(time.Since(start)))
 }
 
 // dimScratch lets Verify take single-dim subslices without allocating

@@ -9,7 +9,6 @@ import (
 	"github.com/fastmath/pumi-go/internal/meshgen"
 	"github.com/fastmath/pumi-go/internal/pcu"
 	"github.com/fastmath/pumi-go/internal/san"
-	"github.com/fastmath/pumi-go/internal/telemetry"
 )
 
 // Tests of the compiled boundary-exchange plans: correctness of the
@@ -119,9 +118,8 @@ func TestReduceSharedPlannedValues(t *testing.T) {
 // touched part — plans recompile and the full distributed verification
 // stays green.
 func TestPlanInvalidation(t *testing.T) {
-	reg := telemetry.NewRegistry()
-	misses := reg.Counter("partition.plan.miss")
-	_, err := pcu.RunOpt(4, pcu.Options{Metrics: reg}, func(ctx *pcu.Ctx) error {
+	err := pcu.Run(4, func(ctx *pcu.Ctx) error {
+		misses := ctx.Metrics().Counter("partition.plan.miss")
 		dm := planWorld(ctx)
 		part := dm.Parts[0]
 		vals := vertexSlots(part.M)

@@ -25,8 +25,11 @@ func TestSanitizedProtocols(t *testing.T) {
 	san.Enable()
 	defer san.Disable()
 	run := func() uint64 {
-		reg := telemetry.NewRegistry()
-		stats, err := pcu.RunOpt(2, pcu.Options{Sanitize: true, Metrics: reg}, func(ctx *pcu.Ctx) error {
+		var reg *telemetry.Registry
+		stats, err := pcu.RunOpt(2, pcu.Options{Sanitize: true}, func(ctx *pcu.Ctx) error {
+			if ctx.Rank() == 0 {
+				reg = ctx.Metrics()
+			}
 			model := gmi.Box(4, 1, 1)
 			dm := distributeByX(ctx, model.Model, func() *mesh.Mesh {
 				return meshgen.Box3D(model, 4, 2, 2)

@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"github.com/fastmath/pumi-go/internal/hwtopo"
-	"github.com/fastmath/pumi-go/internal/telemetry"
 	"github.com/fastmath/pumi-go/internal/trace"
 )
 
@@ -164,9 +163,9 @@ func benchExchangeOnce(b *testing.B, topo hwtopo.Topology, dense bool, opt Optio
 // BenchmarkExchangeSparse: ring traffic, the neighbor-bounded pattern
 // of mesh communication. on-node delivers by reference; off-node
 // places every rank on its own node so each message is framed, CRC'd
-// and copied. The traced and metered rows are the on-node workload
-// with one observer armed each — flight recorder, live telemetry — so
-// each one's overhead reads off against on-node.
+// and copied. The traced row is the on-node workload with the flight
+// recorder armed — the one observer of blocking ops — so its overhead
+// reads off against on-node.
 func BenchmarkExchangeSparse(b *testing.B) {
 	onNode := hwtopo.Cluster(1, benchRanks)
 	b.Run("on-node", func(b *testing.B) {
@@ -177,9 +176,6 @@ func BenchmarkExchangeSparse(b *testing.B) {
 	})
 	b.Run("traced", func(b *testing.B) {
 		benchExchangeOnce(b, onNode, false, Options{Trace: trace.New(benchRanks, trace.Config{})})
-	})
-	b.Run("metered", func(b *testing.B) {
-		benchExchangeOnce(b, onNode, false, Options{Metrics: telemetry.NewRegistry()})
 	})
 }
 

@@ -7,8 +7,9 @@ package pcu
 // and one way to count an event, ctx.Count. A span reaches both observers
 // at once — a Begin/End pair in the rank's flight recorder when the run
 // is traced, and one observation in the registry histogram "<name>.ns".
-// Every world has a registry to record into: the supplied one, else a
-// world-private one that the watchdog's stall report reads. Series are
+// Every world has a registry to record into: the one SetDefaultMetrics
+// installed, else a world-private one; the watchdog's stall report reads
+// it. Series are
 // created on first use; after that a record resolves its handle in a map
 // only this rank touches (never the registry mutex) and allocates nothing.
 

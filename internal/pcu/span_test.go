@@ -12,17 +12,16 @@ import (
 	"github.com/fastmath/pumi-go/internal/trace"
 )
 
-// seamArmings are the three states a world can be in when a span or a
-// count records: nothing supplied (nil recorder, world-private
-// registry), flight recorder armed, registry supplied (per-op metering
-// on as well).
+// seamArmings are the two states a world can be in when a span or a
+// count records: unarmed (nil recorder) and flight recorder armed. The
+// registry is always there — world-private unless SetDefaultMetrics
+// installed one.
 var seamArmings = []struct {
 	name string
 	opt  func() Options
 }{
 	{"unarmed", func() Options { return Options{} }},
 	{"traced", func() Options { return Options{Trace: trace.New(1, trace.Config{})} }},
-	{"metered", func() Options { return Options{Metrics: telemetry.NewRegistry()} }},
 }
 
 // seamZeroAlloc requires record to allocate nothing once its series
@@ -61,8 +60,9 @@ func TestCounterAddZeroAlloc(t *testing.T) {
 // plausible duration, in "<name>.ns".
 func TestSpanRecordsOnce(t *testing.T) {
 	tr := trace.New(1, trace.Config{})
-	reg := telemetry.NewRegistry()
-	_, err := RunOpt(1, Options{Trace: tr, Metrics: reg}, func(c *Ctx) error {
+	var reg *telemetry.Registry
+	_, err := RunOpt(1, Options{Trace: tr}, func(c *Ctx) error {
+		reg = c.Metrics()
 		s := c.Span("stage")
 		time.Sleep(time.Millisecond)
 		s.End()

@@ -1,23 +1,16 @@
 package pcu
 
-// Live metrics wiring: when a run carries Options.Metrics (or a
-// process-wide registry is installed by a tool's -listen flag), the op
-// hot path records latency and arrival-skew histograms, queue-depth and
-// pool-occupancy gauges and the per-neighbor traffic matrix into the
-// registry. Every record is a handful of atomics on handles resolved
-// once per world — zero allocations, no locks, no collectives — so a
-// metered schedule is the real schedule and the alloc-regression tests
-// hold with metering on (TestExchangeMeteredZeroAlloc).
-//
-// The same file composes the process's introspection sources
+// Live introspection wiring: the process-wide metrics registry a tool's
+// -listen flag installs, and the process's introspection sources
 // (TelemetrySources): collective-free views over every active world's
-// trace rings and watchdog state, which
-// cmdutil.StartListen hands to telemetry.Serve.
+// registry, trace rings and watchdog state, which cmdutil.StartListen
+// hands to telemetry.Serve. pcu's blocking ops are observed by the
+// flight recorder alone (Begin/End and Send events); the registry holds
+// the spans, counts and typed series recorded above pcu.
 
 import (
 	"fmt"
 	"io"
-	"math"
 	"sort"
 	"sync/atomic"
 
@@ -27,12 +20,12 @@ import (
 
 // defaultMetrics is the process-wide registry, installed by tools
 // (pumi-bench -listen, pumi-part -listen) so every run they start
-// meters without threading an option through each experiment.
+// records where the endpoint can scrape it.
 var defaultMetrics atomic.Pointer[telemetry.Registry]
 
 // SetDefaultMetrics installs r as the process-wide metrics registry:
-// every subsequent run without an explicit Options.Metrics records into
-// it. Pass nil to turn default metering off.
+// every subsequent run records into it. Pass nil to give each later run
+// a registry of its own again.
 func SetDefaultMetrics(r *telemetry.Registry) { defaultMetrics.Store(r) }
 
 // DefaultMetrics returns the process-wide registry, or nil.
@@ -40,103 +33,12 @@ func DefaultMetrics() *telemetry.Registry {
 	return defaultMetrics.Load()
 }
 
-// Metrics returns the registry supplied to this run (Options.Metrics or
-// SetDefaultMetrics), or nil when there is none: the home of the typed
-// series that are not spans (gauges, byte-size histograms), recorded
-// only when someone is there to scrape them. All registry handles are
-// nil-safe, so instrumented subsystems (partition, parma, meshio)
-// resolve series unconditionally. Stage timings and event counts go
-// through Span and Count instead, which always record.
-func (c *Ctx) Metrics() *telemetry.Registry {
-	if c.w.wm == nil {
-		return nil
-	}
-	return c.w.reg
-}
-
-// worldMetrics holds one world's pre-resolved series handles, keyed by
-// the interned op-name pointers the hot path already carries — an op
-// record is a map hit on a pointer key plus three atomic adds.
-type worldMetrics struct {
-	opNs   map[*string]*telemetry.Histogram // op latency by op name
-	opSkew map[*string]*telemetry.Histogram // last-minus-first arrival gap
-
-	sendBytes  *telemetry.Histogram // per-delivery payload size
-	queueDepth *telemetry.Gauge     // inbox deliveries collected per exchange
-	poolFree   *telemetry.Gauge     // recycled buffers available per rank
-	liveRanks  *telemetry.Gauge     // ranks currently inside run bodies
-
-	stragglerRank *telemetry.Gauge // last-arriving rank of the latest collective
-	stragglerSkew *telemetry.Gauge // its arrival gap in nanoseconds
-
-	neighborBytes *telemetry.Matrix // (sender, receiver) payload bytes
-}
-
-// opNames lists every interned blocking-op name the hot path can record
-// under; both per-op series maps are resolved over it once per world.
-var opNames = []*string{
-	&opExchange, &opBarrier, &opAllreduce, &opReduce,
-	&opBcast, &opAllgather, &opExscan, &opAgree,
-}
-
-func newWorldMetrics(reg *telemetry.Registry) *worldMetrics {
-	if reg == nil {
-		return nil
-	}
-	wm := &worldMetrics{
-		opNs:          make(map[*string]*telemetry.Histogram, len(opNames)),
-		opSkew:        make(map[*string]*telemetry.Histogram, len(opNames)),
-		sendBytes:     reg.Histogram("pcu.send.bytes"),
-		queueDepth:    reg.Gauge("pcu.queue.depth"),
-		poolFree:      reg.Gauge("pcu.pool.free"),
-		liveRanks:     reg.Gauge("pcu.live_ranks"),
-		stragglerRank: reg.Gauge("pcu.straggler.rank"),
-		stragglerSkew: reg.Gauge("pcu.straggler.skew_ns"),
-		neighborBytes: reg.Matrix("pcu.neighbor.bytes"),
-	}
-	for _, name := range opNames {
-		wm.opNs[name] = reg.Histogram("pcu.op." + *name + ".ns")
-		wm.opSkew[name] = reg.Histogram("pcu.skew." + *name + ".ns")
-	}
-	return wm
-}
-
-// recordSkew attributes the collective that just released to its
-// last-arriving rank: called by the releasing rank (the one whose
-// barrier arrival filled the generation) on the first wait of an op.
-// Arrival stamps are matched by op sequence number, so a fast rank
-// already stamping its next op is excluded rather than misattributed.
-// Reads are atomic and rank-local state is untouched — scraping-grade
-// attribution with zero schedule impact.
-func (w *World) recordSkew(name *string, seq int64) {
-	wm := w.wm
-	if wm == nil {
-		return
-	}
-	first, last := int64(math.MaxInt64), int64(math.MinInt64)
-	blamed := -1
-	for i := range w.ranks {
-		rs := &w.ranks[i]
-		if rs.arrivalSeq.Load() != seq {
-			continue
-		}
-		a := rs.arrival.Load()
-		if a < first {
-			first = a
-		}
-		if a > last {
-			last = a
-			blamed = i
-		}
-	}
-	if blamed < 0 || first > last {
-		return
-	}
-	skew := last - first
-	wm.opSkew[name].Observe(blamed, skew)
-	wm.stragglerRank.SetInt(0, int64(blamed))
-	wm.stragglerSkew.SetInt(0, skew)
-}
+// Metrics returns the registry this run records into — the one
+// SetDefaultMetrics installed, else one private to the world; never nil.
+// It is the home of the typed series that are not spans (gauges,
+// byte-size histograms, inner-loop latencies). Stage timings and event
+// counts go through Span and Count, which record into the same registry.
+func (c *Ctx) Metrics() *telemetry.Registry { return c.w.reg }
 
 // worldSeq hands out stable ids for introspection output.
 var worldSeq atomic.Int64

@@ -3,148 +3,73 @@ package pcu
 import (
 	"bytes"
 	"encoding/json"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
 
-	"github.com/fastmath/pumi-go/internal/hwtopo"
 	"github.com/fastmath/pumi-go/internal/telemetry"
 	"github.com/fastmath/pumi-go/internal/trace"
 )
 
-func TestWorldMetricsRecorded(t *testing.T) {
-	reg := telemetry.NewRegistry()
-	const ranks = 4
-	_, err := RunOpt(ranks, Options{Topo: hwtopo.Cluster(2, 2), Metrics: reg}, func(c *Ctx) error {
-		for i := 0; i < 3; i++ {
-			c.To((c.Rank() + 1) % c.Size()).Bytes(make([]byte, 64))
-			for _, m := range c.Exchange() {
-				_ = m.Data.BytesNoCopy()
-				m.Data.Done()
-			}
-		}
-		c.Barrier()
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := reg.Histogram("pcu.op.exchange.ns").Count(); got != ranks*3 {
-		t.Errorf("exchange latency observations = %d, want %d", got, ranks*3)
-	}
-	if got := reg.Histogram("pcu.op.barrier.ns").Count(); got != ranks {
-		t.Errorf("barrier latency observations = %d, want %d", got, ranks)
-	}
-	// One skew observation per collective instance (recorded by the
-	// releasing rank only).
-	if got := reg.Histogram("pcu.skew.exchange.ns").Count(); got != 3 {
-		t.Errorf("exchange skew observations = %d, want 3", got)
-	}
-	if got := reg.Histogram("pcu.skew.barrier.ns").Count(); got != 1 {
-		t.Errorf("barrier skew observations = %d, want 1", got)
-	}
-	// Ring exchange: every rank sent the same 64-byte payload (plus
-	// framing) to its right neighbor three times, so all cells agree and
-	// carry at least the raw payload bytes.
-	m := reg.Matrix("pcu.neighbor.bytes")
-	want := m.Get(0, 1)
-	if want < 3*64 {
-		t.Errorf("neighbor bytes 0->1 = %d, want >= %d", want, 3*64)
-	}
-	for r := 1; r < ranks; r++ {
-		if got := m.Get(r, (r+1)%ranks); got != want {
-			t.Errorf("neighbor bytes %d->%d = %d, want %d", r, (r+1)%ranks, got, want)
-		}
-	}
-	// The live-rank gauge must balance back to zero after the run.
-	if v, ok := reg.Gauge("pcu.live_ranks").Get(0); !ok || v != 0 {
-		t.Errorf("live_ranks after run = %v (set=%v), want 0", v, ok)
-	}
-	if _, ok := reg.Gauge("pcu.straggler.rank").Get(0); !ok {
-		t.Error("straggler rank gauge never set")
-	}
-	// The whole registry must render as valid Prometheus text.
-	var buf bytes.Buffer
-	if err := reg.WritePrometheus(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := telemetry.ValidatePrometheus(buf.Bytes()); err != nil {
-		t.Fatalf("prometheus output invalid: %v\n%s", err, buf.String())
-	}
-}
-
+// TestDefaultMetricsRegistry: a world records into the registry
+// SetDefaultMetrics installed, and with none installed into one of its
+// own — Ctx.Metrics is never nil, and spans, counts and typed series all
+// land in the registry it returns.
 func TestDefaultMetricsRegistry(t *testing.T) {
+	record := func() *telemetry.Registry {
+		var reg *telemetry.Registry
+		err := Run(2, func(c *Ctx) error {
+			c.Span("test.stage").End()
+			c.Count("test.events", 1)
+			c.Metrics().Gauge("test.gauge").SetInt(c.Rank(), 1)
+			c.Barrier()
+			if c.Rank() == 0 {
+				reg = c.Metrics()
+			}
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if reg == nil {
+			t.Fatal("Ctx.Metrics is nil")
+		}
+		if got := reg.Histogram("test.stage.ns").Count(); got != 2 {
+			t.Errorf("span observations = %d, want 2", got)
+		}
+		if got := reg.Counter("test.events").Value(); got != 2 {
+			t.Errorf("count = %d, want 2", got)
+		}
+		if _, ok := reg.Gauge("test.gauge").Get(1); !ok {
+			t.Error("gauge sample missing")
+		}
+		return reg
+	}
+	if DefaultMetrics() != nil {
+		t.Fatal("a default registry is installed before the test")
+	}
+	private := record()
+	if again := record(); again == private {
+		t.Error("two worlds with no default registry share one")
+	}
+
 	reg := telemetry.NewRegistry()
 	SetDefaultMetrics(reg)
 	defer SetDefaultMetrics(nil)
-	if err := Run(2, func(c *Ctx) error { c.Barrier(); return nil }); err != nil {
-		t.Fatal(err)
-	}
-	if got := reg.Histogram("pcu.op.barrier.ns").Count(); got != 2 {
-		t.Errorf("default-registry barrier observations = %d, want 2", got)
+	if got := record(); got != reg {
+		t.Error("world does not record into the installed default registry")
 	}
 	if DefaultMetrics() != reg {
 		t.Error("DefaultMetrics does not return the installed registry")
 	}
 }
 
-// TestExchangeMeteredZeroAlloc repeats the steady-state exchange check
-// with metering on: every phase observes latency/skew histograms, sets
-// queue/pool gauges and accumulates the neighbor matrix, and the whole
-// metered cycle must still allocate nothing. This is the acceptance bar
-// for leaving metering enabled during benchmarks.
-func TestExchangeMeteredZeroAlloc(t *testing.T) {
-	allocGate(t)
-	const (
-		ranks  = 4
-		warmup = 8
-		runs   = 100
-	)
-	// Two ranks per node so both the on-node and the framed off-node
-	// send paths run under metering.
-	reg := telemetry.NewRegistry()
-	payload := make([]byte, 256)
-	ints := make([]int32, 64)
-	var avg float64
-	RunOpt(ranks, Options{Topo: hwtopo.Cluster(2, 2), StallTimeout: -1, Metrics: reg}, func(c *Ctx) error {
-		scratch := make([]int32, 0, len(ints))
-		phase := func() {
-			b := c.To((c.Rank() + 1) % c.Size())
-			b.Bytes(payload)
-			b.Int32s(ints)
-			for _, m := range c.Exchange() {
-				_ = m.Data.BytesNoCopy()
-				scratch = m.Data.AppendInt32s(scratch[:0])
-				m.Data.Done()
-			}
-		}
-		for i := 0; i < warmup; i++ {
-			phase()
-		}
-		if c.Rank() == 0 {
-			avg = testing.AllocsPerRun(runs, phase)
-		} else {
-			for i := 0; i < runs+1; i++ {
-				phase()
-			}
-		}
-		return nil
-	})
-	if avg != 0 {
-		t.Errorf("metered steady-state exchange: %.1f allocs/phase, want 0", avg)
-	}
-	// Metering must actually have been on, not compiled out.
-	if reg.Histogram("pcu.op.exchange.ns").Count() == 0 {
-		t.Error("no latency observations recorded during a metered run")
-	}
-	if reg.Histogram("pcu.skew.exchange.ns").Count() == 0 {
-		t.Error("no skew observations recorded during a metered run")
-	}
-}
-
 // TestTelemetrySourcesLive serves the composed introspection sources
-// over HTTP while a traced, metered world is mid-run, and checks every
-// endpoint responds with a valid document.
+// over HTTP while a traced world is mid-run, and checks every endpoint
+// responds with a valid document. The live /trace document is also the
+// input of the arrival-skew analysis: the critical path of the scraped
+// rings blames the barrier on the rank that arrived late.
 func TestTelemetrySourcesLive(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	SetDefaultMetrics(reg)
@@ -168,6 +93,12 @@ func TestTelemetrySourcesLive(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		err := Run(2, func(c *Ctx) error {
+			if c.Rank() == 1 {
+				// Arrive last: enter the barrier only once rank 0 is parked in it.
+				for !c.w.ranks[0].blocked.Load() {
+					runtime.Gosched()
+				}
+			}
 			c.Barrier()
 			if c.Rank() == 0 {
 				scraped <- nil // world is live and mid-run: scrape now
@@ -195,6 +126,19 @@ func TestTelemetrySourcesLive(t *testing.T) {
 	}
 	if !strings.Contains(buf.String(), "barrier") {
 		t.Error("live trace missing the barrier span")
+	}
+	cp, err := trace.CriticalPathChrome(buf.Bytes())
+	if err != nil {
+		t.Fatal(err)
+	}
+	blamed := false
+	for _, p := range cp.Phases {
+		if p.Name == "barrier" {
+			blamed = p.Instances == 1 && p.BlamedCount[1] == 1 && p.MaxSkewNs > 0
+		}
+	}
+	if !blamed {
+		t.Errorf("critical path of the live trace does not blame the barrier on rank 1: %+v", cp.Phases)
 	}
 
 	close(release)

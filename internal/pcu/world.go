@@ -74,15 +74,6 @@ type Options struct {
 	// and a process-wide collector is installed via SetDefaultTrace, the
 	// run records into a fresh trace added to the collector at the end.
 	Trace *trace.Trace
-	// Metrics, when non-nil, is the registry the run's spans and counts
-	// (Ctx.Span, Ctx.Count) land in, and turns on per-op metering: op
-	// latency and arrival-skew histograms, queue/pool gauges and the
-	// per-neighbor traffic matrix (see internal/telemetry). When nil and
-	// a process-wide registry is installed via SetDefaultMetrics, the run
-	// uses that instead; with neither, spans and counts go to a registry
-	// private to the run and ops are not metered. Recording is atomic-only
-	// and allocation-free.
-	Metrics *telemetry.Registry
 }
 
 // World holds the shared state of one parallel run: the reusable
@@ -99,13 +90,11 @@ type World struct {
 
 	// id is the process-unique world number introspection output uses
 	// and start anchors the world's monotonic clock. reg is the registry
-	// Span and Count record into: the supplied one, else a world-private
-	// one. wm holds the pre-resolved per-op handles, non-nil only when a
-	// registry was supplied (per-op metering is not free, see DESIGN §10).
+	// Span, Count and Metrics record into: the process-wide one installed
+	// by SetDefaultMetrics, else a world-private one.
 	id    int64
 	start time.Time
 	reg   *telemetry.Registry
-	wm    *worldMetrics
 
 	// resend is the transient-fault retransmit store, armed only when
 	// the run carries a fault plan.
@@ -158,14 +147,6 @@ type rankState struct {
 	blocked  atomic.Bool // parked in the barrier
 	done     atomic.Bool // body returned, panicked, or vanished
 	vanished atomic.Bool
-
-	// arrival is when (world-monotonic ns) this rank reached the current
-	// op's first barrier wait, arrivalSeq the 1-based op index it belongs
-	// to. The releasing rank of each collective reads both to attribute
-	// the op's cost to its last arriver (recordSkew); the sequence match
-	// keeps a fast rank's next-op stamp out of the current op's scan.
-	arrival    atomic.Int64
-	arrivalSeq atomic.Int64
 }
 
 type inbox struct {
@@ -238,14 +219,6 @@ type Ctx struct {
 	// Recorder methods are nil-safe).
 	tr *trace.Recorder
 
-	// Metering state for the current blocking op: its interned name, its
-	// 1-based index, the world-monotonic entry time, and how many barrier
-	// waits it has performed (the first wait is the op's arrival point).
-	opName  *string
-	opSeq   int64
-	opStart int64
-	opWaits int32
-
 	// spans and counts are this rank's name→handle caches for Span and
 	// Count: a steady-state record never takes the registry mutex.
 	spans  map[string]*telemetry.Histogram
@@ -313,15 +286,10 @@ func RunOpt(n int, opt Options, body func(*Ctx) error) (Stats, error) {
 	w.agree.init(w)
 	w.id = worldSeq.Add(1)
 	w.start = time.Now()
-	reg := opt.Metrics
-	if reg == nil {
-		reg = defaultMetrics.Load()
+	w.reg = defaultMetrics.Load()
+	if w.reg == nil {
+		w.reg = telemetry.NewSized(n)
 	}
-	w.wm = newWorldMetrics(reg)
-	if reg == nil {
-		reg = telemetry.NewSized(n)
-	}
-	w.reg = reg
 	if opt.Sanitize || san.Enabled() {
 		w.san = newSanState(n)
 	}
@@ -348,10 +316,6 @@ func RunOpt(n int, opt Options, body func(*Ctx) error) (Stats, error) {
 		go w.watch(timeout, stop)
 	}
 
-	if w.wm != nil {
-		w.wm.liveRanks.Add(0, float64(n))
-		defer w.wm.liveRanks.Add(0, -float64(n))
-	}
 	errs := make([]error, n)
 	var wg sync.WaitGroup
 	wg.Add(n)
@@ -491,10 +455,6 @@ func (c *Ctx) beginOp(name *string, isExchange bool) {
 	} else {
 		op = rs.colls.Add(1) + rs.exchs.Load()
 	}
-	c.opName, c.opSeq, c.opWaits = name, op, 0
-	if c.w.wm != nil {
-		c.opStart = c.w.since()
-	}
 	f := c.w.faults.find(c.rank, op)
 	if f == nil {
 		return
@@ -529,9 +489,6 @@ func (c *Ctx) endOp() {
 			c.tr.End(*p)
 		}
 	}
-	if wm := c.w.wm; wm != nil && c.opName != nil {
-		wm.opNs[c.opName].Observe(c.rank, c.w.since()-c.opStart)
-	}
 	rs.op.Store(&opNone)
 }
 
@@ -550,22 +507,9 @@ func (w *World) since() int64 { return int64(time.Since(w.start)) }
 // watchdog can tell waiting from computing.
 func (c *Ctx) wait() {
 	rs := &c.w.ranks[c.rank]
-	first := c.opWaits == 0
-	c.opWaits++
-	if first && c.w.wm != nil {
-		// The op's arrival point: compute (and any injected delay) is
-		// behind us, the sync wait starts here.
-		rs.arrival.Store(c.w.since())
-		rs.arrivalSeq.Store(c.opSeq)
-	}
 	rs.blocked.Store(true)
 	defer rs.blocked.Store(false)
-	if releaser := c.w.bar.wait(); releaser && first && c.opName != nil {
-		// This rank's arrival filled the barrier: it is the op's last
-		// arriver, and every peer's arrival stamp for this op is final —
-		// attribute the collective before anyone races ahead.
-		c.w.recordSkew(c.opName, c.opSeq)
-	}
+	c.w.bar.wait()
 	if c.sanPending {
 		// First wait of a sanitized op: every rank has published its
 		// schedule hash for this op and none can overwrite it before
@@ -682,10 +626,6 @@ func (c *Ctx) Exchange() []Message {
 		b.seal()
 		b.active = false
 		b.buf = nil
-		if wm := c.w.wm; wm != nil {
-			wm.sendBytes.Observe(c.rank, int64(len(data)))
-			wm.neighborBytes.Add(c.rank, p, int64(len(data)))
-		}
 		if c.SameNode(p) {
 			// Shared memory: hand the buffer over by reference. The
 			// array's ownership moves to the receiver, whose Reader.Done
@@ -776,10 +716,6 @@ func (c *Ctx) Exchange() []Message {
 	ib.msgs = keep
 	ib.mu.Unlock()
 	c.arrived = arrived
-	if wm := c.w.wm; wm != nil {
-		wm.queueDepth.SetInt(c.rank, int64(len(arrived)))
-		wm.poolFree.SetInt(c.rank, int64(len(c.free)))
-	}
 	// Stable sort: frames from one sender keep their send order, which
 	// the duplicate-detection sequence check depends on.
 	slices.SortStableFunc(arrived, func(a, b delivery) int { return a.from - b.from })
@@ -881,10 +817,8 @@ func (b *barrier) init(n int) {
 	b.cond = sync.NewCond(&b.mu)
 }
 
-// wait parks until every rank arrives. It reports whether this caller
-// was the releaser — the arrival that filled the generation — which the
-// metering layer uses to attribute the collective to its last arriver.
-func (b *barrier) wait() bool {
+// wait parks until every rank arrives.
+func (b *barrier) wait() {
 	b.mu.Lock()
 	if b.poisoned {
 		cause := b.cause
@@ -898,7 +832,7 @@ func (b *barrier) wait() bool {
 		b.gen++
 		b.cond.Broadcast()
 		b.mu.Unlock()
-		return true
+		return
 	}
 	for gen == b.gen && !b.poisoned {
 		b.cond.Wait()
@@ -911,14 +845,13 @@ func (b *barrier) wait() bool {
 		// post-wait work (like the sanitizer's divergence check) could
 		// be preempted on some ranks by a peer's teardown.
 		b.mu.Unlock()
-		return false
+		return
 	}
 	poisoned, cause := b.poisoned, b.cause
 	b.mu.Unlock()
 	if poisoned {
 		panic(cause)
 	}
-	return false
 }
 
 func (b *barrier) poison() { b.poisonWith(ErrPeerFailed) }

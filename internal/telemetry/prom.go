@@ -1,8 +1,9 @@
 package telemetry
 
 // A minimal validator for the Prometheus text exposition format, used
-// by the telemetry-smoke lane to check what /metrics serves without
-// depending on an external scraper. It enforces the structure this
+// by the telemetry tests (TestTelemetrySmoke scrapes /metrics over HTTP)
+// to check what /metrics serves without depending on an external
+// scraper. It enforces the structure this
 // package emits: TYPE comments, legal metric names, parseable sample
 // values, histogram bucket monotonicity and sum/count consistency.
 

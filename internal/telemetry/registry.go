@@ -1,8 +1,8 @@
 // Package telemetry is the metrics plane of the parallel runtime — the
 // paper's "run-time and memory usage counters": a sharded registry of
-// fixed-bucket histograms, event counters, sampled gauges and
-// per-neighbor traffic matrices, recorded from the communication hot
-// paths and scraped over HTTP (Serve) without perturbing the schedule.
+// fixed-bucket histograms, event counters and sampled gauges, recorded
+// from stage spans and inner loops and scraped over HTTP (Serve) without
+// perturbing the schedule.
 //
 // A histogram keeps a count and a sum, so it is a stage timer, and it
 // keeps the distribution too — the difference between "exchange cost 3s"
@@ -12,10 +12,10 @@
 // Two design rules, both load-bearing:
 //
 //   - Zero steady-state allocations. Series are created once (Histogram,
-//     Counter, Gauge and Matrix return stable handles); recording on a
-//     handle — Observe, Set, Add — is a handful of atomic operations on
+//     Counter and Gauge return stable handles); recording on a handle —
+//     Observe, Set, Add — is a handful of atomic operations on
 //     preallocated cells. The repo's AllocsPerRun tests pin this, so
-//     metering can stay on during benchmarks.
+//     recording stays on during benchmarks.
 //   - Collective-free, lock-free reads. Every cell is an atomic; a
 //     scraper merges lanes with plain loads while ranks keep recording.
 //     A scrape is therefore a consistent-enough snapshot (per-cell
@@ -55,14 +55,11 @@ const (
 	// land in the last bucket). 48 buckets cover nanosecond latencies up
 	// to ~39 hours and byte volumes up to 128 TiB.
 	Buckets = 48
-	// MatrixDim is the fixed rank dimension of a Matrix; indices are
-	// masked, so runs wider than MatrixDim alias rather than grow.
-	MatrixDim = 64
 )
 
 // BucketOf maps a value to its power-of-two bucket index — exported so
-// offline analyzers (trace.CriticalPath's arrival-skew histograms) bin
-// exactly the way the live registry does.
+// trace.CriticalPath's arrival-skew histograms share the registry's
+// buckets (and its Buckets/BucketLE bounds).
 func BucketOf(v int64) int { return bucketOf(v) }
 
 // bucketOf maps a value to its power-of-two bucket.
@@ -99,8 +96,7 @@ type histLane struct {
 }
 
 // Histogram is one named fixed-bucket distribution. The handle is
-// stable for the registry's lifetime; all methods are nil-safe so call
-// sites meter unconditionally and pay one branch when metering is off.
+// stable for the registry's lifetime; all methods are nil-safe.
 type Histogram struct {
 	name  string
 	lanes []histLane
@@ -168,7 +164,7 @@ type gaugeLane struct {
 
 // Gauge is one named sampled value per lane: Set overwrites, reads see
 // the latest sample. Lanes map to ranks, so the endpoint can show a
-// per-rank view (queue depth on rank 3) as well as the merged extremes.
+// per-rank view (parma.imbalance on rank 3) as well as the merged extremes.
 type Gauge struct {
 	name  string
 	lanes []gaugeLane
@@ -186,26 +182,6 @@ func (g *Gauge) Set(lane int, v float64) {
 
 // SetInt samples an integer value.
 func (g *Gauge) SetInt(lane int, v int64) { g.Set(lane, float64(v)) }
-
-// Add adjusts the lane's value by delta (CAS loop; used by rare-path
-// up/down counters like the live-rank gauge).
-func (g *Gauge) Add(lane int, delta float64) {
-	if g == nil {
-		return
-	}
-	l := &g.lanes[lane&(len(g.lanes)-1)]
-	for {
-		old := l.bits.Load()
-		v := delta
-		if l.set.Load() != 0 {
-			v += math.Float64frombits(old)
-		}
-		if l.bits.CompareAndSwap(old, math.Float64bits(v)) {
-			l.set.Store(1)
-			return
-		}
-	}
-}
 
 // Get returns the lane's last sample and whether it was ever set.
 func (g *Gauge) Get(lane int) (float64, bool) {
@@ -252,42 +228,17 @@ func (c *Counter) Value() int64 {
 	return n
 }
 
-// Matrix is a named (rank, peer) counter grid — per-neighbor bytes or
-// message counts. The grid is fixed at MatrixDim x MatrixDim and
-// indices are masked, so Add is a single atomic on a preallocated cell.
-type Matrix struct {
-	name  string
-	cells []atomic.Int64
-}
-
-// Add accumulates v into the (from, to) cell.
-func (m *Matrix) Add(from, to int, v int64) {
-	if m == nil {
-		return
-	}
-	m.cells[(from&(MatrixDim-1))*MatrixDim+(to&(MatrixDim-1))].Add(v)
-}
-
-// Get returns the (from, to) cell's value.
-func (m *Matrix) Get(from, to int) int64 {
-	if m == nil {
-		return 0
-	}
-	return m.cells[(from&(MatrixDim-1))*MatrixDim+(to&(MatrixDim-1))].Load()
-}
-
 // Registry holds the named series of one process. Series are created on
 // first request and live for the registry's lifetime; handles are
 // stable, so hot paths resolve once and record lock-free. All methods
 // are nil-safe: a nil registry hands out nil handles whose record
-// methods are no-ops, which is how unmetered runs pay one branch.
+// methods are no-ops.
 type Registry struct {
 	mu       sync.Mutex
 	lanes    int // per series, a power of two <= Lanes
 	hists    map[string]*Histogram
 	gauges   map[string]*Gauge
 	counters map[string]*Counter
-	matrices map[string]*Matrix
 }
 
 // NewRegistry creates an empty registry for runs of any width.
@@ -307,7 +258,6 @@ func NewSized(ranks int) *Registry {
 		hists:    map[string]*Histogram{},
 		gauges:   map[string]*Gauge{},
 		counters: map[string]*Counter{},
-		matrices: map[string]*Matrix{},
 	}
 }
 
@@ -354,21 +304,6 @@ func (r *Registry) Counter(name string) *Counter {
 		r.counters[name] = c
 	}
 	return c
-}
-
-// Matrix returns the named matrix, creating it on first use.
-func (r *Registry) Matrix(name string) *Matrix {
-	if r == nil {
-		return nil
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	m := r.matrices[name]
-	if m == nil {
-		m = &Matrix{name: name, cells: make([]atomic.Int64, MatrixDim*MatrixDim)}
-		r.matrices[name] = m
-	}
-	return m
 }
 
 // byName returns m's values ordered by key, so no render depends on map
@@ -429,16 +364,14 @@ func promName(name string) string {
 // format (version 0.0.4), deterministically: series sorted by name,
 // histogram buckets in le order with trailing empties trimmed, gauges
 // one sample per set lane labeled by rank, counters as one merged
-// _total sample, matrices as counters labeled
-// rank/peer with zero cells elided. The render is lock-free over the
-// cells (atomic loads), so a scrape never blocks a recording rank.
+// _total sample. The render is lock-free over the cells (atomic loads),
+// so a scrape never blocks a recording rank.
 func (r *Registry) WritePrometheus(w io.Writer) error {
 	if r == nil {
 		return nil
 	}
 	r.mu.Lock()
-	hists, gauges := byName(r.hists), byName(r.gauges)
-	counters, matrices := byName(r.counters), byName(r.matrices)
+	hists, gauges, counters := byName(r.hists), byName(r.gauges), byName(r.counters)
 	r.mu.Unlock()
 
 	for _, h := range hists {
@@ -482,19 +415,6 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 		pn := promName(c.name)
 		if _, err := fmt.Fprintf(w, "# TYPE %s counter\n%s_total %d\n", pn, pn, c.Value()); err != nil {
 			return err
-		}
-	}
-	for _, m := range matrices {
-		pn := promName(m.name)
-		if _, err := fmt.Fprintf(w, "# TYPE %s counter\n", pn); err != nil {
-			return err
-		}
-		for from := 0; from < MatrixDim; from++ {
-			for to := 0; to < MatrixDim; to++ {
-				if v := m.cells[from*MatrixDim+to].Load(); v != 0 {
-					fmt.Fprintf(w, "%s_total{rank=\"%d\",peer=\"%d\"} %d\n", pn, from, to, v)
-				}
-			}
 		}
 	}
 	return nil

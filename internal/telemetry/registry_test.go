@@ -77,37 +77,10 @@ func TestGauge(t *testing.T) {
 	if v, ok := g.Get(3); !ok || v != 7.5 {
 		t.Fatalf("got %v %v, want 7.5 true", v, ok)
 	}
-	g.Add(3, -2.5)
-	if v, _ := g.Get(3); v != 5 {
-		t.Fatalf("after Add got %v, want 5", v)
-	}
-	g.Add(9, 2) // Add on an unset lane starts from zero
-	if v, _ := g.Get(9); v != 2 {
-		t.Fatalf("Add on unset lane got %v, want 2", v)
-	}
 	// Lane masking: lane Lanes aliases lane 0.
 	g.SetInt(Lanes, 11)
 	if v, _ := g.Get(0); v != 11 {
 		t.Fatalf("lane aliasing got %v, want 11", v)
-	}
-}
-
-func TestMatrix(t *testing.T) {
-	r := NewRegistry()
-	m := r.Matrix("test.bytes")
-	m.Add(1, 2, 100)
-	m.Add(1, 2, 50)
-	m.Add(2, 1, 7)
-	if got := m.Get(1, 2); got != 150 {
-		t.Fatalf("Get(1,2) = %d, want 150", got)
-	}
-	if got := m.Get(2, 1); got != 7 {
-		t.Fatalf("Get(2,1) = %d, want 7", got)
-	}
-	// Masked aliasing beyond MatrixDim.
-	m.Add(MatrixDim+1, 2, 1)
-	if got := m.Get(1, 2); got != 151 {
-		t.Fatalf("aliased Get(1,2) = %d, want 151", got)
 	}
 }
 
@@ -179,21 +152,18 @@ func TestNilSafety(t *testing.T) {
 	var r *Registry
 	h := r.Histogram("x")
 	g := r.Gauge("x")
-	m := r.Matrix("x")
 	c := r.Counter("x")
 	c.Add(0, 1)
 	h.Observe(0, 1)
 	g.Set(0, 1)
-	g.Add(0, 1)
-	m.Add(0, 0, 1)
 	if h.Count() != 0 || h.Sum() != 0 {
 		t.Fatal("nil histogram accumulated")
 	}
 	if _, ok := g.Get(0); ok {
 		t.Fatal("nil gauge reported set")
 	}
-	if m.Get(0, 0) != 0 || c.Value() != 0 {
-		t.Fatal("nil matrix or counter accumulated")
+	if c.Value() != 0 {
+		t.Fatal("nil counter accumulated")
 	}
 	if err := r.WritePrometheus(&bytes.Buffer{}); err != nil {
 		t.Fatal(err)
@@ -202,13 +172,12 @@ func TestNilSafety(t *testing.T) {
 
 func TestWritePrometheus(t *testing.T) {
 	r := NewRegistry()
-	h := r.Histogram("pcu.op.exchange.ns")
+	h := r.Histogram("partition.plan.exec.ns")
 	for i := int64(1); i <= 100; i++ {
 		h.Observe(int(i), i*1000)
 	}
-	r.Gauge("pcu.live_ranks").SetInt(0, 8)
+	r.Gauge("parma.imbalance").SetInt(0, 8)
 	r.Gauge("empty.gauge")
-	r.Matrix("pcu.neighbor.bytes").Add(0, 1, 4096)
 	r.Counter("partition.plan.hit").Add(0, 5)
 	r.Counter("partition.plan.hit").Add(1, 7)
 
@@ -218,14 +187,12 @@ func TestWritePrometheus(t *testing.T) {
 	}
 	out := buf.String()
 	for _, want := range []string{
-		"# TYPE pumi_pcu_op_exchange_ns histogram",
-		`pumi_pcu_op_exchange_ns_bucket{le="+Inf"} 100`,
-		"pumi_pcu_op_exchange_ns_count 100",
-		"# TYPE pumi_pcu_live_ranks gauge",
-		`pumi_pcu_live_ranks{rank="0"} 8`,
+		"# TYPE pumi_partition_plan_exec_ns histogram",
+		`pumi_partition_plan_exec_ns_bucket{le="+Inf"} 100`,
+		"pumi_partition_plan_exec_ns_count 100",
+		"# TYPE pumi_parma_imbalance gauge",
+		`pumi_parma_imbalance{rank="0"} 8`,
 		"pumi_empty_gauge 0",
-		"# TYPE pumi_pcu_neighbor_bytes counter",
-		`pumi_pcu_neighbor_bytes_total{rank="0",peer="1"} 4096`,
 		"# TYPE pumi_partition_plan_hit counter",
 		"pumi_partition_plan_hit_total 12",
 	} {
@@ -266,9 +233,9 @@ func TestValidatePrometheusRejects(t *testing.T) {
 	}
 }
 
-// The metering hot paths must not allocate: metering stays on during
-// benchmarks, and the pcu op path records into these cells per op. The
-// pins self-skip under -race, matching internal/pcu/alloc_test.go.
+// The record paths must not allocate: every run records into a registry,
+// benchmarks included. The pins self-skip under -race, matching
+// internal/pcu/alloc_test.go.
 func allocGate(t *testing.T) {
 	t.Helper()
 	if raceEnabled {
@@ -291,18 +258,7 @@ func TestGaugeSampleAllocs(t *testing.T) {
 	g := NewRegistry().Gauge("alloc.test")
 	if avg := testing.AllocsPerRun(1000, func() {
 		g.SetInt(3, 42)
-		g.Add(5, 1)
 	}); avg != 0 {
 		t.Fatalf("Gauge sample allocates %v/op, want 0", avg)
-	}
-}
-
-func TestMatrixAddAllocs(t *testing.T) {
-	allocGate(t)
-	m := NewRegistry().Matrix("alloc.test")
-	if avg := testing.AllocsPerRun(1000, func() {
-		m.Add(1, 2, 64)
-	}); avg != 0 {
-		t.Fatalf("Matrix.Add allocates %v/op, want 0", avg)
 	}
 }

@@ -14,9 +14,10 @@ package trace
 // a re-partitioner needs ("rank 3 is late into every exchange because
 // its migrate unpack runs long").
 //
-// The same binning as the live registry (telemetry.BucketOf) is used
-// for the arrival-skew histograms, so offline tables and live /metrics
-// scrapes are directly comparable.
+// This is the repo's one arrival-skew computation: pcu records the
+// Begin/End spans and nothing else measures skew. The histograms bin
+// through telemetry.BucketOf, so they share the registry's power-of-two
+// buckets. A live /trace scrape feeds it as well as a finished timeline.
 
 import (
 	"fmt"
