@@ -19,14 +19,15 @@ loc:
 	@find internal cmd -name '*.go' ! -name '*_test.go' ! -path '*/testdata/*' -print0 | xargs -0 cat | wc -l
 
 # Escape gate: every variable the compiler moves to the heap in the
-# array-indexed core (mesh, ds, partition) must be listed in
+# array-indexed core (mesh, ds, partition) and the adaptation kernels
+# (adapt) must be listed in
 # escape-allow.txt — today the range-over-func iterator state and one
 # cold strings.Builder. Line numbers and the inlining package qualifier
 # are stripped, so only a new (or vanished) escaping variable is drift;
 # a scratch array that silently escapes is a red build, not a profile
 # reading. Accept one deliberately by adding its line to the file.
 escape-check:
-	$(GO) build -gcflags=-m ./internal/mesh ./internal/ds ./internal/partition 2>&1 \
+	$(GO) build -gcflags=-m ./internal/mesh ./internal/ds ./internal/partition ./internal/adapt 2>&1 \
 		| grep 'moved to heap:' | sed -E 's/:[0-9]+:[0-9]+//; s/[a-z]+\.#/#/' | sort -u > /tmp/pumi-escape-check.txt
 	diff -u escape-allow.txt /tmp/pumi-escape-check.txt
 
@@ -53,7 +54,10 @@ bench-go:
 # the pipeline benchmark's repartition-vessel16: only the cycle runs
 # under the timer, but the profile also holds the set-up (zpart, the
 # scatter), so read the partition/mesh/pcu rows and divide by 21 — the
-# iterations plus the warm-up.
+# iterations plus the warm-up. BENCH=BenchmarkAdaptParallel is the adapt
+# stage of adapt-shock, each iteration on a fresh mesh: the profile also
+# holds the untimed set-ups (meshgen, zpart, the scatter), so read the
+# adapt/mesh rows and divide by 21.
 BENCH ?= BenchmarkMigration$$
 SAMPLE ?= alloc_space
 memprofile:
@@ -65,7 +69,7 @@ memprofile:
 # paper benchmarks only the migration ones run: the rest take minutes.
 bench-smoke:
 	$(GO) test -run '^$$' -bench=. -benchtime=1x ./internal/pcu/... ./internal/mesh/ ./internal/field/ ./internal/zpart/
-	$(GO) test -run '^$$' -bench 'Migration|RepartitionCycle|Ghosting' -benchtime=1x .
+	$(GO) test -run '^$$' -bench 'Migration|RepartitionCycle|Ghosting|AdaptParallel' -benchtime=1x .
 
 # Five seconds of native fuzzing on each decoder of outside bytes: the
 # assignment file, the mesh file with its tag section, a checkpoint's

@@ -509,6 +509,60 @@ func BenchmarkAdaptRefine(b *testing.B) {
 	}
 }
 
+// BenchmarkAdaptParallel replays the adapt stage of the pipeline
+// benchmark's adapt-shock workload: Box3D(8) cut by RCB into 8 parts on
+// 2 on-node ranks x 4 parts, adapted to the slanted shock band. Only
+// adapt.Parallel runs under the timer, each iteration on a freshly
+// distributed mesh, so B/op / 5,899 (the adapted element count) is the
+// stage's share of the workload's alloc_bytes_per_element, and `make
+// memprofile BENCH=BenchmarkAdaptParallel` shows where its bytes go.
+func BenchmarkAdaptParallel(b *testing.B) {
+	const box = 8
+	model := gmi.Box(1, 1, 1)
+	// The workload's shockSize at offset 0 (bench/ is a module of its own).
+	mid, fine, coarse := 0.5*(1+0.35), 0.62/box, 3.0/box
+	size := func(p vec.V) float64 {
+		if math.Abs(p.X+0.35*p.Y-mid) < 0.08 {
+			return fine
+		}
+		return coarse
+	}
+	b.ReportAllocs()
+	b.StopTimer()
+	var st adapt.Stats
+	for i := 0; i < b.N; i++ {
+		_, err := pcu.RunOn(2, hwtopo.Cluster(1, 2), func(ctx *pcu.Ctx) error {
+			var serial *mesh.Mesh
+			var assign []int32
+			if ctx.Rank() == 0 {
+				serial = meshgen.Box3D(model, box, box, box)
+				in, _ := zpart.Centroids(serial)
+				assign = zpart.RCB(in, 8)
+			}
+			dm, err := partition.Distribute(ctx, model.Model, 3, serial, assign, 4)
+			if err != nil {
+				return err
+			}
+			ctx.Barrier()
+			if ctx.Rank() == 0 {
+				b.StartTimer()
+			}
+			s := adapt.Parallel(dm, size, adapt.DefaultOptions())
+			ctx.Barrier()
+			if ctx.Rank() == 0 {
+				b.StopTimer()
+				st = s
+			}
+			return nil
+		})
+		if err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(st.ElemAfter), "elements")
+	b.ReportMetric(float64(st.Splits), "splits")
+}
+
 // BenchmarkFieldEval measures field evaluation inside elements.
 func BenchmarkFieldEval(b *testing.B) {
 	m := meshgen.Box3D(gmi.Box(1, 1, 1), 6, 6, 6)

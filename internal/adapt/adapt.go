@@ -12,8 +12,9 @@
 package adapt
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"github.com/fastmath/pumi-go/internal/gmi"
 	"github.com/fastmath/pumi-go/internal/mesh"
@@ -175,35 +176,63 @@ func substitute(dst, verts []mesh.Ent, from, to mesh.Ent) []mesh.Ent {
 	return dst
 }
 
-// MarkLongEdges returns the edges whose length exceeds the size field's
-// split threshold, longest (relative to the local size) first.
-func MarkLongEdges(m *mesh.Mesh, size SizeField) []mesh.Ent {
-	type cand struct {
-		e   mesh.Ent
-		rel float64
-	}
-	var out []cand
+// scratch holds the buffers one driver call reuses, so marking and
+// collapsing allocate per call, not per round or per operation: the
+// mark candidates, and CollapseEdge's classification records and orphan
+// keys. A driver owns one for its call and keeps nothing past it; the
+// parts of one rank share it, since they adapt one after another.
+type scratch struct {
+	cands []cand
+	recs  []clsRec
+	lower []uint32 // orphan keys, see collapseEdge
+}
+
+// cand is an edge marked for a split or a collapse, with its length
+// relative to the local size.
+type cand struct {
+	e   mesh.Ent
+	rel float64
+}
+
+// eachLong calls yield, in iteration order, for every edge longer than
+// the size field's split threshold, with its relative length. Ghosts are
+// skipped, and with sharedOnly so is every edge off the part boundary,
+// before anything is measured.
+func eachLong(m *mesh.Mesh, size SizeField, sharedOnly bool, yield func(e mesh.Ent, rel float64)) {
 	for e := range m.Iter(1) {
-		if m.IsGhost(e) {
+		if sharedOnly && !m.IsShared(e) || m.IsGhost(e) {
 			continue
 		}
 		l := m.Measure(e)
-		h := size(m.Centroid(e))
-		if h <= 0 {
-			continue
-		}
-		if l > splitFactor*h {
-			out = append(out, cand{e: e, rel: l / h})
+		if h := size(m.Centroid(e)); h > 0 && l > splitFactor*h {
+			yield(e, l/h)
 		}
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].rel != out[j].rel {
-			return out[i].rel > out[j].rel
-		}
-		return out[i].e.Less(out[j].e)
+}
+
+// markLong is MarkLongEdges in the reused candidate buffer. The order
+// is total, so it does not depend on the sort.
+func (sc *scratch) markLong(m *mesh.Mesh, size SizeField) []cand {
+	sc.cands = sc.cands[:0]
+	eachLong(m, size, false, func(e mesh.Ent, rel float64) {
+		sc.cands = append(sc.cands, cand{e: e, rel: rel})
 	})
-	es := make([]mesh.Ent, len(out))
-	for i, c := range out {
+	slices.SortFunc(sc.cands, func(a, b cand) int {
+		if c := cmp.Compare(b.rel, a.rel); c != 0 {
+			return c
+		}
+		return a.e.Compare(b.e)
+	})
+	return sc.cands
+}
+
+// MarkLongEdges returns the edges whose length exceeds the size field's
+// split threshold, longest (relative to the local size) first.
+func MarkLongEdges(m *mesh.Mesh, size SizeField) []mesh.Ent {
+	var sc scratch
+	cands := sc.markLong(m, size)
+	es := make([]mesh.Ent, len(cands))
+	for i, c := range cands {
 		es[i] = c.e
 	}
 	return es
@@ -214,15 +243,19 @@ func MarkLongEdges(m *mesh.Mesh, size SizeField) []mesh.Ent {
 // boundaries are not crossed: shared edges are skipped (the parallel
 // driver localizes them first).
 func Refine(m *mesh.Mesh, size SizeField, tr Transfer, maxRounds int) int {
+	var sc scratch
+	return sc.refine(m, size, tr, maxRounds)
+}
+
+func (sc *scratch) refine(m *mesh.Mesh, size SizeField, tr Transfer, maxRounds int) int {
 	splits := 0
 	for round := 0; round < maxRounds; round++ {
-		marked := MarkLongEdges(m, size)
 		n := 0
-		for _, e := range marked {
-			if !m.Alive(e) || m.IsShared(e) {
+		for _, c := range sc.markLong(m, size) {
+			if !m.Alive(c.e) || m.IsShared(c.e) {
 				continue
 			}
-			SplitEdge(m, e, tr)
+			SplitEdge(m, c.e, tr)
 			n++
 		}
 		splits += n
@@ -238,11 +271,12 @@ func Refine(m *mesh.Mesh, size SizeField, tr Transfer, maxRounds int) int {
 // exhausted), ending with a refinement pass so no long edges remain.
 // It returns total splits and collapses.
 func Adapt(m *mesh.Mesh, size SizeField, tr Transfer, coarsen bool, maxRounds int) (splits, collapses int) {
+	var sc scratch
 	for round := 0; round < maxRounds; round++ {
-		s := Refine(m, size, tr, 3)
+		s := sc.refine(m, size, tr, 3)
 		c := 0
 		if coarsen {
-			c = Coarsen(m, size, tr, 1)
+			c = sc.coarsen(m, size, tr, 1)
 		}
 		splits += s
 		collapses += c
@@ -252,6 +286,6 @@ func Adapt(m *mesh.Mesh, size SizeField, tr Transfer, coarsen bool, maxRounds in
 	}
 	// Ensure the size field is met even if coarsening fired on the
 	// last round.
-	splits += Refine(m, size, tr, maxRounds)
+	splits += sc.refine(m, size, tr, maxRounds)
 	return splits, collapses
 }

@@ -1,9 +1,9 @@
 package adapt
 
 import (
+	"cmp"
 	"math"
 	"slices"
-	"sort"
 
 	"github.com/fastmath/pumi-go/internal/gmi"
 	"github.com/fastmath/pumi-go/internal/mesh"
@@ -111,11 +111,24 @@ func simplexValid(m *mesh.Mesh, t mesh.Type, verts []mesh.Ent) bool {
 	return false
 }
 
+// clsRec is the classification of a lower entity touching a collapsed
+// vertex, keyed by its replacement vertex set.
+type clsRec struct {
+	t  mesh.Type
+	nv [4]mesh.Ent
+	c  gmi.Ref
+}
+
 // CollapseEdge merges removed into kept: elements around the edge are
 // destroyed, the other elements around removed are rebuilt with kept in
 // its place, and removed disappears with its orphaned closure. The
 // caller must have verified CanCollapse.
 func CollapseEdge(m *mesh.Mesh, edge, removed, kept mesh.Ent, tr Transfer) {
+	var sc scratch
+	sc.collapseEdge(m, edge, removed, kept, tr)
+}
+
+func (sc *scratch) collapseEdge(m *mesh.Mesh, edge, removed, kept mesh.Ent, tr Transfer) {
 	if tr != nil {
 		tr.Collapse(m, removed, kept)
 	}
@@ -129,12 +142,7 @@ func CollapseEdge(m *mesh.Mesh, edge, removed, kept mesh.Ent, tr Transfer) {
 	// Record the classification of every lower entity touching the
 	// removed vertex in surviving cavities, keyed by its replacement
 	// vertex set, so boundary sides keep their model classification.
-	type clsRec struct {
-		t  mesh.Type
-		nv [4]mesh.Ent
-		c  gmi.Ref
-	}
-	var recs []clsRec
+	recs := sc.recs[:0]
 	for _, el := range cavity {
 		if hasVert(m, el, kept) {
 			continue
@@ -155,6 +163,7 @@ func CollapseEdge(m *mesh.Mesh, edge, removed, kept mesh.Ent, tr Transfer) {
 			}
 		}
 	}
+	sc.recs = recs
 	// Create replacements first (they share entities with survivors).
 	for _, el := range cavity {
 		if hasVert(m, el, kept) {
@@ -170,23 +179,24 @@ func CollapseEdge(m *mesh.Mesh, edge, removed, kept mesh.Ent, tr Transfer) {
 		}
 	}
 	// Destroy all old elements around removed (including those around
-	// the edge), then cascade orphans down to the removed vertex.
-	var lower []mesh.Ent
+	// the edge), then sweep their orphaned faces and edges, highest
+	// dimension first, then by handle. A key packs that order into the
+	// two bits above the packed handle: (3−dim)<<29 | Ent.Pack().
+	// Vertices other than removed stay, so none is keyed.
+	lower := sc.lower[:0]
 	for _, el := range cavity {
-		for dd := d - 1; dd >= 0; dd-- {
-			lower = m.AdjacentTo(el, dd, lower)
+		for dd := d - 1; dd > 0; dd-- {
+			for _, de := range m.AdjacentTo(el, dd, sideBuf[:0]) {
+				lower = append(lower, uint32(3-dd)<<29|de.Pack())
+			}
 		}
 		m.Destroy(el)
 	}
-	// Orphan sweep, highest dimension first.
-	slices.SortFunc(lower, func(a, b mesh.Ent) int {
-		if a.Dim() != b.Dim() {
-			return b.Dim() - a.Dim()
-		}
-		return a.Compare(b)
-	})
-	for _, e := range lower {
-		if m.Alive(e) && !m.HasUp(e) && e.T != mesh.Vertex {
+	slices.Sort(lower)
+	lower = slices.Compact(lower)
+	sc.lower = lower
+	for _, k := range lower {
+		if e := mesh.UnpackEnt(k); m.Alive(e) && !m.HasUp(e) {
 			m.Destroy(e)
 		}
 	}
@@ -199,14 +209,15 @@ func CollapseEdge(m *mesh.Mesh, edge, removed, kept mesh.Ent, tr Transfer) {
 // maxRounds passes complete, returning the number of collapses. Only
 // part-interior cavities are touched.
 func Coarsen(m *mesh.Mesh, size SizeField, tr Transfer, maxRounds int) int {
+	var sc scratch
+	return sc.coarsen(m, size, tr, maxRounds)
+}
+
+func (sc *scratch) coarsen(m *mesh.Mesh, size SizeField, tr Transfer, maxRounds int) int {
 	collapses := 0
 	var ends [2]mesh.Ent
 	for round := 0; round < maxRounds; round++ {
-		type cand struct {
-			e   mesh.Ent
-			rel float64
-		}
-		var marked []cand
+		marked := sc.cands[:0]
 		for e := range m.Iter(1) {
 			if m.IsGhost(e) {
 				continue
@@ -228,12 +239,15 @@ func Coarsen(m *mesh.Mesh, size SizeField, tr Transfer, maxRounds int) int {
 				marked = append(marked, cand{e: e, rel: l / h})
 			}
 		}
-		sort.Slice(marked, func(i, j int) bool {
-			if marked[i].rel != marked[j].rel {
-				return marked[i].rel < marked[j].rel
+		// Shortest first; the order is total, so it does not depend on
+		// the sort.
+		slices.SortFunc(marked, func(a, b cand) int {
+			if c := cmp.Compare(a.rel, b.rel); c != 0 {
+				return c
 			}
-			return marked[i].e.Less(marked[j].e)
+			return a.e.Compare(b.e)
 		})
+		sc.cands = marked
 		n := 0
 		for _, c := range marked {
 			e := c.e
@@ -243,10 +257,10 @@ func Coarsen(m *mesh.Mesh, size SizeField, tr Transfer, maxRounds int) int {
 			vs := m.DownTo(e, ends[:0])
 			switch {
 			case CanCollapse(m, e, vs[0], vs[1]):
-				CollapseEdge(m, e, vs[0], vs[1], tr)
+				sc.collapseEdge(m, e, vs[0], vs[1], tr)
 				n++
 			case CanCollapse(m, e, vs[1], vs[0]):
-				CollapseEdge(m, e, vs[1], vs[0], tr)
+				sc.collapseEdge(m, e, vs[1], vs[0], tr)
 				n++
 			}
 		}

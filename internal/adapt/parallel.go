@@ -47,6 +47,7 @@ type Stats struct {
 // migration panics: the signature has no error to carry it.
 func Parallel(dm *partition.DMesh, size SizeField, opts Options) Stats {
 	var st Stats
+	var sc scratch
 	st.ElemBefore = partition.GlobalCount(dm, dm.Dim)
 	for round := 0; round < opts.MaxRounds; round++ {
 		st.Rounds = round + 1
@@ -62,9 +63,9 @@ func Parallel(dm *partition.DMesh, size SizeField, opts Options) Stats {
 		// Local modification.
 		var splits, collapses int64
 		for _, part := range dm.Parts {
-			splits += int64(Refine(part.M, size, opts.Transfer, 4))
+			splits += int64(sc.refine(part.M, size, opts.Transfer, 4))
 			if opts.Coarsen {
-				collapses += int64(Coarsen(part.M, size, opts.Transfer, 2))
+				collapses += int64(sc.coarsen(part.M, size, opts.Transfer, 2))
 			}
 		}
 		st.Splits += pcu.SumInt64(dm.Ctx, splits)
@@ -73,7 +74,7 @@ func Parallel(dm *partition.DMesh, size SizeField, opts Options) Stats {
 		// boundary).
 		remaining := int64(0)
 		for _, part := range dm.Parts {
-			remaining += int64(len(MarkLongEdges(part.M, size)))
+			eachLong(part.M, size, false, func(mesh.Ent, float64) { remaining++ })
 		}
 		if pcu.SumInt64(dm.Ctx, remaining) == 0 {
 			break
@@ -84,22 +85,30 @@ func Parallel(dm *partition.DMesh, size SizeField, opts Options) Stats {
 }
 
 // localizeMarked migrates the element cavities of marked part-boundary
-// edges to one residence part each, returning the global number of
-// elements moved (collective). The destination is an extreme of the
-// residence set — the minimum part id, or the maximum when useMax is
-// set. Extreme-directed flow is monotone, so the subround loop
-// terminates; the caller alternates the direction between rounds so a
-// refinement zone sliced across many parts does not cascade entirely
-// into the lowest part id.
+// edges to one residence part each (localizePlans), returning the
+// global number of elements moved (collective).
 func localizeMarked(dm *partition.DMesh, size SizeField, useMax bool) int64 {
-	var res []int32 // residence scratch
-	dest := func(m *mesh.Mesh, e mesh.Ent) int32 {
-		res = m.AppendResidence(e, res[:0])
-		if useMax {
-			return res[len(res)-1]
-		}
-		return res[0]
+	plans := localizePlans(dm, size, useMax)
+	var moved int64
+	for _, plan := range plans {
+		moved += int64(len(plan))
 	}
+	total := pcu.SumInt64(dm.Ctx, moved)
+	if err := partition.TryMigrate(dm, plans); err != nil {
+		panic(err)
+	}
+	return total
+}
+
+// localizePlans sends the element cavity of every marked part-boundary
+// edge to an extreme of the edge's residence set — the minimum part id,
+// or the maximum when useMax is set. An element in several cavities
+// keeps the extreme destination, so the edges may come in any order.
+// Extreme-directed flow is monotone, so the subround loop terminates;
+// the caller alternates the direction between rounds so a refinement
+// zone sliced across many parts does not cascade entirely into the
+// lowest part id.
+func localizePlans(dm *partition.DMesh, size SizeField, useMax bool) []partition.Plan {
 	better := func(a, b int32) bool {
 		if useMax {
 			return a > b
@@ -107,34 +116,31 @@ func localizeMarked(dm *partition.DMesh, size SizeField, useMax bool) int64 {
 		return a < b
 	}
 	plans := make([]partition.Plan, len(dm.Parts))
-	var moved int64
+	var res []int32 // residence scratch
 	var els []mesh.Ent
 	for i, part := range dm.Parts {
 		m := part.M
 		self := m.Part()
-		plans[i] = partition.Plan{}
-		for _, e := range MarkLongEdges(m, size) {
-			if !m.IsShared(e) {
-				continue
+		plan := partition.Plan{}
+		eachLong(m, size, true, func(e mesh.Ent, _ float64) {
+			res = m.AppendResidence(e, res[:0])
+			d := res[0]
+			if useMax {
+				d = res[len(res)-1]
 			}
-			d := dest(m, e)
 			if d == self {
-				continue // cavity gathers here
+				return // cavity gathers here
 			}
 			els = m.AdjacentTo(e, dm.Dim, els[:0])
 			for _, el := range els {
-				if cur, ok := plans[i][el]; !ok || better(d, cur) {
-					plans[i][el] = d
+				if cur, ok := plan[el]; !ok || better(d, cur) {
+					plan[el] = d
 				}
 			}
-		}
-		moved += int64(len(plans[i]))
+		})
+		plans[i] = plan
 	}
-	total := pcu.SumInt64(dm.Ctx, moved)
-	if err := partition.TryMigrate(dm, plans); err != nil {
-		panic(err)
-	}
-	return total
+	return plans
 }
 
 // PredictedElements estimates how many elements one element becomes

@@ -94,7 +94,7 @@ func readManifestFile(dir, name string) (*checkpointManifest, error) {
 // realigns by position.
 func encodePart(p *partition.Part) []byte {
 	m := p.M
-	b := append([]byte(nil), partMagic...)
+	b := append(make([]byte, 0, partBytes(p)), partMagic...)
 	blobLen := len(b)
 	b = appendMesh(le.AppendUint64(b, 0), m)
 	le.PutUint64(b[blobLen:], uint64(len(b)-blobLen-8))
@@ -114,6 +114,20 @@ func encodePart(p *partition.Part) []byte {
 		}
 	}
 	return b
+}
+
+// partBytes is the size of encodePart's result: exact for a part whose
+// mesh has no tag to write, a lower bound otherwise (see meshBytes).
+func partBytes(p *partition.Part) int {
+	m := p.M
+	n := len(partMagic) + 8 + meshBytes(m) + 4 + 8 // magic, blob, part id, counter
+	for d := 0; d <= m.Dim(); d++ {
+		n += 4 + 20*m.Count(d) // count; gid, owner, residence count, this part
+		for e := range m.Iter(d) {
+			n += 4 * m.NRemotes(e)
+		}
+	}
+	return n
 }
 
 // decodePart rebuilds one part from its file contents, returning the
@@ -150,10 +164,15 @@ func decodePart(data []byte, pid int32, model *gmi.Model, dim int) (*partition.P
 	p := partition.NewPart(m)
 	p.RestoreFreshCounter(counter)
 	res := map[mesh.Ent][]int32{}
-	// Every kept residence list is a run of one arena, sized to all the
-	// part ids the rest of the file could hold so it never regrows under
-	// the runs handed out.
-	arena := make([]int32, 0, len(d.b)/4)
+	// Every kept residence list is a run of one arena, sized to the part
+	// ids the rest of a well-formed file holds: what is left after the
+	// dimension counts and 16 fixed bytes per record. A run is capped, so
+	// a corrupt file that outgrows the arena only regrows it.
+	records := 0
+	for dd := 0; dd <= dim; dd++ {
+		records += m.Count(dd)
+	}
+	arena := make([]int32, 0, max(0, (len(d.b)-4*(dim+1)-16*records)/4))
 	for dd := 0; dd <= dim; dd++ {
 		n := d.u32()
 		if d.err != nil {

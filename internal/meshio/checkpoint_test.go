@@ -382,3 +382,38 @@ func TestCheckpointCorruptInputs(t *testing.T) {
 		}
 	})
 }
+
+// TestEncodePartSizedOnce holds encodePart to one buffer of the exact
+// size for a part with no tag to write, and partBytes to a lower bound
+// once tags are written.
+func TestEncodePartSizedOnce(t *testing.T) {
+	err := pcu.Run(2, func(ctx *pcu.Ctx) error {
+		model := gmi.Box(4, 1, 1)
+		var serial *mesh.Mesh
+		var assign []int32
+		if ctx.Rank() == 0 {
+			serial = meshgen.Box3D(model, 4, 2, 2)
+			for el := range serial.Elements() {
+				assign = append(assign, min(int32(serial.Centroid(el).X), 3))
+			}
+		}
+		dm, err := partition.Distribute(ctx, model.Model, 3, serial, assign, 2)
+		if err != nil {
+			return err
+		}
+		for _, p := range dm.Parts {
+			if b := encodePart(p); cap(b) != len(b) {
+				return fmt.Errorf("part %d: untagged encoding of %d bytes in a buffer of %d", p.M.Part(), len(b), cap(b))
+			}
+		}
+		for _, p := range buildDistributed(ctx, 2).Parts {
+			if n, b := partBytes(p), encodePart(p); n >= len(b) {
+				return fmt.Errorf("part %d: tagged encoding of %d bytes, partBytes %d", p.M.Part(), len(b), n)
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}

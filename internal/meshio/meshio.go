@@ -65,20 +65,34 @@ func Write(w io.Writer, m *mesh.Mesh) error {
 	return err
 }
 
-// appendMesh appends m's serialization to b.
+// meshBytes is the size of m's serialization without its tag directory
+// and tag values: exact for a mesh with no tag to write, a lower bound
+// otherwise.
+func meshBytes(m *mesh.Mesh) int {
+	n := len(magicV2) + 4 + 4*(m.Dim()+1) + 4 // dimension, section counts, tag count
+	for t := range mesh.TypeCount {
+		rec := vertexBytes
+		if t != mesh.Vertex {
+			rec = 1 + 4 + 4*t.VertCount() + 5
+		}
+		n += m.CountType(t) * (rec + 1) // and the entity's tag count
+	}
+	return n
+}
+
+// appendMesh appends m's serialization to b, growing it once for all
+// but the tag directory and values.
 func appendMesh(b []byte, m *mesh.Mesh) []byte {
+	b = slices.Grow(b, meshBytes(m))
 	b = append(b, magicV2...)
 	b = le.AppendUint32(b, uint32(m.Dim()))
 
 	// Vertices: assign sequential ids in iteration order; index maps a
 	// vertex slot to its id.
-	var index []uint32
+	index := make([]uint32, m.Reserve(mesh.Vertex, 0))
 	b = le.AppendUint32(b, uint32(m.Count(0)))
 	id := uint32(0)
 	for v := range m.Iter(0) {
-		for int(v.I) >= len(index) {
-			index = append(index, 0)
-		}
 		index[v.I] = id
 		id++
 		p := m.Coord(v)
