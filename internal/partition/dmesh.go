@@ -43,18 +43,14 @@ type Part struct {
 	resIdx [mesh.TypeCount][]int32
 
 	// Ghost bookkeeping: local ghost element -> its home copy, and
-	// local element -> its ghost copies on other parts.
+	// local element -> its ghost copies on other parts; nil when empty.
 	nGhosts   int
 	ghostHome map[mesh.Ent]mesh.RemoteCopyRef
 	ghostsOf  map[mesh.Ent][]mesh.RemoteCopyRef
 }
 
 func newPart(m *mesh.Mesh) *Part {
-	p := &Part{
-		M:         m,
-		ghostHome: map[mesh.Ent]mesh.RemoteCopyRef{},
-		ghostsOf:  map[mesh.Ent][]mesh.RemoteCopyRef{},
-	}
+	p := &Part{M: m}
 	for t := range p.gids {
 		p.reserve(mesh.Type(t), 0) // an adopted or restored mesh: one gid per slot it has
 	}
@@ -317,14 +313,31 @@ func (ph *phase) reserve(from int32) {
 }
 
 // rankBuf returns the next exchange's buffer to rank r, reserved on
-// first use at need[r]. A bulk sender adds its messages to need — a
-// 12-byte (from, to, length) header each, then the payload — and writes
-// them here itself, not through a pair buffer that exchange would copy.
+// first use at need[r].
 func (ph *phase) rankBuf(r int) *pcu.Buffer {
 	b := ph.dm.Ctx.To(r)
 	b.Grow(ph.need[r])
 	ph.need[r] = 0
 	return b
+}
+
+// plan counts a message of size payload bytes to part to into the next
+// exchange's reservation for to's rank: plan and write are how a bulk
+// sender ships with no pair buffer for exchange to copy.
+func (ph *phase) plan(to int32, size int) { ph.need[ph.dm.RankOf(to)] += 12 + size }
+
+// write frames one planned message — from, to, then a length patched in
+// place — straight into the rank buffer, pack filling the payload. A
+// round writes its messages once all are planned, in (from, to) order,
+// the order exchange sends pair buffers in.
+func (ph *phase) write(from, to int32, pack func(*pcu.Buffer)) {
+	b := ph.rankBuf(ph.dm.RankOf(to))
+	b.Int32(from)
+	b.Int32(to)
+	at := b.Len()
+	b.Int32(0)
+	pack(b)
+	b.SetInt32(at, int32(b.Len()-at-4))
 }
 
 // partMsg is one received part-to-part payload.
@@ -338,7 +351,7 @@ type partMsg struct {
 // the phase is then ready for the next round. Collective across ranks.
 //
 // Each rank buffer is reserved once, at the sum of its pairs' 12-byte
-// headers and payloads plus what was written to it directly (rankBuf).
+// headers and payloads plus what was planned for it (plan, write).
 // The rank-level Messages are deliberately never
 // Done: that would park their arrays in Ctx's free list, which after a
 // bulk migration pins about 2.5 MB per rank (+160 B live per element on

@@ -3,8 +3,10 @@ package partition
 import (
 	"cmp"
 	"fmt"
+	"maps"
 	"slices"
 
+	"github.com/fastmath/pumi-go/internal/ds"
 	"github.com/fastmath/pumi-go/internal/gmi"
 	"github.com/fastmath/pumi-go/internal/mesh"
 	"github.com/fastmath/pumi-go/internal/pcu"
@@ -23,6 +25,10 @@ import (
 // entity shared with part q is copied to q. Newly created entities are
 // flagged as ghosts; entities the receiver already holds are untouched.
 // Element ghosts record their home part for tag synchronization.
+//
+// Both rounds ship like a migration: every (part, peer) message is
+// counted, tag values included, before any is written, so that each
+// rank buffer is reserved once at its exact size and written once.
 func Ghost(dm *DMesh, bridgeDim, layers int) {
 	defer dm.Ctx.Span("partition.ghost").End()
 	if bridgeDim < 0 || bridgeDim >= dm.Dim {
@@ -31,89 +37,240 @@ func Ghost(dm *DMesh, bridgeDim, layers int) {
 	if layers < 1 {
 		panic(fmt.Sprintf("partition: bad ghost layer count %d", layers))
 	}
-	d := dm.Dim
 	ph := dm.beginPhase()
+	ships := planGhosts(ph, bridgeDim, layers)
+	writeGhosts(ph, ships)
+	receiveGhosts(dm, ph.exchange())
+	links := planLinks(ph)
+	writeLinks(ph, links)
+	receiveLinks(dm, ph.exchange())
+	// ghostsOf/ghostHome changed without a mesh mutation on the sending
+	// side, so the epoch vector alone cannot catch it: drop the plan.
+	dm.ghostPlan = nil
+}
+
+// ghostShip is one local part's share of Ghost's element shipment: a
+// run per part it shares bridge entities with, in ascending order.
+type ghostShip struct {
+	movable []*ds.Tag // the tags whose values ship
+	runs    []ghostRun
+}
+
+type ghostRun struct {
+	to      int32
+	els     []uint64 // to<<32 | element, ascending
+	closure []uint32 // the elements' downward closure, ascending
+}
+
+// planGhosts collects every local part's runs and counts their messages
+// into the phase. One mark set per part serves the layer walks and the
+// closure walks of all its runs, cleared through the lists it marked.
+func planGhosts(ph *phase, bridgeDim, layers int) []ghostShip {
+	d := ph.dm.Dim
+	ships := make([]ghostShip, len(ph.dm.Parts))
 	var adj []mesh.Ent // adjacency scratch
 	var peers []int32  // remote-part scratch
-	for _, part := range dm.Parts {
+	for li, part := range ph.dm.Parts {
 		m := part.M
 		// Seed: for each neighbor part q, the elements adjacent to
-		// entities shared with q.
-		type seedSet struct {
-			in  mesh.Marks
-			els []uint64 // packed handles; sorted and shipped like a migration's moves
-		}
-		seeds := map[int32]*seedSet{}
+		// entities shared with q, as q<<32 | element: sorted, a run per
+		// neighbor, as a migration's moves. (A shared entity always has
+		// a non-ghost element beside it, so no neighbor's run is empty.)
+		var seeds []uint64
 		for e := range m.PartBoundary(bridgeDim) {
 			adj = m.AdjacentTo(e, d, adj[:0])
 			peers = m.AppendRemoteParts(e, peers[:0])
 			for _, q := range peers {
-				set := seeds[q]
-				if set == nil {
-					set = &seedSet{in: m.NewMarks()}
-					seeds[q] = set
-				}
 				for _, el := range adj {
-					if !m.IsGhost(el) && set.in.Set(el) {
-						set.els = append(set.els, uint64(el.Pack()))
+					if !m.IsGhost(el) {
+						seeds = append(seeds, uint64(q)<<32|uint64(el.Pack()))
 					}
 				}
 			}
 		}
-		qs := make([]int32, 0, len(seeds))
-		for q := range seeds {
-			qs = append(qs, q)
-		}
-		slices.Sort(qs)
-		for _, q := range qs {
-			set := seeds[q]
-			// Expand by BFS over bridge adjacency for extra layers: each
-			// layer's frontier is what the previous one appended.
-			lo := 0
-			for l := 1; l < layers; l++ {
-				hi := len(set.els)
-				for _, el := range set.els[lo:hi] {
-					adj = m.BridgeAdjacentTo(moveEnt(el), bridgeDim, d, adj[:0])
-					for _, nb := range adj {
-						if !m.IsGhost(nb) && set.in.Set(nb) {
-							set.els = append(set.els, uint64(nb.Pack()))
-						}
-					}
-				}
-				lo = hi
+		slices.Sort(seeds)
+		seeds = slices.Compact(seeds)
+		mk := m.NewMarks()
+		var runs []ghostRun
+		bound := 0
+		for lo := 0; lo < len(seeds); {
+			q, hi := destRun(seeds, lo)
+			els := seeds[lo:hi:hi]
+			if layers > 1 {
+				els = addLayers(m, &mk, slices.Clone(els), q, bridgeDim, layers)
 			}
-			slices.Sort(set.els)
-			packGhosts(ph.to(m.Part(), q), part, set.els, d)
+			runs = append(runs, ghostRun{to: q, els: els})
+			bound += closureBound(m, els, d)
+			lo = hi
 		}
+		closure := make([]uint32, 0, bound)
+		movable := movableTags(m)
+		for i := range runs {
+			r := &runs[i]
+			at := len(closure)
+			for _, w := range r.els {
+				closure = appendClosure(closure, m, moveEnt(w), mk.Set)
+			}
+			r.closure = closure[at:]
+			slices.Sort(r.closure)
+			size := headerBytes(movable, d)
+			for _, w := range r.closure {
+				e := mesh.UnpackEnt(w)
+				mk.Clear(e)
+				size += recordSize(m, movable, e, 4)
+			}
+			for _, w := range r.els {
+				size += recordSize(m, movable, moveEnt(w), 4) + 5
+			}
+			ph.plan(r.to, size)
+		}
+		ships[li] = ghostShip{movable: movable, runs: runs}
 	}
-	msgs := ph.exchange()
-	for i := range msgs {
-		unpackGhosts(dm, &msgs[i])
-	}
+	return ships
+}
 
-	// Back-links: each receiver tells the sender where its element
-	// ghosts live, so owners can push tag data. Every ghost a part holds,
-	// from this call or an earlier one, sends its link: the links a part
-	// receives are its whole ghostsOf.
-	for _, part := range dm.Parts {
-		ghosts := make([]uint32, 0, len(part.ghostHome))
-		for g, home := range part.ghostHome {
-			ghosts = append(ghosts, g.Pack())
-			ph.pairNeed[home.Part] += 10
+// addLayers grows a run's seed elements by layers-1 steps of bridge
+// adjacency, breadth first: each layer's frontier is what the previous
+// one appended. It returns the run ascending, and mk as it found it.
+func addLayers(m *mesh.Mesh, mk *mesh.Marks, els []uint64, q int32, bridgeDim, layers int) []uint64 {
+	for _, w := range els {
+		mk.Set(moveEnt(w))
+	}
+	var adj []mesh.Ent
+	for l, lo := 1, 0; l < layers; l++ {
+		hi := len(els)
+		for _, w := range els[lo:hi] {
+			adj = m.BridgeAdjacentTo(moveEnt(w), bridgeDim, m.Dim(), adj[:0])
+			for _, nb := range adj {
+				if !m.IsGhost(nb) && mk.Set(nb) {
+					els = append(els, uint64(q)<<32|uint64(nb.Pack()))
+				}
+			}
 		}
-		ph.reserve(part.M.Part())
-		slices.Sort(ghosts)
-		for _, w := range ghosts {
-			g := mesh.UnpackEnt(w)
-			home := part.ghostHome[g]
-			b := ph.to(part.M.Part(), home.Part)
-			b.Byte(byte(home.Ent.T))
-			b.Int32(home.Ent.I)
-			b.Byte(byte(g.T))
-			b.Int32(g.I)
+		lo = hi
+	}
+	slices.Sort(els)
+	for _, w := range els {
+		mk.Clear(moveEnt(w))
+	}
+	return els
+}
+
+// writeGhosts packs each run as a migration's records, with the owner
+// where the residence goes and, after each element, the sender's handle
+// for the back link.
+func writeGhosts(ph *phase, ships []ghostShip) {
+	for li, part := range ph.dm.Parts {
+		m, sh := part.M, &ships[li]
+		for _, r := range sh.runs {
+			ph.write(m.Part(), r.to, func(b *pcu.Buffer) {
+				packRecords(b, part, ph.dm.Dim, sh.movable, r.closure, r.els,
+					func(e mesh.Ent) { b.Int32(m.Owner(e)) },
+					func(el mesh.Ent) {
+						b.Byte(byte(el.T))
+						b.Int32(el.I)
+					})
+			})
 		}
 	}
-	msgs = ph.exchange()  // sorted by To, like dm.Parts
+}
+
+// ghostArrival is an element ghost created on a part, and its home.
+type ghostArrival struct {
+	e    mesh.Ent
+	home mesh.RemoteCopyRef
+}
+
+// receiveGhosts unpacks the shipment, sorted by (To, From), part by
+// part, and enters the elements it created in the part's ghostHome,
+// made once at its new size.
+func receiveGhosts(dm *DMesh, msgs []partMsg) {
+	var arrived []ghostArrival
+	for _, part := range dm.Parts {
+		arrived = arrived[:0]
+		for ; len(msgs) > 0 && msgs[0].To == part.M.Part(); msgs = msgs[1:] {
+			arrived = unpackGhosts(dm, part, &msgs[0], arrived)
+		}
+		if len(arrived) == 0 {
+			continue
+		}
+		home := make(map[mesh.Ent]mesh.RemoteCopyRef, len(part.ghostHome)+len(arrived))
+		maps.Copy(home, part.ghostHome)
+		for _, a := range arrived {
+			home[a.e] = a.home
+		}
+		part.ghostHome = home
+	}
+}
+
+func unpackGhosts(dm *DMesh, part *Part, msg *partMsg, arrived []ghostArrival) []ghostArrival {
+	m, r := part.M, &msg.Data
+	var owner int32
+	unpackRecords(part, r, dm.Dim, false,
+		func() { owner = r.Int32() },
+		func(e mesh.Ent, created bool) {
+			if created {
+				m.SetGhost(e, true)
+				m.SetOwner(e, owner)
+				part.nGhosts++
+			}
+			if e.Dim() == dm.Dim {
+				home := mesh.Ent{T: mesh.Type(r.Byte()), I: r.Int32()}
+				if created {
+					arrived = append(arrived, ghostArrival{e, mesh.RemoteCopyRef{Part: msg.From, Ent: home}})
+				}
+			}
+		})
+	return arrived
+}
+
+// Back-links: each receiver tells the sender where its element ghosts
+// live, so owners can push tag data. Every ghost a part holds, from this
+// call or an earlier one, sends its link: the links a part receives are
+// its whole ghostsOf. planLinks sorts each part's ghosts into a run per
+// home part, home<<32 | ghost, and counts the 10-byte records;
+// writeLinks writes them.
+func planLinks(ph *phase) [][]uint64 {
+	links := make([][]uint64, len(ph.dm.Parts))
+	for li, part := range ph.dm.Parts {
+		keys := make([]uint64, 0, len(part.ghostHome))
+		for g, home := range part.ghostHome {
+			keys = append(keys, uint64(home.Part)<<32|uint64(g.Pack()))
+		}
+		slices.Sort(keys)
+		for lo := 0; lo < len(keys); {
+			q, hi := destRun(keys, lo)
+			ph.plan(q, 10*(hi-lo))
+			lo = hi
+		}
+		links[li] = keys
+	}
+	return links
+}
+
+func writeLinks(ph *phase, links [][]uint64) {
+	for li, part := range ph.dm.Parts {
+		keys := links[li]
+		for lo := 0; lo < len(keys); {
+			q, hi := destRun(keys, lo)
+			ph.write(part.M.Part(), q, func(b *pcu.Buffer) {
+				for _, k := range keys[lo:hi] {
+					g := moveEnt(k)
+					home := part.ghostHome[g].Ent
+					b.Byte(byte(home.T))
+					b.Int32(home.I)
+					b.Byte(byte(g.T))
+					b.Int32(g.I)
+				}
+			})
+			lo = hi
+		}
+	}
+}
+
+// receiveLinks rebuilds every local part's ghostsOf from the back links
+// it received, sorted by (To, From) like dm.Parts.
+func receiveLinks(dm *DMesh, msgs []partMsg) {
 	var links [][2]uint64 // per back link: element<<32 | the ghost's part, the ghost's handle
 	for _, part := range dm.Parts {
 		links = links[:0]
@@ -126,9 +283,6 @@ func Ghost(dm *DMesh, bridgeDim, layers int) {
 		}
 		part.setGhostsOf(links)
 	}
-	// ghostsOf/ghostHome changed without a mesh mutation on the sending
-	// side, so the epoch vector alone cannot catch it: drop the plan.
-	dm.ghostPlan = nil
 }
 
 // setGhostsOf rebuilds ghostsOf from the part's back links, sorted once
@@ -148,46 +302,6 @@ func (p *Part) setGhostsOf(links [][2]uint64) {
 	}
 }
 
-// packGhosts encodes elements plus closures like migration (packRecords)
-// but with the owner where the residence goes, and after each element
-// the sender's handle for the back link.
-func packGhosts(b *pcu.Buffer, part *Part, els []uint64, d int) {
-	m := part.M
-	seen := m.NewMarks()
-	closure := make([]uint32, 0, closureBound(m, els, d))
-	for _, el := range els {
-		closure = appendClosure(closure, m, moveEnt(el), seen.Set)
-	}
-	slices.Sort(closure)
-	packRecords(b, part, d, closure, els,
-		func(e mesh.Ent) { b.Int32(m.Owner(e)) },
-		func(el mesh.Ent) {
-			b.Byte(byte(el.T))
-			b.Int32(el.I)
-		})
-}
-
-func unpackGhosts(dm *DMesh, msg *partMsg) {
-	part, r := dm.LocalPart(msg.To), &msg.Data
-	m := part.M
-	var owner int32
-	unpackRecords(part, r, dm.Dim, false,
-		func() { owner = r.Int32() },
-		func(e mesh.Ent, created bool) {
-			if created {
-				m.SetGhost(e, true)
-				m.SetOwner(e, owner)
-				part.nGhosts++
-			}
-			if e.Dim() == dm.Dim {
-				home := mesh.Ent{T: mesh.Type(r.Byte()), I: r.Int32()}
-				if created {
-					part.ghostHome[e] = mesh.RemoteCopyRef{Part: msg.From, Ent: home}
-				}
-			}
-		})
-}
-
 // RemoveGhosts deletes every ghost entity from all local parts
 // (collective only in that all ranks typically do it together; purely
 // local otherwise).
@@ -196,11 +310,15 @@ func RemoveGhosts(dm *DMesh) {
 	// Ghosts are owned by their home part; destroying the local copies
 	// is how ghosting ends, so sanctioned for the sanitizer.
 	defer dm.suspendGuards()()
+	most := 0
+	for _, part := range dm.Parts {
+		most = max(most, part.nGhosts)
+	}
+	doomed := make([]mesh.Ent, 0, most)
 	for _, part := range dm.Parts {
 		m := part.M
 		// Elements first, then orphaned lower ghosts, each dimension in
 		// handle order (Iter's).
-		var doomed []mesh.Ent
 		for dd := dm.Dim; dd >= 0; dd-- {
 			doomed = doomed[:0]
 			for e := range m.Iter(dd) {
@@ -213,8 +331,8 @@ func RemoveGhosts(dm *DMesh) {
 			}
 		}
 		part.nGhosts = 0
-		part.ghostHome = map[mesh.Ent]mesh.RemoteCopyRef{}
-		part.ghostsOf = map[mesh.Ent][]mesh.RemoteCopyRef{}
+		part.ghostHome = nil
+		part.ghostsOf = nil
 	}
 	dm.ghostPlan = nil
 }

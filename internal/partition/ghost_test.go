@@ -2,6 +2,7 @@ package partition
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 
 	"github.com/fastmath/pumi-go/internal/ds"
@@ -262,5 +263,100 @@ func TestPtnModelAccessors(t *testing.T) {
 	})
 	if err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestGhostShipmentSizedOnce runs Ghost's two rounds with a tap between
+// writing and delivery (the sequence Ghost runs — keep the two in step)
+// on a mesh whose elements carry int, float-slice and bytes tag values,
+// on every other element: each rank buffer holds exactly the bytes
+// counted for it, in the one array its reservation made, and every
+// ghost decodes its home's values.
+func TestGhostShipmentSizedOnce(t *testing.T) {
+	for _, layers := range []int{1, 2} {
+		err := pcu.Run(2, func(ctx *pcu.Ctx) error {
+			model := gmi.Box(4, 1, 1)
+			dm := distributeByX(ctx, model.Model, func() *mesh.Mesh {
+				return meshgen.Box3D(model, 8, 2, 2)
+			}, 2, 4)
+			want := func(gid int64) (int64, []float64, []byte) {
+				return gid * 13, []float64{float64(gid), 0.5, -float64(gid)}, []byte{byte(gid), 1, 2, 3, byte(gid >> 8)}
+			}
+			for _, part := range dm.Parts {
+				m := part.M
+				id, _ := m.Tags.Create("id", ds.TagInt, 0)
+				grad, _ := m.Tags.Create("grad", ds.TagFloatSlice, 3)
+				flag, _ := m.Tags.Create("flag", ds.TagBytes, 5)
+				for el := range m.Elements() {
+					if gid := part.Gid(el); gid%2 == 0 {
+						i, f, b := want(gid)
+						m.Tags.SetInt(id, el, i)
+						m.Tags.SetFloats(grad, el, f)
+						m.Tags.SetBytes(flag, el, b)
+					}
+				}
+			}
+			// tap returns what the round wrote to each rank, nil where
+			// nothing went.
+			tap := func(need []int) [][]byte {
+				sent := make([][]byte, len(need))
+				for r, n := range need {
+					if n > 0 {
+						sent[r] = ctx.To(r).Raw()
+					}
+				}
+				return sent
+			}
+			ph := dm.beginPhase()
+			ships := planGhosts(ph, 2, layers)
+			need := slices.Clone(ph.need)
+			writeGhosts(ph, ships)
+			if err := sizedOnce(tap(need), need); err != nil {
+				return fmt.Errorf("elements: %v", err)
+			}
+			receiveGhosts(dm, ph.exchange())
+			links := planLinks(ph)
+			need = slices.Clone(ph.need)
+			writeLinks(ph, links)
+			if err := sizedOnce(tap(need), need); err != nil {
+				return fmt.Errorf("back links: %v", err)
+			}
+			receiveLinks(dm, ph.exchange())
+			dm.ghostPlan = nil
+
+			ghosts := 0
+			for _, part := range dm.Parts {
+				m := part.M
+				id, grad, flag := m.Tags.Find("id"), m.Tags.Find("grad"), m.Tags.Find("flag")
+				for el := range m.Elements() {
+					if !m.IsGhost(el) {
+						continue
+					}
+					ghosts++
+					gid := part.Gid(el)
+					i, iok := m.Tags.GetInt(id, el)
+					f, fok := m.Tags.GetFloats(grad, el)
+					b, bok := m.Tags.GetBytes(flag, el)
+					if gid%2 != 0 {
+						if iok || fok || bok {
+							return fmt.Errorf("ghost gid %d carries a value its home has not", gid)
+						}
+						continue
+					}
+					wi, wf, wb := want(gid)
+					if i != wi || !slices.Equal(f, wf) || !slices.Equal(b, wb) {
+						return fmt.Errorf("ghost gid %d decoded %d %v %v, want %d %v %v", gid, i, f, b, wi, wf, wb)
+					}
+				}
+			}
+			if pcu.SumInt64(ctx, int64(ghosts)) == 0 {
+				return fmt.Errorf("no ghosts")
+			}
+			RemoveGhosts(dm)
+			return Verify(dm)
+		})
+		if err != nil {
+			t.Fatalf("layers=%d: %v", layers, err)
+		}
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"slices"
 	"strings"
 
+	"github.com/fastmath/pumi-go/internal/ds"
 	"github.com/fastmath/pumi-go/internal/mesh"
 	"github.com/fastmath/pumi-go/internal/pcu"
 	"github.com/fastmath/pumi-go/internal/vec"
@@ -391,14 +392,14 @@ func (mg *migration) sendContribs(p *moving, words []uint32) {
 
 // Step 3 ships every run of moving elements with its closure, written
 // once, straight into the destination rank's buffer. planShipment
-// collects each run's closure and counts its records, so that a rank
-// buffer is reserved once at the sum of its messages — exact unless
-// entities carry tag values, which the count leaves out; writeShipment
-// writes the messages in (from, to) order, patching each length prefix.
+// collects each run's closure and counts its records with their tag
+// values, so that a rank buffer is reserved once at the exact sum of its
+// messages; writeShipment writes the messages in (from, to) order.
 func (mg *migration) planShipment() {
 	dm, d, ph := mg.dm, mg.dm.Dim, mg.ph
 	for i := range mg.parts {
 		p := &mg.parts[i]
+		movable := movableTags(p.M)
 		// A run ships e only if an element beside e goes there, which put
 		// the run's destination in e's staged residence: a bound on ship,
 		// with a length word per run.
@@ -410,25 +411,25 @@ func (mg *migration) planShipment() {
 		for lo := 0; lo < len(p.moves); {
 			q, hi := destRun(p.moves, lo)
 			at, group := len(ship), int32(lo)+1 // a stamp no other run of this call uses
-			size := 1 + 4*(d+1)                 // empty tag table, level counts
+			size := headerBytes(movable, d)
 			stamp := func(e mesh.Ent) bool {
 				en := p.tab.entry(e)
 				if en.group == group {
 					return false
 				}
 				en.group = group
-				size += recordBytes(e.T, int(en.n))
+				size += recordSize(p.M, movable, e, 4+4*int(en.n))
 				return true
 			}
 			ship = append(ship, 0)
 			for _, mv := range p.moves[lo:hi] {
 				el := moveEnt(mv)
-				size += recordBytes(el.T, 1)
+				size += recordSize(p.M, movable, el, 4+4)
 				ship = appendClosure(ship, p.M, el, stamp)
 			}
 			slices.Sort(ship[at+1:])
 			ship[at] = uint32(len(ship) - at - 1)
-			ph.need[dm.RankOf(q)] += 12 + size
+			ph.plan(q, size)
 			lo = hi
 		}
 		p.ship = ship
@@ -436,20 +437,16 @@ func (mg *migration) planShipment() {
 }
 
 func (mg *migration) writeShipment() {
-	dm, d, ph := mg.dm, mg.dm.Dim, mg.ph
+	d, ph := mg.dm.Dim, mg.ph
 	for i := range mg.parts {
 		p := &mg.parts[i]
-		ship := p.ship
+		ship, movable := p.ship, movableTags(p.M)
 		for lo := 0; lo < len(p.moves); {
 			q, hi := destRun(p.moves, lo)
 			n := int(ship[0])
-			b := ph.rankBuf(dm.RankOf(q))
-			b.Int32(p.M.Part())
-			b.Int32(q)
-			at := b.Len()
-			b.Int32(0)
-			packRecords(b, p.Part, d, ship[1:1+n], p.moves[lo:hi], func(e mesh.Ent) { b.Int32s(p.tab.res(e)) }, nil)
-			b.SetInt32(at, int32(b.Len()-at-4))
+			ph.write(p.M.Part(), q, func(b *pcu.Buffer) {
+				packRecords(b, p.Part, d, movable, ship[1:1+n], p.moves[lo:hi], func(e mesh.Ent) { b.Int32s(p.tab.res(e)) }, nil)
+			})
 			ship, lo = ship[1+n:], hi
 		}
 	}
@@ -462,7 +459,7 @@ func (mg *migration) receiveElements() {
 	// entity; it carries at least one residence part, so no more arrive
 	// than the smallest such record, an edge's, fits in the payloads.
 	for _, msg := range msgs {
-		mg.parts[mg.dm.localIndex(msg.To)].arriving += msg.Data.Remaining() / recordBytes(mesh.Edge, 1)
+		mg.parts[mg.dm.localIndex(msg.To)].arriving += msg.Data.Remaining() / recordBytes(mesh.Edge, 4+4)
 	}
 	for i := range mg.parts {
 		p := &mg.parts[i]
@@ -740,24 +737,36 @@ func appendClosure(words []uint32, m *mesh.Mesh, el mesh.Ent, first func(mesh.En
 	return words
 }
 
-// recordBytes is the size of a packElements record without tag values:
-// type, gid, classification, run, coordinates or down gids, tag count.
-func recordBytes(t mesh.Type, nres int) int {
-	n := 1 + 8 + 1 + 4 + 4 + 4*nres + 1
+// recordBytes is the size of a packRecords record of a type-t entity
+// without tag values, mid packing mid bytes: type, gid, classification,
+// mid, coordinates or down gids, tag count.
+func recordBytes(t mesh.Type, mid int) int {
+	n := 1 + 8 + 1 + 4 + mid + 1
 	if t == mesh.Vertex {
 		return n + 24
 	}
 	return n + 4 + 8*t.DownCount()
 }
 
-// packRecords encodes closure (ascending) and then the elements els,
-// dimension by dimension: a count, then a record each — type, global id,
-// classification, what mid packs (a migrating entity's staged residence,
-// a ghost's owner), coordinates or downward global ids, tag values and,
-// after an element's, what tail packs.
-func packRecords(b *pcu.Buffer, part *Part, d int, closure []uint32, els []uint64, mid, tail func(mesh.Ent)) {
+// recordSize is the size of e's packRecords record, mid packing mid
+// bytes, with its tag values: what a sender counts to reserve a message
+// before writing it.
+func recordSize(m *mesh.Mesh, movable []*ds.Tag, e mesh.Ent, mid int) int {
+	return recordBytes(e.T, mid) + tagValueBytes(m, movable, e)
+}
+
+// headerBytes is the size of what packRecords packs besides its records:
+// the tag table and d+1 level counts.
+func headerBytes(movable []*ds.Tag, d int) int { return tagTableBytes(movable) + 4*(d+1) }
+
+// packRecords encodes the tag table of movable, then closure (ascending)
+// and the elements els, dimension by dimension: a count, then a record
+// each — type, global id, classification, what mid packs (a migrating
+// entity's staged residence, a ghost's owner), coordinates or downward
+// global ids, tag values and, after an element's, what tail packs.
+func packRecords(b *pcu.Buffer, part *Part, d int, movable []*ds.Tag, closure []uint32, els []uint64, mid, tail func(mesh.Ent)) {
 	m := part.M
-	movable := writeTagTable(b, m)
+	writeTagTable(b, movable)
 	var gids []int64 // down-adjacency gid scratch, bulk-packed per entity
 	var down []mesh.Ent
 	record := func(e mesh.Ent) {
@@ -813,7 +822,7 @@ func unpackRecords(part *Part, r *pcu.Reader, d int, reserve bool, mid func(), l
 		n := int(r.Int32())
 		// The level count, capped by what the bytes left could carry,
 		// sizes the mesh: the part may hold some of these already.
-		room := max(0, min(n, r.Remaining()/recordBytes(mesh.Edge, 0)))
+		room := max(0, min(n, r.Remaining()/recordBytes(mesh.Edge, 4)))
 		reserved := mesh.TypeCount
 		for k := 0; k < n; k++ {
 			t := mesh.Type(r.Byte())

@@ -174,9 +174,8 @@ func tappedMigrate(dm *DMesh, plans []Plan) (shipTap, error) {
 // TestShipBytesMatchReference migrates the mixed mesh A -> B -> A and
 // compares the payload every (from, to) pair ships, as step 3 writes it
 // into the rank buffers, with what the packer it replaced (refPackElements,
-// into a buffer of its own) makes of the same run and the same table:
-// untagged, where the reservation is exact, and with tag values, where
-// the length prefix is patched.
+// into a buffer of its own) makes of the same run and the same table,
+// with and without tag values.
 func TestShipBytesMatchReference(t *testing.T) {
 	for _, tagged := range []bool{false, true} {
 		err := pcu.Run(2, func(ctx *pcu.Ctx) error {
@@ -271,14 +270,15 @@ func refPackElements(b *pcu.Buffer, dm *DMesh, partIdx int, els []mesh.Ent, t *r
 			return false
 		}
 		en.group = group
-		size += recordBytes(e.T, int(en.n))
+		size += recordBytes(e.T, 4+4*int(en.n))
 		return true
 	})
 	for _, el := range els {
-		size += recordBytes(el.T, 1)
+		size += recordBytes(el.T, 4+4)
 	}
 	b.Grow(size)
-	movable := writeTagTable(b, m)
+	movable := movableTags(m)
+	writeTagTable(b, movable)
 	var gids []int64
 	var down []mesh.Ent
 	for dd := 0; dd <= d; dd++ {

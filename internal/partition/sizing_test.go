@@ -6,6 +6,7 @@ import (
 	"slices"
 	"testing"
 
+	"github.com/fastmath/pumi-go/internal/ds"
 	"github.com/fastmath/pumi-go/internal/gmi"
 	"github.com/fastmath/pumi-go/internal/mesh"
 	"github.com/fastmath/pumi-go/internal/meshgen"
@@ -15,9 +16,8 @@ import (
 
 // TestPackElementsReservation checks the count planShipment reserves
 // the rank buffers by against the bytes writeShipment then puts in them,
-// over an A->B->A of the mixed mesh: equal when no entity carries a tag
-// value, each buffer still the one array its reservation made, and a
-// lower bound once some do.
+// over an A->B->A of the mixed mesh, with and without tag values: equal,
+// and each buffer still the one array its reservation made.
 func TestPackElementsReservation(t *testing.T) {
 	for _, tagged := range []bool{false, true} {
 		err := pcu.Run(2, func(ctx *pcu.Ctx) error {
@@ -27,22 +27,8 @@ func TestPackElementsReservation(t *testing.T) {
 				if err != nil {
 					return err
 				}
-				over := 0
-				for r, raw := range tap.sent {
-					switch {
-					case raw == nil:
-					case len(raw) < tap.need[r]:
-						return fmt.Errorf("rank %d wrote %d bytes to rank %d, reserved %d", ctx.Rank(), len(raw), r, tap.need[r])
-					case !tagged && len(raw) > tap.need[r]:
-						return fmt.Errorf("untagged: rank %d wrote %d bytes to rank %d, reserved %d", ctx.Rank(), len(raw), r, tap.need[r])
-					case !tagged && cap(raw) != cap(slices.Grow([]byte(nil), len(raw))):
-						return fmt.Errorf("untagged: buffer to rank %d holds %d bytes in an array of %d: not one reservation",
-							r, len(raw), cap(raw))
-					}
-					over += len(raw) - tap.need[r]
-				}
-				if tagged && pcu.SumInt64(ctx, int64(over)) == 0 {
-					return fmt.Errorf("tagged: no buffer outgrew the count made without tag values")
+				if err := sizedOnce(tap.sent, tap.need); err != nil {
+					return fmt.Errorf("rank %d: %v", ctx.Rank(), err)
 				}
 			}
 			return Verify(dm)
@@ -51,6 +37,22 @@ func TestPackElementsReservation(t *testing.T) {
 			t.Fatalf("tagged=%v: %v", tagged, err)
 		}
 	}
+}
+
+// sizedOnce checks rank buffers, nil where nothing went, against the
+// bytes counted for them: each holds exactly its count, in the one array
+// reserving it made.
+func sizedOnce(sent [][]byte, need []int) error {
+	for r, raw := range sent {
+		switch {
+		case raw == nil:
+		case len(raw) != need[r]:
+			return fmt.Errorf("wrote %d bytes to rank %d, reserved %d", len(raw), r, need[r])
+		case cap(raw) != cap(slices.Grow([]byte(nil), len(raw))):
+			return fmt.Errorf("buffer to rank %d holds %d bytes in an array of %d: not one reservation", r, len(raw), cap(raw))
+		}
+	}
+	return nil
 }
 
 // TestPhaseExchangeReservesOnce ships a 1 MB phase of sixteen part pairs
@@ -282,6 +284,74 @@ func TestRepartitionCycleAllocBytes(t *testing.T) {
 		}
 		if allocated*2 > uint64(sent)*7 {
 			return fmt.Errorf("cycle allocated %d B to send %d B: more than 3.5x", allocated, sent)
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestGhostCycleAllocBytes pins what one cycle of the pipeline
+// benchmark's halo workload spends on ghosting, on its quick-size vessel
+// over 2 ranks x 8 parts with a float tag value on every element: one
+// Ghost layer across faces and RemoveGhosts allocate no more than twice
+// the bytes the cycle sends (6.5 times when every (part, peer) message
+// grew a pair buffer of its own that the exchange then copied).
+func TestGhostCycleAllocBytes(t *testing.T) {
+	allocGate(t)
+	const k = 8
+	model := gmi.Vessel(10, 1, 0.6, 1.2)
+	_, err := pcu.RunOpt(2, pcu.Options{StallTimeout: -1}, func(ctx *pcu.Ctx) error {
+		var serial *mesh.Mesh
+		var assign []int32
+		if ctx.Rank() == 0 {
+			serial = meshgen.Vessel3D(model, 18, 6)
+			g, _ := zpart.DualGraph(serial)
+			assign = zpart.MLGraph(g, 2*k)
+		}
+		dm, err := Distribute(ctx, model.Model, 3, serial, assign, k)
+		if err != nil {
+			return err
+		}
+		for _, part := range dm.Parts {
+			u, err := part.M.Tags.Create("u", ds.TagFloat, 0)
+			if err != nil {
+				return err
+			}
+			for el := range part.M.Elements() {
+				part.M.Tags.SetFloat(u, el, float64(part.Gid(el)%1021))
+			}
+		}
+		var allocated uint64
+		var sent int64
+		for range 2 { // the first cycle brings the parts' arrays to size
+			var before, after runtime.MemStats
+			var s0 int64
+			ctx.Barrier()
+			if ctx.Rank() == 0 {
+				runtime.ReadMemStats(&before)
+				s0 = ctx.Stats().OnNodeBytes
+			}
+			ctx.Barrier()
+			Ghost(dm, 2, 1)
+			RemoveGhosts(dm)
+			ctx.Barrier()
+			if ctx.Rank() == 0 {
+				runtime.ReadMemStats(&after)
+				allocated, sent = after.TotalAlloc-before.TotalAlloc, ctx.Stats().OnNodeBytes-s0
+			}
+			ctx.Barrier()
+		}
+		if err := Verify(dm); err != nil {
+			return err
+		}
+		if ctx.Rank() != 0 {
+			return nil
+		}
+		t.Logf("ghost cycle allocated %d B to send %d B (%.2fx)", allocated, sent, float64(allocated)/float64(sent))
+		if allocated > 2*uint64(sent) {
+			return fmt.Errorf("ghost cycle allocated %d B to send %d B: more than 2x", allocated, sent)
 		}
 		return nil
 	})

@@ -13,8 +13,9 @@ import (
 // the receiver (PUMI semantics — a copy carries its tag data). Only
 // scalar and slice numeric tags move; TagAny values are host-local.
 
-// writeTagTable encodes the sender part's movable tag directory.
-func writeTagTable(b *pcu.Buffer, m *mesh.Mesh) []*ds.Tag {
+// movableTags returns the part's tags whose values travel with its
+// entities, in directory order.
+func movableTags(m *mesh.Mesh) []*ds.Tag {
 	var movable []*ds.Tag
 	for _, t := range m.Tags.Tags() {
 		switch t.Kind {
@@ -25,13 +26,26 @@ func writeTagTable(b *pcu.Buffer, m *mesh.Mesh) []*ds.Tag {
 	if len(movable) > 255 {
 		panic("partition: more than 255 movable tags")
 	}
+	return movable
+}
+
+// writeTagTable encodes the sender part's movable tag directory.
+func writeTagTable(b *pcu.Buffer, movable []*ds.Tag) {
 	b.Byte(byte(len(movable)))
 	for _, t := range movable {
 		b.Bytes([]byte(t.Name))
 		b.Byte(byte(t.Kind))
 		b.Int32(int32(t.Size))
 	}
-	return movable
+}
+
+// tagTableBytes is the size of writeTagTable's directory.
+func tagTableBytes(movable []*ds.Tag) int {
+	n := 1
+	for _, t := range movable {
+		n += 4 + len(t.Name) + 1 + 4
+	}
+	return n
 }
 
 // tagSlot pairs a wire tag layout with the locally reconciled tag
@@ -110,6 +124,26 @@ func writeEntityTags(b *pcu.Buffer, m *mesh.Mesh, movable []*ds.Tag, e mesh.Ent)
 			}
 		}
 	}
+}
+
+// tagValueBytes is the size of the entries writeEntityTags packs for e
+// after its count byte: an index and a value per tag e carries.
+func tagValueBytes(m *mesh.Mesh, movable []*ds.Tag, e mesh.Ent) int {
+	n := 0
+	for _, t := range movable {
+		if !m.Tags.Has(t, e) {
+			continue
+		}
+		switch t.Kind {
+		case ds.TagInt, ds.TagFloat:
+			n += 1 + 8
+		case ds.TagIntSlice, ds.TagFloatSlice:
+			n += 1 + 4 + 8*t.Size
+		case ds.TagBytes:
+			n += 1 + 4 + t.Size
+		}
+	}
+	return n
 }
 
 // applyEntityTags decodes and attaches tag values to e. Entries whose
