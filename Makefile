@@ -38,7 +38,10 @@ escape-check:
 # adjacency kernel's (AdjacentTo by direction, FindFromVerts hit/miss,
 # BuildTet fresh/existing; DESIGN.md §9); the zpart rows are the
 # partitioners on the pipeline benchmark's vessel (DualGraph, MLGraph
-# at 16 and 32 parts, PHG). For end-to-end numbers, bash bench/run.sh.
+# at 16 and 32 parts, PHG). The halo step's row is the root package's
+# BenchmarkHaloStep (go test -run '^$' -bench HaloStep -benchmem .: one
+# SyncGhostFloatTag + SyncShared + ReduceShared on halo-offnode's layout,
+# 0 allocs/op). For end-to-end numbers, bash bench/run.sh.
 bench-go:
 	$(GO) test -run '^$$' -bench=. -benchmem ./internal/pcu/ ./internal/mesh/ ./internal/zpart/
 
@@ -57,7 +60,9 @@ bench-go:
 # iterations plus the warm-up. BENCH=BenchmarkAdaptParallel is the adapt
 # stage of adapt-shock, each iteration on a fresh mesh: the profile also
 # holds the untimed set-ups (meshgen, zpart, the scatter), so read the
-# adapt/mesh rows and divide by 21.
+# adapt/mesh rows and divide by 21. BENCH=BenchmarkHaloStep is
+# halo-offnode's solver step: a step allocates nothing, so its profile is
+# the set-up's (the vessel, MLGraph, the scatter, the ghosts).
 BENCH ?= BenchmarkMigration$$
 SAMPLE ?= alloc_space
 memprofile:
@@ -66,10 +71,11 @@ memprofile:
 
 # One-iteration compile-and-run of every benchmark — catches bit-rotted
 # benchmark code without paying for a measurement. Of the root package's
-# paper benchmarks only the migration ones run: the rest take minutes.
+# benchmarks only the pipeline replays (migration, ghosting, the halo
+# step, adaptation) run: the rest take minutes.
 bench-smoke:
 	$(GO) test -run '^$$' -bench=. -benchtime=1x ./internal/pcu/... ./internal/mesh/ ./internal/field/ ./internal/zpart/
-	$(GO) test -run '^$$' -bench 'Migration|RepartitionCycle|Ghosting|AdaptParallel' -benchtime=1x .
+	$(GO) test -run '^$$' -bench 'Migration|RepartitionCycle|Ghosting|HaloStep|AdaptParallel' -benchtime=1x .
 
 # Five seconds of native fuzzing on each decoder of outside bytes: the
 # assignment file, the mesh file with its tag section, a checkpoint's

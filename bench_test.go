@@ -8,6 +8,7 @@ package pumi
 // run reports both the paper's time and balance columns.
 
 import (
+	"fmt"
 	"math"
 	"testing"
 	"time"
@@ -27,7 +28,8 @@ import (
 	"github.com/fastmath/pumi-go/internal/zpart"
 )
 
-// benchVessel caches the serial AAA-surrogate mesh generation.
+// benchVessel generates the serial AAA-surrogate mesh: ns sections of
+// an n-per-ring vessel. Every call generates it anew.
 func benchVessel(b *testing.B, ns, n int) (*gmi.VesselModel, *mesh.Mesh) {
 	b.Helper()
 	model := gmi.Vessel(10, 1, 0.6, 1.2)
@@ -239,19 +241,20 @@ func BenchmarkMigration(b *testing.B) {
 // benchmark's repartition-vessel16 workload: the 31,104-tet vessel on 2
 // on-node ranks x 8 parts, migrated from assignment A (multilevel graph)
 // to B (coordinate bisection) and back, then verified. Only the two
-// TryMigrate calls and Verify run under the timer — plans are built with
-// it stopped, after one warm-up cycle — so B/op / 31,104 is the
-// harness's alloc_bytes_per_element, and `make memprofile
-// BENCH=BenchmarkRepartitionCycle` shows where a cycle's bytes go.
+// TryMigrate calls and Verify run under the timer — the vessel, both
+// partitions and the plans are built with it stopped, after one warm-up
+// cycle — so B/op / 31,104 is the harness's alloc_bytes_per_element at
+// any -benchtime, and `make memprofile BENCH=BenchmarkRepartitionCycle`
+// shows where a cycle's bytes go.
 func BenchmarkRepartitionCycle(b *testing.B) {
 	const k = 8
+	b.StopTimer()
+	b.ReportAllocs()
 	model, serial := benchVessel(b, 36, 12)
 	g, elsA := zpart.DualGraph(serial)
 	assignA := zpart.MLGraph(g, 2*k)
 	in, elsB := zpart.Centroids(serial)
 	assignB := zpart.RCB(in, 2*k)
-	b.ReportAllocs()
-	b.StopTimer()
 	_, err := pcu.RunOn(2, hwtopo.Cluster(1, 2), func(ctx *pcu.Ctx) error {
 		var sm *mesh.Mesh
 		if ctx.Rank() == 0 {
@@ -322,15 +325,38 @@ func BenchmarkRepartitionCycle(b *testing.B) {
 // float tag value on every element, one face-bridged layer built and
 // removed. Only Ghost and RemoveGhosts run under the timer, after one
 // warm-up cycle, so B/op / 31,104 is ghosting's share of the workload's
-// alloc_bytes_per_element, and `make memprofile BENCH=BenchmarkGhosting`
-// shows where it goes.
+// alloc_bytes_per_element at any -benchtime, and `make memprofile
+// BENCH=BenchmarkGhosting` shows where it goes.
 func BenchmarkGhosting(b *testing.B) {
+	b.StopTimer()
+	b.ReportAllocs()
+	onHaloLayout(b, func(ctx *pcu.Ctx, dm *partition.DMesh) error {
+		for i := -1; i < b.N; i++ { // cycle -1 is the warm-up
+			ctx.Barrier()
+			if i >= 0 && ctx.Rank() == 0 {
+				b.StartTimer()
+			}
+			partition.Ghost(dm, 2, 1)
+			partition.RemoveGhosts(dm)
+			ctx.Barrier()
+			if i >= 0 && ctx.Rank() == 0 {
+				b.StopTimer()
+			}
+		}
+		return nil
+	})
+}
+
+// onHaloLayout runs body on every rank of the pipeline benchmark's
+// halo-offnode layout: the 31,104-tet vessel cut by the multilevel graph
+// partitioner into 8 parts on each of 2 ranks on two nodes, a float tag
+// u on every element. The caller's timer is stopped.
+func onHaloLayout(b *testing.B, body func(ctx *pcu.Ctx, dm *partition.DMesh) error) {
+	b.Helper()
 	const k = 8
 	model, serial := benchVessel(b, 36, 12)
 	g, _ := zpart.DualGraph(serial)
 	assign := zpart.MLGraph(g, 2*k)
-	b.ReportAllocs()
-	b.StopTimer()
 	_, err := pcu.RunOn(2, hwtopo.Cluster(2, 1), func(ctx *pcu.Ctx) error {
 		var sm *mesh.Mesh
 		if ctx.Rank() == 0 {
@@ -349,23 +375,74 @@ func BenchmarkGhosting(b *testing.B) {
 				p.M.Tags.SetFloat(u, el, float64(p.Gid(el)%1021))
 			}
 		}
-		for i := -1; i < b.N; i++ { // cycle -1 is the warm-up
-			ctx.Barrier()
-			if i >= 0 && ctx.Rank() == 0 {
-				b.StartTimer()
-			}
-			partition.Ghost(dm, 2, 1)
-			partition.RemoveGhosts(dm)
-			ctx.Barrier()
-			if i >= 0 && ctx.Rank() == 0 {
-				b.StopTimer()
-			}
-		}
-		return nil
+		return body(ctx, dm)
 	})
 	if err != nil {
 		b.Fatal(err)
 	}
+}
+
+// BenchmarkHaloStep replays one solver step of the pipeline benchmark's
+// halo-offnode workload on its layout (onHaloLayout, one face-bridged
+// ghost layer built once): an op is SyncGhostFloatTag of u,
+// SyncShared of the vertex coordinates and ReduceShared of one count per
+// vertex copy. Only the steps run under the timer, after warm-up steps
+// that compile the plans; a step allocates nothing. This is the A/B row
+// for the halo step: `go test -run '^$' -bench HaloStep -benchmem .` in
+// each tree.
+func BenchmarkHaloStep(b *testing.B) {
+	b.StopTimer()
+	b.ReportAllocs()
+	onHaloLayout(b, func(ctx *pcu.Ctx, dm *partition.DMesh) error {
+		partition.Ghost(dm, 2, 1)
+		first := int32(ctx.Rank() * dm.K)
+		acc := make([][]float64, len(dm.Parts)) // per part, by vertex slot
+		for i, p := range dm.Parts {
+			for v := range p.M.Iter(0) {
+				acc[i] = append(acc[i], make([]float64, int(v.I)+1-len(acc[i]))...)
+			}
+		}
+		vertices := []int{0}
+		mismatch := 0
+		packXYZ := func(p *partition.Part, e mesh.Ent, b *pcu.Buffer) {
+			c := p.M.Coord(e)
+			b.Float64(c.X)
+			b.Float64(c.Y)
+			b.Float64(c.Z)
+		}
+		applyXYZ := func(p *partition.Part, e mesh.Ent, r *pcu.Reader) {
+			if (vec.V{X: r.Float64(), Y: r.Float64(), Z: r.Float64()}) != p.M.Coord(e) {
+				mismatch++
+			}
+		}
+		packOne := func(p *partition.Part, e mesh.Ent, b *pcu.Buffer) { b.Float64(1) }
+		applySum := func(p *partition.Part, e mesh.Ent, r *pcu.Reader) {
+			acc[p.M.Part()-first][e.I] += r.Float64()
+		}
+		step := func() {
+			partition.SyncGhostFloatTag(dm, "u")
+			partition.SyncShared(dm, vertices, packXYZ, applyXYZ)
+			partition.ReduceShared(dm, vertices, packOne, applySum)
+		}
+		for i := 0; i < 3; i++ {
+			step()
+		}
+		ctx.Barrier()
+		if ctx.Rank() == 0 {
+			b.StartTimer()
+		}
+		for i := 0; i < b.N; i++ {
+			step()
+		}
+		ctx.Barrier()
+		if ctx.Rank() == 0 {
+			b.StopTimer()
+		}
+		if mismatch != 0 {
+			return fmt.Errorf("rank %d: %d synced coordinates differ from the copy's", ctx.Rank(), mismatch)
+		}
+		return nil
+	})
 }
 
 // --- §III-A: local splitting to extreme part counts ---

@@ -82,8 +82,9 @@ type TagTable[K TagKey] struct {
 	cols    [][]column // [tag id][group]
 	freeIDs []int      // ids of destroyed tags, reused by Create
 
-	// OnSet, when non-nil, observes every tag write before it lands.
-	// The mesh layer hooks pumi-san's owner-only write checking here.
+	// OnSet, when non-nil, observes every tag write before it lands —
+	// once per run for a codec storing through FloatColumn. The mesh
+	// layer hooks pumi-san's owner-only write checking here.
 	OnSet func(K)
 
 	// SlotCount, when non-nil, reports how many slots a group holds
@@ -299,6 +300,22 @@ func (t *TagTable[K]) GetFloat(tag *Tag, key K) (v float64, ok bool) {
 		return 0, false
 	}
 	return c.f[s], true
+}
+
+// FloatColumn returns a float tag's column for one group — values by
+// slot, presence bits (slot s is bit s&63 of bits[s>>6]), the count of
+// set bits; nil if none — for codecs that move a run of keys with one
+// lookup. A caller that has fired OnSet for the run may store into a
+// covered slot: value, bit, and count if the bit was clear. A slot
+// beyond takes a SetFloat, and the column must be looked up again.
+func (t *TagTable[K]) FloatColumn(tag *Tag, group int) (f []float64, bits []uint64, count *int) {
+	mustKind(tag, TagFloat)
+	cols := t.cols[tag.id]
+	if group >= len(cols) {
+		return nil, nil, nil
+	}
+	c := &cols[group]
+	return c.f, c.bits, &c.count
 }
 
 // SetInts attaches a fixed-size integer slice (copied). v may be a

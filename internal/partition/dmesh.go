@@ -21,7 +21,6 @@ import (
 	"github.com/fastmath/pumi-go/internal/mesh"
 	"github.com/fastmath/pumi-go/internal/pcu"
 	"github.com/fastmath/pumi-go/internal/san"
-	"github.com/fastmath/pumi-go/internal/telemetry"
 )
 
 // freshGidBase is the bit position above which part-scoped id ranges
@@ -159,21 +158,14 @@ type DMesh struct {
 	Parts []*Part
 
 	// Compiled boundary-exchange plans (plan.go), cached against the
-	// parts' topology epochs, plus the scratch the planned execution
-	// path reuses so steady-state rounds do not allocate.
-	plans     map[dimsKey]*BoundaryPlan
-	ghostPlan *ghostSyncPlan
-	payload   pcu.Buffer
-	sub       pcu.Reader
+	// parts' topology epochs, plus the sub-reader the planned closure
+	// codec reuses so steady-state rounds do not allocate.
+	plans map[dimsKey]*BoundaryPlan
+	sub   pcu.Reader
 
-	// execNs is the plan-execution latency series, resolved on the first
-	// execPlan round so the steady-state path takes no registry mutex.
-	execNs *telemetry.Histogram
-
-	// nbRanks caches NeighborRanks against the parts' epochs.
-	nbRanks    []int
-	nbEpochs   []uint64
-	nbRanksSet bool
+	// nbRanks caches NeighborRanks against the parts' epochs nbEpochs.
+	nbRanks  []int
+	nbEpochs []uint64
 
 	// resume and resumeAll are suspendGuards scratch, reused per call.
 	resume    []func()

@@ -2,8 +2,10 @@ package partition
 
 import (
 	"cmp"
+	"encoding/binary"
 	"fmt"
 	"maps"
+	"math"
 	"slices"
 
 	"github.com/fastmath/pumi-go/internal/ds"
@@ -46,7 +48,7 @@ func Ghost(dm *DMesh, bridgeDim, layers int) {
 	receiveLinks(dm, ph.exchange())
 	// ghostsOf/ghostHome changed without a mesh mutation on the sending
 	// side, so the epoch vector alone cannot catch it: drop the plan.
-	dm.ghostPlan = nil
+	delete(dm.plans, ghostKey)
 }
 
 // ghostShip is one local part's share of Ghost's element shipment: a
@@ -334,118 +336,89 @@ func RemoveGhosts(dm *DMesh) {
 		part.ghostHome = nil
 		part.ghostsOf = nil
 	}
-	dm.ghostPlan = nil
-}
-
-// ghostSyncPlan is the compiled home-to-ghost push schedule: per local
-// part, CSR runs of home elements to send per peer and of local ghost
-// entities to apply per peer, both in the home-part handle order both
-// sides derive locally from their ghost bookkeeping (ghostsOf on the
-// home side, ghostHome on the ghost side).
-type ghostSyncPlan struct {
-	epochs      []uint64
-	parts       []partPlan
-	returnRanks []int // see BoundaryPlan.returnRanks
-}
-
-// ghostSync returns the cached ghost push plan, recompiling it if the
-// epoch vector moved (Ghost and RemoveGhosts also drop it explicitly,
-// since they edit the ghost bookkeeping of parts whose meshes did not
-// change).
-func (dm *DMesh) ghostSync() *ghostSyncPlan {
-	pl := dm.ghostPlan
-	if dm.planLookup(pl != nil && dm.epochsMatch(pl.epochs)) {
-		return pl
-	}
-	defer dm.Ctx.Span("partition.plan.compile").End()
-	pl = &ghostSyncPlan{
-		epochs: make([]uint64, 0, len(dm.Parts)),
-		parts:  make([]partPlan, len(dm.Parts)),
-	}
-	var sends, recvs []planPair
-	for li, part := range dm.Parts {
-		sends, recvs = sends[:0], recvs[:0]
-		for e, gs := range part.ghostsOf {
-			for _, g := range gs {
-				sends = append(sends, planPair{peer: g.Part, key: e, ent: e})
-			}
-		}
-		for g, home := range part.ghostHome {
-			recvs = append(recvs, planPair{peer: home.Part, key: home.Ent, ent: g})
-		}
-		pp := &pl.parts[li]
-		pp.sendPeers, pp.sendOff, pp.sendEnts = buildCSR(sends)
-		pp.recvPeers, pp.recvOff, pp.recvEnts = buildCSR(recvs)
-	}
-	pl.epochs = dm.recordEpochs(pl.epochs)
-	pl.returnRanks = returnRanks(dm, pl.parts)
-	dm.ghostPlan = pl
-	return pl
+	delete(dm.plans, ghostKey)
 }
 
 // SyncGhostFloatTag pushes the owner's float tag values on elements to
 // all their ghost copies (collective). The tag must exist on every part
-// under the same name. Runs on the cached ghost plan: each planned
-// entry is a presence byte plus the value, in the agreed order, with
-// no per-entity addressing.
+// under the same name; a part without it sends nothing and drops what
+// it receives. Runs on the cached ghost plan: per element a presence
+// byte, then the value when present, read from and stored into the
+// tag's column a run at a time.
 func SyncGhostFloatTag(dm *DMesh, name string) {
-	pl := dm.ghostSync()
-	ctx := dm.Ctx
-	for li := range dm.Parts {
-		part := dm.Parts[li]
-		m := part.M
-		tag := m.Tags.Find(name)
-		if tag == nil {
-			// No tag on this part: no sections. Receivers read only
-			// what arrives, so silence is well-formed.
-			continue
-		}
-		pp := &pl.parts[li]
-		from := m.Part()
-		for pi, q := range pp.sendPeers {
-			b := ctx.To(dm.RankOf(q))
-			b.Int32(from)
-			b.Int32(q)
-			for _, e := range pp.sendEnts[pp.sendOff[pi]:pp.sendOff[pi+1]] {
-				if v, ok := m.Tags.GetFloat(tag, e); ok {
-					b.Byte(1)
-					b.Float64(v)
-				} else {
-					b.Byte(0)
-				}
-			}
-		}
-	}
-	for _, r := range pl.returnRanks {
-		ctx.To(r) // empty return message; see BoundaryPlan.returnRanks
-	}
+	defer dm.Ctx.Span("partition.ghost.sync").End()
+	pl := dm.plan(ghostKey)
 	// Applying the owner's values onto ghost copies is the sanctioned
 	// owner-to-copy direction.
 	defer dm.suspendGuards()()
-	for _, msg := range ctx.Exchange() {
-		for !msg.Data.Empty() {
-			from := msg.Data.Int32()
-			to := msg.Data.Int32()
-			part := dm.LocalPart(to)
-			m := part.M
-			tag := m.Tags.Find(name)
-			pp := &pl.parts[dm.localIndex(to)]
-			j := pp.recvPeerIndex(from)
-			if j < 0 {
-				panic(fmt.Sprintf("partition: ghost plan on part %d expects nothing from part %d (stale plan?)", to, from))
-			}
-			for _, e := range pp.recvEnts[pp.recvOff[j]:pp.recvOff[j+1]] {
-				if msg.Data.Byte() == 0 {
-					continue
-				}
-				v := msg.Data.Float64()
-				if tag != nil {
-					m.Tags.SetFloat(tag, e, v)
-				}
-			}
+	dm.execPlan(pl, planCodec{
+		sends: func(p *Part) bool { return p.M.Tags.Find(name) != nil },
+		pack:  func(p *Part, run []mesh.Ent, b *pcu.Buffer) { packFloats(p.M.Tags, p.M.Tags.Find(name), run, b) },
+		apply: func(p *Part, run []mesh.Ent, r *pcu.Reader) { applyFloats(p.M.Tags, p.M.Tags.Find(name), run, r) },
+	})
+}
+
+// packFloats writes one run of a float tag, looking its column up once
+// per entity type.
+func packFloats(tags *ds.TagTable[mesh.Ent], tag *ds.Tag, run []mesh.Ent, b *pcu.Buffer) {
+	var f []float64
+	var bits []uint64
+	for i, e := range run {
+		if i == 0 || e.T != run[i-1].T {
+			f, bits, _ = tags.FloatColumn(tag, int(e.T))
 		}
-		msg.Data.Done()
+		if s := uint(e.I); s>>6 < uint(len(bits)) && bits[s>>6]&(1<<(s&63)) != 0 {
+			b.Byte(1)
+			b.Float64(f[s])
+		} else {
+			b.Byte(0)
+		}
 	}
+}
+
+// applyFloats stores one run of a float tag decoded from one view of r;
+// an absent value leaves the element as it was, and a nil tag drops the
+// run. The write guard sees the run once: inside the sanctioned window
+// its only check, goroutine confinement, has one verdict for the run.
+func applyFloats(tags *ds.TagTable[mesh.Ent], tag *ds.Tag, run []mesh.Ent, r *pcu.Reader) {
+	if tag != nil && tags.OnSet != nil {
+		tags.OnSet(run[0])
+	}
+	v, at := r.Advance(0), 0
+	var f []float64
+	var bits []uint64
+	var count *int
+	t := mesh.TypeCount // the type whose column f, bits and count are
+	for _, e := range run {
+		n := 1
+		if at < len(v) && v[at] != 0 {
+			n = 9
+		}
+		if at+n > len(v) {
+			r.Advance(at + n) // panics: the run is cut short
+		}
+		at += n
+		if n == 1 || tag == nil {
+			continue
+		}
+		x := math.Float64frombits(binary.LittleEndian.Uint64(v[at-8:]))
+		if e.T != t {
+			t = e.T
+			f, bits, count = tags.FloatColumn(tag, int(t))
+		}
+		s := uint(e.I)
+		if s>>6 >= uint(len(bits)) {
+			tags.SetFloat(tag, e, x) // grows the column; look it up again
+			t = mesh.TypeCount
+			continue
+		}
+		f[s] = x
+		if bit := uint64(1) << (s & 63); bits[s>>6]&bit == 0 {
+			bits[s>>6] |= bit
+			*count++
+		}
+	}
+	r.Advance(at)
 }
 
 func readClassif(r *pcu.Reader) (c gmi.Ref) {

@@ -322,7 +322,7 @@ func TestGhostShipmentSizedOnce(t *testing.T) {
 				return fmt.Errorf("back links: %v", err)
 			}
 			receiveLinks(dm, ph.exchange())
-			dm.ghostPlan = nil
+			delete(dm.plans, ghostKey)
 
 			ghosts := 0
 			for _, part := range dm.Parts {

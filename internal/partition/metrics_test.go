@@ -10,9 +10,9 @@ import (
 
 // TestPlannedExchangeMetered checks a run with no registry installed
 // still feeds the partition layer's live series into its own registry
-// (Ctx.Metrics is never nil): plan compilation and execution latencies
-// from the planned boundary exchange, and migration durations from the
-// initial distribution.
+// (Ctx.Metrics is never nil): plan compilation latencies and the spans
+// of the planned exchanges (sync and ghost push), and migration
+// durations from the initial distribution.
 func TestPlannedExchangeMetered(t *testing.T) {
 	var reg *telemetry.Registry
 	const ranks = 4
@@ -27,7 +27,8 @@ func TestPlannedExchangeMetered(t *testing.T) {
 				func(p *Part, e mesh.Ent, r *pcu.Reader) { _ = r.Float64() })
 		}
 		round()
-		round() // second round hits the cached plan: exec without compile
+		round()                    // second round hits the cached plan: exec without compile
+		SyncGhostFloatTag(dm, "u") // no ghosts, no tag: an empty round
 		return Verify(dm)
 	})
 	if err != nil {
@@ -36,8 +37,11 @@ func TestPlannedExchangeMetered(t *testing.T) {
 	if reg == nil {
 		t.Fatal("Ctx.Metrics is nil in a world with no registry installed")
 	}
-	if n := reg.Histogram("partition.plan.exec.ns").Count(); n < ranks*2 {
-		t.Errorf("plan exec observations = %d, want >= %d", n, ranks*2)
+	if n := reg.Histogram("partition.sync.ns").Count(); n < ranks*2 {
+		t.Errorf("sync span observations = %d, want >= %d", n, ranks*2)
+	}
+	if n := reg.Histogram("partition.ghost.sync.ns").Count(); n < ranks {
+		t.Errorf("ghost push span observations = %d, want >= %d", n, ranks)
 	}
 	if reg.Histogram("partition.plan.compile.ns").Count() == 0 {
 		t.Error("no plan compile durations recorded")

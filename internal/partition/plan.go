@@ -4,7 +4,6 @@ import (
 	"cmp"
 	"fmt"
 	"slices"
-	"time"
 
 	"github.com/fastmath/pumi-go/internal/mesh"
 	"github.com/fastmath/pumi-go/internal/pcu"
@@ -19,18 +18,24 @@ import (
 // agree on without communication — and is cached on the DMesh against
 // the parts' topology epochs, so steady-state rounds are header-free
 // and allocation-free, the star-forest idea of PETSc's SF/DMPlex
-// distribution applied to the paper's part-boundary links.
+// distribution applied to the paper's part-boundary links. The ghost
+// push (SyncGhostFloatTag) is a third direction of the same plan.
 //
 // The order agreement needs no messages: for sync (owner to copies)
 // the owner emits its owned shared entities sorted by its own handle,
 // and each receiver sorts its mirror copies by the owner-side handle
 // its remote-copy link stores — identical keys by link symmetry. For
 // reduce (copies to owner) the roles flip: each sender sorts by the
-// owner-side handle, the owner by its own handle.
+// owner-side handle, the owner by its own handle. For the ghost push
+// the home part sorts its ghosted elements by its own handle and each
+// ghost part sorts its ghosts by the home handle ghostHome records.
 //
 // Planned messages carry, per (from part, to part) section, the two
-// part ids followed by one length-prefixed payload per entity in the
-// agreed order. This is the only boundary wire format: the sanitizer
+// part ids followed by the payload of one peer run, in the agreed
+// order. What a run's payload is belongs to the caller's codec: for
+// SyncShared and ReduceShared one length-prefixed blob per entity, for
+// the ghost push a presence byte per element, followed by its value
+// when present. This is the only boundary wire format: the sanitizer
 // hashes these bytes and guards these writes, and Verify checks the
 // sync schedules against the links themselves.
 
@@ -40,13 +45,11 @@ type planDir uint8
 const (
 	dirSync   planDir = iota // owner -> copies
 	dirReduce                // copies -> owner
+	dirGhost                 // home element -> its ghosts
 )
 
 func (d planDir) String() string {
-	if d == dirSync {
-		return "sync"
-	}
-	return "reduce"
+	return [...]string{dirSync: "sync", dirReduce: "reduce", dirGhost: "ghost"}[d]
 }
 
 // dimsKey identifies one cached plan: a bitmask of entity dimensions
@@ -55,6 +58,9 @@ type dimsKey struct {
 	mask uint8
 	dir  planDir
 }
+
+// ghostKey is the ghost push's plan: elements, home to ghosts.
+var ghostKey = dimsKey{dir: dirGhost}
 
 func dimsMask(dims []int) uint8 {
 	var m uint8
@@ -96,7 +102,6 @@ func (pp *partPlan) recvPeerIndex(part int32) int {
 // direction) pair across all local parts, valid exactly while every
 // part's topology epoch matches the recorded vector.
 type BoundaryPlan struct {
-	dims   uint8
 	dir    planDir
 	epochs []uint64 // per local part, mesh.TopoEpoch at compile time
 	parts  []partPlan
@@ -119,34 +124,22 @@ type planPair struct {
 	ent  mesh.Ent // local entity
 }
 
-// boundaryPlan returns the cached plan for (dims, dir), recompiling it
-// if any local part's topology epoch moved since the last compile.
-// Compilation is purely local — no communication — so ranks may
-// recompile independently without collective hazards.
-func (dm *DMesh) boundaryPlan(dims []int, dir planDir) *BoundaryPlan {
-	key := dimsKey{mask: dimsMask(dims), dir: dir}
-	pl := dm.plans[key]
-	if dm.planLookup(pl != nil && dm.epochsMatch(pl.epochs)) {
+// plan returns the cached plan for key, recompiled if an epoch moved
+// (Ghost and RemoveGhosts drop the ghost plan themselves). Compilation
+// is purely local, so ranks may recompile independently.
+func (dm *DMesh) plan(key dimsKey) *BoundaryPlan {
+	if pl := dm.plans[key]; pl != nil && dm.epochsMatch(pl.epochs) {
+		dm.Ctx.Count("partition.plan.hit", 1)
 		return pl
 	}
+	dm.Ctx.Count("partition.plan.miss", 1)
 	defer dm.Ctx.Span("partition.plan.compile").End()
-	pl = compilePlan(dm, key)
+	pl := compilePlan(dm, key)
 	if dm.plans == nil {
 		dm.plans = map[dimsKey]*BoundaryPlan{}
 	}
 	dm.plans[key] = pl
 	return pl
-}
-
-// planLookup counts one lookup in either plan cache (boundary or ghost)
-// as a hit or a miss and passes the verdict through.
-func (dm *DMesh) planLookup(hit bool) bool {
-	if hit {
-		dm.Ctx.Count("partition.plan.hit", 1)
-	} else {
-		dm.Ctx.Count("partition.plan.miss", 1)
-	}
-	return hit
 }
 
 // compilePlan builds the schedule for every local part. For each
@@ -164,7 +157,6 @@ func (dm *DMesh) planLookup(hit bool) bool {
 // needs no per-entity addressing.
 func compilePlan(dm *DMesh, key dimsKey) *BoundaryPlan {
 	pl := &BoundaryPlan{
-		dims:   key.mask,
 		dir:    key.dir,
 		epochs: make([]uint64, len(dm.Parts)),
 		parts:  make([]partPlan, len(dm.Parts)),
@@ -173,33 +165,32 @@ func compilePlan(dm *DMesh, key dimsKey) *BoundaryPlan {
 	for li, part := range dm.Parts {
 		m := part.M
 		sends, recvs = sends[:0], recvs[:0]
+		if key.dir == dirGhost {
+			for e, gs := range part.ghostsOf {
+				for _, g := range gs {
+					sends = append(sends, planPair{peer: g.Part, key: e, ent: e})
+				}
+			}
+			for g, home := range part.ghostHome {
+				recvs = append(recvs, planPair{peer: home.Part, key: home.Ent, ent: g})
+			}
+		}
+		out, in := &sends, &recvs // the owner's side, the copies' side
+		if key.dir == dirReduce {
+			out, in = in, out
+		}
 		for d := 0; d <= 3; d++ {
 			if key.mask&(1<<d) == 0 {
 				continue
 			}
 			for e := range m.PartBoundary(d) {
 				if m.IsOwned(e) {
-					m.EachRemote(e, func(q int32, h mesh.Ent) bool {
-						if key.dir == dirSync {
-							sends = append(sends, planPair{peer: q, key: e, ent: e})
-						} else {
-							recvs = append(recvs, planPair{peer: q, key: e, ent: e})
-						}
+					m.EachRemote(e, func(q int32, _ mesh.Ent) bool {
+						*out = append(*out, planPair{peer: q, key: e, ent: e})
 						return true
 					})
-					continue
-				}
-				owner := m.Owner(e)
-				h, ok := m.RemoteCopy(e, owner)
-				if !ok {
-					// Owner outside the link set: Verify flags this
-					// state; the exchange skips it.
-					continue
-				}
-				if key.dir == dirSync {
-					recvs = append(recvs, planPair{peer: owner, key: h, ent: e})
-				} else {
-					sends = append(sends, planPair{peer: owner, key: h, ent: e})
+				} else if h, ok := m.RemoteCopy(e, m.Owner(e)); ok { // else Verify flags it
+					*in = append(*in, planPair{peer: m.Owner(e), key: h, ent: e})
 				}
 			}
 		}
@@ -258,30 +249,34 @@ func buildCSR(pairs []planPair) (peers []int32, off []int32, ents []mesh.Ent) {
 	return peers, off, ents
 }
 
+// planCodec is what differs between planned exchanges: how one peer
+// run is packed on the sending part and applied on the receiving one.
+// sends, when set, is asked once per local part whether it sends at
+// all this round.
+type planCodec struct {
+	sends func(p *Part) bool
+	pack  func(p *Part, run []mesh.Ent, b *pcu.Buffer)
+	apply func(p *Part, run []mesh.Ent, r *pcu.Reader)
+}
+
 // execPlan runs one compiled exchange round: pack every send run into
 // the per-rank buffers with (from, to) section framing, exchange, and
 // apply each arriving section against the matching recv run. The
-// steady-state round performs no allocations: the plan, the payload
-// scratch, the sub-reader and the transport buffers are all reused.
-func (dm *DMesh) execPlan(pl *BoundaryPlan, pack func(p *Part, e mesh.Ent, b *pcu.Buffer), apply func(p *Part, e mesh.Ent, r *pcu.Reader)) {
+// steady-state round performs no allocations: the plan, the sub-reader
+// and the transport buffers are all reused.
+func (dm *DMesh) execPlan(pl *BoundaryPlan, c planCodec) {
 	ctx := dm.Ctx
-	if dm.execNs == nil {
-		dm.execNs = ctx.Metrics().Histogram("partition.plan.exec.ns")
-	}
-	start := time.Now()
-	for li := range dm.Parts {
-		part := dm.Parts[li]
+	for li, part := range dm.Parts {
+		if c.sends != nil && !c.sends(part) {
+			continue // receivers read only what arrives
+		}
 		pp := &pl.parts[li]
 		from := part.M.Part()
 		for pi, q := range pp.sendPeers {
 			b := ctx.To(dm.RankOf(q))
 			b.Int32(from)
 			b.Int32(q)
-			for _, e := range pp.sendEnts[pp.sendOff[pi]:pp.sendOff[pi+1]] {
-				dm.payload.Reset()
-				pack(part, e, &dm.payload)
-				b.Bytes(dm.payload.Raw())
-			}
+			c.pack(part, pp.sendEnts[pp.sendOff[pi]:pp.sendOff[pi+1]], b)
 		}
 	}
 	for _, r := range pl.returnRanks {
@@ -298,16 +293,31 @@ func (dm *DMesh) execPlan(pl *BoundaryPlan, pack func(p *Part, e mesh.Ent, b *pc
 				panic(fmt.Sprintf("partition: %s plan on part %d expects nothing from part %d (stale plan?)",
 					pl.dir, to, from))
 			}
-			for _, e := range pp.recvEnts[pp.recvOff[j]:pp.recvOff[j+1]] {
-				dm.sub.Reset(msg.Data.BytesNoCopy())
-				apply(part, e, &dm.sub)
-			}
+			c.apply(part, pp.recvEnts[pp.recvOff[j]:pp.recvOff[j+1]], msg.Data)
 		}
 		msg.Data.Done()
 	}
-	dm.execNs.Observe(ctx.Rank(), int64(time.Since(start)))
 }
 
-// dimScratch lets Verify take single-dim subslices without allocating
-// per call.
-var dimScratch = [4]int{0, 1, 2, 3}
+// closureCodec runs SyncShared's and ReduceShared's per-entity
+// callbacks over a run: each payload is packed straight into the rank
+// buffer behind a length placeholder, patched once pack returns, and
+// applied from a sub-reader over exactly its bytes.
+func (dm *DMesh) closureCodec(pack func(p *Part, e mesh.Ent, b *pcu.Buffer), apply func(p *Part, e mesh.Ent, r *pcu.Reader)) planCodec {
+	return planCodec{
+		pack: func(p *Part, run []mesh.Ent, b *pcu.Buffer) {
+			for _, e := range run {
+				at := b.Len()
+				b.Int32(0)
+				pack(p, e, b)
+				b.SetInt32(at, int32(b.Len()-at-4))
+			}
+		},
+		apply: func(p *Part, run []mesh.Ent, r *pcu.Reader) {
+			for _, e := range run {
+				dm.sub.Reset(r.BytesNoCopy())
+				apply(p, e, &dm.sub)
+			}
+		},
+	}
+}

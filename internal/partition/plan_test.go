@@ -1,9 +1,14 @@
 package partition
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
+	"fmt"
+	"slices"
 	"strings"
 	"testing"
 
+	"github.com/fastmath/pumi-go/internal/ds"
 	"github.com/fastmath/pumi-go/internal/gmi"
 	"github.com/fastmath/pumi-go/internal/mesh"
 	"github.com/fastmath/pumi-go/internal/meshgen"
@@ -326,7 +331,7 @@ func TestCheckPlansDetectsCorruptPlan(t *testing.T) {
 					if err := Verify(dm); err != nil {
 						return err
 					}
-					pl := dm.boundaryPlan([]int{0}, dirSync)
+					pl := dm.plan(dimsKey{1, dirSync})
 					hit := tc.corrupt(&pl.parts[0])
 					if !pcu.Allreduce(ctx, hit, func(a, b bool) bool { return a || b }) {
 						t.Errorf("no rank had a recv run to corrupt")
@@ -339,7 +344,6 @@ func TestCheckPlansDetectsCorruptPlan(t *testing.T) {
 						t.Errorf("rank %d: Verify reported %q, want %q", ctx.Rank(), err, tc.want)
 					}
 					clear(dm.plans)
-					dm.ghostPlan = nil
 					return Verify(dm)
 				})
 				if err != nil {
@@ -347,5 +351,248 @@ func TestCheckPlansDetectsCorruptPlan(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// TestPlannedWireGolden pins the bytes every planned exchange puts on
+// the wire: one ghost push, one sync round (vertices and edges, payloads
+// of two lengths) and one reduce round on a vertex-ghosted box of 2
+// ranks x 2 parts, where every third element is untagged (presence byte
+// 0) and part 3 lacks the tag altogether (no sections from it, arriving
+// sections decoded and dropped). The bytes are read from the rank
+// buffers themselves: each is grown before the round and filled with
+// 0x00, then with 0xff before an identical second round, so what the
+// round wrote is the prefix on which the two fills agree.
+func TestPlannedWireGolden(t *testing.T) {
+	const ranks, tapCap = 2, 1 << 16
+	want := [3]string{
+		"7a1b71fc83eb3a27b32f876cbed84d9e61c110a66d2ea33313bd425f943e5deb", // ghost push
+		"9c9b7873a96c6d98b72d5435f389ac3ec524747619b0c8655113c7cd856b21ab", // sync
+		"10e28652cfa04b964954c0a2c32f3d08150d23d27f4266d8a2ddfaab1d1185b6", // reduce
+	}
+	var sent [3][ranks][ranks][]byte // round, sending rank, receiving rank
+	err := pcu.Run(ranks, func(ctx *pcu.Ctx) error {
+		model := gmi.Box(2, 1, 1)
+		dm := distributeByX(ctx, model.Model, func() *mesh.Mesh {
+			return meshgen.Box3D(model, 4, 2, 2)
+		}, 2, 2)
+		for _, part := range dm.Parts {
+			m := part.M
+			u, err := m.Tags.Create("u", ds.TagFloat, 0)
+			if err != nil {
+				return err
+			}
+			for el := range m.Elements() {
+				if g := part.Gid(el); g%3 != 0 {
+					m.Tags.SetFloat(u, el, float64(g)+0.5)
+				}
+			}
+		}
+		Ghost(dm, 0, 1)
+		// Ghosting ships the tag to every part that receives a tagged
+		// element, so part 3 drops it afterwards.
+		if ctx.Rank() == 1 {
+			m := dm.LocalPart(3).M
+			m.Tags.Destroy(m.Tags.Find("u"))
+		}
+		rounds := [3]func(){
+			func() { SyncGhostFloatTag(dm, "u") },
+			func() {
+				SyncShared(dm, []int{0, 1},
+					func(p *Part, e mesh.Ent, b *pcu.Buffer) {
+						b.Int64(p.Gid(e))
+						if e.Dim() == 1 {
+							b.Byte(byte(p.M.Part()))
+						}
+					},
+					func(p *Part, e mesh.Ent, r *pcu.Reader) {
+						r.Int64()
+						if e.Dim() == 1 {
+							r.Byte()
+						}
+					})
+			},
+			func() {
+				ReduceShared(dm, []int{0},
+					func(p *Part, e mesh.Ent, b *pcu.Buffer) { b.Int32(p.M.Part()) },
+					func(p *Part, e mesh.Ent, r *pcu.Reader) { r.Int32() })
+			},
+		}
+		// tapped runs one round over filled rank buffers and copies out
+		// their whole capacity before any rank can reuse an array.
+		tapped := func(round func(), fill byte) [][]byte {
+			arrs := make([][]byte, ranks)
+			for r := range arrs {
+				b := ctx.To(r)
+				b.Grow(tapCap)
+				arrs[r] = b.Raw()[:tapCap]
+				for i := range arrs[r] {
+					arrs[r][i] = fill
+				}
+			}
+			round()
+			for r := range arrs {
+				arrs[r] = slices.Clone(arrs[r])
+			}
+			ctx.Barrier()
+			return arrs
+		}
+		for i, round := range rounds {
+			lo, hi := tapped(round, 0x00), tapped(round, 0xff)
+			for r := range lo {
+				n := 0
+				for n < tapCap && lo[r][n] == hi[r][n] {
+					n++
+				}
+				if n == tapCap {
+					return fmt.Errorf("round %d: rank %d wrote past the %d-byte tap", i, ctx.Rank(), tapCap)
+				}
+				sent[i][ctx.Rank()][r] = lo[r][:n]
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, name := range []string{"ghost", "sync", "reduce"} {
+		h := sha256.New()
+		total := 0
+		for from := range sent[i] {
+			for to, b := range sent[i][from] {
+				fmt.Fprintf(h, "%d>%d:%d;", from, to, len(b))
+				h.Write(b)
+				total += len(b)
+			}
+		}
+		if got := hex.EncodeToString(h.Sum(nil)); got != want[i] {
+			t.Errorf("%s round: %d bytes hash to %s, want %s", name, total, got, want[i])
+		}
+	}
+}
+
+// TestFloatRunCodec round-trips runs of a float tag through the ghost
+// push's codec on one mesh, from tag u into tag w: a run alternating
+// vertices and edges (one column lookup per change of type), untagged
+// entities (presence byte 0), a destination group with no column yet
+// (grown by its first store) and one whose column already holds values.
+// The write guard hook fires once for the run and once in the SetFloat
+// that grows the vertex column, and CountTagged follows the bits set in
+// place.
+func TestFloatRunCodec(t *testing.T) {
+	m := meshgen.Box3D(gmi.Box(1, 1, 1), 2, 2, 2)
+	u, _ := m.Tags.Create("u", ds.TagFloat, 0)
+	w, _ := m.Tags.Create("w", ds.TagFloat, 0)
+	var run []mesh.Ent
+	var edges []mesh.Ent
+	for e := range m.Iter(1) {
+		edges = append(edges, e)
+	}
+	i := 0
+	for v := range m.Iter(0) {
+		run = append(run, v, edges[i])
+		if i%2 == 0 {
+			m.Tags.SetFloat(u, v, float64(i))
+		}
+		if i%3 == 0 {
+			m.Tags.SetFloat(u, edges[i], -float64(i))
+		}
+		if i%4 == 0 {
+			m.Tags.SetFloat(w, edges[i], 99)
+		}
+		i++
+	}
+	var b pcu.Buffer
+	packFloats(m.Tags, u, run, &b)
+	hooked := 0
+	m.Tags.OnSet = func(mesh.Ent) { hooked++ }
+	r := pcu.NewReader(b.Raw())
+	applyFloats(m.Tags, w, run, r)
+	r.Done()
+	if hooked != 2 {
+		t.Errorf("write guard hook fired %d times, want 2: the run and the column growth", hooked)
+	}
+	tagged := 0
+	for j, e := range run {
+		want, ok := m.Tags.GetFloat(u, e)
+		if !ok && e.Dim() == 1 && (j/2)%4 == 0 {
+			want, ok = 99, true // absent: the old value stays
+		}
+		got, gok := m.Tags.GetFloat(w, e)
+		if gok != ok || got != want {
+			t.Errorf("%v: w = %v (%v), want %v (%v)", e, got, gok, want, ok)
+		}
+		if ok {
+			tagged++
+		}
+	}
+	if n := m.Tags.CountTagged(w); n != tagged {
+		t.Errorf("CountTagged(w) = %d, want %d", n, tagged)
+	}
+
+	// A run cut short inside a value, or before a presence byte, fails
+	// with the reader's underflow diagnostic, whether the part keeps
+	// the values or drops them.
+	for _, cut := range []int{1, 8, 9} {
+		for _, tag := range []*ds.Tag{w, nil} {
+			func() {
+				defer func() {
+					if msg := fmt.Sprint(recover()); !strings.Contains(msg, "pcu: message underflow") {
+						t.Errorf("run cut by %d bytes (tag %v): got %q, want the underflow diagnostic", cut, tag != nil, msg)
+					}
+				}()
+				applyFloats(m.Tags, tag, run, pcu.NewReader(b.Raw()[:b.Len()-cut]))
+			}()
+		}
+	}
+}
+
+// TestPlannedSectionFromUnexpectedPeer feeds each codec a section its
+// cached plan does not expect — the receiving part's recv runs are
+// renamed away from the real peers — and requires the one executor's
+// "stale plan?" diagnostic rather than a misapplied payload.
+func TestPlannedSectionFromUnexpectedPeer(t *testing.T) {
+	for _, dir := range []planDir{dirGhost, dirSync} {
+		t.Run(dir.String(), func(t *testing.T) {
+			err := pcu.Run(2, func(ctx *pcu.Ctx) error {
+				model := gmi.Box(2, 1, 1)
+				dm := distributeByX(ctx, model.Model, func() *mesh.Mesh {
+					return meshgen.Box3D(model, 2, 2, 2)
+				}, 1, 2)
+				for _, part := range dm.Parts {
+					u, _ := part.M.Tags.Create("u", ds.TagFloat, 0)
+					for el := range part.M.Elements() {
+						part.M.Tags.SetFloat(u, el, 1)
+					}
+				}
+				Ghost(dm, 0, 1)
+				round := func() {
+					if dir == dirGhost {
+						SyncGhostFloatTag(dm, "u")
+						return
+					}
+					SyncShared(dm, []int{0},
+						func(p *Part, e mesh.Ent, b *pcu.Buffer) { b.Int64(p.Gid(e)) },
+						func(p *Part, e mesh.Ent, r *pcu.Reader) { r.Int64() })
+				}
+				round() // compiles the plan
+				if ctx.Rank() == 1 {
+					key := ghostKey
+					if dir == dirSync {
+						key = dimsKey{mask: 1, dir: dirSync}
+					}
+					pp := &dm.plans[key].parts[0]
+					for j := range pp.recvPeers {
+						pp.recvPeers[j] += 100
+					}
+				}
+				round()
+				return nil
+			})
+			want := fmt.Sprintf("%s plan on part 1 expects nothing from part 0 (stale plan?)", dir)
+			if err == nil || !strings.Contains(err.Error(), want) {
+				t.Errorf("got %v, want %q", err, want)
+			}
+		})
 	}
 }

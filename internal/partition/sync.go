@@ -21,11 +21,10 @@ import (
 // mesh guards stay attached.
 func SyncShared(dm *DMesh, dims []int, pack func(p *Part, e mesh.Ent, b *pcu.Buffer), apply func(p *Part, e mesh.Ent, r *pcu.Reader)) {
 	defer dm.Ctx.Span("partition.sync").End()
-	pl := dm.boundaryPlan(dims, dirSync)
 	// The apply side writes owner data onto copies this part does not
 	// own — the point of the protocol, so sanctioned for the sanitizer.
 	defer dm.suspendGuards()()
-	dm.execPlan(pl, pack, apply)
+	dm.execPlan(dm.plan(dimsKey{dimsMask(dims), dirSync}), dm.closureCodec(pack, apply))
 }
 
 // ReduceShared is the inverse pattern: every non-owner copy sends its
@@ -36,8 +35,7 @@ func SyncShared(dm *DMesh, dims []int, pack func(p *Part, e mesh.Ent, b *pcu.Buf
 // SyncShared.
 func ReduceShared(dm *DMesh, dims []int, pack func(p *Part, e mesh.Ent, b *pcu.Buffer), apply func(p *Part, e mesh.Ent, r *pcu.Reader)) {
 	defer dm.Ctx.Span("partition.reduce").End()
-	pl := dm.boundaryPlan(dims, dirReduce)
-	dm.execPlan(pl, pack, apply)
+	dm.execPlan(dm.plan(dimsKey{dimsMask(dims), dirReduce}), dm.closureCodec(pack, apply))
 }
 
 // NeighborRanks returns the ranks this rank's parts communicate with,
@@ -46,19 +44,18 @@ func ReduceShared(dm *DMesh, dims []int, pack func(p *Part, e mesh.Ent, b *pcu.B
 // calls between boundary mutations return the same backing slice with
 // no allocations. Callers must treat it as read-only.
 func NeighborRanks(dm *DMesh) []int {
-	if dm.nbRanksSet && dm.epochsMatch(dm.nbEpochs) {
+	if dm.epochsMatch(dm.nbEpochs) {
 		return dm.nbRanks
 	}
-	dm.nbRanks = dm.nbRanks[:0]
+	dm.nbRanks, dm.nbEpochs = dm.nbRanks[:0], dm.nbEpochs[:0]
 	for _, part := range dm.Parts {
+		dm.nbEpochs = append(dm.nbEpochs, part.M.TopoEpoch())
 		for _, q := range part.M.NeighborParts(0) {
 			dm.nbRanks = append(dm.nbRanks, dm.RankOf(q))
 		}
 	}
 	slices.Sort(dm.nbRanks)
 	dm.nbRanks = slices.Compact(dm.nbRanks)
-	dm.nbEpochs = dm.recordEpochs(dm.nbEpochs)
-	dm.nbRanksSet = true
 	return dm.nbRanks
 }
 
@@ -74,14 +71,4 @@ func (dm *DMesh) epochsMatch(epochs []uint64) bool {
 		}
 	}
 	return true
-}
-
-// recordEpochs stores every local part's current topology epoch into
-// dst (reused across calls).
-func (dm *DMesh) recordEpochs(dst []uint64) []uint64 {
-	dst = dst[:0]
-	for _, p := range dm.Parts {
-		dst = append(dst, p.M.TopoEpoch())
-	}
-	return dst
 }

@@ -42,7 +42,7 @@ func Verify(dm *DMesh) error {
 	var plans [3]*BoundaryPlan
 	if !v.unknownPart {
 		for d := 0; d < dm.Dim; d++ {
-			plans[d] = dm.boundaryPlan(dimScratch[d:d+1], dirSync)
+			plans[d] = dm.plan(dimsKey{1 << d, dirSync})
 		}
 	}
 	v.pack(&plans)

@@ -254,6 +254,17 @@ func (r *Reader) Float64() float64 {
 	return v
 }
 
+// Advance consumes n bytes, checked like every decode, and returns the
+// bytes still unread: a bulk decoder views them with Advance(0) and
+// consumes what it used with Advance(used); one whose view runs short
+// asks for what it needs and fails with the underflow diagnostic. The
+// view aliases the message, like BytesNoCopy: read-only, dead at Done.
+func (r *Reader) Advance(n int) []byte {
+	r.need(n)
+	r.off += n
+	return r.data[r.off:len(r.data):len(r.data)]
+}
+
 // lenPrefix decodes a length prefix and validates it against the bytes
 // actually remaining (elemSize bytes per element) BEFORE the caller
 // allocates, so a corrupt or hostile prefix yields a bounded diagnostic

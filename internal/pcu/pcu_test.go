@@ -302,6 +302,26 @@ func TestReaderUnderflowPanics(t *testing.T) {
 	NewReader([]byte{1, 2}).Int32()
 }
 
+// TestReaderAdvance: Advance(0) views the unread bytes without
+// consuming them, Advance(n) consumes n and views the rest, and asking
+// for more than remains is the ordinary underflow diagnostic.
+func TestReaderAdvance(t *testing.T) {
+	r := NewReader([]byte{1, 2, 3, 4, 5})
+	r.Byte()
+	if v := r.Advance(0); !slices.Equal(v, []byte{2, 3, 4, 5}) || r.Remaining() != 4 {
+		t.Fatalf("Advance(0) = %v with %d left, want [2 3 4 5] with 4", v, r.Remaining())
+	}
+	if v := r.Advance(3); !slices.Equal(v, []byte{5}) || cap(v) != 1 {
+		t.Fatalf("Advance(3) = %v (cap %d), want [5] capped at 1", v, cap(v))
+	}
+	defer func() {
+		if msg := fmt.Sprint(recover()); !strings.Contains(msg, "message underflow: need 2 bytes, have 1") {
+			t.Fatalf("Advance past the end: %q, want the underflow diagnostic", msg)
+		}
+	}()
+	r.Advance(2)
+}
+
 func TestBufferSealedAfterExchange(t *testing.T) {
 	err := Run(2, func(c *Ctx) error {
 		b := c.To(1 - c.Rank())
