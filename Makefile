@@ -60,7 +60,10 @@ bench-go:
 # iterations plus the warm-up. BENCH=BenchmarkAdaptParallel is the adapt
 # stage of adapt-shock, each iteration on a fresh mesh: the profile also
 # holds the untimed set-ups (meshgen, zpart, the scatter), so read the
-# adapt/mesh rows and divide by 21. BENCH=BenchmarkHaloStep is
+# adapt/mesh rows and divide by 21. BENCH=BenchmarkAdaptShockCycle is a
+# whole adapt-shock cycle (adapt, split, rebalance, checkpoint save and
+# load, verify), each iteration on a fresh mesh: read it the same way.
+# BENCH=BenchmarkHaloStep is
 # halo-offnode's solver step: a step allocates nothing, so its profile is
 # the set-up's (the vessel, MLGraph, the scatter, the ghosts).
 BENCH ?= BenchmarkMigration$$
@@ -72,10 +75,10 @@ memprofile:
 # One-iteration compile-and-run of every benchmark — catches bit-rotted
 # benchmark code without paying for a measurement. Of the root package's
 # benchmarks only the pipeline replays (migration, ghosting, the halo
-# step, adaptation) run: the rest take minutes.
+# step, adaptation, the adapt-shock cycle) run: the rest take minutes.
 bench-smoke:
 	$(GO) test -run '^$$' -bench=. -benchtime=1x ./internal/pcu/... ./internal/mesh/ ./internal/field/ ./internal/zpart/
-	$(GO) test -run '^$$' -bench 'Migration|RepartitionCycle|Ghosting|HaloStep|AdaptParallel' -benchtime=1x .
+	$(GO) test -run '^$$' -bench 'Migration|RepartitionCycle|Ghosting|HaloStep|AdaptParallel|AdaptShockCycle' -benchtime=1x .
 
 # Five seconds of native fuzzing on each decoder of outside bytes: the
 # assignment file, the mesh file with its tag section, a checkpoint's

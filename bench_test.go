@@ -21,6 +21,7 @@ import (
 	"github.com/fastmath/pumi-go/internal/hwtopo"
 	"github.com/fastmath/pumi-go/internal/mesh"
 	"github.com/fastmath/pumi-go/internal/meshgen"
+	"github.com/fastmath/pumi-go/internal/meshio"
 	"github.com/fastmath/pumi-go/internal/parma"
 	"github.com/fastmath/pumi-go/internal/partition"
 	"github.com/fastmath/pumi-go/internal/pcu"
@@ -607,6 +608,57 @@ func BenchmarkAdaptRefine(b *testing.B) {
 	}
 }
 
+// shockBox is the box of the pipeline benchmark's adapt-shock workload,
+// and shockSize its size field at offset 0 (bench/ is a module of its
+// own): fine inside a slanted band, coarse outside.
+const shockBox = 8
+
+func shockSize(p vec.V) float64 {
+	if math.Abs(p.X+0.35*p.Y-0.5*(1+0.35)) < 0.08 {
+		return 0.62 / shockBox
+	}
+	return 3.0 / shockBox
+}
+
+// onShockBox runs body on 2 on-node ranks x 4 parts holding a freshly
+// distributed Box3D(shockBox) cut by RCB into 8 parts — adapt-shock's
+// starting mesh — with the set-up untimed.
+func onShockBox(b *testing.B, body func(ctx *pcu.Ctx, dm *partition.DMesh) error) {
+	model := gmi.Box(1, 1, 1)
+	_, err := pcu.RunOn(2, hwtopo.Cluster(1, 2), func(ctx *pcu.Ctx) error {
+		var serial *mesh.Mesh
+		var assign []int32
+		if ctx.Rank() == 0 {
+			serial = meshgen.Box3D(model, shockBox, shockBox, shockBox)
+			in, _ := zpart.Centroids(serial)
+			assign = zpart.RCB(in, 8)
+		}
+		dm, err := partition.Distribute(ctx, model.Model, 3, serial, assign, 4)
+		if err != nil {
+			return err
+		}
+		return body(ctx, dm)
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+}
+
+// timedOn runs f on every rank with rank 0 holding the stopwatch
+// between two barriers.
+func timedOn(b *testing.B, ctx *pcu.Ctx, f func() error) error {
+	ctx.Barrier()
+	if ctx.Rank() == 0 {
+		b.StartTimer()
+	}
+	err := f()
+	ctx.Barrier()
+	if ctx.Rank() == 0 {
+		b.StopTimer()
+	}
+	return err
+}
+
 // BenchmarkAdaptParallel replays the adapt stage of the pipeline
 // benchmark's adapt-shock workload: Box3D(8) cut by RCB into 8 parts on
 // 2 on-node ranks x 4 parts, adapted to the slanted shock band. Only
@@ -615,50 +667,54 @@ func BenchmarkAdaptRefine(b *testing.B) {
 // stage's share of the workload's alloc_bytes_per_element, and `make
 // memprofile BENCH=BenchmarkAdaptParallel` shows where its bytes go.
 func BenchmarkAdaptParallel(b *testing.B) {
-	const box = 8
-	model := gmi.Box(1, 1, 1)
-	// The workload's shockSize at offset 0 (bench/ is a module of its own).
-	mid, fine, coarse := 0.5*(1+0.35), 0.62/box, 3.0/box
-	size := func(p vec.V) float64 {
-		if math.Abs(p.X+0.35*p.Y-mid) < 0.08 {
-			return fine
-		}
-		return coarse
-	}
 	b.ReportAllocs()
 	b.StopTimer()
 	var st adapt.Stats
 	for i := 0; i < b.N; i++ {
-		_, err := pcu.RunOn(2, hwtopo.Cluster(1, 2), func(ctx *pcu.Ctx) error {
-			var serial *mesh.Mesh
-			var assign []int32
+		onShockBox(b, func(ctx *pcu.Ctx, dm *partition.DMesh) error {
+			var s adapt.Stats
+			timedOn(b, ctx, func() error { s = adapt.Parallel(dm, shockSize, adapt.DefaultOptions()); return nil })
 			if ctx.Rank() == 0 {
-				serial = meshgen.Box3D(model, box, box, box)
-				in, _ := zpart.Centroids(serial)
-				assign = zpart.RCB(in, 8)
-			}
-			dm, err := partition.Distribute(ctx, model.Model, 3, serial, assign, 4)
-			if err != nil {
-				return err
-			}
-			ctx.Barrier()
-			if ctx.Rank() == 0 {
-				b.StartTimer()
-			}
-			s := adapt.Parallel(dm, size, adapt.DefaultOptions())
-			ctx.Barrier()
-			if ctx.Rank() == 0 {
-				b.StopTimer()
 				st = s
 			}
 			return nil
 		})
-		if err != nil {
-			b.Fatal(err)
-		}
 	}
 	b.ReportMetric(float64(st.ElemAfter), "elements")
 	b.ReportMetric(float64(st.Splits), "splits")
+}
+
+// BenchmarkAdaptShockCycle replays the timed stages of one adapt-shock
+// cycle: adapt.Parallel, HeavyPartSplit, BalanceSafe, SaveCheckpoint,
+// LoadCheckpoint and Verify of the restored mesh, each iteration on a
+// freshly distributed mesh built with the timer stopped. It is the
+// workload's pipeline_s under go test; `make memprofile
+// BENCH=BenchmarkAdaptShockCycle` shows where a cycle's bytes go.
+func BenchmarkAdaptShockCycle(b *testing.B) {
+	b.ReportAllocs()
+	b.StopTimer()
+	dir := b.TempDir()
+	model := gmi.Box(1, 1, 1)
+	cfg := parma.Config{Tolerance: 1.05, MaxIters: 40}
+	for i := 0; i < b.N; i++ {
+		onShockBox(b, func(ctx *pcu.Ctx, dm *partition.DMesh) error {
+			return timedOn(b, ctx, func() error {
+				adapt.Parallel(dm, shockSize, adapt.DefaultOptions())
+				parma.HeavyPartSplit(dm, cfg)
+				if _, err := parma.BalanceSafe(dm, parma.Priority{{3}}, cfg); err != nil {
+					return err
+				}
+				if err := meshio.SaveCheckpoint(dir, dm, meshio.Cursor{Iter: i}); err != nil {
+					return err
+				}
+				restored, _, err := meshio.LoadCheckpoint(dir, ctx, model.Model)
+				if err != nil {
+					return err
+				}
+				return partition.Verify(restored)
+			})
+		})
+	}
 }
 
 // BenchmarkFieldEval measures field evaluation inside elements.

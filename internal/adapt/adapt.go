@@ -86,7 +86,7 @@ func SplitEdge(m *mesh.Mesh, edge mesh.Ent, tr Transfer) mesh.Ent {
 	// The sets around one edge are small: stack arrays hold them, and
 	// append spills to the heap for the rare edge of higher valence.
 	var elBuf, faceBuf [32]mesh.Ent
-	var vertBuf, newBuf [8]mesh.Ent
+	var vertBuf, newBuf, sideBuf [8]mesh.Ent
 	els := m.AdjacentTo(edge, d, elBuf[:0])
 	// Record the old faces around the edge (3D) so their children can
 	// inherit the exact parent classification: old face (a,b,c) splits
@@ -116,9 +116,11 @@ func SplitEdge(m *mesh.Mesh, edge mesh.Ent, tr Transfer) mesh.Ent {
 		verts := m.VertsTo(el, vertBuf[:0])
 		// Replace the element by two copies with b and a swapped for
 		// mid respectively. Vertex orders stay valid cycles/templates
-		// because only one vertex changes.
+		// because only one vertex changes. Each copy keeps the side of
+		// el opposite the vertex it drops: el's sides are known.
+		sides := m.DownTo(el, sideBuf[:0])
 		for _, drop := range [2]mesh.Ent{b, a} {
-			m.BuildFromVerts(el.T, substitute(newBuf[:0], verts, drop, mid), elCls)
+			m.BuildFromVerts(el.T, substitute(newBuf[:0], verts, drop, mid), elCls, sides...)
 		}
 	}
 	// Remove the old elements, then the orphaned entities around the
@@ -178,11 +180,14 @@ func substitute(dst, verts []mesh.Ent, from, to mesh.Ent) []mesh.Ent {
 
 // scratch holds the buffers one driver call reuses, so marking and
 // collapsing allocate per call, not per round or per operation: the
-// mark candidates, and CollapseEdge's classification records and orphan
-// keys. A driver owns one for its call and keeps nothing past it; the
-// parts of one rank share it, since they adapt one after another.
+// mark candidates, the collapse cavity canCollapse records and
+// collapseEdge consumes, and collapseEdge's classification records and
+// orphan keys. A driver owns one for its call and keeps nothing past
+// it; the parts of one rank share it, since they adapt one after
+// another.
 type scratch struct {
 	cands []cand
+	cav   []cavEl
 	recs  []clsRec
 	lower []uint32 // orphan keys, see collapseEdge
 }

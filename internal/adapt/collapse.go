@@ -26,6 +26,14 @@ const minQuality = 0.05
 //     volume/area, acceptable quality, and does not duplicate an
 //     existing element.
 func CanCollapse(m *mesh.Mesh, edge, removed, kept mesh.Ent) bool {
+	var sc scratch
+	return sc.canCollapse(m, edge, removed, kept)
+}
+
+// canCollapse is CanCollapse recording, in sc.cav, the cavity it checks;
+// after a true result collapseEdge consumes it.
+func (sc *scratch) canCollapse(m *mesh.Mesh, edge, removed, kept mesh.Ent) bool {
+	sc.cav = sc.cav[:0]
 	if m.IsShared(removed) || m.IsGhost(removed) {
 		return false
 	}
@@ -33,15 +41,16 @@ func CanCollapse(m *mesh.Mesh, edge, removed, kept mesh.Ent) bool {
 		return false
 	}
 	var elBuf [64]mesh.Ent
-	var vertBuf, newBuf [8]mesh.Ent
+	var newBuf [8]mesh.Ent
 	for _, el := range m.AdjacentTo(removed, m.Dim(), elBuf[:0]) {
 		if m.IsGhost(el) {
 			return false
 		}
-		if hasVert(m, el, kept) {
-			continue // dies with the edge
+		c := sc.enter(m, el, kept)
+		if c.dies {
+			continue
 		}
-		verts := m.VertsTo(el, vertBuf[:0])
+		verts := c.verts[:c.n]
 		nv := substitute(newBuf[:0], verts, removed, kept)
 		if m.FindFromVerts(el.T, nv).Ok() {
 			return false // would duplicate an existing element
@@ -60,6 +69,26 @@ func CanCollapse(m *mesh.Mesh, edge, removed, kept mesh.Ent) bool {
 	return true
 }
 
+// cavEl is one element of a collapse cavity, the elements around the
+// removed vertex: its vertex tuple, and whether it dies with the edge
+// (it holds the kept vertex as well) or is rebuilt.
+type cavEl struct {
+	el    mesh.Ent
+	verts [8]mesh.Ent
+	n     int
+	dies  bool
+}
+
+// enter records el, an element around the removed vertex, in the
+// cavity and returns its entry.
+func (sc *scratch) enter(m *mesh.Mesh, el, kept mesh.Ent) *cavEl {
+	sc.cav = append(sc.cav, cavEl{el: el})
+	c := &sc.cav[len(sc.cav)-1]
+	c.n = len(m.VertsTo(el, c.verts[:0]))
+	c.dies = slices.Contains(c.verts[:c.n], kept)
+	return c
+}
+
 // signedMeasure returns the signed volume (tet) or signed z-area (tri)
 // of a simplex given by vertex handles in a fixed labeling.
 func signedMeasure(m *mesh.Mesh, verts []mesh.Ent) float64 {
@@ -71,11 +100,6 @@ func signedMeasure(m *mesh.Mesh, verts []mesh.Ent) float64 {
 		return vec.TetVolume(m.Coord(verts[0]), m.Coord(verts[1]), m.Coord(verts[2]), m.Coord(verts[3]))
 	}
 	return 0
-}
-
-func hasVert(m *mesh.Mesh, el, v mesh.Ent) bool {
-	var buf [8]mesh.Ent
-	return slices.Contains(m.AdjacentTo(el, 0, buf[:0]), v)
 }
 
 // simplexValid checks shape validity of a would-be element given its
@@ -125,52 +149,61 @@ type clsRec struct {
 // caller must have verified CanCollapse.
 func CollapseEdge(m *mesh.Mesh, edge, removed, kept mesh.Ent, tr Transfer) {
 	var sc scratch
+	for _, el := range m.AdjacentTo(removed, m.Dim(), nil) {
+		sc.enter(m, el, kept)
+	}
 	sc.collapseEdge(m, edge, removed, kept, tr)
 }
 
+// collapseEdge is CollapseEdge on the cavity in sc.cav.
 func (sc *scratch) collapseEdge(m *mesh.Mesh, edge, removed, kept mesh.Ent, tr Transfer) {
 	if tr != nil {
 		tr.Collapse(m, removed, kept)
 	}
-	d := m.Dim()
-	// Every element around removed is replaced or dies; the ones around
-	// the edge (they contain kept as well) are among them.
-	var elBuf [64]mesh.Ent
-	var sideBuf [16]mesh.Ent
-	var vertBuf, newBuf [8]mesh.Ent
-	cavity := m.AdjacentTo(removed, d, elBuf[:0])
-	// Record the classification of every lower entity touching the
-	// removed vertex in surviving cavities, keyed by its replacement
-	// vertex set, so boundary sides keep their model classification.
-	recs := sc.recs[:0]
-	for _, el := range cavity {
-		if hasVert(m, el, kept) {
-			continue
-		}
-		for dd := 1; dd < d; dd++ {
-			for _, de := range m.AdjacentTo(el, dd, sideBuf[:0]) {
-				if !hasVert(m, de, removed) {
-					continue
-				}
-				r := clsRec{t: de.T, c: m.Classification(de)}
-				nv := substitute(r.nv[:0], m.AdjacentTo(de, 0, vertBuf[:0]), removed, kept)
-				if m.FindFromVerts(de.T, nv).Ok() {
-					// The replacement already exists (a side of a
-					// dying element) and keeps its own classification.
-					continue
-				}
-				recs = append(recs, r)
+	var closure [32]uint32 // one element's closure: at most 8 + 12 + 6 entities
+	var sideBuf, vertBuf, newBuf [8]mesh.Ent
+	// One closure walk per cavity element keys its faces and edges for
+	// the orphan sweep: highest dimension first, then by handle, a key
+	// packing that order into the two bits above the packed handle,
+	// (3−dim)<<29 | Ent.Pack(). Vertices other than removed stay, so none
+	// is keyed.
+	lower := sc.lower[:0]
+	for i := range sc.cav {
+		for _, w := range m.ClosureTo(sc.cav[i].el, closure[:0]) {
+			if de := mesh.UnpackEnt(w); de.T != mesh.Vertex {
+				lower = append(lower, uint32(3-de.Dim())<<29|w)
 			}
 		}
 	}
-	sc.recs = recs
-	// Create replacements first (they share entities with survivors).
-	for _, el := range cavity {
-		if hasVert(m, el, kept) {
+	slices.Sort(lower)
+	lower = slices.Compact(lower)
+	// Every side through removed, once, records its classification keyed
+	// by its replacement's vertex set, so boundary sides keep their model
+	// classification — unless the replacement already exists and keeps
+	// its own: a side of a dying element, as is every replacement of a
+	// side only dying elements hold. A side through kept as well dies.
+	recs := sc.recs[:0]
+	for _, k := range lower {
+		de := mesh.UnpackEnt(k)
+		vs := m.AdjacentTo(de, 0, vertBuf[:0])
+		if !slices.Contains(vs, removed) || slices.Contains(vs, kept) {
 			continue
 		}
-		nv := substitute(newBuf[:0], m.VertsTo(el, vertBuf[:0]), removed, kept)
-		m.BuildFromVerts(el.T, nv, m.Classification(el))
+		r := clsRec{t: de.T, c: m.Classification(de)}
+		if !m.FindFromVerts(de.T, substitute(r.nv[:0], vs, removed, kept)).Ok() {
+			recs = append(recs, r)
+		}
+	}
+	sc.recs, sc.lower = recs, lower
+	// Create replacements first (they share entities with survivors).
+	// Each keeps the side of its element opposite removed.
+	for i := range sc.cav {
+		c := &sc.cav[i]
+		if c.dies {
+			continue
+		}
+		nv := substitute(newBuf[:0], c.verts[:c.n], removed, kept)
+		m.BuildFromVerts(c.el.T, nv, m.Classification(c.el), m.DownTo(c.el, sideBuf[:0])...)
 	}
 	for _, r := range recs {
 		child := m.FindFromVerts(r.t, r.nv[:r.t.VertCount()])
@@ -179,22 +212,10 @@ func (sc *scratch) collapseEdge(m *mesh.Mesh, edge, removed, kept mesh.Ent, tr T
 		}
 	}
 	// Destroy all old elements around removed (including those around
-	// the edge), then sweep their orphaned faces and edges, highest
-	// dimension first, then by handle. A key packs that order into the
-	// two bits above the packed handle: (3−dim)<<29 | Ent.Pack().
-	// Vertices other than removed stay, so none is keyed.
-	lower := sc.lower[:0]
-	for _, el := range cavity {
-		for dd := d - 1; dd > 0; dd-- {
-			for _, de := range m.AdjacentTo(el, dd, sideBuf[:0]) {
-				lower = append(lower, uint32(3-dd)<<29|de.Pack())
-			}
-		}
-		m.Destroy(el)
+	// the edge), then sweep their orphaned faces and edges.
+	for i := range sc.cav {
+		m.Destroy(sc.cav[i].el)
 	}
-	slices.Sort(lower)
-	lower = slices.Compact(lower)
-	sc.lower = lower
 	for _, k := range lower {
 		if e := mesh.UnpackEnt(k); m.Alive(e) && !m.HasUp(e) {
 			m.Destroy(e)
@@ -256,10 +277,10 @@ func (sc *scratch) coarsen(m *mesh.Mesh, size SizeField, tr Transfer, maxRounds 
 			}
 			vs := m.DownTo(e, ends[:0])
 			switch {
-			case CanCollapse(m, e, vs[0], vs[1]):
+			case sc.canCollapse(m, e, vs[0], vs[1]):
 				sc.collapseEdge(m, e, vs[0], vs[1], tr)
 				n++
-			case CanCollapse(m, e, vs[1], vs[0]):
+			case sc.canCollapse(m, e, vs[1], vs[0]):
 				sc.collapseEdge(m, e, vs[1], vs[0], tr)
 				n++
 			}

@@ -401,12 +401,16 @@ func repeated(verts []Ent) Ent {
 	return NilEnt
 }
 
-// findEdge returns the edge joining vertices a and b, or NilEnt: the
-// user of a whose other end is b.
+// findEdge returns the edge joining vertices a and b, or NilEnt. The
+// edge is in the use lists of both, so the two lists are walked in step
+// and the search ends with the shorter one: cheap where one end is new.
 func (m *Mesh) findEdge(a, b Ent) Ent {
-	td := &m.td[Edge]
-	for u := m.td[Vertex].firstUse[a.I]; u.ok(); u = m.useNext(u) {
-		if e := u.ent(); td.down[int(e.I)*2+1-u.slot()] == b.I {
+	td, firstUse := &m.td[Edge], m.td[Vertex].firstUse
+	for ua, ub := firstUse[a.I], firstUse[b.I]; ua.ok() && ub.ok(); ua, ub = m.useNext(ua), m.useNext(ub) {
+		if e := ua.ent(); td.down[int(e.I)*2+1-ua.slot()] == b.I {
+			return e
+		}
+		if e := ub.ent(); td.down[int(e.I)*2+1-ub.slot()] == a.I {
 			return e
 		}
 	}
@@ -472,39 +476,44 @@ func (m *Mesh) closureMask(e Ent, verts []Ent) (mask uint, ok bool) {
 // sides afterwards or pass the region classification. It returns the
 // entity, and panics on a wrong vertex count or a repeated vertex.
 //
-// It works bottom-up: each edge is found or created, then each face is
-// looked up among the users of its first edge and the region among the
-// users of its first face — unless one of the bounding entities was just
-// created, since nothing can predate its own boundary. Missing entities
-// are created face by face, a face's edges before the face. One
-// non-recursive builder per dimension: a self-recursive form makes
-// escape analysis give up on the stack vertex arrays.
-func (m *Mesh) BuildFromVerts(t Type, verts []Ent, c gmi.Ref) Ent {
+// known lists live entities the caller already holds that may bound the
+// new one — the faces of the element it replaces, say. A template face
+// or edge whose vertices are those of a known entity, or of an edge of a
+// known face, is that entity, taken without a search; any other known
+// entity is ignored. Knowing entities changes what is searched, never
+// what is built.
+//
+// It works bottom-up: each edge is found or created once, then each face
+// is looked up among the users of its first edge and the region among
+// the users of its first face — unless one of the bounding entities was
+// just created, since nothing can predate its own boundary. Missing
+// entities are created face by face, a face's edges before the face.
+func (m *Mesh) BuildFromVerts(t Type, verts []Ent, c gmi.Ref, known ...Ent) Ent {
 	if len(verts) != t.VertCount() {
 		panic(fmt.Sprintf("mesh: %v needs %d vertices, got %d", t, t.VertCount(), len(verts)))
 	}
 	if v := repeated(verts); v.Ok() {
 		panic(fmt.Sprintf("mesh: %v lists vertex %v twice", t, v))
 	}
-	switch t.Dim() {
-	case 0:
+	if t.Dim() == 0 {
 		return verts[0]
+	}
+	b := builder{m: m, verts: verts, c: c}
+	for _, k := range known {
+		b.know(k)
+	}
+	switch t.Dim() {
 	case 1:
-		e, _ := m.buildEdge(verts[0], verts[1], c)
+		e, _ := b.edge(0, 1)
 		return e
 	case 2:
-		f, _ := m.buildFace(t, verts, c)
+		f, _ := b.face(t, allVerts[:len(verts)])
 		return f
 	}
 	var down [6]Ent
 	faces, fresh := down[:len(downTypes[t])], false
 	for i, ft := range downTypes[t] {
-		var fv [4]Ent
-		idx := downVerts[t][i]
-		for j, li := range idx {
-			fv[j] = verts[li]
-		}
-		f, isNew := m.buildFace(ft, fv[:len(idx)], c)
+		f, isNew := b.face(ft, downVerts[t][i])
 		faces[i], fresh = f, fresh || isNew
 	}
 	if !fresh {
@@ -515,29 +524,106 @@ func (m *Mesh) BuildFromVerts(t Type, verts []Ent, c gmi.Ref) Ent {
 	return m.CreateEntity(t, c, faces)
 }
 
-// buildEdge finds or creates the edge from a to b; made reports a
-// creation.
-func (m *Mesh) buildEdge(a, b Ent, c gmi.Ref) (e Ent, made bool) {
-	if found := m.findEdge(a, b); found.Ok() {
-		return found, false
-	}
-	ends := [2]Ent{a, b}
-	return m.CreateEntity(Edge, c, ends[:]), true
+// allVerts is the identity template: a face built as the whole vertex
+// list.
+var allVerts = [...]int{0, 1, 2, 3}
+
+// builder is one BuildFromVerts call's record of the entities below the
+// one it builds, each keyed by the positions in verts it spans: the known
+// entities, and every edge the call has found or created, so that no
+// edge is searched for twice. A full record stops recording; what it
+// misses is searched for.
+type builder struct {
+	m     *Mesh
+	verts []Ent
+	c     gmi.Ref
+	n     int
+	spans [24]uint8
+	ents  [24]Ent
 }
 
-// buildFace finds or creates the face of type t on the vertex cycle
-// verts, edges first; made reports that the face was created.
-func (m *Mesh) buildFace(t Type, verts []Ent, c gmi.Ref) (f Ent, made bool) {
+func (b *builder) record(span uint8, e Ent) {
+	if b.n < len(b.ents) {
+		b.spans[b.n], b.ents[b.n] = span, e
+		b.n++
+	}
+}
+
+// lookup returns the recorded entity spanning exactly span, or NilEnt.
+func (b *builder) lookup(span uint8) Ent {
+	for i, s := range b.spans[:b.n] {
+		if s == span {
+			return b.ents[i]
+		}
+	}
+	return NilEnt
+}
+
+// know records k, an edge or a face, with its edges, if its vertices all
+// lie in verts. A triangle's vertices name it; a quad's name no one
+// cycle, so a known quad stands only for its edges.
+func (b *builder) know(k Ent) {
+	s := [6]Ent{k}
+	var spans [4]uint8
+	edges, span := s[:1], uint8(0)
+	switch k.Dim() {
+	case 2:
+		edges = b.m.down(k, &s)
+	case 0, 3:
+		return
+	}
+	for i, e := range edges {
+		mask, ok := b.m.closureMask(e, b.verts)
+		if !ok {
+			return
+		}
+		spans[i], span = uint8(mask), span|uint8(mask)
+	}
+	if k.T == Tri {
+		b.record(span, k)
+	}
+	for i, e := range edges {
+		b.record(spans[i], e)
+	}
+}
+
+// edge finds or creates the edge from verts[i] to verts[j]; made reports
+// a creation.
+func (b *builder) edge(i, j int) (e Ent, made bool) {
+	span := uint8(1<<i | 1<<j)
+	if e := b.lookup(span); e.Ok() {
+		return e, false
+	}
+	a, z := b.verts[i], b.verts[j]
+	if e = b.m.findEdge(a, z); !e.Ok() {
+		ends := [2]Ent{a, z}
+		e, made = b.m.CreateEntity(Edge, b.c, ends[:]), true
+	}
+	b.record(span, e)
+	return e, made
+}
+
+// face finds or creates the face of type t on the vertex cycle at the
+// positions idx of verts, edges first; made reports that the face was
+// created.
+func (b *builder) face(t Type, idx []int) (f Ent, made bool) {
+	span := uint8(0)
+	for _, i := range idx {
+		span |= 1 << i
+	}
+	if f := b.lookup(span); f.Ok() {
+		return f, false
+	}
 	var down [4]Ent
 	edges, fresh := down[:len(downVerts[t])], false
-	for i, idx := range downVerts[t] {
-		e, isNew := m.buildEdge(verts[idx[0]], verts[idx[1]], c)
+	for i, ends := range downVerts[t] {
+		e, isNew := b.edge(idx[ends[0]], idx[ends[1]])
 		edges[i], fresh = e, fresh || isNew
 	}
 	if !fresh {
-		if found := m.FindByDown(t, edges); found.Ok() {
+		if found := b.m.FindByDown(t, edges); found.Ok() {
 			return found, false
 		}
 	}
-	return m.CreateEntity(t, c, edges), true
+	return b.m.CreateEntity(t, b.c, edges), true
 }

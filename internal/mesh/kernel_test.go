@@ -595,75 +595,223 @@ func buildCases() map[string]buildCase {
 // refBuild through one seeded sequence of builds and recursive destroys,
 // each on its own mesh. Freed slots come back through the free lists, so
 // the handles agree only while both create the same entities in the same
-// order; the files agree only if the stored topology does too.
+// order; the files agree only if the stored topology does too. In the
+// known runs every build also names the sides of every live cell as
+// known entities — some of the new cell's, most not, past what a build
+// records — which may change what is searched, never what is built.
 func TestBuildFromVertsMatchesTopDownReference(t *testing.T) {
 	for name, c := range buildCases() {
-		t.Run(name, func(t *testing.T) {
-			got, want := mesh.New(nil, c.dim), mesh.New(nil, c.dim)
-			vs := slices.Repeat([]mesh.Ent{mesh.NilEnt}, c.nv)
-			got.OnDestroy(func(e mesh.Ent) {
-				if i := slices.Index(vs, e); i >= 0 {
-					vs[i] = mesh.NilEnt
-				}
-			})
-			rng := rand.New(rand.NewSource(20))
-			var live []mesh.Ent
-			builds, hits, destroys := 0, 0, 0
-			for step := 0; step < 600; step++ {
-				if len(live) > 0 && rng.Intn(3) == 0 {
-					k := rng.Intn(len(live))
-					got.DestroyRecursive(live[k])
-					want.DestroyRecursive(live[k])
-					live = slices.Delete(live, k, k+1)
-					destroys++
-					continue
-				}
-				cl := c.cells[rng.Intn(len(c.cells))]
-				verts := make([]mesh.Ent, len(cl.v))
-				for j, i := range cl.v {
-					if !vs[i].Ok() {
-						p := vec.V{X: float64(i)}
-						vs[i] = got.CreateVertex(gmi.NoRef, p)
-						if w := want.CreateVertex(gmi.NoRef, p); w != vs[i] {
-							t.Fatalf("step %d: vertex %d is %v, reference %v", step, i, vs[i], w)
-						}
-					}
-					verts[j] = vs[i]
-				}
-				a, b := got.BuildFromVerts(cl.ty, verts, gmi.NoRef), refBuild(want, cl.ty, verts)
-				if a != b {
-					t.Fatalf("step %d: BuildFromVerts(%v, %v) = %v, reference %v", step, cl.ty, verts, a, b)
-				}
-				for d := 0; d <= c.dim; d++ {
-					if got.Count(d) != want.Count(d) {
-						t.Fatalf("step %d: %d entities of dimension %d, reference %d", step, got.Count(d), d, want.Count(d))
-					}
-				}
-				if slices.Contains(live, a) {
-					hits++
-				} else {
-					live = append(live, a)
-					builds++
-				}
+		for _, withKnown := range []bool{false, true} {
+			if withKnown {
+				name += "/known"
 			}
-			if builds == 0 || hits == 0 || destroys == 0 {
-				t.Fatalf("sequence did %d builds, %d rebuilds of a live cell, %d destroys; want all three", builds, hits, destroys)
-			}
-			if err := got.CheckConsistency(); err != nil {
-				t.Fatal(err)
-			}
-			var gb, wb bytes.Buffer
-			if err := meshio.Write(&gb, got); err != nil {
-				t.Fatal(err)
-			}
-			if err := meshio.Write(&wb, want); err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(gb.Bytes(), wb.Bytes()) {
-				t.Fatalf("meshio.Write differs from the reference mesh's (%d vs %d bytes)", gb.Len(), wb.Len())
-			}
-		})
+			t.Run(name, func(t *testing.T) { buildAgainstReference(t, c, withKnown) })
+		}
 	}
+}
+
+func buildAgainstReference(t *testing.T, c buildCase, withKnown bool) {
+	got, want := mesh.New(nil, c.dim), mesh.New(nil, c.dim)
+	vs := slices.Repeat([]mesh.Ent{mesh.NilEnt}, c.nv)
+	got.OnDestroy(func(e mesh.Ent) {
+		if i := slices.Index(vs, e); i >= 0 {
+			vs[i] = mesh.NilEnt
+		}
+	})
+	rng := rand.New(rand.NewSource(20))
+	var live []mesh.Ent
+	builds, hits, destroys := 0, 0, 0
+	for step := 0; step < 600; step++ {
+		if len(live) > 0 && rng.Intn(3) == 0 {
+			k := rng.Intn(len(live))
+			got.DestroyRecursive(live[k])
+			want.DestroyRecursive(live[k])
+			live = slices.Delete(live, k, k+1)
+			destroys++
+			continue
+		}
+		cl := c.cells[rng.Intn(len(c.cells))]
+		verts := make([]mesh.Ent, len(cl.v))
+		for j, i := range cl.v {
+			if !vs[i].Ok() {
+				p := vec.V{X: float64(i)}
+				vs[i] = got.CreateVertex(gmi.NoRef, p)
+				if w := want.CreateVertex(gmi.NoRef, p); w != vs[i] {
+					t.Fatalf("step %d: vertex %d is %v, reference %v", step, i, vs[i], w)
+				}
+			}
+			verts[j] = vs[i]
+		}
+		var known []mesh.Ent
+		if withKnown {
+			for _, e := range live {
+				known = got.DownTo(e, known)
+			}
+		}
+		a, b := got.BuildFromVerts(cl.ty, verts, gmi.NoRef, known...), refBuild(want, cl.ty, verts)
+		if a != b {
+			t.Fatalf("step %d: BuildFromVerts(%v, %v) = %v, reference %v", step, cl.ty, verts, a, b)
+		}
+		for d := 0; d <= c.dim; d++ {
+			if got.Count(d) != want.Count(d) {
+				t.Fatalf("step %d: %d entities of dimension %d, reference %d", step, got.Count(d), d, want.Count(d))
+			}
+		}
+		if slices.Contains(live, a) {
+			hits++
+		} else {
+			live = append(live, a)
+			builds++
+		}
+	}
+	if builds == 0 || hits == 0 || destroys == 0 {
+		t.Fatalf("sequence did %d builds, %d rebuilds of a live cell, %d destroys; want all three", builds, hits, destroys)
+	}
+	if err := got.CheckConsistency(); err != nil {
+		t.Fatal(err)
+	}
+	var gb, wb bytes.Buffer
+	if err := meshio.Write(&gb, got); err != nil {
+		t.Fatal(err)
+	}
+	if err := meshio.Write(&wb, want); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(gb.Bytes(), wb.Bytes()) {
+		t.Fatalf("meshio.Write differs from the reference mesh's (%d vs %d bytes)", gb.Len(), wb.Len())
+	}
+}
+
+// refSplit is adapt.SplitEdge's topology with every element built by
+// BuildFromVerts from vertices alone: mid, two children per element
+// around the edge, then the orphans.
+func refSplit(m *mesh.Mesh, edge mesh.Ent) {
+	ends := m.DownTo(edge, nil)
+	mid := m.CreateVertex(m.Classification(edge), vec.Mid(m.Coord(ends[0]), m.Coord(ends[1])))
+	els := m.AdjacentTo(edge, m.Dim(), nil)
+	faces := m.AdjacentTo(edge, 2, nil)
+	for _, el := range els {
+		verts := m.VertsTo(el, nil)
+		for _, drop := range []mesh.Ent{ends[1], ends[0]} {
+			nv := slices.Clone(verts)
+			nv[slices.Index(nv, drop)] = mid
+			m.BuildFromVerts(el.T, nv, m.Classification(el))
+		}
+	}
+	for _, el := range els {
+		m.Destroy(el)
+	}
+	for _, e := range append(faces, edge) {
+		if m.Alive(e) && !m.HasUp(e) {
+			m.Destroy(e)
+		}
+	}
+}
+
+// refCollapse is adapt.CollapseEdge's topology with every replacement
+// built by BuildFromVerts from vertices alone, and the orphans swept
+// highest dimension first, then by handle.
+func refCollapse(m *mesh.Mesh, removed, kept mesh.Ent) {
+	cavity := m.AdjacentTo(removed, m.Dim(), nil)
+	var sides []mesh.Ent
+	for _, el := range cavity {
+		verts := m.VertsTo(el, nil)
+		for dd := 1; dd < m.Dim(); dd++ {
+			sides = m.AdjacentTo(el, dd, sides)
+		}
+		if slices.Contains(verts, kept) {
+			continue
+		}
+		verts[slices.Index(verts, removed)] = kept
+		m.BuildFromVerts(el.T, verts, m.Classification(el))
+	}
+	for _, el := range cavity {
+		m.Destroy(el)
+	}
+	slices.SortFunc(sides, func(a, b mesh.Ent) int {
+		if a.Dim() != b.Dim() {
+			return b.Dim() - a.Dim()
+		}
+		return a.Compare(b)
+	})
+	for _, e := range slices.Compact(sides) {
+		if m.Alive(e) && !m.HasUp(e) {
+			m.Destroy(e)
+		}
+	}
+	if !m.HasUp(removed) {
+		m.Destroy(removed)
+	}
+}
+
+// TestSplitAndCollapseMatchBuildFromVerts plays seeded splits and
+// collapses through adapt's operators, which build from known downward
+// entities and a collapse's recorded cavity, and the same operations
+// through refSplit and refCollapse on a twin mesh: both must create and
+// destroy the same handles in the same order. The twins start as one
+// churned box, refined to a band and coarsened again, so creations reuse
+// freed slots. Each collapse goes through the public CanCollapse and
+// CollapseEdge pair.
+func TestSplitAndCollapseMatchBuildFromVerts(t *testing.T) {
+	churned := func() *mesh.Mesh {
+		m := meshgen.Box3D(gmi.Box(1, 1, 1), 3, 3, 3)
+		band := func(p vec.V) float64 { return 0.12 + 0.4*math.Abs(p.X-0.5) }
+		adapt.Refine(m, band, nil, 4)
+		adapt.Coarsen(m, adapt.Uniform(0.5), nil, 2)
+		return m
+	}
+	got, want := churned(), churned()
+	var gotLog, wantLog []string
+	for _, tw := range []struct {
+		m   *mesh.Mesh
+		log *[]string
+	}{{got, &gotLog}, {want, &wantLog}} {
+		tw.m.OnCreate(func(e mesh.Ent) { *tw.log = append(*tw.log, "+"+e.String()) })
+		tw.m.OnDestroy(func(e mesh.Ent) { *tw.log = append(*tw.log, "-"+e.String()) })
+	}
+	rng := rand.New(rand.NewSource(7))
+	splits, collapses := 0, 0
+	for step := 0; step < 400; step++ {
+		edges := slices.Collect(got.Iter(1))
+		e := edges[rng.Intn(len(edges))]
+		if rng.Intn(2) == 0 {
+			adapt.SplitEdge(got, e, nil)
+			refSplit(want, e)
+			splits++
+		} else {
+			ends := got.DownTo(e, nil)
+			if rng.Intn(2) == 0 {
+				ends[0], ends[1] = ends[1], ends[0]
+			}
+			if !adapt.CanCollapse(got, e, ends[0], ends[1]) {
+				continue
+			}
+			adapt.CollapseEdge(got, e, ends[0], ends[1], nil)
+			refCollapse(want, ends[0], ends[1])
+			collapses++
+		}
+		if !slices.Equal(gotLog, wantLog) {
+			t.Fatalf("step %d: operators logged %d creations and destructions, the reference %d; first difference at %d",
+				step, len(gotLog), len(wantLog), firstDifference(gotLog, wantLog))
+		}
+	}
+	if splits < 50 || collapses < 20 {
+		t.Fatalf("%d splits, %d collapses: too few to compare", splits, collapses)
+	}
+	for _, m := range []*mesh.Mesh{got, want} {
+		if err := m.CheckConsistency(); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+func firstDifference(a, b []string) int {
+	for i := range min(len(a), len(b)) {
+		if a[i] != b[i] {
+			return i
+		}
+	}
+	return min(len(a), len(b))
 }
 
 // TestBuildFromVertsRejectsRepeatedVertex: a repeated vertex used to

@@ -106,12 +106,17 @@ func planGhosts(ph *phase, bridgeDim, layers int) []ghostShip {
 			lo = hi
 		}
 		closure := make([]uint32, 0, bound)
+		var one [32]uint32 // one element's closure: at most 8 + 12 + 6 entities
 		movable := movableTags(m)
 		for i := range runs {
 			r := &runs[i]
 			at := len(closure)
 			for _, w := range r.els {
-				closure = appendClosure(closure, m, moveEnt(w), mk.Set)
+				for _, c := range m.ClosureTo(moveEnt(w), one[:0]) {
+					if mk.Set(mesh.UnpackEnt(c)) {
+						closure = append(closure, c)
+					}
+				}
 			}
 			r.closure = closure[at:]
 			slices.Sort(r.closure)

@@ -243,21 +243,6 @@ func (mg *migration) stageResidence(plans []Plan, localErr error) error {
 		localErr = fmt.Errorf("%d plans for %d local parts", len(plans), len(dm.Parts))
 	}
 
-	// Step 1: local residence contributions, computed only for the
-	// entities adjacent to moving elements (migration cost must scale
-	// with the move, not the mesh — ParMA runs many small migrations).
-	// contrib(e) = destinations of ALL local elements adjacent to e.
-	var adj []mesh.Ent // adjacency scratch, reused across entities
-	contribute := func(t *resTable, m *mesh.Mesh, e mesh.Ent) {
-		adj = m.AdjacentTo(e, d, adj[:0])
-		for _, up := range adj {
-			dst := m.Part()
-			if to := t.res(up); len(to) > 0 { // up is moving
-				dst = to[0]
-			}
-			t.add(e, dst)
-		}
-	}
 	for i := range mg.parts {
 		p := &mg.parts[i]
 		if i >= len(plans) || localErr != nil {
@@ -285,21 +270,7 @@ func (mg *migration) stageResidence(plans []Plan, localErr error) error {
 		slices.Sort(moves)
 		p.moves = moves
 		mg.moved += int64(len(moves))
-		// The table will hold the moving elements and their closure.
-		bound := closureBound(p.M, moves, d)
-		t := &p.tab
-		t.reserve(len(moves) + bound)
-		for _, mv := range moves {
-			t.add(moveEnt(mv), int32(mv>>32))
-		}
-		p.closure = make([]uint32, 0, bound)
-		for _, mv := range moves {
-			p.closure = appendClosure(p.closure, p.M, moveEnt(mv), t.touch)
-		}
-		slices.Sort(p.closure)
-		for _, w := range p.closure {
-			contribute(t, p.M, mesh.UnpackEnt(w))
-		}
+		p.stageLocal(d)
 	}
 
 	// Step 2: exchange contributions across current residence parts of
@@ -328,9 +299,10 @@ func (mg *migration) stageResidence(plans []Plan, localErr error) error {
 					gid, dd, msg.To))
 			}
 			if p.tab.touch(e) {
-				// First word of this entity here: fold in the local
-				// contribution and remember to reply in round two.
-				contribute(&p.tab, p.M, e)
+				// First word of this entity here: no moving element lies
+				// above it, so its local contribution is this part alone.
+				// Remember to reply in round two.
+				p.tab.add(e, p.M.Part())
 				if roundOne {
 					p.fresh = append(p.fresh, e.Pack())
 				}
@@ -390,49 +362,106 @@ func (mg *migration) sendContribs(p *moving, words []uint32) {
 	}
 }
 
+// stageLocal is step 1 on one part: the residence contributions of the
+// entities the moves affect, computed from them alone (migration cost
+// must scale with the move, not the mesh — ParMA runs many small
+// migrations). One walk of each moving element's closure, run by run,
+// enters every closure entity in the table, adds the run's destination
+// to its residence and counts the entities the run reaches first: those
+// the run ships. The closure, sorted once, then lays out the ship lists,
+// each ascending, and marks the entities that stay.
+func (p *moving) stageLocal(d int) {
+	t := &p.tab
+	t.reserve(len(p.moves) + closureBound(p.M, p.moves, d))
+	for _, mv := range p.moves {
+		t.add(moveEnt(mv), int32(mv>>32))
+	}
+	var runBuf [64]int32 // each run's destination, then its ship count
+	var one [32]uint32   // one element's closure: at most 8 + 12 + 6 entities
+	runs, ships := runBuf[:0], 0
+	for lo := 0; lo < len(p.moves); {
+		q, hi := destRun(p.moves, lo)
+		n := int32(0)
+		for _, mv := range p.moves[lo:hi] {
+			for _, w := range p.M.ClosureTo(moveEnt(mv), one[:0]) {
+				if t.add(mesh.UnpackEnt(w), q) {
+					n++
+				}
+			}
+		}
+		runs = append(runs, q, n)
+		ships += int(n)
+		lo = hi
+	}
+	// The table's entries after the moving elements are the closure, in
+	// the order the walk met them; none has reached more yet.
+	p.closure = make([]uint32, len(t.entries)-len(p.moves))
+	for j, en := range t.entries[len(p.moves):] {
+		p.closure[j] = en.w
+	}
+	slices.Sort(p.closure)
+	// Each run's ship list is its length, then its entities; runs[k+1]
+	// becomes the write position of run k's next entity.
+	p.ship = make([]uint32, len(runs)/2+ships)
+	at := 0
+	for k := 0; k < len(runs); k += 2 {
+		p.ship[at] = uint32(runs[k+1])
+		runs[k+1] = int32(at + 1)
+		at += 1 + int(p.ship[at])
+	}
+	for _, w := range p.closure {
+		for _, q := range t.res(mesh.UnpackEnt(w)) {
+			k := 0
+			for runs[k] != q {
+				k += 2
+			}
+			p.ship[runs[k+1]] = w
+			runs[k+1]++
+		}
+	}
+	// An entity stays on this part if an element above it does not move.
+	// Marked top-down, one level of uses at a time: the entity stays if
+	// something directly above it is absent from the table (no moving
+	// element lies above that) or stays itself.
+	self := p.M.Part()
+	var up [64]mesh.Ent
+	for dd := d - 1; dd >= 0; dd-- {
+		for _, w := range level(p.closure, dd) {
+			e := mesh.UnpackEnt(w)
+			for _, u := range p.M.UpTo(e, up[:0]) {
+				if en := t.entry(u); en == nil || slices.Contains(t.arena[en.off:en.off+en.n], self) {
+					t.add(e, self)
+					break
+				}
+			}
+		}
+	}
+}
+
 // Step 3 ships every run of moving elements with its closure, written
-// once, straight into the destination rank's buffer. planShipment
-// collects each run's closure and counts its records with their tag
-// values, so that a rank buffer is reserved once at the exact sum of its
-// messages; writeShipment writes the messages in (from, to) order.
+// once, straight into the destination rank's buffer. planShipment counts
+// each run's records with their tag values and staged residences, so
+// that a rank buffer is reserved once at the exact sum of its messages;
+// writeShipment writes the messages in (from, to) order.
 func (mg *migration) planShipment() {
-	dm, d, ph := mg.dm, mg.dm.Dim, mg.ph
+	d, ph := mg.dm.Dim, mg.ph
 	for i := range mg.parts {
 		p := &mg.parts[i]
-		movable := movableTags(p.M)
-		// A run ships e only if an element beside e goes there, which put
-		// the run's destination in e's staged residence: a bound on ship,
-		// with a length word per run.
-		n := min(len(p.moves), dm.NParts())
-		for _, w := range p.closure {
-			n += int(p.tab.entry(mesh.UnpackEnt(w)).n)
-		}
-		ship := make([]uint32, 0, n)
+		ship, movable := p.ship, movableTags(p.M)
 		for lo := 0; lo < len(p.moves); {
 			q, hi := destRun(p.moves, lo)
-			at, group := len(ship), int32(lo)+1 // a stamp no other run of this call uses
+			n := int(ship[0])
 			size := headerBytes(movable, d)
-			stamp := func(e mesh.Ent) bool {
-				en := p.tab.entry(e)
-				if en.group == group {
-					return false
-				}
-				en.group = group
-				size += recordSize(p.M, movable, e, 4+4*int(en.n))
-				return true
-			}
-			ship = append(ship, 0)
 			for _, mv := range p.moves[lo:hi] {
-				el := moveEnt(mv)
-				size += recordSize(p.M, movable, el, 4+4)
-				ship = appendClosure(ship, p.M, el, stamp)
+				size += recordSize(p.M, movable, moveEnt(mv), 4+4)
 			}
-			slices.Sort(ship[at+1:])
-			ship[at] = uint32(len(ship) - at - 1)
+			for _, w := range ship[1 : 1+n] {
+				e := mesh.UnpackEnt(w)
+				size += recordSize(p.M, movable, e, 4+4*len(p.tab.res(e)))
+			}
 			ph.plan(q, size)
-			lo = hi
+			ship, lo = ship[1+n:], hi
 		}
-		p.ship = ship
 	}
 }
 
@@ -615,7 +644,6 @@ type resTable struct {
 type resEntry struct {
 	w      uint32 // the entity, packed
 	off, n int32  // the run arena[off:off+n]
-	group  int32  // the last run planShipment visited the entity from
 }
 
 // entry returns e's entry, nil if e is absent; valid until the next
@@ -672,16 +700,19 @@ func (t *resTable) res(e mesh.Ent) []int32 {
 	return t.arena[en.off : en.off+en.n]
 }
 
-// add inserts part id v into e's run, entering e if absent. A run grows
-// in place at the arena's tail; one that is not there is first copied
-// to the tail, its old cells abandoned until the call ends (runs have
-// 1-8 members).
-func (t *resTable) add(e mesh.Ent, v int32) {
-	t.touch(e)
+// add inserts part id v into e's run, entering e if absent, and reports
+// whether v was new to the run. A run grows in place at the arena's
+// tail; one that is not there is first copied to the tail, its old cells
+// abandoned until the call ends (runs have 1-8 members).
+func (t *resTable) add(e mesh.Ent, v int32) bool {
 	en := t.entry(e)
+	if en == nil {
+		t.touch(e)
+		en = t.entry(e)
+	}
 	i, found := slices.BinarySearch(t.arena[en.off:en.off+en.n], v)
 	if found {
-		return
+		return false
 	}
 	if int(en.off+en.n) != len(t.arena) {
 		t.arena = append(t.arena, t.arena[en.off:en.off+en.n]...)
@@ -689,6 +720,7 @@ func (t *resTable) add(e mesh.Ent, v int32) {
 	}
 	t.arena = slices.Insert(t.arena, int(en.off)+i, v)
 	en.n++
+	return true
 }
 
 // reset clears the index column through the touched list.
@@ -721,20 +753,6 @@ func closureBound(m *mesh.Mesh, moves []uint64, d int) int {
 		held += m.Count(dd)
 	}
 	return min(n, held)
-}
-
-// appendClosure appends to words the entities of el's downward closure
-// that first reports true for — a visited-set insert, so that over many
-// elements each entity appears once. The caller sorts the list: packed
-// handles ascend by dimension, then by handle.
-func appendClosure(words []uint32, m *mesh.Mesh, el mesh.Ent, first func(mesh.Ent) bool) []uint32 {
-	var one [32]uint32 // one element's closure: at most 8 + 12 + 6 entities
-	for _, w := range m.ClosureTo(el, one[:0]) {
-		if first(mesh.UnpackEnt(w)) {
-			words = append(words, w)
-		}
-	}
-	return words
 }
 
 // recordBytes is the size of a packRecords record of a type-t entity

@@ -143,7 +143,7 @@ func tappedMigrate(dm *DMesh, plans []Plan) (shipTap, error) {
 				els = append(els, moveEnt(mv))
 			}
 			var b pcu.Buffer
-			refPackElements(&b, dm, i, els, &p.tab, -int32(lo)-1, &scratch)
+			refPackElements(&b, dm, i, els, &p.tab, &scratch)
 			tap.want[[2]int32{p.M.Part(), q}] = b.Raw()
 			lo = hi
 		}
@@ -259,18 +259,18 @@ func refClosureLevels(levels *[3][]mesh.Ent, m *mesh.Mesh, els []mesh.Ent, d int
 	}
 }
 
-func refPackElements(b *pcu.Buffer, dm *DMesh, partIdx int, els []mesh.Ent, t *resTable, group int32, closure *[3][]mesh.Ent) {
+func refPackElements(b *pcu.Buffer, dm *DMesh, partIdx int, els []mesh.Ent, t *resTable, closure *[3][]mesh.Ent) {
 	part := dm.Parts[partIdx]
 	m := part.M
 	d := dm.Dim
 	size := 1 + 4*(d+1)
+	visited := map[mesh.Ent]bool{}
 	refClosureLevels(closure, m, els, d, func(e mesh.Ent) bool {
-		en := t.entry(e)
-		if en.group == group {
+		if visited[e] {
 			return false
 		}
-		en.group = group
-		size += recordBytes(e.T, 4+4*int(en.n))
+		visited[e] = true
+		size += recordBytes(e.T, 4+4*len(t.res(e)))
 		return true
 	})
 	for _, el := range els {
