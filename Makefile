@@ -34,9 +34,11 @@ escape-check:
 # Go micro-benchmarks, benchstat-ready:
 #   make bench-go | benchstat -
 # ExchangeSparse's traced row reads the flight recorder's overhead off
-# against on-node (see DESIGN.md §10); the mesh rows are the
-# adjacency kernel's (AdjacentTo by direction, FindFromVerts hit/miss,
-# BuildTet fresh/existing; DESIGN.md §9); the zpart rows are the
+# against on-node (see DESIGN.md §10); BarrierSkew (2 ranks, one late
+# by 5/20/200 µs) and BarrierOversubscribed (16 ranks) are the A/B rows
+# of the barrier's spin-then-park wait (DESIGN.md §9); the mesh rows
+# are the adjacency kernel's (AdjacentTo by direction, FindFromVerts
+# hit/miss, BuildTet fresh/existing; DESIGN.md §9); the zpart rows are the
 # partitioners on the pipeline benchmark's vessel (DualGraph, MLGraph
 # at 16 and 32 parts, PHG). The halo step's row is the root package's
 # BenchmarkHaloStep (go test -run '^$' -bench HaloStep -benchmem .: one

@@ -2,6 +2,7 @@ package pcu
 
 import (
 	"testing"
+	"time"
 
 	"github.com/fastmath/pumi-go/internal/hwtopo"
 	"github.com/fastmath/pumi-go/internal/trace"
@@ -212,4 +213,57 @@ func BenchmarkSpan(b *testing.B) {
 		}
 		return nil
 	})
+}
+
+// busy spins for d, standing in for a rank's compute between sync
+// points (a sleep would add a timer wake-up of its own).
+func busy(d time.Duration) {
+	for start := time.Now(); time.Since(start) < d; {
+	}
+}
+
+// BenchmarkBarrierSkew: 2 on-node ranks take turns arriving late at a
+// Barrier by the given skew, and both compute 30 µs after it. A skew
+// inside the barrier's spin budget is absorbed without a park; a skew
+// past it parks as before.
+func BenchmarkBarrierSkew(b *testing.B) {
+	for _, skew := range []time.Duration{5 * time.Microsecond, 20 * time.Microsecond, 200 * time.Microsecond} {
+		b.Run(skew.String(), func(b *testing.B) {
+			b.ReportAllocs()
+			_, err := RunOpt(2, Options{Topo: hwtopo.Cluster(1, 2), StallTimeout: -1}, func(c *Ctx) error {
+				for i := 0; i < b.N; i++ {
+					if i%2 == c.Rank() {
+						busy(skew)
+					}
+					c.Barrier()
+					busy(30 * time.Microsecond)
+				}
+				return nil
+			})
+			if err != nil {
+				b.Fatal(err)
+			}
+		})
+	}
+}
+
+// BenchmarkBarrierOversubscribed: 16 ranks, more than the processors
+// of most test machines, so the barrier parks at once. An op is one
+// SumInt64 plus one ring Exchange.
+func BenchmarkBarrierOversubscribed(b *testing.B) {
+	b.ReportAllocs()
+	_, err := RunOpt(16, Options{StallTimeout: -1}, func(c *Ctx) error {
+		for i := 0; i < b.N; i++ {
+			SumInt64(c, 1)
+			c.To((c.Rank() + 1) % c.Size()).Int32(int32(i))
+			for _, m := range c.Exchange() {
+				_ = m.Data.Int32()
+				m.Data.Done()
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
 }

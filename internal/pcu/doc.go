@@ -31,11 +31,16 @@
 //     Ctx — its out-buffers, the Messages returned by Exchange — is
 //     private to that rank.
 //
-//   - All cross-rank data transfer is synchronized by the barrier. The
-//     barrier guards its generation counter with a mutex/cond pair, so
-//     every write a rank performs before bar.wait() returns
-//     happens-before every read any rank performs after the same
-//     barrier generation completes. Exchange publishes inbox entries
+//   - All cross-rank data transfer is synchronized by the barrier.
+//     Arrivals are counted under its mutex and the last arriver
+//     advances an atomic generation, so every write a rank performs
+//     before bar.wait() happens-before every read any rank performs
+//     after the same generation completes. A waiter that is not last
+//     polls the generation for up to spinBudget (100 µs, about twice
+//     the wake-up of a parked goroutine) before it parks on the
+//     barrier's cond; the poll is on only when the world has no more
+//     ranks than GOMAXPROCS at its start, so an oversubscribed world
+//     parks at once. Exchange publishes inbox entries
 //     under the inbox mutex before its single delivery barrier, and
 //     collects them after it. Deliveries are phase-tagged rather than
 //     fenced by a second barrier: a fast rank can run at most one phase

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"runtime"
 	"runtime/debug"
 	"slices"
 	"sync"
@@ -503,8 +504,9 @@ func (c *Ctx) collStart(name *string) {
 // since returns world-monotonic nanoseconds (time since RunOpt began).
 func (w *World) since() int64 { return int64(time.Since(w.start)) }
 
-// wait parks in the shared barrier, flagging the rank as blocked so the
-// watchdog can tell waiting from computing.
+// wait blocks in the shared barrier, flagging the rank as blocked so the
+// watchdog can tell waiting from computing; a rank that spins before it
+// parks is blocked too.
 func (c *Ctx) wait() {
 	rs := &c.w.ranks[c.rank]
 	rs.blocked.Store(true)
@@ -802,42 +804,66 @@ func (c *Ctx) Barrier() {
 // current and future waiters by panicking them with the teardown cause
 // (ErrPeerFailed when a rank dies, a *StallError when the watchdog
 // fires), preventing deadlock when a rank cannot arrive.
+//
+// Arrivals are counted under mu; gen and poisoned are atomics written
+// under mu, so a waiter that is not last can poll them without the
+// lock. When every rank has a processor of its own (spin), a waiter
+// polls for up to spinBudget before it parks on cond: a parked rank
+// takes tens of microseconds to wake, longer than most skew between
+// ranks at a sync point.
 type barrier struct {
 	mu       sync.Mutex
 	cond     *sync.Cond
 	n        int
 	count    int
-	gen      int
-	poisoned bool
+	spin     bool
+	gen      atomic.Int64
+	poisoned atomic.Bool
 	cause    error
 }
+
+// spinBudget bounds how long a waiter polls before parking: about
+// twice the cost of waking a parked goroutine.
+const spinBudget = 100 * time.Microsecond
 
 func (b *barrier) init(n int) {
 	b.n = n
 	b.cond = sync.NewCond(&b.mu)
+	// An oversubscribed world parks at once: a spinning rank would
+	// hold the processor the rank it waits for needs.
+	b.spin = n <= runtime.GOMAXPROCS(0)
 }
 
-// wait parks until every rank arrives.
+// wait blocks until every rank arrives.
 func (b *barrier) wait() {
 	b.mu.Lock()
-	if b.poisoned {
+	if b.poisoned.Load() {
 		cause := b.cause
 		b.mu.Unlock()
 		panic(cause)
 	}
-	gen := b.gen
+	gen := b.gen.Load()
 	b.count++
 	if b.count == b.n {
 		b.count = 0
-		b.gen++
+		b.gen.Store(gen + 1)
 		b.cond.Broadcast()
 		b.mu.Unlock()
 		return
 	}
-	for gen == b.gen && !b.poisoned {
+	if b.spin {
+		b.mu.Unlock()
+		for start := time.Now(); time.Since(start) < spinBudget && !b.poisoned.Load(); runtime.Gosched() {
+			if b.gen.Load() != gen {
+				return
+			}
+		}
+		b.mu.Lock()
+	}
+	for gen == b.gen.Load() && !b.poisoned.Load() {
 		b.cond.Wait()
 	}
-	if gen != b.gen {
+	if gen != b.gen.Load() {
 		// This generation completed: every rank arrived, so the wait
 		// succeeded. A poison that lands in the release window affects
 		// the next wait, not this one — otherwise which ranks observe a
@@ -847,32 +873,24 @@ func (b *barrier) wait() {
 		b.mu.Unlock()
 		return
 	}
-	poisoned, cause := b.poisoned, b.cause
+	cause := b.cause
 	b.mu.Unlock()
-	if poisoned {
-		panic(cause)
-	}
+	panic(cause)
 }
-
-func (b *barrier) poison() { b.poisonWith(ErrPeerFailed) }
 
 // poisonWith poisons the barrier with the given cause; the first cause
 // wins and later poisonings keep it.
 func (b *barrier) poisonWith(cause error) {
 	b.mu.Lock()
-	if !b.poisoned {
-		b.poisoned = true
+	if !b.poisoned.Load() {
 		b.cause = cause
+		b.poisoned.Store(true)
 	}
 	b.cond.Broadcast()
 	b.mu.Unlock()
 }
 
-func (b *barrier) isPoisoned() bool {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.poisoned
-}
+func (b *barrier) isPoisoned() bool { return b.poisoned.Load() }
 
 // causeErr returns the teardown cause, or nil if the barrier is healthy.
 func (b *barrier) causeErr() error {
@@ -886,5 +904,5 @@ func (b *barrier) causeErr() error {
 func (b *barrier) state() (count, gen int) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	return b.count, b.gen
+	return b.count, int(b.gen.Load())
 }
