@@ -105,9 +105,9 @@ pipeline-smoke:
 
 # Every internal package under the race detector, once: this is also
 # where the soaks run — the chaos soak and its self-healing twin
-# (DESIGN.md §7, §12), the sanitized soak and protocols (§8), the live
+# (DESIGN.md §7), the sanitized soak and protocols (§8), the live
 # telemetry scrape (§10), the plan-backed soak's repeated op-sequence
-# hashes (§13) — and the seeded-bug corpus (§5).
+# hashes (§12) — and the seeded-bug corpus (§5).
 race:
 	$(GO) test -race -count=1 ./internal/...
 

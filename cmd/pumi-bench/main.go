@@ -37,7 +37,7 @@ func main() {
 	chaosSeeds := flag.String("chaos", "", "comma-separated seeds: run the fault-injection soak instead of experiments")
 	chaosDir := flag.String("chaos-dir", "", "checkpoint directory for -chaos (default a temp dir)")
 	chaosRecover := flag.Bool("recover", false, "with -chaos: run the self-healing soak (survivable world, shrink-and-recover) instead of the restart soak")
-	sanitize := flag.Bool("san", false, "run everything under pumi-san: cross-check collective schedules across ranks, enforce owner-only mesh writes, and print the op-sequence hash at exit")
+	sanitize := flag.Bool("san", false, "run everything under pumi-san: enforce owner-only writes through live mesh handles, and print the op-sequence hash at exit")
 	tracePath := flag.String("trace", "", cmdutil.TraceUsage)
 	listenAddr := flag.String("listen", "", cmdutil.ListenUsage)
 	flag.Parse()

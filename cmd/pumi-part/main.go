@@ -117,10 +117,10 @@ func main() {
 
 // sanVerify replays the element assignment as a real migration: the
 // serial mesh is distributed over one in-process rank per part and the
-// distributed-mesh verifier runs — all under pumi-san, so the migration protocol's collective schedule
-// is cross-checked rank-against-rank and every mesh write is checked
-// for ownership. Element index i is the i-th element of m.Elements(),
-// the canonical order shared by all the partitioners' inputs.
+// distributed-mesh verifier runs — all under pumi-san, so every mesh
+// write is checked for ownership. Element index i is the i-th element
+// of m.Elements(), the canonical order shared by all the partitioners'
+// inputs.
 func sanVerify(m *mesh.Mesh, model *gmi.Model, assign []int32, parts int) error {
 	san.Enable()
 	defer san.Disable()

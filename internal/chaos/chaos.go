@@ -56,9 +56,9 @@ type Config struct {
 	Dir string
 	// StallTimeout arms the collective watchdog. Default 30s.
 	StallTimeout time.Duration
-	// Sanitize runs both attempts under pumi-san: the collective
-	// schedule is cross-checked at every sync point and mesh writes go
-	// through the ownership guard.
+	// Sanitize runs both attempts under pumi-san: mesh writes go
+	// through the ownership guard and the runs fold their op sequence
+	// into the trace hash.
 	Sanitize bool
 	// Trace records the faulted attempt with the flight recorder; when
 	// the attempt fails, Outcome.Timeline carries each rank's event tail
@@ -278,8 +278,8 @@ func classifyFailure(err error) string {
 		return "corrupt"
 	case errors.Is(err, pcu.ErrPeerFailed):
 		return "peer"
-	case errors.Is(err, san.ErrDivergence):
-		return "san-divergence"
+	case errors.Is(err, pcu.ErrMismatch):
+		return "op-mismatch"
 	case errors.Is(err, san.ErrOwnership):
 		return "san-ownership"
 	}

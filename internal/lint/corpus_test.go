@@ -11,11 +11,12 @@ package lint
 // seeded bugs are stripped first. A dynamic layer catches a bug when a
 // run of the body on corpusRanks ranks fails with that layer's error:
 //
-//	watchdog  a *pcu.StallError (a plain run)
-//	verify    partition.Verify fails at the end of a mesh body (a plain run)
-//	san       a *san.DivergenceError or *san.OwnershipError under the
-//	          sanitizer, or an op-sequence hash (Stats.SanHash) that
-//	          differs between two sanitized runs of the same body
+//	rendezvous  a *pcu.MismatchError (a plain run)
+//	watchdog    a *pcu.StallError (a plain run)
+//	verify      partition.Verify fails at the end of a mesh body (a plain run)
+//	san         a *san.OwnershipError under the sanitizer, or an
+//	            op-sequence hash (Stats.SanHash) that differs between two
+//	            sanitized runs of the same body
 //
 // A plain run that fails some other way — a type assertion in a
 // mis-paired collective, a decode underflow — is logged, not counted.
@@ -52,9 +53,10 @@ const (
 
 // The dynamic layers, after the analyzers in the corpus table.
 const (
-	layerSan      = "san"
-	layerWatchdog = "watchdog"
-	layerVerify   = "verify"
+	layerRendezvous = "rendezvous"
+	layerSan        = "san"
+	layerWatchdog   = "watchdog"
+	layerVerify     = "verify"
 )
 
 // errVerify marks a failed partition.Verify at the end of a mesh body.
@@ -76,18 +78,20 @@ var corpus = []seededBug{
 	{"one rank skips a collective", bugSkipCollective, []string{"collseq", layerWatchdog}},
 	{"an early return runs past a trailing barrier", bugEarlyReturn, []string{"collseq", layerWatchdog}},
 	{"a loop bound depends on the rank", bugRankLoop, []string{"collseq", layerWatchdog}},
-	{"an exchange and a reduction run in a different order on one rank", bugSwappedCollectives, []string{"collseq", layerSan}},
+	{"an exchange and a reduction run in a different order on one rank", bugSwappedCollectives, []string{"collseq", layerRendezvous}},
 	{"map order reaches a send", bugMapOrderSend, []string{"maporder", layerSan}},
 	{"map order reaches a per-key reduction", bugMapOrderReduce, []string{"maporder"}},
 	{"a non-owner writes a shared entity", bugNonOwnerWrite, []string{layerSan}},
 	{"a Reader slice is used after Done", bugSliceAfterDone, []string{"bufdiscipline"}},
 	{"a handle is used after its ownership migrated away", bugStaleHandle, []string{layerSan}},
+	{"a handle is written after its entity migrated away entirely", bugDeadHandle, []string{layerSan}},
 	{"a Ctx escapes its rank goroutine", bugCtxEscape, []string{"ctxescape"}},
 	{"a phase is packed but never exchanged", bugPackedNeverExchanged, []string{"phaseorder"}},
 	{"a guard on a rank-derived helper value skips a collective", bugRankHelperGuard, []string{"collseq", layerWatchdog}},
-	{"ranks pair SumInt64 with MaxInt64", bugMismatchedReductions, []string{"collseq"}},
+	{"ranks pair SumInt64 with MaxInt64", bugMismatchedReductions, []string{"collseq", layerRendezvous}},
+	{"a collective is guarded by a rank the run does not have", bugUnreachedGuard, []string{"collseq"}},
 	{"a part-local count skips a collective", bugLocalCountSkip, []string{layerWatchdog}},
-	{"a part-local count swaps Exchange for Barrier", bugLocalCountSwap, []string{layerSan}},
+	{"a part-local count swaps Exchange for Barrier", bugLocalCountSwap, []string{layerRendezvous}},
 	{"a remote-copy handle is compared with ==", bugRemoteHandleCompare, []string{"enthandle"}},
 	{"an owner drops a remote-copy link one-sidedly", bugOneSidedUnlink, []string{layerVerify}},
 	{"an owner hands ownership away one-sidedly", bugOneSidedOwner, []string{layerVerify}},
@@ -204,6 +208,29 @@ func bugStaleHandle(c *pcu.Ctx) error {
 	return verified(dm)
 }
 
+func bugDeadHandle(c *pcu.Ctx) error {
+	dm := corpusMesh(c)
+	m := dm.Parts[0].M
+	plan := partition.Plan{}
+	var kept mesh.Ent
+	if m.Part() == 1 {
+		for v := range m.Iter(0) {
+			kept = v
+			break
+		}
+		for el := range m.Iter(3) {
+			plan[el] = 0
+		}
+	}
+	if err := partition.TryMigrate(dm, []partition.Plan{plan}); err != nil {
+		return err
+	}
+	if m.Part() == 1 {
+		m.SetCoord(kept, m.Coord(kept).Scale(1.01))
+	}
+	return verified(dm)
+}
+
 func bugCtxEscape(c *pcu.Ctx) error {
 	onOtherGoroutine(func() {
 		c.Barrier() //pumi-vet:ignore ctxescape
@@ -231,6 +258,13 @@ func bugMismatchedReductions(c *pcu.Ctx) error {
 		pcu.SumInt64(c, 1)
 	} else {
 		pcu.MaxInt64(c, 1)
+	}
+	return nil
+}
+
+func bugUnreachedGuard(c *pcu.Ctx) error {
+	if c.Rank() >= corpusRanks { //pumi-vet:ignore collseq
+		c.Barrier()
 	}
 	return nil
 }
@@ -454,6 +488,8 @@ func dynamicCatches(t *testing.T, bug seededBug) []string {
 	var got []string
 	_, err := pcu.RunOpt(corpusRanks, pcu.Options{StallTimeout: corpusStall}, bug.body)
 	switch {
+	case errors.Is(err, pcu.ErrMismatch):
+		got = append(got, layerRendezvous)
 	case errors.Is(err, pcu.ErrStalled):
 		got = append(got, layerWatchdog)
 	case errors.Is(err, errVerify):
@@ -466,7 +502,7 @@ func dynamicCatches(t *testing.T, bug seededBug) []string {
 	var first uint64
 	for i := 0; i < corpusRepeats; i++ {
 		st, err := pcu.RunOpt(corpusRanks, pcu.Options{StallTimeout: corpusStall}, bug.body)
-		if errors.Is(err, san.ErrDivergence) || errors.Is(err, san.ErrOwnership) ||
+		if errors.Is(err, san.ErrOwnership) ||
 			(err == nil && i > 0 && st.SanHash != first) {
 			got = append(got, layerSan)
 			break
@@ -488,7 +524,7 @@ func TestSeededBugCorpus(t *testing.T) {
 	for _, a := range Analyzers() {
 		layers = append(layers, a.Name)
 	}
-	layers = append(layers, layerSan, layerWatchdog, layerVerify)
+	layers = append(layers, layerRendezvous, layerSan, layerWatchdog, layerVerify)
 	static := staticCatches(t)
 	unique := map[string]int{}
 	var table strings.Builder

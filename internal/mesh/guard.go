@@ -9,12 +9,13 @@ import "fmt"
 // than importing san so the dependency stays one-way — san is also
 // used by pcu, which this package imports.
 //
-// For each write the mesh reports whether the entity is a shared or
-// ghost copy this part does not own: such writes are illegal outside a
+// For each write the mesh reports whether the handle names no live
+// entity — always illegal — and whether the entity is a shared or ghost
+// copy this part does not own: such writes are illegal outside a
 // sanctioned protocol window (migration restitching, owner-to-copy
 // synchronization), which callers open with SuspendGuard.
 type Guard interface {
-	CheckWrite(op string, ent fmt.Stringer, sharedNotOwned bool)
+	CheckWrite(op string, ent fmt.Stringer, dead, sharedNotOwned bool)
 	Suspend() func()
 }
 
@@ -37,6 +38,7 @@ func (m *Mesh) guardWrite(op string, e Ent) {
 	if m.guard == nil {
 		return
 	}
-	notOwned := (m.IsShared(e) || m.IsGhost(e)) && !m.IsOwned(e)
-	m.guard.CheckWrite(op, e, notOwned)
+	dead := !m.Alive(e)
+	notOwned := !dead && (m.IsShared(e) || m.IsGhost(e)) && !m.IsOwned(e)
+	m.guard.CheckWrite(op, e, dead, notOwned)
 }

@@ -17,8 +17,8 @@ import (
 // TestSanitizedProtocols: distribution, migration, shared sync and
 // reduce, ghosting, tag sync and ghost removal all run clean under the
 // full sanitizer — every non-owner write the protocols perform goes
-// through a sanctioned window, and the collective schedule cross-checks
-// at every sync point. The sanitized world runs the production wire
+// through a sanctioned window, and every write goes through a live
+// handle. The sanitized world runs the production wire
 // format: the boundary exchanges must compile plans and deliver the
 // right values through them.
 func TestSanitizedProtocols(t *testing.T) {

@@ -47,8 +47,14 @@
 //     ahead (its next barrier cannot complete until every rank reaches
 //     it), so an inbox holds entries of at most two adjacent phases and
 //     collection filters by tag, leaving newer entries in place.
-//     Sanitized runs keep a second wait so every checked op spans
-//     exactly two sync points.
+//
+//   - Ranks meet only in the same op. Each barrier arrival records the
+//     op its rank is in — the op name, plus the combiner of a named
+//     reduction (SumInt64 does not meet MaxInt64) — and the last
+//     arriver compares them before it advances the generation. On a
+//     mismatch no rank is released: the barrier is poisoned with a
+//     *MismatchError, so no rank reads a slot or an inbox a peer in
+//     another op filled. Plain and sanitized runs take the same waits.
 //
 //   - Exchange machinery is pooled per rank. The per-peer Buffers, the
 //     backing arrays and the Readers handed out by Exchange all recycle

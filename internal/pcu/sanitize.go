@@ -1,22 +1,11 @@
 package pcu
 
 // pumi-san runtime wiring: when a run is sanitized (Options.Sanitize or
-// the process-wide san.Enable a tool's -san flag sets), every rank keeps
-// a san.OpLog shadowing its collective op sequence. Entering an op
-// publishes the log's rolling schedule hash into a per-rank slot of the
-// shared World before the op's first barrier wait; after that wait —
-// when every rank is between the op's two sync points, so all slots
-// are current and stable — each rank cross-checks the slots. This is
-// the "debug allreduce": it reuses the op's own barrier instead of
-// issuing extra collectives, so the sanitized schedule is the real
-// schedule. A mismatch panics with a *san.DivergenceError naming the
-// first op where the two schedules differ.
-//
-// Barrier has only one wait of its own, so sanitized runs give it a
-// second one: without it, a fast rank could enter its next op and
-// overwrite its slot before a slow rank has compared against it. With
-// that, every op spans exactly two waits and the publish/check windows
-// of consecutive ops never overlap.
+// the process-wide san.Enable a tool's -san flag sets), every rank
+// folds its op sequence and exchange payloads into a san.OpLog trace
+// hash, and the run combines them into Stats.SanHash — the run-to-run
+// determinism fingerprint. It adds no wait and no message: a sanitized
+// run keeps the production schedule.
 
 import (
 	"sync"
@@ -28,36 +17,22 @@ import (
 // sanState is the per-World shadow state of a sanitized run.
 type sanState struct {
 	logs  []*san.OpLog // per-rank op sequence, written by the rank itself
-	sched []uint64     // published schedule hashes, one slot per rank
-	op    []string     // published op names (for slot-level diagnosis)
 	final atomic.Uint64
 }
 
 func newSanState(n int) *sanState {
-	s := &sanState{
-		logs:  make([]*san.OpLog, n),
-		sched: make([]uint64, n),
-		op:    make([]string, n),
-	}
+	s := &sanState{logs: make([]*san.OpLog, n)}
 	for i := range s.logs {
 		s.logs[i] = san.NewOpLog()
 	}
 	return s
 }
 
-// sanRecord logs this rank's entry into a collective op and publishes
-// the updated schedule hash. Must be called before the op's first
-// wait; the matching check runs right after that wait.
+// sanRecord logs this rank's entry into a collective op.
 func (c *Ctx) sanRecord(name string, detail uint64) {
-	s := c.w.san
-	if s == nil {
-		return
+	if s := c.w.san; s != nil {
+		s.logs[c.rank].Record(name, detail)
 	}
-	log := s.logs[c.rank]
-	log.Record(name, detail)
-	s.sched[c.rank] = log.SchedHash()
-	s.op[c.rank] = name
-	c.sanPending = true
 }
 
 // sanExchangeDetail summarizes the payload shape of the Exchange this
@@ -71,34 +46,6 @@ func (c *Ctx) sanExchangeDetail(peers []int) uint64 {
 		detail = san.HashBytes(detail, c.bufs[p].buf)
 	}
 	return detail
-}
-
-// sanCheck cross-checks the published schedule hashes. It runs with
-// every rank parked between the current op's two waits, so slot reads
-// are ordered after all slot writes and before any overwrite by a next
-// op.
-func (s *sanState) check(rank int) {
-	mine := s.sched[rank]
-	for peer := range s.sched {
-		if s.sched[peer] == mine {
-			continue
-		}
-		a, b := s.logs[rank], s.logs[peer]
-		i := san.FirstMismatch(a, b)
-		op, peerOp := "(none)", "(none)"
-		if i < 0 {
-			// Hashes differ but one schedule prefixes the other: the
-			// first mismatch is where the shorter log ends.
-			i = min(a.Len(), b.Len())
-		}
-		if i < a.Len() {
-			op = a.At(i).Name
-		}
-		if i < b.Len() {
-			peerOp = b.At(i).Name
-		}
-		panic(&san.DivergenceError{Rank: rank, Peer: peer, Index: i, Op: op, PeerOp: peerOp})
-	}
 }
 
 // finish computes the run's combined trace hash (per-rank trace hashes

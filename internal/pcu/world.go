@@ -63,11 +63,12 @@ type Options struct {
 	// of diagnosing an indistinguishable stall — so a supervisor
 	// (pcu.Supervise) can rebuild a shrunken world over the survivors.
 	Survivable bool
-	// Sanitize enables pumi-san's collective-schedule shadow checking
-	// for this run (see internal/san): each rank's op sequence is
-	// hashed and cross-checked at every sync point, and divergence
-	// fails the run with a *san.DivergenceError naming the first
-	// mismatching op. san.Enable turns it on process-wide.
+	// Sanitize runs this world under pumi-san (see internal/san): each
+	// rank folds its op sequence and exchange payloads into a trace
+	// hash, and the run reports their combination as Stats.SanHash.
+	// san.Enable turns it on process-wide. Whether the ranks entered
+	// the same op is checked at every barrier of every run, sanitized
+	// or not (*MismatchError).
 	Sanitize bool
 	// Trace, when non-nil, records every rank's blocking operations,
 	// deliveries and injected faults into the given flight recorder
@@ -209,9 +210,8 @@ type Ctx struct {
 	// pendingFault is a message-level fault armed by beginOp for the
 	// current Exchange and applied to each off-node send.
 	pendingFault *Fault
-	// sanPending marks that this rank published sanitizer state for
-	// the current op and must cross-check after the next wait.
-	sanPending bool
+	// entry is the op this rank is in, as it arrives at the barrier.
+	entry entry
 	// sendSeq/recvSeq track off-node frame sequence numbers per peer.
 	sendSeq []int64
 	recvSeq []int64
@@ -375,7 +375,7 @@ func (w *World) classify(rank int, rs *rankState, p any) error {
 		// Propagated teardown, not this rank's fault.
 		return err
 	case errors.Is(err, ErrFaultInjected) || errors.Is(err, ErrCorruptMessage) ||
-		errors.Is(err, san.ErrDivergence) || errors.Is(err, san.ErrOwnership):
+		errors.Is(err, san.ErrOwnership):
 		// Structured failure: keep the message deterministic (no stack)
 		// so a seeded replay produces an identical error.
 		w.poison()
@@ -456,6 +456,7 @@ func (c *Ctx) beginOp(name *string, isExchange bool) {
 	} else {
 		op = rs.colls.Add(1) + rs.exchs.Load()
 	}
+	c.entry = entry{id: name, op: op}
 	f := c.w.faults.find(c.rank, op)
 	if f == nil {
 		return
@@ -493,11 +494,15 @@ func (c *Ctx) endOp() {
 	rs.op.Store(&opNone)
 }
 
-// collStart is beginOp for collectives, also bumping the traffic stat
-// and recording the op in the sanitizer shadow log.
-func (c *Ctx) collStart(name *string) {
+// collStart is beginOp for collectives, also bumping the traffic stat,
+// taking id (when non-nil) as the barrier identity of a named reduction
+// and recording the op in the sanitizer's trace.
+func (c *Ctx) collStart(name, id *string) {
 	c.w.colls.Add(1)
 	c.beginOp(name, false)
+	if id != nil {
+		c.entry.id = id
+	}
 	c.sanRecord(*name, 0)
 }
 
@@ -511,14 +516,7 @@ func (c *Ctx) wait() {
 	rs := &c.w.ranks[c.rank]
 	rs.blocked.Store(true)
 	defer rs.blocked.Store(false)
-	c.w.bar.wait()
-	if c.sanPending {
-		// First wait of a sanitized op: every rank has published its
-		// schedule hash for this op and none can overwrite it before
-		// the op's second wait, so cross-check now.
-		c.sanPending = false
-		c.w.san.check(c.rank)
-	}
+	c.w.bar.wait(c.rank, c.entry)
 }
 
 // grabBuf pops a recycled payload array (length zero, capacity grown by
@@ -728,12 +726,6 @@ func (c *Ctx) Exchange() []Message {
 		}
 	}
 	c.msgs = mine
-	if c.w.san != nil {
-		// Sanitized runs keep the second barrier so every op spans
-		// exactly two waits: a fast rank must not overwrite its
-		// published shadow slot before a slow rank has checked it.
-		c.wait()
-	}
 	return mine
 }
 
@@ -789,21 +781,21 @@ func (c *Ctx) accept(d delivery) (Message, bool) {
 
 // Barrier blocks until all ranks have called it.
 func (c *Ctx) Barrier() {
-	c.collStart(&opBarrier)
+	c.collStart(&opBarrier, nil)
 	defer c.endOp()
 	c.wait()
-	if c.w.san != nil {
-		// Sanitized runs sync twice so a fast rank cannot overwrite
-		// its published shadow slot before a slow rank has read it;
-		// every other op already spans two waits.
-		c.wait()
-	}
 }
 
 // barrier is a reusable sense-counting barrier. Poisoning releases all
 // current and future waiters by panicking them with the teardown cause
 // (ErrPeerFailed when a rank dies, a *StallError when the watchdog
 // fires), preventing deadlock when a rank cannot arrive.
+//
+// It is also the rendezvous check: each arrival records the op its
+// rank is in, and the last arriver compares them before it advances
+// the generation. Ranks that met from different ops are not released:
+// the last arriver poisons the barrier with a *MismatchError, so no
+// rank reads a slot or an inbox filled by a peer in another op.
 //
 // Arrivals are counted under mu; gen and poisoned are atomics written
 // under mu, so a waiter that is not last can poll them without the
@@ -820,6 +812,7 @@ type barrier struct {
 	gen      atomic.Int64
 	poisoned atomic.Bool
 	cause    error
+	entries  []entry // per rank, the op it arrived from
 }
 
 // spinBudget bounds how long a waiter polls before parking: about
@@ -829,13 +822,14 @@ const spinBudget = 100 * time.Microsecond
 func (b *barrier) init(n int) {
 	b.n = n
 	b.cond = sync.NewCond(&b.mu)
+	b.entries = make([]entry, n)
 	// An oversubscribed world parks at once: a spinning rank would
 	// hold the processor the rank it waits for needs.
 	b.spin = n <= runtime.GOMAXPROCS(0)
 }
 
-// wait blocks until every rank arrives.
-func (b *barrier) wait() {
+// wait blocks until every rank arrives; rank arrives from the op e.
+func (b *barrier) wait(rank int, e entry) {
 	b.mu.Lock()
 	if b.poisoned.Load() {
 		cause := b.cause
@@ -843,9 +837,15 @@ func (b *barrier) wait() {
 		panic(cause)
 	}
 	gen := b.gen.Load()
+	b.entries[rank] = e
 	b.count++
 	if b.count == b.n {
 		b.count = 0
+		if err := mismatch(b.entries); err != nil {
+			b.poisonLocked(err)
+			b.mu.Unlock()
+			panic(err)
+		}
 		b.gen.Store(gen + 1)
 		b.cond.Broadcast()
 		b.mu.Unlock()
@@ -867,9 +867,7 @@ func (b *barrier) wait() {
 		// This generation completed: every rank arrived, so the wait
 		// succeeded. A poison that lands in the release window affects
 		// the next wait, not this one — otherwise which ranks observe a
-		// failure would depend on wakeup timing, and deterministic
-		// post-wait work (like the sanitizer's divergence check) could
-		// be preempted on some ranks by a peer's teardown.
+		// failure would depend on wakeup timing.
 		b.mu.Unlock()
 		return
 	}
@@ -882,12 +880,17 @@ func (b *barrier) wait() {
 // wins and later poisonings keep it.
 func (b *barrier) poisonWith(cause error) {
 	b.mu.Lock()
+	b.poisonLocked(cause)
+	b.mu.Unlock()
+}
+
+// poisonLocked is poisonWith with b.mu held.
+func (b *barrier) poisonLocked(cause error) {
 	if !b.poisoned.Load() {
 		b.cause = cause
 		b.poisoned.Store(true)
 	}
 	b.cond.Broadcast()
-	b.mu.Unlock()
 }
 
 func (b *barrier) isPoisoned() bool { return b.poisoned.Load() }

@@ -2,24 +2,24 @@
 // ownership sanitizer. It is the dynamic half of the invariant tooling
 // whose static half is pumi-vet (internal/lint): where the analyzers
 // prove properties of the source, san keeps per-rank shadow state
-// during a run and turns the first violation into a structured error.
+// during a run.
 //
-// Two invariants are checked:
+// It keeps two kinds of state:
 //
-//   - Collective schedule determinism. Every rank of a PUMI run must
-//     enter the same collective operations in the same order. Each
-//     rank's OpLog folds its op sequence into a rolling FNV-1a hash;
-//     the PCU runtime cross-checks the hashes at every collective sync
-//     point and reports the first mismatching op as a
-//     *DivergenceError.
+//   - A run-to-run determinism fingerprint. Each rank's OpLog folds its
+//     op sequence and exchange payloads into a rolling FNV-1a trace
+//     hash; two runs of the same seeded workload must produce the same
+//     hashes, so map-order nondeterminism that reaches a send shows as
+//     a differing hash. (That all ranks enter the same op is checked by
+//     the PCU barrier on every run, sanitized or not.)
 //
 //   - Owner-only writes and goroutine confinement of mesh state. A
 //     shared or ghost entity may only be mutated by the part that owns
-//     it, and a mesh may only be mutated by the goroutine that owns the
-//     part. MeshGuard checks both, capturing the goroutine ids of the
-//     offending pair, with Suspend windows for the sanctioned
-//     exceptions (migration unpack/restitch, owner-to-copy
-//     synchronization).
+//     it, a mesh only by the goroutine that owns the part, and only
+//     through a handle to a live entity. MeshGuard checks all three
+//     and turns the first violation into an *OwnershipError, with
+//     Suspend windows for the sanctioned non-owner writes (migration
+//     unpack/restitch, owner-to-copy synchronization).
 //
 // The package has no dependencies inside the module so that both the
 // PCU runtime and the mesh layer can use it without import cycles.
@@ -27,7 +27,6 @@ package san
 
 import (
 	"errors"
-	"fmt"
 	"runtime"
 	"strconv"
 	"sync/atomic"
@@ -47,14 +46,11 @@ func Disable() { enabled.Store(false) }
 // Enabled reports whether the sanitizer is on.
 func Enabled() bool { return enabled.Load() }
 
-// Sentinel errors, matched with errors.Is. The concrete types
-// (*DivergenceError, *OwnershipError) carry the diagnosis.
-var (
-	ErrDivergence = errors.New("pumi-san: collective op sequence diverged")
-	ErrOwnership  = errors.New("pumi-san: illegal mesh entity write")
-)
+// ErrOwnership is matched by every *OwnershipError, which carries the
+// diagnosis.
+var ErrOwnership = errors.New("pumi-san: illegal mesh entity write")
 
-// FNV-1a parameters, shared by the op hash and the run ledger.
+// FNV-1a parameters, shared by the trace hash and the run ledger.
 const (
 	fnvOffset = 14695981039346656037
 	fnvPrime  = 1099511628211
@@ -78,8 +74,8 @@ func fnvUint64(h, v uint64) uint64 {
 
 // HashDetail folds one value into a detail hash; use DetailSeed as the
 // initial accumulator. Callers use it to summarize an op's payload
-// shape (e.g. exchange destinations and byte counts) into the OpRecord
-// detail.
+// shape (e.g. exchange destinations and byte counts) into the detail
+// OpLog.Record folds in.
 func HashDetail(h, v uint64) uint64 { return fnvUint64(h, v) }
 
 // HashBytes folds a byte slice (length then contents) into a detail
@@ -104,91 +100,22 @@ func Fold(acc, h uint64) uint64 {
 	return fnvUint64(acc, h)
 }
 
-// OpRecord is one entry of a rank's collective op sequence.
-type OpRecord struct {
-	Name   string // op name: "barrier", "allreduce", "exchange", ...
-	Detail uint64 // payload summary (exchange destinations/sizes), 0 if none
-}
-
-func (r OpRecord) String() string {
-	if r.Detail == 0 {
-		return r.Name
-	}
-	return fmt.Sprintf("%s[%#x]", r.Name, r.Detail)
-}
-
-// OpLog is one rank's shadow op sequence: the full record list plus two
-// rolling hashes over it. The schedule hash folds in op names only and
-// is what ranks cross-check — every rank must run the same collective
-// schedule, but payload shapes (exchange destinations, byte counts)
-// legitimately differ per rank. The trace hash folds in the details too
-// and is the run-to-run reproducibility fingerprint: two runs of the
-// same seeded workload must produce identical trace hashes.
-//
-// An OpLog is written only by its rank between collective sync points
-// and read by peers only inside the barrier-ordered check window, so it
-// needs no lock.
-type OpLog struct {
-	hash  uint64 // names + details: reproducibility trace
-	sched uint64 // names only: cross-rank schedule
-	ops   []OpRecord
-}
+// OpLog is one rank's trace hash: its op names and payload details
+// folded in order. It is the run-to-run reproducibility fingerprint —
+// two runs of the same seeded workload must produce identical hashes.
+// An OpLog is written only by its rank, so it needs no lock.
+type OpLog struct{ hash uint64 }
 
 // NewOpLog returns an empty log.
-func NewOpLog() *OpLog { return &OpLog{hash: fnvOffset, sched: fnvOffset} }
+func NewOpLog() *OpLog { return &OpLog{hash: fnvOffset} }
 
-// Record appends one op and folds it into both rolling hashes.
+// Record folds one op into the trace hash.
 func (l *OpLog) Record(name string, detail uint64) {
-	l.ops = append(l.ops, OpRecord{Name: name, Detail: detail})
-	l.sched = fnvString(l.sched, name)
 	l.hash = fnvUint64(fnvString(l.hash, name), detail)
 }
 
-// Hash returns the trace hash (names and details) over the ops
-// recorded so far.
+// Hash returns the trace hash over the ops recorded so far.
 func (l *OpLog) Hash() uint64 { return l.hash }
-
-// SchedHash returns the schedule hash (names only) over the ops
-// recorded so far.
-func (l *OpLog) SchedHash() uint64 { return l.sched }
-
-// Len returns the number of ops recorded.
-func (l *OpLog) Len() int { return len(l.ops) }
-
-// At returns the i'th op record.
-func (l *OpLog) At(i int) OpRecord { return l.ops[i] }
-
-// FirstMismatch returns the index of the first op where the two logs'
-// schedules differ — op names are compared, not details, since payload
-// shapes legitimately vary per rank — or -1 if one schedule is a
-// prefix of the other (including equality).
-func FirstMismatch(a, b *OpLog) int {
-	n := min(a.Len(), b.Len())
-	for i := 0; i < n; i++ {
-		if a.ops[i].Name != b.ops[i].Name {
-			return i
-		}
-	}
-	return -1
-}
-
-// DivergenceError reports that two ranks executed different collective
-// op sequences. Index is the 0-based position of the first mismatching
-// op; Op and PeerOp are the ops the two ranks entered there.
-type DivergenceError struct {
-	Rank, Peer int
-	Index      int
-	Op, PeerOp string
-}
-
-func (e *DivergenceError) Error() string {
-	return fmt.Sprintf(
-		"pumi-san: collective op sequence diverged at op %d: rank %d entered %s, rank %d entered %s",
-		e.Index, e.Rank, e.Op, e.Peer, e.PeerOp)
-}
-
-// Is makes errors.Is(err, ErrDivergence) match.
-func (e *DivergenceError) Is(target error) bool { return target == ErrDivergence }
 
 // GoroutineID returns the current goroutine's id, parsed from the
 // runtime.Stack header ("goroutine N [..."). It is a debugging
