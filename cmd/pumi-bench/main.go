@@ -179,10 +179,10 @@ func sanReport(on bool) {
 // under the seed's fault plan that must end cleanly or with a
 // structured failure, followed by a checkpoint restart when one was
 // committed. Any unclassifiable outcome fails the command. With
-// recover, the soak runs self-healing instead: a Survivable world
-// retries transient wire damage in place, and a permanent rank death
-// shrinks the world over the survivors and resumes from the last
-// checkpoint.
+// recover, the soak runs self-healing instead under pcu.Supervise:
+// transient wire damage is retried in place, and a permanent rank death
+// revokes the world, which shrinks over the survivors and resumes from
+// the last checkpoint.
 func runChaos(seeds, dir string, sanitize, recover bool) {
 	if dir == "" {
 		tmp, err := os.MkdirTemp("", "pumi-chaos-*")

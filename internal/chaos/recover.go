@@ -13,8 +13,8 @@ import (
 )
 
 // RecoverOutcome reports one self-healing soak: a balancing run under a
-// seeded fault plan in a Survivable world, supervised by pcu.Supervise
-// so a permanent rank death shrinks the world and resumes from the last
+// seeded fault plan, supervised by pcu.Supervise so a permanent rank
+// death revokes the world, which shrinks and resumes from the last
 // committed checkpoint instead of aborting.
 type RecoverOutcome struct {
 	Plan string // fault plan description, "seed N: ..."
@@ -33,8 +33,8 @@ type RecoverOutcome struct {
 	Attempts int
 	// Sizes is the world size of each attempt.
 	Sizes []int
-	// Failed lists the ranks convicted when the first world was revoked
-	// (first-attempt numbering); nil when no revocation happened.
+	// Failed lists the ranks that had vanished when the first world was
+	// revoked (first-attempt numbering); nil when no revocation happened.
 	Failed []int
 	// Retries/Replays are the final attempt's transient-fault counters.
 	Retries, Replays int64
@@ -63,9 +63,9 @@ func (o RecoverOutcome) String() string {
 }
 
 // RunRecoverable is the self-healing counterpart of Soak: the balancing
-// workload runs in a Survivable world under pcu.Supervise. Transient
-// wire faults are retried away in-world; a permanent rank death revokes
-// the world, and the supervisor rebuilds a smaller one over the
+// workload runs under pcu.Supervise. Transient wire faults are retried
+// away in-world; a permanent rank death revokes the world, and the
+// supervisor rebuilds a smaller one over the
 // survivors — sized to the largest divisor of the part count — restores
 // the last committed checkpoint, resumes balancing from its cursor, and
 // finishes with the distributed verifier green. It returns a non-nil

@@ -115,7 +115,6 @@ var builtinCollectives = []string{
 	"Allreduce", "Reduce", "Bcast", "Allgather", "Exscan",
 	"SumInt64", "MaxInt64", "MinInt64", "SumFloat64", "MaxFloat64",
 	"ExscanInt64",
-	"Agree",
 }
 
 func gatherFacts(pkgs []*Package) *Facts {

@@ -11,7 +11,6 @@ import (
 	"strings"
 
 	"github.com/fastmath/pumi-go/internal/gmi"
-	"github.com/fastmath/pumi-go/internal/mesh"
 	"github.com/fastmath/pumi-go/internal/partition"
 	"github.com/fastmath/pumi-go/internal/pcu"
 )
@@ -85,6 +84,18 @@ func readManifestFile(dir, name string) (*checkpointManifest, error) {
 	if man.Magic != checkpointMagic {
 		return nil, fmt.Errorf("meshio: bad checkpoint magic %q", man.Magic)
 	}
+	if man.NParts < 1 {
+		return nil, fmt.Errorf("meshio: checkpoint manifest has %d parts", man.NParts)
+	}
+	for _, f := range man.Files {
+		if f.Part < 0 || int(f.Part) >= man.NParts {
+			return nil, fmt.Errorf("meshio: checkpoint manifest lists part %d of %d", f.Part, man.NParts)
+		}
+		// A plain base name: filepath.Join(dir, f.Name) stays in dir.
+		if !filepath.IsLocal(f.Name) || filepath.Base(f.Name) != f.Name || f.Name == "." {
+			return nil, fmt.Errorf("meshio: checkpoint manifest names the part file %q", f.Name)
+		}
+	}
 	return &man, nil
 }
 
@@ -131,8 +142,8 @@ func partBytes(p *partition.Part) int {
 }
 
 // decodePart rebuilds one part from its file contents, returning the
-// multi-part residence sets for partition.Assemble.
-func decodePart(data []byte, pid int32, model *gmi.Model, dim int) (*partition.Part, map[mesh.Ent][]int32, error) {
+// multi-part residence sets for partition.Assemble in Iter order.
+func decodePart(data []byte, pid int32, model *gmi.Model, dim int) (*partition.Part, []partition.Residence, error) {
 	truncated := fmt.Errorf("meshio: part %d: truncated part file", pid)
 	d := &dec{b: data}
 	if head := d.bytes(len(partMagic)); string(head) != partMagic {
@@ -163,7 +174,7 @@ func decodePart(data []byte, pid int32, model *gmi.Model, dim int) (*partition.P
 	m.SetPart(pid)
 	p := partition.NewPart(m)
 	p.RestoreFreshCounter(counter)
-	res := map[mesh.Ent][]int32{}
+	var res []partition.Residence
 	// Every kept residence list is a run of one arena, sized to the part
 	// ids the rest of a well-formed file holds: what is left after the
 	// dimension counts and 16 fixed bytes per record. A run is capped, so
@@ -202,7 +213,7 @@ func decodePart(data []byte, pid int32, model *gmi.Model, dim int) (*partition.P
 			p.RestoreGid(e, gid)
 			m.SetOwner(e, owner)
 			if nres > 1 {
-				res[e] = vals
+				res = append(res, partition.Residence{E: e, Parts: vals})
 			} else {
 				arena = arena[:start]
 			}
@@ -422,7 +433,7 @@ func loadEpoch(dir, manifest string, ctx *pcu.Ctx, model *gmi.Model) (*partition
 		byPart[f.Part] = f
 	}
 	parts := make([]*partition.Part, 0, k)
-	res := make([]map[mesh.Ent][]int32, 0, k)
+	res := make([][]partition.Residence, 0, k)
 	for i := 0; i < k && localErr == nil; i++ {
 		pid := int32(ctx.Rank()*k + i)
 		f, ok := byPart[pid]

@@ -1,6 +1,7 @@
 package meshio
 
 import (
+	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -325,6 +326,37 @@ func TestCheckpointCorruptInputs(t *testing.T) {
 			t.Fatalf("want bad-magic error, got %v", err)
 		}
 	})
+	// A manifest with a valid magic but a part count below one, a file
+	// entry outside [0, nparts) or a part file name that is not a plain
+	// base name is refused before anything is read or allocated.
+	for _, tc := range []struct {
+		name string
+		edit func(*checkpointManifest)
+		want string
+	}{
+		{"negative part count", func(m *checkpointManifest) { m.NParts = -2 }, "-2 parts"},
+		{"zero part count", func(m *checkpointManifest) { m.NParts = 0 }, "0 parts"},
+		{"part outside nparts", func(m *checkpointManifest) { m.Files[1].Part = 2 }, "part 2 of 2"},
+		{"negative part", func(m *checkpointManifest) { m.Files[0].Part = -1 }, "part -1 of 2"},
+		{"name leaving dir", func(m *checkpointManifest) { m.Files[0].Name = "../" + m.Files[0].Name }, "part file"},
+		{"absolute name", func(m *checkpointManifest) { m.Files[0].Name = "/etc/passwd" }, "part file"},
+		{"empty name", func(m *checkpointManifest) { m.Files[0].Name = "" }, "part file"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			save(dir)
+			man, err := readManifest(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			tc.edit(man)
+			data, _ := json.Marshal(man)
+			os.WriteFile(filepath.Join(dir, manifestName), data, 0o644)
+			if err := load(dir); err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("want %q error, got %v", tc.want, err)
+			}
+		})
+	}
 	t.Run("truncated part file", func(t *testing.T) {
 		dir := t.TempDir()
 		save(dir)

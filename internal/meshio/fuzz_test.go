@@ -113,17 +113,25 @@ func FuzzDecodePart(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if p, res, err := decodePart(data, 0, model.Model, 3); err == nil {
 			_ = p.M.CheckConsistency() // a hostile but well-formed file may fail it; it may not panic
-			for e, parts := range res {
-				if len(parts) < 2 {
-					t.Fatalf("accepted %d bytes; %v has the residence %v", len(data), e, parts)
+			for i, r := range res {
+				if len(r.Parts) < 2 {
+					t.Fatalf("accepted %d bytes; %v has the residence %v", len(data), r.E, r.Parts)
+				}
+				if i > 0 && !res[i-1].E.Less(r.E) {
+					t.Fatalf("accepted %d bytes; residence of %v follows %v", len(data), r.E, res[i-1].E)
 				}
 			}
 		}
 		if err := os.WriteFile(filepath.Join(scratch, manifestName), data, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		if man, err := readManifestFile(scratch, manifestName); err == nil && man.Magic != checkpointMagic {
-			t.Fatalf("accepted a manifest with the magic %q", man.Magic)
+		if man, err := readManifestFile(scratch, manifestName); err == nil {
+			if man.Magic != checkpointMagic {
+				t.Fatalf("accepted a manifest with the magic %q", man.Magic)
+			}
+			if man.NParts < 1 {
+				t.Fatalf("accepted a manifest with %d parts", man.NParts)
+			}
 		}
 	})
 }

@@ -104,7 +104,7 @@ func buildWeightedPlans(dm *partition.DMesh, weights []float64, avg float64, wei
 		if len(candidates) == 0 {
 			continue
 		}
-		planned := map[mesh.Ent]bool{}
+		planned := m.NewMarks()
 		for _, cav := range SelectCavities(m, dm.Dim) {
 			if need <= 0 {
 				break
@@ -112,7 +112,7 @@ func buildWeightedPlans(dm *partition.DMesh, weights []float64, avg float64, wei
 			overlap := false
 			cavW := 0.0
 			for _, el := range cav.Els {
-				if planned[el] {
+				if planned.Has(el) {
 					overlap = true
 					break
 				}
@@ -142,7 +142,7 @@ func buildWeightedPlans(dm *partition.DMesh, weights []float64, avg float64, wei
 				continue
 			}
 			for _, el := range cav.Els {
-				planned[el] = true
+				planned.Set(el)
 				plans[i][el] = dest
 			}
 			arrivals[dest] += cavW

@@ -2,7 +2,6 @@ package partition
 
 import (
 	"fmt"
-	"sort"
 
 	"github.com/fastmath/pumi-go/internal/gmi"
 	"github.com/fastmath/pumi-go/internal/mesh"
@@ -35,33 +34,35 @@ func (p *Part) RestoreFreshCounter(v int64) { p.counter = v }
 // Checkpoints exclude ghost state; callers remove ghosts before saving.
 func (p *Part) HasGhosts() bool { return p.nGhosts > 0 }
 
+// Residence is one shared entity's multi-part residence set, as a
+// checkpoint stores it.
+type Residence struct {
+	E     mesh.Ent
+	Parts []int32
+}
+
 // Assemble builds a DMesh from restored parts and rebuilds the
 // remote-copy links from each entity's residence set (res holds, per
-// local part, the multi-part residence of every shared entity). It is
-// collective; every rank must call it with the same layout. Entities
-// are matched across parts by global id — a residence entry naming a
-// part that holds no copy of the gid means the checkpoint is
+// local part, the multi-part residence of every shared entity in
+// Ent.Less order, which is the order the part's links are stitched
+// in). It is collective; every rank must call it with the same layout.
+// Entities are matched across parts by global id — a residence entry
+// naming a part that holds no copy of the gid means the checkpoint is
 // inconsistent, and every rank returns the same error.
-func Assemble(ctx *pcu.Ctx, model *gmi.Model, dim, k int, parts []*Part, res []map[mesh.Ent][]int32) (*DMesh, error) {
+func Assemble(ctx *pcu.Ctx, model *gmi.Model, dim, k int, parts []*Part, res [][]Residence) (*DMesh, error) {
 	if len(parts) != k {
 		panic(fmt.Sprintf("partition: Assemble with %d parts, want %d per rank", len(parts), k))
 	}
 	dm := &DMesh{Ctx: ctx, Model: model, Dim: dim, K: k, Parts: parts}
 	ph := dm.beginPhase()
 	for i, part := range parts {
-		m := part.M
-		self := m.Part()
-		ents := make([]mesh.Ent, 0, len(res[i]))
-		for e := range res[i] {
-			ents = append(ents, e)
-		}
-		sort.Slice(ents, func(a, b int) bool { return ents[a].Less(ents[b]) })
-		for _, e := range ents {
-			for _, q := range res[i][e] {
+		self := part.M.Part()
+		for _, r := range res[i] {
+			for _, q := range r.Parts {
 				if q == self {
 					continue
 				}
-				packStitch(ph.to(self, q), part, e)
+				packStitch(ph.to(self, q), part, r.E)
 			}
 		}
 	}

@@ -196,13 +196,14 @@ func TestSanitizedCheckpointAssemble(t *testing.T) {
 		}, 1, 2)
 		// Rebuild the remote links the way a checkpoint restore does:
 		// record residence, clear links, reassemble by gid.
-		res := make([]map[mesh.Ent][]int32, len(dm.Parts))
+		res := make([][]Residence, len(dm.Parts))
 		for i, part := range dm.Parts {
 			m := part.M
-			res[i] = map[mesh.Ent][]int32{}
 			for d := 0; d <= dm.Dim; d++ {
-				for e := range m.PartBoundary(d) {
-					res[i][e] = m.Residence(e).Values()
+				for e := range m.Iter(d) {
+					if m.NRemotes(e) > 0 {
+						res[i] = append(res[i], Residence{E: e, Parts: m.Residence(e).Values()})
+					}
 				}
 			}
 			resume := m.SuspendGuard()

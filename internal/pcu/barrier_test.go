@@ -115,13 +115,13 @@ func TestPeerPanicReleasesSpinningWaiter(t *testing.T) {
 // TestVanishWhileSpinningDiagnosed: rank 1 vanishes right after rank 0
 // arrives at a Barrier. The spinning rank counts as blocked and
 // arrived, so the watchdog still proves the deadlock: a *StallError,
-// or a *RevokedError naming rank 1 in a Survivable world.
+// or a *RevokedError naming rank 1 in a survivable world.
 func TestVanishWhileSpinningDiagnosed(t *testing.T) {
 	atLeastProcs(t, 2)
 	for _, survivable := range []bool{false, true} {
 		t.Run(fmt.Sprintf("survivable=%v", survivable), func(t *testing.T) {
 			plan := &FaultPlan{Faults: []Fault{{Rank: 1, Op: 2, Kind: FaultVanish}}}
-			_, err := RunOpt(2, Options{Faults: plan, Survivable: survivable, StallTimeout: 2 * time.Second}, func(c *Ctx) error {
+			_, err := runOpt(2, Options{Faults: plan, StallTimeout: 2 * time.Second}, survivable, func(c *Ctx) error {
 				c.Barrier()
 				if c.Rank() == 1 {
 					awaitArrivals(c, 1)

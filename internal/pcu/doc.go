@@ -78,6 +78,12 @@
 //     receiver's decode (the bufdiscipline analyzer catches this
 //     statically, the seal catches it at run time).
 //
+//   - A rank waits in one place: the barrier. When a rank dies without
+//     reaching it, the watchdog proves the others cannot advance and
+//     poisons the barrier — with a *StallError, or in a world Supervise
+//     runs with a *RevokedError naming the vanished ranks, after which
+//     Supervise re-runs the body on the survivors.
+//
 //   - The traffic counters are atomics, so Stats may be called from any
 //     rank at any time — including concurrently with message delivery —
 //     and yields a consistent (if instantaneous) snapshot.

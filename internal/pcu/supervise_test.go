@@ -9,72 +9,17 @@ import (
 	"time"
 )
 
-func TestAgreeHealthyWorld(t *testing.T) {
-	// With every rank alive, Agree is an AND-reduction with an empty
-	// conviction list, consistent on all ranks.
-	if err := Run(4, func(c *Ctx) error {
-		ok, failed := Agree(c, true)
-		if !ok || len(failed) != 0 {
-			return fmt.Errorf("rank %d: unanimous true vote got (%v, %v)", c.Rank(), ok, failed)
-		}
-		ok, failed = Agree(c, c.Rank() != 2)
-		if ok || len(failed) != 0 {
-			return fmt.Errorf("rank %d: dissenting vote got (%v, %v)", c.Rank(), ok, failed)
-		}
-		return nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestAgreeCompletesOverVanishedRank(t *testing.T) {
-	// Rank 2 dies entering the Agree itself (its op 2). The survivors
-	// park in the agreement gate; the watchdog convicts the vanished
-	// rank, the threshold drops, and the round closes with a verdict
-	// naming the dead — the run finishes cleanly without teardown.
-	plan := &FaultPlan{Faults: []Fault{{Rank: 2, Op: 2, Kind: FaultVanish}}}
-	var mu sync.Mutex
-	verdicts := map[int][]int{}
-	_, err := RunOpt(4, Options{
-		Faults:       plan,
-		Survivable:   true,
-		StallTimeout: 2 * time.Second,
-	}, func(c *Ctx) error {
-		c.Barrier()                  // op 1
-		ok, failed := Agree(c, true) // op 2; rank 2 vanishes here
-		if !ok {
-			return fmt.Errorf("rank %d: surviving votes were all true, got verdict false", c.Rank())
-		}
-		mu.Lock()
-		verdicts[c.Rank()] = failed
-		mu.Unlock()
-		return nil
-	})
-	if err != nil {
-		t.Fatalf("survivors should complete the run: %v", err)
-	}
-	if len(verdicts) != 3 {
-		t.Fatalf("want verdicts from 3 survivors, got %d", len(verdicts))
-	}
-	for r, failed := range verdicts {
-		if !slices.Equal(failed, []int{2}) {
-			t.Fatalf("rank %d: want conviction [2], got %v", r, failed)
-		}
-	}
-}
-
 func TestSurvivableWorldRevokedOnVanish(t *testing.T) {
 	// Rank 1 dies entering a Barrier; the survivors are parked in the
-	// world barrier, which no agreement can release. In a Survivable
-	// world the watchdog must revoke — every survivor unwinds with the
+	// world barrier, which nothing can release. In a survivable world
+	// the watchdog must revoke — every survivor unwinds with the
 	// same *RevokedError naming the dead rank — instead of reporting an
 	// undiagnosed stall.
 	plan := &FaultPlan{Faults: []Fault{{Rank: 1, Op: 2, Kind: FaultVanish}}}
-	_, err := RunOpt(4, Options{
+	_, err := runOpt(4, Options{
 		Faults:       plan,
-		Survivable:   true,
 		StallTimeout: 2 * time.Second,
-	}, collectiveLoop(4))
+	}, true, collectiveLoop(4))
 	var rev *RevokedError
 	if !errors.As(err, &rev) {
 		t.Fatalf("want *RevokedError, got %v", err)
@@ -88,7 +33,7 @@ func TestSurvivableWorldRevokedOnVanish(t *testing.T) {
 }
 
 func TestNonSurvivableWorldStallsOnVanish(t *testing.T) {
-	// The same death without Survivable keeps the pre-ULFM contract:
+	// The same death in a plain world keeps the pre-ULFM contract:
 	// the watchdog diagnoses a stall, not a revocation.
 	plan := &FaultPlan{Faults: []Fault{{Rank: 1, Op: 2, Kind: FaultVanish}}}
 	_, err := RunOpt(4, Options{
@@ -158,6 +103,49 @@ func TestSuperviseShrinksAndCompletes(t *testing.T) {
 	}
 	if second.Attempt != 1 || second.Size != 3 || second.Initial != 4 || !slices.Equal(second.Failed, []int{1}) {
 		t.Fatalf("bad recovery epoch: %+v", second)
+	}
+}
+
+func TestSuperviseTwoDeathsOneRevocation(t *testing.T) {
+	// Ranks 1 and 3 both vanish in attempt 0. A vanished rank blocks
+	// every later barrier, so both die entering the same op (op 2), but
+	// rank 3 computes for several watchdog polls first: the two deaths
+	// show up in different snapshots, and the revocation must still
+	// name both. Attempt 1 then runs on the 2 survivors and finishes.
+	plan := &FaultPlan{Faults: []Fault{
+		{Rank: 1, Op: 2, Kind: FaultVanish},
+		{Rank: 3, Op: 2, Kind: FaultVanish},
+	}}
+	var mu sync.Mutex
+	var epochs []Epoch
+	_, err := Supervise(4, Options{
+		Faults:       plan,
+		StallTimeout: 2 * time.Second,
+	}, nil, func(c *Ctx, ep Epoch) error {
+		if c.Rank() == 0 {
+			mu.Lock()
+			epochs = append(epochs, ep)
+			mu.Unlock()
+		}
+		SumInt64(c, 1) // op 1
+		if ep.Attempt == 0 && c.Rank() == 3 {
+			time.Sleep(600 * time.Millisecond) // past two 250 ms polls
+		}
+		for i := 0; i < 3; i++ {
+			if got := SumInt64(c, 1); got != int64(ep.Size) {
+				return fmt.Errorf("rank %d: sum %d on %d ranks", c.Rank(), got, ep.Size)
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatalf("supervised run should recover: %v", err)
+	}
+	if len(epochs) != 2 {
+		t.Fatalf("want 2 attempts, got %d: %+v", len(epochs), epochs)
+	}
+	if ep := epochs[1]; ep.Attempt != 1 || ep.Size != 2 || !slices.Equal(ep.Failed, []int{1, 3}) {
+		t.Fatalf("bad recovery epoch: %+v", ep)
 	}
 }
 

@@ -73,7 +73,7 @@ func HealthReport() telemetry.Health {
 		default:
 			lines = append(lines, line{w.id, fmt.Sprintf(
 				"world %d: %d ranks (%d blocked, %d done), %d collectives",
-				w.id, w.size, blocked, done, w.colls.Load())})
+				w.id, w.size, blocked, done, w.Stats().Collectives)})
 		}
 		return true
 	})

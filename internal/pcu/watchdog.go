@@ -3,6 +3,7 @@ package pcu
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"strings"
 	"time"
 )
@@ -13,7 +14,8 @@ import (
 // actionable error: it polls the run's progress and, when the run can
 // no longer advance, poisons the barrier with a *StallError carrying a
 // per-rank diagnosis (which op each rank is blocked in and how many
-// collectives/exchanges it has completed).
+// collectives/exchanges it has completed) — or, in a survivable world
+// with vanished ranks, with a *RevokedError naming them.
 //
 // Two triggers:
 //
@@ -139,20 +141,8 @@ func (w *World) snapshot() []RankSnapshot {
 	return out
 }
 
-func sameSnapshot(a, b []RankSnapshot) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
 // watch runs until stop closes, poisoning the barrier with a
-// *StallError when the run stalls.
+// *StallError (or a *RevokedError) when the run stalls.
 func (w *World) watch(timeout time.Duration, stop chan struct{}) {
 	interval := timeout / 8
 	if interval > 250*time.Millisecond {
@@ -199,24 +189,7 @@ func (w *World) watch(timeout time.Duration, stop chan struct{}) {
 			}
 			return snap
 		}
-		var vanished []int
-		for _, r := range snap {
-			if r.Vanished {
-				vanished = append(vanished, r.Rank)
-			}
-		}
-		if w.survivable && len(vanished) > 0 {
-			// Feed suspicion to the agreement gate. A fresh conviction is
-			// activity: it may complete a pending Agree round, so give the
-			// survivors a poll to move before judging the run stuck.
-			if w.agree.suspect(vanished) {
-				lastActivity = now
-				prev, prevGen = snap, gen
-				prevCertain = false
-				continue
-			}
-		}
-		if gen != prevGen || !sameSnapshot(prev, snap) {
+		if gen != prevGen || !slices.Equal(prev, snap) {
 			lastActivity = now
 			prev, prevGen = snap, gen
 			prevCertain = false
@@ -235,17 +208,12 @@ func (w *World) watch(timeout time.Duration, stop chan struct{}) {
 			lastActivity = now
 			continue
 		}
-		// Certain only when every flagged rank has actually parked — in
-		// the barrier or the Agree gate (a rank between flagging and
-		// parking might still be the arrival that fills the barrier and
-		// releases everyone).
-		certain := allStuck && parked+w.agree.parked() == nBlocked
+		// Certain only when every flagged rank has actually parked in the
+		// barrier (a rank between flagging and parking might still be the
+		// arrival that fills the barrier and releases everyone).
+		certain := allStuck && parked == nBlocked
 		if certain && prevCertain {
-			if w.survivable && len(vanished) > 0 {
-				// The dead ranks block the survivors forever: revoke the
-				// world with a consistent conviction instead of reporting
-				// an undiagnosed stall.
-				w.revoke(vanished)
+			if w.revoke(snap) {
 				return
 			}
 			w.stall(&StallError{
@@ -256,8 +224,7 @@ func (w *World) watch(timeout time.Duration, stop chan struct{}) {
 		}
 		prevCertain = certain
 		if time.Since(lastActivity) > timeout {
-			if w.survivable && len(vanished) > 0 {
-				w.revoke(vanished)
+			if w.revoke(snap) {
 				return
 			}
 			w.stall(&StallError{
@@ -274,8 +241,29 @@ func (w *World) watch(timeout time.Duration, stop chan struct{}) {
 // stall without flooding the report.
 const stallTrail = 8
 
-// stall records the diagnosis and releases all blocked ranks by
-// poisoning the barrier with it.
+// revoke tears a survivable world down with a *RevokedError naming the
+// ranks snap shows vanished, and reports whether it did: the dead block
+// the survivors forever, so they unwind with one structured cause
+// instead of an undiagnosed stall.
+func (w *World) revoke(snap []RankSnapshot) bool {
+	if !w.survivable {
+		return false
+	}
+	var vanished []int
+	for _, r := range snap {
+		if r.Vanished {
+			vanished = append(vanished, r.Rank)
+		}
+	}
+	if vanished == nil {
+		return false
+	}
+	w.bar.poisonWith(&RevokedError{Failed: vanished})
+	return true
+}
+
+// stall releases all blocked ranks by poisoning the barrier with the
+// diagnosis.
 func (w *World) stall(err *StallError) {
 	if err.Trails == nil {
 		// Safe while ranks still run: each Recorder snapshot locks its
@@ -287,10 +275,5 @@ func (w *World) stall(err *StallError) {
 		// stalled ranks sit in the barrier.
 		err.Counters = w.reg.Report()
 	}
-	w.stallMu.Lock()
-	if w.stallErr == nil {
-		w.stallErr = err
-	}
-	w.stallMu.Unlock()
-	w.poisonWith(err)
+	w.bar.poisonWith(err)
 }

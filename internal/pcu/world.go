@@ -56,13 +56,6 @@ type Options struct {
 	// Zero selects DefaultStallTimeout; a negative value disables the
 	// watchdog entirely.
 	StallTimeout time.Duration
-	// Survivable arms ULFM-style failure mitigation: when a rank dies
-	// without teardown (FaultVanish, a real crash) and its surviving
-	// peers can no longer advance, the watchdog convicts the dead ranks
-	// and revokes the world with a *RevokedError naming them — instead
-	// of diagnosing an indistinguishable stall — so a supervisor
-	// (pcu.Supervise) can rebuild a shrunken world over the survivors.
-	Survivable bool
 	// Sanitize runs this world under pumi-san (see internal/san): each
 	// rank folds its op sequence and exchange payloads into a trace
 	// hash, and the run reports their combination as Stats.SanHash.
@@ -102,13 +95,9 @@ type World struct {
 	// the run carries a fault plan.
 	resend *resendStore
 
-	// survivable worlds revoke (instead of stalling) when ranks die;
-	// failed is the conviction list and agree the fault-tolerant
-	// agreement state, both fed by the watchdog.
+	// survivable worlds (Supervise's) revoke instead of stalling when
+	// vanished ranks block the survivors.
 	survivable bool
-	failMu     sync.Mutex
-	failed     []bool
-	agree      agreeState
 
 	slots []any // collective scratch, one slot per rank
 
@@ -117,11 +106,8 @@ type World struct {
 	// ranks is the per-rank progress state the watchdog polls.
 	ranks []rankState
 
-	stallMu  sync.Mutex
-	stallErr *StallError
-
-	onMsgs, offMsgs, onBytes, offBytes, colls atomic.Int64
-	retries, replays                          atomic.Int64
+	onMsgs, offMsgs, onBytes, offBytes atomic.Int64
+	retries, replays                   atomic.Int64
 }
 
 // Interned op names: rankState.op holds a pointer so recording progress
@@ -135,7 +121,6 @@ var (
 	opBcast     = "bcast"
 	opAllgather = "allgather"
 	opExscan    = "exscan"
-	opAgree     = "agree"
 )
 
 // rankState is one rank's progress record, written lock-free by the
@@ -203,10 +188,6 @@ type Ctx struct {
 	arrived []delivery
 	msgs    []Message
 
-	// phase counts this rank's exchanges; all ranks agree on it because
-	// Exchange is collective.
-	phase int64
-
 	// pendingFault is a message-level fault armed by beginOp for the
 	// current Exchange and applied to each off-node send.
 	pendingFault *Fault
@@ -235,7 +216,7 @@ var worlds sync.Map // *World -> struct{}
 func AbortAll(cause error) int {
 	n := 0
 	worlds.Range(func(k, _ any) bool {
-		k.(*World).poisonWith(cause)
+		k.(*World).bar.poisonWith(cause)
 		n++
 		return true
 	})
@@ -261,6 +242,12 @@ func RunOn(n int, topo hwtopo.Topology, body func(*Ctx) error) (Stats, error) {
 // watchdog converts deadlocks into a *StallError naming each rank's
 // blocked operation and phase counts.
 func RunOpt(n int, opt Options, body func(*Ctx) error) (Stats, error) {
+	return runOpt(n, opt, false, body)
+}
+
+// runOpt is RunOpt; a survivable world (Supervise's) is revoked by the
+// watchdog when vanished ranks block the survivors, instead of stalled.
+func runOpt(n int, opt Options, survivable bool, body func(*Ctx) error) (Stats, error) {
 	if n < 1 {
 		return Stats{}, fmt.Errorf("pcu: rank count %d < 1", n)
 	}
@@ -275,8 +262,7 @@ func RunOpt(n int, opt Options, body func(*Ctx) error) (Stats, error) {
 		size:       n,
 		topo:       topo,
 		faults:     opt.Faults,
-		survivable: opt.Survivable,
-		failed:     make([]bool, n),
+		survivable: survivable,
 		slots:      make([]any, n),
 		inboxes:    make([]inbox, n),
 		ranks:      make([]rankState, n),
@@ -284,7 +270,6 @@ func RunOpt(n int, opt Options, body func(*Ctx) error) (Stats, error) {
 	if opt.Faults != nil {
 		w.resend = newResendStore()
 	}
-	w.agree.init(w)
 	w.id = worldSeq.Add(1)
 	w.start = time.Now()
 	w.reg = defaultMetrics.Load()
@@ -367,7 +352,7 @@ func (w *World) classify(rank int, rs *rankState, p any) error {
 	}
 	err, ok := p.(error)
 	if !ok {
-		w.poison()
+		w.bar.poisonWith(ErrPeerFailed)
 		return fmt.Errorf("pcu: rank %d panicked: %v\n%s", rank, p, debug.Stack())
 	}
 	switch {
@@ -378,10 +363,10 @@ func (w *World) classify(rank int, rs *rankState, p any) error {
 		errors.Is(err, san.ErrOwnership):
 		// Structured failure: keep the message deterministic (no stack)
 		// so a seeded replay produces an identical error.
-		w.poison()
+		w.bar.poisonWith(ErrPeerFailed)
 		return fmt.Errorf("pcu: rank %d: %w", rank, err)
 	default:
-		w.poison()
+		w.bar.poisonWith(ErrPeerFailed)
 		return fmt.Errorf("pcu: rank %d panicked: %v\n%s", rank, err, debug.Stack())
 	}
 }
@@ -416,9 +401,11 @@ func (w *World) Stats() Stats {
 		OffNodeMsgs:  w.offMsgs.Load(),
 		OnNodeBytes:  w.onBytes.Load(),
 		OffNodeBytes: w.offBytes.Load(),
-		Collectives:  w.colls.Load(),
 		Retries:      w.retries.Load(),
 		Replays:      w.replays.Load(),
+	}
+	for i := range w.ranks {
+		s.Collectives += w.ranks[i].colls.Load()
 	}
 	if w.san != nil {
 		s.SanHash = w.san.final.Load()
@@ -494,11 +481,10 @@ func (c *Ctx) endOp() {
 	rs.op.Store(&opNone)
 }
 
-// collStart is beginOp for collectives, also bumping the traffic stat,
-// taking id (when non-nil) as the barrier identity of a named reduction
-// and recording the op in the sanitizer's trace.
+// collStart is beginOp for collectives, taking id (when non-nil) as the
+// barrier identity of a named reduction and recording the op in the
+// sanitizer's trace.
 func (c *Ctx) collStart(name, id *string) {
-	c.w.colls.Add(1)
 	c.beginOp(name, false)
 	if id != nil {
 		c.entry.id = id
@@ -615,8 +601,8 @@ func (c *Ctx) Exchange() []Message {
 	if c.w.san != nil {
 		c.sanRecord(opExchange, c.sanExchangeDetail(c.act))
 	}
-	phase := c.phase
-	c.phase++
+	// The exchange count, which every rank shares, tags this phase.
+	phase := c.w.ranks[c.rank].exchs.Load()
 	for _, p := range c.act {
 		b := c.bufs[p]
 		data := b.buf
