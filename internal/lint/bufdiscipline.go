@@ -155,14 +155,7 @@ func checkPhaseBody(p *Pass, body *ast.BlockStmt) {
 					if !ok {
 						continue
 					}
-					obj := p.Info.Defs[id]
-					if obj == nil {
-						obj = p.Info.Uses[id]
-					}
-					if obj == nil {
-						continue
-					}
-					if isPhaseBufferCall(p, call) {
+					if obj := identObj(p.Info, id); obj != nil && isPhaseBufferCall(p, call) {
 						bufDefs[obj] = n.Pos()
 					}
 				}
@@ -173,11 +166,7 @@ func checkPhaseBody(p *Pass, body *ast.BlockStmt) {
 						continue
 					}
 					if id, ok := n.Lhs[i].(*ast.Ident); ok {
-						obj := p.Info.Defs[id]
-						if obj == nil {
-							obj = p.Info.Uses[id]
-						}
-						if obj != nil {
+						if obj := identObj(p.Info, id); obj != nil {
 							st := reader(obj) // begin tracking, undecoded
 							st.pooled = st.pooled || pooled
 						}
@@ -199,16 +188,10 @@ func checkPhaseBody(p *Pass, body *ast.BlockStmt) {
 					if st == nil || !st.pooled {
 						continue
 					}
-					id, ok := n.Lhs[i].(*ast.Ident)
-					if !ok {
-						continue
-					}
-					obj := p.Info.Defs[id]
-					if obj == nil {
-						obj = p.Info.Uses[id]
-					}
-					if obj != nil {
-						aliases[obj] = aliasDef{st: st, pos: n.Pos()}
+					if id, ok := n.Lhs[i].(*ast.Ident); ok {
+						if obj := identObj(p.Info, id); obj != nil {
+							aliases[obj] = aliasDef{st: st, pos: n.Pos()}
+						}
 					}
 				}
 			}
@@ -400,17 +383,6 @@ func selectorPath(e ast.Expr) string {
 	return "?"
 }
 
-func isBufferPtr(t types.Type) bool {
-	ptr, ok := t.(*types.Pointer)
-	return ok && isNamedType(ptr.Elem(), pcuPkg, "Buffer")
-}
-
-func isReaderPtr(t types.Type) bool {
-	ptr, ok := t.(*types.Pointer)
-	return ok && isNamedType(ptr.Elem(), pcuPkg, "Reader")
-}
-
-func isRecorderPtr(t types.Type) bool {
-	ptr, ok := t.(*types.Pointer)
-	return ok && isNamedType(ptr.Elem(), tracePkg, "Recorder")
-}
+func isBufferPtr(t types.Type) bool   { return isPtrTo(t, pcuPkg, "Buffer") }
+func isReaderPtr(t types.Type) bool   { return isPtrTo(t, pcuPkg, "Reader") }
+func isRecorderPtr(t types.Type) bool { return isPtrTo(t, tracePkg, "Recorder") }

@@ -21,11 +21,11 @@ import (
 // rank-dependent are checked against zero iterations: their bodies must
 // have an empty collective schedule.
 //
-// Rank dependence covers the lexical forms (Rank() calls, variables
-// assigned from them) plus values derived from the rank through
-// dataflow (rankTaint: arithmetic on rank, rank-returning helpers,
-// rank-indexed data, assignment chains). Reports nest innermost-first: if a
-// nested branch already diverged, the enclosing one is not re-reported.
+// Rank dependence is one dataflow (rankTaint): Rank() calls and every
+// value derived from them — arithmetic on rank, rank-returning helpers,
+// rank-indexed data, assignment chains, assignments inside nested
+// function literals. Reports nest innermost-first: if a nested branch
+// already diverged, the enclosing one is not re-reported.
 var CollSeq = &Analyzer{
 	Name: "collseq",
 	Doc:  "prove rank-dependent branches and loops have rank-uniform collective schedules",
@@ -34,11 +34,7 @@ var CollSeq = &Analyzer{
 
 func runCollSeq(p *Pass) {
 	for _, body := range funcBodies(p) {
-		w := &seqWalker{
-			p:        p,
-			rankVars: collectRankVars(p, body),
-			taint:    rankTaint(p, body),
-		}
+		w := &seqWalker{p: p, taint: rankTaint(p, body)}
 		w.walkStmts(body.List, nil)
 	}
 }
@@ -63,46 +59,12 @@ func funcBodies(p *Pass) []*ast.BlockStmt {
 	return bodies
 }
 
-// collectRankVars finds local variables assigned from a Rank() call on
-// a *pcu.Ctx within the body, so `r := c.Rank(); if r == 0 {...}` is
-// recognized as rank-dependent.
-func collectRankVars(p *Pass, body *ast.BlockStmt) map[any]bool {
-	vars := map[any]bool{}
-	ast.Inspect(body, func(n ast.Node) bool {
-		as, ok := n.(*ast.AssignStmt)
-		if !ok || len(as.Lhs) != len(as.Rhs) {
-			return true
-		}
-		for i, rhs := range as.Rhs {
-			call, ok := ast.Unparen(rhs).(*ast.CallExpr)
-			if !ok || !isRankCall(p, call) {
-				continue
-			}
-			if id, ok := as.Lhs[i].(*ast.Ident); ok {
-				if obj := p.Info.Defs[id]; obj != nil {
-					vars[obj] = true
-				} else if obj := p.Info.Uses[id]; obj != nil {
-					vars[obj] = true
-				}
-			}
-		}
-		return true
-	})
-	return vars
-}
-
 type seqWalker struct {
-	p        *Pass
-	rankVars map[any]bool
-	taint    map[types.Object]bool
+	p     *Pass
+	taint map[types.Object]bool
 }
 
-func (w *seqWalker) rankDep(e ast.Expr) bool {
-	if e == nil {
-		return false
-	}
-	return lexicalRankDep(w.p, e, w.rankVars) || rankDerived(w.p, e, w.taint)
-}
+func (w *seqWalker) rankDep(e ast.Expr) bool { return rankDerived(w.p, e, w.taint) }
 
 // walkStmts traverses a statement list; konts is the continuation
 // stack — the statement tails that run after the current region
@@ -238,9 +200,8 @@ func loopBodyCollectives(p *Pass, body *ast.BlockStmt) []string {
 	f := newEffEval(p.Package, p.Facts).evalStmts(body.List)
 	paths := append([]*Effect{}, f.exits...)
 	paths = append(paths, f.eff)
-	proj := collProject(choiceEffect(paths...))
 	var ops []string
-	for _, a := range alphabet(proj) {
+	for _, a := range alphabet(choiceEffect(paths...)) {
 		ops = append(ops, a.op)
 	}
 	return ops
@@ -343,8 +304,9 @@ func tailLang(p *Pass, konts [][]ast.Stmt) *Effect {
 // fixpoint. Sources: Ctx.Rank() calls, calls to functions whose return
 // derives from rank (Facts.RankReturn), and uses of already-tainted
 // variables — which covers arithmetic on rank and rank-indexed data,
-// since containment is checked over whole right-hand sides. Function
-// literals are separate contexts and are not descended into.
+// since containment is checked over whole right-hand sides. The scan
+// descends into function literals: `func() { r = c.Rank() }()` taints
+// the enclosing body's r.
 func rankTaint(p *Pass, body *ast.BlockStmt) map[types.Object]bool {
 	taint := map[types.Object]bool{}
 	changed := false
@@ -359,8 +321,6 @@ func rankTaint(p *Pass, body *ast.BlockStmt) map[types.Object]bool {
 		changed = false
 		ast.Inspect(body, func(n ast.Node) bool {
 			switch n := n.(type) {
-			case *ast.FuncLit:
-				return false
 			case *ast.AssignStmt:
 				for i, lhs := range n.Lhs {
 					id, ok := lhs.(*ast.Ident)
@@ -416,7 +376,7 @@ func rankDerived(p *Pass, e ast.Expr, taint map[types.Object]bool) bool {
 				if p.Facts.IsCollective(fn) {
 					return false // reconciled: same value on every rank
 				}
-				_, found = p.Facts.RankReturn(fn)
+				found = p.Facts.RankReturn(fn)
 			}
 		case *ast.Ident:
 			if obj := p.Info.Uses[n]; obj != nil && taint[obj] {
@@ -426,28 +386,4 @@ func rankDerived(p *Pass, e ast.Expr, taint map[types.Object]bool) bool {
 		return !found
 	})
 	return found
-}
-
-// lexicalRankDep reports whether the expression is rank-dependent in
-// the lexical sense: it contains a Rank() call on a *pcu.Ctx or
-// references a variable assigned directly from one.
-func lexicalRankDep(p *Pass, e ast.Expr, rankVars map[any]bool) bool {
-	if e == nil {
-		return false
-	}
-	dep := false
-	ast.Inspect(e, func(n ast.Node) bool {
-		switch n := n.(type) {
-		case *ast.CallExpr:
-			if isRankCall(p, n) {
-				dep = true
-			}
-		case *ast.Ident:
-			if obj := p.Info.Uses[n]; obj != nil && rankVars[obj] {
-				dep = true
-			}
-		}
-		return !dep
-	})
-	return dep
 }

@@ -139,26 +139,12 @@ func checkGoStmt(p *Pass, g *ast.GoStmt) {
 				"*pcu.Ctx passed to a goroutine; a Ctx is confined to the goroutine it was handed to")
 		}
 	}
-	lit, ok := ast.Unparen(g.Call.Fun).(*ast.FuncLit)
-	if !ok {
-		return
-	}
-	ast.Inspect(lit.Body, func(n ast.Node) bool {
-		id, ok := n.(*ast.Ident)
-		if !ok {
-			return true
-		}
-		obj, ok := p.Info.Uses[id].(*types.Var)
-		if !ok || obj.IsField() || !isCtxPtr(obj.Type()) {
-			return true
-		}
-		// Free variable: declared outside the literal's extent.
-		if obj.Pos() < lit.Pos() || obj.Pos() > lit.End() {
+	if lit, ok := ast.Unparen(g.Call.Fun).(*ast.FuncLit); ok {
+		for _, id := range ctxCaptures(p, lit) {
 			p.Reportf(id.Pos(),
 				"*pcu.Ctx %q captured by goroutine literal; a Ctx is confined to the goroutine it was handed to", id.Name)
 		}
-		return true
-	})
+	}
 }
 
 // rootIdent returns the base identifier of an lvalue expression
@@ -181,13 +167,7 @@ func rootIdent(e ast.Expr) *ast.Ident {
 }
 
 func isPkgLevelVar(info *types.Info, id *ast.Ident) bool {
-	var obj types.Object
-	if o, ok := info.Uses[id]; ok {
-		obj = o
-	} else if o, ok := info.Defs[id]; ok {
-		obj = o
-	}
-	v, ok := obj.(*types.Var)
+	v, ok := identObj(info, id).(*types.Var)
 	if !ok {
 		return false
 	}

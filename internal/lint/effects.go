@@ -4,15 +4,19 @@ package lint
 // collseq analyzer.
 //
 // Every function body is abstract-interpreted into an *effect term*, a
-// regular expression over communication atoms:
+// regular expression over collective atoms:
 //
 //	ε           no communication
 //	Op(a)       one atom: a collective op (Barrier, Exchange, SumInt64,
-//	            a doc-marked collective), a send (To/pack on a buffer),
-//	            or a reader-lifecycle event (Reader.Done)
+//	            a doc-marked collective)
 //	e1 · e2     sequential composition (statement order)
 //	e1 | e2     alternation (both arms of a branch)
 //	e*          zero-or-more repetition (loops, widened recursion)
+//
+// Only collectives are atoms. Packing a buffer is not a schedule event:
+// ranks pack to whichever peers they like and then meet in one
+// Exchange, so rank-divergent packing before a uniform Exchange (the
+// canonical sparse pattern) never enters a term and stays legal.
 //
 // Terms compose interprocedurally over the callgraph built in
 // summary.go: a call site contributes its callee's inferred effect
@@ -25,16 +29,13 @@ package lint
 // toward reporting when a rank guard surrounds recursion that
 // communicates.
 //
-// The payoff is decidable schedule comparison. The *collective
-// schedule* of a term is its projection onto collective atoms (sends
-// and reader events erased — rank-divergent packing before a uniform
-// Exchange is the canonical sparse pattern and must stay legal). Two
-// schedules are compared as regular languages with Brzozowski
-// derivatives over canonicalized terms; inequivalence comes with a
-// minimal witness string: the shortest op prefix after which one path
-// can do something the other cannot.
+// The payoff is decidable schedule comparison. Two schedules are
+// compared as regular languages with Brzozowski derivatives over
+// canonicalized terms; inequivalence comes with a minimal witness
+// string: the shortest op prefix after which one path can do something
+// the other cannot.
 //
-// Soundness caveats (documented in DESIGN.md §11): function values
+// Soundness caveats (documented in DESIGN.md §8): function values
 // invoked through variables contribute ε; goroutine bodies contribute ε
 // to the spawning schedule; `goto` and `fallthrough` are approximated
 // as fall-through; defers registered under a condition are optionalized
@@ -44,8 +45,8 @@ package lint
 import (
 	"fmt"
 	"go/ast"
-	"go/token"
 	"go/types"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -66,20 +67,14 @@ const (
 type Effect struct {
 	kind effKind
 	op   string // effOp: atom name
-	coll bool   // effOp: collective atom (survives schedule projection)
-	pos  token.Pos
 	kids []*Effect
 	key  string
 }
 
 var emptyEffect = &Effect{kind: effEmpty, key: "ε"}
 
-func opEffect(name string, coll bool, pos token.Pos) *Effect {
-	prefix := "s:"
-	if coll {
-		prefix = "C:"
-	}
-	return &Effect{kind: effOp, op: name, coll: coll, pos: pos, key: prefix + name}
+func opEffect(name string) *Effect {
+	return &Effect{kind: effOp, op: name, key: name}
 }
 
 // seqEffect composes terms sequentially, flattening nested Seqs and
@@ -199,38 +194,6 @@ func (e *Effect) Equal(o *Effect) bool {
 		return e == o
 	}
 	return e.key == o.key
-}
-
-// collProject erases non-collective atoms, yielding the collective
-// schedule of a term.
-func collProject(e *Effect) *Effect {
-	if e == nil {
-		return emptyEffect
-	}
-	switch e.kind {
-	case effEmpty:
-		return emptyEffect
-	case effOp:
-		if e.coll {
-			return e
-		}
-		return emptyEffect
-	case effSeq:
-		kids := make([]*Effect, len(e.kids))
-		for i, k := range e.kids {
-			kids[i] = collProject(k)
-		}
-		return seqEffect(kids...)
-	case effChoice:
-		kids := make([]*Effect, len(e.kids))
-		for i, k := range e.kids {
-			kids[i] = collProject(k)
-		}
-		return choiceEffect(kids...)
-	case effLoop:
-		return loopEffect(collProject(e.kids[0]))
-	}
-	return emptyEffect
 }
 
 // alphabet collects the distinct atoms of a term in sorted order.
@@ -378,14 +341,13 @@ func derivative(e *Effect, a string) *Effect {
 // (no finding) rather than a witness it cannot justify.
 const maxDivergeStates = 50000
 
-// schedDiverge compares the collective-schedule languages of a and b
-// (projection applied internally). It returns ("", true) when the
-// languages are equal, else a minimal human-readable witness: the
-// shortest op prefix after which the path labeled aLabel can do
-// something the path labeled bLabel cannot (or vice versa).
+// schedDiverge compares the collective-schedule languages of a and b.
+// It returns ("", true) when the languages are equal, else a minimal
+// human-readable witness: the shortest op prefix after which the path
+// labeled aLabel can do something the path labeled bLabel cannot (or
+// vice versa).
 func schedDiverge(a, b *Effect, aLabel, bLabel string) (string, bool) {
-	pa, pb := collProject(a), collProject(b)
-	if pa.Equal(pb) {
+	if a.Equal(b) {
 		return "", true
 	}
 	type pairState struct {
@@ -393,21 +355,8 @@ func schedDiverge(a, b *Effect, aLabel, bLabel string) (string, bool) {
 		path []string
 	}
 	seen := map[string]bool{}
-	queue := []pairState{{pa, pb, nil}}
+	queue := []pairState{{a, b, nil}}
 	visited := 0
-	prefix := func(path []string) string {
-		if len(path) == 0 {
-			return "at the branch"
-		}
-		return "after " + strings.Join(path, "·")
-	}
-	opsOf := func(e *Effect) string {
-		f := firsts(e)
-		if len(f) == 0 {
-			return "nothing"
-		}
-		return strings.Join(f, " or ")
-	}
 	for len(queue) > 0 {
 		s := queue[0]
 		queue = queue[1:]
@@ -419,42 +368,36 @@ func schedDiverge(a, b *Effect, aLabel, bLabel string) (string, bool) {
 		if visited++; visited > maxDivergeStates {
 			return "", true
 		}
-		na, nb := nullable(s.a), nullable(s.b)
-		if na != nb {
-			if na {
-				return fmt.Sprintf("%s, the %s can finish its collectives while the %s must still run %s",
-					prefix(s.path), aLabel, bLabel, opsOf(s.b)), false
+		at := "at the branch"
+		if len(s.path) > 0 {
+			at = "after " + strings.Join(s.path, "·")
+		}
+		// Every witness is phrased from one side; swap the labels when it
+		// is b's side.
+		if na, nb := nullable(s.a), nullable(s.b); na != nb {
+			done, busy, rest := aLabel, bLabel, s.b
+			if nb {
+				done, busy, rest = bLabel, aLabel, s.a
+			}
+			ops := "nothing"
+			if f := firsts(rest); len(f) > 0 {
+				ops = strings.Join(f, " or ")
 			}
 			return fmt.Sprintf("%s, the %s can finish its collectives while the %s must still run %s",
-				prefix(s.path), bLabel, aLabel, opsOf(s.a)), false
+				at, done, busy, ops), false
 		}
-		ops := map[string]bool{}
-		for _, op := range firsts(s.a) {
-			ops[op] = true
-		}
-		for _, op := range firsts(s.b) {
-			ops[op] = true
-		}
-		sorted := make([]string, 0, len(ops))
-		for op := range ops {
-			sorted = append(sorted, op)
-		}
-		sort.Strings(sorted)
-		for _, op := range sorted {
+		ops := append(firsts(s.a), firsts(s.b)...)
+		slices.Sort(ops)
+		for _, op := range slices.Compact(ops) {
 			da, db := derivative(s.a, op), derivative(s.b, op)
-			switch {
-			case da != nil && db == nil:
-				return fmt.Sprintf("%s, the %s can run %s where the %s cannot",
-					prefix(s.path), aLabel, op, bLabel), false
-			case da == nil && db != nil:
-				return fmt.Sprintf("%s, the %s can run %s where the %s cannot",
-					prefix(s.path), bLabel, op, aLabel), false
-			default:
-				path := make([]string, len(s.path)+1)
-				copy(path, s.path)
-				path[len(s.path)] = op
-				queue = append(queue, pairState{da, db, path})
+			if (da == nil) != (db == nil) {
+				can, cannot := aLabel, bLabel
+				if da == nil {
+					can, cannot = bLabel, aLabel
+				}
+				return fmt.Sprintf("%s, the %s can run %s where the %s cannot", at, can, op, cannot), false
 			}
+			queue = append(queue, pairState{da, db, append(slices.Clone(s.path), op)})
 		}
 	}
 	return "", true
@@ -543,73 +486,32 @@ func (ev *effEval) evalStmt(s ast.Stmt) effFlow {
 	case *ast.ExprStmt:
 		if call, ok := ast.Unparen(n.X).(*ast.CallExpr); ok {
 			if id, ok := ast.Unparen(call.Fun).(*ast.Ident); ok && id.Name == "panic" {
-				var args []*Effect
-				for _, a := range call.Args {
-					args = append(args, ev.evalExpr(a))
-				}
-				return effFlow{eff: emptyEffect, falls: false, exits: []*Effect{seqEffect(args...)}}
+				return effFlow{eff: emptyEffect, falls: false, exits: []*Effect{ev.evalExprs(call.Args)}}
 			}
 		}
-		return fallsThrough(ev.evalExpr(n.X))
+		return fallsThrough(ev.evalNode(n))
 	case *ast.ReturnStmt:
-		var parts []*Effect
-		for _, r := range n.Results {
-			parts = append(parts, ev.evalExpr(r))
-		}
-		return effFlow{eff: emptyEffect, falls: false, exits: []*Effect{seqEffect(parts...)}}
+		return effFlow{eff: emptyEffect, falls: false, exits: []*Effect{ev.evalNode(n)}}
 	case *ast.BranchStmt:
 		// break/continue/goto end this path within the function; the
 		// enclosing Loop/Choice approximation absorbs the transfer.
 		return fallsThrough(emptyEffect)
-	case *ast.AssignStmt:
-		var parts []*Effect
-		for _, l := range n.Lhs {
-			parts = append(parts, ev.evalExpr(l))
-		}
-		for _, r := range n.Rhs {
-			parts = append(parts, ev.evalExpr(r))
-		}
-		return fallsThrough(seqEffect(parts...))
-	case *ast.DeclStmt:
-		gd, ok := n.Decl.(*ast.GenDecl)
-		if !ok {
-			return fallsThrough(emptyEffect)
-		}
-		var parts []*Effect
-		for _, spec := range gd.Specs {
-			if vs, ok := spec.(*ast.ValueSpec); ok {
-				for _, v := range vs.Values {
-					parts = append(parts, ev.evalExpr(v))
-				}
-			}
-		}
-		return fallsThrough(seqEffect(parts...))
-	case *ast.IncDecStmt:
-		return fallsThrough(ev.evalExpr(n.X))
-	case *ast.SendStmt:
-		return fallsThrough(seqEffect(ev.evalExpr(n.Chan), ev.evalExpr(n.Value)))
+	case *ast.AssignStmt, *ast.DeclStmt, *ast.IncDecStmt, *ast.SendStmt:
+		return fallsThrough(ev.evalNode(n))
 	case *ast.GoStmt:
 		// The spawned body runs on another goroutine: only the argument
 		// evaluation happens on this schedule.
-		var parts []*Effect
-		for _, a := range n.Call.Args {
-			parts = append(parts, ev.evalExpr(a))
-		}
-		return fallsThrough(seqEffect(parts...))
+		return fallsThrough(ev.evalExprs(n.Call.Args))
 	case *ast.DeferStmt:
-		var parts []*Effect
-		for _, a := range n.Call.Args {
-			parts = append(parts, ev.evalExpr(a))
-		}
 		d := ev.callEffect(n.Call)
 		if ev.condDepth > 0 {
 			d = choiceEffect(d, emptyEffect)
 		}
 		ev.deferred = append(ev.deferred, d)
-		return fallsThrough(seqEffect(parts...))
+		return fallsThrough(ev.evalExprs(n.Call.Args))
 	case *ast.IfStmt:
 		init := ev.evalStmt(n.Init)
-		prefix := seqEffect(init.eff, ev.evalExpr(n.Cond))
+		prefix := seqEffect(init.eff, ev.evalNode(n.Cond))
 		ev.condDepth++
 		t := ev.evalStmts(n.Body.List)
 		e := fallsThrough(emptyEffect)
@@ -620,7 +522,7 @@ func (ev *effEval) evalStmt(s ast.Stmt) effFlow {
 		return ev.branch(prefix, []effFlow{t, e})
 	case *ast.SwitchStmt:
 		init := ev.evalStmt(n.Init)
-		prefix := seqEffect(init.eff, ev.evalExpr(n.Tag))
+		prefix := seqEffect(init.eff, ev.evalNode(n.Tag))
 		return ev.caseBranches(prefix, n.Body, true)
 	case *ast.TypeSwitchStmt:
 		init := ev.evalStmt(n.Init)
@@ -630,7 +532,7 @@ func (ev *effEval) evalStmt(s ast.Stmt) effFlow {
 		return ev.caseBranches(emptyEffect, n.Body, false)
 	case *ast.ForStmt:
 		init := ev.evalStmt(n.Init)
-		condE := ev.evalExpr(n.Cond)
+		condE := ev.evalNode(n.Cond)
 		ev.condDepth++
 		body := ev.evalStmts(n.Body.List)
 		post := ev.evalStmt(n.Post)
@@ -643,7 +545,7 @@ func (ev *effEval) evalStmt(s ast.Stmt) effFlow {
 		}
 		return effFlow{eff: seqEffect(init.eff, loop, condE), falls: true, exits: exits}
 	case *ast.RangeStmt:
-		xEff := ev.evalExpr(n.X)
+		xEff := ev.evalNode(n.X)
 		ev.condDepth++
 		body := ev.evalStmts(n.Body.List)
 		ev.condDepth--
@@ -689,12 +591,8 @@ func (ev *effEval) caseBranches(prefix *Effect, body *ast.BlockStmt, implicitDef
 			if cc.List == nil {
 				hasDefault = true
 			}
-			var parts []*Effect
-			for _, e := range cc.List {
-				parts = append(parts, ev.evalExpr(e))
-			}
 			f := ev.evalStmts(cc.Body)
-			f.eff = seqEffect(seqEffect(parts...), f.eff)
+			f.eff = seqEffect(ev.evalExprs(cc.List), f.eff)
 			arms = append(arms, f)
 		case *ast.CommClause:
 			if cc.Comm == nil {
@@ -716,68 +614,51 @@ func (ev *effEval) caseBranches(prefix *Effect, body *ast.BlockStmt, implicitDef
 	return ev.branch(prefix, arms)
 }
 
-// evalExpr computes the effect of evaluating an expression, in
-// evaluation order (arguments before the call they feed).
-func (ev *effEval) evalExpr(e ast.Expr) *Effect {
-	switch e := e.(type) {
-	case nil:
+// evalNode computes the effect of evaluating an expression, or the
+// operands of a simple statement: the effects of the calls it makes, in
+// evaluation order. go/ast visits children in source order, which is
+// Go's evaluation order, so a post-order walk puts a call's receiver
+// and arguments before the call they feed. A function literal is a
+// definition and communicates nothing.
+func (ev *effEval) evalNode(n ast.Node) *Effect {
+	if n == nil {
 		return emptyEffect
-	case *ast.CallExpr:
-		var parts []*Effect
-		switch fun := ast.Unparen(e.Fun).(type) {
-		case *ast.SelectorExpr:
-			parts = append(parts, ev.evalExpr(fun.X))
-		case *ast.Ident, *ast.FuncLit:
-			// no receiver sub-expression to evaluate
-		default:
-			parts = append(parts, ev.evalExpr(e.Fun))
-		}
-		for _, a := range e.Args {
-			parts = append(parts, ev.evalExpr(a))
-		}
-		parts = append(parts, ev.callEffect(e))
-		return seqEffect(parts...)
-	case *ast.FuncLit:
-		return emptyEffect // a definition communicates nothing
-	case *ast.ParenExpr:
-		return ev.evalExpr(e.X)
-	case *ast.UnaryExpr:
-		return ev.evalExpr(e.X)
-	case *ast.StarExpr:
-		return ev.evalExpr(e.X)
-	case *ast.BinaryExpr:
-		return seqEffect(ev.evalExpr(e.X), ev.evalExpr(e.Y))
-	case *ast.SelectorExpr:
-		return ev.evalExpr(e.X)
-	case *ast.IndexExpr:
-		return seqEffect(ev.evalExpr(e.X), ev.evalExpr(e.Index))
-	case *ast.IndexListExpr:
-		return ev.evalExpr(e.X)
-	case *ast.SliceExpr:
-		return seqEffect(ev.evalExpr(e.X), ev.evalExpr(e.Low), ev.evalExpr(e.High), ev.evalExpr(e.Max))
-	case *ast.TypeAssertExpr:
-		return ev.evalExpr(e.X)
-	case *ast.CompositeLit:
-		var parts []*Effect
-		for _, el := range e.Elts {
-			parts = append(parts, ev.evalExpr(el))
-		}
-		return seqEffect(parts...)
-	case *ast.KeyValueExpr:
-		return seqEffect(ev.evalExpr(e.Key), ev.evalExpr(e.Value))
 	}
-	return emptyEffect
+	var parts []*Effect
+	var open []ast.Node
+	ast.Inspect(n, func(n ast.Node) bool {
+		if n == nil {
+			if call, ok := open[len(open)-1].(*ast.CallExpr); ok {
+				parts = append(parts, ev.callEffect(call))
+			}
+			open = open[:len(open)-1]
+			return false
+		}
+		if _, ok := n.(*ast.FuncLit); ok {
+			return false
+		}
+		open = append(open, n)
+		return true
+	})
+	return seqEffect(parts...)
+}
+
+// evalExprs evaluates a list of expressions left to right.
+func (ev *effEval) evalExprs(list []ast.Expr) *Effect {
+	parts := make([]*Effect, len(list))
+	for i, e := range list {
+		parts[i] = ev.evalNode(e)
+	}
+	return seqEffect(parts...)
 }
 
 // callEffect resolves the effect contributed by one call: a collective
 // atom for pcu built-ins and doc-marked collectives, the callee's
-// inferred effect for resolved in-module functions, a send/reader atom
-// for buffer operations, ε otherwise.
+// inferred effect for resolved in-module functions, ε otherwise.
 func (ev *effEval) callEffect(call *ast.CallExpr) *Effect {
 	if lit, ok := ast.Unparen(call.Fun).(*ast.FuncLit); ok {
 		return ev.sub().funcBody(lit.Body)
 	}
-	pass := &Pass{Package: ev.p}
 	fn := calleeFunc(ev.p.Info, call)
 	// The pcu run drivers execute their final function argument on the
 	// spawned world's schedule; checked before the doc-mark test because
@@ -786,18 +667,12 @@ func (ev *effEval) callEffect(call *ast.CallExpr) *Effect {
 		return ev.bodyArgEffect(call.Args[len(call.Args)-1])
 	}
 	if fn != nil && ev.facts != nil && ev.facts.directCollective(fn) {
-		return opEffect(fn.Name(), true, call.Pos())
+		return opEffect(fn.Name())
 	}
 	if fn != nil && ev.g != nil {
 		if n := ev.g.nodes[keyOfFunc(fn)]; n != nil && n.effect != nil {
 			return n.effect
 		}
-	}
-	switch {
-	case isPhaseBufferCall(pass, call), isBufferPack(pass, call):
-		return opEffect("send", false, call.Pos())
-	case isReaderDone(pass, call):
-		return opEffect("reader.Done", false, call.Pos())
 	}
 	return emptyEffect
 }
@@ -855,16 +730,6 @@ func exprFunc(info *types.Info, e ast.Expr) *types.Func {
 		}
 	}
 	return nil
-}
-
-// isReaderDone reports a Done() call on a *pcu.Reader — the reader
-// lifecycle atom.
-func isReaderDone(p *Pass, call *ast.CallExpr) bool {
-	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
-	if !ok || sel.Sel.Name != "Done" {
-		return false
-	}
-	return isReaderPtr(p.TypeOf(sel.X))
 }
 
 // ---- interprocedural effect inference over the callgraph ----
@@ -947,67 +812,30 @@ func (g *callGraph) resolveEffects(facts *Facts, comp []funcKey) {
 		}
 	}
 	// Cyclic SCC (mutual or self recursion): widen. Collect every atom
-	// the cycle can perform — direct collectives, alphabets of
-	// out-of-cycle callees, direct sends/reader events — and wrap them
-	// in Loop(Choice(...)): some indeterminate repetition.
-	member := map[funcKey]bool{}
-	for _, k := range comp {
-		member[k] = true
-	}
-	sort.Slice(comp, func(i, j int) bool { return comp[i].less(comp[j]) })
-	atomSet := map[string]*Effect{}
-	addAtom := func(e *Effect) {
-		if _, ok := atomSet[e.key]; !ok {
-			atomSet[e.key] = e
-		}
-	}
+	// the cycle can perform — direct collectives and the alphabets of
+	// out-of-cycle callees — and wrap them in Loop(Choice(...)): some
+	// indeterminate repetition.
+	var atoms []*Effect
 	for _, k := range comp {
 		n := g.nodes[k]
-		pass := &Pass{Package: n.pkg}
 		ast.Inspect(n.decl.Body, func(c ast.Node) bool {
 			call, ok := c.(*ast.CallExpr)
 			if !ok {
 				return true
 			}
 			fn := calleeFunc(n.pkg.Info, call)
-			if runDriver(fn) || (fn != nil && facts.directCollective(fn)) {
+			if runDriver(fn) || facts.directCollective(fn) {
 				// A run driver's body argument is dynamic inside a widened
 				// cycle, so it is an opaque atom like a collective.
-				addAtom(opEffect(fn.Name(), true, call.Pos()))
-				return true
-			}
-			if fn != nil {
-				if cn, ok := g.nodes[keyOfFunc(fn)]; ok && !member[cn.key] && cn.effect != nil {
-					for _, a := range alphabet(cn.effect) {
-						addAtom(a)
-					}
-					return true
-				}
-			}
-			switch {
-			case isPhaseBufferCall(pass, call), isBufferPack(pass, call):
-				addAtom(opEffect("send", false, call.Pos()))
-			case isReaderDone(pass, call):
-				addAtom(opEffect("reader.Done", false, call.Pos()))
+				atoms = append(atoms, opEffect(fn.Name()))
+			} else if cn := g.node(fn); cn != nil && !slices.Contains(comp, cn.key) && cn.effect != nil {
+				atoms = append(atoms, alphabet(cn.effect)...)
 			}
 			return true
 		})
 	}
-	eff := emptyEffect
-	if len(atomSet) > 0 {
-		keys := make([]string, 0, len(atomSet))
-		for k := range atomSet {
-			keys = append(keys, k)
-		}
-		sort.Strings(keys)
-		kids := make([]*Effect, len(keys))
-		for i, k := range keys {
-			kids[i] = atomSet[k]
-		}
-		eff = loopEffect(choiceEffect(kids...))
-	}
+	eff := loopEffect(choiceEffect(atoms...))
 	for _, k := range comp {
 		g.nodes[k].effect = eff
-		g.nodes[k].effWidened = true
 	}
 }

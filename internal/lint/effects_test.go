@@ -6,8 +6,7 @@ import (
 	"testing"
 )
 
-func op(name string) *Effect     { return opEffect(name, true, 0) }
-func sendOp(name string) *Effect { return opEffect(name, false, 0) }
+func op(name string) *Effect { return opEffect(name) }
 
 func TestEffectCanonicalization(t *testing.T) {
 	b, e, s := op("Barrier"), op("Exchange"), op("SumInt64")
@@ -38,19 +37,6 @@ func TestEffectCanonicalization(t *testing.T) {
 	}
 }
 
-func TestCollProject(t *testing.T) {
-	b, snd := op("Barrier"), sendOp("send")
-	// Sends erase; a guard whose arms differ only in sends projects to
-	// one schedule.
-	term := choiceEffect(seqEffect(snd, b), b)
-	if got := collProject(term); !got.Equal(b) {
-		t.Errorf("project((send·Barrier)|Barrier) = %s, want Barrier", got)
-	}
-	if got := collProject(loopEffect(snd)); got != emptyEffect {
-		t.Errorf("project(send*) = %s, want ε", got)
-	}
-}
-
 func TestSchedDivergeEqual(t *testing.T) {
 	b, e := op("Barrier"), op("Exchange")
 	cases := []struct{ a, b *Effect }{
@@ -58,8 +44,6 @@ func TestSchedDivergeEqual(t *testing.T) {
 		{seqEffect(b, e), seqEffect(b, e)},
 		// Distinct terms, equal languages: e|e·e ⊂ e* on both sides.
 		{loopEffect(b), choiceEffect(emptyEffect, seqEffect(b, loopEffect(b)))},
-		// Sends do not affect the collective schedule.
-		{seqEffect(sendOp("send"), b), b},
 	}
 	for _, c := range cases {
 		if w, equal := schedDiverge(c.a, c.b, "x", "y"); !equal {
@@ -103,12 +87,12 @@ func TestSchedDivergeLoopVsFixed(t *testing.T) {
 }
 
 func TestAlphabetSorted(t *testing.T) {
-	term := seqEffect(op("Exchange"), choiceEffect(op("Barrier"), sendOp("send")), op("Exchange"))
+	term := seqEffect(op("Exchange"), choiceEffect(op("Barrier"), op("SumInt64")), op("Exchange"))
 	var names []string
 	for _, a := range alphabet(term) {
 		names = append(names, a.op)
 	}
-	want := "Barrier,Exchange,send"
+	want := "Barrier,Exchange,SumInt64"
 	if got := strings.Join(names, ","); got != want {
 		t.Errorf("alphabet = %s, want %s", got, want)
 	}
@@ -139,6 +123,11 @@ func TestInferredEffects(t *testing.T) {
 		{"seqBoth", "Barrier·SumInt64"},
 		{"okBothArmsEqual", "Bcast"},
 		{"okEarlyReturnEqual", "Bcast"},
+		{"okReceiverArgsCall", "SumInt64·MaxInt64·Barrier"},
+		{"okNestedArgs", "SumInt64·MaxInt64·Barrier"},
+		{"okInvokedLiteral", "Barrier·SumInt64"},
+		{"okDefers", "MaxInt64·(SumInt64 | ε)·Barrier"},
+		{"okRunOptBody", "Barrier·SumInt64"},
 	}
 	for _, c := range cases {
 		fn := lookupFn(t, pkgs[0], c.fn)
@@ -147,11 +136,8 @@ func TestInferredEffects(t *testing.T) {
 			t.Errorf("EffectOf(%s) = nil", c.fn)
 			continue
 		}
-		if got := collProject(eff).String(); got != c.want {
-			t.Errorf("EffectOf(%s) projects to %s, want %s", c.fn, got, c.want)
-		}
-		if facts.EffectWidened(fn) {
-			t.Errorf("EffectOf(%s) unexpectedly widened", c.fn)
+		if got := eff.String(); got != c.want {
+			t.Errorf("EffectOf(%s) = %s, want %s", c.fn, got, c.want)
 		}
 	}
 }
@@ -164,17 +150,10 @@ func (f *Facts) EffectOf(fn *types.Func) *Effect {
 		return nil
 	}
 	if f.directCollective(fn) {
-		return opEffect(fn.Name(), true, fn.Pos())
+		return opEffect(fn.Name())
 	}
 	if n := f.graph.node(fn); n != nil {
 		return n.effect
 	}
 	return nil
-}
-
-// EffectWidened reports whether fn's effect was widened because it sits
-// on a recursive call cycle.
-func (f *Facts) EffectWidened(fn *types.Func) bool {
-	n := f.graph.node(fn)
-	return n != nil && n.effWidened
 }

@@ -172,6 +172,16 @@ type ignoreKey struct {
 	line int
 }
 
+// directive is one //pumi-vet:ignore comment: the analyzer names it
+// suppresses, whether one of them is no analyzer, and whether it
+// suppressed a finding in this run.
+type directive struct {
+	pos     token.Position
+	names   map[string]bool
+	unknown bool
+	used    bool
+}
+
 // gatherIgnores collects `//pumi-vet:ignore` directives. The directive
 // takes a comma-separated analyzer list (or "all") and suppresses
 // matching findings on its own line — the trailing-comment form — and
@@ -190,13 +200,13 @@ type ignoreKey struct {
 // A name that is neither "all" nor a registered analyzer suppresses
 // nothing — a typo, or a directive that outlived its analyzer — so it
 // comes back as a finding of the driver itself, at the directive.
-func gatherIgnores(pkgs []*Package) (map[ignoreKey]map[string]bool, []Diagnostic) {
+func gatherIgnores(pkgs []*Package) ([]*directive, []Diagnostic) {
 	valid := []string{"all"}
 	for _, a := range Analyzers() {
 		valid = append(valid, a.Name)
 	}
 	sort.Strings(valid)
-	ign := map[ignoreKey]map[string]bool{}
+	var dirs []*directive
 	var unknown []Diagnostic
 	for _, p := range pkgs {
 		for _, f := range p.Files {
@@ -210,46 +220,46 @@ func gatherIgnores(pkgs []*Package) (map[ignoreKey]map[string]bool, []Diagnostic
 					if i := strings.Index(rest, "//"); i >= 0 {
 						rest = rest[:i]
 					}
-					names := map[string]bool{}
+					d := &directive{pos: p.Fset.Position(c.Pos()), names: map[string]bool{}}
 					for _, n := range strings.Split(rest, ",") {
 						if n = strings.TrimSpace(n); n != "" {
-							names[n] = true
+							d.names[n] = true
 						}
 					}
-					if len(names) == 0 {
-						names["all"] = true
+					if len(d.names) == 0 {
+						d.names["all"] = true
 					}
-					pos := p.Fset.Position(c.Pos())
-					for n := range names {
+					for n := range d.names {
 						if !slices.Contains(valid, n) {
-							unknown = append(unknown, Diagnostic{Pos: pos, Analyzer: driverName, Message: fmt.Sprintf(
+							d.unknown = true
+							unknown = append(unknown, Diagnostic{Pos: d.pos, Analyzer: driverName, Message: fmt.Sprintf(
 								"unknown analyzer %q in //pumi-vet:ignore directive suppresses nothing (valid: %s)",
 								n, strings.Join(valid, ", "))})
 						}
 					}
-					for _, line := range []int{pos.Line, pos.Line + 1} {
-						k := ignoreKey{pos.Filename, line}
-						if ign[k] == nil {
-							ign[k] = map[string]bool{}
-						}
-						for n := range names {
-							ign[k][n] = true
-						}
-					}
+					dirs = append(dirs, d)
 				}
 			}
 		}
 	}
-	return ign, unknown
+	return dirs, unknown
 }
 
 // Run executes the given analyzers over the packages and returns all
 // findings sorted by position, dropping those suppressed by
-// //pumi-vet:ignore directives (and adding one per directive that names
-// no analyzer).
+// //pumi-vet:ignore directives and adding one per directive that names
+// no analyzer. When every analyzer runs, a directive that suppressed no
+// finding is stale and is reported too; a run of a subset cannot tell.
 func Run(pkgs []*Package, analyzers []*Analyzer) []Diagnostic {
 	facts := gatherFacts(pkgs)
-	ignored, diags := gatherIgnores(pkgs)
+	dirs, diags := gatherIgnores(pkgs)
+	ignored := map[ignoreKey][]*directive{}
+	for _, d := range dirs {
+		for _, line := range []int{d.pos.Line, d.pos.Line + 1} {
+			k := ignoreKey{d.pos.Filename, line}
+			ignored[k] = append(ignored[k], d)
+		}
+	}
 	for _, p := range pkgs {
 		for _, a := range analyzers {
 			pass := &Pass{
@@ -257,13 +267,26 @@ func Run(pkgs []*Package, analyzers []*Analyzer) []Diagnostic {
 				Facts:    facts,
 				analyzer: a,
 				report: func(d Diagnostic) {
-					if names := ignored[ignoreKey{d.Pos.Filename, d.Pos.Line}]; names["all"] || names[d.Analyzer] {
-						return
+					suppressed := false
+					for _, dir := range ignored[ignoreKey{d.Pos.Filename, d.Pos.Line}] {
+						if dir.names["all"] || dir.names[d.Analyzer] {
+							dir.used, suppressed = true, true
+						}
 					}
-					diags = append(diags, d)
+					if !suppressed {
+						diags = append(diags, d)
+					}
 				},
 			}
 			a.Run(pass)
+		}
+	}
+	if len(analyzers) == len(Analyzers()) {
+		for _, d := range dirs {
+			if !d.used && !d.unknown {
+				diags = append(diags, Diagnostic{Pos: d.pos, Analyzer: driverName,
+					Message: "stale //pumi-vet:ignore directive suppresses no finding on its line or the next; delete it"})
+			}
 		}
 	}
 	return dedupeDiags(diags)
@@ -409,9 +432,6 @@ func (l *Loader) Load(dir string, patterns ...string) ([]*Package, error) {
 		if rest, ok := strings.CutSuffix(pat, "/..."); ok {
 			recursive = true
 			pat = rest
-			if pat == "." || pat == "" {
-				pat = dir
-			}
 		}
 		if !filepath.IsAbs(pat) {
 			pat = filepath.Join(dir, pat)
@@ -569,11 +589,15 @@ func isNamedType(t types.Type, pkgSuffix, name string) bool {
 	return pathHasSuffix(obj.Pkg().Path(), pkgSuffix)
 }
 
-// isCtxPtr reports whether t is *pcu.Ctx.
-func isCtxPtr(t types.Type) bool {
+// isPtrTo reports whether t is a pointer to the named type
+// pkgSuffix.name.
+func isPtrTo(t types.Type, pkgSuffix, name string) bool {
 	ptr, ok := t.(*types.Pointer)
-	return ok && isNamedType(ptr.Elem(), pcuPkg, "Ctx")
+	return ok && isNamedType(ptr.Elem(), pkgSuffix, name)
 }
+
+// isCtxPtr reports whether t is *pcu.Ctx.
+func isCtxPtr(t types.Type) bool { return isPtrTo(t, pcuPkg, "Ctx") }
 
 // isRankCall reports whether call is Rank() on a *pcu.Ctx.
 func isRankCall(p *Pass, call *ast.CallExpr) bool {
@@ -582,6 +606,14 @@ func isRankCall(p *Pass, call *ast.CallExpr) bool {
 		return false
 	}
 	return isCtxPtr(p.TypeOf(sel.X))
+}
+
+// identObj resolves an identifier in either Defs (`:=`) or Uses (`=`).
+func identObj(info *types.Info, id *ast.Ident) types.Object {
+	if o := info.Defs[id]; o != nil {
+		return o
+	}
+	return info.Uses[id]
 }
 
 // calleeFunc resolves a call expression to the called *types.Func

@@ -3,6 +3,7 @@ package lint
 import (
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -97,12 +98,36 @@ func TestRankDiv(t *testing.T) {
 		}
 	}
 	// One expectation per bad function: offset guard, helper under
-	// taint, tainted loop, tainted range, chained taint.
-	if len(expects) != 5 {
-		t.Fatalf("taint.go has %d want-comments, want 5", len(expects))
+	// taint, tainted loop, tainted range, chained taint, rank assigned
+	// inside a literal.
+	if len(expects) != 6 {
+		t.Fatalf("taint.go has %d want-comments, want 6", len(expects))
 	}
 	for _, fail := range CheckExpectations(expects, diags) {
 		t.Error(fail)
+	}
+}
+
+// TestLoadRelativeDir checks that a "./..." pattern resolves against a
+// relative dir once: it loads the same packages as the absolute dir.
+func TestLoadRelativeDir(t *testing.T) {
+	rel := filepath.Join("testdata", "src")
+	abs, err := filepath.Abs(rel)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var paths [2][]string
+	for i, dir := range []string{rel, abs} {
+		pkgs, err := fixtureLoader(t).Load(dir, "./...")
+		if err != nil {
+			t.Fatalf("Load(%q, \"./...\"): %v", dir, err)
+		}
+		for _, p := range pkgs {
+			paths[i] = append(paths[i], p.Path)
+		}
+	}
+	if len(paths[0]) == 0 || !slices.Equal(paths[0], paths[1]) {
+		t.Errorf("relative dir loaded %v, absolute dir %v", paths[0], paths[1])
 	}
 }
 

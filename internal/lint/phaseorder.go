@@ -169,11 +169,3 @@ func isBeginPhaseCall(p *Pass, call *ast.CallExpr) bool {
 	}
 	return fn.Name() == "beginPhase" || fn.Name() == "BeginPhase"
 }
-
-// identObj resolves an identifier in either Defs (`:=`) or Uses (`=`).
-func identObj(info *types.Info, id *ast.Ident) types.Object {
-	if o := info.Defs[id]; o != nil {
-		return o
-	}
-	return info.Uses[id]
-}

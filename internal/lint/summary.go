@@ -28,7 +28,6 @@ package lint
 import (
 	"fmt"
 	"go/ast"
-	"go/token"
 	"go/types"
 	"sort"
 	"strings"
@@ -46,9 +45,6 @@ type callSite struct {
 	key  funcKey
 	name string // callee display name
 	fn   *types.Func
-	pos  token.Pos
-	// ctxArgs: callee parameter indexes receiving a *pcu.Ctx argument.
-	ctxArgs map[int]bool
 	// paramArgs: callee parameter index -> caller parameter index, for
 	// arguments that are direct uses of the caller's own parameters.
 	paramArgs map[int]int
@@ -73,17 +69,14 @@ type funcNode struct {
 	// Rank-return summary: the function's return value derives from the
 	// calling rank (a Ctx.Rank() call, directly or through callees whose
 	// returns do). retCalls lists the callees invoked inside return
-	// statements, in source order, for the fixpoint propagation.
-	retRank    bool
-	retRankVia []string
-	retCalls   []*callSite
+	// statements, for the fixpoint propagation.
+	retRank  bool
+	retCalls []funcKey
 
 	// The communication-effect term (see effects.go), inferred in
 	// reverse-topological SCC order after the boolean fixpoint; atoms are
-	// Go function names. effWidened marks terms approximated because of
-	// recursion.
-	effect     *Effect
-	effWidened bool
+	// Go function names.
+	effect *Effect
 }
 
 // callGraph indexes the funcNodes of all loaded packages.
@@ -263,7 +256,7 @@ func newFuncNode(p *Package, fd *ast.FuncDecl) *funcNode {
 					n.sends, n.sendsVia = true, []string{"packs a communication buffer"}
 				}
 			}
-			cs := &callSite{fn: calleeFunc(p.Info, c), pos: c.Pos()}
+			cs := &callSite{fn: calleeFunc(p.Info, c)}
 			if cs.fn == nil {
 				return true
 			}
@@ -273,12 +266,6 @@ func newFuncNode(p *Package, fd *ast.FuncDecl) *funcNode {
 				pi := calleeParamIndex(cs.fn, ai)
 				if pi < 0 {
 					continue
-				}
-				if isCtxPtr(p.Info.TypeOf(arg)) {
-					if cs.ctxArgs == nil {
-						cs.ctxArgs = map[int]bool{}
-					}
-					cs.ctxArgs[pi] = true
 				}
 				if i := paramIndex(arg); i >= 0 {
 					if cs.paramArgs == nil {
@@ -296,7 +283,7 @@ func newFuncNode(p *Package, fd *ast.FuncDecl) *funcNode {
 	// fixpoint, the callees invoked inside results. Function literals
 	// are pruned: a returned closure does not evaluate at return time.
 	// (Caveat: flows through named results or locals assigned earlier
-	// are not tracked; DESIGN.md §11.)
+	// are not tracked; DESIGN.md §8.)
 	ast.Inspect(fd.Body, func(c ast.Node) bool {
 		if _, ok := c.(*ast.FuncLit); ok {
 			return false
@@ -315,15 +302,9 @@ func newFuncNode(p *Package, fd *ast.FuncDecl) *funcNode {
 					return true
 				}
 				if isRankCall(pass, call) {
-					if !n.retRank {
-						n.retRank = true
-						n.retRankVia = []string{"Ctx.Rank"}
-					}
-					return true
-				}
-				if fn := calleeFunc(p.Info, call); fn != nil {
-					key := keyOfFunc(fn)
-					n.retCalls = append(n.retCalls, &callSite{key: key, name: key.String(), fn: fn, pos: call.Pos()})
+					n.retRank = true
+				} else if fn := calleeFunc(p.Info, call); fn != nil {
+					n.retCalls = append(n.retCalls, keyOfFunc(fn))
 				}
 				return true
 			})
@@ -367,12 +348,9 @@ func (g *callGraph) fixpoint(facts *Facts) {
 		for _, key := range g.order {
 			n := g.nodes[key]
 			if !n.retRank {
-				for _, rc := range n.retCalls {
-					callee := g.nodes[rc.key]
-					if callee != nil && callee.retRank {
-						n.retRank = true
-						n.retRankVia = append([]string{rc.name}, callee.retRankVia...)
-						changed = true
+				for _, k := range n.retCalls {
+					if callee := g.nodes[k]; callee != nil && callee.retRank {
+						n.retRank, changed = true, true
 						break
 					}
 				}
@@ -502,10 +480,8 @@ func (f *Facts) AsyncParam(fn *types.Func, i int) (string, bool) {
 }
 
 // RankReturn reports whether fn's return value derives from the
-// calling rank, with the call chain down to the Ctx.Rank() source.
-func (f *Facts) RankReturn(fn *types.Func) ([]string, bool) {
-	if n := f.graph.node(fn); n != nil && n.retRank {
-		return n.retRankVia, true
-	}
-	return nil, false
+// calling rank.
+func (f *Facts) RankReturn(fn *types.Func) bool {
+	n := f.graph.node(fn)
+	return n != nil && n.retRank
 }

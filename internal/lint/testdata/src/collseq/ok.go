@@ -100,3 +100,52 @@ func okNestedUniform(c *pcu.Ctx) {
 		_ = pcu.SumInt64(c, 9)
 	}
 }
+
+// The functions below pin the order effect inference composes calls in;
+// each runs the same schedule on every rank. TestInferredEffects reads
+// their terms.
+
+type effRecv struct{ c *pcu.Ctx }
+
+func (r effRecv) barrierWith(int64) { r.c.Barrier() }
+
+func recvAfterSum(c *pcu.Ctx) effRecv {
+	_ = pcu.SumInt64(c, 1)
+	return effRecv{c}
+}
+
+func maxOf(c *pcu.Ctx) int64 { return pcu.MaxInt64(c, 1) }
+
+func barrierAfter(c *pcu.Ctx, a, b int64) { c.Barrier() }
+
+// okReceiverArgsCall evaluates the receiver, then the argument, then
+// the call.
+func okReceiverArgsCall(c *pcu.Ctx) { recvAfterSum(c).barrierWith(maxOf(c)) }
+
+// okNestedArgs evaluates the arguments left to right before the call.
+func okNestedArgs(c *pcu.Ctx) { barrierAfter(c, pcu.SumInt64(c, 1), maxOf(c)) }
+
+// okInvokedLiteral runs the literal's body in place.
+func okInvokedLiteral(c *pcu.Ctx) {
+	c.Barrier()
+	func() { _ = pcu.SumInt64(c, 1) }()
+}
+
+// okDefers runs its defers last-in first-out; the one registered under
+// a condition may not run.
+func okDefers(c *pcu.Ctx, flush bool) {
+	defer c.Barrier()
+	if flush {
+		defer pcu.SumInt64(c, 1)
+	}
+	defer pcu.MaxInt64(c, 1)
+}
+
+// okRunOptBody runs the body argument as the spawned world's schedule.
+func okRunOptBody() {
+	_, _ = pcu.RunOpt(2, pcu.Options{}, func(c *pcu.Ctx) error {
+		c.Barrier()
+		_ = pcu.SumInt64(c, 1)
+		return nil
+	})
+}

@@ -95,3 +95,13 @@ func okTaintedLoopNoCollective(c *pcu.Ctx) int {
 	}
 	return sum
 }
+
+func badRankFromLiteral(c *pcu.Ctx) {
+	// The rank reaches the guard through an assignment inside an
+	// immediately invoked literal.
+	var r int
+	func() { r = c.Rank() }()
+	if r == 0 { // want `rank-dependent branch yields divergent collective schedules: at the branch, the false path can finish its collectives while the true path must still run Barrier`
+		c.Barrier()
+	}
+}

@@ -33,8 +33,8 @@ func pingB(c *pcu.Ctx, d int) {
 	pingA(c, d-1)
 }
 
-// spiral recurses while also packing sends, so its widened alphabet
-// holds both an Exchange and a send atom.
+// spiral recurses while also packing sends; packing is no schedule
+// event, so its widened alphabet holds the Exchange alone.
 func spiral(c *pcu.Ctx, d int) {
 	if d <= 0 {
 		return
