@@ -127,11 +127,14 @@ vet-self:
 # Traced smoke: the hybrid exchange sweep (in-process worlds up to 32
 # ranks) under pumi-san with the flight recorder armed, then both
 # emitted files — Chrome timeline and metrics summary — schema-validated
-# by pumi-trace (see DESIGN.md §10).
+# by pumi-trace, the timeline's blame table, and the timeline diffed
+# against its own summary (read back through trace.ChromePhases; see
+# DESIGN.md §10).
 trace-smoke:
 	$(GO) run ./cmd/pumi-bench -exp hybrid -san -trace /tmp/pumi-trace-smoke.json
 	$(GO) run ./cmd/pumi-trace -validate /tmp/pumi-trace-smoke.json /tmp/pumi-trace-smoke.summary.json
 	$(GO) run ./cmd/pumi-trace -critical /tmp/pumi-trace-smoke.json
+	$(GO) run ./cmd/pumi-trace /tmp/pumi-trace-smoke.json /tmp/pumi-trace-smoke.summary.json
 
 # The full local gate: what CI runs.
 check: vet vet-self escape-check build test race trace-smoke bench-smoke fuzz-smoke pipeline-smoke

@@ -124,14 +124,13 @@ func main() {
 func sanVerify(m *mesh.Mesh, model *gmi.Model, assign []int32, parts int) error {
 	san.Enable()
 	defer san.Disable()
-	_, err := pcu.RunOpt(parts, pcu.Options{Sanitize: true}, func(ctx *pcu.Ctx) error {
+	return pcu.Run(parts, func(ctx *pcu.Ctx) error {
 		dm, err := partition.Distribute(ctx, model, m.Dim(), m, assign, 1)
 		if err != nil {
 			return err
 		}
 		return partition.Verify(dm)
 	})
-	return err
 }
 
 func cmdutilModel(spec string) *gmi.Model {

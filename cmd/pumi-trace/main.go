@@ -104,55 +104,37 @@ func criticalPath(path string) {
 	rep.Format(os.Stdout)
 }
 
-// chromeEvent mirrors the records trace.WriteChrome emits; only the
-// fields this tool reads are declared.
-type chromeEvent struct {
-	Name string         `json:"name"`
-	Ph   string         `json:"ph"`
-	Ts   float64        `json:"ts"` // microseconds
-	Tid  int            `json:"tid"`
-	Args map[string]any `json:"args"`
-}
-
-type chromeFile struct {
-	TraceEvents []chromeEvent     `json:"traceEvents"`
-	OtherData   map[string]string `json:"otherData"`
-}
-
-// load validates a file and decodes it as either a timeline or a
-// summary; exactly one of the returns is non-nil.
-func load(path string) (*chromeFile, *trace.Summary) {
+// load validates a recording and reports which document it holds.
+func load(path string) ([]byte, trace.FileKind) {
 	data := readTraceFile(path)
 	kind, err := trace.ValidateFile(data)
 	if err != nil {
 		cmdutil.Fail(fmt.Errorf("%s: %w", path, err))
 	}
-	switch kind {
-	case trace.FileChrome:
-		var cf chromeFile
-		if err := json.Unmarshal(data, &cf); err != nil {
-			cmdutil.Fail(fmt.Errorf("%s: %w", path, err))
-		}
-		return &cf, nil
-	default:
-		var s trace.Summary
-		if err := json.Unmarshal(data, &s); err != nil {
-			cmdutil.Fail(fmt.Errorf("%s: %w", path, err))
-		}
-		return nil, &s
+	return data, kind
+}
+
+// decode unmarshals a validated recording into v.
+func decode(path string, data []byte, v any) {
+	if err := json.Unmarshal(data, v); err != nil {
+		cmdutil.Fail(fmt.Errorf("%s: %w", path, err))
 	}
 }
 
 func dump(path string, rank int, phase string) {
-	cf, sum := load(path)
-	if sum != nil {
-		dumpSummary(sum, rank, phase)
+	data, kind := load(path)
+	if kind == trace.FileSummary {
+		var s trace.Summary
+		decode(path, data, &s)
+		dumpSummary(&s, rank, phase)
 		return
 	}
-	dumpChrome(cf, rank, phase)
+	var doc trace.ChromeDoc
+	decode(path, data, &doc)
+	dumpChrome(&doc, rank, phase)
 }
 
-func dumpChrome(cf *chromeFile, rank int, phase string) {
+func dumpChrome(doc *trace.ChromeDoc, rank int, phase string) {
 	// Per-rank span stacks so Ends print their duration and nesting
 	// renders as indentation. The writer sorted records by timestamp and
 	// validation proved the B/E nesting, so a linear pass suffices.
@@ -164,7 +146,7 @@ func dumpChrome(cf *chromeFile, rank int, phase string) {
 	show := func(tid int, name string) bool {
 		return (rank < 0 || tid == rank) && (phase == "" || strings.Contains(name, phase))
 	}
-	for _, e := range cf.TraceEvents {
+	for _, e := range doc.TraceEvents {
 		st := stacks[e.Tid]
 		switch e.Ph {
 		case "M":
@@ -191,7 +173,7 @@ func dumpChrome(cf *chromeFile, rank int, phase string) {
 			}
 		}
 	}
-	for k, v := range cf.OtherData {
+	for k, v := range doc.OtherData {
 		if strings.HasPrefix(k, "dropped_") {
 			fmt.Printf("# %s = %s event(s) lost to ring wrap\n", k, v)
 		}
@@ -246,49 +228,32 @@ func dumpSummary(s *trace.Summary, rank int, phase string) {
 	}
 }
 
-// phaseTotal is one side of a diff row.
-type phaseTotal struct {
-	count int64
-	sec   float64
-}
-
-// phaseTotals reduces either file kind to per-phase totals.
-func phaseTotals(path string) map[string]phaseTotal {
-	cf, sum := load(path)
-	totals := map[string]phaseTotal{}
-	if sum != nil {
-		for _, p := range sum.Phases {
-			totals[p.Name] = phaseTotal{count: p.Count, sec: p.TotalSec}
-		}
-		return totals
-	}
-	type open struct {
-		name string
-		ts   float64
-	}
-	stacks := map[int][]open{}
-	for _, e := range cf.TraceEvents {
-		st := stacks[e.Tid]
-		switch e.Ph {
-		case "B":
-			stacks[e.Tid] = append(st, open{name: e.Name, ts: e.Ts})
-		case "E":
-			if n := len(st); n > 0 {
-				t := totals[e.Name]
-				t.count++
-				t.sec += (e.Ts - st[n-1].ts) / 1e6
-				totals[e.Name] = t
-				stacks[e.Tid] = st[:n-1]
-			}
+// phases reduces either file kind to its per-phase table by name: a
+// summary carries it, a timeline is matched by trace.ChromePhases.
+func phases(path string) map[string]trace.PhaseStat {
+	data, kind := load(path)
+	var list []trace.PhaseStat
+	if kind == trace.FileSummary {
+		var s trace.Summary
+		decode(path, data, &s)
+		list = s.Phases
+	} else {
+		var err error
+		if list, err = trace.ChromePhases(data); err != nil {
+			cmdutil.Fail(fmt.Errorf("%s: %w", path, err))
 		}
 	}
-	return totals
+	byName := make(map[string]trace.PhaseStat, len(list))
+	for _, p := range list {
+		byName[p.Name] = p
+	}
+	return byName
 }
 
 // diff compares per-phase durations of two recordings — before/after a
 // change, or two configurations of the same run.
 func diff(pathA, pathB, phase string) {
-	a, b := phaseTotals(pathA), phaseTotals(pathB)
+	a, b := phases(pathA), phases(pathB)
 	names := map[string]bool{}
 	for n := range a {
 		names[n] = true
@@ -309,13 +274,13 @@ func diff(pathA, pathB, phase string) {
 		tb, okB := b[n]
 		switch {
 		case !okA:
-			fmt.Printf("%-28s %12s %12.6f %10s\n", n, "-", tb.sec, "added")
+			fmt.Printf("%-28s %12s %12.6f %10s\n", n, "-", tb.TotalSec, "added")
 		case !okB:
-			fmt.Printf("%-28s %12.6f %12s %10s\n", n, ta.sec, "-", "removed")
-		case ta.sec > 0:
-			fmt.Printf("%-28s %12.6f %12.6f %+9.1f%%\n", n, ta.sec, tb.sec, (tb.sec/ta.sec-1)*100)
+			fmt.Printf("%-28s %12.6f %12s %10s\n", n, ta.TotalSec, "-", "removed")
+		case ta.TotalSec > 0:
+			fmt.Printf("%-28s %12.6f %12.6f %+9.1f%%\n", n, ta.TotalSec, tb.TotalSec, (tb.TotalSec/ta.TotalSec-1)*100)
 		default:
-			fmt.Printf("%-28s %12.6f %12.6f %10s\n", n, ta.sec, tb.sec, "n/a")
+			fmt.Printf("%-28s %12.6f %12.6f %10s\n", n, ta.TotalSec, tb.TotalSec, "n/a")
 		}
 	}
 }

@@ -151,13 +151,12 @@ func Soak(cfg Config) (Outcome, error) {
 	}
 	var tr *trace.Trace
 	if cfg.Trace {
-		tr = trace.New(cfg.Ranks, trace.Config{})
+		tr = trace.New(cfg.Ranks)
 	}
 	_, err := pcu.RunOpt(cfg.Ranks, pcu.Options{
 		Topo:         topo,
 		Faults:       plan,
 		StallTimeout: cfg.StallTimeout,
-		Sanitize:     cfg.Sanitize,
 		Trace:        tr,
 	}, func(ctx *pcu.Ctx) error {
 		dm, err := buildUnbalanced(ctx, cfg)
@@ -196,7 +195,6 @@ func Soak(cfg Config) (Outcome, error) {
 	_, err = pcu.RunOpt(cfg.Ranks, pcu.Options{
 		Topo:         topo,
 		StallTimeout: cfg.StallTimeout,
-		Sanitize:     cfg.Sanitize,
 	}, func(ctx *pcu.Ctx) error {
 		model := gmi.Box(4, 1, 1)
 		dm, curs, err := meshio.LoadCheckpoint(cfg.Dir, ctx, model.Model)

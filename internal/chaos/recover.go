@@ -10,6 +10,7 @@ import (
 	"github.com/fastmath/pumi-go/internal/parma"
 	"github.com/fastmath/pumi-go/internal/partition"
 	"github.com/fastmath/pumi-go/internal/pcu"
+	"github.com/fastmath/pumi-go/internal/san"
 )
 
 // RecoverOutcome reports one self-healing soak: a balancing run under a
@@ -100,13 +101,16 @@ func RunRecoverable(cfg Config) (RecoverOutcome, error) {
 		return 1
 	}
 
+	if cfg.Sanitize {
+		san.Enable()
+		defer san.Disable()
+	}
 	var mu sync.Mutex
 	imbs := map[int]float64{}
 	stats, err := pcu.Supervise(cfg.Ranks, pcu.Options{
 		Topo:         topo,
 		Faults:       plan,
 		StallTimeout: cfg.StallTimeout,
-		Sanitize:     cfg.Sanitize,
 	}, nextSize, func(ctx *pcu.Ctx, ep pcu.Epoch) error {
 		if ctx.Rank() == 0 {
 			mu.Lock()

@@ -29,7 +29,7 @@ func TestTelemetrySmoke(t *testing.T) {
 	// The live /trace view serves per-world flight-recorder rings, which
 	// exist only for traced runs — mirror a tool started with both
 	// -listen and -trace.
-	col := trace.NewCollector(trace.Config{})
+	col := new(trace.Collector)
 	pcu.SetDefaultTrace(col)
 	defer pcu.SetDefaultTrace(nil)
 

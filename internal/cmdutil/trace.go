@@ -2,6 +2,7 @@ package cmdutil
 
 import (
 	"fmt"
+	"io"
 	"os"
 	"strings"
 
@@ -30,36 +31,35 @@ func StartTrace(path string) func() {
 	if path == "" {
 		return func() {}
 	}
-	col := trace.NewCollector(trace.Config{})
+	col := new(trace.Collector)
 	pcu.SetDefaultTrace(col)
 	return func() {
 		pcu.SetDefaultTrace(nil)
-		if col.Runs() == 0 {
+		runs := col.Traces()
+		if len(runs) == 0 {
 			fmt.Fprintf(os.Stderr, "%s: -trace: no parallel runs recorded\n", tool)
 			return
 		}
-		chrome, err := os.Create(path)
-		if err != nil {
-			Fail(err)
-		}
-		if err := col.WriteChrome(chrome); err == nil {
-			err = chrome.Close()
-		}
-		if err != nil {
-			Fail(fmt.Errorf("writing trace: %w", err))
-		}
 		spath := TraceSummaryPath(path)
-		sum, err := os.Create(spath)
-		if err != nil {
-			Fail(err)
-		}
-		if err := col.WriteSummary(sum); err == nil {
-			err = sum.Close()
-		}
-		if err != nil {
-			Fail(fmt.Errorf("writing trace summary: %w", err))
-		}
+		writeTraceFile(path, "trace", func(w io.Writer) error { return trace.WriteChrome(w, runs...) })
+		writeTraceFile(spath, "trace summary", func(w io.Writer) error { return trace.WriteSummary(w, runs...) })
 		fmt.Fprintf(os.Stderr, "%s: trace: %d run(s) -> %s (timeline), %s (summary)\n",
-			tool, col.Runs(), path, spath)
+			tool, len(runs), path, spath)
+	}
+}
+
+// writeTraceFile creates path and fills it with write, failing the tool
+// on any error.
+func writeTraceFile(path, what string, write func(io.Writer) error) {
+	f, err := os.Create(path)
+	if err != nil {
+		Fail(err)
+	}
+	err = write(f)
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		Fail(fmt.Errorf("writing %s: %w", what, err))
 	}
 }

@@ -20,11 +20,6 @@ import (
 //     between sender and receiver. Readers received as function
 //     parameters are exempt: partial decoding may be the callee's
 //     contract.
-//   - A slice decoded without copying from a pooled message
-//     (BytesVal/BytesNoCopy) must not be handed to the flight
-//     recorder's Attach, which stores it by reference in the trace
-//     ring: the ring outlives the phase, so once Done recycles the
-//     message the timeline would render a later phase's bytes.
 //
 // Both checks are per-function and lexical (position-based), which
 // matches the straight-line phase structure of PUMI communication code.
@@ -214,32 +209,6 @@ func checkPhaseBody(p *Pass, body *ast.BlockStmt) {
 					}
 				}
 			}
-			// Trace retention: Attach stores its slice by reference in
-			// the recorder ring, which outlives the communication phase.
-			// Passing an uncopied pooled-message decode — a tracked alias
-			// variable or a direct BytesVal/BytesNoCopy result — retains
-			// bytes Done will recycle.
-			if name == "Attach" && isRecorderPtr(p.TypeOf(sel.X)) {
-				for _, arg := range n.Args {
-					switch arg := ast.Unparen(arg).(type) {
-					case *ast.Ident:
-						if a, ok := aliases[p.Info.Uses[arg]]; ok && a.st.pooled {
-							p.Reportf(arg.Pos(),
-								"slice %q aliases a pooled message but is retained by the trace ring via Attach; copy it with Bytes first",
-								arg.Name)
-						}
-					case *ast.CallExpr:
-						if s, ok := ast.Unparen(arg.Fun).(*ast.SelectorExpr); ok &&
-							aliasMethods[s.Sel.Name] && isReaderPtr(p.TypeOf(s.X)) {
-							if st := readerOf(s.X); st != nil && st.pooled {
-								p.Reportf(arg.Pos(),
-									"%s decodes a pooled message by reference but is retained by the trace ring via Attach; copy it with Bytes first",
-									s.Sel.Name)
-							}
-						}
-					}
-				}
-			}
 			// Reader decodes / finalizes, keyed by variable object or
 			// by the selector path of the receiver.
 			if (decodeMethods[name] || finalizeMethods[name]) && isReaderPtr(p.TypeOf(sel.X)) {
@@ -383,6 +352,5 @@ func selectorPath(e ast.Expr) string {
 	return "?"
 }
 
-func isBufferPtr(t types.Type) bool   { return isPtrTo(t, pcuPkg, "Buffer") }
-func isReaderPtr(t types.Type) bool   { return isPtrTo(t, pcuPkg, "Reader") }
-func isRecorderPtr(t types.Type) bool { return isPtrTo(t, tracePkg, "Recorder") }
+func isBufferPtr(t types.Type) bool { return isPtrTo(t, pcuPkg, "Buffer") }
+func isReaderPtr(t types.Type) bool { return isPtrTo(t, pcuPkg, "Reader") }

@@ -102,9 +102,8 @@ type funcKey struct {
 // matching by suffix keeps the analyzers independent of the module
 // name.
 const (
-	pcuPkg   = "internal/pcu"
-	meshPkg  = "internal/mesh"
-	tracePkg = "internal/trace"
+	pcuPkg  = "internal/pcu"
+	meshPkg = "internal/mesh"
 )
 
 // builtinCollectives are the PCU entry points every rank must reach

@@ -61,21 +61,6 @@ func badAliasEscape(c *pcu.Ctx) [][]byte {
 	return keep
 }
 
-func badAttachAliasVar(c *pcu.Ctx) {
-	for _, m := range c.Exchange() {
-		v := m.Data.BytesVal()
-		c.Trace().Attach("payload", v) // want `retained by the trace ring`
-		m.Data.Done()
-	}
-}
-
-func badAttachDirect(c *pcu.Ctx) {
-	for _, m := range c.Exchange() {
-		c.Trace().Attach("payload", m.Data.BytesNoCopy()) // want `retained by the trace ring`
-		m.Data.Done()
-	}
-}
-
 func badPlannedNoFinalize(c *pcu.Ctx, sub *pcu.Reader, n int) {
 	// A plan-driven receiver knows its record count up front, but the
 	// pooled message must still be finished: without Done (or an Empty

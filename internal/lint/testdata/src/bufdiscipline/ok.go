@@ -1,9 +1,6 @@
 package bufdiscipline
 
-import (
-	"github.com/fastmath/pumi-go/internal/pcu"
-	"github.com/fastmath/pumi-go/internal/trace"
-)
+import "github.com/fastmath/pumi-go/internal/pcu"
 
 func okTwoPhases(c *pcu.Ctx, peer int) {
 	// A fresh To per phase is the contract.
@@ -90,23 +87,6 @@ func okBulkPhase(c *pcu.Ctx, peer int, vals []int64) {
 		_ = got
 		m.Data.Done()
 	}
-}
-
-func okAttachCopied(c *pcu.Ctx) {
-	for _, m := range c.Exchange() {
-		v := m.Data.Bytes() // Bytes copies; the ring may keep it forever
-		c.Trace().Attach("payload", v)
-		m.Data.Done()
-	}
-}
-
-func okAttachStandalone(payload []byte, tr *trace.Recorder) {
-	// NewReader readers are not pooled, so an uncopied slice outlives
-	// Done and may be attached.
-	r := pcu.NewReader(payload)
-	v := r.BytesNoCopy()
-	tr.Attach("payload", v)
-	r.Done()
 }
 
 func okPlannedFraming(c *pcu.Ctx, peers []int, payload *pcu.Buffer, sub *pcu.Reader) {

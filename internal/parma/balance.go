@@ -90,9 +90,7 @@ func BalanceSafe(dm *partition.DMesh, pri Priority, cfg Config) (Result, error) 
 func balanceDim(dm *partition.DMesh, pri Priority, li, t int, cfg Config) (LevelResult, error) {
 	lr := LevelResult{Dim: t}
 	tr := dm.Ctx.Trace()
-	// Each iteration's duration and the allreduced imbalance (a live
-	// gauge) go to the run's registry.
-	iterNs := dm.Ctx.Metrics().Histogram("parma.iter.ns")
+	// The allreduced imbalance is a live gauge in the run's registry.
 	imbGauge := dm.Ctx.Metrics().Gauge("parma.imbalance")
 	higher := pri.guarded(li, t)
 	best := 0.0
@@ -137,14 +135,8 @@ func balanceDim(dm *partition.DMesh, pri Priority, li, t int, cfg Config) (Level
 			}
 		}
 		// The iteration span covers plan construction, migration and the
-		// checkpoint hook; its args carry the dimension, iteration index
-		// and the imbalance the iteration set out to fix.
-		iterStart := time.Now()
-		tr.BeginArgs("parma.iter", int64(t), int64(iter), imb)
-		endIter := func() {
-			tr.End("parma.iter")
-			iterNs.Observe(dm.Ctx.Rank(), int64(time.Since(iterStart)))
-		}
+		// checkpoint hook; the ParmaIter event above names the iteration.
+		sp := dm.Ctx.Span("parma.iter")
 		plans := buildPlans(dm, counts, t, higher, pri, li, cfg)
 		moved := int64(0)
 		for _, p := range plans {
@@ -152,18 +144,18 @@ func balanceDim(dm *partition.DMesh, pri Priority, li, t int, cfg Config) (Level
 		}
 		totalMoved := sumAcross(dm, moved)
 		if err := partition.TryMigrate(dm, plans); err != nil {
-			endIter()
+			sp.End()
 			lr.Iters = iter
 			return lr, err
 		}
 		lr.Iters = iter + 1
 		if cfg.OnIter != nil {
 			if err := cfg.OnIter(dm, t, iter); err != nil {
-				endIter()
+				sp.End()
 				return lr, err
 			}
 		}
-		endIter()
+		sp.End()
 		if totalMoved == 0 {
 			// Diffusion stalled; no point iterating further.
 			break

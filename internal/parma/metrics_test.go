@@ -15,6 +15,7 @@ import (
 // histogram underneath.
 func TestBalanceMetered(t *testing.T) {
 	var reg *telemetry.Registry
+	var iters int
 	const ranks = 4
 	err := pcu.Run(ranks, func(ctx *pcu.Ctx) error {
 		if ctx.Rank() == 0 {
@@ -28,6 +29,8 @@ func TestBalanceMetered(t *testing.T) {
 		}
 		if len(res.Levels) != 1 || res.Levels[0].Iters == 0 {
 			t.Errorf("balance made no iterations: %+v", res.Levels)
+		} else if ctx.Rank() == 0 {
+			iters = res.Levels[0].Iters
 		}
 		return partition.Verify(dm)
 	})
@@ -37,8 +40,9 @@ func TestBalanceMetered(t *testing.T) {
 	if reg == nil {
 		t.Fatal("Ctx.Metrics is nil in a world with no registry installed")
 	}
-	if n := reg.Histogram("parma.iter.ns").Count(); n < ranks {
-		t.Errorf("parma.iter.ns observations = %d, want >= %d", n, ranks)
+	// One parma.iter span per migrating iteration on every rank.
+	if n := reg.Histogram("parma.iter.ns").Count(); n != int64(ranks*iters) {
+		t.Errorf("parma.iter.ns observations = %d, want %d ranks x %d iterations", n, ranks, iters)
 	}
 	if n := reg.Histogram("parma.balance.ns").Count(); n != ranks {
 		t.Errorf("parma.balance.ns observations = %d, want %d", n, ranks)

@@ -18,7 +18,7 @@ import (
 // the files pumi-trace and Perfetto consume.
 func TestBalanceTraced8Ranks(t *testing.T) {
 	const ranks = 8
-	tr := trace.New(ranks, trace.Config{})
+	tr := trace.New(ranks)
 	_, err := pcu.RunOpt(ranks, pcu.Options{Trace: tr}, func(ctx *pcu.Ctx) error {
 		dm := buildImbalanced(ctx, ranks, 16, 4, 4)
 		pri, _ := ParsePriority("Rgn")
@@ -77,7 +77,7 @@ func TestBalanceTraced8Ranks(t *testing.T) {
 	}
 
 	var chrome bytes.Buffer
-	if err := tr.WriteChrome(&chrome); err != nil {
+	if err := trace.WriteChrome(&chrome, tr); err != nil {
 		t.Fatal(err)
 	}
 	if kind, err := trace.ValidateFile(chrome.Bytes()); err != nil || kind != trace.FileChrome {
@@ -89,7 +89,7 @@ func TestBalanceTraced8Ranks(t *testing.T) {
 		}
 	}
 
-	s := tr.Summarize()
+	s := trace.Summarize(tr)
 	if len(s.Parma) != len(series) {
 		t.Errorf("summary parma series has %d points, trace has %d", len(s.Parma), len(series))
 	}
@@ -103,7 +103,7 @@ func TestBalanceTraced8Ranks(t *testing.T) {
 		t.Errorf("summary phases missing partition.migrate: %+v", s.Phases)
 	}
 	var sum bytes.Buffer
-	if err := tr.WriteSummary(&sum); err != nil {
+	if err := trace.WriteSummary(&sum, tr); err != nil {
 		t.Fatal(err)
 	}
 	if kind, err := trace.ValidateFile(sum.Bytes()); err != nil || kind != trace.FileSummary {

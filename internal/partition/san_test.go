@@ -26,7 +26,7 @@ func TestSanitizedProtocols(t *testing.T) {
 	defer san.Disable()
 	run := func() uint64 {
 		var reg *telemetry.Registry
-		stats, err := pcu.RunOpt(2, pcu.Options{Sanitize: true}, func(ctx *pcu.Ctx) error {
+		stats, err := pcu.RunOpt(2, pcu.Options{}, func(ctx *pcu.Ctx) error {
 			if ctx.Rank() == 0 {
 				reg = ctx.Metrics()
 			}
@@ -151,7 +151,7 @@ func TestSanitizedReduceApplyGuarded(t *testing.T) {
 func TestSanitizedOwnershipViolation(t *testing.T) {
 	san.Enable()
 	defer san.Disable()
-	_, err := pcu.RunOpt(2, pcu.Options{Sanitize: true}, func(ctx *pcu.Ctx) error {
+	err := pcu.Run(2, func(ctx *pcu.Ctx) error {
 		model := gmi.Box(2, 1, 1)
 		dm := distributeByX(ctx, model.Model, func() *mesh.Mesh {
 			return meshgen.Box3D(model, 2, 1, 1)

@@ -157,7 +157,7 @@ func TestSyncGhostFloatTagSteadyStateZeroAlloc(t *testing.T) {
 func TestSanitizedTagWriteOwnership(t *testing.T) {
 	san.Enable()
 	defer san.Disable()
-	_, err := pcu.RunOpt(2, pcu.Options{Sanitize: true}, func(ctx *pcu.Ctx) error {
+	err := pcu.Run(2, func(ctx *pcu.Ctx) error {
 		model := gmi.Box(2, 1, 1)
 		dm := distributeByX(ctx, model.Model, func() *mesh.Mesh {
 			return meshgen.Box3D(model, 2, 1, 1)

@@ -128,7 +128,7 @@ func TestExchangeTracedZeroAlloc(t *testing.T) {
 	// Two ranks per node so each phase exercises both the on-node and
 	// the off-node (framed) send instrumentation.
 	topo := hwtopo.Cluster(2, 2)
-	tr := trace.New(ranks, trace.Config{})
+	tr := trace.New(ranks)
 	payload := make([]byte, 256)
 	ints := make([]int32, 64)
 	var avg float64

@@ -176,7 +176,7 @@ func BenchmarkExchangeSparse(b *testing.B) {
 		benchExchangeOnce(b, hwtopo.Cluster(benchRanks, 1), false, Options{})
 	})
 	b.Run("traced", func(b *testing.B) {
-		benchExchangeOnce(b, onNode, false, Options{Trace: trace.New(benchRanks, trace.Config{})})
+		benchExchangeOnce(b, onNode, false, Options{Trace: trace.New(benchRanks)})
 	})
 }
 

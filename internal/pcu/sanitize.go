@@ -1,7 +1,7 @@
 package pcu
 
-// pumi-san runtime wiring: when a run is sanitized (Options.Sanitize or
-// the process-wide san.Enable a tool's -san flag sets), every rank
+// pumi-san runtime wiring: when a run is sanitized (the process-wide
+// san.Enable a tool's -san flag sets), every rank
 // folds its op sequence and exchange payloads into a san.OpLog trace
 // hash, and the run combines them into Stats.SanHash — the run-to-run
 // determinism fingerprint. It adds no wait and no message: a sanitized

@@ -38,7 +38,9 @@ func sanWorkload(c *Ctx) error {
 // TestSanitizeCleanRun: a sanitized run of a uniform schedule yields a
 // nonzero trace hash.
 func TestSanitizeCleanRun(t *testing.T) {
-	stats, err := RunOpt(4, Options{Sanitize: true}, sanWorkload)
+	san.Enable()
+	defer san.Disable()
+	stats, err := RunOpt(4, Options{}, sanWorkload)
 	if err != nil {
 		t.Fatalf("sanitized run failed: %v", err)
 	}
@@ -51,9 +53,11 @@ func TestSanitizeCleanRun(t *testing.T) {
 // identical op-sequence trace hashes, and the hash is sensitive to
 // schedule and payload changes.
 func TestSanitizeIdenticalHashes(t *testing.T) {
+	san.Enable()
+	defer san.Disable()
 	topo := hwtopo.Cluster(2, 2)
 	run := func(body func(*Ctx) error) uint64 {
-		stats, err := RunOpt(4, Options{Topo: topo, Sanitize: true}, body)
+		stats, err := RunOpt(4, Options{Topo: topo}, body)
 		if err != nil {
 			t.Fatalf("sanitized run failed: %v", err)
 		}
@@ -91,7 +95,7 @@ func TestSanitizeIdenticalHashes(t *testing.T) {
 	}
 }
 
-// TestSanitizeUnsanitizedUnchanged: without Sanitize the run reports no
+// TestSanitizeUnsanitizedUnchanged: without san.Enable the run reports no
 // hash and keeps its op count (the sanitizer adds no collectives).
 func TestSanitizeUnsanitizedUnchanged(t *testing.T) {
 	plain, err := RunOpt(4, Options{}, sanWorkload)
@@ -101,7 +105,9 @@ func TestSanitizeUnsanitizedUnchanged(t *testing.T) {
 	if plain.SanHash != 0 {
 		t.Fatalf("unsanitized run reported trace hash %#x", plain.SanHash)
 	}
-	sanitized, err := RunOpt(4, Options{Sanitize: true}, sanWorkload)
+	san.Enable()
+	defer san.Disable()
+	sanitized, err := RunOpt(4, Options{}, sanWorkload)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,15 +120,17 @@ func TestSanitizeUnsanitizedUnchanged(t *testing.T) {
 // TestSanSummaryLedger: the process-wide ledger folds clean sanitized
 // runs deterministically and skips failed ones.
 func TestSanSummaryLedger(t *testing.T) {
+	san.Enable()
+	defer san.Disable()
 	session := func() (int64, uint64) {
 		ResetSanSummary()
 		for i := 0; i < 2; i++ {
-			if _, err := RunOpt(4, Options{Sanitize: true}, sanWorkload); err != nil {
+			if _, err := RunOpt(4, Options{}, sanWorkload); err != nil {
 				t.Fatal(err)
 			}
 		}
 		// A failed run must not pollute the ledger.
-		if _, err := RunOpt(2, Options{Sanitize: true}, func(c *Ctx) error {
+		if _, err := RunOpt(2, Options{}, func(c *Ctx) error {
 			//pumi-vet:ignore collseq // deliberate divergence: the rendezvous check must catch it
 			if c.Rank() == 0 {
 				c.Barrier() // deliberate divergence
@@ -146,7 +154,7 @@ func TestSanSummaryLedger(t *testing.T) {
 }
 
 // TestSanEnableSanitizesRuns: the process-wide switch sanitizes runs
-// that did not opt in via Options.
+// that set no option.
 func TestSanEnableSanitizesRuns(t *testing.T) {
 	san.Enable()
 	defer san.Disable()

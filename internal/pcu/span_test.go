@@ -21,7 +21,7 @@ var seamArmings = []struct {
 	opt  func() Options
 }{
 	{"unarmed", func() Options { return Options{} }},
-	{"traced", func() Options { return Options{Trace: trace.New(1, trace.Config{})} }},
+	{"traced", func() Options { return Options{Trace: trace.New(1)} }},
 }
 
 // seamZeroAlloc requires record to allocate nothing once its series
@@ -59,7 +59,7 @@ func TestCounterAddZeroAlloc(t *testing.T) {
 // one Begin/End pair in the rank's ring and one observation, of a
 // plausible duration, in "<name>.ns".
 func TestSpanRecordsOnce(t *testing.T) {
-	tr := trace.New(1, trace.Config{})
+	tr := trace.New(1)
 	var reg *telemetry.Registry
 	_, err := RunOpt(1, Options{Trace: tr}, func(c *Ctx) error {
 		reg = c.Metrics()

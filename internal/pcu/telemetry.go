@@ -98,12 +98,10 @@ func WriteLiveChrome(w io.Writer) error {
 		}
 		return true
 	})
-	if len(traces) == 0 {
-		if col := defaultTracer.Load(); col != nil && col.Runs() > 0 {
-			return col.WriteChrome(w)
-		}
+	if col := defaultTracer.Load(); len(traces) == 0 && col != nil {
+		traces = col.Traces()
 	}
-	return trace.WriteChromeMerged(w, traces)
+	return trace.WriteChrome(w, traces...)
 }
 
 // TelemetrySources composes the process's introspection callbacks for

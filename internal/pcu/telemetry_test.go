@@ -74,7 +74,7 @@ func TestTelemetrySourcesLive(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	SetDefaultMetrics(reg)
 	defer SetDefaultMetrics(nil)
-	col := trace.NewCollector(trace.Config{})
+	col := new(trace.Collector)
 	SetDefaultTrace(col)
 	defer SetDefaultTrace(nil)
 

@@ -3,6 +3,7 @@ package pcu
 import (
 	"bytes"
 	"errors"
+	"math"
 	"strings"
 	"testing"
 	"time"
@@ -18,7 +19,7 @@ import (
 // passes schema validation.
 func TestTracedExchangeRecordsTimeline(t *testing.T) {
 	const ranks, phases = 4, 3
-	tr := trace.New(ranks, trace.Config{})
+	tr := trace.New(ranks)
 	// Two ranks per node: rank r sends to r+1, so ranks 0 and 2 send
 	// on-node and ranks 1 and 3 send off-node.
 	_, err := RunOpt(ranks, Options{Topo: hwtopo.Cluster(2, 2), Trace: tr}, func(c *Ctx) error {
@@ -62,7 +63,7 @@ func TestTracedExchangeRecordsTimeline(t *testing.T) {
 		}
 	}
 	var buf bytes.Buffer
-	if err := tr.WriteChrome(&buf); err != nil {
+	if err := trace.WriteChrome(&buf, tr); err != nil {
 		t.Fatal(err)
 	}
 	if kind, err := trace.ValidateFile(buf.Bytes()); err != nil || kind != trace.FileChrome {
@@ -70,10 +71,58 @@ func TestTracedExchangeRecordsTimeline(t *testing.T) {
 	}
 }
 
+// TestChromePhasesRoundTrip: the per-phase table read back from a
+// traced run's Chrome timeline — what pumi-trace diffs — matches the one
+// Summarize computes from the live rings: same names and counts, totals
+// within 1 µs per span instance (the export's precision).
+func TestChromePhasesRoundTrip(t *testing.T) {
+	const ranks = 3
+	tr := trace.New(ranks)
+	_, err := RunOpt(ranks, Options{Trace: tr}, func(c *Ctx) error {
+		for i := 0; i < 4; i++ {
+			outer := c.Span("test.outer")
+			inner := c.Span("test.inner")
+			c.To((c.Rank() + 1) % c.Size()).Int32(int32(i))
+			for _, m := range c.Exchange() {
+				m.Data.Int32()
+				m.Data.Done()
+			}
+			inner.End()
+			SumInt64(c, 1)
+			outer.End()
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := trace.Summarize(tr).Phases
+	var buf bytes.Buffer
+	if err := trace.WriteChrome(&buf, tr); err != nil {
+		t.Fatal(err)
+	}
+	got, err := trace.ChromePhases(buf.Bytes())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != len(want) || len(want) < 3 {
+		t.Fatalf("timeline phases %+v, summary phases %+v", got, want)
+	}
+	for i, w := range want {
+		g := got[i]
+		if g.Name != w.Name || g.Count != w.Count {
+			t.Errorf("phase %d: timeline %s x%d, summary %s x%d", i, g.Name, g.Count, w.Name, w.Count)
+		}
+		if d := math.Abs(g.TotalSec - w.TotalSec); d > 1e-6*float64(w.Count) {
+			t.Errorf("phase %s: timeline total %.9fs, summary %.9fs", w.Name, g.TotalSec, w.TotalSec)
+		}
+	}
+}
+
 // TestTraceTooSmallRejected: a trace sized for fewer ranks than the run
 // is a configuration error, not a partial recording.
 func TestTraceTooSmallRejected(t *testing.T) {
-	_, err := RunOpt(4, Options{Trace: trace.New(2, trace.Config{})}, func(c *Ctx) error { return nil })
+	_, err := RunOpt(4, Options{Trace: trace.New(2)}, func(c *Ctx) error { return nil })
 	if err == nil || !strings.Contains(err.Error(), "trace sized for 2 ranks") {
 		t.Fatalf("undersized trace accepted: err=%v", err)
 	}
@@ -83,17 +132,18 @@ func TestTraceTooSmallRejected(t *testing.T) {
 // runs without an explicit Options.Trace record into it — including
 // failed runs, whose timeline is what the trace is for.
 func TestDefaultTraceCollector(t *testing.T) {
-	col := trace.NewCollector(trace.Config{Ring: 256})
+	col := new(trace.Collector)
 	SetDefaultTrace(col)
 	defer SetDefaultTrace(nil)
 	Run(2, func(c *Ctx) error {
 		c.Barrier()
 		return nil
 	})
-	if col.Runs() != 1 {
-		t.Fatalf("collector holds %d runs, want 1", col.Runs())
+	runs := col.Traces()
+	if len(runs) != 1 {
+		t.Fatalf("collector holds %d runs, want 1", len(runs))
 	}
-	s := col.Summarize()
+	s := trace.Summarize(runs...)
 	found := false
 	for _, p := range s.Phases {
 		if p.Name == "barrier" && p.Count == 2 {
@@ -111,7 +161,7 @@ func TestDefaultTraceCollector(t *testing.T) {
 // name the stalled collective and the fault that caused it.
 func TestStallErrorCarriesTraceTail(t *testing.T) {
 	const ranks = 3
-	tr := trace.New(ranks, trace.Config{})
+	tr := trace.New(ranks)
 	plan := &FaultPlan{Faults: []Fault{{Rank: 1, Op: 3, Kind: FaultDelay, Delay: 600 * time.Millisecond}}}
 	_, err := RunOpt(ranks, Options{
 		Trace:        tr,

@@ -42,7 +42,13 @@ type Stats struct {
 	SanHash uint64
 }
 
-// Options configures a run beyond its rank count.
+// Options configures a run beyond its rank count. A run is sanitized
+// exactly when san.Enabled() holds as it starts (see internal/san): each
+// rank folds its op sequence and exchange payloads into a trace hash,
+// the run reports their combination as Stats.SanHash, and partition
+// attaches its mesh ownership guards. Whether the ranks entered the
+// same op is checked at every barrier of every run, sanitized or not
+// (*MismatchError).
 type Options struct {
 	// Topo is the machine topology; the zero value maps all ranks onto
 	// one shared-memory node.
@@ -56,13 +62,6 @@ type Options struct {
 	// Zero selects DefaultStallTimeout; a negative value disables the
 	// watchdog entirely.
 	StallTimeout time.Duration
-	// Sanitize runs this world under pumi-san (see internal/san): each
-	// rank folds its op sequence and exchange payloads into a trace
-	// hash, and the run reports their combination as Stats.SanHash.
-	// san.Enable turns it on process-wide. Whether the ranks entered
-	// the same op is checked at every barrier of every run, sanitized
-	// or not (*MismatchError).
-	Sanitize bool
 	// Trace, when non-nil, records every rank's blocking operations,
 	// deliveries and injected faults into the given flight recorder
 	// (which must be sized for at least the run's rank count). When nil
@@ -276,7 +275,7 @@ func runOpt(n int, opt Options, survivable bool, body func(*Ctx) error) (Stats, 
 	if w.reg == nil {
 		w.reg = telemetry.NewSized(n)
 	}
-	if opt.Sanitize || san.Enabled() {
+	if san.Enabled() {
 		w.san = newSanState(n)
 	}
 	tr := opt.Trace
@@ -286,7 +285,7 @@ func runOpt(n int, opt Options, survivable bool, body func(*Ctx) error) (Stats, 
 			return Stats{}, fmt.Errorf("pcu: trace sized for %d ranks, run has %d", tr.Ranks(), n)
 		}
 	} else if col = defaultTracer.Load(); col != nil {
-		tr = trace.New(n, col.Config())
+		tr = trace.New(n)
 	}
 	w.tr = tr
 	w.bar.init(n)

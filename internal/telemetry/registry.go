@@ -57,13 +57,10 @@ const (
 	Buckets = 48
 )
 
-// BucketOf maps a value to its power-of-two bucket index — exported so
-// trace.CriticalPath's arrival-skew histograms share the registry's
-// buckets (and its Buckets/BucketLE bounds).
-func BucketOf(v int64) int { return bucketOf(v) }
-
-// bucketOf maps a value to its power-of-two bucket.
-func bucketOf(v int64) int {
+// BucketOf maps a value to its power-of-two bucket index. trace's
+// arrival-skew histograms bin through it too, so they share the
+// registry's buckets (and its Buckets/BucketLE bounds).
+func BucketOf(v int64) int {
 	if v <= 0 {
 		return 0
 	}
@@ -109,7 +106,7 @@ func (h *Histogram) Observe(lane int, v int64) {
 		return
 	}
 	l := &h.lanes[lane&(len(h.lanes)-1)]
-	l.buckets[bucketOf(v)].Add(1)
+	l.buckets[BucketOf(v)].Add(1)
 	l.count.Add(1)
 	l.sum.Add(v)
 }

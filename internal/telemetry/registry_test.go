@@ -17,13 +17,13 @@ func TestBucketing(t *testing.T) {
 		{1 << 40, 41}, {math.MaxInt64, Buckets - 1},
 	}
 	for _, c := range cases {
-		if got := bucketOf(c.v); got != c.want {
-			t.Errorf("bucketOf(%d) = %d, want %d", c.v, got, c.want)
+		if got := BucketOf(c.v); got != c.want {
+			t.Errorf("BucketOf(%d) = %d, want %d", c.v, got, c.want)
 		}
 	}
 	// Every value must satisfy BucketLE(i-1) < v <= BucketLE(i).
 	for _, v := range []int64{1, 2, 3, 100, 1 << 20, 1<<47 - 1} {
-		i := bucketOf(v)
+		i := BucketOf(v)
 		if v > BucketLE(i) {
 			t.Errorf("value %d above its bucket %d bound %d", v, i, BucketLE(i))
 		}

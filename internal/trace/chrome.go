@@ -12,18 +12,18 @@ import (
 // fixed by the trace-event spec).
 const ChromeSchema = "pumi-trace/chrome/1"
 
-// chromeDoc is the JSON-object form of the Chrome trace-event format:
+// ChromeDoc is the JSON-object form of the Chrome trace-event format:
 // loadable by Perfetto and chrome://tracing.
-type chromeDoc struct {
-	TraceEvents     []chromeEvent     `json:"traceEvents"`
+type ChromeDoc struct {
+	TraceEvents     []ChromeEvent     `json:"traceEvents"`
 	DisplayTimeUnit string            `json:"displayTimeUnit"`
 	OtherData       map[string]string `json:"otherData"`
 }
 
-// chromeEvent is one trace-event record. Ts and Dur are microseconds
+// ChromeEvent is one trace-event record. Ts and Dur are microseconds
 // (the unit the format fixes); Pid groups the run, Tid is the rank so
 // each rank renders as its own track.
-type chromeEvent struct {
+type ChromeEvent struct {
 	Name string         `json:"name"`
 	Ph   string         `json:"ph"`
 	Ts   float64        `json:"ts"`
@@ -36,52 +36,21 @@ type chromeEvent struct {
 
 func usec(t int64) float64 { return float64(t) / 1e3 }
 
-// WriteChrome writes the trace as Chrome trace-event JSON: one thread
-// track per rank, spans for Begin/End pairs, instants for sends,
+// WriteChrome writes the merged timeline of the given runs as Chrome
+// trace-event JSON: one thread track per rank (rank r of every trace
+// lands on track r), spans for Begin/End pairs, instants for sends,
 // points and faults, and a counter track for the ParMA imbalance
 // series. Open the file at https://ui.perfetto.dev or chrome://tracing.
-func (t *Trace) WriteChrome(w io.Writer) error {
-	if t == nil {
-		return fmt.Errorf("trace: WriteChrome on nil trace")
-	}
-	return writeChrome(w, t.capture())
-}
-
-// WriteChromeMerged writes the merged timeline of several traces as one
-// Chrome trace-event document — the live /trace endpoint's view over
-// every active world. Nil traces are skipped; rank r of every trace
-// lands on track r (all recorders share the process epoch, so the
-// timelines interleave correctly).
-func WriteChromeMerged(w io.Writer, traces []*Trace) error {
-	ranks := 0
-	for _, t := range traces {
-		if t.Ranks() > ranks {
-			ranks = t.Ranks()
-		}
-	}
-	merged := capture{perRank: make([][]Event, ranks), dropped: make([]uint64, ranks)}
-	for _, t := range traces {
-		if t == nil {
-			continue
-		}
-		tc := t.capture()
-		for r := range tc.perRank {
-			merged.perRank[r] = append(merged.perRank[r], tc.perRank[r]...)
-			merged.dropped[r] += tc.dropped[r]
-		}
-	}
-	return writeChrome(w, merged)
-}
-
-func writeChrome(w io.Writer, c capture) error {
-	doc := chromeDoc{
-		TraceEvents:     []chromeEvent{},
+func WriteChrome(w io.Writer, traces ...*Trace) error {
+	c := capture(traces)
+	doc := ChromeDoc{
+		TraceEvents:     []ChromeEvent{},
 		DisplayTimeUnit: "ms",
 		OtherData:       map[string]string{"schema": ChromeSchema},
 	}
 	var lastT int64
 	for rank, events := range c.perRank {
-		doc.TraceEvents = append(doc.TraceEvents, chromeEvent{
+		doc.TraceEvents = append(doc.TraceEvents, ChromeEvent{
 			Name: "thread_name", Ph: "M", Pid: 0, Tid: rank,
 			Args: map[string]any{"name": fmt.Sprintf("rank %d", rank)},
 		})
@@ -90,33 +59,20 @@ func writeChrome(w io.Writer, c capture) error {
 		// have died inside a span, leaving a Begin without its End —
 		// close those at the last timestamp seen so Perfetto still
 		// renders them.
-		type open struct {
-			e   Event
-			idx int // index into doc.TraceEvents of the emitted B record
-		}
-		var stack []open
-		depth := func(name string) int {
-			for i := len(stack) - 1; i >= 0; i-- {
-				if stack[i].e.Name == name {
-					return i
-				}
-			}
-			return -1
-		}
+		var stack []string // names of the open spans, innermost last
 		for _, e := range events {
 			if e.T > lastT {
 				lastT = e.T
 			}
 			switch e.Kind {
 			case KindBegin:
-				ce := chromeEvent{Name: e.Name, Ph: "B", Ts: usec(e.T), Pid: 0, Tid: rank}
-				if e.A != 0 || e.B != 0 || e.V != 0 {
-					ce.Args = map[string]any{"a": e.A, "b": e.B, "v": e.V}
-				}
-				stack = append(stack, open{e: e, idx: len(doc.TraceEvents)})
-				doc.TraceEvents = append(doc.TraceEvents, ce)
+				stack = append(stack, e.Name)
+				doc.TraceEvents = append(doc.TraceEvents, ChromeEvent{Name: e.Name, Ph: "B", Ts: usec(e.T), Pid: 0, Tid: rank})
 			case KindEnd:
-				i := depth(e.Name)
+				i := len(stack) - 1 // the innermost open span of that name
+				for i >= 0 && stack[i] != e.Name {
+					i--
+				}
 				if i < 0 {
 					continue // orphan End: its Begin was overwritten by ring wrap
 				}
@@ -124,47 +80,42 @@ func writeChrome(w io.Writer, c capture) error {
 				// overwritten mid-span or the span was abandoned by a
 				// panic unwind) so the B/E nesting stays well-formed.
 				for j := len(stack) - 1; j >= i; j-- {
-					doc.TraceEvents = append(doc.TraceEvents, chromeEvent{
-						Name: stack[j].e.Name, Ph: "E", Ts: usec(e.T), Pid: 0, Tid: rank,
+					doc.TraceEvents = append(doc.TraceEvents, ChromeEvent{
+						Name: stack[j], Ph: "E", Ts: usec(e.T), Pid: 0, Tid: rank,
 					})
 				}
 				stack = stack[:i]
 			case KindPoint:
-				doc.TraceEvents = append(doc.TraceEvents, chromeEvent{
+				doc.TraceEvents = append(doc.TraceEvents, ChromeEvent{
 					Name: e.Name, Ph: "i", Ts: usec(e.T), Pid: 0, Tid: rank, S: "t",
 					Args: map[string]any{"value": e.A},
 				})
 			case KindSend:
 				onNode := e.V != 0
-				doc.TraceEvents = append(doc.TraceEvents, chromeEvent{
+				doc.TraceEvents = append(doc.TraceEvents, ChromeEvent{
 					Name: "send", Ph: "i", Ts: usec(e.T), Pid: 0, Tid: rank, S: "t",
 					Args: map[string]any{"peer": e.A, "bytes": e.B, "on_node": onNode},
 				})
 			case KindParmaIter:
-				doc.TraceEvents = append(doc.TraceEvents, chromeEvent{
+				doc.TraceEvents = append(doc.TraceEvents, ChromeEvent{
 					Name: "parma.imbalance", Ph: "C", Ts: usec(e.T), Pid: 0, Tid: rank,
 					Args: map[string]any{"imb": e.V},
 				})
-				doc.TraceEvents = append(doc.TraceEvents, chromeEvent{
+				doc.TraceEvents = append(doc.TraceEvents, ChromeEvent{
 					Name: "parma.iter", Ph: "i", Ts: usec(e.T), Pid: 0, Tid: rank, S: "t",
 					Args: map[string]any{"dim": e.A, "iter": e.B, "imb": e.V},
 				})
 			case KindFault:
-				doc.TraceEvents = append(doc.TraceEvents, chromeEvent{
+				doc.TraceEvents = append(doc.TraceEvents, ChromeEvent{
 					Name: "fault:" + e.Name, Ph: "i", Ts: usec(e.T), Pid: 0, Tid: rank, S: "t",
 					Args: map[string]any{"op": e.A},
-				})
-			case KindBlob:
-				doc.TraceEvents = append(doc.TraceEvents, chromeEvent{
-					Name: e.Name, Ph: "i", Ts: usec(e.T), Pid: 0, Tid: rank, S: "t",
-					Args: map[string]any{"blob": string(e.Blob)},
 				})
 			}
 		}
 		// Synthesize Ends for spans the run never closed.
 		for j := len(stack) - 1; j >= 0; j-- {
-			doc.TraceEvents = append(doc.TraceEvents, chromeEvent{
-				Name: stack[j].e.Name, Ph: "E", Ts: usec(lastT), Pid: 0, Tid: rank,
+			doc.TraceEvents = append(doc.TraceEvents, ChromeEvent{
+				Name: stack[j], Ph: "E", Ts: usec(lastT), Pid: 0, Tid: rank,
 			})
 		}
 		if d := c.dropped[rank]; d > 0 {

@@ -1,35 +1,20 @@
 package trace
 
-import (
-	"encoding/json"
-	"io"
-	"sync"
-)
+import "sync"
 
 // Collector accumulates the traces of sequential runs in one process —
-// the way pumi-bench and pumi-part repeat pcu.RunOpt — and exports them
-// as one timeline. All recorders share the process trace epoch, so the
-// runs land side by side in chronological order; rank r of every run
-// maps to track r.
+// the way pumi-bench and pumi-part repeat pcu.RunOpt — so they export as
+// one timeline: WriteChrome(w, col.Traces()...). All recorders share the
+// process trace epoch, so the runs land side by side in chronological
+// order; rank r of every run maps to track r.
 //
 // A Collector is installed process-wide via pcu.SetDefaultTrace: every
 // subsequent run without an explicit Options.Trace records into a fresh
-// Trace drawn from the collector's Config and adds it here when the run
-// ends (normally or not).
+// Trace and adds it here when the run ends (normally or not). The zero
+// Collector is ready to use.
 type Collector struct {
 	mu     sync.Mutex
-	cfg    Config
 	traces []*Trace
-}
-
-// NewCollector creates a collector whose runs record with cfg.
-func NewCollector(cfg Config) *Collector { return &Collector{cfg: cfg} }
-
-// Config returns the recording configuration for new runs.
-func (c *Collector) Config() Config {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.cfg
 }
 
 // Add appends one finished (or failed) run's trace.
@@ -42,54 +27,9 @@ func (c *Collector) Add(t *Trace) {
 	c.mu.Unlock()
 }
 
-// Runs returns how many traces have been collected.
-func (c *Collector) Runs() int {
-	if c == nil {
-		return 0
-	}
+// Traces returns the collected runs in collection order.
+func (c *Collector) Traces() []*Trace {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return len(c.traces)
-}
-
-// capture merges the collected runs: rank r's events from every run,
-// concatenated in collection order (runs are sequential, so this is
-// chronological — all recorders stamp time against the same epoch).
-func (c *Collector) capture() capture {
-	c.mu.Lock()
-	traces := append([]*Trace(nil), c.traces...)
-	c.mu.Unlock()
-	ranks := 0
-	for _, t := range traces {
-		if t.Ranks() > ranks {
-			ranks = t.Ranks()
-		}
-	}
-	merged := capture{perRank: make([][]Event, ranks), dropped: make([]uint64, ranks)}
-	for _, t := range traces {
-		tc := t.capture()
-		for r := range tc.perRank {
-			merged.perRank[r] = append(merged.perRank[r], tc.perRank[r]...)
-			merged.dropped[r] += tc.dropped[r]
-		}
-	}
-	return merged
-}
-
-// WriteChrome writes the merged timeline of every collected run as
-// Chrome trace-event JSON.
-func (c *Collector) WriteChrome(w io.Writer) error {
-	return writeChrome(w, c.capture())
-}
-
-// Summarize computes the aggregate view over every collected run.
-func (c *Collector) Summarize() *Summary {
-	return summarize(c.capture())
-}
-
-// WriteSummary writes the merged metrics summary as indented JSON.
-func (c *Collector) WriteSummary(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(c.Summarize())
+	return append([]*Trace(nil), c.traces...)
 }

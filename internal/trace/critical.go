@@ -187,49 +187,9 @@ func CriticalPathEvents(perRank [][]Event) *CriticalPathReport {
 // timeline (as written by WriteChrome; gzip-transparent). Only B/E
 // records participate — instants and counters carry no arrival info.
 func CriticalPathChrome(data []byte) (*CriticalPathReport, error) {
-	data, err := MaybeGunzip(data)
+	perRank, err := chromeSpans(data)
 	if err != nil {
 		return nil, err
-	}
-	kind, err := ValidateFile(data)
-	if err != nil {
-		return nil, err
-	}
-	if kind != FileChrome {
-		return nil, fmt.Errorf("critical path needs a chrome timeline, got a %s file", kind)
-	}
-	doc, err := decodeChrome(data)
-	if err != nil {
-		return nil, err
-	}
-	// The table is sized by rank, so a track id must name a rank: the
-	// tracks are 0..n-1, as WriteChrome numbers them, never an id a
-	// forged file picks.
-	maxTid := -1
-	tracks := map[int]bool{}
-	for _, e := range doc.TraceEvents {
-		if e.Tid >= 0 {
-			tracks[e.Tid] = true
-		}
-		if e.Ph != "M" && e.Tid > maxTid {
-			maxTid = e.Tid
-		}
-	}
-	if maxTid >= len(tracks) {
-		return nil, fmt.Errorf("critical path: rank %d in a timeline of %d tracks; tracks must be ranks 0..n-1", maxTid, len(tracks))
-	}
-	perRank := make([][]Event, maxTid+1)
-	for _, e := range doc.TraceEvents {
-		if e.Tid < 0 || e.Tid > maxTid {
-			continue
-		}
-		t := int64(e.Ts * 1e3) // µs back to ns
-		switch e.Ph {
-		case "B":
-			perRank[e.Tid] = append(perRank[e.Tid], Event{T: t, Kind: KindBegin, Name: e.Name})
-		case "E":
-			perRank[e.Tid] = append(perRank[e.Tid], Event{T: t, Kind: KindEnd, Name: e.Name})
-		}
 	}
 	return CriticalPathEvents(perRank), nil
 }

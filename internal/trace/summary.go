@@ -2,7 +2,6 @@ package trace
 
 import (
 	"encoding/json"
-	"fmt"
 	"io"
 	"math/bits"
 	"sort"
@@ -70,15 +69,31 @@ func histBucket(bytes int64) int {
 	return 63 - bits.LeadingZeros64(uint64(bytes))
 }
 
-// Summarize computes the aggregate view of the trace.
-func (t *Trace) Summarize() *Summary {
-	if t == nil {
-		return &Summary{Schema: SummarySchema}
-	}
-	return summarize(t.capture())
+// Summarize computes the aggregate view of the given runs, merged as
+// WriteChrome merges them.
+func Summarize(traces ...*Trace) *Summary { return summarize(capture(traces)) }
+
+// WriteSummary writes the metrics summary of the given runs as indented
+// JSON.
+func WriteSummary(w io.Writer, traces ...*Trace) error {
+	enc := json.NewEncoder(w)
+	enc.SetIndent("", "  ")
+	return enc.Encode(Summarize(traces...))
 }
 
-func summarize(c capture) *Summary {
+// ChromePhases reads an exported Chrome timeline (gzip-transparent) back
+// into the per-phase table Summarize computes from the live recorders,
+// by the same span matching. Timestamps come back at the file's
+// microsecond-with-fraction precision.
+func ChromePhases(data []byte) ([]PhaseStat, error) {
+	perRank, err := chromeSpans(data)
+	if err != nil {
+		return nil, err
+	}
+	return summarize(captured{perRank: perRank, dropped: make([]uint64, len(perRank))}).Phases, nil
+}
+
+func summarize(c captured) *Summary {
 	s := &Summary{Schema: SummarySchema, Ranks: len(c.perRank)}
 
 	type phaseAcc struct {
@@ -146,17 +161,11 @@ func summarize(c capture) *Summary {
 
 	for name, acc := range phases {
 		ps := PhaseStat{Name: name, Count: acc.count}
-		var active int
 		for _, sec := range acc.perRank {
 			ps.TotalSec += sec
-			if sec > ps.MaxRankSec {
-				ps.MaxRankSec = sec
-			}
-			active++
+			ps.MaxRankSec = max(ps.MaxRankSec, sec)
 		}
-		if active > 0 {
-			ps.AvgRankSec = ps.TotalSec / float64(active)
-		}
+		ps.AvgRankSec = ps.TotalSec / float64(len(acc.perRank))
 		if ps.AvgRankSec > 0 {
 			ps.Imbalance = ps.MaxRankSec / ps.AvgRankSec
 		}
@@ -183,14 +192,4 @@ func summarize(c capture) *Summary {
 		return a.Peer < b.Peer
 	})
 	return s
-}
-
-// WriteSummary writes the metrics summary as indented JSON.
-func (t *Trace) WriteSummary(w io.Writer) error {
-	if t == nil {
-		return fmt.Errorf("trace: WriteSummary on nil trace")
-	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(t.Summarize())
 }

@@ -55,9 +55,6 @@ const (
 	// KindFault is an injected fault firing: Name is the fault kind, A
 	// the 1-based op index it struck at.
 	KindFault
-	// KindBlob is an attached annotation payload (Blob holds the bytes
-	// by reference; see Recorder.Attach for the aliasing contract).
-	KindBlob
 )
 
 var kindNames = [...]string{
@@ -67,7 +64,6 @@ var kindNames = [...]string{
 	KindSend:      "send",
 	KindParmaIter: "parma-iter",
 	KindFault:     "fault",
-	KindBlob:      "blob",
 }
 
 func (k Kind) String() string {
@@ -86,7 +82,6 @@ type Event struct {
 	Name string
 	A, B int64
 	V    float64
-	Blob []byte
 }
 
 // String renders the event for stall reports and pumi-trace dumps.
@@ -109,48 +104,28 @@ func (e Event) String() string {
 		return fmt.Sprintf("%v parma dim %d iter %d imb %.4f", at, e.A, e.B, e.V)
 	case KindFault:
 		return fmt.Sprintf("%v fault %s at op %d", at, e.Name, e.A)
-	case KindBlob:
-		return fmt.Sprintf("%v blob %s (%d bytes)", at, e.Name, len(e.Blob))
 	}
 	return fmt.Sprintf("%v ?%d", at, e.Kind)
 }
 
-// Config sizes the flight recorder.
-type Config struct {
-	// Ring is the per-rank ring capacity in events, rounded up to a
-	// power of two. Zero selects DefaultRing. The ring is allocated once
-	// at New; steady-state recording never grows it.
-	Ring int
-}
-
-// DefaultRing is the per-rank ring capacity when Config leaves Ring
-// zero: at roughly 80 bytes per event this is ~1.3 MB for a 4-rank run,
-// and deep enough to hold several balancing iterations of history.
-const DefaultRing = 4096
+// RingSize is the per-rank ring capacity in events, a power of two so
+// the ring index is a mask: at 56 bytes per event this is ~230 KB per
+// rank, deep enough to hold several balancing iterations of history.
+const RingSize = 4096
 
 // Trace is the flight recorder of one parallel run: one Recorder per
 // rank, all sharing the process trace epoch.
 type Trace struct {
-	cfg  Config
 	recs []Recorder
 }
 
 // New creates a recorder set for ranks ranks. The rings are allocated
 // here, once; recording is allocation-free afterwards.
-func New(ranks int, cfg Config) *Trace {
-	n := cfg.Ring
-	if n <= 0 {
-		n = DefaultRing
-	}
-	// Round up to a power of two so the ring index is a mask.
-	size := 1
-	for size < n {
-		size <<= 1
-	}
-	t := &Trace{cfg: cfg, recs: make([]Recorder, ranks)}
+func New(ranks int) *Trace {
+	t := &Trace{recs: make([]Recorder, ranks)}
 	for i := range t.recs {
 		t.recs[i].rank = i
-		t.recs[i].ring = make([]Event, size)
+		t.recs[i].ring = make([]Event, RingSize)
 	}
 	return t
 }
@@ -205,12 +180,6 @@ func (r *Recorder) emit(e Event) {
 // strings or literals) to keep recording allocation-free.
 func (r *Recorder) Begin(name string) { r.emit(Event{Kind: KindBegin, Name: name}) }
 
-// BeginArgs opens a named span carrying two integer arguments and a
-// float (rendered as span args in the Chrome export).
-func (r *Recorder) BeginArgs(name string, a, b int64, v float64) {
-	r.emit(Event{Kind: KindBegin, Name: name, A: a, B: b, V: v})
-}
-
 // End closes the innermost open span with the same name.
 func (r *Recorder) End(name string) { r.emit(Event{Kind: KindEnd, Name: name}) }
 
@@ -236,17 +205,6 @@ func (r *Recorder) ParmaIter(dim, iter int, imb float64) {
 // given 1-based op index.
 func (r *Recorder) Fault(kind string, op int64) {
 	r.emit(Event{Kind: KindFault, Name: kind, A: op})
-}
-
-// Attach records an annotation payload by reference: the ring retains
-// blob without copying, so blob must remain valid for the lifetime of
-// the trace. Never pass a slice aliasing a pooled message
-// (Reader.BytesNoCopy/BytesVal) — its bytes are recycled at
-// Reader.Done and the timeline would show a later phase's data; copy
-// with Reader.Bytes first. pumi-vet's bufdiscipline check enforces
-// this.
-func (r *Recorder) Attach(name string, blob []byte) {
-	r.emit(Event{Kind: KindBlob, Name: name, Blob: blob})
 }
 
 // Dropped returns how many events were overwritten by ring wraparound.
@@ -314,21 +272,28 @@ func (t *Trace) TailStrings(n int) []string {
 	return out
 }
 
-// capture is the exporter-facing view of one or more runs: events per
+// captured is the exporter-facing view of one or more runs: events per
 // rank in chronological order plus per-rank drop counts.
-type capture struct {
+type captured struct {
 	perRank [][]Event
 	dropped []uint64
 }
 
-func (t *Trace) capture() capture {
-	c := capture{
-		perRank: make([][]Event, len(t.recs)),
-		dropped: make([]uint64, len(t.recs)),
+// capture merges runs: rank r's events from every trace, concatenated
+// in argument order (runs are sequential, so this is chronological —
+// all recorders stamp time against the same epoch). Nil traces are
+// skipped.
+func capture(traces []*Trace) captured {
+	ranks := 0
+	for _, t := range traces {
+		ranks = max(ranks, t.Ranks())
 	}
-	for i := range t.recs {
-		c.perRank[i] = t.recs[i].Snapshot()
-		c.dropped[i] = t.recs[i].Dropped()
+	c := captured{perRank: make([][]Event, ranks), dropped: make([]uint64, ranks)}
+	for _, t := range traces {
+		for r := range t.Ranks() {
+			c.perRank[r] = append(c.perRank[r], t.recs[r].Snapshot()...)
+			c.dropped[r] += t.recs[r].Dropped()
+		}
 	}
 	return c
 }

@@ -7,7 +7,7 @@ import (
 )
 
 func TestRecorderRoundTrip(t *testing.T) {
-	tr := New(2, Config{Ring: 16})
+	tr := New(2)
 	r0 := tr.Rank(0)
 	r0.Begin("exchange")
 	r0.Send(1, 256, true)
@@ -43,25 +43,26 @@ func TestRecorderRoundTrip(t *testing.T) {
 }
 
 func TestRingWrapKeepsRecent(t *testing.T) {
-	tr := New(1, Config{Ring: 4})
+	const extra = 6
+	tr := New(1)
 	r := tr.Rank(0)
-	for i := 0; i < 10; i++ {
+	for i := 0; i < RingSize+extra; i++ {
 		r.Point("tick", int64(i))
 	}
 	ev := r.Snapshot()
-	if len(ev) != 4 {
-		t.Fatalf("retained %d events, want ring size 4", len(ev))
+	if len(ev) != RingSize {
+		t.Fatalf("retained %d events, want ring size %d", len(ev), RingSize)
 	}
 	for i, e := range ev {
-		if want := int64(6 + i); e.A != want {
-			t.Errorf("retained event %d is tick %d, want %d (oldest must be dropped)", i, e.A, want)
+		if want := int64(extra + i); e.A != want {
+			t.Fatalf("retained event %d is tick %d, want %d (oldest must be dropped)", i, e.A, want)
 		}
 	}
-	if d := r.Dropped(); d != 6 {
-		t.Errorf("Dropped() = %d, want 6", d)
+	if d := r.Dropped(); d != extra {
+		t.Errorf("Dropped() = %d, want %d", d, extra)
 	}
-	if tail := r.Tail(2); len(tail) != 2 || tail[1].A != 9 {
-		t.Errorf("Tail(2) = %v, want ticks 8,9", tail)
+	if tail := r.Tail(2); len(tail) != 2 || tail[1].A != RingSize+extra-1 {
+		t.Errorf("Tail(2) = %v, want the last two ticks", tail)
 	}
 }
 
@@ -76,13 +77,11 @@ func TestNilSafety(t *testing.T) {
 	}
 	// Every emit and read must be a no-op, not a crash.
 	r.Begin("x")
-	r.BeginArgs("x", 1, 2, 3)
 	r.End("x")
 	r.Point("x", 1)
 	r.Send(0, 0, false)
 	r.ParmaIter(0, 0, 0)
 	r.Fault("x", 1)
-	r.Attach("x", nil)
 	if r.Snapshot() != nil || r.Tail(4) != nil || r.Dropped() != 0 {
 		t.Error("nil Recorder reads should be empty")
 	}
@@ -92,7 +91,7 @@ func TestNilSafety(t *testing.T) {
 }
 
 func TestChromeExportValidates(t *testing.T) {
-	tr := New(2, Config{})
+	tr := New(2)
 	for rank := 0; rank < 2; rank++ {
 		r := tr.Rank(rank)
 		r.Begin("parma.iter")
@@ -106,7 +105,7 @@ func TestChromeExportValidates(t *testing.T) {
 	tr.Rank(1).Begin("allreduce")
 
 	var buf bytes.Buffer
-	if err := tr.WriteChrome(&buf); err != nil {
+	if err := WriteChrome(&buf, tr); err != nil {
 		t.Fatal(err)
 	}
 	kind, err := ValidateFile(buf.Bytes())
@@ -126,15 +125,15 @@ func TestChromeExportValidates(t *testing.T) {
 func TestChromeOrphanEndSkipped(t *testing.T) {
 	// A wrapped ring can retain an End whose Begin was overwritten; the
 	// exporter must drop it rather than emit an unbalanced E record.
-	tr := New(1, Config{Ring: 4})
+	tr := New(1)
 	r := tr.Rank(0)
 	r.Begin("lost")
-	for i := 0; i < 4; i++ {
+	for i := 0; i < RingSize; i++ {
 		r.Point("fill", int64(i))
 	}
 	r.End("lost")
 	var buf bytes.Buffer
-	if err := tr.WriteChrome(&buf); err != nil {
+	if err := WriteChrome(&buf, tr); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := ValidateFile(buf.Bytes()); err != nil {
@@ -146,7 +145,7 @@ func TestChromeOrphanEndSkipped(t *testing.T) {
 }
 
 func TestSummaryStats(t *testing.T) {
-	tr := New(2, Config{})
+	tr := New(2)
 	r0, r1 := tr.Rank(0), tr.Rank(1)
 	r0.Begin("exchange")
 	r0.Send(1, 100, true)
@@ -159,7 +158,7 @@ func TestSummaryStats(t *testing.T) {
 	r0.ParmaIter(2, 1, 1.2)
 	r1.ParmaIter(2, 0, 1.8) // only rank 0's series is reported
 
-	s := tr.Summarize()
+	s := Summarize(tr)
 	if s.Schema != SummarySchema || s.Ranks != 2 {
 		t.Fatalf("summary header = %q/%d", s.Schema, s.Ranks)
 	}
@@ -189,7 +188,7 @@ func TestSummaryStats(t *testing.T) {
 	}
 
 	var buf bytes.Buffer
-	if err := tr.WriteSummary(&buf); err != nil {
+	if err := WriteSummary(&buf, tr); err != nil {
 		t.Fatal(err)
 	}
 	if kind, err := ValidateFile(buf.Bytes()); err != nil || kind != FileSummary {
@@ -215,9 +214,9 @@ func TestValidateRejectsGarbage(t *testing.T) {
 }
 
 func TestCollectorMergesRuns(t *testing.T) {
-	col := NewCollector(Config{Ring: 64})
+	var col Collector
 	for run := 0; run < 3; run++ {
-		tr := New(2, col.Config())
+		tr := New(2)
 		for rank := 0; rank < 2; rank++ {
 			tr.Rank(rank).Begin("exchange")
 			tr.Rank(rank).End("exchange")
@@ -225,15 +224,16 @@ func TestCollectorMergesRuns(t *testing.T) {
 		col.Add(tr)
 	}
 	col.Add(nil) // failed run with no trace: ignored
-	if col.Runs() != 3 {
-		t.Fatalf("Runs() = %d, want 3", col.Runs())
+	runs := col.Traces()
+	if len(runs) != 3 {
+		t.Fatalf("collector holds %d runs, want 3", len(runs))
 	}
-	s := col.Summarize()
+	s := Summarize(runs...)
 	if s.Ranks != 2 || len(s.Phases) != 1 || s.Phases[0].Count != 6 {
 		t.Fatalf("merged summary = ranks %d phases %+v, want 2 ranks, 6 exchange spans", s.Ranks, s.Phases)
 	}
 	var buf bytes.Buffer
-	if err := col.WriteChrome(&buf); err != nil {
+	if err := WriteChrome(&buf, runs...); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := ValidateFile(buf.Bytes()); err != nil {
@@ -242,7 +242,7 @@ func TestCollectorMergesRuns(t *testing.T) {
 }
 
 func TestTailStringsNameEvents(t *testing.T) {
-	tr := New(2, Config{})
+	tr := New(2)
 	tr.Rank(0).Begin("allreduce")
 	tr.Rank(1).Send(0, 42, false)
 	lines := tr.TailStrings(4)
@@ -265,7 +265,7 @@ func TestEmitZeroAlloc(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under -race")
 	}
-	tr := New(1, Config{Ring: 128})
+	tr := New(1)
 	r := tr.Rank(0)
 	if avg := testing.AllocsPerRun(200, func() {
 		r.Begin("exchange")

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 )
 
 // FileKind reports which trace document a JSON file holds.
@@ -50,13 +51,60 @@ func MaybeGunzip(data []byte) ([]byte, error) {
 	return out, nil
 }
 
-// decodeChrome parses an exported Chrome timeline document.
-func decodeChrome(data []byte) (*chromeDoc, error) {
-	var doc chromeDoc
+// chromeSpans reads an exported Chrome timeline (as WriteChrome writes
+// it; gzip-transparent) back into per-rank Begin/End events — the one
+// reader behind CriticalPathChrome and ChromePhases. Only B/E records
+// come back: instants and counters carry no span.
+func chromeSpans(data []byte) ([][]Event, error) {
+	data, err := MaybeGunzip(data)
+	if err != nil {
+		return nil, err
+	}
+	kind, err := ValidateFile(data)
+	if err != nil {
+		return nil, err
+	}
+	if kind != FileChrome {
+		return nil, fmt.Errorf("need a chrome timeline, got a %s file", kind)
+	}
+	var doc ChromeDoc
 	if err := json.Unmarshal(data, &doc); err != nil {
 		return nil, fmt.Errorf("chrome trace: %w", err)
 	}
-	return &doc, nil
+	// The result is sized by rank, so a track id must name a rank: the
+	// tracks are 0..n-1, as WriteChrome numbers them, never an id a
+	// forged file picks.
+	maxTid := -1
+	tracks := map[int]bool{}
+	for _, e := range doc.TraceEvents {
+		if e.Tid >= 0 {
+			tracks[e.Tid] = true
+		}
+		if e.Ph != "M" && e.Tid > maxTid {
+			maxTid = e.Tid
+		}
+	}
+	if maxTid >= len(tracks) {
+		return nil, fmt.Errorf("chrome trace: rank %d in a timeline of %d tracks; tracks must be ranks 0..n-1", maxTid, len(tracks))
+	}
+	perRank := make([][]Event, maxTid+1)
+	for _, e := range doc.TraceEvents {
+		kind := KindBegin
+		switch {
+		case e.Tid < 0 || e.Tid > maxTid:
+			continue
+		case e.Ph == "E":
+			kind = KindEnd
+		case e.Ph != "B":
+			continue
+		}
+		ns := math.Round(e.Ts * 1e3) // µs back to ns
+		if ns >= math.MaxInt64 {
+			return nil, fmt.Errorf("chrome trace: ts %g µs is past the int64 ns range", e.Ts)
+		}
+		perRank[e.Tid] = append(perRank[e.Tid], Event{T: int64(ns), Kind: kind, Name: e.Name})
+	}
+	return perRank, nil
 }
 
 // ValidateFile detects which trace document data holds and checks it
@@ -93,7 +141,7 @@ func ValidateFile(data []byte) (FileKind, error) {
 }
 
 func validateChrome(data []byte) error {
-	var doc chromeDoc
+	var doc ChromeDoc
 	if err := json.Unmarshal(data, &doc); err != nil {
 		return fmt.Errorf("chrome trace: %w", err)
 	}
