@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test loc escape-check memprofile bench-go bench-smoke fuzz-smoke pipeline-smoke race vet vet-self trace-smoke check
+.PHONY: all build test loc escape-check memprofile bench-go bench-smoke fuzz-smoke pipeline-smoke ab race vet vet-self trace-smoke check
 
 all: build
 
@@ -23,8 +23,7 @@ loc:
 # (adapt) and the message layer's Exchange/barrier hot path (pcu) must
 # be listed in escape-allow.txt — today the range-over-func iterator
 # state, one cold strings.Builder and pcu's cold paths (the fault-plan
-# generator, the sticky-fault branch, the run's set-up and Supervise's
-# revocation match). Line numbers and the inlining package qualifier
+# generator, the run's set-up and Supervise's revocation match). Line numbers and the inlining package qualifier
 # are stripped, so only a new (or vanished) escaping variable is drift;
 # a scratch array that silently escapes is a red build, not a profile
 # reading. Accept one deliberately by adding its line to the file.
@@ -105,8 +104,36 @@ fuzz-smoke:
 pipeline-smoke:
 	cd bench && $(GO) test ./... && $(GO) run github.com/fastmath/pumi-go/cmd/pumi-vet ./...
 
+# Interleaved A/B of the pipeline benchmark against commit REF: REF is
+# checked out with git worktree under .bench_build/ab/ref, both trees run
+# bash bench/run.sh -seed s [-workload W] for seeds 1..N — odd seeds run
+# REF first, even seeds this tree first, so both sides share the box's
+# slow phases — and each results.json is copied to
+# .bench_build/ab/{old,new}/s.json. benchcmp then compares the two sets
+# (exit 1 on any worse end-to-end metric). ~1 min per pair for all four
+# workloads.
+#   make ab REF=HEAD~1 [N=10] [W=halo-offnode]
+N ?= 10
+ab:
+	@test -n "$(REF)" || { echo "usage: make ab REF=<commit> [N=10] [W=<workload>]"; exit 2; }
+	@set -e; ab=.bench_build/ab; \
+	git worktree remove --force $$ab/ref 2>/dev/null || true; \
+	rm -rf $$ab; git worktree prune; mkdir -p $$ab/old $$ab/new; \
+	git worktree add --detach $$ab/ref $(REF); \
+	for s in $$(seq 1 $(N)); do \
+		if [ $$((s % 2)) = 1 ]; then order="old new"; else order="new old"; fi; \
+		for side in $$order; do \
+			if [ $$side = old ]; then dir=$$ab/ref; else dir=.; fi; \
+			echo "== seed $$s: $$side"; \
+			(cd $$dir && bash bench/run.sh -seed $$s $(if $(W),-workload $(W))) >/dev/null; \
+			cp $$dir/bench/out/results.json $$ab/$$side/$$s.json; \
+		done; \
+	done; \
+	git worktree remove --force $$ab/ref; \
+	cd bench && $(GO) run ./cmd/benchcmp ../$$ab/old ../$$ab/new
+
 # Every internal package under the race detector, once: this is also
-# where the soaks run — the chaos soak and its self-healing twin
+# where the soaks run — the chaos soak and its fault matrix
 # (DESIGN.md §7), the sanitized soak and protocols (§8), the live
 # telemetry scrape (§10), the plan-backed soak's repeated op-sequence
 # hashes (§12) — and the seeded-bug corpus (§5).

@@ -8,7 +8,6 @@
 //	pumi-bench -exp table2 -ns 80 -n 20 -parts 64 -ranks 16
 //	pumi-bench -exp fig13 -parts 32
 //	pumi-bench -chaos 1,2,3,4 -chaos-dir /tmp/ck
-//	pumi-bench -chaos 1,2,3,4 -recover
 package main
 
 import (
@@ -36,7 +35,6 @@ func main() {
 	timeout := flag.Duration("timeout", 0, "wall-clock limit; expiring aborts parallel runs with a structured error")
 	chaosSeeds := flag.String("chaos", "", "comma-separated seeds: run the fault-injection soak instead of experiments")
 	chaosDir := flag.String("chaos-dir", "", "checkpoint directory for -chaos (default a temp dir)")
-	chaosRecover := flag.Bool("recover", false, "with -chaos: run the self-healing soak (survivable world, shrink-and-recover) instead of the restart soak")
 	sanitize := flag.Bool("san", false, "run everything under pumi-san: enforce owner-only writes through live mesh handles, and print the op-sequence hash at exit")
 	tracePath := flag.String("trace", "", cmdutil.TraceUsage)
 	listenAddr := flag.String("listen", "", cmdutil.ListenUsage)
@@ -49,7 +47,7 @@ func main() {
 	}
 
 	if *chaosSeeds != "" {
-		runChaos(*chaosSeeds, *chaosDir, *sanitize, *chaosRecover)
+		runChaos(*chaosSeeds, *chaosDir, *sanitize)
 		sanReport(*sanitize)
 		return
 	}
@@ -175,15 +173,13 @@ func sanReport(on bool) {
 	fmt.Printf("pumi-san: %d sanitized run(s), op-sequence hash %#016x\n", runs, hash)
 }
 
-// runChaos drives one fault-injection soak per seed: a balancing run
-// under the seed's fault plan that must end cleanly or with a
-// structured failure, followed by a checkpoint restart when one was
-// committed. Any unclassifiable outcome fails the command. With
-// recover, the soak runs self-healing instead under pcu.Supervise:
-// transient wire damage is retried in place, and a permanent rank death
-// revokes the world, which shrinks over the survivors and resumes from
-// the last checkpoint.
-func runChaos(seeds, dir string, sanitize, recover bool) {
+// runChaos drives one fault-injection soak per seed (chaos.Soak): a
+// supervised balancing run under the seed's fault plan retries
+// transient wire damage in place and shrinks over the survivors of a
+// rank death; any other failure must be structured, followed by a
+// checkpoint restart when one was committed. Any unclassifiable outcome
+// fails the command.
+func runChaos(seeds, dir string, sanitize bool) {
 	if dir == "" {
 		tmp, err := os.MkdirTemp("", "pumi-chaos-*")
 		if err != nil {
@@ -206,14 +202,6 @@ func runChaos(seeds, dir string, sanitize, recover bool) {
 			Dir:          ckdir,
 			StallTimeout: 30 * time.Second,
 			Sanitize:     sanitize,
-		}
-		if recover {
-			out, err := chaos.RunRecoverable(cfg)
-			if err != nil {
-				cmdutil.Fail(err)
-			}
-			fmt.Println(out)
-			continue
 		}
 		out, err := chaos.Soak(cfg)
 		if err != nil {

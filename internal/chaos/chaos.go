@@ -1,10 +1,13 @@
 // Package chaos drives the ParMA balancing stack under seeded fault
-// injection and checks the recovery story end to end: every run either
-// completes cleanly or fails with a structured, diagnosable error — and
-// when a checkpoint was committed before the failure, a fresh
-// fault-free world restores it and finishes balancing with the
-// partition verifier green. The fault plan derives deterministically
-// from the seed, so any failure reproduces by rerunning the same seed.
+// injection and checks the recovery story end to end. The faulted world
+// runs under pcu.Supervise: transient wire damage is retried in place,
+// and a rank death revokes the world, which shrinks over the survivors
+// and resumes from the last committed checkpoint. Any other failure
+// must be structured and diagnosable — and when a checkpoint was
+// committed before it, a fresh fault-free world restores it and
+// finishes balancing with the partition verifier green. The fault plan
+// derives deterministically from the seed, so any failure reproduces by
+// rerunning the same seed.
 package chaos
 
 import (
@@ -18,6 +21,7 @@ import (
 	"github.com/fastmath/pumi-go/internal/mesh"
 	"github.com/fastmath/pumi-go/internal/meshgen"
 	"github.com/fastmath/pumi-go/internal/meshio"
+	"github.com/fastmath/pumi-go/internal/parma"
 	"github.com/fastmath/pumi-go/internal/partition"
 	"github.com/fastmath/pumi-go/internal/pcu"
 	"github.com/fastmath/pumi-go/internal/san"
@@ -25,7 +29,7 @@ import (
 )
 
 // timelineTail is how many flight-recorder events per rank a failed
-// attempt's Outcome.Timeline carries.
+// world's Outcome.Timeline carries.
 const timelineTail = 8
 
 // Config parameterizes one soak run.
@@ -56,48 +60,70 @@ type Config struct {
 	Dir string
 	// StallTimeout arms the collective watchdog. Default 30s.
 	StallTimeout time.Duration
-	// Sanitize runs both attempts under pumi-san: mesh writes go
-	// through the ownership guard and the runs fold their op sequence
-	// into the trace hash.
+	// Sanitize runs every world under pumi-san: mesh writes go through
+	// the ownership guard and the runs fold their op sequence into the
+	// trace hash.
 	Sanitize bool
-	// Trace records the faulted attempt with the flight recorder; when
-	// the attempt fails, Outcome.Timeline carries each rank's event tail
-	// so a failure report shows what led up to it, not just the final
-	// error.
+	// Trace records the faulted world with the flight recorder; when it
+	// fails or is revoked, Outcome.Timeline carries each rank's event
+	// tail so a failure report shows what led up to it, not just the
+	// final error.
 	Trace bool
 	// Log, when non-nil, receives progress lines.
 	Log io.Writer
 }
 
-// Outcome reports what one soak observed. Plan and FailKind are
-// deterministic functions of the seed and workload.
+// Outcome reports what one soak observed. Every field but FinalImb's
+// last digits is a deterministic function of the plan and workload.
 type Outcome struct {
-	Plan     string // fault plan description, "seed N: ..."
-	CleanRun bool   // the faulted attempt completed and verified
-	RunErr   string // structured error from the faulted attempt, if any
-	FailKind string // "", "injected-panic", "stall", "migrate-abort", "corrupt", "peer"
-	// Restarted/Restored report the recovery leg: a checkpoint existed
-	// after the failure, and a fresh world loaded it and finished
-	// balancing with Verify green.
-	Restarted bool
-	Restored  bool
-	FinalImb  float64 // peak element imbalance of the surviving mesh
+	Plan string // fault plan description, "seed N: ..."
+	// Kind classifies how the supervised run ended:
+	//   "clean"             no fault disturbed the run (or only a delay)
+	//   "retried-transient" wire damage repaired in-world by the
+	//                       retransmit layer; the run completed
+	//   "recovered-shrink"  rank death revoked the world; survivors
+	//                       rebuilt a smaller one and finished
+	// or a failure kind ("injected-panic", "stall", "migrate-abort",
+	// "corrupt", "peer", ...), after which the fault-free restart runs
+	// when a checkpoint was committed.
+	Kind   string
+	RunErr string // the supervised run's error, when it failed
+	// Sizes is the world size of each supervised attempt; Failed lists
+	// the ranks that had vanished when the first world was revoked (nil
+	// when none was).
+	Sizes  []int
+	Failed []int
+	// Retries/Replays are the supervised run's final attempt's
+	// transient-fault counters.
+	Retries, Replays int64
+	// Restored reports that a world restored the committed checkpoint
+	// and resumed from its cursor: a shrunk world, or the fault-free
+	// restart after a failure.
+	Restored bool
+	// Verified reports that the surviving mesh passed the distributed
+	// verifier; FinalImb is its peak element imbalance.
+	Verified bool
+	FinalImb float64
 	// Timeline holds each rank's flight-recorder tail from the faulted
-	// attempt (one rendered line per rank) when Config.Trace was on and
-	// the attempt failed.
+	// world (one rendered line per rank) when Config.Trace was on and
+	// that world failed or was revoked.
 	Timeline []string
 }
 
 func (o Outcome) String() string {
 	switch {
-	case o.CleanRun:
+	case o.Kind == "retried-transient":
+		return fmt.Sprintf("%s -> retried-transient (%d retransmits, %d replays dropped, imb %.3f)",
+			o.Plan, o.Retries, o.Replays, o.FinalImb)
+	case o.Kind == "recovered-shrink":
+		return fmt.Sprintf("%s -> recovered-shrink (failed %v, worlds %v, imb %.3f)",
+			o.Plan, o.Failed, o.Sizes, o.FinalImb)
+	case o.Kind == "clean":
 		return fmt.Sprintf("%s -> clean (imb %.3f)", o.Plan, o.FinalImb)
 	case o.Restored:
-		return fmt.Sprintf("%s -> %s, restored from checkpoint (imb %.3f)", o.Plan, o.FailKind, o.FinalImb)
-	case o.Restarted:
-		return fmt.Sprintf("%s -> %s, restart attempted", o.Plan, o.FailKind)
+		return fmt.Sprintf("%s -> %s, restored from checkpoint (imb %.3f)", o.Plan, o.Kind, o.FinalImb)
 	default:
-		return fmt.Sprintf("%s -> %s, no checkpoint to restore", o.Plan, o.FailKind)
+		return fmt.Sprintf("%s -> %s, no checkpoint to restore", o.Plan, o.Kind)
 	}
 }
 
@@ -122,12 +148,14 @@ func (c *Config) fillDefaults() {
 	}
 }
 
-// Soak runs one faulted balancing attempt followed, on failure, by a
-// fault-free restart from the last committed checkpoint. It returns a
-// non-nil error only for harness failures: an unclassifiable error
-// kind, a mesh that fails Verify after a supposedly clean abort, or a
-// restart that cannot complete. Structured injected failures are part
-// of a successful soak and are reported in the Outcome.
+// Soak runs one faulted balancing world under pcu.Supervise and, when
+// it ends in a classified failure with a checkpoint committed, one
+// fault-free world of the same size that restores the checkpoint and
+// finishes. It returns a non-nil error only for harness failures: an
+// unclassifiable error kind, a mesh that fails Verify after a
+// supposedly clean abort, or a restart that cannot complete. Structured
+// injected failures are part of a successful soak and are reported in
+// the Outcome.
 func Soak(cfg Config) (Outcome, error) {
 	cfg.fillDefaults()
 	if cfg.Dir == "" {
@@ -141,10 +169,7 @@ func Soak(cfg Config) (Outcome, error) {
 		plan = pcu.RandomFaultPlan(cfg.Seed, cfg.Ranks, cfg.MaxOp)
 	}
 	out := Outcome{Plan: plan.String()}
-	topo := hwtopo.Cluster(2, cfg.Ranks/2)
 	logf(cfg, "chaos: %s\n", plan)
-
-	finalImb := make([]float64, cfg.Ranks)
 	if cfg.Sanitize {
 		san.Enable()
 		defer san.Disable()
@@ -153,37 +178,61 @@ func Soak(cfg Config) (Outcome, error) {
 	if cfg.Trace {
 		tr = trace.New(cfg.Ranks)
 	}
-	_, err := pcu.RunOpt(cfg.Ranks, pcu.Options{
-		Topo:         topo,
+	opt := pcu.Options{
+		Topo:         hwtopo.Cluster(2, cfg.Ranks/2),
 		Faults:       plan,
 		StallTimeout: cfg.StallTimeout,
 		Trace:        tr,
-	}, func(ctx *pcu.Ctx) error {
-		dm, err := buildUnbalanced(ctx, cfg)
-		if err != nil {
-			return verifyAfterAbort(dm, err)
+	}
+	// Rank 0 of the world that finishes records the final imbalance.
+	var finalImb float64
+
+	// The part count is fixed by the first world; a rebuilt world must
+	// divide it, so it uses the largest divisor the survivors can host.
+	nextSize := func(survivors int) int {
+		if out.Timeline == nil {
+			// Snapshot the faulted world before a rebuilt one records.
+			out.Timeline = tr.TailStrings(timelineTail)
 		}
-		imb, err := balanceCheckpointed(dm, cfg)
-		if err != nil {
-			return err
+		s := survivors
+		for cfg.Ranks%s != 0 {
+			s--
 		}
-		finalImb[ctx.Rank()] = imb
-		return partition.Verify(dm)
+		return s
+	}
+	stats, err := pcu.Supervise(cfg.Ranks, opt, nextSize, func(ctx *pcu.Ctx, ep pcu.Epoch) error {
+		if ctx.Rank() == 0 {
+			out.Sizes = append(out.Sizes, ep.Size)
+			if ep.Attempt == 1 {
+				out.Failed = ep.Failed
+				logf(cfg, "chaos: world revoked (failed %v); recovering on %d ranks\n", ep.Failed, ep.Size)
+			}
+		}
+		return run(ctx, cfg, ep.Attempt > 0, &out.Restored, &finalImb)
 	})
+	out.Retries, out.Replays = stats.Retries, stats.Replays
 	if err == nil {
-		out.CleanRun = true
-		out.FinalImb = finalImb[0]
+		switch {
+		case len(out.Sizes) > 1:
+			out.Kind = "recovered-shrink"
+		case out.Retries+out.Replays > 0:
+			out.Kind = "retried-transient"
+		default:
+			out.Kind = "clean"
+		}
+		out.Verified, out.FinalImb = true, finalImb
 		logf(cfg, "chaos: %s\n", out)
 		return out, nil
 	}
 	out.RunErr = err.Error()
-	out.FailKind = classifyFailure(err)
-	out.Timeline = tr.TailStrings(timelineTail)
-	if out.FailKind == "" {
+	out.Kind = classifyFailure(err)
+	if out.Timeline == nil {
+		out.Timeline = tr.TailStrings(timelineTail)
+	}
+	if out.Kind == "" {
 		return out, fmt.Errorf("chaos: seed %d produced an unclassifiable failure: %w", cfg.Seed, err)
 	}
-	logf(cfg, "chaos: faulted attempt failed (%s): %v\n", out.FailKind, err)
-
+	logf(cfg, "chaos: faulted world failed (%s): %v\n", out.Kind, err)
 	if !meshio.CheckpointExists(cfg.Dir) {
 		// The failure landed before the first balancing iteration
 		// committed a checkpoint; a structured failure with nothing to
@@ -191,31 +240,60 @@ func Soak(cfg Config) (Outcome, error) {
 		logf(cfg, "chaos: %s\n", out)
 		return out, nil
 	}
-	out.Restarted = true
-	_, err = pcu.RunOpt(cfg.Ranks, pcu.Options{
-		Topo:         topo,
-		StallTimeout: cfg.StallTimeout,
-	}, func(ctx *pcu.Ctx) error {
-		model := gmi.Box(4, 1, 1)
-		dm, curs, err := meshio.LoadCheckpoint(cfg.Dir, ctx, model.Model)
-		if err != nil {
-			return fmt.Errorf("loading checkpoint: %w", err)
-		}
-		logf2(cfg, ctx, "chaos: restored checkpoint at %s level %d iter %d\n", curs.Phase, curs.Level, curs.Iter)
-		imb, err := balanceCheckpointed(dm, cfg)
-		if err != nil {
-			return err
-		}
-		finalImb[ctx.Rank()] = imb
-		return partition.Verify(dm)
-	})
-	if err != nil {
+	opt.Faults, opt.Trace = nil, nil
+	if _, err := pcu.RunOpt(cfg.Ranks, opt, func(ctx *pcu.Ctx) error {
+		return run(ctx, cfg, true, &out.Restored, &finalImb)
+	}); err != nil {
 		return out, fmt.Errorf("chaos: seed %d: fault-free restart from checkpoint failed: %w", cfg.Seed, err)
 	}
-	out.Restored = true
-	out.FinalImb = finalImb[0]
+	out.Verified, out.FinalImb = true, finalImb
 	logf(cfg, "chaos: %s\n", out)
 	return out, nil
+}
+
+// run is one world's body: it restores the committed checkpoint when
+// asked to and one exists — setting *restored on rank 0 — or builds the
+// workload from scratch, then balances with a checkpoint after every
+// iteration and verifies. Rank 0 stores the final imbalance in *imb.
+func run(ctx *pcu.Ctx, cfg Config, restore bool, restored *bool, imb *float64) error {
+	var dm *partition.DMesh
+	var resume meshio.Cursor
+	var err error
+	if restore && meshio.CheckpointExists(cfg.Dir) {
+		dm, resume, err = meshio.LoadCheckpoint(cfg.Dir, ctx, gmi.Box(4, 1, 1).Model)
+		if err != nil {
+			return fmt.Errorf("restoring checkpoint: %w", err)
+		}
+		if ctx.Rank() == 0 {
+			*restored = true
+			logf(cfg, "chaos: restored checkpoint at %s level %d iter %d on %d ranks\n",
+				resume.Phase, resume.Level, resume.Iter, ctx.Size())
+		}
+	} else if dm, err = buildUnbalanced(ctx, cfg); err != nil {
+		return verifyAfterAbort(dm, err)
+	}
+	// Continue from the cursor: the iteration budget already spent is
+	// subtracted and saved cursors keep counting from where the
+	// interrupted run stopped.
+	pcfg := parma.DefaultConfig()
+	pcfg.Tolerance = cfg.Tolerance
+	pcfg.MaxIters = max(cfg.MaxIters-resume.Iter, 1)
+	pcfg.OnIter = func(dm *partition.DMesh, dim, iter int) error {
+		return meshio.SaveCheckpoint(cfg.Dir, dm, meshio.Cursor{
+			Phase: "parma", Level: dim, Iter: resume.Iter + iter,
+		})
+	}
+	pri, _ := parma.ParsePriority("Rgn")
+	if _, err := parma.BalanceSafe(dm, pri, pcfg); err != nil {
+		// The abort contract: whatever the wire fault did, the local
+		// mesh must still verify before the abort surfaces.
+		return verifyAfterAbort(dm, err)
+	}
+	_, peak := partition.EntityImbalance(dm, dm.Dim)
+	if ctx.Rank() == 0 {
+		*imb = peak
+	}
+	return partition.Verify(dm)
 }
 
 // buildUnbalanced generates a box mesh on rank 0 and distributes it in
@@ -249,17 +327,6 @@ func verifyAfterAbort(dm *partition.DMesh, abort error) error {
 	return abort
 }
 
-// balanceCheckpointed runs element balancing with a checkpoint
-// committed after every migration iteration, verifying the mesh is
-// still consistent if the balance aborts. Returns the final peak
-// element imbalance.
-func balanceCheckpointed(dm *partition.DMesh, cfg Config) (float64, error) {
-	// The abort contract: whatever the wire fault did, the local mesh
-	// must still verify before the abort surfaces (balanceResumed runs
-	// verifyAfterAbort on failure).
-	return balanceResumed(dm, cfg, meshio.Cursor{})
-}
-
 // classifyFailure maps a run error to the structured failure taxonomy;
 // "" means the error is none of the injected kinds — a harness failure.
 func classifyFailure(err error) string {
@@ -286,13 +353,6 @@ func classifyFailure(err error) string {
 
 func logf(cfg Config, format string, args ...any) {
 	if cfg.Log != nil {
-		fmt.Fprintf(cfg.Log, format, args...)
-	}
-}
-
-// logf2 logs from rank 0 only inside a run body.
-func logf2(cfg Config, ctx *pcu.Ctx, format string, args ...any) {
-	if cfg.Log != nil && ctx.Rank() == 0 {
 		fmt.Fprintf(cfg.Log, format, args...)
 	}
 }

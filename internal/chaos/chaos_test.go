@@ -20,9 +20,10 @@ func soak(t *testing.T, seed int64) Outcome {
 }
 
 // TestSoakFixedSeeds drives the balancing stack under a spread of
-// seeded fault plans. Every run must end in a clean success or a
-// structured failure; when a checkpoint was committed before the
-// failure, the restart leg must restore it and finish Verify-green.
+// seeded fault plans. Every run must end in a success (clean, retried
+// or shrunk) or a structured failure; when a checkpoint was committed
+// before the failure, the restart leg must restore it and finish
+// Verify-green.
 // Seeds are fixed so CI failures reproduce exactly.
 func TestSoakFixedSeeds(t *testing.T) {
 	seeds := []int64{1, 2, 3, 4, 5, 6, 7, 8}
@@ -33,12 +34,8 @@ func TestSoakFixedSeeds(t *testing.T) {
 	for _, seed := range seeds {
 		out := soak(t, seed)
 		t.Logf("%s", out)
-		if out.CleanRun {
-			kinds["clean"]++
-			continue
-		}
-		kinds[out.FailKind]++
-		if out.Restarted && !out.Restored {
+		kinds[out.Kind]++
+		if out.Restored && !out.Verified {
 			t.Fatalf("seed %d: restart from checkpoint did not complete: %+v", seed, out)
 		}
 	}
@@ -68,7 +65,7 @@ func TestSoakSanitized(t *testing.T) {
 			t.Fatalf("seed %d: sanitized harness failure: %v", seed, err)
 		}
 		t.Logf("%s", out)
-		if out.Restarted && !out.Restored {
+		if out.Restored && !out.Verified {
 			t.Fatalf("seed %d: sanitized restart did not complete: %+v", seed, out)
 		}
 	}
@@ -85,17 +82,17 @@ func TestSoakDeterministic(t *testing.T) {
 	if a.Plan != b.Plan {
 		t.Fatalf("fault plan not reproducible:\n  %s\n  %s", a.Plan, b.Plan)
 	}
-	if a.CleanRun != b.CleanRun || a.FailKind != b.FailKind {
+	if a.Kind != b.Kind {
 		t.Fatalf("outcome not reproducible:\n  %+v\n  %+v", a, b)
 	}
-	if a.FailKind != "stall" && a.RunErr != b.RunErr {
+	if a.Kind != "stall" && a.RunErr != b.RunErr {
 		t.Fatalf("error text not reproducible:\n  %q\n  %q", a.RunErr, b.RunErr)
 	}
 }
 
 // TestSoakTracedTimeline runs seeds under the flight recorder until one
-// fails and checks the Outcome carries a per-rank timeline of the
-// events leading up to the failure — the chaos analogue of the
+// world fails or is revoked and checks the Outcome carries a per-rank
+// timeline of the events leading up to it — the chaos analogue of the
 // watchdog's StallError trails.
 func TestSoakTracedTimeline(t *testing.T) {
 	for seed := int64(1); seed <= 8; seed++ {
@@ -108,14 +105,14 @@ func TestSoakTracedTimeline(t *testing.T) {
 		if err != nil {
 			t.Fatalf("seed %d: harness failure: %v", seed, err)
 		}
-		if out.CleanRun {
+		if out.Kind == "clean" || out.Kind == "retried-transient" {
 			if out.Timeline != nil {
-				t.Fatalf("seed %d: clean run should not attach a timeline", seed)
+				t.Fatalf("seed %d: completed run should not attach a timeline", seed)
 			}
 			continue
 		}
 		if len(out.Timeline) == 0 {
-			t.Fatalf("seed %d: failed traced attempt (%s) has no timeline", seed, out.FailKind)
+			t.Fatalf("seed %d: failed traced world (%s) has no timeline", seed, out.Kind)
 		}
 		for r, line := range out.Timeline {
 			if !strings.Contains(line, "rank ") {

@@ -28,10 +28,10 @@ func TestPlanSmokeRecoverDeterministicHashes(t *testing.T) {
 	}
 	for _, sc := range scenarios {
 		t.Run(fmt.Sprintf("seed%d", sc.seed), func(t *testing.T) {
-			run := func() (RecoverOutcome, int64, uint64) {
+			run := func() (Outcome, int64, uint64) {
 				t.Helper()
 				pcu.ResetSanSummary()
-				out, err := RunRecoverable(Config{
+				out, err := Soak(Config{
 					Seed:         sc.seed,
 					Plan:         &pcu.FaultPlan{Seed: sc.seed, Faults: []pcu.Fault{sc.fault}},
 					Dir:          t.TempDir(),
@@ -47,10 +47,10 @@ func TestPlanSmokeRecoverDeterministicHashes(t *testing.T) {
 			outA, runsA, hashA := run()
 			outB, runsB, hashB := run()
 
-			if outA.Outcome != "recovered-shrink" || !outA.Verified {
+			if outA.Kind != "recovered-shrink" || !outA.Verified {
 				t.Fatalf("soak did not recover a verified mesh: %s", outA)
 			}
-			if outA.Outcome != outB.Outcome || outA.Attempts != outB.Attempts ||
+			if outA.Kind != outB.Kind ||
 				!slices.Equal(outA.Sizes, outB.Sizes) || !slices.Equal(outA.Failed, outB.Failed) {
 				t.Fatalf("recovery trajectory diverged between identical runs:\n%+v\nvs\n%+v", outA, outB)
 			}

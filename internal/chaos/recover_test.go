@@ -19,26 +19,39 @@ const (
 	opAfterCheckpoints = 40
 )
 
-// TestFaultMatrixClassification drives every FaultKind through the
-// self-healing soak and asserts it lands on the expected terminal
-// outcome — the transient kinds are mitigated in-world, a permanent
-// death shrinks and recovers, and a panic stays a structured failure.
+// TestFaultMatrixClassification drives every FaultKind through the soak
+// and asserts it lands on its designed outcome: the transient kinds are
+// mitigated in-world, a permanent death shrinks and recovers — from the
+// checkpoint, or from scratch when none committed yet — and a panic is
+// a structured failure the fault-free restart recovers from the
+// checkpoint.
 func TestFaultMatrixClassification(t *testing.T) {
 	cases := []struct {
-		name  string
-		fault pcu.Fault
-		want  string
+		name             string
+		fault            pcu.Fault
+		want             string
+		retries, replays int64
+		sizes, failed    []int
+		restored         bool
 	}{
-		{"panic", pcu.Fault{Rank: 1, Op: opAfterCheckpoints, Kind: pcu.FaultPanic}, "injected-panic"},
-		{"vanish", pcu.Fault{Rank: 1, Op: opAfterCheckpoints, Kind: pcu.FaultVanish}, "recovered-shrink"},
-		{"delay", pcu.Fault{Rank: 1, Op: opAfterCheckpoints, Kind: pcu.FaultDelay, Delay: 5 * time.Millisecond}, "clean"},
-		{"corrupt", pcu.Fault{Rank: 1, Op: opInsideMigration, Kind: pcu.FaultCorrupt}, "retried-transient"},
-		{"truncate", pcu.Fault{Rank: 1, Op: opInsideMigration, Kind: pcu.FaultTruncate}, "retried-transient"},
-		{"duplicate", pcu.Fault{Rank: 1, Op: opInsideMigration, Kind: pcu.FaultDuplicate}, "retried-transient"},
+		{name: "panic", fault: pcu.Fault{Rank: 1, Op: opAfterCheckpoints, Kind: pcu.FaultPanic},
+			want: "injected-panic", sizes: []int{4}, restored: true},
+		{name: "vanish", fault: pcu.Fault{Rank: 1, Op: opAfterCheckpoints, Kind: pcu.FaultVanish},
+			want: "recovered-shrink", sizes: []int{4, 2}, failed: []int{1}, restored: true},
+		{name: "vanish-before-checkpoint", fault: pcu.Fault{Rank: 3, Op: 3, Kind: pcu.FaultVanish},
+			want: "recovered-shrink", sizes: []int{4, 2}, failed: []int{3}},
+		{name: "delay", fault: pcu.Fault{Rank: 1, Op: opAfterCheckpoints, Kind: pcu.FaultDelay, Delay: 5 * time.Millisecond},
+			want: "clean", sizes: []int{4}},
+		{name: "corrupt", fault: pcu.Fault{Rank: 1, Op: opInsideMigration, Kind: pcu.FaultCorrupt},
+			want: "retried-transient", retries: 2, sizes: []int{4}},
+		{name: "truncate", fault: pcu.Fault{Rank: 1, Op: opInsideMigration, Kind: pcu.FaultTruncate},
+			want: "retried-transient", retries: 2, sizes: []int{4}},
+		{name: "duplicate", fault: pcu.Fault{Rank: 1, Op: opInsideMigration, Kind: pcu.FaultDuplicate},
+			want: "retried-transient", replays: 2, sizes: []int{4}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			out, err := RunRecoverable(Config{
+			out, err := Soak(Config{
 				Plan:         &pcu.FaultPlan{Faults: []pcu.Fault{tc.fault}},
 				Dir:          t.TempDir(),
 				StallTimeout: 30 * time.Second,
@@ -46,19 +59,31 @@ func TestFaultMatrixClassification(t *testing.T) {
 			if err != nil {
 				t.Fatalf("harness failure: %v", err)
 			}
-			if out.Outcome != tc.want {
-				t.Fatalf("fault %v classified %q, want %q\n%s", tc.fault, out.Outcome, tc.want, out)
+			if out.Kind != tc.want {
+				t.Fatalf("fault %v classified %q, want %q\n%s", tc.fault, out.Kind, tc.want, out)
+			}
+			if out.Retries != tc.retries || out.Replays != tc.replays {
+				t.Errorf("retries/replays = %d/%d, want %d/%d", out.Retries, out.Replays, tc.retries, tc.replays)
+			}
+			if !slices.Equal(out.Sizes, tc.sizes) || !slices.Equal(out.Failed, tc.failed) {
+				t.Errorf("worlds %v failed %v, want %v %v", out.Sizes, out.Failed, tc.sizes, tc.failed)
+			}
+			if out.Restored != tc.restored {
+				t.Errorf("restored from checkpoint = %v, want %v", out.Restored, tc.restored)
+			}
+			if !out.Verified {
+				t.Error("the surviving mesh must pass the distributed verifier")
 			}
 		})
 	}
 }
 
-// TestRecoverableShrinkDetails pins the full recovery contract for a
-// permanent mid-soak death: survivors agree on the failed rank, the
-// world shrinks to the largest divisor of the part count, the last
-// checkpoint restores, and the final mesh verifies.
+// TestRecoverableShrinkDetails spells out the shrink recovery of a rank
+// death past the checkpoints one fact at a time: the world shrinks once,
+// to the largest divisor of the part count the survivors can host, and
+// the shrunk world resumes from the committed checkpoint.
 func TestRecoverableShrinkDetails(t *testing.T) {
-	out, err := RunRecoverable(Config{
+	out, err := Soak(Config{
 		Plan:         &pcu.FaultPlan{Faults: []pcu.Fault{{Rank: 1, Op: opAfterCheckpoints, Kind: pcu.FaultVanish}}},
 		Dir:          t.TempDir(),
 		StallTimeout: 30 * time.Second,
@@ -66,11 +91,11 @@ func TestRecoverableShrinkDetails(t *testing.T) {
 	if err != nil {
 		t.Fatalf("harness failure: %v", err)
 	}
-	if out.Outcome != "recovered-shrink" {
+	if out.Kind != "recovered-shrink" {
 		t.Fatalf("want recovered-shrink, got %s", out)
 	}
-	if out.Attempts != 2 {
-		t.Fatalf("want 2 attempts, got %d", out.Attempts)
+	if len(out.Sizes) != 2 {
+		t.Fatalf("want 2 attempts, got %d (worlds %v)", len(out.Sizes), out.Sizes)
 	}
 	// 4 parts, 3 survivors: the recovery world is the largest divisor of
 	// 4 that 3 survivors can host — 2 ranks.
@@ -80,7 +105,7 @@ func TestRecoverableShrinkDetails(t *testing.T) {
 	if !slices.Equal(out.Failed, []int{1}) {
 		t.Fatalf("want convicted ranks [1], got %v", out.Failed)
 	}
-	if !out.Resumed {
+	if !out.Restored {
 		t.Fatal("recovery should restore the committed checkpoint, not rebuild from scratch")
 	}
 	if !out.Verified {
@@ -92,9 +117,9 @@ func TestRecoverableShrinkDetails(t *testing.T) {
 // asserts the recovery trajectory is identical — the acceptance bar for
 // replayable failure investigations.
 func TestRecoverableDeterministicPerSeed(t *testing.T) {
-	run := func() RecoverOutcome {
+	run := func() Outcome {
 		t.Helper()
-		out, err := RunRecoverable(Config{
+		out, err := Soak(Config{
 			Seed:         7,
 			Plan:         &pcu.FaultPlan{Seed: 7, Faults: []pcu.Fault{{Rank: 2, Op: opAfterCheckpoints, Kind: pcu.FaultVanish}}},
 			Dir:          t.TempDir(),
@@ -106,31 +131,7 @@ func TestRecoverableDeterministicPerSeed(t *testing.T) {
 		return out
 	}
 	a, b := run(), run()
-	if a.Outcome != b.Outcome || a.Attempts != b.Attempts ||
-		!slices.Equal(a.Sizes, b.Sizes) || !slices.Equal(a.Failed, b.Failed) {
+	if a.Kind != b.Kind || !slices.Equal(a.Sizes, b.Sizes) || !slices.Equal(a.Failed, b.Failed) {
 		t.Fatalf("same plan diverged:\n%+v\nvs\n%+v", a, b)
-	}
-}
-
-// TestRecoverableVanishBeforeCheckpoint: a death before the first
-// checkpoint commits still recovers — the shrunken world rebuilds the
-// workload from scratch instead of restoring.
-func TestRecoverableVanishBeforeCheckpoint(t *testing.T) {
-	out, err := RunRecoverable(Config{
-		Plan:         &pcu.FaultPlan{Faults: []pcu.Fault{{Rank: 3, Op: 3, Kind: pcu.FaultVanish}}},
-		Dir:          t.TempDir(),
-		StallTimeout: 30 * time.Second,
-	})
-	if err != nil {
-		t.Fatalf("harness failure: %v", err)
-	}
-	if out.Outcome != "recovered-shrink" {
-		t.Fatalf("want recovered-shrink, got %s", out)
-	}
-	if out.Resumed {
-		t.Fatal("no checkpoint existed; recovery should rebuild from scratch")
-	}
-	if !out.Verified {
-		t.Fatal("recovered mesh must pass the distributed verifier")
 	}
 }

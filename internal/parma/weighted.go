@@ -23,7 +23,7 @@ func BalanceWeights(dm *partition.DMesh, weight WeightFunc, cfg Config) (LevelRe
 	lr := LevelResult{Dim: dm.Dim}
 	for iter := 0; iter < cfg.MaxIters; iter++ {
 		weights := gatherWeights(dm, weight)
-		mean, imb := imbalanceF(weights)
+		mean, imb := partition.Imbalance(weights)
 		if iter == 0 {
 			lr.Before, lr.MeanBefore = imb, mean
 		}
@@ -47,7 +47,7 @@ func BalanceWeights(dm *partition.DMesh, weight WeightFunc, cfg Config) (LevelRe
 		}
 	}
 	weights := gatherWeights(dm, weight)
-	lr.MeanAfter, lr.After = imbalanceF(weights)
+	lr.MeanAfter, lr.After = partition.Imbalance(weights)
 	return lr, nil
 }
 
@@ -62,24 +62,6 @@ func gatherWeights(dm *partition.DMesh, weight WeightFunc) []float64 {
 		}
 		return w
 	})
-}
-
-func imbalanceF(weights []float64) (mean, imb float64) {
-	if len(weights) == 0 {
-		return 0, 0
-	}
-	var sum, max float64
-	for _, w := range weights {
-		sum += w
-		if w > max {
-			max = w
-		}
-	}
-	mean = sum / float64(len(weights))
-	if mean == 0 {
-		return 0, 0
-	}
-	return mean, max / mean
 }
 
 func buildWeightedPlans(dm *partition.DMesh, weights []float64, avg float64, weight WeightFunc, cfg Config) []partition.Plan {

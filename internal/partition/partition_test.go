@@ -310,7 +310,7 @@ func TestImbalanceMath(t *testing.T) {
 	if mean != 15 || imb != 2 {
 		t.Fatalf("mean=%g imb=%g", mean, imb)
 	}
-	if _, imb := Imbalance(nil); imb != 0 {
+	if _, imb := Imbalance[int64](nil); imb != 0 {
 		t.Fatal("empty imbalance")
 	}
 	mean, imb = Imbalance([]int64{0, 0})

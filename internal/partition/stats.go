@@ -42,14 +42,15 @@ func GatherWeights(dm *DMesh, weight func(p *Part) float64) []float64 {
 	return out
 }
 
-// Imbalance summarizes a per-part load vector the way the paper does:
-// the mean load and the peak imbalance max/mean (1.0 = perfect balance;
-// the paper reports (max/mean - 1) as "Imb.%").
-func Imbalance(counts []int64) (mean float64, imb float64) {
+// Imbalance summarizes a per-part load vector — entity counts or
+// weights — the way the paper does: the mean load and the peak
+// imbalance max/mean (1.0 = perfect balance; the paper reports
+// (max/mean - 1) as "Imb.%").
+func Imbalance[T int64 | float64](counts []T) (mean float64, imb float64) {
 	if len(counts) == 0 {
 		return 0, 0
 	}
-	var sum, max int64
+	var sum, max T
 	for _, c := range counts {
 		sum += c
 		if c > max {

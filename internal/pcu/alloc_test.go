@@ -2,6 +2,7 @@ package pcu
 
 import (
 	"testing"
+	"time"
 
 	"github.com/fastmath/pumi-go/internal/hwtopo"
 	"github.com/fastmath/pumi-go/internal/san"
@@ -110,6 +111,45 @@ func TestExchangeOffNodeSteadyStateZeroAlloc(t *testing.T) {
 	})
 	if avg != 0 {
 		t.Errorf("off-node steady-state exchange: %.1f allocs/phase, want 0", avg)
+	}
+}
+
+// TestExchangeArmedFaultPlanZeroAlloc repeats the two-node steady-state
+// check under a fault plan that never fires (a delay at op 2^40): an
+// armed plan must cost nothing until it strikes.
+func TestExchangeArmedFaultPlanZeroAlloc(t *testing.T) {
+	allocGate(t)
+	const (
+		ranks  = 4
+		warmup = 8
+		runs   = 100
+	)
+	plan := &FaultPlan{Faults: []Fault{{Rank: 0, Op: 1 << 40, Kind: FaultDelay, Delay: time.Millisecond}}}
+	payload := make([]byte, 256)
+	var avg float64
+	RunOpt(ranks, Options{Topo: hwtopo.Cluster(2, 2), Faults: plan, StallTimeout: -1}, func(c *Ctx) error {
+		// Rank r sends to r+2, its off-node peer.
+		phase := func() {
+			c.To((c.Rank() + 2) % c.Size()).Bytes(payload)
+			for _, m := range c.Exchange() {
+				_ = m.Data.BytesNoCopy()
+				m.Data.Done()
+			}
+		}
+		for i := 0; i < warmup; i++ {
+			phase()
+		}
+		if c.Rank() == 0 {
+			avg = testing.AllocsPerRun(runs, phase)
+		} else {
+			for i := 0; i < runs+1; i++ {
+				phase()
+			}
+		}
+		return nil
+	})
+	if avg != 0 {
+		t.Errorf("off-node exchange under an armed fault plan: %.1f allocs/phase, want 0", avg)
 	}
 }
 

@@ -29,8 +29,8 @@ import (
 //   - FaultCorrupt:   every off-node payload the rank sends during the
 //     op has one byte flipped after framing, like wire corruption. The
 //     receiver's CRC check rejects the frame; the transient-fault layer
-//     fetches a retransmit from the sender's kept copy and the exchange
-//     completes (counted in Stats.Retries). A Sticky corruption poisons
+//     revalidates the retransmit the damaged frame carries and the
+//     exchange completes (counted in Stats.Retries). A Sticky corruption poisons
 //     the retransmits too, so the retry budget dies and decoding
 //     surfaces a structured ErrCorruptMessage naming the spent budget.
 //   - FaultTruncate:  off-node payloads sent during the op lose their
@@ -83,9 +83,9 @@ type Fault struct {
 	Kind  FaultKind
 	Delay time.Duration
 	// Sticky marks a wire fault (corrupt/truncate) as permanent for the
-	// affected frames: the sender's kept retransmission copies carry the
-	// same damage, so the receiver's retry budget is spent in vain and
-	// the failure escalates to a fatal ErrCorruptMessage. Non-sticky
+	// affected frames: their retransmits carry the same damage, so the
+	// receiver's retry budget is spent in vain and the failure escalates
+	// to a fatal ErrCorruptMessage. Non-sticky
 	// wire faults are transient — the first retransmit recovers them.
 	Sticky bool
 }
@@ -187,8 +187,8 @@ func (e *FaultError) Unwrap() error { return ErrFaultInjected }
 
 // ErrCorruptMessage is wrapped by every frame-validation failure on an
 // off-node payload that the transient-fault layer could not repair:
-// the retransmit store had no copy of the frame, or the retry budget
-// died with every retransmit failing validation too. The error
+// the frame carried no retransmit, or the retry budget died with every
+// retransmit failing validation too. The error
 // surfaces when the receiver decodes the message.
 var ErrCorruptMessage = errors.New("pcu: corrupt off-node message")
 
@@ -196,9 +196,8 @@ var ErrCorruptMessage = errors.New("pcu: corrupt off-node message")
 type CorruptError struct {
 	From, To int
 	Reason   string
-	// Retries counts the retransmits the receiver fetched and
-	// revalidated before giving up; zero when no retransmit path was
-	// available (no fault plan armed, or retries disabled).
+	// Retries counts the retransmits the receiver revalidated before
+	// giving up; zero when the frame carried no retransmit.
 	Retries int
 }
 

@@ -266,6 +266,43 @@ func TestFaultDuplicateDroppedAsReplay(t *testing.T) {
 	}
 }
 
+// TestFaultDuplicateReplayKeepsHeldMessage: the receiver recycles a
+// dropped replay into its buffer pool, so the replay must not share the
+// accepted frame's array — or the receiver's next To packs over the
+// message it is still decoding.
+func TestFaultDuplicateReplayKeepsHeldMessage(t *testing.T) {
+	const n = 64
+	_, err := offNodePairFault(Fault{Rank: 0, Op: 1, Kind: FaultDuplicate}, Options{},
+		func(c *Ctx) error {
+			if c.Rank() == 0 {
+				b := c.To(1)
+				for i := int64(0); i < n; i++ {
+					b.Int64(i)
+				}
+			}
+			msgs := c.Exchange()
+			var err error
+			if c.Rank() == 1 {
+				c.To(0).Int64(-1) // packs into an array from the receiver's pool
+				m := msgs[0].Data
+				for i := int64(0); i < n; i++ {
+					if v := m.Int64(); v != i && err == nil {
+						err = fmt.Errorf("rank 1 decoded value %d as %d", i, v)
+					}
+				}
+				m.Done()
+			}
+			for _, m := range c.Exchange() {
+				m.Data.Int64()
+				m.Data.Done()
+			}
+			return err
+		})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestCorruptReaderPanicsOnAnyUse(t *testing.T) {
 	r := failedReader(&CorruptError{From: 1, To: 0, Reason: "test"})
 	for name, f := range map[string]func(){

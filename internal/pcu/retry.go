@@ -2,34 +2,27 @@ package pcu
 
 import (
 	"hash/crc32"
-	"sync"
 	"time"
 )
 
 // Transient-fault retry. Off-node frames travel with length, CRC32 and
 // a per-pair sequence number; historically any validation failure was
 // fatal (ErrCorruptMessage). Real interconnects treat single-frame
-// damage as transient: the sender keeps the frame until it is
-// acknowledged, and the receiver requests a bounded number of
+// damage as transient: the receiver requests a bounded number of
 // retransmits with exponential backoff before escalating. This file is
 // that layer.
 //
-// The retransmit store is armed only when a run carries a fault plan —
-// the sole source of wire damage in this architecture — so fault-free
-// hot paths pay nothing (no kept copies, no map traffic, no
-// allocations). When armed:
+// Wire damage has one source, the fault plan, and the code that damages
+// a frame attaches what a retransmit would deliver to that delivery:
+// the pristine frame, or — under a Sticky fault, modeling a link that
+// damages every transmission — a frame damaged the same way. An
+// undamaged frame carries nothing, so fault-free hot paths and armed
+// plans that never fire pay nothing (no kept copies, no allocations).
 //
-//   - every framed send deposits what a retransmit would deliver: the
-//     payload plus the framing the sender claims for it. A Sticky wire
-//     fault damages the kept payload while the framing keeps describing
-//     the pristine bytes — modeling a link that damages every
-//     transmission, not just one;
-//   - a receiver whose validation fails fetches the kept frame, backs
-//     off exponentially, and revalidates, up to DefaultRetryBudget
-//     times; success is counted in Stats.Retries and traced as a
-//     "retry" fault event;
-//   - a frame that validates (first try or after retries) is
-//     acknowledged, dropping the kept copy;
+//   - a receiver whose validation fails backs off exponentially and
+//     revalidates the retransmit, up to DefaultRetryBudget times;
+//     success is counted in Stats.Retries and traced as a "retry" fault
+//     event;
 //   - a replayed frame (sequence number already delivered) is dropped
 //     and counted in Stats.Replays — duplicate suppression, not an
 //     error.
@@ -47,69 +40,54 @@ const DefaultRetryBudget = 3
 // attempt k waits DefaultRetryBackoff<<(k-1).
 const DefaultRetryBackoff = 100 * time.Microsecond
 
-// resendKey addresses one kept frame: sender, receiver, and the
-// per-pair sequence number it was framed with.
-type resendKey struct {
-	from, to int
-	seq      int64
+// valid reports whether a framed delivery's bytes match its framing.
+func (d *delivery) valid() bool {
+	return len(d.data) == d.wantLen && crc32.ChecksumIEEE(d.data) == d.crc
 }
 
-// resentFrame is one kept frame as a retransmit would deliver it: the
-// payload bytes plus the framing the sender claims. For a healthy link
-// the framing matches the bytes; under a Sticky fault it does not.
-type resentFrame struct {
-	data    []byte
-	wantLen int
-	crc     uint32
+// damage applies the wire fault kind to a framed delivery.
+func (d *delivery) damage(kind FaultKind) {
+	switch {
+	case kind == FaultTruncate:
+		d.data = d.data[:len(d.data)/2]
+	case len(d.data) > 0:
+		d.data[len(d.data)/2] ^= 0x40 // wire corruption after framing
+	default:
+		d.wantLen = 1 // nothing to flip; break the length instead
+	}
 }
 
-// valid reports whether the frame's bytes match its claimed framing.
-func (f resentFrame) valid() bool {
-	return len(f.data) == f.wantLen && crc32.ChecksumIEEE(f.data) == f.crc
-}
-
-// resendStore holds the kept frames. One mutex suffices: it is touched
-// only on framed (off-node) sends of fault-plan runs, never on the
-// fault-free hot path.
-type resendStore struct {
-	mu     sync.Mutex
-	frames map[resendKey]resentFrame
-}
-
-func newResendStore() *resendStore {
-	return &resendStore{frames: make(map[resendKey]resentFrame)}
-}
-
-// keep deposits the sender's copy of one framed payload.
-func (s *resendStore) keep(from, to int, seq int64, f resentFrame) {
-	s.mu.Lock()
-	s.frames[resendKey{from, to, seq}] = f
-	s.mu.Unlock()
-}
-
-// fetch returns the kept frame for a retransmit, leaving it stored so a
-// failed revalidation can fetch again.
-func (s *resendStore) fetch(from, to int, seq int64) (resentFrame, bool) {
-	s.mu.Lock()
-	f, ok := s.frames[resendKey{from, to, seq}]
-	s.mu.Unlock()
-	return f, ok
-}
-
-// ack drops the kept frame once the receiver validated a delivery.
-func (s *resendStore) ack(from, to int, seq int64) {
-	s.mu.Lock()
-	delete(s.frames, resendKey{from, to, seq})
-	s.mu.Unlock()
+// sendFaulted delivers the framed d to peer p under the wire fault f. A
+// duplicate is delivered twice, the replay in an array of its own: the
+// receiver recycles a dropped replay into its pool while it may still
+// be decoding the accepted copy. A corrupted or truncated frame carries
+// its retransmit.
+func (c *Ctx) sendFaulted(p int, d delivery, f *Fault) {
+	if f.Kind == FaultDuplicate {
+		dup := d
+		dup.data = append(c.grabBuf(), d.data...)
+		c.deliver(p, d)
+		c.deliver(p, dup)
+		return
+	}
+	resend := new(delivery)
+	*resend = d
+	resend.data = append([]byte(nil), d.data...)
+	d.damage(f.Kind)
+	if f.Sticky {
+		resend.damage(f.Kind)
+	}
+	d.resend = resend
+	c.deliver(p, d)
 }
 
 // recoverFrame runs the receiver side of the retransmit protocol for a
 // delivery that failed length or CRC validation. It returns the
 // repaired payload and the number of retransmits spent, or ok=false
-// with the spent count when the budget dies or no copy was kept.
+// with the spent count when the budget dies or the frame carries no
+// retransmit.
 func (c *Ctx) recoverFrame(d delivery) (data []byte, retries int, ok bool) {
-	store := c.w.resend
-	if store == nil {
+	if d.resend == nil {
 		return nil, 0, false
 	}
 	for attempt := 1; attempt <= DefaultRetryBudget; attempt++ {
@@ -117,17 +95,12 @@ func (c *Ctx) recoverFrame(d delivery) (data []byte, retries int, ok bool) {
 		// schedule, so seeded runs stay deterministic.
 		time.Sleep(DefaultRetryBackoff << (attempt - 1))
 		retries = attempt
-		resent, kept := store.fetch(d.from, c.rank, d.seq)
-		if !kept {
-			return nil, retries, false
-		}
-		if !resent.valid() {
+		if !d.resend.valid() {
 			continue // the link is still damaging frames (Sticky fault)
 		}
-		store.ack(d.from, c.rank, d.seq)
 		c.w.retries.Add(1)
 		c.tr.Fault("retry", d.seq)
-		return resent.data, retries, true
+		return d.resend.data, retries, true
 	}
 	return nil, retries, false
 }

@@ -40,8 +40,6 @@ type Epoch struct {
 	Attempt int
 	// Size is this attempt's world size.
 	Size int
-	// Initial is the first attempt's world size.
-	Initial int
 	// Failed lists the ranks that had vanished when the previous
 	// attempt was revoked, in the previous attempt's numbering; nil on
 	// attempt 0.
@@ -64,7 +62,7 @@ type Epoch struct {
 // consumes the fault plan, so recovery runs fault-free — matching the
 // model where the failed hardware is gone from the world.
 func Supervise(n int, opt Options, nextSize func(survivors int) int, body func(*Ctx, Epoch) error) (Stats, error) {
-	ep := Epoch{Size: n, Initial: n}
+	ep := Epoch{Size: n}
 	for {
 		cur := ep // body goroutines must see this attempt's epoch
 		stats, err := runOpt(cur.Size, opt, true, func(c *Ctx) error { return body(c, cur) })
@@ -84,7 +82,7 @@ func Supervise(n int, opt Options, nextSize func(survivors int) int, body func(*
 				return stats, fmt.Errorf("pcu: supervisor chose world size %d outside [1, %d]: %w", size, survivors, err)
 			}
 		}
-		ep = Epoch{Attempt: cur.Attempt + 1, Size: size, Initial: cur.Initial, Failed: failed}
+		ep = Epoch{Attempt: cur.Attempt + 1, Size: size, Failed: failed}
 		opt.Faults = nil
 	}
 }

@@ -98,10 +98,10 @@ func TestSuperviseShrinksAndCompletes(t *testing.T) {
 		t.Fatalf("want 2 attempts, got %d: %+v", len(epochs), epochs)
 	}
 	first, second := epochs[0], epochs[1]
-	if first.Attempt != 0 || first.Size != 4 || first.Initial != 4 || first.Failed != nil {
+	if first.Attempt != 0 || first.Size != 4 || first.Failed != nil {
 		t.Fatalf("bad first epoch: %+v", first)
 	}
-	if second.Attempt != 1 || second.Size != 3 || second.Initial != 4 || !slices.Equal(second.Failed, []int{1}) {
+	if second.Attempt != 1 || second.Size != 3 || !slices.Equal(second.Failed, []int{1}) {
 		t.Fatalf("bad recovery epoch: %+v", second)
 	}
 }

@@ -31,7 +31,7 @@ type Stats struct {
 	Collectives  int64
 	// Retries counts off-node frames recovered by the transient-fault
 	// retransmit layer: each one failed CRC/length validation on
-	// delivery and was repaired from the sender's kept copy.
+	// delivery and was repaired by its retransmit.
 	Retries int64
 	// Replays counts duplicated off-node frames detected by the
 	// sequence check and dropped (duplicate suppression).
@@ -53,9 +53,8 @@ type Options struct {
 	// Topo is the machine topology; the zero value maps all ranks onto
 	// one shared-memory node.
 	Topo hwtopo.Topology
-	// Faults is an optional deterministic failure schedule. It also arms
-	// the transient-fault retry layer (retry.go) — wire damage has no
-	// other source, so fault-free runs never pay for it.
+	// Faults is an optional deterministic failure schedule; a frame it
+	// damages carries its own retransmit (retry.go).
 	Faults *FaultPlan
 	// StallTimeout bounds how long the run may go without barrier
 	// progress before the watchdog tears it down with a *StallError.
@@ -89,10 +88,6 @@ type World struct {
 	id    int64
 	start time.Time
 	reg   *telemetry.Registry
-
-	// resend is the transient-fault retransmit store, armed only when
-	// the run carries a fault plan.
-	resend *resendStore
 
 	// survivable worlds (Supervise's) revoke instead of stalling when
 	// vanished ranks block the survivors.
@@ -150,11 +145,16 @@ type inbox struct {
 type delivery struct {
 	from    int
 	data    []byte
-	framed  bool
 	wantLen int
-	crc     uint32
 	seq     int64
 	phase   int64
+	// resend is what a retransmit of a damaged frame delivers (retry.go);
+	// nil for an undamaged frame.
+	resend *delivery
+	// crc and framed share the last word, so the resend pointer leaves a
+	// delivery at 72 bytes.
+	crc    uint32
+	framed bool
 }
 
 // freeListCap bounds the per-rank buffer and reader free lists; arrays
@@ -265,9 +265,6 @@ func runOpt(n int, opt Options, survivable bool, body func(*Ctx) error) (Stats, 
 		slots:      make([]any, n),
 		inboxes:    make([]inbox, n),
 		ranks:      make([]rankState, n),
-	}
-	if opt.Faults != nil {
-		w.resend = newResendStore()
 	}
 	w.id = worldSeq.Add(1)
 	w.start = time.Now()
@@ -642,39 +639,9 @@ func (c *Ctx) Exchange() []Message {
 			seq:     c.sendSeq[p],
 			phase:   phase,
 		}
-		if c.w.resend != nil {
-			// Keep what a retransmit would deliver: a pristine copy with
-			// matching framing. A Sticky wire fault damages the kept copy
-			// below, so retransmits fail validation too.
-			c.w.resend.keep(c.rank, p, d.seq, resentFrame{
-				data:    append([]byte(nil), cp...),
-				wantLen: d.wantLen,
-				crc:     d.crc,
-			})
-		}
 		if f := c.pendingFault; f != nil {
-			damage := func(kept *resentFrame) {}
-			switch f.Kind {
-			case FaultCorrupt:
-				if len(cp) > 0 {
-					cp[len(cp)/2] ^= 0x40 // wire corruption after framing
-					damage = func(kept *resentFrame) { kept.data[len(kept.data)/2] ^= 0x40 }
-				} else {
-					d.wantLen = 1 // nothing to flip; break the length instead
-					damage = func(kept *resentFrame) { kept.wantLen = 1 }
-				}
-			case FaultTruncate:
-				d.data = cp[:len(cp)/2]
-				damage = func(kept *resentFrame) { kept.data = kept.data[:len(kept.data)/2] }
-			case FaultDuplicate:
-				c.deliver(p, d) // replayed frame; the copy below is the dup
-			}
-			if f.Sticky && c.w.resend != nil {
-				if kept, ok := c.w.resend.fetch(c.rank, p, d.seq); ok {
-					damage(&kept)
-					c.w.resend.keep(c.rank, p, d.seq, kept)
-				}
-			}
+			c.sendFaulted(p, d, f)
+			continue
 		}
 		c.deliver(p, d)
 	}
@@ -747,19 +714,15 @@ func (c *Ctx) accept(d delivery) (Message, bool) {
 		return corrupt(fmt.Sprintf("lost frame: expected seq %d, got %d", want, d.seq), 0)
 	}
 	c.recvSeq[d.from] = d.seq
-	badLen := len(d.data) != d.wantLen
-	if badLen || crc32.ChecksumIEEE(d.data) != d.crc {
+	if !d.valid() {
 		if data, retries, ok := c.recoverFrame(d); ok {
 			c.releaseBuf(d.data)
 			return Message{From: d.from, Data: c.pooledReader(data)}, true
-		} else if badLen {
+		} else if len(d.data) != d.wantLen {
 			return corrupt(fmt.Sprintf("truncated frame: length %d, frame header says %d", len(d.data), d.wantLen), retries)
 		} else {
 			return corrupt("CRC mismatch", retries)
 		}
-	}
-	if s := c.w.resend; s != nil {
-		s.ack(d.from, c.rank, d.seq)
 	}
 	return Message{From: d.from, Data: c.pooledReader(d.data)}, true
 }
