@@ -66,6 +66,9 @@ bench-go:
 # adapt/mesh rows and divide by 21. BENCH=BenchmarkAdaptShockCycle is a
 # whole adapt-shock cycle (adapt, split, rebalance, checkpoint save and
 # load, verify), each iteration on a fresh mesh: read it the same way.
+# BENCH=BenchmarkParmaVessel32Cycle is parma-vessel32's T1-T4 BalanceSafe
+# calls; the profile also holds the set-up and the untimed migrations
+# back to assignment A.
 # BENCH=BenchmarkHaloStep is
 # halo-offnode's solver step: a step allocates nothing, so its profile is
 # the set-up's (the vessel, MLGraph, the scatter, the ghosts).
@@ -77,11 +80,12 @@ memprofile:
 
 # One-iteration compile-and-run of every benchmark — catches bit-rotted
 # benchmark code without paying for a measurement. Of the root package's
-# benchmarks only the pipeline replays (migration, ghosting, the halo
-# step, adaptation, the adapt-shock cycle) run: the rest take minutes.
+# benchmarks only the pipeline replays (migration, ParMA, ghosting, the
+# halo step, adaptation, the adapt-shock cycle) run: the rest take
+# minutes.
 bench-smoke:
 	$(GO) test -run '^$$' -bench=. -benchtime=1x ./internal/pcu/... ./internal/mesh/ ./internal/field/ ./internal/zpart/
-	$(GO) test -run '^$$' -bench 'Migration|RepartitionCycle|Ghosting|HaloStep|AdaptParallel|AdaptShockCycle' -benchtime=1x .
+	$(GO) test -run '^$$' -bench 'Migration|RepartitionCycle|ParmaVessel32Cycle|Ghosting|HaloStep|AdaptParallel|AdaptShockCycle' -benchtime=1x .
 
 # Five seconds of native fuzzing on each decoder of outside bytes: the
 # assignment file, the mesh file with its tag section, a checkpoint's

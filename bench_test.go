@@ -273,43 +273,17 @@ func BenchmarkRepartitionCycle(b *testing.B) {
 			}
 		}
 		destA, destB = pcu.Bcast(ctx, 0, destA), pcu.Bcast(ctx, 0, destB)
-		planTo := func(dest []int32) []partition.Plan {
-			plans := make([]partition.Plan, len(dm.Parts))
-			for i, p := range dm.Parts {
-				plans[i] = partition.Plan{}
-				for el := range p.M.Elements() {
-					if d := dest[p.Gid(el)]; d != p.M.Part() {
-						plans[i][el] = d
-					}
-				}
-			}
-			return plans
-		}
-		// timed runs f on every rank with rank 0 holding the stopwatch
-		// between two barriers.
-		timed := func(on bool, f func() error) error {
-			ctx.Barrier()
-			if on && ctx.Rank() == 0 {
-				b.StartTimer()
-			}
-			err := f()
-			ctx.Barrier()
-			if on && ctx.Rank() == 0 {
-				b.StopTimer()
-			}
-			return err
-		}
-		if err := partition.TryMigrate(dm, planTo(destA)); err != nil {
+		if err := partition.TryMigrate(dm, planTo(dm, destA)); err != nil {
 			return err
 		}
 		for i := -1; i < b.N; i++ { // cycle -1 is the warm-up
 			for _, dest := range [][]int32{destB, destA} {
-				plans := planTo(dest)
-				if err := timed(i >= 0, func() error { return partition.TryMigrate(dm, plans) }); err != nil {
+				plans := planTo(dm, dest)
+				if err := timedOn(b, ctx, i >= 0, func() error { return partition.TryMigrate(dm, plans) }); err != nil {
 					return err
 				}
 			}
-			if err := timed(i >= 0, func() error { return partition.Verify(dm) }); err != nil {
+			if err := timedOn(b, ctx, i >= 0, func() error { return partition.Verify(dm) }); err != nil {
 				return err
 			}
 		}
@@ -318,6 +292,91 @@ func BenchmarkRepartitionCycle(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+}
+
+// planTo returns the plans that send every local element to dest[its
+// global id], leaving out those already there.
+func planTo(dm *partition.DMesh, dest []int32) []partition.Plan {
+	plans := make([]partition.Plan, len(dm.Parts))
+	for i, p := range dm.Parts {
+		plans[i] = partition.Plan{}
+		for el := range p.M.Elements() {
+			if d := dest[p.Gid(el)]; d != p.M.Part() {
+				plans[i][el] = d
+			}
+		}
+	}
+	return plans
+}
+
+// BenchmarkParmaVessel32Cycle replays the timed stage of the pipeline
+// benchmark's parma-vessel32 workload: the 31,104-tet vessel cut by the
+// multilevel graph partitioner into 16 parts on each of 2 on-node ranks
+// (assignment A), balanced by ParMA under the paper's tests T1-T4 at 5 %
+// tolerance, each test from A. Only the four BalanceSafe calls run under
+// the timer, after one warm-up cycle; the migrations back to A run with
+// it stopped. `make memprofile BENCH=BenchmarkParmaVessel32Cycle` and
+// -cpuprofile show where a ParMA cycle goes.
+func BenchmarkParmaVessel32Cycle(b *testing.B) {
+	const k = 16
+	b.StopTimer()
+	b.ReportAllocs()
+	model, serial := benchVessel(b, 36, 12)
+	g, els := zpart.DualGraph(serial)
+	assign := zpart.MLGraph(g, 2*k)
+	var tests []parma.Priority
+	for _, t := range []string{"Vtx>Rgn", "Vtx=Edge>Rgn", "Edge>Rgn", "Edge=Face>Rgn"} {
+		pri, err := parma.ParsePriority(t)
+		if err != nil {
+			b.Fatal(err)
+		}
+		tests = append(tests, pri)
+	}
+	cfg := parma.Config{Tolerance: 1.05, MaxIters: 100}
+	iters := 0
+	_, err := pcu.RunOn(2, hwtopo.Cluster(1, 2), func(ctx *pcu.Ctx) error {
+		var sm *mesh.Mesh
+		if ctx.Rank() == 0 {
+			sm = serial
+		}
+		dm := partition.Adopt(ctx, model.Model, 3, sm, k)
+		var dest []int32 // assignment A by element global id
+		if ctx.Rank() == 0 {
+			dest = make([]int32, len(els))
+			for i, el := range els {
+				dest[dm.Parts[0].Gid(el)] = assign[i]
+			}
+		}
+		dest = pcu.Bcast(ctx, 0, dest)
+		if err := partition.TryMigrate(dm, planTo(dm, dest)); err != nil {
+			return err
+		}
+		for i := -1; i < b.N; i++ { // cycle -1 is the warm-up
+			for _, pri := range tests {
+				var res parma.Result
+				err := timedOn(b, ctx, i >= 0, func() (err error) {
+					res, err = parma.BalanceSafe(dm, pri, cfg)
+					return err
+				})
+				if err != nil {
+					return err
+				}
+				if i >= 0 && ctx.Rank() == 0 {
+					for _, l := range res.Levels {
+						iters += l.Iters
+					}
+				}
+				if err := partition.TryMigrate(dm, planTo(dm, dest)); err != nil {
+					return err
+				}
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportMetric(float64(iters)/float64(b.N), "iters/op")
 }
 
 // BenchmarkGhosting replays the ghost build of the pipeline benchmark's
@@ -644,16 +703,16 @@ func onShockBox(b *testing.B, body func(ctx *pcu.Ctx, dm *partition.DMesh) error
 	}
 }
 
-// timedOn runs f on every rank with rank 0 holding the stopwatch
-// between two barriers.
-func timedOn(b *testing.B, ctx *pcu.Ctx, f func() error) error {
+// timedOn runs f on every rank between two barriers, with rank 0
+// holding the stopwatch when on is set.
+func timedOn(b *testing.B, ctx *pcu.Ctx, on bool, f func() error) error {
 	ctx.Barrier()
-	if ctx.Rank() == 0 {
+	if on && ctx.Rank() == 0 {
 		b.StartTimer()
 	}
 	err := f()
 	ctx.Barrier()
-	if ctx.Rank() == 0 {
+	if on && ctx.Rank() == 0 {
 		b.StopTimer()
 	}
 	return err
@@ -673,7 +732,7 @@ func BenchmarkAdaptParallel(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		onShockBox(b, func(ctx *pcu.Ctx, dm *partition.DMesh) error {
 			var s adapt.Stats
-			timedOn(b, ctx, func() error { s = adapt.Parallel(dm, shockSize, adapt.DefaultOptions()); return nil })
+			timedOn(b, ctx, true, func() error { s = adapt.Parallel(dm, shockSize, adapt.DefaultOptions()); return nil })
 			if ctx.Rank() == 0 {
 				st = s
 			}
@@ -698,7 +757,7 @@ func BenchmarkAdaptShockCycle(b *testing.B) {
 	cfg := parma.Config{Tolerance: 1.05, MaxIters: 40}
 	for i := 0; i < b.N; i++ {
 		onShockBox(b, func(ctx *pcu.Ctx, dm *partition.DMesh) error {
-			return timedOn(b, ctx, func() error {
+			return timedOn(b, ctx, true, func() error {
 				adapt.Parallel(dm, shockSize, adapt.DefaultOptions())
 				parma.HeavyPartSplit(dm, cfg)
 				if _, err := parma.BalanceSafe(dm, parma.Priority{{3}}, cfg); err != nil {

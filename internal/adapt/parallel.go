@@ -68,15 +68,18 @@ func Parallel(dm *partition.DMesh, size SizeField, opts Options) Stats {
 				collapses += int64(sc.coarsen(part.M, size, opts.Transfer, 2))
 			}
 		}
-		st.Splits += pcu.SumInt64(dm.Ctx, splits)
-		st.Collapses += pcu.SumInt64(dm.Ctx, collapses)
 		// Converged when no rank has marked edges left (interior or
 		// boundary).
 		remaining := int64(0)
 		for _, part := range dm.Parts {
 			eachLong(part.M, size, false, func(mesh.Ent, float64) { remaining++ })
 		}
-		if pcu.SumInt64(dm.Ctx, remaining) == 0 {
+		sums := pcu.Allreduce(dm.Ctx, [3]int64{splits, collapses, remaining}, func(a, b [3]int64) [3]int64 {
+			return [3]int64{a[0] + b[0], a[1] + b[1], a[2] + b[2]}
+		})
+		st.Splits += sums[0]
+		st.Collapses += sums[1]
+		if sums[2] == 0 {
 			break
 		}
 	}
@@ -86,7 +89,8 @@ func Parallel(dm *partition.DMesh, size SizeField, opts Options) Stats {
 
 // localizeMarked migrates the element cavities of marked part-boundary
 // edges to one residence part each (localizePlans), returning the
-// global number of elements moved (collective).
+// global number of elements moved (collective). When that is zero, on
+// every rank alike, there is no migration to run.
 func localizeMarked(dm *partition.DMesh, size SizeField, useMax bool) int64 {
 	plans := localizePlans(dm, size, useMax)
 	var moved int64
@@ -94,6 +98,9 @@ func localizeMarked(dm *partition.DMesh, size SizeField, useMax bool) int64 {
 		moved += int64(len(plan))
 	}
 	total := pcu.SumInt64(dm.Ctx, moved)
+	if total == 0 {
+		return 0
+	}
 	if err := partition.TryMigrate(dm, plans); err != nil {
 		panic(err)
 	}

@@ -5,19 +5,94 @@ import (
 	"testing"
 	"time"
 
+	"github.com/fastmath/pumi-go/internal/hwtopo"
 	"github.com/fastmath/pumi-go/internal/pcu"
+	"github.com/fastmath/pumi-go/internal/trace"
 )
 
-// The workload's deterministic op timeline (probed fault-free): setup
-// migration ends at op 6, the first checkpoint commits at op 20, and
-// each balancing iteration spans ~14 ops. Rank 1's op 13 is an exchange
-// inside iteration 0's migration where it sends off-node (wire damage
-// there exercises the retransmit layer); op 40 is past two committed
-// checkpoints (a death there must recover from one).
+// The workload's deterministic op timeline on rank 1 (probed fault-free
+// by TestOpTargets): setup migration ends at op 6, the first checkpoint
+// commits at op 16, and each balancing iteration spans 10 ops — one
+// count gather, a 6-op migration, a 3-op checkpoint. Op 9 is an
+// exchange inside iteration 0's migration where rank 1 sends off-node
+// (wire damage there exercises the retransmit layer); op 28 is past two
+// committed checkpoints (a death there must recover from one).
 const (
-	opInsideMigration  = 13
-	opAfterCheckpoints = 40
+	opInsideMigration  = 9
+	opAfterCheckpoints = 28
 )
+
+// opProbe is what rank 1 was doing at one op of a fault-free run.
+type opProbe struct {
+	name    string   // the op
+	open    []string // spans open around it, outermost first
+	offNode bool     // it sent at least one off-node frame
+	saves   int      // checkpoint saves completed before it
+}
+
+// probeOp runs the workload fault-free under the flight recorder, with a
+// zero delay marking op on rank 1, and reads what rank 1 did there.
+func probeOp(t *testing.T, op int64) opProbe {
+	t.Helper()
+	cfg := Config{Dir: t.TempDir()}
+	cfg.fillDefaults()
+	tr := trace.New(cfg.Ranks)
+	opt := pcu.Options{
+		Topo:   hwtopo.Cluster(2, cfg.Ranks/2),
+		Faults: &pcu.FaultPlan{Faults: []pcu.Fault{{Rank: 1, Op: op, Kind: pcu.FaultDelay}}},
+		Trace:  tr,
+	}
+	var restored bool
+	var imb float64
+	if _, err := pcu.RunOpt(cfg.Ranks, opt, func(ctx *pcu.Ctx) error {
+		return run(ctx, cfg, false, &restored, &imb)
+	}); err != nil {
+		t.Fatalf("probe run: %v", err)
+	}
+	var p opProbe
+	var stack []string
+	at := false
+	for _, e := range tr.Rank(1).Snapshot() {
+		switch e.Kind {
+		case trace.KindBegin:
+			stack = append(stack, e.Name)
+		case trace.KindEnd:
+			if at {
+				return p
+			}
+			if len(stack) == 0 {
+				t.Fatal("probe trace starts inside a span: the ring overflowed")
+			}
+			stack = stack[:len(stack)-1]
+			if e.Name == "meshio.checkpoint.save" {
+				p.saves++
+			}
+		case trace.KindFault:
+			if e.A == op {
+				at = true
+				p.name, p.open = stack[len(stack)-1], slices.Clone(stack[:len(stack)-1])
+			}
+		case trace.KindSend:
+			p.offNode = p.offNode || (at && e.V == 0)
+		}
+	}
+	t.Fatalf("op %d not found in rank 1's trace", op)
+	return p
+}
+
+// TestOpTargets pins the op targets to the phases they are meant to
+// strike, so a change in the op schedule fails here by name instead of
+// silently moving the fault matrix's faults elsewhere.
+func TestOpTargets(t *testing.T) {
+	in := probeOp(t, opInsideMigration)
+	if in.name != "exchange" || !slices.Contains(in.open, "partition.migrate") || !slices.Contains(in.open, "parma.iter") || !in.offNode {
+		t.Errorf("op %d on rank 1 is %s inside %v (off-node sends %v), want an off-node exchange inside a balancing migration",
+			opInsideMigration, in.name, in.open, in.offNode)
+	}
+	if after := probeOp(t, opAfterCheckpoints); after.saves < 2 {
+		t.Errorf("op %d on rank 1 follows %d committed checkpoints, want at least 2", opAfterCheckpoints, after.saves)
+	}
+}
 
 // TestFaultMatrixClassification drives every FaultKind through the soak
 // and asserts it lands on its designed outcome: the transient kinds are

@@ -3,6 +3,7 @@ package parma
 import (
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 	"time"
 
@@ -73,9 +74,10 @@ func BalanceSafe(dm *partition.DMesh, pri Priority, cfg Config) (Result, error) 
 	defer dm.Ctx.Span("parma.balance").End()
 	start := time.Now()
 	res := Result{Priority: pri}
+	var counts [4][]int64 // every count gather's storage
 	for li, level := range pri {
 		for _, t := range level {
-			lr, err := balanceDim(dm, pri, li, t, cfg)
+			lr, err := balanceDim(dm, pri, li, t, cfg, &counts)
 			res.Levels = append(res.Levels, lr)
 			if err != nil {
 				res.Elapsed = time.Since(start)
@@ -87,7 +89,7 @@ func BalanceSafe(dm *partition.DMesh, pri Priority, cfg Config) (Result, error) 
 	return res, nil
 }
 
-func balanceDim(dm *partition.DMesh, pri Priority, li, t int, cfg Config) (LevelResult, error) {
+func balanceDim(dm *partition.DMesh, pri Priority, li, t int, cfg Config, counts *[4][]int64) (LevelResult, error) {
 	lr := LevelResult{Dim: t}
 	tr := dm.Ctx.Trace()
 	// The allreduced imbalance is a live gauge in the run's registry.
@@ -98,13 +100,19 @@ func balanceDim(dm *partition.DMesh, pri Priority, li, t int, cfg Config) (Level
 	// Diffusion can plateau for roughly a graph diameter of
 	// iterations while load percolates across parts before the peak
 	// drops, so the stagnation window scales with the part count.
-	staleLimit := dm.NParts()
-	if staleLimit < 10 {
-		staleLimit = 10
-	}
-	for iter := 0; iter < cfg.MaxIters; iter++ {
-		counts := gatherAll(dm)
+	staleLimit := max(dm.NParts(), 10)
+	// Each iteration opens with one gather: the counts it balances, and
+	// the elements the previous iteration moved. That gather is also the
+	// last one, whichever way balancing ends.
+	var moved int64
+	for iter := 0; ; iter++ {
+		totalMoved := gatherAll(dm, moved, counts)
 		mean, imb := partition.Imbalance(counts[t])
+		lr.After, lr.MeanAfter = imb, mean
+		if iter >= cfg.MaxIters || (iter > 0 && totalMoved == 0) {
+			// Out of iterations, or diffusion stalled.
+			return lr, nil
+		}
 		// Every rank records the same allreduced imbalance, so the
 		// summary's imbalance-vs-iteration series can come from any rank.
 		tr.ParmaIter(t, iter, imb)
@@ -113,7 +121,6 @@ func balanceDim(dm *partition.DMesh, pri Priority, li, t int, cfg Config) (Level
 			lr.Before, lr.MeanBefore = imb, mean
 			best = imb
 		}
-		lr.After, lr.MeanAfter = imb, mean
 		if cfg.Log != nil && dm.Ctx.Rank() == 0 {
 			fmt.Fprintf(cfg.Log, "parma: dim %d iter %d imb %.4f mean %.1f\n", t, iter, imb, mean)
 		}
@@ -131,18 +138,17 @@ func balanceDim(dm *partition.DMesh, pri Priority, li, t int, cfg Config) (Level
 			stale++
 			if stale >= staleLimit {
 				lr.Iters = iter
-				break
+				return lr, nil
 			}
 		}
 		// The iteration span covers plan construction, migration and the
 		// checkpoint hook; the ParmaIter event above names the iteration.
 		sp := dm.Ctx.Span("parma.iter")
-		plans := buildPlans(dm, counts, t, higher, pri, li, cfg)
-		moved := int64(0)
+		plans := buildPlans(dm, *counts, t, higher, pri, cfg)
+		moved = 0
 		for _, p := range plans {
 			moved += int64(len(p))
 		}
-		totalMoved := sumAcross(dm, moved)
 		if err := partition.TryMigrate(dm, plans); err != nil {
 			sp.End()
 			lr.Iters = iter
@@ -156,60 +162,26 @@ func balanceDim(dm *partition.DMesh, pri Priority, li, t int, cfg Config) (Level
 			}
 		}
 		sp.End()
-		if totalMoved == 0 {
-			// Diffusion stalled; no point iterating further.
-			break
-		}
 	}
-	counts := gatherAll(dm)
-	lr.MeanAfter, lr.After = 0, 0
-	lr.MeanAfter, lr.After = partition.Imbalance(counts[t])
-	return lr, nil
-}
-
-func sumAcross(dm *partition.DMesh, v int64) int64 {
-	return pcu.SumInt64(dm.Ctx, v)
 }
 
 // buildPlans computes this iteration's migration schedule: every
 // locally heavy part sheds cavities to lightly loaded neighbor
 // candidates.
-func buildPlans(dm *partition.DMesh, counts [4][]int64, t int, higher []int, pri Priority, li int, cfg Config) []partition.Plan {
+func buildPlans(dm *partition.DMesh, counts [4][]int64, t int, higher []int, pri Priority, cfg Config) []partition.Plan {
 	avg := make([]float64, 4)
 	var maxCount [4]int64
 	for d := 0; d <= dm.Dim; d++ {
 		avg[d], _ = partition.Imbalance(counts[d])
-		for _, c := range counts[d] {
-			if c > maxCount[d] {
-				maxCount[d] = c
-			}
-		}
+		maxCount[d] = slices.Max(counts[d])
 	}
 	plans := make([]partition.Plan, len(dm.Parts))
-	// Projected arrivals this iteration, shared across local parts so
-	// two local heavy parts don't overload the same candidate.
-	arrivals := map[int32]*[4]int64{}
-	arr := func(q int32) *[4]int64 {
-		a := arrivals[q]
-		if a == nil {
-			a = &[4]int64{}
-			arrivals[q] = a
-		}
-		return a
-	}
+	// Projected arrivals this iteration, by part, shared across local
+	// parts so two local heavy parts don't overload the same candidate.
+	arrivals := make([][4]int64, dm.NParts())
 	// Lesser-priority dims: every dim processed after t.
 	dims := pri.Dims()
-	var lesser []int
-	seenT := false
-	for _, d := range dims {
-		if d == t {
-			seenT = true
-			continue
-		}
-		if seenT {
-			lesser = append(lesser, d)
-		}
-	}
+	lesser := dims[slices.Index(dims, t)+1:]
 
 	var peers []int32 // remote-part scratch
 	for i, part := range dm.Parts {
@@ -274,7 +246,7 @@ func buildPlans(dm *partition.DMesh, counts [4][]int64, t int, higher []int, pri
 				if !candidates[q] {
 					continue
 				}
-				load := counts[t][q] + arr(q)[t]
+				load := counts[t][q] + arrivals[q][t]
 				pairCap := (float64(myCount) + float64(counts[t][q])) / 2
 				if float64(load) >= pairCap {
 					continue // destination filled for this iteration
@@ -299,7 +271,7 @@ func buildPlans(dm *partition.DMesh, counts [4][]int64, t int, higher []int, pri
 				if float64(maxCount[h]) > limit {
 					limit = float64(maxCount[h])
 				}
-				proj := counts[h][dest] + arr(dest)[h] + int64(cc[h])
+				proj := counts[h][dest] + arrivals[dest][h] + int64(cc[h])
 				if float64(proj) > limit {
 					blocked = true
 					break
@@ -323,9 +295,8 @@ func buildPlans(dm *partition.DMesh, counts [4][]int64, t int, higher []int, pri
 			for _, el := range cav.Els {
 				plans[i][el] = dest
 			}
-			a := arr(dest)
 			for d := 0; d <= dm.Dim; d++ {
-				a[d] += int64(cc[d])
+				arrivals[dest][d] += int64(cc[d])
 			}
 			need -= float64(red)
 		}
@@ -343,11 +314,22 @@ func lightlyLoaded(counts [4][]int64, avg []float64, d int, q, heavy int32) bool
 	return counts[d][q] < counts[d][heavy]
 }
 
-// gatherAll gathers per-part counts for every dimension (collective).
-func gatherAll(dm *partition.DMesh) [4][]int64 {
-	var out [4][]int64
+// gatherAll gathers every dimension's per-part counts, indexed by
+// global part id, into counts, reusing their storage, and returns the
+// sum over ranks of moved: one collective.
+func gatherAll(dm *partition.DMesh, moved int64, counts *[4][]int64) (total int64) {
+	local := append(make([]int64, 0, 1+(dm.Dim+1)*dm.K), moved)
 	for d := 0; d <= dm.Dim; d++ {
-		out[d] = partition.GatherCounts(dm, d)
+		counts[d] = slices.Grow(counts[d][:0], dm.NParts())
+		for _, part := range dm.Parts {
+			local = append(local, part.Count(d))
+		}
 	}
-	return out
+	for _, block := range pcu.Allgather(dm.Ctx, local) {
+		total += block[0]
+		for d := 0; d <= dm.Dim; d++ {
+			counts[d] = append(counts[d], block[1+d*dm.K:1+(d+1)*dm.K]...)
+		}
+	}
+	return total
 }

@@ -508,3 +508,74 @@ func TestBalanceWeightsNonUniform(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestSelectCavitiesAllocs: the face and region rules allocate a fixed
+// number of times per call, not once per cavity — every cavity's
+// elements live in one array sized before it is filled.
+func TestSelectCavitiesAllocs(t *testing.T) {
+	model := gmi.Vessel(10, 1, 0.6, 1.2)
+	serial := meshgen.Vessel3D(model, 12, 6)
+	g, _ := zpart.DualGraph(serial)
+	assign := zpart.MLGraph(g, 4)
+	var m *mesh.Mesh
+	err := pcu.Run(2, func(ctx *pcu.Ctx) error {
+		var sm *mesh.Mesh
+		if ctx.Rank() == 0 {
+			sm = serial
+		}
+		dm, err := partition.Distribute(ctx, model.Model, 3, sm, assign, 2)
+		if ctx.Rank() == 0 {
+			m = dm.Parts[0].M
+		}
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, dim := range []int{2, 3} {
+		if n := len(SelectCavities(m, dim)); n < 100 {
+			t.Fatalf("dim %d: %d cavities, too few to tell a per-cavity allocation", dim, n)
+		}
+		if got := testing.AllocsPerRun(10, func() { SelectCavities(m, dim) }); got > 8 {
+			t.Errorf("dim %d: SelectCavities allocates %.0f times a call, want at most 8", dim, got)
+		}
+	}
+}
+
+// TestBalanceGathersOncePerIteration: every balancing iteration opens
+// with exactly one collective — the count gather that also carries the
+// previous iteration's moves — and each level ends on that gather.
+// Around the migrations, a level of i iterations costs i+1 ops.
+func TestBalanceGathersOncePerIteration(t *testing.T) {
+	err := pcu.Run(4, func(ctx *pcu.Ctx) error {
+		dm := buildImbalanced(ctx, 4, 12, 4, 4)
+		before := ctx.Ops()
+		if err := partition.TryMigrate(dm, make([]partition.Plan, len(dm.Parts))); err != nil {
+			return err
+		}
+		perMigration := ctx.Ops() - before
+		pri, _ := ParsePriority("Vtx>Rgn")
+		before = ctx.Ops()
+		res, err := BalanceSafe(dm, pri, Config{Tolerance: 1.05, MaxIters: 60})
+		if err != nil {
+			return err
+		}
+		ops := ctx.Ops() - before
+		iters, want := 0, int64(0)
+		for _, l := range res.Levels {
+			iters += l.Iters
+			want += int64(l.Iters)*perMigration + int64(l.Iters) + 1
+		}
+		if iters < 2 {
+			return fmt.Errorf("balancing took %d iterations, too few to tell", iters)
+		}
+		if ops != want {
+			return fmt.Errorf("%d iterations over %d levels took %d ops, want %d (%d per migration + one gather per iteration and per level)",
+				iters, len(res.Levels), ops, want, perMigration)
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}

@@ -1,8 +1,8 @@
 package parma
 
 import (
+	"cmp"
 	"slices"
-	"sort"
 
 	"github.com/fastmath/pumi-go/internal/mesh"
 )
@@ -44,6 +44,8 @@ const edgeCavityLimit = 2
 //     local element cavities.
 //
 // Cavities are returned in decreasing score order, deterministically.
+// The cavities' element lists share one array, sized exactly: a call
+// allocates a fixed number of times, however many cavities it returns.
 func SelectCavities(m *mesh.Mesh, dim int) []Cavity {
 	d := m.Dim()
 	var out []Cavity
@@ -55,11 +57,11 @@ func SelectCavities(m *mesh.Mesh, dim int) []Cavity {
 	default:
 		out = selectByCavity(m, dim, edgeCavityLimit)
 	}
-	sort.SliceStable(out, func(i, j int) bool {
-		if out[i].Score != out[j].Score {
-			return out[i].Score > out[j].Score
+	slices.SortStableFunc(out, func(a, b Cavity) int {
+		if c := cmp.Compare(b.Score, a.Score); c != 0 {
+			return c
 		}
-		return out[i].Anchor.Less(out[j].Anchor)
+		return a.Anchor.Compare(b.Anchor)
 	})
 	return out
 }
@@ -72,24 +74,38 @@ func SelectCavities(m *mesh.Mesh, dim int) []Cavity {
 // remain eligible so diffusion keeps making progress on flat
 // interfaces. For region balance the score is nb-ni; for face balance
 // it is nb, the number of faces the move removes from the part.
+//
+// Each element is a cavity once, anchored at its first part-boundary
+// face. A first walk of the boundary claims and counts the elements,
+// so the second fills arrays of the exact size.
 func selectByBoundaryFaces(m *mesh.Mesh, forRegions bool) []Cavity {
 	d := m.Dim()
-	seen := m.NewMarks()
-	var out []Cavity
-	var els, sides []mesh.Ent
+	claimed := m.NewMarks()
+	n := 0
+	var elsBuf, sidesBuf [16]mesh.Ent
+	els, sides := elsBuf[:0], sidesBuf[:0]
 	for f := range m.PartBoundary(d - 1) {
 		els = m.AdjacentTo(f, d, els[:0])
 		for _, el := range els {
-			if m.IsGhost(el) || !seen.Set(el) {
+			if !m.IsGhost(el) && claimed.Set(el) {
+				n++
+			}
+		}
+	}
+	out := make([]Cavity, 0, n)
+	cands := make([]mesh.Ent, 0, n)
+	for f := range m.PartBoundary(d - 1) {
+		els = m.AdjacentTo(f, d, els[:0])
+		for _, el := range els {
+			if !claimed.Has(el) {
 				continue
 			}
-			nb, ni := 0, 0
+			claimed.Clear(el)
 			sides = m.AdjacentTo(el, d-1, sides[:0])
+			nb := 0
 			for _, ef := range sides {
 				if m.IsShared(ef) {
 					nb++
-				} else {
-					ni++
 				}
 			}
 			if nb == 0 {
@@ -97,13 +113,11 @@ func selectByBoundaryFaces(m *mesh.Mesh, forRegions bool) []Cavity {
 			}
 			score := float64(nb)
 			if forRegions {
-				score = float64(nb - ni)
+				score = float64(nb - (len(sides) - nb))
 			}
-			out = append(out, Cavity{
-				Anchor: f,
-				Els:    []mesh.Ent{el},
-				Score:  score,
-			})
+			k := len(cands)
+			cands = append(cands, el)
+			out = append(out, Cavity{Anchor: f, Els: cands[k : k+1 : k+1], Score: score})
 		}
 	}
 	return out
@@ -112,21 +126,27 @@ func selectByBoundaryFaces(m *mesh.Mesh, forRegions bool) []Cavity {
 // selectByCavity implements the Fig 10 edge rule and Zhou's vertex
 // rule: part-boundary entities of the given dimension whose local
 // element cavity is small migrate as a unit, removing the entity from
-// the part.
+// the part. The accepted cavities' elements are found again into one
+// array once their total is known.
 func selectByCavity(m *mesh.Mesh, dim, limit int) []Cavity {
 	d := m.Dim()
 	var out []Cavity
-	var els []mesh.Ent
+	var elsBuf [16]mesh.Ent
+	els := elsBuf[:0]
+	n := 0
 	for b := range m.PartBoundary(dim) {
 		els = m.AdjacentTo(b, d, els[:0])
 		if len(els) == 0 || len(els) > limit || slices.ContainsFunc(els, m.IsGhost) {
 			continue
 		}
-		out = append(out, Cavity{
-			Anchor: b,
-			Els:    slices.Clone(els),
-			Score:  1 / float64(len(els)),
-		})
+		n += len(els)
+		out = append(out, Cavity{Anchor: b, Score: 1 / float64(len(els))})
+	}
+	all := make([]mesh.Ent, 0, n)
+	for i := range out {
+		lo := len(all)
+		all = m.AdjacentTo(out[i].Anchor, d, all)
+		out[i].Els = all[lo:len(all):len(all)]
 	}
 	return out
 }

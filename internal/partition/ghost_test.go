@@ -73,6 +73,53 @@ func TestGhostOneLayer(t *testing.T) {
 	}
 }
 
+// TestGatherCountsMatchesWalk holds GatherCounts, which reads the
+// mesh's live tallies on a part without ghosts, to a walk counting the
+// live non-ghost entities, for every dimension: unghosted, with a layer
+// of face-bridged ghosts, and after they are removed.
+func TestGatherCountsMatchesWalk(t *testing.T) {
+	err := pcu.Run(2, func(ctx *pcu.Ctx) error {
+		model := gmi.Box(2, 1, 1)
+		dm := distributeByX(ctx, model.Model, func() *mesh.Mesh {
+			return meshgen.Box3D(model, 4, 2, 2)
+		}, 2, 2)
+		check := func(state string) error {
+			for d := 0; d <= dm.Dim; d++ {
+				local := make([]int64, dm.K)
+				for i, part := range dm.Parts {
+					for e := range part.M.Iter(d) {
+						if !part.M.IsGhost(e) {
+							local[i]++
+						}
+					}
+				}
+				want := slices.Concat(pcu.Allgather(ctx, local)...)
+				if got := GatherCounts(dm, d); !slices.Equal(got, want) {
+					return fmt.Errorf("%s: dim %d counts %v, walk gives %v", state, d, got, want)
+				}
+			}
+			return nil
+		}
+		if err := check("unghosted"); err != nil {
+			return err
+		}
+		Ghost(dm, 2, 1)
+		for _, part := range dm.Parts {
+			if part.NGhosts() == 0 {
+				return fmt.Errorf("part %d got no ghosts", part.M.Part())
+			}
+		}
+		if err := check("ghosted"); err != nil {
+			return err
+		}
+		RemoveGhosts(dm)
+		return check("unghosted again")
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestGhostTagSyncAndRemove(t *testing.T) {
 	err := pcu.Run(2, func(ctx *pcu.Ctx) error {
 		model := gmi.Box(2, 1, 1)

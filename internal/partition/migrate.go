@@ -68,10 +68,15 @@ func voteAbort(dm *DMesh, localErr error, stage string) error {
 // failure only some ranks saw — a bad plan, an unreadable checkpoint
 // file — becomes the same decision everywhere: returning early from the
 // failing rank alone would leave the others blocked in the schedule.
+// The vote is one reduction of the message lengths; the messages
+// themselves cross only when some rank failed.
 func GatherCauses(ctx *pcu.Ctx, localErr error) string {
 	s := ""
 	if localErr != nil {
 		s = localErr.Error()
+	}
+	if pcu.MaxInt64(ctx, int64(len(s))) == 0 {
+		return ""
 	}
 	var causes []string
 	for r, m := range pcu.Allgather(ctx, s) {

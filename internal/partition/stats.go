@@ -1,6 +1,8 @@
 package partition
 
 import (
+	"slices"
+
 	"github.com/fastmath/pumi-go/internal/mesh"
 	"github.com/fastmath/pumi-go/internal/pcu"
 )
@@ -10,36 +12,38 @@ import (
 // (collective). Ghost copies are excluded: they are read-only
 // duplicates, not load.
 func GatherCounts(dm *DMesh, dim int) []int64 {
-	local := make([]int64, dm.K)
-	for i, part := range dm.Parts {
-		n := int64(0)
-		for e := range part.M.Iter(dim) {
-			if !part.M.IsGhost(e) {
-				n++
-			}
+	return gatherParts(dm, func(p *Part) int64 { return p.Count(dim) })
+}
+
+// Count returns the number of live entities of the given dimension on
+// the part, ghost copies excluded: the part's load. It reads the mesh's
+// live tally, and walks the part only when it holds ghosts.
+func (p *Part) Count(dim int) int64 {
+	if p.nGhosts == 0 {
+		return int64(p.M.Count(dim))
+	}
+	n := int64(0)
+	for e := range p.M.Iter(dim) {
+		if !p.M.IsGhost(e) {
+			n++
 		}
-		local[i] = n
 	}
-	all := pcu.Allgather(dm.Ctx, local)
-	out := make([]int64, 0, dm.NParts())
-	for _, block := range all {
-		out = append(out, block...)
-	}
-	return out
+	return n
 }
 
 // GatherWeights is GatherCounts for an arbitrary per-part load functor.
 func GatherWeights(dm *DMesh, weight func(p *Part) float64) []float64 {
-	local := make([]float64, dm.K)
+	return gatherParts(dm, weight)
+}
+
+// gatherParts returns f of every part, indexed by global part id,
+// identical on every rank (collective).
+func gatherParts[T any](dm *DMesh, f func(*Part) T) []T {
+	local := make([]T, dm.K)
 	for i, part := range dm.Parts {
-		local[i] = weight(part)
+		local[i] = f(part)
 	}
-	all := pcu.Allgather(dm.Ctx, local)
-	out := make([]float64, 0, dm.NParts())
-	for _, block := range all {
-		out = append(out, block...)
-	}
-	return out
+	return slices.Concat(pcu.Allgather(dm.Ctx, local)...)
 }
 
 // Imbalance summarizes a per-part load vector — entity counts or

@@ -39,6 +39,8 @@ import (
 //   - FaultDuplicate: off-node payloads sent during the op are
 //     delivered twice; the frame sequence check detects the replay and
 //     drops it (counted in Stats.Replays), like any reliable transport.
+//     A wire fault aimed at a collective, which sends no frames, is
+//     recorded in the trace and damages nothing.
 //
 // On-node messages travel by reference through shared memory and are
 // not subject to wire faults, matching the architecture the runtime

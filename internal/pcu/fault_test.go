@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"github.com/fastmath/pumi-go/internal/hwtopo"
+	"github.com/fastmath/pumi-go/internal/trace"
 )
 
 // collectiveLoop is a body doing nops collectives so fault plans have
@@ -195,6 +196,35 @@ func TestFaultTruncateRecoveredByRetry(t *testing.T) {
 	}
 	if st.Retries != 1 {
 		t.Fatalf("want exactly 1 retried frame, got %d", st.Retries)
+	}
+}
+
+// TestWireFaultOnCollectiveIsSpent: a wire fault aimed at a collective,
+// which sends no frames, is recorded in the trace and damages nothing,
+// not even the rank's next exchange.
+func TestWireFaultOnCollectiveIsSpent(t *testing.T) {
+	tr := trace.New(2)
+	st, err := offNodePairFault(Fault{Rank: 0, Op: 1, Kind: FaultCorrupt}, Options{Trace: tr},
+		func(c *Ctx) error {
+			if n := SumInt64(c, 1); n != 2 {
+				return fmt.Errorf("rank %d summed %d", c.Rank(), n)
+			}
+			return exchangePairBody(c)
+		})
+	if err != nil {
+		t.Fatalf("a corrupt fault on a collective must not fail the run: %v", err)
+	}
+	if st.Retries != 0 {
+		t.Fatalf("the exchange after the collective was damaged: %d retried frames", st.Retries)
+	}
+	fired := 0
+	for _, e := range tr.Rank(0).Snapshot() {
+		if e.Kind == trace.KindFault && e.Name == "corrupt" && e.A == 1 {
+			fired++
+		}
+	}
+	if fired != 1 {
+		t.Fatalf("want the fault recorded once at op 1, got %d", fired)
 	}
 }
 

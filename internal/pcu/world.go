@@ -453,7 +453,10 @@ func (c *Ctx) beginOp(name *string, isExchange bool) {
 	case FaultDelay:
 		time.Sleep(f.Delay)
 	case FaultCorrupt, FaultTruncate, FaultDuplicate:
-		c.pendingFault = f
+		// A collective sends no frames: the fault is recorded and spent.
+		if isExchange {
+			c.pendingFault = f
+		}
 	}
 }
 
