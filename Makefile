@@ -20,15 +20,17 @@ loc:
 
 # Escape gate: every variable the compiler moves to the heap in the
 # array-indexed core (mesh, ds, partition), the adaptation kernels
-# (adapt) and the message layer's Exchange/barrier hot path (pcu) must
-# be listed in escape-allow.txt — today the range-over-func iterator
-# state, one cold strings.Builder and pcu's cold paths (the fault-plan
-# generator, the run's set-up and Supervise's revocation match). Line numbers and the inlining package qualifier
-# are stripped, so only a new (or vanished) escaping variable is drift;
-# a scratch array that silently escapes is a red build, not a profile
-# reading. Accept one deliberately by adding its line to the file.
+# (adapt), ParMA's cavity scratch (parma) and the message layer's
+# Exchange/barrier hot path (pcu) must be listed in escape-allow.txt —
+# today the range-over-func iterator state, one cold strings.Builder and
+# pcu's cold paths (the fault-plan generator, the run's set-up and
+# Supervise's revocation match). Line numbers and the inlining package
+# qualifier are stripped, so only a new (or vanished) escaping variable
+# is drift; a scratch array that silently escapes is a red build, not a
+# profile reading. Accept one deliberately by adding its line to the
+# file.
 escape-check:
-	$(GO) build -gcflags=-m ./internal/mesh ./internal/ds ./internal/partition ./internal/adapt ./internal/pcu 2>&1 \
+	$(GO) build -gcflags=-m ./internal/mesh ./internal/ds ./internal/partition ./internal/adapt ./internal/parma ./internal/pcu 2>&1 \
 		| grep 'moved to heap:' | sed -E 's/:[0-9]+:[0-9]+//; s/[a-z]+\.#/#/' | sort -u > /tmp/pumi-escape-check.txt
 	diff -u escape-allow.txt /tmp/pumi-escape-check.txt
 

@@ -6,57 +6,3 @@ import "iter"
 // single-use sequence of values. It aliases the standard iter.Seq so that
 // callers can range over it directly.
 type Seq[T any] = iter.Seq[T]
-
-// Collect drains an iterator into a freshly allocated slice.
-func Collect[T any](s Seq[T]) []T {
-	var out []T
-	for v := range s {
-		out = append(out, v)
-	}
-	return out
-}
-
-// Count returns the number of values produced by the iterator.
-func Count[T any](s Seq[T]) int {
-	n := 0
-	for range s {
-		n++
-	}
-	return n
-}
-
-// Filter returns an iterator producing only the values of s for which
-// keep reports true.
-func Filter[T any](s Seq[T], keep func(T) bool) Seq[T] {
-	return func(yield func(T) bool) {
-		for v := range s {
-			if keep(v) {
-				if !yield(v) {
-					return
-				}
-			}
-		}
-	}
-}
-
-// Map returns an iterator applying f to each value of s.
-func Map[T, U any](s Seq[T], f func(T) U) Seq[U] {
-	return func(yield func(U) bool) {
-		for v := range s {
-			if !yield(f(v)) {
-				return
-			}
-		}
-	}
-}
-
-// Of returns an iterator over the given values.
-func Of[T any](vals ...T) Seq[T] {
-	return func(yield func(T) bool) {
-		for _, v := range vals {
-			if !yield(v) {
-				return
-			}
-		}
-	}
-}

@@ -57,45 +57,3 @@ func (s *Set[T]) Len() int { return len(s.items) }
 // Values returns the underlying element slice in iteration order.
 // The caller must not mutate it.
 func (s *Set[T]) Values() []T { return s.items }
-
-// All iterates the elements in insertion order.
-func (s *Set[T]) All() Seq[T] {
-	return func(yield func(T) bool) {
-		for _, v := range s.items {
-			if !yield(v) {
-				return
-			}
-		}
-	}
-}
-
-// Clone returns a deep copy of the set.
-func (s *Set[T]) Clone() *Set[T] {
-	c := &Set[T]{index: make(map[T]int, len(s.items)), items: make([]T, len(s.items))}
-	copy(c.items, s.items)
-	for i, v := range c.items {
-		c.index[v] = i
-	}
-	return c
-}
-
-// Union adds every element of other into s.
-func (s *Set[T]) Union(other *Set[T]) {
-	for _, v := range other.items {
-		s.Add(v)
-	}
-}
-
-// Intersects reports whether the two sets share any element.
-func (s *Set[T]) Intersects(other *Set[T]) bool {
-	small, big := s, other
-	if big.Len() < small.Len() {
-		small, big = big, small
-	}
-	for _, v := range small.items {
-		if big.Has(v) {
-			return true
-		}
-	}
-	return false
-}

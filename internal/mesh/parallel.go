@@ -162,7 +162,13 @@ func (m *Mesh) SetGhost(e Ent, on bool) {
 // PartBoundary iterates the shared (part-boundary) entities of one
 // dimension in slot order.
 func (m *Mesh) PartBoundary(dim int) ds.Seq[Ent] {
-	return ds.Filter(m.Iter(dim), m.IsShared)
+	return func(yield func(Ent) bool) {
+		for e := range m.Iter(dim) {
+			if m.IsShared(e) && !yield(e) {
+				return
+			}
+		}
+	}
 }
 
 // NeighborParts returns the peer parts this part shares entities of

@@ -7,6 +7,7 @@ import (
 	"sort"
 	"time"
 
+	"github.com/fastmath/pumi-go/internal/mesh"
 	"github.com/fastmath/pumi-go/internal/partition"
 	"github.com/fastmath/pumi-go/internal/pcu"
 )
@@ -71,13 +72,35 @@ type Result struct {
 // of the most recent completed iteration. The partial Result accompanies
 // the error.
 func BalanceSafe(dm *partition.DMesh, pri Priority, cfg Config) (Result, error) {
+	return balance(dm, pri, nil, cfg)
+}
+
+// WeightFunc gives an application-defined load per element — the
+// adjacency-based analogue of graph node weights in graph partitioners.
+// Predictive load balancing for mesh adaptation (paper §III-B) uses the
+// estimated post-adaptation element count as the weight.
+type WeightFunc func(m *mesh.Mesh, el mesh.Ent) float64
+
+// BalanceWeights diffuses element weight instead of entity counts
+// (collective): BalanceSafe on the elements alone, with each element
+// counting as its weight. It returns the before/after weight imbalance
+// and, like BalanceSafe, the same error on every rank when a migration
+// aborts, the mesh left as the last completed iteration made it.
+func BalanceWeights(dm *partition.DMesh, weight WeightFunc, cfg Config) (LevelResult, error) {
+	res, err := balance(dm, Priority{{dm.Dim}}, weight, cfg)
+	return res.Levels[0], err
+}
+
+// balance runs the priority list's levels; a nil weight balances entity
+// counts, a non-nil one makes it each element's load.
+func balance(dm *partition.DMesh, pri Priority, weight WeightFunc, cfg Config) (Result, error) {
 	defer dm.Ctx.Span("parma.balance").End()
 	start := time.Now()
 	res := Result{Priority: pri}
-	var counts [4][]int64 // every count gather's storage
+	var loads [4][]float64 // every load gather's storage
 	for li, level := range pri {
 		for _, t := range level {
-			lr, err := balanceDim(dm, pri, li, t, cfg, &counts)
+			lr, err := balanceDim(dm, pri, li, t, weight, cfg, &loads)
 			res.Levels = append(res.Levels, lr)
 			if err != nil {
 				res.Elapsed = time.Since(start)
@@ -89,7 +112,7 @@ func BalanceSafe(dm *partition.DMesh, pri Priority, cfg Config) (Result, error) 
 	return res, nil
 }
 
-func balanceDim(dm *partition.DMesh, pri Priority, li, t int, cfg Config, counts *[4][]int64) (LevelResult, error) {
+func balanceDim(dm *partition.DMesh, pri Priority, li, t int, weight WeightFunc, cfg Config, loads *[4][]float64) (LevelResult, error) {
 	lr := LevelResult{Dim: t}
 	tr := dm.Ctx.Trace()
 	// The allreduced imbalance is a live gauge in the run's registry.
@@ -101,13 +124,13 @@ func balanceDim(dm *partition.DMesh, pri Priority, li, t int, cfg Config, counts
 	// iterations while load percolates across parts before the peak
 	// drops, so the stagnation window scales with the part count.
 	staleLimit := max(dm.NParts(), 10)
-	// Each iteration opens with one gather: the counts it balances, and
+	// Each iteration opens with one gather: the loads it balances, and
 	// the elements the previous iteration moved. That gather is also the
 	// last one, whichever way balancing ends.
 	var moved int64
 	for iter := 0; ; iter++ {
-		totalMoved := gatherAll(dm, moved, counts)
-		mean, imb := partition.Imbalance(counts[t])
+		totalMoved := gatherAll(dm, moved, weight, loads)
+		mean, imb := partition.Imbalance(loads[t])
 		lr.After, lr.MeanAfter = imb, mean
 		if iter >= cfg.MaxIters || (iter > 0 && totalMoved == 0) {
 			// Out of iterations, or diffusion stalled.
@@ -144,7 +167,7 @@ func balanceDim(dm *partition.DMesh, pri Priority, li, t int, cfg Config, counts
 		// The iteration span covers plan construction, migration and the
 		// checkpoint hook; the ParmaIter event above names the iteration.
 		sp := dm.Ctx.Span("parma.iter")
-		plans := buildPlans(dm, *counts, t, higher, pri, cfg)
+		plans := buildPlans(dm, *loads, t, higher, pri, weight, cfg)
 		moved = 0
 		for _, p := range plans {
 			moved += int64(len(p))
@@ -168,17 +191,16 @@ func balanceDim(dm *partition.DMesh, pri Priority, li, t int, cfg Config, counts
 // buildPlans computes this iteration's migration schedule: every
 // locally heavy part sheds cavities to lightly loaded neighbor
 // candidates.
-func buildPlans(dm *partition.DMesh, counts [4][]int64, t int, higher []int, pri Priority, cfg Config) []partition.Plan {
-	avg := make([]float64, 4)
-	var maxCount [4]int64
+func buildPlans(dm *partition.DMesh, loads [4][]float64, t int, higher []int, pri Priority, weight WeightFunc, cfg Config) []partition.Plan {
+	var avg, maxLoad [4]float64
 	for d := 0; d <= dm.Dim; d++ {
-		avg[d], _ = partition.Imbalance(counts[d])
-		maxCount[d] = slices.Max(counts[d])
+		avg[d], _ = partition.Imbalance(loads[d])
+		maxLoad[d] = slices.Max(loads[d])
 	}
 	plans := make([]partition.Plan, len(dm.Parts))
 	// Projected arrivals this iteration, by part, shared across local
 	// parts so two local heavy parts don't overload the same candidate.
-	arrivals := make([][4]int64, dm.NParts())
+	arrivals := make([][4]float64, dm.NParts())
 	// Lesser-priority dims: every dim processed after t.
 	dims := pri.Dims()
 	lesser := dims[slices.Index(dims, t)+1:]
@@ -188,18 +210,18 @@ func buildPlans(dm *partition.DMesh, counts [4][]int64, t int, higher []int, pri
 		m := part.M
 		self := m.Part()
 		plans[i] = partition.Plan{}
-		myCount := counts[t][self]
-		if float64(myCount) <= cfg.Tolerance*avg[t] {
+		myLoad := loads[t][self]
+		if myLoad <= cfg.Tolerance*avg[t] {
 			continue // not heavily loaded
 		}
-		need := float64(myCount) - avg[t]
+		need := myLoad - avg[t]
 		// Candidate parts: neighbors lightly loaded for t and for all
 		// lesser-priority dims (absolutely or relatively).
 		candidates := map[int32]bool{}
 		for _, q := range m.NeighborParts(0) {
-			ok := lightlyLoaded(counts, avg, t, q, self)
+			ok := lightlyLoaded(loads, avg, t, q, self)
 			for _, l := range lesser {
-				if !lightlyLoaded(counts, avg, l, q, self) {
+				if !lightlyLoaded(loads, avg, l, q, self) {
 					ok = false
 					break
 				}
@@ -240,15 +262,15 @@ func buildPlans(dm *partition.DMesh, counts [4][]int64, t int, higher []int, pri
 			// point with the sender, so diffusion keeps a gradient
 			// flowing outward across relatively light neighbors.
 			var dest int32 = -1
-			var destLoad int64
+			var destLoad float64
 			peers = m.AppendRemoteParts(cav.Anchor, peers[:0])
 			for _, q := range peers {
 				if !candidates[q] {
 					continue
 				}
-				load := counts[t][q] + arrivals[q][t]
-				pairCap := (float64(myCount) + float64(counts[t][q])) / 2
-				if float64(load) >= pairCap {
+				load := loads[t][q] + arrivals[q][t]
+				pairCap := (myLoad + loads[t][q]) / 2
+				if load >= pairCap {
 					continue // destination filled for this iteration
 				}
 				if dest < 0 || load < destLoad {
@@ -264,15 +286,11 @@ func buildPlans(dm *partition.DMesh, counts [4][]int64, t int, higher []int, pri
 			// up to tolerance or to the current global peak, whichever
 			// is higher (the paper requires the guarded imbalance "is
 			// not increased", not that it is already met).
-			cc := closureCounts(m, cav.Els)
+			cl := cavityLoads(m, cav.Els, weight)
 			blocked := false
 			for _, h := range higher {
-				limit := cfg.Tolerance * avg[h]
-				if float64(maxCount[h]) > limit {
-					limit = float64(maxCount[h])
-				}
-				proj := counts[h][dest] + arrivals[dest][h] + int64(cc[h])
-				if float64(proj) > limit {
+				limit := max(cfg.Tolerance*avg[h], maxLoad[h])
+				if loads[h][dest]+arrivals[dest][h]+cl[h] > limit {
 					blocked = true
 					break
 				}
@@ -284,8 +302,11 @@ func buildPlans(dm *partition.DMesh, counts [4][]int64, t int, higher []int, pri
 			for _, el := range cav.Els {
 				leaving.Set(el)
 			}
-			red := leavingCount(m, cav.Els, &leaving, t)
-			if red <= 0 && t != dm.Dim {
+			red := cl[t]
+			if t < dm.Dim {
+				red = float64(leavingCount(m, cav.Els, &leaving, t))
+			}
+			if red <= 0 {
 				// No reduction; undo.
 				for _, el := range cav.Els {
 					leaving.Clear(el)
@@ -296,40 +317,53 @@ func buildPlans(dm *partition.DMesh, counts [4][]int64, t int, higher []int, pri
 				plans[i][el] = dest
 			}
 			for d := 0; d <= dm.Dim; d++ {
-				arrivals[dest][d] += int64(cc[d])
+				arrivals[dest][d] += cl[d]
 			}
-			need -= float64(red)
+			need -= red
 		}
 	}
 	return plans
 }
 
 // lightlyLoaded implements the paper's candidate categories for dim d:
-// absolutely lightly loaded (fewer entities than the average) or
-// relatively lightly loaded (fewer than the heavy part considered).
-func lightlyLoaded(counts [4][]int64, avg []float64, d int, q, heavy int32) bool {
-	if float64(counts[d][q]) < avg[d] {
-		return true
-	}
-	return counts[d][q] < counts[d][heavy]
+// absolutely lightly loaded (less load than the average) or relatively
+// lightly loaded (less than the heavy part considered).
+func lightlyLoaded(loads [4][]float64, avg [4]float64, d int, q, heavy int32) bool {
+	return loads[d][q] < avg[d] || loads[d][q] < loads[d][heavy]
 }
 
-// gatherAll gathers every dimension's per-part counts, indexed by
-// global part id, into counts, reusing their storage, and returns the
-// sum over ranks of moved: one collective.
-func gatherAll(dm *partition.DMesh, moved int64, counts *[4][]int64) (total int64) {
-	local := append(make([]int64, 0, 1+(dm.Dim+1)*dm.K), moved)
+// gatherAll gathers every dimension's per-part loads, indexed by global
+// part id, into loads, reusing their storage, and returns the sum over
+// ranks of moved: one collective. A load is a part's entity count —
+// exact in a float64 — or, in the element row when weight is non-nil,
+// the weight summed over its non-ghost elements.
+func gatherAll(dm *partition.DMesh, moved int64, weight WeightFunc, loads *[4][]float64) (total float64) {
+	local := append(make([]float64, 0, 1+(dm.Dim+1)*dm.K), float64(moved))
 	for d := 0; d <= dm.Dim; d++ {
-		counts[d] = slices.Grow(counts[d][:0], dm.NParts())
+		loads[d] = slices.Grow(loads[d][:0], dm.NParts())
 		for _, part := range dm.Parts {
-			local = append(local, part.Count(d))
+			local = append(local, partLoad(part, d, weight))
 		}
 	}
 	for _, block := range pcu.Allgather(dm.Ctx, local) {
 		total += block[0]
 		for d := 0; d <= dm.Dim; d++ {
-			counts[d] = append(counts[d], block[1+d*dm.K:1+(d+1)*dm.K]...)
+			loads[d] = append(loads[d], block[1+d*dm.K:1+(d+1)*dm.K]...)
 		}
 	}
 	return total
+}
+
+// partLoad is one part's entry in gatherAll's row d.
+func partLoad(p *partition.Part, d int, weight WeightFunc) float64 {
+	if weight == nil || d < p.M.Dim() {
+		return float64(p.Count(d))
+	}
+	w := 0.0
+	for el := range p.M.Elements() {
+		if !p.M.IsGhost(el) {
+			w += weight(p.M, el)
+		}
+	}
+	return w
 }

@@ -151,18 +151,26 @@ func selectByCavity(m *mesh.Mesh, dim, limit int) []Cavity {
 	return out
 }
 
-// closureCounts returns, per dimension 0..D-1, the number of distinct
-// downward entities of the given elements — the upper bound on entities
-// arriving at the destination with the cavity.
-func closureCounts(m *mesh.Mesh, els []mesh.Ent) [4]int {
-	var counts [4]int
+// cavityLoads returns the load the cavity carries to its destination,
+// per dimension: below D the number of distinct downward entities of
+// the elements (the upper bound on entities arriving with them), and in
+// the element row the element count or, with a weight, the elements'
+// total weight.
+func cavityLoads(m *mesh.Mesh, els []mesh.Ent, weight WeightFunc) [4]float64 {
+	var loads [4]float64
 	d := m.Dim()
 	var buf [64]mesh.Ent
 	for dd := 0; dd < d; dd++ {
-		counts[dd] = len(closureOf(m, els, dd, buf[:0]))
+		loads[dd] = float64(len(closureOf(m, els, dd, buf[:0])))
 	}
-	counts[d] = len(els)
-	return counts
+	if weight == nil {
+		loads[d] = float64(len(els))
+		return loads
+	}
+	for _, el := range els {
+		loads[d] += weight(m, el)
+	}
+	return loads
 }
 
 // closureOf appends the distinct entities of dimension dim in the
@@ -176,14 +184,12 @@ func closureOf(m *mesh.Mesh, els []mesh.Ent, dim int, buf []mesh.Ent) []mesh.Ent
 	return slices.Compact(buf)
 }
 
-// leavingCount returns how many entities of dimension dim would leave
-// the part if the elements in `leaving` (a set including this cavity)
-// migrate: entities all of whose local adjacent elements are leaving.
+// leavingCount returns how many entities of dimension dim < D would
+// leave the part if the elements in `leaving` (a set including this
+// cavity) migrate: entities all of whose local adjacent elements are
+// leaving.
 func leavingCount(m *mesh.Mesh, cav []mesh.Ent, leaving *mesh.Marks, dim int) int {
 	d := m.Dim()
-	if dim == d {
-		return len(cav)
-	}
 	n := 0
 	var buf, upBuf [64]mesh.Ent
 	for _, e := range closureOf(m, cav, dim, buf[:0]) {

@@ -232,7 +232,8 @@ func HeavyPartSplit(dm *partition.DMesh, cfg Config) SplitResult {
 		}
 		return heavies[a].part < heavies[b].part
 	})
-	// Deterministic assignment of empties to heavies.
+	// Deterministic assignment of empties to heavies: every rank builds
+	// the same one, so each knows the split count.
 	assign := map[int32][]int32{}
 	ei := 0
 	for _, h := range heavies {
@@ -241,6 +242,7 @@ func HeavyPartSplit(dm *partition.DMesh, cfg Config) SplitResult {
 			ei++
 		}
 	}
+	res.SplitPieces = ei
 	// Each rank splits its local heavy parts geometrically.
 	plans = make([]partition.Plan, len(dm.Parts))
 	for i, part := range dm.Parts {
@@ -257,14 +259,10 @@ func HeavyPartSplit(dm *partition.DMesh, cfg Config) SplitResult {
 				plans[i][el] = targets[sub[j]-1]
 			}
 		}
-		res.SplitPieces += len(targets)
 	}
 	if err := partition.TryMigrate(dm, plans); err != nil {
 		panic(err)
 	}
-	// Make the report identical on every rank (SplitPieces is tallied
-	// only where the heavy parts live).
-	res.SplitPieces = int(pcu.SumInt64(dm.Ctx, int64(res.SplitPieces)))
 	_, res.After = partition.EntityImbalance(dm, d)
 	return res
 }

@@ -12,7 +12,11 @@ import (
 // (collective). Ghost copies are excluded: they are read-only
 // duplicates, not load.
 func GatherCounts(dm *DMesh, dim int) []int64 {
-	return gatherParts(dm, func(p *Part) int64 { return p.Count(dim) })
+	local := make([]int64, dm.K)
+	for i, part := range dm.Parts {
+		local[i] = part.Count(dim)
+	}
+	return slices.Concat(pcu.Allgather(dm.Ctx, local)...)
 }
 
 // Count returns the number of live entities of the given dimension on
@@ -29,21 +33,6 @@ func (p *Part) Count(dim int) int64 {
 		}
 	}
 	return n
-}
-
-// GatherWeights is GatherCounts for an arbitrary per-part load functor.
-func GatherWeights(dm *DMesh, weight func(p *Part) float64) []float64 {
-	return gatherParts(dm, weight)
-}
-
-// gatherParts returns f of every part, indexed by global part id,
-// identical on every rank (collective).
-func gatherParts[T any](dm *DMesh, f func(*Part) T) []T {
-	local := make([]T, dm.K)
-	for i, part := range dm.Parts {
-		local[i] = f(part)
-	}
-	return slices.Concat(pcu.Allgather(dm.Ctx, local)...)
 }
 
 // Imbalance summarizes a per-part load vector — entity counts or
