@@ -15,8 +15,10 @@ test:
 
 # Non-test Go lines under internal/ + cmd/ (lint fixtures excluded): the
 # size figure ROADMAP re-anchors and CHANGES entries quote before/after.
+# A gate: more than 22,000 lines fails the lane.
 loc:
-	@find internal cmd -name '*.go' ! -name '*_test.go' ! -path '*/testdata/*' -print0 | xargs -0 cat | wc -l
+	@n=$$(find internal cmd -name '*.go' ! -name '*_test.go' ! -path '*/testdata/*' -print0 | xargs -0 cat | wc -l); \
+	echo $$n; test $$n -le 22000 || { echo "make loc: $$n non-test lines, over the 22,000 limit"; exit 1; }
 
 # Escape gate: every variable the compiler moves to the heap in the
 # array-indexed core (mesh, ds, partition), the adaptation kernels
@@ -170,4 +172,4 @@ trace-smoke:
 	$(GO) run ./cmd/pumi-trace /tmp/pumi-trace-smoke.json /tmp/pumi-trace-smoke.summary.json
 
 # The full local gate: what CI runs.
-check: vet vet-self escape-check build test race trace-smoke bench-smoke fuzz-smoke pipeline-smoke
+check: vet vet-self escape-check loc build test race trace-smoke bench-smoke fuzz-smoke pipeline-smoke

@@ -13,7 +13,6 @@ package main
 import (
 	"flag"
 	"fmt"
-	"os"
 	"time"
 
 	"github.com/fastmath/pumi-go/internal/cmdutil"
@@ -37,30 +36,9 @@ func main() {
 	if *meshFile == "" || *assignFile == "" {
 		cmdutil.Usagef("-mesh and -assign are required")
 	}
-	ms, err := cmdutil.ParseModelSpec(*modelFlag)
-	if err != nil {
-		cmdutil.Usagef("%v", err)
-	}
-	model, _ := ms.Build()
+	ms, model := cmdutil.Model(*modelFlag)
 
-	af, err := os.Open(*assignFile)
-	if err != nil {
-		cmdutil.Fail(err)
-	}
-	assign, err := meshio.ReadAssignment(af)
-	af.Close()
-	if err != nil {
-		cmdutil.Fail(err)
-	}
-	nparts := 0
-	for _, p := range assign {
-		if int(p)+1 > nparts {
-			nparts = int(p) + 1
-		}
-	}
-	if nparts%*ranks != 0 {
-		cmdutil.Usagef("part count %d must be divisible by ranks %d", nparts, *ranks)
-	}
+	assign, nparts := cmdutil.LoadAssignment(*assignFile, *ranks)
 	pri, err := parma.ParsePriority(*priority)
 	if err != nil {
 		cmdutil.Usagef("%v", err)

@@ -40,11 +40,7 @@ func main() {
 	if *meshFile == "" || *sizeFlag == "" {
 		cmdutil.Usagef("-mesh and -size are required")
 	}
-	ms, err := cmdutil.ParseModelSpec(*modelFlag)
-	if err != nil {
-		cmdutil.Usagef("%v", err)
-	}
-	model, _ := ms.Build()
+	_, model := cmdutil.Model(*modelFlag)
 	size, err := parseSize(*sizeFlag)
 	if err != nil {
 		cmdutil.Usagef("%v", err)

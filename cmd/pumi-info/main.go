@@ -31,11 +31,7 @@ func main() {
 	if *meshFile == "" {
 		cmdutil.Usagef("-mesh is required")
 	}
-	ms, err := cmdutil.ParseModelSpec(*modelFlag)
-	if err != nil {
-		cmdutil.Usagef("%v", err)
-	}
-	model, _ := ms.Build()
+	ms, model := cmdutil.Model(*modelFlag)
 	m, err := meshio.LoadFile(*meshFile, model)
 	if err != nil {
 		cmdutil.Fail(err)
@@ -104,24 +100,7 @@ func main() {
 	if *assignFile == "" {
 		return
 	}
-	af, err := os.Open(*assignFile)
-	if err != nil {
-		cmdutil.Fail(err)
-	}
-	assign, err := meshio.ReadAssignment(af)
-	af.Close()
-	if err != nil {
-		cmdutil.Fail(err)
-	}
-	nparts := 0
-	for _, p := range assign {
-		if int(p)+1 > nparts {
-			nparts = int(p) + 1
-		}
-	}
-	if nparts%*ranks != 0 {
-		cmdutil.Usagef("part count %d not divisible by ranks %d", nparts, *ranks)
-	}
+	assign, nparts := cmdutil.LoadAssignment(*assignFile, *ranks)
 	fmt.Printf("\npartition analysis (%d parts over %d ranks):\n", nparts, *ranks)
 	err = pcu.Run(*ranks, func(ctx *pcu.Ctx) error {
 		// Last use of m: the distribution consumes it.

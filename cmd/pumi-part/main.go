@@ -12,6 +12,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"slices"
 	"time"
 
 	"github.com/fastmath/pumi-go/internal/cmdutil"
@@ -45,7 +46,10 @@ func main() {
 	if *parts < 1 {
 		cmdutil.Usagef("-parts must be at least 1, got %d", *parts)
 	}
-	model := cmdutilModel(*modelFlag)
+	var model *gmi.Model
+	if *modelFlag != "" {
+		_, model = cmdutil.Model(*modelFlag)
+	}
 	m, err := meshio.LoadFile(*meshFile, model)
 	if err != nil {
 		cmdutil.Fail(err)
@@ -74,17 +78,9 @@ func main() {
 	for _, p := range assign {
 		sizes[p]++
 	}
-	var max, total int64
-	for _, s := range sizes {
-		total += s
-		if s > max {
-			max = s
-		}
-	}
-	mean := float64(total) / float64(*parts)
-	fmt.Printf("method %s: %d elements to %d parts in %v\n", *method, total, *parts, elapsed)
-	fmt.Printf("element balance: mean %.1f, max %d, imbalance %.2f%%\n",
-		mean, max, (float64(max)/mean-1)*100)
+	mean, imb := partition.Imbalance(sizes)
+	fmt.Printf("method %s: %d elements to %d parts in %v\n", *method, len(assign), *parts, elapsed)
+	fmt.Printf("element balance: mean %.1f, max %d, imbalance %.2f%%\n", mean, slices.Max(sizes), (imb-1)*100)
 	g, _ := zpart.DualGraph(m)
 	fmt.Printf("dual-graph edge cut: %.0f\n", g.EdgeCut(assign))
 	h, _ := zpart.ElementHypergraph(m, 0)
@@ -131,16 +127,4 @@ func sanVerify(m *mesh.Mesh, model *gmi.Model, assign []int32, parts int) error 
 		}
 		return partition.Verify(dm)
 	})
-}
-
-func cmdutilModel(spec string) *gmi.Model {
-	if spec == "" {
-		return nil
-	}
-	ms, err := cmdutil.ParseModelSpec(spec)
-	if err != nil {
-		cmdutil.Usagef("%v", err)
-	}
-	model, _ := ms.Build()
-	return model
 }

@@ -1,16 +1,42 @@
 // Package cmdutil holds the small shared pieces of the command-line
-// tools: model specification parsing and mesh statistics printing.
+// tools: model specification parsing, assignment loading and mesh
+// statistics printing.
 package cmdutil
 
 import (
 	"fmt"
 	"io"
+	"os"
 	"strconv"
 	"strings"
 
 	"github.com/fastmath/pumi-go/internal/gmi"
 	"github.com/fastmath/pumi-go/internal/mesh"
+	"github.com/fastmath/pumi-go/internal/meshio"
 )
+
+// LoadAssignment reads an element-to-part assignment file and returns
+// it with its part count, which must divide over ranks. Any failure
+// ends the tool.
+func LoadAssignment(path string, ranks int) ([]int32, int) {
+	f, err := os.Open(path)
+	if err != nil {
+		Fail(err)
+	}
+	assign, err := meshio.ReadAssignment(f)
+	f.Close()
+	if err != nil {
+		Fail(err)
+	}
+	nparts := 0
+	for _, p := range assign {
+		nparts = max(nparts, int(p)+1)
+	}
+	if nparts%ranks != 0 {
+		Usagef("part count %d not divisible by ranks %d", nparts, ranks)
+	}
+	return assign, nparts
+}
 
 // ModelSpec describes an analytic model on the command line:
 //
@@ -45,6 +71,17 @@ func ParseModelSpec(s string) (ModelSpec, error) {
 		return spec, fmt.Errorf("cmdutil: model %q needs %d parameters, got %d", spec.Kind, n, len(spec.Params))
 	}
 	return spec, nil
+}
+
+// Model parses a -model flag and builds the model, ending the tool with
+// a usage error on a bad spec.
+func Model(spec string) (ModelSpec, *gmi.Model) {
+	ms, err := ParseModelSpec(spec)
+	if err != nil {
+		Usagef("%v", err)
+	}
+	model, _ := ms.Build()
+	return ms, model
 }
 
 // Build constructs the model. The second return value is the concrete

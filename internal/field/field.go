@@ -251,23 +251,22 @@ func (f *Field) L2Diff(fn func(vec.V) []float64) float64 {
 	return math.Sqrt(sum)
 }
 
+// packNode is the send side of Sync and AccumulateShared: a node's
+// values, none where the part lacks the field or the node.
+func packNode(name string, shape Shape) func(*partition.Part, mesh.Ent, *pcu.Buffer) {
+	return func(p *partition.Part, e mesh.Ent, b *pcu.Buffer) {
+		var v []float64
+		if f := Find(p.M, name, shape); f != nil {
+			v, _ = f.Get(e)
+		}
+		b.Float64s(v)
+	}
+}
+
 // Sync pushes owned shared node values to all remote copies, making the
 // field single-valued across part boundaries (collective).
 func Sync(dm *partition.DMesh, name string, shape Shape) {
-	partition.SyncShared(dm, shape.NodeDims(),
-		func(p *partition.Part, e mesh.Ent, b *pcu.Buffer) {
-			f := Find(p.M, name, shape)
-			if f == nil {
-				b.Float64s(nil)
-				return
-			}
-			v, ok := f.Get(e)
-			if !ok {
-				b.Float64s(nil)
-				return
-			}
-			b.Float64s(v)
-		},
+	partition.SyncShared(dm, shape.NodeDims(), packNode(name, shape),
 		func(p *partition.Part, e mesh.Ent, r *pcu.Reader) {
 			vals := r.Float64s()
 			if len(vals) == 0 {
@@ -284,20 +283,7 @@ func Sync(dm *partition.DMesh, name string, shape Shape) {
 // (collective) — the communication step of a parallel FE assembly. The
 // copies' values are left untouched; follow with Sync to redistribute.
 func AccumulateShared(dm *partition.DMesh, name string, shape Shape) {
-	partition.ReduceShared(dm, shape.NodeDims(),
-		func(p *partition.Part, e mesh.Ent, b *pcu.Buffer) {
-			f := Find(p.M, name, shape)
-			if f == nil {
-				b.Float64s(nil)
-				return
-			}
-			v, ok := f.Get(e)
-			if !ok {
-				b.Float64s(nil)
-				return
-			}
-			b.Float64s(v)
-		},
+	partition.ReduceShared(dm, shape.NodeDims(), packNode(name, shape),
 		func(p *partition.Part, e mesh.Ent, r *pcu.Reader) {
 			vals := r.Float64s()
 			if len(vals) == 0 {

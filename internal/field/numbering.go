@@ -24,7 +24,8 @@ type Numbering struct {
 // numbered rank by rank in entity-iteration order.
 func Number(dm *partition.DMesh, shape Shape) *Numbering {
 	num := &Numbering{IDs: make([]map[mesh.Ent]int64, len(dm.Parts))}
-	// Count owned nodes per rank.
+	// Number owned nodes from 0 on this rank, then shift by the ranks
+	// before it.
 	var owned int64
 	for i, part := range dm.Parts {
 		num.IDs[i] = map[mesh.Ent]int64{}
@@ -32,24 +33,17 @@ func Number(dm *partition.DMesh, shape Shape) *Numbering {
 		for _, d := range shape.NodeDims() {
 			for e := range m.Iter(d) {
 				if !m.IsGhost(e) && m.IsOwned(e) {
+					num.IDs[i][e] = owned
 					owned++
 				}
 			}
 		}
 	}
-	base := pcu.ExscanInt64(dm.Ctx, owned)
-	num.OwnedBase = base
+	num.OwnedBase = pcu.ExscanInt64(dm.Ctx, owned)
 	num.Total = pcu.SumInt64(dm.Ctx, owned)
-	next := base
-	for i, part := range dm.Parts {
-		m := part.M
-		for _, d := range shape.NodeDims() {
-			for e := range m.Iter(d) {
-				if !m.IsGhost(e) && m.IsOwned(e) {
-					num.IDs[i][e] = next
-					next++
-				}
-			}
+	for _, ids := range num.IDs {
+		for e := range ids {
+			ids[e] += num.OwnedBase
 		}
 	}
 	// Distribute owner ids to copies.

@@ -140,53 +140,35 @@ func checkPhaseBody(p *Pass, body *ast.BlockStmt) {
 		case *ast.FuncLit:
 			return false
 		case *ast.AssignStmt:
-			if len(n.Lhs) == len(n.Rhs) {
-				for i, rhs := range n.Rhs {
-					call, ok := ast.Unparen(rhs).(*ast.CallExpr)
-					if !ok {
-						continue
-					}
-					id, ok := n.Lhs[i].(*ast.Ident)
-					if !ok {
-						continue
-					}
-					if obj := identObj(p.Info, id); obj != nil && isPhaseBufferCall(p, call) {
-						bufDefs[obj] = n.Pos()
-					}
+			if len(n.Lhs) != len(n.Rhs) {
+				return true
+			}
+			for i, rhs := range n.Rhs {
+				var obj types.Object
+				if id, ok := n.Lhs[i].(*ast.Ident); ok {
+					obj = identObj(p.Info, id)
+				}
+				if obj == nil {
+					continue
 				}
 				// Reader aliases: r := msg.Data / r := pcu.NewReader(x).
-				for i, rhs := range n.Rhs {
-					pooled, ok := readerOrigin(p, rhs)
-					if !ok {
-						continue
-					}
-					if id, ok := n.Lhs[i].(*ast.Ident); ok {
-						if obj := identObj(p.Info, id); obj != nil {
-							st := reader(obj) // begin tracking, undecoded
-							st.pooled = st.pooled || pooled
-						}
-					}
+				if pooled, ok := readerOrigin(p, rhs); ok {
+					st := reader(obj) // begin tracking, undecoded
+					st.pooled = st.pooled || pooled
+				}
+				call, ok := ast.Unparen(rhs).(*ast.CallExpr)
+				if !ok {
+					continue
+				}
+				if isPhaseBufferCall(p, call) {
+					bufDefs[obj] = n.Pos()
 				}
 				// Uncopied decodes: v := r.BytesNoCopy() aliases the
 				// pooled message buffer; remember which reader owns v so
 				// uses past that reader's Done can be flagged.
-				for i, rhs := range n.Rhs {
-					call, ok := ast.Unparen(rhs).(*ast.CallExpr)
-					if !ok {
-						continue
-					}
-					sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
-					if !ok || !aliasMethods[sel.Sel.Name] || !isReaderPtr(p.TypeOf(sel.X)) {
-						continue
-					}
-					st := readerOf(sel.X)
-					if st == nil || !st.pooled {
-						continue
-					}
-					if id, ok := n.Lhs[i].(*ast.Ident); ok {
-						if obj := identObj(p.Info, id); obj != nil {
-							aliases[obj] = aliasDef{st: st, pos: n.Pos()}
-						}
+				if sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr); ok && aliasMethods[sel.Sel.Name] && isReaderPtr(p.TypeOf(sel.X)) {
+					if st := readerOf(sel.X); st != nil && st.pooled {
+						aliases[obj] = aliasDef{st: st, pos: n.Pos()}
 					}
 				}
 			}
@@ -250,37 +232,25 @@ func checkPhaseBody(p *Pass, body *ast.BlockStmt) {
 
 	// Escape-past-Done: a use of an uncopied slice after the owning
 	// reader's Done reads bytes the pool may already have handed to a
-	// later phase. Assignment LHS positions are skipped (overwriting the
-	// alias variable is fine).
+	// later phase. Assignment targets are skipped (overwriting the alias
+	// variable is fine): an assignment is visited before its operands.
 	if len(aliases) > 0 {
 		lhs := map[*ast.Ident]bool{}
 		ast.Inspect(body, func(n ast.Node) bool {
-			if a, ok := n.(*ast.AssignStmt); ok {
-				for _, l := range a.Lhs {
+			switch n := n.(type) {
+			case *ast.AssignStmt:
+				for _, l := range n.Lhs {
 					if id, ok := ast.Unparen(l).(*ast.Ident); ok {
 						lhs[id] = true
 					}
 				}
-			}
-			return true
-		})
-		ast.Inspect(body, func(n ast.Node) bool {
-			id, ok := n.(*ast.Ident)
-			if !ok || lhs[id] {
-				return true
-			}
-			obj := p.Info.Uses[id]
-			if obj == nil {
-				return true
-			}
-			a, ok := aliases[obj]
-			if !ok {
-				return true
-			}
-			if a.st.done != token.NoPos && id.Pos() > a.st.done && id.Pos() > a.pos {
-				p.Reportf(id.Pos(),
-					"slice %q aliases a pooled message recycled by Done at %s; copy it with Bytes or use it before Done",
-					obj.Name(), p.Fset.Position(a.st.done))
+			case *ast.Ident:
+				obj := p.Info.Uses[n]
+				if a, ok := aliases[obj]; ok && obj != nil && !lhs[n] && a.st.done != token.NoPos && n.Pos() > a.st.done && n.Pos() > a.pos {
+					p.Reportf(n.Pos(),
+						"slice %q aliases a pooled message recycled by Done at %s; copy it with Bytes or use it before Done",
+						obj.Name(), p.Fset.Position(a.st.done))
+				}
 			}
 			return true
 		})

@@ -5,6 +5,7 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"slices"
 	"strings"
 )
 
@@ -114,15 +115,9 @@ func (w *seqWalker) walkStmt(s ast.Stmt, konts [][]ast.Stmt) bool {
 			}
 		}
 		dep := w.rankDep(n.Tag)
-		if !dep {
-			for _, stmt := range n.Body.List {
-				if cc, ok := stmt.(*ast.CaseClause); ok {
-					for _, e := range cc.List {
-						if w.rankDep(e) {
-							dep = true
-						}
-					}
-				}
+		for _, stmt := range n.Body.List {
+			if cc, ok := stmt.(*ast.CaseClause); ok && !dep {
+				dep = slices.ContainsFunc(cc.List, w.rankDep)
 			}
 		}
 		if sub || !dep {

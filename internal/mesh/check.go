@@ -36,7 +36,7 @@ func (m *Mesh) CheckConsistency() error {
 	for t := Type(0); t < TypeCount; t++ {
 		td := &m.td[t]
 		for i := int32(0); i < td.slots(); i++ {
-			if !td.alive[i] {
+			if !td.alive(i) {
 				continue
 			}
 			e := Ent{T: t, I: i}
@@ -57,7 +57,7 @@ func (m *Mesh) CheckConsistency() error {
 	for t := Type(0); t < TypeCount; t++ {
 		td := &m.td[t]
 		for i := int32(0); i < td.slots(); i++ {
-			if !td.alive[i] {
+			if !td.alive(i) {
 				continue
 			}
 			e := Ent{T: t, I: i}

@@ -27,7 +27,7 @@ type CorruptFixture struct {
 var CorruptFixtures = []CorruptFixture{
 	{"dead downward", "is not alive", func(m *Mesh) {
 		// Kill a vertex behind the adjacency structure's back.
-		m.td[Vertex].alive[firstTetVerts(m)[0].I] = false
+		m.td[Vertex].flags[firstTetVerts(m)[0].I] &^= flagAlive
 	}},
 	{"missing use", "downward references", func(m *Mesh) {
 		// Drop an edge's use list: its vertices now have more downward

@@ -1,131 +1,166 @@
 package mesh
 
-// linkStore is the MDS-style array-backed store of remote-copy links
-// for all entities of one type. Each entity's links form a singly
-// linked chain threaded through pooled parallel arrays (struct of
-// arrays: part, handle, next), headed by a per-slot index. Chains are
-// kept sorted by part id at insertion, so every read — RemoteCopy,
-// AppendRemoteParts, Residence — observes a deterministic order by
-// construction, with no per-call sorting and no map-order hazards.
-// Freed records go on an intrusive free list and are reused, so a
-// boundary that churns (migration, ghosting) recycles storage instead
-// of growing it.
+import "slices"
+
+// linkStore holds the part-boundary data of all entities of one type,
+// paid for only where it exists, as MDS keeps remote copies on boundary
+// entities alone. bnd maps each slot to its entry in the boundary table,
+// -1 for an interior slot: owned here, no remote copies. An entry enters
+// when its slot gains a first link or an owner other than this part (a
+// ghost) and leaves, the last entry taking its place, when it has
+// neither or the slot dies; sorted restores slot order on read.
+//
+// A slot's links form a chain through pooled parallel arrays, sorted by
+// part id at insertion, so every read observes a deterministic order
+// with no per-call sorting. Freed records go on an intrusive free list,
+// so a boundary that churns (migration, ghosting) recycles storage.
+type linkStore struct {
+	bnd      []int32    // per slot: index in entries, -1 = interior
+	entries  []bndEntry // the boundary table
+	unsorted bool       // entries is out of slot order
+	part     []int32    // link record: peer part id
+	ent      []uint32   // link record: the copy's packed handle on that part
+	next     []int32    // link record: next record of the same slot, -1 = end
+	free     int32      // head of the free list threaded through next, -1 = none
+}
+
+// bndEntry is one slot's row of the boundary table.
+type bndEntry struct {
+	slot, owner int32
+	head        int32 // first link record, -1 = none
+}
+
 // nbCache memoizes one dimension's NeighborParts result against the
-// topology epoch.
+// topology epoch, which starts at 1: epoch 0 holds nothing.
 type nbCache struct {
 	parts []int32
 	epoch uint64
-	valid bool
 }
 
-type linkStore struct {
-	head []int32 // per entity slot: first link record, -1 = none
-	part []int32 // link record: peer part id
-	ent  []Ent   // link record: the copy's handle on that part
-	next []int32 // link record: next record of the same entity, -1 = end
-	free int32   // head of the free list threaded through next, -1 = none
-	n    int     // live link records
-}
-
-// headOf returns the first link record of slot i, -1 if none. It is
-// safe on handles beyond the grown region (a fresh mesh has no links).
+// headOf returns the first link record of slot i, -1 if none.
 func (ls *linkStore) headOf(i int32) int32 {
-	if int(i) >= len(ls.head) {
-		return -1
+	if b := ls.bnd[i]; b >= 0 {
+		return ls.entries[b].head
 	}
-	return ls.head[i]
+	return -1
 }
 
-// allocRec takes a record off the free list (or appends one) and fills
-// it.
-func (ls *linkStore) allocRec(part int32, h Ent, next int32) int32 {
-	if ls.free >= 0 {
-		id := ls.free
-		ls.free = ls.next[id]
-		ls.part[id], ls.ent[id], ls.next[id] = part, h, next
-		return id
-	}
-	ls.part = append(ls.part, part)
-	ls.ent = append(ls.ent, h)
-	ls.next = append(ls.next, next)
-	return int32(len(ls.part) - 1)
+// enter gives interior slot i an entry owned by owner and returns its
+// index.
+func (ls *linkStore) enter(i, owner int32) int32 {
+	b := int32(len(ls.entries))
+	ls.unsorted = ls.unsorted || b > 0 && ls.entries[b-1].slot > i
+	ls.entries = append(ls.entries, bndEntry{slot: i, owner: owner, head: -1})
+	ls.bnd[i] = b
+	return b
 }
 
-// set records (part -> h) on slot i, keeping the chain sorted by part.
-// It reports whether a new link was added (false: updated in place).
-func (ls *linkStore) set(i, part int32, h Ent) bool {
-	prev := int32(-1)
-	cur := ls.head[i]
+// settle removes slot i's entry once it holds neither a link nor a
+// foreign owner, or the slot dies: its chain must be unlinked first.
+func (ls *linkStore) settle(i, self int32, dying bool) {
+	b, last := ls.bnd[i], int32(len(ls.entries)-1)
+	if en := ls.entries[b]; !dying && (en.head >= 0 || en.owner != self) {
+		return
+	}
+	if b != last {
+		ls.entries[b] = ls.entries[last]
+		ls.bnd[ls.entries[b].slot] = b
+		ls.unsorted = true
+	}
+	ls.entries = ls.entries[:last]
+	ls.bnd[i] = -1
+}
+
+// sorted returns the boundary table in slot order.
+func (ls *linkStore) sorted() []bndEntry {
+	if ls.unsorted {
+		slices.SortFunc(ls.entries, func(a, b bndEntry) int { return int(a.slot - b.slot) })
+		for b, en := range ls.entries {
+			ls.bnd[en.slot] = int32(b)
+		}
+		ls.unsorted = false
+	}
+	return ls.entries
+}
+
+// set records (part -> h) on slot i, keeping the chain sorted by part;
+// an interior slot enters the table owned by self.
+func (ls *linkStore) set(i, part int32, h Ent, self int32) {
+	b := ls.bnd[i]
+	if b < 0 {
+		b = ls.enter(i, self)
+	}
+	prev, cur := int32(-1), ls.entries[b].head
 	for cur >= 0 && ls.part[cur] < part {
 		prev, cur = cur, ls.next[cur]
 	}
 	if cur >= 0 && ls.part[cur] == part {
-		ls.ent[cur] = h
-		return false
+		ls.ent[cur] = h.Pack()
+		return
 	}
-	id := ls.allocRec(part, h, cur)
+	id := ls.free
+	if id >= 0 {
+		ls.free = ls.next[id]
+		ls.part[id], ls.ent[id], ls.next[id] = part, h.Pack(), cur
+	} else {
+		id = int32(len(ls.part))
+		ls.part, ls.ent, ls.next = append(ls.part, part), append(ls.ent, h.Pack()), append(ls.next, cur)
+	}
 	if prev < 0 {
-		ls.head[i] = id
+		ls.entries[b].head = id
 	} else {
 		ls.next[prev] = id
 	}
-	ls.n++
-	return true
 }
 
 // find returns slot i's link record for the given part, -1 if absent.
 func (ls *linkStore) find(i, part int32) int32 {
-	for cur := ls.headOf(i); cur >= 0; cur = ls.next[cur] {
+	for cur := ls.headOf(i); cur >= 0 && ls.part[cur] <= part; cur = ls.next[cur] {
 		if ls.part[cur] == part {
 			return cur
-		}
-		if ls.part[cur] > part {
-			return -1
 		}
 	}
 	return -1
 }
 
-// remove unlinks slot i's record for the given part onto the free
-// list; it reports whether a link existed.
-func (ls *linkStore) remove(i, part int32) bool {
-	prev := int32(-1)
-	cur := ls.head[i]
+// remove unlinks slot i's record for the given part onto the free list.
+func (ls *linkStore) remove(i, part, self int32) {
+	b := ls.bnd[i]
+	if b < 0 {
+		return
+	}
+	prev, cur := int32(-1), ls.entries[b].head
 	for cur >= 0 && ls.part[cur] != part {
 		prev, cur = cur, ls.next[cur]
 	}
 	if cur < 0 {
-		return false
+		return
 	}
 	if prev < 0 {
-		ls.head[i] = ls.next[cur]
+		ls.entries[b].head = ls.next[cur]
 	} else {
 		ls.next[prev] = ls.next[cur]
 	}
-	ls.next[cur] = ls.free
-	ls.free = cur
-	ls.n--
-	return true
+	ls.next[cur], ls.free = ls.free, cur
+	ls.settle(i, self, false)
 }
 
-// clear moves slot i's whole chain onto the free list in one splice;
-// it reports whether any link existed.
-func (ls *linkStore) clear(i int32) bool {
-	cur := ls.headOf(i)
-	if cur < 0 {
-		return false
+// clear moves slot i's whole chain onto the free list in one splice and
+// settles the slot.
+func (ls *linkStore) clear(i, self int32, dying bool) {
+	b := ls.bnd[i]
+	if b < 0 {
+		return
 	}
-	for {
-		ls.n--
-		next := ls.next[cur]
-		if next < 0 {
-			ls.next[cur] = ls.free
-			ls.free = ls.head[i]
-			ls.head[i] = -1
-			return true
+	if first := ls.entries[b].head; first >= 0 {
+		last := first
+		for ls.next[last] >= 0 {
+			last = ls.next[last]
 		}
-		cur = next
+		ls.next[last], ls.free = ls.free, first
+		ls.entries[b].head = -1
 	}
+	ls.settle(i, self, dying)
 }
 
 // count returns the number of links of slot i.

@@ -50,27 +50,50 @@ func (u use) ok() bool  { return u != nilUse }
 func (u use) ent() Ent  { return unpack(uint32(u)) }
 func (u use) slot() int { return int(u >> packBits) }
 
-// typeData is the storage of all entities of one type.
+// typeData is the storage of all entities of one type; what only a
+// part-boundary slot needs (owner, remote copies) is in its linkStore.
 type typeData struct {
-	degree   int       // downward adjacencies per entity
-	down     []int32   // len = slots * degree: index of type downTypes[t][slot], -1 = none
-	firstUse []use     // per slot: head of this entity's upward use list
-	nextUse  []use     // len = slots * degree: next use after (ent, slot)
-	classif  []gmi.Ref // geometric classification
-	flags    []uint8
-	owner    []int32 // owning part id
-	alive    []bool
+	degree   int      // downward adjacencies per entity
+	down     []int32  // len = slots * degree: index of type downTypes[t][slot], -1 = none
+	firstUse []use    // per slot: head of this entity's upward use list
+	nextUse  []use    // len = slots * degree: next use after (ent, slot)
+	classif  []uint32 // geometric classification, packed (packRef)
+	flags    []uint8  // flagAlive, flagGhost
 	free     []int32
 	nAlive   int
 }
 
-func (td *typeData) slots() int32 { return int32(len(td.alive)) }
+func (td *typeData) slots() int32 { return int32(len(td.flags)) }
 
-// Entity flags.
+func (td *typeData) alive(i int32) bool { return td.flags[i]&flagAlive != 0 }
+
+// Slot flags: a live entity; a read-only off-part copy from ghosting.
 const (
-	// FlagGhost marks a read-only off-part copy localized by ghosting.
-	FlagGhost uint8 = 1 << iota
+	flagAlive uint8 = 1 << iota
+	flagGhost
 )
+
+// A classification is stored in four bytes: the model dimension plus
+// one in the top three bits, the tag in the rest, so gmi.NoRef packs to
+// zero.
+const refTagBits = 29
+
+// Classifiable reports whether storage can hold c as a classification:
+// gmi.NoRef, or a model dimension 0-3 with a tag in [0, 2^29).
+func Classifiable(c gmi.Ref) bool {
+	return c == gmi.NoRef || c.Dim >= 0 && c.Dim <= 3 && c.Tag >= 0 && c.Tag < 1<<refTagBits
+}
+
+func packRef(c gmi.Ref) uint32 {
+	if !Classifiable(c) {
+		panic(fmt.Sprintf("mesh: classification %v does not fit storage's four bytes (mesh.Classifiable)", c))
+	}
+	return uint32(c.Dim+1)<<refTagBits | uint32(c.Tag)
+}
+
+func unpackRef(p uint32) gmi.Ref {
+	return gmi.Ref{Dim: int8(p>>refTagBits) - 1, Tag: int32(p & (1<<refTagBits - 1))}
+}
 
 // Mesh is one part of a (possibly distributed) mesh: a serial mesh plus
 // the part boundary data linking it to peer parts. All methods are
@@ -84,9 +107,9 @@ type Mesh struct {
 
 	coords []vec.V // per vertex slot
 
-	// links stores the remote-copy links of part-boundary entities:
-	// per type, array-backed chains of (peer part, handle) sorted by
-	// part (see links.go).
+	// links stores, per type, the boundary table — owner and
+	// remote-copy chain of every slot on the part boundary or owned
+	// elsewhere — and the chains' link records (see links.go).
 	links [TypeCount]linkStore
 
 	// epoch is the topology epoch: bumped by every mutation that can
@@ -132,7 +155,7 @@ func New(model *gmi.Model, dim int) *Mesh {
 	}
 	m.epoch = 1
 	m.Tags.OnSet = func(e Ent) { m.guardWrite("tag", e) }
-	m.Tags.SlotCount = func(t int) int { return len(m.td[t].alive) }
+	m.Tags.SlotCount = func(t int) int { return len(m.td[t].flags) }
 	return m
 }
 
@@ -168,7 +191,7 @@ func (m *Mesh) Alive(e Ent) bool {
 		return false
 	}
 	td := &m.td[e.T]
-	return e.I < td.slots() && td.alive[e.I]
+	return e.I < td.slots() && td.alive(e.I)
 }
 
 // checkSlots panics when n slots of type t would not fit a packed handle.
@@ -182,15 +205,11 @@ func checkSlots(t Type, n int) {
 func (m *Mesh) alloc(t Type) int32 {
 	td := &m.td[t]
 	var idx int32
-	ls := &m.links[t]
 	if n := len(td.free); n > 0 {
+		// Destroy left the slot interior, unclassified and unflagged.
 		idx = td.free[n-1]
 		td.free = td.free[:n-1]
-		td.alive[idx] = true
-		ls.clear(idx)
-		td.classif[idx] = gmi.NoRef
-		td.flags[idx] = 0
-		td.owner[idx] = m.part
+		td.flags[idx] = flagAlive
 		for j := 0; j < td.degree; j++ {
 			td.down[int(idx)*td.degree+j] = -1
 			td.nextUse[int(idx)*td.degree+j] = nilUse
@@ -204,11 +223,9 @@ func (m *Mesh) alloc(t Type) int32 {
 			td.nextUse = append(td.nextUse, nilUse)
 		}
 		td.firstUse = append(td.firstUse, nilUse)
-		td.classif = append(td.classif, gmi.NoRef)
-		td.flags = append(td.flags, 0)
-		td.owner = append(td.owner, m.part)
-		td.alive = append(td.alive, true)
-		ls.head = append(ls.head, -1)
+		td.classif = append(td.classif, 0)
+		td.flags = append(td.flags, flagAlive)
+		m.links[t].bnd = append(m.links[t].bnd, -1)
 		if t == Vertex {
 			m.coords = append(m.coords, vec.V{})
 		}
@@ -225,30 +242,37 @@ func (m *Mesh) alloc(t Type) int32 {
 func (m *Mesh) Reserve(t Type, n int) int {
 	td := &m.td[t]
 	n = max(0, n-len(td.free))
-	checkSlots(t, len(td.alive)+n)
+	checkSlots(t, len(td.flags)+n)
 	td.down = slices.Grow(td.down, n*td.degree)
 	td.nextUse = slices.Grow(td.nextUse, n*td.degree)
 	td.firstUse = slices.Grow(td.firstUse, n)
 	td.classif = slices.Grow(td.classif, n)
 	td.flags = slices.Grow(td.flags, n)
-	td.owner = slices.Grow(td.owner, n)
-	td.alive = slices.Grow(td.alive, n)
-	m.links[t].head = slices.Grow(m.links[t].head, n)
+	m.links[t].bnd = slices.Grow(m.links[t].bnd, n)
 	if t == Vertex {
 		m.coords = slices.Grow(m.coords, n)
 	}
-	return len(td.alive) + n
+	return len(td.flags) + n
+}
+
+// ReserveBoundary makes room for n more boundary-table entries of type
+// t — slots gaining a first remote copy or a foreign owner — so that a
+// loader knowing how many will come grows the table once.
+func (m *Mesh) ReserveBoundary(t Type, n int) {
+	m.links[t].entries = slices.Grow(m.links[t].entries, n)
 }
 
 // Footprint is the bytes a mesh's entity storage holds, by array. A slot
-// costs 8 per downward entity + 22 (a tet 54, a tri 46, an edge 38, a
-// vertex 46 with its coordinates); a remote-copy link record is 16.
+// costs 8 per downward entity + 13 (a tet 45, a tri 37, an edge 29, a
+// vertex 37 with its coordinates); a slot on the part boundary or owned
+// elsewhere adds a 12-byte boundary entry, and each of its remote-copy
+// links a 12-byte record.
 type Footprint struct {
 	Down    int // downward indices, 4 per downward slot
 	Uses    int // use-list heads and nexts, 4 per slot + 4 per downward slot
-	Classif int // geometric classification, 8 per slot
-	State   int // flags, owner and alive, 6 per slot
-	Links   int // remote-copy chain heads, 4 per slot, and link records
+	Classif int // geometric classification, 4 per slot
+	State   int // flags (the live bit among them), 1 per slot
+	Links   int // boundary index, 4 per slot; boundary entries and link records, 12 each
 	Coords  int // vertex coordinates, 24 per vertex slot
 }
 
@@ -274,8 +298,8 @@ func (f *Footprint) add(m *Mesh, t Type) {
 	f.Down += sliceBytes(td.down)
 	f.Uses += sliceBytes(td.firstUse) + sliceBytes(td.nextUse)
 	f.Classif += sliceBytes(td.classif)
-	f.State += sliceBytes(td.flags) + sliceBytes(td.owner) + sliceBytes(td.alive)
-	f.Links += sliceBytes(ls.head) + sliceBytes(ls.part) + sliceBytes(ls.ent) + sliceBytes(ls.next)
+	f.State += sliceBytes(td.flags)
+	f.Links += sliceBytes(ls.bnd) + sliceBytes(ls.entries) + sliceBytes(ls.part) + sliceBytes(ls.ent) + sliceBytes(ls.next)
 	if t == Vertex {
 		f.Coords += sliceBytes(m.coords)
 	}
@@ -302,9 +326,10 @@ func (m *Mesh) notifyCreate(e Ent) {
 // CreateVertex creates a mesh vertex classified on the given model
 // entity at the given position.
 func (m *Mesh) CreateVertex(c gmi.Ref, p vec.V) Ent {
+	pc := packRef(c)
 	idx := m.alloc(Vertex)
 	m.coords[idx] = p
-	m.td[Vertex].classif[idx] = c
+	m.td[Vertex].classif[idx] = pc
 	e := Ent{T: Vertex, I: idx}
 	m.guardWrite("create", e)
 	m.notifyCreate(e)
@@ -332,6 +357,7 @@ func (m *Mesh) CreateEntity(t Type, c gmi.Ref, down []Ent) Ent {
 			panic(fmt.Sprintf("mesh: downward entity %d of %v is a %v, want a %v", i, t, d.T, want[i]))
 		}
 	}
+	pc := packRef(c)
 	idx := m.alloc(t)
 	e := Ent{T: t, I: idx}
 	td := &m.td[t]
@@ -342,7 +368,7 @@ func (m *Mesh) CreateEntity(t Type, c gmi.Ref, down []Ent) Ent {
 		td.nextUse[base+j] = dtd.firstUse[d.I]
 		dtd.firstUse[d.I] = makeUse(e, j)
 	}
-	td.classif[idx] = c
+	td.classif[idx] = pc
 	m.guardWrite("create", e)
 	m.notifyCreate(e)
 	return e
@@ -369,12 +395,11 @@ func (m *Mesh) Destroy(e Ent) {
 		td.down[base+j] = -1
 	}
 	m.Tags.DeleteAll(e)
-	m.links[e.T].clear(e.I)
+	m.links[e.T].clear(e.I, m.part, true)
 	for _, s := range m.sets {
 		s.Remove(e)
 	}
-	td.alive[e.I] = false
-	td.classif[e.I] = gmi.NoRef
+	td.classif[e.I] = 0
 	td.flags[e.I] = 0
 	td.firstUse[e.I] = nilUse
 	td.free = append(td.free, e.I)
@@ -450,25 +475,13 @@ func (m *Mesh) SetCoord(v Ent, p vec.V) {
 }
 
 // Classification returns the model entity e is classified on.
-func (m *Mesh) Classification(e Ent) gmi.Ref { return m.td[e.T].classif[e.I] }
+func (m *Mesh) Classification(e Ent) gmi.Ref { return unpackRef(m.td[e.T].classif[e.I]) }
 
-// SetClassification reclassifies e.
+// SetClassification reclassifies e. It panics on a classification
+// storage cannot hold (see Classifiable).
 func (m *Mesh) SetClassification(e Ent, c gmi.Ref) {
 	m.guardWrite("classify", e)
-	m.td[e.T].classif[e.I] = c
-}
-
-// Flags returns e's flag byte.
-func (m *Mesh) Flags(e Ent) uint8 { return m.td[e.T].flags[e.I] }
-
-// SetFlag sets or clears one flag bit on e.
-func (m *Mesh) SetFlag(e Ent, flag uint8, on bool) {
-	m.guardWrite("flag", e)
-	if on {
-		m.td[e.T].flags[e.I] |= flag
-	} else {
-		m.td[e.T].flags[e.I] &^= flag
-	}
+	m.td[e.T].classif[e.I] = packRef(c)
 }
 
 // IterType iterates the live entities of one type in slot order.
@@ -476,7 +489,7 @@ func (m *Mesh) IterType(t Type) ds.Seq[Ent] {
 	return func(yield func(Ent) bool) {
 		td := &m.td[t]
 		for i := int32(0); i < td.slots(); i++ {
-			if td.alive[i] {
+			if td.alive(i) {
 				if !yield(Ent{T: t, I: i}) {
 					return
 				}

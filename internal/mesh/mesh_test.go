@@ -2,6 +2,7 @@ package mesh
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"github.com/fastmath/pumi-go/internal/ds"
@@ -464,6 +465,14 @@ func TestNeighborPartsAndBoundaryIter(t *testing.T) {
 	}
 	if n != 2 {
 		t.Fatalf("boundary verts = %d", n)
+	}
+	// A ghost's links neither make it boundary nor a neighbor.
+	m.SetGhost(vs[1], true)
+	if got := slices.Collect(m.PartBoundary(0)); len(got) != 1 || got[0] != vs[0] {
+		t.Fatalf("boundary with vs[1] a ghost = %v", got)
+	}
+	if nb := m.NeighborParts(0); len(nb) != 1 || nb[0] != 1 {
+		t.Fatalf("neighbors with vs[1] a ghost = %v", nb)
 	}
 }
 

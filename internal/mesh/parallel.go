@@ -11,9 +11,11 @@ import (
 // handles of its siblings on the other parts. The partition layer
 // maintains these links during migration and ghosting.
 //
-// Links live in the per-type array-backed linkStore (links.go): chains
+// Links and owners live in the per-type linkStore (links.go): a table
+// of the slots on the part boundary or owned elsewhere, with chains
 // sorted by part id, so all read paths are allocation-free walks in
-// deterministic order. Every mutation that can change the part-boundary
+// deterministic order and a boundary walk costs the boundary, not the
+// part. Every mutation that can change the part-boundary
 // communication structure — entity creation and destruction, remote
 // link edits, ownership and ghost-flag changes — bumps the mesh's
 // topology epoch, which higher layers (the partition layer's compiled
@@ -35,7 +37,7 @@ func (m *Mesh) bumpEpoch() { m.epoch++ }
 // part.
 func (m *Mesh) SetRemote(e Ent, part int32, h Ent) {
 	m.guardWrite("remote", e)
-	m.links[e.T].set(e.I, part, h)
+	m.links[e.T].set(e.I, part, h, m.part)
 	m.bumpEpoch()
 }
 
@@ -43,14 +45,14 @@ func (m *Mesh) SetRemote(e Ent, part int32, h Ent) {
 // interior from this part's point of view).
 func (m *Mesh) ClearRemotes(e Ent) {
 	m.guardWrite("remote", e)
-	m.links[e.T].clear(e.I)
+	m.links[e.T].clear(e.I, m.part, false)
 	m.bumpEpoch()
 }
 
 // RemoveRemote removes the link to one peer part's copy.
 func (m *Mesh) RemoveRemote(e Ent, part int32) {
 	m.guardWrite("remote", e)
-	m.links[e.T].remove(e.I, part)
+	m.links[e.T].remove(e.I, part, m.part)
 	m.bumpEpoch()
 }
 
@@ -62,7 +64,7 @@ func (m *Mesh) RemoteCopy(e Ent, part int32) (Ent, bool) {
 	if id < 0 {
 		return NilEnt, false
 	}
-	return ls.ent[id], true
+	return UnpackEnt(ls.ent[id]), true
 }
 
 // HasRemotes reports whether e carries any remote-copy links (ghost or
@@ -78,7 +80,7 @@ func (m *Mesh) NRemotes(e Ent) int { return m.links[e.T].count(e.I) }
 func (m *Mesh) EachRemote(e Ent, yield func(part int32, h Ent) bool) {
 	ls := &m.links[e.T]
 	for cur := ls.headOf(e.I); cur >= 0; cur = ls.next[cur] {
-		if !yield(ls.part[cur], ls.ent[cur]) {
+		if !yield(ls.part[cur], UnpackEnt(ls.ent[cur])) {
 			return
 		}
 	}
@@ -137,12 +139,22 @@ func (m *Mesh) Residence(e Ent) ds.IntSet {
 
 // Owner returns the owning part of e: the part with the right to
 // modify the entity. Interior entities are owned by their own part.
-func (m *Mesh) Owner(e Ent) int32 { return m.td[e.T].owner[e.I] }
+func (m *Mesh) Owner(e Ent) int32 {
+	if ls := &m.links[e.T]; ls.bnd[e.I] >= 0 {
+		return ls.entries[ls.bnd[e.I]].owner
+	}
+	return m.part
+}
 
 // SetOwner assigns e's owning part.
 func (m *Mesh) SetOwner(e Ent, part int32) {
 	m.guardWrite("owner", e)
-	m.td[e.T].owner[e.I] = part
+	if ls := &m.links[e.T]; ls.bnd[e.I] >= 0 {
+		ls.entries[ls.bnd[e.I]].owner = part
+		ls.settle(e.I, m.part, false)
+	} else if part != m.part {
+		ls.enter(e.I, part)
+	}
 	m.bumpEpoch()
 }
 
@@ -151,21 +163,30 @@ func (m *Mesh) IsOwned(e Ent) bool { return m.Owner(e) == m.part }
 
 // IsGhost reports whether e is a read-only ghost copy localized from
 // another part.
-func (m *Mesh) IsGhost(e Ent) bool { return m.Flags(e)&FlagGhost != 0 }
+func (m *Mesh) IsGhost(e Ent) bool { return m.td[e.T].flags[e.I]&flagGhost != 0 }
 
 // SetGhost marks or unmarks e as a ghost copy.
 func (m *Mesh) SetGhost(e Ent, on bool) {
-	m.SetFlag(e, FlagGhost, on)
+	m.guardWrite("flag", e)
+	if on {
+		m.td[e.T].flags[e.I] |= flagGhost
+	} else {
+		m.td[e.T].flags[e.I] &^= flagGhost
+	}
 	m.bumpEpoch()
 }
 
 // PartBoundary iterates the shared (part-boundary) entities of one
-// dimension in slot order.
+// dimension in Iter order, walking the boundary table, not the part.
+// The links and owners must not be mutated during the walk.
 func (m *Mesh) PartBoundary(dim int) ds.Seq[Ent] {
 	return func(yield func(Ent) bool) {
-		for e := range m.Iter(dim) {
-			if m.IsShared(e) && !yield(e) {
-				return
+		for _, t := range typesOfDim[dim] {
+			flags := m.td[t].flags
+			for _, en := range m.links[t].sorted() {
+				if en.head >= 0 && flags[en.slot]&flagGhost == 0 && !yield(Ent{T: t, I: en.slot}) {
+					return
+				}
 			}
 		}
 	}
@@ -179,18 +200,17 @@ func (m *Mesh) PartBoundary(dim int) ds.Seq[Ent] {
 // slice without allocating. Callers must treat it as read-only.
 func (m *Mesh) NeighborParts(dim int) []int32 {
 	c := &m.nb[dim]
-	if c.valid && c.epoch == m.epoch {
+	if c.epoch == m.epoch {
 		return c.parts
 	}
 	c.parts = c.parts[:0]
 	for _, t := range typesOfDim[dim] {
-		td := &m.td[t]
-		ls := &m.links[t]
-		for i := int32(0); i < td.slots(); i++ {
-			if !td.alive[i] || td.flags[i]&FlagGhost != 0 {
+		flags, ls := m.td[t].flags, &m.links[t]
+		for _, en := range ls.entries {
+			if flags[en.slot]&flagGhost != 0 {
 				continue
 			}
-			for cur := ls.headOf(i); cur >= 0; cur = ls.next[cur] {
+			for cur := en.head; cur >= 0; cur = ls.next[cur] {
 				c.parts = append(c.parts, ls.part[cur])
 			}
 		}
@@ -198,6 +218,5 @@ func (m *Mesh) NeighborParts(dim int) []int32 {
 	slices.Sort(c.parts)
 	c.parts = slices.Compact(c.parts)
 	c.epoch = m.epoch
-	c.valid = true
 	return c.parts
 }

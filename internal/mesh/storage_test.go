@@ -2,6 +2,7 @@ package mesh
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
 
@@ -40,6 +41,29 @@ func TestPackedHandleRoundTrip(t *testing.T) {
 	}
 	if nilUse.ok() {
 		t.Error("nilUse is ok")
+	}
+}
+
+// TestClassificationPacking round-trips every classification storage
+// can hold through its four bytes and checks that one it cannot is
+// refused before any slot is taken.
+func TestClassificationPacking(t *testing.T) {
+	for _, c := range []gmi.Ref{gmi.NoRef, {Dim: 0, Tag: 0}, {Dim: 2, Tag: 3}, {Dim: 3, Tag: 1<<29 - 1}} {
+		if !Classifiable(c) || unpackRef(packRef(c)) != c {
+			t.Errorf("%v: classifiable %v, reads back as %v", c, Classifiable(c), unpackRef(packRef(c)))
+		}
+	}
+	m := newTestMesh()
+	for _, c := range []gmi.Ref{{Dim: 4}, {Dim: -2}, {Dim: 1, Tag: -1}, {Dim: 1, Tag: 1 << 29}, {Dim: -1, Tag: 5}} {
+		if Classifiable(c) {
+			t.Errorf("%v is classifiable", c)
+		}
+		if msg := panicText(func() { m.CreateVertex(c, vec.V{}) }); !strings.Contains(msg, "Classifiable") {
+			t.Errorf("CreateVertex(%v) panicked with %q", c, msg)
+		}
+	}
+	if n := m.CountType(Vertex); n != 0 || m.td[Vertex].slots() != 0 {
+		t.Errorf("refused classifications left %d vertices in %d slots", n, m.td[Vertex].slots())
 	}
 }
 
@@ -89,11 +113,13 @@ func TestCreateEntityRejectsMisorderedPrism(t *testing.T) {
 }
 
 // TestFootprintBytesPerSlot pins what a slot of each type costs in
-// entity storage: 8 bytes per downward slot (index + next use) and 22
-// per entity (first use 4, classification 8, flags/owner/alive 6, link
-// head 4), 24 more for a vertex's coordinates. A handle stored as an
-// Ent again costs 4 more per downward slot, a use stored as a struct 8
-// more per slot and per downward slot.
+// entity storage: 8 bytes per downward slot (index + next use) and 13
+// per entity (first use 4, packed classification 4, flags with the live
+// bit 1, boundary index 4), 24 more for a vertex's coordinates. Owner
+// and links are paid only on the boundary: a slot entering the boundary
+// table adds a 12-byte entry, each remote-copy link a 12-byte record. A
+// handle stored as an Ent again costs 4 more per downward slot, a use
+// stored as a struct 8 more per slot and per downward slot.
 func TestFootprintBytesPerSlot(t *testing.T) {
 	m := newTestMesh()
 	buildTetGrid(m, 4)
@@ -101,7 +127,7 @@ func TestFootprintBytesPerSlot(t *testing.T) {
 		vec.V{X: 10}, vec.V{X: 11}, vec.V{X: 11, Y: 1}, vec.V{X: 10, Y: 1},
 		vec.V{X: 10, Z: 1}, vec.V{X: 11, Z: 1}, vec.V{X: 11, Y: 1, Z: 1}, vec.V{X: 10, Y: 1, Z: 1})
 	m.BuildFromVerts(Hex, hv, gmi.NoRef)
-	want := [TypeCount]int{Vertex: 46, Edge: 38, Tri: 46, Quad: 54, Tet: 54, Hex: 70}
+	want := [TypeCount]int{Vertex: 37, Edge: 29, Tri: 37, Quad: 45, Tet: 45, Hex: 61}
 	total := 0
 	for ty, per := range want {
 		ty := Type(ty)
@@ -127,13 +153,63 @@ func TestFootprintBytesPerSlot(t *testing.T) {
 	if nv := int(m.td[Vertex].slots()); f.Coords != 24*nv {
 		t.Errorf("Coords = %d bytes for %d vertices, want 24 each", f.Coords, nv)
 	}
-	// A remote-copy link is a 16-byte record and nothing else.
-	var v Ent
+	// The first link of an interior vertex adds its entry and a record,
+	// the second a record; a foreign owner alone is an entry.
+	var v, w Ent
 	for v = range m.IterType(Vertex) {
 		break
 	}
-	m.SetRemote(v, 1, Ent{T: Vertex, I: 7})
-	if got := m.Footprint().Links - f.Links; got != 16 {
-		t.Errorf("one remote link added %d bytes, want 16", got)
+	w = Ent{T: Vertex, I: v.I + 1}
+	for i, step := range []struct {
+		do   func()
+		want int
+	}{
+		{func() { m.SetRemote(v, 1, Ent{T: Vertex, I: 7}) }, 24},
+		{func() { m.SetRemote(v, 2, Ent{T: Vertex, I: 8}) }, 12},
+		{func() { m.SetOwner(w, 3) }, 12},
+	} {
+		before := m.Footprint().Links
+		step.do()
+		if got := m.Footprint().Links - before; got != step.want {
+			t.Errorf("step %d added %d link bytes, want %d", i, got, step.want)
+		}
+	}
+}
+
+// TestReusedSlotIsInterior destroys entities that were on the part
+// boundary, owned elsewhere, flagged and classified, and checks that the
+// slots the free list hands out again read as fresh interior entities.
+func TestReusedSlotIsInterior(t *testing.T) {
+	m := newTestMesh()
+	m.SetPart(2)
+	var vs []Ent
+	for i := range 3 {
+		vs = append(vs, m.CreateVertex(gmi.Ref{Dim: 0, Tag: int32(i + 1)}, vec.V{X: float64(i)}))
+	}
+	m.SetRemote(vs[0], 1, vs[0])
+	m.SetRemote(vs[0], 4, vs[1])
+	m.SetOwner(vs[1], 1)
+	m.SetGhost(vs[1], true)
+	m.SetRemote(vs[2], 5, vs[2])
+	m.SetOwner(vs[2], 5)
+	for _, v := range vs {
+		m.Destroy(v)
+	}
+	for range vs {
+		v := m.CreateVertex(gmi.NoRef, vec.V{})
+		if !slices.Contains(vs, v) {
+			t.Fatalf("%v is not a reused slot", v)
+		}
+		if m.Owner(v) != m.Part() || !m.IsOwned(v) || m.Classification(v) != gmi.NoRef ||
+			m.HasRemotes(v) || m.NRemotes(v) != 0 || m.IsGhost(v) {
+			t.Errorf("reused %v: owner %d, classification %v, %d remotes, ghost %v; want an interior entity",
+				v, m.Owner(v), m.Classification(v), m.NRemotes(v), m.IsGhost(v))
+		}
+	}
+	if n := len(m.links[Vertex].entries); n != 0 {
+		t.Errorf("%d boundary entries left after every boundary vertex died", n)
+	}
+	if n := len(slices.Collect(m.PartBoundary(0))); n != 0 {
+		t.Errorf("PartBoundary(0) yields %d vertices, want none", n)
 	}
 }

@@ -11,6 +11,7 @@ import (
 	"strings"
 
 	"github.com/fastmath/pumi-go/internal/gmi"
+	"github.com/fastmath/pumi-go/internal/mesh"
 	"github.com/fastmath/pumi-go/internal/partition"
 	"github.com/fastmath/pumi-go/internal/pcu"
 )
@@ -207,20 +208,30 @@ func decodePart(data []byte, pid int32, model *gmi.Model, dim int) (*partition.P
 				arena = append(arena, int32(d.u32()))
 			}
 			vals := arena[start:len(arena):len(arena)]
-			if !slices.Contains(vals, owner) {
+			if !slices.Contains(vals, owner) || !slices.Contains(vals, pid) {
 				return nil, nil, fmt.Errorf("meshio: part %d: corrupt owner %d of gid %d, residence %v", pid, owner, gid, vals)
 			}
 			p.RestoreGid(e, gid)
-			m.SetOwner(e, owner)
 			if nres > 1 {
-				res = append(res, partition.Residence{E: e, Parts: vals})
+				res = append(res, partition.Residence{E: e, Owner: owner, Parts: vals})
 			} else {
-				arena = arena[:start]
+				arena = arena[:start] // on this part alone: interior, owned here
 			}
 		}
 	}
 	if len(d.b) != 0 {
 		return nil, nil, fmt.Errorf("meshio: part %d: %d trailing bytes", pid, len(d.b))
+	}
+	// The shared entities are the boundary table, sized once.
+	var shared [mesh.TypeCount]int
+	for _, r := range res {
+		shared[r.E.T]++
+	}
+	for t, n := range shared {
+		m.ReserveBoundary(mesh.Type(t), n)
+	}
+	for _, r := range res {
+		m.SetOwner(r.E, r.Owner)
 	}
 	return p, res, nil
 }

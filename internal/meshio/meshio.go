@@ -44,10 +44,13 @@ type dec struct {
 var zeros [8]byte
 
 // bytes consumes the next n bytes; the result aliases the input. A
-// short read returns zeros when n <= 8, else nil.
+// short read, or any read after an error, returns up to 8 zeros and
+// keeps the first error.
 func (d *dec) bytes(n int) []byte {
-	if d.err != nil || n > len(d.b) {
+	if d.err == nil && n > len(d.b) {
 		d.err = errTruncated
+	}
+	if d.err != nil {
 		return zeros[:min(n, 8)]
 	}
 	v := d.b[:n]
@@ -247,8 +250,14 @@ func appendClassif(b []byte, c gmi.Ref) []byte {
 	return le.AppendUint32(append(b, byte(c.Dim)), uint32(c.Tag))
 }
 
+// readClassif reads one classification. One the mesh cannot store fails
+// the decode and reads as gmi.NoRef (a failed read's zeros are storable).
 func readClassif(d *dec) gmi.Ref {
-	return gmi.Ref{Dim: int8(d.u8()), Tag: int32(d.u32())}
+	c := gmi.Ref{Dim: int8(d.u8()), Tag: int32(d.u32())}
+	if !mesh.Classifiable(c) {
+		d.err, c = fmt.Errorf("meshio: classification %v out of range", c), gmi.NoRef
+	}
+	return c
 }
 
 // SaveFile writes a mesh to the named file.
@@ -318,8 +327,7 @@ func ReadAssignment(r io.Reader) ([]int32, error) {
 func appendTags(b []byte, m *mesh.Mesh) []byte {
 	var movable []*ds.Tag
 	for _, t := range m.Tags.Tags() {
-		switch t.Kind {
-		case ds.TagInt, ds.TagFloat, ds.TagIntSlice, ds.TagFloatSlice, ds.TagBytes:
+		if t.Kind != ds.TagAny {
 			movable = append(movable, t)
 		}
 	}

@@ -138,6 +138,14 @@ func TestBadInputs(t *testing.T) {
 	if _, _, err := decodePart(part, 0, model.Model, 3); err == nil || !strings.Contains(err.Error(), want) {
 		t.Errorf("decodePart of a triangle with a repeated vertex returned %v, want an error holding %q", err, want)
 	}
+	// A classification the mesh cannot store: the first vertex's model
+	// dimension forged to 9.
+	badRef := bytes.Clone(buf.Bytes())
+	badRef[len(magicV2)+8+3*8] = 9
+	want = "meshio: classification g9d#"
+	if _, err := decodeMesh(badRef, model.Model); err == nil || !strings.HasPrefix(err.Error(), want) {
+		t.Errorf("decodeMesh of a vertex classified in dimension 9 returned %v, want an error starting %q", err, want)
+	}
 }
 
 // TestDecodeRejectsCountsPastMaxSlots forges the vertex count and an

@@ -205,7 +205,9 @@ func buildPlans(dm *partition.DMesh, loads [4][]float64, t int, higher []int, pr
 	dims := pri.Dims()
 	lesser := dims[slices.Index(dims, t)+1:]
 
-	var peers []int32 // remote-part scratch
+	var peers []int32                 // remote-part scratch
+	var closureBuf [64]mesh.Ent       // a cavity's dim-t closure
+	cand := make([]bool, dm.NParts()) // candidate destinations of the part at hand
 	for i, part := range dm.Parts {
 		m := part.M
 		self := m.Part()
@@ -217,7 +219,8 @@ func buildPlans(dm *partition.DMesh, loads [4][]float64, t int, higher []int, pr
 		need := myLoad - avg[t]
 		// Candidate parts: neighbors lightly loaded for t and for all
 		// lesser-priority dims (absolutely or relatively).
-		candidates := map[int32]bool{}
+		clear(cand)
+		ncand := 0
 		for _, q := range m.NeighborParts(0) {
 			ok := lightlyLoaded(loads, avg, t, q, self)
 			for _, l := range lesser {
@@ -227,10 +230,11 @@ func buildPlans(dm *partition.DMesh, loads [4][]float64, t int, higher []int, pr
 				}
 			}
 			if ok {
-				candidates[q] = true
+				cand[q] = true
+				ncand++
 			}
 		}
-		if len(candidates) == 0 {
+		if ncand == 0 {
 			continue
 		}
 		leaving := m.NewMarks()
@@ -265,7 +269,7 @@ func buildPlans(dm *partition.DMesh, loads [4][]float64, t int, higher []int, pr
 			var destLoad float64
 			peers = m.AppendRemoteParts(cav.Anchor, peers[:0])
 			for _, q := range peers {
-				if !candidates[q] {
+				if !cand[q] {
 					continue
 				}
 				load := loads[t][q] + arrivals[q][t]
@@ -286,7 +290,7 @@ func buildPlans(dm *partition.DMesh, loads [4][]float64, t int, higher []int, pr
 			// up to tolerance or to the current global peak, whichever
 			// is higher (the paper requires the guarded imbalance "is
 			// not increased", not that it is already met).
-			cl := cavityLoads(m, cav.Els, weight)
+			cl, closure := cavityLoads(m, cav.Els, weight, t, higher, closureBuf[:0])
 			blocked := false
 			for _, h := range higher {
 				limit := max(cfg.Tolerance*avg[h], maxLoad[h])
@@ -304,7 +308,7 @@ func buildPlans(dm *partition.DMesh, loads [4][]float64, t int, higher []int, pr
 			}
 			red := cl[t]
 			if t < dm.Dim {
-				red = float64(leavingCount(m, cav.Els, &leaving, t))
+				red = float64(leavingCount(m, closure, &leaving))
 			}
 			if red <= 0 {
 				// No reduction; undo.

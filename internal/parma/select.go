@@ -151,26 +151,33 @@ func selectByCavity(m *mesh.Mesh, dim, limit int) []Cavity {
 	return out
 }
 
-// cavityLoads returns the load the cavity carries to its destination,
-// per dimension: below D the number of distinct downward entities of
-// the elements (the upper bound on entities arriving with them), and in
-// the element row the element count or, with a weight, the elements'
-// total weight.
-func cavityLoads(m *mesh.Mesh, els []mesh.Ent, weight WeightFunc) [4]float64 {
-	var loads [4]float64
+// cavityLoads returns the load the cavity carries to its destination in
+// the rows buildPlans reads, t and the guarded dimensions: below D
+// the number of distinct downward entities of the elements (the upper
+// bound on entities arriving with them), and in the element row, always
+// filled, the element count or, with a weight, the elements' total
+// weight. It also returns the cavity's closure of dimension t appended
+// to buf, nil if t is D.
+func cavityLoads(m *mesh.Mesh, els []mesh.Ent, weight WeightFunc, t int, guarded []int, buf []mesh.Ent) (loads [4]float64, closure []mesh.Ent) {
 	d := m.Dim()
-	var buf [64]mesh.Ent
+	var scratch [64]mesh.Ent
 	for dd := 0; dd < d; dd++ {
-		loads[dd] = float64(len(closureOf(m, els, dd, buf[:0])))
+		switch {
+		case dd == t:
+			closure = closureOf(m, els, dd, buf)
+			loads[dd] = float64(len(closure))
+		case slices.Contains(guarded, dd):
+			loads[dd] = float64(len(closureOf(m, els, dd, scratch[:0])))
+		}
 	}
 	if weight == nil {
 		loads[d] = float64(len(els))
-		return loads
+		return loads, closure
 	}
 	for _, el := range els {
 		loads[d] += weight(m, el)
 	}
-	return loads
+	return loads, closure
 }
 
 // closureOf appends the distinct entities of dimension dim in the
@@ -184,15 +191,15 @@ func closureOf(m *mesh.Mesh, els []mesh.Ent, dim int, buf []mesh.Ent) []mesh.Ent
 	return slices.Compact(buf)
 }
 
-// leavingCount returns how many entities of dimension dim < D would
-// leave the part if the elements in `leaving` (a set including this
-// cavity) migrate: entities all of whose local adjacent elements are
-// leaving.
-func leavingCount(m *mesh.Mesh, cav []mesh.Ent, leaving *mesh.Marks, dim int) int {
+// leavingCount returns how many of a cavity's closure entities, of one
+// dimension below D, would leave the part if the elements in `leaving`
+// (a set including the cavity) migrate: entities all of whose local
+// adjacent elements are leaving.
+func leavingCount(m *mesh.Mesh, closure []mesh.Ent, leaving *mesh.Marks) int {
 	d := m.Dim()
 	n := 0
-	var buf, upBuf [64]mesh.Ent
-	for _, e := range closureOf(m, cav, dim, buf[:0]) {
+	var upBuf [64]mesh.Ent
+	for _, e := range closure {
 		all := true
 		for _, up := range m.AdjacentTo(e, d, upBuf[:0]) {
 			if !leaving.Has(up) {

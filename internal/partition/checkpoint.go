@@ -34,10 +34,11 @@ func (p *Part) RestoreFreshCounter(v int64) { p.counter = v }
 // Checkpoints exclude ghost state; callers remove ghosts before saving.
 func (p *Part) HasGhosts() bool { return p.nGhosts > 0 }
 
-// Residence is one shared entity's multi-part residence set, as a
-// checkpoint stores it.
+// Residence is one shared entity's owner and multi-part residence set,
+// as a checkpoint stores them.
 type Residence struct {
 	E     mesh.Ent
+	Owner int32
 	Parts []int32
 }
 

@@ -2,7 +2,7 @@ package partition
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 
 	"github.com/fastmath/pumi-go/internal/ds"
@@ -55,83 +55,67 @@ func (pm *PtnModel) String() string {
 
 // BuildPtnModel constructs the partition model of the distributed mesh
 // (collective; every rank receives the same model). Counts tally each
-// mesh entity once, at its owner.
+// mesh entity once, at its owner. An entity off the part boundary (and
+// no ghost) resides on its own part alone, so a part is counted by its
+// boundary walk and its live tallies.
 func BuildPtnModel(dm *DMesh) *PtnModel {
-	type classInfo struct {
-		res   ds.IntSet
-		count int64
-	}
-	local := map[string]*classInfo{}
+	local := map[string]*PtnEnt{}
+	var res []int32
 	for _, part := range dm.Parts {
 		m := part.M
 		for d := 0; d <= dm.Dim; d++ {
-			for e := range m.Iter(d) {
-				if m.IsGhost(e) || !m.IsOwned(e) {
-					continue
+			interior := part.Count(d)
+			for e := range m.PartBoundary(d) {
+				interior--
+				if m.IsOwned(e) {
+					res = m.AppendResidence(e, res[:0])
+					addClass(local, ds.NewIntSet(res...), 1)
 				}
-				res := m.Residence(e)
-				key := res.Key()
-				ci := local[key]
-				if ci == nil {
-					ci = &classInfo{res: res}
-					local[key] = ci
-				}
-				ci.count++
 			}
+			addClass(local, ds.NewIntSet(m.Part()), interior)
 		}
 	}
 	// Serialize local classes and gather them everywhere.
 	var b pcu.Buffer
-	keys := make([]string, 0, len(local))
-	for k := range local {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
+	keys := sortedKeys(local)
 	b.Int32(int32(len(keys)))
 	for _, k := range keys {
-		ci := local[k]
-		b.Int32s(ci.res.Values())
-		b.Int64(ci.count)
+		b.Int32s(local[k].Residence.Values())
+		b.Int64(local[k].Count)
 	}
-	blobs := pcu.Allgather(dm.Ctx, b.Raw())
-	merged := map[string]*classInfo{}
-	for _, blob := range blobs {
+	merged := map[string]*PtnEnt{}
+	for _, blob := range pcu.Allgather(dm.Ctx, b.Raw()) {
 		r := pcu.NewReader(blob)
-		n := int(r.Int32())
-		for i := 0; i < n; i++ {
+		for n := r.Int32(); n > 0; n-- {
 			res := ds.NewIntSet(r.Int32s()...)
-			count := r.Int64()
-			key := res.Key()
-			ci := merged[key]
-			if ci == nil {
-				ci = &classInfo{res: res}
-				merged[key] = ci
-			}
-			ci.count += count
+			addClass(merged, res, r.Int64())
 		}
 		r.Done()
 	}
-	mkeys := make([]string, 0, len(merged))
-	for k := range merged {
-		mkeys = append(mkeys, k)
-	}
-	sort.Strings(mkeys)
-	pm := &PtnModel{byKey: map[string]*PtnEnt{}, dim: dm.Dim}
-	for i, k := range mkeys {
-		ci := merged[k]
-		d := dm.Dim - (ci.res.Len() - 1)
-		if d < 0 {
-			d = 0
-		}
-		pe := &PtnEnt{
-			ID:        i,
-			Dim:       d,
-			Residence: ci.res,
-			Owner:     ci.res.Min(),
-			Count:     ci.count,
-		}
+	pm := &PtnModel{byKey: merged, dim: dm.Dim}
+	for _, k := range sortedKeys(merged) {
+		pe := merged[k]
+		pe.ID, pe.Owner = len(pm.Ents), pe.Residence.Min()
+		pe.Dim = max(0, dm.Dim-(pe.Residence.Len()-1))
 		pm.Ents = append(pm.Ents, pe)
-		pm.byKey[k] = pe
 	}
 	return pm
+}
+
+func sortedKeys(classes map[string]*PtnEnt) []string {
+	keys := make([]string, 0, len(classes))
+	for k := range classes {
+		keys = append(keys, k)
+	}
+	slices.Sort(keys)
+	return keys
+}
+
+// addClass adds n entities to the class of residence res.
+func addClass(classes map[string]*PtnEnt, res ds.IntSet, n int64) {
+	if pe := classes[res.Key()]; pe != nil {
+		pe.Count += n
+	} else if n > 0 {
+		classes[res.Key()] = &PtnEnt{Residence: res, Count: n}
+	}
 }

@@ -106,6 +106,9 @@ func migrationStorm(t *testing.T, ranks, k int) string {
 			if err := Verify(dm); err != nil {
 				return fmt.Errorf("round %d: %w", round, err)
 			}
+			if err := checkBoundaryTable(dm); err != nil {
+				return fmt.Errorf("round %d: %w", round, err)
+			}
 			for d := 0; d <= 3; d++ {
 				if got := GlobalCount(dm, d); got != wantCounts[d] {
 					return fmt.Errorf("round %d dim %d: count %d, want %d", round, d, got, wantCounts[d])
@@ -147,6 +150,52 @@ func migrationStorm(t *testing.T, ranks, k int) string {
 		t.Fatalf("%d ranks x %d parts: %v", ranks, k, err)
 	}
 	return state
+}
+
+// checkBoundaryTable holds every part's boundary table to what it
+// stands for, entity by entity: per dimension, PartBoundary yields the
+// entities of Iter that have remote copies and are not ghosts, in Iter
+// order, and NeighborParts is the sorted union of their remote parts. A
+// shared entity is owned by the lowest part of its residence — the owner
+// every migration restitches — a ghost by another part, any other
+// entity by its own part; IsOwned agrees with Owner.
+func checkBoundaryTable(dm *DMesh) error {
+	var want, got []mesh.Ent
+	var parts, res []int32
+	for _, part := range dm.Parts {
+		m := part.M
+		for d := 0; d <= dm.Dim; d++ {
+			want, parts = want[:0], parts[:0]
+			for e := range m.Iter(d) {
+				owner := m.Owner(e)
+				if m.IsOwned(e) != (owner == m.Part()) {
+					return fmt.Errorf("part %d: %v owned by %d, IsOwned %v", m.Part(), e, owner, m.IsOwned(e))
+				}
+				switch {
+				case m.IsGhost(e):
+					if owner == m.Part() {
+						return fmt.Errorf("part %d: ghost %v owned here", m.Part(), e)
+					}
+				case m.HasRemotes(e):
+					want = append(want, e)
+					parts = m.AppendRemoteParts(e, parts)
+					if res = m.AppendResidence(e, res[:0]); owner != res[0] {
+						return fmt.Errorf("part %d: shared %v owned by %d, residence %v", m.Part(), e, owner, res)
+					}
+				case owner != m.Part():
+					return fmt.Errorf("part %d: interior %v owned by %d", m.Part(), e, owner)
+				}
+			}
+			if got = slices.AppendSeq(got[:0], m.PartBoundary(d)); !slices.Equal(got, want) {
+				return fmt.Errorf("part %d dim %d: PartBoundary yields %v, the filtered Iter %v", m.Part(), d, got, want)
+			}
+			slices.Sort(parts)
+			if parts = slices.Compact(parts); !slices.Equal(m.NeighborParts(d), parts) {
+				return fmt.Errorf("part %d dim %d: NeighborParts %v, recomputed %v", m.Part(), d, m.NeighborParts(d), parts)
+			}
+		}
+	}
+	return nil
 }
 
 // globalVolume sums owned element volumes over all ranks.
@@ -204,7 +253,13 @@ func TestRandomMigrationWithGhostCycles(t *testing.T) {
 		rng := xorshift(42 + uint64(ctx.Rank()))
 		for round := 0; round < 5; round++ {
 			Ghost(dm, round%2*2, 1) // alternate vertex- and face-bridged
+			if err := checkBoundaryTable(dm); err != nil {
+				return fmt.Errorf("round %d, ghosted: %w", round, err)
+			}
 			RemoveGhosts(dm)
+			if err := checkBoundaryTable(dm); err != nil {
+				return fmt.Errorf("round %d, ghosts removed: %w", round, err)
+			}
 			plans := make([]Plan, len(dm.Parts))
 			for i, part := range dm.Parts {
 				plans[i] = Plan{}

@@ -111,14 +111,16 @@ func GatherBoundaryTraffic(dm *DMesh, dim int) BoundaryTraffic {
 
 // GlobalCount returns the number of distinct entities of the given
 // dimension across the whole distributed mesh (each shared entity
-// counted once, at its owner; ghosts excluded). Collective.
+// counted once, at its owner; ghosts excluded). Collective. Off the
+// part boundary every live non-ghost entity is owned by its part, so
+// only the boundary is walked.
 func GlobalCount(dm *DMesh, dim int) int64 {
 	var owned int64
 	for _, part := range dm.Parts {
-		m := part.M
-		for e := range m.Iter(dim) {
-			if !m.IsGhost(e) && m.IsOwned(e) {
-				owned++
+		owned += part.Count(dim)
+		for e := range part.M.PartBoundary(dim) {
+			if !part.M.IsOwned(e) {
+				owned--
 			}
 		}
 	}

@@ -18,8 +18,7 @@ import (
 func movableTags(m *mesh.Mesh) []*ds.Tag {
 	var movable []*ds.Tag
 	for _, t := range m.Tags.Tags() {
-		switch t.Kind {
-		case ds.TagInt, ds.TagFloat, ds.TagIntSlice, ds.TagFloatSlice, ds.TagBytes:
+		if t.Kind != ds.TagAny {
 			movable = append(movable, t)
 		}
 	}

@@ -83,11 +83,9 @@ func (v *verifier) linkable(p, q int32) bool {
 func (v *verifier) sweep(m *mesh.Mesh) {
 	v.dm.Ctx.Count("mesh.consistency-checks", 1)
 	v.record(m.CheckConsistency())
-	for el := range m.Elements() {
-		if m.IsShared(el) {
-			v.record(fmt.Errorf("partition: element %v on part %d is shared", el, m.Part()))
-			break
-		}
+	for el := range m.PartBoundary(v.dm.Dim) {
+		v.record(fmt.Errorf("partition: element %v on part %d is shared", el, m.Part()))
+		break
 	}
 	p := m.Part()
 	var down []mesh.Ent
