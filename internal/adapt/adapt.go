@@ -201,16 +201,23 @@ type cand struct {
 
 // eachLong calls yield, in iteration order, for every edge longer than
 // the size field's split threshold, with its relative length. Ghosts are
-// skipped, and with sharedOnly so is every edge off the part boundary,
-// before anything is measured.
+// skipped; with sharedOnly the walk is the part boundary's, which holds
+// the shared edges in the same order.
 func eachLong(m *mesh.Mesh, size SizeField, sharedOnly bool, yield func(e mesh.Ent, rel float64)) {
-	for e := range m.Iter(1) {
-		if sharedOnly && !m.IsShared(e) || m.IsGhost(e) {
-			continue
-		}
-		l := m.Measure(e)
-		if h := size(m.Centroid(e)); h > 0 && l > splitFactor*h {
+	long := func(e mesh.Ent) {
+		if l, h := m.Measure(e), size(m.Centroid(e)); h > 0 && l > splitFactor*h {
 			yield(e, l/h)
+		}
+	}
+	if sharedOnly {
+		for e := range m.PartBoundary(1) {
+			long(e)
+		}
+		return
+	}
+	for e := range m.Iter(1) {
+		if !m.IsGhost(e) {
+			long(e)
 		}
 	}
 }

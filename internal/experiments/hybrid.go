@@ -93,7 +93,7 @@ func timedExchange(workers int, topo hwtopo.Topology, cfg HybridConfig) (float64
 			got := 0
 			for _, m := range msgs {
 				for !m.Data.Empty() {
-					b := m.Data.BytesVal()
+					b := m.Data.BytesNoCopy()
 					if len(b) != cfg.MsgBytes {
 						return fmt.Errorf("hybrid: short message %d", len(b))
 					}

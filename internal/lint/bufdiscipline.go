@@ -9,8 +9,8 @@ import (
 // BufDiscipline enforces the packing/reading discipline of a pcu
 // communication phase:
 //
-//   - A buffer obtained from c.To(peer) (or a partition phase's
-//     to(from, to)) belongs to the phase it was created in. Writing to
+//   - A buffer obtained from c.To(peer) (or the window a partition
+//     phase's to(from, to) hands out) belongs to its phase. Writing to
 //     it after a subsequent Exchange() in the same function packs data
 //     into a buffer that has already been delivered and discarded.
 //   - A *pcu.Reader obtained in a function (from a received Message's
@@ -31,7 +31,7 @@ var BufDiscipline = &Analyzer{
 
 var decodeMethods = map[string]bool{
 	"Byte": true, "Int32": true, "Int64": true, "Float64": true,
-	"Bytes": true, "BytesVal": true, "BytesNoCopy": true,
+	"Bytes": true, "BytesNoCopy": true,
 	"Int32s": true, "Int64s": true, "Float64s": true,
 	"AppendInt32s": true, "AppendInt64s": true, "AppendFloat64s": true,
 }
@@ -40,20 +40,18 @@ var finalizeMethods = map[string]bool{
 	"Empty": true, "Remaining": true, "Done": true,
 }
 
-// packMethods includes Reset and Grow: resetting or reserving a phase
-// buffer after Exchange is the same bug as writing to it — the backing
-// array belongs to the receiver (on-node) or the pool.
+// packMethods includes Reset, Grow and Window: resetting, reserving or
+// windowing a phase buffer after Exchange is the same bug as writing to
+// it — the backing array belongs to the receiver (on-node) or the pool.
 var packMethods = map[string]bool{
 	"Byte": true, "Int32": true, "Int64": true, "Float64": true,
 	"Bytes": true, "Int32s": true, "Int64s": true, "Float64s": true,
-	"Reset": true, "Grow": true, "SetInt32": true,
+	"Reset": true, "Grow": true, "SetInt32": true, "Window": true,
 }
 
 // aliasMethods decode a slice that aliases the message's backing array;
 // on a pooled reader such slices die when Done recycles the array.
-var aliasMethods = map[string]bool{
-	"BytesVal": true, "BytesNoCopy": true,
-}
+var aliasMethods = map[string]bool{"BytesNoCopy": true}
 
 func runBufDiscipline(p *Pass) {
 	for _, file := range p.Files {

@@ -635,16 +635,3 @@ func calleeFunc(info *types.Info, call *ast.CallExpr) *types.Func {
 	}
 	return nil
 }
-
-// methodRecvType returns the receiver expression's type for a method
-// call, or nil for plain function calls.
-func methodRecvType(info *types.Info, call *ast.CallExpr) types.Type {
-	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
-	if !ok {
-		return nil
-	}
-	if s, ok := info.Selections[sel]; ok && (s.Kind() == types.MethodVal || s.Kind() == types.MethodExpr) {
-		return info.TypeOf(sel.X)
-	}
-	return nil
-}

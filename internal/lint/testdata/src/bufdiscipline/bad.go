@@ -44,7 +44,7 @@ func badUncheckedBulk(c *pcu.Ctx) {
 func badAliasPastDone(c *pcu.Ctx) byte {
 	var last byte
 	for _, m := range c.Exchange() {
-		v := m.Data.BytesVal()
+		v := m.Data.BytesNoCopy()
 		m.Data.Done()
 		last = v[0] // want `recycled by Done`
 	}

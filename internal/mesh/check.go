@@ -13,7 +13,8 @@ import "fmt"
 //   - every region's faces form a closed shell (each edge of the region
 //     bounds exactly two of its faces);
 //   - classification, when a model is attached, resolves to a model
-//     entity of dimension >= the entity's dimension.
+//     entity of dimension >= the entity's dimension;
+//   - no ghost carries remote-copy links.
 //
 // The up/down symmetry check is linear in the mesh size: a first sweep
 // counts the downward references each entity receives, a second walks
@@ -96,6 +97,9 @@ func (m *Mesh) checkEntityLocal(e Ent) error {
 		if err := m.checkRegionShell(e); err != nil {
 			return err
 		}
+	}
+	if m.IsGhost(e) && m.HasRemotes(e) {
+		return fmt.Errorf("mesh: ghost %v has remote-copy links", e)
 	}
 	if m.model != nil {
 		c := m.Classification(e)

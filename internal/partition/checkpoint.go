@@ -56,14 +56,10 @@ func Assemble(ctx *pcu.Ctx, model *gmi.Model, dim, k int, parts []*Part, res [][
 	}
 	dm := &DMesh{Ctx: ctx, Model: model, Dim: dim, K: k, Parts: parts}
 	ph := dm.beginPhase()
-	for i, part := range parts {
-		self := part.M.Part()
-		for _, r := range res[i] {
-			for _, q := range r.Parts {
-				if q == self {
-					continue
-				}
-				packStitch(ph.to(self, q), part, r.E)
+	for _, packing := range [2]bool{false, true} {
+		for i, part := range parts {
+			for _, r := range res[i] {
+				ph.stitch(part, r.E, r.Parts, packing)
 			}
 		}
 	}

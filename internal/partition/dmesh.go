@@ -50,8 +50,8 @@ type Part struct {
 
 func newPart(m *mesh.Mesh) *Part {
 	p := &Part{M: m}
-	for t := range p.gids {
-		p.reserve(mesh.Type(t), 0) // an adopted or restored mesh: one gid per slot it has
+	for t := range p.gids { // an adopted or restored mesh: one gid per slot it has
+		p.gids[t] = slices.Grow(p.gids[t], m.Reserve(mesh.Type(t), 0))
 	}
 	m.OnDestroy(func(e mesh.Ent) { p.dropGid(e) })
 	m.OnCreate(func(e mesh.Ent) { p.setGid(e, p.freshGid()) })
@@ -115,10 +115,11 @@ func (p *Part) setGid(e mesh.Ent, gid int64) {
 	x.insert(&p.gids, e)
 }
 
-// reserve makes room for n more type-t entities in the mesh and gid column.
+// reserve makes room for n more type-t entities: mesh, gids, resIdx.
 func (p *Part) reserve(t mesh.Type, n int) {
 	slots := p.M.Reserve(t, n)
 	p.gids[t] = slices.Grow(p.gids[t], max(0, slots-len(p.gids[t])))
+	p.resIdx[t] = slices.Grow(p.resIdx[t], max(0, slots-len(p.resIdx[t])))
 }
 
 func (p *Part) dropGid(e mesh.Ent) {
@@ -251,85 +252,86 @@ func (dm *DMesh) LocalPart(part int32) *Part {
 	return dm.Parts[int(part)-r*dm.K]
 }
 
-// partWriter accumulates one part-to-part payload.
-type partWriter struct {
-	from, to int32
-	buf      pcu.Buffer
+// phase lays out the part-to-part messages of one call. In each round
+// every sender counts the payload bytes of each (from, to) pair, then
+// packs each pair into the window to hands out, over the bytes its rank
+// buffer sends: every byte is written once. Nothing outlives the call.
+type phase struct {
+	dm *DMesh
+	// slot is, per (local part, part) pair, the payload bytes counted
+	// this round; once laid out, 1 + the pair's index in wins.
+	slot []int32
+	wins []window
+	laid bool
+	need []int     // per destination rank, the bytes laid out this round
+	out  []partMsg // what exchange delivered, reused round to round
 }
 
-// phase batches part-to-part messages. One phase serves every exchange
-// of a call: a pair's writer, once made, stays in writers — sorted by
-// (from, to), the order exchange sends in — and the call's later
-// exchanges pack into the same array. Nothing outlives the call.
-type phase struct {
-	dm      *DMesh
-	writers []partWriter
-	// need is, per destination rank, the bytes the next exchange is known
-	// to send there; rankBuf reserves them at the first write.
-	need []int
-	// pairNeed is, per destination part, the bytes one local part is
-	// about to pack there; reserve spends it.
-	pairNeed []int
+// window is one pair's payload as laid out, its count and its slot.
+type window struct {
+	b       pcu.Buffer
+	pair, n int32
 }
 
 // beginPhase starts the part-addressed communication of one call.
 func (dm *DMesh) beginPhase() *phase {
-	return &phase{dm: dm, need: make([]int, dm.Ctx.Size()), pairNeed: make([]int, dm.NParts())}
+	return &phase{dm: dm, slot: make([]int32, len(dm.Parts)*dm.NParts()), need: make([]int, dm.Ctx.Size())}
 }
 
-// to returns the buffer for messages from one local part to any part
-// (local or remote) in the next exchange; a pair nothing is packed for
-// sends nothing. The pointer is good until the next call: a new pair
-// moves the writers.
-func (ph *phase) to(fromPart, toPart int32) *pcu.Buffer {
-	i, ok := slices.BinarySearchFunc(ph.writers, [2]int32{fromPart, toPart},
-		func(w partWriter, k [2]int32) int {
-			return cmp.Or(cmp.Compare(w.from, k[0]), cmp.Compare(w.to, k[1]))
-		})
-	if !ok {
-		ph.writers = slices.Insert(ph.writers, i, partWriter{from: fromPart, to: toPart})
+// count adds n payload bytes to this round's message from local part
+// from to part to; a pair that counts nothing sends nothing.
+func (ph *phase) count(from, to int32, n int) {
+	if ph.laid {
+		panic(fmt.Sprintf("partition: part %d counts for part %d after the round was laid out", from, to))
 	}
-	return &ph.writers[i].buf
+	ph.slot[ph.dm.localIndex(from)*ph.dm.NParts()+int(to)] += int32(n)
 }
 
-// reserve grows the buffer from part from to every other part q by
-// pairNeed[q] bytes, so that a sender that counted its records first
-// packs each pair into one array, and zeroes pairNeed for the next part.
-func (ph *phase) reserve(from int32) {
-	for q, n := range ph.pairNeed {
-		if n > 0 && int32(q) != from {
-			ph.to(from, int32(q)).Grow(n)
+// to returns the window the pair from, to packs exactly its count into,
+// laying the round out on the round's first call.
+func (ph *phase) to(from, to int32) *pcu.Buffer {
+	if !ph.laid {
+		ph.layout()
+	}
+	s := ph.slot[ph.dm.localIndex(from)*ph.dm.NParts()+int(to)]
+	if s == 0 {
+		panic(fmt.Sprintf("partition: part %d packs for part %d, which it counted no bytes for", from, to))
+	}
+	return &ph.wins[s-1].b
+}
+
+// layout reserves each destination rank's buffer once, at the sum of
+// its messages, and writes their 12-byte headers (from, to, length) in
+// (from, to) order, each payload's window after its header.
+func (ph *phase) layout() {
+	dm, np := ph.dm, ph.dm.NParts()
+	pairs := 0
+	for i, n := range ph.slot {
+		if n > 0 {
+			ph.need[dm.RankOf(int32(i%np))] += 12 + int(n)
+			pairs++
 		}
-		ph.pairNeed[q] = 0
 	}
-}
-
-// rankBuf returns the next exchange's buffer to rank r, reserved on
-// first use at need[r].
-func (ph *phase) rankBuf(r int) *pcu.Buffer {
-	b := ph.dm.Ctx.To(r)
-	b.Grow(ph.need[r])
-	ph.need[r] = 0
-	return b
-}
-
-// plan counts a message of size payload bytes to part to into the next
-// exchange's reservation for to's rank: plan and write are how a bulk
-// sender ships with no pair buffer for exchange to copy.
-func (ph *phase) plan(to int32, size int) { ph.need[ph.dm.RankOf(to)] += 12 + size }
-
-// write frames one planned message — from, to, then a length patched in
-// place — straight into the rank buffer, pack filling the payload. A
-// round writes its messages once all are planned, in (from, to) order,
-// the order exchange sends pair buffers in.
-func (ph *phase) write(from, to int32, pack func(*pcu.Buffer)) {
-	b := ph.rankBuf(ph.dm.RankOf(to))
-	b.Int32(from)
-	b.Int32(to)
-	at := b.Len()
-	b.Int32(0)
-	pack(b)
-	b.SetInt32(at, int32(b.Len()-at-4))
+	for r, n := range ph.need {
+		if n > 0 {
+			dm.Ctx.To(r).Grow(n)
+		}
+	}
+	ph.wins = slices.Grow(ph.wins[:0], pairs)
+	base := dm.Ctx.Rank() * dm.K
+	for i, n := range ph.slot {
+		if n <= 0 {
+			continue
+		}
+		from, to := int32(base+i/np), int32(i%np)
+		b := dm.Ctx.To(dm.RankOf(to))
+		b.Int32(from)
+		b.Int32(to)
+		b.Int32(n)
+		ph.wins = append(ph.wins, window{b: b.Window(int(n)), pair: int32(i), n: n})
+		ph.slot[i] = int32(len(ph.wins))
+	}
+	ph.laid = true
 }
 
 // partMsg is one received part-to-part payload.
@@ -338,43 +340,56 @@ type partMsg struct {
 	Data     pcu.Reader
 }
 
-// exchange delivers the messages packed since the last exchange and
-// returns those addressed to this rank's parts, sorted by (To, From);
-// the phase is then ready for the next round. Collective across ranks.
+// phaseTap, nil outside tests, sees every exchange of every phase twice:
+// laid out and packed, then delivered, with what it delivered here.
+var phaseTap func(ph *phase, got []partMsg, delivered bool)
+
+// exchange delivers the round's messages and returns those addressed to
+// this rank's parts, sorted by (To, From), valid until the next exchange
+// (collective). A window not holding exactly its count panics, naming
+// the pair, before anything is sent.
 //
-// Each rank buffer is reserved once, at the sum of its pairs' 12-byte
-// headers and payloads plus what was planned for it (plan, write).
-// The rank-level Messages are deliberately never
-// Done: that would park their arrays in Ctx's free list, which after a
-// bulk migration pins about 2.5 MB per rank (+160 B live per element on
+// The rank-level Messages are deliberately never Done: that would park
+// their arrays in Ctx's free list, which after a bulk migration pins
+// about 2.5 MB per rank (+160 B live per element on
 // repartition-vessel16). The returned payloads alias them.
 func (ph *phase) exchange() []partMsg {
-	dm := ph.dm
-	for _, w := range ph.writers {
-		if w.buf.Len() > 0 {
-			ph.need[dm.RankOf(w.to)] += 12 + w.buf.Len()
+	dm, np := ph.dm, ph.dm.NParts()
+	if !ph.laid {
+		ph.layout()
+	}
+	for _, w := range ph.wins {
+		if w.b.Len() != int(w.n) {
+			panic(fmt.Sprintf("partition: part %d packed %d bytes for part %d, counted %d",
+				dm.Ctx.Rank()*dm.K+int(w.pair)/np, w.b.Len(), int(w.pair)%np, w.n))
 		}
 	}
-	for i := range ph.writers {
-		w := &ph.writers[i]
-		if w.buf.Len() == 0 {
-			continue
-		}
-		b := ph.rankBuf(dm.RankOf(w.to))
-		b.Int32(w.from)
-		b.Int32(w.to)
-		b.Bytes(w.buf.Raw())
-		w.buf.Reset()
+	if phaseTap != nil {
+		phaseTap(ph, nil, false)
 	}
-	var out []partMsg
-	for _, m := range dm.Ctx.Exchange() {
+	msgs, n := dm.Ctx.Exchange(), 0 // n counts the messages: out grows once
+	for _, m := range msgs {
+		for r := *m.Data; !r.Empty(); n++ {
+			r.Advance(8)
+			r.BytesNoCopy()
+		}
+	}
+	out := slices.Grow(ph.out[:0], n)
+	for _, m := range msgs {
 		for !m.Data.Empty() {
 			out = append(out, partMsg{From: m.Data.Int32(), To: m.Data.Int32()})
-			out[len(out)-1].Data.Reset(m.Data.BytesVal())
+			out[len(out)-1].Data.Reset(m.Data.BytesNoCopy())
 		}
 	}
 	slices.SortStableFunc(out, func(a, b partMsg) int {
 		return cmp.Or(cmp.Compare(a.To, b.To), cmp.Compare(a.From, b.From))
 	})
+	if phaseTap != nil {
+		phaseTap(ph, out, true)
+	}
+	ph.out = out
+	clear(ph.slot)
+	clear(ph.need)
+	ph.wins, ph.laid = ph.wins[:0], false
 	return out
 }

@@ -27,10 +27,6 @@ import (
 // entity shared with part q is copied to q. Newly created entities are
 // flagged as ghosts; entities the receiver already holds are untouched.
 // Element ghosts record their home part for tag synchronization.
-//
-// Both rounds ship like a migration: every (part, peer) message is
-// counted, tag values included, before any is written, so that each
-// rank buffer is reserved once at its exact size and written once.
 func Ghost(dm *DMesh, bridgeDim, layers int) {
 	defer dm.Ctx.Span("partition.ghost").End()
 	if bridgeDim < 0 || bridgeDim >= dm.Dim {
@@ -43,8 +39,7 @@ func Ghost(dm *DMesh, bridgeDim, layers int) {
 	ships := planGhosts(ph, bridgeDim, layers)
 	writeGhosts(ph, ships)
 	receiveGhosts(dm, ph.exchange())
-	links := planLinks(ph)
-	writeLinks(ph, links)
+	sendLinks(ph)
 	receiveLinks(dm, ph.exchange())
 	// ghostsOf/ghostHome changed without a mesh mutation on the sending
 	// side, so the epoch vector alone cannot catch it: drop the plan.
@@ -129,7 +124,7 @@ func planGhosts(ph *phase, bridgeDim, layers int) []ghostShip {
 			for _, w := range r.els {
 				size += recordSize(m, movable, moveEnt(w), 4) + 5
 			}
-			ph.plan(r.to, size)
+			ph.count(m.Part(), r.to, size)
 		}
 		ships[li] = ghostShip{movable: movable, runs: runs}
 	}
@@ -170,14 +165,13 @@ func writeGhosts(ph *phase, ships []ghostShip) {
 	for li, part := range ph.dm.Parts {
 		m, sh := part.M, &ships[li]
 		for _, r := range sh.runs {
-			ph.write(m.Part(), r.to, func(b *pcu.Buffer) {
-				packRecords(b, part, ph.dm.Dim, sh.movable, r.closure, r.els,
-					func(e mesh.Ent) { b.Int32(m.Owner(e)) },
-					func(el mesh.Ent) {
-						b.Byte(byte(el.T))
-						b.Int32(el.I)
-					})
-			})
+			b := ph.to(m.Part(), r.to)
+			packRecords(b, part, ph.dm.Dim, sh.movable, r.closure, r.els,
+				func(e mesh.Ent) { b.Int32(m.Owner(e)) },
+				func(el mesh.Ent) {
+					b.Byte(byte(el.T))
+					b.Int32(el.I)
+				})
 		}
 	}
 }
@@ -231,13 +225,12 @@ func unpackGhosts(dm *DMesh, part *Part, msg *partMsg, arrived []ghostArrival) [
 	return arrived
 }
 
-// Back-links: each receiver tells the sender where its element ghosts
-// live, so owners can push tag data. Every ghost a part holds, from this
-// call or an earlier one, sends its link: the links a part receives are
-// its whole ghostsOf. planLinks sorts each part's ghosts into a run per
-// home part, home<<32 | ghost, and counts the 10-byte records;
-// writeLinks writes them.
-func planLinks(ph *phase) [][]uint64 {
+// sendLinks packs the back links: each receiver tells the sender where
+// its element ghosts live, so owners can push tag data. Every ghost a
+// part holds, from this call or an earlier one, sends its link: the
+// links a part receives are its whole ghostsOf. Each part's ghosts sort
+// into a run per home part, home<<32 | ghost, of 10-byte records.
+func sendLinks(ph *phase) {
 	links := make([][]uint64, len(ph.dm.Parts))
 	for li, part := range ph.dm.Parts {
 		keys := make([]uint64, 0, len(part.ghostHome))
@@ -245,32 +238,27 @@ func planLinks(ph *phase) [][]uint64 {
 			keys = append(keys, uint64(home.Part)<<32|uint64(g.Pack()))
 		}
 		slices.Sort(keys)
-		for lo := 0; lo < len(keys); {
-			q, hi := destRun(keys, lo)
-			ph.plan(q, 10*(hi-lo))
-			lo = hi
-		}
 		links[li] = keys
 	}
-	return links
-}
-
-func writeLinks(ph *phase, links [][]uint64) {
-	for li, part := range ph.dm.Parts {
-		keys := links[li]
-		for lo := 0; lo < len(keys); {
-			q, hi := destRun(keys, lo)
-			ph.write(part.M.Part(), q, func(b *pcu.Buffer) {
-				for _, k := range keys[lo:hi] {
-					g := moveEnt(k)
+	for _, packing := range [2]bool{false, true} {
+		for li, part := range ph.dm.Parts {
+			keys := links[li]
+			for lo := 0; lo < len(keys); {
+				q, hi := destRun(keys, lo)
+				if !packing {
+					ph.count(part.M.Part(), q, 10*(hi-lo))
+					lo = hi
+					continue
+				}
+				for b := ph.to(part.M.Part(), q); lo < hi; lo++ {
+					g := moveEnt(keys[lo])
 					home := part.ghostHome[g].Ent
 					b.Byte(byte(home.T))
 					b.Int32(home.I)
 					b.Byte(byte(g.T))
 					b.Int32(g.I)
 				}
-			})
-			lo = hi
+			}
 		}
 	}
 }

@@ -313,14 +313,14 @@ func TestPtnModelAccessors(t *testing.T) {
 	}
 }
 
-// TestGhostShipmentSizedOnce runs Ghost's two rounds with a tap between
-// writing and delivery (the sequence Ghost runs — keep the two in step)
-// on a mesh whose elements carry int, float-slice and bytes tag values,
-// on every other element: each rank buffer holds exactly the bytes
-// counted for it, in the one array its reservation made, and every
-// ghost decodes its home's values.
+// TestGhostShipmentSizedOnce runs Ghost, its two rounds tapped between
+// packing and delivery, on a mesh whose elements carry int, float-slice
+// and bytes tag values, on every other element: each rank buffer holds
+// exactly the bytes counted for it, in the one array its reservation
+// made, and every ghost decodes its home's values.
 func TestGhostShipmentSizedOnce(t *testing.T) {
 	for _, layers := range []int{1, 2} {
+		sz := tapSizing(t, 2)
 		err := pcu.Run(2, func(ctx *pcu.Ctx) error {
 			model := gmi.Box(4, 1, 1)
 			dm := distributeByX(ctx, model.Model, func() *mesh.Mesh {
@@ -343,34 +343,7 @@ func TestGhostShipmentSizedOnce(t *testing.T) {
 					}
 				}
 			}
-			// tap returns what the round wrote to each rank, nil where
-			// nothing went.
-			tap := func(need []int) [][]byte {
-				sent := make([][]byte, len(need))
-				for r, n := range need {
-					if n > 0 {
-						sent[r] = ctx.To(r).Raw()
-					}
-				}
-				return sent
-			}
-			ph := dm.beginPhase()
-			ships := planGhosts(ph, 2, layers)
-			need := slices.Clone(ph.need)
-			writeGhosts(ph, ships)
-			if err := sizedOnce(tap(need), need); err != nil {
-				return fmt.Errorf("elements: %v", err)
-			}
-			receiveGhosts(dm, ph.exchange())
-			links := planLinks(ph)
-			need = slices.Clone(ph.need)
-			writeLinks(ph, links)
-			if err := sizedOnce(tap(need), need); err != nil {
-				return fmt.Errorf("back links: %v", err)
-			}
-			receiveLinks(dm, ph.exchange())
-			delete(dm.plans, ghostKey)
-
+			Ghost(dm, 2, layers)
 			ghosts := 0
 			for _, part := range dm.Parts {
 				m := part.M
@@ -403,6 +376,10 @@ func TestGhostShipmentSizedOnce(t *testing.T) {
 			return Verify(dm)
 		})
 		if err != nil {
+			t.Fatalf("layers=%d: %v", layers, err)
+		}
+		// The scatter's four rounds, the shipment, the back links, Verify.
+		if err := sz.check(4 + 2 + 1); err != nil {
 			t.Fatalf("layers=%d: %v", layers, err)
 		}
 	}

@@ -148,8 +148,7 @@ func tryMigrate(dm *DMesh, plans []Plan, localErr error) error {
 	}
 	tr.Point("migrate.residence-voted", 1)
 
-	mg.planShipment()
-	mg.writeShipment()
+	mg.packShipment()
 	if err := voteAbort(dm, catchStage(mg.receiveElements), "shipping element closures"); err != nil {
 		rollbackCreated(mg.parts)
 		tr.Point("migrate.abort", 2)
@@ -183,7 +182,7 @@ type migration struct {
 func newMigration(dm *DMesh) *migration {
 	mg := &migration{dm: dm, ph: dm.beginPhase(), parts: make([]moving, len(dm.Parts))}
 	for i, part := range dm.Parts {
-		mg.parts[i] = moving{Part: part, tab: resTable{idx: &part.resIdx}}
+		mg.parts[i] = moving{Part: part, tab: resTable{idx: &part.resIdx, gids: &part.gids}}
 	}
 	return mg
 }
@@ -214,7 +213,7 @@ type moving struct {
 	fresh    []uint32 // shared entities first heard of in round one of step 2
 	arriving int      // bound on the records step 3 delivers here
 	created  []uint32 // entities step 3 created here, in creation order
-	fixes    []uint64 // entities step 5 restitches: new owner<<32 | entity
+	fixes    []uint32 // entities step 5 restitches, ascending
 }
 
 func moveEnt(mv uint64) mesh.Ent { return mesh.UnpackEnt(uint32(mv)) }
@@ -286,84 +285,104 @@ func (mg *migration) stageResidence(plans []Plan, localErr error) error {
 	// with the complete new residence set. Received contributions merge
 	// into the entity's run in place: the local contribution is only
 	// ever sent before the first merge.
-	for i := range mg.parts {
-		mg.sendContribs(&mg.parts[i], mg.parts[i].closure)
-	}
-	var vals []int32 // contribution decode scratch
-	// applyContrib merges one announcement message; in round one the
-	// entities heard of here for the first time are kept for the reply.
-	applyContrib := func(msg partMsg, roundOne bool) {
-		p := &mg.parts[dm.localIndex(msg.To)]
-		for !msg.Data.Empty() {
-			dd := int(msg.Data.Byte())
-			gid := msg.Data.Int64()
-			vals = msg.Data.AppendInt32s(vals[:0])
-			e, ok := p.FindGid(dd, gid)
-			if !ok {
-				panic(fmt.Sprintf("partition: contribution for unknown gid %d dim %d on part %d",
-					gid, dd, msg.To))
-			}
-			if p.tab.touch(e) {
-				// First word of this entity here: no moving element lies
-				// above it, so its local contribution is this part alone.
-				// Remember to reply in round two.
-				p.tab.add(e, p.M.Part())
-				if roundOne {
-					p.fresh = append(p.fresh, e.Pack())
-				}
-			}
-			for _, v := range vals {
-				p.tab.add(e, v)
-			}
-		}
-	}
-	if err := catchStage(func() {
-		for _, msg := range ph.exchange() {
-			applyContrib(msg, true)
-		}
-	}); localErr == nil {
+	mg.sendContribs(0)
+	if err := catchStage(func() { mg.applyContribs(ph.exchange(), true) }); localErr == nil {
 		localErr = err
 	}
 	// A rank that is already voting to abort still takes part in the
 	// round-two exchange (with nothing to send) so the collective
 	// schedule stays aligned all the way to the vote.
 	if localErr == nil {
-		for i := range mg.parts {
-			mg.sendContribs(&mg.parts[i], mg.parts[i].fresh)
-		}
+		mg.sendContribs(1)
 	}
-	if err := catchStage(func() {
-		for _, msg := range ph.exchange() {
-			applyContrib(msg, false)
-		}
-	}); localErr == nil {
+	if err := catchStage(func() { mg.applyContribs(ph.exchange(), false) }); localErr == nil {
 		localErr = err
 	}
 	return localErr
 }
 
-// sendContribs packs, for each shared entity among words, its staged
-// residence to every other copy: a record of 13 bytes and 4 a part. The
-// first pass counts them per peer, so that each pair packs into one array.
-func (mg *migration) sendContribs(p *moving, words []uint32) {
-	var peers []int32 // remote-part scratch
+// sendContribs counts, then packs, for each shared entity of every part
+// (its closure in round 0, in round 1 what it heard of first) its staged
+// residence to every other copy: 13 bytes and 4 a part.
+func (mg *migration) sendContribs(round int) {
+	peers := make([]int32, 0, 16) // remote-part scratch
 	for _, packing := range [2]bool{false, true} {
-		for _, w := range words {
-			if e := mesh.UnpackEnt(w); p.M.IsShared(e) {
+		for i := range mg.parts {
+			p := &mg.parts[i]
+			self := p.M.Part()
+			for _, w := range [2][]uint32{p.closure, p.fresh}[round] {
+				e := mesh.UnpackEnt(w)
+				if !p.M.IsShared(e) {
+					continue
+				}
+				res := p.tab.res(e)
 				peers = p.M.AppendRemoteParts(e, peers[:0])
 				for _, r := range peers {
 					if !packing {
-						mg.ph.pairNeed[r] += 13 + 4*len(p.tab.res(e))
+						mg.ph.count(self, r, 13+4*len(res))
 						continue
 					}
-					b := mg.ph.to(p.M.Part(), r)
+					b := mg.ph.to(self, r)
 					b.Byte(byte(e.Dim()))
 					b.Int64(p.Gid(e))
-					b.Int32s(p.tab.res(e))
+					b.Int32s(res)
 				}
 			}
 		}
-		mg.ph.reserve(p.M.Part()) // after packing: a no-op
+	}
+}
+
+// applyContribs merges one round's announcements part by part, after a
+// pass counting the records of entities new to the table and the cells
+// merging takes (values, and a run moved to the arena's tail): the table
+// and, in round one, fresh grow once.
+func (mg *migration) applyContribs(msgs []partMsg, roundOne bool) {
+	vals := make([]int32, 0, 16) // decode scratch
+	for lo, hi := 0, 0; lo < len(msgs); lo = hi {
+		for hi = lo; hi < len(msgs) && msgs[hi].To == msgs[lo].To; hi++ {
+		}
+		p := &mg.parts[mg.dm.localIndex(msgs[lo].To)]
+		added, cells := 0, 0
+		for _, merging := range [2]bool{false, true} {
+			if merging {
+				p.tab.reserve(added, cells)
+				if roundOne {
+					p.fresh = make([]uint32, 0, added)
+				}
+			}
+			for _, msg := range msgs[lo:hi] {
+				for r := msg.Data; !r.Empty(); {
+					dd, gid := int(r.Byte()), r.Int64()
+					vals = r.AppendInt32s(vals[:0])
+					e, ok := p.FindGid(dd, gid)
+					if !ok {
+						panic(fmt.Sprintf("partition: contribution for unknown gid %d dim %d on part %d", gid, dd, msg.To))
+					}
+					if !merging {
+						n := 1
+						if en := p.tab.entry(e); en != nil {
+							n = int(en.n)
+						} else {
+							added++
+						}
+						cells += n + len(vals)
+						continue
+					}
+					if p.tab.touch(e) {
+						// First word of this entity here: no moving element
+						// lies above it, so its local contribution is this
+						// part alone. Remember to reply in round two.
+						p.tab.add(e, p.M.Part())
+						if roundOne {
+							p.fresh = append(p.fresh, e.Pack())
+						}
+					}
+					for _, v := range vals {
+						p.tab.add(e, v)
+					}
+				}
+			}
+		}
 	}
 }
 
@@ -377,7 +396,8 @@ func (mg *migration) sendContribs(p *moving, words []uint32) {
 // each ascending, and marks the entities that stay.
 func (p *moving) stageLocal(d int) {
 	t := &p.tab
-	t.reserve(len(p.moves) + closureBound(p.M, p.moves, d))
+	n := len(p.moves) + closureBound(p.M, p.moves, d)
+	t.reserve(n, n)
 	for _, mv := range p.moves {
 		t.add(moveEnt(mv), int32(mv>>32))
 	}
@@ -443,45 +463,34 @@ func (p *moving) stageLocal(d int) {
 	}
 }
 
-// Step 3 ships every run of moving elements with its closure, written
-// once, straight into the destination rank's buffer. planShipment counts
-// each run's records with their tag values and staged residences, so
-// that a rank buffer is reserved once at the exact sum of its messages;
-// writeShipment writes the messages in (from, to) order.
-func (mg *migration) planShipment() {
+// packShipment is step 3: every run of moving elements ships with its
+// closure, counted with tag values and staged residences, then packed.
+func (mg *migration) packShipment() {
 	d, ph := mg.dm.Dim, mg.ph
-	for i := range mg.parts {
-		p := &mg.parts[i]
-		ship, movable := p.ship, movableTags(p.M)
-		for lo := 0; lo < len(p.moves); {
-			q, hi := destRun(p.moves, lo)
-			n := int(ship[0])
-			size := headerBytes(movable, d)
-			for _, mv := range p.moves[lo:hi] {
-				size += recordSize(p.M, movable, moveEnt(mv), 4+4)
+	for _, packing := range [2]bool{false, true} {
+		for i := range mg.parts {
+			p := &mg.parts[i]
+			ship, movable := p.ship, movableTags(p.M)
+			for lo := 0; lo < len(p.moves); {
+				q, hi := destRun(p.moves, lo)
+				n := int(ship[0])
+				closure, els := ship[1:1+n], p.moves[lo:hi]
+				if packing {
+					b := ph.to(p.M.Part(), q)
+					packRecords(b, p.Part, d, movable, closure, els, func(e mesh.Ent) { b.Int32s(p.tab.res(e)) }, nil)
+				} else {
+					size := headerBytes(movable, d)
+					for _, mv := range els {
+						size += recordSize(p.M, movable, moveEnt(mv), 4+4)
+					}
+					for _, w := range closure {
+						e := mesh.UnpackEnt(w)
+						size += recordSize(p.M, movable, e, 4+4*len(p.tab.res(e)))
+					}
+					ph.count(p.M.Part(), q, size)
+				}
+				ship, lo = ship[1+n:], hi
 			}
-			for _, w := range ship[1 : 1+n] {
-				e := mesh.UnpackEnt(w)
-				size += recordSize(p.M, movable, e, 4+4*len(p.tab.res(e)))
-			}
-			ph.plan(q, size)
-			ship, lo = ship[1+n:], hi
-		}
-	}
-}
-
-func (mg *migration) writeShipment() {
-	d, ph := mg.dm.Dim, mg.ph
-	for i := range mg.parts {
-		p := &mg.parts[i]
-		ship, movable := p.ship, movableTags(p.M)
-		for lo := 0; lo < len(p.moves); {
-			q, hi := destRun(p.moves, lo)
-			n := int(ship[0])
-			ph.write(p.M.Part(), q, func(b *pcu.Buffer) {
-				packRecords(b, p.Part, d, movable, ship[1:1+n], p.moves[lo:hi], func(e mesh.Ent) { b.Int32s(p.tab.res(e)) }, nil)
-			})
-			ship, lo = ship[1+n:], hi
 		}
 	}
 }
@@ -497,7 +506,7 @@ func (mg *migration) receiveElements() {
 	}
 	for i := range mg.parts {
 		p := &mg.parts[i]
-		p.tab.reserve(p.arriving)
+		p.tab.reserve(p.arriving, p.arriving)
 		p.created = make([]uint32, 0, p.arriving)
 	}
 	var run []int32 // residence decode scratch
@@ -544,14 +553,13 @@ func (mg *migration) commit() {
 
 	// Step 5: rebuild remote copies and ownership where residence
 	// changed. The candidates are the table's surviving entities, staged
-	// here or received. A part's stitch records are counted per
-	// destination before any is packed: a pair buffer is reserved once.
+	// here or received; those whose residence changed are the part's
+	// fixes. Every part decides and counts before any packs.
 	var cand []uint32
-	var current []int32 // residence-by-links scratch
+	current := make([]int32, 0, 16) // residence-by-links scratch
 	for i := range mg.parts {
 		p := &mg.parts[i]
 		m, t := p.M, &p.tab
-		self := m.Part()
 		cand = slices.Grow(cand[:0], len(t.entries)+len(t.more))
 		for _, seg := range [2][]resEntry{t.entries, t.more} {
 			for _, en := range seg {
@@ -561,6 +569,7 @@ func (mg *migration) commit() {
 			}
 		}
 		slices.Sort(cand)
+		k := 0
 		for _, w := range cand {
 			e := mesh.UnpackEnt(w)
 			res := t.res(e)
@@ -575,37 +584,46 @@ func (mg *migration) commit() {
 				continue
 			}
 			m.ClearRemotes(e)
-			p.fixes = append(p.fixes, uint64(res[0])<<32|uint64(w))
-			for _, q := range res {
-				ph.pairNeed[q] += 14
-			}
+			cand[k] = w
+			k++
+			ph.stitch(p.Part, e, res, false)
 		}
-		ph.reserve(self)
-		for _, f := range p.fixes {
-			e := moveEnt(f)
-			for _, q := range t.res(e) {
-				if q == self {
-					continue
-				}
-				packStitch(ph.to(self, q), p.Part, e)
-			}
+		p.fixes = slices.Clone(cand[:k])
+	}
+	for i := range mg.parts {
+		p := &mg.parts[i]
+		for _, w := range p.fixes {
+			e := mesh.UnpackEnt(w)
+			ph.stitch(p.Part, e, p.tab.res(e), true)
 		}
 	}
 	ph.applyStitches()
 	for i := range mg.parts {
 		p := &mg.parts[i]
-		for _, f := range p.fixes {
-			p.M.SetOwner(moveEnt(f), int32(f>>32))
+		for _, w := range p.fixes {
+			e := mesh.UnpackEnt(w)
+			p.M.SetOwner(e, p.tab.res(e)[0])
 		}
 	}
 }
 
-// packStitch tells another part where part's copy of e lives.
-func packStitch(b *pcu.Buffer, part *Part, e mesh.Ent) {
-	b.Byte(byte(e.Dim()))
-	b.Int64(part.Gid(e))
-	b.Byte(byte(e.T))
-	b.Int32(e.I)
+// stitch tells every other part of res where part's copy of e lives:
+// counting, then packing, a 14-byte record to each.
+func (ph *phase) stitch(part *Part, e mesh.Ent, res []int32, packing bool) {
+	self := part.M.Part()
+	for _, q := range res {
+		switch {
+		case q == self:
+		case !packing:
+			ph.count(self, q, 1+8+1+4)
+		default:
+			b := ph.to(self, q)
+			b.Byte(byte(e.Dim()))
+			b.Int64(part.Gid(e))
+			b.Byte(byte(e.T))
+			b.Int32(e.I)
+		}
+	}
 }
 
 // applyStitches exchanges the stitch records packed and links the local
@@ -635,13 +653,14 @@ func (ph *phase) applyStitches() {
 // by array index: idx, the part's persistent column, maps its slot to
 // 1 + its position in the entry list, zero meaning absent; reset zeroes
 // exactly the touched slots, so a call costs in proportion to what it
-// touches, never to the mesh.
+// touches, never to the mesh. A short column grows once, to the gids'.
 //
 // The entry list is entries followed by more: the send side reserves
 // entries, the receive side more, so sizing it copies nothing. more
 // takes an entry only once entries is full, which then grows no further.
 type resTable struct {
 	idx           *[mesh.TypeCount][]int32
+	gids          *gidColumns
 	entries, more []resEntry
 	arena         []int32
 }
@@ -671,10 +690,10 @@ func (t *resTable) touch(e mesh.Ent) bool {
 		return false
 	}
 	col := t.idx[e.T]
-	for int(e.I) >= len(col) {
-		col = append(col, 0)
+	if int(e.I) >= len(col) {
+		col = append(col, make([]int32, max(int(e.I)+1, len(t.gids[e.T]))-len(col))...)
+		t.idx[e.T] = col
 	}
-	t.idx[e.T] = col
 	if len(t.entries) < cap(t.entries) || cap(t.more) == 0 {
 		t.entries = append(t.entries, resEntry{w: e.Pack()})
 	} else {
@@ -684,15 +703,15 @@ func (t *resTable) touch(e mesh.Ent) bool {
 	return true
 }
 
-// reserve makes room for n more entities and as many run cells, leaving
-// the entries already made where they are.
-func (t *resTable) reserve(n int) {
+// reserve makes room for n more entities and cells more run cells,
+// leaving the entries already made where they are.
+func (t *resTable) reserve(n, cells int) {
 	if len(t.entries) == 0 {
 		t.entries = slices.Grow(t.entries, n)
 	} else if spare := cap(t.entries) - len(t.entries); n > spare {
 		t.more = slices.Grow(t.more, n-spare)
 	}
-	t.arena = slices.Grow(t.arena, n)
+	t.arena = slices.Grow(t.arena, cells)
 }
 
 // res returns e's run, ascending, nil if e is absent; valid until the
@@ -736,7 +755,7 @@ func (t *resTable) reset() {
 			t.idx[e.T][e.I] = 0
 		}
 	}
-	*t = resTable{idx: t.idx}
+	*t = resTable{idx: t.idx, gids: t.gids}
 }
 
 // closureBound returns an upper bound on the downward closure of the
@@ -790,8 +809,8 @@ func headerBytes(movable []*ds.Tag, d int) int { return tagTableBytes(movable) +
 func packRecords(b *pcu.Buffer, part *Part, d int, movable []*ds.Tag, closure []uint32, els []uint64, mid, tail func(mesh.Ent)) {
 	m := part.M
 	writeTagTable(b, movable)
-	var gids []int64 // down-adjacency gid scratch, bulk-packed per entity
-	var down []mesh.Ent
+	// Down-adjacency scratch: at most 6 entities lie one level below any.
+	gids, down := make([]int64, 0, 6), make([]mesh.Ent, 0, 6)
 	record := func(e mesh.Ent) {
 		b.Byte(byte(e.T))
 		b.Int64(part.Gid(e))
@@ -839,8 +858,8 @@ func packRecords(b *pcu.Buffer, part *Part, d int, movable []*ds.Tag, closure []
 func unpackRecords(part *Part, r *pcu.Reader, d int, reserve bool, mid func(), landed func(e mesh.Ent, created bool)) {
 	m := part.M
 	table := readTagTable(r, m)
-	var gids []int64    // down-adjacency gid decode scratch
-	var down []mesh.Ent // and the handles they resolve to
+	// Down-adjacency scratch: at most 6 entities lie one level below any.
+	gids, down := make([]int64, 0, 6), make([]mesh.Ent, 0, 6)
 	for dd := 0; dd <= d; dd++ {
 		n := int(r.Int32())
 		// The level count, capped by what the bytes left could carry,

@@ -103,8 +103,7 @@ func migrateChecked(dm *DMesh, plans []Plan, check func(*migration) error) error
 		return err
 	}
 	checkErr := check(mg)
-	mg.planShipment()
-	mg.writeShipment()
+	mg.packShipment()
 	if err := voteAbort(dm, catchStage(mg.receiveElements), "shipping element closures"); err != nil {
 		rollbackCreated(mg.parts)
 		return err

@@ -25,9 +25,9 @@ func TestResTableAgainstMap(t *testing.T) {
 	for seed := uint64(1); seed <= 6; seed++ {
 		rng := xorshift(seed * 0x9e3779b97f4a7c15)
 		var col [mesh.TypeCount][]int32
-		tab := resTable{idx: &col}
+		tab := resTable{idx: &col, gids: &gidColumns{}}
 		if seed%2 == 1 {
-			tab.reserve(300)
+			tab.reserve(300, 300)
 		}
 		ref := map[mesh.Ent][]int32{}
 		refAdd := func(e mesh.Ent, v int32) {
@@ -38,7 +38,7 @@ func TestResTableAgainstMap(t *testing.T) {
 		for step := 0; step < 5000; step++ {
 			if step == 1500 && seed%2 == 1 {
 				first := &tab.entries[0]
-				tab.reserve(400)
+				tab.reserve(400, 400)
 				if &tab.entries[0] != first {
 					t.Fatalf("seed %d: the second reservation moved the first array", seed)
 				}
@@ -93,12 +93,16 @@ func TestResTableAgainstMap(t *testing.T) {
 }
 
 // TestMigrateAllocsScaleWithMove pins the cost model of TryMigrate on a
-// 2-rank × 4-part box: a bulk migration of every element stays under 10
-// allocations and 4,000 bytes per moved element (payloads, rank buffers
-// and the residence table made once at their size; regrown under append
-// they cost 5,200), and moving one element allocates less than 1/20 of
-// the bulk call's bytes — which fails as soon as a call sizes or
-// reserves scratch by the mesh instead of by what moves.
+// 2-rank × 4-part box: a bulk migration of every element stays within
+// 0.21 allocations (0.184 measured, + 15 %) and 4,000 bytes per moved
+// element (payloads, rank buffers and the residence table made once at
+// their size; regrown under append they cost 5,200; 0.24 allocations
+// when the scratch of every record and the residence table's arrays
+// grew under append); moving one element allocates at most 36 times
+// (32 measured: per call and per part, never per record; 52 with pair
+// buffers) and less than 1/20 of the bulk call's bytes — which fails as
+// soon as a call sizes or reserves scratch by the mesh instead of by
+// what moves.
 func TestMigrateAllocsScaleWithMove(t *testing.T) {
 	allocGate(t)
 	model := gmi.Box(4, 1, 1)
@@ -141,7 +145,7 @@ func TestMigrateAllocsScaleWithMove(t *testing.T) {
 		// The delta is process-wide, so a stray allocation (a 512 KiB
 		// runtime one shows up about one run in twelve) lands in it;
 		// strays only add, so the least of three moves is the move.
-		oneBytes := ^uint64(0)
+		oneAllocs, oneBytes := ^uint64(0), ^uint64(0)
 		for range 3 {
 			single := make([]Plan, len(dm.Parts))
 			if ctx.Rank() == 0 {
@@ -150,11 +154,11 @@ func TestMigrateAllocsScaleWithMove(t *testing.T) {
 					break
 				}
 			}
-			_, b, n := measure(single)
+			a, b, n := measure(single)
 			if n != 1 { // the same sum on every rank
 				return fmt.Errorf("single move moved %d elements", n)
 			}
-			oneBytes = min(oneBytes, b)
+			oneAllocs, oneBytes = min(oneAllocs, a), min(oneBytes, b)
 		}
 		if err := Verify(dm); err != nil {
 			return err
@@ -165,10 +169,13 @@ func TestMigrateAllocsScaleWithMove(t *testing.T) {
 		if bulkMoved != 6*16*6*6 {
 			return fmt.Errorf("bulk moved %d elements, want %d", bulkMoved, 6*16*6*6)
 		}
-		t.Logf("bulk: %d elements, %.2f allocs and %d B each; single: %d B", bulkMoved,
-			float64(bulkAllocs)/float64(bulkMoved), bulkBytes/uint64(bulkMoved), oneBytes)
-		if perMoved := float64(bulkAllocs) / float64(bulkMoved); perMoved >= 10 {
-			return fmt.Errorf("bulk migration: %.1f allocations per moved element, want < 10", perMoved)
+		t.Logf("bulk: %d elements, %.3f allocs and %d B each; single: %d allocs, %d B", bulkMoved,
+			float64(bulkAllocs)/float64(bulkMoved), bulkBytes/uint64(bulkMoved), oneAllocs, oneBytes)
+		if perMoved := float64(bulkAllocs) / float64(bulkMoved); perMoved > 0.21 {
+			return fmt.Errorf("bulk migration: %.3f allocations per moved element, want <= 0.21", perMoved)
+		}
+		if oneAllocs > 36 {
+			return fmt.Errorf("one-element migration: %d allocations, want <= 36", oneAllocs)
 		}
 		if perMoved := bulkBytes / uint64(bulkMoved); perMoved > 4000 {
 			return fmt.Errorf("bulk migration: %d bytes per moved element, want <= 4000", perMoved)

@@ -119,15 +119,13 @@ func mixedWorld(ctx *pcu.Ctx, tagged bool) *DMesh {
 // shipTap is what tappedMigrate saw of one migration's step 3 on this
 // rank.
 type shipTap struct {
-	need      []int               // bytes planShipment reserved, by destination rank
-	sent      [][]byte            // the rank buffers as writeShipment left them, nil where nothing went
 	got, want map[[2]int32][]byte // payload by (from, to): as written, and by the reference packer
 }
 
 // tappedMigrate is TryMigrate with a tap on step 3, between packing and
 // delivery.
 func tappedMigrate(dm *DMesh, plans []Plan) (shipTap, error) {
-	tap := shipTap{sent: make([][]byte, dm.Ctx.Size()), got: map[[2]int32][]byte{}, want: map[[2]int32][]byte{}}
+	tap := shipTap{got: map[[2]int32][]byte{}, want: map[[2]int32][]byte{}}
 	mg := newMigration(dm)
 	defer mg.reset()
 	if err := voteAbort(dm, mg.stageResidence(plans, nil), "staging residence updates"); err != nil {
@@ -148,16 +146,12 @@ func tappedMigrate(dm *DMesh, plans []Plan) (shipTap, error) {
 			lo = hi
 		}
 	}
-	mg.planShipment()
-	tap.need = slices.Clone(mg.ph.need)
-	mg.writeShipment()
-	for r, n := range tap.need {
+	mg.packShipment()
+	for r, n := range mg.ph.need { // laid out by the first write
 		if n == 0 {
 			continue
 		}
-		raw := dm.Ctx.To(r).Raw()
-		tap.sent[r] = raw
-		for rd := pcu.NewReader(raw); !rd.Empty(); {
+		for rd := pcu.NewReader(dm.Ctx.To(r).Raw()); !rd.Empty(); {
 			from, to := rd.Int32(), rd.Int32()
 			tap.got[[2]int32{from, to}] = rd.Bytes()
 		}

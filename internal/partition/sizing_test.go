@@ -14,29 +14,83 @@ import (
 	"github.com/fastmath/pumi-go/internal/zpart"
 )
 
-// TestPackElementsReservation checks the count planShipment reserves
-// the rank buffers by against the bytes writeShipment then puts in them,
-// over an A->B->A of the mixed mesh, with and without tag values: equal,
-// and each buffer still the one array its reservation made.
+// TestPackElementsReservation holds every round of a run on the mixed
+// mesh, with and without tag values, to the bytes its senders counted:
+// the scatter and A -> B -> A (both contribution rounds, the shipment
+// and the stitches of each migration), Verify, and Assemble restitching
+// what a checkpoint records. Each rank buffer holds exactly what was laid
+// out for it, in the one array its reservation made.
 func TestPackElementsReservation(t *testing.T) {
 	for _, tagged := range []bool{false, true} {
+		sz := tapSizing(t, 2)
 		err := pcu.Run(2, func(ctx *pcu.Ctx) error {
 			dm := mixedWorld(ctx, tagged)
 			for _, dest := range []func(int64) int32{mixedB, mixedA} {
-				tap, err := tappedMigrate(dm, plansByGid(dm, dest))
-				if err != nil {
+				if err := TryMigrate(dm, plansByGid(dm, dest)); err != nil {
 					return err
 				}
-				if err := sizedOnce(tap.sent, tap.need); err != nil {
-					return fmt.Errorf("rank %d: %v", ctx.Rank(), err)
-				}
 			}
-			return Verify(dm)
+			if err := Verify(dm); err != nil {
+				return err
+			}
+			_, err := reassemble(dm)
+			return err
 		})
 		if err != nil {
 			t.Fatalf("tagged=%v: %v", tagged, err)
 		}
+		// Three migrations of four rounds, Verify, Assemble.
+		if err := sz.check(3*4 + 1 + 1); err != nil {
+			t.Fatalf("tagged=%v: %v", tagged, err)
+		}
 	}
+}
+
+// sizing is what tapSizing saw, per rank.
+type sizing struct {
+	rounds []int   // exchanges checked
+	sent   []int   // rank buffers sent
+	err    []error // the first that failed
+}
+
+// tapSizing holds every exchange of every phase, until the test ends,
+// to sizedOnce.
+func tapSizing(t *testing.T, ranks int) *sizing {
+	sz := &sizing{rounds: make([]int, ranks), sent: make([]int, ranks), err: make([]error, ranks)}
+	phaseTap = func(ph *phase, _ []partMsg, delivered bool) {
+		if delivered {
+			return
+		}
+		r, sent := ph.dm.Ctx.Rank(), make([][]byte, len(ph.need))
+		for q, n := range ph.need {
+			if n > 0 {
+				sent[q] = ph.dm.Ctx.To(q).Raw()
+				sz.sent[r]++
+			}
+		}
+		sz.rounds[r]++
+		if err := sizedOnce(sent, ph.need); err != nil && sz.err[r] == nil {
+			sz.err[r] = fmt.Errorf("rank %d, exchange %d: %v", r, sz.rounds[r], err)
+		}
+	}
+	t.Cleanup(func() { phaseTap = nil })
+	return sz
+}
+
+// check reports the first failure, or a rank that took other than
+// rounds exchanges or sent in none.
+func (sz *sizing) check(rounds int) error {
+	for r := range sz.rounds {
+		switch {
+		case sz.err[r] != nil:
+			return sz.err[r]
+		case sz.rounds[r] != rounds:
+			return fmt.Errorf("rank %d took %d exchanges, want %d", r, sz.rounds[r], rounds)
+		case sz.sent[r] == 0:
+			return fmt.Errorf("rank %d sent nothing", r)
+		}
+	}
+	return nil
 }
 
 // sizedOnce checks rank buffers, nil where nothing went, against the
@@ -56,12 +110,10 @@ func sizedOnce(sent [][]byte, need []int) error {
 }
 
 // TestPhaseExchangeReservesOnce ships a 1 MB phase of sixteen part pairs
-// over two ranks, once through pair buffers and once written straight
-// into the rank buffers, and bounds what the round allocates by the
-// bytes it ships: each rank buffer is made once at its final size, where
-// growing it under append cost about five times the payload. The pair
-// buffers are packed before the measurement starts, the direct messages
-// inside it: they have no other copy.
+// over two ranks — counted, laid out, packed in place — and bounds what
+// the round allocates by the bytes it ships: each rank buffer is made
+// once at its final size, where growing it under append cost about five
+// times the payload, and pair buffers copied into it twice.
 func TestPhaseExchangeReservesOnce(t *testing.T) {
 	allocGate(t)
 	const pairBytes = 64 << 10
@@ -70,60 +122,90 @@ func TestPhaseExchangeReservesOnce(t *testing.T) {
 		ph := dm.beginPhase()
 		payload := make([]byte, pairBytes-4)
 		shipped := int(pcu.SumInt64(ctx, int64(len(dm.Parts)*dm.NParts()*(12+pairBytes))))
-		eachPair := func(f func(from, to int32)) {
+		var before, after runtime.MemStats
+		ctx.Barrier()
+		if ctx.Rank() == 0 {
+			runtime.ReadMemStats(&before)
+		}
+		ctx.Barrier()
+		for _, packing := range [2]bool{false, true} {
 			for _, part := range dm.Parts {
 				for q := int32(0); q < int32(dm.NParts()); q++ {
-					f(part.M.Part(), q)
+					if packing {
+						ph.to(part.M.Part(), q).Bytes(payload)
+					} else {
+						ph.count(part.M.Part(), q, pairBytes)
+					}
 				}
 			}
 		}
-		for _, direct := range []bool{false, true} {
-			if !direct {
-				eachPair(func(from, to int32) { ph.to(from, to).Bytes(payload) })
+		msgs := ph.exchange()
+		ctx.Barrier()
+		if ctx.Rank() == 0 {
+			runtime.ReadMemStats(&after)
+		}
+		for _, msg := range msgs {
+			if got := len(msg.Data.BytesNoCopy()); got != len(payload) {
+				return fmt.Errorf("part %d got %d bytes from part %d, want %d", msg.To, got, msg.From, len(payload))
 			}
-			var before, after runtime.MemStats
-			ctx.Barrier()
-			if ctx.Rank() == 0 {
-				runtime.ReadMemStats(&before)
-			}
-			ctx.Barrier()
-			if direct {
-				eachPair(func(_, to int32) { ph.need[dm.RankOf(to)] += 12 + pairBytes })
-				eachPair(func(from, to int32) {
-					b := ph.rankBuf(dm.RankOf(to))
-					b.Int32(from)
-					b.Int32(to)
-					b.Int32(pairBytes)
-					b.Bytes(payload)
-				})
-			}
-			msgs := ph.exchange()
-			ctx.Barrier()
-			if ctx.Rank() == 0 {
-				runtime.ReadMemStats(&after)
-			}
-			for _, msg := range msgs {
-				if got := len(msg.Data.BytesVal()); got != len(payload) {
-					return fmt.Errorf("part %d got %d bytes from part %d, want %d", msg.To, got, msg.From, len(payload))
-				}
-				msg.Data.Done()
-			}
-			if len(msgs) != 2*dm.NParts() {
-				return fmt.Errorf("rank %d received %d messages, want %d", ctx.Rank(), len(msgs), 2*dm.NParts())
-			}
-			if ctx.Rank() != 0 {
-				continue
-			}
-			allocated := after.TotalAlloc - before.TotalAlloc
-			t.Logf("direct=%v: shipped %d bytes and allocated %d", direct, shipped, allocated)
-			if allocated*4 > uint64(shipped)*5 {
-				return fmt.Errorf("direct=%v: allocated %d bytes to ship %d: want at most 1.25x", direct, allocated, shipped)
-			}
+			msg.Data.Done()
+		}
+		if len(msgs) != 2*dm.NParts() {
+			return fmt.Errorf("rank %d received %d messages, want %d", ctx.Rank(), len(msgs), 2*dm.NParts())
+		}
+		if ctx.Rank() != 0 {
+			return nil
+		}
+		allocated := after.TotalAlloc - before.TotalAlloc
+		t.Logf("shipped %d bytes and allocated %d", shipped, allocated)
+		if allocated*4 > uint64(shipped)*5 {
+			return fmt.Errorf("allocated %d bytes to ship %d: want at most 1.25x", allocated, shipped)
 		}
 		return nil
 	})
 	if err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestPhaseWindowMismatch has one pair of a phase pack one byte more,
+// then one byte less, than it counted: the exchange panics naming the
+// pair before anything is sent, the others packing as counted.
+func TestPhaseWindowMismatch(t *testing.T) {
+	for _, extra := range []int{1, -1} {
+		err := pcu.Run(1, func(ctx *pcu.Ctx) error {
+			dm := New(ctx, gmi.Box(1, 1, 1).Model, 3, 3)
+			ph := dm.beginPhase()
+			for _, packing := range [2]bool{false, true} {
+				for _, from := range []int32{0, 1, 2} {
+					for _, to := range []int32{0, 1, 2} {
+						n := 8
+						if from == 1 && to == 2 && packing {
+							n += extra
+						}
+						if !packing {
+							ph.count(from, to, n)
+							continue
+						}
+						b := ph.to(from, to)
+						for range n {
+							b.Byte(byte(n))
+						}
+					}
+				}
+			}
+			want := fmt.Sprintf("partition: part 1 packed %d bytes for part 2, counted 8", 8+extra)
+			defer func() {
+				if p := recover(); p != want {
+					t.Errorf("extra %d: exchange panicked with %v, want %q", extra, p, want)
+				}
+			}()
+			ph.exchange()
+			return nil
+		})
+		if err != nil {
+			t.Fatalf("extra %d: %v", extra, err)
+		}
 	}
 }
 
@@ -147,7 +229,7 @@ func bulkRoundTrip(dm *DMesh) error {
 
 // TestMigrateRetainsNoPayload runs a bulk A->B->A round trip on 2 ranks
 // x 4 parts and checks that, once collected, the heap is back within 2 %
-// of where it stood: pair buffers, rank buffers and the residence tables
+// of where it stood: rank buffers, the phase and the residence tables
 // are garbage when TryMigrate returns. The parts are warmed up by the
 // same round trip in an earlier world, so their slot arrays are already
 // at their high-water mark, and then handed to a new one, whose Ctx has

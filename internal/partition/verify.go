@@ -18,11 +18,11 @@ const linkRecord = 8 + 4 + 4 + 4
 // it, and every rank fails if any does). Parallel test paths, the tools
 // and the benchmark cycles end with it. It runs in three steps:
 //
-//  1. One local sweep per part: CheckConsistency; no shared element; no
-//     ghost carrying links; every shared entity bounds something on its
-//     part (no orphan boundary entity); links name other parts inside
-//     [0, NParts); the owner lies inside the residence set; the downward
-//     closure of a shared entity is shared with the same parts.
+//  1. One local sweep per part: CheckConsistency (no ghost has links);
+//     over the boundary table, no shared element, no orphan boundary
+//     entity, links name other parts inside [0, NParts), the owner lies
+//     inside the residence set, the downward closure of a shared entity
+//     is shared with the same parts.
 //  2. One part-addressed exchange: for every link each side sends its
 //     gid, its own handle, the peer's handle and its owner, and the
 //     receiver checks that its copy is live and no ghost, links back,
@@ -60,10 +60,8 @@ type verifier struct {
 	ph  *phase
 	err error // the first violation found on this rank
 
-	bnd         []uint32 // linked non-ghost entities, packed, by part, dimension and handle
-	ends        []int    // per part, the end of its run in bnd
-	unknownPart bool     // a link names a part outside [0, NParts)
-	sent        []int    // per send peer of one plan run, the links packed so far
+	unknownPart bool  // a link names a part outside [0, NParts)
+	sent        []int // per send peer of one plan run, the links packed so far
 }
 
 func (v *verifier) record(err error) {
@@ -77,9 +75,8 @@ func (v *verifier) linkable(p, q int32) bool {
 	return q != p && q >= 0 && int(q) < v.dm.NParts()
 }
 
-// sweep runs the checks that need no peer on one part, collects its
-// linked entities into bnd and counts the bytes its records take per
-// peer, so that pack writes each pair into one reserved array.
+// sweep runs the checks that need no peer on one part, walking its
+// boundary table, and counts the bytes its link records take per peer.
 func (v *verifier) sweep(m *mesh.Mesh) {
 	v.dm.Ctx.Count("mesh.consistency-checks", 1)
 	v.record(m.CheckConsistency())
@@ -90,15 +87,7 @@ func (v *verifier) sweep(m *mesh.Mesh) {
 	p := m.Part()
 	var down []mesh.Ent
 	for d := 0; d < v.dm.Dim; d++ {
-		for e := range m.Iter(d) {
-			if !m.HasRemotes(e) {
-				continue
-			}
-			if m.IsGhost(e) {
-				v.record(fmt.Errorf("partition: ghost %v on part %d has remote-copy links", e, p))
-				continue
-			}
-			v.bnd = append(v.bnd, e.Pack())
+		for e := range m.PartBoundary(d) {
 			if !m.HasUp(e) {
 				v.record(fmt.Errorf("partition: shared %v on part %d bounds nothing (orphan boundary entity)", e, p))
 			}
@@ -114,7 +103,7 @@ func (v *verifier) sweep(m *mesh.Mesh) {
 					v.unknownPart = true
 					v.record(fmt.Errorf("partition: %v on part %d linked to unknown part %d", e, p, q))
 				default:
-					v.ph.pairNeed[q] += linkRecord
+					v.ph.count(p, q, linkRecord)
 					for _, de := range down {
 						if _, ok := m.RemoteCopy(de, q); !ok {
 							v.record(fmt.Errorf("partition: %v shared with part %d but its bounding %v is not", e, q, de))
@@ -128,31 +117,21 @@ func (v *verifier) sweep(m *mesh.Mesh) {
 			}
 		}
 	}
-	v.ends = append(v.ends, len(v.bnd))
-	v.ph.reserve(p)
 }
 
 // pack writes one record per link of every part, dimension by
 // dimension in handle order, and holds each owned link against the
 // part's cached sync send run toward its peer.
 func (v *verifier) pack(plans *[3]*BoundaryPlan) {
-	start := 0
 	for li, part := range v.dm.Parts {
 		m, p := part.M, part.M.Part()
-		bnd := v.bnd[start:v.ends[li]]
-		start = v.ends[li]
 		for d := 0; d < v.dm.Dim; d++ {
 			var pp *partPlan
 			if plans[d] != nil {
 				pp = &plans[d].parts[li]
 				v.sent = append(v.sent[:0], make([]int, len(pp.sendPeers))...)
 			}
-			n := 0
-			for n < len(bnd) && mesh.UnpackEnt(bnd[n]).Dim() == d {
-				n++
-			}
-			for _, w := range bnd[:n] {
-				e := mesh.UnpackEnt(w)
+			for e := range m.PartBoundary(d) {
 				gid, owner := part.Gid(e), m.Owner(e)
 				m.EachRemote(e, func(q int32, h mesh.Ent) bool {
 					if !v.linkable(p, q) {
@@ -169,7 +148,6 @@ func (v *verifier) pack(plans *[3]*BoundaryPlan) {
 					return true
 				})
 			}
-			bnd = bnd[n:]
 			if pp == nil {
 				continue
 			}

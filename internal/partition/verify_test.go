@@ -64,3 +64,39 @@ func TestVerifyRejectsUnknownPart(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestVerifyFindsLinkedGhost links one ghost vertex to another part:
+// Verify, walking the boundary table, must name the ghost on its rank
+// and a peer on the other.
+func TestVerifyFindsLinkedGhost(t *testing.T) {
+	err := pcu.Run(2, func(ctx *pcu.Ctx) error {
+		dm := verifyWorld(ctx, 2)
+		Ghost(dm, 0, 1)
+		if err := Verify(dm); err != nil {
+			return fmt.Errorf("before the fault: %w", err)
+		}
+		want, linked := "peer rank", true
+		if ctx.Rank() == 0 {
+			want, linked = "has remote-copy links", false
+			m := dm.Parts[0].M
+			for v := range m.Iter(0) {
+				if m.IsGhost(v) {
+					m.SetRemote(v, 3, v)
+					linked = true
+					break
+				}
+			}
+		}
+		err := Verify(dm)
+		switch {
+		case !linked:
+			return fmt.Errorf("part 0 holds no ghost vertex")
+		case err == nil || !strings.Contains(err.Error(), want):
+			return fmt.Errorf("rank %d: Verify returned %v, want an error naming %q", ctx.Rank(), err, want)
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}

@@ -62,7 +62,7 @@
 //     synchronization: on-node delivery transfers array ownership to
 //     the receiver, and the receiver's Reader.Done returns the array to
 //     its own pool. Consequently a Message, its Reader and any slice
-//     decoded without copying (BytesNoCopy, BytesVal) are valid only
+//     decoded without copying (BytesNoCopy) are valid only
 //     until Done — or the next Exchange — and must never be stored;
 //     Reader.Bytes returns a copy that survives. The bufdiscipline
 //     analyzer flags uses of an uncopied slice past Done.

@@ -374,11 +374,11 @@ func TestReaderRejectsHostileLengthPrefix(t *testing.T) {
 		},
 		"huge bytes": {
 			func(b *Buffer) { b.Int32(1 << 30) },
-			func(r *Reader) { r.BytesVal() },
+			func(r *Reader) { r.BytesNoCopy() },
 		},
 		"negative bytes": {
 			func(b *Buffer) { b.Int32(-1) },
-			func(r *Reader) { r.BytesVal() },
+			func(r *Reader) { r.BytesNoCopy() },
 		},
 	} {
 		b := &Buffer{}

@@ -57,6 +57,16 @@ func (b *Buffer) Grow(n int) {
 	b.buf = slices.Grow(b.buf, n)
 }
 
+// Window appends n bytes to b, which must have the room (Grow), and
+// returns an empty buffer over them to pack in place; one packed past n
+// moves to an array of its own, its Len no longer n.
+func (b *Buffer) Window(n int) Buffer {
+	b.check()
+	at := len(b.buf)
+	b.buf = b.buf[:at+n]
+	return Buffer{buf: b.buf[at : at : at+n]}
+}
+
 // grow extends the buffer by n bytes and returns the region to fill.
 func (b *Buffer) grow(n int) []byte {
 	b.buf = append(b.buf, make([]byte, n)...)
@@ -137,7 +147,7 @@ type Message struct {
 // A Reader handed out by Exchange is pooled: Done on a fully-consumed
 // message recycles the Reader and its backing array into the receiving
 // rank's free lists. After Done, the Reader and any slice decoded from
-// it without copying (BytesNoCopy/BytesVal) are invalid — the bytes
+// it without copying (BytesNoCopy) are invalid — the bytes
 // will be overwritten by a later phase. Copy (Reader.Bytes) anything
 // that must outlive the message.
 //
@@ -200,8 +210,8 @@ func (r *Reader) Empty() bool { return r.Remaining() == 0 }
 //
 // On a pooled Reader (one returned by Exchange), Done also recycles the
 // Reader and its backing array, so steady-state decode is
-// allocation-free. Any uncopied slice obtained from BytesNoCopy or
-// BytesVal is invalid from this point on.
+// allocation-free. Any uncopied slice obtained from BytesNoCopy is
+// invalid from this point on.
 func (r *Reader) Done() {
 	if n := r.Remaining(); n != 0 {
 		panic(fmt.Sprintf("pcu: message has %d undecoded trailing bytes", n))
@@ -297,11 +307,6 @@ func (r *Reader) BytesNoCopy() []byte {
 	r.off += n
 	return v
 }
-
-// BytesVal is the historical name of BytesNoCopy: the returned slice
-// aliases the message buffer, must not be mutated, and is invalid after
-// Done.
-func (r *Reader) BytesVal() []byte { return r.BytesNoCopy() }
 
 // Int32s decodes a length-prefixed slice of 32-bit integers in bulk.
 func (r *Reader) Int32s() []int32 {

@@ -279,7 +279,7 @@ func TestBufferReaderRoundTrip(t *testing.T) {
 	if r.Byte() != 9 || r.Int32() != -5 || r.Int64() != 1<<40 || r.Float64() != 3.25 {
 		t.Fatal("scalar round trip failed")
 	}
-	if string(r.BytesVal()) != "hi" {
+	if string(r.BytesNoCopy()) != "hi" {
 		t.Fatal("bytes round trip failed")
 	}
 	if !slices.Equal(r.Int32s(), []int32{1, -2, 3}) {
