@@ -31,7 +31,7 @@
 // whole repository, tests included, and fails on any finding.
 //
 // Code that violates an invariant on purpose — the deadlock-diagnosis
-// tests skip collectives on some ranks to prove the watchdog catches
+// tests skip collectives on some ranks to prove the barrier catches
 // it — suppresses a finding with a directive on or directly above the
 // offending line (a name that is no analyzer is itself a finding):
 //

@@ -9,7 +9,7 @@ import (
 )
 
 // ListenUsage is the shared -listen flag description.
-const ListenUsage = "serve live introspection over HTTP on ADDR (e.g. 127.0.0.1:9970): /metrics (Prometheus text), /trace (Chrome trace JSON of the live rings), /healthz (watchdog verdicts); every run records into the registry /metrics serves; for per-op arrival skew, feed /trace to pumi-trace -critical"
+const ListenUsage = "serve live introspection over HTTP on ADDR (e.g. 127.0.0.1:9970): /metrics (Prometheus text), /trace (Chrome trace JSON of the live rings), /healthz (barrier health); every run records into the registry /metrics serves; for per-op arrival skew, feed /trace to pumi-trace -critical"
 
 // StartListen wires a tool's -listen flag: with a non-empty address it
 // installs a process-wide metrics registry — so every subsequent pcu

@@ -662,7 +662,7 @@ func (ev *effEval) callEffect(call *ast.CallExpr) *Effect {
 	fn := calleeFunc(ev.p.Info, call)
 	// The pcu run drivers execute their final function argument on the
 	// spawned world's schedule; checked before the doc-mark test because
-	// RunOpt's doc mentions the collective watchdog.
+	// RunOpt's doc mentions a collective stall.
 	if runDriver(fn) && len(call.Args) > 0 {
 		return ev.bodyArgEffect(call.Args[len(call.Args)-1])
 	}

@@ -30,7 +30,7 @@ func (e migrateLocalError) Error() string { return e.err.Error() }
 
 // catchStage runs f, converting recoverable local failures — corrupt
 // off-node frames and staged-data validation — into a returned error.
-// Teardown panics (peer failure, watchdog stall) and genuine bugs
+// Teardown panics (peer failure, a stall) and genuine bugs
 // propagate.
 func catchStage(f func()) (err error) {
 	defer func() {

@@ -78,11 +78,13 @@
 //     receiver's decode (the bufdiscipline analyzer catches this
 //     statically, the seal catches it at run time).
 //
-//   - A rank waits in one place: the barrier. When a rank dies without
-//     reaching it, the watchdog proves the others cannot advance and
-//     poisons the barrier — with a *StallError, or in a world Supervise
-//     runs with a *RevokedError naming the vanished ranks, after which
-//     Supervise re-runs the body on the survivors.
+//   - A rank waits in one place: the barrier, which also diagnoses
+//     stalls. The arrival or exit that leaves every rank arrived or
+//     finished proves none can advance and poisons the barrier — with a
+//     *StallError, or in a world Supervise runs with a *RevokedError
+//     naming the vanished ranks, after which Supervise re-runs the body
+//     on the survivors. A once-armed timer gives the StallTimeout
+//     verdict.
 //
 //   - The traffic counters are atomics, so Stats may be called from any
 //     rank at any time — including concurrently with message delivery —

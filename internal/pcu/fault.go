@@ -22,10 +22,9 @@ import (
 //     *FaultError (peers observe ErrPeerFailed).
 //   - FaultVanish:    the rank silently stops participating, as if its
 //     process died without notice. Nothing is poisoned; the remaining
-//     ranks deadlock and the collective watchdog diagnoses the stall.
+//     ranks deadlock and the barrier diagnoses the stall.
 //   - FaultDelay:     the rank sleeps before entering the op
-//     (straggler simulation; exercises watchdog false-positive
-//     margins).
+//     (straggler simulation; exercises the stall timeout's margins).
 //   - FaultCorrupt:   every off-node payload the rank sends during the
 //     op has one byte flipped after framing, like wire corruption. The
 //     receiver's CRC check rejects the frame; the transient-fault layer
@@ -215,5 +214,5 @@ func (e *CorruptError) Error() string {
 func (e *CorruptError) Unwrap() error { return ErrCorruptMessage }
 
 // vanishSignal makes a rank disappear without poisoning the barrier;
-// RunOpt recovers it and records the rank as vanished.
+// RunOpt recovers it and the barrier records the rank as vanished.
 type vanishSignal struct{ fault Fault }

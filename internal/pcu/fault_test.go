@@ -3,6 +3,7 @@ package pcu
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -445,21 +446,73 @@ func TestAbortAllTearsDownRun(t *testing.T) {
 	}
 }
 
+// TestWatchdogQuietOnHealthyRun: neither stall verdict fires on a
+// healthy run — not the short stall timeout while ranks make steady
+// progress through many phases, and not the deadlock check when rank
+// 0, arriving last at the final Barrier, returns while its peers are
+// still waking from it (a released rank must not count as arrived).
+// Today's 4 ranks, the spin path (2 ranks) and the park-at-once path
+// (4 × GOMAXPROCS ranks), 100 runs each.
 func TestWatchdogQuietOnHealthyRun(t *testing.T) {
-	// A short stall timeout must not fire while ranks make steady
-	// progress through many phases.
-	_, err := RunOpt(4, Options{StallTimeout: 250 * time.Millisecond}, func(c *Ctx) error {
-		for i := 0; i < 50; i++ {
-			c.To((c.Rank() + 1) % 4).Int32(int32(i))
-			for _, m := range c.Exchange() {
-				m.Data.Int32()
-				m.Data.Done()
+	atLeastProcs(t, 2)
+	for _, tc := range []struct {
+		name string
+		n    int
+	}{
+		{"four", 4},
+		{"spin", 2},
+		{"oversubscribed", 4 * runtime.GOMAXPROCS(0)},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			for rep := 0; rep < 100; rep++ {
+				_, err := RunOpt(tc.n, Options{StallTimeout: 250 * time.Millisecond}, func(c *Ctx) error {
+					n := c.Size()
+					for i := 0; i < 50; i++ {
+						c.To((c.Rank() + 1) % n).Int32(int32(i))
+						for _, m := range c.Exchange() {
+							m.Data.Int32()
+							m.Data.Done()
+						}
+						SumInt64(c, 1)
+					}
+					if c.Rank() == 0 {
+						awaitArrivals(c, n-1)
+					}
+					c.Barrier()
+					return nil
+				})
+				if err != nil {
+					t.Fatalf("run %d: healthy run reported error: %v", rep, err)
+				}
 			}
-			SumInt64(c, 1)
+		})
+	}
+}
+
+// TestDeadlockDiagnosedWithTimeoutOff: with the stall timeout off, a
+// certain deadlock is still diagnosed — by the barrier, the moment the
+// last rank arrives or exits. Rank 0 returns without the Exchange its
+// peers enter.
+func TestDeadlockDiagnosedWithTimeoutOff(t *testing.T) {
+	done := make(chan error, 1)
+	go func() {
+		_, err := RunOpt(4, Options{StallTimeout: -1}, func(c *Ctx) error {
+			//pumi-vet:ignore collseq // deliberate divergence: the barrier must catch it
+			if c.Rank() == 0 {
+				return nil // never calls Exchange
+			}
+			c.Exchange()
+			return nil
+		})
+		done <- err
+	}()
+	select {
+	case err := <-done:
+		var stall *StallError
+		if !errors.As(err, &stall) || !strings.HasPrefix(stall.Reason, "deadlock") {
+			t.Fatalf("want a deadlock *StallError, got %v", err)
 		}
-		return nil
-	})
-	if err != nil {
-		t.Fatalf("healthy run reported error: %v", err)
+	case <-time.After(10 * time.Second):
+		t.Fatal("no deadlock diagnosis within 10 s with the stall timeout off")
 	}
 }

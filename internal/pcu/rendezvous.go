@@ -37,7 +37,7 @@ func (e *MismatchError) Error() string {
 func (e *MismatchError) Is(target error) bool { return target == ErrMismatch }
 
 // Interned barrier identities of the named reductions. A rank's op
-// identity is its op name (rankState.op, what traces and stall reports
+// identity is its op name (entry.name, what traces and stall reports
 // print) except in these, so SumInt64 does not meet MaxInt64; a generic
 // Allreduce with a caller's func is plain opAllreduce.
 var (
@@ -51,8 +51,9 @@ var (
 // entry is what a rank records when it arrives at the barrier: the op
 // it is in and that op's Ops() count.
 type entry struct {
-	id *string // interned: ranks in the same op hold the same pointer
-	op int64
+	id   *string // interned: ranks in the same op hold the same pointer
+	name *string // the op's name: id without a named reduction's combiner
+	op   int64
 }
 
 // mismatch compares every rank's entry with rank 0's and reports the

@@ -8,10 +8,10 @@ package pcu
 // at once — a Begin/End pair in the rank's flight recorder when the run
 // is traced, and one observation in the registry histogram "<name>.ns".
 // Every world has a registry to record into: the one SetDefaultMetrics
-// installed, else a world-private one; the watchdog's stall report reads
-// it. Series are
-// created on first use; after that a record resolves its handle in a map
-// only this rank touches (never the registry mutex) and allocates nothing.
+// installed, else a world-private one; a stall report reads it. Series
+// are created on first use; after that a record resolves its handle in a
+// map only this rank touches (never the registry mutex) and allocates
+// nothing.
 
 // Span is one open stage interval; close it with End.
 type Span struct {

@@ -8,8 +8,8 @@ import (
 // Surviving rank death. A plain world answers every failure with total
 // teardown: one dead rank poisons the barrier and every survivor exits
 // with ErrPeerFailed, or — when the rank vanished without a panic — the
-// watchdog diagnoses a stall. Supervise instead runs its body in a
-// survivable world, where the watchdog answers a vanished rank that
+// barrier diagnoses a stall. Supervise instead runs its body in a
+// survivable world, where the barrier answers a vanished rank that
 // blocks the survivors by revoking the world: every survivor unwinds
 // with the same *RevokedError naming the dead, and Supervise re-runs
 // the body on a shrunken world with stable re-numbered ranks, until it
@@ -48,7 +48,7 @@ type Epoch struct {
 
 // Supervise is the self-healing run loop: it executes body on n ranks
 // under opt in a survivable world, and when the world is revoked — the
-// watchdog found vanished ranks blocking the survivors and every
+// barrier found vanished ranks blocking the survivors and every
 // survivor unwound with the same *RevokedError — it rebuilds a smaller
 // world over the survivors and runs body again with the next Epoch,
 // until body completes or fails for a non-revocation reason.

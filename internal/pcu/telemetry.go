@@ -3,7 +3,7 @@ package pcu
 // Live introspection wiring: the process-wide metrics registry a tool's
 // -listen flag installs, and the process's introspection sources
 // (TelemetrySources): collective-free views over every active world's
-// registry, trace rings and watchdog state, which cmdutil.StartListen
+// registry, trace rings and barrier tallies, which cmdutil.StartListen
 // hands to telemetry.Serve. pcu's blocking ops are observed by the
 // flight recorder alone (Begin/End and Send events); the registry holds
 // the spans, counts and typed series recorded above pcu.
@@ -43,9 +43,10 @@ func (c *Ctx) Metrics() *telemetry.Registry { return c.w.reg }
 // worldSeq hands out stable ids for introspection output.
 var worldSeq atomic.Int64
 
-// HealthReport reflects the watchdogs' live verdicts over every active
-// world: healthy while no barrier is poisoned, with one descriptive
-// line per world — the /healthz endpoint's payload.
+// HealthReport reflects every active world's barrier: healthy while no
+// barrier is poisoned, with one descriptive line per world — its ranks
+// arrived at the barrier and finished — the /healthz endpoint's
+// payload.
 func HealthReport() telemetry.Health {
 	h := telemetry.Health{Healthy: true}
 	type line struct {
@@ -56,24 +57,16 @@ func HealthReport() telemetry.Health {
 	worlds.Range(func(k, _ any) bool {
 		w := k.(*World)
 		h.Worlds++
-		blocked, done := 0, 0
-		for i := range w.ranks {
-			if w.ranks[i].blocked.Load() {
-				blocked++
-			}
-			if w.ranks[i].done.Load() {
-				done++
-			}
-		}
+		arrived, finished := w.bar.state()
 		switch {
-		case w.bar.isPoisoned():
+		case w.bar.poisoned.Load():
 			h.Healthy = false
 			lines = append(lines, line{w.id, fmt.Sprintf(
 				"world %d: tearing down: %v", w.id, w.bar.causeErr())})
 		default:
 			lines = append(lines, line{w.id, fmt.Sprintf(
 				"world %d: %d ranks (%d blocked, %d done), %d collectives",
-				w.id, w.size, blocked, done, w.Stats().Collectives)})
+				w.id, w.size, arrived, finished, w.Stats().Collectives)})
 		}
 		return true
 	})
@@ -106,7 +99,7 @@ func WriteLiveChrome(w io.Writer) error {
 
 // TelemetrySources composes the process's introspection callbacks for
 // telemetry.Serve: the default metrics registry, the live trace view,
-// and the watchdog verdicts.
+// and the barriers' health.
 func TelemetrySources() telemetry.Sources {
 	return telemetry.Sources{
 		Metrics:   DefaultMetrics(),

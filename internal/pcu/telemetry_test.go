@@ -3,7 +3,6 @@ package pcu
 import (
 	"bytes"
 	"encoding/json"
-	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -95,9 +94,7 @@ func TestTelemetrySourcesLive(t *testing.T) {
 		err := Run(2, func(c *Ctx) error {
 			if c.Rank() == 1 {
 				// Arrive last: enter the barrier only once rank 0 is parked in it.
-				for !c.w.ranks[0].blocked.Load() {
-					runtime.Gosched()
-				}
+				awaitArrivals(c, 1)
 			}
 			c.Barrier()
 			if c.Rank() == 0 {

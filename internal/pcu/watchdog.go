@@ -3,37 +3,21 @@ package pcu
 import (
 	"errors"
 	"fmt"
-	"slices"
 	"strings"
 	"time"
 )
 
-// Collective watchdog. A rank that skips a collective (or dies without
-// panicking) leaves its peers blocked in the shared barrier forever —
-// historically a silent hang. The watchdog turns that hang into an
-// actionable error: it polls the run's progress and, when the run can
-// no longer advance, poisons the barrier with a *StallError carrying a
-// per-rank diagnosis (which op each rank is blocked in and how many
-// collectives/exchanges it has completed) — or, in a survivable world
-// with vanished ranks, with a *RevokedError naming them.
-//
-// Two triggers:
-//
-//   - certain deadlock: every rank is either finished or blocked in the
-//     barrier, at least one is blocked, and the state is identical
-//     across two consecutive polls. No timeout is needed — the run
-//     provably cannot advance — so diagnosis is near-immediate.
-//   - timeout stall: at least one rank has been blocked with no barrier
-//     progress anywhere for longer than the configured stall timeout
-//     (covers livelock and pathological stragglers).
+// Stall diagnosis: the error the barrier (world.go) tears down a run
+// with when it can no longer advance, naming the op each rank is
+// blocked in and how many collectives and exchanges it has entered.
 
-// DefaultStallTimeout is the watchdog timeout used when Options leaves
+// DefaultStallTimeout is the stall timeout used when Options leaves
 // StallTimeout zero. Legitimate compute phases between collectives must
 // finish within it; tests that provoke deadlocks use much smaller
 // values.
 const DefaultStallTimeout = 2 * time.Minute
 
-// ErrStalled is wrapped by every watchdog teardown.
+// ErrStalled is wrapped by every stall teardown.
 var ErrStalled = errors.New("pcu: collective stall")
 
 // RankSnapshot is one rank's progress record in a stall diagnosis.
@@ -45,33 +29,31 @@ type RankSnapshot struct {
 	Blocked     bool
 	Done        bool
 	Vanished    bool
-	// SinceProgress is how long this rank's progress state had been
-	// unchanged when the diagnosis was taken (watchdog-observed, rounded
-	// to milliseconds), so a report distinguishes a slow rank — short
-	// SinceProgress, still moving — from a dead one stuck since the
-	// beginning of the stall window. Zero when the watchdog never saw
-	// the rank change (diagnosis on the first polls).
+	// SinceProgress is the time from this rank's last barrier arrival
+	// or exit (the run's start if it had neither) to the diagnosis,
+	// rounded to microseconds, so a report distinguishes a slow rank —
+	// short SinceProgress, still moving — from a dead one stuck since
+	// the beginning of the stall window.
 	SinceProgress time.Duration
 }
 
 func (r RankSnapshot) describe() string {
-	idle := ""
+	state, idle := "computing", ""
+	switch {
+	case r.Vanished:
+		state = "vanished"
+	case r.Done:
+		state = "finished"
+	case r.Blocked:
+		state = "blocked in " + r.Op
+	}
 	if r.SinceProgress > 0 {
 		idle = fmt.Sprintf(", idle %v", r.SinceProgress)
 	}
-	switch {
-	case r.Vanished:
-		return fmt.Sprintf("rank %d vanished (colls=%d exchs=%d%s)", r.Rank, r.Collectives, r.Exchanges, idle)
-	case r.Done:
-		return fmt.Sprintf("rank %d finished (colls=%d exchs=%d%s)", r.Rank, r.Collectives, r.Exchanges, idle)
-	case r.Blocked:
-		return fmt.Sprintf("rank %d blocked in %s (colls=%d exchs=%d%s)", r.Rank, r.Op, r.Collectives, r.Exchanges, idle)
-	default:
-		return fmt.Sprintf("rank %d computing (colls=%d exchs=%d%s)", r.Rank, r.Collectives, r.Exchanges, idle)
-	}
+	return fmt.Sprintf("rank %d %s (colls=%d exchs=%d%s)", r.Rank, state, r.Collectives, r.Exchanges, idle)
 }
 
-// StallError is the watchdog's diagnosis of a run that can no longer
+// StallError is the barrier's diagnosis of a run that can no longer
 // make progress.
 type StallError struct {
 	Reason string
@@ -115,165 +97,3 @@ func (e *StallError) Error() string {
 }
 
 func (e *StallError) Unwrap() error { return ErrStalled }
-
-// snapshot collects every rank's progress state. Each field is read
-// atomically; a snapshot only triggers a teardown when it repeats
-// across consecutive polls, so skew between fields of a rank mid-update
-// cannot produce a false diagnosis.
-func (w *World) snapshot() []RankSnapshot {
-	out := make([]RankSnapshot, len(w.ranks))
-	for i := range w.ranks {
-		rs := &w.ranks[i]
-		op := ""
-		if p := rs.op.Load(); p != nil {
-			op = *p
-		}
-		out[i] = RankSnapshot{
-			Rank:        i,
-			Op:          op,
-			Collectives: rs.colls.Load(),
-			Exchanges:   rs.exchs.Load(),
-			Blocked:     rs.blocked.Load(),
-			Done:        rs.done.Load(),
-			Vanished:    rs.vanished.Load(),
-		}
-	}
-	return out
-}
-
-// watch runs until stop closes, poisoning the barrier with a
-// *StallError (or a *RevokedError) when the run stalls.
-func (w *World) watch(timeout time.Duration, stop chan struct{}) {
-	interval := timeout / 8
-	if interval > 250*time.Millisecond {
-		interval = 250 * time.Millisecond
-	}
-	if interval < time.Millisecond {
-		interval = time.Millisecond
-	}
-	ticker := time.NewTicker(interval)
-	defer ticker.Stop()
-	var prev []RankSnapshot
-	var lastChange []time.Time
-	prevGen := -1
-	prevCertain := false
-	lastActivity := time.Now()
-	for {
-		select {
-		case <-stop:
-			return
-		case <-ticker.C:
-		}
-		if w.bar.isPoisoned() {
-			return // already tearing down
-		}
-		snap := w.snapshot()
-		parked, gen := w.bar.state()
-		now := time.Now()
-		if lastChange == nil {
-			lastChange = make([]time.Time, len(snap))
-			for i := range lastChange {
-				lastChange[i] = now
-			}
-		}
-		for i := range snap {
-			if prev != nil && snap[i] != prev[i] {
-				lastChange[i] = now
-			}
-		}
-		// idleStamped fills each snapshot entry's time-since-progress
-		// right before a diagnosis is published.
-		idleStamped := func() []RankSnapshot {
-			for i := range snap {
-				snap[i].SinceProgress = now.Sub(lastChange[i]).Round(time.Millisecond)
-			}
-			return snap
-		}
-		if gen != prevGen || !slices.Equal(prev, snap) {
-			lastActivity = now
-			prev, prevGen = snap, gen
-			prevCertain = false
-			continue
-		}
-		anyBlocked, allStuck, nBlocked := false, true, 0
-		for _, r := range snap {
-			if r.Blocked {
-				anyBlocked = true
-				nBlocked++
-			} else if !r.Done {
-				allStuck = false
-			}
-		}
-		if !anyBlocked {
-			lastActivity = now
-			continue
-		}
-		// Certain only when every flagged rank has actually parked in the
-		// barrier (a rank between flagging and parking might still be the
-		// arrival that fills the barrier and releases everyone).
-		certain := allStuck && parked == nBlocked
-		if certain && prevCertain {
-			if w.revoke(snap) {
-				return
-			}
-			w.stall(&StallError{
-				Reason: "deadlock: every rank is finished or blocked, none can advance",
-				Ranks:  idleStamped(),
-			})
-			return
-		}
-		prevCertain = certain
-		if time.Since(lastActivity) > timeout {
-			if w.revoke(snap) {
-				return
-			}
-			w.stall(&StallError{
-				Reason: fmt.Sprintf("no progress for %v", timeout),
-				Ranks:  idleStamped(),
-			})
-			return
-		}
-	}
-}
-
-// stallTrail is how many flight-recorder events per rank a stall
-// diagnosis carries: enough to see the phase pattern leading up to the
-// stall without flooding the report.
-const stallTrail = 8
-
-// revoke tears a survivable world down with a *RevokedError naming the
-// ranks snap shows vanished, and reports whether it did: the dead block
-// the survivors forever, so they unwind with one structured cause
-// instead of an undiagnosed stall.
-func (w *World) revoke(snap []RankSnapshot) bool {
-	if !w.survivable {
-		return false
-	}
-	var vanished []int
-	for _, r := range snap {
-		if r.Vanished {
-			vanished = append(vanished, r.Rank)
-		}
-	}
-	if vanished == nil {
-		return false
-	}
-	w.bar.poisonWith(&RevokedError{Failed: vanished})
-	return true
-}
-
-// stall releases all blocked ranks by poisoning the barrier with the
-// diagnosis.
-func (w *World) stall(err *StallError) {
-	if err.Trails == nil {
-		// Safe while ranks still run: each Recorder snapshot locks its
-		// ring against the owning rank's writes.
-		err.Trails = w.tr.TailStrings(stallTrail)
-	}
-	if err.Counters == "" {
-		// The report is atomic loads over the cells: safe while the
-		// stalled ranks sit in the barrier.
-		err.Counters = w.reg.Report()
-	}
-	w.bar.poisonWith(err)
-}

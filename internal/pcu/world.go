@@ -56,10 +56,10 @@ type Options struct {
 	// Faults is an optional deterministic failure schedule; a frame it
 	// damages carries its own retransmit (retry.go).
 	Faults *FaultPlan
-	// StallTimeout bounds how long the run may go without barrier
-	// progress before the watchdog tears it down with a *StallError.
-	// Zero selects DefaultStallTimeout; a negative value disables the
-	// watchdog entirely.
+	// StallTimeout bounds a barrier wait in which no rank arrives or
+	// exits; the run then fails with a *StallError. Zero selects
+	// DefaultStallTimeout; a negative value disables only this timeout:
+	// a certain deadlock is diagnosed in every run.
 	StallTimeout time.Duration
 	// Trace, when non-nil, records every rank's blocking operations,
 	// deliveries and injected faults into the given flight recorder
@@ -89,25 +89,20 @@ type World struct {
 	start time.Time
 	reg   *telemetry.Registry
 
-	// survivable worlds (Supervise's) revoke instead of stalling when
-	// vanished ranks block the survivors.
-	survivable bool
-
 	slots []any // collective scratch, one slot per rank
 
 	inboxes []inbox
 
-	// ranks is the per-rank progress state the watchdog polls.
+	// ranks holds each rank's op counters.
 	ranks []rankState
 
 	onMsgs, offMsgs, onBytes, offBytes atomic.Int64
 	retries, replays                   atomic.Int64
 }
 
-// Interned op names: rankState.op holds a pointer so recording progress
-// on the hot path is a single atomic store with no boxing allocation.
+// Interned op names: an entry holds a pointer, so recording the op a
+// rank is in costs no boxing allocation.
 var (
-	opNone      = ""
 	opExchange  = "exchange"
 	opBarrier   = "barrier"
 	opAllreduce = "allreduce"
@@ -117,17 +112,11 @@ var (
 	opExscan    = "exscan"
 )
 
-// rankState is one rank's progress record, written lock-free by the
-// rank itself and read by the watchdog. Each field is independently
-// atomic; the watchdog tolerates skew between fields because it only
-// acts on states that repeat across consecutive polls.
+// rankState counts the collectives and exchanges one rank has entered,
+// written by the rank itself and read by Stats and stall diagnoses.
 type rankState struct {
-	op       atomic.Pointer[string] // blocking op currently entered (opNone while computing)
-	colls    atomic.Int64
-	exchs    atomic.Int64
-	blocked  atomic.Bool // parked in the barrier
-	done     atomic.Bool // body returned, panicked, or vanished
-	vanished atomic.Bool
+	colls atomic.Int64
+	exchs atomic.Int64
 }
 
 type inbox struct {
@@ -237,15 +226,16 @@ func RunOn(n int, topo hwtopo.Topology, body func(*Ctx) error) (Stats, error) {
 // RunOpt executes body on n ranks under the given options. It returns
 // an error if any rank returned an error or panicked; a panic on one
 // rank tears down the whole run (peers observe ErrPeerFailed). Faults
-// from opt.Faults are injected deterministically, and the collective
-// watchdog converts deadlocks into a *StallError naming each rank's
-// blocked operation and phase counts.
+// from opt.Faults are injected deterministically, and a collective
+// stall — a certain deadlock in every run, or opt.StallTimeout without
+// progress — becomes a *StallError naming each rank's blocked op.
 func RunOpt(n int, opt Options, body func(*Ctx) error) (Stats, error) {
 	return runOpt(n, opt, false, body)
 }
 
-// runOpt is RunOpt; a survivable world (Supervise's) is revoked by the
-// watchdog when vanished ranks block the survivors, instead of stalled.
+// runOpt is RunOpt; a survivable world (Supervise's) is revoked when
+// vanished ranks block the survivors, instead of stalled. A negative
+// opt.StallTimeout turns off the timer only, never the deadlock check.
 func runOpt(n int, opt Options, survivable bool, body func(*Ctx) error) (Stats, error) {
 	if n < 1 {
 		return Stats{}, fmt.Errorf("pcu: rank count %d < 1", n)
@@ -258,13 +248,12 @@ func runOpt(n int, opt Options, survivable bool, body func(*Ctx) error) (Stats, 
 		return Stats{}, fmt.Errorf("pcu: %d ranks exceed topology %v", n, topo)
 	}
 	w := &World{
-		size:       n,
-		topo:       topo,
-		faults:     opt.Faults,
-		survivable: survivable,
-		slots:      make([]any, n),
-		inboxes:    make([]inbox, n),
-		ranks:      make([]rankState, n),
+		size:    n,
+		topo:    topo,
+		faults:  opt.Faults,
+		slots:   make([]any, n),
+		inboxes: make([]inbox, n),
+		ranks:   make([]rankState, n),
 	}
 	w.id = worldSeq.Add(1)
 	w.start = time.Now()
@@ -285,7 +274,7 @@ func runOpt(n int, opt Options, survivable bool, body func(*Ctx) error) (Stats, 
 		tr = trace.New(n)
 	}
 	w.tr = tr
-	w.bar.init(n)
+	w.bar.init(n, survivable, w.start)
 	worlds.Store(w, struct{}{})
 	defer worlds.Delete(w)
 
@@ -293,9 +282,9 @@ func runOpt(n int, opt Options, survivable bool, body func(*Ctx) error) (Stats, 
 	if timeout == 0 {
 		timeout = DefaultStallTimeout
 	}
-	stop := make(chan struct{})
 	if timeout > 0 {
-		go w.watch(timeout, stop)
+		w.bar.arm(timeout, w.stall)
+		defer w.bar.timer.Stop()
 	}
 
 	errs := make([]error, n)
@@ -304,14 +293,17 @@ func runOpt(n int, opt Options, survivable bool, body func(*Ctx) error) (Stats, 
 	for r := 0; r < n; r++ {
 		go func(rank int) {
 			defer wg.Done()
-			rs := &w.ranks[rank]
 			defer func() {
-				if p := recover(); p != nil {
-					errs[rank] = w.classify(rank, rs, p)
+				// A vanished rank disappears without teardown: its exit
+				// leaves its peers to the barrier's deadlock check.
+				p := recover()
+				_, vanished := p.(vanishSignal)
+				if p != nil && !vanished {
+					errs[rank] = w.classify(rank, p)
 				}
-				rs.done.Store(true)
-				rs.blocked.Store(false)
-				rs.op.Store(&opNone)
+				if err := w.bar.leave(rank, vanished); err != nil {
+					w.stall(err)
+				}
 			}()
 			c := &Ctx{
 				w: w, rank: rank, tr: tr.Rank(rank),
@@ -322,7 +314,6 @@ func runOpt(n int, opt Options, survivable bool, body func(*Ctx) error) (Stats, 
 		}(r)
 	}
 	wg.Wait()
-	close(stop)
 	// Collector-owned traces are added even when the run failed: a
 	// failure's timeline is exactly what the trace is for.
 	col.Add(tr)
@@ -339,13 +330,7 @@ func runOpt(n int, opt Options, survivable bool, body func(*Ctx) error) (Stats, 
 // classify converts one rank's recovered panic into its recorded error
 // and poisons the barrier when the panic is this rank's own failure
 // (rather than the propagated teardown cause).
-func (w *World) classify(rank int, rs *rankState, p any) error {
-	if _, ok := p.(vanishSignal); ok {
-		// The rank disappears without teardown; its peers deadlock and
-		// the watchdog reports the stall.
-		rs.vanished.Store(true)
-		return nil
-	}
+func (w *World) classify(rank int, p any) error {
 	err, ok := p.(error)
 	if !ok {
 		w.bar.poisonWith(ErrPeerFailed)
@@ -386,8 +371,29 @@ func (w *World) verdict(errs []error) error {
 		return errors.Join(primary...)
 	}
 	// No rank-level failure: the teardown cause itself is the story
-	// (watchdog stall, AbortAll, or a bare peer-failure echo).
+	// (a stall, AbortAll, or a bare peer-failure echo).
 	return cause
+}
+
+// stallTrail is how many flight-recorder events per rank a stall
+// diagnosis carries: enough to see the phase pattern leading up to the
+// stall without flooding the report.
+const stallTrail = 8
+
+// stall poisons the barrier with its verdict, a *StallError completed
+// first with each rank's op counts, flight-recorder tail and the
+// registry report: atomic loads, and Recorder snapshots that lock
+// their rings, so safe while ranks run.
+func (w *World) stall(err error) {
+	if s, ok := err.(*StallError); ok {
+		for r := range s.Ranks {
+			s.Ranks[r].Collectives = w.ranks[r].colls.Load()
+			s.Ranks[r].Exchanges = w.ranks[r].exchs.Load()
+		}
+		s.Trails = w.tr.TailStrings(stallTrail)
+		s.Counters = w.reg.Report()
+	}
+	w.bar.poisonWith(err)
 }
 
 // Stats returns a snapshot of the world's traffic counters.
@@ -431,7 +437,6 @@ func (c *Ctx) Stats() Stats { return c.w.Stats() }
 // the plan schedules for this rank at this op index.
 func (c *Ctx) beginOp(name *string, isExchange bool) {
 	rs := &c.w.ranks[c.rank]
-	rs.op.Store(name)
 	c.tr.Begin(*name)
 	var op int64
 	if isExchange {
@@ -439,7 +444,7 @@ func (c *Ctx) beginOp(name *string, isExchange bool) {
 	} else {
 		op = rs.colls.Add(1) + rs.exchs.Load()
 	}
-	c.entry = entry{id: name, op: op}
+	c.entry = entry{id: name, name: name, op: op}
 	f := c.w.faults.find(c.rank, op)
 	if f == nil {
 		return
@@ -470,15 +475,7 @@ func (c *Ctx) Ops() int64 {
 }
 
 // endOp records leaving a blocking operation.
-func (c *Ctx) endOp() {
-	rs := &c.w.ranks[c.rank]
-	if c.tr != nil {
-		if p := rs.op.Load(); p != nil && *p != opNone {
-			c.tr.End(*p)
-		}
-	}
-	rs.op.Store(&opNone)
-}
+func (c *Ctx) endOp() { c.tr.End(*c.entry.name) }
 
 // collStart is beginOp for collectives, taking id (when non-nil) as the
 // barrier identity of a named reduction and recording the op in the
@@ -494,14 +491,13 @@ func (c *Ctx) collStart(name, id *string) {
 // since returns world-monotonic nanoseconds (time since RunOpt began).
 func (w *World) since() int64 { return int64(time.Since(w.start)) }
 
-// wait blocks in the shared barrier, flagging the rank as blocked so the
-// watchdog can tell waiting from computing; a rank that spins before it
-// parks is blocked too.
+// wait blocks in the shared barrier. The wait that makes a deadlock
+// certain tears the run down and unwinds with the teardown cause.
 func (c *Ctx) wait() {
-	rs := &c.w.ranks[c.rank]
-	rs.blocked.Store(true)
-	defer rs.blocked.Store(false)
-	c.w.bar.wait(c.rank, c.entry)
+	if err := c.w.bar.wait(c.rank, c.entry); err != nil {
+		c.w.stall(err)
+		panic(c.w.bar.causeErr())
+	}
 }
 
 // grabBuf pops a recycled payload array (length zero, capacity grown by
@@ -739,14 +735,20 @@ func (c *Ctx) Barrier() {
 
 // barrier is a reusable sense-counting barrier. Poisoning releases all
 // current and future waiters by panicking them with the teardown cause
-// (ErrPeerFailed when a rank dies, a *StallError when the watchdog
-// fires), preventing deadlock when a rank cannot arrive.
+// (ErrPeerFailed when a rank dies, a *StallError on a stall), preventing
+// deadlock when a rank cannot arrive.
 //
 // It is also the rendezvous check: each arrival records the op its
 // rank is in, and the last arriver compares them before it advances
 // the generation. Ranks that met from different ops are not released:
 // the last arriver poisons the barrier with a *MismatchError, so no
 // rank reads a slot or an inbox filled by a peer in another op.
+//
+// And it diagnoses stalls from what it counts under mu. The arrival or
+// exit that leaves every rank arrived or finished, at least one
+// arrived, returns the deadlock verdict for its caller to poison the
+// barrier with; a timer armed once per world gives the timeout verdict
+// when a rank waits and nothing arrives or exits for the timeout.
 //
 // Arrivals are counted under mu; gen and poisoned are atomics written
 // under mu, so a waiter that is not last can poll them without the
@@ -758,29 +760,56 @@ type barrier struct {
 	mu       sync.Mutex
 	cond     *sync.Cond
 	n        int
-	count    int
+	count    int // ranks arrived in the current generation
+	finished int // ranks whose body returned, panicked or vanished
 	spin     bool
 	gen      atomic.Int64
 	poisoned atomic.Bool
 	cause    error
 	entries  []entry // per rank, the op it arrived from
+	tallies  []tally // per rank, its last arrival or exit
+
+	// start anchors the barrier's clock: tally.at and last (the latest
+	// arrival or exit) are durations since it.
+	start time.Time
+	last  time.Duration
+
+	survivable bool // revoke instead of stalling when ranks vanished
+	timeout    time.Duration
+	timer      *time.Timer // nil when the stall timeout is off
+}
+
+// tally is one rank's progress as a stall diagnosis reports it.
+type tally struct {
+	gen            int64         // generation of its last arrival; -1 before it and after the exit
+	at             time.Duration // its last arrival or exit
+	done, vanished bool
 }
 
 // spinBudget bounds how long a waiter polls before parking: about
 // twice the cost of waking a parked goroutine.
 const spinBudget = 100 * time.Microsecond
 
-func (b *barrier) init(n int) {
+func (b *barrier) init(n int, survivable bool, start time.Time) {
 	b.n = n
 	b.cond = sync.NewCond(&b.mu)
 	b.entries = make([]entry, n)
+	b.tallies = make([]tally, n)
+	for r := range b.tallies {
+		b.tallies[r].gen = -1
+	}
+	b.start, b.survivable = start, survivable
 	// An oversubscribed world parks at once: a spinning rank would
 	// hold the processor the rank it waits for needs.
 	b.spin = n <= runtime.GOMAXPROCS(0)
 }
 
-// wait blocks until every rank arrives; rank arrives from the op e.
-func (b *barrier) wait(rank int, e entry) {
+// wait blocks until every rank arrives; rank arrives from the op e. An
+// arrival that makes a deadlock certain returns its verdict instead.
+// The arrival's one clock read is taken before the lock, to keep it out
+// of the critical section, and starts the spin budget.
+func (b *barrier) wait(rank int, e entry) error {
+	now := time.Since(b.start)
 	b.mu.Lock()
 	if b.poisoned.Load() {
 		cause := b.cause
@@ -789,6 +818,8 @@ func (b *barrier) wait(rank int, e entry) {
 	}
 	gen := b.gen.Load()
 	b.entries[rank] = e
+	b.last = now
+	b.tallies[rank] = tally{gen: gen, at: now}
 	b.count++
 	if b.count == b.n {
 		b.count = 0
@@ -800,13 +831,17 @@ func (b *barrier) wait(rank int, e entry) {
 		b.gen.Store(gen + 1)
 		b.cond.Broadcast()
 		b.mu.Unlock()
-		return
+		return nil
+	}
+	if err := b.deadlock(); err != nil {
+		b.mu.Unlock()
+		return err
 	}
 	if b.spin {
 		b.mu.Unlock()
-		for start := time.Now(); time.Since(start) < spinBudget && !b.poisoned.Load(); runtime.Gosched() {
+		for ; time.Since(b.start)-now < spinBudget && !b.poisoned.Load(); runtime.Gosched() {
 			if b.gen.Load() != gen {
-				return
+				return nil
 			}
 		}
 		b.mu.Lock()
@@ -820,11 +855,91 @@ func (b *barrier) wait(rank int, e entry) {
 		// the next wait, not this one — otherwise which ranks observe a
 		// failure would depend on wakeup timing.
 		b.mu.Unlock()
-		return
+		return nil
 	}
 	cause := b.cause
 	b.mu.Unlock()
 	panic(cause)
+}
+
+// leave records that rank's body returned, panicked or vanished; an
+// exit that makes a deadlock certain returns its verdict.
+func (b *barrier) leave(rank int, vanished bool) error {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	b.last = time.Since(b.start)
+	b.tallies[rank] = tally{gen: -1, at: b.last, done: true, vanished: vanished}
+	b.finished++
+	if b.poisoned.Load() {
+		return nil
+	}
+	return b.deadlock()
+}
+
+// deadlock returns the deadlock verdict, b.mu held, when every rank has
+// arrived or finished and at least one has arrived: none can advance.
+// A rank released from a generation is no longer counted as arrived.
+func (b *barrier) deadlock() error {
+	if b.count == 0 || b.count+b.finished < b.n {
+		return nil
+	}
+	return b.verdict("deadlock: every rank is finished or blocked, none can advance")
+}
+
+// arm starts the stall timer, which hands stall the timeout verdict.
+func (b *barrier) arm(timeout time.Duration, stall func(error)) {
+	b.mu.Lock() // the timer's first check must see it armed
+	defer b.mu.Unlock()
+	b.timeout = timeout
+	b.timer = time.AfterFunc(timeout, func() {
+		if err := b.idle(); err != nil {
+			stall(err)
+		}
+	})
+}
+
+// idle is the stall timer's check: the timeout verdict when a rank has
+// waited the timeout with nothing arriving or exiting, else nil with
+// the timer re-armed while the run is live.
+func (b *barrier) idle() error {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	quiet := time.Since(b.start) - b.last
+	switch {
+	case b.poisoned.Load() || b.finished == b.n:
+		// Torn down or over: the timer stays stopped.
+	case quiet < b.timeout:
+		b.timer.Reset(b.timeout - quiet)
+	case b.count > 0:
+		return b.verdict(fmt.Sprintf("no progress for %v", b.timeout))
+	default:
+		b.timer.Reset(b.timeout)
+	}
+	return nil
+}
+
+// verdict is the poison, built under b.mu, for a run that cannot
+// advance: a *RevokedError naming the vanished ranks of a survivable
+// world, else a *StallError that World.stall completes.
+func (b *barrier) verdict(reason string) error {
+	now, gen := time.Since(b.start), b.gen.Load()
+	var vanished []int
+	ranks := make([]RankSnapshot, b.n)
+	for r, t := range b.tallies {
+		s := &ranks[r]
+		*s = RankSnapshot{Rank: r, Blocked: t.gen == gen, Done: t.done, Vanished: t.vanished,
+			SinceProgress: (now - t.at).Round(time.Microsecond)}
+		if s.Blocked {
+			s.Op = *b.entries[r].name
+		}
+		if t.vanished {
+			vanished = append(vanished, r)
+		}
+	}
+	if b.survivable && vanished != nil {
+		return &RevokedError{Failed: vanished}
+	}
+	return &StallError{Reason: reason, Ranks: ranks}
 }
 
 // poisonWith poisons the barrier with the given cause; the first cause
@@ -844,8 +959,6 @@ func (b *barrier) poisonLocked(cause error) {
 	b.cond.Broadcast()
 }
 
-func (b *barrier) isPoisoned() bool { return b.poisoned.Load() }
-
 // causeErr returns the teardown cause, or nil if the barrier is healthy.
 func (b *barrier) causeErr() error {
 	b.mu.Lock()
@@ -853,10 +966,10 @@ func (b *barrier) causeErr() error {
 	return b.cause
 }
 
-// state returns how many ranks are parked in the current generation and
-// the generation number; the watchdog uses both to detect stuck runs.
-func (b *barrier) state() (count, gen int) {
+// state returns how many ranks have arrived in the current generation
+// and how many have finished.
+func (b *barrier) state() (arrived, finished int) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	return b.count, int(b.gen.Load())
+	return b.count, b.finished
 }

@@ -16,7 +16,7 @@ import (
 	"time"
 )
 
-// Health is the watchdog's live verdict over all active worlds.
+// Health is the live verdict of every active world's barrier.
 type Health struct {
 	Healthy bool     `json:"healthy"`
 	Worlds  int      `json:"worlds"`
@@ -33,7 +33,7 @@ type Sources struct {
 	// TraceJSON writes the live per-rank ring tails as a Chrome-trace
 	// JSON document (schema pumi-trace/chrome/1); backs /trace.
 	TraceJSON func(w io.Writer) error
-	// Health returns the watchdog verdict; backs /healthz (503 when
+	// Health returns the barriers' verdict; backs /healthz (503 when
 	// unhealthy, 200 otherwise).
 	Health func() Health
 }
