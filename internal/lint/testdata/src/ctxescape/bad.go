@@ -57,3 +57,43 @@ func badCtxCaptureDeep(c *pcu.Ctx) {
 		_ = c.Rank() // want `captured by a function literal passed to runIndirect, which passes it to runLater, which starts it on a goroutine`
 	})
 }
+
+// The same leaks one call away: the helper's own escape is a finding,
+// and so is every Ctx handed to it.
+func sendHelper(c *pcu.Ctx, ch chan *pcu.Ctx) {
+	ch <- c // want `sent on a channel`
+}
+
+func badLeakViaSend(c *pcu.Ctx, ch chan *pcu.Ctx) {
+	sendHelper(c, ch) // want `passed to sendHelper, which sends it on a channel`
+}
+
+func storeHelper(c *pcu.Ctx) {
+	leaked = c // want `package-level state`
+}
+
+func badLeakViaStore(c *pcu.Ctx) {
+	storeHelper(c) // want `passed to storeHelper, which stores it in package-level state`
+}
+
+func captureHelper(c *pcu.Ctx) {
+	go func() {
+		_ = c.Rank() // want `captured by goroutine literal`
+	}()
+}
+
+func badLeakViaCapture(c *pcu.Ctx) {
+	captureHelper(c) // want `passed to captureHelper, which captures it in a goroutine literal`
+}
+
+// A function parameter called from inside a goroutine literal runs on
+// that goroutine as surely as `go f()`.
+func runInLiteral(f func()) {
+	go func() { f() }()
+}
+
+func badCtxCaptureInLiteral(c *pcu.Ctx) {
+	runInLiteral(func() {
+		c.Barrier() // want `captured by a function literal passed to runInLiteral, which runs it from a goroutine literal`
+	})
+}

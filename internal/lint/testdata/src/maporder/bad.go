@@ -46,3 +46,24 @@ func badInClosure(c *pcu.Ctx, parts map[int]int32) {
 		func() { sendOne(c, q, v) }()
 	}
 }
+
+func syncOnce(c *pcu.Ctx) { c.Barrier() }
+
+func syncTwice(c *pcu.Ctx) { syncOnce(c) }
+
+func badCollectiveViaHelpers(c *pcu.Ctx, parts map[int]int) {
+	for range parts { // want `map iteration order reaches communication \(reaches collective via syncTwice -> syncOnce -> Ctx.Barrier\)`
+		syncTwice(c)
+	}
+}
+
+func openTo(c *pcu.Ctx, q int, v int32) {
+	b := c.To(q)
+	b.Int32(v)
+}
+
+func badToViaHelper(c *pcu.Ctx, parts map[int]int32) {
+	for q, v := range parts { // want `map iteration order reaches communication \(calls openTo, which opens a To buffer\)`
+		openTo(c, q, v)
+	}
+}
