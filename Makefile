@@ -15,10 +15,10 @@ test:
 
 # Non-test Go lines under internal/ + cmd/ (lint fixtures excluded): the
 # size figure ROADMAP re-anchors and CHANGES entries quote before/after.
-# A gate: more than 22,000 lines fails the lane.
+# A gate: more than 21,700 lines fails the lane.
 loc:
 	@n=$$(find internal cmd -name '*.go' ! -name '*_test.go' ! -path '*/testdata/*' -print0 | xargs -0 cat | wc -l); \
-	echo $$n; test $$n -le 22000 || { echo "make loc: $$n non-test lines, over the 22,000 limit"; exit 1; }
+	echo $$n; test $$n -le 21700 || { echo "make loc: $$n non-test lines, over the 21,700 limit"; exit 1; }
 
 # Escape gate: every variable the compiler moves to the heap in the
 # array-indexed core (mesh, ds, partition), the adaptation kernels

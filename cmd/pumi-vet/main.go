@@ -51,9 +51,8 @@ import (
 func main() {
 	cmdutil.SetTool("pumi-vet")
 	var (
-		list    = flag.Bool("list", false, "list analyzers and exit")
-		only    = flag.String("analyzers", "", "comma-separated subset of analyzers to run")
-		noTests = flag.Bool("notests", false, "skip _test.go files")
+		list = flag.Bool("list", false, "list analyzers and exit")
+		only = flag.String("analyzers", "", "comma-separated subset of analyzers to run")
 	)
 	flag.Usage = func() {
 		fmt.Fprintf(os.Stderr, "usage: pumi-vet [flags] [packages]\n\n"+
@@ -96,7 +95,6 @@ func main() {
 	if err != nil {
 		cmdutil.Usagef("%v", err)
 	}
-	loader.IncludeTests = !*noTests
 	pkgs, err := loader.Load(cwd, flag.Args()...)
 	if err != nil {
 		cmdutil.Usagef("%v", err)

@@ -292,7 +292,7 @@ func isExchangeCall(p *Pass, call *ast.CallExpr) bool {
 func readerOrigin(p *Pass, e ast.Expr) (pooled, ok bool) {
 	switch e := ast.Unparen(e).(type) {
 	case *ast.CallExpr:
-		if fn := calleeFunc(p.Info, e); fn != nil && fn.Name() == "NewReader" &&
+		if fn := funcOf(p.Info, e.Fun); fn != nil && fn.Name() == "NewReader" &&
 			fn.Pkg() != nil && pathHasSuffix(fn.Pkg().Path(), pcuPkg) {
 			return false, true
 		}

@@ -297,7 +297,7 @@ func tailLang(p *Pass, konts [][]ast.Stmt) *Effect {
 // rankTaint computes the local variables of one function body that hold
 // rank-derived values, iterating assignment chains to a (bounded)
 // fixpoint. Sources: Ctx.Rank() calls, calls to functions whose return
-// derives from rank (Facts.RankReturn), and uses of already-tainted
+// derives from rank (the summary's retRank), and uses of already-tainted
 // variables — which covers arithmetic on rank and rank-indexed data,
 // since containment is checked over whole right-hand sides. The scan
 // descends into function literals: `func() { r = c.Rank() }()` taints
@@ -365,13 +365,16 @@ func rankDerived(p *Pass, e ast.Expr, taint map[types.Object]bool) bool {
 		case *ast.FuncLit:
 			return false
 		case *ast.CallExpr:
+			if found { // a later sibling call must not clear a match
+				return false
+			}
 			if isRankCall(p, n) {
 				found = true
-			} else if fn := calleeFunc(p.Info, n); fn != nil {
+			} else if fn := funcOf(p.Info, n.Fun); fn != nil {
 				if p.Facts.IsCollective(fn) {
 					return false // reconciled: same value on every rank
 				}
-				found = p.Facts.RankReturn(fn)
+				found = p.Facts.summary(fn).retRank
 			}
 		case *ast.Ident:
 			if obj := p.Info.Uses[n]; obj != nil && taint[obj] {

@@ -19,53 +19,98 @@ var CtxEscape = &Analyzer{
 
 func runCtxEscape(p *Pass) {
 	for _, file := range p.Files {
-		// Calls that are the operand of a `go` statement are handled by
-		// checkGoStmt; the interprocedural call check skips them so a
-		// `go helper(ctx)` is reported once, not twice.
-		goCalls := map[*ast.CallExpr]bool{}
+		// A `go` statement's call is checked by the escape scan; the
+		// interprocedural call check skips it so a `go helper(ctx)` is
+		// reported once, not twice. Inspect visits that call right after
+		// its statement.
+		var goCall *ast.CallExpr
 		ast.Inspect(file, func(n ast.Node) bool {
 			if g, ok := n.(*ast.GoStmt); ok {
-				goCalls[g.Call] = true
+				goCall = g.Call
 			}
+			if call, ok := n.(*ast.CallExpr); ok && call != goCall {
+				checkCallLeaks(p, call)
+			}
+			escapesAt(p.Info, n, func(x escape) {
+				if !isCtxPtr(p.TypeOf(x.val)) {
+					return
+				}
+				switch x.shape {
+				case escGoArg:
+					p.Reportf(x.val.Pos(), "*pcu.Ctx passed to a goroutine; "+confined)
+				case escCapture:
+					p.Reportf(x.val.Pos(), "*pcu.Ctx %q captured by goroutine literal; "+confined, x.val.(*ast.Ident).Name)
+				case escSend:
+					p.Reportf(x.val.Pos(), "*pcu.Ctx sent on a channel; "+confined)
+				case escStore:
+					p.Reportf(x.val.Pos(), "*pcu.Ctx stored in package-level state %q; "+confined, x.into.Name)
+				}
+			})
 			return true
 		})
-		ast.Inspect(file, func(n ast.Node) bool {
-			switch n := n.(type) {
-			case *ast.GoStmt:
-				checkGoStmt(p, n)
-			case *ast.CallExpr:
-				if !goCalls[n] {
-					checkCallLeaks(p, n)
-				}
-			case *ast.SendStmt:
-				if isCtxPtr(p.TypeOf(n.Value)) {
-					p.Reportf(n.Value.Pos(),
-						"*pcu.Ctx sent on a channel; a Ctx is confined to the goroutine it was handed to")
-				}
-			case *ast.AssignStmt:
-				for i, lhs := range n.Lhs {
-					if len(n.Rhs) != len(n.Lhs) {
-						break
-					}
-					if !isCtxPtr(p.TypeOf(n.Rhs[i])) {
-						continue
-					}
-					if root := rootIdent(lhs); root != nil && isPkgLevelVar(p.Info, root) {
-						p.Reportf(n.Rhs[i].Pos(),
-							"*pcu.Ctx stored in package-level state %q; a Ctx is confined to the goroutine it was handed to", root.Name)
-					}
-				}
-			case *ast.ValueSpec:
-				// Package-level `var x = ctx` declarations.
-				for i, name := range n.Names {
-					if i < len(n.Values) && isCtxPtr(p.TypeOf(n.Values[i])) && isPkgLevelVar(p.Info, name) {
-						p.Reportf(n.Values[i].Pos(),
-							"*pcu.Ctx stored in package-level state %q; a Ctx is confined to the goroutine it was handed to", name.Name)
-					}
-				}
+	}
+}
+
+const confined = "a Ctx is confined to the goroutine it was handed to"
+
+// The shapes of an escape site: how a value leaves the goroutine running
+// its function.
+const (
+	escGoArg   = iota // an argument of a `go` statement
+	escGoFunc         // the function a `go` statement starts
+	escCapture        // a variable a goroutine literal captures
+	escSend           // a value sent on a channel
+	escStore          // a value stored in package-level state
+)
+
+// escape is one escape site: val leaves by shape; into is the
+// package-level variable of an escStore.
+type escape struct {
+	shape int
+	val   ast.Expr
+	into  *ast.Ident
+}
+
+// escapesAt is the one Ctx-escape scan: it calls esc for each site at
+// which node n hands a value to another goroutine. Argument, send and
+// store sites carry *pcu.Ctx values; the function a `go` statement
+// starts and the variables its literal captures come whatever their
+// type, for the summary's async parameters. ctxescape reports every
+// Ctx site; the summary keeps the sites whose value is a parameter.
+func escapesAt(info *types.Info, n ast.Node, esc func(escape)) {
+	switch n := n.(type) {
+	case *ast.GoStmt:
+		for _, arg := range n.Call.Args {
+			if isCtxPtr(info.TypeOf(arg)) {
+				esc(escape{shape: escGoArg, val: arg})
 			}
-			return true
-		})
+		}
+		esc(escape{shape: escGoFunc, val: n.Call.Fun})
+		if lit, ok := ast.Unparen(n.Call.Fun).(*ast.FuncLit); ok {
+			for _, id := range captures(info, lit) {
+				esc(escape{shape: escCapture, val: id})
+			}
+		}
+	case *ast.SendStmt:
+		if isCtxPtr(info.TypeOf(n.Value)) {
+			esc(escape{shape: escSend, val: n.Value})
+		}
+	case *ast.AssignStmt:
+		for i, rhs := range n.Rhs {
+			if len(n.Lhs) != len(n.Rhs) {
+				break
+			}
+			if root := rootIdent(n.Lhs[i]); root != nil && isCtxPtr(info.TypeOf(rhs)) && isPkgLevelVar(info, root) {
+				esc(escape{escStore, rhs, root})
+			}
+		}
+	case *ast.ValueSpec:
+		// Package-level `var x = ctx` declarations.
+		for i, name := range n.Names {
+			if i < len(n.Values) && isCtxPtr(info.TypeOf(n.Values[i])) && isPkgLevelVar(info, name) {
+				esc(escape{escStore, n.Values[i], name})
+			}
+		}
 	}
 }
 
@@ -75,7 +120,7 @@ func runCtxEscape(p *Pass) {
 // as surely as a direct `go` statement, and so does a Ctx captured by a
 // function literal handed to a parameter the callee runs asynchronously.
 func checkCallLeaks(p *Pass, call *ast.CallExpr) {
-	fn := calleeFunc(p.Info, call)
+	fn := funcOf(p.Info, call.Fun)
 	if fn == nil {
 		return
 	}
@@ -85,66 +130,45 @@ func checkCallLeaks(p *Pass, call *ast.CallExpr) {
 			continue
 		}
 		if isCtxPtr(p.TypeOf(arg)) {
-			if how, ok := p.Facts.LeakedCtxParam(fn, pi); ok {
-				p.Reportf(arg.Pos(),
-					"*pcu.Ctx passed to %s, which %s; a Ctx is confined to the goroutine it was handed to",
-					fn.Name(), how)
+			if how := p.Facts.summary(fn).leak[pi]; how != "" {
+				p.Reportf(arg.Pos(), "*pcu.Ctx passed to %s, which %s; "+confined, fn.Name(), how)
 			}
 			continue
 		}
-		if lit, ok := ast.Unparen(arg).(*ast.FuncLit); ok {
-			how, ok := p.Facts.AsyncParam(fn, pi)
-			if !ok {
-				continue
-			}
-			for _, id := range ctxCaptures(p, lit) {
+		lit, ok := ast.Unparen(arg).(*ast.FuncLit)
+		how := p.Facts.summary(fn).async[pi]
+		if !ok || how == "" {
+			continue
+		}
+		for _, id := range captures(p.Info, lit) {
+			if isCtxPtr(p.TypeOf(id)) {
 				p.Reportf(id.Pos(),
-					"*pcu.Ctx %q captured by a function literal passed to %s, which %s; a Ctx is confined to the goroutine it was handed to",
+					"*pcu.Ctx %q captured by a function literal passed to %s, which %s; "+confined,
 					id.Name, fn.Name(), how)
 			}
 		}
 	}
 }
 
-// ctxCaptures returns the identifiers inside lit that are free-variable
-// uses of a *pcu.Ctx declared outside the literal.
-func ctxCaptures(p *Pass, lit *ast.FuncLit) []*ast.Ident {
+// captures returns the identifiers inside lit that are free-variable
+// uses of a variable declared outside the literal.
+func captures(info *types.Info, lit *ast.FuncLit) []*ast.Ident {
 	var ids []*ast.Ident
 	ast.Inspect(lit.Body, func(n ast.Node) bool {
 		id, ok := n.(*ast.Ident)
 		if !ok {
 			return true
 		}
-		obj, ok := p.Info.Uses[id].(*types.Var)
+		obj, ok := info.Uses[id].(*types.Var)
 		// Fields are reached through the struct value, not captured on
 		// their own; their declaration position lies in another scope
 		// entirely, so the extent test below would misread them.
-		if !ok || obj.IsField() || !isCtxPtr(obj.Type()) {
-			return true
-		}
-		if obj.Pos() < lit.Pos() || obj.Pos() > lit.End() {
+		if ok && !obj.IsField() && (obj.Pos() < lit.Pos() || obj.Pos() > lit.End()) {
 			ids = append(ids, id)
 		}
 		return true
 	})
 	return ids
-}
-
-// checkGoStmt flags a Ctx that crosses into a spawned goroutine, either
-// as a call argument or as a free variable of a function literal.
-func checkGoStmt(p *Pass, g *ast.GoStmt) {
-	for _, arg := range g.Call.Args {
-		if isCtxPtr(p.TypeOf(arg)) {
-			p.Reportf(arg.Pos(),
-				"*pcu.Ctx passed to a goroutine; a Ctx is confined to the goroutine it was handed to")
-		}
-	}
-	if lit, ok := ast.Unparen(g.Call.Fun).(*ast.FuncLit); ok {
-		for _, id := range ctxCaptures(p, lit) {
-			p.Reportf(id.Pos(),
-				"*pcu.Ctx %q captured by goroutine literal; a Ctx is confined to the goroutine it was handed to", id.Name)
-		}
-	}
 }
 
 // rootIdent returns the base identifier of an lvalue expression

@@ -155,47 +155,6 @@ func loopEffect(e *Effect) *Effect {
 	return &Effect{kind: effLoop, kids: []*Effect{e}, key: e.key + "*"}
 }
 
-// String renders a term for diagnostics and debugging.
-func (e *Effect) String() string {
-	if e == nil {
-		return "ε"
-	}
-	switch e.kind {
-	case effEmpty:
-		return "ε"
-	case effOp:
-		return e.op
-	case effSeq:
-		parts := make([]string, len(e.kids))
-		for i, k := range e.kids {
-			parts[i] = k.String()
-		}
-		return strings.Join(parts, "·")
-	case effChoice:
-		parts := make([]string, len(e.kids))
-		for i, k := range e.kids {
-			parts[i] = k.String()
-		}
-		return "(" + strings.Join(parts, " | ") + ")"
-	case effLoop:
-		inner := e.kids[0].String()
-		if e.kids[0].kind == effSeq || e.kids[0].kind == effChoice {
-			return "(" + inner + ")*"
-		}
-		return inner + "*"
-	}
-	return "?"
-}
-
-// Equal reports structural (canonical) term equality. Language
-// equivalence is the job of schedDiverge.
-func (e *Effect) Equal(o *Effect) bool {
-	if e == nil || o == nil {
-		return e == o
-	}
-	return e.key == o.key
-}
-
 // alphabet collects the distinct atoms of a term in sorted order.
 func alphabet(e *Effect) []*Effect {
 	set := map[string]*Effect{}
@@ -347,7 +306,7 @@ const maxDivergeStates = 50000
 // labeled aLabel can do something the path labeled bLabel cannot (or
 // vice versa).
 func schedDiverge(a, b *Effect, aLabel, bLabel string) (string, bool) {
-	if a.Equal(b) {
+	if a.key == b.key {
 		return "", true
 	}
 	type pairState struct {
@@ -422,17 +381,12 @@ func fallsThrough(eff *Effect) effFlow { return effFlow{eff: eff, falls: true} }
 type effEval struct {
 	p         *Package
 	facts     *Facts
-	g         *callGraph
 	condDepth int
 	deferred  []*Effect
 }
 
 func newEffEval(p *Package, facts *Facts) *effEval {
-	var g *callGraph
-	if facts != nil {
-		g = facts.graph
-	}
-	return &effEval{p: p, facts: facts, g: g}
+	return &effEval{p: p, facts: facts}
 }
 
 // funcBody computes the whole-function effect: the alternation of all
@@ -657,32 +611,22 @@ func (ev *effEval) evalExprs(list []ast.Expr) *Effect {
 // inferred effect for resolved in-module functions, ε otherwise.
 func (ev *effEval) callEffect(call *ast.CallExpr) *Effect {
 	if lit, ok := ast.Unparen(call.Fun).(*ast.FuncLit); ok {
-		return ev.sub().funcBody(lit.Body)
+		return newEffEval(ev.p, ev.facts).funcBody(lit.Body)
 	}
-	fn := calleeFunc(ev.p.Info, call)
+	fn := funcOf(ev.p.Info, call.Fun)
 	// The pcu run drivers execute their final function argument on the
 	// spawned world's schedule; checked before the doc-mark test because
 	// RunOpt's doc mentions a collective stall.
 	if runDriver(fn) && len(call.Args) > 0 {
 		return ev.bodyArgEffect(call.Args[len(call.Args)-1])
 	}
-	if fn != nil && ev.facts != nil && ev.facts.directCollective(fn) {
+	if ev.facts.directCollective(fn) {
 		return opEffect(fn.Name())
 	}
-	if fn != nil && ev.g != nil {
-		if n := ev.g.nodes[keyOfFunc(fn)]; n != nil && n.effect != nil {
-			return n.effect
-		}
+	if e := ev.facts.summary(fn).effect; e != nil {
+		return e
 	}
 	return emptyEffect
-}
-
-// sub derives a fresh evaluator for a nested body, inheriting the
-// graph (deferred effects must not leak across bodies).
-func (ev *effEval) sub() *effEval {
-	s := newEffEval(ev.p, ev.facts)
-	s.g = ev.g
-	return s
 }
 
 // runDriver reports whether fn is one of the pcu run drivers whose
@@ -706,30 +650,12 @@ func runDriver(fn *types.Func) bool {
 // its inferred effect, and anything else is a dynamic value: ε.
 func (ev *effEval) bodyArgEffect(arg ast.Expr) *Effect {
 	if lit, ok := ast.Unparen(arg).(*ast.FuncLit); ok {
-		return ev.sub().funcBody(lit.Body)
+		return newEffEval(ev.p, ev.facts).funcBody(lit.Body)
 	}
-	if fn := exprFunc(ev.p.Info, ast.Unparen(arg)); fn != nil && ev.g != nil {
-		if n := ev.g.nodes[keyOfFunc(fn)]; n != nil && n.effect != nil {
-			return n.effect
-		}
+	if e := ev.facts.summary(funcOf(ev.p.Info, arg)).effect; e != nil {
+		return e
 	}
 	return emptyEffect
-}
-
-// exprFunc resolves an expression used as a function value to the
-// declared *types.Func it names, or nil.
-func exprFunc(info *types.Info, e ast.Expr) *types.Func {
-	switch e := e.(type) {
-	case *ast.Ident:
-		if f, ok := info.Uses[e].(*types.Func); ok {
-			return f
-		}
-	case *ast.SelectorExpr:
-		if f, ok := info.Uses[e.Sel].(*types.Func); ok {
-			return f
-		}
-	}
-	return nil
 }
 
 // ---- interprocedural effect inference over the callgraph ----
@@ -803,11 +729,7 @@ func (g *callGraph) resolveEffects(facts *Facts, comp []funcKey) {
 			}
 		}
 		if !selfRec {
-			// facts.graph is not assigned until buildCallGraph returns, so
-			// wire this graph into the evaluator directly.
-			ev := newEffEval(n.pkg, facts)
-			ev.g = g
-			n.effect = ev.funcBody(n.decl.Body)
+			n.effect = newEffEval(n.pkg, facts).funcBody(n.decl.Body)
 			return
 		}
 	}
@@ -823,7 +745,7 @@ func (g *callGraph) resolveEffects(facts *Facts, comp []funcKey) {
 			if !ok {
 				return true
 			}
-			fn := calleeFunc(n.pkg.Info, call)
+			fn := funcOf(n.pkg.Info, call.Fun)
 			if runDriver(fn) || facts.directCollective(fn) {
 				// A run driver's body argument is dynamic inside a widened
 				// cycle, so it is an opaque atom like a collective.

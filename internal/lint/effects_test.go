@@ -12,28 +12,28 @@ func TestEffectCanonicalization(t *testing.T) {
 	b, e, s := op("Barrier"), op("Exchange"), op("SumInt64")
 
 	if got := seqEffect(); got != emptyEffect {
-		t.Errorf("seq() = %s, want ε", got)
+		t.Errorf("seq() = %s, want ε", got.key)
 	}
-	if got := seqEffect(emptyEffect, b, emptyEffect); !got.Equal(b) {
-		t.Errorf("ε·Barrier·ε = %s, want Barrier", got)
+	if got := seqEffect(emptyEffect, b, emptyEffect); got.key != b.key {
+		t.Errorf("ε·Barrier·ε = %s, want Barrier", got.key)
 	}
 	// Seq flattening: (a·b)·c == a·(b·c).
-	if l, r := seqEffect(seqEffect(b, e), s), seqEffect(b, seqEffect(e, s)); !l.Equal(r) {
-		t.Errorf("seq not associative: %s vs %s", l, r)
+	if l, r := seqEffect(seqEffect(b, e), s), seqEffect(b, seqEffect(e, s)); l.key != r.key {
+		t.Errorf("seq not associative: %s vs %s", l.key, r.key)
 	}
 	// Choice is ACI: dedup, flatten, order-independent.
-	if l, r := choiceEffect(b, e), choiceEffect(e, b, e); !l.Equal(r) {
-		t.Errorf("choice not ACI: %s vs %s", l, r)
+	if l, r := choiceEffect(b, e), choiceEffect(e, b, e); l.key != r.key {
+		t.Errorf("choice not ACI: %s vs %s", l.key, r.key)
 	}
-	if got := choiceEffect(b, b); !got.Equal(b) {
-		t.Errorf("Barrier|Barrier = %s, want Barrier", got)
+	if got := choiceEffect(b, b); got.key != b.key {
+		t.Errorf("Barrier|Barrier = %s, want Barrier", got.key)
 	}
 	// Loop(ε)=ε, Loop(Loop(e))=Loop(e).
 	if got := loopEffect(emptyEffect); got != emptyEffect {
-		t.Errorf("ε* = %s, want ε", got)
+		t.Errorf("ε* = %s, want ε", got.key)
 	}
-	if got := loopEffect(loopEffect(b)); !got.Equal(loopEffect(b)) {
-		t.Errorf("(Barrier*)* = %s, want Barrier*", got)
+	if got := loopEffect(loopEffect(b)); got.key != loopEffect(b).key {
+		t.Errorf("(Barrier*)* = %s, want Barrier*", got.key)
 	}
 }
 
@@ -47,7 +47,7 @@ func TestSchedDivergeEqual(t *testing.T) {
 	}
 	for _, c := range cases {
 		if w, equal := schedDiverge(c.a, c.b, "x", "y"); !equal {
-			t.Errorf("schedDiverge(%s, %s) diverged: %s", c.a, c.b, w)
+			t.Errorf("schedDiverge(%s, %s) diverged: %s", c.a.key, c.b.key, w)
 		}
 	}
 }
@@ -65,11 +65,11 @@ func TestSchedDivergeWitness(t *testing.T) {
 	for _, c := range cases {
 		w, equal := schedDiverge(c.a, c.b, "x", "y")
 		if equal {
-			t.Errorf("schedDiverge(%s, %s) reported equal", c.a, c.b)
+			t.Errorf("schedDiverge(%s, %s) reported equal", c.a.key, c.b.key)
 			continue
 		}
 		if w != c.want {
-			t.Errorf("schedDiverge(%s, %s)\n got %q\nwant %q", c.a, c.b, w, c.want)
+			t.Errorf("schedDiverge(%s, %s)\n got %q\nwant %q", c.a.key, c.b.key, w, c.want)
 		}
 	}
 }
@@ -120,14 +120,14 @@ func TestInferredEffects(t *testing.T) {
 		want string
 	}{
 		{"seqOne", "Barrier"},
-		{"seqBoth", "Barrier·SumInt64"},
+		{"seqBoth", "(Barrier·SumInt64)"},
 		{"okBothArmsEqual", "Bcast"},
 		{"okEarlyReturnEqual", "Bcast"},
-		{"okReceiverArgsCall", "SumInt64·MaxInt64·Barrier"},
-		{"okNestedArgs", "SumInt64·MaxInt64·Barrier"},
-		{"okInvokedLiteral", "Barrier·SumInt64"},
-		{"okDefers", "MaxInt64·(SumInt64 | ε)·Barrier"},
-		{"okRunOptBody", "Barrier·SumInt64"},
+		{"okReceiverArgsCall", "(SumInt64·MaxInt64·Barrier)"},
+		{"okNestedArgs", "(SumInt64·MaxInt64·Barrier)"},
+		{"okInvokedLiteral", "(Barrier·SumInt64)"},
+		{"okDefers", "(MaxInt64·{SumInt64|ε}·Barrier)"},
+		{"okRunOptBody", "(Barrier·SumInt64)"},
 	}
 	for _, c := range cases {
 		fn := lookupFn(t, pkgs[0], c.fn)
@@ -136,7 +136,7 @@ func TestInferredEffects(t *testing.T) {
 			t.Errorf("EffectOf(%s) = nil", c.fn)
 			continue
 		}
-		if got := eff.String(); got != c.want {
+		if got := eff.key; got != c.want {
 			t.Errorf("EffectOf(%s) = %s, want %s", c.fn, got, c.want)
 		}
 	}

@@ -116,51 +116,6 @@ var builtinCollectives = []string{
 	"ExscanInt64",
 }
 
-func gatherFacts(pkgs []*Package) *Facts {
-	f := &Facts{collective: map[funcKey]bool{}}
-	for _, p := range pkgs {
-		for _, file := range p.Files {
-			for _, decl := range file.Decls {
-				fd, ok := decl.(*ast.FuncDecl)
-				if !ok || fd.Doc == nil {
-					continue
-				}
-				if !strings.Contains(strings.ToLower(fd.Doc.Text()), "collective") {
-					continue
-				}
-				recv := ""
-				if fd.Recv != nil && len(fd.Recv.List) > 0 {
-					recv = recvTypeName(fd.Recv.List[0].Type)
-				}
-				f.collective[funcKey{pkgPathOf(p), recv, fd.Name.Name}] = true
-			}
-		}
-	}
-	f.graph = buildCallGraph(pkgs, f)
-	return f
-}
-
-func pkgPathOf(p *Package) string {
-	if p.Pkg != nil {
-		return p.Pkg.Path()
-	}
-	return p.Path
-}
-
-func recvTypeName(t ast.Expr) string {
-	switch t := t.(type) {
-	case *ast.StarExpr:
-		return recvTypeName(t.X)
-	case *ast.Ident:
-		return t.Name
-	case *ast.IndexExpr: // generic receiver
-		return recvTypeName(t.X)
-	case *ast.IndexListExpr:
-		return recvTypeName(t.X)
-	}
-	return ""
-}
-
 // driverName is the analyzer name on findings about pumi-vet's own
 // directives rather than about the code under analysis.
 const driverName = "pumi-vet"
@@ -361,11 +316,7 @@ func fullerWitness(a, b Diagnostic) bool {
 
 // Loader loads and type-checks packages from a module tree.
 type Loader struct {
-	Fset *token.FileSet
-
-	// IncludeTests controls whether _test.go files are analyzed.
-	IncludeTests bool
-
+	Fset    *token.FileSet
 	imp     types.Importer
 	modRoot string
 	modPath string
@@ -379,11 +330,10 @@ func NewLoader(dir string) (*Loader, error) {
 	}
 	fset := token.NewFileSet()
 	return &Loader{
-		Fset:         fset,
-		IncludeTests: true,
-		imp:          importer.ForCompiler(fset, "source", nil),
-		modRoot:      root,
-		modPath:      path,
+		Fset:    fset,
+		imp:     importer.ForCompiler(fset, "source", nil),
+		modRoot: root,
+		modPath: path,
 	}, nil
 }
 
@@ -482,9 +432,6 @@ func (l *Loader) loadDir(dir string) ([]*Package, error) {
 	for _, ent := range entries {
 		name := ent.Name()
 		if ent.IsDir() || !strings.HasSuffix(name, ".go") {
-			continue
-		}
-		if !l.IncludeTests && strings.HasSuffix(name, "_test.go") {
 			continue
 		}
 		file, err := parser.ParseFile(l.Fset, filepath.Join(dir, name), nil, parser.ParseComments)
@@ -615,10 +562,10 @@ func identObj(info *types.Info, id *ast.Ident) types.Object {
 	return info.Uses[id]
 }
 
-// calleeFunc resolves a call expression to the called *types.Func
-// (function or method), or nil.
-func calleeFunc(info *types.Info, call *ast.CallExpr) *types.Func {
-	switch fun := ast.Unparen(call.Fun).(type) {
+// funcOf resolves an expression naming a function or method — a
+// call's Fun, a function value — to its *types.Func, or nil.
+func funcOf(info *types.Info, fun ast.Expr) *types.Func {
+	switch fun := ast.Unparen(fun).(type) {
 	case *ast.Ident:
 		if f, ok := info.Uses[fun].(*types.Func); ok {
 			return f

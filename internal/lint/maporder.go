@@ -57,34 +57,21 @@ func runMapOrder(p *Pass) {
 func commWitness(p *Pass, body ast.Node) string {
 	witness := ""
 	ast.Inspect(body, func(n ast.Node) bool {
-		if witness != "" {
-			return false
-		}
 		call, ok := n.(*ast.CallExpr)
-		if !ok {
-			return true
+		if witness != "" || !ok {
+			return witness == ""
 		}
-		switch {
-		case isPhaseBufferCall(p, call):
-			witness = "opens a phase send buffer"
-		case isBufferPack(p, call):
-			witness = "packs a communication buffer"
-		case isExchangeCall(p, call):
-			witness = "runs an exchange"
-		default:
-			fn := calleeFunc(p.Info, call)
-			if fn == nil {
-				return true
-			}
-			if chain, ok := p.Facts.CollectiveWitness(fn); ok {
-				if chain == nil {
-					witness = fmt.Sprintf("calls collective %s", fn.Name())
-				} else {
-					witness = fmt.Sprintf("reaches collective via %s", witnessChain(fn, chain))
-				}
-			} else if chain, ok := p.Facts.SendsWitness(fn); ok {
-				witness = fmt.Sprintf("calls %s, which %s", fn.Name(), chain[len(chain)-1])
-			}
+		witness = commOp(p, call)
+		fn := funcOf(p.Info, call.Fun)
+		chain, coll := p.Facts.CollectiveWitness(fn)
+		switch sends := p.Facts.summary(fn).sends; {
+		case witness != "":
+		case coll && chain == nil:
+			witness = fmt.Sprintf("calls collective %s", fn.Name())
+		case coll:
+			witness = fmt.Sprintf("reaches collective via %s", witnessChain(fn, chain))
+		case sends != "":
+			witness = fmt.Sprintf("calls %s, which %s", fn.Name(), sends)
 		}
 		return witness == ""
 	})

@@ -163,7 +163,7 @@ func checkPhaseOrder(p *Pass, body *ast.BlockStmt) {
 // isBeginPhaseCall matches the phase constructors: a call to a function
 // or method named beginPhase/BeginPhase.
 func isBeginPhaseCall(p *Pass, call *ast.CallExpr) bool {
-	fn := calleeFunc(p.Info, call)
+	fn := funcOf(p.Info, call.Fun)
 	if fn == nil {
 		return false
 	}

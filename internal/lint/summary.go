@@ -9,16 +9,16 @@ package lint
 //   - transitively collective: the function always reaches a collective
 //     op (directly or through callees); maporder names the witness
 //     chain down to the collective in its findings.
-//   - leaking ctx params: a *pcu.Ctx parameter the function hands to
-//     another goroutine, sends on a channel, stores in package state,
-//     or forwards to a callee that does; ctxescape flags passing a Ctx
-//     into such a parameter.
-//   - async func params: a function-typed parameter the function starts
-//     on another goroutine; ctxescape flags a Ctx-capturing literal
-//     passed into such a parameter.
-//   - sends: the function contributes to communication (packs a phase
-//     buffer, runs an exchange, enters a collective, or calls a callee
-//     that does); maporder flags map-range bodies that reach one.
+//   - leaking ctx params and async func params: the escape sites of the
+//     function's body (escapesAt, the scan ctxescape reports) whose value
+//     is one of its parameters, or a parameter forwarded to a callee that
+//     leaks it; ctxescape flags passing a Ctx, or a Ctx-capturing
+//     literal, into such a parameter.
+//   - sends: the function communicates (commOp: opens a phase buffer,
+//     packs one, runs an exchange) or calls a callee that does; maporder
+//     flags map-range bodies that reach one.
+//   - rank return: a return statement's result is rank-derived under
+//     collseq's own dataflow (rankTaint, rankDerived).
 //
 // Summaries include calls made inside nested function literals
 // (may-execute over-approximation): a helper that only *constructs* a
@@ -29,6 +29,7 @@ import (
 	"fmt"
 	"go/ast"
 	"go/types"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -60,18 +61,11 @@ type funcNode struct {
 
 	// Monotone summary bits, closed under the callgraph by fixpoint.
 	collective bool
-	collVia    []string // call chain from here to the collective op
-	sends      bool
-	sendsVia   []string
+	collVia    []string       // call chain from here to the collective op
+	sends      string         // how the function reaches communication, or ""
 	leak       map[int]string // ctx param index -> how it escapes
 	async      map[int]string // func param index -> how it is started
-
-	// Rank-return summary: the function's return value derives from the
-	// calling rank (a Ctx.Rank() call, directly or through callees whose
-	// returns do). retCalls lists the callees invoked inside return
-	// statements, for the fixpoint propagation.
-	retRank  bool
-	retCalls []funcKey
+	retRank    bool           // the return value derives from the calling rank
 
 	// The communication-effect term (see effects.go), inferred in
 	// reverse-topological SCC order after the boolean fixpoint; atoms are
@@ -95,9 +89,11 @@ func (g *callGraph) node(fn *types.Func) *funcNode {
 }
 
 // keyOfFunc derives the graph key of a *types.Func the same way
-// buildCallGraph derives it from the declaration, so call sites and
+// gatherFacts derives it from the declaration, so call sites and
 // declarations meet even though the source importer re-checks packages
-// independently.
+// independently. (A declaration's own object can be missing: the loader
+// ignores build tags, so a function declared once per tag is a
+// redeclaration the type checker records no object for.)
 func keyOfFunc(fn *types.Func) funcKey {
 	pkg := ""
 	if fn.Pkg() != nil {
@@ -110,28 +106,62 @@ func keyOfFunc(fn *types.Func) funcKey {
 	return funcKey{pkg, recv, fn.Name()}
 }
 
-// buildCallGraph scans every function declaration, records its direct
-// properties and call sites, then propagates the summaries to a
-// fixpoint.
-func buildCallGraph(pkgs []*Package, facts *Facts) *callGraph {
+func pkgPathOf(p *Package) string {
+	if p.Pkg != nil {
+		return p.Pkg.Path()
+	}
+	return p.Path
+}
+
+func recvTypeName(t ast.Expr) string {
+	switch t := t.(type) {
+	case *ast.StarExpr:
+		return recvTypeName(t.X)
+	case *ast.Ident:
+		return t.Name
+	case *ast.IndexExpr: // generic receiver
+		return recvTypeName(t.X)
+	case *ast.IndexListExpr:
+		return recvTypeName(t.X)
+	}
+	return ""
+}
+
+// gatherFacts walks every function declaration once: a doc comment
+// mentioning "collective" marks the function collective, and a body
+// becomes a callgraph node with its direct summary. The summaries are
+// then closed under the callgraph, rank returns after the collective
+// bits they depend on, and effect terms last.
+func gatherFacts(pkgs []*Package) *Facts {
 	g := &callGraph{nodes: map[funcKey]*funcNode{}}
+	f := &Facts{collective: map[funcKey]bool{}, graph: g}
 	for _, p := range pkgs {
 		for _, file := range p.Files {
 			for _, decl := range file.Decls {
 				fd, ok := decl.(*ast.FuncDecl)
-				if !ok || fd.Body == nil {
+				if !ok {
 					continue
 				}
-				n := newFuncNode(p, fd)
-				g.nodes[n.key] = n
-				g.order = append(g.order, n.key)
+				recv := ""
+				if fd.Recv != nil && len(fd.Recv.List) > 0 {
+					recv = recvTypeName(fd.Recv.List[0].Type)
+				}
+				key := funcKey{pkgPathOf(p), recv, fd.Name.Name}
+				if fd.Doc != nil && strings.Contains(strings.ToLower(fd.Doc.Text()), "collective") {
+					f.collective[key] = true
+				}
+				if fd.Body != nil {
+					g.nodes[key] = newFuncNode(p, fd, key)
+					g.order = append(g.order, key)
+				}
 			}
 		}
 	}
 	sort.Slice(g.order, func(i, j int) bool { return g.order[i].less(g.order[j]) })
-	g.fixpoint(facts)
-	g.inferEffects(facts)
-	return g
+	g.fixpoint(f)
+	g.rankReturns(f)
+	g.inferEffects(f)
+	return f
 }
 
 func (k funcKey) less(o funcKey) bool {
@@ -152,20 +182,10 @@ func (k funcKey) String() string {
 }
 
 // newFuncNode computes the direct (intraprocedural) summary of one
-// declaration: its call sites, direct sends, direct ctx-param leaks and
-// directly started func params.
-func newFuncNode(p *Package, fd *ast.FuncDecl) *funcNode {
-	recv := ""
-	if fd.Recv != nil && len(fd.Recv.List) > 0 {
-		recv = recvTypeName(fd.Recv.List[0].Type)
-	}
-	n := &funcNode{
-		key:   funcKey{pkgPathOf(p), recv, fd.Name.Name},
-		pkg:   p,
-		decl:  fd,
-		leak:  map[int]string{},
-		async: map[int]string{},
-	}
+// declaration: its call sites, its first communication, and the escape
+// sites whose value is one of its parameters.
+func newFuncNode(p *Package, fd *ast.FuncDecl, key funcKey) *funcNode {
+	n := &funcNode{key: key, pkg: p, decl: fd, leak: map[int]string{}, async: map[int]string{}}
 	if fd.Type.Params != nil {
 		for _, field := range fd.Type.Params.List {
 			for _, name := range field.Names {
@@ -176,151 +196,88 @@ func newFuncNode(p *Package, fd *ast.FuncDecl) *funcNode {
 			}
 		}
 	}
-	pass := &Pass{Package: p}
 	paramIndex := func(e ast.Expr) int {
-		id, ok := ast.Unparen(e).(*ast.Ident)
-		if !ok {
-			return -1
-		}
-		obj := p.Info.Uses[id]
-		if obj == nil {
-			return -1
-		}
-		for i, po := range n.params {
-			if po != nil && po == obj {
-				return i
-			}
+		if id, ok := ast.Unparen(e).(*ast.Ident); ok && p.Info.Uses[id] != nil {
+			return slices.Index(n.params, p.Info.Uses[id])
 		}
 		return -1
 	}
-	markGoroutine := func(call *ast.CallExpr) {
-		// `go f(ctx)` / `go param(...)` / `go func(){ ... }()` — every
-		// caller parameter reaching the spawned work escapes its
-		// goroutine.
-		for _, arg := range call.Args {
-			if i := paramIndex(arg); i >= 0 && isCtxPtr(p.Info.TypeOf(arg)) {
-				n.leak[i] = "passes it to a goroutine"
-			}
-		}
-		if i := paramIndex(call.Fun); i >= 0 {
-			n.async[i] = "starts it on a goroutine"
-		}
-		if lit, ok := ast.Unparen(call.Fun).(*ast.FuncLit); ok {
-			ast.Inspect(lit.Body, func(c ast.Node) bool {
-				id, ok := c.(*ast.Ident)
-				if !ok {
-					return true
-				}
-				if i := paramIndex(id); i >= 0 {
-					obj := n.params[i]
-					if v, ok := obj.(*types.Var); ok && v.Pos() < lit.Pos() {
-						if isCtxPtr(v.Type()) {
-							n.leak[i] = "captures it in a goroutine literal"
-						} else if _, isFn := v.Type().Underlying().(*types.Signature); isFn {
-							n.async[i] = "runs it from a goroutine literal"
-						}
-					}
-				}
-				return true
-			})
-		}
-	}
+	pass := &Pass{Package: p}
 	ast.Inspect(fd.Body, func(c ast.Node) bool {
-		switch c := c.(type) {
-		case *ast.GoStmt:
-			markGoroutine(c.Call)
-		case *ast.SendStmt:
-			if i := paramIndex(c.Value); i >= 0 && isCtxPtr(p.Info.TypeOf(c.Value)) {
-				n.leak[i] = "sends it on a channel"
+		escapesAt(p.Info, c, func(x escape) {
+			i := paramIndex(x.val)
+			if i < 0 {
+				return
 			}
-		case *ast.AssignStmt:
-			if len(c.Lhs) == len(c.Rhs) {
-				for i, rhs := range c.Rhs {
-					pi := paramIndex(rhs)
-					if pi < 0 || !isCtxPtr(p.Info.TypeOf(rhs)) {
-						continue
-					}
-					if root := rootIdent(c.Lhs[i]); root != nil && isPkgLevelVar(p.Info, root) {
-						n.leak[pi] = "stores it in package-level state"
-					}
-				}
+			t := p.Info.TypeOf(x.val)
+			switch {
+			case isCtxPtr(t):
+				n.leak[i] = [...]string{
+					escGoArg:   "passes it to a goroutine",
+					escCapture: "captures it in a goroutine literal",
+					escSend:    "sends it on a channel",
+					escStore:   "stores it in package-level state",
+				}[x.shape]
+			case x.shape == escGoFunc:
+				n.async[i] = "starts it on a goroutine"
+			case x.shape == escCapture && isFunc(t):
+				n.async[i] = "runs it from a goroutine literal"
 			}
-		case *ast.CallExpr:
-			if !n.sends {
-				switch {
-				case isPhaseBufferCall(pass, c):
-					n.sends, n.sendsVia = true, []string{"opens a To buffer"}
-				case isExchangeCall(pass, c):
-					n.sends, n.sendsVia = true, []string{"runs an exchange"}
-				case isBufferPack(pass, c):
-					n.sends, n.sendsVia = true, []string{"packs a communication buffer"}
-				}
-			}
-			cs := &callSite{fn: calleeFunc(p.Info, c)}
-			if cs.fn == nil {
-				return true
-			}
-			cs.key = keyOfFunc(cs.fn)
-			cs.name = cs.key.String()
-			for ai, arg := range c.Args {
-				pi := calleeParamIndex(cs.fn, ai)
-				if pi < 0 {
-					continue
-				}
-				if i := paramIndex(arg); i >= 0 {
-					if cs.paramArgs == nil {
-						cs.paramArgs = map[int]int{}
-					}
-					cs.paramArgs[pi] = i
-				}
-			}
-			n.calls = append(n.calls, cs)
-		}
-		return true
-	})
-	// Rank-return scan: does a return statement's result expression
-	// derive from Rank()? Record direct Rank() calls and, for the
-	// fixpoint, the callees invoked inside results. Function literals
-	// are pruned: a returned closure does not evaluate at return time.
-	// (Caveat: flows through named results or locals assigned earlier
-	// are not tracked; DESIGN.md §8.)
-	ast.Inspect(fd.Body, func(c ast.Node) bool {
-		if _, ok := c.(*ast.FuncLit); ok {
-			return false
-		}
-		ret, ok := c.(*ast.ReturnStmt)
+		})
+		call, ok := c.(*ast.CallExpr)
 		if !ok {
 			return true
 		}
-		for _, res := range ret.Results {
-			ast.Inspect(res, func(r ast.Node) bool {
-				if _, ok := r.(*ast.FuncLit); ok {
-					return false
-				}
-				call, ok := r.(*ast.CallExpr)
-				if !ok {
-					return true
-				}
-				if isRankCall(pass, call) {
-					n.retRank = true
-				} else if fn := calleeFunc(p.Info, call); fn != nil {
-					n.retCalls = append(n.retCalls, keyOfFunc(fn))
-				}
-				return true
-			})
+		if n.sends == "" {
+			n.sends = commOp(pass, call)
 		}
+		cs := &callSite{fn: funcOf(p.Info, call.Fun)}
+		if cs.fn == nil {
+			return true
+		}
+		cs.key = keyOfFunc(cs.fn)
+		cs.name = cs.key.String()
+		for ai, arg := range call.Args {
+			pi := calleeParamIndex(cs.fn, ai)
+			if pi < 0 {
+				continue
+			}
+			if i := paramIndex(arg); i >= 0 {
+				if cs.paramArgs == nil {
+					cs.paramArgs = map[int]int{}
+				}
+				cs.paramArgs[pi] = i
+			}
+		}
+		n.calls = append(n.calls, cs)
 		return true
 	})
 	return n
 }
 
-// isBufferPack reports a pack-method call on a *pcu.Buffer.
-func isBufferPack(p *Pass, call *ast.CallExpr) bool {
-	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
-	if !ok || !packMethods[sel.Sel.Name] {
+// isFunc reports whether t is a function type.
+func isFunc(t types.Type) bool {
+	if t == nil {
 		return false
 	}
-	return isBufferPtr(p.Info.TypeOf(sel.X))
+	_, ok := t.Underlying().(*types.Signature)
+	return ok
+}
+
+// commOp is the one communication predicate: it names the communication
+// a call makes by itself — opening a phase send buffer, packing a
+// communication buffer, running an exchange — or returns "".
+func commOp(p *Pass, call *ast.CallExpr) string {
+	switch {
+	case isPhaseBufferCall(p, call):
+		return "opens a phase send buffer"
+	case isExchangeCall(p, call):
+		return "runs an exchange"
+	}
+	if sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr); ok && packMethods[sel.Sel.Name] && isBufferPtr(p.TypeOf(sel.X)) {
+		return "packs a communication buffer"
+	}
+	return ""
 }
 
 // calleeParamIndex maps a call argument index to the callee's declared
@@ -347,14 +304,6 @@ func (g *callGraph) fixpoint(facts *Facts) {
 		changed = false
 		for _, key := range g.order {
 			n := g.nodes[key]
-			if !n.retRank {
-				for _, k := range n.retCalls {
-					if callee := g.nodes[k]; callee != nil && callee.retRank {
-						n.retRank, changed = true, true
-						break
-					}
-				}
-			}
 			for _, cs := range n.calls {
 				callee := g.nodes[cs.key]
 				if !n.collective {
@@ -367,28 +316,22 @@ func (g *callGraph) fixpoint(facts *Facts) {
 						changed = true
 					}
 				}
-				if !n.sends && callee != nil && callee.sends {
-					n.sends = true
-					n.sendsVia = append([]string{cs.name}, callee.sendsVia...)
-					changed = true
-				}
 				if callee == nil {
 					continue
 				}
+				if n.sends == "" && callee.sends != "" {
+					n.sends, changed = callee.sends, true
+				}
 				for calleeIdx, callerIdx := range cs.paramArgs {
-					if _, done := n.leak[callerIdx]; !done && callee.leak[calleeIdx] != "" {
+					if n.leak[callerIdx] == "" && callee.leak[calleeIdx] != "" {
 						n.leak[callerIdx] = fmt.Sprintf("passes it to %s, which %s",
 							cs.name, callee.leak[calleeIdx])
 						changed = true
 					}
-					if _, done := n.async[callerIdx]; !done && callee.async[calleeIdx] != "" {
-						if obj := paramObjAt(n, callerIdx); obj != nil {
-							if _, isFn := obj.Type().Underlying().(*types.Signature); isFn {
-								n.async[callerIdx] = fmt.Sprintf("passes it to %s, which %s",
-									cs.name, callee.async[calleeIdx])
-								changed = true
-							}
-						}
+					if n.async[callerIdx] == "" && callee.async[calleeIdx] != "" && n.params[callerIdx] != nil && isFunc(n.params[callerIdx].Type()) {
+						n.async[callerIdx] = fmt.Sprintf("passes it to %s, which %s",
+							cs.name, callee.async[calleeIdx])
+						changed = true
 					}
 				}
 			}
@@ -396,11 +339,41 @@ func (g *callGraph) fixpoint(facts *Facts) {
 	}
 }
 
-func paramObjAt(n *funcNode, i int) types.Object {
-	if i < 0 || i >= len(n.params) {
-		return nil
+// rankReturns closes the rank-return summary under the callgraph with
+// collseq's dataflow: a function returns a rank-derived value when a
+// result of one of its own return statements (function literals
+// pruned: a returned closure does not evaluate at return time) is
+// rankDerived under the body's rankTaint. rankDerived reads the
+// results of ops every rank enters as reconciled, so this runs after
+// fixpoint has found those ops.
+func (g *callGraph) rankReturns(facts *Facts) {
+	for changed := true; changed; {
+		changed = false
+		for _, key := range g.order {
+			n := g.nodes[key]
+			// Only a body calling Rank() or a rank-returning function
+			// can return the rank.
+			if n.retRank || !slices.ContainsFunc(n.calls, func(cs *callSite) bool {
+				return cs.name == "Ctx.Rank" || g.nodes[cs.key] != nil && g.nodes[cs.key].retRank
+			}) {
+				continue
+			}
+			p := &Pass{Package: n.pkg, Facts: facts}
+			taint := rankTaint(p, n.decl.Body)
+			ast.Inspect(n.decl.Body, func(c ast.Node) bool {
+				switch c := c.(type) {
+				case *ast.FuncLit:
+					return false
+				case *ast.ReturnStmt:
+					if slices.ContainsFunc(c.Results, func(e ast.Expr) bool { return rankDerived(p, e, taint) }) {
+						n.retRank = true
+					}
+				}
+				return !n.retRank
+			})
+			changed = changed || n.retRank
+		}
 	}
-	return n.params[i]
 }
 
 // ---- Facts query surface ----
@@ -412,19 +385,10 @@ func (f *Facts) directCollective(fn *types.Func) bool {
 	if fn == nil || fn.Pkg() == nil {
 		return false
 	}
-	pkg := fn.Pkg().Path()
-	if pathHasSuffix(pkg, pcuPkg) {
-		for _, name := range builtinCollectives {
-			if fn.Name() == name {
-				return true
-			}
-		}
+	if pathHasSuffix(fn.Pkg().Path(), pcuPkg) && slices.Contains(builtinCollectives, fn.Name()) {
+		return true
 	}
-	recv := ""
-	if sig, ok := fn.Type().(*types.Signature); ok && sig.Recv() != nil {
-		recv = namedName(sig.Recv().Type())
-	}
-	return f.collective[funcKey{pkg, recv, fn.Name()}]
+	return f.collective[keyOfFunc(fn)]
 }
 
 // CollectiveWitness reports whether calling fn reaches a collective.
@@ -434,10 +398,8 @@ func (f *Facts) CollectiveWitness(fn *types.Func) ([]string, bool) {
 	if f.directCollective(fn) {
 		return nil, true
 	}
-	if n := f.graph.node(fn); n != nil && n.collective {
-		return n.collVia, true
-	}
-	return nil, false
+	n := f.summary(fn)
+	return n.collVia, n.collective
 }
 
 // IsCollective reports whether the called function reaches a collective
@@ -447,41 +409,14 @@ func (f *Facts) IsCollective(fn *types.Func) bool {
 	return ok
 }
 
-// SendsWitness reports whether calling fn contributes data to
-// communication (phase buffers, exchanges), with the call chain to the
-// operation.
-func (f *Facts) SendsWitness(fn *types.Func) ([]string, bool) {
-	if n := f.graph.node(fn); n != nil && n.sends {
-		return n.sendsVia, true
-	}
-	return nil, false
-}
-
-// LeakedCtxParam reports whether fn's i'th parameter is a *pcu.Ctx that
-// escapes its goroutine inside fn (or its callees), and how.
-func (f *Facts) LeakedCtxParam(fn *types.Func, i int) (string, bool) {
+// summary returns fn's summary, or noSummary for a function outside the
+// loaded set: it reaches no communication, leaks no parameter and
+// returns no rank.
+func (f *Facts) summary(fn *types.Func) *funcNode {
 	if n := f.graph.node(fn); n != nil {
-		if how, ok := n.leak[i]; ok {
-			return how, true
-		}
+		return n
 	}
-	return "", false
+	return noSummary
 }
 
-// AsyncParam reports whether fn's i'th parameter is a function fn
-// starts on another goroutine (directly or through callees), and how.
-func (f *Facts) AsyncParam(fn *types.Func, i int) (string, bool) {
-	if n := f.graph.node(fn); n != nil {
-		if how, ok := n.async[i]; ok {
-			return how, true
-		}
-	}
-	return "", false
-}
-
-// RankReturn reports whether fn's return value derives from the
-// calling rank.
-func (f *Facts) RankReturn(fn *types.Func) bool {
-	n := f.graph.node(fn)
-	return n != nil && n.retRank
-}
+var noSummary = &funcNode{}

@@ -35,13 +35,13 @@ func TestFixpointRecursion(t *testing.T) {
 	// repetitions) and containing the cycle's collective atoms.
 	count := facts.EffectOf(lookupFn(t, pkgs[0], "countdown"))
 	if count == nil || !nullable(count) {
-		t.Fatalf("countdown effect %s is not a nullable Loop term", count)
+		t.Fatalf("countdown effect %v is not a nullable Loop term", count)
 	}
-	if got := count.String(); got != "Barrier*" {
+	if got := count.key; got != "Barrier*" {
 		t.Errorf("countdown effect = %s, want Barrier*", got)
 	}
 	// spiral packs sends around its Exchange; packing is no atom.
-	if got := facts.EffectOf(lookupFn(t, pkgs[0], "spiral")).String(); got != "Exchange*" {
+	if got := facts.EffectOf(lookupFn(t, pkgs[0], "spiral")).key; got != "Exchange*" {
 		t.Errorf("spiral effect = %s, want Exchange*", got)
 	}
 
@@ -66,8 +66,8 @@ func TestFixpointDeterministic(t *testing.T) {
 				t.Errorf("rebuild %d: %s witness chain changed: %v vs %v", i, name, bChain, nChain)
 			}
 			bEff, nEff := base.EffectOf(fn), next.EffectOf(fn)
-			if (bEff == nil) != (nEff == nil) || (bEff != nil && !bEff.Equal(nEff)) {
-				t.Errorf("rebuild %d: %s effect changed: %s vs %s", i, name, bEff, nEff)
+			if (bEff == nil) != (nEff == nil) || (bEff != nil && bEff.key != nEff.key) {
+				t.Errorf("rebuild %d: %s effect changed: %v vs %v", i, name, bEff, nEff)
 			}
 		}
 	}
@@ -79,10 +79,12 @@ func TestRankReturnSummary(t *testing.T) {
 	pkgs := fixturePkgs(t, "collseq")
 	facts := gatherFacts(pkgs)
 
-	if !facts.RankReturn(lookupFn(t, pkgs[0], "myOffset")) {
-		t.Error("myOffset not recognized as rank-returning")
-	}
-	if facts.RankReturn(lookupFn(t, pkgs[0], "syncAll")) {
-		t.Error("syncAll wrongly marked rank-returning")
+	for fn, want := range map[string]bool{
+		"myOffset": true, "rankAhead": true, "rankViaLocal": true,
+		"syncAll": false, "rankReduced": false,
+	} {
+		if got := facts.summary(lookupFn(t, pkgs[0], fn)).retRank; got != want {
+			t.Errorf("%s rank return = %v, want %v", fn, got, want)
+		}
 	}
 }

@@ -105,3 +105,18 @@ func badRankFromLiteral(c *pcu.Ctx) {
 		c.Barrier()
 	}
 }
+
+func addInts(a, b int) int { return a + b }
+
+func unit() int { return 1 }
+
+// Both return the rank: through a helper argument ahead of a plain
+// call, and through a local. A collective's result is rank-uniform.
+func rankAhead(c *pcu.Ctx) int { return addInts(c.Rank(), unit()) }
+
+func rankViaLocal(c *pcu.Ctx) int {
+	r := c.Rank()
+	return r
+}
+
+func rankReduced(c *pcu.Ctx) int64 { return pcu.SumInt64(c, int64(c.Rank())) }

@@ -63,7 +63,7 @@ func openTo(c *pcu.Ctx, q int, v int32) {
 }
 
 func badToViaHelper(c *pcu.Ctx, parts map[int]int32) {
-	for q, v := range parts { // want `map iteration order reaches communication \(calls openTo, which opens a To buffer\)`
+	for q, v := range parts { // want `map iteration order reaches communication \(calls openTo, which opens a phase send buffer\)`
 		openTo(c, q, v)
 	}
 }

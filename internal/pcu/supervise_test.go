@@ -109,9 +109,9 @@ func TestSuperviseShrinksAndCompletes(t *testing.T) {
 func TestSuperviseTwoDeathsOneRevocation(t *testing.T) {
 	// Ranks 1 and 3 both vanish in attempt 0. A vanished rank blocks
 	// every later barrier, so both die entering the same op (op 2), but
-	// rank 3 computes for several watchdog polls first: the two deaths
-	// show up in different snapshots, and the revocation must still
-	// name both. Attempt 1 then runs on the 2 survivors and finishes.
+	// rank 3 computes a little first: the two deaths reach the barrier
+	// separately, and the revocation must still name both. Attempt 1
+	// then runs on the 2 survivors and finishes.
 	plan := &FaultPlan{Faults: []Fault{
 		{Rank: 1, Op: 2, Kind: FaultVanish},
 		{Rank: 3, Op: 2, Kind: FaultVanish},
@@ -129,7 +129,7 @@ func TestSuperviseTwoDeathsOneRevocation(t *testing.T) {
 		}
 		SumInt64(c, 1) // op 1
 		if ep.Attempt == 0 && c.Rank() == 3 {
-			time.Sleep(600 * time.Millisecond) // past two 250 ms polls
+			time.Sleep(10 * time.Millisecond) // dies after rank 1, not with it
 		}
 		for i := 0; i < 3; i++ {
 			if got := SumInt64(c, 1); got != int64(ep.Size) {

@@ -162,7 +162,7 @@ func TestDefaultTraceCollector(t *testing.T) {
 func TestStallErrorCarriesTraceTail(t *testing.T) {
 	const ranks = 3
 	tr := trace.New(ranks)
-	plan := &FaultPlan{Faults: []Fault{{Rank: 1, Op: 3, Kind: FaultDelay, Delay: 600 * time.Millisecond}}}
+	plan := &FaultPlan{Faults: []Fault{{Rank: 1, Op: 3, Kind: FaultDelay, Delay: 250 * time.Millisecond}}} // 5× the stall timeout
 	_, err := RunOpt(ranks, Options{
 		Trace:        tr,
 		Faults:       plan,
