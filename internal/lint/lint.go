@@ -83,8 +83,8 @@ func Analyzers() []*Analyzer {
 // loaded package before analyzers run.
 type Facts struct {
 	// collective maps functions documented as collective — their doc
-	// comment mentions "collective" — keyed by funcKey. The pcu
-	// built-in collectives are seeded unconditionally.
+	// comment says "(collective" or "is collective" — keyed by
+	// funcKey. The pcu built-in collectives are seeded unconditionally.
 	collective map[funcKey]bool
 	// graph holds the interprocedural callgraph and per-function
 	// summaries (see summary.go); analyzers query it through the

@@ -29,10 +29,15 @@ import (
 	"fmt"
 	"go/ast"
 	"go/types"
+	"regexp"
 	"slices"
 	"sort"
 	"strings"
 )
+
+// collectiveDoc matches the tree's two ways of documenting a function
+// collective, word-bounded: "(collective" and "is collective".
+var collectiveDoc = regexp.MustCompile(`(?i)(\(|\bis\s+)collective([^\w-]|$)`)
 
 // witnessChain renders a summary call chain for diagnostics: the called
 // function followed by the recorded path down to the operation, e.g.
@@ -128,7 +133,7 @@ func recvTypeName(t ast.Expr) string {
 }
 
 // gatherFacts walks every function declaration once: a doc comment
-// mentioning "collective" marks the function collective, and a body
+// documenting it collective (collectiveDoc) marks it so, and a body
 // becomes a callgraph node with its direct summary. The summaries are
 // then closed under the callgraph, rank returns after the collective
 // bits they depend on, and effect terms last.
@@ -147,7 +152,7 @@ func gatherFacts(pkgs []*Package) *Facts {
 					recv = recvTypeName(fd.Recv.List[0].Type)
 				}
 				key := funcKey{pkgPathOf(p), recv, fd.Name.Name}
-				if fd.Doc != nil && strings.Contains(strings.ToLower(fd.Doc.Text()), "collective") {
+				if fd.Doc != nil && collectiveDoc.MatchString(fd.Doc.Text()) {
 					f.collective[key] = true
 				}
 				if fd.Body != nil {

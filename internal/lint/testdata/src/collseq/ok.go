@@ -149,3 +149,16 @@ func okRunOptBody() {
 		return nil
 	})
 }
+
+// counted returns how many blocking operations, collectives plus
+// exchanges, this rank has entered; reading it is collective-free.
+func counted(c *pcu.Ctx) int64 { return c.Ops() }
+
+func okRankGuardedOps(c *pcu.Ctx) int64 {
+	// Neither Ops nor counted is documented as collective, only as
+	// counting collectives, so a rank guard around them diverges nothing.
+	if c.Rank() == 0 {
+		return int64(c.Ops()) + counted(c)
+	}
+	return 0
+}

@@ -14,7 +14,7 @@ import "fmt"
 //     bounds exactly two of its faces);
 //   - classification, when a model is attached, resolves to a model
 //     entity of dimension >= the entity's dimension;
-//   - no ghost carries remote-copy links.
+//   - a ghost element links to its owner alone, a lower ghost nowhere.
 //
 // The up/down symmetry check is linear in the mesh size: a first sweep
 // counts the downward references each entity receives, a second walks
@@ -98,8 +98,11 @@ func (m *Mesh) checkEntityLocal(e Ent) error {
 			return err
 		}
 	}
-	if m.IsGhost(e) && m.HasRemotes(e) {
-		return fmt.Errorf("mesh: ghost %v has remote-copy links", e)
+	switch ghost := m.IsGhost(e); {
+	case ghost && e.Dim() < m.dim && m.HasRemotes(e):
+		return fmt.Errorf("mesh: ghost %v below the element dimension has remote-copy links", e)
+	case ghost && e.Dim() == m.dim && (m.NRemotes(e) != 1 || m.links[e.T].find(e.I, m.Owner(e)) < 0):
+		return fmt.Errorf("mesh: ghost element %v holds %d links, want one to its owner %d", e, m.NRemotes(e), m.Owner(e))
 	}
 	if m.model != nil {
 		c := m.Classification(e)

@@ -13,7 +13,8 @@ import "slices"
 // A slot's links form a chain through pooled parallel arrays, sorted by
 // part id at insertion, so every read observes a deterministic order
 // with no per-call sorting. Freed records go on an intrusive free list,
-// so a boundary that churns (migration, ghosting) recycles storage.
+// so a boundary that churns (migration, ghosting) recycles storage, and
+// a round that knows how many links it sets grows the arrays once.
 type linkStore struct {
 	bnd      []int32    // per slot: index in entries, -1 = interior
 	entries  []bndEntry // the boundary table
@@ -22,6 +23,7 @@ type linkStore struct {
 	ent      []uint32   // link record: the copy's packed handle on that part
 	next     []int32    // link record: next record of the same slot, -1 = end
 	free     int32      // head of the free list threaded through next, -1 = none
+	nfree    int        // records on the free list
 }
 
 // bndEntry is one slot's row of the boundary table.
@@ -100,7 +102,7 @@ func (ls *linkStore) set(i, part int32, h Ent, self int32) {
 	}
 	id := ls.free
 	if id >= 0 {
-		ls.free = ls.next[id]
+		ls.free, ls.nfree = ls.next[id], ls.nfree-1
 		ls.part[id], ls.ent[id], ls.next[id] = part, h.Pack(), cur
 	} else {
 		id = int32(len(ls.part))
@@ -141,7 +143,7 @@ func (ls *linkStore) remove(i, part, self int32) {
 	} else {
 		ls.next[prev] = ls.next[cur]
 	}
-	ls.next[cur], ls.free = ls.free, cur
+	ls.next[cur], ls.free, ls.nfree = ls.free, cur, ls.nfree+1
 	ls.settle(i, self, false)
 }
 
@@ -153,14 +155,30 @@ func (ls *linkStore) clear(i, self int32, dying bool) {
 		return
 	}
 	if first := ls.entries[b].head; first >= 0 {
-		last := first
+		last, n := first, 1
 		for ls.next[last] >= 0 {
 			last = ls.next[last]
+			n++
 		}
-		ls.next[last], ls.free = ls.free, first
+		ls.next[last], ls.free, ls.nfree = ls.free, first, ls.nfree+n
 		ls.entries[b].head = -1
 	}
 	ls.settle(i, self, dying)
+}
+
+// reserve makes room for n more link records beyond the free list, in
+// one step to the capacity appending them one by one would reach.
+func (ls *linkStore) reserve(n int) {
+	need, c := len(ls.part)+n-ls.nfree, cap(ls.part)
+	for c < need { // append's growth: double, then by a quarter
+		if c < 256 {
+			c = max(1, 2*c)
+		} else {
+			c += (c + 3*256) / 4
+		}
+	}
+	n = c - len(ls.part)
+	ls.part, ls.ent, ls.next = slices.Grow(ls.part, n), slices.Grow(ls.ent, n), slices.Grow(ls.next, n)
 }
 
 // count returns the number of links of slot i.

@@ -256,10 +256,12 @@ func (m *Mesh) Reserve(t Type, n int) int {
 }
 
 // ReserveBoundary makes room for n more boundary-table entries of type
-// t — slots gaining a first remote copy or a foreign owner — so that a
-// loader knowing how many will come grows the table once.
-func (m *Mesh) ReserveBoundary(t Type, n int) {
+// t — slots gaining a first remote copy or a foreign owner — and for
+// links more remote-copy links beyond those the free list holds, so
+// that a loader or a stitch round knowing how many come grows once.
+func (m *Mesh) ReserveBoundary(t Type, n, links int) {
 	m.links[t].entries = slices.Grow(m.links[t].entries, n)
+	m.links[t].reserve(links)
 }
 
 // Footprint is the bytes a mesh's entity storage holds, by array. A slot

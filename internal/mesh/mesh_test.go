@@ -393,7 +393,7 @@ func TestClassificationStorage(t *testing.T) {
 func TestRemoteCopiesAndResidence(t *testing.T) {
 	m := newTestMesh()
 	m.SetPart(1)
-	_, vs := singleTet(m)
+	tet, vs := singleTet(m)
 	v := vs[0]
 	if m.IsShared(v) {
 		t.Fatal("fresh vertex shared")
@@ -435,20 +435,21 @@ func TestRemoteCopiesAndResidence(t *testing.T) {
 	if !m.IsGhost(v) {
 		t.Fatal("ghost flag")
 	}
-	m.SetRemote(v, 5, v)
-	if m.IsShared(v) {
-		t.Fatal("ghosts are not shared")
-	}
 	m.SetGhost(v, false)
 	if m.IsGhost(v) {
 		t.Fatal("ghost unset")
+	}
+	// An element's links are ghost links, not a part boundary.
+	m.SetRemote(tet, 5, tet)
+	if !m.HasRemotes(tet) || m.IsShared(tet) {
+		t.Fatal("element links are ghost links, not shared")
 	}
 }
 
 func TestNeighborPartsAndBoundaryIter(t *testing.T) {
 	m := newTestMesh()
 	m.SetPart(0)
-	_, vs := singleTet(m)
+	tet, vs := singleTet(m)
 	m.SetRemote(vs[0], 1, vs[0])
 	m.SetRemote(vs[1], 2, vs[1])
 	m.SetRemote(vs[1], 1, vs[1])
@@ -466,13 +467,17 @@ func TestNeighborPartsAndBoundaryIter(t *testing.T) {
 	if n != 2 {
 		t.Fatalf("boundary verts = %d", n)
 	}
-	// A ghost's links neither make it boundary nor a neighbor.
-	m.SetGhost(vs[1], true)
-	if got := slices.Collect(m.PartBoundary(0)); len(got) != 1 || got[0] != vs[0] {
-		t.Fatalf("boundary with vs[1] a ghost = %v", got)
+	// An element's (ghost) links neither make it boundary nor a
+	// neighbor; the boundary table holds it all the same.
+	m.SetRemote(tet, 3, tet)
+	if got := slices.Collect(m.PartBoundary(3)); len(got) != 0 {
+		t.Fatalf("boundary elements = %v", got)
 	}
-	if nb := m.NeighborParts(0); len(nb) != 1 || nb[0] != 1 {
-		t.Fatalf("neighbors with vs[1] a ghost = %v", nb)
+	if nb := m.NeighborParts(3); len(nb) != 0 {
+		t.Fatalf("element neighbors = %v", nb)
+	}
+	if got := slices.Collect(m.BoundaryTable(3)); len(got) != 1 || got[0] != tet {
+		t.Fatalf("element table = %v", got)
 	}
 }
 

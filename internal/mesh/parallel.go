@@ -8,8 +8,11 @@ import (
 
 // Remote copy management. A part-boundary entity is duplicated on every
 // part whose higher-dimension entities it bounds; each copy records the
-// handles of its siblings on the other parts. The partition layer
-// maintains these links during migration and ghosting.
+// handles of its siblings on the other parts. A ghost element links
+// the same way to its home copy, and the home to it: elements are never
+// on the part boundary, so an element's links are ghost links, and a
+// lower ghost holds none. The partition layer maintains these links
+// during migration and ghosting.
 //
 // Links and owners live in the per-type linkStore (links.go): a table
 // of the slots on the part boundary or owned elsewhere, with chains
@@ -67,8 +70,8 @@ func (m *Mesh) RemoteCopy(e Ent, part int32) (Ent, bool) {
 	return UnpackEnt(ls.ent[id]), true
 }
 
-// HasRemotes reports whether e carries any remote-copy links (ghost or
-// not; contrast IsShared, which excludes ghosts).
+// HasRemotes reports whether e carries any remote-copy links (ghost
+// links on an element; contrast IsShared).
 func (m *Mesh) HasRemotes(e Ent) bool { return m.links[e.T].headOf(e.I) >= 0 }
 
 // NRemotes returns the number of remote copies of e.
@@ -126,10 +129,10 @@ type RemoteCopyRef struct {
 	Ent  Ent
 }
 
-// IsShared reports whether e lies on a part boundary (has remote
-// copies). Ghost copies are not shared in this sense.
+// IsShared reports whether e lies on a part boundary: has remote copies
+// below the element dimension.
 func (m *Mesh) IsShared(e Ent) bool {
-	return m.links[e.T].headOf(e.I) >= 0 && !m.IsGhost(e)
+	return e.Dim() < m.dim && m.links[e.T].headOf(e.I) >= 0
 }
 
 // Residence returns AppendResidence as a set (a partition-model key).
@@ -176,15 +179,22 @@ func (m *Mesh) SetGhost(e Ent, on bool) {
 	m.bumpEpoch()
 }
 
+// BoundaryTable iterates the entities of one dimension that hold a
+// boundary-table entry — remote copies, or an owner elsewhere as every
+// ghost has — in Iter order, walking the table, not the part. The links
+// and owners must not be mutated during the walk.
+func (m *Mesh) BoundaryTable(dim int) ds.Seq[Ent] { return m.tableWalk(dim, false) }
+
 // PartBoundary iterates the shared (part-boundary) entities of one
-// dimension in Iter order, walking the boundary table, not the part.
-// The links and owners must not be mutated during the walk.
-func (m *Mesh) PartBoundary(dim int) ds.Seq[Ent] {
+// dimension: BoundaryTable's, with remote copies, below the elements.
+func (m *Mesh) PartBoundary(dim int) ds.Seq[Ent] { return m.tableWalk(dim, true) }
+
+// tableWalk is BoundaryTable, filtered to PartBoundary when shared.
+func (m *Mesh) tableWalk(dim int, shared bool) ds.Seq[Ent] {
 	return func(yield func(Ent) bool) {
 		for _, t := range typesOfDim[dim] {
-			flags := m.td[t].flags
 			for _, en := range m.links[t].sorted() {
-				if en.head >= 0 && flags[en.slot]&flagGhost == 0 && !yield(Ent{T: t, I: en.slot}) {
+				if (!shared || en.head >= 0 && dim < m.dim) && !yield(Ent{T: t, I: en.slot}) {
 					return
 				}
 			}
@@ -204,16 +214,8 @@ func (m *Mesh) NeighborParts(dim int) []int32 {
 		return c.parts
 	}
 	c.parts = c.parts[:0]
-	for _, t := range typesOfDim[dim] {
-		flags, ls := m.td[t].flags, &m.links[t]
-		for _, en := range ls.entries {
-			if flags[en.slot]&flagGhost != 0 {
-				continue
-			}
-			for cur := en.head; cur >= 0; cur = ls.next[cur] {
-				c.parts = append(c.parts, ls.part[cur])
-			}
-		}
+	for e := range m.PartBoundary(dim) {
+		c.parts = m.AppendRemoteParts(e, c.parts)
 	}
 	slices.Sort(c.parts)
 	c.parts = slices.Compact(c.parts)

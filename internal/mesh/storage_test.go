@@ -213,3 +213,44 @@ func TestReusedSlotIsInterior(t *testing.T) {
 		t.Errorf("PartBoundary(0) yields %d vertices, want none", n)
 	}
 }
+
+// TestReserveBoundaryCountsFreeLinks: links the free list can hold take
+// no new room, and a shortfall grows the link records once, so that the
+// links it was reserved for append nothing.
+func TestReserveBoundaryCountsFreeLinks(t *testing.T) {
+	m := newTestMesh()
+	m.SetPart(0)
+	_, vs := singleTet(m)
+	ls := &m.links[Vertex]
+	for i, v := range vs {
+		m.SetRemote(v, 1, v)
+		m.SetRemote(v, int32(2+i), v)
+	}
+	for _, v := range vs {
+		m.ClearRemotes(v)
+	}
+	free := 0
+	for id := ls.free; id >= 0; id = ls.next[id] {
+		free++
+	}
+	if free != 2*len(vs) || ls.nfree != free {
+		t.Fatalf("free list holds %d records, counted %d; want %d", free, ls.nfree, 2*len(vs))
+	}
+	room := cap(ls.part)
+	m.ReserveBoundary(Vertex, 0, free)
+	if cap(ls.part) != room {
+		t.Fatalf("reserving %d links the free list holds grew the records from %d to %d", free, room, cap(ls.part))
+	}
+	m.ReserveBoundary(Vertex, 0, free+100)
+	room = cap(ls.part)
+	if room-len(ls.part) < 100 || cap(ls.ent) != room || cap(ls.next) != room {
+		t.Fatalf("reserving 100 links past the free list left room %d/%d/%d for %d records",
+			cap(ls.part), cap(ls.ent), cap(ls.next), len(ls.part))
+	}
+	for k := range free + 100 {
+		m.SetRemote(vs[k%len(vs)], int32(10+k), vs[0])
+	}
+	if cap(ls.part) != room || ls.nfree != 0 {
+		t.Fatalf("setting the reserved links grew the records from %d to %d (%d free)", room, cap(ls.part), ls.nfree)
+	}
+}

@@ -228,7 +228,7 @@ func decodePart(data []byte, pid int32, model *gmi.Model, dim int) (*partition.P
 		shared[r.E.T]++
 	}
 	for t, n := range shared {
-		m.ReserveBoundary(mesh.Type(t), n)
+		m.ReserveBoundary(mesh.Type(t), n, 0) // Assemble's stitch round sizes the links
 	}
 	for _, r := range res {
 		m.SetOwner(r.E, r.Owner)

@@ -41,11 +41,9 @@ type Part struct {
 	// (resTable.idx, migrate.go); all zero between calls.
 	resIdx [mesh.TypeCount][]int32
 
-	// Ghost bookkeeping: local ghost element -> its home copy, and
-	// local element -> its ghost copies on other parts; nil when empty.
-	nGhosts   int
-	ghostHome map[mesh.Ent]mesh.RemoteCopyRef
-	ghostsOf  map[mesh.Ent][]mesh.RemoteCopyRef
+	// nGhosts counts the part's ghost entities; their links to their
+	// home copies live in the mesh's link store (ghost.go).
+	nGhosts int
 }
 
 func newPart(m *mesh.Mesh) *Part {

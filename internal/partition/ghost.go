@@ -1,10 +1,8 @@
 package partition
 
 import (
-	"cmp"
 	"encoding/binary"
 	"fmt"
-	"maps"
 	"math"
 	"slices"
 
@@ -17,16 +15,18 @@ import (
 // Ghosting localizes read-only copies of off-part elements adjacent to
 // the part boundary, so that computations needing neighbor data (e.g.
 // finite-volume gradients) avoid per-iteration communication. A ghost
-// is a duplicated, read-only, off-part entity copy; ghosts do not enter
-// residence sets or part boundaries, and are excluded from load
-// statistics.
+// is a duplicated, read-only, off-part entity copy owned by its home
+// part; ghosts do not enter residence sets or part boundaries, and are
+// excluded from load statistics. A ghost element and its home link to
+// each other in the mesh's link store, as part-boundary copies do.
 
 // Ghost adds `layers` layers of ghost elements to every part
 // (collective). Bridge entities of dimension bridgeDim define
 // adjacency: every element within `layers` bridge-adjacency steps of an
 // entity shared with part q is copied to q. Newly created entities are
 // flagged as ghosts; entities the receiver already holds are untouched.
-// Element ghosts record their home part for tag synchronization.
+// Each element ghost created links to its home copy, and the home back,
+// by the stitch records migration uses: two rounds in all.
 func Ghost(dm *DMesh, bridgeDim, layers int) {
 	defer dm.Ctx.Span("partition.ghost").End()
 	if bridgeDim < 0 || bridgeDim >= dm.Dim {
@@ -38,12 +38,15 @@ func Ghost(dm *DMesh, bridgeDim, layers int) {
 	ph := dm.beginPhase()
 	ships := planGhosts(ph, bridgeDim, layers)
 	writeGhosts(ph, ships)
-	receiveGhosts(dm, ph.exchange())
-	sendLinks(ph)
-	receiveLinks(dm, ph.exchange())
-	// ghostsOf/ghostHome changed without a mesh mutation on the sending
-	// side, so the epoch vector alone cannot catch it: drop the plan.
-	delete(dm.plans, ghostKey)
+	created := receiveGhosts(dm, ph.exchange())
+	for _, packing := range [2]bool{false, true} {
+		for li, part := range dm.Parts {
+			for _, g := range created[li] {
+				ph.stitch(part, g, []int32{part.M.Owner(g)}, packing)
+			}
+		}
+	}
+	ph.applyStitches()
 }
 
 // ghostShip is one local part's share of Ghost's element shipment: a
@@ -176,125 +179,41 @@ func writeGhosts(ph *phase, ships []ghostShip) {
 	}
 }
 
-// ghostArrival is an element ghost created on a part, and its home.
-type ghostArrival struct {
-	e    mesh.Ent
-	home mesh.RemoteCopyRef
-}
-
 // receiveGhosts unpacks the shipment, sorted by (To, From), part by
-// part, and enters the elements it created in the part's ghostHome,
-// made once at its new size.
-func receiveGhosts(dm *DMesh, msgs []partMsg) {
-	var arrived []ghostArrival
-	for _, part := range dm.Parts {
-		arrived = arrived[:0]
+// part, and returns the element ghosts each local part created.
+func receiveGhosts(dm *DMesh, msgs []partMsg) [][]mesh.Ent {
+	created := make([][]mesh.Ent, len(dm.Parts))
+	for li, part := range dm.Parts {
 		for ; len(msgs) > 0 && msgs[0].To == part.M.Part(); msgs = msgs[1:] {
-			arrived = unpackGhosts(dm, part, &msgs[0], arrived)
+			created[li] = unpackGhosts(dm, part, &msgs[0], created[li])
 		}
-		if len(arrived) == 0 {
-			continue
-		}
-		home := make(map[mesh.Ent]mesh.RemoteCopyRef, len(part.ghostHome)+len(arrived))
-		maps.Copy(home, part.ghostHome)
-		for _, a := range arrived {
-			home[a.e] = a.home
-		}
-		part.ghostHome = home
 	}
+	return created
 }
 
-func unpackGhosts(dm *DMesh, part *Part, msg *partMsg, arrived []ghostArrival) []ghostArrival {
+// unpackGhosts unpacks one message onto part. An element ghost links to
+// its home copy, whose handle follows the element's record, while it is
+// still this part's own, before it takes its home's owner.
+func unpackGhosts(dm *DMesh, part *Part, msg *partMsg, created []mesh.Ent) []mesh.Ent {
 	m, r := part.M, &msg.Data
 	var owner int32
 	unpackRecords(part, r, dm.Dim, false,
 		func() { owner = r.Int32() },
-		func(e mesh.Ent, created bool) {
-			if created {
+		func(e mesh.Ent, isNew bool) {
+			if e.Dim() == dm.Dim {
+				home := mesh.Ent{T: mesh.Type(r.Byte()), I: r.Int32()}
+				if isNew {
+					m.SetRemote(e, owner, home)
+					created = append(created, e)
+				}
+			}
+			if isNew {
 				m.SetGhost(e, true)
 				m.SetOwner(e, owner)
 				part.nGhosts++
 			}
-			if e.Dim() == dm.Dim {
-				home := mesh.Ent{T: mesh.Type(r.Byte()), I: r.Int32()}
-				if created {
-					arrived = append(arrived, ghostArrival{e, mesh.RemoteCopyRef{Part: msg.From, Ent: home}})
-				}
-			}
 		})
-	return arrived
-}
-
-// sendLinks packs the back links: each receiver tells the sender where
-// its element ghosts live, so owners can push tag data. Every ghost a
-// part holds, from this call or an earlier one, sends its link: the
-// links a part receives are its whole ghostsOf. Each part's ghosts sort
-// into a run per home part, home<<32 | ghost, of 10-byte records.
-func sendLinks(ph *phase) {
-	links := make([][]uint64, len(ph.dm.Parts))
-	for li, part := range ph.dm.Parts {
-		keys := make([]uint64, 0, len(part.ghostHome))
-		for g, home := range part.ghostHome {
-			keys = append(keys, uint64(home.Part)<<32|uint64(g.Pack()))
-		}
-		slices.Sort(keys)
-		links[li] = keys
-	}
-	for _, packing := range [2]bool{false, true} {
-		for li, part := range ph.dm.Parts {
-			keys := links[li]
-			for lo := 0; lo < len(keys); {
-				q, hi := destRun(keys, lo)
-				if !packing {
-					ph.count(part.M.Part(), q, 10*(hi-lo))
-					lo = hi
-					continue
-				}
-				for b := ph.to(part.M.Part(), q); lo < hi; lo++ {
-					g := moveEnt(keys[lo])
-					home := part.ghostHome[g].Ent
-					b.Byte(byte(home.T))
-					b.Int32(home.I)
-					b.Byte(byte(g.T))
-					b.Int32(g.I)
-				}
-			}
-		}
-	}
-}
-
-// receiveLinks rebuilds every local part's ghostsOf from the back links
-// it received, sorted by (To, From) like dm.Parts.
-func receiveLinks(dm *DMesh, msgs []partMsg) {
-	var links [][2]uint64 // per back link: element<<32 | the ghost's part, the ghost's handle
-	for _, part := range dm.Parts {
-		links = links[:0]
-		for ; len(msgs) > 0 && msgs[0].To == part.M.Part(); msgs = msgs[1:] {
-			for r := &msgs[0].Data; !r.Empty(); {
-				mine := mesh.Ent{T: mesh.Type(r.Byte()), I: r.Int32()}
-				ghost := mesh.Ent{T: mesh.Type(r.Byte()), I: r.Int32()}
-				links = append(links, [2]uint64{uint64(mine.Pack())<<32 | uint64(msgs[0].From), uint64(ghost.Pack())})
-			}
-		}
-		part.setGhostsOf(links)
-	}
-}
-
-// setGhostsOf rebuilds ghostsOf from the part's back links, sorted once
-// by element and then part: one run of copies per element, all runs in
-// one array.
-func (p *Part) setGhostsOf(links [][2]uint64) {
-	slices.SortFunc(links, func(a, b [2]uint64) int { return cmp.Compare(a[0], b[0]) })
-	p.ghostsOf = make(map[mesh.Ent][]mesh.RemoteCopyRef, len(links))
-	refs := make([]mesh.RemoteCopyRef, len(links))
-	for i, l := range links {
-		refs[i] = mesh.RemoteCopyRef{Part: int32(uint32(l[0])), Ent: mesh.UnpackEnt(uint32(l[1]))}
-	}
-	for lo, hi := 0, 0; lo < len(links); lo = hi {
-		for hi = lo + 1; hi < len(links) && links[hi][0]>>32 == links[lo][0]>>32; hi++ {
-		}
-		p.ghostsOf[mesh.UnpackEnt(uint32(links[lo][0]>>32))] = refs[lo:hi:hi]
-	}
+	return created
 }
 
 // RemoveGhosts deletes every ghost entity from all local parts
@@ -312,24 +231,27 @@ func RemoveGhosts(dm *DMesh) {
 	doomed := make([]mesh.Ent, 0, most)
 	for _, part := range dm.Parts {
 		m := part.M
-		// Elements first, then orphaned lower ghosts, each dimension in
-		// handle order (Iter's).
+		// The boundary table holds every ghost and home element. Element
+		// ghosts go first, with the homes' links to them, then orphaned
+		// lower ghosts, each dimension in handle order (Iter's), so that
+		// the handles that stay do not move.
 		for dd := dm.Dim; dd >= 0; dd-- {
 			doomed = doomed[:0]
-			for e := range m.Iter(dd) {
-				if m.IsGhost(e) && !m.HasUp(e) {
+			for e := range m.BoundaryTable(dd) {
+				if dd == dm.Dim || m.IsGhost(e) && !m.HasUp(e) {
 					doomed = append(doomed, e)
 				}
 			}
 			for _, e := range doomed {
-				m.Destroy(e)
+				if m.IsGhost(e) {
+					m.Destroy(e)
+				} else {
+					m.ClearRemotes(e)
+				}
 			}
 		}
 		part.nGhosts = 0
-		part.ghostHome = nil
-		part.ghostsOf = nil
 	}
-	delete(dm.plans, ghostKey)
 }
 
 // SyncGhostFloatTag pushes the owner's float tag values on elements to
@@ -423,12 +345,23 @@ func readClassif(r *pcu.Reader) (c gmi.Ref) {
 // NGhosts returns the number of ghost entities currently on the part.
 func (p *Part) NGhosts() int { return p.nGhosts }
 
-// GhostHome returns the home copy of a ghost element, if recorded.
+// GhostHome returns the home copy of a ghost element: its link to its
+// owner.
 func (p *Part) GhostHome(e mesh.Ent) (mesh.RemoteCopyRef, bool) {
-	h, ok := p.ghostHome[e]
-	return h, ok
+	owner := p.M.Owner(e)
+	h, ok := p.M.RemoteCopy(e, owner)
+	return mesh.RemoteCopyRef{Part: owner, Ent: h}, ok && p.M.IsGhost(e)
 }
 
 // GhostCopies returns where an element of this part is ghosted, sorted
-// by part.
-func (p *Part) GhostCopies(e mesh.Ent) []mesh.RemoteCopyRef { return p.ghostsOf[e] }
+// by part: its links; nil when there are none.
+func (p *Part) GhostCopies(e mesh.Ent) []mesh.RemoteCopyRef {
+	var out []mesh.RemoteCopyRef
+	if e.Dim() == p.M.Dim() && !p.M.IsGhost(e) {
+		p.M.EachRemote(e, func(q int32, h mesh.Ent) bool {
+			out = append(out, mesh.RemoteCopyRef{Part: q, Ent: h})
+			return true
+		})
+	}
+	return out
+}

@@ -3,6 +3,7 @@ package partition
 import (
 	"fmt"
 	"slices"
+	"strings"
 	"testing"
 
 	"github.com/fastmath/pumi-go/internal/ds"
@@ -197,22 +198,56 @@ func TestGhostTagSyncAndRemove(t *testing.T) {
 	}
 }
 
+// TestGhostTwoLayers ghosts one layer, then two, and after each build
+// pushes owner values set after it: every ghost must read its home's,
+// through a ghost plan that only the topology epoch recompiles.
 func TestGhostTwoLayers(t *testing.T) {
 	err := pcu.Run(4, func(ctx *pcu.Ctx) error {
 		model := gmi.Box(4, 1, 1)
 		dm := distributeByX(ctx, model.Model, func() *mesh.Mesh {
 			return meshgen.Box3D(model, 8, 2, 2)
 		}, 1, 4)
-		Ghost(dm, 2, 1)
-		one := 0
 		for _, part := range dm.Parts {
-			one += part.NGhosts()
+			if _, err := part.M.Tags.Create("u", ds.TagFloat, 0); err != nil {
+				return err
+			}
+		}
+		value := func(gid int64, layers int) float64 { return float64(gid*10 + int64(layers)) }
+		build := func(layers int) (ghosts int, err error) {
+			Ghost(dm, 2, layers)
+			for _, part := range dm.Parts {
+				m, u := part.M, part.M.Tags.Find("u")
+				for el := range m.Elements() {
+					if !m.IsGhost(el) {
+						m.Tags.SetFloat(u, el, value(part.Gid(el), layers))
+					}
+				}
+			}
+			SyncGhostFloatTag(dm, "u")
+			for _, part := range dm.Parts {
+				m, u := part.M, part.M.Tags.Find("u")
+				for el := range m.Elements() {
+					if !m.IsGhost(el) {
+						continue
+					}
+					if got, _ := m.Tags.GetFloat(u, el); got != value(part.Gid(el), layers) {
+						home, _ := part.GhostHome(el)
+						return 0, fmt.Errorf("layers=%d: ghost %v on part %d reads %g, its home on part %d %g",
+							layers, el, m.Part(), got, home.Part, value(part.Gid(el), layers))
+					}
+				}
+				ghosts += part.NGhosts()
+			}
+			return ghosts, nil
+		}
+		one, err := build(1)
+		if err != nil {
+			return err
 		}
 		RemoveGhosts(dm)
-		Ghost(dm, 2, 2)
-		two := 0
-		for _, part := range dm.Parts {
-			two += part.NGhosts()
+		two, err := build(2)
+		if err != nil {
+			return err
 		}
 		if two <= one {
 			return fmt.Errorf("two layers (%d) not larger than one (%d)", two, one)
@@ -225,24 +260,31 @@ func TestGhostTwoLayers(t *testing.T) {
 	}
 }
 
+// TestMigrateWithGhostsPanics requires the migrate guard's panic on
+// every rank: each recovers its own, before any collective, and ends
+// clean.
 func TestMigrateWithGhostsPanics(t *testing.T) {
+	var caught [2]any
 	err := pcu.Run(2, func(ctx *pcu.Ctx) error {
 		model := gmi.Box(2, 1, 1)
 		dm := distributeByX(ctx, model.Model, func() *mesh.Mesh {
 			return meshgen.Box3D(model, 2, 1, 1)
 		}, 1, 2)
 		Ghost(dm, 0, 1)
-		defer func() { recover() }()
+		defer func() { caught[ctx.Rank()] = recover() }()
 		if err := TryMigrate(dm, make([]Plan, len(dm.Parts))); err != nil {
 			return err
 		}
 		return fmt.Errorf("migration with ghosts did not panic")
 	})
-	// The panic is recovered inside each rank body; the deferred
-	// recover swallows it, so body returns nil... but ranks that
-	// panicked never reach the return. Accept either nil or the
-	// poisoned-peer error.
-	_ = err
+	if err != nil {
+		t.Fatal(err)
+	}
+	for r, p := range caught {
+		if msg := fmt.Sprint(p); !strings.Contains(msg, "call RemoveGhosts first") {
+			t.Errorf("rank %d recovered %q, want the migrate guard's panic", r, msg)
+		}
+	}
 }
 
 func TestGhostCopiesBackLinksAndNeighborRanks(t *testing.T) {

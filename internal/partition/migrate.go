@@ -630,9 +630,13 @@ func (ph *phase) stitch(part *Part, e mesh.Ent, res []int32, packing bool) {
 // copy each names, found by global id, to the sender's. Holding no copy
 // is recoverable under catchStage (a bad checkpoint), else a bug.
 func (ph *phase) applyStitches() {
-	for _, msg := range ph.exchange() {
+	msgs := ph.exchange()
+	for i, msg := range msgs {
 		part := ph.dm.LocalPart(msg.To)
-		for r := &msg.Data; !r.Empty(); {
+		if i == 0 || msgs[i-1].To != msg.To {
+			reserveLinks(part.M, msgs[i:])
+		}
+		for r := &msgs[i].Data; !r.Empty(); {
 			dd, gid := int(r.Byte()), r.Int64()
 			theirs := mesh.Ent{T: mesh.Type(r.Byte()), I: r.Int32()}
 			e, ok := part.FindGid(dd, gid)
@@ -642,6 +646,24 @@ func (ph *phase) applyStitches() {
 			}
 			part.M.SetRemote(e, msg.From, theirs)
 		}
+	}
+}
+
+// reserveLinks sizes m's link records, once per type, for the stitch
+// records of the leading messages, those addressed to m's part.
+func reserveLinks(m *mesh.Mesh, msgs []partMsg) {
+	var links [mesh.TypeCount]int
+	for _, msg := range msgs {
+		if msg.To != m.Part() {
+			break
+		}
+		for r := msg.Data; !r.Empty(); r.Advance(4) {
+			r.Advance(1 + 8)
+			links[r.Byte()]++
+		}
+	}
+	for t, n := range links {
+		m.ReserveBoundary(mesh.Type(t), 0, n)
 	}
 }
 

@@ -19,16 +19,17 @@ import (
 // the parts' topology epochs, so steady-state rounds are header-free
 // and allocation-free, the star-forest idea of PETSc's SF/DMPlex
 // distribution applied to the paper's part-boundary links. The ghost
-// push (SyncGhostFloatTag) is a third direction of the same plan.
+// push (SyncGhostFloatTag) is sync over the element links, which are
+// ghost links; SyncShared and ReduceShared never reach them.
 //
 // The order agreement needs no messages: for sync (owner to copies)
-// the owner emits its owned shared entities sorted by its own handle,
+// the owner emits its owned linked entities sorted by its own handle,
 // and each receiver sorts its mirror copies by the owner-side handle
 // its remote-copy link stores — identical keys by link symmetry. For
 // reduce (copies to owner) the roles flip: each sender sorts by the
-// owner-side handle, the owner by its own handle. For the ghost push
-// the home part sorts its ghosted elements by its own handle and each
-// ghost part sorts its ghosts by the home handle ghostHome records.
+// owner-side handle, the owner by its own handle. The ghost push is
+// sync's order: the home part sorts its ghosted elements by its own
+// handle, each ghost part its ghosts by the home handle they link to.
 //
 // Planned messages carry, per (from part, to part) section, the two
 // part ids followed by the payload of one peer run, in the agreed
@@ -124,9 +125,8 @@ type planPair struct {
 	ent  mesh.Ent // local entity
 }
 
-// plan returns the cached plan for key, recompiled if an epoch moved
-// (Ghost and RemoveGhosts drop the ghost plan themselves). Compilation
-// is purely local, so ranks may recompile independently.
+// plan returns the cached plan for key, recompiled if an epoch moved.
+// Compilation is purely local, so ranks may recompile independently.
 func (dm *DMesh) plan(key dimsKey) *BoundaryPlan {
 	if pl := dm.plans[key]; pl != nil && dm.epochsMatch(pl.epochs) {
 		dm.Ctx.Count("partition.plan.hit", 1)
@@ -143,14 +143,16 @@ func (dm *DMesh) plan(key dimsKey) *BoundaryPlan {
 }
 
 // compilePlan builds the schedule for every local part. For each
-// shared entity of a planned dimension:
+// linked entity of a planned dimension (the elements for the ghost
+// push, the dimensions below them otherwise):
 //
-//   - sync: the owner sends to every copy; a non-owner receives from
-//     the owner (which holds a copy by the residence invariant);
+//   - sync and the ghost push: the owner sends to every copy; a
+//     non-owner receives from the owner (which holds a copy by the
+//     residence invariant; a lower ghost links nowhere and is skipped);
 //   - reduce: a non-owner sends to the owner; the owner receives from
 //     every copy.
 //
-// Send runs are emitted in local-handle order (PartBoundary iterates
+// Send runs are emitted in local-handle order (BoundaryTable iterates
 // types then slots, which is exactly Ent.Less order for ascending
 // dims); recv runs are sorted by the owner-side handle stored in the
 // remote-copy link. Both equal the owner's emission order, so the wire
@@ -161,29 +163,23 @@ func compilePlan(dm *DMesh, key dimsKey) *BoundaryPlan {
 		epochs: make([]uint64, len(dm.Parts)),
 		parts:  make([]partPlan, len(dm.Parts)),
 	}
+	dims := key.mask &^ (1 << dm.Dim) // the part boundary
+	if key.dir == dirGhost {
+		dims = 1 << dm.Dim
+	}
 	var sends, recvs []planPair
 	for li, part := range dm.Parts {
 		m := part.M
 		sends, recvs = sends[:0], recvs[:0]
-		if key.dir == dirGhost {
-			for e, gs := range part.ghostsOf {
-				for _, g := range gs {
-					sends = append(sends, planPair{peer: g.Part, key: e, ent: e})
-				}
-			}
-			for g, home := range part.ghostHome {
-				recvs = append(recvs, planPair{peer: home.Part, key: home.Ent, ent: g})
-			}
-		}
 		out, in := &sends, &recvs // the owner's side, the copies' side
 		if key.dir == dirReduce {
 			out, in = in, out
 		}
 		for d := 0; d <= 3; d++ {
-			if key.mask&(1<<d) == 0 {
+			if dims&(1<<d) == 0 {
 				continue
 			}
-			for e := range m.PartBoundary(d) {
+			for e := range m.BoundaryTable(d) {
 				if m.IsOwned(e) {
 					m.EachRemote(e, func(q int32, _ mesh.Ent) bool {
 						*out = append(*out, planPair{peer: q, key: e, ent: e})

@@ -153,28 +153,43 @@ func migrationStorm(t *testing.T, ranks, k int) string {
 }
 
 // checkBoundaryTable holds every part's boundary table to what it
-// stands for, entity by entity: per dimension, PartBoundary yields the
-// entities of Iter that have remote copies and are not ghosts, in Iter
-// order, and NeighborParts is the sorted union of their remote parts. A
-// shared entity is owned by the lowest part of its residence — the owner
-// every migration restitches — a ghost by another part, any other
-// entity by its own part; IsOwned agrees with Owner.
+// stands for, entity by entity: per dimension, BoundaryTable yields the
+// entities of Iter that have remote copies or another owner, and
+// PartBoundary those below the elements that have remote copies, in
+// Iter order; NeighborParts is the sorted union of the latter's remote
+// parts. A shared entity is owned by the lowest part of its residence —
+// the owner every migration restitches — a ghost by another part, to
+// which a ghost element links and a lower ghost does not; any other
+// entity by its own part (an element that links to its ghosts too).
+// IsOwned agrees with Owner.
 func checkBoundaryTable(dm *DMesh) error {
-	var want, got []mesh.Ent
+	var want, table, got []mesh.Ent
 	var parts, res []int32
 	for _, part := range dm.Parts {
 		m := part.M
 		for d := 0; d <= dm.Dim; d++ {
-			want, parts = want[:0], parts[:0]
+			want, table, parts = want[:0], table[:0], parts[:0]
 			for e := range m.Iter(d) {
 				owner := m.Owner(e)
 				if m.IsOwned(e) != (owner == m.Part()) {
 					return fmt.Errorf("part %d: %v owned by %d, IsOwned %v", m.Part(), e, owner, m.IsOwned(e))
 				}
+				if m.HasRemotes(e) || owner != m.Part() {
+					table = append(table, e)
+				}
 				switch {
 				case m.IsGhost(e):
-					if owner == m.Part() {
-						return fmt.Errorf("part %d: ghost %v owned here", m.Part(), e)
+					_, home := m.RemoteCopy(e, owner)
+					links := 0
+					if d == dm.Dim {
+						links = 1
+					}
+					if owner == m.Part() || m.NRemotes(e) != links || links == 1 && !home {
+						return fmt.Errorf("part %d: ghost %v owned by %d, %d links", m.Part(), e, owner, m.NRemotes(e))
+					}
+				case d == dm.Dim:
+					if owner != m.Part() {
+						return fmt.Errorf("part %d: element %v owned by %d", m.Part(), e, owner)
 					}
 				case m.HasRemotes(e):
 					want = append(want, e)
@@ -185,6 +200,9 @@ func checkBoundaryTable(dm *DMesh) error {
 				case owner != m.Part():
 					return fmt.Errorf("part %d: interior %v owned by %d", m.Part(), e, owner)
 				}
+			}
+			if got = slices.AppendSeq(got[:0], m.BoundaryTable(d)); !slices.Equal(got, table) {
+				return fmt.Errorf("part %d dim %d: BoundaryTable yields %v, the filtered Iter %v", m.Part(), d, got, table)
 			}
 			if got = slices.AppendSeq(got[:0], m.PartBoundary(d)); !slices.Equal(got, want) {
 				return fmt.Errorf("part %d dim %d: PartBoundary yields %v, the filtered Iter %v", m.Part(), d, got, want)

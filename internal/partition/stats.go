@@ -21,15 +21,16 @@ func GatherCounts(dm *DMesh, dim int) []int64 {
 
 // Count returns the number of live entities of the given dimension on
 // the part, ghost copies excluded: the part's load. It reads the mesh's
-// live tally, and walks the part only when it holds ghosts.
+// live tally less the ghosts, found in the boundary table: every ghost
+// is owned elsewhere.
 func (p *Part) Count(dim int) int64 {
+	n := int64(p.M.Count(dim))
 	if p.nGhosts == 0 {
-		return int64(p.M.Count(dim))
+		return n
 	}
-	n := int64(0)
-	for e := range p.M.Iter(dim) {
-		if !p.M.IsGhost(e) {
-			n++
+	for e := range p.M.BoundaryTable(dim) {
+		if p.M.IsGhost(e) {
+			n--
 		}
 	}
 	return n

@@ -18,15 +18,17 @@ const linkRecord = 8 + 4 + 4 + 4
 // it, and every rank fails if any does). Parallel test paths, the tools
 // and the benchmark cycles end with it. It runs in three steps:
 //
-//  1. One local sweep per part: CheckConsistency (no ghost has links);
-//     over the boundary table, no shared element, no orphan boundary
-//     entity, links name other parts inside [0, NParts), the owner lies
-//     inside the residence set, the downward closure of a shared entity
-//     is shared with the same parts.
-//  2. One part-addressed exchange: for every link each side sends its
-//     gid, its own handle, the peer's handle and its owner, and the
-//     receiver checks that its copy is live and no ghost, links back,
-//     and agrees on type, gid and owner. The compiled sync plans are
+//  1. One local sweep per part: CheckConsistency (a ghost element
+//     links to its owner alone, a lower ghost nowhere); over the
+//     boundary table, links name other parts inside [0, NParts), the
+//     owner lies inside the residence set and, below the elements, no
+//     boundary entity is an orphan and a shared entity's closure is
+//     shared with the same parts.
+//  2. One part-addressed exchange: for every link, ghost links too,
+//     each side sends its gid, its own handle, the peer's handle and
+//     its owner, and the receiver checks that its copy is live, links
+//     back, agrees on type, gid and owner, and is a ghost exactly when
+//     the link is an element's and the sender owns it. The sync plans are
 //     checked in the same walk: the sender holds each cached
 //     per-dimension send run against the owned links it packs in handle
 //     order, the receiver each recv run against the owner's records in
@@ -39,7 +41,7 @@ func Verify(dm *DMesh) error {
 	}
 	// A link to a part outside [0, NParts) has no rank to compile a plan
 	// toward; a rank holding one has failed already and checks no plans.
-	var plans [3]*BoundaryPlan
+	var plans [4]*BoundaryPlan // the elements' stays nil
 	if !v.unknownPart {
 		for d := 0; d < dm.Dim; d++ {
 			plans[d] = dm.plan(dimsKey{1 << d, dirSync})
@@ -75,25 +77,34 @@ func (v *verifier) linkable(p, q int32) bool {
 	return q != p && q >= 0 && int(q) < v.dm.NParts()
 }
 
+// exchanged reports whether e's links are sent: a lower ghost's are
+// CheckConsistency's to report.
+func (v *verifier) exchanged(m *mesh.Mesh, e mesh.Ent, d int) bool {
+	return m.HasRemotes(e) && (d == v.dm.Dim || !m.IsGhost(e))
+}
+
 // sweep runs the checks that need no peer on one part, walking its
 // boundary table, and counts the bytes its link records take per peer.
 func (v *verifier) sweep(m *mesh.Mesh) {
 	v.dm.Ctx.Count("mesh.consistency-checks", 1)
 	v.record(m.CheckConsistency())
-	for el := range m.PartBoundary(v.dm.Dim) {
-		v.record(fmt.Errorf("partition: element %v on part %d is shared", el, m.Part()))
-		break
-	}
 	p := m.Part()
 	var down []mesh.Ent
-	for d := 0; d < v.dm.Dim; d++ {
-		for e := range m.PartBoundary(d) {
-			if !m.HasUp(e) {
+	for d := 0; d <= v.dm.Dim; d++ {
+		shared := d < v.dm.Dim // element links are ghost links
+		for e := range m.BoundaryTable(d) {
+			if !v.exchanged(m, e, d) {
+				continue
+			}
+			if shared && !m.HasUp(e) {
 				v.record(fmt.Errorf("partition: shared %v on part %d bounds nothing (orphan boundary entity)", e, p))
 			}
 			owner := m.Owner(e)
 			resident := owner == p
-			down = m.DownTo(e, down[:0])
+			down = down[:0]
+			if shared {
+				down = m.DownTo(e, down)
+			}
 			m.EachRemote(e, func(q int32, _ mesh.Ent) bool {
 				resident = resident || q == owner
 				switch {
@@ -120,18 +131,21 @@ func (v *verifier) sweep(m *mesh.Mesh) {
 }
 
 // pack writes one record per link of every part, dimension by
-// dimension in handle order, and holds each owned link against the
-// part's cached sync send run toward its peer.
-func (v *verifier) pack(plans *[3]*BoundaryPlan) {
+// dimension in handle order, and holds each owned link below the
+// elements against the part's cached sync send run toward its peer.
+func (v *verifier) pack(plans *[4]*BoundaryPlan) {
 	for li, part := range v.dm.Parts {
 		m, p := part.M, part.M.Part()
-		for d := 0; d < v.dm.Dim; d++ {
+		for d := 0; d <= v.dm.Dim; d++ {
 			var pp *partPlan
 			if plans[d] != nil {
 				pp = &plans[d].parts[li]
 				v.sent = append(v.sent[:0], make([]int, len(pp.sendPeers))...)
 			}
-			for e := range m.PartBoundary(d) {
+			for e := range m.BoundaryTable(d) {
+				if !v.exchanged(m, e, d) {
+					continue
+				}
 				gid, owner := part.Gid(e), m.Owner(e)
 				m.EachRemote(e, func(q int32, h mesh.Ent) bool {
 					if !v.linkable(p, q) {
@@ -178,12 +192,12 @@ func (v *verifier) planSend(pp *partPlan, d int, p, q int32, e mesh.Ent) {
 
 // receive checks every arriving record against the local copy and the
 // owner's records against the cached sync recv runs.
-func (v *verifier) receive(plans *[3]*BoundaryPlan) {
+func (v *verifier) receive(plans *[4]*BoundaryPlan) {
 	dm := v.dm
 	for _, msg := range v.ph.exchange() {
 		part := dm.LocalPart(msg.To)
-		var runs [3][]mesh.Ent
-		var got [3]int
+		var runs [4][]mesh.Ent
+		var got [4]int
 		for d, pl := range plans {
 			if pl == nil {
 				continue
@@ -224,8 +238,9 @@ func (v *verifier) checkCopy(part *Part, from, to int32, gid int64, theirs, mine
 	case !m.Alive(mine):
 		v.record(fmt.Errorf("partition: part %d claims dead copy %v on part %d (gid %d)", from, mine, to, gid))
 		return
-	case m.IsGhost(mine):
-		v.record(fmt.Errorf("partition: part %d claims ghost %v on part %d as a remote copy", from, mine, to))
+	case m.IsGhost(mine) != (mine.Dim() == v.dm.Dim && owner == from):
+		v.record(fmt.Errorf("partition: part %d links its %v (owner %d) to %v on part %d, ghost %v",
+			from, theirs, owner, mine, to, m.IsGhost(mine)))
 		return
 	case mine.T != theirs.T:
 		v.record(fmt.Errorf("partition: part %d links its %v to %v on part %d", from, theirs, mine, to))

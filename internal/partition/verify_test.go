@@ -100,3 +100,64 @@ func TestVerifyFindsLinkedGhost(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestVerifyChecksGhostLinks: Verify passes with ghosts present, and
+// fails on every rank once one ghost link is broken — a home element's
+// link repointed to another handle, or a ghost element's link removed —
+// naming the break on the rank that holds it.
+func TestVerifyChecksGhostLinks(t *testing.T) {
+	breaks := []struct {
+		name, want string
+		brk        func(m *mesh.Mesh, el mesh.Ent) bool
+	}{
+		{"home repointed", "asymmetric link on part 0", func(m *mesh.Mesh, el mesh.Ent) bool {
+			if m.IsGhost(el) || !m.HasRemotes(el) {
+				return false
+			}
+			m.EachRemote(el, func(q int32, g mesh.Ent) bool {
+				m.SetRemote(el, q, mesh.Ent{T: g.T, I: g.I + 1})
+				return false
+			})
+			return true
+		}},
+		{"ghost unlinked", "holds 0 links", func(m *mesh.Mesh, el mesh.Ent) bool {
+			if !m.IsGhost(el) {
+				return false
+			}
+			m.RemoveRemote(el, m.Owner(el))
+			return true
+		}},
+	}
+	for _, b := range breaks {
+		t.Run(b.name, func(t *testing.T) {
+			err := pcu.Run(2, func(ctx *pcu.Ctx) error {
+				dm := verifyWorld(ctx, 2)
+				Ghost(dm, 2, 1)
+				if err := Verify(dm); err != nil {
+					return fmt.Errorf("with ghosts, before the break: %w", err)
+				}
+				want, broken := "peer rank", true
+				if ctx.Rank() == 0 {
+					want, broken = b.want, false
+					m := dm.Parts[0].M
+					for el := range m.Elements() {
+						if broken = b.brk(m, el); broken {
+							break
+						}
+					}
+				}
+				err := Verify(dm)
+				switch {
+				case !broken:
+					return fmt.Errorf("part 0 holds no link to break")
+				case err == nil || !strings.Contains(err.Error(), want):
+					return fmt.Errorf("rank %d: Verify returned %v, want an error naming %q", ctx.Rank(), err, want)
+				}
+				return nil
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+}
