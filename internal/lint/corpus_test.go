@@ -39,6 +39,7 @@ import (
 	"github.com/fastmath/pumi-go/internal/partition"
 	"github.com/fastmath/pumi-go/internal/pcu"
 	"github.com/fastmath/pumi-go/internal/san"
+	"github.com/fastmath/pumi-go/internal/vec"
 )
 
 const (
@@ -94,7 +95,7 @@ var corpus = []seededBug{
 	{"a part-local count swaps Exchange for Barrier", bugLocalCountSwap, []string{layerRendezvous}},
 	{"a remote-copy handle is compared with ==", bugRemoteHandleCompare, []string{"enthandle"}},
 	{"an owner drops a remote-copy link one-sidedly", bugOneSidedUnlink, []string{layerVerify}},
-	{"an owner hands ownership away one-sidedly", bugOneSidedOwner, []string{layerVerify}},
+	{"a restitch unlinks two copies of a shared entity on both sides", bugRestitchUnlink, []string{layerVerify}},
 	{"a ghost is written", bugGhostWrite, []string{layerSan}},
 	{"a mesh is written from another goroutine", bugForeignWrite, []string{layerSan}},
 	{"a message is decoded only in part", bugPartialDecode, []string{"bufdiscipline"}},
@@ -316,13 +317,22 @@ func bugOneSidedUnlink(c *pcu.Ctx) error {
 	return verified(dm)
 }
 
-func bugOneSidedOwner(c *pcu.Ctx) error {
-	dm := corpusMesh(c)
-	m := dm.Parts[0].M
-	for v := range m.PartBoundary(0) {
-		if m.IsOwned(v) {
-			m.SetOwner(v, m.AppendRemoteParts(v, nil)[0])
-			break
+// bugRestitchUnlink drops the links between parts 0 and 3 of the
+// star's center on both sides, as a faulty restitch would, inside the
+// window a migration's restitch opens for the guard. Every link left is
+// symmetric, but part 3 now takes part 1 for the owner, the others
+// part 0.
+func bugRestitchUnlink(c *pcu.Ctx) error {
+	dm := corpusStar(c)
+	for _, part := range dm.Parts {
+		var center mesh.Ent
+		for v := range part.M.PartBoundary(0) {
+			center = v
+		}
+		if p := part.M.Part(); p == 0 || p == 3 {
+			resume := part.M.SuspendGuard()
+			part.M.RemoveRemote(center, 3-p)
+			resume()
 		}
 	}
 	return verified(dm)
@@ -392,6 +402,27 @@ func corpusMesh(c *pcu.Ctx) *partition.DMesh {
 		}
 	}
 	dm, err := partition.Distribute(c, corpusModel.Model, 3, serial, assign, 1)
+	if err != nil {
+		panic(err)
+	}
+	return dm
+}
+
+// corpusStar distributes a star of four edges over four parts, two per
+// rank, so that its center vertex resides on every part.
+func corpusStar(c *pcu.Ctx) *partition.DMesh {
+	var serial *mesh.Mesh
+	var assign []int32
+	if c.Rank() == 0 {
+		serial = mesh.New(nil, 1)
+		center := serial.CreateVertex(gmi.NoRef, vec.V{})
+		for i := range 4 {
+			w := serial.CreateVertex(gmi.NoRef, vec.V{X: float64(i + 1)})
+			serial.CreateEntity(mesh.Edge, gmi.NoRef, []mesh.Ent{center, w})
+			assign = append(assign, int32(i))
+		}
+	}
+	dm, err := partition.Distribute(c, nil, 1, serial, assign, 2)
 	if err != nil {
 		panic(err)
 	}

@@ -39,6 +39,6 @@ func (m *Mesh) guardWrite(op string, e Ent) {
 		return
 	}
 	dead := !m.Alive(e)
-	notOwned := !dead && (m.IsShared(e) || m.IsGhost(e)) && !m.IsOwned(e)
+	notOwned := !dead && !m.IsOwned(e) // only a shared entity or a ghost is owned elsewhere
 	m.guard.CheckWrite(op, e, dead, notOwned)
 }

@@ -5,10 +5,11 @@ import "slices"
 // linkStore holds the part-boundary data of all entities of one type,
 // paid for only where it exists, as MDS keeps remote copies on boundary
 // entities alone. bnd maps each slot to its entry in the boundary table,
-// -1 for an interior slot: owned here, no remote copies. An entry enters
-// when its slot gains a first link or an owner other than this part (a
-// ghost) and leaves, the last entry taking its place, when it has
-// neither or the slot dies; sorted restores slot order on read.
+// -1 for an interior slot: no remote copies, not a ghost. An entry enters
+// when its slot gains a first link or becomes a ghost, and leaves, the
+// last entry taking its place, on its last link (a ghost keeps it) or
+// when the slot dies; sorted restores slot order on read. Only a ghost
+// stores an owner: any other entity's is derived from its links (Owner).
 //
 // A slot's links form a chain through pooled parallel arrays, sorted by
 // part id at insertion, so every read observes a deterministic order
@@ -28,8 +29,9 @@ type linkStore struct {
 
 // bndEntry is one slot's row of the boundary table.
 type bndEntry struct {
-	slot, owner int32
-	head        int32 // first link record, -1 = none
+	slot  int32
+	owner int32 // a ghost's owning part, -1 = not a ghost
+	head  int32 // first link record, -1 = none
 }
 
 // nbCache memoizes one dimension's NeighborParts result against the
@@ -47,21 +49,21 @@ func (ls *linkStore) headOf(i int32) int32 {
 	return -1
 }
 
-// enter gives interior slot i an entry owned by owner and returns its
-// index.
-func (ls *linkStore) enter(i, owner int32) int32 {
+// enter gives interior slot i an entry, no ghost and no link yet, and
+// returns its index.
+func (ls *linkStore) enter(i int32) int32 {
 	b := int32(len(ls.entries))
 	ls.unsorted = ls.unsorted || b > 0 && ls.entries[b-1].slot > i
-	ls.entries = append(ls.entries, bndEntry{slot: i, owner: owner, head: -1})
+	ls.entries = append(ls.entries, bndEntry{slot: i, owner: -1, head: -1})
 	ls.bnd[i] = b
 	return b
 }
 
-// settle removes slot i's entry once it holds neither a link nor a
-// foreign owner, or the slot dies: its chain must be unlinked first.
-func (ls *linkStore) settle(i, self int32, dying bool) {
+// settle removes slot i's entry once it holds no link and is no ghost,
+// or the slot dies: its chain must be unlinked first.
+func (ls *linkStore) settle(i int32, dying bool) {
 	b, last := ls.bnd[i], int32(len(ls.entries)-1)
-	if en := ls.entries[b]; !dying && (en.head >= 0 || en.owner != self) {
+	if en := ls.entries[b]; !dying && (en.head >= 0 || en.owner >= 0) {
 		return
 	}
 	if b != last {
@@ -86,11 +88,11 @@ func (ls *linkStore) sorted() []bndEntry {
 }
 
 // set records (part -> h) on slot i, keeping the chain sorted by part;
-// an interior slot enters the table owned by self.
-func (ls *linkStore) set(i, part int32, h Ent, self int32) {
+// an interior slot enters the table.
+func (ls *linkStore) set(i, part int32, h Ent) {
 	b := ls.bnd[i]
 	if b < 0 {
-		b = ls.enter(i, self)
+		b = ls.enter(i)
 	}
 	prev, cur := int32(-1), ls.entries[b].head
 	for cur >= 0 && ls.part[cur] < part {
@@ -126,7 +128,7 @@ func (ls *linkStore) find(i, part int32) int32 {
 }
 
 // remove unlinks slot i's record for the given part onto the free list.
-func (ls *linkStore) remove(i, part, self int32) {
+func (ls *linkStore) remove(i, part int32) {
 	b := ls.bnd[i]
 	if b < 0 {
 		return
@@ -144,12 +146,12 @@ func (ls *linkStore) remove(i, part, self int32) {
 		ls.next[prev] = ls.next[cur]
 	}
 	ls.next[cur], ls.free, ls.nfree = ls.free, cur, ls.nfree+1
-	ls.settle(i, self, false)
+	ls.settle(i, false)
 }
 
 // clear moves slot i's whole chain onto the free list in one splice and
 // settles the slot.
-func (ls *linkStore) clear(i, self int32, dying bool) {
+func (ls *linkStore) clear(i int32, dying bool) {
 	b := ls.bnd[i]
 	if b < 0 {
 		return
@@ -163,7 +165,7 @@ func (ls *linkStore) clear(i, self int32, dying bool) {
 		ls.next[last], ls.free, ls.nfree = ls.free, first, ls.nfree+n
 		ls.entries[b].head = -1
 	}
-	ls.settle(i, self, dying)
+	ls.settle(i, dying)
 }
 
 // reserve makes room for n more link records beyond the free list, in

@@ -3,7 +3,7 @@
 // base topological entities (vertex, edge, face, region) with O(1)
 // one-level adjacency in both directions, geometric classification
 // against a gmi model, coordinates, tags, sets and iterators, and the
-// per-entity parallel data (remote copies, ownership, ghost flags) the
+// per-entity parallel data (remote copies, ghosts and their owners) the
 // partition layer maintains.
 //
 // Storage follows PUMI's MDS design: per-type struct-of-arrays with
@@ -51,14 +51,15 @@ func (u use) ent() Ent  { return unpack(uint32(u)) }
 func (u use) slot() int { return int(u >> packBits) }
 
 // typeData is the storage of all entities of one type; what only a
-// part-boundary slot needs (owner, remote copies) is in its linkStore.
+// boundary-table slot needs (remote copies, a ghost's owner) is in its
+// linkStore.
 type typeData struct {
 	degree   int      // downward adjacencies per entity
 	down     []int32  // len = slots * degree: index of type downTypes[t][slot], -1 = none
 	firstUse []use    // per slot: head of this entity's upward use list
 	nextUse  []use    // len = slots * degree: next use after (ent, slot)
 	classif  []uint32 // geometric classification, packed (packRef)
-	flags    []uint8  // flagAlive, flagGhost
+	flags    []uint8  // flagAlive
 	free     []int32
 	nAlive   int
 }
@@ -67,11 +68,8 @@ func (td *typeData) slots() int32 { return int32(len(td.flags)) }
 
 func (td *typeData) alive(i int32) bool { return td.flags[i]&flagAlive != 0 }
 
-// Slot flags: a live entity; a read-only off-part copy from ghosting.
-const (
-	flagAlive uint8 = 1 << iota
-	flagGhost
-)
+// flagAlive is the slot flag of a live entity.
+const flagAlive uint8 = 1
 
 // A classification is stored in four bytes: the model dimension plus
 // one in the top three bits, the tag in the rest, so gmi.NoRef packs to
@@ -107,9 +105,9 @@ type Mesh struct {
 
 	coords []vec.V // per vertex slot
 
-	// links stores, per type, the boundary table — owner and
-	// remote-copy chain of every slot on the part boundary or owned
-	// elsewhere — and the chains' link records (see links.go).
+	// links stores, per type, the boundary table — the remote-copy
+	// chain of every slot with remote copies, and every ghost's owner —
+	// and the chains' link records (see links.go).
 	links [TypeCount]linkStore
 
 	// epoch is the topology epoch: bumped by every mutation that can
@@ -256,7 +254,7 @@ func (m *Mesh) Reserve(t Type, n int) int {
 }
 
 // ReserveBoundary makes room for n more boundary-table entries of type
-// t — slots gaining a first remote copy or a foreign owner — and for
+// t — slots gaining a first remote copy or becoming ghosts — and for
 // links more remote-copy links beyond those the free list holds, so
 // that a loader or a stitch round knowing how many come grows once.
 func (m *Mesh) ReserveBoundary(t Type, n, links int) {
@@ -266,9 +264,9 @@ func (m *Mesh) ReserveBoundary(t Type, n, links int) {
 
 // Footprint is the bytes a mesh's entity storage holds, by array. A slot
 // costs 8 per downward entity + 13 (a tet 45, a tri 37, an edge 29, a
-// vertex 37 with its coordinates); a slot on the part boundary or owned
-// elsewhere adds a 12-byte boundary entry, and each of its remote-copy
-// links a 12-byte record.
+// vertex 37 with its coordinates); a slot with remote copies or a ghost
+// adds a 12-byte boundary entry, and each of its remote-copy links a
+// 12-byte record.
 type Footprint struct {
 	Down    int // downward indices, 4 per downward slot
 	Uses    int // use-list heads and nexts, 4 per slot + 4 per downward slot
@@ -397,7 +395,7 @@ func (m *Mesh) Destroy(e Ent) {
 		td.down[base+j] = -1
 	}
 	m.Tags.DeleteAll(e)
-	m.links[e.T].clear(e.I, m.part, true)
+	m.links[e.T].clear(e.I, true)
 	for _, s := range m.sets {
 		s.Remove(e)
 	}

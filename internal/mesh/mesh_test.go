@@ -422,22 +422,26 @@ func TestRemoteCopiesAndResidence(t *testing.T) {
 	if m.IsShared(v) {
 		t.Fatal("still shared after clear")
 	}
-	// Ownership.
+	// Ownership: the least part of the residence.
 	if !m.IsOwned(v) || m.Owner(v) != 1 {
-		t.Fatal("default owner should be own part")
+		t.Fatal("an interior entity should be owned by its own part")
 	}
-	m.SetOwner(v, 0)
-	if m.IsOwned(v) {
-		t.Fatal("owner change ignored")
+	m.SetRemote(v, 2, Ent{T: Vertex, I: 9})
+	if !m.IsOwned(v) || m.Owner(v) != 1 {
+		t.Fatalf("residence [1 2]: owner %d, want 1", m.Owner(v))
 	}
-	// Ghost flag.
-	m.SetGhost(v, true)
-	if !m.IsGhost(v) {
-		t.Fatal("ghost flag")
+	m.SetRemote(v, 0, Ent{T: Vertex, I: 7})
+	if m.IsOwned(v) || m.Owner(v) != 0 {
+		t.Fatalf("residence [0 1 2]: owner %d, want 0", m.Owner(v))
 	}
-	m.SetGhost(v, false)
-	if m.IsGhost(v) {
-		t.Fatal("ghost unset")
+	m.ClearRemotes(v)
+	if !m.IsOwned(v) || m.Owner(v) != 1 {
+		t.Fatalf("interior again: owner %d, want 1", m.Owner(v))
+	}
+	// A ghost stores its owner.
+	m.SetGhost(v, 3)
+	if !m.IsGhost(v) || m.Owner(v) != 3 || m.IsOwned(v) || m.HasRemotes(v) {
+		t.Fatalf("ghost of part 3: ghost %v, owner %d, %d links", m.IsGhost(v), m.Owner(v), m.NRemotes(v))
 	}
 	// An element's links are ghost links, not a part boundary.
 	m.SetRemote(tet, 5, tet)

@@ -14,22 +14,23 @@ import (
 // lower ghost holds none. The partition layer maintains these links
 // during migration and ghosting.
 //
-// Links and owners live in the per-type linkStore (links.go): a table
-// of the slots on the part boundary or owned elsewhere, with chains
-// sorted by part id, so all read paths are allocation-free walks in
-// deterministic order and a boundary walk costs the boundary, not the
-// part. Every mutation that can change the part-boundary
-// communication structure — entity creation and destruction, remote
-// link edits, ownership and ghost-flag changes — bumps the mesh's
-// topology epoch, which higher layers (the partition layer's compiled
-// boundary-exchange plans, this file's NeighborParts cache) use to
-// invalidate derived communication schedules.
+// Links live in the per-type linkStore (links.go): a table of the slots
+// with remote copies or ghosts, with chains sorted by part id, so all
+// read paths are allocation-free walks in deterministic order and a
+// boundary walk costs the boundary, not the part. Ownership is a rule,
+// not a field: an entity that is no ghost is owned by the least part of
+// its residence, so only a ghost stores its owner. Every mutation that
+// can change the part-boundary communication structure — entity
+// creation and destruction, remote link edits, ghosting — bumps the
+// mesh's topology epoch, which higher layers (the partition layer's
+// compiled boundary-exchange plans, this file's NeighborParts cache)
+// use to invalidate derived communication schedules.
 
 // TopoEpoch returns the mesh's topology epoch: a counter bumped by any
 // mutation that can change the part-boundary communication structure
-// (create/destroy, SetRemote/RemoveRemote/ClearRemotes, SetOwner,
-// SetGhost). Derived structures cached against an epoch stay valid
-// exactly while the epoch is unchanged.
+// (create/destroy, SetRemote/RemoveRemote/ClearRemotes, SetGhost).
+// Derived structures cached against an epoch stay valid exactly while
+// the epoch is unchanged.
 func (m *Mesh) TopoEpoch() uint64 { return m.epoch }
 
 // bumpEpoch advances the topology epoch, invalidating epoch-cached
@@ -40,7 +41,7 @@ func (m *Mesh) bumpEpoch() { m.epoch++ }
 // part.
 func (m *Mesh) SetRemote(e Ent, part int32, h Ent) {
 	m.guardWrite("remote", e)
-	m.links[e.T].set(e.I, part, h, m.part)
+	m.links[e.T].set(e.I, part, h)
 	m.bumpEpoch()
 }
 
@@ -48,14 +49,14 @@ func (m *Mesh) SetRemote(e Ent, part int32, h Ent) {
 // interior from this part's point of view).
 func (m *Mesh) ClearRemotes(e Ent) {
 	m.guardWrite("remote", e)
-	m.links[e.T].clear(e.I, m.part, false)
+	m.links[e.T].clear(e.I, false)
 	m.bumpEpoch()
 }
 
 // RemoveRemote removes the link to one peer part's copy.
 func (m *Mesh) RemoveRemote(e Ent, part int32) {
 	m.guardWrite("remote", e)
-	m.links[e.T].remove(e.I, part, m.part)
+	m.links[e.T].remove(e.I, part)
 	m.bumpEpoch()
 }
 
@@ -141,24 +142,20 @@ func (m *Mesh) Residence(e Ent) ds.IntSet {
 }
 
 // Owner returns the owning part of e: the part with the right to
-// modify the entity. Interior entities are owned by their own part.
+// modify the entity. A ghost's is the part it was copied from; any other
+// entity's is the least part of its residence — its own part when it is
+// interior or an element (an element's links are ghost links), else the
+// lesser of its own part and its first link's, chains being sorted.
 func (m *Mesh) Owner(e Ent) int32 {
 	if ls := &m.links[e.T]; ls.bnd[e.I] >= 0 {
-		return ls.entries[ls.bnd[e.I]].owner
+		switch en := ls.entries[ls.bnd[e.I]]; {
+		case en.owner >= 0:
+			return en.owner
+		case e.Dim() < m.dim:
+			return min(m.part, ls.part[en.head])
+		}
 	}
 	return m.part
-}
-
-// SetOwner assigns e's owning part.
-func (m *Mesh) SetOwner(e Ent, part int32) {
-	m.guardWrite("owner", e)
-	if ls := &m.links[e.T]; ls.bnd[e.I] >= 0 {
-		ls.entries[ls.bnd[e.I]].owner = part
-		ls.settle(e.I, m.part, false)
-	} else if part != m.part {
-		ls.enter(e.I, part)
-	}
-	m.bumpEpoch()
 }
 
 // IsOwned reports whether this part owns e.
@@ -166,23 +163,28 @@ func (m *Mesh) IsOwned(e Ent) bool { return m.Owner(e) == m.part }
 
 // IsGhost reports whether e is a read-only ghost copy localized from
 // another part.
-func (m *Mesh) IsGhost(e Ent) bool { return m.td[e.T].flags[e.I]&flagGhost != 0 }
+func (m *Mesh) IsGhost(e Ent) bool {
+	ls := &m.links[e.T]
+	return ls.bnd[e.I] >= 0 && ls.entries[ls.bnd[e.I]].owner >= 0
+}
 
-// SetGhost marks or unmarks e as a ghost copy.
-func (m *Mesh) SetGhost(e Ent, on bool) {
-	m.guardWrite("flag", e)
-	if on {
-		m.td[e.T].flags[e.I] |= flagGhost
-	} else {
-		m.td[e.T].flags[e.I] &^= flagGhost
+// SetGhost marks e as a read-only ghost copy of the entity the part
+// owner holds, owner being another part. An entity stays a ghost until
+// Destroy.
+func (m *Mesh) SetGhost(e Ent, owner int32) {
+	m.guardWrite("ghost", e)
+	ls := &m.links[e.T]
+	if ls.bnd[e.I] < 0 {
+		ls.enter(e.I)
 	}
+	ls.entries[ls.bnd[e.I]].owner = owner
 	m.bumpEpoch()
 }
 
 // BoundaryTable iterates the entities of one dimension that hold a
-// boundary-table entry — remote copies, or an owner elsewhere as every
-// ghost has — in Iter order, walking the table, not the part. The links
-// and owners must not be mutated during the walk.
+// boundary-table entry — remote copies, or a ghost — in Iter order,
+// walking the table, not the part. The links and ghosts must not be
+// mutated during the walk.
 func (m *Mesh) BoundaryTable(dim int) ds.Seq[Ent] { return m.tableWalk(dim, false) }
 
 // PartBoundary iterates the shared (part-boundary) entities of one

@@ -154,7 +154,7 @@ func TestFootprintBytesPerSlot(t *testing.T) {
 		t.Errorf("Coords = %d bytes for %d vertices, want 24 each", f.Coords, nv)
 	}
 	// The first link of an interior vertex adds its entry and a record,
-	// the second a record; a foreign owner alone is an entry.
+	// the second a record; a ghost alone is an entry.
 	var v, w Ent
 	for v = range m.IterType(Vertex) {
 		break
@@ -166,7 +166,7 @@ func TestFootprintBytesPerSlot(t *testing.T) {
 	}{
 		{func() { m.SetRemote(v, 1, Ent{T: Vertex, I: 7}) }, 24},
 		{func() { m.SetRemote(v, 2, Ent{T: Vertex, I: 8}) }, 12},
-		{func() { m.SetOwner(w, 3) }, 12},
+		{func() { m.SetGhost(w, 3) }, 12},
 	} {
 		before := m.Footprint().Links
 		step.do()
@@ -177,7 +177,7 @@ func TestFootprintBytesPerSlot(t *testing.T) {
 }
 
 // TestReusedSlotIsInterior destroys entities that were on the part
-// boundary, owned elsewhere, flagged and classified, and checks that the
+// boundary, owned elsewhere, ghosts and classified, and checks that the
 // slots the free list hands out again read as fresh interior entities.
 func TestReusedSlotIsInterior(t *testing.T) {
 	m := newTestMesh()
@@ -188,10 +188,8 @@ func TestReusedSlotIsInterior(t *testing.T) {
 	}
 	m.SetRemote(vs[0], 1, vs[0])
 	m.SetRemote(vs[0], 4, vs[1])
-	m.SetOwner(vs[1], 1)
-	m.SetGhost(vs[1], true)
+	m.SetGhost(vs[1], 1)
 	m.SetRemote(vs[2], 5, vs[2])
-	m.SetOwner(vs[2], 5)
 	for _, v := range vs {
 		m.Destroy(v)
 	}

@@ -94,12 +94,48 @@ func TestVerifyParallelMissingBackLink(t *testing.T) {
 	})
 }
 
-func TestVerifyParallelOwnerDisagreement(t *testing.T) {
-	expectVerifyError(t, "owner disagreement", func(c *pcu.Ctx, m *mesh.Mesh, shared, _ mesh.Ent) {
-		if c.Rank() == 1 {
-			m.SetOwner(shared, 1-m.Owner(shared))
+// star distributes a star of n unit edges over n parts, k per rank, so
+// that its center vertex resides on every part.
+func star(c *pcu.Ctx, n, k int) *partition.DMesh {
+	var serial *mesh.Mesh
+	var assign []int32
+	if c.Rank() == 0 {
+		serial = mesh.New(nil, 1)
+		center := serial.CreateVertex(gmi.NoRef, vec.V{})
+		for i := range n {
+			w := serial.CreateVertex(gmi.NoRef, vec.V{X: float64(i + 1)})
+			serial.CreateEntity(mesh.Edge, gmi.NoRef, []mesh.Ent{center, w})
+			assign = append(assign, int32(i))
 		}
+	}
+	dm, err := partition.Distribute(c, nil, 1, serial, assign, k)
+	if err != nil {
+		panic(err)
+	}
+	return dm
+}
+
+// TestVerifyParallelOwnerDisagreement gives the copies of one entity
+// residences that disagree: the center of a four-edge star loses the
+// links between parts 0 and 3 on both sides, so part 3 sees [1 2 3] and
+// takes part 1 for the owner, while parts 1 and 2 see part 0.
+func TestVerifyParallelOwnerDisagreement(t *testing.T) {
+	err := pcu.Run(2, func(c *pcu.Ctx) error {
+		dm := star(c, 4, 2)
+		for _, part := range dm.Parts {
+			var center mesh.Ent
+			for v := range part.M.PartBoundary(0) {
+				center = v
+			}
+			if p := part.M.Part(); p == 0 || p == 3 {
+				part.M.RemoveRemote(center, 3-p)
+			}
+		}
+		return partition.Verify(dm)
 	})
+	if err == nil || !strings.Contains(err.Error(), "owner disagreement") {
+		t.Fatalf("want an owner disagreement, got %v", err)
+	}
 }
 
 func TestVerifyParallelOrphanBoundary(t *testing.T) {
@@ -107,7 +143,6 @@ func TestVerifyParallelOrphanBoundary(t *testing.T) {
 		// A shared vertex that bounds nothing on either part.
 		stray := m.CreateVertex(gmi.NoRef, vec.V{X: 9})
 		m.SetRemote(stray, int32(1-c.Rank()), stray)
-		m.SetOwner(stray, 0)
 	})
 }
 

@@ -18,20 +18,20 @@ import (
 
 // Distributed checkpoint format. A checkpoint is a directory holding
 // one binary file per part (mesh topology + tags via the meshio format,
-// plus global ids, ownership and residence sets) and a JSON manifest
-// naming the files with sizes and CRCs plus a restart cursor. The
-// manifest is committed last by an atomic rename, so a crash mid-save
-// leaves the previous checkpoint loadable; each save uses a fresh
-// sequence number as its file prefix so it never overwrites the
-// checkpoint it may be replacing. Remote-copy handles are process-local
-// and are not stored: LoadCheckpoint rebuilds the links from residence
-// sets by global id (partition.Assemble), which also lets a checkpoint
-// saved on one world restart on a different rank count, as long as the
-// rank count divides the part count.
+// plus global ids and residence sets; an owner is the least part of its
+// residence) and a JSON manifest naming the files with sizes and CRCs
+// plus a restart cursor. The manifest is committed last by an atomic
+// rename, so a crash mid-save leaves the previous checkpoint loadable;
+// each save uses a fresh sequence number as its file prefix so it never
+// overwrites the checkpoint it may be replacing. Remote-copy handles
+// are process-local and are not stored: LoadCheckpoint rebuilds the
+// links from residence sets by global id (partition.Assemble), which
+// also lets a checkpoint saved on one world restart on a different rank
+// count, as long as the rank count divides the part count.
 
 const (
 	checkpointMagic  = "pumi-checkpoint-v1"
-	partMagic        = "PUMICK01"
+	partMagic        = "PUMICK02"
 	manifestName     = "checkpoint.json"
 	prevManifestName = "checkpoint.prev.json"
 	partFilePattern  = "g%d-part-%04d.pumip"
@@ -101,7 +101,7 @@ func readManifestFile(dir, name string) (*checkpointManifest, error) {
 }
 
 // encodePart serializes one part: the mesh as a length-prefixed meshio
-// blob, then the gid / owner / residence record of every entity in
+// blob, then the gid / residence record of every entity in
 // iteration order — the same order the mesh blob stores them, so load
 // realigns by position.
 func encodePart(p *partition.Part) []byte {
@@ -117,7 +117,6 @@ func encodePart(p *partition.Part) []byte {
 		b = le.AppendUint32(b, uint32(m.Count(d)))
 		for e := range m.Iter(d) {
 			b = le.AppendUint64(b, uint64(p.Gid(e)))
-			b = le.AppendUint32(b, uint32(m.Owner(e)))
 			res = m.AppendResidence(e, res[:0])
 			b = le.AppendUint32(b, uint32(len(res)))
 			for _, q := range res {
@@ -134,7 +133,7 @@ func partBytes(p *partition.Part) int {
 	m := p.M
 	n := len(partMagic) + 8 + meshBytes(m) + 4 + 8 // magic, blob, part id, counter
 	for d := 0; d <= m.Dim(); d++ {
-		n += 4 + 20*m.Count(d) // count; gid, owner, residence count, this part
+		n += 4 + 16*m.Count(d) // count; gid, residence count, this part
 		for e := range m.Iter(d) {
 			n += 4 * m.NRemotes(e)
 		}
@@ -142,9 +141,10 @@ func partBytes(p *partition.Part) int {
 	return n
 }
 
-// decodePart rebuilds one part from its file contents, returning the
-// multi-part residence sets for partition.Assemble in Iter order.
-func decodePart(data []byte, pid int32, model *gmi.Model, dim int) (*partition.Part, []partition.Residence, error) {
+// decodePart rebuilds one part of nparts from its file contents,
+// returning the multi-part residence sets for partition.Assemble in Iter
+// order.
+func decodePart(data []byte, pid int32, nparts int, model *gmi.Model, dim int) (*partition.Part, []partition.Residence, error) {
 	truncated := fmt.Errorf("meshio: part %d: truncated part file", pid)
 	d := &dec{b: data}
 	if head := d.bytes(len(partMagic)); string(head) != partMagic {
@@ -178,13 +178,13 @@ func decodePart(data []byte, pid int32, model *gmi.Model, dim int) (*partition.P
 	var res []partition.Residence
 	// Every kept residence list is a run of one arena, sized to the part
 	// ids the rest of a well-formed file holds: what is left after the
-	// dimension counts and 16 fixed bytes per record. A run is capped, so
+	// dimension counts and 12 fixed bytes per record. A run is capped, so
 	// a corrupt file that outgrows the arena only regrows it.
 	records := 0
 	for dd := 0; dd <= dim; dd++ {
 		records += m.Count(dd)
 	}
-	arena := make([]int32, 0, max(0, (len(d.b)-4*(dim+1)-16*records)/4))
+	arena := make([]int32, 0, max(0, (len(d.b)-4*(dim+1)-12*records)/4))
 	for dd := 0; dd <= dim; dd++ {
 		n := d.u32()
 		if d.err != nil {
@@ -195,7 +195,6 @@ func decodePart(data []byte, pid int32, model *gmi.Model, dim int) (*partition.P
 		}
 		for e := range m.Iter(dd) {
 			gid := int64(d.u64())
-			owner := int32(d.u32())
 			nres := d.u32()
 			if d.err != nil {
 				return nil, nil, truncated
@@ -203,19 +202,23 @@ func decodePart(data []byte, pid int32, model *gmi.Model, dim int) (*partition.P
 			if nres == 0 || uint64(nres)*4 > uint64(len(d.b)) {
 				return nil, nil, fmt.Errorf("meshio: part %d: corrupt residence count %d", pid, nres)
 			}
-			start := len(arena)
+			// Assemble stitches a residence strictly ascending, inside
+			// [0, nparts), with this part among them.
+			start, prev, ok := len(arena), int32(-1), true
 			for range nres {
-				arena = append(arena, int32(d.u32()))
+				q := int32(d.u32())
+				ok = ok && prev < q && int(q) < nparts
+				arena, prev = append(arena, q), q
 			}
 			vals := arena[start:len(arena):len(arena)]
-			if !slices.Contains(vals, owner) || !slices.Contains(vals, pid) {
-				return nil, nil, fmt.Errorf("meshio: part %d: corrupt owner %d of gid %d, residence %v", pid, owner, gid, vals)
+			if _, own := slices.BinarySearch(vals, pid); !ok || !own {
+				return nil, nil, fmt.Errorf("meshio: part %d: corrupt residence %v of gid %d in %d parts", pid, vals, gid, nparts)
 			}
 			p.RestoreGid(e, gid)
 			if nres > 1 {
-				res = append(res, partition.Residence{E: e, Owner: owner, Parts: vals})
+				res = append(res, partition.Residence{E: e, Parts: vals})
 			} else {
-				arena = arena[:start] // on this part alone: interior, owned here
+				arena = arena[:start] // on this part alone: interior
 			}
 		}
 	}
@@ -229,9 +232,6 @@ func decodePart(data []byte, pid int32, model *gmi.Model, dim int) (*partition.P
 	}
 	for t, n := range shared {
 		m.ReserveBoundary(mesh.Type(t), n, 0) // Assemble's stitch round sizes the links
-	}
-	for _, r := range res {
-		m.SetOwner(r.E, r.Owner)
 	}
 	return p, res, nil
 }
@@ -466,7 +466,7 @@ func loadEpoch(dir, manifest string, ctx *pcu.Ctx, model *gmi.Model) (*partition
 			break
 		}
 		ctx.Metrics().Histogram("meshio.checkpoint.load.bytes").Observe(ctx.Rank(), int64(len(data)))
-		p, r, err := decodePart(data, pid, model, man.Dim)
+		p, r, err := decodePart(data, pid, man.NParts, model, man.Dim)
 		if err != nil {
 			localErr = err
 			break

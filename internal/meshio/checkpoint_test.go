@@ -3,6 +3,7 @@ package meshio
 import (
 	"encoding/json"
 	"fmt"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"strings"
@@ -57,6 +58,8 @@ func buildDistributed(ctx *pcu.Ctx, k int) *partition.DMesh {
 
 // partSignature summarizes one part's distributed state for equality
 // checks: per-dim gid sets with owner and residence, plus element tags.
+// The owner is derived from the residence; it is kept as a check that
+// the links restored agree with it.
 func partSignature(p *partition.Part, dim int) map[string]string {
 	m := p.M
 	sig := map[string]string{}
@@ -369,9 +372,9 @@ func TestCheckpointCorruptInputs(t *testing.T) {
 		}
 	})
 	// Past the size and CRC gates, decodePart itself must refuse a part
-	// file cut inside an entity record or naming an owner outside the
-	// entity's residence set.
-	t.Run("short read and foreign owner", func(t *testing.T) {
+	// file cut inside an entity record or giving an entity a residence
+	// without its own part.
+	t.Run("short read and foreign residence", func(t *testing.T) {
 		var data []byte
 		if err := pcu.Run(2, func(ctx *pcu.Ctx) error {
 			if dm := buildDistributed(ctx, 1); ctx.Rank() == 0 {
@@ -381,24 +384,24 @@ func TestCheckpointCorruptInputs(t *testing.T) {
 		}); err != nil {
 			t.Fatal(err)
 		}
-		if _, _, err := decodePart(data, 0, model.Model, 3); err != nil {
+		if _, _, err := decodePart(data, 0, 2, model.Model, 3); err != nil {
 			t.Fatalf("intact part file: %v", err)
 		}
-		// First entity record: gid (8 bytes), then owner, after the
-		// magic, the length-prefixed mesh blob, the part id, the id
-		// counter and the dim-0 record count.
-		owner := 16 + int(le.Uint64(data[8:])) + 4 + 8 + 4 + 8
-		for _, cut := range []int{owner, owner + 2, owner + 4} {
-			_, _, err := decodePart(data[:cut], 0, model.Model, 3)
+		// First entity record: gid (8 bytes), residence count, parts,
+		// after the magic, the length-prefixed mesh blob, the part id,
+		// the id counter and the dim-0 record count.
+		nres := 16 + int(le.Uint64(data[8:])) + 4 + 8 + 4 + 8
+		for _, cut := range []int{nres - 4, nres, nres + 2} {
+			_, _, err := decodePart(data[:cut], 0, 2, model.Model, 3)
 			if err == nil || !strings.Contains(err.Error(), "truncated part file") {
 				t.Errorf("cut at byte %d: want truncated part file, got %v", cut, err)
 			}
 		}
 		bad := append([]byte(nil), data...)
-		le.PutUint32(bad[owner:], 3)
-		_, _, err := decodePart(bad, 0, model.Model, 3)
-		if err == nil || !strings.Contains(err.Error(), "corrupt owner") {
-			t.Errorf("owner 3 on an entity of part 0: want corrupt owner, got %v", err)
+		le.PutUint32(bad[nres+4:], 1)
+		_, _, err := decodePart(bad, 0, 2, model.Model, 3)
+		if err == nil || !strings.Contains(err.Error(), "corrupt residence") {
+			t.Errorf("part 1 first in the residence of an entity of part 0: want corrupt residence, got %v", err)
 		}
 	})
 	t.Run("corrupt part file", func(t *testing.T) {
@@ -448,4 +451,87 @@ func TestEncodePartSizedOnce(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+}
+
+// TestCheckpointRejectsUnstitchableResidence forges the residence of
+// part 0's first shared vertex in a file whose size and CRC the manifest
+// then records, so that only decodePart stands between the forged parts
+// and Assemble's stitch round: a part outside [0, nparts), in any
+// position, or named twice must be an error, the same on every rank,
+// not a panic.
+func TestCheckpointRejectsUnstitchableResidence(t *testing.T) {
+	model := gmi.Box(4, 1, 1)
+	for _, tc := range []struct {
+		name  string
+		parts [2]int32 // the forged residence; the file's is [0 1]
+	}{
+		{"out of range high", [2]int32{0, 7}},
+		{"equal to nparts", [2]int32{0, 2}},
+		{"negative", [2]int32{-1, 0}},
+		{"duplicate id", [2]int32{0, 0}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			if err := pcu.Run(2, func(ctx *pcu.Ctx) error {
+				return SaveCheckpoint(dir, buildDistributed(ctx, 1), Cursor{})
+			}); err != nil {
+				t.Fatal(err)
+			}
+			man, err := readManifest(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			f := &man.Files[0]
+			path := filepath.Join(dir, f.Name)
+			data, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			at := firstSharedVertex(t, data)
+			if got := [2]int32{int32(le.Uint32(data[at:])), int32(le.Uint32(data[at+4:]))}; got != [2]int32{0, 1} {
+				t.Fatalf("part 0's first shared vertex resides on %v, want [0 1]", got)
+			}
+			le.PutUint32(data[at:], uint32(tc.parts[0]))
+			le.PutUint32(data[at+4:], uint32(tc.parts[1]))
+			f.Size, f.CRC = int64(len(data)), crc32.ChecksumIEEE(data)
+			if err := os.WriteFile(path, data, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			if err := commitManifest(dir, man); err != nil {
+				t.Fatal(err)
+			}
+			var errs [2]error
+			if err := pcu.Run(2, func(ctx *pcu.Ctx) error {
+				_, _, errs[ctx.Rank()] = LoadCheckpoint(dir, ctx, model.Model)
+				return nil
+			}); err != nil {
+				t.Fatal(err)
+			}
+			for r, err := range errs {
+				if err == nil || !strings.Contains(err.Error(), "corrupt residence") {
+					t.Errorf("rank %d: want a corrupt residence error, got %v", r, err)
+				}
+			}
+			if errs[0] != nil && errs[1] != nil && errs[0].Error() != errs[1].Error() {
+				t.Errorf("the ranks disagree: %q and %q", errs[0], errs[1])
+			}
+		})
+	}
+}
+
+// firstSharedVertex returns the offset of the part ids in the first
+// dim-0 record of a part file whose residence names two parts.
+func firstSharedVertex(t *testing.T, data []byte) int {
+	at := len(partMagic) + 8 + int(le.Uint64(data[len(partMagic):])) + 4 + 8
+	n := int(le.Uint32(data[at:]))
+	at += 4
+	for range n {
+		nres := int(le.Uint32(data[at+8:]))
+		if at += 12; nres == 2 {
+			return at
+		}
+		at += 4 * nres
+	}
+	t.Fatal("no dim-0 record with a two-part residence")
+	return 0
 }

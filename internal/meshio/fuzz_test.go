@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 
 	"github.com/fastmath/pumi-go/internal/gmi"
@@ -86,8 +87,9 @@ func FuzzRead(f *testing.F) {
 // reader of one part file, and readManifestFile, the reader of the JSON
 // manifest. Neither may panic; a part file decodePart accepts must
 // survive CheckConsistency without a panic and hand back residence sets
-// of two or more parts each, and a manifest readManifestFile accepts
-// carries the checkpoint magic. The seeds are the manifest and the two
+// Assemble can stitch — two or more parts each, strictly ascending,
+// inside [0, 2), part 0 among them: [0 1] alone — and a manifest
+// readManifestFile accepts carries the checkpoint magic. The seeds are the manifest and the two
 // part files of one valid checkpoint; crashers land under
 // testdata/fuzz/FuzzDecodePart.
 func FuzzDecodePart(f *testing.F) {
@@ -111,10 +113,10 @@ func FuzzDecodePart(f *testing.F) {
 	}
 	scratch := f.TempDir()
 	f.Fuzz(func(t *testing.T, data []byte) {
-		if p, res, err := decodePart(data, 0, model.Model, 3); err == nil {
+		if p, res, err := decodePart(data, 0, 2, model.Model, 3); err == nil {
 			_ = p.M.CheckConsistency() // a hostile but well-formed file may fail it; it may not panic
 			for i, r := range res {
-				if len(r.Parts) < 2 {
+				if !slices.Equal(r.Parts, []int32{0, 1}) { // the one such residence part 0 of 2 can share
 					t.Fatalf("accepted %d bytes; %v has the residence %v", len(data), r.E, r.Parts)
 				}
 				if i > 0 && !res[i-1].E.Less(r.E) {

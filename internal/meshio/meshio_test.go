@@ -135,7 +135,7 @@ func TestBadInputs(t *testing.T) {
 		t.Errorf("decodeMesh of a triangle with a repeated vertex returned %v, want %q", err, want)
 	}
 	part := append(le.AppendUint64([]byte(partMagic), uint64(len(bad))), bad...)
-	if _, _, err := decodePart(part, 0, model.Model, 3); err == nil || !strings.Contains(err.Error(), want) {
+	if _, _, err := decodePart(part, 0, 1, model.Model, 3); err == nil || !strings.Contains(err.Error(), want) {
 		t.Errorf("decodePart of a triangle with a repeated vertex returned %v, want an error holding %q", err, want)
 	}
 	// A classification the mesh cannot store: the first vertex's model
@@ -169,7 +169,7 @@ func TestDecodeRejectsCountsPastMaxSlots(t *testing.T) {
 			}
 			part := le.AppendUint64([]byte(partMagic), uint64(len(bad)))
 			part = append(part, bad...)
-			if _, _, err := decodePart(part, 0, model.Model, 3); err == nil || !strings.Contains(err.Error(), "mesh.MaxSlots") {
+			if _, _, err := decodePart(part, 0, 1, model.Model, 3); err == nil || !strings.Contains(err.Error(), "mesh.MaxSlots") {
 				t.Errorf("count %d at offset %d: decodePart returned %v, want an error naming mesh.MaxSlots", n, at, err)
 			}
 		}

@@ -9,11 +9,11 @@ import (
 )
 
 // Checkpoint restore support: the meshio checkpoint format stores each
-// part's mesh, global ids, ownership and residence sets on disk; this
-// file exports just enough of the Part bookkeeping to rebuild a DMesh
-// from that state, and Assemble to restitch the remote-copy links that
-// are never stored (handles are process-local and meaningless across
-// restarts).
+// part's mesh, global ids and residence sets on disk (an owner is the
+// least part of its residence, so it is not stored); this file exports
+// just enough of the Part bookkeeping to rebuild a DMesh from that
+// state, and Assemble to restitch the remote-copy links that are never
+// stored (handles are process-local and meaningless across restarts).
 
 // NewPart wraps a mesh in the distribution-layer bookkeeping (gid
 // tables and lifecycle hooks). The checkpoint loader uses it on meshes
@@ -34,11 +34,10 @@ func (p *Part) RestoreFreshCounter(v int64) { p.counter = v }
 // Checkpoints exclude ghost state; callers remove ghosts before saving.
 func (p *Part) HasGhosts() bool { return p.nGhosts > 0 }
 
-// Residence is one shared entity's owner and multi-part residence set,
-// as a checkpoint stores them.
+// Residence is one shared entity's multi-part residence set, ascending,
+// as a checkpoint stores it.
 type Residence struct {
 	E     mesh.Ent
-	Owner int32
 	Parts []int32
 }
 

@@ -193,7 +193,7 @@ func receiveGhosts(dm *DMesh, msgs []partMsg) [][]mesh.Ent {
 
 // unpackGhosts unpacks one message onto part. An element ghost links to
 // its home copy, whose handle follows the element's record, while it is
-// still this part's own, before it takes its home's owner.
+// still this part's own, before it becomes a ghost of its home's owner.
 func unpackGhosts(dm *DMesh, part *Part, msg *partMsg, created []mesh.Ent) []mesh.Ent {
 	m, r := part.M, &msg.Data
 	var owner int32
@@ -208,8 +208,7 @@ func unpackGhosts(dm *DMesh, part *Part, msg *partMsg, created []mesh.Ent) []mes
 				}
 			}
 			if isNew {
-				m.SetGhost(e, true)
-				m.SetOwner(e, owner)
+				m.SetGhost(e, owner)
 				part.nGhosts++
 			}
 		})

@@ -111,8 +111,8 @@ func rollbackCreated(parts []moving) {
 // (2) ship moving elements with their full closures, stitching arriving
 // entities to existing copies by global id; (3) remove migrated
 // elements and downward entities left without local adjacency; (4)
-// rebuild remote-copy links and ownership for every entity whose
-// residence changed.
+// rebuild remote-copy links for every entity whose residence changed.
+// Ownership follows the links: the least part of the new residence.
 //
 // The steps are ordered stage-validate-commit: residence staging and
 // closure shipment only ever add entities, and each is followed by a
@@ -156,8 +156,8 @@ func tryMigrate(dm *DMesh, plans []Plan, localErr error) error {
 	}
 	// Commit point reached: stage marks 1/2 are the abort votes passed,
 	// mark 3 is the irreversible destroy-and-restitch step starting. It
-	// rewrites links and ownership on entities this part does not own —
-	// that is the protocol, so sanctioned for the sanitizer.
+	// rewrites links, and with them ownership, on entities this part does
+	// not own — that is the protocol, so sanctioned for the sanitizer.
 	tr.Point("migrate.commit", 3)
 	defer dm.suspendGuards()()
 	mg.commit()
@@ -551,8 +551,8 @@ func (mg *migration) commit() {
 		}
 	}
 
-	// Step 5: rebuild remote copies and ownership where residence
-	// changed. The candidates are the table's surviving entities, staged
+	// Step 5: rebuild remote copies where residence changed; the owners
+	// follow. The candidates are the table's surviving entities, staged
 	// here or received; those whose residence changed are the part's
 	// fixes. Every part decides and counts before any packs.
 	var cand []uint32
@@ -598,13 +598,6 @@ func (mg *migration) commit() {
 		}
 	}
 	ph.applyStitches()
-	for i := range mg.parts {
-		p := &mg.parts[i]
-		for _, w := range p.fixes {
-			e := mesh.UnpackEnt(w)
-			p.M.SetOwner(e, p.tab.res(e)[0])
-		}
-	}
 }
 
 // stitch tells every other part of res where part's copy of e lives:

@@ -255,8 +255,8 @@ func TestPartitionModelFig34(t *testing.T) {
 		}
 		// The partition vertex's owner is its minimum residence part.
 		for _, pe := range pm.Ents {
-			if pe.Owner != pe.Residence.Min() {
-				return fmt.Errorf("owner %d not min of %v", pe.Owner, pe.Residence.Values())
+			if pe.Owner() != pe.Residence.Min() {
+				return fmt.Errorf("owner %d not min of %v", pe.Owner(), pe.Residence.Values())
 			}
 		}
 		// The central mesh vertex classifies on the partition vertex.

@@ -145,14 +145,15 @@ func TestPlanInvalidation(t *testing.T) {
 		}
 		ctx.Barrier() // keep later rounds' compiles out of the read above
 
-		// A no-op ownership write still bumps the topology epoch and
-		// must invalidate the plan on the mutated rank.
+		// A no-op link write (re-setting an existing link) still bumps
+		// the topology epoch and must invalidate the plan on the mutated
+		// rank.
 		var bv mesh.Ent
 		for e := range part.M.PartBoundary(0) {
 			bv = e
 			break
 		}
-		part.M.SetOwner(bv, part.M.Owner(bv))
+		resetLink(part.M, bv)
 		round()
 		ctx.Barrier()
 		if d := misses.Value() - miss0; d < 1 {
@@ -266,13 +267,13 @@ func TestNeighborCachesZeroAlloc(t *testing.T) {
 		}
 
 		// A mutation invalidates: the caches recompute to the same
-		// logical answer (the mutation is a no-op ownership write).
+		// logical answer (the mutation is a no-op link write).
 		var bv mesh.Ent
 		for e := range m.PartBoundary(0) {
 			bv = e
 			break
 		}
-		m.SetOwner(bv, m.Owner(bv))
+		resetLink(m, bv)
 		r3 := NeighborRanks(dm)
 		p3 := m.NeighborParts(0)
 		if len(r3) != len(r1) || len(p3) != len(p1) {
@@ -595,4 +596,12 @@ func TestPlannedSectionFromUnexpectedPeer(t *testing.T) {
 			}
 		})
 	}
+}
+
+// resetLink writes e's first link again, unchanged: a mutation that
+// moves the topology epoch and nothing else.
+func resetLink(m *mesh.Mesh, e mesh.Ent) {
+	q := m.AppendRemoteParts(e, nil)[0]
+	h, _ := m.RemoteCopy(e, q)
+	m.SetRemote(e, q, h)
 }

@@ -21,11 +21,13 @@ type PtnEnt struct {
 	ID        int
 	Dim       int
 	Residence ds.IntSet
-	Owner     int32
 	// Count is the number of distinct mesh entities classified on this
 	// partition entity (each counted once globally).
 	Count int64
 }
+
+// Owner is the least part of pe's residence, as for each entity on it.
+func (pe *PtnEnt) Owner() int32 { return pe.Residence.Min() }
 
 // PtnModel is the partition model of a distributed mesh.
 type PtnModel struct {
@@ -48,7 +50,7 @@ func (pm *PtnModel) String() string {
 	var b strings.Builder
 	for _, pe := range pm.Ents {
 		fmt.Fprintf(&b, "P%d_%d res=%v owner=%d count=%d\n",
-			pe.Dim, pe.ID, pe.Residence.Values(), pe.Owner, pe.Count)
+			pe.Dim, pe.ID, pe.Residence.Values(), pe.Owner(), pe.Count)
 	}
 	return b.String()
 }
@@ -95,7 +97,7 @@ func BuildPtnModel(dm *DMesh) *PtnModel {
 	pm := &PtnModel{byKey: merged, dim: dm.Dim}
 	for _, k := range sortedKeys(merged) {
 		pe := merged[k]
-		pe.ID, pe.Owner = len(pm.Ents), pe.Residence.Min()
+		pe.ID = len(pm.Ents)
 		pe.Dim = max(0, dm.Dim-(pe.Residence.Len()-1))
 		pm.Ents = append(pm.Ents, pe)
 	}

@@ -154,7 +154,7 @@ func migrationStorm(t *testing.T, ranks, k int) string {
 
 // checkBoundaryTable holds every part's boundary table to what it
 // stands for, entity by entity: per dimension, BoundaryTable yields the
-// entities of Iter that have remote copies or another owner, and
+// entities of Iter that have remote copies or are ghosts, and
 // PartBoundary those below the elements that have remote copies, in
 // Iter order; NeighborParts is the sorted union of the latter's remote
 // parts. A shared entity is owned by the lowest part of its residence —
@@ -174,7 +174,7 @@ func checkBoundaryTable(dm *DMesh) error {
 				if m.IsOwned(e) != (owner == m.Part()) {
 					return fmt.Errorf("part %d: %v owned by %d, IsOwned %v", m.Part(), e, owner, m.IsOwned(e))
 				}
-				if m.HasRemotes(e) || owner != m.Part() {
+				if m.HasRemotes(e) || m.IsGhost(e) {
 					table = append(table, e)
 				}
 				switch {

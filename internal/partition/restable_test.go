@@ -144,21 +144,34 @@ func TestMigrateAllocsScaleWithMove(t *testing.T) {
 		bulkAllocs, bulkBytes, bulkMoved := measure(bulk)
 		// The delta is process-wide, so a stray allocation (a 512 KiB
 		// runtime one shows up about one run in twelve) lands in it;
-		// strays only add, so the least of three moves is the move.
-		oneAllocs, oneBytes := ^uint64(0), ^uint64(0)
-		for range 3 {
-			single := make([]Plan, len(dm.Parts))
+		// strays only add, so the least of three moves is the move. The
+		// three are one move, part 0's first element to part 1, each
+		// after an unmeasured move back, and the first after an
+		// unmeasured one of its own, so that the growth of an array the
+		// bulk call filled lands outside them all.
+		var gid int64 // the moving element, on rank 0
+		for el := range dm.Parts[0].M.Elements() {
+			gid = dm.Parts[0].Gid(el)
+			break
+		}
+		move := func(from, to int32) []Plan {
+			plans := make([]Plan, len(dm.Parts))
 			if ctx.Rank() == 0 {
-				for el := range dm.Parts[0].M.Elements() {
-					single[0] = Plan{el: 1}
-					break
-				}
+				el, _ := dm.Parts[from].FindGid(dm.Dim, gid)
+				plans[from] = Plan{el: to}
 			}
-			a, b, n := measure(single)
+			return plans
+		}
+		measure(move(0, 1))
+		var ones [3]uint64
+		oneAllocs, oneBytes := ^uint64(0), ^uint64(0)
+		for i := range ones {
+			measure(move(1, 0))
+			a, b, n := measure(move(0, 1))
 			if n != 1 { // the same sum on every rank
 				return fmt.Errorf("single move moved %d elements", n)
 			}
-			oneAllocs, oneBytes = min(oneAllocs, a), min(oneBytes, b)
+			ones[i], oneAllocs, oneBytes = a, min(oneAllocs, a), min(oneBytes, b)
 		}
 		if err := Verify(dm); err != nil {
 			return err
@@ -169,8 +182,8 @@ func TestMigrateAllocsScaleWithMove(t *testing.T) {
 		if bulkMoved != 6*16*6*6 {
 			return fmt.Errorf("bulk moved %d elements, want %d", bulkMoved, 6*16*6*6)
 		}
-		t.Logf("bulk: %d elements, %.3f allocs and %d B each; single: %d allocs, %d B", bulkMoved,
-			float64(bulkAllocs)/float64(bulkMoved), bulkBytes/uint64(bulkMoved), oneAllocs, oneBytes)
+		t.Logf("bulk: %d elements, %.3f allocs and %d B each; single: %v allocs, %d B", bulkMoved,
+			float64(bulkAllocs)/float64(bulkMoved), bulkBytes/uint64(bulkMoved), ones, oneBytes)
 		if perMoved := float64(bulkAllocs) / float64(bulkMoved); perMoved > 0.21 {
 			return fmt.Errorf("bulk migration: %.3f allocations per moved element, want <= 0.21", perMoved)
 		}

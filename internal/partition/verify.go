@@ -20,15 +20,17 @@ const linkRecord = 8 + 4 + 4 + 4
 //
 //  1. One local sweep per part: CheckConsistency (a ghost element
 //     links to its owner alone, a lower ghost nowhere); over the
-//     boundary table, links name other parts inside [0, NParts), the
-//     owner lies inside the residence set and, below the elements, no
-//     boundary entity is an orphan and a shared entity's closure is
-//     shared with the same parts.
+//     boundary table, links name other parts inside [0, NParts) and,
+//     below the elements, no boundary entity is an orphan and a shared
+//     entity's closure is shared with the same parts. An owner needs no
+//     local check: outside a ghost it is the least part of the
+//     residence, derived from the links.
 //  2. One part-addressed exchange: for every link, ghost links too,
 //     each side sends its gid, its own handle, the peer's handle and
 //     its owner, and the receiver checks that its copy is live, links
-//     back, agrees on type, gid and owner, and is a ghost exactly when
-//     the link is an element's and the sender owns it. The sync plans are
+//     back, agrees on type, gid and owner — so the copies agree on the
+//     least part of their residence — and is a ghost exactly when the
+//     link is an element's and the sender owns it. The sync plans are
 //     checked in the same walk: the sender holds each cached
 //     per-dimension send run against the owned links it packs in handle
 //     order, the receiver each recv run against the owner's records in
@@ -99,14 +101,11 @@ func (v *verifier) sweep(m *mesh.Mesh) {
 			if shared && !m.HasUp(e) {
 				v.record(fmt.Errorf("partition: shared %v on part %d bounds nothing (orphan boundary entity)", e, p))
 			}
-			owner := m.Owner(e)
-			resident := owner == p
 			down = down[:0]
 			if shared {
 				down = m.DownTo(e, down)
 			}
 			m.EachRemote(e, func(q int32, _ mesh.Ent) bool {
-				resident = resident || q == owner
 				switch {
 				case q == p:
 					v.record(fmt.Errorf("partition: %v on part %d lists its own part as a remote", e, p))
@@ -123,9 +122,6 @@ func (v *verifier) sweep(m *mesh.Mesh) {
 				}
 				return true
 			})
-			if !resident {
-				v.record(fmt.Errorf("partition: owner %d of shared %v on part %d outside residence set", owner, e, p))
-			}
 		}
 	}
 }

@@ -72,7 +72,7 @@ func reassemble(dm *DMesh) (*DMesh, error) {
 		for d := 0; d <= dm.Dim; d++ {
 			for e := range m.Iter(d) {
 				if m.NRemotes(e) > 0 {
-					res[i] = append(res[i], Residence{E: e, Owner: m.Owner(e), Parts: m.Residence(e).Values()})
+					res[i] = append(res[i], Residence{E: e, Parts: m.Residence(e).Values()})
 				}
 			}
 		}

@@ -13,7 +13,7 @@ import (
 // (first writer), so the offending pair is named in every kind.
 type OwnershipError struct {
 	Kind          string // "owner", "confinement" or "dead"
-	Op            string // mutator that fired: "coord", "classify", "flag", "tag", ...
+	Op            string // mutator that fired: "coord", "classify", "ghost", "tag", ...
 	Ent           string // entity being written
 	GID, OwnerGID int64
 }
