@@ -55,13 +55,15 @@ var aliasMethods = map[string]bool{"BytesNoCopy": true}
 
 func runBufDiscipline(p *Pass) {
 	for _, file := range p.Files {
+		// A function literal is a function of its own — a rank body
+		// inside a declaration among them — checked apart from its
+		// enclosing declaration's body.
 		ast.Inspect(file, func(n ast.Node) bool {
 			switch n := n.(type) {
 			case *ast.FuncDecl:
 				if n.Body != nil {
 					checkPhaseBody(p, n.Body)
 				}
-				return false
 			case *ast.FuncLit:
 				checkPhaseBody(p, n.Body)
 				return false

@@ -87,3 +87,15 @@ func badStaleGrow(c *pcu.Ctx, peer int) {
 	c.Exchange()
 	b.Grow(8) // want `written after Exchange`
 }
+
+// badRankBody is a rank body literal inside a declaration: it is a
+// function of its own and is checked like one.
+func badRankBody() error {
+	return pcu.Run(2, func(c *pcu.Ctx) error {
+		b := c.To(1 - c.Rank())
+		b.Int64(1)
+		c.Exchange()
+		b.Int64(2) // want `written after Exchange`
+		return nil
+	})
+}
