@@ -15,10 +15,10 @@ test:
 
 # Non-test Go lines under internal/ + cmd/ (lint fixtures excluded): the
 # size figure ROADMAP re-anchors and CHANGES entries quote before/after.
-# A gate: more than 21,700 lines fails the lane.
+# A gate: more than 21,500 lines fails the lane.
 loc:
 	@n=$$(find internal cmd -name '*.go' ! -name '*_test.go' ! -path '*/testdata/*' -print0 | xargs -0 cat | wc -l); \
-	echo $$n; test $$n -le 21700 || { echo "make loc: $$n non-test lines, over the 21,700 limit"; exit 1; }
+	echo $$n; test $$n -le 21500 || { echo "make loc: $$n non-test lines, over the 21,500 limit"; exit 1; }
 
 # Escape gate: every variable the compiler moves to the heap in the
 # array-indexed core (mesh, ds, partition), the adaptation kernels
@@ -92,12 +92,12 @@ bench-smoke:
 	$(GO) test -run '^$$' -bench 'Migration|RepartitionCycle|ParmaVessel32Cycle|Ghosting|HaloStep|AdaptParallel|AdaptShockCycle' -benchtime=1x .
 
 # Five seconds of native fuzzing on each decoder of outside bytes: the
-# assignment file, the mesh file with its tag section, a checkpoint's
-# part file and manifest, the message Reader, and the Chrome trace JSON
-# pumi-trace reads. The committed corpus under testdata/fuzz runs with
-# every plain `go test`; this lane is the part that looks for new
-# inputs. A crasher is written next to the corpus: fix it and commit the
-# file as a seed.
+# assignment file, the one entity decoder through a mesh file and a
+# checkpoint's part file, the manifest, the message Reader, and the
+# Chrome trace JSON pumi-trace reads. The committed corpus under
+# testdata/fuzz runs with every plain `go test`; this lane is the part
+# that looks for new inputs. A crasher is written next to the corpus:
+# fix it and commit the file as a seed.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzReadAssignment -fuzztime 5s ./internal/meshio
 	$(GO) test -run '^$$' -fuzz 'FuzzRead$$' -fuzztime 5s ./internal/meshio

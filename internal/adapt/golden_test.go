@@ -18,15 +18,18 @@ import (
 	"github.com/fastmath/pumi-go/internal/vec"
 )
 
-// The hashes below were captured at the commit before the adjacency
-// kernel landed (PR 12, e183a64). meshio.Write stores every entity as
-// its Verts tuple in iteration order, so the bytes move if any query
-// changes its result order, if BuildFromVerts hands out different
-// handles, or if adaptation or migration visits entities differently.
+// The hashes below were re-pinned when the mesh file became a shipment
+// (partition's one entity format): the previous encoder applied to the
+// same meshes still gave the hashes captured at the commit before the
+// adjacency kernel landed (e183a64). meshio.Write stores every
+// entity in iteration order with its downward ids, so the bytes move if
+// any query changes its result order, if BuildFromVerts hands out
+// different handles, or if adaptation or migration visits entities
+// differently.
 const (
-	goldenAdaptSHA    = "33acf6f9da19f358ff61225e9c710eb487df84ecf1b16bbd849db161ee31f209"
-	goldenMigrateSHA0 = "2b8f6b751700cb0fee858cfc90d1f762d52b4c16c485d36d1322809d1d9e3d74"
-	goldenMigrateSHA1 = "5b8bf6e32ef3c4164f2e804422b4194dad80d6c67978b83874e25851243b5b22"
+	goldenAdaptSHA    = "0f659f44351923fd6964433443db599bab0ed25c7611859e34776108bff685c3"
+	goldenMigrateSHA0 = "ec652ff941799852b4d456b27042bef084ea9cc0b69a723bb69d0d3b9744fa91"
+	goldenMigrateSHA1 = "c5686a8248ab1d0a06887eb07dcb864d8fc56caf809c1c8109a87497c98b819a"
 )
 
 func meshSHA(m *mesh.Mesh) (string, error) {

@@ -48,7 +48,7 @@ func (m *Mesh) CheckConsistency() error {
 				}
 				refCount[d.T][d.I]++
 			}
-			if err := m.checkEntityLocal(e); err != nil {
+			if err := m.CheckEntity(e); err != nil {
 				return err
 			}
 		}
@@ -85,9 +85,10 @@ func (m *Mesh) CheckConsistency() error {
 	return nil
 }
 
-// checkEntityLocal runs the per-entity checks that need no global
-// information: face cycles, region shells and classification.
-func (m *Mesh) checkEntityLocal(e Ent) error {
+// CheckEntity runs the per-entity checks that need no global
+// information: face cycles, region shells, ghost links and
+// classification.
+func (m *Mesh) CheckEntity(e Ent) error {
 	switch e.Dim() {
 	case 2:
 		if err := m.checkFaceCycle(e); err != nil {

@@ -600,6 +600,7 @@ func buildCases() map[string]buildCase {
 // known entities — some of the new cell's, most not, past what a build
 // records — which may change what is searched, never what is built.
 func TestBuildFromVertsMatchesTopDownReference(t *testing.T) {
+	//pumi-vet:ignore maporder // each case builds its own meshes; meshio.Write packs a standalone buffer
 	for name, c := range buildCases() {
 		for _, withKnown := range []bool{false, true} {
 			if withKnown {

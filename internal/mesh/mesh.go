@@ -337,24 +337,37 @@ func (m *Mesh) CreateVertex(c gmi.Ref, p vec.V) Ent {
 }
 
 // CreateEntity creates an entity of type t from its one-level downward
-// adjacent entities, which must be live, of the correct types, and —
-// for faces — listed in cycle order (edge i runs from face vertex i to
-// i+1). Use BuildFromVerts to create higher-dimension entities directly
-// from vertices.
+// adjacent entities, which must be live, of the correct types, none
+// twice, and — for faces — listed in cycle order (edge i runs from face
+// vertex i to i+1); it panics on a list TryCreateEntity refuses. Use
+// BuildFromVerts to create higher-dimension entities directly from
+// vertices.
 func (m *Mesh) CreateEntity(t Type, c gmi.Ref, down []Ent) Ent {
+	e, err := m.TryCreateEntity(t, c, down)
+	if err != nil {
+		panic(err)
+	}
+	return e
+}
+
+// TryCreateEntity is CreateEntity returning why down cannot be the
+// downward entities of a new type-t entity, creating nothing then.
+func (m *Mesh) TryCreateEntity(t Type, c gmi.Ref, down []Ent) (Ent, error) {
 	if t == Vertex {
 		panic("mesh: use CreateVertex for vertices")
 	}
 	want := downTypes[t]
 	if len(down) != len(want) {
-		panic(fmt.Sprintf("mesh: %v needs %d downward entities, got %d", t, len(want), len(down)))
+		return NilEnt, fmt.Errorf("mesh: %v needs %d downward entities, got %d", t, len(want), len(down))
 	}
 	for i, d := range down {
-		if !m.Alive(d) {
-			panic(fmt.Sprintf("mesh: downward entity %v of new %v is not alive", d, t))
-		}
-		if d.T != want[i] {
-			panic(fmt.Sprintf("mesh: downward entity %d of %v is a %v, want a %v", i, t, d.T, want[i]))
+		switch {
+		case !m.Alive(d):
+			return NilEnt, fmt.Errorf("mesh: downward entity %v of new %v is not alive", d, t)
+		case d.T != want[i]:
+			return NilEnt, fmt.Errorf("mesh: downward entity %d of %v is a %v, want a %v", i, t, d.T, want[i])
+		case slices.Contains(down[:i], d):
+			return NilEnt, fmt.Errorf("mesh: %v lists %v twice", t, d)
 		}
 	}
 	pc := packRef(c)
@@ -371,7 +384,7 @@ func (m *Mesh) CreateEntity(t Type, c gmi.Ref, down []Ent) Ent {
 	td.classif[idx] = pc
 	m.guardWrite("create", e)
 	m.notifyCreate(e)
-	return e
+	return e, nil
 }
 
 // Destroy removes an entity, which must have no live upward

@@ -6,32 +6,30 @@ import (
 	"hash/crc32"
 	"os"
 	"path/filepath"
-	"slices"
 	"sort"
 	"strings"
 
 	"github.com/fastmath/pumi-go/internal/gmi"
-	"github.com/fastmath/pumi-go/internal/mesh"
 	"github.com/fastmath/pumi-go/internal/partition"
 	"github.com/fastmath/pumi-go/internal/pcu"
 )
 
 // Distributed checkpoint format. A checkpoint is a directory holding
-// one binary file per part (mesh topology + tags via the meshio format,
-// plus global ids and residence sets; an owner is the least part of its
-// residence) and a JSON manifest naming the files with sizes and CRCs
-// plus a restart cursor. The manifest is committed last by an atomic
-// rename, so a crash mid-save leaves the previous checkpoint loadable;
-// each save uses a fresh sequence number as its file prefix so it never
-// overwrites the checkpoint it may be replacing. Remote-copy handles
-// are process-local and are not stored: LoadCheckpoint rebuilds the
-// links from residence sets by global id (partition.Assemble), which
-// also lets a checkpoint saved on one world restart on a different rank
-// count, as long as the rank count divides the part count.
+// one binary file per part (partition.EncodePart: the part as one
+// shipment, each entity with its global id and residence; an owner is
+// the least part of its residence) and a JSON manifest naming the files
+// with sizes and CRCs plus a restart cursor. The manifest is committed
+// last by an atomic rename, so a crash mid-save leaves the previous
+// checkpoint loadable; each save uses a fresh sequence number as its
+// file prefix so it never overwrites the checkpoint it may be
+// replacing. Remote-copy handles are process-local and are not stored:
+// LoadCheckpoint rebuilds the links from residence sets by global id
+// (partition.Assemble), which also lets a checkpoint saved on one world
+// restart on a different rank count, as long as the rank count divides
+// the part count.
 
 const (
 	checkpointMagic  = "pumi-checkpoint-v1"
-	partMagic        = "PUMICK02"
 	manifestName     = "checkpoint.json"
 	prevManifestName = "checkpoint.prev.json"
 	partFilePattern  = "g%d-part-%04d.pumip"
@@ -100,142 +98,6 @@ func readManifestFile(dir, name string) (*checkpointManifest, error) {
 	return &man, nil
 }
 
-// encodePart serializes one part: the mesh as a length-prefixed meshio
-// blob, then the gid / residence record of every entity in
-// iteration order — the same order the mesh blob stores them, so load
-// realigns by position.
-func encodePart(p *partition.Part) []byte {
-	m := p.M
-	b := append(make([]byte, 0, partBytes(p)), partMagic...)
-	blobLen := len(b)
-	b = appendMesh(le.AppendUint64(b, 0), m)
-	le.PutUint64(b[blobLen:], uint64(len(b)-blobLen-8))
-	b = le.AppendUint32(b, uint32(m.Part()))
-	b = le.AppendUint64(b, uint64(p.FreshCounter()))
-	var res []int32 // residence scratch
-	for d := 0; d <= m.Dim(); d++ {
-		b = le.AppendUint32(b, uint32(m.Count(d)))
-		for e := range m.Iter(d) {
-			b = le.AppendUint64(b, uint64(p.Gid(e)))
-			res = m.AppendResidence(e, res[:0])
-			b = le.AppendUint32(b, uint32(len(res)))
-			for _, q := range res {
-				b = le.AppendUint32(b, uint32(q))
-			}
-		}
-	}
-	return b
-}
-
-// partBytes is the size of encodePart's result: exact for a part whose
-// mesh has no tag to write, a lower bound otherwise (see meshBytes).
-func partBytes(p *partition.Part) int {
-	m := p.M
-	n := len(partMagic) + 8 + meshBytes(m) + 4 + 8 // magic, blob, part id, counter
-	for d := 0; d <= m.Dim(); d++ {
-		n += 4 + 16*m.Count(d) // count; gid, residence count, this part
-		for e := range m.Iter(d) {
-			n += 4 * m.NRemotes(e)
-		}
-	}
-	return n
-}
-
-// decodePart rebuilds one part of nparts from its file contents,
-// returning the multi-part residence sets for partition.Assemble in Iter
-// order.
-func decodePart(data []byte, pid int32, nparts int, model *gmi.Model, dim int) (*partition.Part, []partition.Residence, error) {
-	truncated := fmt.Errorf("meshio: part %d: truncated part file", pid)
-	d := &dec{b: data}
-	if head := d.bytes(len(partMagic)); string(head) != partMagic {
-		return nil, nil, fmt.Errorf("meshio: part %d: bad part-file magic %q", pid, head)
-	}
-	blobLen := d.u64()
-	if d.err != nil {
-		return nil, nil, truncated
-	}
-	if blobLen > uint64(len(d.b)) {
-		return nil, nil, fmt.Errorf("meshio: part %d: mesh blob of %d bytes but only %d remain", pid, blobLen, len(d.b))
-	}
-	m, err := decodeMesh(d.bytes(int(blobLen)), model)
-	if err != nil {
-		return nil, nil, fmt.Errorf("meshio: part %d: %w", pid, err)
-	}
-	if m.Dim() != dim {
-		return nil, nil, fmt.Errorf("meshio: part %d has dimension %d, manifest says %d", pid, m.Dim(), dim)
-	}
-	storedPid := int32(d.u32())
-	counter := int64(d.u64())
-	if d.err != nil {
-		return nil, nil, truncated
-	}
-	if storedPid != pid {
-		return nil, nil, fmt.Errorf("meshio: file for part %d stores part id %d", pid, storedPid)
-	}
-	m.SetPart(pid)
-	p := partition.NewPart(m)
-	p.RestoreFreshCounter(counter)
-	var res []partition.Residence
-	// Every kept residence list is a run of one arena, sized to the part
-	// ids the rest of a well-formed file holds: what is left after the
-	// dimension counts and 12 fixed bytes per record. A run is capped, so
-	// a corrupt file that outgrows the arena only regrows it.
-	records := 0
-	for dd := 0; dd <= dim; dd++ {
-		records += m.Count(dd)
-	}
-	arena := make([]int32, 0, max(0, (len(d.b)-4*(dim+1)-12*records)/4))
-	for dd := 0; dd <= dim; dd++ {
-		n := d.u32()
-		if d.err != nil {
-			return nil, nil, truncated
-		}
-		if int(n) != m.Count(dd) {
-			return nil, nil, fmt.Errorf("meshio: part %d: %d dim-%d records for %d entities", pid, n, dd, m.Count(dd))
-		}
-		for e := range m.Iter(dd) {
-			gid := int64(d.u64())
-			nres := d.u32()
-			if d.err != nil {
-				return nil, nil, truncated
-			}
-			if nres == 0 || uint64(nres)*4 > uint64(len(d.b)) {
-				return nil, nil, fmt.Errorf("meshio: part %d: corrupt residence count %d", pid, nres)
-			}
-			// Assemble stitches a residence strictly ascending, inside
-			// [0, nparts), with this part among them.
-			start, prev, ok := len(arena), int32(-1), true
-			for range nres {
-				q := int32(d.u32())
-				ok = ok && prev < q && int(q) < nparts
-				arena, prev = append(arena, q), q
-			}
-			vals := arena[start:len(arena):len(arena)]
-			if _, own := slices.BinarySearch(vals, pid); !ok || !own {
-				return nil, nil, fmt.Errorf("meshio: part %d: corrupt residence %v of gid %d in %d parts", pid, vals, gid, nparts)
-			}
-			p.RestoreGid(e, gid)
-			if nres > 1 {
-				res = append(res, partition.Residence{E: e, Parts: vals})
-			} else {
-				arena = arena[:start] // on this part alone: interior
-			}
-		}
-	}
-	if len(d.b) != 0 {
-		return nil, nil, fmt.Errorf("meshio: part %d: %d trailing bytes", pid, len(d.b))
-	}
-	// The shared entities are the boundary table, sized once.
-	var shared [mesh.TypeCount]int
-	for _, r := range res {
-		shared[r.E.T]++
-	}
-	for t, n := range shared {
-		m.ReserveBoundary(mesh.Type(t), n, 0) // Assemble's stitch round sizes the links
-	}
-	return p, res, nil
-}
-
 type saveReport struct {
 	files []CheckpointFile
 	err   string
@@ -266,11 +128,11 @@ func SaveCheckpoint(dir string, dm *partition.DMesh, cur Cursor) error {
 		if localErr != nil {
 			break
 		}
-		if p.HasGhosts() {
-			localErr = fmt.Errorf("part %d holds ghosts; remove ghosts before checkpointing", p.M.Part())
+		data, err := partition.EncodePart(p)
+		if err != nil {
+			localErr = err
 			break
 		}
-		data := encodePart(p)
 		ctx.Metrics().Histogram("meshio.checkpoint.save.bytes").Observe(ctx.Rank(), int64(len(data)))
 		name := fmt.Sprintf(partFilePattern, seq, p.M.Part())
 		path := filepath.Join(dir, name)
@@ -466,7 +328,7 @@ func loadEpoch(dir, manifest string, ctx *pcu.Ctx, model *gmi.Model) (*partition
 			break
 		}
 		ctx.Metrics().Histogram("meshio.checkpoint.load.bytes").Observe(ctx.Rank(), int64(len(data)))
-		p, r, err := decodePart(data, pid, man.NParts, model, man.Dim)
+		p, r, err := partition.DecodePart(data, pid, man.NParts, model, man.Dim)
 		if err != nil {
 			localErr = err
 			break

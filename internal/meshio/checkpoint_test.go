@@ -371,35 +371,39 @@ func TestCheckpointCorruptInputs(t *testing.T) {
 			t.Fatalf("want size-mismatch error, got %v", err)
 		}
 	})
-	// Past the size and CRC gates, decodePart itself must refuse a part
+	// Past the size and CRC gates, DecodePart itself must refuse a part
 	// file cut inside an entity record or giving an entity a residence
 	// without its own part.
 	t.Run("short read and foreign residence", func(t *testing.T) {
 		var data []byte
 		if err := pcu.Run(2, func(ctx *pcu.Ctx) error {
 			if dm := buildDistributed(ctx, 1); ctx.Rank() == 0 {
-				data = encodePart(dm.Parts[0])
+				var err error
+				data, err = partition.EncodePart(dm.Parts[0])
+				return err
 			}
 			return nil
 		}); err != nil {
 			t.Fatal(err)
 		}
-		if _, _, err := decodePart(data, 0, 2, model.Model, 3); err != nil {
+		if _, _, err := partition.DecodePart(data, 0, 2, model.Model, 3); err != nil {
 			t.Fatalf("intact part file: %v", err)
 		}
-		// First entity record: gid (8 bytes), residence count, parts,
-		// after the magic, the length-prefixed mesh blob, the part id,
-		// the id counter and the dim-0 record count.
-		nres := 16 + int(le.Uint64(data[8:])) + 4 + 8 + 4 + 8
-		for _, cut := range []int{nres - 4, nres, nres + 2} {
-			_, _, err := decodePart(data[:cut], 0, 2, model.Model, 3)
-			if err == nil || !strings.Contains(err.Error(), "truncated part file") {
-				t.Errorf("cut at byte %d: want truncated part file, got %v", cut, err)
+		// A vertex record's residence: its length, then its parts, after
+		// the record's type, gid and classification. The file is cut
+		// inside the last vertex's; the first's is forged.
+		verts := parseShipment(t, data, partHead, 3, true).recs[0]
+		nres := verts[0].at + 1 + 8 + 5
+		last := verts[len(verts)-1].at + 1 + 8 + 5
+		for _, cut := range []int{last - 4, last, last + 2} {
+			_, _, err := partition.DecodePart(data[:cut], 0, 2, model.Model, 3)
+			if err == nil || !strings.Contains(err.Error(), "message underflow") {
+				t.Errorf("cut at byte %d: want an underflow, got %v", cut, err)
 			}
 		}
 		bad := append([]byte(nil), data...)
 		le.PutUint32(bad[nres+4:], 1)
-		_, _, err := decodePart(bad, 0, 2, model.Model, 3)
+		_, _, err := partition.DecodePart(bad, 0, 2, model.Model, 3)
 		if err == nil || !strings.Contains(err.Error(), "corrupt residence") {
 			t.Errorf("part 1 first in the residence of an entity of part 0: want corrupt residence, got %v", err)
 		}
@@ -418,9 +422,8 @@ func TestCheckpointCorruptInputs(t *testing.T) {
 	})
 }
 
-// TestEncodePartSizedOnce holds encodePart to one buffer of the exact
-// size for a part with no tag to write, and partBytes to a lower bound
-// once tags are written.
+// TestEncodePartSizedOnce holds EncodePart to one buffer of the exact
+// size, for a part with tags to write and one without.
 func TestEncodePartSizedOnce(t *testing.T) {
 	err := pcu.Run(2, func(ctx *pcu.Ctx) error {
 		model := gmi.Box(4, 1, 1)
@@ -436,14 +439,15 @@ func TestEncodePartSizedOnce(t *testing.T) {
 		if err != nil {
 			return err
 		}
-		for _, p := range dm.Parts {
-			if b := encodePart(p); cap(b) != len(b) {
-				return fmt.Errorf("part %d: untagged encoding of %d bytes in a buffer of %d", p.M.Part(), len(b), cap(b))
-			}
-		}
-		for _, p := range buildDistributed(ctx, 2).Parts {
-			if n, b := partBytes(p), encodePart(p); n >= len(b) {
-				return fmt.Errorf("part %d: tagged encoding of %d bytes, partBytes %d", p.M.Part(), len(b), n)
+		for _, parts := range [][]*partition.Part{dm.Parts, buildDistributed(ctx, 2).Parts} {
+			for _, p := range parts {
+				b, err := partition.EncodePart(p)
+				if err != nil {
+					return err
+				}
+				if cap(b) != len(b) {
+					return fmt.Errorf("part %d (%d tags): encoding of %d bytes in a buffer of %d", p.M.Part(), len(p.M.Tags.Tags()), len(b), cap(b))
+				}
 			}
 		}
 		return nil
@@ -455,7 +459,7 @@ func TestEncodePartSizedOnce(t *testing.T) {
 
 // TestCheckpointRejectsUnstitchableResidence forges the residence of
 // part 0's first shared vertex in a file whose size and CRC the manifest
-// then records, so that only decodePart stands between the forged parts
+// then records, so that only DecodePart stands between the forged parts
 // and Assemble's stitch round: a part outside [0, nparts), in any
 // position, or named twice must be an error, the same on every rank,
 // not a panic.
@@ -522,15 +526,10 @@ func TestCheckpointRejectsUnstitchableResidence(t *testing.T) {
 // firstSharedVertex returns the offset of the part ids in the first
 // dim-0 record of a part file whose residence names two parts.
 func firstSharedVertex(t *testing.T, data []byte) int {
-	at := len(partMagic) + 8 + int(le.Uint64(data[len(partMagic):])) + 4 + 8
-	n := int(le.Uint32(data[at:]))
-	at += 4
-	for range n {
-		nres := int(le.Uint32(data[at+8:]))
-		if at += 12; nres == 2 {
-			return at
+	for _, rc := range parseShipment(t, data, partHead, 3, true).recs[0] {
+		if len(rc.res) == 2 {
+			return rc.at + 1 + 8 + 5 + 4 // type, gid, classification, residence length
 		}
-		at += 4 * nres
 	}
 	t.Fatal("no dim-0 record with a two-part residence")
 	return 0

@@ -2,14 +2,14 @@ package meshio
 
 import (
 	"bytes"
+	"maps"
 	"os"
 	"path/filepath"
 	"slices"
 	"testing"
 
 	"github.com/fastmath/pumi-go/internal/gmi"
-	"github.com/fastmath/pumi-go/internal/mesh"
-	"github.com/fastmath/pumi-go/internal/meshgen"
+	"github.com/fastmath/pumi-go/internal/partition"
 	"github.com/fastmath/pumi-go/internal/pcu"
 )
 
@@ -36,34 +36,29 @@ func FuzzReadAssignment(f *testing.F) {
 	})
 }
 
-// FuzzRead feeds arbitrary bytes to the mesh file reader, tag section
+// FuzzRead feeds arbitrary bytes to the mesh file reader, tag directory
 // included — the format pumi-info, parma-improve and pumi-part load from
 // outside. It must never panic; a mesh it accepts must survive
 // CheckConsistency without a panic, and one Write of it must be a fixed
 // point: reading those bytes back and writing again gives the same
-// bytes. The seeds are a valid box, a box with every tag kind, and the
-// forged inputs of TestBadInputs and TestDecodeRejectsCountsPastMaxSlots;
-// crashers land under testdata/fuzz/FuzzRead.
+// bytes. The seeds are a valid box, a box with every tag kind, a
+// truncated box, junk, nothing, and the serial forgeries of
+// TestDecodeRejectsForgedInputs; crashers land under
+// testdata/fuzz/FuzzRead.
 func FuzzRead(f *testing.F) {
 	model := gmi.Box(1, 1, 1)
-	box := meshgen.Box3D(model, 1, 1, 1)
-	good := appendMesh(nil, box)
+	good, forged := forgedSerial(f)
+	var tagged bytes.Buffer
+	if err := Write(&tagged, taggedBox(f)); err != nil {
+		f.Fatal(err)
+	}
 	f.Add(good)
-	f.Add(appendMesh(nil, taggedBox(f)))
+	f.Add(tagged.Bytes())
 	f.Add(good[:len(good)/2])
 	f.Add([]byte("JUNKJUNK"))
 	f.Add([]byte{})
-	// The first triangle names its first vertex twice.
-	edgesAt := len(magicV2) + 8 + box.Count(0)*vertexBytes
-	triAt := edgesAt + 4 + box.Count(1)*minEntityBytes + 4
-	twice := bytes.Clone(good)
-	copy(twice[triAt+9:triAt+13], twice[triAt+5:triAt+9])
-	f.Add(twice)
-	// Counts past the kernel's capacity: vertices, then edges.
-	for _, at := range []int{len(magicV2) + 4, edgesAt} {
-		huge := bytes.Clone(good)
-		le.PutUint32(huge[at:], mesh.MaxSlots+1)
-		f.Add(huge)
+	for _, name := range slices.Sorted(maps.Keys(forged)) {
+		f.Add(forged[name])
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		m, err := Read(bytes.NewReader(data), model.Model)
@@ -71,27 +66,32 @@ func FuzzRead(f *testing.F) {
 			return
 		}
 		_ = m.CheckConsistency() // a hostile but well-formed file may fail it; it may not panic
-		once := appendMesh(nil, m)
-		m2, err := decodeMesh(once, model.Model)
+		var once, twice bytes.Buffer
+		if err := Write(&once, m); err != nil {
+			t.Fatalf("accepted %d bytes whose mesh does not write: %v", len(data), err)
+		}
+		m2, err := Read(bytes.NewReader(once.Bytes()), model.Model)
 		if err != nil {
 			t.Fatalf("accepted %d bytes whose re-encoding is rejected: %v", len(data), err)
 		}
-		if twice := appendMesh(nil, m2); !bytes.Equal(once, twice) {
-			t.Fatalf("accepted %d bytes; written, read and written again, %d bytes became %d different ones", len(data), len(once), len(twice))
+		if err := Write(&twice, m2); err != nil || !bytes.Equal(once.Bytes(), twice.Bytes()) {
+			t.Fatalf("accepted %d bytes; written, read and written again, %d bytes became %d different ones (%v)", len(data), once.Len(), twice.Len(), err)
 		}
 	})
 }
 
 // FuzzDecodePart feeds arbitrary bytes to the two decoders of a
-// checkpoint directory LoadCheckpoint reads from disk: decodePart, the
-// reader of one part file, and readManifestFile, the reader of the JSON
-// manifest. Neither may panic; a part file decodePart accepts must
+// checkpoint directory LoadCheckpoint reads from disk:
+// partition.DecodePart, the reader of one part file, and
+// readManifestFile, the reader of the JSON manifest. Neither may panic;
+// a part file DecodePart accepts must
 // survive CheckConsistency without a panic and hand back residence sets
 // Assemble can stitch — two or more parts each, strictly ascending,
 // inside [0, 2), part 0 among them: [0 1] alone — and a manifest
-// readManifestFile accepts carries the checkpoint magic. The seeds are the manifest and the two
-// part files of one valid checkpoint; crashers land under
-// testdata/fuzz/FuzzDecodePart.
+// readManifestFile accepts carries the checkpoint magic. The seeds are
+// the manifest and the two part files of one valid checkpoint, then the
+// part-file forgeries of TestDecodeRejectsForgedInputs; crashers land
+// under testdata/fuzz/FuzzDecodePart.
 func FuzzDecodePart(f *testing.F) {
 	model := gmi.Box(4, 1, 1)
 	dir := f.TempDir()
@@ -111,9 +111,13 @@ func FuzzDecodePart(f *testing.F) {
 		}
 		f.Add(data)
 	}
+	_, forged := forgedPart(f)
+	for _, name := range slices.Sorted(maps.Keys(forged)) {
+		f.Add(forged[name])
+	}
 	scratch := f.TempDir()
 	f.Fuzz(func(t *testing.T, data []byte) {
-		if p, res, err := decodePart(data, 0, 2, model.Model, 3); err == nil {
+		if p, res, err := partition.DecodePart(data, 0, 2, model.Model, 3); err == nil {
 			_ = p.M.CheckConsistency() // a hostile but well-formed file may fail it; it may not panic
 			for i, r := range res {
 				if !slices.Equal(r.Parts, []int32{0, 1}) { // the one such residence part 0 of 2 can share

@@ -12,6 +12,8 @@ import (
 	"github.com/fastmath/pumi-go/internal/gmi"
 	"github.com/fastmath/pumi-go/internal/mesh"
 	"github.com/fastmath/pumi-go/internal/meshgen"
+	"github.com/fastmath/pumi-go/internal/partition"
+	"github.com/fastmath/pumi-go/internal/pcu"
 	"github.com/fastmath/pumi-go/internal/vec"
 )
 
@@ -119,63 +121,73 @@ func TestBadInputs(t *testing.T) {
 	if _, err := Read(bytes.NewReader(trunc), model.Model); err == nil {
 		t.Fatal("truncated stream accepted")
 	}
-	// A forged record: the first triangle names its first vertex twice.
-	// The kernel panics on a degenerate entity, so the decoders must
+	// A forged record: the first triangle names its first edge twice.
+	// The kernel panics on a degenerate entity, so the decoder must
 	// answer first.
-	bad := append([]byte(nil), buf.Bytes()...)
-	edgesAt := len(magicV2) + 8 + m.Count(0)*vertexBytes
-	triAt := edgesAt + 4 + m.Count(1)*minEntityBytes + 4
-	if mesh.Type(bad[triAt]) != mesh.Tri {
-		t.Fatalf("record at %d has type %d, want the first triangle", triAt, bad[triAt])
-	}
-	v0 := le.Uint32(bad[triAt+5:])
-	le.PutUint32(bad[triAt+9:], v0)
-	want := fmt.Sprintf("meshio: tri lists vertex %d twice", v0)
-	if _, err := decodeMesh(bad, model.Model); err == nil || err.Error() != want {
-		t.Errorf("decodeMesh of a triangle with a repeated vertex returned %v, want %q", err, want)
-	}
-	part := append(le.AppendUint64([]byte(partMagic), uint64(len(bad))), bad...)
-	if _, _, err := decodePart(part, 0, 1, model.Model, 3); err == nil || !strings.Contains(err.Error(), want) {
-		t.Errorf("decodePart of a triangle with a repeated vertex returned %v, want an error holding %q", err, want)
+	sh := parseShipment(t, buf.Bytes(), serialHead, 3, false)
+	tri := sh.recs[2][0].clone()
+	tri.down[1] = tri.down[0]
+	want := fmt.Sprintf("mesh: tri lists %v twice", mesh.Ent{T: mesh.Edge, I: int32(tri.down[0])})
+	if _, err := Read(bytes.NewReader(sh.with(tri)), model.Model); err == nil || !strings.HasSuffix(err.Error(), want) {
+		t.Errorf("Read of a triangle with a repeated edge returned %v, want an error ending %q", err, want)
 	}
 	// A classification the mesh cannot store: the first vertex's model
 	// dimension forged to 9.
-	badRef := bytes.Clone(buf.Bytes())
-	badRef[len(magicV2)+8+3*8] = 9
-	want = "meshio: classification g9d#"
-	if _, err := decodeMesh(badRef, model.Model); err == nil || !strings.HasPrefix(err.Error(), want) {
-		t.Errorf("decodeMesh of a vertex classified in dimension 9 returned %v, want an error starting %q", err, want)
+	v := sh.recs[0][0]
+	v.cls.Dim = 9
+	want = "partition: classification g9d#"
+	if _, err := Read(bytes.NewReader(sh.with(v)), model.Model); err == nil || !strings.HasPrefix(err.Error(), want) {
+		t.Errorf("Read of a vertex classified in dimension 9 returned %v, want an error starting %q", err, want)
 	}
 }
 
-// TestDecodeRejectsCountsPastMaxSlots forges the vertex count and an
-// entity section's count past the kernel's per-type capacity. Both
-// decoders must answer with an error naming the limit — the kernel
-// panics when told to hold that many — and must do so from the count
-// alone: the 1.9 GB of records that would carry the forged vertex count
-// past the length guard are not needed to get there.
+// TestDecodeRejectsCountsPastMaxSlots forges the vertex level's count
+// and the edge level's past the kernel's per-type capacity, in a mesh
+// file and in a part file. Both decoders must answer with an error
+// naming the limit — the kernel panics when told to hold that many —
+// and must do so from the count alone: the 1.9 GB of records that would
+// carry the forged vertex count past the length guard are not needed to
+// get there.
 func TestDecodeRejectsCountsPastMaxSlots(t *testing.T) {
 	model := gmi.Box(1, 1, 1)
-	good := appendMesh(nil, meshgen.Box3D(model, 1, 1, 1))
-	const nvAt = len(magicV2) + 4
-	edgesAt := nvAt + 4 + int(le.Uint32(good[nvAt:]))*vertexBytes
-	for _, at := range []int{nvAt, edgesAt} {
-		for _, n := range []uint32{mesh.MaxSlots + 1, 1<<32 - 1} {
-			bad := append([]byte(nil), good...)
-			le.PutUint32(bad[at:], n)
-			bad = append(bad, make([]byte, 1<<16)...)
-			if _, err := decodeMesh(bad, model.Model); err == nil || !strings.Contains(err.Error(), "mesh.MaxSlots") {
-				t.Errorf("count %d at offset %d: decodeMesh returned %v, want an error naming mesh.MaxSlots", n, at, err)
-			}
-			part := le.AppendUint64([]byte(partMagic), uint64(len(bad)))
-			part = append(part, bad...)
-			if _, _, err := decodePart(part, 0, 1, model.Model, 3); err == nil || !strings.Contains(err.Error(), "mesh.MaxSlots") {
-				t.Errorf("count %d at offset %d: decodePart returned %v, want an error naming mesh.MaxSlots", n, at, err)
+	var buf bytes.Buffer
+	if err := Write(&buf, meshgen.Box3D(model, 1, 1, 1)); err != nil {
+		t.Fatal(err)
+	}
+	var part []byte
+	if err := pcu.Run(1, func(ctx *pcu.Ctx) error {
+		dm := partition.Adopt(ctx, model.Model, 3, meshgen.Box3D(model, 1, 1, 1), 1)
+		var err error
+		part, err = partition.EncodePart(dm.Parts[0])
+		return err
+	}); err != nil {
+		t.Fatal(err)
+	}
+	for _, file := range []struct {
+		data []byte
+		head int
+		mid  bool
+	}{{buf.Bytes(), serialHead, false}, {part, partHead, true}} {
+		sh := parseShipment(t, file.data, file.head, 3, file.mid)
+		for _, at := range []int{sh.dirAt + 1, sh.recs[0][len(sh.recs[0])-1].end} {
+			for _, n := range []uint32{mesh.MaxSlots + 1, 1<<32 - 1} {
+				bad := append([]byte(nil), file.data...)
+				le.PutUint32(bad[at:], n)
+				bad = append(bad, make([]byte, 1<<16)...)
+				var err error
+				if file.mid {
+					_, _, err = partition.DecodePart(bad, 0, 1, model.Model, 3)
+				} else {
+					_, err = Read(bytes.NewReader(bad), model.Model)
+				}
+				if err == nil || !strings.Contains(err.Error(), "mesh.MaxSlots") {
+					t.Errorf("count %d at offset %d of a %d-byte header: returned %v, want an error naming mesh.MaxSlots", n, at, file.head, err)
+				}
 			}
 		}
-	}
-	if _, err := decodeMesh(good, model.Model); err != nil {
-		t.Fatal(err)
+		if _, _, err := partition.DecodePart(part, 0, 1, model.Model, 3); err != nil {
+			t.Fatal(err)
+		}
 	}
 }
 
@@ -274,29 +286,5 @@ func TestTagAndFieldRoundTrip(t *testing.T) {
 		if !ok || got[0] != p.X || got[1] != p.Y+p.Z {
 			t.Fatalf("field values %v at %v", got, p)
 		}
-	}
-}
-
-func TestV1StillReadable(t *testing.T) {
-	// A stream with the old magic and no tag section must still load.
-	model := gmi.Box(1, 1, 1)
-	m := meshgen.Box3D(model, 1, 1, 1)
-	var buf bytes.Buffer
-	if err := Write(&buf, m); err != nil {
-		t.Fatal(err)
-	}
-	raw := buf.Bytes()
-	// Rewrite the magic to V1 and truncate the (empty) tag directory.
-	copy(raw, []byte("PUMIGO01"))
-	// The empty tag section is 4 bytes (count) + 1 presence byte per
-	// entity; removing it must still parse under V1.
-	nEnts := m.Count(0) + m.Count(1) + m.Count(2) + m.Count(3)
-	trunc := raw[:len(raw)-4-nEnts]
-	m2, err := Read(bytes.NewReader(trunc), model.Model)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m2.Count(3) != 6 {
-		t.Fatalf("tets = %d", m2.Count(3))
 	}
 }

@@ -3,8 +3,8 @@ package meshio
 import (
 	"bytes"
 	"crypto/sha256"
-	"encoding/binary"
 	"encoding/hex"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -55,11 +55,13 @@ func taggedBox(t testing.TB) *mesh.Mesh {
 	return m
 }
 
-// TestGoldenTaggedWriteBytes pins the tag section's bytes: the hash was
-// captured at the last commit that kept tags in map[Ent]any and encoded
-// them with binary.Write (PR 13, 73dd50d).
+// TestGoldenTaggedWriteBytes pins the tagged file's bytes. The hash was
+// re-pinned when the mesh file became a shipment; the previous encoder
+// applied to the same mesh still gave the one captured at the last
+// commit that kept tags in map[Ent]any and encoded them with
+// binary.Write (73dd50d).
 func TestGoldenTaggedWriteBytes(t *testing.T) {
-	const golden = "f87fcad998ec74c4d2aa3d110d0b40b23c68032ca5ecfe740bd638c2cdf4f377"
+	const golden = "e5be41802c5f25e8c85ceb140010ea6a4b873b63f471b2a6f65ebf15258958ec"
 	var buf bytes.Buffer
 	if err := Write(&buf, taggedBox(t)); err != nil {
 		t.Fatal(err)
@@ -70,67 +72,45 @@ func TestGoldenTaggedWriteBytes(t *testing.T) {
 	}
 }
 
-// tagSection returns the bytes appendTags produces for m.
-func tagSection(t *testing.T, m *mesh.Mesh) []byte {
-	t.Helper()
-	return appendTags(nil, m)
-}
-
-// TestReadTagsRejectsLayoutMismatch: a directory entry naming a tag the
-// mesh already has under another kind or size must fail the load, not
-// decode the file's values with the local layout.
+// TestReadTagsRejectsLayoutMismatch: a directory naming one tag twice
+// must fail the load, under two layouts or one, rather than decode one
+// entry's values with the other's layout.
 func TestReadTagsRejectsLayoutMismatch(t *testing.T) {
-	section := tagSection(t, taggedBox(t))
-	for _, c := range []struct {
-		name string
-		kind ds.TagKind
-		size int
-	}{
-		{"uv", ds.TagFloatSlice, 2}, // same kind, other size
-		{"uv", ds.TagIntSlice, 3},   // same size, other kind
-		{"w", ds.TagInt, 0},         // scalar of another kind
+	good, _ := forgedSerial(t)
+	sh := parseShipment(t, good, serialHead, 3, false)
+	for _, c := range [][2]tagDecl{
+		{{"uv", ds.TagFloatSlice, 3}, {"uv", ds.TagFloatSlice, 2}}, // same kind, other size
+		{{"uv", ds.TagFloatSlice, 3}, {"uv", ds.TagIntSlice, 3}},   // same size, other kind
+		{{"w", ds.TagFloat, 1}, {"w", ds.TagInt, 1}},               // scalar of another kind
+		{{"w", ds.TagFloat, 1}, {"w", ds.TagFloat, 1}},             // the same layout
 	} {
-		m := meshgen.Box3D(gmi.Box(1, 1, 1), 2, 2, 2)
-		if _, err := m.Tags.Create(c.name, c.kind, c.size); err != nil {
-			t.Fatal(err)
-		}
-		err := readTags(&dec{b: section}, m)
-		if err == nil || !strings.Contains(err.Error(), "in the file but") {
-			t.Errorf("local %s as %v×%d: err = %v, want a layout mismatch", c.name, c.kind, c.size, err)
+		_, err := Read(bytes.NewReader(sh.withDirectory(c[:]...)), nil)
+		if want := fmt.Sprintf("tag %q is listed twice", c[0].name); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("%v: err = %v, want %q", c, err, want)
 		}
 	}
-	// The same tag under the same layout loads.
-	m := meshgen.Box3D(gmi.Box(1, 1, 1), 2, 2, 2)
-	uv, _ := m.Tags.Create("uv", ds.TagFloatSlice, 3)
-	if err := readTags(&dec{b: section}, m); err != nil {
+	if _, err := Read(bytes.NewReader(sh.withDirectory(tagDecl{"uv", ds.TagFloatSlice, 3})), nil); err != nil {
 		t.Fatal(err)
 	}
-	if got, want := m.Tags.CountTagged(uv), (m.Count(0)+1)/2; got != want {
-		t.Errorf("uv on %d vertices after load, want %d", got, want)
-	}
 }
 
-// TestReadTagsRejectsBadDirectory: a size above maxTagSize and a kind
-// the format never writes are errors before anything is allocated.
+// TestReadTagsRejectsBadDirectory: a size above maxTagSize or out of its
+// kind's range, and a kind the format never writes, are errors before
+// anything is allocated.
 func TestReadTagsRejectsBadDirectory(t *testing.T) {
-	directory := func(kind byte, size uint32) []byte {
-		le := binary.LittleEndian
-		b := le.AppendUint32(nil, 1) // one tag
-		b = le.AppendUint32(b, 1)    // name length
-		b = append(b, 'x', kind)
-		return le.AppendUint32(b, size)
-	}
-	for want, section := range map[string][]byte{
-		"above the limit": directory(byte(ds.TagIntSlice), maxTagSize+1),
-		"unknown kind":    directory(byte(ds.TagAny), 1),
+	good, _ := forgedSerial(t)
+	sh := parseShipment(t, good, serialHead, 3, false)
+	for _, c := range []struct {
+		tag  tagDecl
+		want string
+	}{
+		{tagDecl{"x", ds.TagIntSlice, 1025}, "has size 1025"},
+		{tagDecl{"x", ds.TagBytes, 0}, "has size 0"},
+		{tagDecl{"x", ds.TagInt, 2}, "has size 2"},
+		{tagDecl{"x", ds.TagAny, 1}, "unknown kind"},
 	} {
-		m := meshgen.Box3D(gmi.Box(1, 1, 1), 1, 1, 1)
-		err := readTags(&dec{b: section}, m)
-		if err == nil || !strings.Contains(err.Error(), want) {
-			t.Errorf("err = %v, want %q", err, want)
-		}
-		if m.Tags.Find("x") != nil {
-			t.Errorf("%s: rejected tag was created anyway", want)
+		if _, err := Read(bytes.NewReader(sh.withDirectory(c.tag)), nil); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%v: err = %v, want %q", c.tag, err, c.want)
 		}
 	}
 }

@@ -48,15 +48,22 @@ type Part struct {
 
 func newPart(m *mesh.Mesh) *Part {
 	p := &Part{M: m}
-	for t := range p.gids { // an adopted or restored mesh: one gid per slot it has
+	for t := range p.gids { // an adopted mesh: one gid per slot it has
 		p.gids[t] = slices.Grow(p.gids[t], m.Reserve(mesh.Type(t), 0))
 	}
-	m.OnDestroy(func(e mesh.Ent) { p.dropGid(e) })
-	m.OnCreate(func(e mesh.Ent) { p.setGid(e, p.freshGid()) })
-	if san.Enabled() {
-		m.SetGuard(san.NewMeshGuard())
-	}
+	p.attach()
 	return p
+}
+
+// attach hooks the part's gid bookkeeping, and the sanitizer's guard,
+// into its mesh: from here every entity created gets a fresh gid. A
+// part being loaded attaches once its entities and gids are in.
+func (p *Part) attach() {
+	p.M.OnDestroy(func(e mesh.Ent) { p.dropGid(e) })
+	p.M.OnCreate(func(e mesh.Ent) { p.setGid(e, p.freshGid()) })
+	if san.Enabled() {
+		p.M.SetGuard(san.NewMeshGuard())
+	}
 }
 
 // suspendGuards opens a pumi-san sanctioned-write window on every local
@@ -115,9 +122,24 @@ func (p *Part) setGid(e mesh.Ent, gid int64) {
 
 // reserve makes room for n more type-t entities: mesh, gids, resIdx.
 func (p *Part) reserve(t mesh.Type, n int) {
+	slots := p.reserveGids(t, n)
+	p.resIdx[t] = slices.Grow(p.resIdx[t], max(0, slots-len(p.resIdx[t])))
+}
+
+// reserveLoad makes room for n more type-t entities on a part being
+// loaded: mesh, gids and the gid index. resIdx stays empty until a
+// migration needs it.
+func (p *Part) reserveLoad(t mesh.Type, n int) {
+	p.reserveGids(t, n)
+	p.byGid[t.Dim()].reserve(&p.gids, n)
+}
+
+// reserveGids makes room for n more type-t entities in the mesh and the
+// gid column, and returns the slots the room extends to.
+func (p *Part) reserveGids(t mesh.Type, n int) int {
 	slots := p.M.Reserve(t, n)
 	p.gids[t] = slices.Grow(p.gids[t], max(0, slots-len(p.gids[t])))
-	p.resIdx[t] = slices.Grow(p.resIdx[t], max(0, slots-len(p.resIdx[t])))
+	return slots
 }
 
 func (p *Part) dropGid(e mesh.Ent) {

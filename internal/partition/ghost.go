@@ -7,7 +7,6 @@ import (
 	"slices"
 
 	"github.com/fastmath/pumi-go/internal/ds"
-	"github.com/fastmath/pumi-go/internal/gmi"
 	"github.com/fastmath/pumi-go/internal/mesh"
 	"github.com/fastmath/pumi-go/internal/pcu"
 )
@@ -105,7 +104,10 @@ func planGhosts(ph *phase, bridgeDim, layers int) []ghostShip {
 		}
 		closure := make([]uint32, 0, bound)
 		var one [32]uint32 // one element's closure: at most 8 + 12 + 6 entities
-		movable := movableTags(m)
+		movable, err := movableTags(m)
+		if err != nil {
+			panic(err)
+		}
 		for i := range runs {
 			r := &runs[i]
 			at := len(closure)
@@ -197,7 +199,7 @@ func receiveGhosts(dm *DMesh, msgs []partMsg) [][]mesh.Ent {
 func unpackGhosts(dm *DMesh, part *Part, msg *partMsg, created []mesh.Ent) []mesh.Ent {
 	m, r := part.M, &msg.Data
 	var owner int32
-	unpackRecords(part, r, dm.Dim, false,
+	unpackRecords(part, r, dm.Dim, nil,
 		func() { owner = r.Int32() },
 		func(e mesh.Ent, isNew bool) {
 			if e.Dim() == dm.Dim {
@@ -333,12 +335,6 @@ func applyFloats(tags *ds.TagTable[mesh.Ent], tag *ds.Tag, run []mesh.Ent, r *pc
 		}
 	}
 	r.Advance(at)
-}
-
-func readClassif(r *pcu.Reader) (c gmi.Ref) {
-	c.Dim = int8(r.Byte()) - 1
-	c.Tag = r.Int32()
-	return c
 }
 
 // NGhosts returns the number of ghost entities currently on the part.

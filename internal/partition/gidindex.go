@@ -18,7 +18,8 @@ type gidColumns = [mesh.TypeCount][]int64
 // so the table holds no tombstones and its size follows the live count
 // alone — it doubles when an insert would fill more than half of it and
 // never shrinks, and a steady state that peaks at the same count each
-// cycle never reallocates it.
+// cycle never reallocates it. A loader knowing how many entries come
+// sizes it once (reserve).
 type gidIndex struct {
 	tab   []uint32 // packed handle or mesh.PackedNil; len is 0 or 1<<(64-shift)
 	n     int      // live entries
@@ -51,7 +52,7 @@ func (x *gidIndex) find(gids *gidColumns, gid int64) (mesh.Ent, bool) {
 // not be in the table.
 func (x *gidIndex) insert(gids *gidColumns, e mesh.Ent) {
 	if 2*(x.n+1) > len(x.tab) {
-		x.grow(gids)
+		x.resize(gids, max(2*len(x.tab), gidIndexMinSlots))
 	}
 	x.place(gids[e.T][e.I], e.Pack())
 	x.n++
@@ -66,9 +67,19 @@ func (x *gidIndex) place(gid int64, h uint32) {
 	x.tab[i] = h
 }
 
-func (x *gidIndex) grow(gids *gidColumns) {
+// reserve sizes the table for n more entries at once: the inserts that
+// follow do not grow it.
+func (x *gidIndex) reserve(gids *gidColumns, n int) {
+	if need := 2 * (x.n + n); need > len(x.tab) {
+		x.resize(gids, max(1<<bits.Len(uint(need-1)), gidIndexMinSlots))
+	}
+}
+
+// resize rehashes the entries into a table of slots slots, a power of
+// two.
+func (x *gidIndex) resize(gids *gidColumns, slots int) {
 	old := x.tab
-	x.tab = make([]uint32, max(2*len(old), gidIndexMinSlots))
+	x.tab = make([]uint32, slots)
 	x.shift = uint(64 - bits.TrailingZeros(uint(len(x.tab))))
 	for i := range x.tab {
 		x.tab[i] = mesh.PackedNil

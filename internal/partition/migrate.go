@@ -7,6 +7,7 @@ import (
 	"strings"
 
 	"github.com/fastmath/pumi-go/internal/ds"
+	"github.com/fastmath/pumi-go/internal/gmi"
 	"github.com/fastmath/pumi-go/internal/mesh"
 	"github.com/fastmath/pumi-go/internal/pcu"
 	"github.com/fastmath/pumi-go/internal/vec"
@@ -28,10 +29,16 @@ type migrateLocalError struct{ err error }
 
 func (e migrateLocalError) Error() string { return e.err.Error() }
 
+// localFail panics with a recoverable local failure for catchStage.
+func localFail(format string, args ...any) {
+	panic(migrateLocalError{fmt.Errorf(format, args...)})
+}
+
 // catchStage runs f, converting recoverable local failures — corrupt
-// off-node frames and staged-data validation — into a returned error.
-// Teardown panics (peer failure, a stall) and genuine bugs
-// propagate.
+// off-node frames, payloads or files that do not decode (pcu's
+// ErrMalformed) and staged-data validation — into a returned error.
+// Teardown panics (peer failure, a stall) and genuine bugs, runtime
+// errors among them, propagate.
 func catchStage(f func()) (err error) {
 	defer func() {
 		p := recover()
@@ -42,7 +49,7 @@ func catchStage(f func()) (err error) {
 			err = le.err
 			return
 		}
-		if e, ok := p.(error); ok && errors.Is(e, pcu.ErrCorruptMessage) {
+		if e, ok := p.(error); ok && (errors.Is(e, pcu.ErrCorruptMessage) || errors.Is(e, pcu.ErrMalformed)) {
 			err = e
 			return
 		}
@@ -210,10 +217,11 @@ type moving struct {
 	// ship holds, run after run of moves, the closure the run ships: its
 	// length, then its entities ascending.
 	ship     []uint32
-	fresh    []uint32 // shared entities first heard of in round one of step 2
-	arriving int      // bound on the records step 3 delivers here
-	created  []uint32 // entities step 3 created here, in creation order
-	fixes    []uint32 // entities step 5 restitches, ascending
+	movable  []*ds.Tag // the tags that travel with what the part ships
+	fresh    []uint32  // shared entities first heard of in round one of step 2
+	arriving int       // bound on the records step 3 delivers here
+	created  []uint32  // entities step 3 created here, in creation order
+	fixes    []uint32  // entities step 5 restitches, ascending
 }
 
 func moveEnt(mv uint64) mesh.Ent { return mesh.UnpackEnt(uint32(mv)) }
@@ -250,6 +258,11 @@ func (mg *migration) stageResidence(plans []Plan, localErr error) error {
 	for i := range mg.parts {
 		p := &mg.parts[i]
 		if i >= len(plans) || localErr != nil {
+			continue
+		}
+		var err error
+		if p.movable, err = movableTags(p.M); err != nil {
+			localErr = fmt.Errorf("part %d: %w", p.M.Part(), err)
 			continue
 		}
 		// Drop self-moves, validate. This is the one read of the Plan map;
@@ -470,7 +483,7 @@ func (mg *migration) packShipment() {
 	for _, packing := range [2]bool{false, true} {
 		for i := range mg.parts {
 			p := &mg.parts[i]
-			ship, movable := p.ship, movableTags(p.M)
+			ship, movable := p.ship, p.movable
 			for lo := 0; lo < len(p.moves); {
 				q, hi := destRun(p.moves, lo)
 				n := int(ship[0])
@@ -512,7 +525,7 @@ func (mg *migration) receiveElements() {
 	var run []int32 // residence decode scratch
 	for i := range msgs {
 		p, r := &mg.parts[mg.dm.localIndex(msgs[i].To)], &msgs[i].Data
-		unpackRecords(p.Part, r, mg.dm.Dim, true,
+		unpackRecords(p.Part, r, mg.dm.Dim, p.reserve,
 			func() { run = r.AppendInt32s(run[:0]) },
 			func(e mesh.Ent, created bool) {
 				// Logged in creation order, for an abort to roll back.
@@ -634,8 +647,7 @@ func (ph *phase) applyStitches() {
 			theirs := mesh.Ent{T: mesh.Type(r.Byte()), I: r.Int32()}
 			e, ok := part.FindGid(dd, gid)
 			if !ok {
-				panic(migrateLocalError{fmt.Errorf(
-					"partition: part %d is named in the residence of gid %d dim %d but holds no copy", msg.To, gid, dd)})
+				localFail("partition: part %d is named in the residence of gid %d dim %d but holds no copy", msg.To, gid, dd)
 			}
 			part.M.SetRemote(e, msg.From, theirs)
 		}
@@ -794,7 +806,7 @@ func closureBound(m *mesh.Mesh, moves []uint64, d int) int {
 	return min(n, held)
 }
 
-// recordBytes is the size of a packRecords record of a type-t entity
+// recordBytes is the size of a packRecord record of a type-t entity
 // without tag values, mid packing mid bytes: type, gid, classification,
 // mid, coordinates or down gids, tag count.
 func recordBytes(t mesh.Type, mid int) int {
@@ -805,91 +817,130 @@ func recordBytes(t mesh.Type, mid int) int {
 	return n + 4 + 8*t.DownCount()
 }
 
-// recordSize is the size of e's packRecords record, mid packing mid
+// recordSize is the size of e's packRecord record, mid packing mid
 // bytes, with its tag values: what a sender counts to reserve a message
 // before writing it.
 func recordSize(m *mesh.Mesh, movable []*ds.Tag, e mesh.Ent, mid int) int {
 	return recordBytes(e.T, mid) + tagValueBytes(m, movable, e)
 }
 
-// headerBytes is the size of what packRecords packs besides its records:
+// headerBytes is the size of what a shipment packs besides its records:
 // the tag table and d+1 level counts.
 func headerBytes(movable []*ds.Tag, d int) int { return tagTableBytes(movable) + 4*(d+1) }
 
-// packRecords encodes the tag table of movable, then closure (ascending)
-// and the elements els, dimension by dimension: a count, then a record
-// each — type, global id, classification, what mid packs (a migrating
-// entity's staged residence, a ghost's owner), coordinates or downward
-// global ids, tag values and, after an element's, what tail packs.
+// A shipment is the one entity format, on the wire and on disk: the tag
+// table of movable, then d+1 levels, each a count and a record per
+// entity, types ascending — the closure, dimension by dimension, then
+// the elements. A record is the entity's type, global id,
+// classification, what mid packs (a migrating entity's staged
+// residence, a ghost's owner, a checkpointed entity's residence, or
+// nothing in a serial file), coordinates or downward global ids, then
+// its tag values.
+
+// packRecords packs a shipment of closure (ascending) and the elements
+// els, what tail packs following each element's record.
 func packRecords(b *pcu.Buffer, part *Part, d int, movable []*ds.Tag, closure []uint32, els []uint64, mid, tail func(mesh.Ent)) {
-	m := part.M
 	writeTagTable(b, movable)
-	// Down-adjacency scratch: at most 6 entities lie one level below any.
-	gids, down := make([]int64, 0, 6), make([]mesh.Ent, 0, 6)
-	record := func(e mesh.Ent) {
-		b.Byte(byte(e.T))
-		b.Int64(part.Gid(e))
-		c := m.Classification(e)
-		b.Byte(byte(int8(c.Dim) + 1)) // -1..3 -> 0..4
-		b.Int32(c.Tag)
-		mid(e)
-		if e.T == mesh.Vertex {
-			x := m.Coord(e)
-			b.Float64(x.X)
-			b.Float64(x.Y)
-			b.Float64(x.Z)
-		} else {
-			down = m.DownTo(e, down[:0])
-			gids = gids[:0]
-			for _, de := range down {
-				gids = append(gids, part.Gid(de))
-			}
-			b.Int64s(gids)
-		}
-		writeEntityTags(b, m, movable, e)
-	}
 	for dd := 0; dd < d; dd++ {
 		lv := level(closure, dd)
 		b.Int32(int32(len(lv)))
 		for _, w := range lv {
-			record(mesh.UnpackEnt(w))
+			packRecord(b, part, movable, mesh.UnpackEnt(w), mid)
 		}
 	}
 	b.Int32(int32(len(els)))
 	for _, mv := range els {
-		record(moveEnt(mv))
+		packRecord(b, part, movable, moveEnt(mv), mid)
 		if tail != nil {
 			tail(moveEnt(mv))
 		}
 	}
 }
 
-// unpackRecords decodes what packRecords encoded onto part, finding each
-// entity by global id or creating it; tag values go to the ones created
-// (existing copies keep their own). mid reads what its namesake packed;
-// landed is told of every entity, the reader standing where tail packed.
-// reserve sizes the part's arrays by the level counts. An entity ahead
-// of its closure is a recoverable failure: the abort vote rolls it back.
-func unpackRecords(part *Part, r *pcu.Reader, d int, reserve bool, mid func(), landed func(e mesh.Ent, created bool)) {
+// packPart packs the whole part as one shipment, every level in handle
+// order.
+func packPart(b *pcu.Buffer, part *Part, movable []*ds.Tag, mid func(mesh.Ent)) {
+	m := part.M
+	writeTagTable(b, movable)
+	for d := 0; d <= m.Dim(); d++ {
+		b.Int32(int32(m.Count(d)))
+		for e := range m.Iter(d) {
+			packRecord(b, part, movable, e, mid)
+		}
+	}
+}
+
+// packRecord packs e's record; a nil mid packs nothing there.
+func packRecord(b *pcu.Buffer, part *Part, movable []*ds.Tag, e mesh.Ent, mid func(mesh.Ent)) {
+	m := part.M
+	b.Byte(byte(e.T))
+	b.Int64(part.Gid(e))
+	c := m.Classification(e)
+	b.Byte(byte(c.Dim + 1)) // -1..3 -> 0..4
+	b.Int32(c.Tag)
+	if mid != nil {
+		mid(e)
+	}
+	if e.T == mesh.Vertex {
+		x := m.Coord(e)
+		b.Float64(x.X)
+		b.Float64(x.Y)
+		b.Float64(x.Z)
+	} else {
+		// At most 6 entities lie one level below any.
+		var down [6]mesh.Ent
+		var gids [6]int64
+		n := 0
+		for _, de := range m.DownTo(e, down[:0]) {
+			gids[n] = part.Gid(de)
+			n++
+		}
+		b.Int64s(gids[:n])
+	}
+	writeEntityTags(b, m, movable, e)
+}
+
+// unpackRecords decodes a shipment onto part, finding each entity by
+// global id or creating it; tag values go to the ones created (existing
+// copies keep their own). mid, if not nil, reads what its namesake
+// packed; landed is told of every entity, the reader standing where
+// tail packed. reserve, if not nil, sizes the part's arrays by the level
+// counts, once per type. Bytes that do not decode into entities the
+// mesh can hold — a record of a type out of place, a negative gid, a
+// classification storage cannot hold, an entity ahead of its closure
+// or with downward entities TryCreateEntity refuses — are a recoverable
+// failure: the abort vote rolls a migration back, a load returns it.
+func unpackRecords(part *Part, r *pcu.Reader, d int, reserve func(mesh.Type, int), mid func(), landed func(e mesh.Ent, created bool)) {
 	m := part.M
 	table := readTagTable(r, m)
 	// Down-adjacency scratch: at most 6 entities lie one level below any.
 	gids, down := make([]int64, 0, 6), make([]mesh.Ent, 0, 6)
 	for dd := 0; dd <= d; dd++ {
 		n := int(r.Int32())
+		if n < 0 || n > mesh.MaxSlots {
+			localFail("partition: %d dimension-%d records, past mesh.MaxSlots = %d", n, dd, mesh.MaxSlots)
+		}
 		// The level count, capped by what the bytes left could carry,
 		// sizes the mesh: the part may hold some of these already.
-		room := max(0, min(n, r.Remaining()/recordBytes(mesh.Edge, 4)))
-		reserved := mesh.TypeCount
+		room := min(n, r.Remaining()/recordBytes(mesh.Edge, 0))
+		prev := mesh.TypesOfDim(dd)[0]
 		for k := 0; k < n; k++ {
 			t := mesh.Type(r.Byte())
-			if reserve && t != reserved {
-				part.reserve(t, room-k)
-				reserved = t
+			if t < prev || t >= mesh.TypeCount || t.Dim() != dd {
+				localFail("partition: a %v record in the dimension-%d level, after a %v", t, dd, prev)
 			}
+			if reserve != nil && (k == 0 || t != prev) {
+				reserve(t, room-k)
+			}
+			prev = t
 			gid := r.Int64()
+			if gid < 0 {
+				localFail("partition: a record of gid %d", gid)
+			}
 			cls := readClassif(r)
-			mid()
+			if mid != nil {
+				mid()
+			}
 			var x vec.V
 			if dd == 0 {
 				x = vec.V{X: r.Float64(), Y: r.Float64(), Z: r.Float64()}
@@ -899,18 +950,18 @@ func unpackRecords(part *Part, r *pcu.Reader, d int, reserve bool, mid func(), l
 				for _, dg := range gids {
 					de, ok := part.FindGid(dd-1, dg)
 					if !ok {
-						panic(migrateLocalError{fmt.Errorf(
-							"partition: entity gid %d dim %d arrived before its closure", gid, dd)})
+						localFail("partition: entity gid %d dim %d arrived before its closure", gid, dd)
 					}
 					down = append(down, de)
 				}
 			}
 			e, found := part.FindGid(dd, gid)
 			if !found {
+				var err error
 				if dd == 0 {
 					e = m.CreateVertex(cls, x)
-				} else {
-					e = m.CreateEntity(t, cls, down)
+				} else if e, err = m.TryCreateEntity(t, cls, down); err != nil {
+					localFail("partition: entity gid %d: %w", gid, err)
 				}
 				part.setGid(e, gid)
 			}
@@ -919,4 +970,13 @@ func unpackRecords(part *Part, r *pcu.Reader, d int, reserve bool, mid func(), l
 		}
 	}
 	r.Done()
+}
+
+// readClassif reads a record's classification, one storage can hold.
+func readClassif(r *pcu.Reader) gmi.Ref {
+	c := gmi.Ref{Dim: int8(r.Byte()) - 1, Tag: r.Int32()}
+	if !mesh.Classifiable(c) {
+		localFail("partition: classification %v out of range", c)
+	}
+	return c
 }

@@ -271,7 +271,7 @@ func refPackElements(b *pcu.Buffer, dm *DMesh, partIdx int, els []mesh.Ent, t *r
 		size += recordBytes(el.T, 4+4)
 	}
 	b.Grow(size)
-	movable := movableTags(m)
+	movable, _ := movableTags(m)
 	writeTagTable(b, movable)
 	var gids []int64
 	var down []mesh.Ent

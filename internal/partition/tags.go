@@ -2,6 +2,7 @@ package partition
 
 import (
 	"fmt"
+	"slices"
 
 	"github.com/fastmath/pumi-go/internal/ds"
 	"github.com/fastmath/pumi-go/internal/mesh"
@@ -13,19 +14,30 @@ import (
 // the receiver (PUMI semantics — a copy carries its tag data). Only
 // scalar and slice numeric tags move; TagAny values are host-local.
 
+// maxTagSize bounds a tag's components per entity. A receiver sizes a
+// tag's storage from the directory (8·size bytes per entity slot), so
+// it refuses a larger one before creating anything, and a sender
+// refuses to pack one.
+const maxTagSize = 1024
+
 // movableTags returns the part's tags whose values travel with its
-// entities, in directory order.
-func movableTags(m *mesh.Mesh) []*ds.Tag {
+// entities, in directory order. A directory the format cannot carry —
+// more than 255 tags, or one above maxTagSize — is an error.
+func movableTags(m *mesh.Mesh) ([]*ds.Tag, error) {
 	var movable []*ds.Tag
 	for _, t := range m.Tags.Tags() {
-		if t.Kind != ds.TagAny {
-			movable = append(movable, t)
+		if t.Kind == ds.TagAny {
+			continue
 		}
+		if t.Size > maxTagSize {
+			return nil, fmt.Errorf("partition: tag %q has %d components, above the limit of %d", t.Name, t.Size, maxTagSize)
+		}
+		movable = append(movable, t)
 	}
 	if len(movable) > 255 {
-		panic("partition: more than 255 movable tags")
+		return nil, fmt.Errorf("partition: %d tags travel with the entities, more than 255", len(movable))
 	}
-	return movable
+	return movable, nil
 }
 
 // writeTagTable encodes the sender part's movable tag directory.
@@ -52,12 +64,14 @@ func tagTableBytes(movable []*ds.Tag) int {
 // such values decode but drop).
 type tagSlot struct {
 	tag  *ds.Tag
+	name string
 	kind ds.TagKind
 	size int
 }
 
 // readTagTable decodes a tag directory, creating missing tags on the
-// receiving mesh.
+// receiving mesh. An unknown kind, a size outside the kind's range or a
+// name listed twice is a recoverable failure (localFail).
 func readTagTable(r *pcu.Reader, m *mesh.Mesh) []tagSlot {
 	n := int(r.Byte())
 	out := make([]tagSlot, n)
@@ -65,18 +79,25 @@ func readTagTable(r *pcu.Reader, m *mesh.Mesh) []tagSlot {
 		name := string(r.BytesNoCopy())
 		kind := ds.TagKind(r.Byte())
 		size := int(r.Int32())
+		switch {
+		case kind >= ds.TagAny:
+			localFail("partition: tag %q has unknown kind %d", name, kind)
+		case size < 1 || size > maxTagSize || size > 1 && kind < ds.TagIntSlice:
+			localFail("partition: tag %q of kind %v has size %d", name, kind, size)
+		case slices.ContainsFunc(out[:i], func(s tagSlot) bool { return s.name == name }):
+			localFail("partition: tag %q is listed twice", name)
+		}
 		tag := m.Tags.Find(name)
 		if tag == nil {
 			var err error
-			tag, err = m.Tags.Create(name, kind, size)
-			if err != nil {
-				panic(fmt.Sprintf("partition: recreating tag %q: %v", name, err))
+			if tag, err = m.Tags.Create(name, kind, size); err != nil {
+				localFail("partition: recreating tag %q: %w", name, err)
 			}
 		}
 		if tag.Kind != kind || tag.Size != size {
 			tag = nil
 		}
-		out[i] = tagSlot{tag: tag, kind: kind, size: size}
+		out[i] = tagSlot{tag: tag, name: name, kind: kind, size: size}
 	}
 	return out
 }
@@ -146,17 +167,22 @@ func tagValueBytes(m *mesh.Mesh, movable []*ds.Tag, e mesh.Ent) int {
 }
 
 // applyEntityTags decodes and attaches tag values to e. Entries whose
-// tag could not be reconciled are consumed and dropped.
+// tag could not be reconciled are consumed and dropped; an index past
+// the directory or a value of the wrong length is a recoverable failure.
 func applyEntityTags(r *pcu.Reader, m *mesh.Mesh, table []tagSlot, e mesh.Ent, apply bool) {
 	n := int(r.Byte())
 	for k := 0; k < n; k++ {
 		i := int(r.Byte())
-		tag := table[i].tag
+		if i >= len(table) {
+			localFail("partition: tag index %d past the directory's %d", i, len(table))
+		}
+		slot := &table[i]
+		tag := slot.tag
 		if !apply {
 			tag = nil
 		}
-		kind := table[i].kind
-		switch kind {
+		size := slot.size // the length a slice value must have
+		switch slot.kind {
 		case ds.TagInt:
 			v := r.Int64()
 			if tag != nil {
@@ -169,21 +195,24 @@ func applyEntityTags(r *pcu.Reader, m *mesh.Mesh, table []tagSlot, e mesh.Ent, a
 			}
 		case ds.TagIntSlice:
 			vals := r.Int64s()
-			if tag != nil {
+			if size = len(vals); size == slot.size && tag != nil {
 				m.Tags.SetInts(tag, e, vals)
 			}
 		case ds.TagFloatSlice:
 			v := r.Float64s()
-			if tag != nil {
+			if size = len(v); size == slot.size && tag != nil {
 				m.Tags.SetFloats(tag, e, v)
 			}
 		case ds.TagBytes:
 			// Aliasing is safe here: SetBytes copies before the message
 			// can be released.
 			v := r.BytesNoCopy()
-			if tag != nil {
+			if size = len(v); size == slot.size && tag != nil {
 				m.Tags.SetBytes(tag, e, v)
 			}
+		}
+		if size != slot.size {
+			localFail("partition: a value of %d components for tag %q of size %d", size, slot.name, slot.size)
 		}
 	}
 }

@@ -388,8 +388,8 @@ func TestReaderRejectsHostileLengthPrefix(t *testing.T) {
 		func() {
 			defer func() {
 				p := recover()
-				s, _ := p.(string)
-				if !strings.Contains(s, "corrupt length prefix") {
+				err, _ := p.(*MalformedError)
+				if err == nil || !strings.Contains(err.Error(), "corrupt length prefix") {
 					t.Errorf("%s: want descriptive bounded panic, got %v", name, p)
 				}
 			}()

@@ -3,6 +3,7 @@ package pcu
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"math"
 	"runtime"
 	"slices"
@@ -15,8 +16,8 @@ import (
 // and a payload.
 //
 // Hostile: the script runs against the raw payload. Every call returns
-// or panics with one of the Reader's own diagnostics ("pcu: ..."), never
-// a runtime error, and a bulk decode yields no more than the payload
+// or panics with one of the Reader's own diagnostics (a *MalformedError,
+// "pcu: ..."), never a runtime error, and a bulk decode yields no more than the payload
 // could hold: a length prefix is checked against the bytes left before
 // anything is allocated.
 //
@@ -66,8 +67,8 @@ func fuzzDecode(t *testing.T, script, payload []byte) {
 				case nil:
 				case runtime.Error:
 					t.Fatalf("script[%d] = op %d with %d bytes left: runtime error %v", i, op%readerOps, before, p)
-				case string:
-					if !strings.HasPrefix(p, "pcu: ") {
+				case *MalformedError:
+					if !strings.HasPrefix(p.Error(), "pcu: ") || !errors.Is(p, ErrMalformed) {
 						t.Fatalf("script[%d] = op %d: foreign panic %q", i, op%readerOps, p)
 					}
 				default:

@@ -2,6 +2,7 @@ package pcu
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"math"
 	"slices"
@@ -24,6 +25,11 @@ type Buffer struct {
 	// phase (it is listed in the Ctx's active-peer table).
 	active bool
 }
+
+// NewBuffer returns a standalone buffer packing after buf's contents,
+// into its spare room first: a writer that knows its size packs into
+// one array made for it.
+func NewBuffer(buf []byte) *Buffer { return &Buffer{buf: buf} }
 
 // seal marks the buffer as delivered; further packing panics.
 func (b *Buffer) seal() { b.sealed = true }
@@ -140,9 +146,24 @@ type Message struct {
 	Data *Reader
 }
 
+// ErrMalformed is wrapped by the *MalformedError a Reader panics with
+// when a payload does not decode as asked: a read past the end, a length
+// prefix the bytes left cannot hold, or bytes left over at Done. A
+// decoder of bytes from outside the program recovers it (and nothing
+// else) to turn a bad input into an error.
+var ErrMalformed = errors.New("pcu: malformed payload")
+
+// MalformedError is one Reader diagnostic; it unwraps to ErrMalformed.
+type MalformedError struct{ msg string }
+
+func (e *MalformedError) Error() string { return e.msg }
+
+func (e *MalformedError) Unwrap() error { return ErrMalformed }
+
 // Reader decodes a received payload in the order it was packed.
 // Decoding past the end or against the wrong type indicates a protocol
-// bug between sender and receiver and panics with a diagnostic.
+// bug between sender and receiver, or a damaged input, and panics with
+// a *MalformedError.
 //
 // A Reader handed out by Exchange is pooled: Done on a fully-consumed
 // message recycles the Reader and its backing array into the receiving
@@ -214,7 +235,7 @@ func (r *Reader) Empty() bool { return r.Remaining() == 0 }
 // invalid from this point on.
 func (r *Reader) Done() {
 	if n := r.Remaining(); n != 0 {
-		panic(fmt.Sprintf("pcu: message has %d undecoded trailing bytes", n))
+		panic(&MalformedError{fmt.Sprintf("pcu: message has %d undecoded trailing bytes", n)})
 	}
 	if c := r.owner; c != nil {
 		r.owner = nil
@@ -228,7 +249,7 @@ func (r *Reader) Done() {
 func (r *Reader) need(n int) {
 	r.check()
 	if n < 0 || r.Remaining() < n {
-		panic(fmt.Sprintf("pcu: message underflow: need %d bytes, have %d", n, r.Remaining()))
+		panic(&MalformedError{fmt.Sprintf("pcu: message underflow: need %d bytes, have %d", n, r.Remaining())})
 	}
 }
 
@@ -282,11 +303,11 @@ func (r *Reader) Advance(n int) []byte {
 func (r *Reader) lenPrefix(elemSize int) int {
 	n := int(r.Int32())
 	if n < 0 {
-		panic(fmt.Sprintf("pcu: corrupt length prefix %d", n))
+		panic(&MalformedError{fmt.Sprintf("pcu: corrupt length prefix %d", n)})
 	}
 	if need := n * elemSize; need > r.Remaining() {
-		panic(fmt.Sprintf("pcu: corrupt length prefix: %d elements (%d bytes) but only %d bytes remain",
-			n, need, r.Remaining()))
+		panic(&MalformedError{fmt.Sprintf("pcu: corrupt length prefix: %d elements (%d bytes) but only %d bytes remain",
+			n, need, r.Remaining())})
 	}
 	return n
 }

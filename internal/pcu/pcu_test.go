@@ -193,6 +193,7 @@ func TestExchangeAllToAllSortedAndPhased(t *testing.T) {
 				if v := m.Data.Int32(); v != int32(i*1000+phase) {
 					return fmt.Errorf("phase mixing: got %d", v)
 				}
+				m.Data.Done()
 			}
 		}
 		return nil
@@ -213,6 +214,7 @@ func TestExchangeEmptyPhase(t *testing.T) {
 			if len(msgs) != 1 || msgs[0].Data.Byte() != 7 {
 				return errors.New("rank 3 missed the message")
 			}
+			msgs[0].Data.Done()
 		} else if len(msgs) != 0 {
 			return fmt.Errorf("rank %d got %d messages", c.Rank(), len(msgs))
 		}
@@ -233,6 +235,7 @@ func TestExchangeSelfMessage(t *testing.T) {
 		if v := msgs[0].Data.Int64(); v != int64(c.Rank())+10 {
 			return fmt.Errorf("self payload = %d", v)
 		}
+		msgs[0].Data.Done()
 		return nil
 	})
 	if err != nil {
@@ -295,8 +298,8 @@ func TestBufferReaderRoundTrip(t *testing.T) {
 
 func TestReaderUnderflowPanics(t *testing.T) {
 	defer func() {
-		if recover() == nil {
-			t.Fatal("underflow did not panic")
+		if err, _ := recover().(error); !errors.Is(err, ErrMalformed) {
+			t.Fatalf("underflow panicked with %v, want an error wrapping ErrMalformed", err)
 		}
 	}()
 	NewReader([]byte{1, 2}).Int32()
@@ -332,6 +335,7 @@ func TestBufferSealedAfterExchange(t *testing.T) {
 				panic("stale buffer write did not panic")
 			}
 		}()
+		//pumi-vet:ignore bufdiscipline // deliberate stale write: the sealed buffer must refuse it
 		b.Int32(2) // must panic: the phase's Exchange delivered this buffer
 		return nil
 	})
@@ -375,6 +379,7 @@ func TestBufferGrow(t *testing.T) {
 				panic("Grow on a delivered buffer did not panic")
 			}
 		}()
+		//pumi-vet:ignore bufdiscipline // deliberate stale write: the sealed buffer must refuse it
 		b.Grow(8)
 		return nil
 	})
