@@ -277,6 +277,11 @@ func forgeries(t testing.TB) []forgery {
 			rc.res = []int32{1}
 			return s.with(rc)
 		}, true},
+		{"fresh-id counter", "fresh-id counter -1 below", func(s *shipment) []byte {
+			data := slices.Clone(s.data)
+			le.PutUint64(data[8+4:], ^uint64(0))
+			return data
+		}, true},
 		{"shared count", "the header says", func(s *shipment) []byte {
 			data := slices.Clone(s.data) // one shared entity more, of two cells
 			le.PutUint32(data[partHead-8:], le.Uint32(data[partHead-8:])+1)

@@ -28,9 +28,6 @@ const (
 	partMagic = "PUMICK03"
 )
 
-// magicWord is the little-endian word whose bytes are magic.
-func magicWord(magic string) int64 { return int64(binary.LittleEndian.Uint64([]byte(magic))) }
-
 // readMagic consumes data's magic, which must be magic.
 func readMagic(data []byte, magic string) *pcu.Reader {
 	if len(data) < len(magic) || string(data[:len(magic)]) != magic {
@@ -60,7 +57,7 @@ func EncodeMesh(m *mesh.Mesh) ([]byte, error) {
 		}
 	}
 	b := pcu.NewBuffer(make([]byte, 0, size))
-	b.Int64(magicWord(meshMagic))
+	b.Int64(int64(binary.LittleEndian.Uint64([]byte(meshMagic))))
 	b.Int32(int32(m.Dim()))
 	packPart(b, p, movable, nil)
 	return b.Raw(), nil
@@ -70,21 +67,19 @@ func EncodeMesh(m *mesh.Mesh) ([]byte, error) {
 // mesh comes back with no partition hooks. Any input that is not such
 // a file is an error.
 func DecodeMesh(data []byte, model *gmi.Model) (*mesh.Mesh, error) {
-	var m *mesh.Mesh
+	var out *mesh.Mesh
 	err := catchStage(func() {
 		r := readMagic(data, meshMagic)
 		dim := r.Int32()
 		if dim < 1 || dim > 3 {
 			localFail("partition: bad dimension %d", dim)
 		}
-		m = mesh.New(model, int(dim))
+		m := mesh.New(model, int(dim))
 		p := &Part{M: m}
 		unpackRecords(p, r, int(dim), p.reserveLoad, nil, func(e mesh.Ent, created bool) { p.loaded(e, created) })
+		out = m
 	})
-	if err != nil {
-		return nil, err
-	}
-	return m, nil
+	return out, err
 }
 
 // loaded is a load's landed: every record is a new entity, and one
@@ -122,7 +117,7 @@ func EncodePart(p *Part) ([]byte, error) {
 		}
 	}
 	b := pcu.NewBuffer(make([]byte, 0, size))
-	b.Int64(magicWord(partMagic))
+	b.Int64(int64(binary.LittleEndian.Uint64([]byte(partMagic))))
 	b.Int32(m.Part())
 	b.Int64(p.counter)
 	b.Int32(int32(shared))
@@ -169,6 +164,7 @@ func DecodePart(data []byte, pid int32, nparts int, model *gmi.Model, dim int) (
 		res = make([]Residence, 0, shared)
 		arena := make([]int32, 0, cells) // every kept residence is a run of it
 		var run []int32                  // the record's residence
+		var minted int64                 // the most this part's fresh ids have counted
 		unpackRecords(p, r, dim, p.reserveLoad,
 			func() {
 				// Assemble stitches a residence strictly ascending, inside
@@ -184,6 +180,9 @@ func DecodePart(data []byte, pid int32, nparts int, model *gmi.Model, dim int) (
 			},
 			func(e mesh.Ent, created bool) {
 				p.loaded(e, created)
+				if g := p.Gid(e); g>>freshGidBase == int64(pid)+1 {
+					minted = max(minted, g&(1<<freshGidBase-1))
+				}
 				if len(run) == 1 {
 					return // on this part alone: interior
 				}
@@ -195,6 +194,9 @@ func DecodePart(data []byte, pid int32, nparts int, model *gmi.Model, dim int) (
 			})
 		if len(res) != shared || len(arena) != cells {
 			localFail("partition: %d shared entities of %d residence cells, the header says %d of %d", len(res), len(arena), shared, cells)
+		}
+		if counter < minted { // the next fresh id would repeat one
+			localFail("partition: fresh-id counter %d below the %d this part has minted", counter, minted)
 		}
 	})
 	if err != nil {
