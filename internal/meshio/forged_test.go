@@ -144,7 +144,7 @@ func (rc record) clone() record {
 type forgery struct {
 	name, want string
 	forge      func(s *shipment) []byte
-	partOnly   bool // a residence: part files only
+	partOnly   bool // a header or residence forgery: part files only
 }
 
 // forgeries lists one case per way a file can be malformed.
