@@ -76,6 +76,9 @@ bench-go:
 # BENCH=BenchmarkHaloStep is
 # halo-offnode's solver step: a step allocates nothing, so its profile is
 # the set-up's (the vessel, MLGraph, the scatter, the ghosts).
+# BenchmarkRepartitionCycle, BenchmarkGhosting and BenchmarkAdaptShockCycle
+# also report wire-B/op, the bytes their timed rounds deliver (pcu Stats),
+# so a shipment's size is one plain -bench run in each tree away.
 BENCH ?= BenchmarkMigration$$
 SAMPLE ?= alloc_space
 memprofile:

@@ -256,6 +256,7 @@ func BenchmarkRepartitionCycle(b *testing.B) {
 	assignA := zpart.MLGraph(g, 2*k)
 	in, elsB := zpart.Centroids(serial)
 	assignB := zpart.RCB(in, 2*k)
+	var wire int64
 	_, err := pcu.RunOn(2, hwtopo.Cluster(1, 2), func(ctx *pcu.Ctx) error {
 		var sm *mesh.Mesh
 		if ctx.Rank() == 0 {
@@ -279,11 +280,11 @@ func BenchmarkRepartitionCycle(b *testing.B) {
 		for i := -1; i < b.N; i++ { // cycle -1 is the warm-up
 			for _, dest := range [][]int32{destB, destA} {
 				plans := planTo(dm, dest)
-				if err := timedOn(b, ctx, i >= 0, func() error { return partition.TryMigrate(dm, plans) }); err != nil {
+				if err := timedOn(b, ctx, i >= 0, &wire, func() error { return partition.TryMigrate(dm, plans) }); err != nil {
 					return err
 				}
 			}
-			if err := timedOn(b, ctx, i >= 0, func() error { return partition.Verify(dm) }); err != nil {
+			if err := timedOn(b, ctx, i >= 0, &wire, func() error { return partition.Verify(dm) }); err != nil {
 				return err
 			}
 		}
@@ -292,6 +293,7 @@ func BenchmarkRepartitionCycle(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	reportWire(b, wire)
 }
 
 // planTo returns the plans that send every local element to dest[its
@@ -354,7 +356,7 @@ func BenchmarkParmaVessel32Cycle(b *testing.B) {
 		for i := -1; i < b.N; i++ { // cycle -1 is the warm-up
 			for _, pri := range tests {
 				var res parma.Result
-				err := timedOn(b, ctx, i >= 0, func() (err error) {
+				err := timedOn(b, ctx, i >= 0, nil, func() (err error) {
 					res, err = parma.BalanceSafe(dm, pri, cfg)
 					return err
 				})
@@ -390,21 +392,18 @@ func BenchmarkParmaVessel32Cycle(b *testing.B) {
 func BenchmarkGhosting(b *testing.B) {
 	b.StopTimer()
 	b.ReportAllocs()
+	var wire int64
 	onHaloLayout(b, func(ctx *pcu.Ctx, dm *partition.DMesh) error {
 		for i := -1; i < b.N; i++ { // cycle -1 is the warm-up
-			ctx.Barrier()
-			if i >= 0 && ctx.Rank() == 0 {
-				b.StartTimer()
-			}
-			partition.Ghost(dm, 2, 1)
-			partition.RemoveGhosts(dm)
-			ctx.Barrier()
-			if i >= 0 && ctx.Rank() == 0 {
-				b.StopTimer()
-			}
+			timedOn(b, ctx, i >= 0, &wire, func() error {
+				partition.Ghost(dm, 2, 1)
+				partition.RemoveGhosts(dm)
+				return nil
+			})
 		}
 		return nil
 	})
+	reportWire(b, wire)
 }
 
 // onHaloLayout runs body on every rank of the pipeline benchmark's
@@ -704,8 +703,16 @@ func onShockBox(b *testing.B, body func(ctx *pcu.Ctx, dm *partition.DMesh) error
 }
 
 // timedOn runs f on every rank between two barriers, with rank 0
-// holding the stopwatch when on is set.
-func timedOn(b *testing.B, ctx *pcu.Ctx, on bool, f func() error) error {
+// holding the stopwatch when on is set. With wire not nil, rank 0 also
+// adds the bytes f's rounds delivered, run-wide, to *wire: read before
+// the first barrier and between the last and one more, where no rank
+// can be sending.
+func timedOn(b *testing.B, ctx *pcu.Ctx, on bool, wire *int64, f func() error) error {
+	count := on && wire != nil
+	var before pcu.Stats
+	if count && ctx.Rank() == 0 {
+		before = ctx.Stats()
+	}
 	ctx.Barrier()
 	if on && ctx.Rank() == 0 {
 		b.StartTimer()
@@ -715,7 +722,19 @@ func timedOn(b *testing.B, ctx *pcu.Ctx, on bool, f func() error) error {
 	if on && ctx.Rank() == 0 {
 		b.StopTimer()
 	}
+	if count {
+		if ctx.Rank() == 0 {
+			after := ctx.Stats()
+			*wire += after.OnNodeBytes + after.OffNodeBytes - before.OnNodeBytes - before.OffNodeBytes
+		}
+		ctx.Barrier()
+	}
 	return err
+}
+
+// reportWire reports the bytes the timed rounds delivered per op.
+func reportWire(b *testing.B, wire int64) {
+	b.ReportMetric(float64(wire)/float64(b.N), "wire-B/op")
 }
 
 // BenchmarkAdaptParallel replays the adapt stage of the pipeline
@@ -732,7 +751,7 @@ func BenchmarkAdaptParallel(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		onShockBox(b, func(ctx *pcu.Ctx, dm *partition.DMesh) error {
 			var s adapt.Stats
-			timedOn(b, ctx, true, func() error { s = adapt.Parallel(dm, shockSize, adapt.DefaultOptions()); return nil })
+			timedOn(b, ctx, true, nil, func() error { s = adapt.Parallel(dm, shockSize, adapt.DefaultOptions()); return nil })
 			if ctx.Rank() == 0 {
 				st = s
 			}
@@ -755,9 +774,10 @@ func BenchmarkAdaptShockCycle(b *testing.B) {
 	dir := b.TempDir()
 	model := gmi.Box(1, 1, 1)
 	cfg := parma.Config{Tolerance: 1.05, MaxIters: 40}
+	var wire int64
 	for i := 0; i < b.N; i++ {
 		onShockBox(b, func(ctx *pcu.Ctx, dm *partition.DMesh) error {
-			return timedOn(b, ctx, true, func() error {
+			return timedOn(b, ctx, true, &wire, func() error {
 				adapt.Parallel(dm, shockSize, adapt.DefaultOptions())
 				parma.HeavyPartSplit(dm, cfg)
 				if _, err := parma.BalanceSafe(dm, parma.Priority{{3}}, cfg); err != nil {
@@ -774,6 +794,7 @@ func BenchmarkAdaptShockCycle(b *testing.B) {
 			})
 		})
 	}
+	reportWire(b, wire)
 }
 
 // BenchmarkFieldEval measures field evaluation inside elements.

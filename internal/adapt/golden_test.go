@@ -21,15 +21,17 @@ import (
 // The hashes below were re-pinned when the mesh file became a shipment
 // (partition's one entity format): the previous encoder applied to the
 // same meshes still gave the hashes captured at the commit before the
-// adjacency kernel landed (e183a64). meshio.Write stores every
-// entity in iteration order with its downward ids, so the bytes move if
-// any query changes its result order, if BuildFromVerts hands out
-// different handles, or if adaptation or migration visits entities
-// differently.
+// adjacency kernel landed (e183a64). They were re-pinned again when a
+// record came to name its downward entities by position instead of by
+// global id: the new files, each position rewritten as the gid it
+// names, gave the previous hashes. meshio.Write stores every entity in
+// iteration order with its downward entities, so the bytes move if any
+// query changes its result order, if BuildFromVerts hands out different
+// handles, or if adaptation or migration visits entities differently.
 const (
-	goldenAdaptSHA    = "0f659f44351923fd6964433443db599bab0ed25c7611859e34776108bff685c3"
-	goldenMigrateSHA0 = "ec652ff941799852b4d456b27042bef084ea9cc0b69a723bb69d0d3b9744fa91"
-	goldenMigrateSHA1 = "c5686a8248ab1d0a06887eb07dcb864d8fc56caf809c1c8109a87497c98b819a"
+	goldenAdaptSHA    = "f90af43118e3d7cd6ca5554f15a5e40f8e6b589fd3be40530b188a153f0b3a82"
+	goldenMigrateSHA0 = "c0111e34d36359682b88d943a374863c9c9a27f2a3baf57095dae2b1fbd7c4b2"
+	goldenMigrateSHA1 = "ab62de13aaa692e5e8d55fd98d6f8cecb40478b8e05a48ed6b28ad595660b7f9"
 )
 
 func meshSHA(m *mesh.Mesh) (string, error) {

@@ -15,9 +15,9 @@ import (
 //     into a buffer that has already been delivered and discarded.
 //   - A *pcu.Reader obtained in a function (from a received Message's
 //     .Data field or from pcu.NewReader) that is decoded must also be
-//     checked for exhaustion via Empty, Remaining or Done on some path;
-//     silently dropping trailing bytes hides protocol mismatches
-//     between sender and receiver. Readers received as function
+//     checked for exhaustion via Empty, Remaining, Done or Recycle on
+//     some path; silently dropping trailing bytes hides protocol
+//     mismatches between sender and receiver. Readers received as function
 //     parameters are exempt: partial decoding may be the callee's
 //     contract.
 //
@@ -33,11 +33,11 @@ var decodeMethods = map[string]bool{
 	"Byte": true, "Int32": true, "Int64": true, "Float64": true,
 	"Bytes": true, "BytesNoCopy": true,
 	"Int32s": true, "Int64s": true, "Float64s": true,
-	"AppendInt32s": true, "AppendInt64s": true, "AppendFloat64s": true,
+	"AppendInt32s": true, "AppendFloat64s": true,
 }
 
 var finalizeMethods = map[string]bool{
-	"Empty": true, "Remaining": true, "Done": true,
+	"Empty": true, "Remaining": true, "Done": true, "Recycle": true,
 }
 
 // packMethods includes Reset, Grow and Window: resetting, reserving or

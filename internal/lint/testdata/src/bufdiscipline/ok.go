@@ -79,11 +79,23 @@ func okStandaloneAlias(payload []byte) byte {
 	return v[0]
 }
 
+func okAliasPastRecycle(c *pcu.Ctx) [][]byte {
+	// Recycle finishes a message but leaves its array alone: the slices
+	// cut from it stay valid.
+	var keep [][]byte
+	for _, m := range c.Exchange() {
+		v := m.Data.BytesNoCopy()
+		m.Data.Recycle()
+		keep = append(keep, v)
+	}
+	return keep
+}
+
 func okBulkPhase(c *pcu.Ctx, peer int, vals []int64) {
 	b := c.To(peer)
 	b.Int64s(vals)
 	for _, m := range c.Exchange() {
-		got := m.Data.AppendInt64s(nil)
+		got := m.Data.Int64s()
 		_ = got
 		m.Data.Done()
 	}

@@ -42,7 +42,7 @@ type record struct {
 	gid     int64
 	cls     gmi.Ref
 	res     []int32 // residence, part files only
-	down    []int64 // downward gids, nil for a vertex
+	down    []int32 // downward positions in the level below, nil for a vertex
 	x       [3]float64
 }
 
@@ -67,7 +67,9 @@ func parseShipment(t testing.TB, data []byte, at, dim int, mid bool) *shipment {
 			if d == 0 {
 				rc.x = [3]float64{r.Float64(), r.Float64(), r.Float64()}
 			} else {
-				rc.down = r.Int64s()
+				for range rc.t.DownCount() {
+					rc.down = append(rc.down, r.Int32())
+				}
 			}
 			for range r.Byte() {
 				r.Byte()
@@ -97,7 +99,9 @@ func (rc record) bytes(mid bool, tags []byte) []byte {
 			b.Float64(x)
 		}
 	} else {
-		b.Int64s(rc.down)
+		for _, at := range rc.down {
+			b.Int32(at)
+		}
 	}
 	if len(tags) == 0 {
 		tags = []byte{0}
@@ -175,24 +179,25 @@ func forgeries(t testing.TB) []forgery {
 			rc.cls = gmi.Ref{Dim: 8}
 			return s.with(rc)
 		}, false},
-		{"down gid not held", "before its closure", func(s *shipment) []byte {
+		{"down position past level", "names down position", func(s *shipment) []byte {
 			rc := s.recs[2][0].clone()
-			rc.down[0] = 1 << 50
+			rc.down[0] = int32(len(s.recs[1]))
 			return s.with(rc)
 		}, false},
-		{"down count", "tri needs 3 downward entities, got 2", func(s *shipment) []byte {
+		{"negative down position", "names down position -1 of", func(s *shipment) []byte {
 			rc := s.recs[2][0].clone()
-			rc.down = rc.down[:2]
+			rc.down[0] = -1
 			return s.with(rc)
+		}, false},
+		{"record cut in positions", "message underflow", func(s *shipment) []byte {
+			rc := s.recs[2][0]
+			return s.data[:rc.end-1-4*len(rc.down)+6] // one position and half of the next
 		}, false},
 		{"down types", "is a tri, want a quad", func(s *shipment) []byte {
 			last := len(s.recs[3]) - 1
 			rc := s.recs[3][last].clone()
 			rc.t = mesh.Pyramid
-			rc.down = nil
-			for _, f := range s.recs[2][:5] {
-				rc.down = append(rc.down, f.gid)
-			}
+			rc.down = []int32{0, 1, 2, 3, 4}
 			return s.with(rc)
 		}, false},
 		{"repeated down", "lists", func(s *shipment) []byte {
@@ -207,9 +212,9 @@ func forgeries(t testing.TB) []forgery {
 		}, false},
 		{"open region shell", "of its faces, want 2", func(s *shipment) []byte {
 			rc := s.recs[3][0].clone()
-			for _, f := range s.recs[2] {
-				if !slices.Contains(rc.down, f.gid) {
-					rc.down[3] = f.gid
+			for f := range int32(len(s.recs[2])) {
+				if !slices.Contains(rc.down, f) {
+					rc.down[3] = f
 					break
 				}
 			}
@@ -253,11 +258,12 @@ func forgeries(t testing.TB) []forgery {
 			return s.data[:s.recs[0][2].at+5]
 		}, false},
 		{"bad length prefix", "corrupt length prefix", func(s *shipment) []byte {
-			rc := s.recs[2][0]
-			data := slices.Clone(s.data)
-			at := rc.end - 1 - 8*len(rc.down) - 4 // the down gids' length
-			le.PutUint32(data[at:], 1<<30)
-			return data
+			rc := s.recs[0][0]
+			forged := &shipment{data: s.withDirectory(tagDecl{"v", ds.TagIntSlice, 3}), mid: s.mid}
+			shift := len(forged.data) - len(s.data)
+			rc.at, rc.end = rc.at+shift, rc.end+shift
+			value := append([]byte{1, 0, 0, 0, 0, 0x40}, make([]byte, 24)...) // 1<<30 components
+			return forged.with(rc, value...)
 		}, false},
 		{"trailing bytes", "3 undecoded trailing bytes", func(s *shipment) []byte {
 			return append(slices.Clone(s.data), 1, 2, 3)
@@ -291,15 +297,15 @@ func forgeries(t testing.TB) []forgery {
 	}
 }
 
-// disjointEdges returns three distinct edge gids, the first two with no
-// vertex in common.
-func disjointEdges(t testing.TB, edges []record) []int64 {
+// disjointEdges returns the positions of three distinct edges, the
+// first two with no vertex in common.
+func disjointEdges(t testing.TB, edges []record) []int32 {
 	for i, a := range edges {
-		for _, b := range edges[i+1:] {
+		for j, b := range edges[i+1:] {
 			if !slices.Contains(b.down, a.down[0]) && !slices.Contains(b.down, a.down[1]) {
-				for _, c := range edges {
-					if c.gid != a.gid && c.gid != b.gid {
-						return []int64{a.gid, b.gid, c.gid}
+				for c := range len(edges) {
+					if c != i && c != i+1+j {
+						return []int32{int32(i), int32(i + 1 + j), int32(c)}
 					}
 				}
 			}

@@ -3,8 +3,8 @@
 // partition, improve, adapt) the way the paper's tools pass meshes
 // between steps, and a distributed run can restart. It knows files —
 // the checkpoint manifest, CRCs, epochs, the assignment file — and no
-// entity format: a mesh file and a part file each hold one shipment,
-// partition's migration format, which partition writes and reads.
+// entity format: a mesh file and a part file each hold one shipment
+// (partition's, whose records name downward entities by position).
 package meshio
 
 import (

@@ -19,13 +19,13 @@ import (
 //     their residences (which size the load's residence list), then the
 //     shipment, each record's mid the entity's residence;
 //   - a serial mesh file: meshMagic, the dimension, then the shipment
-//     with no mid, its global ids positions in iteration order.
+//     with no mid, each global id its record's position in its level.
 //
 // Remote-copy handles are process-local and never stored: Assemble
 // restitches the links from the residences by global id.
 const (
-	meshMagic = "PUMIGO03"
-	partMagic = "PUMICK03"
+	meshMagic = "PUMIGO04"
+	partMagic = "PUMICK04"
 )
 
 // readMagic consumes data's magic, which must be magic.
@@ -44,15 +44,10 @@ func EncodeMesh(m *mesh.Mesh) ([]byte, error) {
 		return nil, err
 	}
 	p := &Part{M: m} // its gids, positions in iteration order, and nothing else
+	p.assignSerialGids()
 	size := len(meshMagic) + 4 + headerBytes(movable, m.Dim())
 	for d := 0; d <= m.Dim(); d++ {
-		var next int64
 		for e := range m.Iter(d) {
-			if p.gids[e.T] == nil {
-				p.gids[e.T] = make([]int64, m.Reserve(e.T, 0))
-			}
-			p.gids[e.T][e.I] = next
-			next++
 			size += recordSize(m, movable, e, 0)
 		}
 	}
@@ -76,7 +71,7 @@ func DecodeMesh(data []byte, model *gmi.Model) (*mesh.Mesh, error) {
 		}
 		m := mesh.New(model, int(dim))
 		p := &Part{M: m}
-		unpackRecords(p, r, int(dim), p.reserveLoad, nil, func(e mesh.Ent, created bool) { p.loaded(e, created) })
+		unpackRecords(p, r, int(dim), landing{}, p.reserveLoad, nil, func(e mesh.Ent, created bool) { p.loaded(e, created) })
 		out = m
 	})
 	return out, err
@@ -165,7 +160,7 @@ func DecodePart(data []byte, pid int32, nparts int, model *gmi.Model, dim int) (
 		arena := make([]int32, 0, cells) // every kept residence is a run of it
 		var run []int32                  // the record's residence
 		var minted int64                 // the most this part's fresh ids have counted
-		unpackRecords(p, r, dim, p.reserveLoad,
+		unpackRecords(p, r, dim, landing{}, p.reserveLoad,
 			func() {
 				// Assemble stitches a residence strictly ascending, inside
 				// [0, nparts), with this part among it.

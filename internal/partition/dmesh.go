@@ -372,7 +372,8 @@ var phaseTap func(ph *phase, got []partMsg, delivered bool)
 // The rank-level Messages are deliberately never Done: that would park
 // their arrays in Ctx's free list, which after a bulk migration pins
 // about 2.5 MB per rank (+160 B live per element on
-// repartition-vessel16). The returned payloads alias them.
+// repartition-vessel16). The returned payloads alias them: Recycle
+// gives each Reader back without its array.
 func (ph *phase) exchange() []partMsg {
 	dm, np := ph.dm, ph.dm.NParts()
 	if !ph.laid {
@@ -400,6 +401,7 @@ func (ph *phase) exchange() []partMsg {
 			out = append(out, partMsg{From: m.Data.Int32(), To: m.Data.Int32()})
 			out[len(out)-1].Data.Reset(m.Data.BytesNoCopy())
 		}
+		m.Data.Recycle()
 	}
 	slices.SortStableFunc(out, func(a, b partMsg) int {
 		return cmp.Or(cmp.Compare(a.To, b.To), cmp.Compare(a.From, b.From))

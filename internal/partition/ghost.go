@@ -171,7 +171,7 @@ func writeGhosts(ph *phase, ships []ghostShip) {
 		m, sh := part.M, &ships[li]
 		for _, r := range sh.runs {
 			b := ph.to(m.Part(), r.to)
-			packRecords(b, part, ph.dm.Dim, sh.movable, r.closure, r.els,
+			packRecords(b, part, ph.dm.Dim, sh.movable, r.closure, r.els, nil,
 				func(e mesh.Ent) { b.Int32(m.Owner(e)) },
 				func(el mesh.Ent) {
 					b.Byte(byte(el.T))
@@ -181,39 +181,38 @@ func writeGhosts(ph *phase, ships []ghostShip) {
 	}
 }
 
-// receiveGhosts unpacks the shipment, sorted by (To, From), part by
-// part, and returns the element ghosts each local part created.
+// receiveGhosts unpacks the shipment and returns the element ghosts
+// each local part created. An element ghost links to its home copy,
+// whose handle follows the element's record, while it is still this
+// part's own, before it becomes a ghost of its home's owner.
 func receiveGhosts(dm *DMesh, msgs []partMsg) [][]mesh.Ent {
 	created := make([][]mesh.Ent, len(dm.Parts))
-	for li, part := range dm.Parts {
-		for ; len(msgs) > 0 && msgs[0].To == part.M.Part(); msgs = msgs[1:] {
-			created[li] = unpackGhosts(dm, part, &msgs[0], created[li])
-		}
-	}
-	return created
-}
-
-// unpackGhosts unpacks one message onto part. An element ghost links to
-// its home copy, whose handle follows the element's record, while it is
-// still this part's own, before it becomes a ghost of its home's owner.
-func unpackGhosts(dm *DMesh, part *Part, msg *partMsg, created []mesh.Ent) []mesh.Ent {
-	m, r := part.M, &msg.Data
-	var owner int32
-	unpackRecords(part, r, dm.Dim, nil,
-		func() { owner = r.Int32() },
-		func(e mesh.Ent, isNew bool) {
-			if e.Dim() == dm.Dim {
-				home := mesh.Ent{T: mesh.Type(r.Byte()), I: r.Int32()}
-				if isNew {
-					m.SetRemote(e, owner, home)
-					created = append(created, e)
+	var ld landing
+	for i := range msgs {
+		li, r := dm.localIndex(msgs[i].To), &msgs[i].Data
+		part := dm.Parts[li]
+		var owner int32
+		ld = unpackRecords(part, r, dm.Dim, ld,
+			func(t mesh.Type, n int) { // size the list once per message
+				if t.Dim() == dm.Dim {
+					created[li] = slices.Grow(created[li], n)
 				}
-			}
-			if isNew {
-				m.SetGhost(e, owner)
-				part.nGhosts++
-			}
-		})
+			},
+			func() { owner = r.Int32() },
+			func(e mesh.Ent, isNew bool) {
+				if e.Dim() == dm.Dim {
+					home := mesh.Ent{T: mesh.Type(r.Byte()), I: r.Int32()}
+					if isNew {
+						part.M.SetRemote(e, owner, home)
+						created[li] = append(created[li], e)
+					}
+				}
+				if isNew {
+					part.M.SetGhost(e, owner)
+					part.nGhosts++
+				}
+			})
+	}
 	return created
 }
 

@@ -490,7 +490,10 @@ func (mg *migration) packShipment() {
 				closure, els := ship[1:1+n], p.moves[lo:hi]
 				if packing {
 					b := ph.to(p.M.Part(), q)
-					packRecords(b, p.Part, d, movable, closure, els, func(e mesh.Ent) { b.Int32s(p.tab.res(e)) }, nil)
+					p.tab.number(closure, true)
+					at := func(e mesh.Ent) int32 { return int32(p.tab.entry(e).w) }
+					packRecords(b, p.Part, d, movable, closure, els, at, func(e mesh.Ent) { b.Int32s(p.tab.res(e)) }, nil)
+					p.tab.number(closure, false)
 				} else {
 					size := headerBytes(movable, d)
 					for _, mv := range els {
@@ -522,10 +525,12 @@ func (mg *migration) receiveElements() {
 		p.tab.reserve(p.arriving, p.arriving)
 		p.created = make([]uint32, 0, p.arriving)
 	}
-	var run []int32 // residence decode scratch
+	var run []int32           // residence decode scratch
+	var small [2][64]mesh.Ent // a small shipment's landing, on the stack
+	ld := landing{small[0][:0], small[1][:0]}
 	for i := range msgs {
 		p, r := &mg.parts[mg.dm.localIndex(msgs[i].To)], &msgs[i].Data
-		unpackRecords(p.Part, r, mg.dm.Dim, p.reserve,
+		ld = unpackRecords(p.Part, r, mg.dm.Dim, ld, p.reserve,
 			func() { run = r.AppendInt32s(run[:0]) },
 			func(e mesh.Ent, created bool) {
 				// Logged in creation order, for an abort to roll back.
@@ -774,6 +779,20 @@ func (t *resTable) add(e mesh.Ent, v int32) bool {
 	return true
 }
 
+// number sets, with on, the word of each entity of ship, a run's closure,
+// to its position in its level while the run packs (reset and commit
+// read the words); without, it restores them.
+func (t *resTable) number(ship []uint32, on bool) {
+	for dd := range 3 {
+		for j, w := range level(ship, dd) {
+			en := t.entry(mesh.UnpackEnt(w))
+			if en.w = w; on {
+				en.w = uint32(j)
+			}
+		}
+	}
+}
+
 // reset clears the index column through the touched list.
 func (t *resTable) reset() {
 	for _, seg := range [2][]resEntry{t.entries, t.more} {
@@ -808,13 +827,13 @@ func closureBound(m *mesh.Mesh, moves []uint64, d int) int {
 
 // recordBytes is the size of a packRecord record of a type-t entity
 // without tag values, mid packing mid bytes: type, gid, classification,
-// mid, coordinates or down gids, tag count.
+// mid, coordinates or a 4-byte position per downward entity, tag count.
 func recordBytes(t mesh.Type, mid int) int {
 	n := 1 + 8 + 1 + 4 + mid + 1
 	if t == mesh.Vertex {
 		return n + 24
 	}
-	return n + 4 + 8*t.DownCount()
+	return n + 4*t.DownCount()
 }
 
 // recordSize is the size of e's packRecord record, mid packing mid
@@ -834,25 +853,31 @@ func headerBytes(movable []*ds.Tag, d int) int { return tagTableBytes(movable) +
 // the elements. A record is the entity's type, global id,
 // classification, what mid packs (a migrating entity's staged
 // residence, a ghost's owner, a checkpointed entity's residence, or
-// nothing in a serial file), coordinates or downward global ids, then
-// its tag values.
+// nothing in a serial file), a vertex's coordinates or, per downward
+// entity, its record's position in the level below (a shipment holds
+// every entity's closure), then its tag values.
 
 // packRecords packs a shipment of closure (ascending) and the elements
-// els, what tail packs following each element's record.
-func packRecords(b *pcu.Buffer, part *Part, d int, movable []*ds.Tag, closure []uint32, els []uint64, mid, tail func(mesh.Ent)) {
+// els (packed handles in the low 32 bits, ascending), what tail packs
+// following each element's record; at, if not nil, gives a closure
+// entity's position in its level (else a binary search finds it).
+func packRecords[W uint32 | uint64](b *pcu.Buffer, part *Part, d int, movable []*ds.Tag, closure []uint32, els []W, at func(mesh.Ent) int32, mid, tail func(mesh.Ent)) {
 	writeTagTable(b, movable)
+	var below []uint32
 	for dd := 0; dd < d; dd++ {
 		lv := level(closure, dd)
 		b.Int32(int32(len(lv)))
 		for _, w := range lv {
-			packRecord(b, part, movable, mesh.UnpackEnt(w), mid)
+			packRecord(b, part, movable, mesh.UnpackEnt(w), below, at, mid)
 		}
+		below = lv
 	}
 	b.Int32(int32(len(els)))
-	for _, mv := range els {
-		packRecord(b, part, movable, moveEnt(mv), mid)
+	for _, w := range els {
+		el := mesh.UnpackEnt(uint32(w))
+		packRecord(b, part, movable, el, below, at, mid)
 		if tail != nil {
-			tail(moveEnt(mv))
+			tail(el)
 		}
 	}
 }
@@ -861,17 +886,19 @@ func packRecords(b *pcu.Buffer, part *Part, d int, movable []*ds.Tag, closure []
 // order.
 func packPart(b *pcu.Buffer, part *Part, movable []*ds.Tag, mid func(mesh.Ent)) {
 	m := part.M
-	writeTagTable(b, movable)
+	all := make([]uint32, 0, m.Count(0)+m.Count(1)+m.Count(2)+m.Count(3))
 	for d := 0; d <= m.Dim(); d++ {
-		b.Int32(int32(m.Count(d)))
 		for e := range m.Iter(d) {
-			packRecord(b, part, movable, e, mid)
+			all = append(all, e.Pack())
 		}
 	}
+	k := len(all) - m.Count(m.Dim())
+	packRecords(b, part, m.Dim(), movable, all[:k], all[k:], nil, mid, nil)
 }
 
-// packRecord packs e's record; a nil mid packs nothing there.
-func packRecord(b *pcu.Buffer, part *Part, movable []*ds.Tag, e mesh.Ent, mid func(mesh.Ent)) {
+// packRecord packs e's record, below being the level under e's,
+// ascending; a nil mid packs nothing there.
+func packRecord(b *pcu.Buffer, part *Part, movable []*ds.Tag, e mesh.Ent, below []uint32, at func(mesh.Ent) int32, mid func(mesh.Ent)) {
 	m := part.M
 	b.Byte(byte(e.T))
 	b.Int64(part.Gid(e))
@@ -887,34 +914,39 @@ func packRecord(b *pcu.Buffer, part *Part, movable []*ds.Tag, e mesh.Ent, mid fu
 		b.Float64(x.Y)
 		b.Float64(x.Z)
 	} else {
-		// At most 6 entities lie one level below any.
-		var down [6]mesh.Ent
-		var gids [6]int64
-		n := 0
+		var down [6]mesh.Ent // at most 6 entities lie one level below any
 		for _, de := range m.DownTo(e, down[:0]) {
-			gids[n] = part.Gid(de)
-			n++
+			if at != nil {
+				b.Int32(at(de))
+				continue
+			}
+			j, ok := slices.BinarySearch(below, de.Pack())
+			if !ok {
+				panic(fmt.Sprintf("partition: %v ships without its downward %v", e, de))
+			}
+			b.Int32(int32(j))
 		}
-		b.Int64s(gids[:n])
 	}
 	writeEntityTags(b, m, movable, e)
 }
 
+type landing struct{ below, level []mesh.Ent } // the handles two levels landed
+
 // unpackRecords decodes a shipment onto part, finding each entity by
-// global id or creating it; tag values go to the ones created (existing
-// copies keep their own). mid, if not nil, reads what its namesake
-// packed; landed is told of every entity, the reader standing where
-// tail packed. reserve, if not nil, sizes the part's arrays by the level
-// counts, once per type. Bytes that do not decode into entities the
-// mesh can hold — a record of a type out of place, a negative gid, a
-// classification storage cannot hold, an entity ahead of its closure
-// or with downward entities TryCreateEntity refuses — are a recoverable
-// failure: the abort vote rolls a migration back, a load returns it.
-func unpackRecords(part *Part, r *pcu.Reader, d int, reserve func(mesh.Type, int), mid func(), landed func(e mesh.Ent, created bool)) {
+// global id or creating it; tag values go to the ones created. ld,
+// returned grown, resolves downward positions; mid, if not nil, reads
+// what its namesake packed; landed is told of every entity, the reader
+// standing where tail packed. reserve, if not nil, sizes the part's
+// arrays by the level counts, once per type. Bytes that do not decode
+// into entities the mesh can hold — a record of a type out of place, a
+// negative gid, an unstorable classification, a position out of its
+// level, downward entities TryCreateEntity refuses — are a recoverable
+// failure: a migration's vote rolls it back, a load fails.
+func unpackRecords(part *Part, r *pcu.Reader, d int, ld landing, reserve func(mesh.Type, int), mid func(), landed func(e mesh.Ent, created bool)) landing {
 	m := part.M
 	table := readTagTable(r, m)
-	// Down-adjacency scratch: at most 6 entities lie one level below any.
-	gids, down := make([]int64, 0, 6), make([]mesh.Ent, 0, 6)
+	down := make([]mesh.Ent, 0, 6) // at most 6 entities lie one level below any
+	ld.level = ld.level[:0]
 	for dd := 0; dd <= d; dd++ {
 		n := int(r.Int32())
 		if n < 0 || n > mesh.MaxSlots {
@@ -923,6 +955,7 @@ func unpackRecords(part *Part, r *pcu.Reader, d int, reserve func(mesh.Type, int
 		// The level count, capped by what the bytes left could carry,
 		// sizes the mesh: the part may hold some of these already.
 		room := min(n, r.Remaining()/recordBytes(mesh.Edge, 0))
+		ld.below, ld.level = ld.level, slices.Grow(ld.below[:0], room)
 		prev := mesh.TypesOfDim(dd)[0]
 		for k := 0; k < n; k++ {
 			t := mesh.Type(r.Byte())
@@ -945,14 +978,13 @@ func unpackRecords(part *Part, r *pcu.Reader, d int, reserve func(mesh.Type, int
 			if dd == 0 {
 				x = vec.V{X: r.Float64(), Y: r.Float64(), Z: r.Float64()}
 			} else {
-				gids = r.AppendInt64s(gids[:0])
 				down = down[:0]
-				for _, dg := range gids {
-					de, ok := part.FindGid(dd-1, dg)
-					if !ok {
-						localFail("partition: entity gid %d dim %d arrived before its closure", gid, dd)
+				for range t.DownCount() {
+					at := r.Int32()
+					if at < 0 || int(at) >= len(ld.below) {
+						localFail("partition: entity gid %d dim %d names down position %d of %d", gid, dd, at, len(ld.below))
 					}
-					down = append(down, de)
+					down = append(down, ld.below[at])
 				}
 			}
 			e, found := part.FindGid(dd, gid)
@@ -966,10 +998,12 @@ func unpackRecords(part *Part, r *pcu.Reader, d int, reserve func(mesh.Type, int
 				part.setGid(e, gid)
 			}
 			applyEntityTags(r, m, table, e, !found)
+			ld.level = append(ld.level, e)
 			landed(e, !found)
 		}
 	}
 	r.Done()
+	return ld
 }
 
 // readClassif reads a record's classification, one storage can hold.

@@ -99,8 +99,10 @@ func TestResTableAgainstMap(t *testing.T) {
 // their size; regrown under append they cost 5,200; 0.24 allocations
 // when the scratch of every record and the residence table's arrays
 // grew under append); moving one element allocates at most 36 times
-// (32 measured: per call and per part, never per record; 52 with pair
-// buffers) and less than 1/20 of the bulk call's bytes — which fails as
+// (per call and per part, never per record: 31 measured for part 0's
+// first element and 35 for the next, 37 while the phase allocated a
+// Reader per rank message; 52 with pair buffers) and less than 1/20 of
+// the bulk call's bytes — which fails as
 // soon as a call sizes or reserves scratch by the mesh instead of by
 // what moves.
 func TestMigrateAllocsScaleWithMove(t *testing.T) {
@@ -145,33 +147,45 @@ func TestMigrateAllocsScaleWithMove(t *testing.T) {
 		// The delta is process-wide, so a stray allocation (a 512 KiB
 		// runtime one shows up about one run in twelve) lands in it;
 		// strays only add, so the least of three moves is the move. The
-		// three are one move, part 0's first element to part 1, each
+		// three are one move, of part 0's first element to part 1, each
 		// after an unmeasured move back, and the first after an
 		// unmeasured one of its own, so that the growth of an array the
-		// bulk call filled lands outside them all.
-		var gid int64 // the moving element, on rank 0
-		for el := range dm.Parts[0].M.Elements() {
-			gid = dm.Parts[0].Gid(el)
-			break
-		}
-		move := func(from, to int32) []Plan {
-			plans := make([]Plan, len(dm.Parts))
-			if ctx.Rank() == 0 {
-				el, _ := dm.Parts[from].FindGid(dm.Dim, gid)
-				plans[from] = Plan{el: to}
+		// bulk call filled lands outside them all. Two shapes are
+		// measured: part 0's first element, then, with that one left on
+		// part 1, the element first after it.
+		single := func() (ones [3]uint64, allocs, bytes uint64, err error) {
+			var gid int64 // the moving element, on rank 0
+			for el := range dm.Parts[0].M.Elements() {
+				gid = dm.Parts[0].Gid(el)
+				break
 			}
-			return plans
-		}
-		measure(move(0, 1))
-		var ones [3]uint64
-		oneAllocs, oneBytes := ^uint64(0), ^uint64(0)
-		for i := range ones {
-			measure(move(1, 0))
-			a, b, n := measure(move(0, 1))
-			if n != 1 { // the same sum on every rank
-				return fmt.Errorf("single move moved %d elements", n)
+			move := func(from, to int32) []Plan {
+				plans := make([]Plan, len(dm.Parts))
+				if ctx.Rank() == 0 {
+					el, _ := dm.Parts[from].FindGid(dm.Dim, gid)
+					plans[from] = Plan{el: to}
+				}
+				return plans
 			}
-			ones[i], oneAllocs, oneBytes = a, min(oneAllocs, a), min(oneBytes, b)
+			measure(move(0, 1))
+			allocs, bytes = ^uint64(0), ^uint64(0)
+			for i := range ones {
+				measure(move(1, 0))
+				a, b, n := measure(move(0, 1))
+				if n != 1 { // the same sum on every rank
+					return ones, 0, 0, fmt.Errorf("single move moved %d elements", n)
+				}
+				ones[i], allocs, bytes = a, min(allocs, a), min(bytes, b)
+			}
+			return ones, allocs, bytes, nil
+		}
+		var ones [2][3]uint64
+		var oneAllocs, oneBytes [2]uint64
+		for k := range ones {
+			var err error
+			if ones[k], oneAllocs[k], oneBytes[k], err = single(); err != nil {
+				return err
+			}
 		}
 		if err := Verify(dm); err != nil {
 			return err
@@ -182,19 +196,21 @@ func TestMigrateAllocsScaleWithMove(t *testing.T) {
 		if bulkMoved != 6*16*6*6 {
 			return fmt.Errorf("bulk moved %d elements, want %d", bulkMoved, 6*16*6*6)
 		}
-		t.Logf("bulk: %d elements, %.3f allocs and %d B each; single: %v allocs, %d B", bulkMoved,
-			float64(bulkAllocs)/float64(bulkMoved), bulkBytes/uint64(bulkMoved), ones, oneBytes)
+		t.Logf("bulk: %d elements, %.3f allocs and %d B each; single: %v allocs, %d B; next: %v allocs, %d B", bulkMoved,
+			float64(bulkAllocs)/float64(bulkMoved), bulkBytes/uint64(bulkMoved), ones[0], oneBytes[0], ones[1], oneBytes[1])
 		if perMoved := float64(bulkAllocs) / float64(bulkMoved); perMoved > 0.21 {
 			return fmt.Errorf("bulk migration: %.3f allocations per moved element, want <= 0.21", perMoved)
 		}
-		if oneAllocs > 36 {
-			return fmt.Errorf("one-element migration: %d allocations, want <= 36", oneAllocs)
+		for k, a := range oneAllocs {
+			if a > 36 {
+				return fmt.Errorf("one-element migration %d: %d allocations, want <= 36", k, a)
+			}
 		}
 		if perMoved := bulkBytes / uint64(bulkMoved); perMoved > 4000 {
 			return fmt.Errorf("bulk migration: %d bytes per moved element, want <= 4000", perMoved)
 		}
-		if oneBytes*20 >= bulkBytes {
-			return fmt.Errorf("one-element migration allocated %d B, bulk %d B: want under 1/20", oneBytes, bulkBytes)
+		if b := max(oneBytes[0], oneBytes[1]); b*20 >= bulkBytes {
+			return fmt.Errorf("one-element migration allocated %d B, bulk %d B: want under 1/20", b, bulkBytes)
 		}
 		return nil
 	})

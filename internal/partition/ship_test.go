@@ -213,7 +213,8 @@ func firstDiff(a, b []byte) int {
 
 // The reference: closure collection and element packing as they were
 // before the one-copy shipment — three AdjacentTo walks per element, a
-// comparator sort per level, one buffer per pair.
+// comparator sort per level, one buffer per pair — with each downward
+// entity named by a linear search of its level.
 
 func refClosureBound(m *mesh.Mesh, els []mesh.Ent, d int) (bound [3]int) {
 	for _, el := range els {
@@ -273,7 +274,6 @@ func refPackElements(b *pcu.Buffer, dm *DMesh, partIdx int, els []mesh.Ent, t *r
 	b.Grow(size)
 	movable, _ := movableTags(m)
 	writeTagTable(b, movable)
-	var gids []int64
 	var down []mesh.Ent
 	for dd := 0; dd <= d; dd++ {
 		level := els
@@ -294,12 +294,16 @@ func refPackElements(b *pcu.Buffer, dm *DMesh, partIdx int, els []mesh.Ent, t *r
 				b.Float64(p.Y)
 				b.Float64(p.Z)
 			} else {
+				// Each downward entity by its position in the level
+				// below, as that level was collected here.
 				down = m.DownTo(e, down[:0])
-				gids = gids[:0]
 				for _, de := range down {
-					gids = append(gids, part.Gid(de))
+					at := slices.Index(closure[dd-1], de)
+					if at < 0 {
+						panic(fmt.Sprintf("%v ships without its downward %v", e, de))
+					}
+					b.Int32(int32(at))
 				}
-				b.Int64s(gids)
 			}
 			writeEntityTags(b, m, movable, e)
 		}

@@ -64,8 +64,8 @@
 //     its own pool. Consequently a Message, its Reader and any slice
 //     decoded without copying (BytesNoCopy) are valid only
 //     until Done — or the next Exchange — and must never be stored;
-//     Reader.Bytes returns a copy that survives. The bufdiscipline
-//     analyzer flags uses of an uncopied slice past Done.
+//     Reader.Bytes returns a copy that survives, as do a Recycled Reader's
+//     aliases. The bufdiscipline analyzer flags an uncopied slice past Done.
 //
 //   - Collectives write only their own World.slots entry, then barrier,
 //     then read the other entries, then barrier again before any rank

@@ -50,7 +50,7 @@ const (
 	opFloat64
 	opBytesNoCopy
 	opAppendInt32s
-	opAppendInt64s
+	opInt64s
 	opAppendFloat64s
 	opDone
 	readerOps
@@ -92,8 +92,8 @@ func fuzzDecode(t *testing.T, script, payload []byte) {
 				decoded = 4 + len(r.BytesNoCopy())
 			case opAppendInt32s:
 				decoded = 4 + 4*len(r.AppendInt32s(nil))
-			case opAppendInt64s:
-				decoded = 4 + 8*len(r.AppendInt64s(nil))
+			case opInt64s:
+				decoded = 4 + 8*len(r.Int64s())
 			case opAppendFloat64s:
 				decoded = 4 + 8*len(r.AppendFloat64s(nil))
 			case opDone:
@@ -153,11 +153,11 @@ func fuzzRoundTrip(t *testing.T, script, payload []byte) {
 				v.i32s = append(v.i32s, int32(binary.LittleEndian.Uint32(take(4))))
 			}
 			b.Int32s(v.i32s)
-		case opAppendInt64s, opAppendFloat64s:
+		case opInt64s, opAppendFloat64s:
 			for range count {
 				v.u64s = append(v.u64s, binary.LittleEndian.Uint64(take(8)))
 			}
-			if v.op == opAppendInt64s {
+			if v.op == opInt64s {
 				vals := make([]int64, count)
 				for i, u := range v.u64s {
 					vals[i] = int64(u)
@@ -195,8 +195,8 @@ func fuzzRoundTrip(t *testing.T, script, payload []byte) {
 			ok = bytes.Equal(r.BytesNoCopy(), v.raw)
 		case opAppendInt32s:
 			ok = slices.Equal(r.AppendInt32s(nil), v.i32s)
-		case opAppendInt64s:
-			got := r.AppendInt64s(nil)
+		case opInt64s:
+			got := r.Int64s()
 			ok = len(got) == len(v.u64s)
 			for j := range min(len(got), len(v.u64s)) {
 				ok = ok && uint64(got[j]) == v.u64s[j]

@@ -234,14 +234,19 @@ func (r *Reader) Empty() bool { return r.Remaining() == 0 }
 // allocation-free. Any uncopied slice obtained from BytesNoCopy is
 // invalid from this point on.
 func (r *Reader) Done() {
+	c, data := r.owner, r.data
+	r.Recycle()
+	c.releaseBuf(data)
+}
+
+// Recycle is Done without the array: a pooled Reader is recycled, its
+// array left to the collector, so the slices BytesNoCopy cut stay valid.
+func (r *Reader) Recycle() {
 	if n := r.Remaining(); n != 0 {
 		panic(&MalformedError{fmt.Sprintf("pcu: message has %d undecoded trailing bytes", n)})
 	}
 	if c := r.owner; c != nil {
-		r.owner = nil
-		c.releaseBuf(r.data)
-		r.data = nil
-		r.off = 0
+		*r = Reader{}
 		c.releaseReader(r)
 	}
 }
@@ -356,13 +361,6 @@ func (r *Reader) bulkInt32s(dst []int32, n int) []int32 {
 func (r *Reader) Int64s() []int64 {
 	n := r.lenPrefix(8)
 	return r.bulkInt64s(make([]int64, 0, n), n)
-}
-
-// AppendInt64s decodes a length-prefixed slice of 64-bit integers,
-// appending to dst.
-func (r *Reader) AppendInt64s(dst []int64) []int64 {
-	n := r.lenPrefix(8)
-	return r.bulkInt64s(dst, n)
 }
 
 func (r *Reader) bulkInt64s(dst []int64, n int) []int64 {

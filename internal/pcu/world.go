@@ -164,9 +164,8 @@ type Ctx struct {
 	bufs []*Buffer
 	act  []int
 
-	// free and freeRd recycle payload arrays and Readers: Reader.Done
-	// returns both to the receiving rank's lists, and To/Exchange grab
-	// from them, so steady-state phases are allocation-free.
+	// free and freeRd recycle payload arrays and Readers (Reader.Done
+	// returns both, Recycle the Reader alone); To/Exchange grab from them.
 	free   [][]byte
 	freeRd []*Reader
 
@@ -512,9 +511,9 @@ func (c *Ctx) grabBuf() []byte {
 	return nil
 }
 
-// releaseBuf returns a payload array to this rank's free list.
+// releaseBuf returns a payload array to this rank's free list, if any.
 func (c *Ctx) releaseBuf(b []byte) {
-	if cap(b) == 0 || len(c.free) >= freeListCap {
+	if c == nil || cap(b) == 0 || len(c.free) >= freeListCap {
 		return
 	}
 	c.free = append(c.free, b[:0])
